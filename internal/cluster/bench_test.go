@@ -17,12 +17,11 @@ type pushSink struct {
 func (pushSink) HandlePushBlock(*ps.ValueBlock) error { return nil }
 
 // BenchmarkWireBytesPerBatch measures the bytes one batch-shaped block cycle
-// actually puts on the socket: a 2048-key block pull plus a 2048-row fp32
-// push at dim 8 (BenchmarkStagePushMultiNode's per-shard shape), under each
-// wire mode. gob-fp32 is the pre-raw-frame wire (the PR 5 baseline, forced by
-// downgrading the negotiated connections); the raw modes carry the negotiated
-// pull precision, with push bodies at fp32 unless the -push variants opt the
-// push direction into the same precision. The wirebytes/op
+// actually puts on the socket: a 2048-key block pull plus a 2048-row push at
+// dim 8 (BenchmarkStagePushMultiNode's per-shard shape), under each wire
+// mode: pull replies carry the negotiated precision, push bodies stay fp32
+// unless the -push variants opt the push direction into the same precision.
+// The wirebytes/op
 // metric is the one BENCH_pr6.json records; ns/op here includes loopback
 // syscalls and is not a transport benchmark.
 func BenchmarkWireBytesPerBatch(b *testing.B) {
@@ -38,16 +37,14 @@ func BenchmarkWireBytesPerBatch(b *testing.B) {
 
 	for _, mode := range []struct {
 		name      string
-		raw       bool
 		prec      ps.Precision
 		quantPush bool
 	}{
-		{"gob-fp32", false, ps.PrecisionFP32, false},
-		{"raw-fp32", true, ps.PrecisionFP32, false},
-		{"raw-fp16", true, ps.PrecisionFP16, false},
-		{"raw-int8", true, ps.PrecisionInt8, false},
-		{"raw-fp16-push", true, ps.PrecisionFP16, true},
-		{"raw-int8-push", true, ps.PrecisionInt8, true},
+		{"raw-fp32", ps.PrecisionFP32, false},
+		{"raw-fp16", ps.PrecisionFP16, false},
+		{"raw-int8", ps.PrecisionInt8, false},
+		{"raw-fp16-push", ps.PrecisionFP16, true},
+		{"raw-int8-push", ps.PrecisionInt8, true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			srv, err := ServeTCP("127.0.0.1:0", pushSink{&wireHandler{mapHandler: newMapHandler(dim)}})
@@ -66,17 +63,6 @@ func BenchmarkWireBytesPerBatch(b *testing.B) {
 			}
 			push := ps.NewValueBlock(dim)
 			push.CopyFrom(dst)
-			if !mode.raw {
-				// Downgrade the dialed connections to gob frames, as if the
-				// hello had answered wire version 1.
-				tr.mu.Lock()
-				for _, p := range tr.peers {
-					for _, c := range p.conns {
-						c.raw = false
-					}
-				}
-				tr.mu.Unlock()
-			}
 
 			before := tr.Stats()
 			b.ResetTimer()

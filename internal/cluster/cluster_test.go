@@ -396,3 +396,48 @@ func TestServeTCPValidation(t *testing.T) {
 		t.Fatal("bad address should fail")
 	}
 }
+
+// TestOverflowConnsAreClosed covers the pool-overfill path: when concurrent
+// first RPCs dial more connections than SetMaxConnsPerPeer allows, the
+// surplus ones serve their one RPC unpublished — and must then be closed, or
+// each would pin a socket and a server goroutine until a finalizer ran.
+func TestOverflowConnsAreClosed(t *testing.T) {
+	srv, err := ServeTCP("127.0.0.1:0", newMapHandler(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	tr := NewTCPTransport(map[int]string{0: srv.Addr()}, 2)
+	defer tr.Close()
+	tr.SetMaxConnsPerPeer(2)
+
+	const callers = 16
+	start := make(chan struct{})
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		go func(k keys.Key) {
+			<-start
+			_, _, err := tr.Pull(0, []keys.Key{k})
+			errs <- err
+		}(keys.Key(i + 1))
+	}
+	close(start)
+	for i := 0; i < callers; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	tracked := func() int {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.active)
+	}
+	// The server notices a client-side close asynchronously.
+	deadline := time.Now().Add(2 * time.Second)
+	for tracked() > 2 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := tracked(); n > 2 {
+		t.Fatalf("server still tracks %d connections after %d concurrent first RPCs, want <= 2", n, callers)
+	}
+}

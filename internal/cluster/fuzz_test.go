@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"hps/internal/embedding"
@@ -9,111 +11,141 @@ import (
 	"hps/internal/ps"
 )
 
-// FuzzWireCodec feeds arbitrary bytes through the frame reader on both the
-// request (server) and response (client) paths, and — interpreting the same
-// bytes as a raw payload — through the raw dispatch, in every negotiated
-// precision. The codec faces the network, so a malformed, truncated, or
-// hostile frame must come back as an error — never a panic or a runaway
-// allocation. Frames that do decode must pass request validation before a
-// handler would see them, and semantically valid requests must survive the
-// full server dispatch.
-func FuzzWireCodec(f *testing.F) {
-	// Seed with well-formed frames of every operation so the fuzzer mutates
-	// from the real wire format, not just noise.
-	seed := func(req *wireRequest) {
-		var buf bytes.Buffer
-		if _, err := writeFrame(&buf, req); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
+// wellFormedFrames returns one valid request payload per wire op (push bodies
+// in every precision), keyed by what it is.
+func wellFormedFrames() map[string][]byte {
 	v := embedding.NewValue(4)
 	v.Weights[0] = 1.5
-	seed(&wireRequest{Op: opPull, Keys: []keys.Key{1, 2, 3}})
-	seed(&wireRequest{Op: opPush, Client: 7, Seq: 1, Keys: []keys.Key{9}, Values: []*embedding.Value{v}})
-	seed(&wireRequest{Op: opEvict, All: true})
-	seed(&wireRequest{Op: opStats})
-	seed(&wireRequest{Op: opLookup, Keys: []keys.Key{4}})
-	seed(&wireRequest{Op: opPullBlock, Keys: []keys.Key{1, 2}})
 	blk := ps.NewValueBlock(4)
 	blk.Reset(4, []keys.Key{9})
 	blk.Set(0, v)
-	seed(&wireRequest{Op: opPushBlock, Client: 7, Seq: 2, Keys: []keys.Key{9}, Block: blk.AppendWire(nil)})
-	var respBuf bytes.Buffer
-	resp := &wireResponse{Keys: []keys.Key{1}, Values: []*embedding.Value{v}, Name: "mem-ps"}
-	if _, err := writeFrame(&respBuf, resp); err != nil {
-		f.Fatal(err)
+	frames := map[string][]byte{
+		"hello":       {rawOpHello, rawWireVersion, byte(ps.PrecisionFP16), 0},
+		"pull-block":  appendRawKeyReq(nil, rawOpPullBlock, 0, []keys.Key{2, 4, 6}),
+		"lookup":      appendRawKeyReq(nil, rawOpLookup, 0, []keys.Key{4}),
+		"evict":       appendRawKeyReq(nil, rawOpEvict, 0, []keys.Key{1, 2}),
+		"evict-all":   appendRawKeyReq(nil, rawOpEvict, rawFlagAll, nil),
+		"replicate":   blk.AppendWire(appendRawBlockReq(nil, rawOpReplicate, 7, 4, blk.Keys)),
+		"transfer":    blk.AppendWire(appendRawBlockReq(nil, rawOpTransfer, 0, 0, blk.Keys)),
+		"predict":     appendRawPredictReq(nil, PredictRequest{Counts: []uint32{2, 0, 1}, Keys: []keys.Key{1, 2, 3}}),
+		"stats":       {rawOpStats, 0, 0, 0},
+		"serve-stats": {rawOpServeStats, 0, 0, 0},
+		"membership": appendRawMembership(nil, MembershipUpdate{Epoch: 3, Members: []int{0, 1}, VNodes: 8, Replicas: 2,
+			Addrs: map[int]string{0: "127.0.0.1:7000", 1: "127.0.0.1:7001"}}),
+		"serve-config": appendRawServeConfig(nil, ServeConfig{Addrs: map[int]string{1: "b:2"}, Dense: []float32{1, 2}, Epoch: 5}),
 	}
-	f.Add(respBuf.Bytes())
-	f.Add([]byte{0, 0, 0, 1, 0})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
-	// Raw payloads (no stream prefix: dispatchRaw consumes payloads), one per
-	// op, with push bodies in each precision so the quantized row decoders see
-	// mutated input too.
-	f.Add([]byte{rawOpHello, rawWireVersion, byte(ps.PrecisionFP16), 0})
-	f.Add(appendRawPullReq(nil, []keys.Key{2, 4, 6}))
 	for _, p := range []ps.Precision{ps.PrecisionFP32, ps.PrecisionFP16, ps.PrecisionInt8} {
-		f.Add(blk.AppendWirePrecision(appendRawPushReq(nil, 7, 3, []keys.Key{9}), p))
+		frames["push-block/"+p.String()] = blk.AppendWirePrecision(appendRawBlockReq(nil, rawOpPushBlock, 7, 3, blk.Keys), p)
 	}
+	return frames
+}
 
-	srv := &TCPServer{seqs: NewSeqTracker(), handler: fuzzHandler{}}
+// malformedFrames returns request payloads a hostile or broken peer could
+// send: each must be answered with an error frame, without a panic and
+// without sizing an allocation from a count the payload cannot back.
+func malformedFrames() map[string][]byte {
+	good := wellFormedFrames()
+	membership := good["membership"]
+	bigCount := bytes.Clone(membership)
+	binary.LittleEndian.PutUint32(bigCount[4+24:], 1<<31-1) // nmembers, far beyond the payload
+	denseCount := bytes.Clone(good["serve-config"])
+	binary.LittleEndian.PutUint32(denseCount[4+16:], 1<<30) // ndense
+	return map[string][]byte{
+		"truncated address book":       membership[:len(membership)-5],
+		"address longer than payload":  append(bytes.Clone(membership[:len(membership)-14]), 0xff, 0xff, 0xff, 0x7f),
+		"member count beyond payload":  bigCount,
+		"dense count beyond payload":   denseCount,
+		"membership with no members":   appendRawMembership(nil, MembershipUpdate{Epoch: 1}),
+		"trailing bytes":               append(bytes.Clone(membership), 0),
+		"evict-all with trailing keys": appendRawKeyReq(nil, rawOpEvict, rawFlagAll, []keys.Key{1, 2}),
+		"key count beyond payload":     append([]byte{rawOpPullBlock, 0, 0, 0}, 0xff, 0xff, 0xff, 0xff),
+		"push without a block":         appendRawBlockReq(nil, rawOpPushBlock, 1, 1, []keys.Key{5}),
+		"predict counts beyond keys":   appendRawPredictReq(nil, PredictRequest{Counts: []uint32{5}, Keys: []keys.Key{1}}),
+		"stats with a body":            {rawOpStats, 0, 0, 0, 9},
+		"short header":                 {rawOpStats, 0},
+		"hello from another version":   {rawOpHello, rawWireVersion - 1, 0, 0},
+		"response op as a request":     {rawOpPullBlock + 1, 0, 0, 0},
+		"unknown op":                   {99, 0, 0, 0},
+	}
+}
+
+// TestMalformedFramesAnswerErrors pins the rejection of every malformed shape
+// above (the fuzzer only asserts the absence of panics).
+func TestMalformedFramesAnswerErrors(t *testing.T) {
+	srv := &TCPServer{seqs: NewSeqTracker(), handler: newOpsHandler()}
+	for name, payload := range malformedFrames() {
+		prec := ps.PrecisionFP32
+		out, buf := srv.dispatchRaw(payload, &prec)
+		if len(out) < 8 || out[4] != payload[0]+1 || out[5] != rawStatusErr {
+			t.Errorf("%s: answered % x, want an error frame", name, out)
+		}
+		if strings.Contains(string(out[8:]), "panicked") {
+			t.Errorf("%s: rejected by a contained panic, not a check: %s", name, out[8:])
+		}
+		putScratch(buf)
+	}
+	for name, payload := range wellFormedFrames() {
+		prec := ps.PrecisionFP32
+		out, buf := srv.dispatchRaw(payload, &prec)
+		if out[5] != rawStatusOK {
+			t.Errorf("%s: well-formed frame refused: %s", name, out[8:])
+		}
+		putScratch(buf)
+	}
+}
+
+// FuzzWireCodec feeds arbitrary bytes through the stream reader and — as a
+// request payload — through the server dispatch in every negotiated
+// precision, then through the client-side reply parsers. The codec faces the
+// network, so a malformed, truncated, or hostile frame must come back as an
+// error — never a panic (dispatch contains handler panics, so a parser that
+// panics shows up as a "panicked" error frame, which the target rejects) or an
+// allocation sized by a count the bytes cannot back.
+func FuzzWireCodec(f *testing.F) {
+	// Seed with well-formed frames of every operation, and the known
+	// malformed shapes, so the fuzzer mutates from the real wire format.
+	for _, frame := range wellFormedFrames() {
+		f.Add(frame)
+	}
+	for _, frame := range malformedFrames() {
+		f.Add(frame)
+	}
+	f.Add([]byte{0x80, 0, 0, 1, 0})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+
+	srv := &TCPServer{seqs: NewSeqTracker(), handler: newOpsHandler()}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var req wireRequest
-		if _, err := readFrame(bytes.NewReader(data), &req); err == nil {
-			if req.validate() == nil {
-				// A frame that decodes and validates must dispatch without
-				// panicking, and the reply must encode.
-				var out bytes.Buffer
-				resp, release := srv.dispatch(&req)
-				_, err := writeFrame(&out, resp)
-				if release != nil {
-					release()
-				}
-				if err != nil {
-					t.Fatalf("response for valid request failed to encode: %v", err)
-				}
-			}
+		// As a byte stream: the frame reader must reject or delimit it.
+		r := bytes.NewReader(data)
+		if n, err := readFramePrefix(r); err == nil {
+			scratch := getScratch()
+			_, _ = readFramePayload(r, n, scratch)
+			putScratch(scratch)
 		}
-		var wresp wireResponse
-		if _, err := readFrame(bytes.NewReader(data), &wresp); err == nil {
-			_ = wresp.result() // must tolerate inconsistent key/value slices
-		}
-		// The same bytes as a raw payload, against every negotiated precision:
-		// dispatchRaw must always produce a well-formed response frame.
+		// As a request payload, against every negotiated precision: the
+		// dispatch must always produce a well-formed response frame.
 		if len(data) > 0 && len(data) <= MaxFrameBytes {
 			for _, p := range []ps.Precision{ps.PrecisionFP32, ps.PrecisionFP16, ps.PrecisionInt8} {
 				prec := p
 				out, buf := srv.dispatchRaw(data, &prec)
-				if len(out) < 8 {
-					t.Fatalf("raw dispatch produced a %d-byte frame", len(out))
+				if len(out) < 8 || out[4] != data[0]+1 {
+					t.Fatalf("dispatch produced a malformed frame: % x", out)
+				}
+				if out[5] != rawStatusOK && strings.Contains(string(out[8:]), "panicked") {
+					t.Fatalf("dispatch contained a panic: %s", out[8:])
 				}
 				*buf = out[:0]
 				putScratch(buf)
 			}
 		}
-		// And through the client-side raw response path: a pull reply body cut
-		// from (or mutated into) arbitrary bytes must fail decode cleanly.
-		if len(data) >= 4 {
-			dst := ps.NewValueBlock(0)
-			_ = dst.DecodeWire([]keys.Key{1, 2}, data[4:])
-		}
+		// As a reply body: every client-side parser must fail cleanly.
+		dst := ps.NewValueBlock(0)
+		_ = dst.DecodeWire([]keys.Key{1, 2}, data)
+		_, _ = parseRawScores(data)
+		var n int
+		_ = parseRawCount(&n)(data)
+		var st ServingStats
+		_, _ = binary.Decode(data, le, &st)
 	})
 }
-
-// fuzzHandler implements every server-side interface with tiny, total
-// functions so dispatch reaches all operation arms.
-type fuzzHandler struct{}
-
-func (fuzzHandler) HandlePull(ks []keys.Key) (PullResult, error) {
-	out := make(PullResult, len(ks))
-	for _, k := range ks {
-		out[k] = embedding.NewValue(2)
-	}
-	return out, nil
-}
-func (fuzzHandler) HandlePush(map[keys.Key]*embedding.Value) error { return nil }
-func (fuzzHandler) HandleLookup(ks []keys.Key) (PullResult, error) { return make(PullResult), nil }
-func (fuzzHandler) Evict(ks []keys.Key) (int, error)               { return len(ks), nil }
-func (fuzzHandler) Name() string                                   { return "fuzz" }
-func (fuzzHandler) TierStats() ps.Stats                            { return ps.Stats{} }

@@ -66,12 +66,9 @@ func (t *LocalTransport) handler(nodeID int) (PullHandler, error) {
 	return h, nil
 }
 
-var (
-	_ TierTransport  = (*LocalTransport)(nil)
-	_ BlockTransport = (*LocalTransport)(nil)
-)
+var _ TierTransport = (*LocalTransport)(nil)
 
-// PullBlock implements BlockTransport: block-capable handlers serve straight
+// PullBlock implements TierTransport: block-capable handlers serve straight
 // into dst; others are adapted through their map-based pull.
 func (t *LocalTransport) PullBlock(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (int64, error) {
 	h, err := t.handler(nodeID)
@@ -92,7 +89,7 @@ func (t *LocalTransport) PullBlock(nodeID int, ks []keys.Key, dst *ps.ValueBlock
 	return int64(len(ks))*8 + int64(dst.PresentCount())*int64(8+embedding.EncodedSize(t.dim)), nil
 }
 
-// PushBlock implements BlockTransport. Handlers without a block push receive
+// PushBlock implements TierTransport. Handlers without a block push receive
 // freshly allocated map deltas (handlers may retain what push hands them).
 func (t *LocalTransport) PushBlock(nodeID int, blk *ps.ValueBlock) (int64, error) {
 	h, err := t.handler(nodeID)
@@ -123,7 +120,7 @@ func (t *LocalTransport) Replicate(nodeID int, client, seq uint64, blk *ps.Value
 	}
 	rh, ok := h.(ReplicaPushHandler)
 	if !ok {
-		return 0, &RemoteError{Node: nodeID, Op: opName(opReplicate), Msg: "shard does not accept replicated pushes"}
+		return 0, &RemoteError{Node: nodeID, Op: opName(rawOpReplicate), Msg: "shard does not accept replicated pushes"}
 	}
 	if err := rh.HandleReplicate(blk); err != nil {
 		return 0, fmt.Errorf("cluster: replicate to node %d: %w", nodeID, err)
@@ -140,7 +137,7 @@ func (t *LocalTransport) Transfer(nodeID int, blk *ps.ValueBlock) (int, error) {
 	}
 	th, ok := h.(TransferHandler)
 	if !ok {
-		return 0, &RemoteError{Node: nodeID, Op: opName(opTransfer), Msg: "shard does not accept transfers"}
+		return 0, &RemoteError{Node: nodeID, Op: opName(rawOpTransfer), Msg: "shard does not accept transfers"}
 	}
 	n, err := th.HandleTransfer(blk)
 	if err != nil {
@@ -157,7 +154,7 @@ func (t *LocalTransport) UpdateMembership(nodeID int, u MembershipUpdate) error 
 	}
 	mh, ok := h.(MembershipHandler)
 	if !ok {
-		return &RemoteError{Node: nodeID, Op: opName(opMembership), Msg: "shard does not accept membership updates"}
+		return &RemoteError{Node: nodeID, Op: opName(rawOpMembership), Msg: "shard does not accept membership updates"}
 	}
 	if err := mh.HandleMembership(u); err != nil {
 		return fmt.Errorf("cluster: membership update to node %d: %w", nodeID, err)

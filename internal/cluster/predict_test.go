@@ -1,192 +1,10 @@
 package cluster
 
 import (
-	"errors"
-	"strings"
 	"testing"
 
 	"hps/internal/keys"
 )
-
-// predictStub is a PullHandler with the serving trio grafted on: it scores
-// every example with a fixed function of its features, optionally rejecting
-// everything as overloaded.
-type predictStub struct {
-	overloaded bool
-	config     ServeConfig
-	stats      ServingStats
-}
-
-func (h *predictStub) HandlePull(ks []keys.Key) (PullResult, error) {
-	return PullResult{}, nil
-}
-
-func (h *predictStub) HandlePredict(req PredictRequest) ([]float32, error) {
-	if h.overloaded {
-		return nil, &OverloadError{Node: 3, Op: "predict"}
-	}
-	scores := make([]float32, len(req.Counts))
-	off := 0
-	for i, c := range req.Counts {
-		var sum float32
-		for _, k := range req.Keys[off : off+int(c)] {
-			sum += float32(k % 97)
-		}
-		off += int(c)
-		scores[i] = sum
-	}
-	return scores, nil
-}
-
-func (h *predictStub) HandleServeConfig(cfg ServeConfig) error {
-	h.config = cfg
-	return nil
-}
-
-func (h *predictStub) ServingStats() ServingStats { return h.stats }
-
-// TestPredictRoundTrip exercises the full predict path over a real socket —
-// raw frames, since both ends speak wire version 2 — and checks the scores
-// come back exactly as the handler computed them, including zero-feature
-// examples.
-func TestPredictRoundTrip(t *testing.T) {
-	stub := &predictStub{}
-	srv, err := ServeTCP("127.0.0.1:0", stub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	tr := NewTCPTransport(map[int]string{0: srv.Addr()}, 4)
-	defer tr.Close()
-
-	req := PredictRequest{
-		Counts: []uint32{2, 0, 3},
-		Keys:   []keys.Key{10, 20, 30, 40, 50},
-	}
-	scores, err := tr.Predict(0, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := stub.HandlePredict(req)
-	if len(scores) != len(want) {
-		t.Fatalf("got %d scores, want %d", len(scores), len(want))
-	}
-	for i := range scores {
-		if scores[i] != want[i] {
-			t.Fatalf("score[%d] = %v, want %v", i, scores[i], want[i])
-		}
-	}
-}
-
-// TestPredictGobRoundTrip covers the wire-version-1 fallback by driving the
-// gob dispatch directly with a wireRequest, the same frames a pre-raw client
-// would send.
-func TestPredictGobRoundTrip(t *testing.T) {
-	stub := &predictStub{}
-	s := &TCPServer{handler: stub, seqs: NewSeqTracker()}
-	resp, _ := s.dispatch(&wireRequest{Op: opPredict, Counts: []uint32{1, 2}, Keys: []keys.Key{7, 8, 9}})
-	if resp.Err != "" {
-		t.Fatal(resp.Err)
-	}
-	want, _ := stub.HandlePredict(PredictRequest{Counts: []uint32{1, 2}, Keys: []keys.Key{7, 8, 9}})
-	if len(resp.Scores) != 2 || resp.Scores[0] != want[0] || resp.Scores[1] != want[1] {
-		t.Fatalf("scores %v, want %v", resp.Scores, want)
-	}
-
-	// A malformed request (counts not accounting for the keys) must be
-	// rejected by validation, not reach the handler.
-	resp, _ = s.dispatch(&wireRequest{Op: opPredict, Counts: []uint32{5}, Keys: []keys.Key{1}})
-	if resp.Err == "" {
-		t.Fatal("mismatched counts passed validation")
-	}
-
-	// Overload through gob sets the marker flag the client rebuilds the
-	// typed error from.
-	stub.overloaded = true
-	resp, _ = s.dispatch(&wireRequest{Op: opPredict, Counts: []uint32{1}, Keys: []keys.Key{1}})
-	if !resp.Overloaded || resp.Err == "" {
-		t.Fatalf("overload not marked: overloaded=%v err=%q", resp.Overloaded, resp.Err)
-	}
-}
-
-// TestPredictOverloadTyped asserts an admission rejection crosses the wire
-// as a typed, retryable *OverloadError and is NOT consumed by the
-// transport's internal retry loop (Retries must stay zero — shedding load to
-// the caller is the whole point of admission control).
-func TestPredictOverloadTyped(t *testing.T) {
-	stub := &predictStub{overloaded: true}
-	srv, err := ServeTCP("127.0.0.1:0", stub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	tr := NewTCPTransport(map[int]string{0: srv.Addr()}, 4)
-	defer tr.Close()
-
-	_, err = tr.Predict(0, PredictRequest{Counts: []uint32{1}, Keys: []keys.Key{1}})
-	var oe *OverloadError
-	if !errors.As(err, &oe) {
-		t.Fatalf("want *OverloadError, got %T: %v", err, err)
-	}
-	if !Retryable(err) {
-		t.Fatal("overload error must be retryable by the caller")
-	}
-	if got := tr.Stats().Retries; got != 0 {
-		t.Fatalf("transport retried an overload rejection %d time(s)", got)
-	}
-	// Not every error is retryable: a plain remote failure must stay final.
-	if Retryable(&RemoteError{Node: 0, Op: "predict", Msg: "x"}) {
-		t.Fatal("RemoteError must not be retryable")
-	}
-}
-
-// TestServeConfigAndStatsRPC round-trips the serving control plane: config
-// down (addresses + dense parameters + epoch), counters back.
-func TestServeConfigAndStatsRPC(t *testing.T) {
-	stub := &predictStub{stats: ServingStats{Requests: 5, CacheHits: 30, CacheMisses: 10, PushEpoch: 7, StalenessMax: 1}}
-	srv, err := ServeTCP("127.0.0.1:0", stub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	tr := NewTCPTransport(map[int]string{0: srv.Addr()}, 4)
-	defer tr.Close()
-
-	cfg := ServeConfig{
-		Addrs: map[int]string{0: "a", 1: "b"},
-		Dense: []float32{1, 2, 3},
-		Epoch: 9,
-	}
-	if err := tr.PublishServeConfig(0, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if stub.config.Epoch != 9 || len(stub.config.Dense) != 3 || stub.config.Addrs[1] != "b" {
-		t.Fatalf("config did not survive the trip: %+v", stub.config)
-	}
-
-	st, err := tr.ServingStats(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st != stub.stats {
-		t.Fatalf("stats %+v, want %+v", st, stub.stats)
-	}
-	if got := st.CacheHitRate(); got != 0.75 {
-		t.Fatalf("hit rate %v, want 0.75", got)
-	}
-
-	// A handler without the serving interfaces must reject the ops cleanly.
-	bare, err := ServeTCP("127.0.0.1:0", fuzzHandler{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bare.Close()
-	tr2 := NewTCPTransport(map[int]string{0: bare.Addr()}, 4)
-	defer tr2.Close()
-	if _, err := tr2.ServingStats(0); err == nil || !strings.Contains(err.Error(), "serving stats") {
-		t.Fatalf("want serving-stats rejection, got %v", err)
-	}
-}
 
 // TestServingStatsAdd checks the aggregate: counters sum, watermarks take
 // the max.
@@ -199,6 +17,9 @@ func TestServingStatsAdd(t *testing.T) {
 	}
 	if got.PushEpochLag != 3 {
 		t.Fatalf("push epoch lag should take the max, got %+v", got)
+	}
+	if rate := (ServingStats{CacheHits: 30, CacheMisses: 10}).CacheHitRate(); rate != 0.75 {
+		t.Fatalf("hit rate %v, want 0.75", rate)
 	}
 }
 
@@ -219,7 +40,7 @@ func TestRawPredictCodec(t *testing.T) {
 		t.Fatal("truncated predict request parsed")
 	}
 	scores := []float32{0.25, 0.5, 1.5}
-	body := appendRawScores(nil, scores)
+	body := appendRawFloats(nil, scores)
 	back, err := parseRawScores(body)
 	if err != nil {
 		t.Fatal(err)

@@ -108,36 +108,21 @@ func (r *RemoteTier) Pull(req ps.PullRequest) (ps.Result, error) {
 	return ps.Result(res), nil
 }
 
-// PullInto implements ps.BlockPuller: over a block-capable transport the
-// reply crosses the wire as one flat frame and lands in dst without
-// per-value decoding; otherwise it degrades to the map-based Pull.
+// PullInto implements ps.BlockPuller: the reply crosses the wire as one flat
+// frame and lands in dst without per-value decoding.
 func (r *RemoteTier) PullInto(req ps.PullRequest, dst *ps.ValueBlock) error {
-	bt, ok := r.transport.(BlockTransport)
-	if !ok {
-		res, err := r.Pull(req)
-		if err != nil {
-			return err
-		}
-		ps.FillFromPull(dst, dst.Dim, req.Keys, ps.Result(res))
-		return nil
-	}
 	start := time.Now()
-	if _, err := bt.PullBlock(r.node, req.Keys, dst); err != nil {
+	if _, err := r.transport.PullBlock(r.node, req.Keys, dst); err != nil {
 		return err
 	}
 	r.rec.RecordPull(dst.PresentCount(), time.Since(start))
 	return nil
 }
 
-// PushBlock implements ps.BlockPusher, carrying the deltas as one flat frame
-// over a block-capable transport (map-based otherwise).
+// PushBlock implements ps.BlockPusher, carrying the deltas as one flat frame.
 func (r *RemoteTier) PushBlock(req ps.PushBlockRequest) error {
-	bt, ok := r.transport.(BlockTransport)
-	if !ok {
-		return r.Push(ps.PushRequest{Shard: req.Shard, Deltas: req.Block.Deltas()})
-	}
 	start := time.Now()
-	if _, err := bt.PushBlock(r.node, req.Block); err != nil {
+	if _, err := r.transport.PushBlock(r.node, req.Block); err != nil {
 		return err
 	}
 	r.rec.RecordPush(req.Block.PresentCount(), time.Since(start))

@@ -155,7 +155,7 @@ func TestTCPTransportTypedErrors(t *testing.T) {
 	if !errors.As(err, &te) {
 		t.Fatalf("dead-server error = %T (%v), want *TransportError", err, err)
 	}
-	if te.Node != 1 || te.Op != "pull" || te.Attempts != 2 {
+	if te.Node != 1 || te.Op != "pull-block" || te.Attempts != 2 { // Pull is a map view of the pull-block op
 		t.Fatalf("transport error fields = %+v", te)
 	}
 	if !cluster.Retryable(err) {

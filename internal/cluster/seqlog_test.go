@@ -1,13 +1,9 @@
 package cluster
 
 import (
-	"net"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"hps/internal/embedding"
-	"hps/internal/keys"
 )
 
 // TestSeqTrackerEvictsLeastRecentlyActive checks the maxClients eviction
@@ -42,26 +38,11 @@ func TestSeqTrackerEvictsLeastRecentlyActive(t *testing.T) {
 // reply — and returns the response error string.
 func pushFrame(t *testing.T, addr string, client, seq uint64) string {
 	t.Helper()
-	req := &wireRequest{
-		Op:     opPush,
-		Client: client,
-		Seq:    seq,
-		Keys:   []keys.Key{1},
-		Values: []*embedding.Value{embedding.NewValue(2)},
+	resp := rawExchange(t, addr, stampedPushFrame(client, seq))
+	if resp[1] == rawStatusOK {
+		return ""
 	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := writeFrame(conn, req); err != nil {
-		t.Fatal(err)
-	}
-	var resp wireResponse
-	if _, err := readFrame(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	return resp.Err
+	return string(resp[4:])
 }
 
 // TestSeqLogDedupsReplayAcrossRestart is the crash-window test: a push

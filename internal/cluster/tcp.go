@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -336,415 +337,306 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	}
 	defer s.untrack(conn)
 	// prec is the connection's negotiated pull-reply precision: fp32 until a
-	// hello frame raises it, so gob-only clients (and raw clients that skip
-	// the hello) always get bit-exact replies.
+	// hello frame raises it, so clients that skip the hello always get
+	// bit-exact replies.
 	prec := ps.PrecisionFP32
 	for {
-		n, raw, err := readFramePrefix(conn)
+		n, err := readFramePrefix(conn)
 		if err != nil {
-			// A clean EOF is the peer hanging up; anything else means the
-			// stream is corrupt beyond recovery — either way, drop the
-			// connection. The client reconnects and retries.
+			// A clean EOF is the peer hanging up; anything else — a prefix of
+			// some other protocol included — means the stream is beyond
+			// recovery. Either way, drop the connection: the client reconnects
+			// and retries.
 			return
 		}
-		if raw {
-			scratch := getScratch()
-			payload, err := readFramePayload(conn, n, scratch)
-			if err != nil {
-				putScratch(scratch)
-				return
-			}
-			out, outBuf := s.dispatchRaw(payload, &prec)
-			putScratch(scratch) // the request (and any body view into it) is consumed
-			_, werr := writeRawFrame(conn, out)
-			*outBuf = out[:0] // keep whatever the handler grew the frame to
-			putScratch(outBuf)
-			if werr != nil {
-				return
-			}
-			continue
-		}
-		var req wireRequest
 		scratch := getScratch()
 		payload, err := readFramePayload(conn, n, scratch)
-		if err == nil {
-			err = decodeFrame(payload, &req)
-		}
-		putScratch(scratch)
 		if err != nil {
+			putScratch(scratch)
 			return
 		}
-		resp, release := s.dispatch(&req)
-		_, werr := writeFrame(conn, resp)
-		if release != nil {
-			release() // resp may reference pooled buffers; free after the write
-		}
-		if werr != nil {
+		hello := payload[0] == rawOpHello
+		out, outBuf := s.dispatchRaw(payload, &prec)
+		putScratch(scratch) // the request (and any body view into it) is consumed
+		_, werr := writeRawFrame(conn, out)
+		// A refused hello ends the connection: frames of another wire version
+		// would be misparsed under this one's layouts.
+		refused := hello && out[5] != rawStatusOK
+		*outBuf = out[:0] // keep whatever the handler grew the frame to
+		putScratch(outBuf)
+		if werr != nil || refused {
 			return
 		}
 	}
 }
 
-// dispatchRaw executes one raw-framed request and returns the complete
-// response frame (4-byte prefix placeholder included) in a pooled buffer; the
-// caller writes it and returns the buffer to the pool. prec is the
-// connection's negotiated pull-reply precision, updated by hello frames.
-// Handler panics are contained exactly like gob dispatch, including the
-// push-dedup withdrawal.
+// dispatchRaw executes one request and returns the complete response frame
+// (4-byte prefix placeholder included) in a pooled buffer; the caller writes
+// it and returns the buffer to the pool. prec is the connection's negotiated
+// pull-reply precision, updated by hello frames. Handler panics are contained
+// per request: a poisoned batch must not take the shard server (and every
+// other client's parameters) down with it.
 func (s *TCPServer) dispatchRaw(payload []byte, prec *ps.Precision) (frame []byte, buf *[]byte) {
 	buf = getScratch()
 	op := payload[0] // frames are never empty: the prefix check rejects length 0
-	respOp := rawRespOp(op)
-	frame = append((*buf)[:0], 0, 0, 0, 0) // length prefix placeholder
-	fail := func(msg string) []byte {
-		f := append(frame[:4], respOp, 1, 0, 0)
-		return append(f, msg...)
+	frame = append((*buf)[:0], 0, 0, 0, 0, op+1, rawStatusOK, 0, 0)
+	fail := func(status uint8, msg string) []byte {
+		return append(append(frame[:4], op+1, status, 0, 0), msg...)
 	}
-	var client, seq uint64
-	var isPush bool
 	defer func() {
 		if r := recover(); r != nil {
-			if isPush {
-				s.seqs.forget(client, seq) // the apply did not complete
-			}
-			frame = fail(fmt.Sprintf("%s handler panicked: %v", rawOpName(op), r))
+			frame = fail(rawStatusErr, fmt.Sprintf("%s handler panicked: %v", opName(op), r))
 		}
 	}()
-	switch op {
-	case rawOpHello:
-		if len(payload) != 4 {
-			return fail(fmt.Sprintf("malformed hello of %d bytes", len(payload))), buf
-		}
-		version := min(payload[1], rawWireVersion)
-		p := ps.Precision(payload[2])
-		if version < rawWireVersion || !p.Valid() {
-			p = ps.PrecisionFP32
-		}
-		*prec = p
-		return append(frame, rawOpHelloResp, 0, version, byte(p)), buf
-	case rawOpPullBlock:
-		ks, err := parseRawPullReq(payload)
-		if err != nil {
-			return fail(err.Error()), buf
-		}
-		frame = append(frame, rawOpPullBlockResp, 0, 0, 0)
-		if h, ok := s.handler.(BlockPullWireHandler); ok {
-			// Zero-intermediate path: the handler encodes its value rows
-			// straight into the outgoing frame.
-			out, err := h.HandlePullBlockWire(ks, frame, *prec)
-			if err != nil {
-				return fail(err.Error()), buf
-			}
-			return out, buf
-		}
-		blk := ps.GetBlock(0, nil)
-		defer ps.PutBlock(blk)
-		if h, ok := s.handler.(BlockPullHandler); ok {
-			if err := h.HandlePullBlock(ks, blk); err != nil {
-				return fail(err.Error()), buf
-			}
-		} else {
-			res, err := s.handler.HandlePull(ks)
-			if err != nil {
-				return fail(err.Error()), buf
-			}
-			ps.FillFromPull(blk, 0, ks, ps.Result(res))
-		}
-		return blk.AppendWirePrecision(frame, *prec), buf
-	case rawOpPushBlock, rawOpReplicate:
-		var ks []keys.Key
-		var body []byte
-		var err error
-		client, seq, ks, body, err = parseRawPushReq(payload)
-		if err != nil {
-			return fail(err.Error()), buf
-		}
-		isPush = true
-		frame = append(frame, respOp, 0, 0, 0)
-		blk := ps.GetBlock(0, nil)
-		defer ps.PutBlock(blk)
-		if err := blk.DecodeWire(ks, body); err != nil {
-			return fail(err.Error()), buf
-		}
-		if !s.seqs.fresh(client, seq) {
-			return frame, buf // duplicate of an already-applied push: ack, don't re-apply
-		}
-		if op == rawOpReplicate {
-			// A replicated block carries the ORIGIN's dedup stamp: committing
-			// it here is what makes the origin's own retry of the same push a
-			// duplicate after this backup is promoted.
-			h, ok := s.handler.(ReplicaPushHandler)
-			if !ok {
-				s.seqs.forget(client, seq)
-				return fail("shard does not accept replicated pushes"), buf
-			}
-			err = h.HandleReplicate(blk)
-		} else {
-			switch h := s.handler.(type) {
-			case StampedBlockPushHandler:
-				err = h.HandlePushBlockStamped(client, seq, blk)
-			case BlockPushHandler:
-				err = h.HandlePushBlock(blk)
-			case PushHandler:
-				err = h.HandlePush(blk.Deltas())
-			default:
-				s.seqs.forget(client, seq)
-				return fail("shard does not accept pushes"), buf
-			}
-		}
-		if err != nil {
-			s.seqs.forget(client, seq)
-			return fail(err.Error()), buf
-		}
-		s.seqs.commit(client, seq) // applied: persist before the ack leaves
-		return frame, buf
-	case rawOpPredict:
-		req, err := parseRawPredictReq(payload)
-		if err != nil {
-			return fail(err.Error()), buf
-		}
-		h, ok := s.handler.(PredictHandler)
-		if !ok {
-			return fail("shard does not serve predictions"), buf
-		}
-		scores, err := h.HandlePredict(req)
-		if err != nil {
-			var oe *OverloadError
-			if errors.As(err, &oe) {
-				// Admission rejection: a distinct status byte, so the client
-				// rebuilds the typed, retryable error instead of a RemoteError.
-				f := append(frame[:4], respOp, rawStatusOverloaded, 0, 0)
-				return append(f, err.Error()...), buf
-			}
-			return fail(err.Error()), buf
-		}
-		frame = append(frame, rawOpPredictResp, rawStatusOK, 0, 0)
-		return appendRawScores(frame, scores), buf
+	if int(op) >= len(ops) || ops[op].serve == nil {
+		return fail(rawStatusErr, fmt.Sprintf("unknown operation %d", op)), buf
 	}
-	return fail(fmt.Sprintf("unknown raw operation %d", op)), buf
+	if len(payload) < 4 {
+		return fail(rawStatusErr, fmt.Sprintf("malformed %s request of %d bytes", opName(op), len(payload))), buf
+	}
+	out, err := ops[op].serve(s, prec, payload, frame)
+	if err != nil {
+		status := rawStatusErr
+		var oe *OverloadError
+		if errors.As(err, &oe) {
+			// Admission rejection: a distinct status byte, so the client
+			// rebuilds the typed, retryable error instead of a RemoteError.
+			status = rawStatusOverloaded
+		}
+		return fail(status, err.Error()), buf
+	}
+	return out, buf
 }
 
-// dispatch executes one validated request against the handler. Handler
-// panics are contained per request: a poisoned batch must not take the shard
-// server (and every other client's parameters) down with it. The returned
-// release function (may be nil) recycles buffers the response borrows; the
-// caller runs it after the response has been written.
-func (s *TCPServer) dispatch(req *wireRequest) (resp *wireResponse, release func()) {
-	resp = &wireResponse{}
-	if err := req.validate(); err != nil {
-		resp.Err = err.Error()
-		return resp, nil
+func (s *TCPServer) serveHello(prec *ps.Precision, payload, frame []byte) ([]byte, error) {
+	if len(payload) != 4 {
+		return nil, fmt.Errorf("malformed hello of %d bytes", len(payload))
 	}
+	if payload[1] != rawWireVersion {
+		return nil, fmt.Errorf("peer speaks wire version %d, this shard speaks version %d", payload[1], rawWireVersion)
+	}
+	p := ps.Precision(payload[2])
+	if !p.Valid() {
+		p = ps.PrecisionFP32
+	}
+	*prec = p
+	frame[6], frame[7] = rawWireVersion, byte(p)
+	return frame, nil
+}
+
+func (s *TCPServer) servePull(prec *ps.Precision, payload, frame []byte) ([]byte, error) {
+	ks, err := parseRawKeyReq(payload)
+	if err != nil {
+		return nil, err
+	}
+	if h, ok := s.handler.(BlockPullWireHandler); ok {
+		// Zero-intermediate path: the handler encodes its value rows
+		// straight into the outgoing frame.
+		return h.HandlePullBlockWire(ks, frame, *prec)
+	}
+	blk := ps.GetBlock(0, nil)
+	defer ps.PutBlock(blk)
+	if h, ok := s.handler.(BlockPullHandler); ok {
+		if err := h.HandlePullBlock(ks, blk); err != nil {
+			return nil, err
+		}
+	} else {
+		res, err := s.handler.HandlePull(ks)
+		if err != nil {
+			return nil, err
+		}
+		ps.FillFromPull(blk, 0, ks, ps.Result(res))
+	}
+	return blk.AppendWirePrecision(frame, *prec), nil
+}
+
+// serveLookup answers in fp32 whatever the connection negotiated: lookups
+// feed evaluation and serving, which read the authoritative values.
+func (s *TCPServer) serveLookup(_ *ps.Precision, payload, frame []byte) ([]byte, error) {
+	ks, err := parseRawKeyReq(payload)
+	if err != nil {
+		return nil, err
+	}
+	h, ok := s.handler.(LookupHandler)
+	if !ok {
+		return nil, errors.New("shard does not support lookup")
+	}
+	res, err := h.HandleLookup(ks)
+	if err != nil {
+		return nil, err
+	}
+	blk := ps.GetBlock(0, nil)
+	defer ps.PutBlock(blk)
+	ps.FillFromPull(blk, 0, ks, ps.Result(res))
+	return blk.AppendWire(frame), nil
+}
+
+func (s *TCPServer) serveEvict(_ *ps.Precision, payload, frame []byte) ([]byte, error) {
+	ks, err := parseRawKeyReq(payload)
+	if err != nil {
+		return nil, err
+	}
+	if payload[1]&rawFlagAll != 0 {
+		if len(ks) != 0 {
+			return nil, fmt.Errorf("evict-all carries %d keys", len(ks))
+		}
+		ks = nil
+	}
+	h, ok := s.handler.(EvictHandler)
+	if !ok {
+		return nil, errors.New("shard does not support evict")
+	}
+	n, err := h.Evict(ks)
+	if err != nil {
+		return nil, err
+	}
+	return le.AppendUint64(frame, uint64(n)), nil
+}
+
+// decodeRawBlock parses a push-layout request into a pooled block, which the
+// caller returns with ps.PutBlock.
+func decodeRawBlock(payload []byte) (client, seq uint64, blk *ps.ValueBlock, err error) {
+	client, seq, ks, body, err := parseRawBlockReq(payload)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	blk = ps.GetBlock(0, nil)
+	if err := blk.DecodeWire(ks, body); err != nil {
+		ps.PutBlock(blk)
+		return 0, 0, nil, err
+	}
+	return client, seq, blk, nil
+}
+
+// servePush applies a push-block or replicate request exactly once per dedup
+// stamp. The stamp is recorded before the apply and withdrawn if the apply
+// fails or panics, so the client's retry re-applies the push instead of being
+// acked as a duplicate of an apply that never happened.
+func (s *TCPServer) servePush(_ *ps.Precision, payload, frame []byte) ([]byte, error) {
+	client, seq, blk, err := decodeRawBlock(payload)
+	if err != nil {
+		return nil, err
+	}
+	defer ps.PutBlock(blk)
+	if !s.seqs.fresh(client, seq) {
+		return frame, nil // duplicate of an already-applied push: ack, don't re-apply
+	}
+	applied := false
 	defer func() {
-		if r := recover(); r != nil {
-			if req.Op == opPush || req.Op == opPushBlock || req.Op == opReplicate {
-				s.seqs.forget(req.Client, req.Seq) // the apply did not complete
-			}
-			if release != nil {
-				release()
-				release = nil
-			}
-			resp = &wireResponse{Err: fmt.Sprintf("%s handler panicked: %v", opName(req.Op), r)}
+		if !applied {
+			s.seqs.forget(client, seq)
 		}
 	}()
-	switch req.Op {
-	case opPull:
-		res, err := s.handler.HandlePull(req.Keys)
-		if err != nil {
-			resp.Err = err.Error()
-			return resp, nil
-		}
-		resp.setResult(res)
-	case opPullBlock:
-		if h, ok := s.handler.(BlockPullWireHandler); ok {
-			// Zero-intermediate path: the handler encodes its value rows
-			// straight into the outgoing frame buffer. Gob clients are wire
-			// version 1 and always get fp32 bodies.
-			buf := getScratch()
-			out, err := h.HandlePullBlockWire(req.Keys, (*buf)[:0], ps.PrecisionFP32)
-			if err != nil {
-				if out != nil {
-					*buf = out[:0] // keep whatever the handler grew the buffer to
-				}
-				putScratch(buf)
-				resp.Err = err.Error()
-				return resp, nil
-			}
-			resp.Block = out
-			release = func() { *buf = resp.Block[:0]; putScratch(buf) }
-			return resp, release
-		}
-		blk := ps.GetBlock(0, nil)
-		defer ps.PutBlock(blk)
-		if h, ok := s.handler.(BlockPullHandler); ok {
-			if err := h.HandlePullBlock(req.Keys, blk); err != nil {
-				resp.Err = err.Error()
-				return resp, nil
-			}
-		} else {
-			// Map-based handler: serve the pull and flatten the result (the
-			// dimension is inferred from the returned values).
-			res, err := s.handler.HandlePull(req.Keys)
-			if err != nil {
-				resp.Err = err.Error()
-				return resp, nil
-			}
-			ps.FillFromPull(blk, 0, req.Keys, ps.Result(res))
-		}
-		buf := getScratch()
-		resp.Block = blk.AppendWire((*buf)[:0])
-		release = func() { *buf = resp.Block[:0]; putScratch(buf) }
-	case opPush:
-		h, ok := s.handler.(PushHandler)
+	if payload[0] == rawOpReplicate {
+		// A replicated block carries the ORIGIN's dedup stamp: committing it
+		// here is what makes the origin's own retry of the same push a
+		// duplicate after this backup is promoted.
+		h, ok := s.handler.(ReplicaPushHandler)
 		if !ok {
-			resp.Err = "shard does not accept pushes"
-			return resp, nil
+			return nil, errors.New("shard does not accept replicated pushes")
 		}
-		if !s.seqs.fresh(req.Client, req.Seq) {
-			return resp, nil // duplicate of an already-applied push: ack, don't re-apply
+		err = h.HandleReplicate(blk)
+	} else {
+		switch h := s.handler.(type) {
+		case StampedBlockPushHandler:
+			err = h.HandlePushBlockStamped(client, seq, blk)
+		case BlockPushHandler:
+			err = h.HandlePushBlock(blk)
+		case PushHandler:
+			err = h.HandlePush(blk.Deltas())
+		default:
+			return nil, errors.New("shard does not accept pushes")
 		}
-		if err := h.HandlePush(req.deltas()); err != nil {
-			// The apply failed: withdraw the sequence so a retry re-applies
-			// instead of being acked as a duplicate of nothing.
-			s.seqs.forget(req.Client, req.Seq)
-			resp.Err = err.Error()
-		} else {
-			s.seqs.commit(req.Client, req.Seq)
-		}
-	case opPushBlock, opReplicate:
-		blk := ps.GetBlock(0, nil)
-		defer ps.PutBlock(blk)
-		if err := blk.DecodeWire(req.Keys, req.Block); err != nil {
-			resp.Err = err.Error()
-			return resp, nil
-		}
-		if !s.seqs.fresh(req.Client, req.Seq) {
-			return resp, nil // duplicate: ack, don't re-apply
-		}
-		var err error
-		if req.Op == opReplicate {
-			h, ok := s.handler.(ReplicaPushHandler)
-			if !ok {
-				s.seqs.forget(req.Client, req.Seq)
-				resp.Err = "shard does not accept replicated pushes"
-				return resp, nil
-			}
-			err = h.HandleReplicate(blk)
-		} else {
-			switch h := s.handler.(type) {
-			case StampedBlockPushHandler:
-				err = h.HandlePushBlockStamped(req.Client, req.Seq, blk)
-			case BlockPushHandler:
-				err = h.HandlePushBlock(blk)
-			case PushHandler:
-				err = h.HandlePush(blk.Deltas())
-			default:
-				s.seqs.forget(req.Client, req.Seq)
-				resp.Err = "shard does not accept pushes"
-				return resp, nil
-			}
-		}
-		if err != nil {
-			s.seqs.forget(req.Client, req.Seq)
-			resp.Err = err.Error()
-		} else {
-			s.seqs.commit(req.Client, req.Seq)
-		}
-	case opTransfer:
-		h, ok := s.handler.(TransferHandler)
-		if !ok {
-			resp.Err = "shard does not accept state transfers"
-			return resp, nil
-		}
-		blk := ps.GetBlock(0, nil)
-		defer ps.PutBlock(blk)
-		if err := blk.DecodeWire(req.Keys, req.Block); err != nil {
-			resp.Err = err.Error()
-			return resp, nil
-		}
-		n, err := h.HandleTransfer(blk)
-		if err != nil {
-			resp.Err = err.Error()
-			return resp, nil
-		}
-		resp.Count = n
-	case opMembership:
-		h, ok := s.handler.(MembershipHandler)
-		if !ok {
-			resp.Err = "shard does not accept membership updates"
-			return resp, nil
-		}
-		if err := h.HandleMembership(req.Membership); err != nil {
-			resp.Err = err.Error()
-		}
-	case opEvict:
-		h, ok := s.handler.(EvictHandler)
-		if !ok {
-			resp.Err = "shard does not support evict"
-			return resp, nil
-		}
-		ks := req.Keys
-		if req.All {
-			ks = nil
-		}
-		n, err := h.Evict(ks)
-		if err != nil {
-			resp.Err = err.Error()
-			return resp, nil
-		}
-		resp.Count = n
-	case opStats:
-		h, ok := s.handler.(StatsHandler)
-		if !ok {
-			resp.Err = "shard does not report stats"
-			return resp, nil
-		}
-		resp.Name = h.Name()
-		resp.Stats = h.TierStats()
-	case opLookup:
-		h, ok := s.handler.(LookupHandler)
-		if !ok {
-			resp.Err = "shard does not support lookup"
-			return resp, nil
-		}
-		res, err := h.HandleLookup(req.Keys)
-		if err != nil {
-			resp.Err = err.Error()
-			return resp, nil
-		}
-		resp.setResult(res)
-	case opPredict:
-		h, ok := s.handler.(PredictHandler)
-		if !ok {
-			resp.Err = "shard does not serve predictions"
-			return resp, nil
-		}
-		scores, err := h.HandlePredict(PredictRequest{Counts: req.Counts, Keys: req.Keys})
-		if err != nil {
-			resp.Err = err.Error()
-			var oe *OverloadError
-			resp.Overloaded = errors.As(err, &oe)
-			return resp, nil
-		}
-		resp.Scores = scores
-	case opServeConfig:
-		h, ok := s.handler.(ServeConfigHandler)
-		if !ok {
-			resp.Err = "shard does not serve predictions"
-			return resp, nil
-		}
-		if err := h.HandleServeConfig(req.Serve); err != nil {
-			resp.Err = err.Error()
-		}
-	case opServeStats:
-		h, ok := s.handler.(ServingStatsHandler)
-		if !ok {
-			resp.Err = "shard does not report serving stats"
-			return resp, nil
-		}
-		resp.Serving = h.ServingStats()
 	}
-	return resp, release
+	if err != nil {
+		return nil, err
+	}
+	s.seqs.commit(client, seq) // applied: persist before the ack leaves
+	applied = true
+	return frame, nil
+}
+
+func (s *TCPServer) serveTransfer(_ *ps.Precision, payload, frame []byte) ([]byte, error) {
+	_, _, blk, err := decodeRawBlock(payload)
+	if err != nil {
+		return nil, err
+	}
+	defer ps.PutBlock(blk)
+	h, ok := s.handler.(TransferHandler)
+	if !ok {
+		return nil, errors.New("shard does not accept state transfers")
+	}
+	n, err := h.HandleTransfer(blk)
+	if err != nil {
+		return nil, err
+	}
+	return le.AppendUint64(frame, uint64(n)), nil
+}
+
+func (s *TCPServer) servePredict(_ *ps.Precision, payload, frame []byte) ([]byte, error) {
+	req, err := parseRawPredictReq(payload)
+	if err != nil {
+		return nil, err
+	}
+	h, ok := s.handler.(PredictHandler)
+	if !ok {
+		return nil, errors.New("shard does not serve predictions")
+	}
+	scores, err := h.HandlePredict(req)
+	if err != nil {
+		return nil, err
+	}
+	return appendRawFloats(frame, scores), nil
+}
+
+func (s *TCPServer) serveStats(_ *ps.Precision, payload, frame []byte) ([]byte, error) {
+	if len(payload) != 4 {
+		return nil, fmt.Errorf("stats request of %d bytes", len(payload))
+	}
+	h, ok := s.handler.(StatsHandler)
+	if !ok {
+		return nil, errors.New("shard does not report stats")
+	}
+	frame, err := binary.Append(frame, le, h.TierStats())
+	if err != nil {
+		return nil, err
+	}
+	return append(frame, h.Name()...), nil
+}
+
+func (s *TCPServer) serveMembership(_ *ps.Precision, payload, frame []byte) ([]byte, error) {
+	u, err := parseRawMembership(payload)
+	if err != nil {
+		return nil, err
+	}
+	h, ok := s.handler.(MembershipHandler)
+	if !ok {
+		return nil, errors.New("shard does not accept membership updates")
+	}
+	return frame, h.HandleMembership(u)
+}
+
+func (s *TCPServer) serveServeConfig(_ *ps.Precision, payload, frame []byte) ([]byte, error) {
+	cfg, err := parseRawServeConfig(payload)
+	if err != nil {
+		return nil, err
+	}
+	h, ok := s.handler.(ServeConfigHandler)
+	if !ok {
+		return nil, errors.New("shard does not serve predictions")
+	}
+	return frame, h.HandleServeConfig(cfg)
+}
+
+func (s *TCPServer) serveServeStats(_ *ps.Precision, payload, frame []byte) ([]byte, error) {
+	if len(payload) != 4 {
+		return nil, fmt.Errorf("serve-stats request of %d bytes", len(payload))
+	}
+	h, ok := s.handler.(ServingStatsHandler)
+	if !ok {
+		return nil, errors.New("shard does not report serving stats")
+	}
+	return binary.Append(frame, le, h.ServingStats())
 }
 
 // RetryPolicy controls how the TCP transport handles network failures,
@@ -821,9 +713,9 @@ type TransportStats struct {
 // TCPTransport reaches remote nodes over TCP, holding a small pool of
 // persistent connections per peer (one by default), transparently
 // reconnecting (with bounded, backed-off retries) when a connection drops.
-// Each connection negotiates the wire version and pull-reply precision with
-// a hello exchange at dial time. It is safe for concurrent use and
-// implements TierTransport.
+// Each connection checks the wire version and negotiates the pull-reply
+// precision with a hello exchange at dial time. It is safe for concurrent use
+// and implements TierTransport.
 type TCPTransport struct {
 	dim    int
 	client uint64 // identity for push dedup across reconnects
@@ -851,10 +743,7 @@ type TCPTransport struct {
 	wireIn   int64
 }
 
-var (
-	_ TierTransport  = (*TCPTransport)(nil)
-	_ BlockTransport = (*TCPTransport)(nil)
-)
+var _ TierTransport = (*TCPTransport)(nil)
 
 // peerConns is one peer's connection pool. Conns are acquired by locking
 // their mutex: an idle conn is one whose TryLock succeeds.
@@ -864,10 +753,10 @@ type peerConns struct {
 }
 
 type tcpConn struct {
-	mu   sync.Mutex
-	conn net.Conn
-	raw  bool         // hello negotiated wire version 2 (raw block frames)
-	prec ps.Precision // negotiated pull-reply precision
+	mu      sync.Mutex
+	conn    net.Conn
+	prec    ps.Precision // negotiated pull-reply precision
+	oneShot bool         // never entered the pool: release closes it
 }
 
 // NewTCPTransport creates a transport that reaches node i at addrs[i], with
@@ -997,7 +886,7 @@ func (t *TCPTransport) Stats() TransportStats {
 // acquireConn returns a connection to nodeID with its mutex held: an idle
 // pooled conn when one exists, a queued busy conn when the pool is at its
 // cap, or a freshly dialed (and hello-negotiated) one otherwise. The caller
-// releases it with c.mu.Unlock after its round trip.
+// hands it back with release after its round trip.
 func (t *TCPTransport) acquireConn(nodeID int, policy RetryPolicy) (*tcpConn, error) {
 	t.mu.Lock()
 	if p := t.peers[nodeID]; p != nil && len(p.conns) > 0 {
@@ -1046,8 +935,9 @@ func (t *TCPTransport) acquireConn(nodeID int, policy RetryPolicy) (*tcpConn, er
 	}
 	if len(p.conns) >= maxConns {
 		// Concurrent dialers overfilled the pool; keep the pool bounded and
-		// use ours for this one RPC without publishing it.
+		// use ours for this one RPC without publishing it. release closes it.
 		t.mu.Unlock()
+		c.oneShot = true
 		return c, nil
 	}
 	t.dials.Add(1)
@@ -1060,10 +950,20 @@ func (t *TCPTransport) acquireConn(nodeID int, policy RetryPolicy) (*tcpConn, er
 	return c, nil
 }
 
-// hello negotiates the wire version and pull precision on a fresh connection.
-// A peer that answers a lower version (or an I/O failure on a pre-version-2
-// peer) leaves the connection on gob frames; an I/O failure fails the dial so
-// the retry loop treats it like any other connect failure.
+// release hands back a conn acquireConn returned. A conn that never entered
+// the pool has no later user, so it is closed here; otherwise the socket —
+// and the server goroutine behind it — would live until a finalizer ran.
+func (t *TCPTransport) release(c *tcpConn) {
+	c.mu.Unlock()
+	if c.oneShot {
+		c.conn.Close()
+	}
+}
+
+// hello checks the wire version and negotiates the pull precision on a fresh
+// connection. Any failure — I/O, a refusal, a peer answering another version
+// — fails the dial, so the retry loop treats it like any other connect
+// failure.
 func (t *TCPTransport) hello(c *tcpConn, policy RetryPolicy) error {
 	t.mu.Lock()
 	prec := t.prec
@@ -1075,17 +975,17 @@ func (t *TCPTransport) hello(c *tcpConn, policy RetryPolicy) error {
 		return err
 	}
 	defer putScratch(rbuf)
-	if len(payload) != 4 || payload[0] != rawOpHelloResp {
+	if len(payload) < 4 || payload[0] != rawOpHello+1 {
 		return fmt.Errorf("malformed hello response of %d bytes", len(payload))
 	}
-	if payload[1] != 0 {
-		return fmt.Errorf("hello rejected")
+	if payload[1] != rawStatusOK {
+		return fmt.Errorf("hello rejected: %s", payload[4:])
 	}
-	if payload[2] >= rawWireVersion {
-		c.raw = true
-		if p := ps.Precision(payload[3]); p.Valid() {
-			c.prec = p
-		}
+	if payload[2] != rawWireVersion {
+		return fmt.Errorf("peer speaks wire version %d, this build speaks version %d", payload[2], rawWireVersion)
+	}
+	if p := ps.Precision(payload[3]); p.Valid() {
+		c.prec = p
 	}
 	return nil
 }
@@ -1104,12 +1004,16 @@ func (t *TCPTransport) dropConn(nodeID int, c *tcpConn) {
 	c.conn.Close()
 }
 
-// do runs one RPC against nodeID: acquire a connection (dialing if needed),
-// run fn on it with the conn lock held, and reconnect/retry network failures
-// per the retry policy. Shard-side failures (RemoteError) and unknown nodes
-// are returned immediately — retrying cannot fix them. The global in-flight
+// rawCall runs one RPC against nodeID: acquire a connection (dialing if
+// needed), exchange one request/response pair on it, and reconnect/retry
+// network failures per the retry policy. build appends the request payload to
+// the frame it is given, which already holds the length-prefix placeholder
+// (prec is the connection's negotiated precision); parse, when not nil,
+// consumes an ok reply's body before the receive buffer is recycled.
+// Shard-side failures (RemoteError, OverloadError) and unknown nodes are
+// returned immediately — retrying cannot fix them. The global in-flight
 // semaphore, when set, is held for the duration.
-func (t *TCPTransport) do(nodeID int, op uint8, fn func(c *tcpConn, timeout time.Duration) error) error {
+func (t *TCPTransport) rawCall(nodeID int, op uint8, build func(frame []byte, prec ps.Precision) []byte, parse func(body []byte) error) error {
 	t.mu.Lock()
 	policy := t.retry
 	inflight := t.inflight
@@ -1138,109 +1042,77 @@ func (t *TCPTransport) do(nodeID int, op uint8, fn func(c *tcpConn, timeout time
 			lastErr = err // dial failure: the peer may be restarting
 			continue
 		}
-		err = fn(c, policy.rpc())
-		if err != nil {
-			var re *RemoteError
-			var oe *OverloadError
-			if errors.As(err, &re) || errors.As(err, &oe) {
-				// The round trip itself was fine; keep the connection. An
-				// overload rejection is deliberately not retried here either:
-				// admission control sheds load back to the caller, and an
-				// internal retry loop would defeat that.
-				c.mu.Unlock()
-				t.calls.Add(1)
-				return err
-			}
-			t.dropConn(nodeID, c)
-			c.mu.Unlock()
-			lastErr = err
-			continue
+		err = t.exchange(c, nodeID, op, build, parse, policy.rpc())
+		var re *RemoteError
+		var oe *OverloadError
+		if err == nil || errors.As(err, &re) || errors.As(err, &oe) {
+			// The round trip itself was fine; keep the connection. An
+			// overload rejection is deliberately not retried here either:
+			// admission control sheds load back to the caller, and an
+			// internal retry loop would defeat that.
+			t.release(c)
+			t.calls.Add(1)
+			return err
 		}
+		t.dropConn(nodeID, c)
 		c.mu.Unlock()
-		t.calls.Add(1)
-		return nil
+		lastErr = err
 	}
 	return &TransportError{Node: nodeID, Op: opName(op), Attempts: policy.Attempts, Err: lastErr}
 }
 
-// call runs one gob RPC round trip against nodeID through do.
-func (t *TCPTransport) call(nodeID int, req *wireRequest) (*wireResponse, error) {
-	var resp wireResponse
-	err := t.do(nodeID, req.Op, func(c *tcpConn, timeout time.Duration) error {
-		resp = wireResponse{} // a retried attempt starts from a clean reply
-		if err := t.roundTrip(c, req, &resp, timeout); err != nil {
-			return err
-		}
-		if resp.Err != "" {
-			if resp.Overloaded {
-				return &OverloadError{Node: nodeID, Op: opName(req.Op)}
-			}
-			return &RemoteError{Node: nodeID, Op: opName(req.Op), Msg: resp.Err}
-		}
-		return nil
-	})
+// exchange performs one attempt of rawCall on c, whose lock the caller holds.
+func (t *TCPTransport) exchange(c *tcpConn, nodeID int, op uint8, build func([]byte, ps.Precision) []byte, parse func([]byte) error, timeout time.Duration) error {
+	buf := getScratch()
+	frame := build(append((*buf)[:0], 0, 0, 0, 0), c.prec)
+	payload, rbuf, err := t.roundTripRaw(c, frame, timeout)
+	*buf = frame[:0]
+	putScratch(buf)
 	if err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// setDeadline arms (or clears) the round-trip deadline on c. One deadline
-// covers the whole round trip; a peer that accepted the connection but
-// stopped answering fails the read instead of parking the RPC forever. The
-// caller drops the connection on any error, so a frame cut short by the
-// deadline can never desynchronize a reused stream.
-func setDeadline(c *tcpConn, timeout time.Duration) error {
-	if timeout > 0 {
-		if err := c.conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-			return fmt.Errorf("set deadline: %w", err)
-		}
-		return nil
-	}
-	if err := c.conn.SetDeadline(time.Time{}); err != nil {
-		return fmt.Errorf("clear deadline: %w", err)
-	}
-	return nil
-}
-
-// roundTrip performs one gob exchange on c, whose lock the caller holds.
-func (t *TCPTransport) roundTrip(c *tcpConn, req *wireRequest, resp *wireResponse, timeout time.Duration) error {
-	if err := setDeadline(c, timeout); err != nil {
 		return err
 	}
-	nOut, err := writeFrame(c.conn, req)
-	if err != nil {
-		return fmt.Errorf("send: %w", err)
+	defer putScratch(rbuf)
+	if len(payload) < 4 || payload[0] != op+1 {
+		return fmt.Errorf("malformed %s response of %d bytes", opName(op), len(payload))
 	}
-	nIn, err := readFrame(c.conn, resp)
-	if err != nil {
-		return fmt.Errorf("receive: %w", err)
+	switch payload[1] {
+	case rawStatusOK:
+		if parse == nil {
+			return nil
+		}
+		return parse(payload[4:])
+	case rawStatusOverloaded:
+		return &OverloadError{Node: nodeID, Op: opName(op)}
+	default:
+		return &RemoteError{Node: nodeID, Op: opName(op), Msg: string(payload[4:])}
 	}
-	t.addWireBytes(int64(nOut), int64(nIn))
-	return nil
 }
 
-// roundTripRaw writes one raw frame (4-byte prefix placeholder included) and
-// reads the raw response payload into a pooled receive buffer, which it
-// returns along with the payload view; the caller returns the buffer to the
-// pool once the payload is consumed — for pull replies that is after
-// DecodeWire has scattered the body into the destination block's slabs,
-// making the pooled buffer the only stop between socket and slab. The caller
-// holds c.mu.
+// roundTripRaw writes one frame (4-byte prefix placeholder included) and
+// reads the response payload into a pooled receive buffer, which it returns
+// along with the payload view; the caller returns the buffer to the pool once
+// the payload is consumed — for pull replies that is after DecodeWire has
+// scattered the body into the destination block's slabs, making the pooled
+// buffer the only stop between socket and slab. One deadline covers the whole
+// round trip; a peer that accepted the connection but stopped answering fails
+// the read instead of parking the RPC forever. The caller holds c.mu and
+// drops the connection on any error, so a frame cut short by the deadline can
+// never desynchronize a reused stream.
 func (t *TCPTransport) roundTripRaw(c *tcpConn, frame []byte, timeout time.Duration) ([]byte, *[]byte, error) {
-	if err := setDeadline(c, timeout); err != nil {
-		return nil, nil, err
+	var deadline time.Time // zero clears a deadline left by an earlier policy
+	if timeout > 0 {
+		deadline = time.Now().Add(timeout)
+	}
+	if err := c.conn.SetDeadline(deadline); err != nil {
+		return nil, nil, fmt.Errorf("set deadline: %w", err)
 	}
 	nOut, err := writeRawFrame(c.conn, frame)
 	if err != nil {
 		return nil, nil, fmt.Errorf("send: %w", err)
 	}
-	n, raw, err := readFramePrefix(c.conn)
+	n, err := readFramePrefix(c.conn)
 	if err != nil {
 		return nil, nil, fmt.Errorf("receive: %w", err)
-	}
-	if !raw {
-		return nil, nil, fmt.Errorf("receive: gob frame where a raw frame was expected")
 	}
 	rbuf := getScratch()
 	payload, err := readFramePayload(c.conn, n, rbuf)
@@ -1266,82 +1138,21 @@ func (t *TCPTransport) addWireBytes(out, in int64) {
 	t.statMu.Unlock()
 }
 
-// Pull implements Transport.
-func (t *TCPTransport) Pull(nodeID int, ks []keys.Key) (PullResult, int64, error) {
-	resp, err := t.call(nodeID, &wireRequest{Op: opPull, Keys: ks})
-	if err != nil {
-		return nil, 0, err
-	}
-	result := resp.result()
-	bytes := PayloadBytes(len(ks), result, t.dim)
-	t.addBytes(int64(len(ks))*8, bytes-int64(len(ks))*8)
-	return result, bytes, nil
+// rowBytes is the fp32-equivalent payload of n value rows with their keys —
+// the PayloadBytes accounting every transport shares.
+func (t *TCPTransport) rowBytes(n int) int64 {
+	return int64(n) * int64(8+embedding.EncodedSize(t.dim))
 }
 
-// Push implements TierTransport: it merges per-key deltas into node nodeID's
-// shard. Pushes carry a sequence number so a push retried across a reconnect
-// is applied exactly once by the server (see SeqTracker).
-func (t *TCPTransport) Push(nodeID int, deltas map[keys.Key]*embedding.Value) (int64, error) {
-	req := &wireRequest{
-		Op:     opPush,
-		Client: t.client,
-		Seq:    t.seq.Add(1),
-		Keys:   make([]keys.Key, 0, len(deltas)),
-		Values: make([]*embedding.Value, 0, len(deltas)),
-	}
-	for k, v := range deltas {
-		if v == nil {
-			continue
-		}
-		req.Keys = append(req.Keys, k)
-		req.Values = append(req.Values, v)
-	}
-	if _, err := t.call(nodeID, req); err != nil {
-		return 0, err
-	}
-	bytes := int64(len(req.Keys)) * int64(8+embedding.EncodedSize(t.dim))
-	t.addBytes(bytes, 0)
-	return bytes, nil
-}
-
-// PullBlock implements BlockTransport: the reply arrives as one flat block
-// body (encoded in a single pass server-side) and is decoded straight into
-// dst, in request-key order — no per-value gob decoding. On a raw-negotiated
-// connection the request is a length-prefixed key frame and the reply body is
-// decoded directly out of the pooled receive buffer, in the negotiated
-// precision; otherwise the exchange falls back to gob. The returned byte
-// count stays the fp32-equivalent model traffic (the PayloadBytes accounting
-// every transport shares); Stats().WireIn/WireOut expose what actually
-// crossed the socket.
-func (t *TCPTransport) PullBlock(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (int64, error) {
-	err := t.do(nodeID, opPullBlock, func(c *tcpConn, timeout time.Duration) error {
-		if c.raw {
-			buf := getScratch()
-			frame := appendRawPullReq(append((*buf)[:0], 0, 0, 0, 0), ks)
-			payload, rbuf, err := t.roundTripRaw(c, frame, timeout)
-			*buf = frame[:0]
-			putScratch(buf)
-			if err != nil {
-				return err
-			}
-			defer putScratch(rbuf)
-			if len(payload) < 4 || payload[0] != rawOpPullBlockResp {
-				return fmt.Errorf("malformed pull-block response of %d bytes", len(payload))
-			}
-			if payload[1] != 0 {
-				return &RemoteError{Node: nodeID, Op: opName(opPullBlock), Msg: string(payload[4:])}
-			}
-			return dst.DecodeWire(ks, payload[4:])
-		}
-		var resp wireResponse
-		if err := t.roundTrip(c, &wireRequest{Op: opPullBlock, Keys: ks}, &resp, timeout); err != nil {
-			return err
-		}
-		if resp.Err != "" {
-			return &RemoteError{Node: nodeID, Op: opName(opPullBlock), Msg: resp.Err}
-		}
-		return dst.DecodeWire(ks, resp.Block)
-	})
+// pullInto runs a pull-layout read (pull-block or lookup): the request is a
+// length-prefixed key frame and the reply body is decoded directly out of
+// the pooled receive buffer into dst, in request-key order. The returned
+// byte count stays the fp32-equivalent model traffic; Stats().WireIn/WireOut
+// expose what actually crossed the socket.
+func (t *TCPTransport) pullInto(nodeID int, op uint8, ks []keys.Key, dst *ps.ValueBlock) (int64, error) {
+	err := t.rawCall(nodeID, op,
+		func(frame []byte, _ ps.Precision) []byte { return appendRawKeyReq(frame, op, 0, ks) },
+		func(body []byte) error { return dst.DecodeWire(ks, body) })
 	if err != nil {
 		return 0, err
 	}
@@ -1351,22 +1162,81 @@ func (t *TCPTransport) PullBlock(nodeID int, ks []keys.Key, dst *ps.ValueBlock) 
 		// dim-d rows, per the PullInto contract.
 		dst.Reset(t.dim, ks)
 	}
-	bytes := int64(len(ks))*8 + int64(dst.PresentCount())*int64(8+embedding.EncodedSize(t.dim))
-	t.addBytes(int64(len(ks))*8, bytes-int64(len(ks))*8)
+	reqBytes := int64(len(ks)) * 8
+	t.addBytes(reqBytes, t.rowBytes(dst.PresentCount()))
+	return reqBytes + t.rowBytes(dst.PresentCount()), nil
+}
+
+// pullMap is pullInto for the map-based callers.
+func (t *TCPTransport) pullMap(nodeID int, op uint8, ks []keys.Key) (PullResult, int64, error) {
+	blk := ps.GetBlock(t.dim, nil)
+	defer ps.PutBlock(blk)
+	bytes, err := t.pullInto(nodeID, op, ks, blk)
+	if err != nil {
+		return nil, 0, err
+	}
+	return PullResult(blk.Deltas()), bytes, nil
+}
+
+// PullBlock implements TierTransport: the reply arrives as one flat block
+// body, encoded in a single pass server-side in the connection's negotiated
+// precision.
+func (t *TCPTransport) PullBlock(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (int64, error) {
+	return t.pullInto(nodeID, rawOpPullBlock, ks, dst)
+}
+
+// Pull implements Transport as a map view of PullBlock.
+func (t *TCPTransport) Pull(nodeID int, ks []keys.Key) (PullResult, int64, error) {
+	return t.pullMap(nodeID, rawOpPullBlock, ks)
+}
+
+// Lookup implements TierTransport: a pull that never materializes missing
+// parameters, for evaluation-time and serving reads. Replies are always fp32.
+func (t *TCPTransport) Lookup(nodeID int, ks []keys.Key) (PullResult, int64, error) {
+	return t.pullMap(nodeID, rawOpLookup, ks)
+}
+
+// sendBlock runs a push-layout write (push-block, replicate, transfer): the
+// block's rows travel as one flat frame under the given dedup stamp. Bodies
+// are fp32 unless quantize asks for the connection's negotiated precision.
+func (t *TCPTransport) sendBlock(nodeID int, op uint8, client, seq uint64, blk *ps.ValueBlock, quantize bool, parse func([]byte) error) (int64, error) {
+	err := t.rawCall(nodeID, op, func(frame []byte, prec ps.Precision) []byte {
+		if !quantize {
+			prec = ps.PrecisionFP32
+		}
+		return blk.AppendWirePrecision(appendRawBlockReq(frame, op, client, seq, blk.Keys), prec)
+	}, parse)
+	if err != nil {
+		return 0, err
+	}
+	bytes := t.rowBytes(blk.PresentCount())
+	t.addBytes(bytes, 0)
 	return bytes, nil
 }
 
-// PushBlock implements BlockTransport: the block's delta rows travel as one
-// flat frame, stamped with a dedup sequence exactly like a map push, so a
-// push-block retried across a reconnect is applied exactly once (the sequence
-// is assigned once, before the retry loop, for that reason). Push bodies stay
-// fp32 even on quantized connections unless SetPushQuantization opted in:
-// a pull-side quantization error is corrected by the next delta (the delta is
-// computed against the quantized values the trainer actually loaded), while a
-// quantized delta perturbs the authoritative copies directly.
+// PushBlock implements TierTransport: the push is stamped with a dedup
+// sequence, so a push-block retried across a reconnect is applied exactly
+// once (the sequence is assigned once, before the retry loop, for that
+// reason).
 func (t *TCPTransport) PushBlock(nodeID int, blk *ps.ValueBlock) (int64, error) {
 	client, seq := t.Stamp()
 	return t.PushBlockStamped(nodeID, client, seq, blk)
+}
+
+// Push implements TierTransport as a map view of PushBlock.
+func (t *TCPTransport) Push(nodeID int, deltas map[keys.Key]*embedding.Value) (int64, error) {
+	blk := ps.GetBlock(t.dim, nil)
+	defer ps.PutBlock(blk)
+	for k, v := range deltas {
+		if v == nil {
+			continue
+		}
+		if v.Dim() != t.dim || len(v.G2Sum) != t.dim {
+			return 0, fmt.Errorf("cluster: push delta for key %d has dimension %d/%d, transport carries %d", k, v.Dim(), len(v.G2Sum), t.dim)
+		}
+		blk.AppendRow(k, v.Weights, v.G2Sum, v.Freq)
+	}
+	return t.PushBlock(nodeID, blk)
 }
 
 // Stamp allocates a fresh push dedup stamp. Callers that need to fail a push
@@ -1378,62 +1248,17 @@ func (t *TCPTransport) Stamp() (client, seq uint64) {
 	return t.client, t.seq.Add(1)
 }
 
-// PushBlockStamped is PushBlock under a caller-provided dedup stamp.
+// PushBlockStamped is PushBlock under a caller-provided dedup stamp. Push
+// bodies stay fp32 even on quantized connections unless SetPushQuantization
+// opted in: a pull-side quantization error is corrected by the next delta
+// (the delta is computed against the quantized values the trainer actually
+// loaded), while a quantized delta perturbs the authoritative copies
+// directly.
 func (t *TCPTransport) PushBlockStamped(nodeID int, client, seq uint64, blk *ps.ValueBlock) (int64, error) {
 	t.mu.Lock()
 	quantPush := t.quantPush
 	t.mu.Unlock()
-	err := t.do(nodeID, opPushBlock, func(c *tcpConn, timeout time.Duration) error {
-		if c.raw {
-			pushPrec := ps.PrecisionFP32
-			if quantPush {
-				pushPrec = c.prec
-			}
-			buf := getScratch()
-			frame := appendRawPushReq(append((*buf)[:0], 0, 0, 0, 0), client, seq, blk.Keys)
-			frame = blk.AppendWirePrecision(frame, pushPrec)
-			payload, rbuf, err := t.roundTripRaw(c, frame, timeout)
-			*buf = frame[:0]
-			putScratch(buf)
-			if err != nil {
-				return err
-			}
-			defer putScratch(rbuf)
-			if len(payload) < 4 || payload[0] != rawOpPushBlockResp {
-				return fmt.Errorf("malformed push-block response of %d bytes", len(payload))
-			}
-			if payload[1] != 0 {
-				return &RemoteError{Node: nodeID, Op: opName(opPushBlock), Msg: string(payload[4:])}
-			}
-			return nil
-		}
-		buf := getScratch()
-		req := &wireRequest{
-			Op:     opPushBlock,
-			Client: client,
-			Seq:    seq,
-			Keys:   blk.Keys,
-			Block:  blk.AppendWire((*buf)[:0]),
-		}
-		defer func() {
-			*buf = req.Block[:0]
-			putScratch(buf)
-		}()
-		var resp wireResponse
-		if err := t.roundTrip(c, req, &resp, timeout); err != nil {
-			return err
-		}
-		if resp.Err != "" {
-			return &RemoteError{Node: nodeID, Op: opName(opPushBlock), Msg: resp.Err}
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	bytes := int64(blk.PresentCount()) * int64(8+embedding.EncodedSize(t.dim))
-	t.addBytes(bytes, 0)
-	return bytes, nil
+	return t.sendBlock(nodeID, rawOpPushBlock, client, seq, blk, quantPush, nil)
 }
 
 // Replicate forwards an applied delta block to nodeID (a backup of the
@@ -1444,53 +1269,18 @@ func (t *TCPTransport) PushBlockStamped(nodeID int, client, seq uint64, blk *ps.
 // from its primary. Retries are safe for the same reason direct pushes are:
 // the stamp makes the apply exactly-once.
 func (t *TCPTransport) Replicate(nodeID int, client, seq uint64, blk *ps.ValueBlock) (int64, error) {
-	err := t.do(nodeID, opReplicate, func(c *tcpConn, timeout time.Duration) error {
-		if c.raw {
-			buf := getScratch()
-			frame := appendRawReplicateReq(append((*buf)[:0], 0, 0, 0, 0), client, seq, blk.Keys)
-			frame = blk.AppendWire(frame)
-			payload, rbuf, err := t.roundTripRaw(c, frame, timeout)
-			*buf = frame[:0]
-			putScratch(buf)
-			if err != nil {
-				return err
-			}
-			defer putScratch(rbuf)
-			if len(payload) < 4 || payload[0] != rawOpReplicateResp {
-				return fmt.Errorf("malformed replicate response of %d bytes", len(payload))
-			}
-			if payload[1] != 0 {
-				return &RemoteError{Node: nodeID, Op: opName(opReplicate), Msg: string(payload[4:])}
-			}
-			return nil
+	return t.sendBlock(nodeID, rawOpReplicate, client, seq, blk, false, nil)
+}
+
+// parseRawCount returns a parser for the u64 count reply of evict/transfer.
+func parseRawCount(n *int) func([]byte) error {
+	return func(body []byte) error {
+		if len(body) != 8 {
+			return fmt.Errorf("count reply of %d bytes", len(body))
 		}
-		buf := getScratch()
-		req := &wireRequest{
-			Op:     opReplicate,
-			Client: client,
-			Seq:    seq,
-			Keys:   blk.Keys,
-			Block:  blk.AppendWire((*buf)[:0]),
-		}
-		defer func() {
-			*buf = req.Block[:0]
-			putScratch(buf)
-		}()
-		var resp wireResponse
-		if err := t.roundTrip(c, req, &resp, timeout); err != nil {
-			return err
-		}
-		if resp.Err != "" {
-			return &RemoteError{Node: nodeID, Op: opName(opReplicate), Msg: resp.Err}
-		}
+		*n = int(le.Uint64(body))
 		return nil
-	})
-	if err != nil {
-		return 0, err
 	}
-	bytes := int64(blk.PresentCount()) * int64(8+embedding.EncodedSize(t.dim))
-	t.addBytes(bytes, 0)
-	return bytes, nil
 }
 
 // Transfer installs the block's rows on nodeID outright (set semantics, not
@@ -1498,60 +1288,51 @@ func (t *TCPTransport) Replicate(nodeID int, client, seq uint64, blk *ps.ValueBl
 // so the transport's normal retries need no dedup stamp. It returns how many
 // rows the receiver accepted.
 func (t *TCPTransport) Transfer(nodeID int, blk *ps.ValueBlock) (int, error) {
-	buf := getScratch()
-	req := &wireRequest{Op: opTransfer, Keys: blk.Keys, Block: blk.AppendWire((*buf)[:0])}
-	resp, err := t.call(nodeID, req)
-	*buf = req.Block[:0]
-	putScratch(buf)
-	if err != nil {
-		return 0, err
-	}
-	bytes := int64(blk.PresentCount()) * int64(8+embedding.EncodedSize(t.dim))
-	t.addBytes(bytes, 0)
-	return resp.Count, nil
-}
-
-// UpdateMembership installs an epoch-versioned membership change on nodeID.
-func (t *TCPTransport) UpdateMembership(nodeID int, u MembershipUpdate) error {
-	_, err := t.call(nodeID, &wireRequest{Op: opMembership, Membership: u})
-	return err
+	var n int
+	_, err := t.sendBlock(nodeID, rawOpTransfer, 0, 0, blk, false, parseRawCount(&n))
+	return n, err
 }
 
 // Evict implements TierTransport.
 func (t *TCPTransport) Evict(nodeID int, ks []keys.Key) (int, error) {
-	resp, err := t.call(nodeID, &wireRequest{Op: opEvict, Keys: ks, All: ks == nil})
-	if err != nil {
-		return 0, err
+	var flags uint8
+	if ks == nil {
+		flags = rawFlagAll
 	}
-	return resp.Count, nil
+	var n int
+	err := t.rawCall(nodeID, rawOpEvict,
+		func(frame []byte, _ ps.Precision) []byte { return appendRawKeyReq(frame, rawOpEvict, flags, ks) },
+		parseRawCount(&n))
+	return n, err
+}
+
+// bareReq builds a request that is just its header.
+func bareReq(op uint8) func([]byte, ps.Precision) []byte {
+	return func(frame []byte, _ ps.Precision) []byte { return append(frame, op, 0, 0, 0) }
 }
 
 // TierStats implements TierTransport.
 func (t *TCPTransport) TierStats(nodeID int) (ps.TierInfo, error) {
-	resp, err := t.call(nodeID, &wireRequest{Op: opStats})
-	if err != nil {
-		return ps.TierInfo{}, err
-	}
-	return ps.TierInfo{Name: resp.Name, Stats: resp.Stats}, nil
+	var info ps.TierInfo
+	err := t.rawCall(nodeID, rawOpStats, bareReq(rawOpStats), func(body []byte) error {
+		n, err := binary.Decode(body, le, &info.Stats)
+		if err != nil {
+			return fmt.Errorf("stats reply of %d bytes: %w", len(body), err)
+		}
+		info.Name = string(body[n:])
+		return nil
+	})
+	return info, err
 }
 
-// Lookup implements TierTransport: a pull that never materializes missing
-// parameters, for evaluation-time reads.
-func (t *TCPTransport) Lookup(nodeID int, ks []keys.Key) (PullResult, int64, error) {
-	resp, err := t.call(nodeID, &wireRequest{Op: opLookup, Keys: ks})
-	if err != nil {
-		return nil, 0, err
-	}
-	result := resp.result()
-	bytes := PayloadBytes(len(ks), result, t.dim)
-	t.addBytes(int64(len(ks))*8, bytes-int64(len(ks))*8)
-	return result, bytes, nil
+// UpdateMembership installs an epoch-versioned membership change on nodeID.
+func (t *TCPTransport) UpdateMembership(nodeID int, u MembershipUpdate) error {
+	return t.rawCall(nodeID, rawOpMembership,
+		func(frame []byte, _ ps.Precision) []byte { return appendRawMembership(frame, u) }, nil)
 }
 
-// Predict scores one batched inference request against nodeID's shard. On a
-// raw-negotiated connection the request travels as a fixed-layout predict
-// frame (counts + keys out, scores back, no gob on either side); otherwise it
-// falls back to gob. An admission rejection surfaces as a typed
+// Predict scores one batched inference request against nodeID's shard: counts
+// and keys out, scores back. An admission rejection surfaces as a typed
 // *OverloadError: retryable by the caller after backoff, but never retried
 // internally — admission control exists to shed load to the caller, and an
 // internal retry loop would defeat it.
@@ -1560,64 +1341,32 @@ func (t *TCPTransport) Predict(nodeID int, req PredictRequest) ([]float32, error
 		return nil, err
 	}
 	var scores []float32
-	err := t.do(nodeID, opPredict, func(c *tcpConn, timeout time.Duration) error {
-		if c.raw {
-			buf := getScratch()
-			frame := appendRawPredictReq(append((*buf)[:0], 0, 0, 0, 0), req)
-			payload, rbuf, err := t.roundTripRaw(c, frame, timeout)
-			*buf = frame[:0]
-			putScratch(buf)
-			if err != nil {
-				return err
-			}
-			defer putScratch(rbuf)
-			if len(payload) < 4 || payload[0] != rawOpPredictResp {
-				return fmt.Errorf("malformed predict response of %d bytes", len(payload))
-			}
-			switch payload[1] {
-			case rawStatusOK:
-				scores, err = parseRawScores(payload[4:])
-				return err
-			case rawStatusOverloaded:
-				return &OverloadError{Node: nodeID, Op: opName(opPredict)}
-			default:
-				return &RemoteError{Node: nodeID, Op: opName(opPredict), Msg: string(payload[4:])}
-			}
-		}
-		var resp wireResponse
-		greq := &wireRequest{Op: opPredict, Counts: req.Counts, Keys: req.Keys}
-		if err := t.roundTrip(c, greq, &resp, timeout); err != nil {
+	err := t.rawCall(nodeID, rawOpPredict,
+		func(frame []byte, _ ps.Precision) []byte { return appendRawPredictReq(frame, req) },
+		func(body []byte) (err error) {
+			scores, err = parseRawScores(body)
 			return err
-		}
-		if resp.Err != "" {
-			if resp.Overloaded {
-				return &OverloadError{Node: nodeID, Op: opName(opPredict)}
-			}
-			return &RemoteError{Node: nodeID, Op: opName(opPredict), Msg: resp.Err}
-		}
-		scores = resp.Scores
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return scores, nil
+		})
+	return scores, err
 }
 
 // PublishServeConfig sends serving-tier configuration (peer addresses and/or
 // refreshed dense parameters) to nodeID's shard.
 func (t *TCPTransport) PublishServeConfig(nodeID int, cfg ServeConfig) error {
-	_, err := t.call(nodeID, &wireRequest{Op: opServeConfig, Serve: cfg})
-	return err
+	return t.rawCall(nodeID, rawOpServeConfig,
+		func(frame []byte, _ ps.Precision) []byte { return appendRawServeConfig(frame, cfg) }, nil)
 }
 
 // ServingStats reads nodeID's serving-tier counters.
 func (t *TCPTransport) ServingStats(nodeID int) (ServingStats, error) {
-	resp, err := t.call(nodeID, &wireRequest{Op: opServeStats})
-	if err != nil {
-		return ServingStats{}, err
-	}
-	return resp.Serving, nil
+	var st ServingStats
+	err := t.rawCall(nodeID, rawOpServeStats, bareReq(rawOpServeStats), func(body []byte) error {
+		if _, err := binary.Decode(body, le, &st); err != nil {
+			return fmt.Errorf("serve-stats reply of %d bytes: %w", len(body), err)
+		}
+		return nil
+	})
+	return st, err
 }
 
 // Close closes every open connection.

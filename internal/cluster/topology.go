@@ -259,11 +259,19 @@ type Transport interface {
 }
 
 // TierTransport is the full RPC surface needed to use a remote node as a
-// parameter-server tier: batched pull and push on the hot path, plus the
-// evict / stats / lookup operations the trainer and its reports need. Both
-// LocalTransport (in-process) and TCPTransport (multi-process) implement it.
+// parameter-server tier: batched block pull and push on the hot path (flat
+// ValueBlocks whose wire frames are encoded in one pass), their map-based
+// views, plus the evict / stats / lookup operations the trainer and its
+// reports need. Both LocalTransport (in-process) and TCPTransport
+// (multi-process) implement it.
 type TierTransport interface {
 	Transport
+	// PullBlock reads ks from node nodeID into dst (request-key order),
+	// returning the payload bytes that crossed the network.
+	PullBlock(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (int64, error)
+	// PushBlock merges the block's parallel key/delta rows into node nodeID's
+	// shard, returning the payload bytes that crossed the network.
+	PushBlock(nodeID int, blk *ps.ValueBlock) (int64, error)
 	// Push merges per-key deltas into node nodeID's shard, returning the
 	// payload bytes that crossed the network.
 	Push(nodeID int, deltas map[keys.Key]*embedding.Value) (int64, error)
@@ -275,19 +283,6 @@ type TierTransport interface {
 	// Lookup reads the given keys from node nodeID without materializing
 	// missing ones, returning the payload bytes that crossed the network.
 	Lookup(nodeID int, ks []keys.Key) (PullResult, int64, error)
-}
-
-// BlockTransport is the optional batched-block extension of TierTransport:
-// pulls land in (and pushes depart from) flat ValueBlocks whose wire frames
-// are encoded in one pass, instead of per-value gob maps. Both LocalTransport
-// and TCPTransport implement it.
-type BlockTransport interface {
-	// PullBlock reads ks from node nodeID into dst (request-key order),
-	// returning the payload bytes that crossed the network.
-	PullBlock(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (int64, error)
-	// PushBlock merges the block's parallel key/delta rows into node nodeID's
-	// shard, returning the payload bytes that crossed the network.
-	PushBlock(nodeID int, blk *ps.ValueBlock) (int64, error)
 }
 
 // NoRoute is a Transport for processes that serve a single shard and never

@@ -1,151 +1,99 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
 	"sync"
 
-	"hps/internal/embedding"
 	"hps/internal/keys"
 	"hps/internal/ps"
 )
 
 // The wire protocol between nodes is a stream of length-prefixed frames: a
-// 4-byte big-endian prefix followed by one payload. Two frame families share
-// the stream, distinguished by the prefix's top bit (payloads are capped far
-// below it, so gob traffic can never set it by accident):
-//
-//   - gob frames (bit 31 clear): one gob-encoded wireRequest (client to
-//     server) or wireResponse (server to client) — wire version 1, the
-//     fallback every peer speaks.
-//   - raw frames (bit 31 set): a fixed binary layout for the block hot path —
-//     wire version 2 — that skips gob entirely in both directions: keys and
-//     block bodies are appended straight into the frame and decoded straight
-//     out of it (ps.ValueBlock.DecodeWire lands rows in the destination
-//     slabs, no intermediate copy).
+// 4-byte big-endian prefix followed by one payload. The prefix's top bit is
+// always set (payloads are capped far below it); a prefix without it comes
+// from a peer speaking some other protocol, and the connection is dropped.
+// Every payload has a fixed binary layout — keys and block bodies are
+// appended straight into the frame and decoded straight out of it
+// (ps.ValueBlock.DecodeWire lands rows in the destination slabs, no
+// intermediate copy).
 //
 // The explicit frame boundary is what keeps a malformed or truncated payload
 // contained — the server can reject a frame without losing stream
 // synchronization, and the length cap bounds how much memory a single frame
 // may ask it to allocate.
 
-// RPC operations.
-const (
-	opPull      uint8 = 1 // read values of a key set (creating them is handler policy)
-	opPush      uint8 = 2 // merge per-key deltas into the shard
-	opEvict     uint8 = 3 // demote keys out of the tier (All = everything)
-	opStats     uint8 = 4 // read the tier's name and uniform statistics
-	opLookup    uint8 = 5 // read values without materializing missing keys
-	opPullBlock uint8 = 6 // pull whose reply is one flat value block
-	opPushBlock uint8 = 7 // push whose deltas arrive as one flat value block
-
-	// Serving-tier operations (see serving.go for the handler contracts).
-	opPredict     uint8 = 8  // score feature-key batches against live parameters
-	opServeConfig uint8 = 9  // activate/refresh the serving tier (addrs, dense params)
-	opServeStats  uint8 = 10 // read the serving-tier counters
-
-	// Replication operations (see ring.go for the membership types).
-	opReplicate  uint8 = 11 // primary forwards an applied delta block to a backup
-	opTransfer   uint8 = 12 // key-range state transfer: set rows outright (re-replication/resharding)
-	opMembership uint8 = 13 // install an epoch-versioned membership change
-)
-
-// rawMagicBit marks a length prefix as introducing a raw (non-gob) frame.
+// rawMagicBit marks a length prefix as introducing a frame of this protocol.
 const rawMagicBit uint32 = 1 << 31
 
-// rawWireVersion is the highest wire version this build speaks: version 1 is
-// gob-only, version 2 adds the raw block frames. A hello exchange pins the
-// version (and the pull-reply precision) per connection; a peer that answers
-// with a lower version keeps the connection on gob frames.
+// rawWireVersion is the one wire version this build speaks. The hello
+// exchange at dial time checks it and pins the connection's pull-reply
+// precision; a peer of any other version is refused.
 const rawWireVersion = 2
 
-// Raw frame operations. Every raw payload starts with the op byte; requests
-// and responses are distinct ops so a desynchronized stream is detected
-// instead of misparsed.
+// Frame operations. Every payload starts with the op byte. A response's op is
+// its request's plus one, so a desynchronized stream is detected instead of
+// misparsed.
 const (
-	rawOpHello         uint8 = 1 // negotiate wire version + pull precision
-	rawOpHelloResp     uint8 = 2
-	rawOpPullBlock     uint8 = 3 // pull-block request: keys only
-	rawOpPullBlockResp uint8 = 4 // pull-block reply: encoded block body
-	rawOpPushBlock     uint8 = 5 // push-block request: dedup stamp, keys, body
-	rawOpPushBlockResp uint8 = 6
-	rawOpPredict       uint8 = 7 // predict request: per-example counts + flat keys
-	rawOpPredictResp   uint8 = 8 // predict reply: one float32 score per example
-	rawOpReplicate     uint8 = 9 // replicate request: push-block layout with the ORIGIN's dedup stamp
-	rawOpReplicateResp uint8 = 10
+	rawOpHello       uint8 = 1  // check the wire version, negotiate pull precision
+	rawOpPullBlock   uint8 = 3  // read a key set as one block (creating keys is handler policy)
+	rawOpPushBlock   uint8 = 5  // merge one block of deltas, exactly once per dedup stamp
+	rawOpPredict     uint8 = 7  // score feature-key batches against live parameters
+	rawOpReplicate   uint8 = 9  // push-block layout carrying the ORIGIN's dedup stamp to a backup
+	rawOpLookup      uint8 = 11 // pull-block layout that never materializes missing keys
+	rawOpTransfer    uint8 = 13 // push-block layout whose rows are set outright (resharding)
+	rawOpEvict       uint8 = 15 // demote keys out of the tier (rawFlagAll = everything)
+	rawOpStats       uint8 = 17 // read the tier's name and uniform statistics
+	rawOpMembership  uint8 = 19 // install an epoch-versioned membership change
+	rawOpServeConfig uint8 = 21 // activate/refresh the serving tier (addrs, dense params)
+	rawOpServeStats  uint8 = 23 // read the serving-tier counters
 )
 
-// rawStatus values of a raw response's second byte.
+// rawFlagAll, in an evict request's flag byte, is the nil-slice form of
+// ps.Tier.Evict (everything evictable), which a key count of zero cannot
+// express: an empty key set evicts nothing.
+const rawFlagAll uint8 = 1
+
+// rawStatus values of a response's second byte.
 const (
 	rawStatusOK         uint8 = 0
 	rawStatusErr        uint8 = 1 // payload carries the error message
 	rawStatusOverloaded uint8 = 2 // admission queue full: typed, retryable
 )
 
-func rawRespOp(op uint8) uint8 {
-	switch op {
-	case rawOpHello:
-		return rawOpHelloResp
-	case rawOpPullBlock:
-		return rawOpPullBlockResp
-	case rawOpPushBlock:
-		return rawOpPushBlockResp
-	case rawOpPredict:
-		return rawOpPredictResp
-	case rawOpReplicate:
-		return rawOpReplicateResp
-	}
-	return 0
+// serveFunc executes one request against the server's handler. payload is the
+// whole request (op byte first, at least the 4-byte header); frame already
+// holds the length-prefix placeholder and an ok response header, and the
+// function returns it with the reply body appended. A returned error becomes
+// an error frame.
+type serveFunc func(s *TCPServer, prec *ps.Precision, payload, frame []byte) ([]byte, error)
+
+// ops is the one table of wire operations: the name errors and reports use,
+// and the server-side implementation.
+var ops = [...]struct {
+	name  string
+	serve serveFunc
+}{
+	rawOpHello:       {"hello", (*TCPServer).serveHello},
+	rawOpPullBlock:   {"pull-block", (*TCPServer).servePull},
+	rawOpPushBlock:   {"push-block", (*TCPServer).servePush},
+	rawOpPredict:     {"predict", (*TCPServer).servePredict},
+	rawOpReplicate:   {"replicate", (*TCPServer).servePush},
+	rawOpLookup:      {"lookup", (*TCPServer).serveLookup},
+	rawOpTransfer:    {"transfer", (*TCPServer).serveTransfer},
+	rawOpEvict:       {"evict", (*TCPServer).serveEvict},
+	rawOpStats:       {"stats", (*TCPServer).serveStats},
+	rawOpMembership:  {"membership", (*TCPServer).serveMembership},
+	rawOpServeConfig: {"serve-config", (*TCPServer).serveServeConfig},
+	rawOpServeStats:  {"serve-stats", (*TCPServer).serveServeStats},
 }
 
-func rawOpName(op uint8) string {
-	switch op {
-	case rawOpHello, rawOpHelloResp:
-		return "hello"
-	case rawOpPullBlock, rawOpPullBlockResp:
-		return "pull-block"
-	case rawOpPushBlock, rawOpPushBlockResp:
-		return "push-block"
-	case rawOpPredict, rawOpPredictResp:
-		return "predict"
-	case rawOpReplicate, rawOpReplicateResp:
-		return "replicate"
-	}
-	return fmt.Sprintf("raw-op#%d", op)
-}
-
+// opName names a request op for errors and reports.
 func opName(op uint8) string {
-	switch op {
-	case opPull:
-		return "pull"
-	case opPush:
-		return "push"
-	case opEvict:
-		return "evict"
-	case opStats:
-		return "stats"
-	case opLookup:
-		return "lookup"
-	case opPullBlock:
-		return "pull-block"
-	case opPushBlock:
-		return "push-block"
-	case opPredict:
-		return "predict"
-	case opServeConfig:
-		return "serve-config"
-	case opServeStats:
-		return "serve-stats"
-	case opReplicate:
-		return "replicate"
-	case opTransfer:
-		return "transfer"
-	case opMembership:
-		return "membership"
+	if int(op) < len(ops) && ops[op].name != "" {
+		return ops[op].name
 	}
 	return fmt.Sprintf("op#%d", op)
 }
@@ -155,152 +103,7 @@ func opName(op uint8) string {
 // make a peer allocate unbounded memory.
 const MaxFrameBytes = 64 << 20
 
-// wireRequest is one batched RPC from a client to a shard server.
-type wireRequest struct {
-	// Op selects the operation.
-	Op uint8
-	// Client identifies the sending transport; with Seq it lets the server
-	// deduplicate pushes retried across a reconnect.
-	Client uint64
-	// Seq is the client's push sequence number (0 for non-push operations).
-	Seq uint64
-	// Keys are the requested keys (pull/evict/lookup) or the delta keys (push).
-	Keys []keys.Key
-	// Values are the push deltas, parallel to Keys.
-	Values []*embedding.Value
-	// Block is a push-block's delta rows (parallel to Keys), encoded with
-	// ps.ValueBlock.AppendWire — the whole batch in one flat buffer, instead
-	// of one gob value per parameter.
-	Block []byte
-	// All marks an evict of everything evictable (the nil-slice form of
-	// ps.Tier.Evict, which gob cannot distinguish from an empty slice).
-	All bool
-	// Counts is a predict request's per-example feature counts; Keys then
-	// holds every example's features concatenated (PredictRequest's layout).
-	Counts []uint32
-	// Serve is a serve-config request's payload.
-	Serve ServeConfig
-	// Membership is a membership request's payload. For a replicate request,
-	// Client/Seq carry the ORIGIN client's dedup stamp (the one the primary
-	// applied), not the forwarding transport's — that is what lets a backup
-	// recognize the origin's own retry of the same push after a promotion.
-	Membership MembershipUpdate
-}
-
-// wireResponse is the reply to one wireRequest.
-type wireResponse struct {
-	// Keys / Values carry pull and lookup results.
-	Keys   []keys.Key
-	Values []*embedding.Value
-	// Block carries a pull-block result: the flat rows of the requested keys
-	// in request order (the keys themselves are not echoed).
-	Block []byte
-	// Count is the evicted-key count of an evict.
-	Count int
-	// Name / Stats carry a stats reply.
-	Name  string
-	Stats ps.Stats
-	// Scores carries a predict reply: one click probability per example.
-	Scores []float32
-	// Serving carries a serve-stats reply.
-	Serving ServingStats
-	// Err is the shard-side failure, empty on success.
-	Err string
-	// Overloaded marks Err as an admission rejection, so the client rebuilds
-	// the typed, retryable OverloadError instead of a generic RemoteError.
-	Overloaded bool
-}
-
-// validate rejects requests that decoded cleanly but are semantically
-// malformed, so handlers never see them.
-func (r *wireRequest) validate() error {
-	switch r.Op {
-	case opPull, opEvict, opStats, opLookup, opPullBlock:
-		if len(r.Values) != 0 {
-			return fmt.Errorf("cluster: %s carries %d values", opName(r.Op), len(r.Values))
-		}
-		if len(r.Block) != 0 {
-			return fmt.Errorf("cluster: %s carries a %d-byte block", opName(r.Op), len(r.Block))
-		}
-	case opPush:
-		if len(r.Values) != len(r.Keys) {
-			return fmt.Errorf("cluster: push has %d keys but %d values", len(r.Keys), len(r.Values))
-		}
-	case opPushBlock, opReplicate, opTransfer:
-		if len(r.Values) != 0 {
-			return fmt.Errorf("cluster: %s carries %d gob values", opName(r.Op), len(r.Values))
-		}
-		if len(r.Block) == 0 {
-			return fmt.Errorf("cluster: %s carries no block", opName(r.Op))
-		}
-	case opMembership:
-		if len(r.Keys) != 0 || len(r.Values) != 0 || len(r.Block) != 0 {
-			return fmt.Errorf("cluster: membership carries a parameter payload")
-		}
-		return r.Membership.Validate()
-	case opPredict:
-		if len(r.Values) != 0 || len(r.Block) != 0 {
-			return fmt.Errorf("cluster: predict carries push payload")
-		}
-		return PredictRequest{Counts: r.Counts, Keys: r.Keys}.Validate()
-	case opServeConfig, opServeStats:
-		if len(r.Keys) != 0 || len(r.Values) != 0 || len(r.Block) != 0 {
-			return fmt.Errorf("cluster: %s carries a parameter payload", opName(r.Op))
-		}
-	default:
-		return fmt.Errorf("cluster: unknown operation %d", r.Op)
-	}
-	for i, v := range r.Values {
-		if v == nil {
-			return fmt.Errorf("cluster: push value %d is nil", i)
-		}
-	}
-	return nil
-}
-
-// deltas converts a push request's parallel key/value slices into the map
-// form handlers consume.
-func (r *wireRequest) deltas() map[keys.Key]*embedding.Value {
-	out := make(map[keys.Key]*embedding.Value, len(r.Keys))
-	for i, k := range r.Keys {
-		out[k] = r.Values[i]
-	}
-	return out
-}
-
-// setResult stores a pull/lookup result as parallel slices (gob-friendly and
-// deterministic in size).
-func (w *wireResponse) setResult(res PullResult) {
-	w.Keys = make([]keys.Key, 0, len(res))
-	w.Values = make([]*embedding.Value, 0, len(res))
-	for k, v := range res {
-		if v == nil {
-			continue
-		}
-		w.Keys = append(w.Keys, k)
-		w.Values = append(w.Values, v)
-	}
-}
-
-// result converts a response's parallel slices back into a PullResult,
-// dropping entries a hostile peer could have left inconsistent.
-func (w *wireResponse) result() PullResult {
-	out := make(PullResult, len(w.Keys))
-	for i, k := range w.Keys {
-		if i < len(w.Values) && w.Values[i] != nil {
-			out[k] = w.Values[i]
-		}
-	}
-	return out
-}
-
-// frameBufPool recycles the encode buffers of writeFrame and the payload
-// buffers of readFrame, so the steady per-batch RPC stream does not allocate
-// a fresh frame buffer per call.
-var frameBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// scratchPool recycles the byte slices used to encode block bodies before
-// they enter a frame (and anywhere else a transient byte buffer is needed).
+// scratchPool recycles the byte slices frames are built in and received into.
 var scratchPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 // maxPooledScratch keeps the occasional giant frame from pinning its buffer
@@ -317,70 +120,46 @@ func putScratch(b *[]byte) {
 	scratchPool.Put(b)
 }
 
-// writeFrame gob-encodes v and writes it as one length-prefixed frame,
-// returning the bytes written (the actual on-wire cost of the frame).
-func writeFrame(w io.Writer, v any) (int, error) {
-	buf := frameBufPool.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() > maxPooledScratch {
-			return // same cap as the read side: giant frames don't pin pool memory
-		}
-		buf.Reset()
-		frameBufPool.Put(buf)
-	}()
-	buf.Write([]byte{0, 0, 0, 0}) // length prefix placeholder
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		return 0, fmt.Errorf("cluster: encode frame: %w", err)
-	}
-	payload := buf.Len() - 4
-	if payload > MaxFrameBytes {
-		return 0, fmt.Errorf("cluster: frame of %d bytes exceeds limit %d", payload, MaxFrameBytes)
-	}
-	b := buf.Bytes()
-	binary.BigEndian.PutUint32(b[:4], uint32(payload))
-	return w.Write(b)
-}
-
-// writeRawFrame stamps the raw length prefix into frame's reserved first four
+// writeRawFrame stamps the length prefix into frame's reserved first four
 // bytes and writes the whole frame in one call, returning the bytes written.
 // The builder appends the payload after a 4-byte placeholder so the frame
 // goes out in a single Write — no separate prefix write, no concatenation.
 func writeRawFrame(w io.Writer, frame []byte) (int, error) {
 	payload := len(frame) - 4
 	if payload <= 0 || payload > MaxFrameBytes {
-		return 0, fmt.Errorf("cluster: raw frame of %d bytes out of range (limit %d)", payload, MaxFrameBytes)
+		return 0, fmt.Errorf("cluster: frame of %d bytes out of range (limit %d)", payload, MaxFrameBytes)
 	}
 	binary.BigEndian.PutUint32(frame[:4], rawMagicBit|uint32(payload))
 	return w.Write(frame)
 }
 
-// readFramePrefix reads one frame's length prefix, reporting whether the
-// frame is raw and how long its payload is. It returns io.EOF unwrapped when
-// the stream ends cleanly between frames so connection loops can distinguish
-// shutdown from corruption.
-func readFramePrefix(r io.Reader) (n uint32, raw bool, err error) {
+// readFramePrefix reads one frame's length prefix and returns the payload
+// length. It returns io.EOF unwrapped when the stream ends cleanly between
+// frames so connection loops can distinguish shutdown from corruption.
+func readFramePrefix(r io.Reader) (uint32, error) {
 	var prefix [4]byte
 	if _, err := io.ReadFull(r, prefix[:]); err != nil {
 		if err == io.EOF {
-			return 0, false, io.EOF
+			return 0, io.EOF
 		}
-		return 0, false, fmt.Errorf("cluster: read frame prefix: %w", err)
+		return 0, fmt.Errorf("cluster: read frame prefix: %w", err)
 	}
-	n = binary.BigEndian.Uint32(prefix[:])
-	raw = n&rawMagicBit != 0
+	n := binary.BigEndian.Uint32(prefix[:])
+	if n&rawMagicBit == 0 {
+		return 0, fmt.Errorf("cluster: frame prefix %#08x is not this protocol's", n)
+	}
 	n &^= rawMagicBit
 	if n == 0 || n > MaxFrameBytes {
-		return 0, false, fmt.Errorf("cluster: frame length %d out of range (limit %d)", n, MaxFrameBytes)
+		return 0, fmt.Errorf("cluster: frame length %d out of range (limit %d)", n, MaxFrameBytes)
 	}
-	return n, raw, nil
+	return n, nil
 }
 
 // readFramePayload fills the pooled scratch slice with a frame's n payload
 // bytes and returns the filled view. The caller returns scratch to the pool
-// when it is done with the view — for raw block replies that is after
-// DecodeWire has landed the rows in their destination slabs, which is what
-// makes the receive buffer a reusable landing zone instead of a per-reply
-// allocation.
+// when it is done with the view — for block replies that is after DecodeWire
+// has landed the rows in their destination slabs, which is what makes the
+// receive buffer a reusable landing zone instead of a per-reply allocation.
 func readFramePayload(r io.Reader, n uint32, scratch *[]byte) ([]byte, error) {
 	if cap(*scratch) < int(n) {
 		*scratch = make([]byte, n)
@@ -392,131 +171,94 @@ func readFramePayload(r io.Reader, n uint32, scratch *[]byte) ([]byte, error) {
 	return payload, nil
 }
 
-// readFrame reads one length-prefixed gob frame from r and decodes it into v,
-// returning the total bytes read. A raw frame in gob position is rejected —
-// the families never interleave inside one RPC exchange.
-func readFrame(r io.Reader, v any) (int, error) {
-	n, raw, err := readFramePrefix(r)
-	if err != nil {
-		return 0, err
-	}
-	if raw {
-		return 0, fmt.Errorf("cluster: raw frame where a gob frame was expected")
-	}
-	scratch := getScratch()
-	defer putScratch(scratch)
-	payload, err := readFramePayload(r, n, scratch)
-	if err != nil {
-		return 0, err
-	}
-	return 4 + int(n), decodeFrame(payload, v)
-}
-
-// decodeFrame gob-decodes one frame payload, converting any decoder panic
-// into an error: the bytes may come from a hostile or corrupt peer and must
-// never take the process down.
-func decodeFrame(payload []byte, v any) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("cluster: decode frame: panic: %v", r)
-		}
-	}()
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return fmt.Errorf("cluster: decode frame: %w", err)
-	}
-	return nil
-}
-
-// Raw payload layouts (all integers little-endian, after the 4-byte
-// big-endian stream prefix):
+// Payload layouts (all integers little-endian, after the 4-byte big-endian
+// stream prefix). Every request starts with op, flags, pad[2]; every response
+// with op, status, pad[2], followed by the body below when the status is ok
+// and by the error message otherwise.
 //
-//	hello  req : op, version, precision, pad
-//	hello  resp: op, status, version, precision
-//	pull   req : op, pad[3], nkeys u32, keys u64...
-//	pull   resp: op, status, pad[2], then the block body (ok) or message (err)
-//	push   req : op, pad[3], client u64, seq u64, nkeys u32, keys u64..., body
-//	push   resp: op, status, pad[2], then nothing (ok) or message (err)
-//	predict req : op, pad[3], nexamples u32, counts u32..., keys u64...
-//	predict resp: op, status, pad[2], nscores u32, scores f32... (ok) or
-//	              message (err / overloaded)
+//	hello        req : op, version, precision, pad
+//	             resp: op, status, version, precision
+//	pull, lookup req : header, nkeys u32, keys u64...
+//	             resp: the block body (lookup: always fp32)
+//	evict        req : pull layout; rawFlagAll set means everything, no keys
+//	             resp: count u64
+//	push, replicate, transfer
+//	             req : header, client u64, seq u64, nkeys u32, keys u64..., body
+//	             resp: nothing (transfer: count u64)
+//	predict      req : header, nexamples u32, counts u32..., keys u64...
+//	             resp: nscores u32, scores f32...
+//	stats        req : header
+//	             resp: ps.Stats as 8 fixed words, then the tier name
+//	serve-stats  req : header
+//	             resp: ServingStats as 15 fixed words
+//	membership   req : header, epoch u64, vnodes i64, replicas i64,
+//	                   nmembers u32, members i64..., address book
+//	serve-config req : header, epoch u64, trained epoch u64,
+//	                   ndense u32, dense f32..., address book
+//	address book     : n u32, then n x (id i64, len u32, bytes)
 //
 // Keys travel as fixed 8-byte words and bodies as ps wire bytes, so both ends
 // move them with append/DecodeWire instead of an encoder.
 
-// appendRawPullReq appends a pull-block request payload to dst.
-func appendRawPullReq(dst []byte, ks []keys.Key) []byte {
-	dst = append(dst, rawOpPullBlock, 0, 0, 0)
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(len(ks)))
-	dst = append(dst, b[:]...)
+var le = binary.LittleEndian
+
+// appendRawKeyReq appends a pull-layout request (pull, lookup, evict).
+func appendRawKeyReq(dst []byte, op, flags uint8, ks []keys.Key) []byte {
+	dst = append(dst, op, flags, 0, 0)
+	dst = le.AppendUint32(dst, uint32(len(ks)))
 	return appendRawKeys(dst, ks)
 }
 
-// appendRawPushReq appends a push-block request payload up to the keys; the
-// caller appends the encoded block body behind it.
-func appendRawPushReq(dst []byte, client, seq uint64, ks []keys.Key) []byte {
-	return appendRawBlockReq(dst, rawOpPushBlock, client, seq, ks)
-}
-
-// appendRawReplicateReq is appendRawPushReq with the replicate op: identical
-// layout, but client/seq are the ORIGIN's dedup stamp rather than the sending
-// transport's.
-func appendRawReplicateReq(dst []byte, client, seq uint64, ks []keys.Key) []byte {
-	return appendRawBlockReq(dst, rawOpReplicate, client, seq, ks)
-}
-
+// appendRawBlockReq appends a push-layout request (push, replicate, transfer)
+// up to the keys; the caller appends the encoded block body behind it. For a
+// replicate, client/seq are the ORIGIN's dedup stamp rather than the sending
+// transport's; a transfer is idempotent and carries zeros.
 func appendRawBlockReq(dst []byte, op uint8, client, seq uint64, ks []keys.Key) []byte {
 	dst = append(dst, op, 0, 0, 0)
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], client)
-	dst = append(dst, b[:]...)
-	binary.LittleEndian.PutUint64(b[:], seq)
-	dst = append(dst, b[:]...)
-	binary.LittleEndian.PutUint32(b[:4], uint32(len(ks)))
-	dst = append(dst, b[:4]...)
+	dst = le.AppendUint64(dst, client)
+	dst = le.AppendUint64(dst, seq)
+	dst = le.AppendUint32(dst, uint32(len(ks)))
 	return appendRawKeys(dst, ks)
 }
 
 func appendRawKeys(dst []byte, ks []keys.Key) []byte {
-	var b [8]byte
 	for _, k := range ks {
-		binary.LittleEndian.PutUint64(b[:], uint64(k))
-		dst = append(dst, b[:]...)
+		dst = le.AppendUint64(dst, uint64(k))
 	}
 	return dst
 }
 
-// parseRawPullReq validates and decodes a pull-block request payload. The
+// parseRawKeyReq validates and decodes a pull-layout request payload. The
 // payload may come from a hostile peer: the key count must account for the
 // payload exactly.
-func parseRawPullReq(payload []byte) ([]keys.Key, error) {
+func parseRawKeyReq(payload []byte) ([]keys.Key, error) {
 	if len(payload) < 8 {
-		return nil, fmt.Errorf("cluster: raw pull-block request of %d bytes", len(payload))
+		return nil, fmt.Errorf("cluster: key request of %d bytes", len(payload))
 	}
-	n := int(binary.LittleEndian.Uint32(payload[4:8]))
+	n := int(le.Uint32(payload[4:8]))
 	if n*8 != len(payload)-8 {
-		return nil, fmt.Errorf("cluster: raw pull-block request: %d keys in %d payload bytes", n, len(payload))
+		return nil, fmt.Errorf("cluster: key request: %d keys in %d payload bytes", n, len(payload))
 	}
 	return parseRawKeys(payload[8:], n), nil
 }
 
-// parseRawPushReq validates and decodes a push-block request payload. The
+// parseRawBlockReq validates and decodes a push-layout request payload. The
 // returned keys are freshly allocated; body aliases the payload, so the
 // caller must finish with it before recycling the receive buffer.
-func parseRawPushReq(payload []byte) (client, seq uint64, ks []keys.Key, body []byte, err error) {
+func parseRawBlockReq(payload []byte) (client, seq uint64, ks []keys.Key, body []byte, err error) {
 	if len(payload) < 24 {
-		return 0, 0, nil, nil, fmt.Errorf("cluster: raw push-block request of %d bytes", len(payload))
+		return 0, 0, nil, nil, fmt.Errorf("cluster: block request of %d bytes", len(payload))
 	}
-	client = binary.LittleEndian.Uint64(payload[4:12])
-	seq = binary.LittleEndian.Uint64(payload[12:20])
-	n := int(binary.LittleEndian.Uint32(payload[20:24]))
-	if n < 0 || n > (len(payload)-24)/8 {
-		return 0, 0, nil, nil, fmt.Errorf("cluster: raw push-block request: %d keys in %d payload bytes", n, len(payload))
+	client = le.Uint64(payload[4:12])
+	seq = le.Uint64(payload[12:20])
+	n := int(le.Uint32(payload[20:24]))
+	if n > (len(payload)-24)/8 {
+		return 0, 0, nil, nil, fmt.Errorf("cluster: block request: %d keys in %d payload bytes", n, len(payload))
 	}
 	ks = parseRawKeys(payload[24:], n)
 	body = payload[24+8*n:]
 	if len(body) == 0 {
-		return 0, 0, nil, nil, fmt.Errorf("cluster: raw push-block request carries no block")
+		return 0, 0, nil, nil, fmt.Errorf("cluster: block request carries no block")
 	}
 	return client, seq, ks, body, nil
 }
@@ -524,7 +266,7 @@ func parseRawPushReq(payload []byte) (client, seq uint64, ks []keys.Key, body []
 func parseRawKeys(b []byte, n int) []keys.Key {
 	ks := make([]keys.Key, n)
 	for i := range ks {
-		ks[i] = keys.Key(binary.LittleEndian.Uint64(b[8*i : 8*i+8]))
+		ks[i] = keys.Key(le.Uint64(b[8*i : 8*i+8]))
 	}
 	return ks
 }
@@ -533,12 +275,9 @@ func parseRawKeys(b []byte, n int) []keys.Key {
 // layout of PredictRequest as per-example counts followed by the flat keys.
 func appendRawPredictReq(dst []byte, req PredictRequest) []byte {
 	dst = append(dst, rawOpPredict, 0, 0, 0)
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(len(req.Counts)))
-	dst = append(dst, b[:]...)
+	dst = le.AppendUint32(dst, uint32(len(req.Counts)))
 	for _, c := range req.Counts {
-		binary.LittleEndian.PutUint32(b[:], c)
-		dst = append(dst, b[:]...)
+		dst = le.AppendUint32(dst, c)
 	}
 	return appendRawKeys(dst, req.Keys)
 }
@@ -548,54 +287,200 @@ func appendRawPredictReq(dst []byte, req PredictRequest) []byte {
 // feature counts must account for the payload exactly.
 func parseRawPredictReq(payload []byte) (PredictRequest, error) {
 	if len(payload) < 8 {
-		return PredictRequest{}, fmt.Errorf("cluster: raw predict request of %d bytes", len(payload))
+		return PredictRequest{}, fmt.Errorf("cluster: predict request of %d bytes", len(payload))
 	}
-	n := int(binary.LittleEndian.Uint32(payload[4:8]))
-	if n < 0 || n > (len(payload)-8)/4 {
-		return PredictRequest{}, fmt.Errorf("cluster: raw predict request: %d examples in %d payload bytes", n, len(payload))
+	n := int(le.Uint32(payload[4:8]))
+	if n > (len(payload)-8)/4 {
+		return PredictRequest{}, fmt.Errorf("cluster: predict request: %d examples in %d payload bytes", n, len(payload))
 	}
 	counts := make([]uint32, n)
 	total := 0
 	for i := range counts {
-		counts[i] = binary.LittleEndian.Uint32(payload[8+4*i:])
+		counts[i] = le.Uint32(payload[8+4*i:])
 		total += int(counts[i])
 		if total > MaxFrameBytes {
-			return PredictRequest{}, fmt.Errorf("cluster: raw predict request: counts overflow")
+			return PredictRequest{}, fmt.Errorf("cluster: predict request: counts overflow")
 		}
 	}
 	rest := payload[8+4*n:]
 	if total*8 != len(rest) {
-		return PredictRequest{}, fmt.Errorf("cluster: raw predict request: counts sum to %d keys but %d key bytes given", total, len(rest))
+		return PredictRequest{}, fmt.Errorf("cluster: predict request: counts sum to %d keys but %d key bytes given", total, len(rest))
 	}
 	return PredictRequest{Counts: counts, Keys: parseRawKeys(rest, total)}, nil
 }
 
-// appendRawScores appends a predict response's score vector to dst, behind
-// the 4-byte response header the caller already wrote.
-func appendRawScores(dst []byte, scores []float32) []byte {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(len(scores)))
-	dst = append(dst, b[:]...)
-	for _, s := range scores {
-		binary.LittleEndian.PutUint32(b[:], math.Float32bits(s))
-		dst = append(dst, b[:]...)
+// appendRawFloats appends a counted float32 vector: a predict reply's scores,
+// a serve-config's dense parameters.
+func appendRawFloats(dst []byte, fs []float32) []byte {
+	dst = le.AppendUint32(dst, uint32(len(fs)))
+	for _, f := range fs {
+		dst = le.AppendUint32(dst, math.Float32bits(f))
 	}
 	return dst
 }
 
-// parseRawScores validates and decodes a predict response body (the bytes
-// after the 4-byte response header).
+// parseRawScores validates and decodes a predict response body.
 func parseRawScores(body []byte) ([]float32, error) {
-	if len(body) < 4 {
-		return nil, fmt.Errorf("cluster: raw predict response of %d body bytes", len(body))
+	r := wireReader{b: body}
+	scores := r.floats()
+	return scores, r.done()
+}
+
+// wireReader consumes the counted fields of a frame that may come from a
+// hostile peer. The first field that overruns the payload latches err and
+// every later read returns zero, so callers check once, in done.
+type wireReader struct {
+	b   []byte
+	err error
+}
+
+func (r *wireReader) take(n int) []byte {
+	if r.err != nil {
+		return nil
 	}
-	n := int(binary.LittleEndian.Uint32(body))
-	if n*4 != len(body)-4 {
-		return nil, fmt.Errorf("cluster: raw predict response: %d scores in %d body bytes", n, len(body))
+	if n < 0 || n > len(r.b) {
+		r.err = fmt.Errorf("cluster: frame truncated: field of %d bytes, %d left", n, len(r.b))
+		return nil
 	}
-	scores := make([]float32, n)
-	for i := range scores {
-		scores[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[4+4*i:]))
+	out := r.b[:n]
+	r.b = r.b[n:]
+	return out
+}
+
+func (r *wireReader) u32() uint32 {
+	if b := r.take(4); b != nil {
+		return le.Uint32(b)
 	}
-	return scores, nil
+	return 0
+}
+
+func (r *wireReader) u64() uint64 {
+	if b := r.take(8); b != nil {
+		return le.Uint64(b)
+	}
+	return 0
+}
+
+func (r *wireReader) int() int { return int(int64(r.u64())) }
+
+// count reads an element count and checks that the rest of the payload can
+// hold that many elements of at least elemSize bytes, so a hostile count
+// never sizes an allocation beyond the frame that carried it.
+func (r *wireReader) count(elemSize int) int {
+	n := int(r.u32())
+	if r.err == nil && (n < 0 || n > len(r.b)/elemSize) {
+		r.err = fmt.Errorf("cluster: frame claims %d elements in %d bytes", n, len(r.b))
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
+}
+
+// floats reads a counted float32 vector; an empty vector reads as nil.
+func (r *wireReader) floats() []float32 {
+	n := r.count(4)
+	if n == 0 {
+		return nil
+	}
+	out := make([]float32, n)
+	for i := range out {
+		out[i] = math.Float32frombits(r.u32())
+	}
+	return out
+}
+
+// ints reads a counted int vector; an empty vector reads as nil.
+func (r *wireReader) ints() []int {
+	n := r.count(8)
+	if n == 0 {
+		return nil
+	}
+	out := make([]int, n)
+	for i := range out {
+		out[i] = r.int()
+	}
+	return out
+}
+
+// addrs reads an address book; an empty book reads as nil (ServeConfig and
+// MembershipUpdate both treat a nil book as "no change").
+func (r *wireReader) addrs() map[int]string {
+	n := r.count(12)
+	if n == 0 {
+		return nil
+	}
+	out := make(map[int]string, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		id := r.int()
+		out[id] = string(r.take(int(r.u32())))
+	}
+	return out
+}
+
+// done reports the first overrun, or bytes left over: a control frame must be
+// accounted for exactly.
+func (r *wireReader) done() error {
+	if r.err == nil && len(r.b) != 0 {
+		r.err = fmt.Errorf("cluster: frame has %d trailing bytes", len(r.b))
+	}
+	return r.err
+}
+
+func appendRawAddrs(dst []byte, addrs map[int]string) []byte {
+	dst = le.AppendUint32(dst, uint32(len(addrs)))
+	for id, a := range addrs {
+		dst = le.AppendUint64(dst, uint64(id))
+		dst = le.AppendUint32(dst, uint32(len(a)))
+		dst = append(dst, a...)
+	}
+	return dst
+}
+
+// appendRawMembership appends a membership request payload.
+func appendRawMembership(dst []byte, u MembershipUpdate) []byte {
+	dst = append(dst, rawOpMembership, 0, 0, 0)
+	dst = le.AppendUint64(dst, u.Epoch)
+	dst = le.AppendUint64(dst, uint64(u.VNodes))
+	dst = le.AppendUint64(dst, uint64(u.Replicas))
+	dst = le.AppendUint32(dst, uint32(len(u.Members)))
+	for _, m := range u.Members {
+		dst = le.AppendUint64(dst, uint64(m))
+	}
+	return appendRawAddrs(dst, u.Addrs)
+}
+
+// parseRawMembership decodes and validates a membership request payload.
+func parseRawMembership(payload []byte) (MembershipUpdate, error) {
+	r := wireReader{b: payload[4:]}
+	var u MembershipUpdate
+	u.Epoch = r.u64()
+	u.VNodes = r.int()
+	u.Replicas = r.int()
+	u.Members = r.ints()
+	u.Addrs = r.addrs()
+	if err := r.done(); err != nil {
+		return MembershipUpdate{}, err
+	}
+	return u, u.Validate()
+}
+
+// appendRawServeConfig appends a serve-config request payload.
+func appendRawServeConfig(dst []byte, cfg ServeConfig) []byte {
+	dst = append(dst, rawOpServeConfig, 0, 0, 0)
+	dst = le.AppendUint64(dst, cfg.Epoch)
+	dst = le.AppendUint64(dst, cfg.TrainedEpoch)
+	dst = appendRawFloats(dst, cfg.Dense)
+	return appendRawAddrs(dst, cfg.Addrs)
+}
+
+// parseRawServeConfig decodes a serve-config request payload.
+func parseRawServeConfig(payload []byte) (ServeConfig, error) {
+	r := wireReader{b: payload[4:]}
+	var cfg ServeConfig
+	cfg.Epoch = r.u64()
+	cfg.TrainedEpoch = r.u64()
+	cfg.Dense = r.floats()
+	cfg.Addrs = r.addrs()
+	return cfg, r.done()
 }

@@ -5,94 +5,79 @@ import (
 	"errors"
 	"io"
 	"net"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hps/internal/embedding"
 	"hps/internal/keys"
+	"hps/internal/ps"
 )
 
-func encodeRequestFrame(t *testing.T, req *wireRequest) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if _, err := writeFrame(&buf, req); err != nil {
+func TestFrameReaderRejectsBadFrames(t *testing.T) {
+	read := func(b []byte) ([]byte, error) {
+		r := bytes.NewReader(b)
+		n, err := readFramePrefix(r)
+		if err != nil {
+			return nil, err
+		}
+		return readFramePayload(r, n, getScratch())
+	}
+	var frame bytes.Buffer
+	if _, err := writeRawFrame(&frame, appendRawKeyReq([]byte{0, 0, 0, 0}, rawOpPullBlock, 0, []keys.Key{1})); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
-}
-
-func TestWireRoundTrip(t *testing.T) {
-	v := embedding.NewValue(4)
-	v.Weights[2] = 1.5
-	v.Freq = 3
-	req := &wireRequest{
-		Op:     opPush,
-		Client: 9,
-		Seq:    2,
-		Keys:   []keys.Key{10, 20},
-		Values: []*embedding.Value{v, embedding.NewValue(4)},
-	}
-	frame := encodeRequestFrame(t, req)
-	var got wireRequest
-	if _, err := readFrame(bytes.NewReader(frame), &got); err != nil {
-		t.Fatal(err)
-	}
-	if err := got.validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got.Op != opPush || got.Client != 9 || got.Seq != 2 || len(got.Keys) != 2 {
-		t.Fatalf("decoded request = %+v", got)
-	}
-	if got.Values[0].Weights[2] != 1.5 || got.Values[0].Freq != 3 {
-		t.Fatal("value payload corrupted through the codec")
-	}
-}
-
-func TestWireRejectsBadFrames(t *testing.T) {
-	// Truncated prefix.
-	if _, err := readFrame(bytes.NewReader([]byte{0, 0}), &wireRequest{}); err == nil {
-		t.Fatal("truncated prefix must fail")
+	if payload, err := read(frame.Bytes()); err != nil || payload[0] != rawOpPullBlock {
+		t.Fatalf("well-formed frame: payload %v, err %v", payload, err)
 	}
 	// Clean EOF between frames is io.EOF exactly.
-	if _, err := readFrame(bytes.NewReader(nil), &wireRequest{}); err != io.EOF {
+	if _, err := read(nil); err != io.EOF {
 		t.Fatalf("empty stream error = %v, want io.EOF", err)
 	}
-	// Zero and oversized lengths.
-	if _, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 0}), &wireRequest{}); err == nil {
-		t.Fatal("zero-length frame must fail")
+	for name, b := range map[string][]byte{
+		"truncated prefix":       {0x80, 0},
+		"zero length":            {0x80, 0, 0, 0},
+		"oversized length":       {0xff, 0xff, 0xff, 0xff},
+		"truncated payload":      frame.Bytes()[:frame.Len()-3],
+		"another protocol (gob)": {0, 0, 0, 4, 1, 2, 3, 4}, // bit 31 clear
+	} {
+		if _, err := read(b); err == nil || err == io.EOF {
+			t.Errorf("%s: error = %v, want a framing error", name, err)
+		}
 	}
-	if _, err := readFrame(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff}), &wireRequest{}); err == nil {
-		t.Fatal("oversized frame must fail")
-	}
-	// Truncated payload.
-	frame := encodeRequestFrame(t, &wireRequest{Op: opPull, Keys: []keys.Key{1}})
-	if _, err := readFrame(bytes.NewReader(frame[:len(frame)-3]), &wireRequest{}); err == nil {
-		t.Fatal("truncated payload must fail")
-	}
-	// Garbage gob payload.
-	garbage := append([]byte{0, 0, 0, 4}, 1, 2, 3, 4)
-	if _, err := readFrame(bytes.NewReader(garbage), &wireRequest{}); err == nil {
-		t.Fatal("garbage payload must fail")
+	if _, err := writeRawFrame(io.Discard, []byte{0, 0, 0, 0}); err == nil {
+		t.Error("an empty frame must not be written")
 	}
 }
 
-func TestWireRequestValidate(t *testing.T) {
-	cases := []struct {
-		name string
-		req  wireRequest
-		ok   bool
-	}{
-		{"pull", wireRequest{Op: opPull, Keys: []keys.Key{1}}, true},
-		{"stats", wireRequest{Op: opStats}, true},
-		{"unknown op", wireRequest{Op: 99}, false},
-		{"pull with values", wireRequest{Op: opPull, Values: []*embedding.Value{embedding.NewValue(2)}}, false},
-		{"push mismatched", wireRequest{Op: opPush, Keys: []keys.Key{1, 2}, Values: []*embedding.Value{embedding.NewValue(2)}}, false},
-		{"push nil value", wireRequest{Op: opPush, Keys: []keys.Key{1}, Values: []*embedding.Value{nil}}, false},
-		{"push ok", wireRequest{Op: opPush, Keys: []keys.Key{1}, Values: []*embedding.Value{embedding.NewValue(2)}}, true},
+// TestControlFrameCodecs round-trips the variable-length control payloads,
+// including the nil-versus-empty distinctions their handlers rely on.
+func TestControlFrameCodecs(t *testing.T) {
+	for _, u := range []MembershipUpdate{
+		{Epoch: 1, Members: []int{4}},
+		{Epoch: 1 << 40, Members: []int{0, 1, 2}, VNodes: 64, Replicas: 2, Addrs: map[int]string{0: "a:1", 2: ""}},
+	} {
+		got, err := parseRawMembership(appendRawMembership(nil, u))
+		if err != nil || !reflect.DeepEqual(got, u) {
+			t.Errorf("membership %+v came back %+v (err %v)", u, got, err)
+		}
 	}
-	for _, tc := range cases {
-		if err := tc.req.validate(); (err == nil) != tc.ok {
-			t.Errorf("%s: validate() = %v, want ok=%v", tc.name, err, tc.ok)
+	// Structurally broken updates are refused before a handler sees them.
+	for _, u := range []MembershipUpdate{{Epoch: 3}, {Epoch: 3, Members: []int{1}, VNodes: -1}} {
+		if _, err := parseRawMembership(appendRawMembership(nil, u)); err == nil {
+			t.Errorf("membership %+v passed validation", u)
+		}
+	}
+	for _, cfg := range []ServeConfig{
+		{},
+		{Dense: []float32{1.5, -2}, Epoch: 9, TrainedEpoch: 12},
+		{Addrs: map[int]string{0: "a:1", 1: "b:2"}, Dense: []float32{0}, Epoch: 1},
+	} {
+		got, err := parseRawServeConfig(appendRawServeConfig(nil, cfg))
+		if err != nil || !reflect.DeepEqual(got, cfg) {
+			t.Errorf("serve-config %+v came back %+v (err %v)", cfg, got, err)
 		}
 	}
 }
@@ -133,12 +118,13 @@ func TestSeqTrackerDedup(t *testing.T) {
 	}
 }
 
-// dedupHandler counts pushes applied, for duplicate-frame tests; the first
-// failPushes applies fail.
+// dedupHandler counts applied block pushes; the first failPushes applies fail
+// and the first panicPushes after those panic.
 type dedupHandler struct {
-	mu         sync.Mutex
-	pushes     int
-	failPushes int
+	mu          sync.Mutex
+	pushes      int
+	failPushes  int
+	panicPushes int
 }
 
 func (h *dedupHandler) HandlePull(ks []keys.Key) (PullResult, error) {
@@ -152,8 +138,42 @@ func (h *dedupHandler) HandlePush(map[keys.Key]*embedding.Value) error {
 		h.failPushes--
 		return errors.New("injected apply failure")
 	}
+	if h.panicPushes > 0 {
+		h.panicPushes--
+		panic("injected apply panic")
+	}
 	h.pushes++
 	return nil
+}
+
+// rawExchange sends one prebuilt frame over a fresh connection and returns
+// the response payload — what a transport retry over a new connection does.
+func rawExchange(t *testing.T, addr string, frame []byte) []byte {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := writeRawFrame(conn, frame); err != nil {
+		t.Fatal(err)
+	}
+	n, err := readFramePrefix(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := readFramePayload(conn, n, getScratch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+func stampedPushFrame(client, seq uint64) []byte {
+	blk := ps.NewValueBlock(2)
+	blk.AppendRow(1, []float32{1, 2}, []float32{0, 0}, 1)
+	return blk.AppendWire(appendRawBlockReq([]byte{0, 0, 0, 0}, rawOpPushBlock, client, seq, blk.Keys))
 }
 
 // TestServerDedupsReplayedPushFrame replays a byte-identical push frame —
@@ -161,40 +181,16 @@ func (h *dedupHandler) HandlePush(map[keys.Key]*embedding.Value) error {
 // the server applies it once while still acknowledging both.
 func TestServerDedupsReplayedPushFrame(t *testing.T) {
 	h := &dedupHandler{}
-	seqs := NewSeqTracker()
-	srv, err := ServeTCPOptions("127.0.0.1:0", h, ServerOptions{Seqs: seqs})
+	srv, err := ServeTCPOptions("127.0.0.1:0", h, ServerOptions{Seqs: NewSeqTracker()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-
-	req := &wireRequest{
-		Op:     opPush,
-		Client: 77,
-		Seq:    1,
-		Keys:   []keys.Key{1},
-		Values: []*embedding.Value{embedding.NewValue(2)},
-	}
-	send := func() {
-		t.Helper()
-		conn, err := net.Dial("tcp", srv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		if _, err := writeFrame(conn, req); err != nil {
-			t.Fatal(err)
-		}
-		var resp wireResponse
-		if _, err := readFrame(conn, &resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.Err != "" {
-			t.Fatalf("push rejected: %s", resp.Err)
+	for i := 0; i < 2; i++ { // the original, then the retry after a (simulated) lost reply
+		if msg := pushFrame(t, srv.Addr(), 77, 1); msg != "" {
+			t.Fatalf("push rejected: %s", msg)
 		}
 	}
-	send() // original
-	send() // retry after a (simulated) lost reply, over a new connection
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.pushes != 1 {
@@ -203,48 +199,116 @@ func TestServerDedupsReplayedPushFrame(t *testing.T) {
 }
 
 // TestServerRetriesFailedPushApply checks the other half of exactly-once: a
-// push whose apply FAILED must not be recorded as applied — the retry has to
-// re-apply it, not get acked as a duplicate of nothing.
+// push whose apply FAILED — with an error, or with a panic the dispatch
+// contained — must not be recorded as applied. The retry has to re-apply it,
+// not get acked as a duplicate of nothing.
 func TestServerRetriesFailedPushApply(t *testing.T) {
-	h := &dedupHandler{failPushes: 1}
+	h := &dedupHandler{failPushes: 1, panicPushes: 1}
 	srv, err := ServeTCPOptions("127.0.0.1:0", h, ServerOptions{Seqs: NewSeqTracker()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-
-	req := &wireRequest{
-		Op:     opPush,
-		Client: 78,
-		Seq:    1,
-		Keys:   []keys.Key{1},
-		Values: []*embedding.Value{embedding.NewValue(2)},
+	for _, want := range []string{"injected apply failure", "push-block handler panicked: injected apply panic"} {
+		if msg := pushFrame(t, srv.Addr(), 78, 1); !strings.Contains(msg, want) {
+			t.Fatalf("push answered %q, want an error containing %q", msg, want)
+		}
 	}
-	send := func() string {
+	if msg := pushFrame(t, srv.Addr(), 78, 1); msg != "" {
+		t.Fatalf("retried push rejected: %s", msg)
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.pushes != 1 {
+		t.Fatalf("retry after failed applies applied %d times, want 1", h.pushes)
+	}
+}
+
+// TestForeignPeersCloseCleanly covers the two ways a peer of another protocol
+// generation can show up, now that there is no fallback: a first frame
+// without the protocol bit (what a gob-era client sends) and a hello naming
+// another wire version. Neither may hang: the server drops the first
+// outright, answers the second with an error naming both versions and then
+// drops it, and a client that meets a wrong-version server fails its dial
+// with both versions in the error.
+func TestForeignPeersCloseCleanly(t *testing.T) {
+	srv, err := ServeTCP("127.0.0.1:0", pullOnly{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	dial := func() net.Conn {
 		t.Helper()
 		conn, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer conn.Close()
-		if _, err := writeFrame(conn, req); err != nil {
-			t.Fatal(err)
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		return conn
+	}
+	wantClosed := func(conn net.Conn) {
+		t.Helper()
+		// EOF, or a reset when the server closed with request bytes unread.
+		_, err := conn.Read(make([]byte, 1))
+		var ne net.Error
+		if err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+			t.Fatalf("read after the refusal = %v, want the connection closed", err)
 		}
-		var resp wireResponse
-		if _, err := readFrame(conn, &resp); err != nil {
-			t.Fatal(err)
+	}
+
+	conn := dial()
+	defer conn.Close()
+	if _, err := conn.Write([]byte{0, 0, 0, 4, 1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	wantClosed(conn)
+
+	conn = dial()
+	defer conn.Close()
+	if _, err := writeRawFrame(conn, []byte{0, 0, 0, 0, rawOpHello, rawWireVersion + 1, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	n, err := readFramePrefix(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := readFramePayload(conn, n, getScratch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg := string(resp[4:]); resp[1] != rawStatusErr || !strings.Contains(msg, "version 3") || !strings.Contains(msg, "version 2") {
+		t.Fatalf("hello refusal = status %d %q, want an error naming versions 3 and 2", resp[1], msg)
+	}
+	wantClosed(conn)
+
+	// The client side: a server that answers the hello with another version.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				if n, err := readFramePrefix(c); err == nil {
+					if _, err := readFramePayload(c, n, getScratch()); err == nil {
+						writeRawFrame(c, []byte{0, 0, 0, 0, rawOpHello + 1, rawStatusOK, rawWireVersion + 1, 0})
+					}
+				}
+			}()
 		}
-		return resp.Err
-	}
-	if errMsg := send(); errMsg == "" {
-		t.Fatal("first push should have failed to apply")
-	}
-	if errMsg := send(); errMsg != "" {
-		t.Fatalf("retried push rejected: %s", errMsg)
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.pushes != 1 {
-		t.Fatalf("retry after failed apply applied %d times, want 1", h.pushes)
+	}()
+	tr := NewTCPTransport(map[int]string{0: ln.Addr().String()}, 2)
+	defer tr.Close()
+	tr.SetRetryPolicy(RetryPolicy{Attempts: 2, Backoff: time.Millisecond, RPCTimeout: 5 * time.Second})
+	_, err = tr.PullBlock(0, []keys.Key{1}, ps.NewValueBlock(2))
+	var te *TransportError
+	if !errors.As(err, &te) || !strings.Contains(err.Error(), "version 3") || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("dial against a version-3 peer = %v, want a TransportError naming versions 3 and 2", err)
 	}
 }

@@ -359,16 +359,17 @@ func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*Wor
 
 	// Remote pulls go out first (they overlap the local SSD reads in the real
 	// system; here we issue them concurrently and take both durations). When
-	// assembling into a block over a block-capable transport, each peer's
-	// partition arrives as a flat sub-block (one frame, no per-value
-	// decoding) and is scattered into dst's rows.
+	// assembling into a block over a full tier transport (a bare
+	// cluster.Transport only has the map pull), each peer's partition arrives
+	// as a flat sub-block (one frame, no per-value decoding) and is scattered
+	// into dst's rows.
 	type remoteResult struct {
 		res   cluster.PullResult
 		sub   *ps.ValueBlock
 		bytes int64
 		err   error
 	}
-	bt, blockRemote := m.cfg.Transport.(cluster.BlockTransport)
+	bt, blockRemote := m.cfg.Transport.(cluster.TierTransport)
 	blockRemote = blockRemote && dst != nil
 	remoteByNode := m.cfg.Topology.SplitByNode(remote)
 	resultCh := make(chan remoteResult, m.cfg.Topology.Nodes)

@@ -156,10 +156,9 @@ func (r *remoteMem) TierStats() ps.Stats {
 
 // PrepareInto implements memService: the working set is assembled by
 // pulling every key partition from its owning shard process, concurrently —
-// as one flat block frame per shard (no per-value gob decoding), scattered
-// into dst's sorted rows; transports without block support fall back to
-// map-based pulls per shard. There is no local pinning: the shard processes
-// own cache retention, so the working set only carries keys and timing.
+// as one flat block frame per shard, scattered into dst's sorted rows. There
+// is no local pinning: the shard processes own cache retention, so the
+// working set only carries keys and timing.
 func (r *remoteMem) PrepareInto(working []keys.Key, dst *ps.ValueBlock) (*memps.WorkingSet, error) {
 	if !keys.SortedUnique(working) {
 		working = keys.Dedup(append([]keys.Key(nil), working...))
@@ -168,17 +167,12 @@ func (r *remoteMem) PrepareInto(working []keys.Key, dst *ps.ValueBlock) (*memps.
 	ws := &memps.WorkingSet{RemoteKeys: working}
 	ws.Stats.RemoteKeys = len(working)
 
-	bt, _ := r.transport.(cluster.BlockTransport)
 	type pullResult struct {
-		res cluster.PullResult
 		sub *ps.ValueBlock
 		err error
 	}
 	parts := r.topo.SplitByNode(working)
-	fanOut := r.pipeline
-	if fanOut < 1 || bt == nil {
-		fanOut = 1
-	}
+	fanOut := max(r.pipeline, 1)
 	start := time.Now()
 	resultCh := make(chan pullResult, len(parts)*fanOut)
 	inFlight := 0
@@ -199,48 +193,34 @@ func (r *remoteMem) PrepareInto(working []keys.Key, dst *ps.ValueBlock) (*memps.
 			sub := ks[off:min(off+size, len(ks))]
 			inFlight++
 			go func(nodeID int, ks []keys.Key) {
-				if bt != nil {
-					sub := ps.GetBlock(r.dim, ks)
-					bytes, err := bt.PullBlock(nodeID, ks, sub)
-					if err != nil && r.topo.Replicas > 1 {
-						// Primary outage: re-pull this partition from each
-						// key's backup, which holds (or identically
-						// materializes) the replicated rows.
-						bytes, err = r.pullFailover(bt, ks, sub)
-						if err == nil {
-							r.net.recordFailover()
-						}
-					}
+				sub := ps.GetBlock(r.dim, ks)
+				bytes, err := r.transport.PullBlock(nodeID, ks, sub)
+				if err != nil && r.topo.Replicas > 1 {
+					// Primary outage: re-pull this partition from each key's
+					// backup, which holds (or identically materializes) the
+					// replicated rows.
+					bytes, err = r.pullFailover(ks, sub)
 					if err == nil {
-						r.net.recordPull(len(ks), bytes, time.Since(start))
+						r.net.recordFailover()
 					}
-					resultCh <- pullResult{sub: sub, err: err}
-					return
 				}
-				res, bytes, err := r.transport.Pull(nodeID, ks)
 				if err == nil {
 					r.net.recordPull(len(ks), bytes, time.Since(start))
 				}
-				resultCh <- pullResult{res: res, err: err}
+				resultCh <- pullResult{sub: sub, err: err}
 			}(nodeID, sub)
 		}
 	}
 	var firstErr error
 	for i := 0; i < inFlight; i++ {
 		pr := <-resultCh
-		if pr.err != nil {
-			if firstErr == nil {
-				firstErr = pr.err
-			}
-			ps.PutBlock(pr.sub)
-			continue
+		if pr.err != nil && firstErr == nil {
+			firstErr = pr.err
 		}
-		if pr.sub != nil {
+		if pr.err == nil {
 			dst.ScatterRows(pr.sub) // drops rows the shard was never asked for
-			ps.PutBlock(pr.sub)
-			continue
 		}
-		dst.ScatterResult(ps.Result(pr.res))
+		ps.PutBlock(pr.sub)
 	}
 	if firstErr != nil {
 		return nil, fmt.Errorf("trainer: remote prepare: %w", firstErr)
@@ -259,7 +239,7 @@ func (r *remoteMem) PrepareInto(working []keys.Key, dst *ps.ValueBlock) (*memps.
 // replicate, and first references materialize identically everywhere (the
 // keyed init is node-independent), so the assembled working set matches what
 // the primary would have served up to the bounded replication lag.
-func (r *remoteMem) pullFailover(bt cluster.BlockTransport, ks []keys.Key, dst *ps.ValueBlock) (int64, error) {
+func (r *remoteMem) pullFailover(ks []keys.Key, dst *ps.ValueBlock) (int64, error) {
 	parts := make(map[int][]keys.Key, 2)
 	for _, k := range ks {
 		b := r.topo.BackupOf(k)
@@ -272,7 +252,7 @@ func (r *remoteMem) pullFailover(bt cluster.BlockTransport, ks []keys.Key, dst *
 	var total int64
 	for b, bks := range parts {
 		sub := ps.GetBlock(r.dim, bks)
-		bytes, err := bt.PullBlock(b, bks, sub)
+		bytes, err := r.transport.PullBlock(b, bks, sub)
 		if err != nil {
 			ps.PutBlock(sub)
 			return 0, fmt.Errorf("backup %d: %w", b, err)
@@ -289,9 +269,7 @@ func (r *remoteMem) pullFailover(bt cluster.BlockTransport, ks []keys.Key, dst *
 // partition is pushed by exactly one virtual node per batch, so each shard
 // applies the global sum exactly once — the same once-per-owner discipline as
 // the in-process MEM-PS. The owned rows are sliced out of the (sorted) global
-// block into a pooled sub-block slab-wise and travel as one flat wire frame;
-// transports without block support fall back to a map push of the same
-// partition.
+// block into a pooled sub-block slab-wise and travel as one flat wire frame.
 func (r *remoteMem) PushBlock(req ps.PushBlockRequest) error {
 	for _, m := range r.assigned() {
 		if err := r.pushOwned(m, req.Block); err != nil {
@@ -320,13 +298,10 @@ func (r *remoteMem) pushOwned(member int, blk *ps.ValueBlock) error {
 	if sub.Len() == 0 {
 		return nil
 	}
-	bt, _ := r.transport.(cluster.BlockTransport)
-	sp, _ := r.transport.(stampedPusher)
 	start := time.Now()
 	var bytes int64
 	var err error
-	switch {
-	case sp != nil:
+	if sp, ok := r.transport.(stampedPusher); ok {
 		client, seq := sp.Stamp()
 		bytes, err = sp.PushBlockStamped(member, client, seq, sub)
 		if err != nil && r.topo.Replicas > 1 {
@@ -335,10 +310,8 @@ func (r *remoteMem) pushOwned(member int, blk *ps.ValueBlock) error {
 				r.net.recordFailover()
 			}
 		}
-	case bt != nil:
-		bytes, err = bt.PushBlock(member, sub)
-	default:
-		bytes, err = r.transport.Push(member, sub.Deltas())
+	} else {
+		bytes, err = r.transport.PushBlock(member, sub)
 	}
 	if err != nil {
 		return fmt.Errorf("trainer: remote push: %w", err)
@@ -458,9 +431,9 @@ type RemoteNetReport struct {
 	// PayloadBytes is the fp32-equivalent payload volume of the parameter
 	// RPCs — the bytes the run would have moved without quantization.
 	PayloadBytes int64
-	// WireBytes counts the bytes that actually crossed the sockets (raw
-	// frames, quantized rows); zero when the transport only spoke gob.
-	// Comparing it with PayloadBytes shows the quantization saving.
+	// WireBytes counts the bytes that actually crossed the sockets (frame
+	// headers included, rows possibly quantized). Comparing it with
+	// PayloadBytes shows the quantization saving.
 	WireBytes int64
 	// Precision names the negotiated on-wire row encoding (fp32/fp16/int8).
 	Precision string

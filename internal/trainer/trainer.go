@@ -128,8 +128,7 @@ type Config struct {
 	RemoteRetry cluster.RetryPolicy
 	// WirePrecision selects the on-wire embedding row encoding in
 	// multi-process mode: "fp32" (the default, bit-exact), "fp16", or "int8"
-	// (quantized, smaller frames, approximate values). Peers that did not
-	// negotiate raw framing fall back to bit-exact gob frames regardless.
+	// (quantized, smaller frames, approximate values).
 	WirePrecision string
 	// QuantizePush additionally encodes push deltas at WirePrecision instead
 	// of fp32 — the full-compression mode. Pull-side quantization error is
