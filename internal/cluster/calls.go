@@ -1,0 +1,244 @@
+package cluster
+
+import (
+	"encoding/binary"
+	"fmt"
+
+	"hps/internal/embedding"
+	"hps/internal/keys"
+	"hps/internal/ps"
+)
+
+// The typed client side of each wire op: every method is one rawCall with the
+// op's request builder and reply parser from ops.go.
+
+// rowBytes is the fp32-equivalent payload of n value rows with their keys —
+// the PayloadBytes accounting every transport shares.
+func (t *TCPTransport) rowBytes(n int) int64 {
+	return int64(n) * int64(8+embedding.EncodedSize(t.dim))
+}
+
+// pullInto runs a pull-layout read (pull-block or lookup): the request is a
+// length-prefixed key frame and the reply body is decoded directly out of
+// the pooled receive buffer into dst, in request-key order. The returned
+// byte count stays the fp32-equivalent model traffic; Stats().WireIn/WireOut
+// expose what actually crossed the socket.
+func (t *TCPTransport) pullInto(nodeID int, op uint8, ks []keys.Key, dst *ps.ValueBlock) (int64, error) {
+	err := t.rawCall(nodeID, op,
+		func(frame []byte, _ ps.Precision) []byte { return appendRawKeyReq(frame, op, 0, ks) },
+		func(body []byte) error { return dst.DecodeWire(ks, body) })
+	if err != nil {
+		return 0, err
+	}
+	if dst.Dim == 0 && t.dim > 0 {
+		// An all-missing reply from a map-based handler carries no dimension
+		// to infer; re-shape to the transport's so absent rows read as zeroed
+		// dim-d rows, per the PullInto contract.
+		dst.Reset(t.dim, ks)
+	}
+	reqBytes := int64(len(ks)) * 8
+	t.addBytes(reqBytes, t.rowBytes(dst.PresentCount()))
+	return reqBytes + t.rowBytes(dst.PresentCount()), nil
+}
+
+// pullMap is pullInto for the map-based callers.
+func (t *TCPTransport) pullMap(nodeID int, op uint8, ks []keys.Key) (PullResult, int64, error) {
+	blk := ps.GetBlock(t.dim, nil)
+	defer ps.PutBlock(blk)
+	bytes, err := t.pullInto(nodeID, op, ks, blk)
+	if err != nil {
+		return nil, 0, err
+	}
+	return PullResult(blk.Deltas()), bytes, nil
+}
+
+// PullBlock implements TierTransport: the reply arrives as one flat block
+// body, encoded in a single pass server-side in the connection's negotiated
+// precision.
+func (t *TCPTransport) PullBlock(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (int64, error) {
+	return t.pullInto(nodeID, rawOpPullBlock, ks, dst)
+}
+
+// Pull implements Transport as a map view of PullBlock.
+func (t *TCPTransport) Pull(nodeID int, ks []keys.Key) (PullResult, int64, error) {
+	return t.pullMap(nodeID, rawOpPullBlock, ks)
+}
+
+// Lookup implements TierTransport: a pull that never materializes missing
+// parameters, for evaluation-time and serving reads. Replies are always fp32.
+func (t *TCPTransport) Lookup(nodeID int, ks []keys.Key) (PullResult, int64, error) {
+	return t.pullMap(nodeID, rawOpLookup, ks)
+}
+
+// sendBlock runs a push-layout write (push-block, replicate, transfer): the
+// block's rows travel as one flat frame under the given dedup stamp. Bodies
+// are fp32 unless quantize asks for the connection's negotiated precision.
+func (t *TCPTransport) sendBlock(nodeID int, op uint8, client, seq uint64, blk *ps.ValueBlock, quantize bool, parse func([]byte) error) (int64, error) {
+	err := t.rawCall(nodeID, op, func(frame []byte, prec ps.Precision) []byte {
+		if !quantize {
+			prec = ps.PrecisionFP32
+		}
+		return blk.AppendWirePrecision(appendRawBlockReq(frame, op, client, seq, blk.Keys), prec)
+	}, parse)
+	if err != nil {
+		return 0, err
+	}
+	bytes := t.rowBytes(blk.PresentCount())
+	t.addBytes(bytes, 0)
+	return bytes, nil
+}
+
+// PushBlock implements TierTransport: the push is stamped with a dedup
+// sequence, so a push-block retried across a reconnect is applied exactly
+// once (the sequence is assigned once, before the retry loop, for that
+// reason).
+func (t *TCPTransport) PushBlock(nodeID int, blk *ps.ValueBlock) (int64, error) {
+	client, seq := t.Stamp()
+	return t.PushBlockStamped(nodeID, client, seq, blk)
+}
+
+// Push implements TierTransport as a map view of PushBlock.
+func (t *TCPTransport) Push(nodeID int, deltas map[keys.Key]*embedding.Value) (int64, error) {
+	blk := ps.GetBlock(t.dim, nil)
+	defer ps.PutBlock(blk)
+	for k, v := range deltas {
+		if v == nil {
+			continue
+		}
+		if v.Dim() != t.dim || len(v.G2Sum) != t.dim {
+			return 0, fmt.Errorf("cluster: push delta for key %d has dimension %d/%d, transport carries %d", k, v.Dim(), len(v.G2Sum), t.dim)
+		}
+		blk.AppendRow(k, v.Weights, v.G2Sum, v.Freq)
+	}
+	return t.PushBlock(nodeID, blk)
+}
+
+// Stamp allocates a fresh push dedup stamp. Callers that need to fail a push
+// over to a key's backup take the stamp first, so the failover delivery (via
+// Replicate) carries the same identity as the failed push and a backup that
+// already received the primary's forward of it dedups instead of
+// double-applying.
+func (t *TCPTransport) Stamp() (client, seq uint64) {
+	return t.client, t.seq.Add(1)
+}
+
+// PushBlockStamped is PushBlock under a caller-provided dedup stamp. Push
+// bodies stay fp32 even on quantized connections unless SetPushQuantization
+// opted in: a pull-side quantization error is corrected by the next delta
+// (the delta is computed against the quantized values the trainer actually
+// loaded), while a quantized delta perturbs the authoritative copies
+// directly.
+func (t *TCPTransport) PushBlockStamped(nodeID int, client, seq uint64, blk *ps.ValueBlock) (int64, error) {
+	t.mu.Lock()
+	quantPush := t.quantPush
+	t.mu.Unlock()
+	return t.sendBlock(nodeID, rawOpPushBlock, client, seq, blk, quantPush, nil)
+}
+
+// Replicate forwards an applied delta block to nodeID (a backup of the
+// block's keys), carrying the ORIGIN client's dedup stamp instead of this
+// transport's own — the backup commits (client, seq) to its tracker, so after
+// a promotion the origin's retry of the same push is deduplicated, not
+// double-applied. Bodies always travel fp32: a quantized replica would drift
+// from its primary. Retries are safe for the same reason direct pushes are:
+// the stamp makes the apply exactly-once.
+func (t *TCPTransport) Replicate(nodeID int, client, seq uint64, blk *ps.ValueBlock) (int64, error) {
+	return t.sendBlock(nodeID, rawOpReplicate, client, seq, blk, false, nil)
+}
+
+// parseRawCount returns a parser for the u64 count reply of evict/transfer.
+func parseRawCount(n *int) func([]byte) error {
+	return func(body []byte) error {
+		if len(body) != 8 {
+			return fmt.Errorf("count reply of %d bytes", len(body))
+		}
+		*n = int(le.Uint64(body))
+		return nil
+	}
+}
+
+// Transfer installs the block's rows on nodeID outright (set semantics, not
+// delta merge): the re-replication / resharding data path. It is idempotent,
+// so the transport's normal retries need no dedup stamp. It returns how many
+// rows the receiver accepted.
+func (t *TCPTransport) Transfer(nodeID int, blk *ps.ValueBlock) (int, error) {
+	var n int
+	_, err := t.sendBlock(nodeID, rawOpTransfer, 0, 0, blk, false, parseRawCount(&n))
+	return n, err
+}
+
+// Evict implements TierTransport.
+func (t *TCPTransport) Evict(nodeID int, ks []keys.Key) (int, error) {
+	var flags uint8
+	if ks == nil {
+		flags = rawFlagAll
+	}
+	var n int
+	err := t.rawCall(nodeID, rawOpEvict,
+		func(frame []byte, _ ps.Precision) []byte { return appendRawKeyReq(frame, rawOpEvict, flags, ks) },
+		parseRawCount(&n))
+	return n, err
+}
+
+// bareReq builds a request that is just its header.
+func bareReq(op uint8) func([]byte, ps.Precision) []byte {
+	return func(frame []byte, _ ps.Precision) []byte { return append(frame, op, 0, 0, 0) }
+}
+
+// TierStats implements TierTransport.
+func (t *TCPTransport) TierStats(nodeID int) (ps.TierInfo, error) {
+	var info ps.TierInfo
+	err := t.rawCall(nodeID, rawOpStats, bareReq(rawOpStats), func(body []byte) error {
+		n, err := binary.Decode(body, le, &info.Stats)
+		if err != nil {
+			return fmt.Errorf("stats reply of %d bytes: %w", len(body), err)
+		}
+		info.Name = string(body[n:])
+		return nil
+	})
+	return info, err
+}
+
+// UpdateMembership installs an epoch-versioned membership change on nodeID.
+func (t *TCPTransport) UpdateMembership(nodeID int, u MembershipUpdate) error {
+	return t.rawCall(nodeID, rawOpMembership,
+		func(frame []byte, _ ps.Precision) []byte { return appendRawMembership(frame, u) }, nil)
+}
+
+// Predict scores one batched inference request against nodeID's shard: counts
+// and keys out, scores back. An admission rejection surfaces as a typed
+// *OverloadError: retryable by the caller after backoff, but never retried
+// internally — admission control exists to shed load to the caller, and an
+// internal retry loop would defeat it.
+func (t *TCPTransport) Predict(nodeID int, req PredictRequest) ([]float32, error) {
+	if err := req.Validate(); err != nil {
+		return nil, err
+	}
+	var scores []float32
+	err := t.rawCall(nodeID, rawOpPredict,
+		func(frame []byte, _ ps.Precision) []byte { return appendRawPredictReq(frame, req) },
+		func(body []byte) (err error) {
+			scores, err = parseRawScores(body)
+			return err
+		})
+	return scores, err
+}
+
+// PublishServeConfig sends serving-tier configuration (peer addresses and/or
+// refreshed dense parameters) to nodeID's shard.
+func (t *TCPTransport) PublishServeConfig(nodeID int, cfg ServeConfig) error {
+	return t.rawCall(nodeID, rawOpServeConfig,
+		func(frame []byte, _ ps.Precision) []byte { return appendRawServeConfig(frame, cfg) }, nil)
+}
+
+// ServingStats reads nodeID's serving-tier counters.
+func (t *TCPTransport) ServingStats(nodeID int) (ServingStats, error) {
+	var st ServingStats
+	err := t.rawCall(nodeID, rawOpServeStats, bareReq(rawOpServeStats), func(body []byte) error {
+		if _, err := binary.Decode(body, le, &st); err != nil {
+			return fmt.Errorf("serve-stats reply of %d bytes: %w", len(body), err)
+		}
+		return nil
+	})
+	return st, err
+}

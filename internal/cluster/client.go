@@ -1,0 +1,524 @@
+package cluster
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"net"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"hps/internal/ps"
+)
+
+// RetryPolicy controls how the TCP transport handles network failures,
+// including how long it is willing to wait for a peer that accepts traffic
+// but never answers.
+type RetryPolicy struct {
+	// Attempts is the total number of tries per RPC (first try included).
+	Attempts int
+	// Backoff is the sleep before the first retry; it doubles per retry, so
+	// the default policy rides out a shard-server restart of a few hundred
+	// milliseconds.
+	Backoff time.Duration
+	// DialTimeout bounds connection establishment to a peer. Zero means the
+	// default (an unreachable-but-routing peer must not hang the dial);
+	// negative disables the bound.
+	DialTimeout time.Duration
+	// RPCTimeout bounds one RPC round trip (write request, read reply) once a
+	// connection exists. A stalled-but-alive shard — accepted the connection,
+	// never answers — therefore surfaces as a retryable TransportError
+	// instead of blocking the RPC forever. Zero means the default; negative
+	// disables the bound (a test serving deliberately slow handlers can opt
+	// out).
+	RPCTimeout time.Duration
+}
+
+// Default deadlines installed when the corresponding RetryPolicy field is
+// zero. The RPC bound is generous: it only has to beat "forever", not a slow
+// SSD load on the far side.
+const (
+	DefaultDialTimeout = 5 * time.Second
+	DefaultRPCTimeout  = 30 * time.Second
+)
+
+// dial returns the effective dial timeout (0 = unbounded).
+func (p RetryPolicy) dial() time.Duration {
+	if p.DialTimeout == 0 {
+		return DefaultDialTimeout
+	}
+	return max(p.DialTimeout, 0)
+}
+
+// rpc returns the effective per-RPC timeout (0 = unbounded).
+func (p RetryPolicy) rpc() time.Duration {
+	if p.RPCTimeout == 0 {
+		return DefaultRPCTimeout
+	}
+	return max(p.RPCTimeout, 0)
+}
+
+// DefaultRetryPolicy is the policy NewTCPTransport installs.
+var DefaultRetryPolicy = RetryPolicy{Attempts: 5, Backoff: 25 * time.Millisecond}
+
+// maxRetryBackoff caps the doubled backoff so large Attempts values mean
+// "keep trying for a while", never an hours-long sleep.
+const maxRetryBackoff = 2 * time.Second
+
+// TransportStats counts a TCPTransport's activity, for reports and tests.
+type TransportStats struct {
+	// Calls counts completed RPCs; Retries counts extra attempts after a
+	// network failure; Dials counts established connections; Redials counts
+	// the subset established beyond the first per peer (i.e. reconnects
+	// after a drop).
+	Calls, Retries, Dials, Redials int64
+	// BytesOut / BytesIn estimate the payload traffic in fp32 terms (8 bytes
+	// per key plus the encoded value size, the same accounting as
+	// PayloadBytes) — the precision-independent "model bytes moved".
+	BytesOut, BytesIn int64
+	// WireOut / WireIn count the bytes that actually crossed the sockets
+	// (frame prefixes included), so the quantized wire's compression is
+	// visible as WireOut+WireIn versus BytesOut+BytesIn.
+	WireOut, WireIn int64
+}
+
+// TCPTransport reaches remote nodes over TCP, holding a small pool of
+// persistent connections per peer (one by default), transparently
+// reconnecting (with bounded, backed-off retries) when a connection drops.
+// Each connection checks the wire version and negotiates the pull-reply
+// precision with a hello exchange at dial time. It is safe for concurrent use
+// and implements TierTransport.
+type TCPTransport struct {
+	dim    int
+	client uint64 // identity for push dedup across reconnects
+	seq    atomic.Uint64
+	retry  RetryPolicy
+
+	dials   atomic.Int64
+	redials atomic.Int64
+	calls   atomic.Int64
+	retries atomic.Int64
+
+	mu        sync.Mutex
+	addrs     map[int]string
+	peers     map[int]*peerConns
+	dialed    map[int]bool  // nodes dialed at least once, for redial counting
+	prec      ps.Precision  // wire precision requested in hellos and used for push bodies
+	quantPush bool          // quantize push bodies at the negotiated precision
+	maxConns  int           // per-peer connection cap (>= 1)
+	inflight  chan struct{} // global in-flight-RPC semaphore; nil = unbounded
+
+	statMu   sync.Mutex
+	bytesOut int64
+	bytesIn  int64
+	wireOut  int64
+	wireIn   int64
+}
+
+var _ TierTransport = (*TCPTransport)(nil)
+
+// peerConns is one peer's connection pool. Conns are acquired by locking
+// their mutex: an idle conn is one whose TryLock succeeds.
+type peerConns struct {
+	conns []*tcpConn
+	next  int // round-robin cursor for queueing when every conn is busy
+}
+
+type tcpConn struct {
+	mu      sync.Mutex
+	conn    net.Conn
+	prec    ps.Precision // negotiated pull-reply precision
+	oneShot bool         // never entered the pool: release closes it
+}
+
+// NewTCPTransport creates a transport that reaches node i at addrs[i], with
+// the default retry policy, one connection per peer, and fp32 wire bodies.
+func NewTCPTransport(addrs map[int]string, dim int) *TCPTransport {
+	copied := make(map[int]string, len(addrs))
+	for k, v := range addrs {
+		copied[k] = v
+	}
+	return &TCPTransport{
+		dim:      dim,
+		client:   rand.Uint64() | 1, // non-zero: 0 would disable push dedup
+		retry:    DefaultRetryPolicy,
+		addrs:    copied,
+		peers:    make(map[int]*peerConns),
+		dialed:   make(map[int]bool),
+		maxConns: 1,
+	}
+}
+
+// SetAddr repoints nodeID at a new address and drops its pooled connections,
+// so the next RPC dials the new incarnation. This is how a supervisor hands
+// the transport a restarted shard that came back on a different port;
+// in-flight RPCs on the old connections fail and retry against the new
+// address. The client identity is unchanged, so the restarted shard's
+// (possibly reloaded) dedup state still recognizes this transport's retries.
+func (t *TCPTransport) SetAddr(nodeID int, addr string) {
+	t.mu.Lock()
+	t.addrs[nodeID] = addr
+	p := t.peers[nodeID]
+	delete(t.peers, nodeID)
+	t.mu.Unlock()
+	if p != nil {
+		for _, c := range p.conns {
+			c.conn.Close()
+		}
+	}
+}
+
+// SetRetryPolicy replaces the retry policy. Attempts < 1 disables retries
+// (every network failure surfaces immediately).
+func (t *TCPTransport) SetRetryPolicy(p RetryPolicy) {
+	if p.Attempts < 1 {
+		p.Attempts = 1
+	}
+	t.mu.Lock()
+	t.retry = p
+	t.mu.Unlock()
+}
+
+// SetWirePrecision selects the precision of block bodies on the wire: pull
+// replies (negotiated per connection at hello time) and push bodies. Existing
+// connections keep their negotiated precision, so set it before issuing RPCs.
+// PrecisionFP32 — the default — keeps every body bit-exact.
+func (t *TCPTransport) SetWirePrecision(p ps.Precision) {
+	if !p.Valid() {
+		p = ps.PrecisionFP32
+	}
+	t.mu.Lock()
+	t.prec = p
+	t.mu.Unlock()
+}
+
+// SetPushQuantization selects whether push bodies follow the connection's
+// negotiated precision (true) or stay fp32 (false, the default). A pull-side
+// quantization error is self-correcting — the next delta is computed against
+// the quantized values the trainer actually loaded — while a quantized delta
+// perturbs the authoritative copies directly, so pushes only quantize when
+// the caller opts in (gated by the trainer's AUC-parity test).
+func (t *TCPTransport) SetPushQuantization(on bool) {
+	t.mu.Lock()
+	t.quantPush = on
+	t.mu.Unlock()
+}
+
+// WirePrecision returns the configured wire precision.
+func (t *TCPTransport) WirePrecision() ps.Precision {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.prec
+}
+
+// SetMaxConnsPerPeer sets how many concurrent connections the transport may
+// hold per peer (minimum 1). With more than one, concurrent RPCs to the same
+// shard overlap on the wire instead of queueing on a single connection —
+// the transport-level half of pull pipelining.
+func (t *TCPTransport) SetMaxConnsPerPeer(n int) {
+	if n < 1 {
+		n = 1
+	}
+	t.mu.Lock()
+	t.maxConns = n
+	t.mu.Unlock()
+}
+
+// SetMaxInFlightRPCs bounds the number of RPCs in flight across all peers
+// (0 or negative = unbounded). The bound caps the memory pinned by concurrent
+// pull chunks and keeps a wide fan-out from oversubscribing the NIC.
+func (t *TCPTransport) SetMaxInFlightRPCs(n int) {
+	t.mu.Lock()
+	if n <= 0 {
+		t.inflight = nil
+	} else {
+		t.inflight = make(chan struct{}, n)
+	}
+	t.mu.Unlock()
+}
+
+// Stats returns a snapshot of the transport's activity counters.
+func (t *TCPTransport) Stats() TransportStats {
+	t.statMu.Lock()
+	in, out := t.bytesIn, t.bytesOut
+	win, wout := t.wireIn, t.wireOut
+	t.statMu.Unlock()
+	return TransportStats{
+		Calls:    t.calls.Load(),
+		Retries:  t.retries.Load(),
+		Dials:    t.dials.Load(),
+		Redials:  t.redials.Load(),
+		BytesOut: out,
+		BytesIn:  in,
+		WireOut:  wout,
+		WireIn:   win,
+	}
+}
+
+// acquireConn returns a connection to nodeID with its mutex held: an idle
+// pooled conn when one exists, a queued busy conn when the pool is at its
+// cap, or a freshly dialed (and hello-negotiated) one otherwise. The caller
+// hands it back with release after its round trip.
+func (t *TCPTransport) acquireConn(nodeID int, policy RetryPolicy) (*tcpConn, error) {
+	t.mu.Lock()
+	if p := t.peers[nodeID]; p != nil && len(p.conns) > 0 {
+		for _, c := range p.conns {
+			if c.mu.TryLock() {
+				t.mu.Unlock()
+				return c, nil
+			}
+		}
+		if len(p.conns) >= t.maxConns {
+			// Every conn is busy and the pool is full: queue on one,
+			// round-robin so waiters spread across the pool.
+			c := p.conns[p.next%len(p.conns)]
+			p.next++
+			t.mu.Unlock()
+			c.mu.Lock()
+			// The conn may have been dropped while queueing; the round trip
+			// then fails on the closed socket and the caller retries.
+			return c, nil
+		}
+	}
+	addr, ok := t.addrs[nodeID]
+	maxConns := t.maxConns
+	t.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: %d", ErrUnknownNode, nodeID)
+	}
+	// Dial outside the transport lock: a slow or unreachable peer must not
+	// stall RPCs to the healthy ones. The dial deadline keeps a
+	// routing-but-dead peer from hanging this RPC's attempt.
+	conn, err := net.DialTimeout("tcp", addr, policy.dial())
+	if err != nil {
+		return nil, fmt.Errorf("dial %s: %w", addr, err)
+	}
+	c := &tcpConn{conn: conn}
+	if err := t.hello(c, policy); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("hello %s: %w", addr, err)
+	}
+	c.mu.Lock() // uncontended: the conn is not published yet
+	t.mu.Lock()
+	p := t.peers[nodeID]
+	if p == nil {
+		p = &peerConns{}
+		t.peers[nodeID] = p
+	}
+	if len(p.conns) >= maxConns {
+		// Concurrent dialers overfilled the pool; keep the pool bounded and
+		// use ours for this one RPC without publishing it. release closes it.
+		t.mu.Unlock()
+		c.oneShot = true
+		return c, nil
+	}
+	t.dials.Add(1)
+	if t.dialed[nodeID] {
+		t.redials.Add(1) // this peer had a connection before: a reconnect
+	}
+	t.dialed[nodeID] = true
+	p.conns = append(p.conns, c)
+	t.mu.Unlock()
+	return c, nil
+}
+
+// release hands back a conn acquireConn returned. A conn that never entered
+// the pool has no later user, so it is closed here; otherwise the socket —
+// and the server goroutine behind it — would live until a finalizer ran.
+func (t *TCPTransport) release(c *tcpConn) {
+	c.mu.Unlock()
+	if c.oneShot {
+		c.conn.Close()
+	}
+}
+
+// hello checks the wire version and negotiates the pull precision on a fresh
+// connection. Any failure — I/O, a refusal, a peer answering another version
+// — fails the dial, so the retry loop treats it like any other connect
+// failure.
+func (t *TCPTransport) hello(c *tcpConn, policy RetryPolicy) error {
+	t.mu.Lock()
+	prec := t.prec
+	t.mu.Unlock()
+	var frame [8]byte
+	f := append(frame[:0], 0, 0, 0, 0, rawOpHello, rawWireVersion, byte(prec), 0)
+	payload, rbuf, err := t.roundTripRaw(c, f, policy.rpc())
+	if err != nil {
+		return err
+	}
+	defer putScratch(rbuf)
+	if len(payload) < 4 || payload[0] != rawOpHello+1 {
+		return fmt.Errorf("malformed hello response of %d bytes", len(payload))
+	}
+	if payload[1] != rawStatusOK {
+		return fmt.Errorf("hello rejected: %s", payload[4:])
+	}
+	if payload[2] != rawWireVersion {
+		return fmt.Errorf("peer speaks wire version %d, this build speaks version %d", payload[2], rawWireVersion)
+	}
+	if p := ps.Precision(payload[3]); p.Valid() {
+		c.prec = p
+	}
+	return nil
+}
+
+func (t *TCPTransport) dropConn(nodeID int, c *tcpConn) {
+	t.mu.Lock()
+	if p := t.peers[nodeID]; p != nil {
+		for i, cur := range p.conns {
+			if cur == c {
+				p.conns = append(p.conns[:i], p.conns[i+1:]...)
+				break
+			}
+		}
+	}
+	t.mu.Unlock()
+	c.conn.Close()
+}
+
+// rawCall runs one RPC against nodeID: acquire a connection (dialing if
+// needed), exchange one request/response pair on it, and reconnect/retry
+// network failures per the retry policy. build appends the request payload to
+// the frame it is given, which already holds the length-prefix placeholder
+// (prec is the connection's negotiated precision); parse, when not nil,
+// consumes an ok reply's body before the receive buffer is recycled.
+// Shard-side failures (RemoteError, OverloadError) and unknown nodes are
+// returned immediately — retrying cannot fix them. The global in-flight
+// semaphore, when set, is held for the duration.
+func (t *TCPTransport) rawCall(nodeID int, op uint8, build func(frame []byte, prec ps.Precision) []byte, parse func(body []byte) error) error {
+	t.mu.Lock()
+	policy := t.retry
+	inflight := t.inflight
+	t.mu.Unlock()
+	if inflight != nil {
+		inflight <- struct{}{}
+		defer func() { <-inflight }()
+	}
+	var lastErr error
+	for attempt := 1; attempt <= policy.Attempts; attempt++ {
+		if attempt > 1 {
+			t.retries.Add(1)
+			if policy.Backoff > 0 { // zero Backoff means retry immediately
+				backoff := policy.Backoff << min(attempt-2, 6)
+				if backoff <= 0 || backoff > maxRetryBackoff {
+					backoff = maxRetryBackoff
+				}
+				time.Sleep(backoff)
+			}
+		}
+		c, err := t.acquireConn(nodeID, policy)
+		if err != nil {
+			if errors.Is(err, ErrUnknownNode) {
+				return err
+			}
+			lastErr = err // dial failure: the peer may be restarting
+			continue
+		}
+		err = t.exchange(c, nodeID, op, build, parse, policy.rpc())
+		var re *RemoteError
+		var oe *OverloadError
+		if err == nil || errors.As(err, &re) || errors.As(err, &oe) {
+			// The round trip itself was fine; keep the connection. An
+			// overload rejection is deliberately not retried here either:
+			// admission control sheds load back to the caller, and an
+			// internal retry loop would defeat that.
+			t.release(c)
+			t.calls.Add(1)
+			return err
+		}
+		t.dropConn(nodeID, c)
+		c.mu.Unlock()
+		lastErr = err
+	}
+	return &TransportError{Node: nodeID, Op: opName(op), Attempts: policy.Attempts, Err: lastErr}
+}
+
+// exchange performs one attempt of rawCall on c, whose lock the caller holds.
+func (t *TCPTransport) exchange(c *tcpConn, nodeID int, op uint8, build func([]byte, ps.Precision) []byte, parse func([]byte) error, timeout time.Duration) error {
+	buf := getScratch()
+	frame := build(append((*buf)[:0], 0, 0, 0, 0), c.prec)
+	payload, rbuf, err := t.roundTripRaw(c, frame, timeout)
+	*buf = frame[:0]
+	putScratch(buf)
+	if err != nil {
+		return err
+	}
+	defer putScratch(rbuf)
+	if len(payload) < 4 || payload[0] != op+1 {
+		return fmt.Errorf("malformed %s response of %d bytes", opName(op), len(payload))
+	}
+	switch payload[1] {
+	case rawStatusOK:
+		if parse == nil {
+			return nil
+		}
+		return parse(payload[4:])
+	case rawStatusOverloaded:
+		return &OverloadError{Node: nodeID, Op: opName(op)}
+	default:
+		return &RemoteError{Node: nodeID, Op: opName(op), Msg: string(payload[4:])}
+	}
+}
+
+// roundTripRaw writes one frame (4-byte prefix placeholder included) and
+// reads the response payload into a pooled receive buffer, which it returns
+// along with the payload view; the caller returns the buffer to the pool once
+// the payload is consumed — for pull replies that is after DecodeWire has
+// scattered the body into the destination block's slabs, making the pooled
+// buffer the only stop between socket and slab. One deadline covers the whole
+// round trip; a peer that accepted the connection but stopped answering fails
+// the read instead of parking the RPC forever. The caller holds c.mu and
+// drops the connection on any error, so a frame cut short by the deadline can
+// never desynchronize a reused stream.
+func (t *TCPTransport) roundTripRaw(c *tcpConn, frame []byte, timeout time.Duration) ([]byte, *[]byte, error) {
+	var deadline time.Time // zero clears a deadline left by an earlier policy
+	if timeout > 0 {
+		deadline = time.Now().Add(timeout)
+	}
+	if err := c.conn.SetDeadline(deadline); err != nil {
+		return nil, nil, fmt.Errorf("set deadline: %w", err)
+	}
+	nOut, err := writeRawFrame(c.conn, frame)
+	if err != nil {
+		return nil, nil, fmt.Errorf("send: %w", err)
+	}
+	n, err := readFramePrefix(c.conn)
+	if err != nil {
+		return nil, nil, fmt.Errorf("receive: %w", err)
+	}
+	rbuf := getScratch()
+	payload, err := readFramePayload(c.conn, n, rbuf)
+	if err != nil {
+		putScratch(rbuf)
+		return nil, nil, fmt.Errorf("receive: %w", err)
+	}
+	t.addWireBytes(int64(nOut), int64(4+n))
+	return payload, rbuf, nil
+}
+
+func (t *TCPTransport) addBytes(out, in int64) {
+	t.statMu.Lock()
+	t.bytesOut += out
+	t.bytesIn += in
+	t.statMu.Unlock()
+}
+
+func (t *TCPTransport) addWireBytes(out, in int64) {
+	t.statMu.Lock()
+	t.wireOut += out
+	t.wireIn += in
+	t.statMu.Unlock()
+}
+
+// Close closes every open connection.
+func (t *TCPTransport) Close() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for id, p := range t.peers {
+		for _, c := range p.conns {
+			c.conn.Close()
+		}
+		delete(t.peers, id)
+	}
+}
