@@ -92,6 +92,15 @@ type Store struct {
 	// concurrent pushes of the same key cannot lose each other's deltas.
 	pushMu sync.Mutex
 
+	// compactMu admits one compaction pass at a time: two passes would pick
+	// the same victims and unlink each other's inputs.
+	compactMu sync.Mutex
+	// fileMu keeps parameter files alive while they are read: a load holds
+	// it shared from picking its files (under mu) until its last read
+	// returns, and compaction takes it exclusively to unlink its victims. It
+	// is ordered before mu and, unlike mu, is held across device I/O.
+	fileMu sync.RWMutex
+
 	mu      sync.Mutex
 	nextID  int64
 	mapping map[keys.Key]string  // parameter -> file name
@@ -252,6 +261,8 @@ func (s *Store) Load(ks []keys.Key) (map[keys.Key]*embedding.Value, error) {
 // instead of diffing the shared clock, whose SSD total mixes in concurrent
 // operations from other pipeline stages and nodes.
 func (s *Store) LoadTimed(ks []keys.Key) (map[keys.Key]*embedding.Value, time.Duration, error) {
+	s.fileMu.RLock()
+	defer s.fileMu.RUnlock()
 	s.mu.Lock()
 	// Group requested keys by the file that holds their latest version.
 	byFile := make(map[string][]keys.Key)
@@ -299,6 +310,15 @@ func (s *Store) LoadTimed(ks []keys.Key) (map[keys.Key]*embedding.Value, time.Du
 // marks superseded copies stale. Keys are written in sorted order so dumps
 // are deterministic.
 func (s *Store) Dump(vals map[keys.Key]*embedding.Value) error {
+	return s.dump(vals, nil)
+}
+
+// dump is Dump, and with from non-nil also compaction's rewrite: from names
+// the victim file each value was collected from, and a key is re-pointed at
+// its rewritten copy only while it still maps to that file. A Dump or Delete
+// that raced the compaction is newer than the collected value, so the
+// rewritten copy of such a key is born stale instead of superseding it.
+func (s *Store) dump(vals map[keys.Key]*embedding.Value, from map[keys.Key]string) error {
 	if len(vals) == 0 {
 		return nil
 	}
@@ -331,12 +351,16 @@ func (s *Store) Dump(vals map[keys.Key]*embedding.Value) error {
 		writeTime += s.dev.Profile().WriteTime(int64(len(encoded)))
 
 		s.mu.Lock()
-		s.files[name] = &fileMeta{name: name, total: len(recs)}
+		written := &fileMeta{name: name, total: len(recs)}
+		s.files[name] = written
 		for _, k := range chunk {
-			if prev, ok := s.mapping[k]; ok {
-				if meta, ok := s.files[prev]; ok {
-					meta.stale++
-				}
+			prev, ok := s.mapping[k]
+			if from != nil && (!ok || prev != from[k]) {
+				written.stale++
+				continue
+			}
+			if meta := s.files[prev]; ok && meta != nil {
+				meta.stale++
 			}
 			s.mapping[k] = name
 		}
@@ -456,6 +480,8 @@ func (s *Store) CompactIfNeeded() (bool, error) {
 // threshold: live parameters are collected and rewritten as new files, then
 // the old files are erased and the mapping updated (Appendix E).
 func (s *Store) Compact() error {
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
 	s.mu.Lock()
 	victims := make([]*fileMeta, 0)
 	for _, meta := range s.files {
@@ -480,6 +506,7 @@ func (s *Store) Compact() error {
 
 	// Collect the live parameters of every victim file.
 	live := make(map[keys.Key]*embedding.Value)
+	from := make(map[keys.Key]string)
 	for _, v := range victims {
 		data, err := s.dev.ReadFile(v.name)
 		if err != nil {
@@ -493,6 +520,7 @@ func (s *Store) Compact() error {
 		for _, r := range recs {
 			if s.mapping[r.key] == v.name {
 				live[r.key] = r.value
+				from[r.key] = v.name
 			}
 		}
 		s.mu.Unlock()
@@ -500,19 +528,33 @@ func (s *Store) Compact() error {
 
 	// Rewrite the live parameters as fresh files (this also updates the
 	// mapping and marks the victims' remaining copies stale).
-	if err := s.Dump(live); err != nil {
+	if err := s.dump(live, from); err != nil {
 		return fmt.Errorf("ssdps: compact rewrite: %w", err)
 	}
 
-	// Erase the victims.
+	// Erase the victims. No key maps to them any more, so only loads that
+	// picked their files before the rewrite can still be reading them;
+	// taking fileMu exclusively waits those out.
+	s.fileMu.Lock()
+	erased := 0
+	var err error
+	for _, v := range victims {
+		if err = s.dev.Remove(v.name); err != nil {
+			err = fmt.Errorf("ssdps: compact erase %s: %w", v.name, err)
+			break
+		}
+		erased++
+	}
+	s.fileMu.Unlock()
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, v := range victims {
-		if err := s.dev.Remove(v.name); err != nil {
-			return fmt.Errorf("ssdps: compact erase %s: %w", v.name, err)
-		}
+	for _, v := range victims[:erased] {
 		delete(s.files, v.name)
 		s.stats.CompactedFiles++
+	}
+	if err != nil {
+		return err
 	}
 	s.stats.Compactions++
 	return nil

@@ -1,7 +1,9 @@
 package ssdps
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -356,6 +358,104 @@ func TestConcurrentDumpLoad(t *testing.T) {
 	}
 	if s.Len() != 16 {
 		t.Fatalf("len = %d", s.Len())
+	}
+}
+
+// TestConcurrentLoadDumpCompact runs the three store operations a pipelined
+// MEM-PS overlaps — a batch loading its misses, another dumping its evictions,
+// a third compacting — against each other. A load must never find the file it
+// picked unlinked, and a value must never go backwards: compaction rewriting
+// a copy it collected before a newer dump landed must not supersede that dump.
+func TestConcurrentLoadDumpCompact(t *testing.T) {
+	const (
+		nKeys  = 48
+		rounds = 150
+	)
+	s := testStore(t, Config{Dim: 2, ParamsPerFile: 4, StaleFractionToCompact: 0.25})
+	ks := make([]keys.Key, nKeys)
+	for i := range ks {
+		ks[i] = keys.Key(i + 1)
+	}
+	// Round v rewrites every other key, so the files of earlier rounds stay
+	// half live: compaction always has values to carry over, and the next
+	// round's dump races exactly those.
+	last := make(map[keys.Key]float32, nKeys)
+	version := func(v uint64) map[keys.Key]*embedding.Value {
+		vals := make(map[keys.Key]*embedding.Value, nKeys)
+		for _, k := range ks {
+			if v > 0 && (uint64(k)+v)%2 == 0 {
+				continue
+			}
+			val := embedding.NewValue(2)
+			val.Weights[0] = float32(v)
+			vals[k] = val
+			last[k] = float32(v)
+		}
+		return vals
+	}
+	if err := s.Dump(version(0)); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	background := func(f func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := f(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	background(s.Compact)
+	for r := 0; r < 3; r++ {
+		seen := make(map[keys.Key]float32, nKeys)
+		background(func() error {
+			got, _, err := s.LoadTimed(ks)
+			if err != nil {
+				return err
+			}
+			for _, k := range ks {
+				v, ok := got[k]
+				if !ok {
+					return fmt.Errorf("key %d vanished", k)
+				}
+				if v.Weights[0] < seen[k] {
+					return fmt.Errorf("key %d went back from version %v to %v", k, seen[k], v.Weights[0])
+				}
+				seen[k] = v.Weights[0]
+			}
+			return nil
+		})
+	}
+	for v := uint64(1); v <= rounds && !t.Failed(); v++ {
+		if err := s.Dump(version(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	got, err := s.Load(ks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range ks {
+		if v, ok := got[k]; !ok || v.Weights[0] != last[k] {
+			t.Fatalf("key %d ended at %v, want version %v", k, v, last[k])
+		}
+	}
+	if s.Stats().Compactions == 0 {
+		t.Fatal("no compaction pass ran: the test exercised nothing")
 	}
 }
 
