@@ -416,9 +416,7 @@ func (t *TCPTransport) rawCall(nodeID int, op uint8, build func(frame []byte, pr
 			continue
 		}
 		err = t.exchange(c, nodeID, op, build, parse, policy.rpc())
-		var re *RemoteError
-		var oe *OverloadError
-		if err == nil || errors.As(err, &re) || errors.As(err, &oe) {
+		if err == nil || shardSide(err) {
 			// The round trip itself was fine; keep the connection. An
 			// overload rejection is deliberately not retried here either:
 			// admission control sheds load back to the caller, and an
@@ -432,6 +430,14 @@ func (t *TCPTransport) rawCall(nodeID int, op uint8, build func(frame []byte, pr
 		lastErr = err
 	}
 	return &TransportError{Node: nodeID, Op: opName(op), Attempts: policy.Attempts, Err: lastErr}
+}
+
+// shardSide reports whether err is the shard's answer (a RemoteError or an
+// OverloadError) rather than a failure of the exchange.
+func shardSide(err error) bool {
+	var re *RemoteError
+	var oe *OverloadError
+	return errors.As(err, &re) || errors.As(err, &oe)
 }
 
 // exchange performs one attempt of rawCall on c, whose lock the caller holds.
