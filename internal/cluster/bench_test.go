@@ -21,9 +21,8 @@ func (pushSink) HandlePushBlock(*ps.ValueBlock) error { return nil }
 // dim 8 (BenchmarkStagePushMultiNode's per-shard shape), under each wire
 // mode: pull replies carry the negotiated precision, push bodies stay fp32
 // unless the -push variants opt the push direction into the same precision.
-// The wirebytes/op
-// metric is the one BENCH_pr6.json records; ns/op here includes loopback
-// syscalls and is not a transport benchmark.
+// The wirebytes/op metric is the one BENCH_pr6.json records; ns/op here
+// includes loopback syscalls and is not a transport benchmark.
 func BenchmarkWireBytesPerBatch(b *testing.B) {
 	const (
 		dim  = 8

@@ -36,9 +36,9 @@ func (t *TCPTransport) pullInto(nodeID int, op uint8, ks []keys.Key, dst *ps.Val
 		// dim-d rows, per the PullInto contract.
 		dst.Reset(t.dim, ks)
 	}
-	reqBytes := int64(len(ks)) * 8
-	t.addBytes(reqBytes, t.rowBytes(dst.PresentCount()))
-	return reqBytes + t.rowBytes(dst.PresentCount()), nil
+	reqBytes, respBytes := int64(len(ks))*8, t.rowBytes(dst.PresentCount())
+	t.addBytes(reqBytes, respBytes)
+	return reqBytes + respBytes, nil
 }
 
 // pullMap is pullInto for the map-based callers.
