@@ -10,6 +10,7 @@ package blockio
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -142,43 +143,64 @@ func (d *Device) WriteFile(name string, data []byte) error {
 
 // ReadFile reads an entire file and charges the modelled read time.
 func (d *Device) ReadFile(name string) ([]byte, error) {
+	return d.ReadInto(name, -1, nil)
+}
+
+// ReadInto reads an entire file into buf (reused from its start and grown as
+// needed; nil allocates) and charges the modelled read time of the whole
+// file. Only logicalBytes of it are accounted as useful — the rest is I/O
+// amplification (an entire parameter file must be read to obtain a subset of
+// its parameters); a negative logicalBytes counts the whole file as useful.
+func (d *Device) ReadInto(name string, logicalBytes int64, buf []byte) ([]byte, error) {
 	p, err := d.path(name)
 	if err != nil {
 		return nil, err
 	}
-	data, err := os.ReadFile(p)
+	data, err := readInto(p, buf)
 	if err != nil {
 		return nil, fmt.Errorf("blockio: read %s: %w", name, err)
 	}
-	phys := d.physical(int64(len(data)))
+	size := int64(len(data))
+	if logicalBytes < 0 || logicalBytes > size {
+		logicalBytes = size
+	}
 	d.mu.Lock()
 	d.stats.Reads++
-	d.stats.LogicalBytesRead += int64(len(data))
-	d.stats.PhysicalBytesRead += phys
+	d.stats.LogicalBytesRead += logicalBytes
+	d.stats.PhysicalBytesRead += d.physical(size)
 	d.mu.Unlock()
-	d.clock.Add(simtime.ResourceSSD, d.ssd.ReadTime(int64(len(data))))
+	d.clock.Add(simtime.ResourceSSD, d.ssd.ReadTime(size))
 	return data, nil
 }
 
-// ReadPartial reads a file but accounts only logicalBytes of it as useful —
-// the rest is I/O amplification (an entire parameter file must be read to
-// obtain a subset of its parameters).
-func (d *Device) ReadPartial(name string, logicalBytes int64) ([]byte, error) {
-	data, err := d.ReadFile(name)
+// readInto is os.ReadFile into a caller-supplied buffer.
+func readInto(path string, buf []byte) ([]byte, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	if logicalBytes > int64(len(data)) {
-		logicalBytes = int64(len(data))
+	defer f.Close()
+	buf = buf[:0]
+	if cap(buf) == 0 {
+		if info, err := f.Stat(); err == nil {
+			// One spare byte lets the read after the last one see EOF
+			// without growing the buffer first.
+			buf = make([]byte, 0, info.Size()+1)
+		}
 	}
-	if logicalBytes < 0 {
-		logicalBytes = 0
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	d.mu.Lock()
-	// ReadFile already counted the full length as logical; correct it.
-	d.stats.LogicalBytesRead -= int64(len(data)) - logicalBytes
-	d.mu.Unlock()
-	return data, nil
 }
 
 // Remove deletes a file.

@@ -106,13 +106,13 @@ func TestStatsAndAmplification(t *testing.T) {
 	}
 }
 
-func TestReadPartialAmplification(t *testing.T) {
+func TestReadIntoAmplification(t *testing.T) {
 	d := newTestDevice(t)
 	if err := d.WriteFile("f", make([]byte, 1000)); err != nil {
 		t.Fatal(err)
 	}
 	// Only 100 of the 1000 bytes are useful.
-	if _, err := d.ReadPartial("f", 100); err != nil {
+	if _, err := d.ReadInto("f", 100, nil); err != nil {
 		t.Fatal(err)
 	}
 	s := d.Stats()
@@ -123,12 +123,42 @@ func TestReadPartialAmplification(t *testing.T) {
 		t.Fatalf("physical read = %d", s.PhysicalBytesRead)
 	}
 	// Requesting more useful bytes than exist clamps.
-	if _, err := d.ReadPartial("f", 1<<20); err != nil {
+	if _, err := d.ReadInto("f", 1<<20, nil); err != nil {
 		t.Fatal(err)
 	}
 	s = d.Stats()
 	if s.LogicalBytesRead != 1100 {
 		t.Fatalf("logical read = %d, want 1100", s.LogicalBytesRead)
+	}
+}
+
+// ReadInto reuses the caller's buffer from its start: a file smaller than the
+// previous one must not return the previous tail, a larger one must grow.
+func TestReadIntoReusesBuffer(t *testing.T) {
+	d := newTestDevice(t)
+	files := map[string][]byte{
+		"big":   bytes.Repeat([]byte{7}, 9000),
+		"small": []byte("abc"),
+		"empty": {},
+	}
+	for name, data := range files {
+		if err := d.WriteFile(name, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := make([]byte, 0, 16)
+	for _, name := range []string{"small", "big", "small", "empty", "big"} {
+		got, err := d.ReadInto(name, -1, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, files[name]) {
+			t.Fatalf("%s: read %d bytes, want %d", name, len(got), len(files[name]))
+		}
+		buf = got
+	}
+	if s := d.Stats(); s.LogicalBytesRead != 2*9000+2*3 {
+		t.Fatalf("logical read = %d", s.LogicalBytesRead)
 	}
 }
 

@@ -82,12 +82,14 @@ func TestLRUPinPreventsEviction(t *testing.T) {
 	if c.PinnedLen() != 2 {
 		t.Fatalf("pinned = %d", c.PinnedLen())
 	}
-	// Unpinning should shrink back to capacity, evicting the LRU unpinned.
+	// Unpinning shrinks back to capacity. The unpinned entry was in use until
+	// now, so it re-enters the eviction order as the most recently used and
+	// the victim is the older unpinned entry, 3.
 	c.Unpin(1)
 	if c.Len() != 2 {
 		t.Fatalf("after unpin len = %d", c.Len())
 	}
-	if len(evicted) != 1 || evicted[0] != 1 {
+	if len(evicted) != 1 || evicted[0] != 3 {
 		t.Fatalf("evicted = %v", evicted)
 	}
 	if c.Unpin(42) {

@@ -32,10 +32,11 @@ func NewValue(dim int) *Value {
 	if dim < 0 {
 		dim = 0
 	}
-	return &Value{
-		Weights: make([]float32, dim),
-		G2Sum:   make([]float32, dim),
-	}
+	// One backing array for both rows: a value is two allocations, not three.
+	// The capacity of Weights stops at its length, so an append never runs
+	// into G2Sum.
+	rows := make([]float32, 2*dim)
+	return &Value{Weights: rows[:dim:dim], G2Sum: rows[dim:]}
 }
 
 // NewRandomValue returns a value with small random initial weights, as used
@@ -69,11 +70,8 @@ func (v *Value) Dim() int { return len(v.Weights) }
 
 // Clone returns a deep copy of the value.
 func (v *Value) Clone() *Value {
-	out := &Value{
-		Weights: make([]float32, len(v.Weights)),
-		G2Sum:   make([]float32, len(v.G2Sum)),
-		Freq:    v.Freq,
-	}
+	out := NewValue(len(v.Weights))
+	out.Freq = v.Freq
 	copy(out.Weights, v.Weights)
 	copy(out.G2Sum, v.G2Sum)
 	return out
@@ -142,14 +140,6 @@ func (v *Value) Encode(buf []byte) int {
 		off += 4
 	}
 	return off
-}
-
-// AppendEncode appends the encoding of v to dst and returns the extended slice.
-func (v *Value) AppendEncode(dst []byte) []byte {
-	start := len(dst)
-	dst = append(dst, make([]byte, v.EncodedSizeOf())...)
-	v.Encode(dst[start:])
-	return dst
 }
 
 // Decode parses a value from buf and returns it together with the number of

@@ -134,8 +134,8 @@ func TestEncodeDecodeProperty(t *testing.T) {
 		v := NewValue(len(weights))
 		copy(v.Weights, weights)
 		v.Freq = freq
-		var buf []byte
-		buf = v.AppendEncode(buf)
+		buf := make([]byte, v.EncodedSizeOf())
+		v.Encode(buf)
 		got, n, err := Decode(buf)
 		if err != nil || n != len(buf) {
 			return false

@@ -130,11 +130,40 @@ type MemPS struct {
 	seed        int64 // keyed-init seed: same (seed, key) -> same initial value
 	stats       Stats
 
-	// applyBlock/ApplyUpdates scratch, reused across batches (safe: both hold m.mu).
+	// Scratch reused across batches (safe: every user holds m.mu throughout).
 	applyOrder []int
-	applyMiss  []int
-	applyLoad  []keys.Key
 	applyOwned []keys.Key
+	ownedVals  []*embedding.Value
+	miss       missPass
+}
+
+// missPass is the state of one batched miss resolution. A pull or push first
+// probes the cache once per key, noting the misses; the cold ones are then
+// loaded from the SSD-PS in a single pass, and the misses are resolved in the
+// order they were noted.
+type missPass struct {
+	// idx are the positions (in whatever the caller iterates) that missed.
+	idx []int
+	// toLoad are their keys, in the same order, minus the ones whose latest
+	// value still sits in the dump buffer; loaded[j] is toLoad[j]'s value from
+	// the SSD-PS, nil when it holds none.
+	toLoad []keys.Key
+	loaded []*embedding.Value
+	next   int // toLoad[:next] have been taken
+}
+
+func (p *missPass) reset() {
+	p.idx, p.toLoad, p.next = p.idx[:0], p.toLoad[:0], 0
+}
+
+// take returns the value loaded for k, nil when there is none. Misses must be
+// taken in the order they were noted.
+func (p *missPass) take(k keys.Key) *embedding.Value {
+	if p.next == len(p.toLoad) || p.toLoad[p.next] != k {
+		return nil
+	}
+	p.next++
+	return p.loaded[p.next-1]
 }
 
 var (
@@ -213,38 +242,53 @@ func (m *MemPS) ownsKey(k keys.Key) bool {
 	return m.cfg.Topology.HoldsKey(k, m.cfg.NodeID)
 }
 
-// localLookup returns the authoritative in-memory value for a locally-owned
-// key, consulting (in order) the cache, the pending-dump buffer and the
-// SSD-PS, creating a fresh value on first reference. The caller must hold m.mu.
-func (m *MemPS) localLookup(k keys.Key, loaded map[keys.Key]*embedding.Value, st *PullStats) *embedding.Value {
-	if v, ok := m.cache.Get(uint64(k)); ok {
-		if st != nil {
-			st.CacheHits++
-		}
-		return v
+// noteMiss records that position i of the pass in progress, holding key k,
+// missed the cache, and queues k for the batched SSD load unless the dump
+// buffer holds its latest value. Duplicate keys must be adjacent (they are
+// queued once). The caller must hold m.mu.
+func (m *MemPS) noteMiss(i int, k keys.Key) {
+	p := &m.miss
+	p.idx = append(p.idx, i)
+	if _, pending := m.pendingDump[k]; pending {
+		return
 	}
-	if st != nil {
-		st.CacheMisses++
+	if n := len(p.toLoad); n == 0 || p.toLoad[n-1] != k {
+		p.toLoad = append(p.toLoad, k)
 	}
-	return m.resolveMiss(k, loaded, st)
 }
 
-// resolveMiss is localLookup's cache-miss tail: the pending-dump buffer, the
-// batch-loaded SSD values, then first-reference creation. The resolved value
-// enters the cache. The caller must hold m.mu and have counted the miss.
-func (m *MemPS) resolveMiss(k keys.Key, loaded map[keys.Key]*embedding.Value, st *PullStats) *embedding.Value {
+// loadMisses batch-loads the noted cold keys from the SSD-PS and returns the
+// modelled read duration. The caller must hold m.mu.
+func (m *MemPS) loadMisses() (time.Duration, error) {
+	p := &m.miss
+	if len(p.toLoad) == 0 {
+		return 0, nil
+	}
+	var err error
+	var d time.Duration
+	p.loaded, d, err = m.cfg.Store.LoadInto(p.toLoad, p.loaded)
+	return d, err
+}
+
+// resolveMiss returns the authoritative value of a noted miss (misses resolve
+// in the order they were noted): from the pending-dump buffer, else the value
+// the batched SSD load found for it, else created on first reference. The
+// resolved value enters the cache. The caller must hold m.mu and have
+// counted the miss.
+func (m *MemPS) resolveMiss(k keys.Key, st *PullStats) *embedding.Value {
+	loaded := m.miss.take(k)
 	if v, ok := m.pendingDump[k]; ok {
 		// Not yet written to SSD; pull it back into the cache.
 		delete(m.pendingDump, k)
 		m.cache.Put(uint64(k), v)
 		return v
 	}
-	if v, ok := loaded[k]; ok {
+	if loaded != nil {
 		if st != nil {
 			st.SSDHits++
 		}
-		m.cache.Put(uint64(k), v)
-		return v
+		m.cache.Put(uint64(k), loaded)
+		return loaded
 	}
 	v := embedding.NewKeyedValue(m.cfg.Dim, m.seed, uint64(k))
 	if st != nil {
@@ -252,6 +296,33 @@ func (m *MemPS) resolveMiss(k keys.Key, loaded map[keys.Key]*embedding.Value, st
 	}
 	m.cache.Put(uint64(k), v)
 	return v
+}
+
+// lookupOwned returns the authoritative in-memory values of ks — sorted,
+// unique and all held by this node — probing the cache once per key (a Get:
+// the keys count as visited), loading the cold ones from the SSD-PS in one
+// batched pass and materializing first references. out[i] belongs to ks[i]
+// and stays valid while the caller holds m.mu, which it must; the next call
+// reuses the slice.
+func (m *MemPS) lookupOwned(ks []keys.Key) ([]*embedding.Value, time.Duration, error) {
+	vals := slices.Grow(m.ownedVals[:0], len(ks))[:len(ks)]
+	m.ownedVals = vals
+	m.miss.reset()
+	for i, k := range ks {
+		v, ok := m.cache.Get(uint64(k))
+		vals[i] = v
+		if !ok {
+			m.noteMiss(i, k)
+		}
+	}
+	loadTime, err := m.loadMisses()
+	if err != nil {
+		return nil, 0, err
+	}
+	for _, i := range m.miss.idx {
+		vals[i] = m.resolveMiss(ks[i], nil)
+	}
+	return vals, loadTime, nil
 }
 
 // Prepare assembles the working set for a batch whose referenced parameter
@@ -408,44 +479,37 @@ func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*Wor
 		}
 	}
 	m.mu.Lock()
-	var misses, toLoad []keys.Key
-	for _, k := range local {
+	m.miss.reset()
+	for i, k := range local {
 		if v, ok := m.cache.Get(uint64(k)); ok {
 			ws.Stats.CacheHits++
 			emit(k, v)
 			continue
 		}
 		ws.Stats.CacheMisses++
-		misses = append(misses, k)
-		if _, pending := m.pendingDump[k]; !pending {
-			toLoad = append(toLoad, k)
-		}
+		m.noteMiss(i, k)
 	}
-	loaded := map[keys.Key]*embedding.Value{}
-	if len(toLoad) > 0 {
-		var err error
-		loaded, ws.Stats.LocalTime, err = m.cfg.Store.LoadTimed(toLoad)
-		if err != nil {
-			if pin {
-				// Withdraw the pins already taken for cache hits (local minus
-				// misses, both in working order): a failed Prepare must not
-				// leak pinned, unevictable entries — CompleteBatch is never
-				// called for it.
-				mi := 0
-				for _, k := range local {
-					if mi < len(misses) && misses[mi] == k {
-						mi++
-						continue
-					}
-					m.cache.Unpin(uint64(k))
+	var err error
+	if ws.Stats.LocalTime, err = m.loadMisses(); err != nil {
+		if pin {
+			// Withdraw the pins already taken for the cache hits (every
+			// position of local that is not a noted miss): a failed Prepare
+			// must not leak pinned, unevictable entries — CompleteBatch is
+			// never called for it.
+			misses := m.miss.idx
+			for i, k := range local {
+				if len(misses) > 0 && misses[0] == i {
+					misses = misses[1:]
+					continue
 				}
+				m.cache.Unpin(uint64(k))
 			}
-			m.mu.Unlock()
-			return nil, fmt.Errorf("memps: load local parameters: %w", err)
 		}
+		m.mu.Unlock()
+		return nil, fmt.Errorf("memps: load local parameters: %w", err)
 	}
-	for _, k := range misses {
-		emit(k, m.resolveMiss(k, loaded, &ws.Stats))
+	for _, i := range m.miss.idx {
+		emit(local[i], m.resolveMiss(local[i], &ws.Stats))
 	}
 	m.stats.BatchesPrepared++
 	m.stats.LocalKeys += int64(len(local))
@@ -536,27 +600,9 @@ func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*Wor
 	return ws, nil
 }
 
-// loadUncached batch-loads from the SSD-PS those of ks that are neither in
-// the cache nor sitting in the pending-dump buffer — the shared cold-load
-// pass of every serve/apply path. The caller must hold m.mu.
-func (m *MemPS) loadUncached(ks []keys.Key) (map[keys.Key]*embedding.Value, time.Duration, error) {
-	var toLoad []keys.Key
-	for _, k := range ks {
-		if !m.cache.Contains(uint64(k)) {
-			if _, pending := m.pendingDump[k]; !pending {
-				toLoad = append(toLoad, k)
-			}
-		}
-	}
-	if len(toLoad) == 0 {
-		return map[keys.Key]*embedding.Value{}, 0, nil
-	}
-	return m.cfg.Store.LoadTimed(keys.Dedup(toLoad))
-}
-
 // servePull is the shared serving prologue of every pull-RPC handler: it
-// verifies ownership of ks, batch-loads the cold parameters from the SSD-PS,
-// resolves each key to its authoritative value (materializing first
+// verifies ownership of ks, resolves each key to its authoritative value
+// (batch-loading the cold parameters from the SSD-PS, materializing first
 // references) under m.mu, and hands them to emit in request order. Served
 // parameters enter the cache (they are now "recently used") but are not
 // pinned. The returned duration is the SSD load time; the caller records the
@@ -571,12 +617,23 @@ func (m *MemPS) servePull(ks []keys.Key, emit func(i int, k keys.Key, v *embeddi
 				m.cfg.NodeID, k, m.cfg.Topology.NodeOf(k))
 		}
 	}
-	loaded, loadTime, err := m.loadUncached(ks)
+	// Peers and drivers ask for sorted key sets; an arbitrary request is
+	// served through its sorted key set and emitted by search.
+	sorted := keys.SortedUnique(ks)
+	served := ks
+	if !sorted {
+		served = keys.Dedup(slices.Clone(ks))
+	}
+	vals, loadTime, err := m.lookupOwned(served)
 	if err != nil {
 		return 0, fmt.Errorf("memps: handle pull: %w", err)
 	}
 	for i, k := range ks {
-		emit(i, k, m.localLookup(k, loaded, nil))
+		j := i
+		if !sorted {
+			j, _ = slices.BinarySearch(served, k)
+		}
+		emit(i, k, vals[j])
 	}
 	return loadTime, nil
 }
@@ -667,19 +724,16 @@ func (m *MemPS) ApplyUpdates(deltas map[keys.Key]*embedding.Value) error {
 			owned = append(owned, k)
 		}
 	}
+	slices.Sort(owned)
 	m.applyOwned = owned
-	loaded, loadTime, err := m.loadUncached(owned)
+	vals, loadTime, err := m.lookupOwned(owned)
 	if err != nil {
 		return fmt.Errorf("memps: apply updates: %w", err)
 	}
-	applied := ps.ApplyDeltas(deltas, func(k keys.Key, delta *embedding.Value) bool {
-		if !m.ownsKey(k) {
-			return false
-		}
-		m.localLookup(k, loaded, nil).Add(delta)
-		return true
-	})
-	m.rec.RecordPush(applied, loadTime)
+	for i, k := range owned {
+		vals[i].Add(deltas[k])
+	}
+	m.rec.RecordPush(len(owned), loadTime)
 	return nil
 }
 
@@ -712,40 +766,27 @@ func (m *MemPS) applyBlock(blk *ps.ValueBlock) error {
 		slices.SortFunc(order, func(a, b int) int { return cmp.Compare(blk.Keys[a], blk.Keys[b]) })
 	}
 	m.applyOrder = order
-	missIdx := m.applyMiss[:0]
-	toLoad := m.applyLoad[:0]
+	m.miss.reset()
 	for _, i := range order {
-		k := ks[i]
 		// GetApply: a write-path read — the pull that assembled this working
 		// set already refreshed recency and visit counts for these keys.
-		if v, ok := m.cache.GetApply(uint64(k)); ok {
+		if v, ok := m.cache.GetApply(uint64(ks[i])); ok {
 			v.AddFlat(blk.WeightsRow(i), blk.G2Row(i), blk.Freq[i])
 			continue
 		}
-		missIdx = append(missIdx, i)
-		if _, pending := m.pendingDump[k]; !pending {
-			// order is sorted here, so duplicate keys are adjacent.
-			if len(toLoad) == 0 || toLoad[len(toLoad)-1] != k {
-				toLoad = append(toLoad, k)
-			}
-		}
+		m.noteMiss(i, ks[i]) // order is sorted here, so duplicate keys are adjacent
 	}
-	m.applyMiss = missIdx
-	m.applyLoad = toLoad
-	var loaded map[keys.Key]*embedding.Value // nil reads as empty in resolveMiss
-	var loadTime time.Duration
-	if len(toLoad) > 0 {
-		var err error
-		loaded, loadTime, err = m.cfg.Store.LoadTimed(toLoad)
-		if err != nil {
-			return fmt.Errorf("memps: apply updates: %w", err)
-		}
+	loadTime, err := m.loadMisses()
+	if err != nil {
+		return fmt.Errorf("memps: apply updates: %w", err)
 	}
-	for _, i := range missIdx {
-		k := blk.Keys[i]
-		// localLookup rather than resolveMiss: an earlier duplicate row may
-		// have resolved k into the cache already.
-		m.localLookup(k, loaded, nil).AddFlat(blk.WeightsRow(i), blk.G2Row(i), blk.Freq[i])
+	var v *embedding.Value
+	for n, i := range m.miss.idx {
+		// A duplicate of the previous miss was resolved with it.
+		if n == 0 || ks[i] != ks[m.miss.idx[n-1]] {
+			v = m.resolveMiss(ks[i], nil)
+		}
+		v.AddFlat(blk.WeightsRow(i), blk.G2Row(i), blk.Freq[i])
 	}
 	m.rec.RecordPush(len(order), loadTime)
 	return nil
@@ -765,47 +806,34 @@ func (m *MemPS) applyBlock(blk *ps.ValueBlock) error {
 func (m *MemPS) PushBlockPair(a, b *ps.ValueBlock, mk []keys.Key, sa, sb []int32) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	missIdx := m.applyMiss[:0]
-	toLoad := m.applyLoad[:0]
+	m.miss.reset()
 	for x, k := range mk {
 		// GetApply: a write-path read — see applyBlock.
 		if v, ok := m.cache.GetApply(uint64(k)); ok {
-			if ai := sa[x]; ai >= 0 {
-				v.AddFlat(a.WeightsRow(int(ai)), a.G2Row(int(ai)), a.Freq[ai])
-			}
-			if bi := sb[x]; bi >= 0 {
-				v.AddFlat(b.WeightsRow(int(bi)), b.G2Row(int(bi)), b.Freq[bi])
-			}
+			addPair(v, a, b, sa[x], sb[x])
 			continue
 		}
-		missIdx = append(missIdx, x)
-		if _, pending := m.pendingDump[k]; !pending {
-			// mk is sorted unique, so no duplicate-key dedup is needed here.
-			toLoad = append(toLoad, k)
-		}
+		m.noteMiss(x, k)
 	}
-	m.applyMiss = missIdx
-	m.applyLoad = toLoad
-	var loaded map[keys.Key]*embedding.Value
-	var loadTime time.Duration
-	if len(toLoad) > 0 {
-		var err error
-		loaded, loadTime, err = m.cfg.Store.LoadTimed(toLoad)
-		if err != nil {
-			return fmt.Errorf("memps: apply updates: %w", err)
-		}
+	loadTime, err := m.loadMisses()
+	if err != nil {
+		return fmt.Errorf("memps: apply updates: %w", err)
 	}
-	for _, x := range missIdx {
-		v := m.localLookup(mk[x], loaded, nil)
-		if ai := sa[x]; ai >= 0 {
-			v.AddFlat(a.WeightsRow(int(ai)), a.G2Row(int(ai)), a.Freq[ai])
-		}
-		if bi := sb[x]; bi >= 0 {
-			v.AddFlat(b.WeightsRow(int(bi)), b.G2Row(int(bi)), b.Freq[bi])
-		}
+	for _, x := range m.miss.idx {
+		addPair(m.resolveMiss(mk[x], nil), a, b, sa[x], sb[x])
 	}
 	m.rec.RecordPush(len(mk), loadTime)
 	return nil
+}
+
+// addPair adds row ai of a and row bi of b into v; a negative row is absent.
+func addPair(v *embedding.Value, a, b *ps.ValueBlock, ai, bi int32) {
+	if ai >= 0 {
+		v.AddFlat(a.WeightsRow(int(ai)), a.G2Row(int(ai)), a.Freq[ai])
+	}
+	if bi >= 0 {
+		v.AddFlat(b.WeightsRow(int(bi)), b.G2Row(int(bi)), b.Freq[bi])
+	}
 }
 
 // HandlePullBlock implements cluster.BlockPullHandler: HandlePull's contract

@@ -8,13 +8,20 @@
 // new files (never in place), superseded copies become stale, and a
 // compaction pass merges files dominated by stale values to bound disk usage
 // at roughly 2x the live parameter size.
+//
+// A parameter file is a plain array of fixed-size records (8 bytes of key,
+// then the embedding.Value encoding at the store's dimension), so the mapping
+// addresses a parameter as (file, slot): a load decodes only the slots it was
+// asked for out of the file it read, and compaction moves live records as raw
+// bytes.
 package ssdps
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -75,8 +82,29 @@ type Stats struct {
 
 type fileMeta struct {
 	name  string
-	total int // parameters written into the file
-	stale int // parameters superseded by newer files
+	id    int64 // creation order
+	total int   // records written into the file
+	stale int   // records superseded by newer files
+}
+
+// loc addresses the latest copy of a parameter: record slot of file.
+type loc struct {
+	file *fileMeta
+	slot uint32
+}
+
+// scratch is the per-operation working memory loads, dumps and compactions
+// reuse through Store.scratch.
+type scratch struct {
+	buf   []byte // one parameter file, as read or as about to be written
+	wants []want
+}
+
+// want is one requested key of a load that the store holds: where its record
+// is and which position of the request it answers.
+type want struct {
+	loc
+	idx int
 }
 
 // Store is an SSD-backed parameter store. It is safe for concurrent use.
@@ -103,9 +131,12 @@ type Store struct {
 
 	mu      sync.Mutex
 	nextID  int64
-	mapping map[keys.Key]string  // parameter -> file name
+	mapping map[keys.Key]loc     // parameter -> record holding its latest copy
 	files   map[string]*fileMeta // file name -> metadata
 	stats   Stats
+
+	stride  int       // bytes per record: 8 of key + the encoded value
+	scratch sync.Pool // of *scratch
 }
 
 var _ ps.Tier = (*Store)(nil)
@@ -124,56 +155,65 @@ func Open(dev *blockio.Device, cfg Config) (*Store, error) {
 	return &Store{
 		cfg:     cfg,
 		dev:     dev,
-		mapping: make(map[keys.Key]string),
+		mapping: make(map[keys.Key]loc),
 		files:   make(map[string]*fileMeta),
+		stride:  8 + embedding.EncodedSize(cfg.Dim),
 	}, nil
 }
 
-// Recover rebuilds the in-memory parameter-to-file mapping by scanning every
-// parameter file on the device in creation order (later files supersede
+func (s *Store) getScratch() *scratch {
+	if sc, ok := s.scratch.Get().(*scratch); ok {
+		return sc
+	}
+	return &scratch{}
+}
+
+// Recover rebuilds the in-memory slot index from scratch by scanning every
+// parameter file on the device in creation order (later records supersede
 // earlier ones). It is used when reopening a directory written by a previous
-// run.
+// run. A file that is not a whole number of records of the store's dimension
+// is reported as an error naming it.
 func (s *Store) Recover() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names := s.dev.ListFiles()
-	sort.Strings(names) // zero-padded ids sort in creation order
-	for _, name := range names {
-		if parseFileID(name) < 0 {
+	clear(s.mapping)
+	clear(s.files)
+	var buf []byte
+	for _, name := range s.dev.ListFiles() { // zero-padded ids: lexical order is creation order
+		id := parseFileID(name)
+		if id < 0 {
 			// Not a parameter file: the device directory also hosts other
 			// durable state (the shard server's push-dedup seq log).
 			continue
 		}
-		data, err := s.dev.ReadFile(name)
+		data, err := s.dev.ReadInto(name, -1, buf)
 		if err != nil {
 			return fmt.Errorf("ssdps: recover %s: %w", name, err)
 		}
-		recs, err := decodeFile(data)
-		if err != nil {
-			return fmt.Errorf("ssdps: recover %s: %w", name, err)
+		buf = data
+		if len(data)%s.stride != 0 {
+			return fmt.Errorf("ssdps: recover %s: %d bytes is not a whole number of %d-byte records (dimension %d)",
+				name, len(data), s.stride, s.cfg.Dim)
 		}
-		meta := &fileMeta{name: name, total: len(recs)}
-		for _, r := range recs {
-			if prev, ok := s.mapping[r.key]; ok {
-				s.files[prev].stale++
+		meta := &fileMeta{name: name, id: id, total: len(data) / s.stride}
+		for slot := 0; slot < meta.total; slot++ {
+			rec := data[slot*s.stride:]
+			if dim := binary.LittleEndian.Uint32(rec[8:]); int64(dim) != int64(s.cfg.Dim) {
+				return fmt.Errorf("ssdps: recover %s: record %d has dimension %d, the store has %d",
+					name, slot, dim, s.cfg.Dim)
 			}
-			s.mapping[r.key] = name
+			k := keys.Key(binary.LittleEndian.Uint64(rec))
+			// Every superseded record is stale in the file that holds it, so
+			// one pass leaves each file with stale = total - live.
+			if prev, ok := s.mapping[k]; ok {
+				prev.file.stale++
+			}
+			s.mapping[k] = loc{meta, uint32(slot)}
 		}
 		s.files[name] = meta
-		if id := parseFileID(name); id >= s.nextID {
+		if id >= s.nextID {
 			s.nextID = id + 1
 		}
-	}
-	// Recompute stale counts consistently.
-	for _, meta := range s.files {
-		live := 0
-		for k, f := range s.mapping {
-			_ = k
-			if f == meta.name {
-				live++
-			}
-		}
-		meta.stale = meta.total - live
 	}
 	return nil
 }
@@ -196,40 +236,25 @@ func (s *Store) Len() int {
 	return len(s.mapping)
 }
 
-// record is one (key, value) entry in a parameter file.
-type record struct {
-	key   keys.Key
-	value *embedding.Value
-}
-
-func encodeFile(recs []record) []byte {
-	var buf []byte
-	var scratch [8]byte
-	for _, r := range recs {
-		binary.LittleEndian.PutUint64(scratch[:], uint64(r.key))
-		buf = append(buf, scratch[:]...)
-		buf = r.value.AppendEncode(buf)
+// decodeSlot decodes the record in the given slot of a parameter file's
+// bytes, which must hold key k at the store's dimension.
+func (s *Store) decodeSlot(data []byte, slot uint32, k keys.Key) (*embedding.Value, error) {
+	off := int(slot) * s.stride
+	if off+s.stride > len(data) {
+		return nil, fmt.Errorf("record %d lies beyond the file's %d bytes", slot, len(data))
 	}
-	return buf
-}
-
-func decodeFile(data []byte) ([]record, error) {
-	var out []record
-	off := 0
-	for off < len(data) {
-		if off+8 > len(data) {
-			return nil, fmt.Errorf("ssdps: truncated key at offset %d", off)
-		}
-		k := keys.Key(binary.LittleEndian.Uint64(data[off : off+8]))
-		off += 8
-		v, n, err := embedding.Decode(data[off:])
-		if err != nil {
-			return nil, fmt.Errorf("ssdps: decode value at offset %d: %w", off, err)
-		}
-		off += n
-		out = append(out, record{key: k, value: v})
+	rec := data[off : off+s.stride]
+	if got := keys.Key(binary.LittleEndian.Uint64(rec)); got != k {
+		return nil, fmt.Errorf("record %d holds key %d, the index says %d", slot, got, k)
 	}
-	return out, nil
+	v, _, err := embedding.Decode(rec[8:])
+	if err != nil {
+		return nil, fmt.Errorf("record %d: %w", slot, err)
+	}
+	if v.Dim() != s.cfg.Dim {
+		return nil, fmt.Errorf("record %d has dimension %d, the store has %d", slot, v.Dim(), s.cfg.Dim)
+	}
+	return v, nil
 }
 
 func parseFileID(name string) int64 {
@@ -241,10 +266,18 @@ func parseFileID(name string) int64 {
 	return id
 }
 
-func (s *Store) newFileName() string {
-	name := fmt.Sprintf("pf-%012d.dat", s.nextID)
+// writeFile writes data, the records of one new parameter file, and returns
+// the file's metadata (not yet registered in s.files) and the modelled write
+// duration.
+func (s *Store) writeFile(data []byte) (*fileMeta, time.Duration, error) {
+	s.mu.Lock()
+	meta := &fileMeta{name: fmt.Sprintf("pf-%012d.dat", s.nextID), id: s.nextID, total: len(data) / s.stride}
 	s.nextID++
-	return name
+	s.mu.Unlock()
+	if err := s.dev.WriteFile(meta.name, data); err != nil {
+		return nil, 0, err
+	}
+	return meta, s.dev.Profile().WriteTime(int64(len(data))), nil
 }
 
 // Load returns the values of the requested keys that exist in the store.
@@ -257,112 +290,121 @@ func (s *Store) Load(ks []keys.Key) (map[keys.Key]*embedding.Value, error) {
 }
 
 // LoadTimed is Load plus the modelled read duration of this pass alone.
-// Callers attributing per-operation time (MEM-PS pull statistics) use it
-// instead of diffing the shared clock, whose SSD total mixes in concurrent
-// operations from other pipeline stages and nodes.
+// Callers attributing per-operation time use it instead of diffing the shared
+// clock, whose SSD total mixes in concurrent operations from other pipeline
+// stages and nodes.
 func (s *Store) LoadTimed(ks []keys.Key) (map[keys.Key]*embedding.Value, time.Duration, error) {
+	vals, readTime, err := s.LoadInto(ks, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	out := make(map[keys.Key]*embedding.Value, len(ks))
+	for i, v := range vals {
+		if v != nil {
+			out[ks[i]] = v
+		}
+	}
+	return out, readTime, nil
+}
+
+// LoadInto is the positional load every other form is a view of: it returns
+// dst resized to len(ks) (nil allocates), with dst[i] a private decoded copy
+// of ks[i]'s value or nil when the store does not hold the key, plus the
+// modelled read duration of this pass. Every file holding a requested key is
+// read whole, once; only the requested records are decoded.
+func (s *Store) LoadInto(ks []keys.Key, dst []*embedding.Value) ([]*embedding.Value, time.Duration, error) {
+	dst = slices.Grow(dst[:0], len(ks))[:len(ks)]
+	clear(dst)
+	sc := s.getScratch()
+	defer s.scratch.Put(sc)
+
 	s.fileMu.RLock()
 	defer s.fileMu.RUnlock()
 	s.mu.Lock()
-	// Group requested keys by the file that holds their latest version.
-	byFile := make(map[string][]keys.Key)
-	for _, k := range ks {
-		if name, ok := s.mapping[k]; ok {
-			byFile[name] = append(byFile[name], k)
+	wants := sc.wants[:0]
+	for i, k := range ks {
+		if l, ok := s.mapping[k]; ok {
+			wants = append(wants, want{l, i})
 		}
 	}
 	s.stats.Loads++
 	s.mu.Unlock()
+	sc.wants = wants
+	found := len(wants)
 
-	out := make(map[keys.Key]*embedding.Value, len(ks))
+	// Group the requested records by the file that holds them.
+	slices.SortFunc(wants, func(a, b want) int {
+		if c := cmp.Compare(a.file.id, b.file.id); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.slot, b.slot)
+	})
 	var readTime time.Duration
-	for name, wanted := range byFile {
-		wantedBytes := int64(len(wanted)) * int64(8+embedding.EncodedSize(s.cfg.Dim))
-		data, err := s.dev.ReadPartial(name, wantedBytes)
+	for len(wants) > 0 {
+		file, n := wants[0].file, 1
+		for n < len(wants) && wants[n].file == file {
+			n++
+		}
+		data, err := s.dev.ReadInto(file.name, int64(n)*int64(s.stride), sc.buf)
 		if err != nil {
 			return nil, 0, fmt.Errorf("ssdps: load: %w", err)
 		}
+		sc.buf = data
 		// Mirror the device's charge (whole-file read) for per-tier stats.
 		readTime += s.dev.Profile().ReadTime(int64(len(data)))
-		recs, err := decodeFile(data)
-		if err != nil {
-			return nil, 0, fmt.Errorf("ssdps: load %s: %w", name, err)
-		}
-		wantedSet := make(map[keys.Key]bool, len(wanted))
-		for _, k := range wanted {
-			wantedSet[k] = true
-		}
-		for _, r := range recs {
-			if wantedSet[r.key] {
-				// Only accept the record if this file is still the mapped
-				// owner of the key (it is, we grouped by mapping), and prefer
-				// the last occurrence within the file.
-				out[r.key] = r.value
+		for _, w := range wants[:n] {
+			if dst[w.idx], err = s.decodeSlot(data, w.slot, ks[w.idx]); err != nil {
+				return nil, 0, fmt.Errorf("ssdps: load %s: %w", file.name, err)
 			}
 		}
+		wants = wants[n:]
 	}
-	s.rec.RecordPull(len(out), readTime)
-	return out, readTime, nil
+	s.rec.RecordPull(found, readTime)
+	return dst, readTime, nil
 }
 
 // Dump writes the given parameters to the store as new parameter files
-// (chunked to ParamsPerFile), updates the parameter-to-file mapping, and
-// marks superseded copies stale. Keys are written in sorted order so dumps
-// are deterministic.
+// (chunked to ParamsPerFile), updates the slot index, and marks superseded
+// copies stale. Keys are written in sorted order so dumps are deterministic.
+// Every value must have the store's dimension.
 func (s *Store) Dump(vals map[keys.Key]*embedding.Value) error {
-	return s.dump(vals, nil)
-}
-
-// dump is Dump, and with from non-nil also compaction's rewrite: from names
-// the victim file each value was collected from, and a key is re-pointed at
-// its rewritten copy only while it still maps to that file. A Dump or Delete
-// that raced the compaction is newer than the collected value, so the
-// rewritten copy of such a key is born stale instead of superseding it.
-func (s *Store) dump(vals map[keys.Key]*embedding.Value, from map[keys.Key]string) error {
 	if len(vals) == 0 {
 		return nil
 	}
 	sorted := make([]keys.Key, 0, len(vals))
-	for k := range vals {
+	for k, v := range vals {
+		if v.Dim() != s.cfg.Dim {
+			return fmt.Errorf("ssdps: dump: key %d has dimension %d, the store has %d", k, v.Dim(), s.cfg.Dim)
+		}
 		sorted = append(sorted, k)
 	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
+	sc := s.getScratch()
+	defer s.scratch.Put(sc)
 
 	var writeTime time.Duration
-	for start := 0; start < len(sorted); start += s.cfg.ParamsPerFile {
-		end := start + s.cfg.ParamsPerFile
-		if end > len(sorted) {
-			end = len(sorted)
+	for len(sorted) > 0 {
+		chunk := sorted[:min(s.cfg.ParamsPerFile, len(sorted))]
+		sorted = sorted[len(chunk):]
+		sc.buf = slices.Grow(sc.buf[:0], len(chunk)*s.stride)[:len(chunk)*s.stride]
+		for i, k := range chunk {
+			rec := sc.buf[i*s.stride : (i+1)*s.stride]
+			binary.LittleEndian.PutUint64(rec, uint64(k))
+			vals[k].Encode(rec[8:])
 		}
-		chunk := sorted[start:end]
-		recs := make([]record, 0, len(chunk))
-		for _, k := range chunk {
-			recs = append(recs, record{key: k, value: vals[k]})
-		}
-
-		s.mu.Lock()
-		name := s.newFileName()
-		s.mu.Unlock()
-
-		encoded := encodeFile(recs)
-		if err := s.dev.WriteFile(name, encoded); err != nil {
+		written, d, err := s.writeFile(sc.buf)
+		if err != nil {
 			return fmt.Errorf("ssdps: dump: %w", err)
 		}
-		writeTime += s.dev.Profile().WriteTime(int64(len(encoded)))
+		writeTime += d
 
 		s.mu.Lock()
-		written := &fileMeta{name: name, total: len(recs)}
-		s.files[name] = written
-		for _, k := range chunk {
-			prev, ok := s.mapping[k]
-			if from != nil && (!ok || prev != from[k]) {
-				written.stale++
-				continue
+		s.files[written.name] = written
+		for i, k := range chunk {
+			if prev, ok := s.mapping[k]; ok {
+				prev.file.stale++
 			}
-			if meta := s.files[prev]; ok && meta != nil {
-				meta.stale++
-			}
-			s.mapping[k] = name
+			s.mapping[k] = loc{written, uint32(i)}
 		}
 		s.stats.Dumps++
 		s.mu.Unlock()
@@ -445,14 +487,12 @@ func (s *Store) Delete(ks []keys.Key) int {
 	defer s.mu.Unlock()
 	n := 0
 	for _, k := range ks {
-		name, ok := s.mapping[k]
+		l, ok := s.mapping[k]
 		if !ok {
 			continue
 		}
 		delete(s.mapping, k)
-		if meta, ok := s.files[name]; ok {
-			meta.stale++
-		}
+		l.file.stale++
 		n++
 	}
 	return n
@@ -477,59 +517,91 @@ func (s *Store) CompactIfNeeded() (bool, error) {
 }
 
 // Compact merges every file whose stale fraction meets the configured
-// threshold: live parameters are collected and rewritten as new files, then
-// the old files are erased and the mapping updated (Appendix E).
+// threshold: the live records are collected as raw bytes and rewritten,
+// sorted by key, as new files, then the old files are erased (Appendix E).
+//
+// A key is re-pointed at its rewritten copy only while it still maps to the
+// victim record it was collected from. A Dump or Delete that raced the
+// compaction is newer than the collected copy, so the rewritten copy of such
+// a key is born stale instead of superseding it.
 func (s *Store) Compact() error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 	s.mu.Lock()
-	victims := make([]*fileMeta, 0)
+	var victims []*fileMeta
 	for _, meta := range s.files {
-		if meta.total == 0 {
-			victims = append(victims, meta)
-			continue
-		}
-		if float64(meta.stale)/float64(meta.total) >= s.cfg.StaleFractionToCompact {
+		if meta.total == 0 || float64(meta.stale)/float64(meta.total) >= s.cfg.StaleFractionToCompact {
 			victims = append(victims, meta)
 		}
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].name < victims[j].name })
-	victimSet := make(map[string]bool, len(victims))
-	for _, v := range victims {
-		victimSet[v.name] = true
 	}
 	s.mu.Unlock()
-
 	if len(victims) == 0 {
 		return nil
 	}
+	slices.SortFunc(victims, func(a, b *fileMeta) int { return cmp.Compare(a.id, b.id) })
+	sc := s.getScratch()
+	defer s.scratch.Put(sc)
 
-	// Collect the live parameters of every victim file.
-	live := make(map[keys.Key]*embedding.Value)
-	from := make(map[keys.Key]string)
+	// Collect the live records of every victim file.
+	type liveRec struct {
+		key  keys.Key
+		from loc
+		off  int // of the record's bytes in raw
+	}
+	var live []liveRec
+	var raw []byte
 	for _, v := range victims {
-		data, err := s.dev.ReadFile(v.name)
+		data, err := s.dev.ReadInto(v.name, -1, sc.buf)
 		if err != nil {
 			return fmt.Errorf("ssdps: compact read %s: %w", v.name, err)
 		}
-		recs, err := decodeFile(data)
-		if err != nil {
-			return fmt.Errorf("ssdps: compact decode %s: %w", v.name, err)
+		sc.buf = data
+		if len(data) < v.total*s.stride {
+			return fmt.Errorf("ssdps: compact read %s: %d bytes, want %d records of %d", v.name, len(data), v.total, s.stride)
 		}
 		s.mu.Lock()
-		for _, r := range recs {
-			if s.mapping[r.key] == v.name {
-				live[r.key] = r.value
-				from[r.key] = v.name
+		for slot := 0; slot < v.total; slot++ {
+			rec := data[slot*s.stride : (slot+1)*s.stride]
+			k := keys.Key(binary.LittleEndian.Uint64(rec))
+			if from := (loc{v, uint32(slot)}); s.mapping[k] == from {
+				live = append(live, liveRec{k, from, len(raw)})
+				raw = append(raw, rec...)
 			}
 		}
 		s.mu.Unlock()
 	}
+	slices.SortFunc(live, func(a, b liveRec) int { return cmp.Compare(a.key, b.key) })
 
-	// Rewrite the live parameters as fresh files (this also updates the
-	// mapping and marks the victims' remaining copies stale).
-	if err := s.dump(live, from); err != nil {
-		return fmt.Errorf("ssdps: compact rewrite: %w", err)
+	// Rewrite them as fresh files, marking the victims' copies stale.
+	var writeTime time.Duration
+	for rest := live; len(rest) > 0; {
+		chunk := rest[:min(s.cfg.ParamsPerFile, len(rest))]
+		rest = rest[len(chunk):]
+		sc.buf = sc.buf[:0]
+		for _, r := range chunk {
+			sc.buf = append(sc.buf, raw[r.off:r.off+s.stride]...)
+		}
+		written, d, err := s.writeFile(sc.buf)
+		if err != nil {
+			return fmt.Errorf("ssdps: compact rewrite: %w", err)
+		}
+		writeTime += d
+
+		s.mu.Lock()
+		s.files[written.name] = written
+		for i, r := range chunk {
+			if s.mapping[r.key] == r.from {
+				r.from.file.stale++
+				s.mapping[r.key] = loc{written, uint32(i)}
+			} else {
+				written.stale++
+			}
+		}
+		s.stats.Dumps++
+		s.mu.Unlock()
+	}
+	if len(live) > 0 {
+		s.rec.RecordPush(len(live), writeTime)
 	}
 
 	// Erase the victims. No key maps to them any more, so only loads that

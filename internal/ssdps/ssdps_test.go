@@ -365,7 +365,10 @@ func TestConcurrentDumpLoad(t *testing.T) {
 // MEM-PS overlaps — a batch loading its misses, another dumping its evictions,
 // a third compacting — against each other. A load must never find the file it
 // picked unlinked, and a value must never go backwards: compaction rewriting
-// a copy it collected before a newer dump landed must not supersede that dump.
+// a copy it collected before a newer dump landed — the main loop re-dumps
+// half the keys every round while compaction passes run back to back — must
+// not supersede that dump. Every loaded value must be, bit for bit, some
+// version of its own key: compaction moves raw records between slots.
 func TestConcurrentLoadDumpCompact(t *testing.T) {
 	const (
 		nKeys  = 48
@@ -379,17 +382,15 @@ func TestConcurrentLoadDumpCompact(t *testing.T) {
 	// Round v rewrites every other key, so the files of earlier rounds stay
 	// half live: compaction always has values to carry over, and the next
 	// round's dump races exactly those.
-	last := make(map[keys.Key]float32, nKeys)
-	version := func(v uint64) map[keys.Key]*embedding.Value {
+	last := make(map[keys.Key]uint32, nKeys)
+	version := func(v uint32) map[keys.Key]*embedding.Value {
 		vals := make(map[keys.Key]*embedding.Value, nKeys)
 		for _, k := range ks {
-			if v > 0 && (uint64(k)+v)%2 == 0 {
+			if v > 0 && (uint32(k)+v)%2 == 0 {
 				continue
 			}
-			val := embedding.NewValue(2)
-			val.Weights[0] = float32(v)
-			vals[k] = val
-			last[k] = float32(v)
+			vals[k] = stamped(2, k, v)
+			last[k] = v
 		}
 		return vals
 	}
@@ -418,7 +419,7 @@ func TestConcurrentLoadDumpCompact(t *testing.T) {
 	}
 	background(s.Compact)
 	for r := 0; r < 3; r++ {
-		seen := make(map[keys.Key]float32, nKeys)
+		seen := make(map[keys.Key]uint32, nKeys)
 		background(func() error {
 			got, _, err := s.LoadTimed(ks)
 			if err != nil {
@@ -429,15 +430,18 @@ func TestConcurrentLoadDumpCompact(t *testing.T) {
 				if !ok {
 					return fmt.Errorf("key %d vanished", k)
 				}
-				if v.Weights[0] < seen[k] {
-					return fmt.Errorf("key %d went back from version %v to %v", k, seen[k], v.Weights[0])
+				if v.Freq < seen[k] {
+					return fmt.Errorf("key %d went back from version %d to %d", k, seen[k], v.Freq)
 				}
-				seen[k] = v.Weights[0]
+				if !sameBits(v, stamped(2, k, v.Freq)) {
+					return fmt.Errorf("key %d loaded as %+v, not a version of itself", k, v)
+				}
+				seen[k] = v.Freq
 			}
 			return nil
 		})
 	}
-	for v := uint64(1); v <= rounds && !t.Failed(); v++ {
+	for v := uint32(1); v <= rounds && !t.Failed(); v++ {
 		if err := s.Dump(version(v)); err != nil {
 			t.Fatal(err)
 		}
@@ -450,8 +454,8 @@ func TestConcurrentLoadDumpCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range ks {
-		if v, ok := got[k]; !ok || v.Weights[0] != last[k] {
-			t.Fatalf("key %d ended at %v, want version %v", k, v, last[k])
+		if !sameBits(got[k], stamped(2, k, last[k])) {
+			t.Fatalf("key %d ended at %+v, want version %d", k, got[k], last[k])
 		}
 	}
 	if s.Stats().Compactions == 0 {

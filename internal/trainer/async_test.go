@@ -62,42 +62,77 @@ func TestAsyncPushLagAndStalenessBounded(t *testing.T) {
 	}
 }
 
+// aucBand is how far apart the mean held-out AUCs of two equivalent
+// configurations, each averaged over aucSeeds, may land. The runs are not
+// deterministic: at depth 4 the realized staleness follows the scheduler.
+// Measured on a 2-core VM, 10–12 repeats of one configuration on one seed
+// (seeds 7, 8, 9, 11):
+//
+//	                                   quiet machine       beside `go test` of 4 other packages
+//	synchronous push                   σ 0.0014–0.0022     σ 0.0016–0.0037, range up to 0.013
+//	asynchronous push                  σ 0.0013–0.0035     σ 0.0026–0.0056, range up to 0.018
+//	async under a 1 ms commit delay    σ 0.0020–0.0049     σ 0.0032–0.0066, range up to 0.022
+//	... resumed from a checkpoint      σ 0.0020–0.0044     σ 0.0018–0.0045, range up to 0.015
+//
+// so a single pair of runs of the same seed differs by more than the 0.005
+// these tests used to allow 11–39% of the time on a busy machine (resampled
+// from those runs), with nothing wrong. The difference of two three-seed
+// means has a standard deviation of ≈0.0025 (quiet) to ≈0.0035 (busy); the
+// band is four of the latter, which the resampled busy runs exceed 0.09% of
+// the time at worst. A restore from the wrong state or a replayed run of
+// pushes moves every seed the same way, by several times the band.
+const aucBand = 0.015
+
+var aucSeeds = []int64{7, 8, 9}
+
+func mean(xs []float64) float64 {
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
+}
+
 // TestAsyncPushMatchesSyncAUC is the quality half of the async-push trade: at
 // the default depth, deferring the MEM-PS apply by up to PushLag batches must
 // not move the converged AUC by more than the pipelining tolerance the paper's
-// Fig 3(b) argument allows.
+// Fig 3(b) argument allows. Seed-paired: both configurations train on the same
+// seeds and the means are compared (see aucBand).
 func TestAsyncPushMatchesSyncAUC(t *testing.T) {
 	data := testData()
-	// Both runs must be at their convergence plateau for the 0.005 band to
-	// measure the asynchrony rather than unfinished training: the realized
-	// staleness varies with scheduling (the race detector skews it hard), and
+	// Both runs must be at their convergence plateau for the band to measure
+	// the asynchrony rather than unfinished training: the realized staleness
+	// varies with scheduling (the race detector skews it hard), and
 	// mid-convergence that noise shows up directly in the AUC.
 	const batches, batchSize, evalN = 50, 128, 1500
-	base := Config{
-		Spec:        testSpec(),
-		Data:        data,
-		Topology:    cluster.Topology{Nodes: 1, GPUsPerNode: 1},
-		BatchSize:   batchSize,
-		Batches:     batches,
-		MaxInFlight: 4,
-		Seed:        7,
+	var syncAUCs, asyncAUCs []float64
+	for _, seed := range aucSeeds {
+		base := Config{
+			Spec:        testSpec(),
+			Data:        data,
+			Topology:    cluster.Topology{Nodes: 1, GPUsPerNode: 1},
+			BatchSize:   batchSize,
+			Batches:     batches,
+			MaxInFlight: 4,
+			Seed:        seed,
+		}
+		sync := runTrainer(t, base)
+		syncAUCs = append(syncAUCs, evalAUC(t, sync, dataset.NewGenerator(data, 999), evalN))
+
+		asyncCfg := base
+		asyncCfg.AsyncPush = true
+		asyncCfg.PushLag = 2
+		async := runTrainer(t, asyncCfg)
+		asyncAUCs = append(asyncAUCs, evalAUC(t, async, dataset.NewGenerator(data, 999), evalN))
 	}
-	sync := runTrainer(t, base)
-	syncAUC := evalAUC(t, sync, dataset.NewGenerator(data, 999), evalN)
-
-	asyncCfg := base
-	asyncCfg.AsyncPush = true
-	asyncCfg.PushLag = 2
-	async := runTrainer(t, asyncCfg)
-	asyncAUC := evalAUC(t, async, dataset.NewGenerator(data, 999), evalN)
-
-	t.Logf("sync AUC = %.4f, async-push AUC = %.4f", syncAUC, asyncAUC)
+	syncAUC, asyncAUC := mean(syncAUCs), mean(asyncAUCs)
+	t.Logf("sync AUCs %.4f (mean %.4f), async-push AUCs %.4f (mean %.4f)", syncAUCs, syncAUC, asyncAUCs, asyncAUC)
 	if syncAUC < 0.6 {
-		t.Fatalf("synchronous baseline failed to learn (AUC %.4f)", syncAUC)
+		t.Fatalf("synchronous baseline failed to learn (mean AUC %.4f)", syncAUC)
 	}
-	if diff := math.Abs(syncAUC - asyncAUC); diff > 0.005 {
-		t.Fatalf("async push moved the AUC: |%.4f - %.4f| = %.4f > 0.005",
-			asyncAUC, syncAUC, diff)
+	if diff := math.Abs(syncAUC - asyncAUC); diff > aucBand {
+		t.Fatalf("async push moved the mean AUC: |%.4f - %.4f| = %.4f > %v",
+			asyncAUC, syncAUC, diff, aucBand)
 	}
 }
 
@@ -105,8 +140,29 @@ func TestAsyncPushMatchesSyncAUC(t *testing.T) {
 // cut while the committer is deliberately lagging must still cover every push
 // for batches below the cursor (Flush drains the committer before the shards
 // flush and the manifest is written), so a fresh trainer restoring from it
-// resumes cleanly and lands on the synchronous run's quality.
+// resumes cleanly and lands on the quality of a straight run — compared as
+// means over aucSeeds, like TestAsyncPushMatchesSyncAUC.
 func TestAsyncPushCheckpointRestores(t *testing.T) {
+	var straight, resumed []float64
+	for _, seed := range aucSeeds {
+		want, got := asyncResumeAUCs(t, seed)
+		straight, resumed = append(straight, want), append(resumed, got)
+	}
+	want, got := mean(straight), mean(resumed)
+	t.Logf("straight async AUCs %.4f (mean %.4f), async checkpoint+resume AUCs %.4f (mean %.4f)", straight, want, resumed, got)
+	if want < 0.6 {
+		t.Fatalf("straight async baseline failed to learn (mean AUC %.4f)", want)
+	}
+	if diff := math.Abs(want - got); diff > aucBand {
+		t.Fatalf("async resume diverged: |%.4f - %.4f| = %.4f > %v", got, want, diff, aucBand)
+	}
+}
+
+// asyncResumeAUCs trains one seed twice under a lagging committer — straight
+// through, and as half a run checkpointed mid-flight plus a fresh trainer
+// resuming from the checkpoint — and returns both held-out AUCs.
+func asyncResumeAUCs(t *testing.T, seed int64) (straightAUC, resumedAUC float64) {
+	t.Helper()
 	data := testData()
 	// Plateau-length run, same as TestAsyncPushMatchesSyncAUC: the final
 	// comparison must measure a lost push, not convergence noise.
@@ -120,9 +176,8 @@ func TestAsyncPushCheckpointRestores(t *testing.T) {
 		MaxInFlight: 4,
 		AsyncPush:   true,
 		PushLag:     2,
-		Seed:        11,
+		Seed:        seed,
 	}
-
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "ckpt.json")
 	halfCfg := base
@@ -180,13 +235,6 @@ func TestAsyncPushCheckpointRestores(t *testing.T) {
 	if err := straight.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	want := evalAUC(t, straight, dataset.NewGenerator(data, 999), evalN)
-	got := evalAUC(t, resumed, dataset.NewGenerator(data, 999), evalN)
-	t.Logf("straight async AUC = %.4f, async checkpoint+resume AUC = %.4f", want, got)
-	if want < 0.6 {
-		t.Fatalf("straight async baseline failed to learn (AUC %.4f)", want)
-	}
-	if diff := math.Abs(want - got); diff > 0.005 {
-		t.Fatalf("async resume diverged: |%.4f - %.4f| = %.4f > 0.005", got, want, diff)
-	}
+	return evalAUC(t, straight, dataset.NewGenerator(data, 999), evalN),
+		evalAUC(t, resumed, dataset.NewGenerator(data, 999), evalN)
 }
