@@ -131,6 +131,21 @@ func (l *LogLossAccumulator) Add(p, y float64) {
 	l.mu.Unlock()
 }
 
+// Merge moves everything recorded in other into l, leaving other empty: a
+// worker records into its own accumulator and folds it into the shared one
+// once per commit instead of contending on the shared mutex per example. l's
+// Mean and Count then read as if every Add had been made on l directly.
+func (l *LogLossAccumulator) Merge(other *LogLossAccumulator) {
+	other.mu.Lock()
+	sum, count := other.sum, other.count
+	other.sum, other.count = 0, 0
+	other.mu.Unlock()
+	l.mu.Lock()
+	l.sum += sum
+	l.count += count
+	l.mu.Unlock()
+}
+
 // Mean returns the mean loss, or 0 if nothing was recorded.
 func (l *LogLossAccumulator) Mean() float64 {
 	l.mu.Lock()

@@ -172,6 +172,48 @@ func TestLogLossAccumulator(t *testing.T) {
 	}
 }
 
+// TestLogLossAccumulatorMerge: per-worker accumulators folded into a shared
+// one — concurrently, the way the trainer's GPU workers do it — read exactly
+// like one accumulator that saw every Add, and a merged-from accumulator is
+// empty again (a second Merge must not double count).
+func TestLogLossAccumulatorMerge(t *testing.T) {
+	const workers, rounds, perRound = 4, 25, 8
+	var shared, direct LogLossAccumulator
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var own LogLossAccumulator
+			for r := 0; r < rounds; r++ {
+				for i := 0; i < perRound; i++ {
+					own.Add(float64(1+(w+r+i)%9)/10, float64(i%2))
+				}
+				shared.Merge(&own)
+				if own.Count() != 0 || own.Mean() != 0 {
+					t.Errorf("worker %d: merged-from accumulator not emptied", w)
+				}
+				shared.Merge(&own) // empty: must change nothing
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := 0; w < workers; w++ {
+		for r := 0; r < rounds; r++ {
+			for i := 0; i < perRound; i++ {
+				direct.Add(float64(1+(w+r+i)%9)/10, float64(i%2))
+			}
+		}
+	}
+	if shared.Count() != direct.Count() || shared.Count() != workers*rounds*perRound {
+		t.Fatalf("merged count %d, direct %d", shared.Count(), direct.Count())
+	}
+	// The partial sums associate differently, so the means agree to rounding.
+	if diff := math.Abs(shared.Mean() - direct.Mean()); diff > 1e-12 {
+		t.Fatalf("merged mean %v != direct mean %v", shared.Mean(), direct.Mean())
+	}
+}
+
 func TestThroughput(t *testing.T) {
 	tp := Throughput{Examples: 1000, Elapsed: 2 * time.Second}
 	if tp.ExamplesPerSecond() != 500 {

@@ -8,6 +8,12 @@
 // gradient of the loss with respect to that input vector is returned by
 // Backward so the caller can push it back into the embedding parameters
 // (with sum pooling, every referenced feature receives that same gradient).
+//
+// There are two ways to take a training step. Forward + Backward + Apply is
+// the reference: it materializes the dense gradient and hands it to any
+// optimizer.Dense. Forward + BackwardApply is what the trainer runs: one fused
+// pass under Adagrad that never builds the gradient and touches only the
+// coordinates whose gradient is non-zero, bit-identical to the reference.
 package nn
 
 import (
@@ -95,6 +101,9 @@ type Activations struct {
 	// deltas are Backward's per-layer gradient scratch buffers, allocated
 	// lazily and reused across examples.
 	deltas [][]float32
+	// cols is BackwardApply's scratch for a layer input's non-zero column
+	// list, with capacity for the widest layer input.
+	cols []int32
 }
 
 // deltaBuf returns the reusable gradient buffer of width n for layer slot i.
@@ -112,9 +121,12 @@ func (a *Activations) deltaBuf(i, n int) []float32 {
 func (n *Network) NewActivations() *Activations {
 	a := &Activations{values: make([][]float32, len(n.layers)+1)}
 	a.values[0] = make([]float32, n.cfg.InputDim)
+	widest := 0
 	for i, l := range n.layers {
 		a.values[i+1] = make([]float32, l.w.Rows)
+		widest = max(widest, l.w.Cols)
 	}
+	a.cols = make([]int32, 0, widest)
 	return a
 }
 
@@ -138,12 +150,11 @@ func (n *Network) Forward(acts *Activations) float32 {
 	return tensor.Sigmoid(logit)
 }
 
-// Gradients accumulates dense-parameter gradients over a mini-batch.
+// Gradients holds the materialized dense-parameter gradient of the reference
+// step: Backward accumulates into it and Apply hands it to the optimizer.
 type Gradients struct {
 	w []*tensor.Matrix
 	b [][]float32
-	// Examples counts how many examples were accumulated, for averaging.
-	Examples int
 }
 
 // NewGradients allocates a zeroed gradient accumulator matching the network.
@@ -164,47 +175,6 @@ func (g *Gradients) Zero() {
 			g.b[i][j] = 0
 		}
 	}
-	g.Examples = 0
-}
-
-// Add accumulates other into g (used to reduce gradients across workers).
-func (g *Gradients) Add(other *Gradients) {
-	for i := range g.w {
-		tensor.Axpy(1, other.w[i].Data, g.w[i].Data)
-		tensor.Axpy(1, other.b[i], g.b[i])
-	}
-	g.Examples += other.Examples
-}
-
-// Flatten appends all gradient values into a single slice (weights then bias,
-// layer by layer), used by the dense all-reduce.
-func (g *Gradients) Flatten(dst []float32) []float32 {
-	for i := range g.w {
-		dst = append(dst, g.w[i].Data...)
-		dst = append(dst, g.b[i]...)
-	}
-	return dst
-}
-
-// SetFromFlat overwrites the accumulator from a flattened representation
-// produced by Flatten. It returns an error on length mismatch.
-func (g *Gradients) SetFromFlat(flat []float32) error {
-	off := 0
-	for i := range g.w {
-		nw := len(g.w[i].Data)
-		nb := len(g.b[i])
-		if off+nw+nb > len(flat) {
-			return fmt.Errorf("nn: flat gradient too short: %d", len(flat))
-		}
-		copy(g.w[i].Data, flat[off:off+nw])
-		off += nw
-		copy(g.b[i], flat[off:off+nb])
-		off += nb
-	}
-	if off != len(flat) {
-		return fmt.Errorf("nn: flat gradient too long: %d != %d", len(flat), off)
-	}
-	return nil
 }
 
 // Backward computes gradients of the log-loss at (pred, label) for the
@@ -233,7 +203,41 @@ func (n *Network) Backward(acts *Activations, pred, label float32, g *Gradients)
 		}
 		delta = prev
 	}
-	g.Examples++
+	return delta
+}
+
+// BackwardApply is Backward followed by Apply under Adagrad, fused into one
+// pass that never materializes the gradient: it updates the parameters and
+// state in place and returns the gradient with respect to the network input,
+// backed by acts' scratch like Backward's. Layer by layer, top down, it
+// propagates delta through the layer's weights as they were before this
+// example's update (exactly what Backward reads, since there Apply runs after
+// every layer's Backward), then applies the layer's rank-1 weight gradient
+// delta ⊗ in, skipping the rows ReLU zeroed in delta and the columns it zeroed
+// in the layer's input — under Adagrad a zero gradient changes nothing.
+// Parameters, state (given NewDenseState's initialization) and the returned
+// gradient are bit-identical to Zero + Backward + Apply; it allocates nothing.
+func (n *Network) BackwardApply(acts *Activations, pred, label float32, opt optimizer.Adagrad, state *DenseState) []float32 {
+	delta := acts.deltaBuf(len(n.layers), 1)
+	delta[0] = pred - label
+	for i := len(n.layers) - 1; i >= 0; i-- {
+		l := n.layers[i]
+		in := acts.values[i]
+		prev := acts.deltaBuf(i, l.w.Cols)
+		tensor.MatTVec(l.w, delta, prev)
+		if i > 0 {
+			tensor.ReLUGrad(in, prev)
+		}
+		cols := acts.cols[:0]
+		for j, v := range in {
+			if v != 0 {
+				cols = append(cols, int32(j))
+			}
+		}
+		opt.ApplyRank1(l.w.Data, state.w[i], delta, in, cols)
+		opt.ApplySparse(l.b, state.b[i], delta)
+		delta = prev
+	}
 	return delta
 }
 
@@ -244,14 +248,53 @@ type DenseState struct {
 }
 
 // NewDenseState allocates optimizer state for the network under the given
-// dense optimizer.
+// dense optimizer. Adagrad accumulators start at InitialAccumulator rather
+// than at the zero the optimizer would lazily replace: Apply touches every
+// coordinate, so after the first example the two are the same state, but
+// BackwardApply visits only non-zero gradients — started eagerly, its state
+// equals Apply's on every coordinate, and two replicas that first touch the
+// same coordinate do not both add the initial value before their states are
+// summed by Commit.
 func (n *Network) NewDenseState(opt optimizer.Dense) *DenseState {
+	var initial float32
+	if a, ok := opt.(optimizer.Adagrad); ok {
+		initial = a.InitialAccumulator
+	}
 	s := &DenseState{}
 	for _, l := range n.layers {
-		s.w = append(s.w, make([]float32, opt.StateSize(len(l.w.Data))))
-		s.b = append(s.b, make([]float32, opt.StateSize(len(l.b))))
+		s.w = append(s.w, filled(opt.StateSize(len(l.w.Data)), initial))
+		s.b = append(s.b, filled(opt.StateSize(len(l.b)), initial))
 	}
 	return s
+}
+
+func filled(n int, v float32) []float32 {
+	out := make([]float32, n)
+	if v != 0 {
+		for i := range out {
+			out[i] = v
+		}
+	}
+	return out
+}
+
+// CopyFrom overwrites s with other's state; the two must have been allocated
+// for the same network shape and optimizer.
+func (s *DenseState) CopyFrom(other *DenseState) {
+	for i := range s.w {
+		copy(s.w[i], other.w[i])
+		copy(s.b[i], other.b[i])
+	}
+}
+
+// Commit folds a replica's training run into s, the stored state, the way
+// Network.Commit folds the parameters: Adagrad's accumulator is a sum of
+// squared gradients, so two replicas' contributions add.
+func (s *DenseState) Commit(orig, final *DenseState) {
+	for i := range s.w {
+		commit(s.w[i], orig.w[i], final.w[i])
+		commit(s.b[i], orig.b[i], final.b[i])
+	}
 }
 
 // Flatten appends the optimizer state into dst (weight state then bias
@@ -285,27 +328,13 @@ func (s *DenseState) SetFromFlat(flat []float32) error {
 	return nil
 }
 
-// Apply updates the network parameters with the accumulated gradients,
-// averaged over g.Examples (or applied raw when g.Examples <= 1).
+// Apply updates the network parameters with the gradients accumulated in g
+// since its last Zero.
 func (n *Network) Apply(opt optimizer.Dense, state *DenseState, g *Gradients) {
-	scale := float32(1)
-	if g.Examples > 1 {
-		scale = 1 / float32(g.Examples)
-	}
 	for i, l := range n.layers {
-		applyBlock(opt, l.w.Data, state.w[i], g.w[i].Data, scale)
-		applyBlock(opt, l.b, state.b[i], g.b[i], scale)
+		opt.ApplyDense(l.w.Data, state.w[i], g.w[i].Data)
+		opt.ApplyDense(l.b, state.b[i], g.b[i])
 	}
-}
-
-func applyBlock(opt optimizer.Dense, w, state, grad []float32, scale float32) {
-	if scale != 1 {
-		scaled := make([]float32, len(grad))
-		copy(scaled, grad)
-		tensor.Scale(scale, scaled)
-		grad = scaled
-	}
-	opt.ApplyDense(w, state, grad)
 }
 
 // FlattenParams appends all network parameters into dst (weights then bias,
@@ -348,6 +377,36 @@ func (n *Network) Clone() *Network {
 		out.layers = append(out.layers, nl)
 	}
 	return out
+}
+
+// CopyFrom overwrites n's parameters with other's; the two must have the same
+// shape. Unlike Clone it allocates nothing, so a replica can be refreshed on
+// the training hot path.
+func (n *Network) CopyFrom(other *Network) {
+	for i, l := range n.layers {
+		copy(l.w.Data, other.layers[i].w.Data)
+		copy(l.b, other.layers[i].b)
+	}
+}
+
+// Commit folds a replica's training run into n, the stored copy: orig is the
+// replica as it was checked out of n and final the same replica after
+// training. Every stored parameter becomes final + (stored - orig) — the
+// formula of hbmps.CommitBlock, with its exactness argument: bit-for-bit final
+// where nothing else was committed since the check-out (stored == orig, so the
+// correction is an exact zero), and the base value plus both contributions
+// where a peer replica's commit landed in between.
+func (n *Network) Commit(orig, final *Network) {
+	for i, l := range n.layers {
+		commit(l.w.Data, orig.layers[i].w.Data, final.layers[i].w.Data)
+		commit(l.b, orig.layers[i].b, final.layers[i].b)
+	}
+}
+
+func commit(stored, orig, final []float32) {
+	for j, f := range final {
+		stored[j] = f + (stored[j] - orig[j])
+	}
 }
 
 // PoolSum sums the given embedding vectors into dst (which must have the

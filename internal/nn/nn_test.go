@@ -164,61 +164,35 @@ func TestTrainingReducesLoss(t *testing.T) {
 	}
 }
 
-func TestGradientsAddAndZero(t *testing.T) {
+func TestGradientsZero(t *testing.T) {
 	n := testNet()
 	acts := n.NewActivations()
 	for i := range acts.Input() {
 		acts.Input()[i] = 0.5
 	}
-	pred := n.Forward(acts)
-	g1 := n.NewGradients()
-	g2 := n.NewGradients()
-	n.Backward(acts, pred, 1, g1)
-	n.Backward(acts, pred, 1, g2)
-	g1.Add(g2)
-	if g1.Examples != 2 {
-		t.Fatalf("Examples = %d", g1.Examples)
-	}
-	flat := g1.Flatten(nil)
-	if int64(len(flat)) != n.ParamCount() {
-		t.Fatalf("flat gradient length %d != param count %d", len(flat), n.ParamCount())
-	}
-	g1.Zero()
-	if g1.Examples != 0 {
-		t.Fatal("Zero should reset example count")
-	}
-	for _, v := range g1.Flatten(nil) {
-		if v != 0 {
-			t.Fatal("Zero should clear gradients")
-		}
-	}
-}
-
-func TestGradientsFlattenRoundTrip(t *testing.T) {
-	n := testNet()
-	acts := n.NewActivations()
-	for i := range acts.Input() {
-		acts.Input()[i] = float32(i)
-	}
-	pred := n.Forward(acts)
 	g := n.NewGradients()
-	n.Backward(acts, pred, 0, g)
-	flat := g.Flatten(nil)
-	g2 := n.NewGradients()
-	if err := g2.SetFromFlat(flat); err != nil {
-		t.Fatal(err)
-	}
-	flat2 := g2.Flatten(nil)
-	for i := range flat {
-		if flat[i] != flat2[i] {
-			t.Fatal("flatten round trip mismatch")
+	n.Backward(acts, n.Forward(acts), 1, g)
+	nonZero := func() (count int) {
+		for i := range g.w {
+			for _, v := range g.w[i].Data {
+				if v != 0 {
+					count++
+				}
+			}
+			for _, v := range g.b[i] {
+				if v != 0 {
+					count++
+				}
+			}
 		}
+		return count
 	}
-	if err := g2.SetFromFlat(flat[:3]); err == nil {
-		t.Fatal("short flat should error")
+	if nonZero() == 0 {
+		t.Fatal("Backward accumulated nothing")
 	}
-	if err := g2.SetFromFlat(append(flat, 0)); err == nil {
-		t.Fatal("long flat should error")
+	g.Zero()
+	if nonZero() != 0 {
+		t.Fatal("Zero should clear gradients")
 	}
 }
 

@@ -82,6 +82,19 @@ func (a Adagrad) eps() float32 {
 	return a.Eps
 }
 
+// step is the per-element rule, written once: ApplySparse and ApplyRank1 both
+// inline it, so a coordinate reached through either sees the same expression
+// (and, on an architecture that fuses multiply-adds, the same fusion) and the
+// two cannot drift apart. The lazy InitialAccumulator covers state that
+// arrives zeroed (a fresh embedding row, a restored checkpoint).
+func (a Adagrad) step(w, s, g, eps float32) (float32, float32) {
+	if s == 0 && a.InitialAccumulator > 0 {
+		s = a.InitialAccumulator
+	}
+	s += g * g
+	return w - a.LR*g/(float32(math.Sqrt(float64(s)))+eps), s
+}
+
 // ApplySparse implements Sparse. state must have the same length as w.
 func (a Adagrad) ApplySparse(w, state, grad []float32) {
 	checkLens("adagrad", w, grad)
@@ -90,12 +103,38 @@ func (a Adagrad) ApplySparse(w, state, grad []float32) {
 	}
 	eps := a.eps()
 	for i, g := range grad {
-		if state[i] == 0 && a.InitialAccumulator > 0 {
-			state[i] = a.InitialAccumulator
+		w[i], state[i] = a.step(w[i], state[i], g, eps)
+	}
+}
+
+// ApplyRank1 applies the rank-1 gradient g[r][j] = u[r]*v[j] — a
+// fully-connected layer's weight gradient for one example — to the row-major
+// len(u) x len(v) block w and its state, without materializing g. A zero
+// gradient is a no-op under Adagrad once the accumulator is initialized, so
+// rows with u[r] == 0 are skipped and only the columns listed in cols are
+// visited: cols must hold exactly the indices j with v[j] != 0, ascending. On
+// every coordinate it does visit, the result is bit-identical to ApplySparse
+// over the materialized gradient.
+func (a Adagrad) ApplyRank1(w, state, u, v []float32, cols []int32) {
+	n := len(v)
+	if len(w) != len(u)*n || len(state) != len(w) {
+		panic(fmt.Sprintf("optimizer: adagrad rank-1 block %d (state %d) != %d x %d", len(w), len(state), len(u), n))
+	}
+	eps := a.eps()
+	for r, ur := range u {
+		if ur == 0 {
+			continue
 		}
-		state[i] += g * g
-		denom := float32(math.Sqrt(float64(state[i]))) + eps
-		w[i] -= a.LR * g / denom
+		wr, sr := w[r*n:(r+1)*n], state[r*n:(r+1)*n]
+		if len(cols) == n { // no zero column: skip the indirection
+			for j, vj := range v {
+				wr[j], sr[j] = a.step(wr[j], sr[j], float32(ur*vj), eps)
+			}
+			continue
+		}
+		for _, j := range cols {
+			wr[j], sr[j] = a.step(wr[j], sr[j], float32(ur*v[j]), eps)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -99,6 +100,60 @@ func TestDenseEqualsSparse(t *testing.T) {
 	}
 }
 
+// TestAdagradRank1MatchesMaterialized: ApplyRank1 over (u, v) leaves exactly
+// what ApplySparse leaves over the materialized gradient u ⊗ v — with a full
+// column list (the dense loop), with zero rows and zero columns skipped, and
+// from zeroed state, where a coordinate it skips keeps the zero ApplySparse
+// would have replaced (the one place the two may differ, by design: the
+// accumulator is then initialized at the coordinate's first non-zero gradient).
+func TestAdagradRank1MatchesMaterialized(t *testing.T) {
+	o := Adagrad{LR: 0.05, InitialAccumulator: 0.1}
+	rng := rand.New(rand.NewSource(1))
+	const rows, cols = 7, 11
+	for trial := 0; trial < 50; trial++ {
+		sparse := trial%2 == 1
+		u, v := make([]float32, rows), make([]float32, cols)
+		for r := range u {
+			if !sparse || rng.Intn(2) == 0 {
+				u[r] = rng.Float32()*2 - 1
+			}
+		}
+		var nz []int32
+		for j := range v {
+			if !sparse || rng.Intn(2) == 0 {
+				v[j] = rng.Float32()*2 - 1
+				nz = append(nz, int32(j))
+			}
+		}
+		w1, s1 := make([]float32, rows*cols), make([]float32, rows*cols)
+		for i := range w1 {
+			w1[i] = rng.Float32()*2 - 1
+			if trial%4 < 2 {
+				s1[i] = o.InitialAccumulator + rng.Float32()
+			}
+		}
+		w2, s2 := append([]float32(nil), w1...), append([]float32(nil), s1...)
+		grad := make([]float32, rows*cols)
+		for r := range u {
+			for j := range v {
+				grad[r*cols+j] = u[r] * v[j]
+			}
+		}
+		for step := 0; step < 3; step++ {
+			o.ApplySparse(w1, s1, grad)
+			o.ApplyRank1(w2, s2, u, v, nz)
+		}
+		for i := range w1 {
+			if grad[i] == 0 && s2[i] == 0 {
+				s2[i] = o.InitialAccumulator // skipped from zeroed state
+			}
+			if math.Float32bits(w1[i]) != math.Float32bits(w2[i]) || math.Float32bits(s1[i]) != math.Float32bits(s2[i]) {
+				t.Fatalf("trial %d element %d: materialized (%v, %v) vs rank-1 (%v, %v)", trial, i, w1[i], s1[i], w2[i], s2[i])
+			}
+		}
+	}
+}
+
 func TestGradientDescentDirectionProperty(t *testing.T) {
 	// For every optimizer, a positive gradient must never increase the
 	// parameter and a negative gradient must never decrease it.
@@ -131,6 +186,12 @@ func TestLengthPanics(t *testing.T) {
 		func() { SGD{LR: 1}.ApplySparse([]float32{1}, nil, []float32{1, 2}) },
 		func() { Adagrad{LR: 1}.ApplySparse([]float32{1}, []float32{}, []float32{1}) },
 		func() { Momentum{LR: 1}.ApplySparse([]float32{1, 2}, []float32{0}, []float32{1, 2}) },
+		func() {
+			Adagrad{LR: 1}.ApplyRank1(make([]float32, 5), make([]float32, 5), make([]float32, 2), make([]float32, 3), nil)
+		},
+		func() {
+			Adagrad{LR: 1}.ApplyRank1(make([]float32, 6), make([]float32, 5), make([]float32, 2), make([]float32, 3), nil)
+		},
 	}
 	for i, fn := range cases {
 		func() {
@@ -151,4 +212,41 @@ func TestDefaults(t *testing.T) {
 	if DefaultSparse().Name() != "adagrad" {
 		t.Fatal("default sparse should be adagrad (CTR convention)")
 	}
+}
+
+// BenchmarkAdagrad times the two ways a coordinate reaches the shared element
+// rule: ApplySparse over a whole block (an embedding row, or the reference
+// dense step's materialized gradient) and ApplyRank1 over a 64x128 layer with
+// half of delta's rows and half of the input's columns zeroed by ReLU.
+func BenchmarkAdagrad(b *testing.B) {
+	o := Adagrad{LR: 0.01, InitialAccumulator: 0.1}
+	rng := rand.New(rand.NewSource(1))
+	const rows, cols = 64, 128
+	u, v := make([]float32, rows), make([]float32, cols)
+	var nz []int32
+	for r := range u {
+		if r%2 == 0 {
+			u[r] = rng.Float32()*2 - 1
+		}
+	}
+	for j := range v {
+		if j%2 == 0 {
+			v[j] = rng.Float32()*2 - 1
+			nz = append(nz, int32(j))
+		}
+	}
+	w, state, grad := make([]float32, rows*cols), make([]float32, rows*cols), make([]float32, rows*cols)
+	for i := range grad {
+		grad[i] = u[i/cols] * v[i%cols]
+	}
+	b.Run("sparse-block", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			o.ApplySparse(w, state, grad)
+		}
+	})
+	b.Run("rank1", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			o.ApplyRank1(w, state, u, v, nz)
+		}
+	})
 }

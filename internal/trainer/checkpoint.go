@@ -95,7 +95,7 @@ func (t *Trainer) writeManifest() error {
 	t.mu.Unlock()
 	// The dense tower and its optimizer state must come from the same
 	// instant: holding denseMu across both flattens keeps a concurrent
-	// micro-run from landing between them.
+	// replica commit from landing between them.
 	t.denseMu.Lock()
 	m.Dense = t.net.FlattenParams(make([]float32, 0, len(t.denseFlat)))
 	m.DenseOpt = t.denseState.Flatten(nil)
@@ -200,6 +200,7 @@ func (t *Trainer) Restore(path string) (int, error) {
 	if err == nil {
 		err = t.denseState.SetFromFlat(m.DenseOpt)
 	}
+	t.denseVersion++ // the workers' replicas no longer equal the stored copy
 	t.denseMu.Unlock()
 	if err != nil {
 		return 0, fmt.Errorf("trainer: restore dense state: %w", err)

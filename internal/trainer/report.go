@@ -71,6 +71,10 @@ type Report struct {
 	ReadAmplification float64
 	// MeanLoss is the mean training log-loss.
 	MeanLoss float64
+	// DenseCommits counts the GPU workers' dense-replica commits (one per
+	// micro-run); DenseMerges counts those that found a peer's commit since
+	// their check-out and merged by delta instead of copying the replica over.
+	DenseCommits, DenseMerges int64
 	// Remote describes the real network activity of a multi-process run;
 	// nil for in-process runs.
 	Remote *RemoteNetReport
@@ -129,6 +133,9 @@ func (t *Trainer) Report() Report {
 		Tiers:       t.Tiers(),
 		MeanLoss:    t.loss.Mean(),
 	}
+	t.denseMu.Lock()
+	r.DenseCommits, r.DenseMerges = t.denseCommits, t.denseMerges
+	t.denseMu.Unlock()
 
 	var wall []pipeline.StageStats
 	if t.pipe != nil {
@@ -233,6 +240,7 @@ func (r Report) String() string {
 	fmt.Fprintf(&b, "=== hierarchical parameter server: model %s, %d node(s) x %d GPU(s), pipeline depth %d ===\n",
 		r.Model, r.Nodes, r.GPUsPerNode, r.MaxInFlight)
 	fmt.Fprintf(&b, "batches %d   examples %d   mean log-loss %.4f\n", r.Batches, r.Examples, r.MeanLoss)
+	fmt.Fprintf(&b, "dense replicas: %d commits, %d merged with a peer's\n", r.DenseCommits, r.DenseMerges)
 	fmt.Fprintf(&b, "\n-- batch pipeline (modelled hardware time) --\n")
 	for _, s := range r.Stages {
 		marker := "  "

@@ -25,21 +25,26 @@
 // it dedups its shard's keys, pulls them into a reused ValueBlock, indexes
 // every example's features by row offset, applies the sparse optimizer to the
 // block in place, and commits the accumulated result. All scratch (blocks,
-// activations, gradients, offset buffers) is pool-recycled, so steady-state
-// batches allocate close to nothing.
+// activations, offset buffers) is pooled or owned by the GPU worker, so
+// steady-state batches allocate close to nothing.
 //
 // # Dense-tower staleness
 //
-// The dense tower is replicated across GPUs and modelled by one shared
-// network under a mutex. Workers take that lock once per micro-run of
-// denseMicroRun examples rather than once per example; within a run the
-// worker's examples see each other's dense updates exactly as before, but
-// updates from other GPU workers become visible only at micro-run boundaries.
-// A worker's dense replica is therefore at most denseMicroRun-1 examples
-// stale with respect to its peers — the same bounded-staleness trade the
-// batch pipeline already makes across batches, now applied within one. With a
-// single GPU (or the sequential test hook) there is no concurrent writer and
-// the semantics are bit-identical to per-example locking.
+// Every GPU worker holds its own replica of the dense tower and its Adagrad
+// state (the paper pins the dense parameters in every GPU's HBM, Appendix
+// C.4); Trainer.net and Trainer.denseState are the stored copy the replicas
+// sync through, which is also what Predict, the checkpoint and the serving
+// republish read. Replicas sync every denseMicroRun examples: a worker checks
+// its replica out of the stored copy, trains the run on it with no lock held,
+// and commits stored = final + (stored - orig) under denseMu — the formula and
+// exactness argument of hbmps.CommitBlock, so one rule syncs the sparse rows
+// (once per batch) and the dense tower (once per micro-run). A replica can
+// miss at most what its peers trained since its check-out; every worker has
+// committed by the barrier that ends trainOnGPUs, so the next batch's first
+// check-out sees everything — the bound the sparse rows already accept. With
+// a single GPU (or the sequential test hook) no peer commits in between: the
+// correction term is an exact zero, the check-out copies nothing, and the
+// arithmetic is bit-identical to training the stored copy in place.
 package trainer
 
 import (
@@ -234,6 +239,10 @@ type node struct {
 	local  *memps.MemPS
 	mem    memService
 	hbm    *hbmps.HBMPS
+	// workers[g] is GPU g's training state. stageTrain runs on one pipeline
+	// goroutine and trainOnGPUs gives each GPU one goroutine, so a worker is
+	// only ever used by one goroutine at a time.
+	workers []*gpuWorker
 }
 
 // nodeBatch carries one node's view of a batch through the pipeline.
@@ -270,15 +279,22 @@ type Trainer struct {
 	remote    *cluster.TCPTransport
 	remoteNet *remoteNet
 
-	// The dense tower is replicated on every GPU and kept in sync by a
-	// per-example all-reduce; the replication is modelled by a single shared
-	// network updated under a mutex.
-	denseMu    sync.Mutex
-	net        *nn.Network
-	denseState *nn.DenseState
-	denseOpt   optimizer.Dense
-	sparseOpt  optimizer.Sparse
-	evalActs   *nn.Activations
+	// The dense tower is replicated on every GPU worker (gpuWorker); net and
+	// denseState are the stored copy the replicas check out of and commit to
+	// (package comment, "Dense-tower staleness"). denseMu guards the stored
+	// copy and the counters beside it. denseVersion is bumped by every write
+	// to the stored copy, so a worker can tell whether it changed since the
+	// worker last synced with it; denseCommits counts replica commits and
+	// denseMerges those that found a peer's commit and took the delta path.
+	denseMu      sync.Mutex
+	net          *nn.Network
+	denseState   *nn.DenseState
+	denseVersion uint64
+	denseCommits int64
+	denseMerges  int64
+	denseOpt     optimizer.Adagrad
+	sparseOpt    optimizer.Sparse
+	evalActs     *nn.Activations
 
 	pipe *pipeline.Pipeline[*job]
 
@@ -296,10 +312,6 @@ type Trainer struct {
 	// implementation (per-example pulls and gradient pushes); a test hook
 	// used to assert the batched path reproduces it exactly.
 	perExample bool
-
-	// scratch pools per-GPU-worker training buffers (activations, gradients,
-	// offset/stamp scratch) across shards and batches.
-	scratch sync.Pool
 
 	// denseFlat is the reused dense-parameter flatten buffer for serving
 	// republish; only the republish path — stagePush (single pipeline
@@ -396,9 +408,6 @@ func New(cfg Config) (*Trainer, error) {
 	t.net = nn.New(nn.Config{InputDim: dim, Hidden: cfg.Spec.HiddenLayers, Seed: cfg.Seed})
 	t.denseState = t.net.NewDenseState(t.denseOpt)
 	t.evalActs = t.net.NewActivations()
-	t.scratch.New = func() any {
-		return &shardScratch{acts: t.net.NewActivations(), grads: t.net.NewGradients()}
-	}
 
 	if remoteMode {
 		t.remote = cluster.NewTCPTransport(cfg.RemoteShards, dim)
@@ -530,7 +539,11 @@ func (t *Trainer) buildNode(id int, root string) (*node, error) {
 		Profile:    cfg.Profile.HDFS,
 		Clock:      t.clock,
 	})
-	return &node{id: id, gen: gen, stream: stream, dev: dev, store: store, local: local, mem: mem, hbm: hbm}, nil
+	workers := make([]*gpuWorker, cfg.Topology.GPUsPerNode)
+	for g := range workers {
+		workers[g] = t.newGPUWorker()
+	}
+	return &node{id: id, gen: gen, stream: stream, dev: dev, store: store, local: local, mem: mem, hbm: hbm, workers: workers}, nil
 }
 
 // eachNode runs fn for every node concurrently and returns the first error.
@@ -853,24 +866,83 @@ func (t *Trainer) trainOnGPUs(n *node, b *dataset.Batch) error {
 	return nil
 }
 
-// denseMicroRun is how many examples a GPU worker trains per dense-tower
-// lock hold; see the package comment's staleness discussion.
+// denseMicroRun is how many examples a GPU worker trains on its dense replica
+// between syncs with the stored copy; see the package comment's staleness
+// discussion.
 const denseMicroRun = 32
 
-// shardScratch is one GPU worker's pooled training state: the dense buffers
-// plus the offset/stamp scratch of the batched sparse path. Pooled on
-// Trainer.scratch, so steady-state shards allocate nothing.
-type shardScratch struct {
-	acts  *nn.Activations
-	grads *nn.Gradients
-	vecs  [][]float32
-	offs  []int32
-	keys  []keys.Key
+// gpuWorker is one GPU's training state: its replica of the dense tower and
+// the scratch of the batched sparse path, allocated once by shape so
+// steady-state shards allocate nothing.
+type gpuWorker struct {
+	// net and state are the replica, trained in place with no lock held;
+	// origNet and origState are its snapshot at check-out, which the commit's
+	// delta is taken against — with the stored copy, the four copies a commit
+	// needs. version is the Trainer.denseVersion at which the replica last
+	// equalled the stored copy.
+	net, origNet     *nn.Network
+	state, origState *nn.DenseState
+	version          uint64
+	// loss collects the worker's examples between commits, so the shared
+	// accumulator's mutex is taken once per micro-run, not once per example.
+	loss metrics.LogLossAccumulator
+	acts *nn.Activations
+	vecs [][]float32
+	offs []int32
+	keys []keys.Key
 	// stamp[row] == ver marks rows already updated by the current example,
 	// deduplicating repeated features within one example exactly like the
 	// per-example path's gradient map did.
 	stamp []uint32
 	ver   uint32
+}
+
+// newGPUWorker allocates a worker whose replica equals the freshly built
+// stored copy (denseVersion 0), so its first check-out copies nothing.
+func (t *Trainer) newGPUWorker() *gpuWorker {
+	return &gpuWorker{
+		net: t.net.Clone(), origNet: t.net.Clone(),
+		state: t.net.NewDenseState(t.denseOpt), origState: t.net.NewDenseState(t.denseOpt),
+		acts: t.net.NewActivations(),
+	}
+}
+
+// checkoutDense syncs w's replica with the stored copy — skipped when nothing
+// was written since the replica last equalled it, i.e. w's own commit was the
+// last — and snapshots it for the commit.
+func (t *Trainer) checkoutDense(w *gpuWorker) {
+	t.denseMu.Lock()
+	if w.version != t.denseVersion {
+		w.net.CopyFrom(t.net)
+		w.state.CopyFrom(t.denseState)
+		w.version = t.denseVersion
+	}
+	t.denseMu.Unlock()
+	w.origNet.CopyFrom(w.net)
+	w.origState.CopyFrom(w.state)
+}
+
+// commitDense folds w's trained replica into the stored copy: stored = final
+// + (stored - orig). When nothing was written since the check-out, stored ==
+// orig bit-for-bit and the formula yields exactly final, so the replica is
+// copied over and stays in sync; otherwise a peer committed in between and
+// the stored copy ends up with both contributions.
+func (t *Trainer) commitDense(w *gpuWorker) {
+	t.denseMu.Lock()
+	merge := w.version != t.denseVersion
+	t.denseVersion++
+	t.denseCommits++
+	if merge {
+		t.denseMerges++
+		t.net.Commit(w.origNet, w.net)
+		t.denseState.Commit(w.origState, w.state)
+	} else {
+		t.net.CopyFrom(w.net)
+		t.denseState.CopyFrom(w.state)
+		w.version = t.denseVersion
+	}
+	t.denseMu.Unlock()
+	t.loss.Merge(&w.loss)
 }
 
 // trainShard trains one GPU worker's mini-batch with batched parameter
@@ -888,18 +960,17 @@ func (t *Trainer) trainShard(n *node, gpuID int, shard *dataset.Batch) error {
 	if t.perExample {
 		return t.trainShardPerExample(n, gpuID, shard)
 	}
-	sc := t.scratch.Get().(*shardScratch)
-	defer t.scratch.Put(sc)
+	w := n.workers[gpuID]
 
 	// The shard's unique key set, sorted: row offsets are binary searches.
 	// Dedup sorts the concatenated features in place inside the reused
 	// scratch slice — no copy is taken, and pre-sorted input skips the sort.
-	kb := sc.keys[:0]
+	kb := w.keys[:0]
 	for i := range shard.Examples {
 		kb = append(kb, shard.Examples[i].Features...)
 	}
 	uniq := keys.Dedup(kb)
-	sc.keys = uniq
+	w.keys = uniq
 
 	dim := t.cfg.Spec.EmbeddingDim
 	work := ps.GetBlock(dim, uniq)
@@ -911,72 +982,68 @@ func (t *Trainer) trainShard(n *node, gpuID int, shard *dataset.Batch) error {
 	defer ps.PutBlock(orig)
 	orig.CopyFrom(work)
 
-	if cap(sc.stamp) < len(uniq) {
-		sc.stamp = make([]uint32, len(uniq))
+	if cap(w.stamp) < len(uniq) {
+		w.stamp = make([]uint32, len(uniq))
 	} else {
-		sc.stamp = sc.stamp[:len(uniq)]
+		w.stamp = w.stamp[:len(uniq)]
 	}
 
 	examples := shard.Examples
 	for start := 0; start < len(examples); start += denseMicroRun {
 		end := min(start+denseMicroRun, len(examples))
-		// One lock hold per micro-run: the dense replica syncs with other
-		// workers at run boundaries (package comment, "Dense-tower
-		// staleness").
-		t.denseMu.Lock()
+		// One check-out and one commit per micro-run; in between the worker
+		// trains its own replica and its own block, no lock held (package
+		// comment, "Dense-tower staleness").
+		t.checkoutDense(w)
 		for e := start; e < end; e++ {
 			ex := &examples[e]
-			sc.vecs = sc.vecs[:0]
-			sc.offs = sc.offs[:0]
+			w.vecs = w.vecs[:0]
+			w.offs = w.offs[:0]
 			for _, k := range ex.Features {
 				row, _ := work.Row(k) // every feature is in the shard's key set
 				off := int32(row)
-				sc.offs = append(sc.offs, off)
-				sc.vecs = append(sc.vecs, work.WeightsRow(int(off)))
+				w.offs = append(w.offs, off)
+				w.vecs = append(w.vecs, work.WeightsRow(int(off)))
 			}
-			nn.PoolSum(sc.acts.Input(), sc.vecs)
-			pred := t.net.Forward(sc.acts)
-			sc.grads.Zero()
-			inputGrad := t.net.Backward(sc.acts, pred, ex.Label, sc.grads)
-			t.net.Apply(t.denseOpt, t.denseState, sc.grads)
-			t.loss.Add(float64(pred), float64(ex.Label))
+			nn.PoolSum(w.acts.Input(), w.vecs)
+			pred := w.net.Forward(w.acts)
+			inputGrad := w.net.BackwardApply(w.acts, pred, ex.Label, t.denseOpt, w.state)
+			w.loss.Add(float64(pred), float64(ex.Label))
 
 			// With sum pooling every referenced feature receives the input
 			// gradient; apply the sparse optimizer to the block in place so
 			// later examples of this shard see the update, exactly like the
-			// per-example path reading back from the tables. The sparse loop
-			// deliberately stays inside the denseMu hold even though it only
-			// touches the worker-private block: the next example's gather
-			// must observe it for bit-parity with the reference path, and it
-			// is small next to the dense forward/backward it rides with.
-			sc.ver++
-			if sc.ver == 0 { // stamp wrapped: reset the epoch space
-				for i := range sc.stamp {
-					sc.stamp[i] = 0
+			// per-example path reading back from the tables.
+			w.ver++
+			if w.ver == 0 { // stamp wrapped: reset the epoch space
+				for i := range w.stamp {
+					w.stamp[i] = 0
 				}
-				sc.ver = 1
+				w.ver = 1
 			}
-			for _, off := range sc.offs {
-				if sc.stamp[off] == sc.ver {
+			for _, off := range w.offs {
+				if w.stamp[off] == w.ver {
 					continue // repeated feature within the example
 				}
-				sc.stamp[off] = sc.ver
+				w.stamp[off] = w.ver
 				t.sparseOpt.ApplySparse(work.WeightsRow(int(off)), work.G2Row(int(off)), inputGrad)
 				work.Freq[off]++
 			}
 		}
-		t.denseMu.Unlock()
+		t.commitDense(w)
 	}
 	return n.hbm.CommitBlock(gpuID, orig, work)
 }
 
 // trainShardPerExample is the pre-batching reference implementation: pull
-// the example's embeddings, train, push the gradients — per example. It is
-// kept (behind the perExample hook) so tests can assert the batched path
-// reproduces it exactly.
+// the example's embeddings, train the stored dense copy in place with the
+// reference Backward + Apply, push the gradients — per example. It is kept
+// (behind the perExample hook) so tests can assert that the batched path,
+// replicas and fused step included, reproduces it exactly.
 func (t *Trainer) trainShardPerExample(n *node, gpuID int, shard *dataset.Batch) error {
 	acts := t.net.NewActivations()
 	grads := t.net.NewGradients()
+	var denseOpt optimizer.Dense = t.denseOpt // converted once, not per example
 	vecs := make([][]float32, 0, t.cfg.Data.NonZerosPerExample)
 	for _, ex := range shard.Examples {
 		values, err := n.hbm.Pull(ps.PullRequest{Shard: gpuID, Keys: ex.Features})
@@ -988,14 +1055,14 @@ func (t *Trainer) trainShardPerExample(n *node, gpuID int, shard *dataset.Batch)
 			vecs = append(vecs, values[k].Weights)
 		}
 
-		// The dense tower is replicated across GPUs and synchronized per
-		// example; the shared network under a mutex models that.
+		// No replica here: every example trains the stored copy itself.
 		t.denseMu.Lock()
 		nn.PoolSum(acts.Input(), vecs)
 		pred := t.net.Forward(acts)
 		grads.Zero()
 		inputGrad := t.net.Backward(acts, pred, ex.Label, grads)
-		t.net.Apply(t.denseOpt, t.denseState, grads)
+		t.net.Apply(denseOpt, t.denseState, grads)
+		t.denseVersion++
 		t.denseMu.Unlock()
 		t.loss.Add(float64(pred), float64(ex.Label))
 

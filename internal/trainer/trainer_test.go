@@ -122,14 +122,16 @@ func TestConvergesToReferenceOracle(t *testing.T) {
 
 // TestBatchedMatchesPerExample pins the batched hot path's arithmetic: with
 // a single GPU and the sequential hook (no concurrent writers anywhere) the
-// block pull -> offset-indexed in-place training -> block commit cycle is
+// block pull -> offset-indexed in-place training -> block commit cycle, on a
+// checked-out dense replica with the fused backward+Adagrad step, is
 // bit-for-bit the same computation as the per-example pull/push reference
-// path, so the two runs must produce the *identical* AUC — not merely a
-// close one.
+// path training the stored copy in place with Backward + Apply. So the two
+// runs must end with the *identical* dense tower and optimizer state, bit for
+// bit, and (the sparse half) the identical AUC — not merely close ones.
 func TestBatchedMatchesPerExample(t *testing.T) {
 	data := testData()
 	spec := testSpec()
-	run := func(perExample bool) float64 {
+	run := func(perExample bool) (auc float64, params, state []float32) {
 		tr, err := New(Config{
 			Spec:        spec,
 			Data:        data,
@@ -148,11 +150,18 @@ func TestBatchedMatchesPerExample(t *testing.T) {
 		if err := tr.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		return evalAUC(t, tr, dataset.NewGenerator(data, 999), 1500)
+		params, state = denseFlats(tr)
+		return evalAUC(t, tr, dataset.NewGenerator(data, 999), 1500), params, state
 	}
-	batched := run(false)
-	perExample := run(true)
+	batched, batchedParams, batchedState := run(false)
+	perExample, refParams, refState := run(true)
 	t.Logf("batched AUC = %.6f, per-example AUC = %.6f", batched, perExample)
+	if !sameBits(batchedParams, refParams) {
+		t.Fatal("batched path's dense parameters differ from the per-example reference's")
+	}
+	if !sameBits(batchedState, refState) {
+		t.Fatal("batched path's dense optimizer state differs from the per-example reference's")
+	}
 	if batched != perExample {
 		t.Fatalf("batched path diverged from the per-example reference: %.9f != %.9f", batched, perExample)
 	}
