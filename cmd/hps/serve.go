@@ -121,6 +121,7 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
+	defer dev.Close() // for the error paths; shutdown closes it after the final flush
 	shardParams := spec.SparseParams / int64(*shards)
 	cacheEntries := int(float64(shardParams) * *cacheFrac)
 	if cacheEntries < 128 {
@@ -139,10 +140,20 @@ func runServe(args []string) error {
 		// previous incarnation flushed. The recovery report goes to stderr —
 		// the driver passes stderr through, so operators (and the CI smoke
 		// test) can see how much state survived.
-		if err := store.Recover(); err != nil {
+		dropped, err := store.Recover()
+		if err != nil {
 			return fmt.Errorf("recover ssd-ps in %s: %w", root, err)
 		}
-		fmt.Fprintf(os.Stderr, "hps-shard %d: restored %d parameters from %s\n", *shard, store.Len(), root)
+		report := fmt.Sprintf("hps-shard %d: restored %d parameters from %s", *shard, store.Len(), root)
+		if len(dropped) > 0 {
+			// Parameter files a dying process left half-written (or damage):
+			// left out whole, never read in part.
+			report += fmt.Sprintf("; dropped %d extents", len(dropped))
+			for _, d := range dropped {
+				report += fmt.Sprintf(" (%v)", d)
+			}
+		}
+		fmt.Fprintln(os.Stderr, report)
 	}
 	topo := cluster.Topology{Nodes: *shards, GPUsPerNode: 1}
 	var peerTr *cluster.TCPTransport
@@ -256,6 +267,9 @@ func runServe(args []string) error {
 	}
 	if err := mem.Flush(); err != nil {
 		fmt.Fprintf(os.Stderr, "hps-shard %d: flush: %v\n", *shard, err)
+	}
+	if err := dev.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "hps-shard %d: %v\n", *shard, err)
 	}
 	// The flush made every applied push durable: compact the dedup log down
 	// to its live window so the shard directory does not accrete one record

@@ -1,7 +1,6 @@
 package memps
 
 import (
-	"os"
 	"testing"
 	"time"
 
@@ -13,11 +12,9 @@ import (
 	"hps/internal/ssdps"
 )
 
-// failableNode builds a single-node MEM-PS whose SSD-PS can be made to fail
-// by removing dir out from under it (blockio writes plain files there).
-func failableNode(t *testing.T, dir string, lru, lfu int) *MemPS {
+// failableStore opens an SSD-PS over dir.
+func failableStore(t *testing.T, dir string, clock *simtime.Clock) *ssdps.Store {
 	t.Helper()
-	clock := simtime.NewClock()
 	ssd := hw.SSD{
 		ReadBandwidthBytesPerSec:  1 << 30,
 		WriteBandwidthBytesPerSec: 1 << 30,
@@ -29,15 +26,26 @@ func failableNode(t *testing.T, dir string, lru, lfu int) *MemPS {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { dev.Close() })
 	store, err := ssdps.Open(dev, ssdps.Config{Dim: 4, ParamsPerFile: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return store
+}
+
+// failableNode builds a single-node MEM-PS over dir whose SSD-PS can be made
+// to fail by closing its device (breakStore) — removing dir would not do, the
+// device holds its backing file open — and to work again by putting a store
+// over a reopened device in its place (healStore).
+func failableNode(t *testing.T, dir string, lru, lfu int) *MemPS {
+	t.Helper()
+	clock := simtime.NewClock()
 	m, err := New(Config{
 		NodeID:     0,
 		Dim:        4,
 		Topology:   cluster.Topology{Nodes: 1, GPUsPerNode: 1},
-		Store:      store,
+		Store:      failableStore(t, dir, clock),
 		Clock:      clock,
 		LRUEntries: lru,
 		LFUEntries: lfu,
@@ -47,6 +55,22 @@ func failableNode(t *testing.T, dir string, lru, lfu int) *MemPS {
 		t.Fatal(err)
 	}
 	return m
+}
+
+func breakStore(t *testing.T, m *MemPS) {
+	t.Helper()
+	if err := m.Store().Device().Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func healStore(t *testing.T, m *MemPS) {
+	t.Helper()
+	store := failableStore(t, m.Store().Device().Dir(), m.cfg.Clock)
+	if _, err := store.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	m.cfg.Store = store
 }
 
 // TestFlushFailureKeepsParameters is the data-loss regression test for the
@@ -74,9 +98,7 @@ func TestFlushFailureKeepsParameters(t *testing.T) {
 	}
 
 	// Break the store: every Dump now fails to write its file.
-	if err := os.RemoveAll(dir); err != nil {
-		t.Fatal(err)
-	}
+	breakStore(t, m)
 	if err := m.Flush(); err == nil {
 		t.Fatal("flush over a broken store must fail")
 	}
@@ -98,9 +120,7 @@ func TestFlushFailureKeepsParameters(t *testing.T) {
 	}
 
 	// Heal the store: the retried flush dumps everything that was buffered.
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
+	healStore(t, m)
 	if err := m.Flush(); err != nil {
 		t.Fatalf("flush after healing the store: %v", err)
 	}
@@ -124,9 +144,7 @@ func TestEvictDumpFailureKeepsBuffer(t *testing.T) {
 	if err := m.CompleteBatch(ws); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.RemoveAll(dir); err != nil {
-		t.Fatal(err)
-	}
+	breakStore(t, m)
 	if _, err := m.Evict(ks); err == nil {
 		t.Fatal("evict over a broken store must fail")
 	}
@@ -139,9 +157,7 @@ func TestEvictDumpFailureKeepsBuffer(t *testing.T) {
 			t.Fatalf("key %d lost by the failed evict dump", k)
 		}
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
+	healStore(t, m)
 	if _, err := m.Evict(ks); err != nil {
 		t.Fatalf("evict after healing the store: %v", err)
 	}

@@ -28,6 +28,7 @@ func TestTierConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			t.Cleanup(func() { dev.Close() })
 			store, err := ssdps.Open(dev, ssdps.Config{Dim: dim, ParamsPerFile: 4})
 			if err != nil {
 				t.Fatal(err)

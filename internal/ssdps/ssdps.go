@@ -13,7 +13,9 @@
 // then the embedding.Value encoding at the store's dimension), so the mapping
 // addresses a parameter as (file, slot): a load decodes only the slots it was
 // asked for out of the file it read, and compaction moves live records as raw
-// bytes.
+// bytes. On disk a parameter file is an extent of the device's one backing
+// file (see blockio), which numbers the files in creation order and
+// checksums them.
 package ssdps
 
 import (
@@ -21,6 +23,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"slices"
 	"sync"
 	"time"
@@ -78,13 +81,14 @@ type Stats struct {
 	Loads, Dumps int64
 	// UsageBytes is the physical disk usage of live files.
 	UsageBytes int64
+	// DroppedExtents counts the parameter files the last Recover found torn
+	// or damaged and left out.
+	DroppedExtents int64
 }
 
 type fileMeta struct {
-	name  string
-	id    int64 // creation order
-	total int   // records written into the file
-	stale int   // records superseded by newer files
+	ext   blockio.Extent // ext.ID is the creation order, ext.Records the records written
+	stale int            // records superseded by newer files
 }
 
 // loc addresses the latest copy of a parameter: record slot of file.
@@ -93,10 +97,16 @@ type loc struct {
 	slot uint32
 }
 
+// hdr is the room in front of a parameter file's records that the device
+// fills with its extent header.
+const hdr = blockio.HeaderBytes
+
 // scratch is the per-operation working memory loads, dumps and compactions
 // reuse through Store.scratch.
 type scratch struct {
-	buf   []byte // one parameter file, as read or as about to be written
+	// buf is one parameter file, as read or as about to be written: the
+	// device's extent header, then the records.
+	buf   []byte
 	wants []want
 }
 
@@ -121,18 +131,19 @@ type Store struct {
 	pushMu sync.Mutex
 
 	// compactMu admits one compaction pass at a time: two passes would pick
-	// the same victims and unlink each other's inputs.
+	// the same victims and erase each other's inputs.
 	compactMu sync.Mutex
 	// fileMu keeps parameter files alive while they are read: a load holds
 	// it shared from picking its files (under mu) until its last read
-	// returns, and compaction takes it exclusively to unlink its victims. It
-	// is ordered before mu and, unlike mu, is held across device I/O.
+	// returns, and compaction takes it exclusively to erase its victims —
+	// the device hands an erased extent to the next dump, so a load still
+	// reading one would see its next tenant's bytes. It is ordered after
+	// compactMu and before mu and, unlike mu, is held across device I/O.
 	fileMu sync.RWMutex
 
 	mu      sync.Mutex
-	nextID  int64
 	mapping map[keys.Key]loc     // parameter -> record holding its latest copy
-	files   map[string]*fileMeta // file name -> metadata
+	files   map[uint64]*fileMeta // creation id -> metadata
 	stats   Stats
 
 	stride  int       // bytes per record: 8 of key + the encoded value
@@ -141,9 +152,11 @@ type Store struct {
 
 var _ ps.Tier = (*Store)(nil)
 
-// Open creates a store on top of dev. The directory may be empty (a fresh
-// store) — recovering an existing store's mapping from disk is supported via
-// Recover.
+// Open creates a store on top of dev and fixes the device's extent geometry
+// to the store's record size and file size. The device may be new (a fresh
+// store) or hold a previous run's parameter files of the same geometry:
+// Recover rebuilds the mapping from them, and a store that starts dumping
+// without it starts empty.
 func Open(dev *blockio.Device, cfg Config) (*Store, error) {
 	if dev == nil {
 		return nil, errors.New("ssdps: nil device")
@@ -152,13 +165,17 @@ func Open(dev *blockio.Device, cfg Config) (*Store, error) {
 	if cfg.DiskUsageThresholdBytes == 0 {
 		cfg.DiskUsageThresholdBytes = dev.CapacityBytes()
 	}
-	return &Store{
+	s := &Store{
 		cfg:     cfg,
 		dev:     dev,
 		mapping: make(map[keys.Key]loc),
-		files:   make(map[string]*fileMeta),
+		files:   make(map[uint64]*fileMeta),
 		stride:  8 + embedding.EncodedSize(cfg.Dim),
-	}, nil
+	}
+	if err := dev.Format(s.stride, cfg.ParamsPerFile); err != nil {
+		return nil, fmt.Errorf("ssdps: open (dimension %d, %d-byte records): %w", cfg.Dim, s.stride, err)
+	}
+	return s, nil
 }
 
 func (s *Store) getScratch() *scratch {
@@ -168,54 +185,56 @@ func (s *Store) getScratch() *scratch {
 	return &scratch{}
 }
 
-// Recover rebuilds the in-memory slot index from scratch by scanning every
-// parameter file on the device in creation order (later records supersede
-// earlier ones). It is used when reopening a directory written by a previous
-// run. A file that is not a whole number of records of the store's dimension
-// is reported as an error naming it.
-func (s *Store) Recover() error {
+// Recover rebuilds the in-memory slot index from scratch with one sequential
+// scan of the device's backing file, as when reopening a directory written
+// by a previous run. Of the copies of a key the one in the file with the
+// highest creation id wins, whatever order the scan meets them in. Parameter
+// files that fail their checksum — a dump cut short by the death of the
+// process, or damage — are left out whole and returned: the latest
+// acknowledged copy of a key always carries the highest id, so a file that
+// is dropped (like one compaction already erased) can only have held copies
+// that were stale or never acknowledged. A verified file with a record of
+// another dimension, and a directory of the per-file layout this store no
+// longer reads, are errors.
+func (s *Store) Recover() ([]blockio.Dropped, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	clear(s.mapping)
 	clear(s.files)
-	var buf []byte
-	for _, name := range s.dev.ListFiles() { // zero-padded ids: lexical order is creation order
-		id := parseFileID(name)
-		if id < 0 {
-			// Not a parameter file: the device directory also hosts other
-			// durable state (the shard server's push-dedup seq log).
-			continue
-		}
-		data, err := s.dev.ReadInto(name, -1, buf)
-		if err != nil {
-			return fmt.Errorf("ssdps: recover %s: %w", name, err)
-		}
-		buf = data
-		if len(data)%s.stride != 0 {
-			return fmt.Errorf("ssdps: recover %s: %d bytes is not a whole number of %d-byte records (dimension %d)",
-				name, len(data), s.stride, s.cfg.Dim)
-		}
-		meta := &fileMeta{name: name, id: id, total: len(data) / s.stride}
-		for slot := 0; slot < meta.total; slot++ {
-			rec := data[slot*s.stride:]
+	dropped, err := s.dev.Scan(func(ext blockio.Extent, records []byte) error {
+		meta := &fileMeta{ext: ext}
+		for slot := 0; slot < ext.Records; slot++ {
+			rec := records[slot*s.stride:]
 			if dim := binary.LittleEndian.Uint32(rec[8:]); int64(dim) != int64(s.cfg.Dim) {
-				return fmt.Errorf("ssdps: recover %s: record %d has dimension %d, the store has %d",
-					name, slot, dim, s.cfg.Dim)
+				return fmt.Errorf("%v: record %d has dimension %d, the store has %d", ext, slot, dim, s.cfg.Dim)
 			}
 			k := keys.Key(binary.LittleEndian.Uint64(rec))
 			// Every superseded record is stale in the file that holds it, so
 			// one pass leaves each file with stale = total - live.
-			if prev, ok := s.mapping[k]; ok {
+			prev, ok := s.mapping[k]
+			if ok && prev.file.ext.ID > ext.ID {
+				meta.stale++
+				continue
+			}
+			if ok {
 				prev.file.stale++
 			}
 			s.mapping[k] = loc{meta, uint32(slot)}
 		}
-		s.files[name] = meta
-		if id >= s.nextID {
-			s.nextID = id + 1
+		s.files[ext.ID] = meta
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("ssdps: recover: %w", err)
+	}
+	if len(s.files) == 0 && len(dropped) == 0 {
+		if old, _ := filepath.Glob(filepath.Join(s.dev.Dir(), "pf-*.dat")); len(old) > 0 {
+			return nil, fmt.Errorf("ssdps: recover: %s holds %d parameter files of the one-file-each layout (%s, ...) and no extents; this store does not read them",
+				s.dev.Dir(), len(old), filepath.Base(old[0]))
 		}
 	}
-	return nil
+	s.stats.DroppedExtents = int64(len(dropped))
+	return dropped, nil
 }
 
 // Dim returns the embedding dimension of stored values.
@@ -237,7 +256,7 @@ func (s *Store) Len() int {
 }
 
 // decodeSlot decodes the record in the given slot of a parameter file's
-// bytes, which must hold key k at the store's dimension.
+// records, which must hold key k at the store's dimension.
 func (s *Store) decodeSlot(data []byte, slot uint32, k keys.Key) (*embedding.Value, error) {
 	off := int(slot) * s.stride
 	if off+s.stride > len(data) {
@@ -257,27 +276,15 @@ func (s *Store) decodeSlot(data []byte, slot uint32, k keys.Key) (*embedding.Val
 	return v, nil
 }
 
-func parseFileID(name string) int64 {
-	var id int64
-	_, err := fmt.Sscanf(name, "pf-%d.dat", &id)
+// writeFile writes buf — room for the device's header, then the records of
+// one new parameter file — and returns the file's metadata (not yet
+// registered in s.files) and the modelled write duration.
+func (s *Store) writeFile(buf []byte) (*fileMeta, time.Duration, error) {
+	ext, err := s.dev.WriteFile(buf)
 	if err != nil {
-		return -1
-	}
-	return id
-}
-
-// writeFile writes data, the records of one new parameter file, and returns
-// the file's metadata (not yet registered in s.files) and the modelled write
-// duration.
-func (s *Store) writeFile(data []byte) (*fileMeta, time.Duration, error) {
-	s.mu.Lock()
-	meta := &fileMeta{name: fmt.Sprintf("pf-%012d.dat", s.nextID), id: s.nextID, total: len(data) / s.stride}
-	s.nextID++
-	s.mu.Unlock()
-	if err := s.dev.WriteFile(meta.name, data); err != nil {
 		return nil, 0, err
 	}
-	return meta, s.dev.Profile().WriteTime(int64(len(data))), nil
+	return &fileMeta{ext: ext}, s.dev.Profile().WriteTime(int64(len(buf) - hdr)), nil
 }
 
 // Load returns the values of the requested keys that exist in the store.
@@ -334,7 +341,7 @@ func (s *Store) LoadInto(ks []keys.Key, dst []*embedding.Value) ([]*embedding.Va
 
 	// Group the requested records by the file that holds them.
 	slices.SortFunc(wants, func(a, b want) int {
-		if c := cmp.Compare(a.file.id, b.file.id); c != 0 {
+		if c := cmp.Compare(a.file.ext.ID, b.file.ext.ID); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.slot, b.slot)
@@ -345,16 +352,17 @@ func (s *Store) LoadInto(ks []keys.Key, dst []*embedding.Value) ([]*embedding.Va
 		for n < len(wants) && wants[n].file == file {
 			n++
 		}
-		data, err := s.dev.ReadInto(file.name, int64(n)*int64(s.stride), sc.buf)
+		data, err := s.dev.ReadInto(file.ext, int64(n)*int64(s.stride), sc.buf)
 		if err != nil {
 			return nil, 0, fmt.Errorf("ssdps: load: %w", err)
 		}
 		sc.buf = data
+		records := data[hdr:]
 		// Mirror the device's charge (whole-file read) for per-tier stats.
-		readTime += s.dev.Profile().ReadTime(int64(len(data)))
+		readTime += s.dev.Profile().ReadTime(int64(len(records)))
 		for _, w := range wants[:n] {
-			if dst[w.idx], err = s.decodeSlot(data, w.slot, ks[w.idx]); err != nil {
-				return nil, 0, fmt.Errorf("ssdps: load %s: %w", file.name, err)
+			if dst[w.idx], err = s.decodeSlot(records, w.slot, ks[w.idx]); err != nil {
+				return nil, 0, fmt.Errorf("ssdps: load %v: %w", file.ext, err)
 			}
 		}
 		wants = wants[n:]
@@ -386,9 +394,9 @@ func (s *Store) Dump(vals map[keys.Key]*embedding.Value) error {
 	for len(sorted) > 0 {
 		chunk := sorted[:min(s.cfg.ParamsPerFile, len(sorted))]
 		sorted = sorted[len(chunk):]
-		sc.buf = slices.Grow(sc.buf[:0], len(chunk)*s.stride)[:len(chunk)*s.stride]
+		sc.buf = slices.Grow(sc.buf[:0], hdr+len(chunk)*s.stride)[:hdr+len(chunk)*s.stride]
 		for i, k := range chunk {
-			rec := sc.buf[i*s.stride : (i+1)*s.stride]
+			rec := sc.buf[hdr+i*s.stride : hdr+(i+1)*s.stride]
 			binary.LittleEndian.PutUint64(rec, uint64(k))
 			vals[k].Encode(rec[8:])
 		}
@@ -399,7 +407,7 @@ func (s *Store) Dump(vals map[keys.Key]*embedding.Value) error {
 		writeTime += d
 
 		s.mu.Lock()
-		s.files[written.name] = written
+		s.files[written.ext.ID] = written
 		for i, k := range chunk {
 			if prev, ok := s.mapping[k]; ok {
 				prev.file.stale++
@@ -530,7 +538,7 @@ func (s *Store) Compact() error {
 	s.mu.Lock()
 	var victims []*fileMeta
 	for _, meta := range s.files {
-		if meta.total == 0 || float64(meta.stale)/float64(meta.total) >= s.cfg.StaleFractionToCompact {
+		if float64(meta.stale)/float64(meta.ext.Records) >= s.cfg.StaleFractionToCompact {
 			victims = append(victims, meta)
 		}
 	}
@@ -538,7 +546,7 @@ func (s *Store) Compact() error {
 	if len(victims) == 0 {
 		return nil
 	}
-	slices.SortFunc(victims, func(a, b *fileMeta) int { return cmp.Compare(a.id, b.id) })
+	slices.SortFunc(victims, func(a, b *fileMeta) int { return cmp.Compare(a.ext.ID, b.ext.ID) })
 	sc := s.getScratch()
 	defer s.scratch.Put(sc)
 
@@ -551,17 +559,14 @@ func (s *Store) Compact() error {
 	var live []liveRec
 	var raw []byte
 	for _, v := range victims {
-		data, err := s.dev.ReadInto(v.name, -1, sc.buf)
+		data, err := s.dev.ReadInto(v.ext, -1, sc.buf)
 		if err != nil {
-			return fmt.Errorf("ssdps: compact read %s: %w", v.name, err)
+			return fmt.Errorf("ssdps: compact: %w", err)
 		}
 		sc.buf = data
-		if len(data) < v.total*s.stride {
-			return fmt.Errorf("ssdps: compact read %s: %d bytes, want %d records of %d", v.name, len(data), v.total, s.stride)
-		}
 		s.mu.Lock()
-		for slot := 0; slot < v.total; slot++ {
-			rec := data[slot*s.stride : (slot+1)*s.stride]
+		for slot := 0; slot < v.ext.Records; slot++ {
+			rec := data[hdr+slot*s.stride : hdr+(slot+1)*s.stride]
 			k := keys.Key(binary.LittleEndian.Uint64(rec))
 			if from := (loc{v, uint32(slot)}); s.mapping[k] == from {
 				live = append(live, liveRec{k, from, len(raw)})
@@ -577,7 +582,7 @@ func (s *Store) Compact() error {
 	for rest := live; len(rest) > 0; {
 		chunk := rest[:min(s.cfg.ParamsPerFile, len(rest))]
 		rest = rest[len(chunk):]
-		sc.buf = sc.buf[:0]
+		sc.buf = sc.buf[:hdr]
 		for _, r := range chunk {
 			sc.buf = append(sc.buf, raw[r.off:r.off+s.stride]...)
 		}
@@ -588,7 +593,7 @@ func (s *Store) Compact() error {
 		writeTime += d
 
 		s.mu.Lock()
-		s.files[written.name] = written
+		s.files[written.ext.ID] = written
 		for i, r := range chunk {
 			if s.mapping[r.key] == r.from {
 				r.from.file.stale++
@@ -606,13 +611,14 @@ func (s *Store) Compact() error {
 
 	// Erase the victims. No key maps to them any more, so only loads that
 	// picked their files before the rewrite can still be reading them;
-	// taking fileMu exclusively waits those out.
+	// taking fileMu exclusively waits those out, and only then does the
+	// device get the extents back to hand to later dumps.
 	s.fileMu.Lock()
 	erased := 0
 	var err error
 	for _, v := range victims {
-		if err = s.dev.Remove(v.name); err != nil {
-			err = fmt.Errorf("ssdps: compact erase %s: %w", v.name, err)
+		if err = s.dev.Remove(v.ext); err != nil {
+			err = fmt.Errorf("ssdps: compact erase: %w", err)
 			break
 		}
 		erased++
@@ -622,7 +628,7 @@ func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, v := range victims[:erased] {
-		delete(s.files, v.name)
+		delete(s.files, v.ext.ID)
 		s.stats.CompactedFiles++
 	}
 	if err != nil {

@@ -3,6 +3,7 @@ package ssdps
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -29,7 +30,26 @@ func testDevice(t *testing.T) *blockio.Device {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { dev.Close() })
 	return dev
+}
+
+// backingFileSize returns the size of the device's backing file, which must
+// be the only thing in the device's directory.
+func backingFileSize(t *testing.T, dev *blockio.Device) int64 {
+	t.Helper()
+	entries, err := os.ReadDir(dev.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != blockio.BackingFile {
+		t.Fatalf("device directory holds %v, want only %s", entries, blockio.BackingFile)
+	}
+	info, err := entries[0].Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.Size()
 }
 
 func testStore(t *testing.T, cfg Config) *Store {
@@ -208,68 +228,68 @@ func TestCompactIfNeededThreshold(t *testing.T) {
 func TestDiskUsageBoundedUnderChurn(t *testing.T) {
 	// Repeatedly rewrite the same key set; with compaction triggered by a
 	// modest threshold the number of live files must stay bounded instead of
-	// growing linearly with the number of dumps.
-	dev := testDevice(t)
-	s, err := Open(dev, Config{Dim: 2, ParamsPerFile: 8, DiskUsageThresholdBytes: 16 * 4096, StaleFractionToCompact: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 50; round++ {
-		vals := makeVals(2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16)
-		for _, v := range vals {
-			v.Weights[1] = float32(round)
-		}
-		if err := s.Dump(vals); err != nil {
+	// growing linearly with the number of dumps, and the backing file with
+	// them: erased extents are reused before the file grows. The second shape
+	// has parameter files of exactly one block, so the file size and the
+	// block-rounded usage are comparable.
+	for _, shape := range []struct{ perFile, nKeys int }{{8, 16}, {128, 256}} {
+		dev := testDevice(t)
+		s, err := Open(dev, Config{Dim: 2, ParamsPerFile: shape.perFile, DiskUsageThresholdBytes: 16 * 4096, StaleFractionToCompact: 0.5})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.CompactIfNeeded(); err != nil {
-			t.Fatal(err)
+		ks := make([]uint64, shape.nKeys)
+		for i := range ks {
+			ks[i] = uint64(i + 1)
 		}
-	}
-	st := s.Stats()
-	if st.LiveParams != 16 {
-		t.Fatalf("live = %d", st.LiveParams)
-	}
-	if st.Files > 20 {
-		t.Fatalf("file count %d not bounded by compaction", st.Files)
-	}
-	if st.Compactions == 0 {
-		t.Fatal("expected at least one compaction")
-	}
-	// Latest values visible.
-	got, _ := s.Load([]keys.Key{7})
-	if got[7].Weights[1] != 49 {
-		t.Fatalf("latest value lost: %v", got[7].Weights[1])
+		const rounds = 1000
+		var usageHighWater int64
+		for round := 0; round < rounds; round++ {
+			vals := makeVals(2, ks...)
+			for _, v := range vals {
+				v.Weights[1] = float32(round)
+			}
+			if err := s.Dump(vals); err != nil {
+				t.Fatal(err)
+			}
+			usageHighWater = max(usageHighWater, s.Stats().UsageBytes)
+			if _, err := s.CompactIfNeeded(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := s.Stats()
+		if st.LiveParams != int64(shape.nKeys) {
+			t.Fatalf("live = %d", st.LiveParams)
+		}
+		if st.Files > 20 {
+			t.Fatalf("file count %d not bounded by compaction", st.Files)
+		}
+		if st.Compactions == 0 {
+			t.Fatal("expected at least one compaction")
+		}
+		if size := backingFileSize(t, dev); size > usageHighWater*5/4 {
+			t.Fatalf("backing file is %d bytes after %d dumps, accounted usage never exceeded %d", size, rounds, usageHighWater)
+		}
+		// Latest values visible.
+		got, _ := s.Load([]keys.Key{7})
+		if got[7].Weights[1] != rounds-1 {
+			t.Fatalf("latest value lost: %v", got[7].Weights[1])
+		}
 	}
 }
 
 func TestRecoverRebuildsMapping(t *testing.T) {
 	dir := t.TempDir()
-	ssd := hw.SSD{BlockBytes: 4096}
-	dev, err := blockio.NewDevice(dir, ssd, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := Open(dev, Config{Dim: 2, ParamsPerFile: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1 := openDir(t, dir, Config{Dim: 2, ParamsPerFile: 2})
 	s1.Dump(makeVals(2, 1, 2, 3))
 	updated := makeVals(2, 2)
 	updated[2].Weights[0] = 99
 	s1.Dump(updated)
 
 	// Reopen the directory with a fresh store and recover.
-	dev2, err := blockio.NewDevice(dir, ssd, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dev2, Config{Dim: 2, ParamsPerFile: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Recover(); err != nil {
-		t.Fatal(err)
+	s2 := openDir(t, dir, Config{Dim: 2, ParamsPerFile: 2})
+	if dropped, err := s2.Recover(); err != nil || len(dropped) != 0 {
+		t.Fatalf("Recover = %v, %v", dropped, err)
 	}
 	if s2.Len() != 3 {
 		t.Fatalf("recovered %d params, want 3", s2.Len())
@@ -364,17 +384,27 @@ func TestConcurrentDumpLoad(t *testing.T) {
 // TestConcurrentLoadDumpCompact runs the three store operations a pipelined
 // MEM-PS overlaps — a batch loading its misses, another dumping its evictions,
 // a third compacting — against each other. A load must never find the file it
-// picked unlinked, and a value must never go backwards: compaction rewriting
+// picked erased or, worse, rewritten — the extents a compaction pass erases
+// go straight to the dumps of the next rounds, and the store is small enough
+// that all of them are reused many times within the test — and a value must
+// never go backwards: compaction rewriting
 // a copy it collected before a newer dump landed — the main loop re-dumps
 // half the keys every round while compaction passes run back to back — must
 // not supersede that dump. Every loaded value must be, bit for bit, some
 // version of its own key: compaction moves raw records between slots.
 func TestConcurrentLoadDumpCompact(t *testing.T) {
+	// The main loop dumps until enough compaction passes ran beside it.
 	const (
-		nKeys  = 48
-		rounds = 150
+		nKeys          = 48
+		minRounds      = 1500
+		maxRounds      = 200000
+		minCompactions = 50
 	)
-	s := testStore(t, Config{Dim: 2, ParamsPerFile: 4, StaleFractionToCompact: 0.25})
+	dev := testDevice(t)
+	s, err := Open(dev, Config{Dim: 2, ParamsPerFile: 4, StaleFractionToCompact: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ks := make([]keys.Key, nKeys)
 	for i := range ks {
 		ks[i] = keys.Key(i + 1)
@@ -441,7 +471,7 @@ func TestConcurrentLoadDumpCompact(t *testing.T) {
 			return nil
 		})
 	}
-	for v := uint32(1); v <= rounds && !t.Failed(); v++ {
+	for v := uint32(1); v <= maxRounds && !t.Failed() && (v <= minRounds || s.Stats().Compactions < minCompactions); v++ {
 		if err := s.Dump(version(v)); err != nil {
 			t.Fatal(err)
 		}
@@ -458,8 +488,15 @@ func TestConcurrentLoadDumpCompact(t *testing.T) {
 			t.Fatalf("key %d ended at %+v, want version %d", k, got[k], last[k])
 		}
 	}
-	if s.Stats().Compactions == 0 {
-		t.Fatal("no compaction pass ran: the test exercised nothing")
+	if n := s.Stats().Compactions; n < minCompactions {
+		t.Fatalf("%d compaction passes ran beside %d dumps: the test exercised too little", n, maxRounds)
+	}
+	// Every parameter file is 4 records of 32 bytes in a 512-byte slot. Had
+	// each gone to a slot of its own the file would be io.Writes slots long.
+	io := dev.Stats()
+	if slots := backingFileSize(t, dev) / 512; slots > io.Writes/2 {
+		t.Fatalf("%d parameter files written and %d erased, yet the backing file spans %d slots: erased extents were not reused",
+			io.Writes, io.Deletes, slots)
 	}
 }
 

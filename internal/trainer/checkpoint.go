@@ -210,7 +210,8 @@ func (t *Trainer) Restore(path string) (int, error) {
 		// from the flushed SSD-PS directory. (Shard servers recover their own
 		// stores via `hps serve -restore`.)
 		if n.store != nil {
-			if err := n.store.Recover(); err != nil {
+			// Torn parameter files are left out; the report counts them.
+			if _, err := n.store.Recover(); err != nil {
 				return 0, fmt.Errorf("trainer: recover node %d ssd-ps: %w", n.id, err)
 			}
 		}

@@ -153,9 +153,10 @@ func TestCloseKeepsStateWhenFlushFails(t *testing.T) {
 	if err := tr.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// Break the flush: node 0's device directory vanishes, so every Dump
-	// fails to write its parameter file.
-	if err := os.RemoveAll(filepath.Join(tr.tmpDir, "node-0")); err != nil {
+	// Break the flush: node 0's device is closed under it, so every Dump
+	// fails to write its parameter file. (Removing the directory would not
+	// do: the device holds its backing file open.)
+	if err := tr.nodes[0].dev.Close(); err != nil {
 		t.Fatal(err)
 	}
 	closeErr := tr.Close()

@@ -35,8 +35,8 @@ func durableShard(t *testing.T, dir string, topo cluster.Topology, id, dim int, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Recover(); err != nil {
-		t.Fatal(err)
+	if dropped, err := store.Recover(); err != nil || len(dropped) != 0 {
+		t.Fatalf("recover: dropped %v, err %v", dropped, err)
 	}
 	mem, err := memps.New(memps.Config{
 		NodeID:     id,

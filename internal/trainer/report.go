@@ -106,6 +106,7 @@ func addSSDStats(a, b ssdps.Stats) ssdps.Stats {
 	a.Loads += b.Loads
 	a.Dumps += b.Dumps
 	a.UsageBytes += b.UsageBytes
+	a.DroppedExtents += b.DroppedExtents
 	return a
 }
 
@@ -287,6 +288,9 @@ func (r Report) String() string {
 	if r.Remote == nil {
 		fmt.Fprintf(&b, "mem-ps cache hit rate %.1f%%   ssd-ps: %d files, %d live / %d stale params, %d compactions, read amplification %.1fx\n",
 			100*r.CacheHitRate, r.SSD.Files, r.SSD.LiveParams, r.SSD.StaleParams, r.SSD.Compactions, r.ReadAmplification)
+		if r.SSD.DroppedExtents > 0 {
+			fmt.Fprintf(&b, "ssd-ps recovery dropped %d torn extents\n", r.SSD.DroppedExtents)
+		}
 		return b.String()
 	}
 

@@ -427,6 +427,7 @@ func New(cfg Config) (*Trainer, error) {
 		t.remoteNet = &remoteNet{}
 	}
 	cleanup := func() {
+		t.closeDevices()
 		if ownsDir {
 			os.RemoveAll(dir)
 		}
@@ -467,15 +468,19 @@ func New(cfg Config) (*Trainer, error) {
 	return t, nil
 }
 
-func (t *Trainer) buildNode(id int, root string) (*node, error) {
+func (t *Trainer) buildNode(id int, root string) (_ *node, err error) {
 	cfg := t.cfg
 	var (
 		dev   *blockio.Device
 		store *ssdps.Store
 		local *memps.MemPS
 		mem   memService
-		err   error
 	)
+	defer func() {
+		if err != nil && dev != nil {
+			dev.Close()
+		}
+	}()
 	if t.remote != nil {
 		// Multi-process mode: the MEM-PS/SSD-PS of this node live in the
 		// shard-server process; this node only keeps the RPC-backed view.
@@ -1544,11 +1549,26 @@ func (t *Trainer) SetShardAddr(id int, addr string) {
 	t.remote.SetAddr(id, addr)
 }
 
+// closeDevices closes the SSD-PS device of every local node and returns the
+// first failure.
+func (t *Trainer) closeDevices() error {
+	var first error
+	for _, n := range t.nodes {
+		if n.dev == nil {
+			continue
+		}
+		if err := n.dev.Close(); err != nil && first == nil {
+			first = fmt.Errorf("trainer: node %d: %w", n.id, err)
+		}
+	}
+	return first
+}
+
 // Close flushes the hierarchy, closes the remote transport (in multi-process
-// mode) and removes the SSD-PS directories the trainer created. When the
-// flush fails, the directories are preserved — whatever the flush did manage
-// to write is the only durable copy of the model, and the error reports
-// where it lives. Close is idempotent.
+// mode) and the SSD-PS devices, and removes the SSD-PS directories the
+// trainer created. When the flush fails, the directories are preserved —
+// whatever the flush did manage to write is the only durable copy of the
+// model, and the error reports where it lives. Close is idempotent.
 func (t *Trainer) Close() error {
 	if t.closed {
 		return nil
@@ -1560,6 +1580,9 @@ func (t *Trainer) Close() error {
 	}
 	if t.remote != nil {
 		t.remote.Close()
+	}
+	if cerr := t.closeDevices(); err == nil {
+		err = cerr
 	}
 	if t.ownsDir {
 		if err != nil {
