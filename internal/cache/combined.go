@@ -1,4 +1,17 @@
+// Package cache implements the in-memory parameter caching policies used by
+// the MEM-PS (Section 5, Appendix D): the paper's combined policy, in which
+// entries evicted from an LRU level are demoted into an LFU level and entries
+// evicted from the LFU are handed to the caller (which flushes them to the
+// SSD-PS before releasing the memory), and a plain LFU cache.
+//
+// Working parameters of the in-flight batches are pinned and are never
+// evicted until their batch completes, preserving the pipeline's data
+// integrity guarantee.
 package cache
+
+// EvictFunc is called with every entry that leaves a cache through eviction
+// (not through Remove).
+type EvictFunc[V any] func(key uint64, value V)
 
 // Stats summarizes cache effectiveness (the metric plotted in Fig 4c).
 type Stats struct {
@@ -28,42 +41,65 @@ func (s Stats) HitRate() float64 {
 // Combined is the paper's two-level eviction policy (Appendix D): a recency
 // level (LRU) in front of a frequency level (LFU). Whenever a parameter is
 // visited it enters the LRU; entries evicted from the LRU are demoted into
-// the LFU; entries evicted from the LFU are handed to the eviction callback
-// so the MEM-PS can flush them to the SSD-PS before releasing their memory.
-// Working parameters of in-flight batches are pinned in the LRU.
+// the LFU, carrying the visits they collected as their frequency; entries
+// evicted from the LFU — the least frequent, the one demoted first among
+// equals — are handed to the eviction callback so the MEM-PS can flush them
+// to the SSD-PS before releasing their memory. A Get that hits the LFU
+// promotes the entry back into the LRU with its frequency, plus the hit, as
+// its visit count; a Put on an LFU-resident key also moves it into the LRU
+// but restarts its visit count at 1.
 //
-// Combined is not safe for concurrent use.
+// Working parameters of in-flight batches are pinned in the LRU. A pinned
+// entry is "in use" until its batch completes, not merely recently used: the
+// first Pin takes it off the eviction order altogether and the last Unpin
+// puts it back at the most-recently-used end, so the LRU victim is always
+// the tail of the order and every operation is O(1) in the pinned count. The
+// LRU level never evicts the order's most recent entry — when everything
+// older is pinned it overflows instead.
+//
+// Both levels share one index with one entry per key, so a miss costs four
+// map operations on its way in and out (the missed Get, Put's lookup and
+// insert, the final eviction's delete) and a demotion none.
+//
+// Combined is not safe for concurrent use; the MEM-PS serializes access
+// behind its own lock.
 type Combined[V any] struct {
-	lru   *LRU[V]
-	lfu   *LFU[V]
+	lruCap, lfuCap int
+	onEvict        EvictFunc[V]
+	items          map[uint64]*entry[V]
+	// order is the sentinel of the LRU level's eviction order (unpinned
+	// entries, most recently used first); held is the sentinel of its pinned
+	// entries, most recently pinned first. lruLen counts both.
+	order, held entry[V]
+	lruLen      int
+	// lfu is the frequency level, ordered by (visits, seq).
+	lfu freqHeap[V]
+	seq int64
+	// free chains (through next) the entries of keys that left the cache; Put
+	// reuses them, so a steady miss stream allocates nothing.
+	free  *entry[V]
 	stats Stats
-	// visitCount tracks per-key access counts while a key lives in the LRU so
-	// its frequency is preserved when it is demoted.
-	visitCount map[uint64]int64
 }
 
-// NewCombined builds a combined cache with the given per-level capacities.
-// onEvict receives entries that leave the cache entirely; it may be nil.
+// NewCombined builds a combined cache with the given per-level capacities
+// (a capacity <= 0 is treated as 1). onEvict receives entries that leave the
+// cache entirely; it may be nil.
 func NewCombined[V any](lruCapacity, lfuCapacity int, onEvict EvictFunc[V]) *Combined[V] {
-	c := &Combined[V]{visitCount: make(map[uint64]int64)}
-	c.lfu = NewLFU[V](lfuCapacity, func(key uint64, value V) {
-		c.stats.Evictions++
-		if onEvict != nil {
-			onEvict(key, value)
-		}
-	})
-	c.lru = NewLRU[V](lruCapacity, func(key uint64, value V) {
-		// Demote to the LFU, carrying over the observed access count.
-		c.stats.Demotions++
-		freq := c.visitCount[key]
-		delete(c.visitCount, key)
-		c.lfu.PutWithFreq(key, value, freq)
-	})
+	c := &Combined[V]{lruCap: max(lruCapacity, 1), lfuCap: max(lfuCapacity, 1), onEvict: onEvict}
+	c.clear()
 	return c
 }
 
+// clear empties both levels, pins included.
+func (c *Combined[V]) clear() {
+	c.items = make(map[uint64]*entry[V])
+	c.order.prev, c.order.next = &c.order, &c.order
+	c.held.prev, c.held.next = &c.held, &c.held
+	c.lruLen, c.lfu, c.seq = 0, nil, 0
+}
+
 // Len returns the total number of entries across both levels.
-func (c *Combined[V]) Len() int { return c.lru.Len() + c.lfu.Len() }
+func (c *Combined[V]) Len() int { return len(c.items) }
 
 // Stats returns a copy of the accumulated statistics.
 func (c *Combined[V]) Stats() Stats { return c.stats }
@@ -71,119 +107,230 @@ func (c *Combined[V]) Stats() Stats { return c.stats }
 // ResetStats clears the statistics counters (cache contents are unaffected).
 func (c *Combined[V]) ResetStats() { c.stats = Stats{} }
 
+// touch marks an unpinned LRU-level entry most recently used.
+func (c *Combined[V]) touch(e *entry[V]) {
+	if e.pins == 0 && c.order.next != e {
+		e.unlink()
+		e.pushFront(&c.order)
+	}
+}
+
+// enterLRU links e, which is on neither level, at the most-recently-used end
+// of the LRU and demotes whatever overflows.
+func (c *Combined[V]) enterLRU(e *entry[V]) {
+	e.heap = inLRU
+	e.pushFront(&c.order)
+	c.lruLen++
+	c.demoteOverflow()
+}
+
+// demoteOverflow moves entries from the tail of the eviction order into the
+// LFU while the LRU level is over capacity, but never the order's most
+// recently used entry: a freshly inserted (or just unpinned) entry must not
+// be the victim of its own arrival when everything older is pinned — the
+// level overflows instead. An LFU overflow evicts its minimum, which may be
+// the entry just demoted.
+func (c *Combined[V]) demoteOverflow() {
+	for c.lruLen > c.lruCap {
+		e := c.order.prev
+		if e == c.order.next {
+			return // zero or one unpinned entries
+		}
+		e.unlink()
+		c.lruLen--
+		c.stats.Demotions++
+		c.seq++
+		e.seq = c.seq
+		c.lfu.push(e)
+		for len(c.lfu) > c.lfuCap {
+			victim := c.lfu[0]
+			c.lfu.remove(0)
+			key, value := victim.key, victim.value
+			c.release(victim)
+			c.stats.Evictions++
+			if c.onEvict != nil {
+				c.onEvict(key, value)
+			}
+		}
+	}
+}
+
+// release drops key's entry e, already off both levels, from the index and
+// keeps it for the next new key.
+func (c *Combined[V]) release(e *entry[V]) {
+	delete(c.items, e.key)
+	*e = entry[V]{next: c.free}
+	c.free = e
+}
+
 // Get looks the key up in both levels. A hit in the LFU promotes the entry
 // back into the LRU (it is recently used again).
 func (c *Combined[V]) Get(key uint64) (V, bool) {
-	if v, ok := c.lru.Get(key); ok {
-		c.stats.Hits++
+	e, ok := c.items[key]
+	if !ok {
+		c.stats.Misses++
+		var zero V
+		return zero, false
+	}
+	c.stats.Hits++
+	e.visits++
+	if e.heap == inLRU {
 		c.stats.LRUHits++
-		c.visitCount[key]++
-		return v, true
+		c.touch(e)
+		return e.value, true
 	}
-	if v, ok := c.lfu.Get(key); ok {
-		c.stats.Hits++
-		c.stats.LFUHits++
-		// Promote back into the recency level.
-		freq := c.lfu.Freq(key)
-		c.lfu.Remove(key)
-		c.visitCount[key] = freq
-		c.lru.Put(key, v)
-		return v, true
-	}
-	c.stats.Misses++
-	var zero V
-	return zero, false
+	c.stats.LFUHits++
+	c.lfu.remove(e.heap)
+	c.enterLRU(e)
+	return e.value, true
 }
 
 // GetApply looks the key up in both levels without updating recency, visit
 // frequency, or level placement — the read path for applying writes. A push
 // always follows the pull that already counted the visit and refreshed the
 // entry's recency, so counting it again would double-weight write traffic in
-// the eviction policy (and pay two extra map updates per key for it). Hit and
-// miss statistics are still recorded.
+// the eviction policy. Hit and miss statistics are still recorded.
 func (c *Combined[V]) GetApply(key uint64) (V, bool) {
-	if v, ok := c.lru.Peek(key); ok {
-		c.stats.Hits++
+	e, ok := c.items[key]
+	if !ok {
+		c.stats.Misses++
+		var zero V
+		return zero, false
+	}
+	c.stats.Hits++
+	if e.heap == inLRU {
 		c.stats.LRUHits++
-		return v, true
-	}
-	if v, ok := c.lfu.Peek(key); ok {
-		c.stats.Hits++
+	} else {
 		c.stats.LFUHits++
-		return v, true
 	}
-	c.stats.Misses++
-	var zero V
-	return zero, false
+	return e.value, true
 }
 
 // Contains reports whether either level holds the key, without promoting it.
 func (c *Combined[V]) Contains(key uint64) bool {
-	return c.lru.Contains(key) || c.lfu.Contains(key)
+	_, ok := c.items[key]
+	return ok
 }
 
-// Put inserts the key into the recency level.
+// Put inserts or updates the key in the recency level and counts a visit. A
+// key resident in the LFU moves into the LRU with its visit count restarted
+// at 1: the frequency it carried is dropped, unlike on a Get hit.
 func (c *Combined[V]) Put(key uint64, value V) {
-	if c.lfu.Contains(key) {
-		c.lfu.Remove(key)
+	e, ok := c.items[key]
+	switch {
+	case !ok:
+		if e = c.free; e != nil {
+			c.free = e.next
+		} else {
+			e = new(entry[V])
+		}
+		e.key, e.value, e.visits = key, value, 1
+		c.items[key] = e
+		c.enterLRU(e)
+	case e.heap == inLRU:
+		e.value = value
+		e.visits++
+		c.touch(e)
+	default:
+		c.lfu.remove(e.heap)
+		e.value = value
+		e.visits = 1
+		c.enterLRU(e)
 	}
-	c.visitCount[key]++
-	c.lru.Put(key, value)
 }
 
-// Remove deletes the key from whichever level holds it, without invoking the
-// eviction callback.
+// Remove deletes the key from whichever level holds it, pinned or not,
+// without invoking the eviction callback.
 func (c *Combined[V]) Remove(key uint64) (V, bool) {
-	delete(c.visitCount, key)
-	if v, ok := c.lru.Remove(key); ok {
-		return v, true
+	e, ok := c.items[key]
+	if !ok {
+		var zero V
+		return zero, false
 	}
-	return c.lfu.Remove(key)
+	if e.heap == inLRU {
+		e.unlink()
+		c.lruLen--
+	} else {
+		c.lfu.remove(e.heap)
+	}
+	value := e.value
+	c.release(e)
+	return value, true
 }
 
 // Pin marks a key in the LRU as unevictable until a matching Unpin; pins
 // nest across overlapping batches. It reports whether the key was found in
 // the LRU (keys in the LFU cannot be pinned; Get them first to promote
 // them).
-func (c *Combined[V]) Pin(key uint64) bool { return c.lru.Pin(key) }
-
-// Unpin releases one pin set by Pin.
-func (c *Combined[V]) Unpin(key uint64) bool { return c.lru.Unpin(key) }
-
-// Pinned reports whether the key is currently pinned in the LRU.
-func (c *Combined[V]) Pinned(key uint64) bool { return c.lru.Pinned(key) }
-
-// Range calls fn for every cached entry across both levels until fn returns
-// false. Unlike Flush it does not evict; it is how the replication layer
-// enumerates the keys a shard currently holds in memory.
-func (c *Combined[V]) Range(fn func(key uint64, value V) bool) {
-	cont := true
-	c.lru.Range(func(k uint64, v V) bool {
-		cont = fn(k, v)
-		return cont
-	})
-	if !cont {
-		return
+func (c *Combined[V]) Pin(key uint64) bool {
+	e, ok := c.items[key]
+	if !ok || e.heap != inLRU {
+		return false
 	}
-	c.lfu.Range(fn)
+	if e.pins == 0 {
+		e.unlink()
+		e.pushFront(&c.held)
+	}
+	e.pins++
+	return true
 }
 
-// Flush evicts every entry from both levels through the eviction callback.
-// It is used at shutdown to persist all cached parameters.
+// Unpin releases one pin set by Pin. Once no pins remain the entry re-enters
+// the eviction order as the most recently used one, and overflow the pins
+// were holding back is demoted. It reports whether the key was found in the
+// LRU.
+func (c *Combined[V]) Unpin(key uint64) bool {
+	e, ok := c.items[key]
+	if !ok || e.heap != inLRU {
+		return false
+	}
+	if e.pins > 0 {
+		e.pins--
+		if e.pins == 0 {
+			e.unlink()
+			e.pushFront(&c.order)
+			c.demoteOverflow()
+		}
+	}
+	return true
+}
+
+// Pinned reports whether the key is currently pinned in the LRU.
+func (c *Combined[V]) Pinned(key uint64) bool {
+	e, ok := c.items[key]
+	return ok && e.pins > 0
+}
+
+// Range calls fn for every cached entry until fn returns false: the LRU
+// level's pinned entries (most recently pinned first), its unpinned ones
+// (most recently used first), then the LFU level in no particular order.
+// Unlike Flush it does not evict; it is how the replication layer enumerates
+// the keys a shard currently holds in memory.
+func (c *Combined[V]) Range(fn func(key uint64, value V) bool) {
+	for _, root := range [...]*entry[V]{&c.held, &c.order} {
+		for e := root.next; e != root; e = e.next {
+			if !fn(e.key, e.value) {
+				return
+			}
+		}
+	}
+	for _, e := range c.lfu {
+		if !fn(e.key, e.value) {
+			return
+		}
+	}
+}
+
+// Flush hands every entry of both levels to onEach, in Range's order, and
+// empties the cache, pins included; the eviction callback is not invoked and
+// the statistics are kept. It is used at shutdown and at checkpoints to
+// persist all cached parameters.
 func (c *Combined[V]) Flush(onEach func(key uint64, value V)) {
-	c.lru.Range(func(k uint64, v V) bool {
-		if onEach != nil {
+	if onEach != nil {
+		c.Range(func(k uint64, v V) bool {
 			onEach(k, v)
-		}
-		return true
-	})
-	c.lfu.Range(func(k uint64, v V) bool {
-		if onEach != nil {
-			onEach(k, v)
-		}
-		return true
-	})
-	c.lru = NewLRU[V](c.lru.Capacity(), c.lru.onEvict)
-	c.lfu = NewLFU[V](c.lfu.Capacity(), c.lfu.onEvict)
-	c.visitCount = make(map[uint64]int64)
+			return true
+		})
+	}
+	c.clear()
 }

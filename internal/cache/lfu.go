@@ -1,63 +1,22 @@
 package cache
 
-import "container/heap"
-
-type lfuEntry[V any] struct {
-	key   uint64
-	value V
-	freq  int64
-	seq   int64 // tie-break: older entries evict first
-	index int   // heap index
-}
-
-type lfuHeap[V any] []*lfuEntry[V]
-
-func (h lfuHeap[V]) Len() int { return len(h) }
-func (h lfuHeap[V]) Less(i, j int) bool {
-	if h[i].freq != h[j].freq {
-		return h[i].freq < h[j].freq
-	}
-	return h[i].seq < h[j].seq
-}
-func (h lfuHeap[V]) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *lfuHeap[V]) Push(x any) {
-	e := x.(*lfuEntry[V])
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *lfuHeap[V]) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
 // LFU is a least-frequently-used cache keyed by uint64, with FIFO tie
 // breaking among equally frequent entries. It is not safe for concurrent use.
 type LFU[V any] struct {
 	capacity int
 	onEvict  EvictFunc[V]
-	items    map[uint64]*lfuEntry[V]
-	heap     lfuHeap[V]
+	items    map[uint64]*entry[V]
+	heap     freqHeap[V]
 	seq      int64
 }
 
 // NewLFU creates an LFU cache holding at most capacity entries. onEvict may
 // be nil. A capacity <= 0 is treated as 1.
 func NewLFU[V any](capacity int, onEvict EvictFunc[V]) *LFU[V] {
-	if capacity <= 0 {
-		capacity = 1
-	}
 	return &LFU[V]{
-		capacity: capacity,
+		capacity: max(capacity, 1),
 		onEvict:  onEvict,
-		items:    make(map[uint64]*lfuEntry[V]),
+		items:    make(map[uint64]*entry[V]),
 	}
 }
 
@@ -70,8 +29,8 @@ func (c *LFU[V]) Capacity() int { return c.capacity }
 // Get returns the value for key and increments its frequency.
 func (c *LFU[V]) Get(key uint64) (V, bool) {
 	if e, ok := c.items[key]; ok {
-		e.freq++
-		heap.Fix(&c.heap, e.index)
+		e.visits++
+		c.heap.fix(e.heap)
 		return e.value, true
 	}
 	var zero V
@@ -101,24 +60,24 @@ func (c *LFU[V]) Put(key uint64, value V) {
 	c.PutWithFreq(key, value, 1)
 }
 
-// PutWithFreq inserts or updates key with an explicit frequency. The combined
-// policy uses this to demote LRU entries without losing their access counts.
+// PutWithFreq inserts key with an explicit frequency (at least 1), or updates
+// it and adds the frequency to the one it has. The serving tier seeds its
+// hot-key cache with a parameter's training show-count this way.
 func (c *LFU[V]) PutWithFreq(key uint64, value V, freq int64) {
-	if freq < 1 {
-		freq = 1
-	}
+	freq = max(freq, 1)
 	if e, ok := c.items[key]; ok {
 		e.value = value
-		e.freq += freq
-		heap.Fix(&c.heap, e.index)
+		e.visits += freq
+		c.heap.fix(e.heap)
 		return
 	}
 	c.seq++
-	e := &lfuEntry[V]{key: key, value: value, freq: freq, seq: c.seq}
+	e := &entry[V]{key: key, value: value, visits: freq, seq: c.seq}
 	c.items[key] = e
-	heap.Push(&c.heap, e)
+	c.heap.push(e)
 	for len(c.items) > c.capacity {
-		victim := heap.Pop(&c.heap).(*lfuEntry[V])
+		victim := c.heap[0]
+		c.heap.remove(0)
 		delete(c.items, victim.key)
 		if c.onEvict != nil {
 			c.onEvict(victim.key, victim.value)
@@ -134,7 +93,7 @@ func (c *LFU[V]) Remove(key uint64) (V, bool) {
 		var zero V
 		return zero, false
 	}
-	heap.Remove(&c.heap, e.index)
+	c.heap.remove(e.heap)
 	delete(c.items, key)
 	return e.value, true
 }
@@ -142,7 +101,7 @@ func (c *LFU[V]) Remove(key uint64) (V, bool) {
 // Freq returns the current frequency of key (0 if absent).
 func (c *LFU[V]) Freq(key uint64) int64 {
 	if e, ok := c.items[key]; ok {
-		return e.freq
+		return e.visits
 	}
 	return 0
 }

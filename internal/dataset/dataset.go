@@ -63,6 +63,26 @@ func (b *Batch) Keys() []keys.Key {
 	return keys.Dedup(out)
 }
 
+// IndexInto rebuilds x as the batch's key partition, using (and keeping) b's
+// scratch: x.Unique equals Keys() and x.Rows follows the examples' features in
+// batch order. Unlike Keys it reuses storage, so a caller that keeps its
+// builder and recycles its indexes allocates nothing.
+func (b *Batch) IndexInto(sc *keys.IndexBuilder, x *keys.Index) {
+	sc.Reset()
+	for i := range b.Examples {
+		sc.Add(b.Examples[i].Features)
+	}
+	sc.Build(x)
+}
+
+// ShardBounds returns the example range [lo, hi) of mini-batch i when a batch
+// of n examples is split into shards >= 1 near-equal parts in order: every
+// part but the last non-empty one holds ⌈n/shards⌉ examples.
+func ShardBounds(n, shards, i int) (lo, hi int) {
+	per := (n + shards - 1) / shards
+	return min(i*per, n), min((i+1)*per, n)
+}
+
 // Shard splits the batch into n mini-batches of near-equal size, preserving
 // example order (Algorithm 1 line 5). Every returned mini-batch is non-nil;
 // trailing mini-batches may be empty when len(Examples) < n.
@@ -71,16 +91,8 @@ func (b *Batch) Shard(n int) []*Batch {
 		n = 1
 	}
 	out := make([]*Batch, n)
-	per := (len(b.Examples) + n - 1) / n
-	for i := 0; i < n; i++ {
-		lo := i * per
-		hi := lo + per
-		if lo > len(b.Examples) {
-			lo = len(b.Examples)
-		}
-		if hi > len(b.Examples) {
-			hi = len(b.Examples)
-		}
+	for i := range out {
+		lo, hi := ShardBounds(len(b.Examples), n, i)
 		out[i] = &Batch{Index: b.Index, Examples: b.Examples[lo:hi]}
 	}
 	return out
@@ -129,7 +141,7 @@ func (c Config) withDefaults() Config {
 type Generator struct {
 	cfg   Config
 	rng   *rand.Rand
-	zipf  *rand.Zipf
+	ranks *rankSampler
 	index int
 }
 
@@ -138,8 +150,7 @@ type Generator struct {
 func NewGenerator(cfg Config, seed int64) *Generator {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(seed))
-	zipf := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.NumFeatures-1))
-	return &Generator{cfg: cfg, rng: rng, zipf: zipf}
+	return &Generator{cfg: cfg, rng: rng, ranks: newRankSampler(rng, cfg.ZipfS, cfg.NumFeatures)}
 }
 
 // Config returns the generator's (defaulted) configuration.
@@ -171,18 +182,24 @@ func (g *Generator) TeacherLogit(features []keys.Key) float64 {
 
 // NextExample generates one example.
 func (g *Generator) NextExample() Example {
+	return g.fill(make([]keys.Key, 0, g.cfg.NonZerosPerExample))
+}
+
+// fill draws one example's distinct features into feats, which must be empty
+// with capacity for NonZerosPerExample keys, then labels it.
+func (g *Generator) fill(feats []keys.Key) Example {
 	nnz := g.cfg.NonZerosPerExample
-	feats := make([]keys.Key, 0, nnz)
-	seen := make(map[keys.Key]struct{}, nnz)
+draw:
 	for len(feats) < nnz {
-		raw := g.zipf.Uint64()
 		// Scatter the zipf rank across the key space so that modulo sharding
 		// stays balanced while popularity remains skewed.
-		k := keys.Key(keys.Mix64(raw) % uint64(g.cfg.NumFeatures))
-		if _, dup := seen[k]; dup {
-			continue
+		k := keys.Key(keys.Mix64(g.ranks.next()) % uint64(g.cfg.NumFeatures))
+		// An example holds few keys: scanning them beats a set per example.
+		for _, have := range feats {
+			if have == k {
+				continue draw
+			}
 		}
-		seen[k] = struct{}{}
 		feats = append(feats, k)
 	}
 	logit := g.TeacherLogit(feats)
@@ -197,14 +214,19 @@ func (g *Generator) NextExample() Example {
 	return Example{Features: feats, Label: label}
 }
 
-// NextBatch generates a batch of n examples.
+// NextBatch generates a batch of n examples. Their features share one backing
+// array; each example's slice is capacity-limited to its own part of it, so
+// appending to one example's Features reallocates instead of overwriting its
+// neighbour's.
 func (g *Generator) NextBatch(n int) *Batch {
 	if n < 0 {
 		n = 0
 	}
+	nnz := g.cfg.NonZerosPerExample
 	b := &Batch{Index: g.index, Examples: make([]Example, n)}
-	for i := 0; i < n; i++ {
-		b.Examples[i] = g.NextExample()
+	slab := make([]keys.Key, n*nnz)
+	for i := range b.Examples {
+		b.Examples[i] = g.fill(slab[i*nnz : i*nnz : (i+1)*nnz])
 	}
 	g.index++
 	return b

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -73,6 +74,51 @@ func TestExampleShape(t *testing.T) {
 		}
 		if ex.Label != 0 && ex.Label != 1 {
 			t.Fatalf("label = %v", ex.Label)
+		}
+	}
+}
+
+// TestGeneratorsAreIndependent interleaves two generators' draws: each stream
+// is what it would have been alone (the sampler's state is per generator).
+func TestGeneratorsAreIndependent(t *testing.T) {
+	cfg := Config{NumFeatures: 60000, NonZerosPerExample: 50} // table and tail
+	alone := NewGenerator(cfg, 42).NextBatch(40)
+	a, other := NewGenerator(cfg, 42), NewGenerator(cfg, 43)
+	for i := 0; i < 40; i++ {
+		ex := a.NextExample()
+		other.NextBatch(3)
+		if ex.Label != alone.Examples[i].Label || !slices.Equal(ex.Features, alone.Examples[i].Features) {
+			t.Fatalf("example %d changed when another generator drew in between", i)
+		}
+	}
+}
+
+// TestNextBatchExamplesAreDistinctAndIsolated checks the slab layout: every
+// example holds exactly nnz distinct in-universe features, and appending to
+// one example's Features cannot reach its neighbour's.
+func TestNextBatchExamplesAreDistinctAndIsolated(t *testing.T) {
+	for _, cfg := range []Config{
+		{NumFeatures: 60000, NonZerosPerExample: 50},
+		{NumFeatures: 1000, NonZerosPerExample: 100}, // collisions are common
+		{NumFeatures: 1 << 40, NonZerosPerExample: 30},
+	} {
+		b := NewGenerator(cfg, 7).NextBatch(64)
+		for i, ex := range b.Examples {
+			if len(ex.Features) != cfg.NonZerosPerExample || cap(ex.Features) != cfg.NonZerosPerExample {
+				t.Fatalf("example %d: %d features (cap %d), want %d", i, len(ex.Features), cap(ex.Features), cfg.NonZerosPerExample)
+			}
+			seen := make(map[keys.Key]bool)
+			for _, k := range ex.Features {
+				if uint64(k) >= uint64(cfg.NumFeatures) || seen[k] {
+					t.Fatalf("example %d: feature %d repeated or outside the universe", i, k)
+				}
+				seen[k] = true
+			}
+		}
+		next := slices.Clone(b.Examples[1].Features)
+		grown := append(b.Examples[0].Features, 12345)
+		if !slices.Equal(b.Examples[1].Features, next) || &grown[0] == &b.Examples[0].Features[0] {
+			t.Fatal("append to one example's Features wrote into the batch's shared backing array")
 		}
 	}
 }

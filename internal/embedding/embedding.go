@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"hps/internal/keys"
 )
 
 // Value is the trainable state attached to a single sparse feature key.
@@ -52,17 +54,30 @@ func NewRandomValue(dim int, rng *rand.Rand) *Value {
 
 // NewKeyedValue returns the deterministic initial value of a feature key
 // under the given seed: the same (seed, key) pair always produces the same
-// weights, regardless of the order in which keys are first encountered. A
-// restarted or restored parameter server therefore re-initializes a key it
-// never flushed exactly as the original process would have, which is what
-// lets a resumed training run reproduce a straight one bit for bit.
+// weights — uniform in ±1/√(dim+1), like NewRandomValue — regardless of the
+// node or the order in which keys are first encountered. A restarted or
+// restored parameter server therefore re-initializes a key it never flushed
+// exactly as the original process would have, which is what lets a resumed
+// training run reproduce a straight one bit for bit.
+//
+// The weights are consecutive outputs of a splitmix64 stream whose starting
+// state is the mixed (seed, key) pair: a first reference costs a few
+// multiplies per weight, where seeding a math/rand source cost 607 words of
+// state per key. Mixing the pair first matters: adjacent keys' raw states
+// differ by the stream's own increment, so unmixed their streams would be
+// shifted copies of each other.
 func NewKeyedValue(dim int, seed int64, key uint64) *Value {
-	// splitmix64-style finalizer so adjacent keys decorrelate before seeding.
-	h := uint64(seed) ^ (key+1)*0x9E3779B97F4A7C15
-	h ^= h >> 30
-	h *= 0xBF58476D1CE4E5B9
-	h ^= h >> 27
-	return NewRandomValue(dim, rand.New(rand.NewSource(int64(h))))
+	v := NewValue(dim)
+	scale := float32(1.0 / math.Sqrt(float64(dim)+1))
+	const increment = 0x9E3779B97F4A7C15
+	s := keys.Mix64(uint64(seed) ^ (key+1)*increment)
+	for i := range v.Weights {
+		// The top 24 bits of an output make a float32 in [0, 1) exactly.
+		u := float32(keys.Mix64(s)>>40) / (1 << 24)
+		v.Weights[i] = (u*2 - 1) * scale
+		s += increment
+	}
+	return v
 }
 
 // Dim returns the embedding dimension.

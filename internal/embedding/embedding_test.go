@@ -2,7 +2,9 @@ package embedding
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -35,6 +37,72 @@ func TestNewRandomValue(t *testing.T) {
 		if g != 0 {
 			t.Fatal("G2Sum should start at zero")
 		}
+	}
+}
+
+// TestNewKeyedValue checks the keyed initializer's contract: a pure function
+// of (dim, seed, key), uniform in ±1/√(dim+1), with neither adjacent keys nor
+// adjacent seeds producing related streams.
+func TestNewKeyedValue(t *testing.T) {
+	const dim = 8
+	a, b := NewKeyedValue(dim, 7, 1234), NewKeyedValue(dim, 7, 1234)
+	if !slices.Equal(a.Weights, b.Weights) {
+		t.Fatal("the same (seed, key) gave different weights")
+	}
+	for _, g := range a.G2Sum {
+		if g != 0 {
+			t.Fatal("G2Sum should start at zero")
+		}
+	}
+	// Moments over many keys: mean 0, variance scale²/3, all within the range.
+	scale := 1 / math.Sqrt(dim+1)
+	var sum, sumSq float64
+	const keys = 20000
+	for k := uint64(0); k < keys; k++ {
+		for _, w := range NewKeyedValue(dim, 7, k).Weights {
+			if math.Abs(float64(w)) > scale {
+				t.Fatalf("key %d: weight %v outside ±%v", k, w, scale)
+			}
+			sum += float64(w)
+			sumSq += float64(w) * float64(w)
+		}
+	}
+	n := float64(keys * dim)
+	if mean := sum / n; math.Abs(mean) > 4*scale/math.Sqrt(3*n) {
+		t.Fatalf("mean weight %v, want 0 within 4 sigma", mean)
+	}
+	if v := sumSq / n; math.Abs(v-scale*scale/3) > 0.02*scale*scale/3 {
+		t.Fatalf("weight variance %v, want %v", v, scale*scale/3)
+	}
+	// A neighbouring key's (or seed's) stream is not this key's shifted by a
+	// position — what an unmixed splitmix64 starting state would give.
+	for _, other := range []*Value{NewKeyedValue(dim, 7, 1235), NewKeyedValue(dim, 8, 1234), NewKeyedValue(dim, 7, 1233)} {
+		for shift := -2; shift <= 2; shift++ {
+			same := 0
+			for i := range a.Weights {
+				if j := i + shift; j >= 0 && j < dim && a.Weights[i] == other.Weights[j] {
+					same++
+				}
+			}
+			if same > 1 {
+				t.Fatalf("%d weights equal a neighbour's at shift %d", same, shift)
+			}
+		}
+	}
+}
+
+func TestNewKeyedValueAllocations(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() { NewKeyedValue(8, 1, 99) }); allocs > 2 {
+		t.Fatalf("a keyed value took %.0f allocations, want the value's own 2", allocs)
+	}
+}
+
+// BenchmarkNewKeyedValue is the cost of a first reference at the cold
+// workload's dimension.
+func BenchmarkNewKeyedValue(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NewKeyedValue(8, 1, uint64(i))
 	}
 }
 

@@ -415,10 +415,14 @@ func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*Wor
 		ws.Values = make(map[keys.Key]*embedding.Value, len(working))
 	}
 
+	// localRows[i] is local[i]'s row in working (and so in dst): the partition
+	// already knows it, so nothing downstream searches for it.
 	var local, remote []keys.Key
-	for _, k := range working {
+	var localRows []int32
+	for row, k := range working {
 		if m.ownsKey(k) {
 			local = append(local, k)
+			localRows = append(localRows, int32(row))
 		} else {
 			remote = append(remote, k)
 		}
@@ -466,14 +470,13 @@ func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*Wor
 	// are emitted on the spot, misses are collected and resolved after the
 	// (single, batched) SSD load — the steady hot-pull case touches the cache
 	// exactly once per key.
-	emit := func(k keys.Key, v *embedding.Value) {
+	emit := func(i int, v *embedding.Value) {
+		k := local[i]
 		if pin {
 			m.cache.Pin(uint64(k))
 		}
 		if dst != nil {
-			if i, ok := dst.Row(k); ok {
-				dst.Set(i, v)
-			}
+			dst.Set(int(localRows[i]), v)
 		} else {
 			ws.Values[k] = v.Clone()
 		}
@@ -483,7 +486,7 @@ func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*Wor
 	for i, k := range local {
 		if v, ok := m.cache.Get(uint64(k)); ok {
 			ws.Stats.CacheHits++
-			emit(k, v)
+			emit(i, v)
 			continue
 		}
 		ws.Stats.CacheMisses++
@@ -509,7 +512,7 @@ func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*Wor
 		return nil, fmt.Errorf("memps: load local parameters: %w", err)
 	}
 	for _, i := range m.miss.idx {
-		emit(local[i], m.resolveMiss(local[i], &ws.Stats))
+		emit(i, m.resolveMiss(local[i], &ws.Stats))
 	}
 	m.stats.BatchesPrepared++
 	m.stats.LocalKeys += int64(len(local))
@@ -567,24 +570,18 @@ func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*Wor
 		return nil, fmt.Errorf("memps: remote pull: %w", firstErr)
 	}
 	// Any remote key the owner failed to return (should not happen) gets a
-	// fresh value so training can proceed.
-	for _, k := range remote {
-		missing := false
-		if dst != nil {
-			i, _ := dst.Row(k) // remote keys are rows of the working set
-			missing = !dst.Present[i]
-		} else {
-			_, ok := ws.Values[k]
-			missing = !ok
+	// fresh value so training can proceed. In a block every local row has been
+	// emitted by now, so a row still absent is such a key.
+	if dst != nil {
+		for i, k := range dst.Keys {
+			if !dst.Present[i] {
+				dst.Set(i, embedding.NewKeyedValue(m.cfg.Dim, m.seed, uint64(k)))
+			}
 		}
-		if missing {
-			v := embedding.NewKeyedValue(m.cfg.Dim, m.seed, uint64(k))
-			if dst != nil {
-				if i, ok := dst.Row(k); ok {
-					dst.Set(i, v)
-				}
-			} else {
-				ws.Values[k] = v
+	} else {
+		for _, k := range remote {
+			if _, ok := ws.Values[k]; !ok {
+				ws.Values[k] = embedding.NewKeyedValue(m.cfg.Dim, m.seed, uint64(k))
 			}
 		}
 	}

@@ -168,12 +168,19 @@ func (m *MemPS) exportAll(ks []keys.Key) map[keys.Key]*embedding.Value {
 // Accepting an older snapshot over a row a replicated delta already advanced
 // would silently roll that delta back; skipping makes transfers idempotent
 // and safely reorderable against the replication stream.
+//
+// Ownership under this shard's ring is deliberately not checked. A membership
+// change reaches the members one after another and each starts its reconcile
+// pass at once, so a sender's transfer routinely arrives before the receiver
+// has installed the ring that assigns it the rows; dropping them then loses
+// the only copy that will ever be sent. A row the ring never assigns to this
+// shard is a leftover like any other (see LocalKeys): held, never served.
 func (m *MemPS) ImportBlock(blk *ps.ValueBlock) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	accepted := 0
 	for i, k := range blk.Keys {
-		if !blk.Present[i] || !m.ownsKey(k) {
+		if !blk.Present[i] {
 			continue
 		}
 		if m.cache.Contains(uint64(k)) {

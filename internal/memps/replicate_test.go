@@ -1,6 +1,7 @@
 package memps
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -283,5 +284,30 @@ func TestImportBlockSkipsPresent(t *testing.T) {
 	}
 	if !sameWeights(value(t, c.nodes[0], hole), w) {
 		t.Fatal("import did not fill the hole")
+	}
+}
+
+// TestImportBlockBeforeRingInstall is the membership-broadcast race: member 1
+// dies, the Leave ring reaches the survivors one after another, and the first
+// to install it transfers the dead member's rows to the other before that one
+// has the ring that makes it their holder. The rows must be kept, so that they
+// are there once the ring arrives.
+func TestImportBlockBeforeRingInstall(t *testing.T) {
+	c := newReplCluster(t, []int{0, 1, 2})
+	old := c.ms.Ring()
+	left := old.Leave(1)
+	var k keys.Key // a key member 2 holds only after the leave
+	for k = 1; slices.Contains(old.Replicas(k, 2), 2) || !slices.Contains(left.Replicas(k, 2), 2); k++ {
+	}
+	blk := ps.GetBlock(4, nil)
+	defer ps.PutBlock(blk)
+	w := []float32{1, 2, 3, 4}
+	blk.AppendRow(k, w, w, 1)
+	if got := c.nodes[2].ImportBlock(blk); got != 1 {
+		t.Fatalf("a transfer that outran the ring was dropped: accepted %d rows, want 1", got)
+	}
+	c.ms.Update(left)
+	if !sameWeights(value(t, c.nodes[2], k), w) {
+		t.Fatal("the transferred row is not served after the ring arrived")
 	}
 }

@@ -269,13 +269,25 @@ func (b *ValueBlock) Row(k keys.Key) (int, bool) {
 // keys. b.Keys must be sorted. Rows for keys b did not ask for are dropped —
 // a buggy or hostile peer answering a partition pull must not be able to
 // corrupt unrelated rows.
+//
+// A sub-block is almost always an ascending subsequence of b.Keys (one peer's
+// partition of the working set), so after the first key each row is found by
+// walking forward from the previous one; a key out of order is searched for.
 func (b *ValueBlock) ScatterRows(sub *ValueBlock) {
+	i := -1 // b.Keys[:i] are below the previous scattered key
+	var prev keys.Key
 	for j, k := range sub.Keys {
 		if !sub.Present[j] {
 			continue
 		}
-		i, ok := b.Row(k)
-		if !ok {
+		if i < 0 || k < prev {
+			i, _ = b.Row(k)
+		}
+		prev = k
+		for i < len(b.Keys) && b.Keys[i] < k {
+			i++
+		}
+		if i == len(b.Keys) || b.Keys[i] != k {
 			continue
 		}
 		copy(b.WeightsRow(i), sub.WeightsRow(j))

@@ -2,6 +2,7 @@ package ps
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hps/internal/embedding"
@@ -263,6 +264,53 @@ func TestBlockScatterDropsUnrequestedKeys(t *testing.T) {
 	}
 	if dst.Present[0] {
 		t.Fatal("nil value materialized a row")
+	}
+}
+
+// TestBlockScatterRowsAnyOrder checks the forward walk against a per-key
+// search: sub-blocks ascending (the common case), descending, shuffled, with
+// absent rows, leading absent rows and keys dst never asked for.
+func TestBlockScatterRowsAnyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		var ks []keys.Key
+		for k := keys.Key(0); k < 60; k++ {
+			if rng.Intn(2) == 0 {
+				ks = append(ks, k)
+			}
+		}
+		dst, want := NewValueBlock(1), NewValueBlock(1)
+		dst.Reset(1, ks)
+		want.Reset(1, ks)
+		var sk []keys.Key
+		for n := rng.Intn(40); n > 0; n-- {
+			sk = append(sk, keys.Key(rng.Intn(64)))
+		}
+		sk = keys.Dedup(sk)
+		switch trial % 3 {
+		case 1:
+			slices.Reverse(sk)
+		case 2:
+			rng.Shuffle(len(sk), func(i, j int) { sk[i], sk[j] = sk[j], sk[i] })
+		}
+		sub := NewValueBlock(1)
+		sub.Reset(1, sk)
+		for j, k := range sk {
+			if rng.Intn(4) == 0 {
+				continue // absent in the answer
+			}
+			v := embedding.NewValue(1)
+			v.Weights[0] = float32(k) + 0.5
+			sub.Set(j, v)
+			if i, ok := want.Row(k); ok {
+				want.Set(i, v)
+			}
+		}
+		dst.ScatterRows(sub)
+		if !slices.Equal(dst.Present, want.Present) || !slices.Equal(dst.Weights, want.Weights) {
+			t.Fatalf("trial %d: scatter of %v into %v:\n got %v %v\nwant %v %v",
+				trial, sk, ks, dst.Present, dst.Weights, want.Present, want.Weights)
+		}
 	}
 }
 

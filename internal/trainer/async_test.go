@@ -81,6 +81,10 @@ func TestAsyncPushLagAndStalenessBounded(t *testing.T) {
 // band is four of the latter, which the resampled busy runs exceed 0.09% of
 // the time at worst. A restore from the wrong state or a replayed run of
 // pushes moves every seed the same way, by several times the band.
+//
+// Re-measured when the synthetic stream and the keyed initial weights changed
+// (PR 20): over 30 runs of the two tests below, the 60 differences of
+// three-seed means averaged 0.0018 and reached 0.0065 at most.
 const aucBand = 0.015
 
 var aucSeeds = []int64{7, 8, 9}

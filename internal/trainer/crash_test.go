@@ -219,7 +219,15 @@ func TestKillPrimaryMidEpochPromotesBackup(t *testing.T) {
 		runDone := make(chan error, 1)
 		go func() { runDone <- tr.Run(context.Background()) }()
 
-		time.Sleep(120 * time.Millisecond)
+		// Mid-epoch by progress, not by the clock: a race build trains several
+		// times slower, and a kill during the first batches finds nothing
+		// replicated yet. Eight of the twenty batches are through.
+		for deadline := time.Now().Add(30 * time.Second); tr.Examples() < int64(8*batchSize*len(members)); {
+			if time.Now().After(deadline) {
+				t.Fatal("training made no progress before the kill")
+			}
+			time.Sleep(time.Millisecond)
+		}
 		// kill -9: the process image — cache, dedup map, sockets — is gone.
 		// Nothing is flushed, and nothing will ever be restored from dir 1.
 		if err := shards[1].srv.Close(); err != nil {

@@ -158,13 +158,14 @@ func (r *remoteMem) TierStats() ps.Stats {
 // pulling every key partition from its owning shard process, concurrently —
 // as one flat block frame per shard, scattered into dst's sorted rows. There
 // is no local pinning: the shard processes own cache retention, so the
-// working set only carries keys and timing.
+// working set only carries counts and timing (working belongs to the caller's
+// recycled batch index and must not be retained).
 func (r *remoteMem) PrepareInto(working []keys.Key, dst *ps.ValueBlock) (*memps.WorkingSet, error) {
 	if !keys.SortedUnique(working) {
 		working = keys.Dedup(append([]keys.Key(nil), working...))
 	}
 	dst.Reset(r.dim, working)
-	ws := &memps.WorkingSet{RemoteKeys: working}
+	ws := &memps.WorkingSet{}
 	ws.Stats.RemoteKeys = len(working)
 
 	type pullResult struct {

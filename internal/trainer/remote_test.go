@@ -144,33 +144,52 @@ func TestRemoteShardsMatchLocalAUC(t *testing.T) {
 	}
 }
 
+// quantBand is how far the mean held-out AUC of a quantized-wire
+// configuration, averaged over aucSeeds, may land from the fp32-wire mean.
+// The runs are deterministic (sequential hook, one RPC in flight), so what a
+// single seed shows is not noise but where rounding happened to push that
+// trajectory — and it is as large as the 0.001 a single seed-7 pair used to
+// be held to. Measured over seeds 1–12, same-seed difference from fp32
+// (30 batches of 128, 6,000 held-out examples):
+//
+//	           rms      range
+//	fp16       0.0009   -0.0012 … +0.0023
+//	int8       0.0008   -0.0011 … +0.0014
+//	fp16+push  0.0010   -0.0008 … +0.0028
+//	int8+push  0.0008   -0.0013 … +0.0015
+//
+// with no codec pulling one way (the twelve-seed means lie between -0.0000
+// and +0.0004). A three-seed mean therefore has an rms of ≈0.0006; the band is
+// four of those. A codec that loses information training needs moves every
+// seed the same way, by percents.
+const quantBand = 0.0025
+
 // TestQuantizedWireMatchesFP32AUC is the accuracy gate of the quantized
 // transport: the same multi-process workload trained with fp16 and int8 wire
-// rows must converge within 0.1% AUC of the fp32-wire run (0.2% when int8
-// quantization is also applied to pushed gradients, the noisiest codec).
-// Anything larger means the row codec is losing information training
-// actually needs. Pull pipelining stays at 1 here so the runs share a batch
-// schedule and the band measures the codec alone.
+// rows — on pulls only, or on pushed deltas as well — must converge to the
+// fp32-wire run's AUC, compared as means over aucSeeds (see quantBand). Pull
+// pipelining stays at 1 here so the runs share a batch schedule and the band
+// measures the codec alone.
 func TestQuantizedWireMatchesFP32AUC(t *testing.T) {
 	data := testData()
 	spec := testSpec()
-	const seed = 7
 	topo := cluster.Topology{Nodes: 2, GPUsPerNode: 1}
 
-	base := Config{
-		Spec:        spec,
-		Data:        data,
-		Topology:    topo,
-		BatchSize:   128,
-		Batches:     30,
-		MaxInFlight: 1,
-		Seed:        seed,
-	}
-	runAUC := func(cfg Config) float64 {
+	runAUC := func(seed int64, prec string, quantPush bool) float64 {
 		t.Helper()
 		_, addrs := startShards(t, topo, spec.EmbeddingDim, seed, 0, 0)
-		cfg.RemoteShards = addrs
-		tr, err := New(cfg)
+		tr, err := New(Config{
+			Spec:          spec,
+			Data:          data,
+			Topology:      topo,
+			BatchSize:     128,
+			Batches:       30,
+			MaxInFlight:   1,
+			Seed:          seed,
+			RemoteShards:  addrs,
+			WirePrecision: prec,
+			QuantizePush:  quantPush,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,14 +201,19 @@ func TestQuantizedWireMatchesFP32AUC(t *testing.T) {
 		if r := tr.Report(); r.Remote == nil || r.Remote.WireBytes == 0 {
 			t.Fatalf("run reported no raw wire traffic: %+v", r.Remote)
 		}
-		// The 6000-example eval keeps sampling noise well under the 0.1%
-		// gate; smaller eval sets turn benign trajectory jitter into flakes.
 		return evalAUC(t, tr, dataset.NewGenerator(data, 999), 6000)
 	}
+	meanAUC := func(prec string, quantPush bool) float64 {
+		var aucs []float64
+		for _, seed := range aucSeeds {
+			aucs = append(aucs, runAUC(seed, prec, quantPush))
+		}
+		return mean(aucs)
+	}
 
-	fp32 := runAUC(base)
+	fp32 := meanAUC("fp32", false)
 	if fp32 < 0.6 {
-		t.Fatalf("fp32-wire run failed to learn (AUC %.4f)", fp32)
+		t.Fatalf("fp32-wire runs failed to learn (mean AUC %.4f)", fp32)
 	}
 	for _, tc := range []struct {
 		prec      string
@@ -200,24 +224,14 @@ func TestQuantizedWireMatchesFP32AUC(t *testing.T) {
 		{"fp16", true},
 		{"int8", true},
 	} {
-		cfg := base
-		cfg.WirePrecision = tc.prec
-		cfg.QuantizePush = tc.quantPush
 		name := tc.prec
 		if tc.quantPush {
 			name += "+push"
 		}
-		gate := 0.001
-		if tc.prec == "int8" && tc.quantPush {
-			// int8 rows in both directions compound rounding on every
-			// pull/push pair; the trajectory stays learnable but wanders a
-			// little further from the fp32 one.
-			gate = 0.002
-		}
-		auc := runAUC(cfg)
-		t.Logf("fp32 AUC = %.4f, %s AUC = %.4f", fp32, name, auc)
-		if diff := math.Abs(fp32 - auc); diff > gate {
-			t.Fatalf("%s wire diverged: |%.4f - %.4f| = %.4f > %g", name, auc, fp32, diff, gate)
+		auc := meanAUC(tc.prec, tc.quantPush)
+		t.Logf("mean fp32 AUC = %.4f, mean %s AUC = %.4f", fp32, name, auc)
+		if diff := math.Abs(fp32 - auc); diff > quantBand {
+			t.Fatalf("%s wire diverged: |%.4f - %.4f| = %.4f > %g", name, auc, fp32, diff, quantBand)
 		}
 	}
 }

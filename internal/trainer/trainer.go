@@ -22,11 +22,15 @@
 // working set into a flat ps.ValueBlock (one row per unique key, no per-value
 // map), stageTrain loads that block straight into the HBM-PS, and each GPU
 // worker issues exactly one block pull and one block commit per mini-batch —
-// it dedups its shard's keys, pulls them into a reused ValueBlock, indexes
-// every example's features by row offset, applies the sparse optimizer to the
-// block in place, and commits the accumulated result. All scratch (blocks,
-// activations, offset buffers) is pooled or owned by the GPU worker, so
-// steady-state batches allocate close to nothing.
+// it pulls its shard's keys into a reused ValueBlock, addresses every
+// example's features by row offset, applies the sparse optimizer to the block
+// in place, and commits the accumulated result. The CPU partitions a batch's
+// keys once: stageRead builds the node-batch's keys.Index (sorted unique keys
+// plus each feature occurrence's row), stagePull pulls its Unique set, and a
+// GPU worker derives its shard's key set and row offsets from it by marking —
+// no stage sorts or searches again. All scratch (blocks, indexes,
+// activations, offset buffers) is pooled or owned by the node or GPU worker,
+// so steady-state batches allocate close to nothing.
 //
 // # Dense-tower staleness
 //
@@ -239,6 +243,13 @@ type node struct {
 	local  *memps.MemPS
 	mem    memService
 	hbm    *hbmps.HBMPS
+	// indexer builds each batch's key index in stageRead (one goroutine per
+	// node, one batch at a time); indexes recycles the indexes themselves:
+	// stageRead takes one (or makes one when none is free), stageTrain hands
+	// it back once the batch is trained. At most MaxInFlight batches are in
+	// the pipeline, so that many slots keep every index in circulation.
+	indexer keys.IndexBuilder
+	indexes chan *keys.Index
 	// workers[g] is GPU g's training state. stageTrain runs on one pipeline
 	// goroutine and trainOnGPUs gives each GPU one goroutine, so a worker is
 	// only ever used by one goroutine at a time.
@@ -248,6 +259,10 @@ type node struct {
 // nodeBatch carries one node's view of a batch through the pipeline.
 type nodeBatch struct {
 	batch *dataset.Batch
+	// index is the batch's key partition, built by the read stage and read by
+	// the pull stage (Unique) and the GPU workers (Rows) until the batch has
+	// trained.
+	index *keys.Index
 	ws    *memps.WorkingSet
 	// block holds the working-set values (flat rows, sorted unique-key
 	// order) between the pull and train stages; it is returned to the block
@@ -548,7 +563,8 @@ func (t *Trainer) buildNode(id int, root string) (_ *node, err error) {
 	for g := range workers {
 		workers[g] = t.newGPUWorker()
 	}
-	return &node{id: id, gen: gen, stream: stream, dev: dev, store: store, local: local, mem: mem, hbm: hbm, workers: workers}, nil
+	return &node{id: id, gen: gen, stream: stream, dev: dev, store: store, local: local, mem: mem, hbm: hbm,
+		indexes: make(chan *keys.Index, cfg.MaxInFlight), workers: workers}, nil
 }
 
 // eachNode runs fn for every node concurrently and returns the first error.
@@ -704,7 +720,9 @@ func (t *Trainer) Run(ctx context.Context) error {
 	return err
 }
 
-// stageRead streams every node's batch of this index from HDFS.
+// stageRead streams every node's batch of this index from HDFS and partitions
+// its keys (Algorithm 1 lines 3-5, the CPU's one job between the read and the
+// SSD): the later stages read the index instead of sorting again.
 func (t *Trainer) stageRead(_ context.Context, j *job) (*job, error) {
 	t.maybeDelay(StageRead)
 	var mu sync.Mutex
@@ -717,7 +735,14 @@ func (t *Trainer) stageRead(_ context.Context, j *job) (*job, error) {
 		if b == nil {
 			return fmt.Errorf("trainer: node %d stream exhausted at batch %d", n.id, j.index)
 		}
-		j.nodes[n.id] = &nodeBatch{batch: b}
+		var idx *keys.Index
+		select {
+		case idx = <-n.indexes:
+		default:
+			idx = new(keys.Index)
+		}
+		b.IndexInto(&n.indexer, idx)
+		j.nodes[n.id] = &nodeBatch{batch: b, index: idx}
 		d := t.cfg.Profile.HDFS.ReadTime(b.ByteSize())
 		mu.Lock()
 		if d > modelled {
@@ -749,7 +774,7 @@ func (t *Trainer) stagePull(_ context.Context, j *job) (*job, error) {
 		// multi-process path overlaps — it genuinely waits on sockets; the
 		// in-process pull is pure CPU, so a staging goroutine would just add
 		// scheduling overhead.
-		ks := nb.batch.Keys()
+		ks := nb.index.Unique
 		var staged chan struct{}
 		if t.remote != nil {
 			staged = make(chan struct{})
@@ -806,9 +831,14 @@ func (t *Trainer) stageTrain(_ context.Context, j *job) (*job, error) {
 		// The HBM-PS copied the values; recycle the block for later batches.
 		ps.PutBlock(nb.block)
 		nb.block = nil
-		if err := t.trainOnGPUs(n, nb.batch); err != nil {
+		if err := t.trainOnGPUs(n, nb); err != nil {
 			return err
 		}
+		select {
+		case n.indexes <- nb.index:
+		default:
+		}
+		nb.index = nil
 		nb.deltas = ps.GetBlock(t.cfg.Spec.EmbeddingDim, nil)
 		n.hbm.CollectBlock(nb.deltas)
 		if _, err := n.hbm.Evict(nil); err != nil { // release HBM for the next batch
@@ -846,21 +876,29 @@ func (t *Trainer) stageTrain(_ context.Context, j *job) (*job, error) {
 	return j, nil
 }
 
-// trainOnGPUs shards the batch across the node's GPUs and trains each shard
-// on its own worker goroutine: pull the example's embeddings from the
-// HBM-PS, run the dense tower, push the sparse gradients back (Algorithm 1
-// lines 11-15).
-func (t *Trainer) trainOnGPUs(n *node, b *dataset.Batch) error {
+// trainOnGPUs shards the batch across the node's GPUs — Batch.Shard's split,
+// as example ranges plus the key-occurrence range each covers in the batch's
+// index — and trains each shard on its own worker goroutine: pull the
+// example's embeddings from the HBM-PS, run the dense tower, push the sparse
+// gradients back (Algorithm 1 lines 11-15).
+func (t *Trainer) trainOnGPUs(n *node, nb *nodeBatch) error {
 	numGPUs := n.hbm.NumGPUs()
-	shards := b.Shard(numGPUs)
+	examples := nb.batch.Examples
 	errs := make([]error, numGPUs)
 	var wg sync.WaitGroup
+	occ := 0
 	for g := 0; g < numGPUs; g++ {
+		lo, hi := dataset.ShardBounds(len(examples), numGPUs, g)
+		shard := examples[lo:hi]
+		first := occ
+		for i := range shard {
+			occ += len(shard[i].Features)
+		}
 		wg.Add(1)
-		go func(g int) {
+		go func(g, first, end int) {
 			defer wg.Done()
-			errs[g] = t.trainShard(n, g, shards[g])
-		}(g)
+			errs[g] = t.trainShard(n, g, shard, nb.index, first, end)
+		}(g, first, occ)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -894,7 +932,10 @@ type gpuWorker struct {
 	acts *nn.Activations
 	vecs [][]float32
 	offs []int32
-	keys []keys.Key
+	// keys is the shard's key set and local the row of each of the batch
+	// index's rows in it (keys.Index.Subset).
+	keys  []keys.Key
+	local []int32
 	// stamp[row] == ver marks rows already updated by the current example,
 	// deduplicating repeated features within one example exactly like the
 	// per-example path's gradient map did.
@@ -954,28 +995,26 @@ func (t *Trainer) commitDense(w *gpuWorker) {
 // movement: one block pull of the shard's unique keys, offset-indexed
 // training against the block (applying the sparse optimizer in place, example
 // by example), and one block commit — in place of a pull and a gradient push
-// per example. With a single shard the arithmetic is bit-identical to the
-// per-example reference path (see CommitBlock); across concurrent shards the
-// per-key contributions combine additively rather than interleaving through
-// the shared tables.
-func (t *Trainer) trainShard(n *node, gpuID int, shard *dataset.Batch) error {
-	if shard.Len() == 0 {
+// per example. The shard's examples reference the key occurrences [lo, hi) of
+// the batch's index. With a single shard the arithmetic is bit-identical to
+// the per-example reference path (see CommitBlock); across concurrent shards
+// the per-key contributions combine additively rather than interleaving
+// through the shared tables.
+func (t *Trainer) trainShard(n *node, gpuID int, examples []dataset.Example, idx *keys.Index, lo, hi int) error {
+	if len(examples) == 0 {
 		return nil
 	}
 	if t.perExample {
-		return t.trainShardPerExample(n, gpuID, shard)
+		return t.trainShardPerExample(n, gpuID, examples)
 	}
 	w := n.workers[gpuID]
 
-	// The shard's unique key set, sorted: row offsets are binary searches.
-	// Dedup sorts the concatenated features in place inside the reused
-	// scratch slice — no copy is taken, and pre-sorted input skips the sort.
-	kb := w.keys[:0]
-	for i := range shard.Examples {
-		kb = append(kb, shard.Examples[i].Features...)
-	}
-	uniq := keys.Dedup(kb)
-	w.keys = uniq
+	// The shard's unique key set, sorted, and the row of every batch-index row
+	// in it: the batch was partitioned once in the read stage, so a feature's
+	// row offset is two loads, not a sort and a search.
+	uniq, local := idx.Subset(lo, hi, w.keys, w.local)
+	w.keys, w.local = uniq, local
+	rows := idx.Rows[lo:hi]
 
 	dim := t.cfg.Spec.EmbeddingDim
 	work := ps.GetBlock(dim, uniq)
@@ -993,7 +1032,6 @@ func (t *Trainer) trainShard(n *node, gpuID int, shard *dataset.Batch) error {
 		w.stamp = w.stamp[:len(uniq)]
 	}
 
-	examples := shard.Examples
 	for start := 0; start < len(examples); start += denseMicroRun {
 		end := min(start+denseMicroRun, len(examples))
 		// One check-out and one commit per micro-run; in between the worker
@@ -1004,12 +1042,12 @@ func (t *Trainer) trainShard(n *node, gpuID int, shard *dataset.Batch) error {
 			ex := &examples[e]
 			w.vecs = w.vecs[:0]
 			w.offs = w.offs[:0]
-			for _, k := range ex.Features {
-				row, _ := work.Row(k) // every feature is in the shard's key set
-				off := int32(row)
+			for _, r := range rows[:len(ex.Features)] {
+				off := local[r]
 				w.offs = append(w.offs, off)
 				w.vecs = append(w.vecs, work.WeightsRow(int(off)))
 			}
+			rows = rows[len(ex.Features):]
 			nn.PoolSum(w.acts.Input(), w.vecs)
 			pred := w.net.Forward(w.acts)
 			inputGrad := w.net.BackwardApply(w.acts, pred, ex.Label, t.denseOpt, w.state)
@@ -1045,12 +1083,12 @@ func (t *Trainer) trainShard(n *node, gpuID int, shard *dataset.Batch) error {
 // reference Backward + Apply, push the gradients — per example. It is kept
 // (behind the perExample hook) so tests can assert that the batched path,
 // replicas and fused step included, reproduces it exactly.
-func (t *Trainer) trainShardPerExample(n *node, gpuID int, shard *dataset.Batch) error {
+func (t *Trainer) trainShardPerExample(n *node, gpuID int, examples []dataset.Example) error {
 	acts := t.net.NewActivations()
 	grads := t.net.NewGradients()
 	var denseOpt optimizer.Dense = t.denseOpt // converted once, not per example
 	vecs := make([][]float32, 0, t.cfg.Data.NonZerosPerExample)
-	for _, ex := range shard.Examples {
+	for _, ex := range examples {
 		values, err := n.hbm.Pull(ps.PullRequest{Shard: gpuID, Keys: ex.Features})
 		if err != nil {
 			return err
