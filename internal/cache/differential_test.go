@@ -276,7 +276,7 @@ func BenchmarkLRUPutUnderPins(b *testing.B) {
 
 // BenchmarkCombinedMissCycle is the MEM-PS's cache traffic on the cold
 // workload, per key: a 750+750-entry cache, batches of 1,800 keys drawn from
-// 30,000 that are looked up (most miss), inserted and pinned as by Prepare,
+// 30,000 that are looked up (most miss), inserted and pinned as by PrepareInto,
 // read again as by the push's apply, then unpinned as by CompleteBatch —
 // which is when the overflow the pins held back is demoted and evicted.
 func BenchmarkCombinedMissCycle(b *testing.B) {

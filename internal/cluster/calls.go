@@ -31,9 +31,9 @@ func (t *TCPTransport) pullInto(nodeID int, op uint8, ks []keys.Key, dst *ps.Val
 		return 0, err
 	}
 	if dst.Dim == 0 && t.dim > 0 {
-		// An all-missing reply from a map-based handler carries no dimension
-		// to infer; re-shape to the transport's so absent rows read as zeroed
-		// dim-d rows, per the PullInto contract.
+		// An all-missing lookup reply carries no dimension to infer; re-shape
+		// to the transport's so absent rows read as zeroed dim-d rows, per
+		// the PullInto contract.
 		dst.Reset(t.dim, ks)
 	}
 	reqBytes, respBytes := int64(len(ks))*8, t.rowBytes(dst.PresentCount())
@@ -41,33 +41,29 @@ func (t *TCPTransport) pullInto(nodeID int, op uint8, ks []keys.Key, dst *ps.Val
 	return reqBytes + respBytes, nil
 }
 
-// pullMap is pullInto for the map-based callers.
-func (t *TCPTransport) pullMap(nodeID int, op uint8, ks []keys.Key) (PullResult, int64, error) {
-	blk := ps.GetBlock(t.dim, nil)
-	defer ps.PutBlock(blk)
-	bytes, err := t.pullInto(nodeID, op, ks, blk)
-	if err != nil {
-		return nil, 0, err
-	}
-	return PullResult(blk.Deltas()), bytes, nil
-}
-
-// PullBlock implements TierTransport: the reply arrives as one flat block
+// PullBlock implements Transport: the reply arrives as one flat block
 // body, encoded in a single pass server-side in the connection's negotiated
 // precision.
 func (t *TCPTransport) PullBlock(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (int64, error) {
 	return t.pullInto(nodeID, rawOpPullBlock, ks, dst)
 }
 
-// Pull implements Transport as a map view of PullBlock.
-func (t *TCPTransport) Pull(nodeID int, ks []keys.Key) (PullResult, int64, error) {
-	return t.pullMap(nodeID, rawOpPullBlock, ks)
-}
-
 // Lookup implements TierTransport: a pull that never materializes missing
 // parameters, for evaluation-time and serving reads. Replies are always fp32.
 func (t *TCPTransport) Lookup(nodeID int, ks []keys.Key) (PullResult, int64, error) {
-	return t.pullMap(nodeID, rawOpLookup, ks)
+	blk := ps.GetBlock(t.dim, nil)
+	defer ps.PutBlock(blk)
+	bytes, err := t.pullInto(nodeID, rawOpLookup, ks, blk)
+	if err != nil {
+		return nil, 0, err
+	}
+	out := make(PullResult, blk.PresentCount())
+	for i, k := range blk.Keys {
+		if v := blk.Value(i); v != nil {
+			out[k] = v
+		}
+	}
+	return out, bytes, nil
 }
 
 // sendBlock runs a push-layout write (push-block, replicate, transfer): the
@@ -95,22 +91,6 @@ func (t *TCPTransport) sendBlock(nodeID int, op uint8, client, seq uint64, blk *
 func (t *TCPTransport) PushBlock(nodeID int, blk *ps.ValueBlock) (int64, error) {
 	client, seq := t.Stamp()
 	return t.PushBlockStamped(nodeID, client, seq, blk)
-}
-
-// Push implements TierTransport as a map view of PushBlock.
-func (t *TCPTransport) Push(nodeID int, deltas map[keys.Key]*embedding.Value) (int64, error) {
-	blk := ps.GetBlock(t.dim, nil)
-	defer ps.PutBlock(blk)
-	for k, v := range deltas {
-		if v == nil {
-			continue
-		}
-		if v.Dim() != t.dim || len(v.G2Sum) != t.dim {
-			return 0, fmt.Errorf("cluster: push delta for key %d has dimension %d/%d, transport carries %d", k, v.Dim(), len(v.G2Sum), t.dim)
-		}
-		blk.AppendRow(k, v.Weights, v.G2Sum, v.Freq)
-	}
-	return t.PushBlock(nodeID, blk)
 }
 
 // Stamp allocates a fresh push dedup stamp. Callers that need to fail a push

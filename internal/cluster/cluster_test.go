@@ -81,7 +81,8 @@ func TestTopologyShardingProperty(t *testing.T) {
 	}
 }
 
-// mapHandler is a PullHandler backed by a plain map for tests.
+// mapHandler is a PullHandler backed by a plain map for tests. A key is
+// created on first reference with weight 0 equal to the key.
 type mapHandler struct {
 	mu   sync.Mutex
 	dim  int
@@ -93,23 +94,36 @@ func newMapHandler(dim int) *mapHandler {
 	return &mapHandler{dim: dim, vals: make(map[keys.Key]*embedding.Value)}
 }
 
-func (h *mapHandler) HandlePull(ks []keys.Key) (PullResult, error) {
+// value returns k's value, creating it on first reference. The caller holds
+// h.mu.
+func (h *mapHandler) value(k keys.Key) *embedding.Value {
+	v, ok := h.vals[k]
+	if !ok {
+		v = embedding.NewValue(h.dim)
+		v.Weights[0] = float32(k)
+		h.vals[k] = v
+	}
+	return v
+}
+
+func (h *mapHandler) HandlePullBlock(ks []keys.Key, dst *ps.ValueBlock) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.err != nil {
-		return nil, h.err
+		return h.err
 	}
-	out := make(PullResult, len(ks))
-	for _, k := range ks {
-		v, ok := h.vals[k]
-		if !ok {
-			v = embedding.NewValue(h.dim)
-			v.Weights[0] = float32(k)
-			h.vals[k] = v
-		}
-		out[k] = v
+	dst.Reset(h.dim, ks)
+	for i, k := range ks {
+		dst.Set(i, h.value(k))
 	}
-	return out, nil
+	return nil
+}
+
+// pull pulls ks from node into a fresh block (row i is ks[i]).
+func pull(tr Transport, node int, ks []keys.Key) (*ps.ValueBlock, int64, error) {
+	blk := ps.NewValueBlock(0)
+	bytes, err := tr.PullBlock(node, ks, blk)
+	return blk, bytes, err
 }
 
 func TestLocalTransport(t *testing.T) {
@@ -121,21 +135,21 @@ func TestLocalTransport(t *testing.T) {
 	if len(tr.Nodes()) != 2 {
 		t.Fatal("Nodes wrong")
 	}
-	res, bytes, err := tr.Pull(1, []keys.Key{10, 20})
+	res, bytes, err := pull(tr, 1, []keys.Key{10, 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 2 || res[10].Weights[0] != 10 {
-		t.Fatalf("pull result = %v", res)
+	if res.PresentCount() != 2 || res.WeightsRow(0)[0] != 10 {
+		t.Fatalf("pull result = %+v", res)
 	}
-	if bytes != PayloadBytes(2, res, 4) || bytes <= 0 {
-		t.Fatalf("payload bytes = %d", bytes)
+	if want := int64(2*8 + 2*(8+embedding.EncodedSize(4))); bytes != want {
+		t.Fatalf("payload bytes = %d, want %d", bytes, want)
 	}
-	if _, _, err := tr.Pull(9, []keys.Key{1}); err == nil {
+	if _, _, err := pull(tr, 9, []keys.Key{1}); err == nil {
 		t.Fatal("pull from unregistered node should fail")
 	}
 	h1.err = errors.New("backend broken")
-	if _, _, err := tr.Pull(1, []keys.Key{1}); err == nil {
+	if _, _, err := pull(tr, 1, []keys.Key{1}); err == nil {
 		t.Fatal("handler error should propagate")
 	}
 }
@@ -160,25 +174,25 @@ func TestTCPTransportRoundTrip(t *testing.T) {
 	tr := NewTCPTransport(map[int]string{1: srv.Addr()}, 4)
 	defer tr.Close()
 
-	res, bytes, err := tr.Pull(1, []keys.Key{7, 8, 9})
+	res, bytes, err := pull(tr, 1, []keys.Key{7, 8, 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 3 {
-		t.Fatalf("pull returned %d values", len(res))
+	if res.PresentCount() != 3 {
+		t.Fatalf("pull returned %d values", res.PresentCount())
 	}
-	if res[7].Weights[0] != 7 {
+	if res.WeightsRow(0)[0] != 7 {
 		t.Fatal("value payload corrupted over TCP")
 	}
 	if bytes <= 0 {
 		t.Fatal("payload bytes should be positive")
 	}
 	// Second pull reuses the connection.
-	if _, _, err := tr.Pull(1, []keys.Key{100}); err != nil {
+	if _, _, err := pull(tr, 1, []keys.Key{100}); err != nil {
 		t.Fatal(err)
 	}
 	// Unknown node fails.
-	if _, _, err := tr.Pull(42, []keys.Key{1}); err == nil {
+	if _, _, err := pull(tr, 42, []keys.Key{1}); err == nil {
 		t.Fatal("unknown node should fail")
 	}
 }
@@ -201,12 +215,12 @@ func TestTCPTransportConcurrentPulls(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				k := keys.Key(seed*100 + i)
-				res, _, err := tr.Pull(0, []keys.Key{k})
+				res, _, err := pull(tr, 0, []keys.Key{k})
 				if err != nil {
 					errs <- err
 					return
 				}
-				if res[k].Weights[0] != float32(k) {
+				if res.WeightsRow(0)[0] != float32(k) {
 					errs <- errors.New("wrong value")
 					return
 				}
@@ -237,12 +251,7 @@ func (h *wireHandler) HandlePullBlockWire(ks []keys.Key, dst []byte, prec ps.Pre
 	}
 	dst = ps.AppendWireHeaderPrecision(dst, h.dim, len(ks), prec)
 	for _, k := range ks {
-		v, ok := h.vals[k]
-		if !ok {
-			v = embedding.NewValue(h.dim)
-			v.Weights[0] = float32(k)
-			h.vals[k] = v
-		}
+		v := h.value(k)
 		dst = ps.AppendWireRowPrecision(dst, true, v.Freq, v.Weights, v.G2Sum, prec)
 	}
 	return dst, nil
@@ -299,7 +308,7 @@ func TestTCPServerHandlerError(t *testing.T) {
 	defer srv.Close()
 	tr := NewTCPTransport(map[int]string{0: srv.Addr()}, 2)
 	defer tr.Close()
-	if _, _, err := tr.Pull(0, []keys.Key{1}); err == nil {
+	if _, _, err := pull(tr, 0, []keys.Key{1}); err == nil {
 		t.Fatal("handler error should surface at the client")
 	}
 }
@@ -345,7 +354,7 @@ func TestRPCDeadlineSurfacesStalledShard(t *testing.T) {
 	tr.SetRetryPolicy(RetryPolicy{Attempts: 2, Backoff: time.Millisecond, RPCTimeout: 50 * time.Millisecond})
 
 	start := time.Now()
-	_, _, err = tr.Pull(0, []keys.Key{1})
+	_, _, err = pull(tr, 0, []keys.Key{1})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("pull against a stalled shard must fail")
@@ -417,7 +426,7 @@ func TestOverflowConnsAreClosed(t *testing.T) {
 	for i := 0; i < callers; i++ {
 		go func(k keys.Key) {
 			<-start
-			_, _, err := tr.Pull(0, []keys.Key{k})
+			_, _, err := pull(tr, 0, []keys.Key{k})
 			errs <- err
 		}(keys.Key(i + 1))
 	}

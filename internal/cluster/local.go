@@ -10,7 +10,8 @@ import (
 )
 
 // LocalTransport connects the nodes of an in-process cluster: every node
-// registers its PullHandler and every node can pull from every other node.
+// registers its handler and every node can pull from (and push to) every
+// other node.
 // It is safe for concurrent use.
 type LocalTransport struct {
 	mu       sync.RWMutex
@@ -43,19 +44,6 @@ func (t *LocalTransport) Nodes() []int {
 	return out
 }
 
-// Pull implements Transport.
-func (t *LocalTransport) Pull(nodeID int, ks []keys.Key) (PullResult, int64, error) {
-	h, err := t.handler(nodeID)
-	if err != nil {
-		return nil, 0, err
-	}
-	res, err := h.HandlePull(ks)
-	if err != nil {
-		return nil, 0, fmt.Errorf("cluster: pull from node %d: %w", nodeID, err)
-	}
-	return res, PayloadBytes(len(ks), res, t.dim), nil
-}
-
 func (t *LocalTransport) handler(nodeID int) (PullHandler, error) {
 	t.mu.RLock()
 	h, ok := t.handlers[nodeID]
@@ -68,46 +56,38 @@ func (t *LocalTransport) handler(nodeID int) (PullHandler, error) {
 
 var _ TierTransport = (*LocalTransport)(nil)
 
-// PullBlock implements TierTransport: block-capable handlers serve straight
-// into dst; others are adapted through their map-based pull.
+// rowBytes is the fp32-equivalent payload of n value rows with their keys.
+func (t *LocalTransport) rowBytes(n int) int64 {
+	return int64(n) * int64(8+embedding.EncodedSize(t.dim))
+}
+
+// PullBlock implements Transport: the handler serves straight into dst.
 func (t *LocalTransport) PullBlock(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (int64, error) {
 	h, err := t.handler(nodeID)
 	if err != nil {
 		return 0, err
 	}
-	if bh, ok := h.(BlockPullHandler); ok {
-		if err := bh.HandlePullBlock(ks, dst); err != nil {
-			return 0, fmt.Errorf("cluster: pull from node %d: %w", nodeID, err)
-		}
-	} else {
-		res, err := h.HandlePull(ks)
-		if err != nil {
-			return 0, fmt.Errorf("cluster: pull from node %d: %w", nodeID, err)
-		}
-		ps.FillFromPull(dst, t.dim, ks, ps.Result(res))
+	if err := h.HandlePullBlock(ks, dst); err != nil {
+		return 0, fmt.Errorf("cluster: pull from node %d: %w", nodeID, err)
 	}
-	return int64(len(ks))*8 + int64(dst.PresentCount())*int64(8+embedding.EncodedSize(t.dim)), nil
+	return int64(len(ks))*8 + t.rowBytes(dst.PresentCount()), nil
 }
 
-// PushBlock implements TierTransport. Handlers without a block push receive
-// freshly allocated map deltas (handlers may retain what push hands them).
+// PushBlock implements TierTransport when node nodeID's handler accepts
+// pushes.
 func (t *LocalTransport) PushBlock(nodeID int, blk *ps.ValueBlock) (int64, error) {
 	h, err := t.handler(nodeID)
 	if err != nil {
 		return 0, err
 	}
-	switch bh := h.(type) {
-	case BlockPushHandler:
-		err = bh.HandlePushBlock(blk)
-	case PushHandler:
-		err = bh.HandlePush(blk.Deltas())
-	default:
-		return 0, &RemoteError{Node: nodeID, Op: "push", Msg: "shard does not accept pushes"}
+	ph, ok := h.(BlockPushHandler)
+	if !ok {
+		return 0, &RemoteError{Node: nodeID, Op: opName(rawOpPushBlock), Msg: "shard does not accept pushes"}
 	}
-	if err != nil {
+	if err := ph.HandlePushBlock(blk); err != nil {
 		return 0, fmt.Errorf("cluster: push to node %d: %w", nodeID, err)
 	}
-	return int64(blk.PresentCount()) * int64(8+embedding.EncodedSize(t.dim)), nil
+	return t.rowBytes(blk.PresentCount()), nil
 }
 
 // Replicate forwards an applied delta block to nodeID's handler (the
@@ -125,7 +105,7 @@ func (t *LocalTransport) Replicate(nodeID int, client, seq uint64, blk *ps.Value
 	if err := rh.HandleReplicate(blk); err != nil {
 		return 0, fmt.Errorf("cluster: replicate to node %d: %w", nodeID, err)
 	}
-	return int64(blk.PresentCount()) * int64(8+embedding.EncodedSize(t.dim)), nil
+	return t.rowBytes(blk.PresentCount()), nil
 }
 
 // Transfer installs the block's rows on nodeID's handler outright (set
@@ -162,22 +142,6 @@ func (t *LocalTransport) UpdateMembership(nodeID int, u MembershipUpdate) error 
 	return nil
 }
 
-// Push implements TierTransport when node nodeID's handler accepts pushes.
-func (t *LocalTransport) Push(nodeID int, deltas map[keys.Key]*embedding.Value) (int64, error) {
-	h, err := t.handler(nodeID)
-	if err != nil {
-		return 0, err
-	}
-	ph, ok := h.(PushHandler)
-	if !ok {
-		return 0, &RemoteError{Node: nodeID, Op: "push", Msg: "shard does not accept pushes"}
-	}
-	if err := ph.HandlePush(deltas); err != nil {
-		return 0, fmt.Errorf("cluster: push to node %d: %w", nodeID, err)
-	}
-	return int64(len(deltas)) * int64(8+embedding.EncodedSize(t.dim)), nil
-}
-
 // Evict implements TierTransport when node nodeID's handler supports evict.
 func (t *LocalTransport) Evict(nodeID int, ks []keys.Key) (int, error) {
 	h, err := t.handler(nodeID)
@@ -186,7 +150,7 @@ func (t *LocalTransport) Evict(nodeID int, ks []keys.Key) (int, error) {
 	}
 	eh, ok := h.(EvictHandler)
 	if !ok {
-		return 0, &RemoteError{Node: nodeID, Op: "evict", Msg: "shard does not support evict"}
+		return 0, &RemoteError{Node: nodeID, Op: opName(rawOpEvict), Msg: "shard does not support evict"}
 	}
 	return eh.Evict(ks)
 }
@@ -199,7 +163,7 @@ func (t *LocalTransport) TierStats(nodeID int) (ps.TierInfo, error) {
 	}
 	sh, ok := h.(StatsHandler)
 	if !ok {
-		return ps.TierInfo{}, &RemoteError{Node: nodeID, Op: "stats", Msg: "shard does not report stats"}
+		return ps.TierInfo{}, &RemoteError{Node: nodeID, Op: opName(rawOpStats), Msg: "shard does not report stats"}
 	}
 	return ps.TierInfo{Name: sh.Name(), Stats: sh.TierStats()}, nil
 }
@@ -213,7 +177,7 @@ func (t *LocalTransport) Lookup(nodeID int, ks []keys.Key) (PullResult, int64, e
 	}
 	lh, ok := h.(LookupHandler)
 	if !ok {
-		return nil, 0, &RemoteError{Node: nodeID, Op: "lookup", Msg: "shard does not support lookup"}
+		return nil, 0, &RemoteError{Node: nodeID, Op: opName(rawOpLookup), Msg: "shard does not support lookup"}
 	}
 	res, err := lh.HandleLookup(ks)
 	if err != nil {

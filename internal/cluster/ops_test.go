@@ -32,23 +32,23 @@ func newOpsHandler() *opsHandler {
 	return &opsHandler{vals: make(map[keys.Key]*embedding.Value)}
 }
 
-func (h *opsHandler) HandlePull(ks []keys.Key) (PullResult, error) {
+func (h *opsHandler) HandlePullBlock(ks []keys.Key, dst *ps.ValueBlock) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.fail != nil {
-		return nil, h.fail
+		return h.fail
 	}
-	out := make(PullResult, len(ks))
-	for _, k := range ks {
+	dst.Reset(opsDim, ks)
+	for i, k := range ks {
 		v, ok := h.vals[k]
 		if !ok {
 			v = embedding.NewValue(opsDim)
 			v.Weights[0] = float32(k)
 			h.vals[k] = v
 		}
-		out[k] = v.Clone()
+		dst.Set(i, v)
 	}
-	return out, nil
+	return nil
 }
 
 func (h *opsHandler) HandleLookup(ks []keys.Key) (PullResult, error) {
@@ -66,23 +66,22 @@ func (h *opsHandler) HandleLookup(ks []keys.Key) (PullResult, error) {
 	return out, nil
 }
 
-func (h *opsHandler) HandlePush(deltas map[keys.Key]*embedding.Value) error {
+func (h *opsHandler) HandlePushBlock(blk *ps.ValueBlock) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.fail != nil {
 		return h.fail
 	}
-	for k, d := range deltas {
+	for i, k := range blk.Keys {
+		if !blk.Present[i] {
+			continue
+		}
 		v, ok := h.vals[k]
 		if !ok {
 			v = embedding.NewValue(opsDim)
 			h.vals[k] = v
 		}
-		for i := range v.Weights {
-			v.Weights[i] += d.Weights[i]
-			v.G2Sum[i] += d.G2Sum[i]
-		}
-		v.Freq += d.Freq
+		v.AddFlat(blk.WeightsRow(i), blk.G2Row(i), blk.Freq[i])
 	}
 	return nil
 }
@@ -198,7 +197,10 @@ func (h *opsHandler) state() any {
 // pullOnly is a handler with none of the optional interfaces.
 type pullOnly struct{}
 
-func (pullOnly) HandlePull([]keys.Key) (PullResult, error) { return PullResult{}, nil }
+func (pullOnly) HandlePullBlock(ks []keys.Key, dst *ps.ValueBlock) error {
+	dst.Reset(opsDim, ks)
+	return nil
+}
 
 // opSurface is the client surface of the eleven post-hello wire ops.
 type opSurface interface {
@@ -283,17 +285,8 @@ func TestEveryOpOverTCP(t *testing.T) {
 			n, err := tr.PullBlock(node, []keys.Key{9, 3, 3, 1 << 40}, blk)
 			return []any{n, blockRows(blk)}, err
 		}},
-		{rawOpPullBlock, "pull (map view)", true, false, func(tr opSurface, node int) (any, error) {
-			res, n, err := tr.Pull(node, []keys.Key{9, 11})
-			return []any{n, res}, err
-		}},
 		{rawOpPushBlock, "push-block", false, false, func(tr opSurface, node int) (any, error) {
 			return tr.PushBlock(node, opsBlock([]keys.Key{3, 77}, 0.5))
-		}},
-		{rawOpPushBlock, "push (map view)", false, false, func(tr opSurface, node int) (any, error) {
-			d := embedding.NewValue(opsDim)
-			d.Weights[3], d.Freq = -2.25, 1
-			return tr.Push(node, map[keys.Key]*embedding.Value{9: d, 500: d})
 		}},
 		{rawOpReplicate, "replicate", false, false, func(tr opSurface, node int) (any, error) {
 			replicaSeq++ // a reused stamp would be acked as a duplicate, handler unseen
@@ -393,6 +386,55 @@ func TestEveryOpOverTCP(t *testing.T) {
 	for op := range definedOps() {
 		if !covered[op] {
 			t.Errorf("op %s has no row in this table", opName(op))
+		}
+	}
+}
+
+// TestMissingHandlerSameOpName checks that a shard lacking an op's handler is
+// reported under the op's one name whichever transport reaches it, so a
+// caller matching RemoteError.Op sees the same failure in-process and over
+// TCP.
+func TestMissingHandlerSameOpName(t *testing.T) {
+	bare, err := ServeTCP("127.0.0.1:0", pullOnly{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
+	tr := NewTCPTransport(map[int]string{0: bare.Addr()}, opsDim)
+	defer tr.Close()
+	lt := NewLocalTransport(opsDim)
+	lt.Register(0, pullOnly{})
+
+	type shard interface {
+		TierTransport
+		Replicate(nodeID int, client, seq uint64, blk *ps.ValueBlock) (int64, error)
+		Transfer(nodeID int, blk *ps.ValueBlock) (int, error)
+		UpdateMembership(nodeID int, u MembershipUpdate) error
+	}
+	rows := []struct {
+		op  uint8
+		run func(tr shard) error
+	}{
+		{rawOpPushBlock, func(tr shard) error { _, err := tr.PushBlock(0, opsBlock([]keys.Key{3}, 1)); return err }},
+		{rawOpReplicate, func(tr shard) error { _, err := tr.Replicate(0, 7, 1, opsBlock([]keys.Key{3}, 1)); return err }},
+		{rawOpLookup, func(tr shard) error { _, _, err := tr.Lookup(0, []keys.Key{3}); return err }},
+		{rawOpTransfer, func(tr shard) error { _, err := tr.Transfer(0, opsBlock([]keys.Key{3}, 1)); return err }},
+		{rawOpEvict, func(tr shard) error { _, err := tr.Evict(0, []keys.Key{3}); return err }},
+		{rawOpStats, func(tr shard) error { _, err := tr.TierStats(0); return err }},
+		{rawOpMembership, func(tr shard) error { return tr.UpdateMembership(0, MembershipUpdate{Epoch: 1, Members: []int{0}}) }},
+	}
+	for _, row := range rows {
+		var local, remote *RemoteError
+		if err := row.run(lt); !errors.As(err, &local) {
+			t.Errorf("%s in-process answered %T (%v), want *RemoteError", opName(row.op), err, err)
+			continue
+		}
+		if err := row.run(tr); !errors.As(err, &remote) {
+			t.Errorf("%s over TCP answered %T (%v), want *RemoteError", opName(row.op), err, err)
+			continue
+		}
+		if local.Op != remote.Op || local.Op != opName(row.op) {
+			t.Errorf("missing %s handler named %q in-process and %q over TCP", opName(row.op), local.Op, remote.Op)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"hps/internal/blockio"
 	"hps/internal/cluster"
-	"hps/internal/embedding"
 	"hps/internal/hw"
 	"hps/internal/keys"
 	"hps/internal/memps"
@@ -65,7 +64,7 @@ func TestRemoteTierConformance(t *testing.T) {
 			tr := cluster.NewTCPTransport(map[int]string{0: srv.Addr()}, remoteDim)
 			t.Cleanup(tr.Close)
 			tier := cluster.NewRemoteTier(tr, 0)
-			if _, err := tier.Pull(ps.PullRequest{Shard: ps.NoShard, Keys: ks}); err != nil {
+			if err := tier.PullInto(ps.PullRequest{Shard: ps.NoShard, Keys: ks}, ps.NewValueBlock(remoteDim)); err != nil {
 				t.Fatal(err)
 			}
 			return tier
@@ -73,48 +72,21 @@ func TestRemoteTierConformance(t *testing.T) {
 	})
 }
 
-// TestServeTierExposesAnyTier checks the generic ps.Tier adapter: a bare
-// SSD-PS served behind ServeTier answers pull/push/evict/stats over the wire.
-func TestServeTierExposesAnyTier(t *testing.T) {
-	dev, err := blockio.NewDevice(t.TempDir(), hw.DefaultGPUNode().SSD, simtime.NewClock())
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := ssdps.Open(dev, ssdps.Config{Dim: remoteDim, ParamsPerFile: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := cluster.ServeTier("127.0.0.1:0", store, cluster.ServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	tr := cluster.NewTCPTransport(map[int]string{0: srv.Addr()}, remoteDim)
-	defer tr.Close()
-	tier := cluster.NewRemoteTier(tr, 0)
+// pull reads ks from node into a fresh block (row i is ks[i]).
+func pull(tr *cluster.TCPTransport, node int, ks []keys.Key) (*ps.ValueBlock, error) {
+	blk := ps.NewValueBlock(remoteDim)
+	_, err := tr.PullBlock(node, ks, blk)
+	return blk, err
+}
 
-	delta := embedding.NewValue(remoteDim)
-	delta.Weights[0] = 4.5
-	if err := tier.Push(ps.PushRequest{Deltas: map[keys.Key]*embedding.Value{7: delta}}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := tier.Pull(ps.PullRequest{Keys: []keys.Key{7, 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 1 || res[7].Weights[0] != 4.5 {
-		t.Fatalf("remote ssd-ps pull = %v", res)
-	}
-	info, err := tier.RemoteStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Name != "ssd-ps" || info.Stats.Pushes == 0 {
-		t.Fatalf("remote stats = %+v", info)
-	}
-	if n, err := tier.Evict([]keys.Key{7}); err != nil || n != 1 {
-		t.Fatalf("remote evict = (%d, %v)", n, err)
-	}
+// pushWeight pushes a delta of w on weight 0 of key k to node.
+func pushWeight(tr *cluster.TCPTransport, node int, k keys.Key, w float32) error {
+	row := make([]float32, remoteDim)
+	row[0] = w
+	blk := ps.NewValueBlock(remoteDim)
+	blk.AppendRow(k, row, make([]float32, remoteDim), 0)
+	_, err := tr.PushBlock(node, blk)
+	return err
 }
 
 // TestTCPTransportTypedErrors checks that callers can tell retryable network
@@ -134,20 +106,20 @@ func TestTCPTransportTypedErrors(t *testing.T) {
 	// (impossible in a 1-node topology, so use a push of a nil value instead:
 	// well-formed transport, failing handler). Easier: pull via an unknown
 	// node id is a configuration error, not retryable.
-	if _, _, err := tr.Pull(9, []keys.Key{1}); !errors.Is(err, cluster.ErrUnknownNode) {
+	if _, err := pull(tr, 9, []keys.Key{1}); !errors.Is(err, cluster.ErrUnknownNode) {
 		t.Fatalf("unknown node error = %v, want ErrUnknownNode", err)
 	} else if cluster.Retryable(err) {
 		t.Fatal("unknown node must not be retryable")
 	}
 
 	// Network failure: server gone, nothing listening.
-	if _, _, err := tr.Pull(0, []keys.Key{1}); err != nil {
+	if _, err := pull(tr, 0, []keys.Key{1}); err != nil {
 		t.Fatalf("pull against live server: %v", err)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = tr.Pull(1, []keys.Key{2})
+	_, err = pull(tr, 1, []keys.Key{2})
 	if err == nil {
 		t.Fatal("pull against a dead server should fail")
 	}
@@ -155,7 +127,7 @@ func TestTCPTransportTypedErrors(t *testing.T) {
 	if !errors.As(err, &te) {
 		t.Fatalf("dead-server error = %T (%v), want *TransportError", err, err)
 	}
-	if te.Node != 1 || te.Op != "pull-block" || te.Attempts != 2 { // Pull is a map view of the pull-block op
+	if te.Node != 1 || te.Op != "pull-block" || te.Attempts != 2 {
 		t.Fatalf("transport error fields = %+v", te)
 	}
 	if !cluster.Retryable(err) {
@@ -180,13 +152,11 @@ func TestTCPTransportReconnects(t *testing.T) {
 	tr.SetRetryPolicy(cluster.RetryPolicy{Attempts: 6, Backoff: 5 * time.Millisecond})
 
 	ks := []keys.Key{1, 2, 3, 4}
-	before, _, err := tr.Pull(0, ks)
+	before, err := pull(tr, 0, ks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta := embedding.NewValue(remoteDim)
-	delta.Weights[0] = 1.25
-	if _, err := tr.Push(0, map[keys.Key]*embedding.Value{ks[0]: delta}); err != nil {
+	if err := pushWeight(tr, 0, ks[0], 1.25); err != nil {
 		t.Fatal(err)
 	}
 
@@ -198,17 +168,17 @@ func TestTCPTransportReconnects(t *testing.T) {
 	// while the client is already mid-retry.
 	done := make(chan error, 1)
 	go func() {
-		after, _, err := tr.Pull(0, ks)
+		after, err := pull(tr, 0, ks)
 		if err != nil {
 			done <- err
 			return
 		}
-		for i, k := range ks {
-			want := before[k].Weights[0]
+		for i := range ks {
+			want := before.WeightsRow(i)[0]
 			if i == 0 {
 				want += 1.25
 			}
-			if after[k].Weights[0] != want {
+			if after.WeightsRow(i)[0] != want {
 				done <- errors.New("parameters corrupted across the reconnect")
 				return
 			}
@@ -244,23 +214,21 @@ func TestDistinctPushesBothApply(t *testing.T) {
 	defer tr.Close()
 
 	k := keys.Key(5)
-	base, _, err := tr.Pull(0, []keys.Key{k})
+	base, err := pull(tr, 0, []keys.Key{k})
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta := embedding.NewValue(remoteDim)
-	delta.Weights[0] = 2
 	for i := 0; i < 2; i++ {
-		if _, err := tr.Push(0, map[keys.Key]*embedding.Value{k: delta}); err != nil {
+		if err := pushWeight(tr, 0, k, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, _, err := tr.Pull(0, []keys.Key{k})
+	got, err := pull(tr, 0, []keys.Key{k})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := base[k].Weights[0] + 2 + 2
-	if got[k].Weights[0] != want {
-		t.Fatalf("after two pushes weight = %g, want %g", got[k].Weights[0], want)
+	want := base.WeightsRow(0)[0] + 2 + 2
+	if got.WeightsRow(0)[0] != want {
+		t.Fatalf("after two pushes weight = %g, want %g", got.WeightsRow(0)[0], want)
 	}
 }

@@ -21,7 +21,7 @@ type ServerOptions struct {
 // TCPServer serves the parameter RPCs of one node over TCP. The paper's
 // nodes exchange MEM-PS parameters over the data-center network; this server
 // plays that role when the nodes run as separate processes. The handler's
-// optional interfaces (PushHandler, LookupHandler, EvictHandler,
+// optional interfaces (BlockPushHandler, LookupHandler, EvictHandler,
 // StatsHandler, and the serving-tier trio PredictHandler /
 // ServeConfigHandler / ServingStatsHandler) decide which operations beyond
 // pull the server supports.
@@ -58,16 +58,6 @@ func ServeTCPOptions(addr string, handler PullHandler, opts ServerOptions) (*TCP
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
-}
-
-// ServeTier exposes any ps.Tier behind ServeTCP: pulls, pushes, evicts and
-// stats map straight onto the tier's own operations (lookups too — a plain
-// tier's Pull already leaves missing keys absent).
-func ServeTier(addr string, tier ps.Tier, opts ServerOptions) (*TCPServer, error) {
-	if tier == nil {
-		return nil, errors.New("cluster: nil tier")
-	}
-	return ServeTCPOptions(addr, &TierHandler{Tier: tier}, opts)
 }
 
 // Addr returns the address the server is listening on.
@@ -241,16 +231,8 @@ func (s *TCPServer) servePull(prec *ps.Precision, payload, frame []byte) ([]byte
 	}
 	blk := ps.GetBlock(0, nil)
 	defer ps.PutBlock(blk)
-	if h, ok := s.handler.(BlockPullHandler); ok {
-		if err := h.HandlePullBlock(ks, blk); err != nil {
-			return nil, err
-		}
-	} else {
-		res, err := s.handler.HandlePull(ks)
-		if err != nil {
-			return nil, err
-		}
-		ps.FillFromPull(blk, 0, ks, ps.Result(res))
+	if err := s.handler.HandlePullBlock(ks, blk); err != nil {
+		return nil, err
 	}
 	return blk.AppendWirePrecision(frame, *prec), nil
 }
@@ -270,9 +252,22 @@ func (s *TCPServer) serveLookup(_ *ps.Precision, payload, frame []byte) ([]byte,
 	if err != nil {
 		return nil, err
 	}
-	blk := ps.GetBlock(0, nil)
+	// The reply is a block body in request order: the first value found
+	// gives the dimension, and a missing key is an absent row.
+	dim := 0
+	for _, v := range res {
+		if v != nil {
+			dim = v.Dim()
+			break
+		}
+	}
+	blk := ps.GetBlock(dim, ks)
 	defer ps.PutBlock(blk)
-	ps.FillFromPull(blk, 0, ks, ps.Result(res))
+	for i, k := range ks {
+		if v := res[k]; v != nil {
+			blk.Set(i, v)
+		}
+	}
 	return blk.AppendWire(frame), nil
 }
 
@@ -347,8 +342,6 @@ func (s *TCPServer) servePush(_ *ps.Precision, payload, frame []byte) ([]byte, e
 			err = h.HandlePushBlockStamped(client, seq, blk)
 		case BlockPushHandler:
 			err = h.HandlePushBlock(blk)
-		case PushHandler:
-			err = h.HandlePush(blk.Deltas())
 		default:
 			return nil, errors.New("shard does not accept pushes")
 		}

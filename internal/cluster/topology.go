@@ -2,10 +2,13 @@
 // hierarchical parameter server and the transports nodes use to pull
 // parameters from each other's MEM-PS (Section 5, "Prepare parameters").
 //
-// Parameters are sharded across nodes with the modulo policy, and within a
-// node across GPUs with the same policy (Section 4.1, Appendix C.1). The
-// in-process transport wires several simulated nodes together inside one
-// process; the TCP transport runs the same protocol across real processes.
+// Parameters are sharded across nodes by the paper's modulo policy or, when
+// the topology carries a membership view, by a consistent-hash ring with R
+// replicas per key; within a node they are hash-partitioned across GPUs
+// (Section 4.1, Appendix C.1). Every pull and push moves one flat
+// ps.ValueBlock per peer. The in-process transport wires several simulated
+// nodes together inside one process; the TCP transport runs the same
+// protocol across real processes.
 package cluster
 
 import (
@@ -148,24 +151,17 @@ func (t Topology) SplitByGPU(ks []keys.Key) [][]keys.Key {
 	return out
 }
 
-// PullResult is the payload returned by a parameter pull: the requested keys
-// that exist on the serving node, with their current values.
+// PullResult is the payload of a lookup: the requested keys that exist on the
+// serving node, with their current values.
 type PullResult map[keys.Key]*embedding.Value
 
 // PullHandler serves parameter pulls for one node (implemented by the
-// MEM-PS). Handlers must be safe for concurrent use.
+// MEM-PS): the values of ks land in dst's flat rows, in request-key order, so
+// a server encodes the whole reply in one pass. The handler owns the
+// missing-key policy — the MEM-PS creates a parameter referenced for the
+// first time. Handlers must be safe for concurrent use.
 type PullHandler interface {
-	// HandlePull returns the values of the requested keys that this node
-	// owns, creating them if they do not exist yet (a parameter referenced
-	// for the first time).
-	HandlePull(ks []keys.Key) (PullResult, error)
-}
-
-// PushHandler applies parameter deltas pushed by other nodes. The MEM-PS
-// implements it; shard servers expose it behind the push RPC.
-type PushHandler interface {
-	// HandlePush merges per-key deltas into the shard this node owns.
-	HandlePush(deltas map[keys.Key]*embedding.Value) error
+	HandlePullBlock(ks []keys.Key, dst *ps.ValueBlock) error
 }
 
 // LookupHandler serves reads that must not materialize missing parameters
@@ -177,21 +173,15 @@ type LookupHandler interface {
 	HandleLookup(ks []keys.Key) (PullResult, error)
 }
 
-// BlockPullHandler is the batched-block form of PullHandler: the values land
-// in dst's flat rows (request-key order) instead of a per-value map, so the
-// server can encode the whole reply in one pass. Handlers without it are
-// served through HandlePull plus a conversion.
-type BlockPullHandler interface {
-	HandlePullBlock(ks []keys.Key, dst *ps.ValueBlock) error
-}
-
-// BlockPushHandler is the batched-block form of PushHandler, consuming the
-// parallel key/delta rows of a push frame directly.
+// BlockPushHandler applies a block of parameter deltas pushed by other nodes
+// or a driver, consuming the parallel key/delta rows of a push frame
+// directly. The MEM-PS implements it; shard servers expose it behind the
+// push-block RPC.
 type BlockPushHandler interface {
 	HandlePushBlock(blk *ps.ValueBlock) error
 }
 
-// BlockPullWireHandler is the zero-intermediate form of BlockPullHandler: the
+// BlockPullWireHandler is the zero-intermediate form of PullHandler: the
 // handler appends the encoded block body for ks (the exact bytes
 // ps.ValueBlock.AppendWirePrecision would produce — ps.AppendWireHeaderPrecision
 // then one ps.AppendWireRowPrecision per requested key, in the connection's
@@ -250,31 +240,25 @@ type StatsHandler interface {
 	TierStats() ps.Stats
 }
 
-// Transport lets a node pull parameters from a remote node's MEM-PS.
+// Transport is what a MEM-PS needs from its peers: pulling the partition of
+// a batch's working set that other nodes own.
 type Transport interface {
-	// Pull requests the given keys from the node with id nodeID and returns
-	// their values along with the number of payload bytes that crossed the
-	// network (for time accounting by the caller).
-	Pull(nodeID int, ks []keys.Key) (PullResult, int64, error)
+	// PullBlock reads ks from node nodeID into dst (request-key order),
+	// returning the payload bytes that crossed the network (for time
+	// accounting by the caller).
+	PullBlock(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (int64, error)
 }
 
 // TierTransport is the full RPC surface needed to use a remote node as a
 // parameter-server tier: batched block pull and push on the hot path (flat
-// ValueBlocks whose wire frames are encoded in one pass), their map-based
-// views, plus the evict / stats / lookup operations the trainer and its
-// reports need. Both LocalTransport (in-process) and TCPTransport
-// (multi-process) implement it.
+// ValueBlocks whose wire frames are encoded in one pass), plus the evict /
+// stats / lookup operations the trainer and its reports need. Both
+// LocalTransport (in-process) and TCPTransport (multi-process) implement it.
 type TierTransport interface {
 	Transport
-	// PullBlock reads ks from node nodeID into dst (request-key order),
-	// returning the payload bytes that crossed the network.
-	PullBlock(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (int64, error)
 	// PushBlock merges the block's parallel key/delta rows into node nodeID's
 	// shard, returning the payload bytes that crossed the network.
 	PushBlock(nodeID int, blk *ps.ValueBlock) (int64, error)
-	// Push merges per-key deltas into node nodeID's shard, returning the
-	// payload bytes that crossed the network.
-	Push(nodeID int, deltas map[keys.Key]*embedding.Value) (int64, error)
 	// Evict demotes the given keys out of node nodeID's tier; nil demotes
 	// everything evictable (the ps.Tier.Evict contract).
 	Evict(nodeID int, ks []keys.Key) (int, error)
@@ -287,15 +271,15 @@ type TierTransport interface {
 
 // NoRoute is a Transport for processes that serve a single shard and never
 // pull from peers (a shard server's MEM-PS only ever answers requests). Every
-// operation fails with ErrUnknownNode.
+// pull fails with ErrUnknownNode.
 type NoRoute struct{}
 
-// Pull implements Transport.
-func (NoRoute) Pull(nodeID int, _ []keys.Key) (PullResult, int64, error) {
-	return nil, 0, fmt.Errorf("%w: %d (transport has no routes)", ErrUnknownNode, nodeID)
+// PullBlock implements Transport.
+func (NoRoute) PullBlock(nodeID int, _ []keys.Key, _ *ps.ValueBlock) (int64, error) {
+	return 0, fmt.Errorf("%w: %d (transport has no routes)", ErrUnknownNode, nodeID)
 }
 
-// PayloadBytes returns the serialized size of a pull exchange: 8 bytes per
+// PayloadBytes returns the serialized size of a lookup exchange: 8 bytes per
 // requested key plus the encoded size of every returned value (with its key).
 func PayloadBytes(requested int, result PullResult, dim int) int64 {
 	return int64(requested)*8 + int64(len(result))*int64(8+embedding.EncodedSize(dim))

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"hps/internal/embedding"
 	"hps/internal/keys"
 	"hps/internal/ps"
 )
@@ -127,11 +126,12 @@ type dedupHandler struct {
 	panicPushes int
 }
 
-func (h *dedupHandler) HandlePull(ks []keys.Key) (PullResult, error) {
-	return make(PullResult), nil
+func (h *dedupHandler) HandlePullBlock(ks []keys.Key, dst *ps.ValueBlock) error {
+	dst.Reset(0, ks)
+	return nil
 }
 
-func (h *dedupHandler) HandlePush(map[keys.Key]*embedding.Value) error {
+func (h *dedupHandler) HandlePushBlock(*ps.ValueBlock) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.failPushes > 0 {

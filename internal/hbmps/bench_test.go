@@ -26,13 +26,21 @@ func benchHBM(b *testing.B, gpus int) *HBMPS {
 	return h
 }
 
-func benchWorkingSet(n int) map[keys.Key]*embedding.Value {
+// benchWorkingSet is a loadable block of n scattered keys with random values,
+// in key order (the working-set order the trainer's pull stage produces).
+func benchWorkingSet(n int) *ps.ValueBlock {
 	rng := rand.New(rand.NewSource(1))
-	out := make(map[keys.Key]*embedding.Value, n)
-	for i := 0; i < n; i++ {
-		out[keys.Key(keys.Mix64(uint64(i)))] = embedding.NewRandomValue(8, rng)
+	ks := make([]keys.Key, n)
+	for i := range ks {
+		ks[i] = keys.Key(keys.Mix64(uint64(i)))
 	}
-	return out
+	ks = keys.Dedup(ks)
+	blk := ps.NewValueBlock(8)
+	blk.Reset(8, ks)
+	for i := range ks {
+		blk.Set(i, embedding.NewRandomValue(8, rng))
+	}
+	return blk
 }
 
 // BenchmarkLoadWorkingSet measures partitioning and loading a batch working
@@ -42,7 +50,7 @@ func BenchmarkLoadWorkingSet(b *testing.B) {
 	ws := benchWorkingSet(8192)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := h.LoadWorkingSet(ws); err != nil {
+		if err := h.LoadBlock(ws); err != nil {
 			b.Fatal(err)
 		}
 		h.Release()
@@ -55,16 +63,14 @@ func BenchmarkLoadWorkingSet(b *testing.B) {
 func BenchmarkPullPush(b *testing.B) {
 	h := benchHBM(b, 4)
 	ws := benchWorkingSet(8192)
-	if err := h.LoadWorkingSet(ws); err != nil {
+	if err := h.LoadBlock(ws); err != nil {
 		b.Fatal(err)
 	}
 	defer h.Release()
-	all := make([]keys.Key, 0, len(ws))
-	for k := range ws {
-		all = append(all, k)
-	}
+	all := ws.Keys
 	const nnz = 100
 	feats := all[:nnz]
+	blk := ps.NewValueBlock(8)
 	grad := make([]float32, 8)
 	grad[0] = 0.1
 	opt := optimizer.Adagrad{LR: 0.05, InitialAccumulator: 0.1}
@@ -74,7 +80,7 @@ func BenchmarkPullPush(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := h.Pull(ps.PullRequest{Shard: i % 4, Keys: feats}); err != nil {
+		if err := h.PullInto(ps.PullRequest{Shard: i % 4, Keys: feats}, blk); err != nil {
 			b.Fatal(err)
 		}
 		if err := h.PushGrads(i%4, grads, opt); err != nil {
@@ -89,13 +95,10 @@ func benchCollectSetup(b *testing.B, n int) *HBMPS {
 	b.Helper()
 	h := benchHBM(b, 4)
 	ws := benchWorkingSet(n)
-	if err := h.LoadWorkingSet(ws); err != nil {
+	if err := h.LoadBlock(ws); err != nil {
 		b.Fatal(err)
 	}
-	all := make([]keys.Key, 0, len(ws))
-	for k := range ws {
-		all = append(all, k)
-	}
+	all := ws.Keys
 	grad := make([]float32, 8)
 	grad[0] = 0.1
 	opt := optimizer.Adagrad{LR: 0.05, InitialAccumulator: 0.1}
@@ -109,25 +112,10 @@ func benchCollectSetup(b *testing.B, n int) *HBMPS {
 	return h
 }
 
-// BenchmarkCollectUpdates measures the map-building delta collection
-// (Algorithm 1 line 16): one heap-allocated embedding.Value per working-set
-// key, kept only for the changed ones. It is the pre-block baseline the
-// batched BenchmarkCollectBlock replaces on the hot path.
-func BenchmarkCollectUpdates(b *testing.B) {
-	h := benchCollectSetup(b, 8192)
-	defer h.Release()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := len(h.CollectUpdates()); got == 0 {
-			b.Fatal("no deltas collected")
-		}
-	}
-}
-
-// BenchmarkCollectBlock measures the block-native delta collection that
-// replaces BenchmarkCollectUpdates on the hot path: changed-key deltas
-// computed with the fused subtract-and-test kernel straight into a reused
-// flat block — O(1) allocations once the block's slabs are warm.
+// BenchmarkCollectBlock measures delta collection (Algorithm 1 line 16):
+// changed-key deltas computed with the fused subtract-and-test kernel
+// straight into a reused flat block — O(1) allocations once the block's
+// slabs are warm.
 func BenchmarkCollectBlock(b *testing.B) {
 	h := benchCollectSetup(b, 8192)
 	defer h.Release()
@@ -149,14 +137,11 @@ func BenchmarkCollectBlock(b *testing.B) {
 func BenchmarkPullCommitBlock(b *testing.B) {
 	h := benchHBM(b, 4)
 	ws := benchWorkingSet(8192)
-	if err := h.LoadWorkingSet(ws); err != nil {
+	if err := h.LoadBlock(ws); err != nil {
 		b.Fatal(err)
 	}
 	defer h.Release()
-	all := make([]keys.Key, 0, len(ws))
-	for k := range ws {
-		all = append(all, k)
-	}
+	all := ws.Keys
 	const nnz = 100
 	feats := keys.Dedup(all[:nnz])
 	grad := make([]float32, 8)

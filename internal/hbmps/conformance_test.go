@@ -13,12 +13,11 @@ import (
 	"hps/internal/simtime"
 )
 
-// TestCollectAgrees is the conformance check for delta collection: the
-// block-native CollectBlock and the map form CollectUpdates must report
-// identical keys and bit-identical weight/accumulator/frequency deltas, and
-// both must agree with an independent reference computed from the tier's own
-// Pull — including the changed-key filter (untouched parameters absent,
-// frequency-only changes present).
+// TestCollectAgrees is the conformance check for delta collection:
+// CollectBlock must report exactly the keys and bit-identical
+// weight/accumulator/frequency deltas of an independent reference computed
+// from the tier's own PullInto — including the changed-key filter (untouched
+// parameters absent, frequency-only changes present).
 func TestCollectAgrees(t *testing.T) {
 	const dim = 8
 	const n = 96
@@ -67,20 +66,19 @@ func TestCollectAgrees(t *testing.T) {
 	if err := h.PushGrads(0, grads, opt); err != nil {
 		t.Fatal(err)
 	}
-	freqOnly := make(map[keys.Key]*embedding.Value)
+	freqOnly := ps.NewValueBlock(dim)
+	zero := make([]float32, dim)
 	for i := n / 3; i < 2*n/3; i++ {
-		d := embedding.NewValue(dim) // zero weights/g2: frequency-only delta
-		d.Freq = 2
-		freqOnly[ks[i]] = d
+		freqOnly.AppendRow(ks[i], zero, zero, 2) // frequency-only delta
 	}
-	if err := h.Push(ps.PushRequest{Shard: ps.NoShard, Deltas: freqOnly}); err != nil {
+	if err := h.PushBlock(ps.PushBlockRequest{Shard: ps.NoShard, Block: freqOnly}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Independent reference: current values straight from the tier, minus the
 	// loaded ones, keeping only non-zero deltas.
-	cur, err := h.Pull(ps.PullRequest{Shard: 0, Keys: ks})
-	if err != nil {
+	cur := ps.NewValueBlock(dim)
+	if err := h.PullInto(ps.PullRequest{Shard: 0, Keys: ks}, cur); err != nil {
 		t.Fatal(err)
 	}
 	want := make(map[keys.Key]*embedding.Value)
@@ -88,13 +86,13 @@ func TestCollectAgrees(t *testing.T) {
 		d := embedding.NewValue(dim)
 		changed := false
 		for j := range d.Weights {
-			d.Weights[j] = cur[k].Weights[j] - orig.WeightsRow(i)[j]
-			d.G2Sum[j] = cur[k].G2Sum[j] - orig.G2Row(i)[j]
+			d.Weights[j] = cur.WeightsRow(i)[j] - orig.WeightsRow(i)[j]
+			d.G2Sum[j] = cur.G2Row(i)[j] - orig.G2Row(i)[j]
 			if d.Weights[j] != 0 || d.G2Sum[j] != 0 {
 				changed = true
 			}
 		}
-		d.Freq = cur[k].Freq - orig.Freq[i]
+		d.Freq = cur.Freq[i] - orig.Freq[i]
 		if changed || d.Freq != 0 {
 			want[k] = d
 		}
@@ -128,25 +126,6 @@ func TestCollectAgrees(t *testing.T) {
 			}
 		}
 	}
-
-	deltas := h.CollectUpdates()
-	if len(deltas) != len(want) {
-		t.Fatalf("CollectUpdates returned %d deltas, want %d", len(deltas), len(want))
-	}
-	for k, ref := range want {
-		d := deltas[k]
-		if d == nil {
-			t.Fatalf("CollectUpdates missing key %d", k)
-		}
-		if d.Freq != ref.Freq {
-			t.Fatalf("key %d map freq delta = %d, want %d", k, d.Freq, ref.Freq)
-		}
-		for j := range ref.Weights {
-			if d.Weights[j] != ref.Weights[j] || d.G2Sum[j] != ref.G2Sum[j] {
-				t.Fatalf("key %d map delta differs from reference at element %d", k, j)
-			}
-		}
-	}
 }
 
 // TestTierConformance runs the shared ps.Tier suite against the HBM-PS: the
@@ -170,13 +149,14 @@ func TestTierConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ws := make(map[keys.Key]*embedding.Value, len(ks))
-			for i, k := range ks {
+			ws := ps.NewValueBlock(dim)
+			ws.Reset(dim, ks)
+			for i := range ks {
 				v := embedding.NewValue(dim)
 				v.Weights[0] = float32(i + 1)
-				ws[k] = v
+				ws.Set(i, v)
 			}
-			if err := h.LoadWorkingSet(ws); err != nil {
+			if err := h.LoadBlock(ws); err != nil {
 				t.Fatal(err)
 			}
 			return h

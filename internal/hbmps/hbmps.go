@@ -8,14 +8,15 @@
 // fetches it over NVLink (Algorithm 2's partition-and-send pattern). Across
 // nodes, updates are synchronized by the hierarchical all-reduce of
 // Appendix C.3, which the core trainer coordinates; this package exposes the
-// per-node pieces (delta collection and remote-delta application).
+// per-node pieces (delta collection with CollectBlock, delta application with
+// PushBlock).
 //
 // The hot path is batched: workers pull a whole mini-batch's unique keys at
 // once with PullInto, train against the flat block, and write the result back
-// with one CommitBlock — the per-example Pull/PushGrads pair remains as the
-// reference path. Working-set storage is slab-backed and recycled across
-// batches (value arena + reusable GPU hash tables), so steady-state loads
-// allocate almost nothing.
+// with one CommitBlock — the per-example PushGrads remains as the reference
+// path. Working-set storage is slab-backed and recycled across batches (value
+// arena + reusable GPU hash tables), so steady-state loads allocate almost
+// nothing.
 package hbmps
 
 import (
@@ -57,7 +58,7 @@ type Config struct {
 
 // Stats summarizes HBM-PS activity (the breakdown of Fig 4a).
 type Stats struct {
-	// BatchesLoaded counts LoadWorkingSet calls.
+	// BatchesLoaded counts LoadBlock calls.
 	BatchesLoaded int64
 	// ParamsLoaded counts parameters inserted across all batches.
 	ParamsLoaded int64
@@ -110,10 +111,9 @@ func (a *valueArena) value(i, dim int, w, g2 []float32, freq uint32) *embedding.
 }
 
 // HBMPS is the HBM parameter server of one node. It is safe for concurrent
-// use by the node's GPU worker goroutines. It implements ps.Tier (plus the
-// ps.BlockPuller / ps.BlockPusher batched extensions): Pull and Push are
-// sharded by GPU id, and Evict demotes keys out of HBM (their authoritative
-// copies live in the MEM-PS below).
+// use by the node's GPU worker goroutines. It implements ps.Tier: PullInto
+// and PushBlock are sharded by GPU id, and Evict demotes keys out of HBM
+// (their authoritative copies live in the MEM-PS below).
 type HBMPS struct {
 	cfg     Config
 	devices []*gpu.Device
@@ -127,7 +127,6 @@ type HBMPS struct {
 	arena   valueArena
 	origSet ps.ValueBlock
 	parts   [][]int32
-	keyBuf  []keys.Key
 	stats   Stats
 
 	// Staged GPU partition computed by StagePartition while the pull stage is
@@ -139,11 +138,7 @@ type HBMPS struct {
 	stagedParts [][]int32
 }
 
-var (
-	_ ps.Tier        = (*HBMPS)(nil)
-	_ ps.BlockPuller = (*HBMPS)(nil)
-	_ ps.BlockPusher = (*HBMPS)(nil)
-)
+var _ ps.Tier = (*HBMPS)(nil)
 
 // New constructs the HBM-PS for one node, creating its simulated GPU devices.
 func New(cfg Config) (*HBMPS, error) {
@@ -173,48 +168,28 @@ func (h *HBMPS) Devices() []*gpu.Device { return h.devices }
 // Section 4.1 / Appendix C.1.
 func (h *HBMPS) gpuOf(k keys.Key) int { return k.HashShard(len(h.devices)) }
 
-// LoadWorkingSet partitions the working parameters across the node's GPUs in
-// a non-overlapping fashion and inserts them into each GPU's hash table
-// (Algorithm 1 lines 6-10). The values are copied; the caller keeps ownership
-// of its map. Loading charges PCIe transfer and HBM insertion time, and fails
-// if any GPU's HBM cannot hold its partition.
-func (h *HBMPS) LoadWorkingSet(values map[keys.Key]*embedding.Value) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	ks := h.keyBuf[:0]
-	for k := range values {
-		ks = append(ks, k)
-	}
-	h.keyBuf = ks
-	return h.loadLocked(ks, func(i int) ([]float32, []float32, uint32) {
-		v := values[ks[i]]
-		return v.Weights, v.G2Sum, v.Freq
-	})
-}
-
-// LoadBlock is LoadWorkingSet over a flat ValueBlock — the batched form the
-// trainer feeds straight from the MEM-PS block pull, with no intermediate
-// map. Every row must be present.
+// LoadBlock partitions the working parameters — the block the trainer feeds
+// straight from the MEM-PS pull, every row present — across the node's GPUs
+// in a non-overlapping fashion and inserts them into each GPU's hash table
+// (Algorithm 1 lines 6-10). The values are copied; the caller keeps
+// ownership of the block. Loading charges PCIe transfer and HBM insertion
+// time, and fails if any GPU's HBM cannot hold its partition.
 func (h *HBMPS) LoadBlock(blk *ps.ValueBlock) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if h.loaded {
+		return errors.New("hbmps: working set already loaded; call Release first")
+	}
+	dim := h.cfg.Dim
+	if blk.Dim != dim {
+		return fmt.Errorf("hbmps: working-set block has dim %d, want %d", blk.Dim, dim)
+	}
 	for i := range blk.Keys {
 		if !blk.Present[i] {
 			return fmt.Errorf("hbmps: working-set block row %d (key %d) is absent", i, blk.Keys[i])
 		}
 	}
-	return h.loadLocked(blk.Keys, func(i int) ([]float32, []float32, uint32) {
-		return blk.WeightsRow(i), blk.G2Row(i), blk.Freq[i]
-	})
-}
-
-// loadLocked is the shared working-set loader: ks are the keys and row(i)
-// yields key i's value. The caller must hold h.mu.
-func (h *HBMPS) loadLocked(ks []keys.Key, row func(i int) ([]float32, []float32, uint32)) error {
-	if h.loaded {
-		return errors.New("hbmps: working set already loaded; call Release first")
-	}
-	dim := h.cfg.Dim
+	ks := blk.Keys
 
 	// Partition key indices across GPUs (buffers recycled across batches). If
 	// StagePartition already bucketed exactly this key sequence during the pull
@@ -253,12 +228,7 @@ func (h *HBMPS) loadLocked(ks []keys.Key, row func(i int) ([]float32, []float32,
 		}
 		var bytes int64
 		for _, i := range h.parts[g] {
-			w, g2, freq := row(int(i))
-			if len(w) != dim || len(g2) != dim {
-				rollback()
-				return fmt.Errorf("hbmps: key %d has dim %d/%d, want %d", ks[i], len(w), len(g2), dim)
-			}
-			v := h.arena.value(int(i), dim, w, g2, freq)
+			v := h.arena.value(int(i), dim, blk.WeightsRow(int(i)), blk.G2Row(int(i)), blk.Freq[i])
 			if err := table.Insert(ks[i], v); err != nil {
 				rollback()
 				return fmt.Errorf("hbmps: insert into gpu %d: %w", g, err)
@@ -291,9 +261,9 @@ func (h *HBMPS) loadLocked(ks []keys.Key, row func(i int) ([]float32, []float32,
 // StagePartition buckets the given keys by owning GPU ahead of the LoadBlock
 // that will load them, so the partitioning runs concurrently with the network
 // pull of the values instead of serially after it. The keys are copied; a
-// later LoadBlock/LoadWorkingSet whose key sequence matches exactly adopts the
-// staged buckets, any other load ignores them. Safe to call while a previous
-// batch is still resident or training.
+// later LoadBlock whose key sequence matches exactly adopts the staged
+// buckets, any other load ignores them. Safe to call while a previous batch
+// is still resident or training.
 func (h *HBMPS) StagePartition(ks []keys.Key) {
 	h.stageMu.Lock()
 	defer h.stageMu.Unlock()
@@ -333,39 +303,10 @@ func (h *HBMPS) Loaded() bool {
 	return h.loaded
 }
 
-// Pull returns the current values of the requested keys for a worker running
-// on GPU req.Shard (Algorithm 1 line 12). Keys owned by other GPUs are
-// fetched over NVLink; the returned values are copies the worker may read
-// freely. Unlike the lower tiers, every requested key must be resident: the
-// working set was loaded for exactly this batch, so a miss is a bug.
-func (h *HBMPS) Pull(req ps.PullRequest) (ps.Result, error) {
-	out := make(ps.Result, len(req.Keys))
-	err := h.pull(req, func(i int, k keys.Key, v *embedding.Value) {
-		out[k] = v.Clone()
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PullInto implements ps.BlockPuller: one batched pull of a worker's
-// mini-batch key set into a caller-owned flat block, in request-key order,
-// with no per-value allocation. The accounting is identical to Pull's.
-func (h *HBMPS) PullInto(req ps.PullRequest, dst *ps.ValueBlock) error {
-	dst.Reset(h.cfg.Dim, req.Keys)
-	return h.pull(req, func(i int, k keys.Key, v *embedding.Value) {
-		copy(dst.WeightsRow(i), v.Weights)
-		copy(dst.G2Row(i), v.G2Sum)
-		dst.Freq[i] = v.Freq
-		dst.Present[i] = true
-	})
-}
-
-// pullScratch is the pooled per-call grouping scratch of pull: the request
-// keys and their original indices, partitioned by owning GPU. Pull runs
-// concurrently on every worker goroutine, so the scratch is pooled rather
-// than stored on the HBMPS.
+// pullScratch is the pooled per-call grouping scratch of PullInto: the
+// request keys and their original indices, partitioned by owning GPU. Pulls
+// run concurrently on every worker goroutine, so the scratch is pooled
+// rather than stored on the HBMPS.
 type pullScratch struct {
 	keys [][]keys.Key
 	idx  [][]int32
@@ -373,16 +314,22 @@ type pullScratch struct {
 
 var pullScratchPool = sync.Pool{New: func() any { return new(pullScratch) }}
 
-// pull is the shared read path behind Pull and PullInto: visit copies each
-// requested value (under its table's shard lock) into the caller's
-// representation. The request is grouped by owning GPU and served with one
-// batched gather per device — each hash-table shard's lock is taken once per
-// mini-batch instead of once per key.
-func (h *HBMPS) pull(req ps.PullRequest, visit func(i int, k keys.Key, v *embedding.Value)) error {
+// PullInto implements ps.Tier: one batched pull of the keys a worker running
+// on GPU req.Shard needs (Algorithm 1 line 12), into a caller-owned flat
+// block in request-key order, with no per-value allocation. Keys owned by
+// other GPUs are fetched over NVLink. Unlike the lower tiers, every requested
+// key must be resident: the working set was loaded for exactly this batch, so
+// a miss is a bug.
+//
+// The request is grouped by owning GPU and served with one batched gather per
+// device — each hash-table shard's lock is taken once per mini-batch instead
+// of once per key.
+func (h *HBMPS) PullInto(req ps.PullRequest, dst *ps.ValueBlock) error {
 	gpuID := req.Shard
 	if gpuID < 0 || gpuID >= len(h.devices) {
 		return fmt.Errorf("hbmps: invalid gpu id %d", gpuID)
 	}
+	dst.Reset(h.cfg.Dim, req.Keys)
 	sc := pullScratchPool.Get().(*pullScratch)
 	defer pullScratchPool.Put(sc)
 	if len(sc.keys) < len(h.devices) {
@@ -412,7 +359,11 @@ func (h *HBMPS) pull(req ps.PullRequest, visit func(i int, k keys.Key, v *embedd
 		}
 		origIdx := sc.idx[owner]
 		missing, ok := table.GatherBatch(sub, func(j int, v *embedding.Value) {
-			visit(int(origIdx[j]), sub[j], v)
+			i := int(origIdx[j])
+			copy(dst.WeightsRow(i), v.Weights)
+			copy(dst.G2Row(i), v.G2Sum)
+			dst.Freq[i] = v.Freq
+			dst.Present[i] = true
 		})
 		if !ok {
 			return fmt.Errorf("hbmps: key %d not in the working set", missing)
@@ -550,42 +501,15 @@ func (h *HBMPS) CommitBlock(gpuID int, orig, final *ps.ValueBlock) error {
 	return nil
 }
 
-// Push implements ps.Tier: it merges per-key value deltas (weight,
-// optimizer-state and reference-count increments) into the resident working
-// set. Deltas for keys not resident are ignored — this tier only ever holds
-// the current batch's partitions; their authoritative copies live below.
-// When req.Shard names a GPU, deltas for keys owned by other GPUs are charged
-// as NVLink traffic; with ps.NoShard (deltas arriving via the inter-node
-// synchronization, whose transfer time the coordinator charges) no fabric
-// time is charged.
-func (h *HBMPS) Push(req ps.PushRequest) error {
-	if req.Shard != ps.NoShard && (req.Shard < 0 || req.Shard >= len(h.devices)) {
-		return fmt.Errorf("hbmps: invalid gpu id %d", req.Shard)
-	}
-	var localBytes, remoteBytes int64
-	valueBytes := int64(embedding.EncodedSize(h.cfg.Dim))
-	applied := ps.ApplyDeltas(req.Deltas, func(k keys.Key, delta *embedding.Value) bool {
-		table := h.devices[h.gpuOf(k)].Table()
-		if table == nil {
-			return false
-		}
-		if err := table.Update(k, func(v *embedding.Value) { v.Add(delta) }); err != nil {
-			return false
-		}
-		if owner := h.gpuOf(k); req.Shard == ps.NoShard || owner == req.Shard {
-			localBytes += valueBytes
-		} else {
-			remoteBytes += valueBytes
-		}
-		return true
-	})
-	h.recordPushTraffic(req.Shard, applied, localBytes, remoteBytes)
-	return nil
-}
-
-// PushBlock implements ps.BlockPusher with Push's semantics over the block's
-// parallel key/delta rows, applied in row order (callers keep rows sorted for
-// deterministic storage effects).
+// PushBlock implements ps.Tier: it merges the block's per-key value deltas
+// (weight, optimizer-state and reference-count increments) into the resident
+// working set, in row order (callers keep rows sorted for deterministic
+// storage effects). Deltas for keys not resident are ignored — this tier only
+// ever holds the current batch's partitions; their authoritative copies live
+// below. When req.Shard names a GPU, deltas for keys owned by other GPUs are
+// charged as NVLink traffic; with ps.NoShard (deltas arriving via the
+// inter-node synchronization, whose transfer time the coordinator charges)
+// no fabric time is charged.
 func (h *HBMPS) PushBlock(req ps.PushBlockRequest) error {
 	if req.Shard != ps.NoShard && (req.Shard < 0 || req.Shard >= len(h.devices)) {
 		return fmt.Errorf("hbmps: invalid gpu id %d", req.Shard)
@@ -613,15 +537,8 @@ func (h *HBMPS) PushBlock(req ps.PushBlockRequest) error {
 			remoteBytes += valueBytes
 		}
 	}
-	h.recordPushTraffic(req.Shard, applied, localBytes, remoteBytes)
-	return nil
-}
-
-// recordPushTraffic charges the fabric/memory cost of a tier push and records
-// it in the uniform statistics (shared by Push and PushBlock).
-func (h *HBMPS) recordPushTraffic(shard, applied int, localBytes, remoteBytes int64) {
 	var pushTime time.Duration
-	if shard != ps.NoShard {
+	if shard := req.Shard; shard != ps.NoShard {
 		h.devices[shard].ChargeMemory(localBytes)
 		if h.cfg.Fabric != nil && remoteBytes > 0 {
 			h.cfg.Fabric.NVLink(remoteBytes)
@@ -632,6 +549,7 @@ func (h *HBMPS) recordPushTraffic(shard, applied int, localBytes, remoteBytes in
 		}
 	}
 	h.rec.RecordPush(applied, pushTime)
+	return nil
 }
 
 // CollectBlock writes, for every parameter of the working set whose value
@@ -679,23 +597,6 @@ func (h *HBMPS) CollectBlock(dst *ps.ValueBlock) {
 		}
 		dst.Freq[row] = freqDelta
 	}
-}
-
-// CollectUpdates is the map form of CollectBlock, kept as a thin adapter for
-// tests and map-based callers: one freshly allocated embedding.Value per
-// changed key. The hot path uses CollectBlock directly.
-func (h *HBMPS) CollectUpdates() map[keys.Key]*embedding.Value {
-	blk := ps.GetBlock(h.cfg.Dim, nil)
-	defer ps.PutBlock(blk)
-	h.CollectBlock(blk)
-	return blk.Deltas()
-}
-
-// ApplyRemoteDeltas merges deltas received from other nodes into the local
-// GPU hash tables for the parameters this node also holds in its working set
-// — the effect of the inter-node all-reduce on shared parameters.
-func (h *HBMPS) ApplyRemoteDeltas(deltas map[keys.Key]*embedding.Value) {
-	_ = h.Push(ps.PushRequest{Shard: ps.NoShard, Deltas: deltas})
 }
 
 // Name implements ps.Tier.

@@ -15,9 +15,21 @@ import (
 	"hps/internal/simtime"
 )
 
-// pull is shorthand for the ps.Tier pull of the pre-refactor API.
-func pull(h *HBMPS, gpuID int, ks []keys.Key) (ps.Result, error) {
-	return h.Pull(ps.PullRequest{Shard: gpuID, Keys: ks})
+// pull pulls ks for a worker on gpuID into a fresh block (row i is ks[i]).
+func pull(h *HBMPS, gpuID int, ks []keys.Key) (*ps.ValueBlock, error) {
+	blk := ps.NewValueBlock(h.cfg.Dim)
+	return blk, h.PullInto(ps.PullRequest{Shard: gpuID, Keys: ks}, blk)
+}
+
+// collect returns the deltas CollectBlock reports, keyed by parameter.
+func collect(h *HBMPS) map[keys.Key]*embedding.Value {
+	blk := ps.NewValueBlock(h.cfg.Dim)
+	h.CollectBlock(blk)
+	out := make(map[keys.Key]*embedding.Value, blk.Len())
+	for i, k := range blk.Keys {
+		out[k] = blk.Value(i)
+	}
+	return out
 }
 
 func testConfig(numGPUs int) Config {
@@ -34,14 +46,13 @@ func testConfig(numGPUs int) Config {
 	}
 }
 
-func workingSet(n int) map[keys.Key]*embedding.Value {
-	out := make(map[keys.Key]*embedding.Value, n)
+// workingSet is a loadable block of keys 0..n-1, key i with weight 0 = i.
+func workingSet(n int) *ps.ValueBlock {
+	blk := ps.NewValueBlock(4)
 	for i := 0; i < n; i++ {
-		v := embedding.NewValue(4)
-		v.Weights[0] = float32(i)
-		out[keys.Key(i)] = v
+		blk.AppendRow(keys.Key(i), []float32{float32(i), 0, 0, 0}, make([]float32, 4), 0)
 	}
-	return out
+	return blk
 }
 
 func TestNewValidation(t *testing.T) {
@@ -63,7 +74,7 @@ func TestNewValidation(t *testing.T) {
 func TestLoadPartitionsAcrossGPUs(t *testing.T) {
 	h, _ := New(testConfig(4))
 	ws := workingSet(200)
-	if err := h.LoadWorkingSet(ws); err != nil {
+	if err := h.LoadBlock(ws); err != nil {
 		t.Fatal(err)
 	}
 	if !h.Loaded() {
@@ -88,14 +99,14 @@ func TestLoadPartitionsAcrossGPUs(t *testing.T) {
 		t.Fatal("parameters should spread across GPUs")
 	}
 	// Double load must fail until Release.
-	if err := h.LoadWorkingSet(ws); err == nil {
+	if err := h.LoadBlock(ws); err == nil {
 		t.Fatal("second load without release should fail")
 	}
 	h.Release()
 	if h.Loaded() || h.WorkingSetSize() != 0 {
 		t.Fatal("release failed")
 	}
-	if err := h.LoadWorkingSet(ws); err != nil {
+	if err := h.LoadBlock(ws); err != nil {
 		t.Fatal(err)
 	}
 	if h.Stats().BatchesLoaded != 2 || h.Stats().ParamsLoaded != 400 {
@@ -106,17 +117,17 @@ func TestLoadPartitionsAcrossGPUs(t *testing.T) {
 func TestLoadCopiesValues(t *testing.T) {
 	h, _ := New(testConfig(2))
 	ws := workingSet(10)
-	if err := h.LoadWorkingSet(ws); err != nil {
+	if err := h.LoadBlock(ws); err != nil {
 		t.Fatal(err)
 	}
-	// Mutating the caller's map must not affect the GPU copies.
-	ws[0].Weights[0] = 999
+	// Mutating the caller's block must not affect the GPU copies.
+	ws.WeightsRow(0)[0] = 999
 	got, err := pull(h, 0, []keys.Key{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0].Weights[0] == 999 {
-		t.Fatal("LoadWorkingSet must copy values")
+	if got.WeightsRow(0)[0] == 999 {
+		t.Fatal("LoadBlock must copy values")
 	}
 }
 
@@ -124,7 +135,7 @@ func TestLoadFailsWhenHBMTooSmall(t *testing.T) {
 	cfg := testConfig(2)
 	cfg.GPUProfile.HBMBytes = 64 // absurdly small
 	h, _ := New(cfg)
-	err := h.LoadWorkingSet(workingSet(1000))
+	err := h.LoadBlock(workingSet(1000))
 	if err == nil {
 		t.Fatal("expected out-of-HBM failure")
 	}
@@ -141,7 +152,7 @@ func TestLoadFailsWhenHBMTooSmall(t *testing.T) {
 
 func TestPullLocalAndRemote(t *testing.T) {
 	h, _ := New(testConfig(4))
-	if err := h.LoadWorkingSet(workingSet(100)); err != nil {
+	if err := h.LoadBlock(workingSet(100)); err != nil {
 		t.Fatal(err)
 	}
 	var ks []keys.Key
@@ -152,11 +163,11 @@ func TestPullLocalAndRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 100 {
-		t.Fatalf("pulled %d values", len(got))
+	if got.PresentCount() != 100 {
+		t.Fatalf("pulled %d values", got.PresentCount())
 	}
 	for i := 0; i < 100; i++ {
-		if got[keys.Key(i)].Weights[0] != float32(i) {
+		if got.WeightsRow(i)[0] != float32(i) {
 			t.Fatalf("value %d corrupted", i)
 		}
 	}
@@ -178,29 +189,29 @@ func TestPullLocalAndRemote(t *testing.T) {
 
 func TestPullReturnsCopies(t *testing.T) {
 	h, _ := New(testConfig(2))
-	h.LoadWorkingSet(workingSet(4))
+	h.LoadBlock(workingSet(4))
 	got, _ := pull(h, 0, []keys.Key{1})
-	got[1].Weights[0] = 777
+	got.WeightsRow(0)[0] = 777
 	again, _ := pull(h, 0, []keys.Key{1})
-	if again[1].Weights[0] == 777 {
-		t.Fatal("Pull must return copies")
+	if again.WeightsRow(0)[0] == 777 {
+		t.Fatal("PullInto must return copies")
 	}
 }
 
 func TestPushAppliesOptimizer(t *testing.T) {
 	h, _ := New(testConfig(2))
-	h.LoadWorkingSet(workingSet(10))
+	h.LoadBlock(workingSet(10))
 	before, _ := pull(h, 0, []keys.Key{3})
 	grads := map[keys.Key][]float32{3: {1, 0, 0, 0}}
 	if err := h.PushGrads(0, grads, optimizer.SGD{LR: 0.5}); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := pull(h, 0, []keys.Key{3})
-	want := before[3].Weights[0] - 0.5
-	if after[3].Weights[0] != want {
-		t.Fatalf("push result = %v, want %v", after[3].Weights[0], want)
+	want := before.WeightsRow(0)[0] - 0.5
+	if after.WeightsRow(0)[0] != want {
+		t.Fatalf("push result = %v, want %v", after.WeightsRow(0)[0], want)
 	}
-	if after[3].Freq != before[3].Freq+1 {
+	if after.Freq[0] != before.Freq[0]+1 {
 		t.Fatal("push should increment freq")
 	}
 	if h.Stats().PushTime <= 0 {
@@ -220,7 +231,7 @@ func TestPushAppliesOptimizer(t *testing.T) {
 
 func TestPushConcurrentWorkers(t *testing.T) {
 	h, _ := New(testConfig(4))
-	h.LoadWorkingSet(workingSet(50))
+	h.LoadBlock(workingSet(50))
 	var wg sync.WaitGroup
 	const workers = 8
 	const steps = 50
@@ -240,7 +251,7 @@ func TestPushConcurrentWorkers(t *testing.T) {
 	wg.Wait()
 	// Total weight change across all keys must equal -(workers*steps) for SGD
 	// with lr=1 and gradient 1 (no lost updates).
-	updates := h.CollectUpdates()
+	updates := collect(h)
 	var total float32
 	for _, d := range updates {
 		total += d.Weights[0]
@@ -252,9 +263,9 @@ func TestPushConcurrentWorkers(t *testing.T) {
 
 func TestCollectUpdatesOnlyChanged(t *testing.T) {
 	h, _ := New(testConfig(2))
-	h.LoadWorkingSet(workingSet(20))
+	h.LoadBlock(workingSet(20))
 	h.PushGrads(0, map[keys.Key][]float32{5: {2, 0, 0, 0}}, optimizer.SGD{LR: 1})
-	updates := h.CollectUpdates()
+	updates := collect(h)
 	if len(updates) != 1 {
 		t.Fatalf("expected 1 changed parameter, got %d", len(updates))
 	}
@@ -272,21 +283,22 @@ func TestCollectUpdatesOnlyChanged(t *testing.T) {
 
 func TestApplyRemoteDeltas(t *testing.T) {
 	h, _ := New(testConfig(2))
-	h.LoadWorkingSet(workingSet(10))
-	delta := embedding.NewValue(4)
-	delta.Weights[0] = 3
-	delta.Freq = 2
-	h.ApplyRemoteDeltas(map[keys.Key]*embedding.Value{
-		2:   delta,
-		999: delta, // not in the working set: ignored
-	})
+	h.LoadBlock(workingSet(10))
+	// Deltas from other nodes arrive unsharded: no GPU's fabric is charged.
+	delta := ps.NewValueBlock(4)
+	w := []float32{3, 0, 0, 0}
+	delta.AppendRow(2, w, make([]float32, 4), 2)
+	delta.AppendRow(999, w, make([]float32, 4), 2) // not in the working set: ignored
+	if err := h.PushBlock(ps.PushBlockRequest{Shard: ps.NoShard, Block: delta}); err != nil {
+		t.Fatal(err)
+	}
 	got, _ := pull(h, 0, []keys.Key{2})
-	if got[2].Weights[0] != 2+3 {
-		t.Fatalf("remote delta not applied: %v", got[2].Weights[0])
+	if got.WeightsRow(0)[0] != 2+3 {
+		t.Fatalf("remote delta not applied: %v", got.WeightsRow(0)[0])
 	}
 	// The applied delta becomes part of this node's observed update too
 	// (matching what a real all-reduce leaves in HBM).
-	updates := h.CollectUpdates()
+	updates := collect(h)
 	if updates[2] == nil || updates[2].Weights[0] != 3 {
 		t.Fatal("remote delta should appear in collected updates")
 	}
@@ -295,7 +307,7 @@ func TestApplyRemoteDeltas(t *testing.T) {
 func TestHBMChargesClock(t *testing.T) {
 	cfg := testConfig(2)
 	h, _ := New(cfg)
-	h.LoadWorkingSet(workingSet(100))
+	h.LoadBlock(workingSet(100))
 	if cfg.Clock.Total(simtime.ResourcePCIe) <= 0 {
 		t.Fatal("loading should charge PCIe time")
 	}
@@ -327,7 +339,7 @@ func TestBytesPerEntryConsistency(t *testing.T) {
 	// The HBM accounting for a loaded working set must match the hash table's
 	// own size computation (no silent divergence between the two).
 	h, _ := New(testConfig(1))
-	if err := h.LoadWorkingSet(workingSet(64)); err != nil {
+	if err := h.LoadBlock(workingSet(64)); err != nil {
 		t.Fatal(err)
 	}
 	dev := h.Devices()[0]
@@ -339,23 +351,23 @@ func TestBytesPerEntryConsistency(t *testing.T) {
 
 func TestTierInterface(t *testing.T) {
 	h, _ := New(testConfig(2))
-	h.LoadWorkingSet(workingSet(20))
+	h.LoadBlock(workingSet(20))
 	var tier ps.Tier = h
 	if tier.Name() != "hbm-ps" {
 		t.Fatalf("name = %q", tier.Name())
 	}
 
 	// Tier push merges value deltas shard-aware.
-	delta := embedding.NewValue(4)
-	delta.Weights[0] = 5
-	if err := tier.Push(ps.PushRequest{Shard: 0, Deltas: map[keys.Key]*embedding.Value{4: delta}}); err != nil {
+	delta := ps.NewValueBlock(4)
+	delta.AppendRow(4, []float32{5, 0, 0, 0}, make([]float32, 4), 0)
+	if err := tier.PushBlock(ps.PushBlockRequest{Shard: 0, Block: delta}); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := pull(h, 0, []keys.Key{4})
-	if got[4].Weights[0] != 4+5 {
-		t.Fatalf("tier push not applied: %v", got[4].Weights[0])
+	if got.WeightsRow(0)[0] != 4+5 {
+		t.Fatalf("tier push not applied: %v", got.WeightsRow(0)[0])
 	}
-	if err := tier.Push(ps.PushRequest{Shard: 42, Deltas: nil}); err == nil {
+	if err := tier.PushBlock(ps.PushBlockRequest{Shard: 42, Block: ps.NewValueBlock(4)}); err == nil {
 		t.Fatal("invalid shard should fail")
 	}
 
@@ -367,7 +379,7 @@ func TestTierInterface(t *testing.T) {
 
 func TestEvictPartialAndFull(t *testing.T) {
 	h, _ := New(testConfig(2))
-	h.LoadWorkingSet(workingSet(10))
+	h.LoadBlock(workingSet(10))
 
 	// Partial eviction demotes individual keys; a second eviction of the same
 	// keys finds nothing.

@@ -54,34 +54,10 @@ func benchKeys(n int) []keys.Key {
 	return out
 }
 
-// BenchmarkBatchPullHot measures the MEM-PS hot path: assembling and pinning
-// a batch working set that is fully cache-resident.
-func BenchmarkBatchPullHot(b *testing.B) {
-	m := benchMemPS(b, 4096, 4096)
-	working := benchKeys(1024)
-	// Warm the cache.
-	ws, err := m.Prepare(working)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m.CompleteBatch(ws)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ws, err := m.Prepare(working)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := m.CompleteBatch(ws); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBatchPullHotBlock measures the batched form of the hot pull: the
-// same fully cache-resident working set assembled into a reused ValueBlock
-// (PrepareInto) instead of a freshly allocated map of cloned values — the
-// path the trainer's pull stage actually runs, including its pre-deduplicated
-// sorted key union (what batch.Keys hands the pull stage).
+// BenchmarkBatchPullHotBlock measures the MEM-PS hot path: assembling and
+// pinning a fully cache-resident batch working set into a reused ValueBlock
+// (PrepareInto), from the pre-deduplicated sorted key union batch.Keys hands
+// the pull stage.
 func BenchmarkBatchPullHotBlock(b *testing.B) {
 	m := benchMemPS(b, 4096, 4096)
 	working := keys.Dedup(benchKeys(1024))
@@ -108,8 +84,9 @@ func BenchmarkBatchPullHotBlock(b *testing.B) {
 func BenchmarkBatchPullSSD(b *testing.B) {
 	m := benchMemPS(b, 2048, 2048)
 	working := benchKeys(1024)
+	blk := ps.NewValueBlock(8)
 	// Materialize the parameters on disk, then evict them from memory.
-	ws, err := m.Prepare(working)
+	ws, err := m.PrepareInto(working, blk)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -119,7 +96,7 @@ func BenchmarkBatchPullSSD(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ws, err := m.Prepare(working)
+		ws, err := m.PrepareInto(working, blk)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -46,7 +46,7 @@ func TestTierConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			// First reference materializes the suite's key set.
-			if _, err := m.Pull(ps.PullRequest{Shard: ps.NoShard, Keys: ks}); err != nil {
+			if err := m.PullInto(ps.PullRequest{Shard: ps.NoShard, Keys: ks}, ps.NewValueBlock(dim)); err != nil {
 				t.Fatal(err)
 			}
 			return m

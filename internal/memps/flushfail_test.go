@@ -82,10 +82,7 @@ func TestFlushFailureKeepsParameters(t *testing.T) {
 	m := failableNode(t, dir, 64, 64)
 
 	ks := []keys.Key{1, 2, 3, 4, 5}
-	ws, err := m.Prepare(ks)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ws, _ := prepare(t, m, ks)
 	if err := m.CompleteBatch(ws); err != nil {
 		t.Fatal(err)
 	}
@@ -137,10 +134,7 @@ func TestEvictDumpFailureKeepsBuffer(t *testing.T) {
 	m := failableNode(t, dir, 64, 64)
 
 	ks := []keys.Key{10, 11, 12}
-	ws, err := m.Prepare(ks)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ws, _ := prepare(t, m, ks)
 	if err := m.CompleteBatch(ws); err != nil {
 		t.Fatal(err)
 	}

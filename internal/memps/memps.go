@@ -62,7 +62,8 @@ type Config struct {
 
 // Stats summarizes the work a MEM-PS has done.
 type Stats struct {
-	// BatchesPrepared counts Prepare calls.
+	// BatchesPrepared counts working-set assemblies (PrepareInto and
+	// PullInto calls).
 	BatchesPrepared int64
 	// LocalKeys / RemoteKeys count working parameters by ownership.
 	LocalKeys, RemoteKeys int64
@@ -84,7 +85,7 @@ type Stats struct {
 	LocalPullTime, RemotePullTime time.Duration
 }
 
-// PullStats describes a single Prepare call.
+// PullStats describes a single working-set assembly.
 type PullStats struct {
 	// LocalKeys and RemoteKeys count the working parameters by ownership.
 	LocalKeys, RemoteKeys int
@@ -99,14 +100,10 @@ type PullStats struct {
 	LocalTime, RemoteTime time.Duration
 }
 
-// WorkingSet is the prepared parameter set of one batch, ready to be
+// WorkingSet describes the prepared parameter set of one batch, whose values
+// PrepareInto assembled into a caller-owned ValueBlock ready to be
 // partitioned across the node's GPUs.
 type WorkingSet struct {
-	// Values holds a private copy of every working parameter (local and
-	// remote), keyed by parameter key. It is nil when the working set was
-	// assembled into a caller-owned ValueBlock (PrepareInto), which carries
-	// the values instead.
-	Values map[keys.Key]*embedding.Value
 	// LocalKeys are the working parameters owned (and pinned) by this node.
 	LocalKeys []keys.Key
 	// RemoteKeys are the working parameters owned by other nodes.
@@ -116,8 +113,8 @@ type WorkingSet struct {
 }
 
 // MemPS is the main-memory parameter server of one node.
-// It is safe for concurrent use. It implements ps.Tier: Pull assembles an
-// unpinned working set (local cache/SSD plus remote owners), Push merges
+// It is safe for concurrent use. It implements ps.Tier: PullInto assembles an
+// unpinned working set (local cache/SSD plus remote owners), PushBlock merges
 // collected deltas into the owned shard, and Evict demotes parameters to the
 // SSD-PS below.
 type MemPS struct {
@@ -132,7 +129,6 @@ type MemPS struct {
 
 	// Scratch reused across batches (safe: every user holds m.mu throughout).
 	applyOrder []int
-	applyOwned []keys.Key
 	ownedVals  []*embedding.Value
 	miss       missPass
 }
@@ -168,9 +164,8 @@ func (p *missPass) take(k keys.Key) *embedding.Value {
 
 var (
 	_ ps.Tier                      = (*MemPS)(nil)
-	_ ps.BlockPuller               = (*MemPS)(nil)
-	_ ps.BlockPusher               = (*MemPS)(nil)
 	_ cluster.BlockPullWireHandler = (*MemPS)(nil)
+	_ cluster.BlockPushHandler     = (*MemPS)(nil)
 )
 
 // New constructs a MEM-PS. It validates the configuration.
@@ -325,18 +320,13 @@ func (m *MemPS) lookupOwned(ks []keys.Key) ([]*embedding.Value, time.Duration, e
 	return vals, loadTime, nil
 }
 
-// Prepare assembles the working set for a batch whose referenced parameter
-// keys are given (Algorithm 1 lines 3-4). Local parameters are pinned in the
-// cache until CompleteBatch is called with the returned working set.
-func (m *MemPS) Prepare(working []keys.Key) (*WorkingSet, error) {
-	return m.assemble(working, true, nil)
-}
-
-// PrepareInto is Prepare's batched form: the working values land in dst (one
-// flat row per unique key, in sorted key order) instead of a freshly
-// allocated map, so a pipelined trainer reusing its blocks assembles batches
-// without per-value allocation. The returned WorkingSet carries the key
-// partition, pinning state and pull statistics; its Values map is nil.
+// PrepareInto assembles the working set for a batch whose referenced
+// parameter keys are given (Algorithm 1 lines 3-4): the working values land
+// in dst, one flat row per unique key in sorted key order, so a pipelined
+// trainer reusing its blocks assembles batches without per-value allocation.
+// Local parameters are pinned in the cache until CompleteBatch is called with
+// the returned WorkingSet, which carries the key partition and pull
+// statistics.
 func (m *MemPS) PrepareInto(working []keys.Key, dst *ps.ValueBlock) (*WorkingSet, error) {
 	if dst == nil {
 		return nil, errors.New("memps: PrepareInto needs a destination block")
@@ -350,58 +340,49 @@ func (m *MemPS) Name() string { return "mem-ps" }
 // TierStats implements ps.Tier.
 func (m *MemPS) TierStats() ps.Stats { return m.rec.TierStats() }
 
-// Pull implements ps.Tier: it assembles current values for an arbitrary key
-// set — local keys from the cache, the dump buffer or the SSD-PS (created on
-// first reference), remote keys from their owning nodes — without pinning
-// anything. Training batches use Prepare instead, which additionally pins.
-func (m *MemPS) Pull(req ps.PullRequest) (ps.Result, error) {
-	ws, err := m.assemble(req.Keys, false, nil)
-	if err != nil {
-		return nil, err
-	}
-	return ps.Result(ws.Values), nil
-}
-
-// PullInto implements ps.BlockPuller: Pull into a caller-owned flat block,
-// in request-key order. The batched assemble path produces sorted rows, so a
-// request that is not already sorted-unique (never the case on the hot path)
-// goes through the map pull and is scattered back into request order — rows
+// PullInto implements ps.Tier: it assembles current values for an arbitrary
+// key set — local keys from the cache, the dump buffer or the SSD-PS (created
+// on first reference), remote keys from their owning nodes — into dst, in
+// request-key order, without pinning anything. Training batches use
+// PrepareInto instead, which additionally pins. The assembly runs over the
+// request's sorted unique key set (hot-path requests already are one); any
+// other request is gathered back into request order from it, because rows
 // bound positionally to the request (the wire protocol) must never come back
 // reordered.
 func (m *MemPS) PullInto(req ps.PullRequest, dst *ps.ValueBlock) error {
 	if dst == nil {
 		return errors.New("memps: PullInto needs a destination block")
 	}
-	if !keys.SortedUnique(req.Keys) {
-		res, err := m.Pull(req)
-		if err != nil {
-			return err
-		}
-		ps.FillFromPull(dst, m.cfg.Dim, req.Keys, res)
-		return nil
+	if keys.SortedUnique(req.Keys) {
+		_, err := m.assemble(req.Keys, false, dst)
+		return err
 	}
-	_, err := m.assemble(req.Keys, false, dst)
-	return err
+	set := ps.GetBlock(m.cfg.Dim, nil)
+	defer ps.PutBlock(set)
+	if _, err := m.assemble(keys.Dedup(slices.Clone(req.Keys)), false, set); err != nil {
+		return err
+	}
+	dst.Reset(m.cfg.Dim, nil)
+	dst.Grow(len(req.Keys))
+	for _, k := range req.Keys {
+		i, _ := set.Row(k)
+		dst.AppendRow(k, set.WeightsRow(i), set.G2Row(i), set.Freq[i])
+	}
+	return nil
 }
 
-// Push implements ps.Tier: it merges per-key deltas into the authoritative
-// copies of the parameters this node owns (deltas for other nodes' shards
-// are ignored; their owners apply them).
-func (m *MemPS) Push(req ps.PushRequest) error {
-	return m.ApplyUpdates(req.Deltas)
-}
-
-// PushBlock implements ps.BlockPusher: Push over the block's parallel
-// key/delta rows. Rows are applied in sorted key order (like ApplyUpdates);
-// duplicate keys accumulate.
+// PushBlock implements ps.Tier: it merges the block's delta rows (weight and
+// optimizer-state deltas and reference-count increments, accumulated by the
+// HBM-PS across all GPUs and nodes) into the authoritative copies of the
+// parameters this node owns. Rows for other nodes' parameters are ignored —
+// their owners apply them. Rows apply in sorted key order; duplicate keys
+// accumulate.
 func (m *MemPS) PushBlock(req ps.PushBlockRequest) error {
 	return m.applyBlock(req.Block)
 }
 
-// assemble is the shared batched-pull path behind Prepare, Pull and their
-// block-based variants. With dst == nil the values are cloned into
-// ws.Values; otherwise they are copied into dst's flat rows (sorted
-// unique-key order) and ws.Values stays nil.
+// assemble is the batched-pull path behind PrepareInto and PullInto: the
+// values are copied into dst's flat rows, in sorted unique-key order.
 func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*WorkingSet, error) {
 	// A batch's key union arrives already sorted and unique (batch.Keys went
 	// through Dedup upstream); only copy-and-sort arbitrary requests.
@@ -409,11 +390,7 @@ func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*Wor
 		working = keys.Dedup(append([]keys.Key(nil), working...))
 	}
 	ws := &WorkingSet{}
-	if dst != nil {
-		dst.Reset(m.cfg.Dim, working)
-	} else {
-		ws.Values = make(map[keys.Key]*embedding.Value, len(working))
-	}
+	dst.Reset(m.cfg.Dim, working)
 
 	// localRows[i] is local[i]'s row in working (and so in dst): the partition
 	// already knows it, so nothing downstream searches for it.
@@ -433,19 +410,14 @@ func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*Wor
 	ws.Stats.RemoteKeys = len(remote)
 
 	// Remote pulls go out first (they overlap the local SSD reads in the real
-	// system; here we issue them concurrently and take both durations). When
-	// assembling into a block over a full tier transport (a bare
-	// cluster.Transport only has the map pull), each peer's partition arrives
-	// as a flat sub-block (one frame, no per-value decoding) and is scattered
-	// into dst's rows.
+	// system; here we issue them concurrently and take both durations). Each
+	// peer's partition arrives as a flat sub-block (one frame, no per-value
+	// decoding) and is scattered into dst's rows.
 	type remoteResult struct {
-		res   cluster.PullResult
 		sub   *ps.ValueBlock
 		bytes int64
 		err   error
 	}
-	bt, blockRemote := m.cfg.Transport.(cluster.TierTransport)
-	blockRemote = blockRemote && dst != nil
 	remoteByNode := m.cfg.Topology.SplitByNode(remote)
 	resultCh := make(chan remoteResult, m.cfg.Topology.Nodes)
 	inFlight := 0
@@ -455,14 +427,9 @@ func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*Wor
 		}
 		inFlight++
 		go func(nodeID int, ks []keys.Key) {
-			if blockRemote {
-				sub := ps.GetBlock(m.cfg.Dim, ks)
-				bytes, err := bt.PullBlock(nodeID, ks, sub)
-				resultCh <- remoteResult{sub: sub, bytes: bytes, err: err}
-				return
-			}
-			res, bytes, err := m.cfg.Transport.Pull(nodeID, ks)
-			resultCh <- remoteResult{res: res, bytes: bytes, err: err}
+			sub := ps.GetBlock(m.cfg.Dim, ks)
+			bytes, err := m.cfg.Transport.PullBlock(nodeID, ks, sub)
+			resultCh <- remoteResult{sub: sub, bytes: bytes, err: err}
 		}(nodeID, ks)
 	}
 
@@ -475,11 +442,7 @@ func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*Wor
 		if pin {
 			m.cache.Pin(uint64(k))
 		}
-		if dst != nil {
-			dst.Set(int(localRows[i]), v)
-		} else {
-			ws.Values[k] = v.Clone()
-		}
+		dst.Set(int(localRows[i]), v)
 	}
 	m.mu.Lock()
 	m.miss.reset()
@@ -496,7 +459,7 @@ func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*Wor
 	if ws.Stats.LocalTime, err = m.loadMisses(); err != nil {
 		if pin {
 			// Withdraw the pins already taken for the cache hits (every
-			// position of local that is not a noted miss): a failed Prepare
+			// position of local that is not a noted miss): a failed PrepareInto
 			// must not leak pinned, unevictable entries — CompleteBatch is
 			// never called for it.
 			misses := m.miss.idx
@@ -544,22 +507,12 @@ func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*Wor
 		m.stats.RemotePulls++
 		m.stats.RemotePullTime += d
 		m.mu.Unlock()
-		if r.sub != nil {
-			dst.ScatterRows(r.sub) // drops rows the peer was never asked for
-			ps.PutBlock(r.sub)
-			continue
-		}
-		if dst != nil {
-			dst.ScatterResult(ps.Result(r.res))
-			continue
-		}
-		for k, v := range r.res {
-			ws.Values[k] = v.Clone()
-		}
+		dst.ScatterRows(r.sub) // drops rows the peer was never asked for
+		ps.PutBlock(r.sub)
 	}
 	if firstErr != nil {
 		if pin {
-			// Same invariant as the SSD-load failure above: a failed Prepare
+			// Same invariant as the SSD-load failure above: a failed PrepareInto
 			// must not leak pins — by now every local key has been pinned.
 			m.mu.Lock()
 			for _, k := range local {
@@ -570,19 +523,11 @@ func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*Wor
 		return nil, fmt.Errorf("memps: remote pull: %w", firstErr)
 	}
 	// Any remote key the owner failed to return (should not happen) gets a
-	// fresh value so training can proceed. In a block every local row has been
-	// emitted by now, so a row still absent is such a key.
-	if dst != nil {
-		for i, k := range dst.Keys {
-			if !dst.Present[i] {
-				dst.Set(i, embedding.NewKeyedValue(m.cfg.Dim, m.seed, uint64(k)))
-			}
-		}
-	} else {
-		for _, k := range remote {
-			if _, ok := ws.Values[k]; !ok {
-				ws.Values[k] = embedding.NewKeyedValue(m.cfg.Dim, m.seed, uint64(k))
-			}
+	// fresh value so training can proceed. Every local row has been emitted
+	// by now, so a row still absent is such a key.
+	for i, k := range dst.Keys {
+		if !dst.Present[i] {
+			dst.Set(i, embedding.NewKeyedValue(m.cfg.Dim, m.seed, uint64(k)))
 		}
 	}
 	// The local and remote paths overlap, so the batch pays the slower one.
@@ -592,7 +537,7 @@ func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*Wor
 	}
 	// Only the locally-served keys count toward this tier instance's uniform
 	// statistics: the remote keys are recorded by the MEM-PS that serves
-	// them (HandlePull), so cluster-wide aggregates count each key once.
+	// them (HandlePullBlock), so cluster-wide aggregates count each key once.
 	m.rec.RecordPull(len(local), pullTime)
 	return ws, nil
 }
@@ -603,8 +548,7 @@ func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*Wor
 // references) under m.mu, and hands them to emit in request order. Served
 // parameters enter the cache (they are now "recently used") but are not
 // pinned. The returned duration is the SSD load time; the caller records the
-// serve in the tier statistics with its own served-key count (the map path
-// counts duplicate request keys once).
+// serve in the tier statistics.
 func (m *MemPS) servePull(ks []keys.Key, emit func(i int, k keys.Key, v *embedding.Value)) (time.Duration, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -633,32 +577,6 @@ func (m *MemPS) servePull(ks []keys.Key, emit func(i int, k keys.Key, v *embeddi
 		emit(i, k, vals[j])
 	}
 	return loadTime, nil
-}
-
-// HandlePull implements cluster.PullHandler: it serves parameter pulls from
-// other nodes (or a multi-process driver) for the shard this node owns.
-func (m *MemPS) HandlePull(ks []keys.Key) (cluster.PullResult, error) {
-	out := make(cluster.PullResult, len(ks))
-	loadTime, err := m.servePull(ks, func(_ int, k keys.Key, v *embedding.Value) {
-		out[k] = v.Clone()
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.rec.RecordPull(len(out), loadTime)
-	return out, nil
-}
-
-// HandlePush implements cluster.PushHandler: it merges deltas pushed by a
-// remote driver or peer node into the shard this node owns, exactly like the
-// in-process push path. A remote shard never sees CompleteBatch, so the push
-// — which arrives once per training batch — also runs the batch-completion
-// housekeeping (dump full eviction buffers, compact the SSD-PS).
-func (m *MemPS) HandlePush(deltas map[keys.Key]*embedding.Value) error {
-	if err := m.ApplyUpdates(deltas); err != nil {
-		return err
-	}
-	return m.Maintain()
 }
 
 // LookupAll returns copies of the current values of the locally-owned keys
@@ -707,37 +625,10 @@ func (m *MemPS) HandleLookup(ks []keys.Key) (cluster.PullResult, error) {
 	return cluster.PullResult(out), err
 }
 
-// ApplyUpdates merges per-parameter deltas (weight/optimizer-state deltas and
-// reference-count increments accumulated by the HBM-PS across all GPUs and
-// nodes) into the authoritative copies of the parameters this node owns.
-// Deltas for parameters owned by other nodes are ignored — their owners apply
-// them (the synchronization already delivered the same deltas everywhere).
-func (m *MemPS) ApplyUpdates(deltas map[keys.Key]*embedding.Value) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	owned := m.applyOwned[:0]
-	for k := range deltas {
-		if m.ownsKey(k) {
-			owned = append(owned, k)
-		}
-	}
-	slices.Sort(owned)
-	m.applyOwned = owned
-	vals, loadTime, err := m.lookupOwned(owned)
-	if err != nil {
-		return fmt.Errorf("memps: apply updates: %w", err)
-	}
-	for i, k := range owned {
-		vals[i].Add(deltas[k])
-	}
-	m.rec.RecordPush(len(owned), loadTime)
-	return nil
-}
-
-// applyBlock is ApplyUpdates over a flat delta block: the owned rows are
-// merged into the authoritative copies in sorted key order, loading cold
-// parameters from the SSD-PS in one batched pass first. The selection and
-// miss scratch lives on the MemPS (it runs under m.mu), and each row costs
+// applyBlock merges the owned rows of a flat delta block into the
+// authoritative copies in sorted key order, loading cold parameters from the
+// SSD-PS in one batched pass first. The selection and miss scratch lives on
+// the MemPS (it runs under m.mu), and each row costs
 // exactly one cache probe: hits merge on the spot, misses defer to the
 // batched load — in the steady hot-push state the whole apply allocates
 // nothing.
@@ -833,10 +724,10 @@ func addPair(v *embedding.Value, a, b *ps.ValueBlock, ai, bi int32) {
 	}
 }
 
-// HandlePullBlock implements cluster.BlockPullHandler: HandlePull's contract
-// — serve the shard this node owns, materializing first references — with the
-// values written straight into dst's flat rows (request-key order) instead of
-// a per-value map.
+// HandlePullBlock implements cluster.PullHandler: it serves parameter pulls
+// from other nodes (or a multi-process driver) for the shard this node owns,
+// materializing first references, with the values written straight into
+// dst's flat rows in request-key order.
 func (m *MemPS) HandlePullBlock(ks []keys.Key, dst *ps.ValueBlock) error {
 	dst.Reset(m.cfg.Dim, ks)
 	loadTime, err := m.servePull(ks, func(i int, _ keys.Key, v *embedding.Value) {
@@ -869,9 +760,12 @@ func (m *MemPS) HandlePullBlockWire(ks []keys.Key, dst []byte, prec ps.Precision
 	return out, nil
 }
 
-// HandlePushBlock implements cluster.BlockPushHandler: the block-frame form
-// of HandlePush. Like HandlePush it runs the batch-completion housekeeping —
-// the push RPC arrives once per training batch on a shard server.
+// HandlePushBlock implements cluster.BlockPushHandler: it merges a delta
+// block pushed by a remote driver or peer node into the shard this node
+// owns, exactly like PushBlock. A remote shard never sees CompleteBatch, so
+// the push — which arrives once per training batch — also runs the
+// batch-completion housekeeping (dump full eviction buffers, compact the
+// SSD-PS).
 func (m *MemPS) HandlePushBlock(blk *ps.ValueBlock) error {
 	if err := m.applyBlock(blk); err != nil {
 		return err

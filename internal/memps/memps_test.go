@@ -6,7 +6,6 @@ import (
 
 	"hps/internal/blockio"
 	"hps/internal/cluster"
-	"hps/internal/embedding"
 	"hps/internal/hw"
 	"hps/internal/interconnect"
 	"hps/internal/keys"
@@ -54,6 +53,39 @@ func singleNode(t *testing.T, lru, lfu int) *MemPS {
 	return m
 }
 
+// prepare assembles ks through PrepareInto, returning the working set and
+// the block of its values: one row per unique key, in sorted key order.
+func prepare(t testing.TB, m *MemPS, ks []keys.Key) (*WorkingSet, *ps.ValueBlock) {
+	t.Helper()
+	blk := ps.NewValueBlock(m.Dim())
+	ws, err := m.PrepareInto(ks, blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ws, blk
+}
+
+// weightDeltas builds a push block giving every key of ks the delta w(k) on
+// weight 0 and freq on the reference count.
+func weightDeltas(dim int, ks []keys.Key, w func(keys.Key) float32, freq uint32) *ps.ValueBlock {
+	blk := ps.NewValueBlock(dim)
+	blk.Reset(dim, ks)
+	for i, k := range ks {
+		blk.WeightsRow(i)[0] = w(k)
+		blk.Freq[i] = freq
+		blk.Present[i] = true
+	}
+	return blk
+}
+
+// push merges blk into m through PushBlock.
+func push(t testing.TB, m *MemPS, blk *ps.ValueBlock) {
+	t.Helper()
+	if err := m.PushBlock(ps.PushBlockRequest{Shard: ps.NoShard, Block: blk}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	clock := simtime.NewClock()
 	store := newStore(t, 4, clock)
@@ -85,12 +117,9 @@ func TestNewValidation(t *testing.T) {
 
 func TestPrepareCreatesAndCachesParameters(t *testing.T) {
 	m := singleNode(t, 64, 64)
-	ws, err := m.Prepare([]keys.Key{1, 2, 3, 2, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ws.Values) != 3 {
-		t.Fatalf("working set has %d values, want 3 (deduplicated)", len(ws.Values))
+	ws, blk := prepare(t, m, []keys.Key{1, 2, 3, 2, 1})
+	if blk.Len() != 3 || blk.PresentCount() != 3 {
+		t.Fatalf("working set has %d rows (%d present), want 3 (deduplicated)", blk.Len(), blk.PresentCount())
 	}
 	if len(ws.LocalKeys) != 3 || len(ws.RemoteKeys) != 0 {
 		t.Fatalf("local/remote split wrong: %d/%d", len(ws.LocalKeys), len(ws.RemoteKeys))
@@ -102,10 +131,7 @@ func TestPrepareCreatesAndCachesParameters(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Second batch touching the same keys hits the cache.
-	ws2, err := m.Prepare([]keys.Key{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ws2, _ := prepare(t, m, []keys.Key{1, 2, 3})
 	if ws2.Stats.CacheHits != 3 || ws2.Stats.NewParams != 0 {
 		t.Fatalf("second batch stats = %+v", ws2.Stats)
 	}
@@ -117,8 +143,8 @@ func TestPrepareCreatesAndCachesParameters(t *testing.T) {
 
 func TestWorkingSetValuesAreCopies(t *testing.T) {
 	m := singleNode(t, 64, 64)
-	ws, _ := m.Prepare([]keys.Key{7})
-	ws.Values[7].Weights[0] = 1e9 // mutate the copy
+	ws, blk := prepare(t, m, []keys.Key{7})
+	blk.WeightsRow(0)[0] = 1e9 // mutate the copy
 	m.CompleteBatch(ws)
 	if v := m.Lookup(7); v.Weights[0] == 1e9 {
 		t.Fatal("working-set values must be copies of the authoritative parameters")
@@ -127,15 +153,10 @@ func TestWorkingSetValuesAreCopies(t *testing.T) {
 
 func TestApplyUpdates(t *testing.T) {
 	m := singleNode(t, 64, 64)
-	ws, _ := m.Prepare([]keys.Key{5})
+	ws, _ := prepare(t, m, []keys.Key{5})
 	before := m.Lookup(5).Weights[0]
 
-	delta := embedding.NewValue(4)
-	delta.Weights[0] = 2.5
-	delta.Freq = 3
-	if err := m.ApplyUpdates(map[keys.Key]*embedding.Value{5: delta}); err != nil {
-		t.Fatal(err)
-	}
+	push(t, m, weightDeltas(4, []keys.Key{5}, func(keys.Key) float32 { return 2.5 }, 3))
 	m.CompleteBatch(ws)
 	after := m.Lookup(5)
 	if after.Weights[0] != before+2.5 {
@@ -144,10 +165,8 @@ func TestApplyUpdates(t *testing.T) {
 	if after.Freq < 3 {
 		t.Fatalf("freq not accumulated: %d", after.Freq)
 	}
-	// Updates for keys owned by other nodes are ignored, not errors.
-	if err := m.ApplyUpdates(map[keys.Key]*embedding.Value{}); err != nil {
-		t.Fatal(err)
-	}
+	// An empty update is a no-op, not an error.
+	push(t, m, ps.NewValueBlock(4))
 }
 
 func TestEvictionDumpAndReload(t *testing.T) {
@@ -173,20 +192,9 @@ func TestEvictionDumpAndReload(t *testing.T) {
 		for i := range ks {
 			ks[i] = keys.Key(batch*8 + i)
 		}
-		ws, err := m.Prepare(ks)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ws, _ := prepare(t, m, ks)
 		// Give every parameter a recognizable value via an update.
-		deltas := make(map[keys.Key]*embedding.Value)
-		for _, k := range ks {
-			d := embedding.NewValue(4)
-			d.Weights[0] = float32(k) + 1000
-			deltas[k] = d
-		}
-		if err := m.ApplyUpdates(deltas); err != nil {
-			t.Fatal(err)
-		}
+		push(t, m, weightDeltas(4, ks, func(k keys.Key) float32 { return float32(k) + 1000 }, 0))
 		if err := m.CompleteBatch(ws); err != nil {
 			t.Fatal(err)
 		}
@@ -201,11 +209,8 @@ func TestEvictionDumpAndReload(t *testing.T) {
 	}
 	// Re-preparing an old, evicted parameter must load it from SSD with its
 	// updated value, not recreate it.
-	ws, err := m.Prepare([]keys.Key{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := ws.Values[0].Weights[0]
+	ws, blk := prepare(t, m, []keys.Key{0})
+	got := blk.WeightsRow(0)[0]
 	if got < 999 {
 		t.Fatalf("evicted parameter lost its update: %v", got)
 	}
@@ -217,14 +222,8 @@ func TestEvictionDumpAndReload(t *testing.T) {
 
 func TestFlushPersistsEverything(t *testing.T) {
 	m := singleNode(t, 64, 64)
-	ws, _ := m.Prepare([]keys.Key{1, 2, 3})
-	deltas := map[keys.Key]*embedding.Value{}
-	for _, k := range ws.LocalKeys {
-		d := embedding.NewValue(4)
-		d.Weights[0] = 7
-		deltas[k] = d
-	}
-	m.ApplyUpdates(deltas)
+	ws, _ := prepare(t, m, []keys.Key{1, 2, 3})
+	push(t, m, weightDeltas(4, ws.LocalKeys, func(keys.Key) float32 { return 7 }, 0))
 	m.CompleteBatch(ws)
 	if err := m.Flush(); err != nil {
 		t.Fatal(err)
@@ -250,12 +249,12 @@ func TestCacheHitRateGrowsOnSkewedStream(t *testing.T) {
 		hot[i] = keys.Key(i)
 	}
 	// First pass: cold cache.
-	ws, _ := m.Prepare(hot)
+	ws, _ := prepare(t, m, hot)
 	m.CompleteBatch(ws)
 	coldRate := m.CacheStats().HitRate()
 	// Repeat passes over the hot set: hit rate must climb.
 	for i := 0; i < 5; i++ {
-		ws, _ := m.Prepare(hot)
+		ws, _ := prepare(t, m, hot)
 		m.CompleteBatch(ws)
 	}
 	warmRate := m.CacheStats().HitRate()
@@ -298,17 +297,17 @@ func TestMultiNodeRemotePull(t *testing.T) {
 
 	// Node 0 prepares a batch touching both shards (even keys -> node 0,
 	// odd keys -> node 1).
-	ws, err := m0.Prepare([]keys.Key{2, 3, 4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ws, blk := prepare(t, m0, []keys.Key{2, 3, 4, 5})
 	if len(ws.LocalKeys) != 2 || len(ws.RemoteKeys) != 2 {
 		t.Fatalf("split = %d local / %d remote", len(ws.LocalKeys), len(ws.RemoteKeys))
 	}
-	for _, k := range []keys.Key{2, 3, 4, 5} {
-		if _, ok := ws.Values[k]; !ok {
+	for i, k := range blk.Keys {
+		if !blk.Present[i] {
 			t.Fatalf("missing working value for key %d", k)
 		}
+	}
+	if blk.Len() != 4 {
+		t.Fatalf("working set has %d rows, want 4", blk.Len())
 	}
 	if ws.Stats.RemoteTime <= 0 {
 		t.Fatal("remote pull should cost network time")
@@ -323,18 +322,9 @@ func TestMultiNodeRemotePull(t *testing.T) {
 	m0.CompleteBatch(ws)
 
 	// Apply updates on both nodes: node 0 only owns even keys; node 1 odd.
-	deltas := map[keys.Key]*embedding.Value{}
-	for _, k := range []keys.Key{2, 3, 4, 5} {
-		d := embedding.NewValue(4)
-		d.Weights[0] = 5
-		deltas[k] = d
-	}
-	if err := m0.ApplyUpdates(deltas); err != nil {
-		t.Fatal(err)
-	}
-	if err := m1.ApplyUpdates(deltas); err != nil {
-		t.Fatal(err)
-	}
+	deltas := weightDeltas(4, []keys.Key{2, 3, 4, 5}, func(keys.Key) float32 { return 5 }, 0)
+	push(t, m0, deltas)
+	push(t, m1, deltas)
 	if m0.Lookup(3) != nil {
 		t.Fatal("node 0 must not own key 3")
 	}
@@ -357,9 +347,7 @@ func TestHandlePullBlockWireMatchesBlock(t *testing.T) {
 	ks := []keys.Key{3, 7, 11, 19, 23}
 	// Mixed serving states: train some keys in, evict one to the SSD, and
 	// leave the rest to be materialized on first reference.
-	if _, err := m.Prepare(ks[:2]); err != nil {
-		t.Fatal(err)
-	}
+	prepare(t, m, ks[:2])
 	if _, err := m.Evict([]keys.Key{ks[1]}); err != nil {
 		t.Fatal(err)
 	}
@@ -368,9 +356,7 @@ func TestHandlePullBlockWireMatchesBlock(t *testing.T) {
 	// against an identically-seeded twin to compare equal first-reference
 	// values (serving order is the request order for both).
 	twin := singleNode(t, 16, 16)
-	if _, err := twin.Prepare(ks[:2]); err != nil {
-		t.Fatal(err)
-	}
+	prepare(t, twin, ks[:2])
 	if _, err := twin.Evict([]keys.Key{ks[1]}); err != nil {
 		t.Fatal(err)
 	}
@@ -425,10 +411,11 @@ func TestHandlePullRejectsForeignKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Key 1 belongs to node 1; node 0 must refuse to serve it.
-	if _, err := m0.HandlePull([]keys.Key{1}); err == nil {
-		t.Fatal("HandlePull should reject keys the node does not own")
+	blk := ps.NewValueBlock(4)
+	if err := m0.HandlePullBlock([]keys.Key{1}, blk); err == nil {
+		t.Fatal("HandlePullBlock should reject keys the node does not own")
 	}
-	if _, err := m0.HandlePull([]keys.Key{2}); err != nil {
+	if err := m0.HandlePullBlock([]keys.Key{2}, blk); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -448,12 +435,12 @@ func TestTierInterface(t *testing.T) {
 	}
 
 	// Tier pull creates on first reference and does not pin.
-	res, err := tier.Pull(ps.PullRequest{Shard: ps.NoShard, Keys: []keys.Key{1, 2, 3}})
-	if err != nil {
+	res := ps.NewValueBlock(4)
+	if err := tier.PullInto(ps.PullRequest{Shard: ps.NoShard, Keys: []keys.Key{1, 2, 3}}, res); err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 3 {
-		t.Fatalf("pulled %d values", len(res))
+	if res.PresentCount() != 3 {
+		t.Fatalf("pulled %d values", res.PresentCount())
 	}
 	for _, k := range []keys.Key{1, 2, 3} {
 		if m.cache.Pinned(uint64(k)) {
@@ -462,12 +449,11 @@ func TestTierInterface(t *testing.T) {
 	}
 
 	// Tier push merges deltas into the owned shard.
-	delta := embedding.NewValue(4)
-	delta.Weights[0] = 2.5
-	if err := tier.Push(ps.PushRequest{Shard: ps.NoShard, Deltas: map[keys.Key]*embedding.Value{2: delta}}); err != nil {
+	delta := weightDeltas(4, []keys.Key{2}, func(keys.Key) float32 { return 2.5 }, 0)
+	if err := tier.PushBlock(ps.PushBlockRequest{Shard: ps.NoShard, Block: delta}); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Lookup(2).Weights[0]; got != res[2].Weights[0]+2.5 {
+	if got := m.Lookup(2).Weights[0]; got != res.WeightsRow(1)[0]+2.5 {
 		t.Fatalf("tier push not applied: %v", got)
 	}
 
@@ -479,10 +465,7 @@ func TestTierInterface(t *testing.T) {
 
 func TestEvictDemotesToSSD(t *testing.T) {
 	m := singleNode(t, 64, 64)
-	ws, err := m.Prepare([]keys.Key{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ws, _ := prepare(t, m, []keys.Key{1, 2, 3, 4})
 
 	// Pinned working parameters must survive eviction.
 	if n, err := m.Evict([]keys.Key{1, 2}); err != nil || n != 0 {
@@ -501,9 +484,9 @@ func TestEvictDemotesToSSD(t *testing.T) {
 		t.Fatal("evicted parameters must be on the SSD")
 	}
 	// Still readable through the tier (reloaded from SSD).
-	res, err := m.Pull(ps.PullRequest{Shard: ps.NoShard, Keys: []keys.Key{1}})
-	if err != nil || len(res) != 1 {
-		t.Fatalf("pull after evict = (%v, %v)", res, err)
+	res := ps.NewValueBlock(4)
+	if err := m.PullInto(ps.PullRequest{Shard: ps.NoShard, Keys: []keys.Key{1}}, res); err != nil || res.PresentCount() != 1 {
+		t.Fatalf("pull after evict = (%d rows present, %v)", res.PresentCount(), err)
 	}
 	if st := m.TierStats(); st.Evictions == 0 || st.KeysEvicted != 2 {
 		t.Fatalf("evict stats = %+v", st)

@@ -120,15 +120,17 @@ func TestMissPathMatchesModel(t *testing.T) {
 			if err := m.PushBlockPair(a, b, mk, sa, sb); err != nil {
 				t.Fatal(err)
 			}
-		case 4: // the map push
-			ks := keys.Dedup(someKeys())
-			blk := deltaBlock(ks)
-			deltas := map[keys.Key]*embedding.Value{}
-			for i, k := range blk.Keys {
-				deltas[k] = blk.Value(i)
-			}
-			if err := m.HandlePush(deltas); err != nil {
+		case 4: // an unpinned tier pull, unsorted with duplicates
+			ks := someKeys()
+			blk := &ps.ValueBlock{}
+			if err := m.PullInto(ps.PullRequest{Shard: ps.NoShard, Keys: ks}, blk); err != nil {
 				t.Fatal(err)
+			}
+			if !slices.Equal(blk.Keys, ks) {
+				t.Fatalf("PullInto reordered the request: %v for %v", blk.Keys, ks)
+			}
+			for i, k := range ks {
+				check("PullInto", k, blk.Value(i))
 			}
 		case 5:
 			ks := someKeys()

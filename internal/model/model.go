@@ -33,8 +33,8 @@ type Spec struct {
 	EmbeddingDim int
 	// HiddenLayers are the fully-connected layer widths above the embedding.
 	HiddenLayers []int
-	// PaperSpeedup is the HPS-4 vs MPI speedup reported in Table 4, used by
-	// EXPERIMENTS.md comparisons (0 for non-paper specs).
+	// PaperSpeedup is the HPS-4 vs MPI speedup reported in Table 4, printed
+	// beside the measured speedup by `hps -baseline` (0 for non-paper specs).
 	PaperSpeedup float64
 }
 

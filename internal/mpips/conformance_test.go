@@ -11,9 +11,10 @@ import (
 	"hps/internal/ps/conformance"
 )
 
-// TestTierConformance runs the shared ps.Tier suite against the MPI-cluster
-// baseline: a flat single-tier server where pushes materialize unknown keys
-// and eviction retires them. The baseline is not safe for concurrent use.
+// TestTierConformance runs the shared tier suite against the MPI-cluster
+// baseline's in-memory model through the suite's whole-value store adapter:
+// a flat single-tier server where pushes materialize unknown keys and
+// eviction retires them. The baseline is not safe for concurrent use.
 func TestTierConformance(t *testing.T) {
 	const dim = 8
 	conformance.Run(t, conformance.Harness{
@@ -35,16 +36,41 @@ func TestTierConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seed := make(map[keys.Key]*embedding.Value, len(ks))
+			table := c.Trainer().Embeddings()
 			for i, k := range ks {
 				v := embedding.NewValue(dim)
 				v.Weights[0] = float32(i + 1)
-				seed[k] = v
+				table.Put(uint64(k), v)
 			}
-			if err := c.Push(ps.PushRequest{Shard: ps.NoShard, Deltas: seed}); err != nil {
-				t.Fatal(err)
+			return &conformance.Store{
+				Label: "mpi-ps",
+				Dim:   dim,
+				Load: func(ks []keys.Key) ([]*embedding.Value, error) {
+					out := make([]*embedding.Value, len(ks))
+					for i, k := range ks {
+						if v := table.Get(uint64(k)); v != nil {
+							out[i] = v.Clone()
+						}
+					}
+					return out, nil
+				},
+				Save: func(vals map[keys.Key]*embedding.Value) error {
+					for k, v := range vals {
+						table.Put(uint64(k), v)
+					}
+					return nil
+				},
+				Delete: func(ks []keys.Key) int {
+					n := 0
+					for _, k := range ks {
+						if table.Get(uint64(k)) != nil {
+							table.Delete(uint64(k))
+							n++
+						}
+					}
+					return n
+				},
 			}
-			return c
 		},
 	})
 }

@@ -26,7 +26,6 @@ import (
 	"hps/internal/keys"
 	"hps/internal/metrics"
 	"hps/internal/model"
-	"hps/internal/ps"
 	"hps/internal/reference"
 	"hps/internal/simtime"
 )
@@ -58,22 +57,18 @@ type Breakdown struct {
 // in the baseline).
 func (b Breakdown) Total() time.Duration { return b.ReadExamples + b.PullPush + b.Compute }
 
-// Cluster is the MPI-cluster baseline trainer.
-// It is not safe for concurrent use. It implements ps.Tier as a flat,
-// single-tier parameter server: the whole model lives in cluster main
-// memory, pulls and pushes cross the data-center network, and there is no
-// tier below to demote to.
+// Cluster is the MPI-cluster baseline trainer: a flat, single-tier parameter
+// server whose whole model lives in cluster main memory, with pulls and
+// pushes crossing the data-center network. It is not safe for concurrent
+// use.
 type Cluster struct {
 	cfg       Config
 	trainer   *reference.Trainer
 	clock     *simtime.Clock
-	rec       ps.Recorder
 	breakdown Breakdown
 	examples  int64
 	batches   int64
 }
-
-var _ ps.Tier = (*Cluster)(nil)
 
 // New constructs the baseline cluster.
 func New(cfg Config) (*Cluster, error) {
@@ -148,70 +143,6 @@ func (c *Cluster) accountBatch(b *dataset.Batch) {
 	c.breakdown.ReadExamples += readTime
 	c.breakdown.PullPush += pullTime + pushTime
 	c.breakdown.Compute += computeTime
-}
-
-// Name implements ps.Tier.
-func (c *Cluster) Name() string { return "mpi-ps" }
-
-// TierStats implements ps.Tier.
-func (c *Cluster) TierStats() ps.Stats { return c.rec.TierStats() }
-
-// remoteTransferTime models moving n parameters across the cluster network:
-// a 1/Nodes fraction of the shard lives on the requesting node, the rest
-// crosses Ethernet (the same model TrainBatch uses).
-func (c *Cluster) remoteTransferTime(n int) time.Duration {
-	remoteFraction := float64(c.cfg.Nodes-1) / float64(c.cfg.Nodes)
-	valueBytes := int64(8 + embedding.EncodedSize(c.cfg.Spec.EmbeddingDim))
-	remoteBytes := int64(float64(int64(n)*valueBytes) * remoteFraction)
-	return c.cfg.Profile.Ethernet.TransferTime(remoteBytes)
-}
-
-// Pull implements ps.Tier: it reads the current values of the requested
-// keys from the sharded in-memory model. Keys never trained on are absent.
-func (c *Cluster) Pull(req ps.PullRequest) (ps.Result, error) {
-	table := c.trainer.Embeddings()
-	out := ps.ServePull(req.Keys, func(k keys.Key) (*embedding.Value, bool) {
-		v := table.Get(uint64(k))
-		return v, v != nil
-	})
-	d := c.remoteTransferTime(len(out))
-	c.clock.Add(simtime.ResourceNetwork, d)
-	c.rec.RecordPull(len(out), d)
-	return out, nil
-}
-
-// Push implements ps.Tier: it merges per-key deltas into the in-memory
-// model, materializing unknown keys as fresh values equal to their delta.
-func (c *Cluster) Push(req ps.PushRequest) error {
-	table := c.trainer.Embeddings()
-	n := ps.ApplyDeltas(req.Deltas, func(k keys.Key, delta *embedding.Value) bool {
-		if v := table.Get(uint64(k)); v != nil {
-			v.Add(delta)
-		} else {
-			table.Put(uint64(k), delta.Clone())
-		}
-		return true
-	})
-	d := c.remoteTransferTime(n)
-	c.clock.Add(simtime.ResourceNetwork, d)
-	c.rec.RecordPush(n, d)
-	return nil
-}
-
-// Evict implements ps.Tier: the baseline keeps the whole model in cluster
-// memory with no tier below, so evicting specific keys retires them from
-// the model and a nil slice retires nothing.
-func (c *Cluster) Evict(ks []keys.Key) (int, error) {
-	table := c.trainer.Embeddings()
-	n := 0
-	for _, k := range ks {
-		if table.Get(uint64(k)) != nil {
-			table.Delete(uint64(k))
-			n++
-		}
-	}
-	c.rec.RecordEvict(n)
-	return n, nil
 }
 
 // Predict returns the model's click probability for a feature set.

@@ -4,10 +4,7 @@ import (
 	"testing"
 
 	"hps/internal/dataset"
-	"hps/internal/embedding"
-	"hps/internal/keys"
 	"hps/internal/model"
-	"hps/internal/ps"
 	"hps/internal/simtime"
 )
 
@@ -150,51 +147,5 @@ func TestComputeDominatesForLargeDense(t *testing.T) {
 	bd := c.Breakdown()
 	if bd.Compute <= bd.ReadExamples {
 		t.Fatalf("compute (%v) should dominate HDFS (%v) for a large dense tower", bd.Compute, bd.ReadExamples)
-	}
-}
-
-func TestTierInterface(t *testing.T) {
-	c := newCluster(t, 10)
-	var tier ps.Tier = c
-	if tier.Name() != "mpi-ps" {
-		t.Fatalf("name = %q", tier.Name())
-	}
-	gen := dataset.NewGenerator(dataset.ForModel(10000, 20), 1)
-	if err := c.TrainBatch(gen.NextBatch(32)); err != nil {
-		t.Fatal(err)
-	}
-
-	trained := c.Trainer().Embeddings().Keys()
-	if len(trained) == 0 {
-		t.Fatal("no embeddings materialized")
-	}
-	k := keys.Key(trained[0])
-	res, err := tier.Pull(ps.PullRequest{Shard: ps.NoShard, Keys: []keys.Key{k, 1 << 60}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 1 {
-		t.Fatalf("pull = %d values, want 1 (unknown key absent)", len(res))
-	}
-
-	delta := embedding.NewValue(8)
-	delta.Weights[0] = 1.5
-	if err := tier.Push(ps.PushRequest{Shard: ps.NoShard, Deltas: map[keys.Key]*embedding.Value{k: delta}}); err != nil {
-		t.Fatal(err)
-	}
-	after, _ := tier.Pull(ps.PullRequest{Keys: []keys.Key{k}})
-	if after[k].Weights[0] != res[k].Weights[0]+1.5 {
-		t.Fatal("push delta not applied")
-	}
-
-	if n, _ := tier.Evict([]keys.Key{k}); n != 1 {
-		t.Fatalf("evict = %d, want 1", n)
-	}
-	if got, _ := tier.Pull(ps.PullRequest{Keys: []keys.Key{k}}); len(got) != 0 {
-		t.Fatal("evicted key still present")
-	}
-	st := tier.TierStats()
-	if st.Pulls != 3 || st.Pushes != 1 || st.KeysEvicted != 1 {
-		t.Fatalf("uniform stats = %+v", st)
 	}
 }

@@ -34,9 +34,9 @@ type ValueBlock struct {
 	G2Sum   []float32
 	// Freq holds the per-row reference counts (or count deltas, for pushes).
 	Freq []uint32
-	// Present marks the rows the serving tier actually holds. Pull adapters
-	// leave missing keys absent (zero row, Present false); push paths skip
-	// rows with Present false, which lets callers mask a reused block.
+	// Present marks the rows the serving tier actually holds. Pulls leave
+	// missing keys absent (zero row, Present false); pushes skip rows with
+	// Present false, which lets callers mask a reused block.
 	Present []bool
 }
 
@@ -212,7 +212,7 @@ func (b *ValueBlock) Set(i int, v *embedding.Value) {
 }
 
 // Value returns a freshly allocated copy of row i, or nil if the row is
-// absent. It is the bridge back to the map-based representation.
+// absent.
 func (b *ValueBlock) Value(i int) *embedding.Value {
 	if !b.Present[i] {
 		return nil
@@ -232,29 +232,6 @@ func (b *ValueBlock) CopyFrom(o *ValueBlock) {
 	copy(b.G2Sum, o.G2Sum)
 	copy(b.Freq, o.Freq)
 	copy(b.Present, o.Present)
-}
-
-// Deltas converts the block's present rows into the map form map-based tiers
-// consume. The values are freshly allocated — tiers are allowed to retain
-// what Push hands them.
-func (b *ValueBlock) Deltas() map[keys.Key]*embedding.Value {
-	out := make(map[keys.Key]*embedding.Value, len(b.Keys))
-	for i, k := range b.Keys {
-		if v := b.Value(i); v != nil {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-// FillFromResult scatters a map-based pull result into the block's rows
-// (request-key order is b.Keys). Keys absent from res stay absent.
-func (b *ValueBlock) FillFromResult(res Result) {
-	for i, k := range b.Keys {
-		if v, ok := res[k]; ok && v != nil {
-			b.Set(i, v)
-		}
-	}
 }
 
 // Row returns the row of k in b, whose Keys must be sorted (the batched
@@ -294,19 +271,6 @@ func (b *ValueBlock) ScatterRows(sub *ValueBlock) {
 		copy(b.G2Row(i), sub.G2Row(j))
 		b.Freq[i] = sub.Freq[j]
 		b.Present[i] = true
-	}
-}
-
-// ScatterResult is ScatterRows over a map-based pull result, with the same
-// sorted-keys requirement and unknown-key containment.
-func (b *ValueBlock) ScatterResult(res Result) {
-	for k, v := range res {
-		if v == nil {
-			continue
-		}
-		if i, ok := b.Row(k); ok {
-			b.Set(i, v)
-		}
 	}
 }
 
@@ -586,74 +550,4 @@ func PutBlock(b *ValueBlock) {
 	if b != nil {
 		blockPool.Put(b)
 	}
-}
-
-// FillFromPull shapes dst for ks and scatters a map-based pull result into
-// it in request-key order — the one conversion shared by every map-to-block
-// fallback (tier adapters, transports, the RPC server). When dim is 0 it is
-// inferred from the first returned value; an all-missing result over an
-// unshaped block stays Dim 0.
-func FillFromPull(dst *ValueBlock, dim int, ks []keys.Key, res Result) {
-	if dim == 0 {
-		for _, v := range res {
-			if v != nil {
-				dim = v.Dim()
-				break
-			}
-		}
-	}
-	dst.Reset(dim, ks)
-	dst.FillFromResult(res)
-}
-
-// PushBlockRequest is the batched, slice-based form of PushRequest: the
-// block's keys and parallel delta rows (weight, optimizer-state and
-// reference-count increments), applied in row order.
-type PushBlockRequest struct {
-	// Shard identifies the pushing shard; see PullRequest.Shard.
-	Shard int
-	// Block carries the parallel key/delta slices. Rows with Present false
-	// are skipped.
-	Block *ValueBlock
-}
-
-// BlockPuller is the optional batched-pull extension of Tier: PullInto writes
-// the requested values into dst in request-key order, resetting it first.
-// Missing keys follow the tier's Pull policy (absent row, materialized, or an
-// error), and dst rows never alias tier storage.
-type BlockPuller interface {
-	PullInto(req PullRequest, dst *ValueBlock) error
-}
-
-// BlockPusher is the optional batched-push extension of Tier: PushBlock
-// merges the block's delta rows with the same semantics as Push over the
-// equivalent delta map.
-type BlockPusher interface {
-	PushBlock(req PushBlockRequest) error
-}
-
-// PullInto pulls req into dst through the tier's native block path when it
-// implements BlockPuller, falling back to the map-based Pull otherwise. Every
-// tier is therefore usable from the batched hot path; native implementations
-// just skip the per-value allocations.
-func PullInto(t Tier, req PullRequest, dst *ValueBlock) error {
-	if bp, ok := t.(BlockPuller); ok {
-		return bp.PullInto(req, dst)
-	}
-	res, err := t.Pull(req)
-	if err != nil {
-		return err
-	}
-	FillFromPull(dst, dst.Dim, req.Keys, res)
-	return nil
-}
-
-// PushBlock pushes req through the tier's native block path when it
-// implements BlockPusher, falling back to a map-based Push of freshly
-// allocated deltas otherwise (tiers may retain what Push hands them).
-func PushBlock(t Tier, req PushBlockRequest) error {
-	if bp, ok := t.(BlockPusher); ok {
-		return bp.PushBlock(req)
-	}
-	return t.Push(PushRequest{Shard: req.Shard, Deltas: req.Block.Deltas()})
 }

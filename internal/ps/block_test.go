@@ -220,25 +220,6 @@ func TestBlockDecodeWireRejectsHostilePayloads(t *testing.T) {
 	}
 }
 
-func TestBlockDeltasAndFill(t *testing.T) {
-	src := testBlock(t, 5, 6)
-	deltas := src.Deltas()
-	if len(deltas) != src.PresentCount() {
-		t.Fatalf("Deltas has %d entries, want %d", len(deltas), src.PresentCount())
-	}
-	dst := NewValueBlock(5)
-	dst.Reset(5, src.Keys)
-	dst.FillFromResult(Result(deltas))
-	for i := range src.Keys {
-		if dst.Present[i] != src.Present[i] {
-			t.Fatalf("row %d present mismatch after fill", i)
-		}
-		if src.Present[i] && dst.WeightsRow(i)[0] != src.WeightsRow(i)[0] {
-			t.Fatalf("row %d weight mismatch after fill", i)
-		}
-	}
-}
-
 func TestBlockScatterDropsUnrequestedKeys(t *testing.T) {
 	dst := NewValueBlock(3)
 	dst.Reset(3, []keys.Key{10, 20, 30}) // sorted, as assembled working sets are
@@ -258,12 +239,15 @@ func TestBlockScatterDropsUnrequestedKeys(t *testing.T) {
 	if dst.PresentCount() != 1 || !dst.Present[1] || dst.WeightsRow(1)[0] != 2 {
 		t.Fatalf("scatter applied wrong rows: %+v", dst)
 	}
-	dst.ScatterResult(Result{25: mk(7), 1 << 60: mk(8), 30: mk(9), 10: nil})
+	// An absent row of the answer leaves its row absent.
+	sub.Reset(3, []keys.Key{10, 30})
+	sub.Set(1, mk(9))
+	dst.ScatterRows(sub)
 	if dst.PresentCount() != 2 || !dst.Present[2] || dst.WeightsRow(2)[0] != 9 {
-		t.Fatalf("result scatter applied wrong rows: %+v", dst)
+		t.Fatalf("second scatter applied wrong rows: %+v", dst)
 	}
 	if dst.Present[0] {
-		t.Fatal("nil value materialized a row")
+		t.Fatal("an absent row materialized a row")
 	}
 }
 
@@ -341,68 +325,4 @@ func TestBlockPool(t *testing.T) {
 	}
 	PutBlock(again)
 	PutBlock(nil) // must not panic
-}
-
-// adapterTier is a map-only tier: the PullInto/PushBlock package adapters
-// must bridge it into the block world.
-type adapterTier struct {
-	Recorder
-	vals map[keys.Key]*embedding.Value
-}
-
-func (a *adapterTier) Name() string { return "adapter" }
-func (a *adapterTier) Pull(req PullRequest) (Result, error) {
-	out := ServePull(req.Keys, func(k keys.Key) (*embedding.Value, bool) {
-		v, ok := a.vals[k]
-		return v, ok
-	})
-	a.RecordPull(len(out), 0)
-	return out, nil
-}
-func (a *adapterTier) Push(req PushRequest) error {
-	n := ApplyDeltas(req.Deltas, func(k keys.Key, delta *embedding.Value) bool {
-		if v, ok := a.vals[k]; ok {
-			v.Add(delta)
-		} else {
-			a.vals[k] = delta.Clone()
-		}
-		return true
-	})
-	a.RecordPush(n, 0)
-	return nil
-}
-func (a *adapterTier) Evict([]keys.Key) (int, error) { return 0, nil }
-
-func TestAdaptersBridgeMapOnlyTiers(t *testing.T) {
-	tier := &adapterTier{vals: map[keys.Key]*embedding.Value{}}
-	v := embedding.NewValue(3)
-	v.Weights[0] = 2.5
-	tier.vals[10] = v
-
-	// Adapter pull with an unshaped destination block infers the dimension.
-	blk := NewValueBlock(0)
-	if err := PullInto(tier, PullRequest{Shard: NoShard, Keys: []keys.Key{10, 11}}, blk); err != nil {
-		t.Fatal(err)
-	}
-	if blk.Dim != 3 || !blk.Present[0] || blk.Present[1] || blk.WeightsRow(0)[0] != 2.5 {
-		t.Fatalf("adapter pull block = %+v", blk)
-	}
-
-	// Adapter push must hand the tier values it can safely retain.
-	push := NewValueBlock(3)
-	push.Reset(3, []keys.Key{10, 12})
-	d := embedding.NewValue(3)
-	d.Weights[0] = 1
-	push.Set(0, d)
-	push.Set(1, d)
-	if err := PushBlock(tier, PushBlockRequest{Shard: NoShard, Block: push}); err != nil {
-		t.Fatal(err)
-	}
-	if tier.vals[10].Weights[0] != 3.5 {
-		t.Fatalf("delta not merged: %v", tier.vals[10].Weights)
-	}
-	push.WeightsRow(1)[0] = 77 // mutate the block after the push
-	if tier.vals[12].Weights[0] != 1 {
-		t.Fatal("tier retained an aliased block row")
-	}
 }

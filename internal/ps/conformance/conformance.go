@@ -1,12 +1,14 @@
 // Package conformance is a reusable test suite for ps.Tier implementations.
 //
-// Every tier of the hierarchy answers the same Pull/Push/Evict/TierStats
-// contract with tier-specific policies around missing keys and eviction
-// (the HBM-PS errors on keys outside the loaded working set, the MEM-PS
-// materializes first references, the SSD-PS and the MPI baseline leave them
-// absent). The suite checks the invariants every implementation must share —
-// value isolation, delta arithmetic, statistics monotonicity — and lets a
-// Harness declare the per-tier policies it should expect.
+// Every tier answers the same PullInto/PushBlock/Evict/TierStats contract
+// with tier-specific policies around missing keys and eviction (the HBM-PS
+// errors on keys outside the loaded working set, the MEM-PS materializes
+// first references, a plain store leaves them absent). The suite checks the
+// invariants every implementation must share — request-order rows, value
+// isolation, delta arithmetic, statistics monotonicity — and lets a Harness
+// declare the per-tier policies it should expect. Stores that read and write
+// whole values by key rather than blocks (the SSD-PS, the MPI baseline's
+// in-memory model) run the same suite through the Store adapter.
 //
 // Usage, from a tier's own test package:
 //
@@ -22,6 +24,7 @@ package conformance
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -48,8 +51,8 @@ type Harness struct {
 	// set is a bug, not a miss (the HBM-PS contract).
 	PullMissingErrors bool
 	// PushCreates marks tiers where pushing a delta to a missing key
-	// materializes it (SSD-PS, MPI baseline). Tiers without it ignore such
-	// deltas (HBM-PS) or create-then-merge (MEM-PS).
+	// materializes it as the delta (plain stores). Tiers without it ignore
+	// such deltas (HBM-PS) or create-then-merge (MEM-PS).
 	PushCreates bool
 	// EvictDurable marks tiers whose eviction demotes to a tier below, so
 	// evicted keys remain readable afterwards (the MEM-PS over its SSD-PS).
@@ -89,18 +92,42 @@ func Run(t *testing.T, h Harness) {
 	t.Run("ConcurrentPulls", h.concurrentPulls)
 	t.Run("BlockPullAgrees", h.blockPullAgrees)
 	t.Run("BlockPullUnsortedOrder", h.blockPullUnsortedOrder)
+	t.Run("BlockPullDuplicates", h.blockPullDuplicates)
 	t.Run("BlockPullMissing", h.blockPullMissing)
 	t.Run("BlockPushAgrees", h.blockPushAgrees)
 	t.Run("BlockPullIsolation", h.blockPullIsolation)
 }
 
-func (h Harness) pull(t *testing.T, tier ps.Tier, ks []keys.Key) ps.Result {
+// tryPull pulls ks into a fresh block.
+func (h Harness) tryPull(tier ps.Tier, ks []keys.Key) (*ps.ValueBlock, error) {
+	blk := ps.NewValueBlock(h.Dim)
+	err := tier.PullInto(ps.PullRequest{Shard: h.Shard, Keys: ks}, blk)
+	return blk, err
+}
+
+// pull pulls ks into a fresh block and checks the shape every pull shares:
+// one row per requested key, in request order, at the tier's dimension.
+func (h Harness) pull(t *testing.T, tier ps.Tier, ks []keys.Key) *ps.ValueBlock {
 	t.Helper()
-	res, err := tier.Pull(ps.PullRequest{Shard: h.Shard, Keys: ks})
+	blk, err := h.tryPull(tier, ks)
 	if err != nil {
-		t.Fatalf("Pull(%v): %v", ks, err)
+		t.Fatalf("PullInto(%v): %v", ks, err)
 	}
-	return res
+	if !slices.Equal(blk.Keys, ks) {
+		t.Fatalf("pulled rows hold keys %v, want request order %v", blk.Keys, ks)
+	}
+	if blk.Len() > 0 && blk.Dim != h.Dim {
+		t.Fatalf("block dim = %d, want %d", blk.Dim, h.Dim)
+	}
+	return blk
+}
+
+// push pushes blk's rows, failing the test on error.
+func (h Harness) push(t *testing.T, tier ps.Tier, blk *ps.ValueBlock) {
+	t.Helper()
+	if err := tier.PushBlock(ps.PushBlockRequest{Shard: h.Shard, Block: blk}); err != nil {
+		t.Fatalf("PushBlock: %v", err)
+	}
 }
 
 // delta builds a push delta with a recognizable per-element value.
@@ -114,58 +141,87 @@ func (h Harness) delta(base float32) *embedding.Value {
 	return v
 }
 
-// pullPresent: every preloaded key is pullable, with a value of the right
-// shape, and repeated pulls agree.
-func (h Harness) pullPresent(t *testing.T) {
-	ks := suiteKeys()
-	tier := h.New(t, ks)
-	first := h.pull(t, tier, ks)
-	if len(first) != len(ks) {
-		t.Fatalf("pull returned %d of %d preloaded keys", len(first), len(ks))
+// deltas builds a block with row i of ks holding delta(i+1).
+func (h Harness) deltas(ks []keys.Key) *ps.ValueBlock {
+	blk := ps.NewValueBlock(h.Dim)
+	blk.Reset(h.Dim, ks)
+	for i := range ks {
+		blk.Set(i, h.delta(float32(i+1)))
 	}
-	for _, k := range ks {
-		v := first[k]
-		if v == nil {
-			t.Fatalf("preloaded key %d absent", k)
+	return blk
+}
+
+// sameRow reports whether row i of a and row j of b hold identical values.
+func sameRow(a *ps.ValueBlock, i int, b *ps.ValueBlock, j int) bool {
+	return a.Present[i] == b.Present[j] && a.Freq[i] == b.Freq[j] &&
+		slices.Equal(a.WeightsRow(i), b.WeightsRow(j)) && slices.Equal(a.G2Row(i), b.G2Row(j))
+}
+
+// checkMoved asserts that row i of after equals row i of before plus row i of
+// d, for every row d holds present.
+func checkMoved(t *testing.T, before, after, d *ps.ValueBlock) {
+	t.Helper()
+	for i, k := range d.Keys {
+		if !d.Present[i] {
+			if !sameRow(before, i, after, i) {
+				t.Fatalf("key %d changed by a masked delta row", k)
+			}
+			continue
 		}
-		if v.Dim() != h.Dim || len(v.G2Sum) != h.Dim {
-			t.Fatalf("key %d has dim %d, want %d", k, v.Dim(), h.Dim)
-		}
-	}
-	second := h.pull(t, tier, ks)
-	for _, k := range ks {
-		for i := range first[k].Weights {
-			if first[k].Weights[i] != second[k].Weights[i] {
-				t.Fatalf("key %d unstable across pulls without writes", k)
+		for j := 0; j < d.Dim; j++ {
+			want := before.WeightsRow(i)[j] + d.WeightsRow(i)[j]
+			if diff := math.Abs(float64(after.WeightsRow(i)[j] - want)); diff > 1e-4 {
+				t.Fatalf("key %d weight[%d] = %g after push, want %g", k, j, after.WeightsRow(i)[j], want)
+			}
+			wantG2 := before.G2Row(i)[j] + d.G2Row(i)[j]
+			if diff := math.Abs(float64(after.G2Row(i)[j] - wantG2)); diff > 1e-4 {
+				t.Fatalf("key %d g2sum[%d] = %g after push, want %g", k, j, after.G2Row(i)[j], wantG2)
 			}
 		}
 	}
 }
 
-// pullEmpty: an empty request succeeds with an empty result.
-func (h Harness) pullEmpty(t *testing.T) {
-	tier := h.New(t, suiteKeys())
-	if res := h.pull(t, tier, nil); len(res) != 0 {
-		t.Fatalf("empty pull returned %d values", len(res))
+// pullPresent: every preloaded key is pullable, as a present row of the
+// right shape, and repeated pulls agree.
+func (h Harness) pullPresent(t *testing.T) {
+	ks := suiteKeys()
+	tier := h.New(t, ks)
+	first := h.pull(t, tier, ks)
+	for i, k := range ks {
+		if !first.Present[i] {
+			t.Fatalf("preloaded key %d absent", k)
+		}
+	}
+	second := h.pull(t, tier, ks)
+	for i, k := range ks {
+		if !sameRow(first, i, second, i) {
+			t.Fatalf("key %d unstable across pulls without writes", k)
+		}
 	}
 }
 
-// pullIsolation: results are private copies — mutating them must not leak
-// into the tier's stored state.
+// pullEmpty: an empty request succeeds with an empty block.
+func (h Harness) pullEmpty(t *testing.T) {
+	tier := h.New(t, suiteKeys())
+	if blk := h.pull(t, tier, nil); blk.Len() != 0 {
+		t.Fatalf("empty pull returned %d rows", blk.Len())
+	}
+}
+
+// pullIsolation: pulled rows are private copies — mutating them must not
+// leak into the tier's stored state.
 func (h Harness) pullIsolation(t *testing.T) {
 	ks := suiteKeys()[:4]
 	tier := h.New(t, ks)
 	before := h.pull(t, tier, ks)
-	for _, v := range before {
-		for i := range v.Weights {
-			v.Weights[i] = math.MaxFloat32
-		}
+	for i := range before.Weights {
+		before.Weights[i] = math.MaxFloat32
 	}
 	after := h.pull(t, tier, ks)
-	for _, k := range ks {
-		for i := range after[k].Weights {
-			if after[k].Weights[i] == math.MaxFloat32 {
-				t.Fatalf("key %d: pull result aliases tier storage", k)
+	for i, k := range ks {
+		for _, w := range after.WeightsRow(i) {
+			if w == math.MaxFloat32 {
+				t.Fatalf("key %d: pulled row aliases tier storage", k)
 			}
 		}
 	}
@@ -174,7 +230,7 @@ func (h Harness) pullIsolation(t *testing.T) {
 // pullMissing: the tier's declared missing-key policy holds.
 func (h Harness) pullMissing(t *testing.T) {
 	tier := h.New(t, suiteKeys())
-	res, err := tier.Pull(ps.PullRequest{Shard: h.Shard, Keys: []keys.Key{missingKey}})
+	blk, err := h.tryPull(tier, []keys.Key{missingKey})
 	switch {
 	case h.PullMissingErrors:
 		if err == nil {
@@ -184,62 +240,44 @@ func (h Harness) pullMissing(t *testing.T) {
 		if err != nil {
 			t.Fatalf("pull of a fresh key should materialize it: %v", err)
 		}
-		if res[missingKey] == nil {
+		if !blk.Present[0] {
 			t.Fatal("tier declared PullCreates but left the key absent")
 		}
 		again := h.pull(t, tier, []keys.Key{missingKey})
-		for i := range res[missingKey].Weights {
-			if res[missingKey].Weights[i] != again[missingKey].Weights[i] {
-				t.Fatal("materialized key not stable across pulls")
-			}
+		if !sameRow(blk, 0, again, 0) {
+			t.Fatal("materialized key not stable across pulls")
 		}
 	default:
 		if err != nil {
-			t.Fatalf("missing keys must be absent, not an error: %v", err)
+			t.Fatalf("missing keys must be absent rows, not an error: %v", err)
 		}
-		if res[missingKey] != nil {
+		if blk.Present[0] {
 			t.Fatal("missing key materialized by a tier without PullCreates")
+		}
+		for _, w := range blk.WeightsRow(0) {
+			if w != 0 {
+				t.Fatal("absent row is not zeroed")
+			}
 		}
 	}
 }
 
-// pushAccumulates: pushing a delta moves the stored value by exactly that
-// delta, regardless of how the tier initialized it.
+// pushAccumulates: pushing a delta block moves every stored value by exactly
+// its delta row, regardless of how the tier initialized it.
 func (h Harness) pushAccumulates(t *testing.T) {
 	ks := suiteKeys()
 	tier := h.New(t, ks)
 	before := h.pull(t, tier, ks)
-	deltas := make(map[keys.Key]*embedding.Value, len(ks))
-	for i, k := range ks {
-		deltas[k] = h.delta(float32(i + 1))
-	}
-	if err := tier.Push(ps.PushRequest{Shard: h.Shard, Deltas: deltas}); err != nil {
-		t.Fatalf("Push: %v", err)
-	}
-	after := h.pull(t, tier, ks)
-	for _, k := range ks {
-		for i := range after[k].Weights {
-			want := before[k].Weights[i] + deltas[k].Weights[i]
-			if diff := math.Abs(float64(after[k].Weights[i] - want)); diff > 1e-4 {
-				t.Fatalf("key %d weight[%d] = %g after push, want %g", k, i, after[k].Weights[i], want)
-			}
-			wantG2 := before[k].G2Sum[i] + deltas[k].G2Sum[i]
-			if diff := math.Abs(float64(after[k].G2Sum[i] - wantG2)); diff > 1e-4 {
-				t.Fatalf("key %d g2sum[%d] = %g after push, want %g", k, i, after[k].G2Sum[i], wantG2)
-			}
-		}
-	}
+	d := h.deltas(ks)
+	h.push(t, tier, d)
+	checkMoved(t, before, h.pull(t, tier, ks), d)
 }
 
 // pushMissing: the tier's declared policy for deltas on absent keys holds.
 func (h Harness) pushMissing(t *testing.T) {
 	tier := h.New(t, suiteKeys())
-	d := h.delta(3)
-	err := tier.Push(ps.PushRequest{
-		Shard:  h.Shard,
-		Deltas: map[keys.Key]*embedding.Value{missingKey: d},
-	})
-	if err != nil {
+	d := h.deltas([]keys.Key{missingKey})
+	if err := tier.PushBlock(ps.PushBlockRequest{Shard: h.Shard, Block: d}); err != nil {
 		t.Fatalf("pushing a delta for an absent key must not fail: %v", err)
 	}
 	if h.PullMissingErrors {
@@ -247,42 +285,34 @@ func (h Harness) pushMissing(t *testing.T) {
 		// (HBM-PS: authoritative copies live below) is the whole contract.
 		return
 	}
-	res := h.pull(t, tier, []keys.Key{missingKey})
-	v := res[missingKey]
+	blk := h.pull(t, tier, []keys.Key{missingKey})
 	switch {
 	case h.PushCreates:
-		if v == nil {
-			t.Fatal("tier declared PushCreates but the key is still absent")
-		}
-		for i := range v.Weights {
-			if diff := math.Abs(float64(v.Weights[i] - d.Weights[i])); diff > 1e-4 {
-				t.Fatalf("materialized value weight[%d] = %g, want the delta %g", i, v.Weights[i], d.Weights[i])
-			}
+		if !sameRow(blk, 0, d, 0) {
+			t.Fatal("tier declared PushCreates but the key does not hold the delta")
 		}
 	case h.PullCreates:
 		// Create-then-merge (MEM-PS): the key now exists; its exact value
-		// folds the delta into a fresh initialization, checked above by
+		// folds the delta into a fresh initialization, checked by
 		// pushAccumulates on preloaded keys.
-		if v == nil {
+		if !blk.Present[0] {
 			t.Fatal("tier with PullCreates lost the pushed key")
 		}
 	default:
-		if v != nil {
+		if blk.Present[0] {
 			t.Fatal("delta on an absent key materialized it without PushCreates")
 		}
 	}
 }
 
-// pushEmpty: a push with no deltas is a no-op, not an error.
+// pushEmpty: a push with no rows is a no-op, not an error.
 func (h Harness) pushEmpty(t *testing.T) {
 	tier := h.New(t, suiteKeys())
-	if err := tier.Push(ps.PushRequest{Shard: h.Shard}); err != nil {
-		t.Fatalf("empty push: %v", err)
-	}
+	h.push(t, tier, ps.NewValueBlock(h.Dim))
 }
 
-// evict: evicting preloaded keys reports them all, double-evicting reports
-// none... and readability afterwards follows the declared durability.
+// evict: evicting preloaded keys reports them all, and readability
+// afterwards follows the declared durability.
 func (h Harness) evict(t *testing.T) {
 	ks := suiteKeys()
 	tier := h.New(t, ks)
@@ -295,12 +325,11 @@ func (h Harness) evict(t *testing.T) {
 		t.Fatalf("evicted %d of %d held keys", n, len(victims))
 	}
 	if h.EvictDurable {
-		res := h.pull(t, tier, victims)
-		if len(res) != len(victims) {
-			t.Fatalf("durable evict lost keys: %d of %d readable", len(res), len(victims))
+		if got := h.pull(t, tier, victims).PresentCount(); got != len(victims) {
+			t.Fatalf("durable evict lost keys: %d of %d readable", got, len(victims))
 		}
 	} else {
-		res, err := tier.Pull(ps.PullRequest{Shard: h.Shard, Keys: victims})
+		blk, err := h.tryPull(tier, victims)
 		switch {
 		case h.PullMissingErrors:
 			if err == nil {
@@ -312,8 +341,8 @@ func (h Harness) evict(t *testing.T) {
 			if err != nil {
 				t.Fatalf("pull after evict: %v", err)
 			}
-			if len(res) != 0 {
-				t.Fatalf("retired keys still readable: %d", len(res))
+			if got := blk.PresentCount(); got != 0 {
+				t.Fatalf("retired keys still readable: %d", got)
 			}
 		}
 		// Re-evicting retired keys finds nothing (unless pulling them back
@@ -325,9 +354,8 @@ func (h Harness) evict(t *testing.T) {
 		}
 	}
 	// The untouched keys must be unaffected.
-	rest := h.pull(t, tier, ks[8:])
-	if len(rest) != len(ks)-8 {
-		t.Fatalf("evict disturbed unrelated keys: %d of %d readable", len(rest), len(ks)-8)
+	if got := h.pull(t, tier, ks[8:]).PresentCount(); got != len(ks)-8 {
+		t.Fatalf("evict disturbed unrelated keys: %d of %d readable", got, len(ks)-8)
 	}
 }
 
@@ -347,16 +375,13 @@ func (h Harness) stats(t *testing.T) {
 	if afterPull.KeysPulled < base.KeysPulled+int64(len(ks)) {
 		t.Fatalf("KeysPulled advanced by %d, want >= %d", afterPull.KeysPulled-base.KeysPulled, len(ks))
 	}
-	deltas := map[keys.Key]*embedding.Value{ks[0]: h.delta(1), ks[1]: h.delta(2)}
-	if err := tier.Push(ps.PushRequest{Shard: h.Shard, Deltas: deltas}); err != nil {
-		t.Fatalf("Push: %v", err)
-	}
+	h.push(t, tier, h.deltas(ks[:2]))
 	afterPush := tier.TierStats()
 	if afterPush.Pushes <= afterPull.Pushes {
 		t.Fatalf("Pushes did not advance: %d -> %d", afterPull.Pushes, afterPush.Pushes)
 	}
-	if afterPush.KeysPushed < afterPull.KeysPushed+int64(len(deltas)) {
-		t.Fatalf("KeysPushed advanced by %d, want >= %d", afterPush.KeysPushed-afterPull.KeysPushed, len(deltas))
+	if afterPush.KeysPushed < afterPull.KeysPushed+2 {
+		t.Fatalf("KeysPushed advanced by %d, want >= 2", afterPush.KeysPushed-afterPull.KeysPushed)
 	}
 	if _, err := tier.Evict(ks[:2]); err != nil {
 		t.Fatalf("Evict: %v", err)
@@ -373,40 +398,30 @@ func (h Harness) stats(t *testing.T) {
 	}
 }
 
-// blockPullAgrees: the batched block pull (native PullInto or the adapter)
-// returns exactly the values of the map-based Pull, in request-key order.
-// The suite keys are sorted and deduplicated, as the batched hot path's
-// requests always are.
+// blockPullAgrees: a pull into a reused block — pooled blocks arrive dirty,
+// sized for another batch and possibly another dimension — agrees row for
+// row with a pull into a fresh one.
 func (h Harness) blockPullAgrees(t *testing.T) {
 	ks := suiteKeys()
 	tier := h.New(t, ks)
 	want := h.pull(t, tier, ks)
-	blk := ps.NewValueBlock(h.Dim)
-	if err := ps.PullInto(tier, ps.PullRequest{Shard: h.Shard, Keys: ks}, blk); err != nil {
-		t.Fatalf("PullInto: %v", err)
+	dirty := ps.NewValueBlock(h.Dim + 3)
+	dirty.Reset(h.Dim+3, append(slices.Clone(ks), ks...))
+	for i := range dirty.Weights {
+		dirty.Weights[i], dirty.G2Sum[i] = -7, -7
 	}
-	if blk.Len() != len(ks) {
-		t.Fatalf("block has %d rows for %d keys", blk.Len(), len(ks))
+	for i := range dirty.Freq {
+		dirty.Freq[i], dirty.Present[i] = 99, true
 	}
-	if blk.Dim != h.Dim {
-		t.Fatalf("block dim = %d, want %d", blk.Dim, h.Dim)
+	if err := tier.PullInto(ps.PullRequest{Shard: h.Shard, Keys: ks}, dirty); err != nil {
+		t.Fatalf("PullInto(reused block): %v", err)
+	}
+	if dirty.Dim != h.Dim || !slices.Equal(dirty.Keys, ks) {
+		t.Fatalf("reused block reshaped to %d rows of dim %d, want %d of dim %d", dirty.Len(), dirty.Dim, len(ks), h.Dim)
 	}
 	for i, k := range ks {
-		if blk.Keys[i] != k {
-			t.Fatalf("row %d holds key %d, want request order key %d", i, blk.Keys[i], k)
-		}
-		if !blk.Present[i] {
-			t.Fatalf("preloaded key %d absent from the block", k)
-		}
-		w, g2 := blk.WeightsRow(i), blk.G2Row(i)
-		for j := 0; j < h.Dim; j++ {
-			if w[j] != want[k].Weights[j] || g2[j] != want[k].G2Sum[j] {
-				t.Fatalf("key %d element %d: block (%g,%g) != pull (%g,%g)",
-					k, j, w[j], g2[j], want[k].Weights[j], want[k].G2Sum[j])
-			}
-		}
-		if blk.Freq[i] != want[k].Freq {
-			t.Fatalf("key %d freq: block %d != pull %d", k, blk.Freq[i], want[k].Freq)
+		if !sameRow(want, i, dirty, i) {
+			t.Fatalf("key %d: reused-block row differs from a fresh pull", k)
 		}
 	}
 }
@@ -419,126 +434,105 @@ func (h Harness) blockPullUnsortedOrder(t *testing.T) {
 	ks := suiteKeys()
 	tier := h.New(t, ks)
 	want := h.pull(t, tier, ks)
-	rev := make([]keys.Key, len(ks))
-	for i, k := range ks {
-		rev[len(ks)-1-i] = k
-	}
-	blk := ps.NewValueBlock(h.Dim)
-	if err := ps.PullInto(tier, ps.PullRequest{Shard: h.Shard, Keys: rev}, blk); err != nil {
-		t.Fatalf("PullInto(reversed): %v", err)
-	}
+	rev := slices.Clone(ks)
+	slices.Reverse(rev)
+	blk := h.pull(t, tier, rev)
 	for i, k := range rev {
-		if blk.Keys[i] != k {
-			t.Fatalf("row %d holds key %d, want request order key %d", i, blk.Keys[i], k)
-		}
 		if !blk.Present[i] {
 			t.Fatalf("preloaded key %d absent", k)
 		}
-		for j := 0; j < h.Dim; j++ {
-			if blk.WeightsRow(i)[j] != want[k].Weights[j] {
-				t.Fatalf("key %d element %d: reversed-request row holds the wrong value", k, j)
-			}
+		if !sameRow(blk, i, want, len(ks)-1-i) {
+			t.Fatalf("key %d: reversed-request row holds the wrong value", k)
 		}
 	}
 }
 
-// blockPullMissing: the block pull honours the tier's declared missing-key
-// policy exactly like the map-based Pull.
+// blockPullDuplicates: an unsorted request with repeated keys gets one row
+// per request position, in request order, and every copy of a key holds the
+// same value.
+func (h Harness) blockPullDuplicates(t *testing.T) {
+	ks := suiteKeys()
+	tier := h.New(t, ks)
+	want := h.pull(t, tier, ks)
+	req := []keys.Key{ks[5], ks[1], ks[5], ks[9], ks[1], ks[1], ks[0]}
+	blk := h.pull(t, tier, req)
+	for i, k := range req {
+		j := slices.Index(ks, k)
+		if !sameRow(blk, i, want, j) {
+			t.Fatalf("row %d (key %d) differs from the key's value", i, k)
+		}
+	}
+}
+
+// blockPullMissing: a missing key among present ones follows the tier's
+// missing-key policy without disturbing the rows around it.
 func (h Harness) blockPullMissing(t *testing.T) {
-	tier := h.New(t, suiteKeys())
-	blk := ps.NewValueBlock(h.Dim)
-	err := ps.PullInto(tier, ps.PullRequest{Shard: h.Shard, Keys: []keys.Key{missingKey}}, blk)
-	switch {
-	case h.PullMissingErrors:
+	ks := suiteKeys()
+	tier := h.New(t, ks)
+	want := h.pull(t, tier, ks[:2])
+	req := []keys.Key{ks[0], missingKey, ks[1]}
+	blk, err := h.tryPull(tier, req)
+	if h.PullMissingErrors {
 		if err == nil {
-			t.Fatal("block-pulling a key outside the loaded set should error")
+			t.Fatal("a request naming a key outside the loaded set should error")
 		}
-	case h.PullCreates:
-		if err != nil {
-			t.Fatalf("block pull of a fresh key should materialize it: %v", err)
-		}
-		if !blk.Present[0] {
-			t.Fatal("tier declared PullCreates but the block row is absent")
-		}
-		// The materialized value must be what subsequent map pulls read.
-		again := h.pull(t, tier, []keys.Key{missingKey})
-		for j := 0; j < h.Dim; j++ {
-			if blk.WeightsRow(0)[j] != again[missingKey].Weights[j] {
-				t.Fatal("block-materialized key not stable across pulls")
-			}
-		}
-	default:
-		if err != nil {
-			t.Fatalf("missing keys must be absent rows, not an error: %v", err)
-		}
-		if blk.Present[0] {
-			t.Fatal("missing key marked present by a tier without PullCreates")
-		}
-		for j := 0; j < h.Dim; j++ {
-			if blk.WeightsRow(0)[j] != 0 {
-				t.Fatal("absent row is not zeroed")
-			}
-		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("PullInto(%v): %v", req, err)
+	}
+	if !sameRow(blk, 0, want, 0) || !sameRow(blk, 2, want, 1) {
+		t.Fatal("a missing key disturbed the present rows around it")
+	}
+	if blk.Present[1] != h.PullCreates {
+		t.Fatalf("missing key's row present = %v, want %v", blk.Present[1], h.PullCreates)
 	}
 }
 
-// blockPushAgrees: pushing a delta block moves the stored values by exactly
-// the same arithmetic as the map-based Push that pushAccumulates verifies.
+// blockPushAgrees: a push block with masked rows (Present false, garbage
+// values) moves exactly the present rows, as if the masked ones were not
+// there — callers reuse blocks and mask rows instead of compacting them.
 func (h Harness) blockPushAgrees(t *testing.T) {
 	ks := suiteKeys()
 	tier := h.New(t, ks)
 	before := h.pull(t, tier, ks)
 	basePushed := tier.TierStats().KeysPushed
-	blk := ps.NewValueBlock(h.Dim)
-	blk.Reset(h.Dim, ks)
-	deltas := make(map[keys.Key]*embedding.Value, len(ks))
-	for i, k := range ks {
-		d := h.delta(float32(i + 1))
-		deltas[k] = d
-		blk.Set(i, d)
+	d := h.deltas(ks)
+	for i := 0; i < len(ks); i += 2 {
+		d.Present[i] = false
+		d.WeightsRow(i)[0] = math.MaxFloat32
 	}
-	if err := ps.PushBlock(tier, ps.PushBlockRequest{Shard: h.Shard, Block: blk}); err != nil {
-		t.Fatalf("PushBlock: %v", err)
-	}
-	after := h.pull(t, tier, ks)
-	for _, k := range ks {
-		for i := range after[k].Weights {
-			want := before[k].Weights[i] + deltas[k].Weights[i]
-			if diff := math.Abs(float64(after[k].Weights[i] - want)); diff > 1e-4 {
-				t.Fatalf("key %d weight[%d] = %g after block push, want %g", k, i, after[k].Weights[i], want)
-			}
-			wantG2 := before[k].G2Sum[i] + deltas[k].G2Sum[i]
-			if diff := math.Abs(float64(after[k].G2Sum[i] - wantG2)); diff > 1e-4 {
-				t.Fatalf("key %d g2sum[%d] = %g after block push, want %g", k, i, after[k].G2Sum[i], wantG2)
-			}
-		}
-	}
-	if got := tier.TierStats().KeysPushed; got < basePushed+int64(len(ks)) {
-		t.Fatalf("block push advanced KeysPushed by %d, want >= %d", got-basePushed, len(ks))
+	h.push(t, tier, d)
+	checkMoved(t, before, h.pull(t, tier, ks), d)
+	if got := tier.TierStats().KeysPushed; got < basePushed+int64(d.PresentCount()) {
+		t.Fatalf("block push advanced KeysPushed by %d, want >= %d", got-basePushed, d.PresentCount())
 	}
 }
 
-// blockPullIsolation: block rows are copies — mutating them must not leak
-// into the tier's stored state.
+// blockPullIsolation: a pulled block is a snapshot — later writes to the
+// tier must not show through it, and a pushed block is not retained by the
+// tier after PushBlock returns.
 func (h Harness) blockPullIsolation(t *testing.T) {
 	ks := suiteKeys()[:4]
 	tier := h.New(t, ks)
-	blk := ps.NewValueBlock(h.Dim)
-	if err := ps.PullInto(tier, ps.PullRequest{Shard: h.Shard, Keys: ks}, blk); err != nil {
-		t.Fatalf("PullInto: %v", err)
-	}
-	for i := range ks {
-		row := blk.WeightsRow(i)
-		for j := range row {
-			row[j] = math.MaxFloat32
+	snap := h.pull(t, tier, ks)
+	keep := ps.NewValueBlock(h.Dim)
+	keep.CopyFrom(snap)
+	d := h.deltas(ks)
+	h.push(t, tier, d)
+	for i, k := range ks {
+		if !sameRow(snap, i, keep, i) {
+			t.Fatalf("key %d: a push showed through a previously pulled block", k)
 		}
 	}
 	after := h.pull(t, tier, ks)
-	for _, k := range ks {
-		for i := range after[k].Weights {
-			if after[k].Weights[i] == math.MaxFloat32 {
-				t.Fatalf("key %d: block row aliases tier storage", k)
-			}
+	for i := range d.Weights {
+		d.Weights[i] = math.MaxFloat32
+	}
+	again := h.pull(t, tier, ks)
+	for i, k := range ks {
+		if !sameRow(after, i, again, i) {
+			t.Fatalf("key %d: the tier retained the pushed block", k)
 		}
 	}
 }
@@ -558,14 +552,14 @@ func (h Harness) concurrentPulls(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			blk := ps.NewValueBlock(h.Dim)
 			for i := 0; i < 20; i++ {
-				res, err := tier.Pull(ps.PullRequest{Shard: h.Shard, Keys: ks})
-				if err != nil {
+				if err := tier.PullInto(ps.PullRequest{Shard: h.Shard, Keys: ks}, blk); err != nil {
 					errs[w] = err
 					return
 				}
-				for _, k := range ks {
-					if res[k] == nil || res[k].Weights[0] != want[k].Weights[0] {
+				for r, k := range ks {
+					if !sameRow(blk, r, want, r) {
 						errs[w] = fmt.Errorf("concurrent pull returned a corrupt value for key %d", k)
 						return
 					}
@@ -579,4 +573,90 @@ func (h Harness) concurrentPulls(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// Store adapts a store that reads and writes whole values by key — the
+// SSD-PS, the MPI baseline's in-memory model — to ps.Tier, so the suite can
+// hold it to the policies of a plain store: missing keys pull as absent rows,
+// a push is a read-modify-write that materializes an unknown key as its
+// delta, and eviction retires keys. The adapter keeps its own statistics.
+type Store struct {
+	// Label is the reported tier name.
+	Label string
+	// Dim is the embedding dimension of the stored values.
+	Dim int
+	// Load returns private copies of the values of ks, position by position,
+	// nil where the store holds no value.
+	Load func(ks []keys.Key) ([]*embedding.Value, error)
+	// Save writes whole values, replacing the ones held.
+	Save func(vals map[keys.Key]*embedding.Value) error
+	// Delete retires keys and returns how many the store held.
+	Delete func(ks []keys.Key) int
+
+	mu  sync.Mutex // serializes the read-modify-write of PushBlock
+	rec ps.Recorder
+}
+
+// Name implements ps.Tier.
+func (s *Store) Name() string { return s.Label }
+
+// TierStats implements ps.Tier.
+func (s *Store) TierStats() ps.Stats { return s.rec.TierStats() }
+
+// PullInto implements ps.Tier over Load.
+func (s *Store) PullInto(req ps.PullRequest, dst *ps.ValueBlock) error {
+	vals, err := s.Load(req.Keys)
+	if err != nil {
+		return err
+	}
+	dst.Reset(s.Dim, req.Keys)
+	found := 0
+	for i, v := range vals {
+		if v != nil {
+			dst.Set(i, v)
+			found++
+		}
+	}
+	s.rec.RecordPull(found, 0)
+	return nil
+}
+
+// PushBlock implements ps.Tier as Load, add, Save.
+func (s *Store) PushBlock(req ps.PushBlockRequest) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	blk := req.Block
+	vals, err := s.Load(blk.Keys)
+	if err != nil {
+		return err
+	}
+	merged := make(map[keys.Key]*embedding.Value, len(blk.Keys))
+	for i, k := range blk.Keys {
+		if !blk.Present[i] {
+			continue
+		}
+		v := merged[k]
+		if v == nil {
+			if v = vals[i]; v == nil {
+				v = embedding.NewValue(s.Dim)
+			}
+			merged[k] = v
+		}
+		v.AddFlat(blk.WeightsRow(i), blk.G2Row(i), blk.Freq[i])
+	}
+	if len(merged) > 0 {
+		if err := s.Save(merged); err != nil {
+			return err
+		}
+	}
+	s.rec.RecordPush(len(merged), 0)
+	return nil
+}
+
+// Evict implements ps.Tier over Delete: a plain store has no tier below, so
+// eviction retires keys.
+func (s *Store) Evict(ks []keys.Key) (int, error) {
+	n := s.Delete(ks)
+	s.rec.RecordEvict(n)
+	return n, nil
 }

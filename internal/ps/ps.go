@@ -1,27 +1,23 @@
-// Package ps defines the common parameter-server contract shared by every
-// tier of the hierarchy — HBM-PS (internal/hbmps), MEM-PS (internal/memps),
-// SSD-PS (internal/ssdps) — and by the MPI baseline (internal/mpips).
+// Package ps defines the common parameter-server contract of the hierarchy's
+// cached tiers — HBM-PS (internal/hbmps) and MEM-PS (internal/memps) — and of
+// a remote MEM-PS reached over the wire (cluster.RemoteTier).
 //
-// Each tier stores sparse parameters keyed by keys.Key and serves the same
-// three operations with tier-specific mechanics:
+// A tier stores sparse parameters keyed by keys.Key and serves three batched
+// operations, each over a flat ValueBlock (Algorithm 1 moves a batch's working
+// set as one union and its merged deltas as one set):
 //
-//   - Pull: batched read of the current values of a key set,
-//   - Push: batched merge of per-key deltas into the stored values,
-//   - Evict: demotion of keys out of the tier (toward the tier below it in
-//     the hierarchy, or retirement for the bottom tier).
+//   - PullInto: read the current values of a key set into a block,
+//   - PushBlock: merge a block of per-key deltas into the stored values,
+//   - Evict: demote keys out of the tier, toward the tier below it.
 //
-// Before this package existed, each tier hand-rolled its own variant of the
-// pull/push/evict bookkeeping. The Tier interface gives the end-to-end
-// trainer (internal/trainer) and every future scaling change one contract to
-// program against, and Recorder centralizes the uniform statistics every
-// tier reports.
+// Recorder centralizes the uniform statistics every tier reports; the SSD-PS
+// (internal/ssdps), which only the MEM-PS reads and writes, keeps one too.
 package ps
 
 import (
 	"sync"
 	"time"
 
-	"hps/internal/embedding"
 	"hps/internal/keys"
 )
 
@@ -39,42 +35,31 @@ type PullRequest struct {
 // particular shard.
 const NoShard = -1
 
-// Result is the payload of a pull: the requested keys the tier holds, with
-// private copies of their current values. Keys the tier does not hold are
-// absent.
-type Result map[keys.Key]*embedding.Value
-
-// Keys returns the result's keys in unspecified order.
-func (r Result) Keys() []keys.Key {
-	out := make([]keys.Key, 0, len(r))
-	for k := range r {
-		out = append(out, k)
-	}
-	return out
-}
-
-// PushRequest is a batched write request against one tier: per-key deltas
-// (weight, optimizer-state and reference-count increments) to merge into the
-// stored values.
-type PushRequest struct {
+// PushBlockRequest is a batched write request against one tier: a block of
+// per-key deltas (weight, optimizer-state and reference-count increments).
+type PushBlockRequest struct {
 	// Shard identifies the pushing shard; see PullRequest.Shard.
 	Shard int
-	// Deltas are the per-key increments to apply.
-	Deltas map[keys.Key]*embedding.Value
+	// Block carries the parallel key/delta rows. Rows with Present false are
+	// skipped, which lets callers mask a reused block.
+	Block *ValueBlock
 }
 
 // Tier is the contract every parameter-server tier implements.
 type Tier interface {
-	// Name identifies the tier ("hbm-ps", "mem-ps", "ssd-ps", "mpi-ps").
+	// Name identifies the tier ("hbm-ps", "mem-ps", "remote[N]").
 	Name() string
-	// Pull returns copies of the current values of the requested keys.
-	// Missing keys are absent from the result, not an error.
-	Pull(req PullRequest) (Result, error)
-	// Push merges the request's per-key deltas into the stored values.
-	// Deltas for keys the tier does not hold are handled tier-specifically
-	// (created, forwarded, or ignored); Push reports only transport or
-	// storage failures.
-	Push(req PushRequest) error
+	// PullInto resets dst and writes copies of the current values of
+	// req.Keys into it, one row per requested key in request order
+	// (duplicates included). Missing keys follow the tier's policy: an
+	// absent, zeroed row, a materialized value, or an error. Rows never alias
+	// tier storage.
+	PullInto(req PullRequest, dst *ValueBlock) error
+	// PushBlock merges the request's present delta rows into the stored
+	// values; duplicate rows accumulate. Rows for keys the tier does not hold
+	// are handled tier-specifically (created or ignored); PushBlock reports
+	// only transport or storage failures.
+	PushBlock(req PushBlockRequest) error
 	// Evict demotes the given keys out of this tier, returning how many were
 	// actually held and demoted. A nil slice evicts everything evictable.
 	Evict(ks []keys.Key) (int, error)
@@ -149,52 +134,8 @@ func (r *Recorder) TierStats() Stats {
 	return r.s
 }
 
-// ServePull is the shared pull loop: it looks every requested key up through
-// get and collects private copies of the found values. Every tier's Pull is
-// a ServePull over its own storage accessor.
-func ServePull(ks []keys.Key, get func(k keys.Key) (*embedding.Value, bool)) Result {
-	out := make(Result, len(ks))
-	for _, k := range ks {
-		if v, ok := get(k); ok && v != nil {
-			out[k] = v.Clone()
-		}
-	}
-	return out
-}
-
-// ApplyDeltas is the shared push loop: it hands every delta to apply in
-// sorted key order (so tiers with order-dependent storage behave
-// deterministically) and returns the number of deltas apply accepted.
-func ApplyDeltas(deltas map[keys.Key]*embedding.Value, apply func(k keys.Key, delta *embedding.Value) bool) int {
-	ks := make([]keys.Key, 0, len(deltas))
-	for k := range deltas {
-		ks = append(ks, k)
-	}
-	ks = keys.Dedup(ks)
-	applied := 0
-	for _, k := range ks {
-		if apply(k, deltas[k]) {
-			applied++
-		}
-	}
-	return applied
-}
-
 // TierInfo pairs a tier's name with its uniform statistics, for reports.
 type TierInfo struct {
 	Name  string
 	Stats Stats
-}
-
-// CollectStats snapshots the uniform statistics of a set of tiers in order
-// (conventionally top tier first).
-func CollectStats(tiers ...Tier) []TierInfo {
-	out := make([]TierInfo, 0, len(tiers))
-	for _, t := range tiers {
-		if t == nil {
-			continue
-		}
-		out = append(out, TierInfo{Name: t.Name(), Stats: t.TierStats()})
-	}
-	return out
 }

@@ -3,9 +3,6 @@ package ps
 import (
 	"testing"
 	"time"
-
-	"hps/internal/embedding"
-	"hps/internal/keys"
 )
 
 func TestRecorder(t *testing.T) {
@@ -35,75 +32,5 @@ func TestStatsAdd(t *testing.T) {
 	}
 	if c.PullTime != time.Second || c.PushTime != time.Minute {
 		t.Fatalf("sum times = %+v", c)
-	}
-}
-
-func TestServePull(t *testing.T) {
-	store := map[keys.Key]*embedding.Value{
-		1: embedding.NewValue(4),
-		2: embedding.NewValue(4),
-	}
-	store[1].Weights[0] = 42
-	res := ServePull([]keys.Key{1, 2, 3}, func(k keys.Key) (*embedding.Value, bool) {
-		v, ok := store[k]
-		return v, ok
-	})
-	if len(res) != 2 {
-		t.Fatalf("got %d values, want 2 (missing key absent)", len(res))
-	}
-	if res[1].Weights[0] != 42 {
-		t.Fatal("value not carried over")
-	}
-	// The result must hold copies, not aliases.
-	res[1].Weights[0] = 7
-	if store[1].Weights[0] != 42 {
-		t.Fatal("ServePull aliased the stored value")
-	}
-}
-
-func TestApplyDeltas(t *testing.T) {
-	deltas := map[keys.Key]*embedding.Value{
-		5: embedding.NewValue(2),
-		3: embedding.NewValue(2),
-		9: embedding.NewValue(2),
-	}
-	var order []keys.Key
-	n := ApplyDeltas(deltas, func(k keys.Key, delta *embedding.Value) bool {
-		order = append(order, k)
-		return k != 9
-	})
-	if n != 2 {
-		t.Fatalf("applied = %d, want 2", n)
-	}
-	want := []keys.Key{3, 5, 9}
-	for i, k := range want {
-		if order[i] != k {
-			t.Fatalf("apply order = %v, want %v", order, want)
-		}
-	}
-}
-
-// fakeTier exercises CollectStats without pulling in a real tier package.
-type fakeTier struct {
-	Recorder
-	name string
-}
-
-func (f *fakeTier) Name() string                     { return f.name }
-func (f *fakeTier) Pull(PullRequest) (Result, error) { return nil, nil }
-func (f *fakeTier) Push(PushRequest) error           { return nil }
-func (f *fakeTier) Evict([]keys.Key) (int, error)    { return 0, nil }
-
-func TestCollectStats(t *testing.T) {
-	a := &fakeTier{name: "a"}
-	b := &fakeTier{name: "b"}
-	a.RecordPull(1, 0)
-	var _ Tier = a
-	infos := CollectStats(a, nil, b)
-	if len(infos) != 2 || infos[0].Name != "a" || infos[1].Name != "b" {
-		t.Fatalf("infos = %+v", infos)
-	}
-	if infos[0].Stats.Pulls != 1 {
-		t.Fatal("stats not collected")
 	}
 }

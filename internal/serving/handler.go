@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"hps/internal/cluster"
-	"hps/internal/embedding"
 	"hps/internal/keys"
 	"hps/internal/memps"
 	"hps/internal/ps"
@@ -47,19 +46,9 @@ func NewHandler(mem *memps.MemPS, srv *Server) *Handler {
 	return &Handler{MemPS: mem, Serving: srv}
 }
 
-// HandlePush implements cluster.PushHandler: the MEM-PS applies the deltas,
-// then the serving epoch advances so replica-cache entries filled before
-// this push stop being served.
-func (h *Handler) HandlePush(deltas map[keys.Key]*embedding.Value) error {
-	if err := h.MemPS.HandlePush(deltas); err != nil {
-		return err
-	}
-	h.Serving.BumpEpoch()
-	return nil
-}
-
-// HandlePushBlock implements cluster.BlockPushHandler, with the same
-// epoch-advance as HandlePush.
+// HandlePushBlock implements cluster.BlockPushHandler: the MEM-PS applies
+// the delta block, then the serving epoch advances so replica-cache entries
+// filled before this push stop being served.
 func (h *Handler) HandlePushBlock(blk *ps.ValueBlock) error {
 	if err := h.MemPS.HandlePushBlock(blk); err != nil {
 		return err

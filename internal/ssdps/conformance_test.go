@@ -13,9 +13,11 @@ import (
 	"hps/internal/ssdps"
 )
 
-// TestTierConformance runs the shared ps.Tier suite against the SSD-PS: the
-// bottom tier, where missing keys stay absent, pushes materialize unknown
-// keys, and eviction retires keys for compaction to reclaim.
+// TestTierConformance runs the shared tier suite against the SSD-PS through
+// the suite's whole-value store adapter (loads via LoadInto, writes via
+// Dump, retirement via Delete): the bottom tier, where missing keys stay
+// absent, a read-modify-write push materializes unknown keys, and retired
+// keys are left for compaction to reclaim.
 func TestTierConformance(t *testing.T) {
 	const dim = 8
 	conformance.Run(t, conformance.Harness{
@@ -42,7 +44,16 @@ func TestTierConformance(t *testing.T) {
 			if err := store.Dump(seed); err != nil {
 				t.Fatal(err)
 			}
-			return store
+			return &conformance.Store{
+				Label: store.Name(),
+				Dim:   dim,
+				Load: func(ks []keys.Key) ([]*embedding.Value, error) {
+					vals, _, err := store.LoadInto(ks, nil)
+					return vals, err
+				},
+				Save:   store.Dump,
+				Delete: store.Delete,
+			}
 		},
 	})
 }

@@ -117,18 +117,14 @@ type want struct {
 	idx int
 }
 
-// Store is an SSD-backed parameter store. It is safe for concurrent use.
-// It implements ps.Tier as the bottom tier of the hierarchy: Pull reads
-// whole parameter files, Push is a read-modify-write of delta batches, and
-// Evict retires keys (there is no tier below to demote to).
+// Store is an SSD-backed parameter store, the bottom tier of the hierarchy.
+// It is safe for concurrent use. Only the MEM-PS above reads and writes it:
+// loads read whole parameter files, dumps write the values the MEM-PS
+// evicts, and Delete retires keys (there is no tier below to demote to).
 type Store struct {
 	cfg Config
 	dev *blockio.Device
 	rec ps.Recorder
-
-	// pushMu serializes Push's read-modify-write (load, merge, dump) so
-	// concurrent pushes of the same key cannot lose each other's deltas.
-	pushMu sync.Mutex
 
 	// compactMu admits one compaction pass at a time: two passes would pick
 	// the same victims and erase each other's inputs.
@@ -149,8 +145,6 @@ type Store struct {
 	stride  int       // bytes per record: 8 of key + the encoded value
 	scratch sync.Pool // of *scratch
 }
-
-var _ ps.Tier = (*Store)(nil)
 
 // Open creates a store on top of dev and fixes the device's extent geometry
 // to the store's record size and file size. The device may be new (a fresh
@@ -421,70 +415,12 @@ func (s *Store) Dump(vals map[keys.Key]*embedding.Value) error {
 	return nil
 }
 
-// Name implements ps.Tier.
+// Name names the tier in reports.
 func (s *Store) Name() string { return "ssd-ps" }
 
-// TierStats implements ps.Tier. Pulls cover Load, pushes cover both Dump
-// (absolute writes from the tier above) and Push (delta merges).
+// TierStats returns the uniform statistics of the store: pulls cover loads,
+// pushes cover dumps and compaction rewrites.
 func (s *Store) TierStats() ps.Stats { return s.rec.TierStats() }
-
-// Pull implements ps.Tier: a batched Load. Missing keys are absent.
-func (s *Store) Pull(req ps.PullRequest) (ps.Result, error) {
-	out, err := s.Load(req.Keys)
-	if err != nil {
-		return nil, err
-	}
-	return ps.Result(out), nil
-}
-
-// Push implements ps.Tier: it merges per-key deltas into the stored values
-// with a read-modify-write pass — existing values are loaded, deltas added
-// (unknown keys materialize as fresh values equal to their delta), and the
-// results dumped as new parameter files.
-func (s *Store) Push(req ps.PushRequest) error {
-	if len(req.Deltas) == 0 {
-		return nil
-	}
-	s.pushMu.Lock()
-	defer s.pushMu.Unlock()
-	ks := make([]keys.Key, 0, len(req.Deltas))
-	for k := range req.Deltas {
-		ks = append(ks, k)
-	}
-	existing, err := s.Load(ks)
-	if err != nil {
-		return fmt.Errorf("ssdps: push: %w", err)
-	}
-	merged := make(map[keys.Key]*embedding.Value, len(req.Deltas))
-	ps.ApplyDeltas(req.Deltas, func(k keys.Key, delta *embedding.Value) bool {
-		if v, ok := existing[k]; ok {
-			v.Add(delta) // Load returned a private decoded copy
-			merged[k] = v
-		} else {
-			merged[k] = delta.Clone()
-		}
-		return true
-	})
-	return s.Dump(merged)
-}
-
-// Evict implements ps.Tier. The SSD-PS is the bottom tier — there is no
-// tier below to demote to — so evicting specific keys retires them from the
-// store (their on-disk copies become stale and are reclaimed by compaction),
-// and a nil slice reclaims stale space via a compaction pass without
-// dropping any live parameter.
-func (s *Store) Evict(ks []keys.Key) (int, error) {
-	if ks == nil {
-		if err := s.Compact(); err != nil {
-			return 0, err
-		}
-		s.rec.RecordEvict(0)
-		return 0, nil
-	}
-	n := s.Delete(ks)
-	s.rec.RecordEvict(n)
-	return n, nil
-}
 
 // Delete retires the given keys: their mapping entries are removed and
 // their latest on-disk copies become stale. It returns how many keys were

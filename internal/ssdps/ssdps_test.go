@@ -13,7 +13,6 @@ import (
 	"hps/internal/embedding"
 	"hps/internal/hw"
 	"hps/internal/keys"
-	"hps/internal/ps"
 	"hps/internal/simtime"
 )
 
@@ -500,56 +499,13 @@ func TestConcurrentLoadDumpCompact(t *testing.T) {
 	}
 }
 
-func TestTierInterface(t *testing.T) {
-	s := testStore(t, Config{Dim: 4, ParamsPerFile: 8})
-	var tier ps.Tier = s
-	if tier.Name() != "ssd-ps" {
-		t.Fatalf("name = %q", tier.Name())
-	}
-	if err := s.Dump(makeVals(4, 1, 2, 3)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Tier pull loads from files; missing keys are absent.
-	res, err := tier.Pull(ps.PullRequest{Shard: ps.NoShard, Keys: []keys.Key{1, 2, 99}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 2 || res[1].Weights[0] != 1 {
-		t.Fatalf("pull = %v", res)
-	}
-
-	// Tier push merges deltas read-modify-write; unknown keys materialize.
-	delta := embedding.NewValue(4)
-	delta.Weights[0] = 10
-	err = tier.Push(ps.PushRequest{Shard: ps.NoShard, Deltas: map[keys.Key]*embedding.Value{
-		2: delta, 50: delta,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, _ = tier.Pull(ps.PullRequest{Keys: []keys.Key{2, 50}})
-	if res[2].Weights[0] != 2+10 {
-		t.Fatalf("merged value = %v, want 12", res[2].Weights[0])
-	}
-	if res[50].Weights[0] != 10 {
-		t.Fatalf("materialized value = %v, want 10", res[50].Weights[0])
-	}
-
-	st := tier.TierStats()
-	if st.Pulls == 0 || st.Pushes == 0 || st.PullTime <= 0 || st.PushTime <= 0 {
-		t.Fatalf("uniform stats = %+v", st)
-	}
-}
-
 func TestEvictRetiresKeys(t *testing.T) {
 	s := testStore(t, Config{Dim: 4, ParamsPerFile: 8, StaleFractionToCompact: 0.5})
 	if err := s.Dump(makeVals(4, 1, 2, 3, 4)); err != nil {
 		t.Fatal(err)
 	}
-	n, err := s.Evict([]keys.Key{1, 2, 99})
-	if err != nil || n != 2 {
-		t.Fatalf("evict = (%d, %v), want (2, nil)", n, err)
+	if n := s.Delete([]keys.Key{1, 2, 99}); n != 2 {
+		t.Fatalf("Delete retired %d keys, want 2", n)
 	}
 	if s.Contains(1) || s.Contains(2) || !s.Contains(3) {
 		t.Fatal("retired keys must disappear, live keys must survive")
@@ -557,14 +513,15 @@ func TestEvictRetiresKeys(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("live params = %d, want 2", s.Len())
 	}
-	// Evict(nil) compacts without dropping live parameters.
-	if _, err := s.Evict(nil); err != nil {
+	// Compaction reclaims the retired copies without dropping live
+	// parameters.
+	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Contains(3) || !s.Contains(4) {
 		t.Fatal("compaction must preserve live parameters")
 	}
 	if st := s.Stats(); st.Compactions == 0 {
-		t.Fatal("Evict(nil) should run a compaction pass")
+		t.Fatal("retiring half a file should make it a compaction victim")
 	}
 }
