@@ -3,6 +3,7 @@ package gpu
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -370,4 +371,107 @@ func TestHashTableDelete(t *testing.T) {
 	if table.Len() != 50 {
 		t.Fatalf("len = %d after reinsert", table.Len())
 	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestBatchVisitMissingKey is the missing-key contract of GatherBatch and
+// UpdateBatch, which share one implementation: every stored key of the
+// request is visited exactly once (under its shard's lock), missing keys are
+// skipped, and ok=false reports one of them. Neither call allocates.
+func TestBatchVisitMissingKey(t *testing.T) {
+	for _, op := range []struct {
+		name  string
+		visit func(*HashTable, []keys.Key, func(int, *embedding.Value)) (keys.Key, bool)
+	}{
+		{"GatherBatch", (*HashTable).GatherBatch},
+		{"UpdateBatch", (*HashTable).UpdateBatch},
+	} {
+		t.Run(op.name, func(t *testing.T) {
+			ht := NewHashTable(256, 2)
+			for i := 0; i < 100; i++ {
+				v := embedding.NewValue(2)
+				v.Weights[0] = float32(i)
+				if err := ht.Insert(keys.Key(i), v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			req := []keys.Key{5, 1000, 7, 2000, 9, 99}
+			visits := make([]int, len(req))
+			missing, ok := op.visit(ht, req, func(i int, v *embedding.Value) {
+				visits[i]++
+				if v.Weights[0] != float32(req[i]) {
+					t.Errorf("request %d (key %d) visited key %v's value", i, req[i], v.Weights[0])
+				}
+			})
+			if ok || (missing != 1000 && missing != 2000) {
+				t.Fatalf("(missing, ok) = (%d, %v), want one of 1000/2000 and false", missing, ok)
+			}
+			for i, n := range visits {
+				want := 1
+				if req[i] >= 1000 {
+					want = 0
+				}
+				if n != want {
+					t.Fatalf("key %d visited %d times, want %d", req[i], n, want)
+				}
+			}
+			if _, ok := op.visit(ht, req[:1], func(int, *embedding.Value) {}); !ok {
+				t.Fatal("an all-present request reported a missing key")
+			}
+			present := []keys.Key{3, 1, 4, 15, 92, 65}
+			if raceEnabled {
+				return
+			}
+			runtime.GC() // counted from an empty pool, not one a collection empties midway
+			if a := testing.AllocsPerRun(100, func() { op.visit(ht, present, func(int, *embedding.Value) {}) }); a != 0 {
+				t.Fatalf("%s allocates %v per call", op.name, a)
+			}
+		})
+	}
+}
+
+// TestUpdateBatchWritesInPlace checks that UpdateBatch's visits modify the
+// stored values, once per request row, including a key requested twice.
+func TestUpdateBatchWritesInPlace(t *testing.T) {
+	ht := NewHashTable(512, 1)
+	for i := 0; i < 300; i++ {
+		ht.Insert(keys.Key(i), embedding.NewValue(1))
+	}
+	req := []keys.Key{1, 2, 299, 2}
+	if _, ok := ht.UpdateBatch(req, func(i int, v *embedding.Value) { v.Weights[0] += float32(i + 1) }); !ok {
+		t.Fatal("all keys are present")
+	}
+	for k, want := range map[keys.Key]float32{1: 1, 2: 2 + 4, 299: 3, 3: 0} {
+		if got, _ := ht.Get(k); got.Weights[0] != want {
+			t.Fatalf("key %d = %v, want %v", k, got.Weights[0], want)
+		}
+	}
+}
+
+// BenchmarkTableUpdate compares one mini-batch commit's worth of updates
+// (2,048 keys, dim 16) taken key by key against UpdateBatch, which takes each
+// of the 64 shard locks once.
+func BenchmarkTableUpdate(b *testing.B) {
+	const n, dim = 2048, 16
+	ht := NewHashTable(n, dim)
+	ks := make([]keys.Key, n)
+	for i := range ks {
+		ks[i] = keys.Key(keys.Mix64(uint64(i)))
+		ht.Insert(ks[i], embedding.NewValue(dim))
+	}
+	bump := func(v *embedding.Value) { v.Weights[0]++ }
+	b.Run("per-key", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, k := range ks {
+				ht.Update(k, bump)
+			}
+		}
+	})
+	b.Run("batch", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ht.UpdateBatch(ks, func(_ int, v *embedding.Value) { bump(v) })
+		}
+	})
 }

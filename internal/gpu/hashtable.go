@@ -108,13 +108,7 @@ func (t *HashTable) SizeBytes() int64 {
 	return int64(t.capacity) * BytesPerEntry(t.dim)
 }
 
-func (t *HashTable) shardFor(k keys.Key) *tableShard {
-	// Re-mix the key's hash so the shard assignment is statistically
-	// independent of the GPU partition policy (which uses Hash() % #GPUs);
-	// otherwise a partitioned key set would map onto a correlated subset of
-	// shards and overflow them.
-	return &t.shards[keys.Mix64(k.Hash())%tableShards]
-}
+func (t *HashTable) shardFor(k keys.Key) *tableShard { return &t.shards[shardOf(k)] }
 
 // probe finds the slot index of k in the shard, or the first free slot if k
 // is absent, using linear probing. Returns (index, found, hasFree).
@@ -194,40 +188,122 @@ func (t *HashTable) View(k keys.Key, fn func(v *embedding.Value)) bool {
 	return true
 }
 
-// gatherScratch is the pooled per-call scratch of GatherBatch: request
-// indices grouped by table shard, plus the resolved slot indices of the
-// shard currently being probed.
-type gatherScratch struct {
-	buckets [tableShards][]int32
-	slots   []int32
+// batchScratch is the pooled per-call scratch of the batched calls: the
+// request indices grouped by table shard in one flat buffer (a counting sort,
+// so a scratch the pool has to make anew costs a handful of allocations, not
+// one per shard), and the resolved slot indices of the shard being probed.
+type batchScratch struct {
+	shard []uint8
+	idx   []int32
+	start [tableShards + 1]int32
+	slots []int32
 }
 
-var gatherPool = sync.Pool{New: func() any { return new(gatherScratch) }}
+var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// shardOf re-mixes the key's hash so the shard assignment is statistically
+// independent of the GPU partition policy (which uses Hash() % #GPUs);
+// otherwise a partitioned key set would map onto a correlated subset of
+// shards and overflow them.
+func shardOf(k keys.Key) int { return int(keys.Mix64(k.Hash()) % tableShards) }
+
+// group buckets the indices of ks by table shard: afterwards bucket(b) is
+// shard b's indices, in request order.
+func (sc *batchScratch) group(ks []keys.Key) {
+	if n := len(ks); cap(sc.idx) < n {
+		sc.shard, sc.idx = make([]uint8, n), make([]int32, n)
+	}
+	sc.shard, sc.idx = sc.shard[:len(ks)], sc.idx[:len(ks)]
+	var next [tableShards]int32
+	for i, k := range ks {
+		b := shardOf(k)
+		sc.shard[i] = uint8(b)
+		next[b]++
+	}
+	for b := range next {
+		sc.start[b+1] = sc.start[b] + next[b]
+		next[b] = sc.start[b]
+	}
+	for i, b := range sc.shard {
+		sc.idx[next[b]] = int32(i)
+		next[b]++
+	}
+}
+
+func (sc *batchScratch) bucket(b int) []int32 { return sc.idx[sc.start[b]:sc.start[b+1]] }
+
+// InsertBatch is Insert of value(i) under ks[i] for every i, with the keys
+// bucketed by shard first so each shard's write lock is taken once. It stops
+// at the first new key whose shard has no free slot and returns ErrTableFull;
+// keys inserted before it stay.
+func (t *HashTable) InsertBatch(ks []keys.Key, value func(i int) *embedding.Value) error {
+	sc := batchPool.Get().(*batchScratch)
+	defer batchPool.Put(sc)
+	sc.group(ks)
+	added := int64(0)
+	for b := range t.shards {
+		idxs := sc.bucket(b)
+		if len(idxs) == 0 {
+			continue
+		}
+		s := &t.shards[b]
+		s.mu.Lock()
+		for _, i := range idxs {
+			idx, found, hasFree := s.probe(ks[i])
+			switch {
+			case found:
+				s.slots[idx].value = value(int(i))
+			case !hasFree:
+				s.mu.Unlock()
+				t.size.Add(added)
+				return ErrTableFull
+			default:
+				s.slots[idx] = tableSlot{used: true, key: ks[i], value: value(int(i))}
+				added++
+			}
+		}
+		s.mu.Unlock()
+	}
+	t.size.Add(added)
+	return nil
+}
 
 // GatherBatch calls visit(i, v) under the shard's read lock for every ks[i]
 // stored in the table — View's contract, batched: the requested keys are
 // bucketed by shard first, so each shard's lock is taken once for all of its
 // keys instead of once per key. Visits are grouped by shard, not in request
-// order; i is always the index into ks. On the first missing key it stops and
-// returns that key with ok=false (the working-set contract makes a miss a
-// bug, so there is nothing partial to salvage).
+// order; i is always the index into ks. Keys the table does not hold are
+// skipped; if there is one, ok is false and missing is one of them (the
+// working-set contract makes a miss a bug, so callers report it).
 func (t *HashTable) GatherBatch(ks []keys.Key, visit func(i int, v *embedding.Value)) (missing keys.Key, ok bool) {
-	sc := gatherPool.Get().(*gatherScratch)
-	defer gatherPool.Put(sc)
-	for b := range sc.buckets {
-		sc.buckets[b] = sc.buckets[b][:0]
-	}
-	for i, k := range ks {
-		b := keys.Mix64(k.Hash()) % tableShards
-		sc.buckets[b] = append(sc.buckets[b], int32(i))
-	}
-	for b := range sc.buckets {
-		idxs := sc.buckets[b]
+	return t.visitBatch(ks, false, visit)
+}
+
+// UpdateBatch is GatherBatch under each shard's write lock: visit may modify
+// the value in place, as with Update. Every stored key is visited exactly
+// once; a missing key is skipped and reported as by GatherBatch.
+func (t *HashTable) UpdateBatch(ks []keys.Key, visit func(i int, v *embedding.Value)) (missing keys.Key, ok bool) {
+	return t.visitBatch(ks, true, visit)
+}
+
+// visitBatch is GatherBatch and UpdateBatch: visit each shard's keys under
+// one acquisition of its lock (exclusive if write).
+func (t *HashTable) visitBatch(ks []keys.Key, write bool, visit func(i int, v *embedding.Value)) (missing keys.Key, ok bool) {
+	sc := batchPool.Get().(*batchScratch)
+	defer batchPool.Put(sc)
+	sc.group(ks)
+	ok = true
+	for b := range t.shards {
+		idxs := sc.bucket(b)
 		if len(idxs) == 0 {
 			continue
 		}
 		s := &t.shards[b]
-		s.mu.RLock()
+		if write {
+			s.mu.Lock()
+		} else {
+			s.mu.RLock()
+		}
 		// Two passes under the one lock: probe every key to its slot first —
 		// a tight loop over the slot array while its lines are hot — then run
 		// the visits, whose row copies would otherwise churn the cache between
@@ -236,17 +312,25 @@ func (t *HashTable) GatherBatch(ks []keys.Key, visit func(i int, v *embedding.Va
 		for _, i := range idxs {
 			idx, found, _ := s.probe(ks[i])
 			if !found {
-				s.mu.RUnlock()
-				return ks[i], false
+				if ok {
+					missing, ok = ks[i], false
+				}
+				idx = -1
 			}
 			sc.slots = append(sc.slots, int32(idx))
 		}
 		for j, i := range idxs {
-			visit(int(i), s.slots[sc.slots[j]].value)
+			if slot := sc.slots[j]; slot >= 0 {
+				visit(int(i), s.slots[slot].value)
+			}
 		}
-		s.mu.RUnlock()
+		if write {
+			s.mu.Unlock()
+		} else {
+			s.mu.RUnlock()
+		}
 	}
-	return 0, true
+	return missing, ok
 }
 
 // Accumulate adds delta element-wise onto the embedding weights stored under

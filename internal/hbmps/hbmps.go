@@ -14,9 +14,12 @@
 // The hot path is batched: workers pull a whole mini-batch's unique keys at
 // once with PullInto, train against the flat block, and write the result back
 // with one CommitBlock — the per-example PushGrads remains as the reference
-// path. Working-set storage is slab-backed and recycled across batches (value
-// arena + reusable GPU hash tables), so steady-state loads allocate almost
-// nothing.
+// path. Every batched call groups its keys by owning GPU and then by hash-table
+// shard, so it looks each device's table up once and takes each shard's lock
+// once. Stage-in (LoadBlock) and stage-out (CollectBlock) run one pass per GPU
+// concurrently, as Algorithm 1 has every GPU load its own partition.
+// Working-set storage is slab-backed and recycled across batches (value arena
+// + reusable GPU hash tables), so steady-state loads allocate nothing.
 package hbmps
 
 import (
@@ -121,13 +124,29 @@ type HBMPS struct {
 
 	mu     sync.Mutex
 	loaded bool
-	// arena backs the values resident in the GPU tables; origSet snapshots
-	// the loaded values (flat, same row order as arena slots) for delta
-	// computation at batch completion. Both are recycled across batches.
+	// The working set is laid out in partition order: GPU g's keys occupy
+	// positions off[g] to off[g+1], so each GPU's pass works on memory of its
+	// own. parts[g] are the working-set rows GPU g owns, ascending, and
+	// pos[i] is row i's position. arena backs the values resident in the GPU
+	// tables and origSet snapshots them for delta computation at batch
+	// completion, both by position. All of it is recycled across batches.
+	parts   [][]int32
+	off     []int
+	pos     []int32
 	arena   valueArena
 	origSet ps.ValueBlock
-	parts   [][]int32
 	stats   Stats
+
+	// Per-GPU passes (pergpu.go), used under mu. src is the block LoadBlock
+	// is loading and dst the block CollectBlock is filling, for the passes to
+	// read; CollectBlock's passes leave each position's frequency delta in
+	// freqDelta and whether its delta is non-zero in changed.
+	passes    []gpuPass
+	passWG    sync.WaitGroup
+	src       *ps.ValueBlock
+	dst       *ps.ValueBlock
+	freqDelta []uint32
+	changed   []bool
 
 	// Staged GPU partition computed by StagePartition while the pull stage is
 	// still fetching values. Guarded by its own lock, not h.mu: with pipelining,
@@ -151,9 +170,10 @@ func New(cfg Config) (*HBMPS, error) {
 	if cfg.NVLink.BandwidthBytesPerSec == 0 {
 		cfg.NVLink = hw.DefaultGPUNode().NVLink
 	}
-	h := &HBMPS{cfg: cfg}
+	h := &HBMPS{cfg: cfg, off: make([]int, cfg.NumGPUs+1), passes: make([]gpuPass, cfg.NumGPUs)}
 	for i := 0; i < cfg.NumGPUs; i++ {
 		h.devices = append(h.devices, gpu.NewDevice(cfg.NodeID, i, cfg.GPUProfile, cfg.Clock))
+		h.passes[i] = gpuPass{h: h, gpu: i}
 	}
 	return h, nil
 }
@@ -171,9 +191,10 @@ func (h *HBMPS) gpuOf(k keys.Key) int { return k.HashShard(len(h.devices)) }
 // LoadBlock partitions the working parameters — the block the trainer feeds
 // straight from the MEM-PS pull, every row present — across the node's GPUs
 // in a non-overlapping fashion and inserts them into each GPU's hash table
-// (Algorithm 1 lines 6-10). The values are copied; the caller keeps
-// ownership of the block. Loading charges PCIe transfer and HBM insertion
-// time, and fails if any GPU's HBM cannot hold its partition.
+// (Algorithm 1 lines 6-10): every GPU creates and fills its own table
+// concurrently, from its own stretch of the value arena. The values are copied;
+// the caller keeps ownership of the block. Loading charges PCIe transfer and
+// HBM insertion time, and fails if any GPU's HBM cannot hold its partition.
 func (h *HBMPS) LoadBlock(blk *ps.ValueBlock) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -207,54 +228,67 @@ func (h *HBMPS) LoadBlock(blk *ps.ValueBlock) error {
 		}
 	}
 
+	h.pos = ps.Resize(h.pos, len(ks))
+	for g, part := range h.parts {
+		h.off[g+1] = h.off[g] + len(part)
+		for j, i := range part {
+			h.pos[i] = int32(h.off[g] + j)
+		}
+	}
+
 	loadStart := h.cfg.Clock.Total(simtime.ResourcePCIe) + h.cfg.Clock.Total(simtime.ResourceHBM)
 	h.arena.reset(len(ks), dim)
-
-	rollback := func() {
+	h.origSet.ResetUninit(dim, ks) // each pass writes its positions, keys included
+	h.src = blk
+	err := h.eachGPU((*HBMPS).loadGPU)
+	h.src = nil
+	if err != nil {
 		for _, d := range h.devices {
 			d.DestroyHashTable()
 		}
-	}
-	// Create (or recycle) per-GPU tables sized to their partitions and insert.
-	for g, dev := range h.devices {
-		capacity := len(h.parts[g])
-		if capacity == 0 {
-			capacity = 1
-		}
-		table, err := dev.CreateHashTable(capacity, dim)
-		if err != nil {
-			rollback()
-			return fmt.Errorf("hbmps: gpu %d cannot hold its partition of %d parameters: %w", g, capacity, err)
-		}
-		var bytes int64
-		for _, i := range h.parts[g] {
-			v := h.arena.value(int(i), dim, blk.WeightsRow(int(i)), blk.G2Row(int(i)), blk.Freq[i])
-			if err := table.Insert(ks[i], v); err != nil {
-				rollback()
-				return fmt.Errorf("hbmps: insert into gpu %d: %w", g, err)
-			}
-			bytes += int64(embedding.EncodedSize(dim)) + 8
-		}
-		// The partition travels CPU -> GPU over PCIe and is written to HBM.
-		if h.cfg.Fabric != nil {
-			h.cfg.Fabric.PCIe(bytes)
-		}
-		dev.ChargeMemory(bytes)
-	}
-
-	// Snapshot originals for delta computation at batch completion: a flat
-	// copy of the arena slabs, row-parallel to ks.
-	h.origSet.Reset(dim, ks)
-	copy(h.origSet.Weights, h.arena.weights)
-	copy(h.origSet.G2Sum, h.arena.g2)
-	for i := range ks {
-		h.origSet.Freq[i] = h.arena.vals[i].Freq
-		h.origSet.Present[i] = true
+		h.origSet.Reset(dim, nil)
+		return err
 	}
 	h.loaded = true
 	h.stats.BatchesLoaded++
 	h.stats.ParamsLoaded += int64(len(ks))
 	h.stats.LoadTime += h.cfg.Clock.Total(simtime.ResourcePCIe) + h.cfg.Clock.Total(simtime.ResourceHBM) - loadStart
+	return nil
+}
+
+// loadGPU is GPU g's pass of LoadBlock: create (or recycle) its table sized to
+// its partition, and copy each of its rows of h.src to its position in the
+// snapshot and the arena, and into the table.
+func (h *HBMPS) loadGPU(g int) error {
+	dim := h.cfg.Dim
+	part, base := h.parts[g], h.off[g]
+	capacity := max(len(part), 1)
+	table, err := h.devices[g].CreateHashTable(capacity, dim)
+	if err != nil {
+		return fmt.Errorf("hbmps: gpu %d cannot hold its partition of %d parameters: %w", g, capacity, err)
+	}
+	blk, orig := h.src, &h.origSet
+	ks := orig.Keys[base : base+len(part)]
+	for j, i := range part {
+		ks[j] = blk.Keys[i]
+	}
+	err = table.InsertBatch(ks, func(j int) *embedding.Value {
+		i, p := int(part[j]), base+j
+		w, g2, freq := blk.WeightsRow(i), blk.G2Row(i), blk.Freq[i]
+		copy(orig.WeightsRow(p), w)
+		copy(orig.G2Row(p), g2)
+		orig.Freq[p], orig.Present[p] = freq, true
+		return h.arena.value(p, dim, w, g2, freq)
+	})
+	if err != nil {
+		return fmt.Errorf("hbmps: insert into gpu %d: %w", g, err)
+	}
+	// The partition travels CPU -> GPU over PCIe and is written to HBM.
+	bytes := int64(len(part)) * (int64(embedding.EncodedSize(dim)) + 8)
+	if h.cfg.Fabric != nil {
+		h.cfg.Fabric.PCIe(bytes)
+	}
+	h.devices[g].ChargeMemory(bytes)
 	return nil
 }
 
@@ -303,17 +337,6 @@ func (h *HBMPS) Loaded() bool {
 	return h.loaded
 }
 
-// pullScratch is the pooled per-call grouping scratch of PullInto: the
-// request keys and their original indices, partitioned by owning GPU. Pulls
-// run concurrently on every worker goroutine, so the scratch is pooled
-// rather than stored on the HBMPS.
-type pullScratch struct {
-	keys [][]keys.Key
-	idx  [][]int32
-}
-
-var pullScratchPool = sync.Pool{New: func() any { return new(pullScratch) }}
-
 // PullInto implements ps.Tier: one batched pull of the keys a worker running
 // on GPU req.Shard needs (Algorithm 1 line 12), into a caller-owned flat
 // block in request-key order, with no per-value allocation. Keys owned by
@@ -330,26 +353,13 @@ func (h *HBMPS) PullInto(req ps.PullRequest, dst *ps.ValueBlock) error {
 		return fmt.Errorf("hbmps: invalid gpu id %d", gpuID)
 	}
 	dst.Reset(h.cfg.Dim, req.Keys)
-	sc := pullScratchPool.Get().(*pullScratch)
-	defer pullScratchPool.Put(sc)
-	if len(sc.keys) < len(h.devices) {
-		sc.keys = make([][]keys.Key, len(h.devices))
-		sc.idx = make([][]int32, len(h.devices))
-	}
-	for g := range h.devices {
-		sc.keys[g] = sc.keys[g][:0]
-		sc.idx[g] = sc.idx[g][:0]
-	}
-	for i, k := range req.Keys {
-		g := h.gpuOf(k)
-		sc.keys[g] = append(sc.keys[g], k)
-		sc.idx[g] = append(sc.idx[g], int32(i))
-	}
+	gr := h.groupByGPU(req.Keys, nil)
+	defer groupPool.Put(gr)
 	var localBytes, remoteBytes int64
 	var localCount, remoteCount int64
 	valueBytes := int64(embedding.EncodedSize(h.cfg.Dim))
 	for owner := range h.devices {
-		sub := sc.keys[owner]
+		sub := gr.keys[owner]
 		if len(sub) == 0 {
 			continue
 		}
@@ -357,7 +367,7 @@ func (h *HBMPS) PullInto(req ps.PullRequest, dst *ps.ValueBlock) error {
 		if table == nil {
 			return fmt.Errorf("hbmps: gpu %d has no working set loaded", owner)
 		}
-		origIdx := sc.idx[owner]
+		origIdx := gr.idx[owner]
 		missing, ok := table.GatherBatch(sub, func(j int, v *embedding.Value) {
 			i := int(origIdx[j])
 			copy(dst.WeightsRow(i), v.Weights)
@@ -451,7 +461,10 @@ func (h *HBMPS) PushGrads(gpuID int, grads map[keys.Key][]float32, opt optimizer
 // touched the key (stored == orig bit-for-bit, so the correction term is an
 // exact zero), and the base value plus both workers' contributions when
 // example shards share hot keys within a batch. One CommitBlock replaces the
-// per-example PushGrads calls of the mini-batch.
+// per-example PushGrads calls of the mini-batch. The keys are grouped by
+// owning GPU and then by table shard, so each shard's write lock is taken
+// once per commit; a key missing from the working set fails the commit after
+// every present key has been written.
 func (h *HBMPS) CommitBlock(gpuID int, orig, final *ps.ValueBlock) error {
 	if gpuID < 0 || gpuID >= len(h.devices) {
 		return fmt.Errorf("hbmps: invalid gpu id %d", gpuID)
@@ -460,33 +473,39 @@ func (h *HBMPS) CommitBlock(gpuID int, orig, final *ps.ValueBlock) error {
 		return fmt.Errorf("hbmps: commit blocks disagree: orig %dx%d vs final %dx%d (want dim %d)",
 			len(orig.Keys), orig.Dim, len(final.Keys), final.Dim, h.cfg.Dim)
 	}
+	gr := h.groupByGPU(final.Keys, nil)
+	defer groupPool.Put(gr)
 	var localBytes, remoteBytes int64
 	valueBytes := int64(8 * h.cfg.Dim) // weights and accumulators move back
-	for i, k := range final.Keys {
-		owner := h.gpuOf(k)
+	for owner := range h.devices {
+		sub := gr.keys[owner]
+		if len(sub) == 0 {
+			continue
+		}
 		table := h.devices[owner].Table()
 		if table == nil {
 			return fmt.Errorf("hbmps: gpu %d has no working set loaded", owner)
 		}
-		ow, og := orig.WeightsRow(i), orig.G2Row(i)
-		fw, fg := final.WeightsRow(i), final.G2Row(i)
-		freqDelta := final.Freq[i] - orig.Freq[i]
-		err := table.Update(k, func(v *embedding.Value) {
-			for j := range v.Weights {
-				v.Weights[j] = fw[j] + (v.Weights[j] - ow[j])
+		rows := gr.idx[owner]
+		missing, ok := table.UpdateBatch(sub, func(j int, v *embedding.Value) {
+			i := int(rows[j])
+			ow, og := orig.WeightsRow(i), orig.G2Row(i)
+			fw, fg := final.WeightsRow(i), final.G2Row(i)
+			for e := range v.Weights {
+				v.Weights[e] = fw[e] + (v.Weights[e] - ow[e])
 			}
-			for j := range v.G2Sum {
-				v.G2Sum[j] = fg[j] + (v.G2Sum[j] - og[j])
+			for e := range v.G2Sum {
+				v.G2Sum[e] = fg[e] + (v.G2Sum[e] - og[e])
 			}
-			v.Freq += freqDelta
+			v.Freq += final.Freq[i] - orig.Freq[i]
 		})
-		if err != nil {
-			return fmt.Errorf("hbmps: commit key %d: %w", k, err)
+		if !ok {
+			return fmt.Errorf("hbmps: commit key %d: %w", missing, gpu.ErrKeyNotFound)
 		}
-		if owner == gpuID {
-			localBytes += valueBytes
+		if n := int64(len(sub)) * valueBytes; owner == gpuID {
+			localBytes += n
 		} else {
-			remoteBytes += valueBytes
+			remoteBytes += n
 		}
 	}
 	h.devices[gpuID].ChargeMemory(localBytes)
@@ -515,26 +534,27 @@ func (h *HBMPS) PushBlock(req ps.PushBlockRequest) error {
 		return fmt.Errorf("hbmps: invalid gpu id %d", req.Shard)
 	}
 	blk := req.Block
+	gr := h.groupByGPU(blk.Keys, blk.Present)
+	defer groupPool.Put(gr)
 	var localBytes, remoteBytes int64
 	valueBytes := int64(embedding.EncodedSize(h.cfg.Dim))
 	applied := 0
-	for i, k := range blk.Keys {
-		if !blk.Present[i] {
+	for owner := range h.devices {
+		table := h.devices[owner].Table()
+		if len(gr.keys[owner]) == 0 || table == nil {
 			continue
 		}
-		table := h.devices[h.gpuOf(k)].Table()
-		if table == nil {
-			continue
-		}
-		w, g2, freq := blk.WeightsRow(i), blk.G2Row(i), blk.Freq[i]
-		if table.Update(k, func(v *embedding.Value) { v.AddFlat(w, g2, freq) }) != nil {
-			continue
-		}
-		applied++
-		if owner := h.gpuOf(k); req.Shard == ps.NoShard || owner == req.Shard {
-			localBytes += valueBytes
+		rows, n := gr.idx[owner], 0
+		table.UpdateBatch(gr.keys[owner], func(j int, v *embedding.Value) {
+			i := int(rows[j])
+			v.AddFlat(blk.WeightsRow(i), blk.G2Row(i), blk.Freq[i])
+			n++
+		})
+		applied += n
+		if req.Shard == ps.NoShard || owner == req.Shard {
+			localBytes += int64(n) * valueBytes
 		} else {
-			remoteBytes += valueBytes
+			remoteBytes += int64(n) * valueBytes
 		}
 	}
 	var pushTime time.Duration
@@ -555,48 +575,66 @@ func (h *HBMPS) PushBlock(req ps.PushBlockRequest) error {
 // CollectBlock writes, for every parameter of the working set whose value
 // changed since it was loaded, the delta between its current value in the GPU
 // hash tables and its loaded value into dst (Algorithm 1 line 16) — flat
-// weight/g2 rows in working-set order (sorted, on the trainer's path), one
-// pass per key under its table's shard lock, no per-key allocation once dst's
-// slabs have grown to the steady delta size. The deltas are what the
-// inter-node synchronization exchanges and what the MEM-PS applies to the
-// authoritative copies.
+// weight/g2 rows in working-set order (sorted, on the trainer's path), no
+// per-key allocation once dst's slabs have grown to the steady delta size.
+// The deltas are what the inter-node synchronization exchanges and what the
+// MEM-PS applies to the authoritative copies.
 //
-// Each candidate row is appended speculatively and the subtraction computed
-// straight into it with the fused subtract-and-test kernel; rows whose delta
-// turns out to be exactly zero (weights, accumulators and frequency alike)
-// are withdrawn, so dst ends up holding only the changed keys.
+// Every GPU computes the deltas of its own partition concurrently, reading
+// its table through one batched gather (each shard's read lock once), straight
+// into the partition's rows of dst with the fused subtract-and-test kernel.
+// A final pass in working-set order then compacts the changed rows to the
+// front, so dst holds exactly the changed keys, in the order a serial
+// collection would have written them.
 func (h *HBMPS) CollectBlock(dst *ps.ValueBlock) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	dst.Reset(h.cfg.Dim, nil)
-	dst.Grow(len(h.origSet.Keys))
-	for i, k := range h.origSet.Keys {
-		table := h.devices[h.gpuOf(k)].Table()
-		if table == nil {
-			continue
-		}
-		// Uninitialized grow: the fused kernel below writes every element of
-		// the row, and a row whose View fails is truncated before anything
-		// can observe it.
-		row := dst.GrowRowUninit(k)
-		dw, dg := dst.WeightsRow(row), dst.G2Row(row)
-		origW, origG := h.origSet.WeightsRow(i), h.origSet.G2Row(i)
-		changed := false
-		var freqDelta uint32
-		// Read under the table's shard lock in case workers are still
-		// pushing updates.
-		ok := table.View(k, func(cur *embedding.Value) {
-			wChanged := tensor.SubAnyNonZero(dw, cur.Weights, origW)
-			gChanged := tensor.SubAnyNonZero(dg, cur.G2Sum, origG)
-			changed = wChanged || gChanged
-			freqDelta = cur.Freq - h.origSet.Freq[i]
-		})
-		if !ok || (!changed && freqDelta == 0) {
-			dst.TruncateLast()
-			continue
-		}
-		dst.Freq[row] = freqDelta
+	n := len(h.origSet.Keys)
+	dst.ResetUninit(h.cfg.Dim, h.origSet.Keys)
+	if !h.loaded {
+		return // nothing resident: no deltas (and no partition to walk)
 	}
+	h.freqDelta = ps.Resize(h.freqDelta, n)
+	h.changed = ps.Resize(h.changed, n)
+	h.dst = dst
+	h.eachGPU((*HBMPS).collectGPU)
+	h.dst = nil
+
+	w := 0
+	for i, p := range h.pos {
+		if !h.changed[p] {
+			continue
+		}
+		if w != i {
+			copy(dst.WeightsRow(w), dst.WeightsRow(i))
+			copy(dst.G2Row(w), dst.G2Row(i))
+		}
+		dst.Keys[w], dst.Freq[w], dst.Present[w] = h.origSet.Keys[p], h.freqDelta[p], true
+		w++
+	}
+	dst.Truncate(w)
+}
+
+// collectGPU is GPU g's pass of CollectBlock: the delta of every row of its
+// partition into the same row of h.dst, and its frequency delta and whether
+// any of it is non-zero into the row's position of h.freqDelta and
+// h.changed. A key no longer in the table (evicted) counts as unchanged.
+func (h *HBMPS) collectGPU(g int) error {
+	part, base := h.parts[g], h.off[g]
+	clear(h.changed[base : base+len(part)])
+	table := h.devices[g].Table()
+	if table == nil {
+		return nil
+	}
+	dst, orig := h.dst, &h.origSet
+	table.GatherBatch(orig.Keys[base:base+len(part)], func(j int, cur *embedding.Value) {
+		i, p := int(part[j]), base+j
+		wChanged := tensor.SubAnyNonZero(dst.WeightsRow(i), cur.Weights, orig.WeightsRow(p))
+		gChanged := tensor.SubAnyNonZero(dst.G2Row(i), cur.G2Sum, orig.G2Row(p))
+		h.freqDelta[p] = cur.Freq - orig.Freq[p]
+		h.changed[p] = wChanged || gChanged || h.freqDelta[p] != 0
+	})
+	return nil
 }
 
 // Name implements ps.Tier.
@@ -617,14 +655,18 @@ func (h *HBMPS) Evict(ks []keys.Key) (int, error) {
 		h.rec.RecordEvict(n)
 		return n, nil
 	}
+	gr := h.groupByGPU(ks, nil)
+	defer groupPool.Put(gr)
 	n := 0
-	for _, k := range ks {
-		table := h.devices[h.gpuOf(k)].Table()
+	for owner := range h.devices {
+		table := h.devices[owner].Table()
 		if table == nil {
 			continue
 		}
-		if table.Delete(k) {
-			n++
+		for _, k := range gr.keys[owner] {
+			if table.Delete(k) {
+				n++
+			}
 		}
 	}
 	h.rec.RecordEvict(n)

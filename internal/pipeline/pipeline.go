@@ -44,6 +44,12 @@ type Stage[T any] struct {
 	QueueSize int
 	// Fn processes one job and returns the job handed to the next stage.
 	Fn func(context.Context, T) (T, error)
+	// Admit, when set, runs before Fn for every job, outside the stage's
+	// timing: a stage that must wait for a resource before it may start (the
+	// trainer's depth gate at the pull stage) waits here, and the wait counts
+	// as neither busy nor stalled time. An error stops the pipeline like an
+	// error from Fn.
+	Admit func(context.Context, T) error
 }
 
 // StageStats reports what one stage did during a run.
@@ -348,6 +354,12 @@ func (p *Pipeline[T]) Run(ctx context.Context, source func(context.Context) (T, 
 				job, ok := queues[i].pop()
 				if !ok {
 					return
+				}
+				if s.Admit != nil {
+					if err := s.Admit(runCtx, job); err != nil {
+						fail(fmt.Errorf("pipeline stage %q: %w", s.Name, err))
+						return
+					}
 				}
 				start := time.Now()
 				out, err := s.Fn(runCtx, job)

@@ -118,6 +118,46 @@ func TestPipelineStageError(t *testing.T) {
 	}
 }
 
+// TestPipelineAdmitIsNotBusy checks the Admit hook: it runs once per job
+// before Fn, its wait is counted as neither busy nor stalled time, and its
+// error stops the run like a stage error.
+func TestPipelineAdmitIsNotBusy(t *testing.T) {
+	const wait = 5 * time.Millisecond
+	var admitted atomic.Int64
+	p := New(Stage[int]{Name: "gated", QueueSize: 1,
+		Admit: func(context.Context, int) error {
+			admitted.Add(1)
+			time.Sleep(wait)
+			return nil
+		},
+		Fn: func(_ context.Context, x int) (int, error) { return x, nil },
+	})
+	if err := p.Run(context.Background(), intSource(4), nil); err != nil {
+		t.Fatal(err)
+	}
+	if admitted.Load() != 4 {
+		t.Fatalf("Admit ran %d times for 4 jobs", admitted.Load())
+	}
+	// Counted, the four waits alone would come to 4*wait.
+	if st := p.Stats()[0]; st.Busy+st.Stalled >= 2*wait {
+		t.Fatalf("Admit's waits counted as stage time: busy %v, stalled %v", st.Busy, st.Stalled)
+	}
+
+	boom := errors.New("gate closed")
+	p = New(Stage[int]{Name: "gated",
+		Admit: func(_ context.Context, x int) error {
+			if x == 2 {
+				return boom
+			}
+			return nil
+		},
+		Fn: func(_ context.Context, x int) (int, error) { return x, nil },
+	})
+	if err := p.Run(context.Background(), intSource(100), nil); !errors.Is(err, boom) {
+		t.Fatalf("want the Admit error, got %v", err)
+	}
+}
+
 func TestPipelineSourceError(t *testing.T) {
 	boom := errors.New("source broke")
 	src := func(context.Context) (int, bool, error) { return 0, false, boom }

@@ -50,42 +50,35 @@ func (b *ValueBlock) Len() int { return len(b.Keys) }
 // underlying storage. All rows come back zeroed and absent; ks is copied, so
 // the caller keeps ownership of its slice.
 func (b *ValueBlock) Reset(dim int, ks []keys.Key) {
-	if dim < 0 {
-		dim = 0
-	}
-	b.Dim = dim
-	n := len(ks)
-	b.Keys = append(b.Keys[:0], ks...)
-	flat := n * dim
-	b.Weights = growFloats(b.Weights, flat)
-	b.G2Sum = growFloats(b.G2Sum, flat)
-	if cap(b.Freq) < n {
-		b.Freq = make([]uint32, n)
-	} else {
-		b.Freq = b.Freq[:n]
-		for i := range b.Freq {
-			b.Freq[i] = 0
-		}
-	}
-	if cap(b.Present) < n {
-		b.Present = make([]bool, n)
-	} else {
-		b.Present = b.Present[:n]
-		for i := range b.Present {
-			b.Present[i] = false
-		}
-	}
+	b.ResetUninit(dim, ks)
+	clear(b.Weights)
+	clear(b.G2Sum)
+	clear(b.Freq)
+	clear(b.Present)
 }
 
-func growFloats(s []float32, n int) []float32 {
+// ResetUninit is Reset without clearing: the block takes ks's shape, but
+// every row's slabs, frequency and presence hold whatever the reused storage
+// held. The caller must write each row it keeps (the per-GPU working-set
+// passes of the HBM-PS, which fill disjoint rows concurrently).
+func (b *ValueBlock) ResetUninit(dim int, ks []keys.Key) {
+	b.Dim = max(dim, 0)
+	n := len(ks)
+	b.Keys = append(b.Keys[:0], ks...)
+	b.Weights = Resize(b.Weights, n*b.Dim)
+	b.G2Sum = Resize(b.G2Sum, n*b.Dim)
+	b.Freq = Resize(b.Freq, n)
+	b.Present = Resize(b.Present, n)
+}
+
+// Resize returns s with length n, reusing its storage when it is large
+// enough and allocating exactly n elements when not (append-style growth
+// would round the capacity up). The contents are not cleared.
+func Resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float32, n)
+		return make([]T, n)
 	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
+	return s[:n]
 }
 
 // Grow ensures the block's backing storage can hold rows additional rows
@@ -103,10 +96,8 @@ func (b *ValueBlock) Grow(rows int) {
 	b.Present = slices.Grow(b.Present, rows)
 }
 
-// GrowRow appends a zeroed, present row for k and returns its index. Together
-// with TruncateLast it is the speculative-append primitive of the fused
-// delta-collection loop: grow a row, compute the delta straight into it, and
-// withdraw it if the delta turned out to be zero.
+// GrowRow appends a zeroed, present row for k and returns its index — the
+// append primitive of the slab merges, which add contributions into it.
 func (b *ValueBlock) GrowRow(k keys.Key) int {
 	i := len(b.Keys)
 	b.Keys = append(b.Keys, k)
@@ -127,11 +118,10 @@ func appendZeros(s []float32, n int) []float32 {
 }
 
 // GrowRowUninit is GrowRow without zero-filling the new row's slabs — they
-// may hold stale data from rows truncated earlier. The caller must either
-// overwrite every element of the weight and accumulator rows or TruncateLast
-// the row before anything can observe it. The fused delta-collection loop
-// uses it (its kernel writes every element anyway); builders that rely on
-// zeroed rows, like the slab merges, use GrowRow.
+// may hold stale data from rows truncated earlier. The caller must overwrite
+// every element of the weight and accumulator rows or Truncate the row away
+// before anything can observe it. Builders that copy whole rows in use it;
+// builders that rely on zeroed rows, like the slab merges, use GrowRow.
 func (b *ValueBlock) GrowRowUninit(k keys.Key) int {
 	i := len(b.Keys)
 	b.Keys = append(b.Keys, k)
@@ -142,12 +132,9 @@ func (b *ValueBlock) GrowRowUninit(k keys.Key) int {
 	return i
 }
 
-// TruncateLast removes the block's last row (storage is retained).
-func (b *ValueBlock) TruncateLast() {
-	n := len(b.Keys) - 1
-	if n < 0 {
-		return
-	}
+// Truncate keeps the block's first n rows (storage is retained). n must be
+// at most Len.
+func (b *ValueBlock) Truncate(n int) {
 	b.Keys = b.Keys[:n]
 	b.Weights = b.Weights[:n*b.Dim]
 	b.G2Sum = b.G2Sum[:n*b.Dim]

@@ -73,13 +73,13 @@ func TestBlockAppendGrowTruncate(t *testing.T) {
 			b.Keys, b.Present, b.Freq, b.Weights, b.G2Sum)
 	}
 
-	// GrowRow appends a zeroed present row; TruncateLast withdraws it, and a
+	// GrowRow appends a zeroed present row; Truncate withdraws it, and a
 	// re-grown row must come back zeroed even though the storage is reused.
 	i := b.GrowRow(11)
 	b.WeightsRow(i)[0] = 42
-	b.TruncateLast()
+	b.Truncate(i)
 	if b.Len() != 1 {
-		t.Fatalf("Len after TruncateLast = %d", b.Len())
+		t.Fatalf("Len after Truncate = %d", b.Len())
 	}
 	i = b.GrowRow(12)
 	if b.Keys[i] != 12 || !b.Present[i] || b.WeightsRow(i)[0] != 0 {
@@ -96,12 +96,24 @@ func TestBlockAppendGrowTruncate(t *testing.T) {
 	if b.Keys[i] != 13 || !b.Present[i] || b.WeightsRow(i)[3] != 3 || b.G2Row(i)[3] != -3 {
 		t.Fatalf("uninit-grown row reads back wrong: %v / %v", b.WeightsRow(i), b.G2Row(i))
 	}
-	b.TruncateLast()
+	b.Truncate(i)
 
 	// Growth within pre-sized capacity must not reallocate the slabs.
 	if cap(b.Weights) != wCap || cap(b.G2Sum) != gCap {
 		t.Fatalf("append within Grow capacity reallocated: %d/%d -> %d/%d",
 			wCap, gCap, cap(b.Weights), cap(b.G2Sum))
+	}
+
+	// ResetUninit takes the new shape in place: the surviving row keeps its
+	// contents (nothing is cleared), the new rows are the caller's to write.
+	b.ResetUninit(4, []keys.Key{20, 21, 22})
+	if b.Len() != 3 || b.Keys[2] != 22 || len(b.Weights) != 12 || len(b.G2Sum) != 12 ||
+		len(b.Freq) != 3 || len(b.Present) != 3 || b.WeightsRow(0)[2] != 3 {
+		t.Fatalf("ResetUninit shape = keys %v, %d/%d floats, freq %v, present %v, row 0 %v",
+			b.Keys, len(b.Weights), len(b.G2Sum), b.Freq, b.Present, b.WeightsRow(0))
+	}
+	if cap(b.Weights) != wCap || cap(b.G2Sum) != gCap {
+		t.Fatal("ResetUninit within capacity reallocated the slabs")
 	}
 
 	defer func() {

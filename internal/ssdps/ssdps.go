@@ -79,6 +79,11 @@ type Stats struct {
 	CompactedFiles int64
 	// Loads and Dumps count operations.
 	Loads, Dumps int64
+	// Rewritten counts the live records compaction copied into new files.
+	// The tier statistics count them as pushed keys beside the dumped ones
+	// (TierStats().KeysPushed), so pushed minus rewritten is what the tier
+	// above dumped, and pushed over that is the write amplification.
+	Rewritten int64
 	// UsageBytes is the physical disk usage of live files.
 	UsageBytes int64
 	// DroppedExtents counts the parameter files the last Recover found torn
@@ -539,6 +544,7 @@ func (s *Store) Compact() error {
 			}
 		}
 		s.stats.Dumps++
+		s.stats.Rewritten += int64(len(chunk))
 		s.mu.Unlock()
 	}
 	if len(live) > 0 {

@@ -181,6 +181,14 @@ func TestCompactRemovesStaleFiles(t *testing.T) {
 	if after.LiveParams != 4 {
 		t.Fatalf("live after compact = %d", after.LiveParams)
 	}
+	// The victim's one live record (key 4) was rewritten: the tier counts it
+	// as a pushed key beside the 7 dumped, Rewritten tells them apart.
+	if before.Rewritten != 0 || after.Rewritten != 1 {
+		t.Fatalf("rewritten = %d before, %d after compaction; want 0, 1", before.Rewritten, after.Rewritten)
+	}
+	if pushed := s.TierStats().KeysPushed; pushed != 7+after.Rewritten {
+		t.Fatalf("tier pushed %d keys, want 7 dumped + %d rewritten", pushed, after.Rewritten)
+	}
 	// All values still correct after compaction.
 	got, err := s.Load([]keys.Key{1, 2, 3, 4})
 	if err != nil {

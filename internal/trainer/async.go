@@ -12,16 +12,29 @@ import (
 	"hps/internal/ps"
 )
 
-// depthGate bounds how many batches are in the pipeline at once, like the
-// token channel it replaces, but with a limit the auto-tuner can change while
-// producers are blocked on it. The source acquires one slot per batch and the
-// sink releases it; shrinking the limit below the current occupancy simply
-// stalls the source until enough batches drain.
+// readAhead is how many batches the read stage may run past the depth gate.
+// A read touches no parameter, so reading ahead costs no staleness, only the
+// memory of the batches read ahead (each holds its examples and key index):
+// one batch is enough to hide the read behind the previous batch's pull,
+// train and push at depth 1. A read allowed two or three batches ahead raised
+// train_local_cold's p90 resident set by 10-13%, past the benchmark's 10%
+// bound; one batch costs about 5% there.
+const readAhead = 1
+
+// depthGate bounds how many batches are in the pipeline at once, with a
+// limit the auto-tuner can change while producers are blocked on it. It
+// guards parameters, not data: a batch takes a slot when it enters the pull
+// stage (acquire) and gives it back in the sink, so at most limit batches lie
+// between their pull and their push — the staleness bound. The source only
+// admits limit+readAhead batches, so the read stage runs at most readAhead
+// batches ahead of the gate. Shrinking the limit below the current occupancy
+// simply stalls both until enough batches drain.
 type depthGate struct {
-	mu    sync.Mutex
-	cond  sync.Cond
-	limit int
-	inUse int
+	mu       sync.Mutex
+	cond     sync.Cond
+	limit    int
+	admitted int // admitted by the source, not yet through the sink
+	inUse    int // entered the pull stage, not yet through the sink
 }
 
 func newDepthGate(limit int) *depthGate {
@@ -33,13 +46,19 @@ func newDepthGate(limit int) *depthGate {
 	return g
 }
 
-// acquire blocks until a slot is free or ctx is cancelled. The caller must
-// arrange for the gate to be broadcast when ctx is cancelled (see Run's
-// watcher); acquire itself only re-checks ctx between waits.
-func (g *depthGate) acquire(ctx context.Context) error {
+// admit blocks until the source may admit another batch (fewer than
+// limit+readAhead admitted) or ctx is cancelled; acquire blocks until a
+// batch may enter the pull stage (fewer than limit in use). The caller must
+// arrange for the gate to be broadcast when ctx is cancelled (see
+// cancelOn); both only re-check ctx between waits.
+func (g *depthGate) admit(ctx context.Context) error { return g.take(ctx, &g.admitted, readAhead) }
+
+func (g *depthGate) acquire(ctx context.Context) error { return g.take(ctx, &g.inUse, 0) }
+
+func (g *depthGate) take(ctx context.Context, count *int, extra int) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for g.inUse >= g.limit {
+	for *count >= g.limit+extra {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -48,18 +67,32 @@ func (g *depthGate) acquire(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	g.inUse++
+	*count++
 	return nil
 }
 
+// release retires a batch from both bounds; the sink calls it.
 func (g *depthGate) release() {
 	g.mu.Lock()
+	g.admitted--
 	g.inUse--
 	g.cond.Broadcast()
 	g.mu.Unlock()
 }
 
-// setLimit applies a new depth. Values < 1 clamp to 1.
+// cancelOn wakes every waiter once ctx is done, so admit and acquire see the
+// cancellation: the gate waits on a cond, not a channel.
+func (g *depthGate) cancelOn(ctx context.Context) {
+	go func() {
+		<-ctx.Done()
+		g.mu.Lock()
+		g.cond.Broadcast()
+		g.mu.Unlock()
+	}()
+}
+
+// setLimit applies a new depth to both bounds (limit in the pull stage,
+// limit+readAhead admitted). Values < 1 clamp to 1.
 func (g *depthGate) setLimit(n int) {
 	if n < 1 {
 		n = 1
@@ -70,12 +103,6 @@ func (g *depthGate) setLimit(n int) {
 		g.cond.Broadcast()
 	}
 	g.mu.Unlock()
-}
-
-func (g *depthGate) currentLimit() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.limit
 }
 
 // pushJob is one batch's merged delta block handed off to the background

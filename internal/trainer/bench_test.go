@@ -29,7 +29,7 @@ func BenchmarkTrainerBatch(b *testing.B) {
 		Topology:    cluster.Topology{Nodes: 1, GPUsPerNode: 1},
 		BatchSize:   256,
 		Batches:     b.N,
-		MaxInFlight: 1, // strict ordering: per-op cost is one whole batch
+		MaxInFlight: 1, // strict parameter ordering: per-op cost is one batch, its read overlapped
 		Seed:        1,
 	})
 	if err != nil {
@@ -84,7 +84,8 @@ func benchPipelineDepth(b *testing.B, depth int, asyncPush bool) {
 }
 
 // BenchmarkTrainerSynchronous is the depth-1 baseline of the pair: every batch
-// pays read + pull + train + push end to end, waits included.
+// pays pull + train + push end to end, waits included; only the next batch's
+// read (and its wait) overlaps them.
 func BenchmarkTrainerSynchronous(b *testing.B) { benchPipelineDepth(b, 1, false) }
 
 // BenchmarkTrainerPipelined measures steady-state throughput at the default

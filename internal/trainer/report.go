@@ -69,6 +69,9 @@ type Report struct {
 	SSD ssdps.Stats
 	// ReadAmplification is the SSD device read amplification across nodes.
 	ReadAmplification float64
+	// WriteAmplification is the SSD-PS records written (dumps plus
+	// compaction rewrites) per record the MEM-PS dumped, across nodes.
+	WriteAmplification float64
 	// MeanLoss is the mean training log-loss.
 	MeanLoss float64
 	// DenseCommits counts the GPU workers' dense-replica commits (one per
@@ -105,6 +108,7 @@ func addSSDStats(a, b ssdps.Stats) ssdps.Stats {
 	a.CompactedFiles += b.CompactedFiles
 	a.Loads += b.Loads
 	a.Dumps += b.Dumps
+	a.Rewritten += b.Rewritten
 	a.UsageBytes += b.UsageBytes
 	a.DroppedExtents += b.DroppedExtents
 	return a
@@ -189,7 +193,7 @@ func (t *Trainer) Report() Report {
 		r.StaleMaxBatches = c.staleMax.Load()
 	}
 
-	var hits, lookups int64
+	var hits, lookups, ssdPushed int64
 	var ioStats blockio.Stats
 	for _, n := range t.nodes {
 		if n.local == nil { // multi-process mode: cache and SSD live remotely
@@ -199,6 +203,7 @@ func (t *Trainer) Report() Report {
 		hits += cs.Hits
 		lookups += cs.Hits + cs.Misses
 		r.SSD = addSSDStats(r.SSD, n.store.Stats())
+		ssdPushed += n.store.TierStats().KeysPushed
 		ds := n.dev.Stats()
 		ioStats.LogicalBytesRead += ds.LogicalBytesRead
 		ioStats.PhysicalBytesRead += ds.PhysicalBytesRead
@@ -207,6 +212,9 @@ func (t *Trainer) Report() Report {
 		r.CacheHitRate = float64(hits) / float64(lookups)
 	}
 	r.ReadAmplification = ioStats.ReadAmplification()
+	if dumped := ssdPushed - r.SSD.Rewritten; dumped > 0 {
+		r.WriteAmplification = float64(ssdPushed) / float64(dumped)
+	}
 
 	if t.remote != nil {
 		net := t.remoteNet
@@ -286,8 +294,9 @@ func (r Report) String() string {
 			ti.Stats.Pushes, ti.Stats.KeysPushed, ti.Stats.PushTime.Round(time.Microsecond), ti.Stats.KeysEvicted)
 	}
 	if r.Remote == nil {
-		fmt.Fprintf(&b, "mem-ps cache hit rate %.1f%%   ssd-ps: %d files, %d live / %d stale params, %d compactions, read amplification %.1fx\n",
-			100*r.CacheHitRate, r.SSD.Files, r.SSD.LiveParams, r.SSD.StaleParams, r.SSD.Compactions, r.ReadAmplification)
+		fmt.Fprintf(&b, "mem-ps cache hit rate %.1f%%   ssd-ps: %d files, %d live / %d stale params, %d compactions, read amplification %.1fx, write amplification %.2fx (%d records rewritten)\n",
+			100*r.CacheHitRate, r.SSD.Files, r.SSD.LiveParams, r.SSD.StaleParams, r.SSD.Compactions, r.ReadAmplification,
+			r.WriteAmplification, r.SSD.Rewritten)
 		if r.SSD.DroppedExtents > 0 {
 			fmt.Fprintf(&b, "ssd-ps recovery dropped %d torn extents\n", r.SSD.DroppedExtents)
 		}

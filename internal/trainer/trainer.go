@@ -11,10 +11,13 @@
 // The four batch phases — read, pull, train, push — run as the prefetch
 // pipeline of Section 3 (internal/pipeline), so the steady-state batch
 // latency is governed by the slowest stage. MaxInFlight bounds how many
-// batches overlap: 1 reproduces the strict ordering of Algorithm 1 (and the
-// accuracy oracle of Fig 3b), larger values buy throughput at the price of
-// parameters at most MaxInFlight-1 batches stale, which is the trade the
-// paper's pipeline makes.
+// batches lie between their pull and their push: 1 reproduces the strict
+// parameter ordering of Algorithm 1 (and the accuracy oracle of Fig 3b) —
+// batch N+1 pulls only after batch N has pushed — and larger values buy
+// throughput at the price of parameters at most MaxInFlight-1 batches stale,
+// which is the trade the paper's pipeline makes. The read stage touches no
+// parameter, so it runs one batch ahead of that bound at every depth: at
+// depth 1 the next batch is read and indexed while the current one trains.
 //
 // # The batched hot path
 //
@@ -103,9 +106,10 @@ type Config struct {
 	BatchSize int
 	// Batches is the number of batches each node trains on. Required > 0.
 	Batches int
-	// MaxInFlight bounds how many batches may be in the pipeline at once.
-	// 1 (the default) reproduces Algorithm 1's strict ordering; larger values
-	// overlap the stages as in Section 3.
+	// MaxInFlight bounds how many batches may be between their pull and their
+	// push at once. 1 (the default) reproduces Algorithm 1's strict parameter
+	// ordering; larger values overlap the parameter stages as in Section 3.
+	// The read stage runs one batch further ahead at every depth.
 	MaxInFlight int
 	// Profile describes each node's hardware; the zero value uses
 	// hw.DefaultGPUNode.
@@ -246,8 +250,9 @@ type node struct {
 	// indexer builds each batch's key index in stageRead (one goroutine per
 	// node, one batch at a time); indexes recycles the indexes themselves:
 	// stageRead takes one (or makes one when none is free), stageTrain hands
-	// it back once the batch is trained. At most MaxInFlight batches are in
-	// the pipeline, so that many slots keep every index in circulation.
+	// it back once the batch is trained. The source admits at most
+	// MaxInFlight+readAhead batches, so that many slots keep every index in
+	// circulation.
 	indexer keys.IndexBuilder
 	indexes chan *keys.Index
 	// workers[g] is GPU g's training state. stageTrain runs on one pipeline
@@ -316,6 +321,13 @@ type Trainer struct {
 	// stageDelay injects an artificial wall-clock delay per stage; it is a
 	// test hook for exercising pipeline overlap with controlled timings.
 	stageDelay map[string]time.Duration
+
+	// stageEvent, when set, is told of every batch admitted by the source
+	// (stage "admit"), entering (enter true) and leaving each stage function,
+	// and reaching the sink (stage "sink", before its depth slot is
+	// released); a test hook that states the depth contract as an order of
+	// events rather than a timing. A stage enters after its Admit wait.
+	stageEvent func(stage string, batch int, enter bool)
 
 	// sequential makes eachNode visit nodes in order instead of
 	// concurrently; a test hook that removes scheduling nondeterminism (the
@@ -564,7 +576,7 @@ func (t *Trainer) buildNode(id int, root string) (_ *node, err error) {
 		workers[g] = t.newGPUWorker()
 	}
 	return &node{id: id, gen: gen, stream: stream, dev: dev, store: store, local: local, mem: mem, hbm: hbm,
-		indexes: make(chan *keys.Index, cfg.MaxInFlight), workers: workers}, nil
+		indexes: make(chan *keys.Index, cfg.MaxInFlight+readAhead), workers: workers}, nil
 }
 
 // eachNode runs fn for every node concurrently and returns the first error.
@@ -613,19 +625,27 @@ func (t *Trainer) Run(ctx context.Context) error {
 	if t.cfg.Batches <= 0 {
 		return fmt.Errorf("trainer: Batches must be positive, have %d", t.cfg.Batches)
 	}
-	// The depth gate bounds pipeline occupancy: the source acquires one slot
-	// per batch and the sink releases it, so at most `limit` batches are in
-	// flight and the parameters a batch trains on are at most limit-1 batches
-	// stale. At limit 1 the pipeline degenerates to Algorithm 1's strict
-	// sequential ordering. With AutoTune the limit starts shallow (depth 2:
-	// enough overlap to measure the stages) and tracks the tuner's suggestion
-	// within the MaxInFlight ceiling; otherwise it is pinned at MaxInFlight.
+	// The depth gate guards parameters, not data: a batch takes a slot as it
+	// enters the pull stage (the stage's Admit wait, outside its timing) and
+	// the sink gives it back, so at most `limit` batches lie between pull and
+	// push and the parameters a batch trains on are at most limit-1 batches
+	// stale. At limit 1 the parameter stages keep Algorithm 1's strict
+	// sequential ordering. The source admits limit+readAhead batches, so the
+	// read stage — which touches no parameter — works one batch ahead of the
+	// gate instead of idling behind it. With AutoTune the limit starts
+	// shallow (depth 2: enough overlap to measure the stages) and tracks the
+	// tuner's suggestion within the MaxInFlight ceiling; otherwise it is
+	// pinned at MaxInFlight.
 	initialDepth := t.cfg.MaxInFlight
 	if t.cfg.AutoTune {
 		initialDepth = min(2, t.cfg.MaxInFlight)
 	}
 	gate := newDepthGate(initialDepth)
 	var gateWatch sync.Once
+	event := t.stageEvent
+	if event == nil {
+		event = func(string, int, bool) {}
+	}
 
 	// A restored run's committed watermark starts at the restore cursor, not
 	// zero, so the staleness accounting (job index minus committed) measures
@@ -642,29 +662,23 @@ func (t *Trainer) Run(ctx context.Context) error {
 	}
 	next := 0
 	source := func(ctx context.Context) (*job, bool, error) {
-		// The gate waits on a cond, not a channel, so a watcher converts the
-		// pipeline's cancellation into a broadcast. It must watch the ctx the
-		// pipeline passes in (its internal run context, cancelled on stage
-		// errors too), not the caller's.
-		gateWatch.Do(func() {
-			go func() {
-				<-ctx.Done()
-				gate.mu.Lock()
-				gate.cond.Broadcast()
-				gate.mu.Unlock()
-			}()
-		})
+		// The watcher must watch the ctx the pipeline passes in (its internal
+		// run context, cancelled on stage errors too), not the caller's. The
+		// source runs before any stage, so it starts the watcher for both.
+		gateWatch.Do(func() { gate.cancelOn(ctx) })
 		if next >= remaining {
 			return nil, false, nil
 		}
-		if err := gate.acquire(ctx); err != nil {
+		if err := gate.admit(ctx); err != nil {
 			return nil, false, err
 		}
 		j := &job{index: next + t.restored, nodes: make([]*nodeBatch, len(t.nodes))}
 		next++
+		event("admit", j.index, true)
 		return j, true, nil
 	}
 	sink := func(ctx context.Context, j *job) error {
+		event("sink", j.index, true)
 		gate.release()
 		if t.cfg.AutoTune {
 			if d := t.pipe.TunerState().InFlight; d > 0 {
@@ -696,12 +710,16 @@ func (t *Trainer) Run(ctx context.Context) error {
 		return nil
 	}
 
-	t.pipe = pipeline.New(
-		pipeline.Stage[*job]{Name: StageRead, QueueSize: 1, Fn: t.stageRead},
-		pipeline.Stage[*job]{Name: StagePull, QueueSize: 1, Fn: t.stagePull},
-		pipeline.Stage[*job]{Name: StageTrain, QueueSize: 1, Fn: t.stageTrain},
-		pipeline.Stage[*job]{Name: StagePush, QueueSize: 1, Fn: t.stagePush},
-	)
+	stage := func(name string, fn func(context.Context, *job) (*job, error)) pipeline.Stage[*job] {
+		return pipeline.Stage[*job]{Name: name, QueueSize: 1, Fn: func(ctx context.Context, j *job) (*job, error) {
+			event(name, j.index, true)
+			defer event(name, j.index, false)
+			return fn(ctx, j)
+		}}
+	}
+	pull := stage(StagePull, t.stagePull)
+	pull.Admit = func(ctx context.Context, _ *job) error { return gate.acquire(ctx) }
+	t.pipe = pipeline.New(stage(StageRead, t.stageRead), pull, stage(StageTrain, t.stageTrain), stage(StagePush, t.stagePush))
 	if t.cfg.AutoTune {
 		t.pipe.AutoTune(pipeline.TunerConfig{
 			MaxQueue:    t.cfg.MaxInFlight,

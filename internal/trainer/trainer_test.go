@@ -240,15 +240,18 @@ func TestMultiNodeMultiGPU(t *testing.T) {
 
 // TestPipelineOverlap asserts the Section 3 property: with prefetching, the
 // steady-state batch latency tracks the slowest stage, not the sum of all
-// stages. Stage wall times are controlled via the stageDelay test hook.
+// stages. Stage wall times are controlled via the stageDelay test hook. The
+// slowest stage is a parameter stage: at depth 1 the read already overlaps
+// the rest (TestDepthContract), so only deeper pipelines can hide train
+// behind pull and push.
 func TestPipelineOverlap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock timing test")
 	}
 	delays := map[string]time.Duration{
-		StageRead:  40 * time.Millisecond,
+		StageRead:  15 * time.Millisecond,
 		StagePull:  15 * time.Millisecond,
-		StageTrain: 15 * time.Millisecond,
+		StageTrain: 40 * time.Millisecond,
 		StagePush:  15 * time.Millisecond,
 	}
 	const batches = 8
@@ -277,9 +280,10 @@ func TestPipelineOverlap(t *testing.T) {
 	overlapped := run(4)
 	t.Logf("serial = %v, overlapped = %v", serial, overlapped)
 
-	// Serial pays the sum of stages per batch (>= 85ms each); overlapped
-	// steady state pays only the slowest stage (40ms) per batch after fill.
-	slowest := delays[StageRead]
+	// Depth 1 pays pull + train + push per batch (>= 70ms each, the read
+	// hidden behind them); overlapped steady state pays only the slowest
+	// stage (40ms) per batch after fill.
+	slowest := delays[StageTrain]
 	if overlapped < time.Duration(batches-1)*slowest {
 		t.Fatalf("overlapped run %v beat the slowest-stage bound %v: impossible",
 			overlapped, time.Duration(batches-1)*slowest)
