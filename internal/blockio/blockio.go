@@ -73,6 +73,8 @@ type Stats struct {
 	PhysicalBytesRead, PhysicalBytesWritten int64
 	// Deletes counts removed parameter files.
 	Deletes int64
+	// Syncs counts completed fsyncs of the backing file.
+	Syncs int64
 }
 
 // ReadAmplification returns physical/logical bytes read (1.0 when no reads).
@@ -230,6 +232,19 @@ func (d *Device) Close() error {
 	if err := d.f.Close(); err != nil {
 		return fmt.Errorf("blockio: close: %w", err)
 	}
+	return nil
+}
+
+// Sync commits the backing file to stable storage (fsync): every extent
+// written and every extent erased before the call survives a power loss, not
+// only the death of the process. It is not charged to the modelled clock.
+func (d *Device) Sync() error {
+	if err := d.f.Sync(); err != nil {
+		return fmt.Errorf("blockio: sync: %w", err)
+	}
+	d.mu.Lock()
+	d.stats.Syncs++
+	d.mu.Unlock()
 	return nil
 }
 

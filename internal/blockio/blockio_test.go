@@ -432,6 +432,26 @@ func TestDeviceAccessors(t *testing.T) {
 	}
 }
 
+// TestSyncCountsAndFailsClosed checks that a sync of a live device is counted
+// and that one of a closed device is an error, never a silent success.
+func TestSyncCountsAndFailsClosed(t *testing.T) {
+	d := newTestDevice(t)
+	mustWrite(t, d, file(3, 1))
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Stats().Syncs; got != 1 {
+		t.Fatalf("Syncs = %d after one sync, want 1", got)
+	}
+	d.Close()
+	if err := d.Sync(); err == nil {
+		t.Fatal("a sync of a closed device succeeded")
+	}
+	if got := d.Stats().Syncs; got != 1 {
+		t.Fatalf("Syncs = %d after a failed sync, want 1", got)
+	}
+}
+
 func TestConcurrentWriters(t *testing.T) {
 	d := newTestDevice(t)
 	var wg sync.WaitGroup

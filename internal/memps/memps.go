@@ -8,6 +8,14 @@
 // the updates collected from the HBM-PS afterwards, and evicts infrequently
 // used parameters to the SSD-PS when memory runs short. A combined LRU+LFU
 // cache keeps the frequently used parameters resident to reduce SSD I/O.
+//
+// Evicted parameters collect in a dump buffer. Once a batch completes with
+// the buffer full, the whole buffer is handed to a background write that
+// dumps it to the SSD-PS and then compacts the SSD-PS if needed, so no batch
+// waits for an SSD write. At most one write runs at a time, started in
+// eviction order. The rows it holds stay in the buffer, marked as being
+// written, until they are on the SSD-PS: every lookup finds them there, and
+// none modifies them. Flush and Evict wait the write out first.
 package memps
 
 import (
@@ -54,7 +62,7 @@ type Config struct {
 	// overriding MemoryBudgetBytes when non-zero.
 	LRUEntries, LFUEntries int
 	// DumpBatchSize is how many evicted parameters accumulate before they are
-	// written to the SSD-PS as new files; 0 uses the store's file size.
+	// written to the SSD-PS as new files; 0 uses 256.
 	DumpBatchSize int
 	// Seed seeds the initializer for never-before-seen parameters.
 	Seed int64
@@ -123,15 +131,44 @@ type MemPS struct {
 
 	mu          sync.Mutex
 	cache       *cache.Combined[*embedding.Value]
-	pendingDump map[keys.Key]*embedding.Value
-	seed        int64 // keyed-init seed: same (seed, key) -> same initial value
+	pendingDump map[keys.Key]dumpEntry // the dump buffer
+	seed        int64                  // keyed-init seed: same (seed, key) -> same initial value
 	stats       Stats
+
+	// The background write. epoch is the dump buffer's current epoch: a
+	// write starts by advancing it, so the rows it holds are exactly the
+	// buffer entries of an older epoch. writing is set while it runs, and
+	// writeDone (on mu) is signalled when it ends; writeErr is the failure
+	// of the last write, returned by the next call that waits for it.
+	// writeSet is the rows of the write in flight (owned by it while
+	// writing, reused across writes).
+	epoch     uint64
+	writing   bool
+	writeDone sync.Cond
+	writeErr  error
+	writeSet  map[keys.Key]*embedding.Value
+	// writeHook, when set, is handed every background write's SSD-PS I/O
+	// (the dump and the compaction) to run. Tests use it to hold a write in
+	// flight and to watch for overlapping writes.
+	writeHook func(io func())
 
 	// Scratch reused across batches (safe: every user holds m.mu throughout).
 	applyOrder []int
 	ownedVals  []*embedding.Value
 	miss       missPass
 }
+
+// dumpEntry is a row of the dump buffer: a value evicted from the cache in
+// the given buffer epoch. A row of an older epoch than the buffer's belongs
+// to the write in flight and is read-only until the write ends.
+type dumpEntry struct {
+	v     *embedding.Value
+	epoch uint64
+}
+
+// beingWritten reports whether the write in flight holds e. The caller must
+// hold m.mu.
+func (m *MemPS) beingWritten(e dumpEntry) bool { return e.epoch != m.epoch }
 
 // missPass is the state of one batched miss resolution. A pull or push first
 // probes the cache once per key, noting the misses; the cold ones are then
@@ -212,12 +249,16 @@ func New(cfg Config) (*MemPS, error) {
 	}
 	m := &MemPS{
 		cfg:         cfg,
-		pendingDump: make(map[keys.Key]*embedding.Value),
+		pendingDump: make(map[keys.Key]dumpEntry),
+		writeSet:    make(map[keys.Key]*embedding.Value),
 		seed:        seed,
 	}
+	m.writeDone.L = &m.mu
 	m.cache = cache.NewCombined[*embedding.Value](lru, lfu, func(k uint64, v *embedding.Value) {
-		// Fully evicted from memory: buffer for a batched SSD dump.
-		m.pendingDump[keys.Key(k)] = v
+		// Fully evicted from memory: buffer for a batched SSD dump. A row of
+		// the key that the write in flight holds is an older copy; this one
+		// replaces it in the buffer.
+		m.pendingDump[keys.Key(k)] = dumpEntry{v, m.epoch}
 	})
 	return m, nil
 }
@@ -272,9 +313,16 @@ func (m *MemPS) loadMisses() (time.Duration, error) {
 // counted the miss.
 func (m *MemPS) resolveMiss(k keys.Key, st *PullStats) *embedding.Value {
 	loaded := m.miss.take(k)
-	if v, ok := m.pendingDump[k]; ok {
-		// Not yet written to SSD; pull it back into the cache.
-		delete(m.pendingDump, k)
+	if e, ok := m.pendingDump[k]; ok {
+		// Not yet on the SSD; pull it back into the cache. A row the
+		// background write is reading stays where it is, and the cache gets
+		// a copy of it.
+		v := e.v
+		if m.beingWritten(e) {
+			v = v.Clone()
+		} else {
+			delete(m.pendingDump, k)
+		}
 		m.cache.Put(uint64(k), v)
 		return v
 	}
@@ -595,16 +643,17 @@ func (m *MemPS) LookupAll(ks []keys.Key) (map[keys.Key]*embedding.Value, error) 
 		}
 		if v, ok := m.cache.Get(uint64(k)); ok {
 			out[k] = v.Clone()
-		} else if v, ok := m.pendingDump[k]; ok {
-			out[k] = v.Clone()
+		} else if e, ok := m.pendingDump[k]; ok {
+			out[k] = e.v.Clone()
 		} else {
 			toLoad = append(toLoad, k)
 		}
 	}
 	m.mu.Unlock()
 	if len(toLoad) > 0 {
-		// Outside the lock: a concurrently evicted key is still durable on
-		// the SSD, and Load returns private decoded copies.
+		// Outside the lock: a row leaves the dump buffer only once it is on
+		// the SSD, so a key in neither the cache nor the buffer is there, and
+		// Load returns private decoded copies.
 		loaded, err := m.cfg.Store.Load(toLoad)
 		if err != nil {
 			return out, nil // matching Lookup: unreadable keys read as absent
@@ -764,8 +813,8 @@ func (m *MemPS) HandlePullBlockWire(ks []keys.Key, dst []byte, prec ps.Precision
 // block pushed by a remote driver or peer node into the shard this node
 // owns, exactly like PushBlock. A remote shard never sees CompleteBatch, so
 // the push — which arrives once per training batch — also runs the
-// batch-completion housekeeping (dump full eviction buffers, compact the
-// SSD-PS).
+// batch-completion housekeeping (Maintain): a full eviction buffer is handed
+// to the background write, and the reply does not wait for it.
 func (m *MemPS) HandlePushBlock(blk *ps.ValueBlock) error {
 	if err := m.applyBlock(blk); err != nil {
 		return err
@@ -776,7 +825,9 @@ func (m *MemPS) HandlePushBlock(blk *ps.ValueBlock) error {
 // Evict implements ps.Tier: it demotes the given locally-owned, unpinned
 // parameters from the memory cache to the SSD-PS, flushing the dump buffer
 // along the way. A nil slice demotes everything (equivalent to Flush). It
-// returns how many parameters left main memory for the SSD.
+// returns how many parameters left main memory for the SSD. It first waits
+// out the background write in flight and returns that write's error, if it
+// failed, without evicting anything.
 func (m *MemPS) Evict(ks []keys.Key) (int, error) {
 	if ks == nil {
 		return m.flushAll()
@@ -787,119 +838,190 @@ func (m *MemPS) Evict(ks []keys.Key) (int, error) {
 	// trained parameter.
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if err := m.waitWrite(); err != nil {
+		return 0, err
+	}
 	moved := 0
 	for _, k := range ks {
 		if !m.ownsKey(k) || m.cache.Pinned(uint64(k)) {
 			continue
 		}
 		if v, ok := m.cache.Remove(uint64(k)); ok {
-			m.pendingDump[k] = v
+			m.pendingDump[k] = dumpEntry{v, m.epoch}
 			moved++
 		} else if _, pending := m.pendingDump[k]; pending {
 			moved++ // already demoted out of the cache; flushed below
 		}
 	}
-	if len(m.pendingDump) > 0 {
-		dump := m.pendingDump
-		m.pendingDump = make(map[keys.Key]*embedding.Value)
-		if err := m.cfg.Store.Dump(dump); err != nil {
-			// A failed dump must not lose the buffered values: they are the
-			// only copies (already out of the cache). Restore them so the
-			// next dump retries; m.mu is held, so nothing raced the buffer.
-			m.pendingDump = dump
-			return 0, fmt.Errorf("memps: evict: %w", err)
-		}
-		m.stats.Dumped += int64(len(dump))
+	if _, err := m.dumpBuffer(); err != nil {
+		return 0, fmt.Errorf("memps: evict: %w", err)
 	}
 	m.rec.RecordEvict(moved)
 	return moved, nil
 }
 
-// CompleteBatch unpins the batch's locally-owned working parameters, flushes
-// any accumulated evictions to the SSD-PS when the dump buffer is full, and
-// triggers SSD compaction when disk usage exceeds its threshold
-// (Algorithm 1 lines 17-18).
+// dumpBuffer writes the whole dump buffer to the SSD-PS now and empties it,
+// returning how many rows were written; no background write may be in
+// flight. A failed dump leaves the buffer as it was: outside the cache its
+// rows are the only copies, so they stay reachable by lookups and are
+// retried by the next dump. The caller must hold m.mu throughout.
+func (m *MemPS) dumpBuffer() (int, error) {
+	if len(m.pendingDump) == 0 {
+		return 0, nil
+	}
+	all := make(map[keys.Key]*embedding.Value, len(m.pendingDump))
+	for k, e := range m.pendingDump {
+		all[k] = e.v
+	}
+	if err := m.cfg.Store.Dump(all); err != nil {
+		return 0, err
+	}
+	m.pendingDump = make(map[keys.Key]dumpEntry)
+	m.stats.Dumped += int64(len(all))
+	return len(all), nil
+}
+
+// CompleteBatch unpins the batch's locally-owned working parameters and runs
+// the batch-completion housekeeping (Maintain): a full dump buffer goes to
+// the SSD-PS, and the SSD-PS is compacted when its disk usage exceeds the
+// threshold (Algorithm 1 lines 17-18), both in the background.
 func (m *MemPS) CompleteBatch(ws *WorkingSet) error {
 	if ws == nil {
 		return nil
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	for _, k := range ws.LocalKeys {
 		m.cache.Unpin(uint64(k))
 	}
-	m.mu.Unlock()
-	return m.Maintain()
+	return m.maintain()
 }
 
-// Maintain runs the batch-completion housekeeping without a working set:
-// dump the eviction buffer to the SSD-PS once it is full, and compact the
-// SSD-PS when its disk usage exceeds the threshold. CompleteBatch calls it
-// after unpinning; shard servers call it from the push RPC, which arrives
-// once per training batch.
+// Maintain runs the batch-completion housekeeping without a working set.
+// It waits out the background write in flight, if any, and returns its
+// error if it failed. Otherwise, once the dump buffer is full, it starts the
+// next write — dump the buffer to the SSD-PS, then compact the SSD-PS if its
+// disk usage exceeds the threshold — and returns without waiting for it.
+// CompleteBatch calls it after unpinning; shard servers call it from the push
+// RPC, which arrives once per training batch.
 func (m *MemPS) Maintain() error {
 	m.mu.Lock()
-	dumped := false
-	if len(m.pendingDump) >= m.cfg.DumpBatchSize {
-		// Dump under m.mu so the evicted parameters never become
-		// unreachable to a concurrent (pipelined) batch preparation.
-		dump := m.pendingDump
-		m.pendingDump = make(map[keys.Key]*embedding.Value)
-		if err := m.cfg.Store.Dump(dump); err != nil {
-			// Keep the buffered values reachable for a retry; see Evict.
-			m.pendingDump = dump
-			m.mu.Unlock()
-			return fmt.Errorf("memps: dump evicted parameters: %w", err)
-		}
-		m.stats.Dumped += int64(len(dump))
-		dumped = true
-	}
-	m.mu.Unlock()
+	defer m.mu.Unlock()
+	return m.maintain()
+}
 
-	if dumped {
-		// Compaction only rewrites already-durable files; it can run
-		// outside the MEM-PS lock.
-		if _, err := m.cfg.Store.CompactIfNeeded(); err != nil {
-			return fmt.Errorf("memps: compaction: %w", err)
-		}
+// maintain is Maintain for a caller holding m.mu.
+func (m *MemPS) maintain() error {
+	if err := m.waitWrite(); err != nil {
+		return err
 	}
+	if len(m.pendingDump) < m.cfg.DumpBatchSize {
+		return nil
+	}
+	// The rows stay in the buffer, now of an older epoch than it: lookups
+	// keep finding them, and the next eviction of one of their keys
+	// replaces the row instead of touching what the write reads.
+	for k, e := range m.pendingDump {
+		m.writeSet[k] = e.v
+	}
+	m.epoch++
+	m.writing = true
+	go m.write(m.cfg.Store, m.writeSet)
 	return nil
 }
 
+// waitWrite waits until no background write is in flight, then returns and
+// clears the last write's error. The caller must hold m.mu, which is released
+// while waiting.
+func (m *MemPS) waitWrite() error {
+	for m.writing {
+		m.writeDone.Wait()
+	}
+	err := m.writeErr
+	m.writeErr = nil
+	return err
+}
+
+// write is the background write: it dumps rows to store, compacts the store
+// if its disk usage crossed the threshold, and then settles the rows in the
+// dump buffer. A row the buffer still holds for the write leaves it once it
+// is on the SSD. If the dump failed, it stays for the next write — unless
+// the cache holds a newer copy of its key, which supersedes it.
+func (m *MemPS) write(store *ssdps.Store, rows map[keys.Key]*embedding.Value) {
+	var err, dumpErr error
+	io := func() {
+		if dumpErr = store.Dump(rows); dumpErr != nil {
+			err = fmt.Errorf("memps: dump evicted parameters: %w", dumpErr)
+		} else if _, cerr := store.CompactIfNeeded(); cerr != nil {
+			err = fmt.Errorf("memps: compaction: %w", cerr)
+		}
+	}
+	if m.writeHook != nil {
+		m.writeHook(io)
+	} else {
+		io()
+	}
+
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for k := range rows {
+		e, ok := m.pendingDump[k]
+		switch {
+		case !ok || !m.beingWritten(e):
+			// A newer copy replaced the row.
+		case dumpErr == nil || m.cache.Contains(uint64(k)):
+			delete(m.pendingDump, k)
+		default:
+			m.pendingDump[k] = dumpEntry{e.v, m.epoch}
+		}
+	}
+	if dumpErr == nil {
+		m.stats.Dumped += int64(len(rows))
+	}
+	clear(rows)
+	m.writeErr = err
+	m.writing = false
+	m.writeDone.Broadcast()
+}
+
 // Flush writes every cached parameter and every pending eviction to the
-// SSD-PS. It is called at the end of training to materialize the final model.
+// SSD-PS and fsyncs it, so the state it wrote survives a power loss. It waits
+// out the background write in flight first and returns that write's error,
+// if it failed, without flushing. It is called at the end of training and
+// for every checkpoint.
 func (m *MemPS) Flush() error {
 	_, err := m.flushAll()
 	return err
 }
 
 // flushAll demotes the entire in-memory state (cache and dump buffer) to the
-// SSD-PS, returning how many parameters were written. The dump runs under
-// m.mu so the parameters stay reachable throughout (see Evict).
+// SSD-PS and syncs it, returning how many parameters were written. The dump
+// runs under m.mu so the parameters stay reachable throughout (see Evict);
+// the sync, which covers the background writes before it too, does not.
 func (m *MemPS) flushAll() (int, error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	all := make(map[keys.Key]*embedding.Value, len(m.pendingDump))
-	for k, v := range m.pendingDump {
-		all[k] = v
+	if err := m.waitWrite(); err != nil {
+		m.mu.Unlock()
+		return 0, err
 	}
-	m.pendingDump = make(map[keys.Key]*embedding.Value)
+	// Drain the cache into the dump buffer, so a failed dump leaves every
+	// row there.
 	m.cache.Flush(func(k uint64, v *embedding.Value) {
-		all[keys.Key(k)] = v
+		m.pendingDump[keys.Key(k)] = dumpEntry{v, m.epoch}
 	})
-	if len(all) == 0 {
-		return 0, nil
+	n, err := m.dumpBuffer()
+	if n > 0 {
+		m.rec.RecordEvict(n)
 	}
-	if err := m.cfg.Store.Dump(all); err != nil {
-		// The cache was already drained into all; dropping it here would
-		// silently lose every in-memory parameter. Park everything in the
-		// dump buffer (still reachable by lookups, retried by the next
-		// dump) and surface the error.
-		m.pendingDump = all
+	store := m.cfg.Store
+	m.mu.Unlock()
+	if err != nil {
 		return 0, fmt.Errorf("memps: flush: %w", err)
 	}
-	m.stats.Dumped += int64(len(all))
-	m.rec.RecordEvict(len(all))
-	return len(all), nil
+	if err := store.Sync(); err != nil {
+		return 0, fmt.Errorf("memps: flush: %w", err)
+	}
+	return n, nil
 }
 
 // Lookup returns a copy of the current authoritative value of a locally-owned

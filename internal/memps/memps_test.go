@@ -201,6 +201,9 @@ func TestEvictionDumpAndReload(t *testing.T) {
 		lastWS = ws
 	}
 	_ = lastWS
+	if err := m.Flush(); err != nil { // waits out the background write
+		t.Fatal(err)
+	}
 	if m.Stats().Dumped == 0 {
 		t.Fatal("expected evicted parameters to be dumped to the SSD-PS")
 	}

@@ -145,6 +145,9 @@ func TestMissPathMatchesModel(t *testing.T) {
 			}
 		}
 	}
+	if err := m.Flush(); err != nil { // waits out the background write
+		t.Fatal(err)
+	}
 	if st := m.Stats(); st.Dumped == 0 || m.Store().Len() == 0 {
 		t.Fatalf("nothing reached the SSD-PS (%+v): the test exercised no cold path", st)
 	}

@@ -31,10 +31,10 @@ import (
 func (m *MemPS) Topology() cluster.Topology { return m.cfg.Topology }
 
 // LocalKeys returns every key this shard currently holds a value for, across
-// the cache, the pending-dump buffer and the SSD-PS, deduplicated. It is the
-// enumeration step of re-replication; the set may include keys the current
-// ring no longer assigns to this node (stale leftovers are harmless — they are
-// neither served nor applied).
+// the cache, the dump buffer (rows being written included) and the SSD-PS,
+// deduplicated. It is the enumeration step of re-replication; the set may
+// include keys the current ring no longer assigns to this node (stale
+// leftovers are harmless — they are neither served nor applied).
 func (m *MemPS) LocalKeys() []keys.Key {
 	m.mu.Lock()
 	ks := make([]keys.Key, 0, m.cache.Len()+len(m.pendingDump))
@@ -142,16 +142,15 @@ func (m *MemPS) exportAll(ks []keys.Key) map[keys.Key]*embedding.Value {
 	for _, k := range ks {
 		if v, ok := m.cache.Get(uint64(k)); ok {
 			out[k] = v.Clone()
-		} else if v, ok := m.pendingDump[k]; ok {
-			out[k] = v.Clone()
+		} else if e, ok := m.pendingDump[k]; ok {
+			out[k] = e.v.Clone()
 		} else {
 			toLoad = append(toLoad, k)
 		}
 	}
 	m.mu.Unlock()
 	if len(toLoad) > 0 {
-		// Outside the lock: a concurrently evicted key is still durable on
-		// the SSD, and Load returns private decoded copies.
+		// Outside the lock, as in LookupAll: these keys are on the SSD.
 		if loaded, err := m.cfg.Store.Load(toLoad); err == nil {
 			for k, v := range loaded {
 				out[k] = v

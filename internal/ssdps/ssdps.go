@@ -420,6 +420,10 @@ func (s *Store) Dump(vals map[keys.Key]*embedding.Value) error {
 	return nil
 }
 
+// Sync makes every parameter file written, and every one compaction erased,
+// before the call durable against power loss (see blockio.Device.Sync).
+func (s *Store) Sync() error { return s.dev.Sync() }
+
 // Name names the tier in reports.
 func (s *Store) Name() string { return "ssd-ps" }
 
@@ -497,8 +501,18 @@ func (s *Store) Compact() error {
 		from loc
 		off  int // of the record's bytes in raw
 	}
-	var live []liveRec
-	var raw []byte
+	// Size both buffers once: a victim's live count can only fall while the
+	// pass runs (dumps mark records stale), so this bounds what is collected,
+	// and a pass over megabytes of records leaves no trail of outgrown
+	// buffers for the collector.
+	s.mu.Lock()
+	n := 0
+	for _, v := range victims {
+		n += v.ext.Records - v.stale
+	}
+	s.mu.Unlock()
+	live := make([]liveRec, 0, n)
+	raw := make([]byte, 0, n*s.stride)
 	for _, v := range victims {
 		data, err := s.dev.ReadInto(v.ext, -1, sc.buf)
 		if err != nil {

@@ -288,14 +288,13 @@ func (t *Trainer) applyGlobalPush(pj *pushJob) error {
 			d = time.Since(start)
 		} else {
 			memBefore := n.mem.TierStats().PushTime
-			ssdBefore := n.store.TierStats().PushTime
 			if err := n.mem.PushBlock(ps.PushBlockRequest{Shard: ps.NoShard, Block: pj.global}); err != nil {
 				return err
 			}
 			if err := n.mem.CompleteBatch(pj.wss[n.id]); err != nil {
 				return err
 			}
-			d = (n.mem.TierStats().PushTime - memBefore) + (n.store.TierStats().PushTime - ssdBefore)
+			d = n.mem.TierStats().PushTime - memBefore
 		}
 		mu.Lock()
 		if d > modelled {

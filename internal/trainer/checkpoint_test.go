@@ -20,21 +20,67 @@ import (
 // (sparse weights plus their optimizer state) is exercised: dropping any one
 // of them moves the resumed AUC off the baseline.
 func TestCheckpointResumeMatchesStraightRun(t *testing.T) {
+	checkResumeMatchesStraightRun(t, Config{
+		Topology: cluster.Topology{Nodes: 1, GPUsPerNode: 1},
+		Seed:     11,
+	})
+}
+
+// TestCheckpointResumeMatchesStraightRunEvicting is the same round trip on
+// two nodes whose caches hold 64 rows each: the batches dump their evictions
+// through the MEM-PS's background write (a full dump buffer's worth per
+// batch), the SSD-PS compacts along the way, and the checkpoint cuts in
+// behind a write in flight.
+func TestCheckpointResumeMatchesStraightRunEvicting(t *testing.T) {
+	half := checkResumeMatchesStraightRun(t, Config{
+		Topology:          cluster.Topology{Nodes: 2, GPUsPerNode: 1},
+		Seed:              11,
+		LRUEntries:        32,
+		LFUEntries:        32,
+		ParamsPerFile:     32,
+		SSDThresholdBytes: 64 << 10,
+	})
+	for _, n := range half.nodes {
+		mem, ssd := n.local.Stats(), n.store.Stats()
+		t.Logf("node %d: %d rows dumped, %d compactions", n.id, mem.Dumped, ssd.Compactions)
+		// 256 is the MEM-PS's default dump batch.
+		if want := int64(half.cfg.Batches * 256); mem.Dumped < want || ssd.Compactions == 0 {
+			t.Fatalf("node %d dumped %d rows (want at least %d) and compacted %d times (want some): the writer was not exercised",
+				n.id, mem.Dumped, want, ssd.Compactions)
+		}
+	}
+}
+
+// checkResumeMatchesStraightRun trains base (its model, data, batch shape and
+// depth set here) straight through and in two halves around a checkpoint,
+// and fails unless both land on the same AUC. Nodes are visited in order (the
+// sequential hook), so that with several nodes the dense tower's updates
+// interleave the same way in every run. It returns the first half's trainer,
+// closed.
+func checkResumeMatchesStraightRun(t *testing.T, base Config) *Trainer {
+	t.Helper()
 	data := testData()
-	spec := testSpec()
-	const seed = 11
 	batches, batchSize, evalN := 30, 128, 1500
-	base := Config{
-		Spec:        spec,
-		Data:        data,
-		Topology:    cluster.Topology{Nodes: 1, GPUsPerNode: 1},
-		BatchSize:   batchSize,
-		Batches:     batches,
-		MaxInFlight: 1, // deterministic Algorithm-1 ordering: AUCs must match exactly
-		Seed:        seed,
+	base.Spec = testSpec()
+	base.Data = data
+	base.BatchSize = batchSize
+	base.Batches = batches
+	base.MaxInFlight = 1 // deterministic Algorithm-1 ordering: AUCs must match exactly
+	start := func(cfg Config) *Trainer {
+		t.Helper()
+		tr, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.sequential = true
+		return tr
 	}
 
-	straight := runTrainer(t, base)
+	straight := start(base)
+	t.Cleanup(func() { straight.Close() })
+	if err := straight.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	want := evalAUC(t, straight, dataset.NewGenerator(data, 999), evalN)
 
 	// First incarnation: half the run, then a checkpoint cut by Close.
@@ -44,10 +90,7 @@ func TestCheckpointResumeMatchesStraightRun(t *testing.T) {
 	halfCfg.Dir = filepath.Join(dir, "state")
 	halfCfg.Batches = batches / 2
 	halfCfg.CheckpointPath = ckpt
-	half, err := New(halfCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	half := start(halfCfg)
 	if err := half.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -59,10 +102,7 @@ func TestCheckpointResumeMatchesStraightRun(t *testing.T) {
 	resumeCfg := base
 	resumeCfg.Dir = halfCfg.Dir
 	resumeCfg.CheckpointPath = ckpt
-	resumed, err := New(resumeCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resumed := start(resumeCfg)
 	t.Cleanup(func() { resumed.Close() })
 	done, err := resumed.Restore(ckpt)
 	if err != nil {
@@ -74,7 +114,7 @@ func TestCheckpointResumeMatchesStraightRun(t *testing.T) {
 	if err := resumed.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := resumed.Examples(), int64(batches*batchSize); got != want {
+	if got, want := resumed.Examples(), int64(batches*batchSize*base.Topology.Nodes); got != want {
 		t.Fatalf("resumed run trained %d examples in total, want %d", got, want)
 	}
 
@@ -83,6 +123,7 @@ func TestCheckpointResumeMatchesStraightRun(t *testing.T) {
 	if diff := math.Abs(want - got); diff > 1e-6 {
 		t.Fatalf("resumed run diverged from straight run: |%.6f - %.6f| = %g", got, want, diff)
 	}
+	return half
 }
 
 // TestRestoreValidatesConfig pins the refusal cases: a checkpoint must not be

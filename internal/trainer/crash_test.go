@@ -363,6 +363,12 @@ func TestCrashRestartRecoversDurableState(t *testing.T) {
 	if err := sh0.srv.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// The death also stops the shard's background SSD-PS write where it
+	// stands: close the device under it, and let the write run out against
+	// the closed device, so nothing of the dead shard reaches dir0 once the
+	// new incarnation has opened it. The flush fails; it is only the wait.
+	sh0.mem.Store().Device().Close()
+	sh0.mem.Flush()
 	preCrashPushes := sh0.mem.TierStats().Pushes
 
 	// Restart from the directory alone, on the same address.

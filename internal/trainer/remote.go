@@ -409,7 +409,8 @@ func (r *remoteMem) lookupFailover(part []keys.Key, primErr error) (cluster.Pull
 }
 
 // Flush implements memService: an evict-everything RPC against each assigned
-// member shard, which demotes its entire in-memory state to its SSD-PS.
+// member shard, which demotes its entire in-memory state to its SSD-PS and
+// fsyncs it (memps.MemPS.Evict with a nil key list is its Flush).
 func (r *remoteMem) Flush() error {
 	for _, m := range r.assigned() {
 		if _, err := r.transport.Evict(m, nil); err != nil {

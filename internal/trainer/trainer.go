@@ -1388,8 +1388,10 @@ func (t *Trainer) stagePush(ctx context.Context, j *job) (*job, error) {
 	}
 	defer releaseBlocks()
 
-	// Apply and complete per node. memTime/ssdTime deltas are safe to read
-	// here because only this stage touches the MEM-PS push path.
+	// Apply and complete per node. The MEM-PS push-time delta is safe to read
+	// here because only this stage touches the MEM-PS push path. The SSD-PS
+	// writes are not the stage's: CompleteBatch hands them to the MEM-PS's
+	// background write (blockio still charges them to the clock's SSD).
 	var mu sync.Mutex
 	var modelled time.Duration
 	err := t.eachNode(func(n *node) error {
@@ -1405,7 +1407,6 @@ func (t *Trainer) stagePush(ctx context.Context, j *job) (*job, error) {
 			d = time.Since(start)
 		} else {
 			memBefore := n.mem.TierStats().PushTime
-			ssdBefore := n.store.TierStats().PushTime
 			var pushErr error
 			if fused {
 				s := &t.mergeScratch
@@ -1420,7 +1421,7 @@ func (t *Trainer) stagePush(ctx context.Context, j *job) (*job, error) {
 			if err := n.mem.CompleteBatch(nb.ws); err != nil {
 				return err
 			}
-			d = (n.mem.TierStats().PushTime - memBefore) + (n.store.TierStats().PushTime - ssdBefore)
+			d = n.mem.TierStats().PushTime - memBefore
 		}
 		mu.Lock()
 		if d > modelled {
@@ -1581,7 +1582,9 @@ func (t *Trainer) Tiers() []ps.TierInfo {
 // Flush persists every node's in-memory parameters to its SSD-PS, then
 // writes the checkpoint manifest when one is configured — the flush must
 // come first, so the shard state the manifest describes is on disk before
-// the manifest claims it is.
+// the manifest claims it is. Each MEM-PS flush waits out its background
+// write and fsyncs its SSD-PS (in-process nodes and shard servers alike), so
+// the manifest only ever names synced extents.
 func (t *Trainer) Flush() error {
 	if t.committer != nil {
 		// Every acked push must be applied before the shards flush: the
