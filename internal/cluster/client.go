@@ -70,8 +70,8 @@ const maxRetryBackoff = 2 * time.Second
 type TransportStats struct {
 	// Calls counts completed RPCs; Retries counts extra attempts after a
 	// network failure; Dials counts established connections; Redials counts
-	// the subset established beyond the first per peer (i.e. reconnects
-	// after a drop).
+	// the subset that replaced a dropped connection (a reconnect). Growing a
+	// peer's pool up to SetMaxConnsPerPeer is not a redial.
 	Calls, Retries, Dials, Redials int64
 	// BytesOut / BytesIn estimate the payload traffic in fp32 terms (8 bytes
 	// per key plus the encoded value size, the same accounting as
@@ -100,10 +100,12 @@ type TCPTransport struct {
 	calls   atomic.Int64
 	retries atomic.Int64
 
-	mu        sync.Mutex
-	addrs     map[int]string
-	peers     map[int]*peerConns
-	dialed    map[int]bool  // nodes dialed at least once, for redial counting
+	mu    sync.Mutex
+	addrs map[int]string
+	peers map[int]*peerConns
+	// dropped counts each peer's pooled connections that were dropped and
+	// not replaced yet: the next that many dials to it are redials.
+	dropped   map[int]int
 	prec      ps.Precision  // wire precision requested in hellos and used for push bodies
 	quantPush bool          // quantize push bodies at the negotiated precision
 	maxConns  int           // per-peer connection cap (>= 1)
@@ -145,7 +147,7 @@ func NewTCPTransport(addrs map[int]string, dim int) *TCPTransport {
 		retry:    DefaultRetryPolicy,
 		addrs:    copied,
 		peers:    make(map[int]*peerConns),
-		dialed:   make(map[int]bool),
+		dropped:  make(map[int]int),
 		maxConns: 1,
 	}
 }
@@ -161,6 +163,9 @@ func (t *TCPTransport) SetAddr(nodeID int, addr string) {
 	t.addrs[nodeID] = addr
 	p := t.peers[nodeID]
 	delete(t.peers, nodeID)
+	if p != nil {
+		t.dropped[nodeID] += len(p.conns)
+	}
 	t.mu.Unlock()
 	if p != nil {
 		for _, c := range p.conns {
@@ -314,10 +319,10 @@ func (t *TCPTransport) acquireConn(nodeID int, policy RetryPolicy) (*tcpConn, er
 		return c, nil
 	}
 	t.dials.Add(1)
-	if t.dialed[nodeID] {
-		t.redials.Add(1) // this peer had a connection before: a reconnect
+	if t.dropped[nodeID] > 0 {
+		t.redials.Add(1) // it takes a dropped connection's place: a reconnect
+		t.dropped[nodeID]--
 	}
-	t.dialed[nodeID] = true
 	p.conns = append(p.conns, c)
 	t.mu.Unlock()
 	return c, nil
@@ -369,6 +374,7 @@ func (t *TCPTransport) dropConn(nodeID int, c *tcpConn) {
 		for i, cur := range p.conns {
 			if cur == c {
 				p.conns = append(p.conns[:i], p.conns[i+1:]...)
+				t.dropped[nodeID]++
 				break
 			}
 		}

@@ -406,6 +406,67 @@ func TestServeTCPValidation(t *testing.T) {
 	}
 }
 
+// TestRedialsCountOnlyReconnects pins the meaning of TransportStats.Redials:
+// growing a peer's pool to its cap is dialing, not reconnecting, so a pool of
+// four busy connections reports four dials and no redial; a connection that
+// replaces one the transport dropped is a redial, and so is each replacement
+// of the connections SetAddr dropped.
+func TestRedialsCountOnlyReconnects(t *testing.T) {
+	srv, err := ServeTCP("127.0.0.1:0", newMapHandler(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	tr := NewTCPTransport(map[int]string{0: srv.Addr()}, 2)
+	defer tr.Close()
+	const poolSize = 4
+	tr.SetMaxConnsPerPeer(poolSize)
+
+	// fillPool holds every pooled connection at once (idle ones are taken,
+	// missing ones dialed), then hands them all back.
+	fillPool := func() {
+		t.Helper()
+		held := make([]*tcpConn, poolSize)
+		for i := range held {
+			c, err := tr.acquireConn(0, tr.retry)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held[i] = c
+		}
+		for _, c := range held {
+			tr.release(c)
+		}
+	}
+	check := func(what string, dials, redials int64) {
+		t.Helper()
+		if st := tr.Stats(); st.Dials != dials || st.Redials != redials {
+			t.Fatalf("%s: %d dials, %d redials; want %d and %d", what, st.Dials, st.Redials, dials, redials)
+		}
+	}
+
+	fillPool()
+	for k := keys.Key(1); k <= 8; k++ {
+		if _, _, err := pull(tr, 0, []keys.Key{k}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("a full pool, no drop", poolSize, 0)
+
+	c, err := tr.acquireConn(0, tr.retry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.dropConn(0, c)
+	c.mu.Unlock()
+	fillPool()
+	check("one dropped connection replaced", poolSize+1, 1)
+
+	tr.SetAddr(0, srv.Addr())
+	fillPool()
+	check("a repointed peer's pool rebuilt", 2*poolSize+1, 1+poolSize)
+}
+
 // TestOverflowConnsAreClosed covers the pool-overfill path: when concurrent
 // first RPCs dial more connections than SetMaxConnsPerPeer allows, the
 // surplus ones serve their one RPC unpublished — and must then be closed, or

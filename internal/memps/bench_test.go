@@ -1,6 +1,7 @@
 package memps
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -76,6 +77,34 @@ func BenchmarkBatchPullHotBlock(b *testing.B) {
 		if err := m.CompleteBatch(ws); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPrepareOwnedInto measures the in-process pull of one owner: the
+// cache-resident union of two nodes' 1,024-key working sets, 40% of each
+// shared with the other, resolved and pinned once and copied into both
+// nodes' blocks, then completed.
+func BenchmarkPrepareOwnedInto(b *testing.B) {
+	m := benchMemPS(b, 4096, 4096)
+	const perNode, shared = 1024, 410
+	all := benchKeys(2*perNode - shared)
+	set0 := keys.Dedup(slices.Clone(all[:perNode]))
+	set1 := keys.Dedup(slices.Clone(all[perNode-shared:]))
+	union := keys.Dedup(slices.Clone(all))
+	blocks, rows := blocksFor(8, set0, set1), ownedRows(union, set0, set1)
+	batch := func() {
+		ws, err := m.PrepareOwnedInto(union, blocks, rows)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := m.CompleteBatch(&ws); err != nil {
+			b.Fatal(err)
+		}
+	}
+	batch() // first references
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch()
 	}
 }
 

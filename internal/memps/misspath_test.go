@@ -12,7 +12,8 @@ import (
 	"hps/internal/simtime"
 )
 
-// TestMissPathMatchesModel drives every pull and push form over a cache far
+// TestMissPathMatchesModel drives every pull and push form (PrepareOwnedInto
+// included, with two nodes' blocks to fill) over a cache far
 // smaller than the key space, so that each call finds its keys spread over
 // the cache, the dump buffer and the SSD-PS (and some nowhere yet), against a
 // model that applies the same deltas to its own copy of every value. A value
@@ -74,7 +75,7 @@ func TestMissPathMatchesModel(t *testing.T) {
 		}
 	}
 	for step := 0; step < 400; step++ {
-		switch rng.Intn(6) {
+		switch rng.Intn(7) {
 		case 0: // a training batch: pinned pull, push, unpin
 			ks := keys.Dedup(someKeys())
 			blk := &ps.ValueBlock{}
@@ -142,6 +143,25 @@ func TestMissPathMatchesModel(t *testing.T) {
 				if model[k] != nil { // LookupAll does not materialize
 					check("LookupAll", k, got[k])
 				}
+			}
+		case 6: // one owner's share of a two-node batch: resolve, push, unpin
+			a, b := keys.Dedup(someKeys()), keys.Dedup(someKeys())
+			union := keys.Dedup(append(slices.Clone(a), b...))
+			blocks := blocksFor(dim, a, b)
+			ws, err := m.PrepareOwnedInto(union, blocks, ownedRows(union, a, b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, blk := range blocks {
+				for i, k := range blk.Keys {
+					check("PrepareOwnedInto", k, blk.Value(i))
+				}
+			}
+			if err := m.PushBlock(ps.PushBlockRequest{Block: deltaBlock(union)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.CompleteBatch(&ws); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}

@@ -1,0 +1,187 @@
+package memps
+
+import (
+	"slices"
+	"testing"
+
+	"hps/internal/cluster"
+	"hps/internal/keys"
+	"hps/internal/ps"
+	"hps/internal/simtime"
+)
+
+// ownedRows maps the sorted keys ks onto the sorted key sets of the nodes'
+// blocks: rows[r][x] is ks[x]'s position in sets[r], -1 when it is absent —
+// the row maps PrepareOwnedInto takes.
+func ownedRows(ks []keys.Key, sets ...[]keys.Key) [][]int32 {
+	rows := make([][]int32, len(sets))
+	for r, set := range sets {
+		rows[r] = make([]int32, len(ks))
+		for x, k := range ks {
+			rows[r][x] = -1
+			if i, ok := slices.BinarySearch(set, k); ok {
+				rows[r][x] = int32(i)
+			}
+		}
+	}
+	return rows
+}
+
+// blocksFor returns one fresh block per key set, shaped by it.
+func blocksFor(dim int, sets ...[]keys.Key) []*ps.ValueBlock {
+	out := make([]*ps.ValueBlock, len(sets))
+	for i, set := range sets {
+		out[i] = ps.NewValueBlock(dim)
+		out[i].Reset(dim, set)
+	}
+	return out
+}
+
+// TestPrepareOwnedIntoPinsOnceUntilComplete resolves node 0's share of a
+// two-node batch whose nodes reference some of the same keys: each owned key
+// is copied into every block that wants it, is pinned once however many
+// nodes want it — so one CompleteBatch releases it — and no row of a key the
+// node does not own is touched.
+func TestPrepareOwnedIntoPinsOnceUntilComplete(t *testing.T) {
+	clock := simtime.NewClock()
+	m, err := New(Config{
+		NodeID:     0,
+		Dim:        4,
+		Topology:   cluster.Topology{Nodes: 2, GPUsPerNode: 1},
+		Transport:  cluster.NoRoute{},
+		Store:      newStore(t, 4, clock),
+		Clock:      clock,
+		LRUEntries: 2, // far below the union: the pins must hold the keys
+		LFUEntries: 2,
+		Seed:       1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := []keys.Key{2, 3, 4, 6}, []keys.Key{4, 5, 6, 8}
+	union := []keys.Key{2, 4, 6, 8} // node 0 owns the even keys
+	blocks := blocksFor(4, a, b)
+	ws, err := m.PrepareOwnedInto(union, blocks, ownedRows(union, a, b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ws.LocalKeys, union) || ws.Stats.LocalKeys != 4 || ws.Stats.NewParams != 4 {
+		t.Fatalf("working set = %+v", ws)
+	}
+	for r, blk := range blocks {
+		for i, k := range blk.Keys {
+			if k%2 == 1 {
+				if blk.Present[i] {
+					t.Fatalf("block %d: row of key %d, owned by node 1, was written", r, k)
+				}
+				continue
+			}
+			want := m.Lookup(k)
+			if got := blk.Value(i); got == nil || !slices.Equal(got.Weights, want.Weights) || got.Freq != want.Freq {
+				t.Fatalf("block %d: key %d is %+v, the MEM-PS holds %+v", r, k, got, want)
+			}
+		}
+	}
+	for _, k := range union {
+		if !m.cache.Pinned(uint64(k)) {
+			t.Fatalf("key %d not pinned by its batch", k)
+		}
+	}
+	if err := m.CompleteBatch(&ws); err != nil {
+		t.Fatal(err)
+	}
+	if n := m.PinnedKeys(); n != 0 {
+		t.Fatalf("%d keys still pinned after CompleteBatch: a key both nodes wanted was pinned twice", n)
+	}
+	if st := m.Stats(); st.LocalKeys != 4 || st.RemoteKeys != 0 || st.BatchesPrepared != 1 {
+		t.Fatalf("stats = %+v", st)
+	}
+
+	// The rows a node receives from a peer count as remote keys, one pull
+	// per peer.
+	m.ReceivePeerRows(2)
+	if st := m.Stats(); st.RemoteKeys != 2 || st.RemotePulls != 1 {
+		t.Fatalf("after receiving 2 peer rows, stats = %+v", st)
+	}
+
+	// Malformed requests fail before anything is pinned.
+	for name, call := range map[string]func() error{
+		"unsorted": func() error {
+			ks := []keys.Key{4, 2}
+			_, err := m.PrepareOwnedInto(ks, blocksFor(4, ks), ownedRows(ks, ks))
+			return err
+		},
+		"foreign": func() error {
+			ks := []keys.Key{2, 3}
+			_, err := m.PrepareOwnedInto(ks, blocksFor(4, ks), ownedRows(ks, ks))
+			return err
+		},
+		"short row map": func() error {
+			_, err := m.PrepareOwnedInto(union, blocksFor(4, a), [][]int32{{0}})
+			return err
+		},
+	} {
+		if call() == nil {
+			t.Fatalf("%s request accepted", name)
+		}
+	}
+	if n := m.PinnedKeys(); n != 0 {
+		t.Fatalf("rejected requests left %d keys pinned", n)
+	}
+}
+
+// TestPrepareOwnedIntoLoadFailureUnpins fails the SSD-PS load of a batch
+// whose cache hits were already pinned: the failed call must withdraw them,
+// as PrepareInto's does, since CompleteBatch is never called for it.
+func TestPrepareOwnedIntoLoadFailureUnpins(t *testing.T) {
+	m := failableNode(t, t.TempDir(), 8, 8)
+	all := make([]keys.Key, 40)
+	for i := range all {
+		all[i] = keys.Key(i + 1)
+	}
+	ws, _ := prepare(t, m, all)
+	if err := m.CompleteBatch(ws); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Evict(nil); err != nil { // everything on the SSD-PS
+		t.Fatal(err)
+	}
+	ws, _ = prepare(t, m, all[:4]) // these four are cache hits from now on
+	if err := m.CompleteBatch(ws); err != nil {
+		t.Fatal(err)
+	}
+	breakStore(t, m)
+	ks := all[:10]
+	if _, err := m.PrepareOwnedInto(ks, blocksFor(4, ks), ownedRows(ks, ks)); err == nil {
+		t.Fatal("a batch with SSD-resident keys prepared over a broken store")
+	}
+	if n := m.PinnedKeys(); n != 0 {
+		t.Fatalf("the failed prepare left %d keys pinned", n)
+	}
+}
+
+// TestPrepareOwnedIntoAllocatesNothing pins the steady hot state of the
+// in-process pull: two nodes' shares of cache-resident keys resolved and
+// completed, with no allocation.
+func TestPrepareOwnedIntoAllocatesNothing(t *testing.T) {
+	m := singleNode(t, 256, 256)
+	ks := make([]keys.Key, 64)
+	for i := range ks {
+		ks[i] = keys.Key(i + 1)
+	}
+	a, b := ks[:40], ks[24:]
+	blocks, rows := blocksFor(4, a, b), ownedRows(ks, a, b)
+	batch := func() {
+		ws, err := m.PrepareOwnedInto(ks, blocks, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.CompleteBatch(&ws); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch()
+	if allocs := testing.AllocsPerRun(50, batch); allocs != 0 {
+		t.Fatalf("a warm PrepareOwnedInto + CompleteBatch allocates %.1f times", allocs)
+	}
+}

@@ -416,6 +416,70 @@ func TestWriteBehindFailureKeepsRows(t *testing.T) {
 	n.checkRecovered()
 }
 
+// TestWriteBehindSparesHoldCopies checks the recycling of written rows: once
+// a write has put its rows on the SSD-PS, the next write's rows pulled back
+// into the cache are copied into those values, bit for bit, never into a row
+// still being written, and updating the copies leaves the rows the write
+// reads alone.
+func TestWriteBehindSparesHoldCopies(t *testing.T) {
+	n := newWBNode(t, 16, 16)
+	m := n.m
+	n.batchesUntilWrite()
+	m.mu.Lock()
+	for m.writing {
+		m.writeDone.Wait()
+	}
+	spares := map[*embedding.Value]bool{}
+	for _, v := range m.spare {
+		spares[v] = true
+	}
+	m.mu.Unlock()
+	if len(spares) == 0 {
+		t.Fatal("a successful write left no spare values")
+	}
+
+	held, release := holdNextWrite(m)
+	n.batchesUntilWrite()
+	<-held
+	rows := n.rowsInFlight()
+	before, _ := m.LookupAll(rows)
+	ws, pulled := prepare(t, m, rows)
+	for i, k := range rows {
+		n.check("PrepareInto", k, pulled.Value(i))
+	}
+	m.mu.Lock()
+	reused := 0
+	for _, k := range rows {
+		v, _ := m.cache.Get(uint64(k))
+		if v == m.pendingDump[k].v {
+			t.Fatalf("key %d: the cache shares the row being written", k)
+		}
+		if spares[v] {
+			reused++
+		}
+	}
+	m.mu.Unlock()
+	if reused == 0 {
+		t.Fatal("no row pulled back out of the write in flight went into a spare value")
+	}
+	push(t, m, n.deltas(rows))
+	m.mu.Lock()
+	for _, k := range rows {
+		if !sameBits(m.pendingDump[k].v, before[k]) {
+			t.Fatalf("key %d: updating the cached copy changed the row being written", k)
+		}
+	}
+	m.mu.Unlock()
+	release()
+	if err := m.CompleteBatch(ws); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	n.checkRecovered()
+}
+
 // TestWriteBehindHitPathAllocatesNothing pins the steady hot state: pushes,
 // batch completions and serves over cache-resident keys, with the write
 // machinery idle, allocate nothing.

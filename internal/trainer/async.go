@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"hps/internal/cluster"
-	"hps/internal/memps"
 	"hps/internal/ps"
 )
 
@@ -111,9 +110,9 @@ func (g *depthGate) setLimit(n int) {
 type pushJob struct {
 	index  int
 	global *ps.ValueBlock
-	// wss are the per-node working sets to complete after the push lands
-	// (in-process mode only; the remote working set holds no pins).
-	wss []*memps.WorkingSet
+	// owned are the per-node owned pulls to complete after the push lands
+	// (in-process mode only; a shard server pins nothing for the driver).
+	owned []*ownedPull
 }
 
 // pushCommitter applies merged delta blocks to the MEM-PS tier on a background
@@ -291,7 +290,7 @@ func (t *Trainer) applyGlobalPush(pj *pushJob) error {
 			if err := n.mem.PushBlock(ps.PushBlockRequest{Shard: ps.NoShard, Block: pj.global}); err != nil {
 				return err
 			}
-			if err := n.mem.CompleteBatch(pj.wss[n.id]); err != nil {
+			if err := n.completePull(pj.owned[n.id]); err != nil {
 				return err
 			}
 			d = n.mem.TierStats().PushTime - memBefore

@@ -8,7 +8,6 @@ import (
 
 	"hps/internal/cluster"
 	"hps/internal/keys"
-	"hps/internal/memps"
 	"hps/internal/model"
 	"hps/internal/ps"
 )
@@ -153,16 +152,15 @@ func BenchmarkStagePushMultiNode(b *testing.B) {
 		templates[nid] = fill(keys.Dedup(ks))
 	}
 
-	j := &job{index: 0, nodes: []*nodeBatch{
-		{ws: &memps.WorkingSet{}},
-		{ws: &memps.WorkingSet{}},
-	}}
+	j := &job{index: 0, nodes: []*nodeBatch{{}, {}}}
+	owned := []*ownedPull{{}, {}} // nothing pinned: the push completes empty pulls
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for nid, nb := range j.nodes {
 			blk := ps.GetBlock(dim, nil)
 			blk.CopyFrom(templates[nid])
 			nb.deltas = blk
+			nb.owned = owned[nid]
 		}
 		if _, err := tr.stagePush(context.Background(), j); err != nil {
 			b.Fatal(err)

@@ -19,16 +19,15 @@ import (
 type memService interface {
 	Name() string
 	TierStats() ps.Stats
-	// PrepareInto assembles (and, where supported, pins) the working set of
-	// a batch's referenced keys, delivering the values in dst's flat rows
-	// (sorted unique-key order). The returned WorkingSet carries keys, pins
-	// and statistics.
+	// PrepareInto assembles the working set of a batch's referenced keys,
+	// delivering the values in dst's flat rows (sorted unique-key order).
+	// The returned WorkingSet carries its statistics. The trainer calls it in
+	// multi-process mode only: in process every MEM-PS resolves the keys it
+	// owns for all nodes at once (memps.MemPS.PrepareOwnedInto).
 	PrepareInto(working []keys.Key, dst *ps.ValueBlock) (*memps.WorkingSet, error)
 	// PushBlock merges the collected delta block (flat rows, changed keys
 	// only) into the authoritative copies of the shard this node owns.
 	PushBlock(req ps.PushBlockRequest) error
-	// CompleteBatch releases a prepared working set.
-	CompleteBatch(ws *memps.WorkingSet) error
 	// LookupAll reads current values without materializing missing keys.
 	// A missing key is absent from the result; an error means the values
 	// could not be read at all (e.g. an unreachable shard).
@@ -355,10 +354,6 @@ func (r *remoteMem) pushFailover(sp stampedPusher, client, seq uint64, sub *ps.V
 	}
 	return total, nil
 }
-
-// CompleteBatch implements memService. Nothing was pinned driver-side, and
-// the shard server runs its own housekeeping from the push RPC.
-func (r *remoteMem) CompleteBatch(*memps.WorkingSet) error { return nil }
 
 // LookupAll implements memService with the no-create lookup RPC, split by
 // owning member and failing over to each key's backup when an owner is

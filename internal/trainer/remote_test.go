@@ -144,6 +144,51 @@ func TestRemoteShardsMatchLocalAUC(t *testing.T) {
 	}
 }
 
+// TestPullPipelineIsReproducible trains the same multi-process run with one
+// pull RPC per shard and with every shard partition split into two
+// concurrent chunks. The chunks reach a shard in either order, but a
+// never-before-seen parameter's initial value depends only on (seed, key),
+// so the runs must end bit-identical: dense tower, optimizer state and AUC.
+func TestPullPipelineIsReproducible(t *testing.T) {
+	data := testData()
+	spec := testSpec()
+	topo := cluster.Topology{Nodes: 2, GPUsPerNode: 1}
+	run := func(pipeline int) (auc float64, params, state []float32) {
+		t.Helper()
+		_, addrs := startShards(t, topo, spec.EmbeddingDim, 7, 96, 96)
+		tr, err := New(Config{
+			Spec:         spec,
+			Data:         data,
+			Topology:     topo,
+			BatchSize:    128,
+			Batches:      20,
+			MaxInFlight:  1,
+			Seed:         7,
+			RemoteShards: addrs,
+			PullPipeline: pipeline,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tr.Close() })
+		tr.sequential = true
+		if err := tr.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		params, state = denseFlats(tr)
+		return evalAUC(t, tr, dataset.NewGenerator(data, 999), 1500), params, state
+	}
+	oneAUC, oneParams, oneState := run(1)
+	twoAUC, twoParams, twoState := run(2)
+	t.Logf("AUC with 1 pull per shard = %.6f, with 2 chunks = %.6f", oneAUC, twoAUC)
+	if !sameBits(oneParams, twoParams) || !sameBits(oneState, twoState) {
+		t.Fatal("chunked pulls changed the trained dense tower")
+	}
+	if oneAUC != twoAUC {
+		t.Fatalf("chunked pulls changed the AUC: %.9f != %.9f", twoAUC, oneAUC)
+	}
+}
+
 // quantBand is how far the mean held-out AUC of a quantized-wire
 // configuration, averaged over aucSeeds, may land from the fp32-wire mean.
 // The runs are deterministic (sequential hook, one RPC in flight), so what a

@@ -65,6 +65,10 @@ type Report struct {
 	Tiers []ps.TierInfo
 	// CacheHitRate is the MEM-PS cache hit rate across nodes (Fig 4c).
 	CacheHitRate float64
+	// PushMisses counts the pushed rows whose key had left its MEM-PS cache
+	// before the push applied it, across in-process nodes. A batch's pull
+	// pins every key its push can touch, so it stays zero.
+	PushMisses int64
 	// SSD aggregates the SSD-PS store statistics across nodes.
 	SSD ssdps.Stats
 	// ReadAmplification is the SSD device read amplification across nodes.
@@ -202,6 +206,7 @@ func (t *Trainer) Report() Report {
 		cs := n.local.CacheStats()
 		hits += cs.Hits
 		lookups += cs.Hits + cs.Misses
+		r.PushMisses += n.local.Stats().PushMisses
 		r.SSD = addSSDStats(r.SSD, n.store.Stats())
 		ssdPushed += n.store.TierStats().KeysPushed
 		ds := n.dev.Stats()
@@ -294,8 +299,8 @@ func (r Report) String() string {
 			ti.Stats.Pushes, ti.Stats.KeysPushed, ti.Stats.PushTime.Round(time.Microsecond), ti.Stats.KeysEvicted)
 	}
 	if r.Remote == nil {
-		fmt.Fprintf(&b, "mem-ps cache hit rate %.1f%%   ssd-ps: %d files, %d live / %d stale params, %d compactions, read amplification %.1fx, write amplification %.2fx (%d records rewritten)\n",
-			100*r.CacheHitRate, r.SSD.Files, r.SSD.LiveParams, r.SSD.StaleParams, r.SSD.Compactions, r.ReadAmplification,
+		fmt.Fprintf(&b, "mem-ps cache hit rate %.1f%% (%d pushed rows missed)   ssd-ps: %d files, %d live / %d stale params, %d compactions, read amplification %.1fx, write amplification %.2fx (%d records rewritten)\n",
+			100*r.CacheHitRate, r.PushMisses, r.SSD.Files, r.SSD.LiveParams, r.SSD.StaleParams, r.SSD.Compactions, r.ReadAmplification,
 			r.WriteAmplification, r.SSD.Rewritten)
 		if r.SSD.DroppedExtents > 0 {
 			fmt.Fprintf(&b, "ssd-ps recovery dropped %d torn extents\n", r.SSD.DroppedExtents)

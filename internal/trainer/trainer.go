@@ -1,8 +1,9 @@
 // Package trainer composes the three parameter-server tiers into the paper's
 // end-to-end hierarchical training system (Sections 3-6): training batches
-// stream from HDFS, the MEM-PS of every node assembles and pins the batch's
-// working parameters (pulling cold ones from its SSD-PS and remote ones from
-// the other nodes), the HBM-PS loads the working set into the node's GPUs,
+// stream from HDFS, the MEM-PS of every node resolves and pins the batch's
+// working parameters it owns (pulling cold ones from its SSD-PS) and hands
+// each node the ones it references, the HBM-PS loads the working set into
+// the node's GPUs,
 // per-GPU workers train with concurrent batched pull/push against the HBM-PS,
 // and the collected updates are synchronized across nodes and merged back
 // into the authoritative MEM-PS copies, which demote cold parameters to the
@@ -23,7 +24,10 @@
 //
 // Parameter movement is batched end to end: stagePull assembles each node's
 // working set into a flat ps.ValueBlock (one row per unique key, no per-value
-// map), stageTrain loads that block straight into the HBM-PS, and each GPU
+// map) — in process every MEM-PS resolves the keys it owns once for all
+// nodes, copying each value into the row of every block that wants it and
+// keeping it pinned until the push — stageTrain loads that block straight
+// into the HBM-PS, and each GPU
 // worker issues exactly one block pull and one block commit per mini-batch —
 // it pulls its shard's keys into a reused ValueBlock, addresses every
 // example's features by row offset, applies the sparse optimizer to the block
@@ -155,10 +159,9 @@ type Config struct {
 	// one RPC per owning shard; larger values split each shard's partition
 	// into chunks pulled concurrently over multiple connections, overlapping
 	// network wait with HBM working-set staging. Concurrent chunks can reach
-	// the shard in either order, so the random initialization of
-	// never-before-seen parameters is no longer bit-reproducible across runs
-	// (it stays statistically identical); keep the default where exact
-	// reproducibility matters.
+	// the shard in either order; that changes nothing a run computes, because
+	// a never-before-seen parameter's initial value depends only on (seed,
+	// key) (TestPullPipelineIsReproducible).
 	PullPipeline int
 	// Serve activates the shard servers' online-serving tier (multi-process
 	// mode only): the trainer publishes the peer address map and the dense
@@ -255,6 +258,11 @@ type node struct {
 	// circulation.
 	indexer keys.IndexBuilder
 	indexes chan *keys.Index
+	// pulls recycles the node's ownedPulls the same way (in-process only):
+	// stagePull takes one, and the batch's push hands it back once the MEM-PS
+	// has completed the batch. It has a slot for every batch that may lie
+	// between the two, the ones parked in the async committer included.
+	pulls chan *ownedPull
 	// workers[g] is GPU g's training state. stageTrain runs on one pipeline
 	// goroutine and trainOnGPUs gives each GPU one goroutine, so a worker is
 	// only ever used by one goroutine at a time.
@@ -268,7 +276,10 @@ type nodeBatch struct {
 	// the pull stage (Unique) and the GPU workers (Rows) until the batch has
 	// trained.
 	index *keys.Index
-	ws    *memps.WorkingSet
+	// owned is what this node's MEM-PS resolved and pinned for the batch, in
+	// process: the batch's keys it owns, for every node. The push completes
+	// it. (A shard server pins nothing for the driver.)
+	owned *ownedPull
 	// block holds the working-set values (flat rows, sorted unique-key
 	// order) between the pull and train stages; it is returned to the block
 	// pool as soon as the HBM-PS has loaded it.
@@ -288,11 +299,10 @@ type job struct {
 
 // Trainer is the end-to-end hierarchical training system.
 type Trainer struct {
-	cfg       Config
-	clock     *simtime.Clock
-	fabric    *interconnect.Fabric
-	transport *cluster.LocalTransport
-	nodes     []*node
+	cfg    Config
+	clock  *simtime.Clock
+	fabric *interconnect.Fabric
+	nodes  []*node
 
 	// Multi-process mode: the shared TCP transport to the shard servers and
 	// the real-network accounting, nil for in-process runs.
@@ -355,6 +365,12 @@ type Trainer struct {
 	// can report how far its parameters trail training.
 	trainedEpoch atomic.Uint64
 
+	// pullBlocks and pullCursors are stagePull's in-process scratch: every
+	// node's block of the batch, in node order, and the per-node cursors of
+	// the owner split. The pipeline runs the stage on a single goroutine.
+	pullBlocks  []*ps.ValueBlock
+	pullCursors []int
+
 	// mergeScratch reuses the delta-merge state across batches; it is only
 	// touched by stagePush, which the pipeline runs on a single goroutine.
 	mergeScratch struct {
@@ -408,6 +424,10 @@ func New(cfg Config) (*Trainer, error) {
 				return nil, fmt.Errorf("trainer: no remote shard address for member %d", id)
 			}
 		}
+	} else if cfg.Topology.Replicas > 1 {
+		// In process every key is resolved, pinned and updated at its one
+		// owner (stagePull, stagePush); nothing would keep backup copies.
+		return nil, fmt.Errorf("trainer: %d replicas need multi-process mode (RemoteShards)", cfg.Topology.Replicas)
 	}
 
 	dir := cfg.Dir
@@ -425,7 +445,6 @@ func New(cfg Config) (*Trainer, error) {
 		cfg:           cfg,
 		clock:         clock,
 		fabric:        interconnect.NewFabric(cfg.Profile, clock),
-		transport:     cluster.NewLocalTransport(dim),
 		denseOpt:      optimizer.Adagrad{LR: cfg.DenseLR, InitialAccumulator: 0.1},
 		sparseOpt:     optimizer.Adagrad{LR: cfg.SparseLR, InitialAccumulator: 0.1},
 		stageModelled: make(map[string]time.Duration),
@@ -466,9 +485,6 @@ func New(cfg Config) (*Trainer, error) {
 			return nil, err
 		}
 		t.nodes = append(t.nodes, n)
-		if n.local != nil {
-			t.transport.Register(id, n.local)
-		}
 	}
 	if cfg.Serve {
 		if t.remote == nil {
@@ -526,15 +542,14 @@ func (t *Trainer) buildNode(id int, root string) (_ *node, err error) {
 		if err != nil {
 			return nil, fmt.Errorf("trainer: node %d ssd-ps: %w", id, err)
 		}
-		var transport cluster.Transport
-		if cfg.Topology.Nodes > 1 {
-			transport = t.transport
-		}
 		local, err = memps.New(memps.Config{
-			NodeID:            id,
-			Dim:               cfg.Spec.EmbeddingDim,
-			Topology:          cfg.Topology,
-			Transport:         transport,
+			NodeID:   id,
+			Dim:      cfg.Spec.EmbeddingDim,
+			Topology: cfg.Topology,
+			// Every owner copies the keys it owns into the blocks of the
+			// nodes that want them (stagePull), so no MEM-PS pulls from a
+			// peer.
+			Transport:         cluster.NoRoute{},
 			Store:             store,
 			Fabric:            t.fabric,
 			Clock:             t.clock,
@@ -576,7 +591,8 @@ func (t *Trainer) buildNode(id int, root string) (_ *node, err error) {
 		workers[g] = t.newGPUWorker()
 	}
 	return &node{id: id, gen: gen, stream: stream, dev: dev, store: store, local: local, mem: mem, hbm: hbm,
-		indexes: make(chan *keys.Index, cfg.MaxInFlight+readAhead), workers: workers}, nil
+		indexes: make(chan *keys.Index, cfg.MaxInFlight+readAhead),
+		pulls:   make(chan *ownedPull, cfg.MaxInFlight+cfg.PushLag), workers: workers}, nil
 }
 
 // eachNode runs fn for every node concurrently and returns the first error.
@@ -776,48 +792,30 @@ func (t *Trainer) stageRead(_ context.Context, j *job) (*job, error) {
 	return j, nil
 }
 
-// stagePull has every node's MEM-PS assemble and pin the batch's working
-// parameters (Algorithm 1 lines 3-4): cache hits from memory, misses from
-// the SSD-PS, remote shards from the owning nodes.
+// stagePull assembles every node's working parameters and has their owners
+// pin them (Algorithm 1 lines 3-4): cache hits from memory, misses from the
+// SSD-PS, peer-owned keys from their owners. In process every MEM-PS resolves
+// the batch's keys it owns for all nodes at once (pullOwned); in
+// multi-process mode each node pulls its working set from the shard servers
+// (pullWorkingSet).
 func (t *Trainer) stagePull(_ context.Context, j *job) (*job, error) {
 	t.maybeDelay(StagePull)
+	pull := t.pullWorkingSet
+	if t.remote == nil {
+		if err := t.splitByOwner(j); err != nil {
+			return nil, err
+		}
+		pull = t.pullOwned
+	}
 	var mu sync.Mutex
 	var modelled time.Duration
 	err := t.eachNode(func(n *node) error {
-		nb := j.nodes[n.id]
-		blk := ps.GetBlock(t.cfg.Spec.EmbeddingDim, nil)
-		// Stage the HBM partition of the batch's key set while the values are
-		// still in flight from the MEM-PS: stageTrain's LoadBlock adopts the
-		// buckets instead of re-partitioning after the pull. Only the
-		// multi-process path overlaps — it genuinely waits on sockets; the
-		// in-process pull is pure CPU, so a staging goroutine would just add
-		// scheduling overhead.
-		ks := nb.index.Unique
-		var staged chan struct{}
-		if t.remote != nil {
-			staged = make(chan struct{})
-			go func() {
-				n.hbm.StagePartition(ks)
-				close(staged)
-			}()
-		}
-		ws, err := n.mem.PrepareInto(ks, blk)
-		if staged != nil {
-			<-staged
-		}
+		d, err := pull(j, n)
 		if err != nil {
-			ps.PutBlock(blk)
 			return err
 		}
-		nb.ws, nb.block = ws, blk
-		d := ws.Stats.LocalTime
-		if ws.Stats.RemoteTime > d {
-			d = ws.Stats.RemoteTime
-		}
 		mu.Lock()
-		if d > modelled {
-			modelled = d
-		}
+		modelled = max(modelled, d)
 		mu.Unlock()
 		return nil
 	})
@@ -826,6 +824,139 @@ func (t *Trainer) stagePull(_ context.Context, j *job) (*job, error) {
 	}
 	t.addStageModelled(StagePull, modelled)
 	return j, nil
+}
+
+// ownedPull is one owner's share of an in-process batch pull: the batch's
+// keys the owner's MEM-PS holds — the sorted union of every node's
+// references to them — with the row each lands in of every node's block,
+// and the working set they stay pinned under until the batch's push has
+// completed it.
+type ownedPull struct {
+	keys []keys.Key
+	// rows[r][x] is keys[x]'s row in node r's block, -1 when node r does not
+	// reference it; wants[r] counts node r's rows.
+	rows  [][]int32
+	wants []int
+	ws    memps.WorkingSet
+}
+
+// splitByOwner readies an in-process batch's pull: every node's block, shaped
+// by its index.Unique, and every node's ownedPull. One merge of the nodes'
+// sorted key sets deals the union out by owner; a key's row in node r's block
+// is its position in node r's Unique, which is where node r's cursor stands
+// when the merge reaches the key.
+func (t *Trainer) splitByOwner(j *job) error {
+	dim := t.cfg.Spec.EmbeddingDim
+	nodes := len(t.nodes)
+	t.pullBlocks = t.pullBlocks[:0]
+	cur := ps.Resize(t.pullCursors, nodes)
+	t.pullCursors = cur
+	for r, nb := range j.nodes {
+		// Uninitialized: every row is written by the owner of its key.
+		nb.block = ps.GetBlock(dim, nil)
+		nb.block.ResetUninit(dim, nb.index.Unique)
+		t.pullBlocks = append(t.pullBlocks, nb.block)
+		var op *ownedPull
+		select {
+		case op = <-t.nodes[r].pulls:
+		default:
+			op = new(ownedPull)
+		}
+		op.keys = op.keys[:0]
+		op.rows = ps.Resize(op.rows, nodes)
+		for i := range op.rows {
+			op.rows[i] = op.rows[i][:0]
+		}
+		op.wants = ps.Resize(op.wants, nodes)
+		clear(op.wants)
+		nb.owned = op
+		cur[r] = 0
+	}
+	topo := t.cfg.Topology
+	for {
+		var k keys.Key
+		found := false
+		for r, nb := range j.nodes {
+			if c := cur[r]; c < len(nb.index.Unique) && (!found || nb.index.Unique[c] < k) {
+				k, found = nb.index.Unique[c], true
+			}
+		}
+		if !found {
+			return nil
+		}
+		o := topo.NodeOf(k)
+		if o < 0 || o >= nodes {
+			return fmt.Errorf("trainer: key %d is owned by node %d, outside the %d in-process nodes", k, o, nodes)
+		}
+		op := j.nodes[o].owned
+		op.keys = append(op.keys, k)
+		for r, nb := range j.nodes {
+			row := int32(-1)
+			if c := cur[r]; c < len(nb.index.Unique) && nb.index.Unique[c] == k {
+				row = int32(c)
+				cur[r]++
+				op.wants[r]++
+			}
+			op.rows[r] = append(op.rows[r], row)
+		}
+	}
+}
+
+// pullOwned has node n's MEM-PS resolve and pin the batch's keys it owns for
+// every node, copying each value into the blocks that want it
+// (PrepareOwnedInto), and then charges node n's network for the rows its
+// peers copied into its block. The two overlap, so the node pays the slower.
+func (t *Trainer) pullOwned(j *job, n *node) (time.Duration, error) {
+	nb := j.nodes[n.id]
+	op := nb.owned
+	ws, err := n.local.PrepareOwnedInto(op.keys, t.pullBlocks, op.rows)
+	if err != nil {
+		return 0, err
+	}
+	op.ws = ws
+	var recv time.Duration
+	for o, peer := range j.nodes {
+		if rows := peer.owned.wants[n.id]; o != n.id && rows > 0 {
+			recv += n.local.ReceivePeerRows(rows)
+		}
+	}
+	return max(ws.Stats.LocalTime, recv), nil
+}
+
+// completePull releases what node n's MEM-PS pinned for a batch and recycles
+// its ownedPull; the push stage or the async committer calls it once the
+// batch's deltas are applied.
+func (n *node) completePull(op *ownedPull) error {
+	err := n.local.CompleteBatch(&op.ws)
+	select {
+	case n.pulls <- op:
+	default:
+	}
+	return err
+}
+
+// pullWorkingSet has node n pull its working set from the shard servers,
+// staging the HBM partition of the batch's key set while the values are in
+// flight: stageTrain's LoadBlock adopts the buckets instead of
+// re-partitioning after the pull. (In process the pull is pure CPU, and a
+// staging goroutine would only add scheduling overhead.)
+func (t *Trainer) pullWorkingSet(j *job, n *node) (time.Duration, error) {
+	nb := j.nodes[n.id]
+	blk := ps.GetBlock(t.cfg.Spec.EmbeddingDim, nil)
+	ks := nb.index.Unique
+	staged := make(chan struct{})
+	go func() {
+		n.hbm.StagePartition(ks)
+		close(staged)
+	}()
+	ws, err := n.mem.PrepareInto(ks, blk)
+	<-staged
+	if err != nil {
+		ps.PutBlock(blk)
+		return 0, err
+	}
+	nb.block = blk
+	return max(ws.Stats.LocalTime, ws.Stats.RemoteTime), nil
 }
 
 // stageTrain loads every node's working set into its HBM-PS, trains the
@@ -1358,16 +1489,16 @@ func (t *Trainer) stagePush(ctx context.Context, j *job) (*job, error) {
 		// single-node case adopted its delta block as global).
 		pj := &pushJob{index: j.index, global: global}
 		if t.remote == nil {
-			pj.wss = make([]*memps.WorkingSet, len(t.nodes))
+			pj.owned = make([]*ownedPull, len(t.nodes))
 		}
 		for id, nb := range j.nodes {
 			if nb.deltas != global {
 				ps.PutBlock(nb.deltas)
 			}
 			nb.deltas = nil
-			if pj.wss != nil {
-				pj.wss[id] = nb.ws
-				nb.ws = nil
+			if pj.owned != nil {
+				pj.owned[id] = nb.owned
+				nb.owned = nil
 			}
 		}
 		t.addStageModelled(StagePush, syncTime)
@@ -1418,7 +1549,9 @@ func (t *Trainer) stagePush(ctx context.Context, j *job) (*job, error) {
 			if pushErr != nil {
 				return pushErr
 			}
-			if err := n.mem.CompleteBatch(nb.ws); err != nil {
+			err := n.completePull(nb.owned)
+			nb.owned = nil
+			if err != nil {
 				return err
 			}
 			d = n.mem.TierStats().PushTime - memBefore

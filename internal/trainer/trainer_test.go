@@ -10,6 +10,7 @@ import (
 	"hps/internal/dataset"
 	"hps/internal/model"
 	"hps/internal/reference"
+	"hps/internal/simtime"
 )
 
 func testSpec() model.Spec {
@@ -54,6 +55,11 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Spec: testSpec(), Topology: cluster.Topology{Nodes: -1, GPUsPerNode: 1}}); err == nil {
 		t.Fatal("bad topology should fail")
+	}
+	// In process each key lives at its one owner; nothing keeps backups.
+	if _, err := New(Config{Spec: testSpec(), Data: testData(), Batches: 1,
+		Topology: cluster.Topology{Nodes: 2, GPUsPerNode: 1, Replicas: 2}}); err == nil {
+		t.Fatal("in-process replicas should fail")
 	}
 	tr, err := New(Config{Spec: testSpec(), Data: testData(), Batches: 1})
 	if err != nil {
@@ -228,13 +234,17 @@ func TestMultiNodeMultiGPU(t *testing.T) {
 		t.Fatal("throughput should be positive")
 	}
 
-	// Remote pulls must actually have crossed nodes.
-	remote := int64(0)
+	// Every batch, each node received the keys its peer owns from the peer,
+	// charged to the network.
 	for _, n := range tr.nodes {
-		remote += n.local.Stats().RemoteKeys
+		st := n.local.Stats()
+		if st.RemoteKeys == 0 || st.RemotePulls != int64(batches) || st.RemotePullTime <= 0 {
+			t.Fatalf("node %d received %d peer keys in %d pulls (%v) over %d batches: two-node training must pull remote shards",
+				n.id, st.RemoteKeys, st.RemotePulls, st.RemotePullTime, batches)
+		}
 	}
-	if remote == 0 {
-		t.Fatal("two-node training must pull remote shards")
+	if tr.Clock().Total(simtime.ResourceNetwork) <= 0 {
+		t.Fatal("peer pulls must charge the network")
 	}
 }
 
