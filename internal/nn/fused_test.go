@@ -1,10 +1,14 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"hps/internal/dataset"
+	"hps/internal/embedding"
+	"hps/internal/keys"
 	"hps/internal/optimizer"
 )
 
@@ -229,64 +233,119 @@ func ulp(v float32) float64 {
 	return float64(math.Nextafter32(v, float32(math.Inf(1)))) - float64(v)
 }
 
-// BenchmarkDenseStep times one training example through the dense tower of
-// the train_local_hot shape, forward pass included: the reference
-// Zero + Backward + Apply against the fused BackwardApply. The reference run
-// also reports the share of the dense gradient that is non-zero — the
-// property the fused step's saving rests on — measured outside the timer.
-func BenchmarkDenseStep(b *testing.B) {
-	const stream = 512
-	inputs := make([][]float32, stream)
-	labels := make([]float32, stream)
-	rng := rand.New(rand.NewSource(9))
-	for i := range inputs {
-		inputs[i] = make([]float32, hotShape.InputDim)
-		pooledInput(rng, inputs[i])
-		labels[i] = float32(rng.Intn(2))
-	}
-	b.Run("reference", func(b *testing.B) {
-		n := New(hotShape)
-		state := n.NewDenseState(fusedOpt)
-		acts, grads := n.NewActivations(), n.NewGradients()
-		var opt optimizer.Dense = fusedOpt // converted once, as a caller holding the interface would
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			copy(acts.Input(), inputs[i%stream])
-			pred := n.Forward(acts)
-			grads.Zero()
-			n.Backward(acts, pred, labels[i%stream], grads)
-			n.Apply(opt, state, grads)
+// trainedTower trains a fresh tower of cfg's shape with the fused step on
+// warmUp examples of the synthetic click stream the trainer reads (nonZeros
+// features per example out of features), learning the embeddings beside it
+// as the trainer does: keyed initial values, sum pooling, Adagrad on the
+// returned input gradient. It returns the tower, its state, and the pooled
+// inputs and labels of the stream's next n examples, read off the trained
+// embeddings.
+func trainedTower(cfg Config, features int64, nonZeros, warmUp, n int) (*Network, *DenseState, [][]float32, []float32) {
+	net := New(cfg)
+	state := net.NewDenseState(fusedOpt)
+	acts := net.NewActivations()
+	gen := dataset.NewGenerator(dataset.ForModel(features, nonZeros), cfg.Seed)
+	sparseOpt := optimizer.Adagrad{LR: 0.05, InitialAccumulator: 0.1}
+	table := map[keys.Key]*embedding.Value{}
+	var vecs [][]float32
+	pool := func(ex dataset.Example) {
+		vecs = vecs[:0]
+		for _, k := range ex.Features {
+			v := table[k]
+			if v == nil {
+				v = embedding.NewKeyedValue(cfg.InputDim, cfg.Seed, uint64(k))
+				table[k] = v
+			}
+			vecs = append(vecs, v.Weights)
 		}
-		b.StopTimer()
-		var nonZero, total int
-		for i := 0; i < 200; i++ {
-			copy(acts.Input(), inputs[i%stream])
-			grads.Zero()
-			n.Backward(acts, n.Forward(acts), labels[i%stream], grads)
-			for l := range grads.w {
-				for _, v := range grads.w[l].Data {
-					if v != 0 {
-						nonZero++
-					}
-				}
-				for _, v := range grads.b[l] {
-					if v != 0 {
-						nonZero++
+		PoolSum(acts.Input(), vecs)
+	}
+	for i := 0; i < warmUp; i++ {
+		ex := gen.NextExample()
+		pool(ex)
+		grad := net.BackwardApply(acts, net.Forward(acts), ex.Label, fusedOpt, state)
+		for _, k := range ex.Features {
+			sparseOpt.ApplySparse(table[k].Weights, table[k].G2Sum, grad)
+		}
+	}
+	inputs, labels := make([][]float32, n), make([]float32, n)
+	for i := range inputs {
+		ex := gen.NextExample()
+		pool(ex)
+		inputs[i], labels[i] = append([]float32(nil), acts.Input()...), ex.Label
+	}
+	return net, state, inputs, labels
+}
+
+// BenchmarkDenseStep times one training example through the dense tower of
+// each benchmark shape, forward pass included: the reference Zero + Backward
+// + Apply against the fused BackwardApply. Each tower is first trained on
+// warmUp examples outside the timer (trainedTower), because which units ReLU
+// zeroes, and so what the skipping saves, depends on the weights. Both runs
+// report what the trained tower sees on the timed stream: every layer
+// input's non-zero share (in0 is the pooled input) and the share of the
+// dense gradient that is non-zero.
+func BenchmarkDenseStep(b *testing.B) {
+	const (
+		warmUp = 20000
+		stream = 512
+	)
+	for _, shape := range []struct {
+		name     string
+		cfg      Config
+		features int64
+		nonZeros int
+	}{{"hot", hotShape, 20000, 20}, {"tiny", tinyShape, 20000, 20}, {"cold", coldShape, 60000, 50}} {
+		b.Run(shape.name, func(b *testing.B) {
+			trained, trainedState, inputs, labels := trainedTower(shape.cfg, shape.features, shape.nonZeros, warmUp, stream)
+			metrics := map[string]float64{}
+			acts, grads := trained.NewActivations(), trained.NewGradients()
+			var nonZero int
+			for i := range inputs {
+				copy(acts.Input(), inputs[i])
+				grads.Zero()
+				trained.Backward(acts, trained.Forward(acts), labels[i], grads)
+				for l := 0; l < trained.NumLayers(); l++ {
+					metrics[fmt.Sprintf("in%d-nonzero", l)] += float64(len(acts.nz[l])) / float64(len(acts.values[l])) / stream
+					for _, g := range [][]float32{grads.w[l].Data, grads.b[l]} {
+						for _, v := range g {
+							if v != 0 {
+								nonZero++
+							}
+						}
 					}
 				}
 			}
-			total += int(n.ParamCount())
-		}
-		b.ReportMetric(float64(nonZero)/float64(total), "nonzero-share")
-	})
-	b.Run("fused", func(b *testing.B) {
-		n := New(hotShape)
-		state := n.NewDenseState(fusedOpt)
-		acts := n.NewActivations()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			copy(acts.Input(), inputs[i%stream])
-			n.BackwardApply(acts, n.Forward(acts), labels[i%stream], fusedOpt, state)
-		}
-	})
+			metrics["nonzero-share"] = float64(nonZero) / float64(trained.ParamCount()) / stream
+			report := func(b *testing.B) {
+				for unit, v := range metrics {
+					b.ReportMetric(v, unit)
+				}
+			}
+			b.Run("reference", func(b *testing.B) {
+				n, state := trainReplica(trained, trainedState, 0, 0)
+				acts, grads := n.NewActivations(), n.NewGradients()
+				var opt optimizer.Dense = fusedOpt // converted once, as a caller holding the interface would
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					copy(acts.Input(), inputs[i%stream])
+					pred := n.Forward(acts)
+					grads.Zero()
+					n.Backward(acts, pred, labels[i%stream], grads)
+					n.Apply(opt, state, grads)
+				}
+				report(b)
+			})
+			b.Run("fused", func(b *testing.B) {
+				n, state := trainReplica(trained, trainedState, 0, 0)
+				acts := n.NewActivations()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					copy(acts.Input(), inputs[i%stream])
+					n.BackwardApply(acts, n.Forward(acts), labels[i%stream], fusedOpt, state)
+				}
+				report(b)
+			})
+		})
+	}
 }

@@ -9,10 +9,16 @@
 // Backward so the caller can push it back into the embedding parameters
 // (with sum pooling, every referenced feature receives that same gradient).
 //
+// ReLU zeroes about half of each hidden layer's units, and every pass skips
+// them. Forward lists each layer input's non-zero units as it applies ReLU
+// and multiplies only those columns; the backward passes carry the loss
+// gradient as its non-zero rows and multiply only those.
+//
 // There are two ways to take a training step. Forward + Backward + Apply is
 // the reference: it materializes the dense gradient and hands it to any
 // optimizer.Dense. Forward + BackwardApply is what the trainer runs: one fused
-// pass under Adagrad that never builds the gradient and touches only the
+// pass under Adagrad that never builds the gradient, computes a hidden
+// layer's input gradient only on the units ReLU kept and touches only the
 // coordinates whose gradient is non-zero, bit-identical to the reference.
 package nn
 
@@ -92,18 +98,26 @@ func (n *Network) FLOPsPerExample() float64 {
 	return 6 * float64(weights)
 }
 
-// Activations holds the per-layer outputs of a forward pass, reused across
-// examples to avoid allocation.
+// Activations holds the per-layer outputs of a forward pass and the scratch
+// of the backward passes, reused across examples to avoid allocation.
 type Activations struct {
 	// values[0] is the input; values[i] is the post-activation output of
 	// layer i-1. The final entry is the pre-sigmoid logit (length 1).
 	values [][]float32
-	// deltas are Backward's per-layer gradient scratch buffers, allocated
+	// nz[i] lists, ascending, the units j of layer i's input with
+	// values[i][j] != 0, and kept[i] holds their values, gathered. Forward
+	// writes them; the products and the rank-1 update read only these.
+	nz   [][]int32
+	kept [][]float32
+	// rows and coef carry a layer's output gradient as its non-zero rows and
+	// their values; grad is BackwardApply's input gradient on a hidden
+	// layer's kept units, inGrad the input gradient it returns.
+	rows         []int32
+	coef         []float32
+	grad, inGrad []float32
+	// deltas are Backward's full-width per-layer gradient buffers, allocated
 	// lazily and reused across examples.
 	deltas [][]float32
-	// cols is BackwardApply's scratch for a layer input's non-zero column
-	// list, with capacity for the widest layer input.
-	cols []int32
 }
 
 // deltaBuf returns the reusable gradient buffer of width n for layer slot i.
@@ -118,16 +132,37 @@ func (a *Activations) deltaBuf(i, n int) []float32 {
 }
 
 // NewActivations allocates activation buffers matching the network shape.
+// They are carved from one array per element type: serving builds an
+// Activations for every merged predict batch.
 func (n *Network) NewActivations() *Activations {
-	a := &Activations{values: make([][]float32, len(n.layers)+1)}
-	a.values[0] = make([]float32, n.cfg.InputDim)
-	widest := 0
-	for i, l := range n.layers {
-		a.values[i+1] = make([]float32, l.w.Rows)
-		widest = max(widest, l.w.Cols)
+	inputs, widestIn, widestOut := 0, 0, 0
+	for _, l := range n.layers {
+		inputs += l.w.Cols
+		widestIn = max(widestIn, l.w.Cols)
+		widestOut = max(widestOut, l.w.Rows)
 	}
-	a.cols = make([]int32, 0, widest)
+	floats := make([]float32, 2*inputs+1+widestOut+widestIn+n.cfg.InputDim)
+	ints := make([]int32, inputs+widestOut)
+	a := &Activations{
+		values: make([][]float32, len(n.layers)+1),
+		nz:     make([][]int32, len(n.layers)),
+		kept:   make([][]float32, len(n.layers)),
+	}
+	for i, l := range n.layers {
+		a.values[i], a.kept[i], a.nz[i] = carve(&floats, l.w.Cols), carve(&floats, l.w.Cols), carve(&ints, l.w.Cols)
+	}
+	a.values[len(n.layers)] = carve(&floats, 1)
+	a.rows, a.coef = carve(&ints, widestOut), carve(&floats, widestOut)
+	a.grad, a.inGrad = carve(&floats, widestIn), carve(&floats, n.cfg.InputDim)
 	return a
+}
+
+// carve cuts the next n elements off *buf, capped so that they cannot grow
+// into their neighbours.
+func carve[T any](buf *[]T, n int) []T {
+	s := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return s
 }
 
 // Input returns the buffer the caller fills with the pooled embedding before
@@ -135,19 +170,22 @@ func (n *Network) NewActivations() *Activations {
 func (a *Activations) Input() []float32 { return a.values[0] }
 
 // Forward runs the network on the input stored in acts.Input() and returns
-// the predicted click probability.
+// the predicted click probability. It lists the input's non-zero units, and
+// each hidden layer's as it applies ReLU, and each layer's product reads only
+// the listed columns.
 func (n *Network) Forward(acts *Activations) float32 {
+	acts.nz[0], acts.kept[0] = tensor.NonZero(acts.values[0], acts.nz[0], acts.kept[0])
+	last := len(n.layers) - 1
 	for i, l := range n.layers {
-		in := acts.values[i]
 		out := acts.values[i+1]
-		tensor.MatVec(l.w, in, out)
-		tensor.Axpy(1, l.b, out)
-		if i < len(n.layers)-1 {
-			tensor.ReLU(out)
+		tensor.MatVecCols(l.w, acts.nz[i], acts.kept[i], out)
+		if i == last {
+			tensor.Add(l.b, out)
+			break
 		}
+		acts.nz[i+1], acts.kept[i+1] = tensor.BiasReLU(out, l.b, acts.nz[i+1], acts.kept[i+1])
 	}
-	logit := acts.values[len(n.layers)][0]
-	return tensor.Sigmoid(logit)
+	return tensor.Sigmoid(acts.values[last+1][0])
 }
 
 // Gradients holds the materialized dense-parameter gradient of the reference
@@ -193,13 +231,15 @@ func (n *Network) Backward(acts *Activations, pred, label float32, g *Gradients)
 		// Accumulate weight and bias gradients.
 		tensor.OuterAccum(g.w[i], delta, in)
 		tensor.Axpy(1, delta, g.b[i])
-		// Propagate to the layer input (MatTVec overwrites the buffer).
+		// Propagate to every column of the layer input through delta's
+		// non-zero rows (MatTVecRows overwrites the buffer).
+		rows, coef := tensor.NonZero(delta, acts.rows, acts.coef)
 		prev := acts.deltaBuf(i, l.w.Cols)
-		tensor.MatTVec(l.w, delta, prev)
+		tensor.MatTVecRows(l.w, rows, coef, prev)
 		if i > 0 {
 			// The stored activation of the previous hidden layer is
 			// post-ReLU; zero gradient where the activation was clipped.
-			tensor.ReLUGrad(acts.values[i], prev)
+			tensor.ReLUGrad(in, prev)
 		}
 		delta = prev
 	}
@@ -210,35 +250,48 @@ func (n *Network) Backward(acts *Activations, pred, label float32, g *Gradients)
 // pass that never materializes the gradient: it updates the parameters and
 // state in place and returns the gradient with respect to the network input,
 // backed by acts' scratch like Backward's. Layer by layer, top down, it
-// propagates delta through the layer's weights as they were before this
-// example's update (exactly what Backward reads, since there Apply runs after
-// every layer's Backward), then applies the layer's rank-1 weight gradient
-// delta ⊗ in, skipping the rows ReLU zeroed in delta and the columns it zeroed
-// in the layer's input — under Adagrad a zero gradient changes nothing.
-// Parameters, state (given NewDenseState's initialization) and the returned
-// gradient are bit-identical to Zero + Backward + Apply; it allocates nothing.
+// carries delta as its non-zero rows and propagates it through the layer's
+// weights as they were before this example's update (exactly what Backward
+// reads, since there Apply runs after every layer's Backward) — on a hidden
+// layer only into the units Forward listed, because ReLU's derivative zeroes
+// the rest — and then applies the layer's rank-1 weight gradient delta ⊗ in
+// over those rows and the listed columns of in: under Adagrad a zero gradient
+// changes nothing. Parameters, state (given NewDenseState's initialization)
+// and the returned gradient are bit-identical to Zero + Backward + Apply; it
+// allocates nothing.
 func (n *Network) BackwardApply(acts *Activations, pred, label float32, opt optimizer.Adagrad, state *DenseState) []float32 {
-	delta := acts.deltaBuf(len(n.layers), 1)
-	delta[0] = pred - label
-	for i := len(n.layers) - 1; i >= 0; i-- {
-		l := n.layers[i]
-		in := acts.values[i]
-		prev := acts.deltaBuf(i, l.w.Cols)
-		tensor.MatTVec(l.w, delta, prev)
-		if i > 0 {
-			tensor.ReLUGrad(in, prev)
-		}
-		cols := acts.cols[:0]
-		for j, v := range in {
+	rows, coef := acts.rows[:0], acts.coef[:0]
+	if d := pred - label; d != 0 {
+		rows, coef = append(rows, 0), append(coef, d)
+	}
+	for i := len(n.layers) - 1; i > 0; i-- {
+		cols := acts.nz[i]
+		grad := acts.grad[:len(cols)]
+		tensor.MatTVecRowsCols(n.layers[i].w, rows, coef, cols, grad)
+		n.applyRank1(i, opt, state, rows, coef, acts)
+		// The layer below's delta: grad's non-zero entries, at their units.
+		rows, coef = rows[:0], coef[:0]
+		for k, v := range grad {
 			if v != 0 {
-				cols = append(cols, int32(j))
+				rows, coef = append(rows, cols[k]), append(coef, v)
 			}
 		}
-		opt.ApplyRank1(l.w.Data, state.w[i], delta, in, cols)
-		opt.ApplySparse(l.b, state.b[i], delta)
-		delta = prev
 	}
-	return delta
+	tensor.MatTVecRows(n.layers[0].w, rows, coef, acts.inGrad)
+	n.applyRank1(0, opt, state, rows, coef, acts)
+	return acts.inGrad
+}
+
+// The bias of a unit is the weight of an input that is always 1, so its
+// gradient is delta itself: the rank-1 update over that one column.
+var biasCol, biasIn = []int32{0}, []float32{1}
+
+// applyRank1 applies layer i's weight gradient delta ⊗ in and bias gradient
+// delta, for delta given by its non-zero rows and their values.
+func (n *Network) applyRank1(i int, opt optimizer.Adagrad, state *DenseState, rows []int32, coef []float32, acts *Activations) {
+	l := n.layers[i]
+	opt.ApplyOuter(l.w.Data, state.w[i], l.w.Cols, rows, coef, acts.nz[i], acts.kept[i])
+	opt.ApplyOuter(l.b, state.b[i], 1, rows, coef, biasCol, biasIn)
 }
 
 // DenseState holds optimizer state for every dense parameter block.

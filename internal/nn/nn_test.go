@@ -289,3 +289,87 @@ func TestPoolSumProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestForwardListsNonZeroUnits: after Forward, every layer input's index list
+// holds exactly its non-zero units, ascending, and the gathered values are
+// theirs — on inputs with zeros in them and through the benchmark shapes.
+func TestForwardListsNonZeroUnits(t *testing.T) {
+	for _, cfg := range []Config{hotShape, tinyShape, coldShape, {InputDim: 5, Seed: 4}} {
+		n := New(cfg)
+		acts := n.NewActivations()
+		rng := rand.New(rand.NewSource(cfg.Seed))
+		for trial := 0; trial < 50; trial++ {
+			pooledInput(rng, acts.Input())
+			for j := range acts.Input() {
+				if rng.Intn(4) == 0 {
+					acts.Input()[j] = 0
+				}
+			}
+			n.Forward(acts)
+			for i := 0; i < n.NumLayers(); i++ {
+				var want []int32
+				for j, v := range acts.values[i] {
+					if v != 0 {
+						want = append(want, int32(j))
+					}
+				}
+				if len(acts.nz[i]) != len(want) || len(acts.kept[i]) != len(want) {
+					t.Fatalf("%+v layer %d: listed %d units (%d values), %d are non-zero", cfg, i, len(acts.nz[i]), len(acts.kept[i]), len(want))
+				}
+				for k, j := range want {
+					if acts.nz[i][k] != j || acts.kept[i][k] != acts.values[i][j] {
+						t.Fatalf("%+v layer %d: entry %d lists unit %d = %v, want unit %d = %v", cfg, i, k, acts.nz[i][k], acts.kept[i][k], j, acts.values[i][j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestForwardAllocatesNothing pins the serving path: Forward alone on a
+// reused Activations makes no allocation, and building an Activations costs
+// the same number of allocations however deep the tower is.
+func TestForwardAllocatesNothing(t *testing.T) {
+	n := New(hotShape)
+	acts := n.NewActivations()
+	rng := rand.New(rand.NewSource(6))
+	if allocs := testing.AllocsPerRun(100, func() {
+		pooledInput(rng, acts.Input())
+		n.Forward(acts)
+	}); allocs != 0 {
+		t.Fatalf("Forward allocates %v times per example, want 0", allocs)
+	}
+	shallow := New(Config{InputDim: 16, Hidden: []int{8}, Seed: 1})
+	deepAllocs := testing.AllocsPerRun(20, func() { n.NewActivations() })
+	shallowAllocs := testing.AllocsPerRun(20, func() { shallow.NewActivations() })
+	if deepAllocs != shallowAllocs {
+		t.Fatalf("NewActivations allocates %v times for %d layers, %v for 2", deepAllocs, n.NumLayers(), shallowAllocs)
+	}
+}
+
+// TestForwardNonFinite: a NaN in a hidden unit still reaches the prediction,
+// while a non-finite weight facing a zero input is never multiplied.
+func TestForwardNonFinite(t *testing.T) {
+	in := []float32{0.5, 0, -0.25, 1}
+	predict := func(n *Network) float32 {
+		acts := n.NewActivations()
+		copy(acts.Input(), in)
+		return n.Forward(acts)
+	}
+	clean := testNet()
+	want := predict(clean)
+
+	poisoned := clean.Clone()
+	for r := 0; r < poisoned.layers[0].w.Rows; r++ {
+		poisoned.layers[0].w.Set(r, 1, []float32{float32(math.Inf(1)), float32(math.NaN())}[r%2])
+	}
+	if got := predict(poisoned); math.Float32bits(got) != math.Float32bits(want) {
+		t.Fatalf("non-finite weights on a zero input moved the prediction: %v, want %v", got, want)
+	}
+
+	nan := clean.Clone()
+	nan.layers[1].b[2] = float32(math.NaN())
+	if got := predict(nan); got == got {
+		t.Fatalf("a NaN hidden unit gave prediction %v, want NaN", got)
+	}
+}

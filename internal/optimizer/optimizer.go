@@ -82,7 +82,7 @@ func (a Adagrad) eps() float32 {
 	return a.Eps
 }
 
-// step is the per-element rule, written once: ApplySparse and ApplyRank1 both
+// step is the per-element rule, written once: ApplySparse and ApplyOuter both
 // inline it, so a coordinate reached through either sees the same expression
 // (and, on an architecture that fuses multiply-adds, the same fusion) and the
 // two cannot drift apart. The lazy InitialAccumulator covers state that
@@ -107,33 +107,32 @@ func (a Adagrad) ApplySparse(w, state, grad []float32) {
 	}
 }
 
-// ApplyRank1 applies the rank-1 gradient g[r][j] = u[r]*v[j] — a
-// fully-connected layer's weight gradient for one example — to the row-major
-// len(u) x len(v) block w and its state, without materializing g. A zero
-// gradient is a no-op under Adagrad once the accumulator is initialized, so
-// rows with u[r] == 0 are skipped and only the columns listed in cols are
-// visited: cols must hold exactly the indices j with v[j] != 0, ascending. On
-// every coordinate it does visit, the result is bit-identical to ApplySparse
-// over the materialized gradient.
-func (a Adagrad) ApplyRank1(w, state, u, v []float32, cols []int32) {
-	n := len(v)
-	if len(w) != len(u)*n || len(state) != len(w) {
-		panic(fmt.Sprintf("optimizer: adagrad rank-1 block %d (state %d) != %d x %d", len(w), len(state), len(u), n))
+// ApplyOuter applies a rank-1 gradient u ⊗ v — a fully-connected layer's
+// weight gradient for one example — given by its non-zero factors, to the
+// row-major block w of n columns and its state, without materializing it:
+// u[k] is the factor of row rows[k] and v[m] that of column cols[m], so
+// coordinate (rows[k], cols[m]) steps with gradient u[k]*v[m]. Every other
+// coordinate has a zero gradient, a no-op under Adagrad once the accumulator
+// is initialized, and is left alone. Both lists hold distinct indices in
+// ascending order. On every coordinate it visits, the result is bit-identical
+// to ApplySparse over the materialized gradient.
+func (a Adagrad) ApplyOuter(w, state []float32, n int, rows []int32, u []float32, cols []int32, v []float32) {
+	if n <= 0 || len(w)%n != 0 || len(state) != len(w) || len(u) != len(rows) || len(v) != len(cols) || len(cols) > n {
+		panic(fmt.Sprintf("optimizer: adagrad rank-1 block %d (state %d, %d columns) with %d rows (%d factors) and %d columns (%d factors)",
+			len(w), len(state), n, len(rows), len(u), len(cols), len(v)))
 	}
 	eps := a.eps()
-	for r, ur := range u {
-		if ur == 0 {
-			continue
-		}
-		wr, sr := w[r*n:(r+1)*n], state[r*n:(r+1)*n]
-		if len(cols) == n { // no zero column: skip the indirection
+	for k, r := range rows {
+		ur, lo := u[k], int(r)*n
+		wr, sr := w[lo:lo+n], state[lo:lo+n]
+		if len(cols) == n { // every column listed: skip the indirection
 			for j, vj := range v {
 				wr[j], sr[j] = a.step(wr[j], sr[j], float32(ur*vj), eps)
 			}
 			continue
 		}
-		for _, j := range cols {
-			wr[j], sr[j] = a.step(wr[j], sr[j], float32(ur*v[j]), eps)
+		for m, j := range cols {
+			wr[j], sr[j] = a.step(wr[j], sr[j], float32(ur*v[m]), eps)
 		}
 	}
 }

@@ -29,31 +29,55 @@ func benchVector(n int) []float32 {
 	return out
 }
 
+// halfList lists every other index of x, as ReLU leaves about half of a
+// hidden layer's units, and gathers x's values there.
+func halfList(x []float32) ([]int32, []float32) {
+	var idx []int32
+	var vals []float32
+	for j := 0; j < len(x); j += 2 {
+		idx, vals = append(idx, int32(j)), append(vals, x[j])
+	}
+	return idx, vals
+}
+
+// BenchmarkMatVec times the forward product, MatVecCols, over an input half
+// of whose columns are listed. Bytes count the whole matrix, as the dense
+// product it replaces read it.
 func BenchmarkMatVec(b *testing.B) {
 	for _, n := range matShapes {
 		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
 			m := benchMatrix(n, n)
-			x := benchVector(n)
+			cols, x := halfList(benchVector(n))
 			out := make([]float32, n)
 			b.SetBytes(int64(4 * n * n))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				MatVec(m, x, out)
+				MatVecCols(m, cols, x, out)
 			}
 		})
 	}
 }
 
+// BenchmarkMatTVec times the input-gradient products with half of the rows
+// listed: MatTVecRowsCols on half of the columns (a hidden layer's input),
+// and MatTVecRows on every column (the pooled input's, "every-column").
 func BenchmarkMatTVec(b *testing.B) {
 	for _, n := range matShapes {
+		m := benchMatrix(n, n)
+		rows, x := halfList(benchVector(n))
+		cols, _ := halfList(make([]float32, n))
 		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
-			m := benchMatrix(n, n)
-			x := benchVector(n)
+			out := make([]float32, len(cols))
+			b.SetBytes(int64(4 * n * n))
+			for i := 0; i < b.N; i++ {
+				MatTVecRowsCols(m, rows, x, cols, out)
+			}
+		})
+		b.Run(fmt.Sprintf("%dx%d-every-column", n, n), func(b *testing.B) {
 			out := make([]float32, n)
 			b.SetBytes(int64(4 * n * n))
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				MatTVec(m, x, out)
+				MatTVecRows(m, rows, x, out)
 			}
 		})
 	}

@@ -1,9 +1,32 @@
 // Package tensor implements the minimal dense float32 linear algebra used by
-// the CTR prediction network: matrices, matrix-vector and matrix-matrix
-// products, element-wise activation functions and their derivatives.
+// the CTR prediction network: matrices, the fully-connected layers'
+// matrix-vector products, element-wise activation functions and their
+// derivatives, and the slab kernels the parameter-server tiers share.
 //
 // Only the operations the fully-connected layers need are provided; the goal
 // is a dependency-free, predictable substrate rather than a general BLAS.
+//
+// The layer products read only what a list names. ReLU zeroes about half of
+// a hidden layer's units, so a forward product takes the non-zero columns of
+// its input (MatVecCols) and an input-gradient product the non-zero rows of
+// its coefficient vector (MatTVecRows, MatTVecRowsCols). A list holds
+// distinct indices in ascending order; NonZero and BiasReLU build them.
+//
+// Summation order. MatVecCols sums each row's terms in list order, from zero,
+// one accumulator per row. The transposed products add the listed rows into
+// each output column four at a time, out[j] += x0·M[r0][j] + x1·M[r1][j] +
+// x2·M[r2][j] + x3·M[r3][j] left to right, then the last len(rows)%4 one at a
+// time, out[j] += x·M[r][j]; a column's sum depends on the row list only, so
+// every kernel that computes that column computes it bit for bit alike. Dot
+// keeps four independent accumulators, so it sums in another order than a
+// scalar loop; the element-wise kernels (Axpy, Add, Scale, SubAnyNonZero)
+// are bit-identical to theirs.
+//
+// Non-finite values. A kernel never multiplies what it skips: a row or
+// column left out of a list, or a row OuterAccum passes over for its zero
+// coefficient, contributes nothing even when it holds an Inf or a NaN. What a
+// kernel reads follows IEEE arithmetic, so a NaN in a listed unit reaches
+// every output it feeds.
 package tensor
 
 import (
@@ -71,85 +94,94 @@ func (m *Matrix) FillRandom(rng *rand.Rand) {
 	}
 }
 
-// The dense inner loops below are unrolled four wide, gonum-style: four
-// independent accumulators (or four independent element updates) per
-// iteration, with re-sliced 4-element windows so the compiler proves the
-// bounds once per iteration instead of once per element. Reductions (Dot,
-// MatVec) therefore sum in a different association order than a scalar loop —
-// every caller in this repo either tolerates that (AUC comparisons) or runs
-// both sides of its comparison through the same kernels (the bit-exactness
-// tests), so the unroll is observationally safe.
-
-// MatVec computes out = M * x where x has length M.Cols and out has length
-// M.Rows. It panics on shape mismatch.
-func MatVec(m *Matrix, x, out []float32) {
-	if len(x) != m.Cols || len(out) != m.Rows {
-		panic(fmt.Sprintf("tensor: MatVec shape mismatch m=%dx%d x=%d out=%d", m.Rows, m.Cols, len(x), len(out)))
+// MatVecCols computes out = M[:, cols]·x, the product of M's listed columns
+// with x: out[r] = Σ_k M[r][cols[k]]·x[k] for every row r, where x holds the
+// listed columns' values, gathered (len(x) == len(cols)). Each row sums its
+// terms in list order from zero. Rows are computed four at a time, so each
+// gathered x[k] is loaded once per four rows. It panics on shape mismatch.
+func MatVecCols(m *Matrix, cols []int32, x, out []float32) {
+	if len(x) != len(cols) || len(out) != m.Rows {
+		panic(fmt.Sprintf("tensor: MatVecCols shape mismatch m=%dx%d cols=%d x=%d out=%d", m.Rows, m.Cols, len(cols), len(x), len(out)))
 	}
-	for i := 0; i < m.Rows; i++ {
-		out[i] = dotUnitary(m.Row(i), x)
+	r := 0
+	for ; r+3 < m.Rows; r += 4 {
+		w0 := m.Row(r)
+		// Cut to w0's length, so that w0's bounds check covers all four.
+		w1, w2, w3 := m.Row(r + 1)[:len(w0)], m.Row(r + 2)[:len(w0)], m.Row(r + 3)[:len(w0)]
+		var s0, s1, s2, s3 float32
+		for k, c := range cols {
+			v := x[k]
+			s0 += w0[c] * v
+			s1 += w1[c] * v
+			s2 += w2[c] * v
+			s3 += w3[c] * v
+		}
+		o := out[r : r+4 : r+4]
+		o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+	}
+	for ; r < m.Rows; r++ {
+		w := m.Row(r)
+		var s float32
+		for k, c := range cols {
+			s += w[c] * x[k]
+		}
+		out[r] = s
 	}
 }
 
-// dotUnitary is the unrolled inner product of two equal-length slices; the
-// caller guarantees len(x) == len(y).
-func dotUnitary(x, y []float32) float32 {
-	var s0, s1, s2, s3 float32
-	i := 0
-	for n := len(x) - 3; i < n; i += 4 {
-		x4 := x[i : i+4 : i+4]
-		y4 := y[i : i+4 : i+4]
-		s0 += x4[0] * y4[0]
-		s1 += x4[1] * y4[1]
-		s2 += x4[2] * y4[2]
-		s3 += x4[3] * y4[3]
+// MatTVecRows computes out = M[rows, :]ᵀ·x, the transposed product of M's
+// listed rows with x: out[j] = Σ_k x[k]·M[rows[k]][j] for every column j,
+// where x holds the listed rows' coefficients (len(x) == len(rows)). Rows are
+// taken four at a time, so out is read and written once per block (the axpy
+// form is store-bound on out), and the last len(rows)%4 one at a time. It
+// panics on shape mismatch.
+func MatTVecRows(m *Matrix, rows []int32, x, out []float32) {
+	if len(x) != len(rows) || len(out) != m.Cols {
+		panic(fmt.Sprintf("tensor: MatTVecRows shape mismatch m=%dx%d rows=%d x=%d out=%d", m.Rows, m.Cols, len(rows), len(x), len(out)))
 	}
-	sum := (s0 + s2) + (s1 + s3)
-	for ; i < len(x); i++ {
-		sum += x[i] * y[i]
+	clear(out)
+	n := len(out)
+	k := 0
+	for ; k+3 < len(rows); k += 4 {
+		x4, r4 := x[k:k+4:k+4], rows[k:k+4:k+4]
+		x0, x1, x2, x3 := x4[0], x4[1], x4[2], x4[3]
+		r0, r1, r2, r3 := m.Row(int(r4[0]))[:n], m.Row(int(r4[1]))[:n], m.Row(int(r4[2]))[:n], m.Row(int(r4[3]))[:n]
+		for j := range out {
+			out[j] += x0*r0[j] + x1*r1[j] + x2*r2[j] + x3*r3[j]
+		}
 	}
-	return sum
+	for ; k < len(rows); k++ {
+		axpyUnitary(x[k], m.Row(int(rows[k])), out)
+	}
 }
 
-// MatTVec computes out = Mᵀ * x where x has length M.Rows and out has length
-// M.Cols. It panics on shape mismatch. Rows are processed four at a time so
-// out is read and written once per block instead of once per row (the axpy
-// form is store-bound on out); a block of x containing zero coefficients —
-// common when x is a ReLU-masked gradient — accumulates row by row instead,
-// so a zero-coefficient row is always skipped outright.
-func MatTVec(m *Matrix, x, out []float32) {
-	if len(x) != m.Rows || len(out) != m.Cols {
-		panic(fmt.Sprintf("tensor: MatTVec shape mismatch m=%dx%d x=%d out=%d", m.Rows, m.Cols, len(x), len(out)))
+// MatTVecRowsCols is MatTVecRows on the listed columns only: out[o] =
+// Σ_k x[k]·M[rows[k]][cols[o]], with len(out) == len(cols). A column's sum
+// does not depend on which other columns are computed, so it is bit for bit
+// the one MatTVecRows writes for that column. It panics on shape mismatch.
+func MatTVecRowsCols(m *Matrix, rows []int32, x []float32, cols []int32, out []float32) {
+	if len(x) != len(rows) || len(out) != len(cols) || len(cols) > m.Cols {
+		panic(fmt.Sprintf("tensor: MatTVecRowsCols shape mismatch m=%dx%d rows=%d x=%d cols=%d out=%d", m.Rows, m.Cols, len(rows), len(x), len(cols), len(out)))
 	}
-	for j := range out {
-		out[j] = 0
-	}
-	if m.Cols == 0 {
+	if len(cols) == m.Cols { // every column listed: skip the indirection
+		MatTVecRows(m, rows, x, out)
 		return
 	}
-	i := 0
-	for ; i+3 < m.Rows; i += 4 {
-		x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
-		if x0 == 0 || x1 == 0 || x2 == 0 || x3 == 0 {
-			// A zero coefficient must skip its row entirely (0 * Inf or
-			// 0 * NaN in a masked-out row would otherwise poison out), so a
-			// block with any zero lane falls back to per-row accumulation —
-			// the same semantics as the remainder loop.
-			for r := i; r < i+4; r++ {
-				if xi := x[r]; xi != 0 {
-					axpyUnitary(xi, m.Row(r), out)
-				}
-			}
-			continue
-		}
-		r0, r1, r2, r3 := m.Row(i), m.Row(i+1), m.Row(i+2), m.Row(i+3)
-		for j, v := range r0 {
-			out[j] += x0*v + x1*r1[j] + x2*r2[j] + x3*r3[j]
+	clear(out)
+	k := 0
+	for ; k+3 < len(rows); k += 4 {
+		x4, r4 := x[k:k+4:k+4], rows[k:k+4:k+4]
+		x0, x1, x2, x3 := x4[0], x4[1], x4[2], x4[3]
+		r0 := m.Row(int(r4[0]))
+		r1, r2, r3 := m.Row(int(r4[1]))[:len(r0)], m.Row(int(r4[2]))[:len(r0)], m.Row(int(r4[3]))[:len(r0)]
+		for o, c := range cols {
+			out[o] += x0*r0[c] + x1*r1[c] + x2*r2[c] + x3*r3[c]
 		}
 	}
-	for ; i < m.Rows; i++ {
-		if xi := x[i]; xi != 0 {
-			axpyUnitary(xi, m.Row(i), out)
+	for ; k < len(rows); k++ {
+		xk, r := x[k], m.Row(int(rows[k]))
+		for o, c := range cols {
+			out[o] += xk * r[c]
 		}
 	}
 }
@@ -178,11 +210,11 @@ func Axpy(alpha float32, x, y []float32) {
 }
 
 // axpyUnitary is the unrolled y += alpha*x core; the caller guarantees
-// len(x) == len(y). Element updates are independent, so unlike the reduction
-// kernels this is bit-identical to the scalar loop. Eight wide rather than
-// four: the kernel is store-bound, and the wider body amortizes the loop
-// overhead further (measurably, unlike the reduction kernels, which run out
-// of registers first).
+// len(x) == len(y). Element updates are independent, so unlike Dot this is
+// bit-identical to the scalar loop. Eight wide rather than four: the kernel
+// is store-bound, and the wider body amortizes the loop overhead further
+// (measurably, unlike the reduction kernels, which run out of registers
+// first).
 func axpyUnitary(alpha float32, x, y []float32) {
 	i := 0
 	for n := len(x) - 7; i < n; i += 8 {
@@ -282,6 +314,28 @@ func Dot(x, y []float32) float32 {
 	return dotUnitary(x, y)
 }
 
+// dotUnitary is the inner product of two equal-length slices, unrolled
+// gonum-style: four independent accumulators, with re-sliced 4-element
+// windows so the compiler proves the bounds once per iteration instead of
+// once per element.
+func dotUnitary(x, y []float32) float32 {
+	var s0, s1, s2, s3 float32
+	i := 0
+	for n := len(x) - 3; i < n; i += 4 {
+		x4 := x[i : i+4 : i+4]
+		y4 := y[i : i+4 : i+4]
+		s0 += x4[0] * y4[0]
+		s1 += x4[1] * y4[1]
+		s2 += x4[2] * y4[2]
+		s3 += x4[3] * y4[3]
+	}
+	sum := (s0 + s2) + (s1 + s3)
+	for ; i < len(x); i++ {
+		sum += x[i] * y[i]
+	}
+	return sum
+}
+
 // Sigmoid returns 1 / (1 + exp(-x)) computed in a numerically stable way.
 func Sigmoid(x float32) float32 {
 	if x >= 0 {
@@ -292,13 +346,40 @@ func Sigmoid(x float32) float32 {
 	return z / (1 + z)
 }
 
-// ReLU applies max(0, x) in place.
-func ReLU(x []float32) {
-	for i, v := range x {
-		if v < 0 {
-			x[i] = 0
+// NonZero lists the non-zero elements of x, ascending: it writes the index
+// of each to idx and its value to vals, which need room for len(x), and
+// returns both cut to the count. A NaN is non-zero.
+func NonZero(x []float32, idx []int32, vals []float32) ([]int32, []float32) {
+	idx, vals = idx[:len(x)], vals[:len(x)]
+	n := 0
+	for j, v := range x {
+		idx[n], vals[n] = int32(j), v
+		if v != 0 {
+			n++
 		}
 	}
+	return idx[:n], vals[:n]
+}
+
+// BiasReLU adds the bias b to x and applies the rectifier max(0, ·) in
+// place, then lists what it kept the way NonZero does: the positive units,
+// and any NaN, which the rectifier passes through. It panics on length
+// mismatch.
+func BiasReLU(x, b []float32, idx []int32, vals []float32) ([]int32, []float32) {
+	if len(b) != len(x) {
+		panic(fmt.Sprintf("tensor: BiasReLU length mismatch %d != %d", len(x), len(b)))
+	}
+	b, idx, vals = b[:len(x)], idx[:len(x)], vals[:len(x)]
+	n := 0
+	for j, v := range x {
+		v = max(v+b[j], 0) // NaN if v+b[j] is NaN
+		x[j] = v
+		idx[n], vals[n] = int32(j), v
+		if v != 0 {
+			n++
+		}
+	}
+	return idx[:n], vals[:n]
 }
 
 // ReLUGrad multiplies grad by the ReLU derivative evaluated at activation

@@ -59,45 +59,65 @@ func TestNewMatrixFrom(t *testing.T) {
 
 func TestMatVec(t *testing.T) {
 	m := NewMatrixFrom(2, 3, []float32{1, 2, 3, 4, 5, 6})
-	x := []float32{1, 0, -1}
+	// x = {1, 0, -1}: column 1 is not listed.
 	out := make([]float32, 2)
-	MatVec(m, x, out)
+	MatVecCols(m, []int32{0, 2}, []float32{1, -1}, out)
 	if out[0] != -2 || out[1] != -2 {
-		t.Fatalf("MatVec = %v", out)
+		t.Fatalf("MatVecCols = %v", out)
 	}
 }
 
 func TestMatTVec(t *testing.T) {
 	m := NewMatrixFrom(2, 3, []float32{1, 2, 3, 4, 5, 6})
-	x := []float32{1, 1}
+	rows, x := []int32{0, 1}, []float32{1, 1}
 	out := make([]float32, 3)
-	MatTVec(m, x, out)
+	MatTVecRows(m, rows, x, out)
 	if out[0] != 5 || out[1] != 7 || out[2] != 9 {
-		t.Fatalf("MatTVec = %v", out)
+		t.Fatalf("MatTVecRows = %v", out)
+	}
+	some := make([]float32, 2)
+	MatTVecRowsCols(m, rows, x, []int32{0, 2}, some)
+	if some[0] != 5 || some[1] != 9 {
+		t.Fatalf("MatTVecRowsCols = %v", some)
+	}
+	// Only row 1 listed.
+	MatTVecRows(m, []int32{1}, []float32{2}, out)
+	if out[0] != 8 || out[1] != 10 || out[2] != 12 {
+		t.Fatalf("MatTVecRows one row = %v", out)
 	}
 }
 
+// randomList lists each index below n with probability p, ascending, and
+// draws a value in [-1, 1) for each.
+func randomList(rng *rand.Rand, n int, p float64) ([]int32, []float32) {
+	idx, vals := []int32{}, []float32{}
+	for j := 0; j < n; j++ {
+		if rng.Float64() < p {
+			idx, vals = append(idx, int32(j)), append(vals, rng.Float32()*2-1)
+		}
+	}
+	return idx, vals
+}
+
 func TestMatVecMatTVecAdjointProperty(t *testing.T) {
-	// <Mx, y> == <x, Mᵀy> for random matrices — checks both products agree.
+	// <M[:, C]·x, y> == <x, M[R, C]ᵀ·y> when y is zero off the rows R — checks
+	// the forward and transposed products agree.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		rows := rng.Intn(6) + 1
-		cols := rng.Intn(6) + 1
+		rows := rng.Intn(9) + 1
+		cols := rng.Intn(9) + 1
 		m := NewMatrix(rows, cols)
 		m.FillRandom(rng)
-		x := make([]float32, cols)
-		y := make([]float32, rows)
-		for i := range x {
-			x[i] = rng.Float32()*2 - 1
-		}
-		for i := range y {
-			y[i] = rng.Float32()*2 - 1
-		}
+		cIdx, x := randomList(rng, cols, 0.6)
+		rIdx, y := randomList(rng, rows, 0.6)
 		mx := make([]float32, rows)
-		MatVec(m, x, mx)
-		mty := make([]float32, cols)
-		MatTVec(m, y, mty)
-		lhs := float64(Dot(mx, y))
+		MatVecCols(m, cIdx, x, mx)
+		var lhs float64
+		for k, r := range rIdx {
+			lhs += float64(mx[r]) * float64(y[k])
+		}
+		mty := make([]float32, len(cIdx))
+		MatTVecRowsCols(m, rIdx, y, cIdx, mty)
 		rhs := float64(Dot(x, mty))
 		return almostEqual(lhs, rhs, 1e-3)
 	}
@@ -136,9 +156,10 @@ func TestAxpyScaleDot(t *testing.T) {
 }
 
 // TestMatTVecSkipsZeroCoefficientRows pins the zero-skip contract at every
-// row position: a row whose coefficient is zero must not contribute even
-// when it holds non-finite values (0 * Inf would otherwise poison the
-// output), whether the row lands in the 4-row blocked body or the remainder.
+// row position: a row whose coefficient is zero is left out of the list
+// NonZero builds, and must not contribute even when it holds non-finite
+// values (0 * Inf would otherwise poison the output), whether its neighbours
+// land in the 4-row blocked body or the remainder.
 func TestMatTVecSkipsZeroCoefficientRows(t *testing.T) {
 	const rows, cols = 6, 3
 	for bad := 0; bad < rows; bad++ {
@@ -159,9 +180,12 @@ func TestMatTVecSkipsZeroCoefficientRows(t *testing.T) {
 			x[i] = 1
 			want += float32(i + 1)
 		}
+		rIdx, coef := NonZero(x, make([]int32, rows), make([]float32, rows))
 		out := make([]float32, cols)
-		MatTVec(m, x, out)
-		for j, v := range out {
+		MatTVecRows(m, rIdx, coef, out)
+		some := make([]float32, 2)
+		MatTVecRowsCols(m, rIdx, coef, []int32{0, 1}, some)
+		for j, v := range append(out, some...) {
 			if v != want {
 				t.Fatalf("bad row %d: out[%d] = %v, want %v", bad, j, v, want)
 			}
@@ -220,8 +244,9 @@ func TestSubAnyNonZero(t *testing.T) {
 
 // TestUnrolledKernelsMatchScalar pins the unrolled kernels to naive scalar
 // references at every remainder length (n%4 in 0..3). The element-wise
-// kernels must match bit-for-bit; the reductions (Dot via MatVec too) sum in
-// a different association order, so they get a small tolerance.
+// kernels must match bit-for-bit; Dot sums in a different association order,
+// so it gets a small tolerance. (The layer products have their own contract,
+// TestDenseKernelsMatchScalarLoops, bit for bit.)
 func TestUnrolledKernelsMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 15, 16, 33} {
@@ -263,8 +288,17 @@ func TestUnrolledKernelsMatchScalar(t *testing.T) {
 func TestShapePanics(t *testing.T) {
 	m := NewMatrix(2, 3)
 	cases := []func(){
-		func() { MatVec(m, make([]float32, 2), make([]float32, 2)) },
-		func() { MatTVec(m, make([]float32, 3), make([]float32, 3)) },
+		func() { MatVecCols(m, []int32{0}, make([]float32, 2), make([]float32, 2)) },
+		func() { MatVecCols(m, []int32{0}, make([]float32, 1), make([]float32, 3)) },
+		func() { MatVecCols(m, []int32{3}, make([]float32, 1), make([]float32, 2)) },
+		func() { MatTVecRows(m, []int32{0}, make([]float32, 2), make([]float32, 3)) },
+		func() { MatTVecRows(m, []int32{0}, make([]float32, 1), make([]float32, 2)) },
+		func() { MatTVecRows(m, []int32{2}, make([]float32, 1), make([]float32, 3)) },
+		func() { MatTVecRowsCols(m, []int32{0}, make([]float32, 1), []int32{0, 1}, make([]float32, 1)) },
+		func() { MatTVecRowsCols(m, []int32{0}, make([]float32, 1), []int32{0, 1, 2, 2}, make([]float32, 4)) },
+		func() { MatTVecRowsCols(m, []int32{0}, make([]float32, 1), []int32{5}, make([]float32, 1)) },
+		func() { NonZero(make([]float32, 3), make([]int32, 2), make([]float32, 3)) },
+		func() { BiasReLU(make([]float32, 3), make([]float32, 2), make([]int32, 3), make([]float32, 3)) },
 		func() { OuterAccum(m, make([]float32, 3), make([]float32, 3)) },
 		func() { Axpy(1, make([]float32, 2), make([]float32, 3)) },
 		func() { Dot(make([]float32, 2), make([]float32, 3)) },
@@ -303,10 +337,18 @@ func TestSigmoid(t *testing.T) {
 }
 
 func TestReLUAndGrad(t *testing.T) {
-	x := []float32{-1, 0, 2}
-	ReLU(x)
-	if x[0] != 0 || x[1] != 0 || x[2] != 2 {
-		t.Fatalf("ReLU = %v", x)
+	nan := float32(math.NaN())
+	x := []float32{-1, 0, 2, nan, 0.5}
+	idx, vals := BiasReLU(x, []float32{0, 0, 0, 0, -1}, make([]int32, 5), make([]float32, 5))
+	if x[0] != 0 || x[1] != 0 || x[2] != 2 || x[3] == x[3] || x[4] != 0 {
+		t.Fatalf("BiasReLU = %v", x)
+	}
+	if len(idx) != 2 || idx[0] != 2 || idx[1] != 3 || vals[0] != 2 || vals[1] == vals[1] {
+		t.Fatalf("BiasReLU kept %v %v, want [2 3] [2 NaN]", idx, vals)
+	}
+	idx, vals = NonZero([]float32{0, -3, 0, nan}, make([]int32, 4), make([]float32, 4))
+	if len(idx) != 2 || idx[0] != 1 || idx[1] != 3 || vals[0] != -3 || vals[1] == vals[1] {
+		t.Fatalf("NonZero = %v %v, want [1 3] [-3 NaN]", idx, vals)
 	}
 	act := []float32{0, 0, 2}
 	grad := []float32{5, 5, 5}
