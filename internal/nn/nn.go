@@ -110,13 +110,12 @@ type Activations struct {
 	nz   [][]int32
 	kept [][]float32
 	// rows and coef carry a layer's output gradient as its non-zero rows and
-	// their values; grad is BackwardApply's input gradient on a hidden
-	// layer's kept units, inGrad the input gradient it returns.
-	rows         []int32
-	coef         []float32
-	grad, inGrad []float32
-	// deltas are Backward's full-width per-layer gradient buffers, allocated
-	// lazily and reused across examples.
+	// their values.
+	rows []int32
+	coef []float32
+	// deltas are the backward passes' per-layer gradient buffers, allocated
+	// lazily (a forward-only caller never needs them) and reused across
+	// examples.
 	deltas [][]float32
 }
 
@@ -135,13 +134,12 @@ func (a *Activations) deltaBuf(i, n int) []float32 {
 // They are carved from one array per element type: serving builds an
 // Activations for every merged predict batch.
 func (n *Network) NewActivations() *Activations {
-	inputs, widestIn, widestOut := 0, 0, 0
+	inputs, widestOut := 0, 0
 	for _, l := range n.layers {
 		inputs += l.w.Cols
-		widestIn = max(widestIn, l.w.Cols)
 		widestOut = max(widestOut, l.w.Rows)
 	}
-	floats := make([]float32, 2*inputs+1+widestOut+widestIn+n.cfg.InputDim)
+	floats := make([]float32, 2*inputs+1+widestOut)
 	ints := make([]int32, inputs+widestOut)
 	a := &Activations{
 		values: make([][]float32, len(n.layers)+1),
@@ -153,7 +151,6 @@ func (n *Network) NewActivations() *Activations {
 	}
 	a.values[len(n.layers)] = carve(&floats, 1)
 	a.rows, a.coef = carve(&ints, widestOut), carve(&floats, widestOut)
-	a.grad, a.inGrad = carve(&floats, widestIn), carve(&floats, n.cfg.InputDim)
 	return a
 }
 
@@ -265,9 +262,9 @@ func (n *Network) BackwardApply(acts *Activations, pred, label float32, opt opti
 		rows, coef = append(rows, 0), append(coef, d)
 	}
 	for i := len(n.layers) - 1; i > 0; i-- {
-		cols := acts.nz[i]
-		grad := acts.grad[:len(cols)]
-		tensor.MatTVecRowsCols(n.layers[i].w, rows, coef, cols, grad)
+		l, cols := n.layers[i], acts.nz[i]
+		grad := acts.deltaBuf(i, l.w.Cols)[:len(cols)]
+		tensor.MatTVecRowsCols(l.w, rows, coef, cols, grad)
 		n.applyRank1(i, opt, state, rows, coef, acts)
 		// The layer below's delta: grad's non-zero entries, at their units.
 		rows, coef = rows[:0], coef[:0]
@@ -277,9 +274,10 @@ func (n *Network) BackwardApply(acts *Activations, pred, label float32, opt opti
 			}
 		}
 	}
-	tensor.MatTVecRows(n.layers[0].w, rows, coef, acts.inGrad)
+	inGrad := acts.deltaBuf(0, n.cfg.InputDim)
+	tensor.MatTVecRows(n.layers[0].w, rows, coef, inGrad)
 	n.applyRank1(0, opt, state, rows, coef, acts)
-	return acts.inGrad
+	return inGrad
 }
 
 // The bias of a unit is the weight of an input that is always 1, so its

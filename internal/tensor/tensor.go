@@ -163,10 +163,6 @@ func MatTVecRowsCols(m *Matrix, rows []int32, x []float32, cols []int32, out []f
 	if len(x) != len(rows) || len(out) != len(cols) || len(cols) > m.Cols {
 		panic(fmt.Sprintf("tensor: MatTVecRowsCols shape mismatch m=%dx%d rows=%d x=%d cols=%d out=%d", m.Rows, m.Cols, len(rows), len(x), len(cols), len(out)))
 	}
-	if len(cols) == m.Cols { // every column listed: skip the indirection
-		MatTVecRows(m, rows, x, out)
-		return
-	}
 	clear(out)
 	k := 0
 	for ; k+3 < len(rows); k += 4 {
