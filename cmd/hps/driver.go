@@ -538,7 +538,6 @@ func runDriver(args []string) error {
 				RemoteShards:  set.addrs(),
 				WirePrecision: *fs.wirePrec,
 				QuantizePush:  *fs.quantPush,
-				PullPipeline:  *fs.pullPipe,
 				RemoteRetry:   cluster.RetryPolicy{Attempts: 10, Backoff: 50 * time.Millisecond},
 			}
 			fs.applyPipeline(&cfg)
@@ -585,7 +584,6 @@ func runDriver(args []string) error {
 		RemoteShards:  addrs,
 		WirePrecision: *fs.wirePrec,
 		QuantizePush:  *fs.quantPush,
-		PullPipeline:  *fs.pullPipe,
 		Serve:         *lg,
 		// A crashed shard is gone for however long respawn + recovery takes;
 		// the widened retry window is what lets in-flight batches ride a
@@ -601,8 +599,8 @@ func runDriver(args []string) error {
 	if *fs.quantPush {
 		wire += "+push"
 	}
-	fmt.Printf("training model %s against %d MEM-PS shard process(es), %d GPU(s)/node, %d batches x %d examples/node (wire %s, pull pipeline %d, replicas %d)\n\n",
-		spec.Name, shards, *fs.gpus, *fs.batches, *fs.batchSize, wire, *fs.pullPipe, *replicasFlag)
+	fmt.Printf("training model %s against %d MEM-PS shard process(es), %d GPU(s)/node, %d batches x %d examples/node (wire %s, replicas %d)\n\n",
+		spec.Name, shards, *fs.gpus, *fs.batches, *fs.batchSize, wire, *replicasFlag)
 
 	tr, err := trainer.New(cfg)
 	if err != nil {

@@ -67,7 +67,6 @@ type trainFlags struct {
 	seed      *int64
 	wirePrec  *string
 	quantPush *bool
-	pullPipe  *int
 
 	stateDir     *string
 	checkpoint   *string
@@ -123,7 +122,6 @@ func newTrainFlags(name string) *trainFlags {
 		seed:      fs.Int64("seed", 1, "random seed"),
 		wirePrec:  fs.String("wire-precision", "fp32", "on-wire embedding row encoding in multi-process mode: fp32, fp16 or int8"),
 		quantPush: fs.Bool("quantize-push", false, "also encode push deltas at -wire-precision instead of fp32 (multi-process mode)"),
-		pullPipe:  fs.Int("pull-pipeline", 1, "concurrent block RPCs per shard during the pull stage (multi-process mode)"),
 
 		stateDir:     fs.String("state-dir", "", "durable state root: SSD-PS shard directories and the default checkpoint manifest (empty: temporary, removed on exit)"),
 		checkpoint:   fs.String("checkpoint", "", "checkpoint manifest path (default <state-dir>/checkpoint.json when -state-dir is set)"),

@@ -70,8 +70,8 @@ const maxRetryBackoff = 2 * time.Second
 type TransportStats struct {
 	// Calls counts completed RPCs; Retries counts extra attempts after a
 	// network failure; Dials counts established connections; Redials counts
-	// the subset that replaced a dropped connection (a reconnect). Growing a
-	// peer's pool up to SetMaxConnsPerPeer is not a redial.
+	// the subset that replaced a dropped connection (a reconnect). A peer's
+	// first connection is not a redial.
 	Calls, Retries, Dials, Redials int64
 	// BytesOut / BytesIn estimate the payload traffic in fp32 terms (8 bytes
 	// per key plus the encoded value size, the same accounting as
@@ -83,9 +83,9 @@ type TransportStats struct {
 	WireOut, WireIn int64
 }
 
-// TCPTransport reaches remote nodes over TCP, holding a small pool of
-// persistent connections per peer (one by default), transparently
-// reconnecting (with bounded, backed-off retries) when a connection drops.
+// TCPTransport reaches remote nodes over TCP, holding one persistent
+// connection per peer — concurrent RPCs to a peer queue on it — and
+// transparently reconnecting (with bounded, backed-off retries) when it drops.
 // Each connection checks the wire version and negotiates the pull-reply
 // precision with a hello exchange at dial time. It is safe for concurrent use
 // and implements TierTransport.
@@ -102,14 +102,12 @@ type TCPTransport struct {
 
 	mu    sync.Mutex
 	addrs map[int]string
-	peers map[int]*peerConns
-	// dropped counts each peer's pooled connections that were dropped and
-	// not replaced yet: the next that many dials to it are redials.
-	dropped   map[int]int
-	prec      ps.Precision  // wire precision requested in hellos and used for push bodies
-	quantPush bool          // quantize push bodies at the negotiated precision
-	maxConns  int           // per-peer connection cap (>= 1)
-	inflight  chan struct{} // global in-flight-RPC semaphore; nil = unbounded
+	peers map[int]*tcpConn
+	// dropped marks the peers whose connection was dropped and not replaced
+	// yet: the next dial to one is a redial.
+	dropped   map[int]bool
+	prec      ps.Precision // wire precision requested in hellos and used for push bodies
+	quantPush bool         // quantize push bodies at the negotiated precision
 
 	statMu   sync.Mutex
 	bytesOut int64
@@ -120,18 +118,12 @@ type TCPTransport struct {
 
 var _ TierTransport = (*TCPTransport)(nil)
 
-// peerConns is one peer's connection pool. Conns are acquired by locking
-// their mutex: an idle conn is one whose TryLock succeeds.
-type peerConns struct {
-	conns []*tcpConn
-	next  int // round-robin cursor for queueing when every conn is busy
-}
-
+// tcpConn is one peer connection. An RPC holds its mutex for the round trip.
 type tcpConn struct {
 	mu      sync.Mutex
 	conn    net.Conn
 	prec    ps.Precision // negotiated pull-reply precision
-	oneShot bool         // never entered the pool: release closes it
+	oneShot bool         // never published as the peer's connection: release closes it
 }
 
 // NewTCPTransport creates a transport that reaches node i at addrs[i], with
@@ -142,18 +134,17 @@ func NewTCPTransport(addrs map[int]string, dim int) *TCPTransport {
 		copied[k] = v
 	}
 	return &TCPTransport{
-		dim:      dim,
-		client:   rand.Uint64() | 1, // non-zero: 0 would disable push dedup
-		retry:    DefaultRetryPolicy,
-		addrs:    copied,
-		peers:    make(map[int]*peerConns),
-		dropped:  make(map[int]int),
-		maxConns: 1,
+		dim:     dim,
+		client:  rand.Uint64() | 1, // non-zero: 0 would disable push dedup
+		retry:   DefaultRetryPolicy,
+		addrs:   copied,
+		peers:   make(map[int]*tcpConn),
+		dropped: make(map[int]bool),
 	}
 }
 
-// SetAddr repoints nodeID at a new address and drops its pooled connections,
-// so the next RPC dials the new incarnation. This is how a supervisor hands
+// SetAddr repoints nodeID at a new address and drops its connection, so the
+// next RPC dials the new incarnation. This is how a supervisor hands
 // the transport a restarted shard that came back on a different port;
 // in-flight RPCs on the old connections fail and retry against the new
 // address. The client identity is unchanged, so the restarted shard's
@@ -161,16 +152,14 @@ func NewTCPTransport(addrs map[int]string, dim int) *TCPTransport {
 func (t *TCPTransport) SetAddr(nodeID int, addr string) {
 	t.mu.Lock()
 	t.addrs[nodeID] = addr
-	p := t.peers[nodeID]
+	c := t.peers[nodeID]
 	delete(t.peers, nodeID)
-	if p != nil {
-		t.dropped[nodeID] += len(p.conns)
+	if c != nil {
+		t.dropped[nodeID] = true
 	}
 	t.mu.Unlock()
-	if p != nil {
-		for _, c := range p.conns {
-			c.conn.Close()
-		}
+	if c != nil {
+		c.conn.Close()
 	}
 }
 
@@ -217,32 +206,6 @@ func (t *TCPTransport) WirePrecision() ps.Precision {
 	return t.prec
 }
 
-// SetMaxConnsPerPeer sets how many concurrent connections the transport may
-// hold per peer (minimum 1). With more than one, concurrent RPCs to the same
-// shard overlap on the wire instead of queueing on a single connection —
-// the transport-level half of pull pipelining.
-func (t *TCPTransport) SetMaxConnsPerPeer(n int) {
-	if n < 1 {
-		n = 1
-	}
-	t.mu.Lock()
-	t.maxConns = n
-	t.mu.Unlock()
-}
-
-// SetMaxInFlightRPCs bounds the number of RPCs in flight across all peers
-// (0 or negative = unbounded). The bound caps the memory pinned by concurrent
-// pull chunks and keeps a wide fan-out from oversubscribing the NIC.
-func (t *TCPTransport) SetMaxInFlightRPCs(n int) {
-	t.mu.Lock()
-	if n <= 0 {
-		t.inflight = nil
-	} else {
-		t.inflight = make(chan struct{}, n)
-	}
-	t.mu.Unlock()
-}
-
 // Stats returns a snapshot of the transport's activity counters.
 func (t *TCPTransport) Stats() TransportStats {
 	t.statMu.Lock()
@@ -261,33 +224,20 @@ func (t *TCPTransport) Stats() TransportStats {
 	}
 }
 
-// acquireConn returns a connection to nodeID with its mutex held: an idle
-// pooled conn when one exists, a queued busy conn when the pool is at its
-// cap, or a freshly dialed (and hello-negotiated) one otherwise. The caller
-// hands it back with release after its round trip.
+// acquireConn returns the connection to nodeID with its mutex held — queueing
+// behind the RPC using it, if any — or dials (and hello-negotiates) one when
+// the peer has none. The caller hands it back with release after its round
+// trip.
 func (t *TCPTransport) acquireConn(nodeID int, policy RetryPolicy) (*tcpConn, error) {
 	t.mu.Lock()
-	if p := t.peers[nodeID]; p != nil && len(p.conns) > 0 {
-		for _, c := range p.conns {
-			if c.mu.TryLock() {
-				t.mu.Unlock()
-				return c, nil
-			}
-		}
-		if len(p.conns) >= t.maxConns {
-			// Every conn is busy and the pool is full: queue on one,
-			// round-robin so waiters spread across the pool.
-			c := p.conns[p.next%len(p.conns)]
-			p.next++
-			t.mu.Unlock()
-			c.mu.Lock()
-			// The conn may have been dropped while queueing; the round trip
-			// then fails on the closed socket and the caller retries.
-			return c, nil
-		}
+	if c := t.peers[nodeID]; c != nil {
+		t.mu.Unlock()
+		c.mu.Lock()
+		// The conn may have been dropped while queueing; the round trip then
+		// fails on the closed socket and the caller retries.
+		return c, nil
 	}
 	addr, ok := t.addrs[nodeID]
-	maxConns := t.maxConns
 	t.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownNode, nodeID)
@@ -306,30 +256,25 @@ func (t *TCPTransport) acquireConn(nodeID int, policy RetryPolicy) (*tcpConn, er
 	}
 	c.mu.Lock() // uncontended: the conn is not published yet
 	t.mu.Lock()
-	p := t.peers[nodeID]
-	if p == nil {
-		p = &peerConns{}
-		t.peers[nodeID] = p
-	}
-	if len(p.conns) >= maxConns {
-		// Concurrent dialers overfilled the pool; keep the pool bounded and
-		// use ours for this one RPC without publishing it. release closes it.
+	if t.peers[nodeID] != nil {
+		// A concurrent dialer published its connection first; use ours for
+		// this one RPC without publishing it. release closes it.
 		t.mu.Unlock()
 		c.oneShot = true
 		return c, nil
 	}
 	t.dials.Add(1)
-	if t.dropped[nodeID] > 0 {
+	if t.dropped[nodeID] {
 		t.redials.Add(1) // it takes a dropped connection's place: a reconnect
-		t.dropped[nodeID]--
+		delete(t.dropped, nodeID)
 	}
-	p.conns = append(p.conns, c)
+	t.peers[nodeID] = c
 	t.mu.Unlock()
 	return c, nil
 }
 
-// release hands back a conn acquireConn returned. A conn that never entered
-// the pool has no later user, so it is closed here; otherwise the socket —
+// release hands back a conn acquireConn returned. A conn that was never
+// published has no later user, so it is closed here; otherwise the socket —
 // and the server goroutine behind it — would live until a finalizer ran.
 func (t *TCPTransport) release(c *tcpConn) {
 	c.mu.Unlock()
@@ -370,14 +315,9 @@ func (t *TCPTransport) hello(c *tcpConn, policy RetryPolicy) error {
 
 func (t *TCPTransport) dropConn(nodeID int, c *tcpConn) {
 	t.mu.Lock()
-	if p := t.peers[nodeID]; p != nil {
-		for i, cur := range p.conns {
-			if cur == c {
-				p.conns = append(p.conns[:i], p.conns[i+1:]...)
-				t.dropped[nodeID]++
-				break
-			}
-		}
+	if t.peers[nodeID] == c {
+		delete(t.peers, nodeID)
+		t.dropped[nodeID] = true
 	}
 	t.mu.Unlock()
 	c.conn.Close()
@@ -390,17 +330,11 @@ func (t *TCPTransport) dropConn(nodeID int, c *tcpConn) {
 // (prec is the connection's negotiated precision); parse, when not nil,
 // consumes an ok reply's body before the receive buffer is recycled.
 // Shard-side failures (RemoteError, OverloadError) and unknown nodes are
-// returned immediately — retrying cannot fix them. The global in-flight
-// semaphore, when set, is held for the duration.
+// returned immediately — retrying cannot fix them.
 func (t *TCPTransport) rawCall(nodeID int, op uint8, build func(frame []byte, prec ps.Precision) []byte, parse func(body []byte) error) error {
 	t.mu.Lock()
 	policy := t.retry
-	inflight := t.inflight
 	t.mu.Unlock()
-	if inflight != nil {
-		inflight <- struct{}{}
-		defer func() { <-inflight }()
-	}
 	var lastErr error
 	for attempt := 1; attempt <= policy.Attempts; attempt++ {
 		if attempt > 1 {
@@ -527,10 +461,8 @@ func (t *TCPTransport) addWireBytes(out, in int64) {
 func (t *TCPTransport) Close() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for id, p := range t.peers {
-		for _, c := range p.conns {
-			c.conn.Close()
-		}
+	for id, c := range t.peers {
+		c.conn.Close()
 		delete(t.peers, id)
 	}
 }

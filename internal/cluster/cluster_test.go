@@ -406,36 +406,31 @@ func TestServeTCPValidation(t *testing.T) {
 	}
 }
 
-// TestRedialsCountOnlyReconnects pins the meaning of TransportStats.Redials:
-// growing a peer's pool to its cap is dialing, not reconnecting, so a pool of
-// four busy connections reports four dials and no redial; a connection that
-// replaces one the transport dropped is a redial, and so is each replacement
-// of the connections SetAddr dropped.
+// TestRedialsCountOnlyReconnects pins the meaning of TransportStats.Redials
+// on the one-connection-per-peer transport: a peer's first connection is a
+// dial, not a reconnect, and RPCs reuse it without dialing again; a
+// connection that replaces one the transport dropped is a redial, and so is
+// the replacement of the connection SetAddr dropped. A drop of one peer's
+// connection makes no other peer's first dial a redial.
 func TestRedialsCountOnlyReconnects(t *testing.T) {
-	srv, err := ServeTCP("127.0.0.1:0", newMapHandler(2))
-	if err != nil {
-		t.Fatal(err)
+	addrs := map[int]string{}
+	for id := 0; id < 2; id++ {
+		srv, err := ServeTCP("127.0.0.1:0", newMapHandler(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		addrs[id] = srv.Addr()
 	}
-	defer srv.Close()
-	tr := NewTCPTransport(map[int]string{0: srv.Addr()}, 2)
+	tr := NewTCPTransport(addrs, 2)
 	defer tr.Close()
-	const poolSize = 4
-	tr.SetMaxConnsPerPeer(poolSize)
 
-	// fillPool holds every pooled connection at once (idle ones are taken,
-	// missing ones dialed), then hands them all back.
-	fillPool := func() {
+	pullFrom := func(node int) {
 		t.Helper()
-		held := make([]*tcpConn, poolSize)
-		for i := range held {
-			c, err := tr.acquireConn(0, tr.retry)
-			if err != nil {
+		for k := keys.Key(1); k <= 4; k++ {
+			if _, _, err := pull(tr, node, []keys.Key{k}); err != nil {
 				t.Fatal(err)
 			}
-			held[i] = c
-		}
-		for _, c := range held {
-			tr.release(c)
 		}
 	}
 	check := func(what string, dials, redials int64) {
@@ -445,13 +440,8 @@ func TestRedialsCountOnlyReconnects(t *testing.T) {
 		}
 	}
 
-	fillPool()
-	for k := keys.Key(1); k <= 8; k++ {
-		if _, _, err := pull(tr, 0, []keys.Key{k}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	check("a full pool, no drop", poolSize, 0)
+	pullFrom(0)
+	check("one peer's connection, reused", 1, 0)
 
 	c, err := tr.acquireConn(0, tr.retry)
 	if err != nil {
@@ -459,18 +449,20 @@ func TestRedialsCountOnlyReconnects(t *testing.T) {
 	}
 	tr.dropConn(0, c)
 	c.mu.Unlock()
-	fillPool()
-	check("one dropped connection replaced", poolSize+1, 1)
+	pullFrom(1)
+	check("another peer's first connection", 2, 0)
+	pullFrom(0)
+	check("the dropped connection replaced", 3, 1)
 
-	tr.SetAddr(0, srv.Addr())
-	fillPool()
-	check("a repointed peer's pool rebuilt", 2*poolSize+1, 1+poolSize)
+	tr.SetAddr(0, addrs[0])
+	pullFrom(0)
+	check("a repointed peer's connection replaced", 4, 2)
 }
 
-// TestOverflowConnsAreClosed covers the pool-overfill path: when concurrent
-// first RPCs dial more connections than SetMaxConnsPerPeer allows, the
-// surplus ones serve their one RPC unpublished — and must then be closed, or
-// each would pin a socket and a server goroutine until a finalizer ran.
+// TestOverflowConnsAreClosed covers the concurrent-first-dial path: when
+// several first RPCs to a peer dial at once, one connection is published and
+// the surplus ones serve their one RPC unpublished — and must then be closed,
+// or each would pin a socket and a server goroutine until a finalizer ran.
 func TestOverflowConnsAreClosed(t *testing.T) {
 	srv, err := ServeTCP("127.0.0.1:0", newMapHandler(2))
 	if err != nil {
@@ -479,7 +471,6 @@ func TestOverflowConnsAreClosed(t *testing.T) {
 	defer srv.Close()
 	tr := NewTCPTransport(map[int]string{0: srv.Addr()}, 2)
 	defer tr.Close()
-	tr.SetMaxConnsPerPeer(2)
 
 	const callers = 16
 	start := make(chan struct{})
@@ -504,10 +495,13 @@ func TestOverflowConnsAreClosed(t *testing.T) {
 	}
 	// The server notices a client-side close asynchronously.
 	deadline := time.Now().Add(2 * time.Second)
-	for tracked() > 2 && time.Now().Before(deadline) {
+	for tracked() > 1 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if n := tracked(); n > 2 {
-		t.Fatalf("server still tracks %d connections after %d concurrent first RPCs, want <= 2", n, callers)
+	if n := tracked(); n > 1 {
+		t.Fatalf("server still tracks %d connections after %d concurrent first RPCs, want <= 1", n, callers)
+	}
+	if st := tr.Stats(); st.Dials != 1 || st.Redials != 0 {
+		t.Fatalf("%d concurrent first RPCs counted %d dials, %d redials; want 1 and 0", callers, st.Dials, st.Redials)
 	}
 }

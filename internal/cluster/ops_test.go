@@ -470,7 +470,7 @@ func TestHelloNegotiatesPrecision(t *testing.T) {
 		if _, err := tr.PullBlock(0, ks, blk); err != nil {
 			t.Fatal(err)
 		}
-		if got := tr.peers[0].conns[0].prec; got != p {
+		if got := tr.peers[0].prec; got != p {
 			t.Errorf("negotiated %v, asked for %v", got, p)
 		}
 		for i, k := range ks {

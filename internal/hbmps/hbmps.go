@@ -25,7 +25,6 @@ package hbmps
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -147,14 +146,6 @@ type HBMPS struct {
 	dst       *ps.ValueBlock
 	freqDelta []uint32
 	changed   []bool
-
-	// Staged GPU partition computed by StagePartition while the pull stage is
-	// still fetching values. Guarded by its own lock, not h.mu: with pipelining,
-	// the pull stage of batch j+1 stages its partition while the train stage of
-	// batch j still holds h.mu inside LoadBlock.
-	stageMu     sync.Mutex
-	stagedKeys  []keys.Key
-	stagedParts [][]int32
 }
 
 var _ ps.Tier = (*HBMPS)(nil)
@@ -212,20 +203,16 @@ func (h *HBMPS) LoadBlock(blk *ps.ValueBlock) error {
 	}
 	ks := blk.Keys
 
-	// Partition key indices across GPUs (buffers recycled across batches). If
-	// StagePartition already bucketed exactly this key sequence during the pull
-	// stage, adopt its buckets instead of re-partitioning.
-	if !h.adoptStagedPartition(ks) {
-		if len(h.parts) != len(h.devices) {
-			h.parts = make([][]int32, len(h.devices))
-		}
-		for g := range h.parts {
-			h.parts[g] = h.parts[g][:0]
-		}
-		for i, k := range ks {
-			g := h.gpuOf(k)
-			h.parts[g] = append(h.parts[g], int32(i))
-		}
+	// Partition key indices across GPUs (buffers recycled across batches).
+	if len(h.parts) != len(h.devices) {
+		h.parts = make([][]int32, len(h.devices))
+	}
+	for g := range h.parts {
+		h.parts[g] = h.parts[g][:0]
+	}
+	for i, k := range ks {
+		g := h.gpuOf(k)
+		h.parts[g] = append(h.parts[g], int32(i))
 	}
 
 	h.pos = ps.Resize(h.pos, len(ks))
@@ -290,44 +277,6 @@ func (h *HBMPS) loadGPU(g int) error {
 	}
 	h.devices[g].ChargeMemory(bytes)
 	return nil
-}
-
-// StagePartition buckets the given keys by owning GPU ahead of the LoadBlock
-// that will load them, so the partitioning runs concurrently with the network
-// pull of the values instead of serially after it. The keys are copied; a
-// later LoadBlock whose key sequence matches exactly adopts the staged
-// buckets, any other load ignores them. Safe to call while a previous batch
-// is still resident or training.
-func (h *HBMPS) StagePartition(ks []keys.Key) {
-	h.stageMu.Lock()
-	defer h.stageMu.Unlock()
-	h.stagedKeys = append(h.stagedKeys[:0], ks...)
-	if len(h.stagedParts) != len(h.devices) {
-		h.stagedParts = make([][]int32, len(h.devices))
-	}
-	for g := range h.stagedParts {
-		h.stagedParts[g] = h.stagedParts[g][:0]
-	}
-	for i, k := range ks {
-		g := h.gpuOf(k)
-		h.stagedParts[g] = append(h.stagedParts[g], int32(i))
-	}
-}
-
-// adoptStagedPartition swaps the staged buckets into h.parts when they were
-// computed for exactly the key sequence now being loaded. Caller holds h.mu.
-func (h *HBMPS) adoptStagedPartition(ks []keys.Key) bool {
-	h.stageMu.Lock()
-	defer h.stageMu.Unlock()
-	if len(h.stagedParts) != len(h.devices) || !slices.Equal(h.stagedKeys, ks) {
-		return false
-	}
-	h.parts, h.stagedParts = h.stagedParts, h.parts
-	h.stagedKeys = h.stagedKeys[:0]
-	if len(h.stagedParts) != len(h.devices) {
-		h.stagedParts = make([][]int32, len(h.devices))
-	}
-	return true
 }
 
 // Loaded reports whether a working set is currently resident.

@@ -766,8 +766,8 @@ func (m *MemPS) servePull(ks []keys.Key, emit func(i int, k keys.Key, v *embeddi
 // this node has seen, without materializing missing ones. Cache and
 // dump-buffer hits are cloned under the lock; the remaining misses go to the
 // SSD-PS as one batched load. The error is always nil here; the signature
-// matches the trainer's memService contract, whose remote implementation
-// can fail.
+// matches the trainer's owner contract, whose remote implementation can
+// fail.
 func (m *MemPS) LookupAll(ks []keys.Key) (map[keys.Key]*embedding.Value, error) {
 	out := make(map[keys.Key]*embedding.Value, len(ks))
 	var toLoad []keys.Key

@@ -2,12 +2,10 @@ package trainer
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"hps/internal/cluster"
 	"hps/internal/ps"
 )
 
@@ -110,9 +108,9 @@ func (g *depthGate) setLimit(n int) {
 type pushJob struct {
 	index  int
 	global *ps.ValueBlock
-	// owned are the per-node owned pulls to complete after the push lands
-	// (in-process mode only; a shard server pins nothing for the driver).
-	owned []*ownedPull
+	// pull is the batch's pull, which every owner completes once the push
+	// has landed.
+	pull []ownedPull
 }
 
 // pushCommitter applies merged delta blocks to the MEM-PS tier on a background
@@ -269,62 +267,18 @@ func (c *pushCommitter) observeTrain(index int) {
 }
 
 // applyGlobalPush is the apply half of stagePush, run on the committer
-// goroutine in async mode: push the merged delta block into every node's
-// MEM-PS, complete the working sets (in-process), and republish the dense
-// tower to the serving tier. The committer is the only goroutine on the
-// MEM-PS push path, so the TierStats PushTime deltas attribute cleanly, same
-// as the synchronous stage.
+// goroutine in async mode: every owner applies its share of the merged delta
+// block and completes the batch's pull, and the dense tower is republished
+// to the serving tier. The committer is the only goroutine on the owners'
+// push path, so their push times attribute cleanly, same as the synchronous
+// stage.
 func (t *Trainer) applyGlobalPush(pj *pushJob) error {
-	var mu sync.Mutex
-	var modelled time.Duration
-	err := t.eachNode(func(n *node) error {
-		var d time.Duration
-		if t.remote != nil {
-			start := time.Now()
-			if err := n.mem.PushBlock(ps.PushBlockRequest{Shard: ps.NoShard, Block: pj.global}); err != nil {
-				return err
-			}
-			d = time.Since(start)
-		} else {
-			memBefore := n.mem.TierStats().PushTime
-			if err := n.mem.PushBlock(ps.PushBlockRequest{Shard: ps.NoShard, Block: pj.global}); err != nil {
-				return err
-			}
-			if err := n.completePull(pj.owned[n.id]); err != nil {
-				return err
-			}
-			d = n.mem.TierStats().PushTime - memBefore
-		}
-		mu.Lock()
-		if d > modelled {
-			modelled = d
-		}
-		mu.Unlock()
-		return nil
-	})
+	modelled, err := t.applyPush(deltas{global: pj.global}, pj.pull)
 	if err != nil {
 		return err
 	}
-	if t.remote != nil && t.cfg.Serve {
-		// Same refresh as the synchronous stage, with the trainer's current
-		// trained-batch watermark riding along so shards can report how far
-		// their parameters trail training (push epoch lag).
-		t.denseMu.Lock()
-		t.denseFlat = t.net.FlattenParams(t.denseFlat[:0])
-		t.denseMu.Unlock()
-		scfg := cluster.ServeConfig{
-			Dense:        t.denseFlat,
-			Epoch:        uint64(pj.index) + 1,
-			TrainedEpoch: t.trainedEpoch.Load(),
-		}
-		for _, id := range t.cfg.Topology.MemberIDs() {
-			if err := t.remote.PublishServeConfig(id, scfg); err != nil {
-				if t.cfg.Topology.Replicas > 1 {
-					continue
-				}
-				return fmt.Errorf("trainer: refresh dense on shard %d: %w", id, err)
-			}
-		}
+	if err := t.republishDense(pj.index); err != nil {
+		return err
 	}
 	t.addStageModelled(StagePush, modelled)
 	return nil

@@ -153,15 +153,15 @@ func BenchmarkStagePushMultiNode(b *testing.B) {
 	}
 
 	j := &job{index: 0, nodes: []*nodeBatch{{}, {}}}
-	owned := []*ownedPull{{}, {}} // nothing pinned: the push completes empty pulls
+	pull := make([]ownedPull, 2) // nothing pinned: the push completes empty shares
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for nid, nb := range j.nodes {
 			blk := ps.GetBlock(dim, nil)
 			blk.CopyFrom(templates[nid])
 			nb.deltas = blk
-			nb.owned = owned[nid]
 		}
+		j.pull = pull
 		if _, err := tr.stagePush(context.Background(), j); err != nil {
 			b.Fatal(err)
 		}

@@ -58,14 +58,15 @@ func referenceCluster(t *testing.T, cfg Config) []*memps.MemPS {
 	return out
 }
 
-// TestOwnedPullMatchesPrepareInto is the per-owner pull's contract: with one,
+// TestOwnedPullMatchesPrepareInto is the owner contract's pull: with one,
 // two and three nodes whose key sets overlap, are disjoint, or are empty,
 // every node's block after stagePull is bit-equal to what PrepareInto
-// assembles for it from a MEM-PS cluster that served the same pushes, every
-// node is charged the same peer transfer, and every pin is released by the
-// push. Caches far below the working sets put keys in the cache, the dump
-// buffer and the SSD-PS. The nodes are visited concurrently and, through
-// the sequential hook, one after another.
+// assembles for it from a MEM-PS cluster that served the same pushes. The
+// owners are the nodes' own MEM-PS — visited concurrently and, through the
+// sequential hook, one after another — or shard servers over loopback TCP.
+// In process every node is also charged the same peer transfer, and every pin
+// is released by the push. Caches far below the working sets put keys in the
+// cache, the dump buffer and the SSD-PS.
 func TestOwnedPullMatchesPrepareInto(t *testing.T) {
 	keySets := map[string]func(rng *rand.Rand, node, nodes int) []keys.Key{
 		"overlapping": func(rng *rand.Rand, _, _ int) []keys.Key {
@@ -100,6 +101,21 @@ func TestOwnedPullMatchesPrepareInto(t *testing.T) {
 					checkOwnedPulls(t, tr, ref, keySet)
 				})
 			}
+			t.Run(fmt.Sprintf("%d-nodes/%s/remote", nodes, name), func(t *testing.T) {
+				cfg := Config{
+					Spec: testSpec(), Data: testData(),
+					Topology: cluster.Topology{Nodes: nodes, GPUsPerNode: 1},
+					Batches:  1, Seed: 5, LRUEntries: 16, LFUEntries: 16, ParamsPerFile: 16,
+				}
+				_, cfg.RemoteShards = startShards(t, cfg.Topology, cfg.Spec.EmbeddingDim, cfg.Seed, 16, 16)
+				tr, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { tr.Close() })
+				ref := referenceCluster(t, cfg)
+				checkOwnedPulls(t, tr, ref, keySet)
+			})
 		}
 	}
 }
@@ -114,7 +130,8 @@ func randomKeys(rng *rand.Rand, lo, span, n int) []keys.Key {
 }
 
 // checkOwnedPulls runs rounds of stagePull on tr against PrepareInto on ref,
-// pushing the same deltas into both after each round.
+// pushing the same deltas into both after each round: through every owner of
+// tr (applyPush, which completes the pull) and into every MEM-PS of ref.
 func checkOwnedPulls(t *testing.T, tr *Trainer, ref []*memps.MemPS, keySet func(rng *rand.Rand, node, nodes int) []keys.Key) {
 	t.Helper()
 	dim := tr.cfg.Spec.EmbeddingDim
@@ -155,14 +172,11 @@ func checkOwnedPulls(t *testing.T, tr *Trainer, ref []*memps.MemPS, keySet func(
 			global.Freq[i] = 1
 			global.Present[i] = true
 		}
+		if _, err := tr.applyPush(deltas{global: global}, j.pull); err != nil {
+			t.Fatal(err)
+		}
 		push := ps.PushBlockRequest{Shard: ps.NoShard, Block: global}
-		for r, n := range tr.nodes {
-			if err := n.local.PushBlock(push); err != nil {
-				t.Fatal(err)
-			}
-			if err := n.completePull(j.nodes[r].owned); err != nil {
-				t.Fatal(err)
-			}
+		for r := range ref {
 			if err := ref[r].PushBlock(push); err != nil {
 				t.Fatal(err)
 			}
@@ -172,6 +186,9 @@ func checkOwnedPulls(t *testing.T, tr *Trainer, ref []*memps.MemPS, keySet func(
 		}
 	}
 	for r, n := range tr.nodes {
+		if n.local == nil {
+			continue // a shard server's accounting is its own
+		}
 		got, want := n.local.Stats(), ref[r].Stats()
 		if got.RemoteKeys != want.RemoteKeys || got.RemotePulls != want.RemotePulls || got.RemotePullTime != want.RemotePullTime {
 			t.Fatalf("node %d received %d peer keys in %d pulls (%v), PrepareInto %d in %d (%v)", r,
@@ -213,5 +230,127 @@ func TestPushesNeverMissThePinnedWorkingSet(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// stepBatches trains n batches one stage at a time — read, pull, train, push
+// — calling read with each batch after its read stage and trained after its
+// train stage (nil skips either).
+func stepBatches(t *testing.T, tr *Trainer, n int, read, trained func(j *job)) {
+	t.Helper()
+	ctx := context.Background()
+	for i := 0; i < n; i++ {
+		j := &job{index: i, nodes: make([]*nodeBatch, len(tr.nodes))}
+		var err error
+		if j, err = tr.stageRead(ctx, j); err != nil {
+			t.Fatal(err)
+		}
+		if read != nil {
+			read(j)
+		}
+		if j, err = tr.stagePull(ctx, j); err != nil {
+			t.Fatal(err)
+		}
+		if j, err = tr.stageTrain(ctx, j); err != nil {
+			t.Fatal(err)
+		}
+		if trained != nil {
+			trained(j)
+		}
+		if _, err = tr.stagePush(ctx, j); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// batchUnion returns the sorted union of every node's keys of j's batch.
+func batchUnion(j *job) []keys.Key {
+	var all []keys.Key
+	for _, nb := range j.nodes {
+		all = append(all, nb.index.Unique...)
+	}
+	return keys.Dedup(all)
+}
+
+// deltaUnion returns how many rows merging j's per-node delta blocks yields.
+func deltaUnion(j *job) int {
+	var all []keys.Key
+	for _, nb := range j.nodes {
+		for i, k := range nb.deltas.Keys {
+			if nb.deltas.Present[i] {
+				all = append(all, k)
+			}
+		}
+	}
+	return len(keys.Dedup(all))
+}
+
+// remoteTrainer builds a multi-process trainer over in-test shard servers,
+// one per member of topo.
+func remoteTrainer(t *testing.T, topo cluster.Topology) (*Trainer, []*shardServer) {
+	t.Helper()
+	cfg := Config{
+		Spec: testSpec(), Data: testData(), Topology: topo,
+		BatchSize: 64, Batches: 6, Seed: 11,
+	}
+	var shards []*shardServer
+	shards, cfg.RemoteShards = startShards(t, topo, cfg.Spec.EmbeddingDim, cfg.Seed, 0, 0)
+	tr, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Close() })
+	return tr, shards
+}
+
+// TestRemotePullIsOneRPCPerOwner states the pull traffic of the owner
+// contract over TCP: with two nodes on two shard servers, every batch costs
+// one pull RPC per shard that owns any of its keys — not one per node and
+// shard — and pulls each key of the union of the nodes' keys exactly once.
+func TestRemotePullIsOneRPCPerOwner(t *testing.T) {
+	topo := cluster.Topology{Nodes: 2, GPUsPerNode: 1}
+	tr, _ := remoteTrainer(t, topo)
+	var owners, unionKeys int64
+	stepBatches(t, tr, 6, func(j *job) {
+		union := batchUnion(j)
+		touched := map[int]bool{}
+		for _, k := range union {
+			touched[topo.NodeOf(k)] = true
+		}
+		owners += int64(len(touched))
+		unionKeys += int64(len(union))
+	}, nil)
+	r := tr.Report().Remote
+	if r.Pulls != owners || r.KeysPulled != unionKeys {
+		t.Fatalf("%d pull RPCs moving %d keys; want one per owner touched (%d) moving the batches' unions (%d keys)",
+			r.Pulls, r.KeysPulled, owners, unionKeys)
+	}
+}
+
+// TestRingMembersOwnTheirPartitions runs a ring of three shard servers under
+// two nodes, so owners are not nodes: each batch's merged deltas reach every
+// member exactly once — the rows pushed, counted by the driver and by the
+// shards, sum to the merged blocks' rows — its union is pulled once, and the
+// report counts the three shard processes.
+func TestRingMembersOwnTheirPartitions(t *testing.T) {
+	ms := cluster.NewMembership(cluster.NewRing([]int{0, 1, 2}, 16))
+	tr, shards := remoteTrainer(t, cluster.Topology{Nodes: 2, GPUsPerNode: 1, Members: ms})
+	var unionKeys, mergedRows int64
+	stepBatches(t, tr, 6,
+		func(j *job) { unionKeys += int64(len(batchUnion(j))) },
+		func(j *job) { mergedRows += int64(deltaUnion(j)) })
+	r := tr.Report().Remote
+	var shardRows int64
+	for _, sh := range shards {
+		shardRows += sh.mem.TierStats().KeysPushed
+	}
+	if r.KeysPushed != mergedRows || shardRows != mergedRows {
+		t.Fatalf("driver pushed %d rows and the shards applied %d; the merged blocks held %d", r.KeysPushed, shardRows, mergedRows)
+	}
+	if r.Shards != 3 {
+		t.Fatalf("report counts %d shard processes for a 3-member ring", r.Shards)
+	}
+	if r.KeysPulled != unionKeys {
+		t.Fatalf("pulled %d keys; the batches' unions hold %d", r.KeysPulled, unionKeys)
 	}
 }

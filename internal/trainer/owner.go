@@ -1,0 +1,289 @@
+package trainer
+
+import (
+	"fmt"
+	"sync"
+	"time"
+
+	"hps/internal/embedding"
+	"hps/internal/keys"
+	"hps/internal/memps"
+	"hps/internal/ps"
+)
+
+// owner is what a key's owner does for one batch (Algorithm 1 lines 3-4 and
+// 16-18), in both deployments: in process it is a node's MEM-PS (localOwner),
+// in multi-process mode one shard server process per ring member
+// (remoteShard). stagePull deals the sorted union of the nodes' keys over the
+// current owners (splitByOwner), and each owner
+//
+//   - resolves the batch's keys it holds, for every node, into each node's
+//     block rows;
+//   - applies its share of the batch's merged deltas;
+//   - completes the batch.
+//
+// Pins are an in-process property: a MEM-PS keeps the keys it resolved pinned
+// until complete, so the push never misses its cache. A shard server pins
+// nothing for the driver, so a remote owner's complete does nothing.
+//
+// TierStats, LookupAll and Flush are the trainer's calls outside a batch:
+// reports, Predict and checkpoints.
+type owner interface {
+	// resolve copies the values of the owner's share of a batch's pull —
+	// shares[id] for owner id — into the nodes' blocks dsts, at the rows the
+	// share names, and returns the time the pull stage charges for it:
+	// modelled in process, wall-clock over TCP.
+	resolve(shares []ownedPull, dsts []*ps.ValueBlock) (time.Duration, error)
+	// apply merges the owner's share of a batch's merged deltas into its
+	// authoritative copies and returns the push time, measured like resolve's.
+	apply(d deltas) (time.Duration, error)
+	// complete releases what resolve pinned for shares and runs the owner's
+	// batch-completion housekeeping.
+	complete(shares []ownedPull) error
+	// TierStats returns the owner's uniform MEM-PS statistics.
+	TierStats() ps.Stats
+	// LookupAll reads current values of keys the owner holds without
+	// materializing missing ones. A missing key is absent from the result; an
+	// error means the values could not be read at all (an unreachable shard).
+	LookupAll(ks []keys.Key) (map[keys.Key]*embedding.Value, error)
+	// Flush persists the owner's in-memory parameters to its SSD-PS.
+	Flush() error
+}
+
+// ownedPull is one owner's share of a batch pull: the batch's keys the owner
+// holds — the sorted union of every node's references to them — with the row
+// each lands in of every node's block, and (in process) the working set they
+// stay pinned under until the batch's push has completed it. A batch's pull
+// is one share per owner id; it travels with the batch from stagePull to the
+// push that completes it, and is then recycled through Trainer.pulls.
+type ownedPull struct {
+	keys []keys.Key
+	// rows[r][x] is keys[x]'s row in node r's block, -1 when node r does not
+	// reference it; wants[r] counts node r's rows.
+	rows  [][]int32
+	wants []int
+	ws    memps.WorkingSet
+}
+
+// deltas is a batch's merged deltas as the owners apply them: the merged
+// block, or — on stagePush's fused two-node path — the pair merge, from which
+// each MEM-PS sums its share on the fly.
+type deltas struct {
+	global *ps.ValueBlock
+	pair   *pairMerge
+}
+
+// pairMerge is the fused two-node push's merge of the nodes' delta blocks a
+// and b: per owning node, the merged keys plus each key's source row in
+// either block (-1 when that node did not touch it) — the inputs
+// MemPS.PushBlockPair applies without a materialized global block.
+type pairMerge struct {
+	a, b         *ps.ValueBlock
+	keys         [2][]keys.Key
+	rowsA, rowsB [2][]int32
+}
+
+// splitByOwner readies a batch's pull: every node's block, shaped by its
+// index.Unique, and every owner's share in j.pull. One merge of the nodes'
+// sorted key sets deals the union out over the owners the ring names now; a
+// key's row in node r's block is its position in node r's Unique, which is
+// where node r's cursor stands when the merge reaches the key. The caller
+// holds ownersMu, so every owner the ring names has an entry in owners.
+func (t *Trainer) splitByOwner(j *job, owners []owner) error {
+	dim := t.cfg.Spec.EmbeddingDim
+	nodes := len(t.nodes)
+	t.pullBlocks = t.pullBlocks[:0]
+	cur := ps.Resize(t.pullCursors, nodes)
+	t.pullCursors = cur
+	for r, nb := range j.nodes {
+		// Uninitialized: every row is written by the owner of its key.
+		nb.block = ps.GetBlock(dim, nil)
+		nb.block.ResetUninit(dim, nb.index.Unique)
+		t.pullBlocks = append(t.pullBlocks, nb.block)
+		cur[r] = 0
+	}
+	var shares []ownedPull
+	select {
+	case shares = <-t.pulls:
+	default:
+	}
+	shares = ps.Resize(shares, len(owners))
+	for i := range shares {
+		op := &shares[i]
+		op.keys = op.keys[:0]
+		op.rows = ps.Resize(op.rows, nodes)
+		for r := range op.rows {
+			op.rows[r] = op.rows[r][:0]
+		}
+		op.wants = ps.Resize(op.wants, nodes)
+		clear(op.wants)
+	}
+	j.pull = shares
+	topo := t.cfg.Topology
+	for {
+		var k keys.Key
+		found := false
+		for r, nb := range j.nodes {
+			if c := cur[r]; c < len(nb.index.Unique) && (!found || nb.index.Unique[c] < k) {
+				k, found = nb.index.Unique[c], true
+			}
+		}
+		if !found {
+			return nil
+		}
+		o := topo.NodeOf(k)
+		if o < 0 || o >= len(owners) || owners[o] == nil {
+			return fmt.Errorf("trainer: key %d is owned by %d, which is not an owner of this trainer", k, o)
+		}
+		op := &shares[o]
+		op.keys = append(op.keys, k)
+		for r, nb := range j.nodes {
+			row := int32(-1)
+			if c := cur[r]; c < len(nb.index.Unique) && nb.index.Unique[c] == k {
+				row = int32(c)
+				cur[r]++
+				op.wants[r]++
+			}
+			op.rows[r] = append(op.rows[r], row)
+		}
+	}
+}
+
+// localOwner is the owner contract in process: node id's MEM-PS.
+type localOwner struct {
+	*memps.MemPS
+	id int
+}
+
+// resolve has the MEM-PS resolve and pin the batch's keys it owns for every
+// node, copying each value into the blocks that want it (PrepareOwnedInto),
+// and then charges the node's network for the rows its peers copied into its
+// block. The two overlap, so the node pays the slower.
+func (o localOwner) resolve(shares []ownedPull, dsts []*ps.ValueBlock) (time.Duration, error) {
+	op := &shares[o.id]
+	ws, err := o.PrepareOwnedInto(op.keys, dsts, op.rows)
+	if err != nil {
+		return 0, err
+	}
+	op.ws = ws
+	var recv time.Duration
+	for p := range shares {
+		if rows := shares[p].wants[o.id]; p != o.id && rows > 0 {
+			recv += o.ReceivePeerRows(rows)
+		}
+	}
+	return max(ws.Stats.LocalTime, recv), nil
+}
+
+// apply pushes the MEM-PS's share of the deltas — it ignores the rows of keys
+// it does not own — and returns the modelled push time.
+func (o localOwner) apply(d deltas) (time.Duration, error) {
+	before := o.TierStats().PushTime
+	var err error
+	if p := d.pair; p != nil {
+		err = o.PushBlockPair(p.a, p.b, p.keys[o.id], p.rowsA[o.id], p.rowsB[o.id])
+	} else {
+		err = o.PushBlock(ps.PushBlockRequest{Shard: ps.NoShard, Block: d.global})
+	}
+	return o.TierStats().PushTime - before, err
+}
+
+// complete unpins the keys resolve pinned and runs the MEM-PS's
+// batch-completion housekeeping (CompleteBatch).
+func (o localOwner) complete(shares []ownedPull) error {
+	return o.CompleteBatch(&shares[o.id].ws)
+}
+
+// each runs fn(i) for every i in [0, n) concurrently — in order when n is 1
+// or under the sequential hook — and returns the first error.
+func (t *Trainer) each(n int, fn func(i int) error) error {
+	if n == 1 || t.sequential {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// eachNode runs fn for every node (see each).
+func (t *Trainer) eachNode(fn func(n *node) error) error {
+	return t.each(len(t.nodes), func(i int) error { return fn(t.nodes[i]) })
+}
+
+// eachOwner runs fn for every owner of owners, skipping the ids no owner
+// holds (see each).
+func (t *Trainer) eachOwner(owners []owner, fn func(o owner) error) error {
+	return t.each(len(owners), func(i int) error {
+		if owners[i] == nil {
+			return nil
+		}
+		return fn(owners[i])
+	})
+}
+
+// memberOwners returns the owners of the current ring members — every node's
+// MEM-PS in process. A member that left keeps its table entry, but the ring
+// gives it no keys, and reports and flushes skip it.
+func (t *Trainer) memberOwners() []owner {
+	t.ownersMu.Lock()
+	defer t.ownersMu.Unlock()
+	ids := t.cfg.Topology.MemberIDs()
+	out := make([]owner, 0, len(ids))
+	for _, id := range ids {
+		if id < len(t.owners) && t.owners[id] != nil {
+			out = append(out, t.owners[id])
+		}
+	}
+	return out
+}
+
+// applyPush has every owner apply its share of a batch's merged deltas and
+// complete the batch's pull, then recycles the pull. It returns the slowest
+// owner's push time. The owners are the table's at push time: a member that
+// joined since the pull receives its rows.
+func (t *Trainer) applyPush(d deltas, pull []ownedPull) (time.Duration, error) {
+	t.ownersMu.Lock()
+	owners := t.owners
+	t.ownersMu.Unlock()
+	var mu sync.Mutex
+	var slowest time.Duration
+	err := t.eachOwner(owners, func(o owner) error {
+		dur, err := o.apply(d)
+		if err != nil {
+			return err
+		}
+		if err := o.complete(pull); err != nil {
+			return err
+		}
+		mu.Lock()
+		slowest = max(slowest, dur)
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	select {
+	case t.pulls <- pull:
+	default:
+	}
+	return slowest, nil
+}

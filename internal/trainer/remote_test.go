@@ -24,13 +24,15 @@ type shardServer struct {
 	srv  *cluster.TCPServer
 }
 
-// startShards brings up one TCP shard server per node of topo, each hosting
-// the MEM-PS (backed by an SSD-PS under t.TempDir) of its parameter shard.
+// startShards brings up one TCP shard server per member of topo (per node
+// under modulo placement), each hosting the MEM-PS (backed by an SSD-PS under
+// t.TempDir) of its parameter shard. shards[i] is member i's server.
 func startShards(t *testing.T, topo cluster.Topology, dim int, seed int64, lru, lfu int) ([]*shardServer, map[int]string) {
 	t.Helper()
-	shards := make([]*shardServer, topo.Nodes)
-	addrs := make(map[int]string, topo.Nodes)
-	for i := 0; i < topo.Nodes; i++ {
+	ids := topo.MemberIDs()
+	shards := make([]*shardServer, len(ids))
+	addrs := make(map[int]string, len(ids))
+	for _, i := range ids {
 		dev, err := blockio.NewDevice(t.TempDir(), hw.DefaultGPUNode().SSD, simtime.NewClock())
 		if err != nil {
 			t.Fatal(err)
@@ -144,51 +146,6 @@ func TestRemoteShardsMatchLocalAUC(t *testing.T) {
 	}
 }
 
-// TestPullPipelineIsReproducible trains the same multi-process run with one
-// pull RPC per shard and with every shard partition split into two
-// concurrent chunks. The chunks reach a shard in either order, but a
-// never-before-seen parameter's initial value depends only on (seed, key),
-// so the runs must end bit-identical: dense tower, optimizer state and AUC.
-func TestPullPipelineIsReproducible(t *testing.T) {
-	data := testData()
-	spec := testSpec()
-	topo := cluster.Topology{Nodes: 2, GPUsPerNode: 1}
-	run := func(pipeline int) (auc float64, params, state []float32) {
-		t.Helper()
-		_, addrs := startShards(t, topo, spec.EmbeddingDim, 7, 96, 96)
-		tr, err := New(Config{
-			Spec:         spec,
-			Data:         data,
-			Topology:     topo,
-			BatchSize:    128,
-			Batches:      20,
-			MaxInFlight:  1,
-			Seed:         7,
-			RemoteShards: addrs,
-			PullPipeline: pipeline,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { tr.Close() })
-		tr.sequential = true
-		if err := tr.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		params, state = denseFlats(tr)
-		return evalAUC(t, tr, dataset.NewGenerator(data, 999), 1500), params, state
-	}
-	oneAUC, oneParams, oneState := run(1)
-	twoAUC, twoParams, twoState := run(2)
-	t.Logf("AUC with 1 pull per shard = %.6f, with 2 chunks = %.6f", oneAUC, twoAUC)
-	if !sameBits(oneParams, twoParams) || !sameBits(oneState, twoState) {
-		t.Fatal("chunked pulls changed the trained dense tower")
-	}
-	if oneAUC != twoAUC {
-		t.Fatalf("chunked pulls changed the AUC: %.9f != %.9f", twoAUC, oneAUC)
-	}
-}
-
 // quantBand is how far the mean held-out AUC of a quantized-wire
 // configuration, averaged over aucSeeds, may land from the fp32-wire mean.
 // The runs are deterministic (sequential hook, one RPC in flight), so what a
@@ -212,9 +169,7 @@ const quantBand = 0.0025
 // TestQuantizedWireMatchesFP32AUC is the accuracy gate of the quantized
 // transport: the same multi-process workload trained with fp16 and int8 wire
 // rows — on pulls only, or on pushed deltas as well — must converge to the
-// fp32-wire run's AUC, compared as means over aucSeeds (see quantBand). Pull
-// pipelining stays at 1 here so the runs share a batch schedule and the band
-// measures the codec alone.
+// fp32-wire run's AUC, compared as means over aucSeeds (see quantBand).
 func TestQuantizedWireMatchesFP32AUC(t *testing.T) {
 	data := testData()
 	spec := testSpec()
@@ -284,8 +239,8 @@ func TestQuantizedWireMatchesFP32AUC(t *testing.T) {
 // TestRemoteShardFailureRecovers kills a shard server mid-epoch and restarts
 // it on the same address with the same shard state: the trainer's transport
 // must reconnect and training must complete and converge, with no corrupted
-// parameters. The run uses quantized frames and pipelined chunked pulls, so
-// the reconnect tears down multiple raw-negotiated connections per peer.
+// parameters. The run uses quantized frames, so the reconnect tears down a
+// raw-negotiated connection and negotiates its replacement.
 func TestRemoteShardFailureRecovers(t *testing.T) {
 	data := testData()
 	spec := testSpec()
@@ -303,7 +258,6 @@ func TestRemoteShardFailureRecovers(t *testing.T) {
 		RemoteShards:  addrs,
 		RemoteRetry:   cluster.RetryPolicy{Attempts: 8, Backoff: 10 * time.Millisecond},
 		WirePrecision: "fp16",
-		PullPipeline:  2,
 	})
 	if err != nil {
 		t.Fatal(err)

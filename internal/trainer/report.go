@@ -225,7 +225,7 @@ func (t *Trainer) Report() Report {
 		net := t.remoteNet
 		net.mu.Lock()
 		rr := &RemoteNetReport{
-			Shards:       t.cfg.Topology.Nodes,
+			Shards:       len(t.cfg.Topology.MemberIDs()),
 			Pulls:        net.pulls,
 			Pushes:       net.pushes,
 			KeysPulled:   net.keysPulled,

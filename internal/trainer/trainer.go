@@ -24,10 +24,10 @@
 //
 // Parameter movement is batched end to end: stagePull assembles each node's
 // working set into a flat ps.ValueBlock (one row per unique key, no per-value
-// map) — in process every MEM-PS resolves the keys it owns once for all
-// nodes, copying each value into the row of every block that wants it and
-// keeping it pinned until the push — stageTrain loads that block straight
-// into the HBM-PS, and each GPU
+// map) — every owner resolves the batch's keys it holds once for all nodes,
+// copying each value into the row of every block that wants it (owner.go: one
+// contract for a node's MEM-PS in process and for a shard server process over
+// TCP) — stageTrain loads that block straight into the HBM-PS, and each GPU
 // worker issues exactly one block pull and one block commit per mini-batch —
 // it pulls its shard's keys into a reused ValueBlock, addresses every
 // example's features by row offset, applies the sparse optimizer to the block
@@ -135,10 +135,11 @@ type Config struct {
 	Seed int64
 	// RemoteShards switches the trainer into multi-process mode: the MEM-PS
 	// tier lives in separate shard-server processes, and RemoteShards maps
-	// each shard id (== virtual node id) to the TCP address serving it. It
-	// must have exactly Topology.Nodes entries. The driver keeps the data
-	// streams, the GPUs and the dense tower; every parameter pull and push
-	// crosses a real socket.
+	// each shard id to the TCP address serving it: one per node id under
+	// modulo placement, one per ring member under Topology.Members, however
+	// many members the ring has. Each shard is one owner (owner.go). The
+	// driver keeps the data streams, the GPUs and the dense tower; every
+	// parameter pull and push crosses a real socket.
 	RemoteShards map[int]string
 	// RemoteRetry overrides the TCP transport's retry policy in
 	// multi-process mode; the zero value keeps the default.
@@ -154,15 +155,6 @@ type Config struct {
 	// authoritative copies directly, so this is a separate opt-in; the
 	// quantized-wire AUC-parity test gates both modes.
 	QuantizePush bool
-	// PullPipeline bounds how many block RPCs each node keeps in flight per
-	// shard during the pull stage (multi-process mode). 1 (the default) issues
-	// one RPC per owning shard; larger values split each shard's partition
-	// into chunks pulled concurrently over multiple connections, overlapping
-	// network wait with HBM working-set staging. Concurrent chunks can reach
-	// the shard in either order; that changes nothing a run computes, because
-	// a never-before-seen parameter's initial value depends only on (seed,
-	// key) (TestPullPipelineIsReproducible).
-	PullPipeline int
 	// Serve activates the shard servers' online-serving tier (multi-process
 	// mode only): the trainer publishes the peer address map and the dense
 	// tower to every shard at startup, then republishes the dense parameters
@@ -226,9 +218,6 @@ func (c Config) withDefaults() Config {
 	if c.ParamsPerFile <= 0 {
 		c.ParamsPerFile = 256
 	}
-	if c.PullPipeline <= 0 {
-		c.PullPipeline = 1
-	}
 	if c.PushLag <= 0 {
 		c.PushLag = 2
 	}
@@ -239,8 +228,8 @@ func (c Config) withDefaults() Config {
 }
 
 // node bundles the per-node pieces of the hierarchy. In multi-process mode
-// the MEM-PS/SSD-PS pieces live in a shard-server process, so dev, store and
-// local are nil and mem is the RPC-backed view.
+// the MEM-PS/SSD-PS pieces live in the shard-server processes, so dev, store
+// and local are nil.
 type node struct {
 	id     int
 	gen    *dataset.Generator
@@ -248,7 +237,6 @@ type node struct {
 	dev    *blockio.Device
 	store  *ssdps.Store
 	local  *memps.MemPS
-	mem    memService
 	hbm    *hbmps.HBMPS
 	// indexer builds each batch's key index in stageRead (one goroutine per
 	// node, one batch at a time); indexes recycles the indexes themselves:
@@ -258,11 +246,6 @@ type node struct {
 	// circulation.
 	indexer keys.IndexBuilder
 	indexes chan *keys.Index
-	// pulls recycles the node's ownedPulls the same way (in-process only):
-	// stagePull takes one, and the batch's push hands it back once the MEM-PS
-	// has completed the batch. It has a slot for every batch that may lie
-	// between the two, the ones parked in the async committer included.
-	pulls chan *ownedPull
 	// workers[g] is GPU g's training state. stageTrain runs on one pipeline
 	// goroutine and trainOnGPUs gives each GPU one goroutine, so a worker is
 	// only ever used by one goroutine at a time.
@@ -276,10 +259,6 @@ type nodeBatch struct {
 	// the pull stage (Unique) and the GPU workers (Rows) until the batch has
 	// trained.
 	index *keys.Index
-	// owned is what this node's MEM-PS resolved and pinned for the batch, in
-	// process: the batch's keys it owns, for every node. The push completes
-	// it. (A shard server pins nothing for the driver.)
-	owned *ownedPull
 	// block holds the working-set values (flat rows, sorted unique-key
 	// order) between the pull and train stages; it is returned to the block
 	// pool as soon as the HBM-PS has loaded it.
@@ -295,6 +274,9 @@ type nodeBatch struct {
 type job struct {
 	index int
 	nodes []*nodeBatch
+	// pull is the batch's pull dealt over the owners, from stagePull until
+	// the push has completed it.
+	pull []ownedPull
 }
 
 // Trainer is the end-to-end hierarchical training system.
@@ -308,6 +290,21 @@ type Trainer struct {
 	// the real-network accounting, nil for in-process runs.
 	remote    *cluster.TCPTransport
 	remoteNet *remoteNet
+
+	// owners is the owner table (owner.go): every owner the trainer has
+	// addressed, indexed by owner id — each node's MEM-PS in process, one
+	// remoteShard per ring member in multi-process mode. UpdateMembership
+	// replaces it under ownersMu — never edits it, so a slice read under the
+	// lock stays valid — before it installs a ring naming a new member, and a
+	// batch's owner split holds ownersMu, so every owner the ring names has
+	// an entry.
+	ownersMu sync.Mutex
+	owners   []owner
+	// pulls recycles the batches' pulls: stagePull takes one, and the push
+	// hands it back once every owner has completed the batch. It has a slot
+	// for every batch that may lie between the two, the ones parked in the
+	// async committer included.
+	pulls chan []ownedPull
 
 	// The dense tower is replicated on every GPU worker (gpuWorker); net and
 	// denseState are the stored copy the replicas check out of and commit to
@@ -376,11 +373,7 @@ type Trainer struct {
 	mergeScratch struct {
 		blocks  []*ps.ValueBlock
 		cursors []int
-		// Fused two-node push: per-owner merged keys with each key's source
-		// row in either delta block (-1 when that node did not touch it).
-		pairKeys [2][]keys.Key
-		pairA    [2][]int32
-		pairB    [2][]int32
+		pair    pairMerge
 	}
 
 	mu            sync.Mutex
@@ -448,6 +441,7 @@ func New(cfg Config) (*Trainer, error) {
 		denseOpt:      optimizer.Adagrad{LR: cfg.DenseLR, InitialAccumulator: 0.1},
 		sparseOpt:     optimizer.Adagrad{LR: cfg.SparseLR, InitialAccumulator: 0.1},
 		stageModelled: make(map[string]time.Duration),
+		pulls:         make(chan []ownedPull, cfg.MaxInFlight+cfg.PushLag),
 		tmpDir:        dir,
 		ownsDir:       ownsDir,
 	}
@@ -466,11 +460,8 @@ func New(cfg Config) (*Trainer, error) {
 		}
 		t.remote.SetWirePrecision(prec)
 		t.remote.SetPushQuantization(cfg.QuantizePush)
-		if cfg.PullPipeline > 1 {
-			t.remote.SetMaxConnsPerPeer(cfg.PullPipeline)
-			t.remote.SetMaxInFlightRPCs(cfg.PullPipeline * cfg.Topology.Nodes)
-		}
 		t.remoteNet = &remoteNet{}
+		t.owners = t.newRemoteShards(nil, cfg.Topology.MemberIDs())
 	}
 	cleanup := func() {
 		t.closeDevices()
@@ -479,12 +470,15 @@ func New(cfg Config) (*Trainer, error) {
 		}
 	}
 	for id := 0; id < cfg.Topology.Nodes; id++ {
-		n, err := t.buildNode(id, dir)
+		n, err := t.buildNode(id, dir, !remoteMode)
 		if err != nil {
 			cleanup()
 			return nil, err
 		}
 		t.nodes = append(t.nodes, n)
+		if n.local != nil {
+			t.owners = append(t.owners, localOwner{n.local, id})
+		}
 	}
 	if cfg.Serve {
 		if t.remote == nil {
@@ -511,25 +505,22 @@ func New(cfg Config) (*Trainer, error) {
 	return t, nil
 }
 
-func (t *Trainer) buildNode(id int, root string) (_ *node, err error) {
+// buildNode builds node id's tiers: its own MEM-PS and SSD-PS under root
+// when withMem (in process), and always its HBM-PS, data stream and GPU
+// workers.
+func (t *Trainer) buildNode(id int, root string, withMem bool) (_ *node, err error) {
 	cfg := t.cfg
 	var (
 		dev   *blockio.Device
 		store *ssdps.Store
 		local *memps.MemPS
-		mem   memService
 	)
 	defer func() {
 		if err != nil && dev != nil {
 			dev.Close()
 		}
 	}()
-	if t.remote != nil {
-		// Multi-process mode: the MEM-PS/SSD-PS of this node live in the
-		// shard-server process; this node only keeps the RPC-backed view.
-		mem = &remoteMem{transport: t.remote, node: id, dim: cfg.Spec.EmbeddingDim, topo: cfg.Topology,
-			net: t.remoteNet, vnodes: cfg.Topology.Nodes, pipeline: cfg.PullPipeline}
-	} else {
+	if withMem {
 		dev, err = blockio.NewDevice(filepath.Join(root, fmt.Sprintf("node-%d", id)), cfg.Profile.SSD, t.clock)
 		if err != nil {
 			return nil, fmt.Errorf("trainer: node %d device: %w", id, err)
@@ -561,7 +552,6 @@ func (t *Trainer) buildNode(id int, root string) (_ *node, err error) {
 		if err != nil {
 			return nil, fmt.Errorf("trainer: node %d mem-ps: %w", id, err)
 		}
-		mem = local
 	}
 	hbm, err := hbmps.New(hbmps.Config{
 		NodeID:     id,
@@ -590,37 +580,8 @@ func (t *Trainer) buildNode(id int, root string) (_ *node, err error) {
 	for g := range workers {
 		workers[g] = t.newGPUWorker()
 	}
-	return &node{id: id, gen: gen, stream: stream, dev: dev, store: store, local: local, mem: mem, hbm: hbm,
-		indexes: make(chan *keys.Index, cfg.MaxInFlight+readAhead),
-		pulls:   make(chan *ownedPull, cfg.MaxInFlight+cfg.PushLag), workers: workers}, nil
-}
-
-// eachNode runs fn for every node concurrently and returns the first error.
-func (t *Trainer) eachNode(fn func(n *node) error) error {
-	if len(t.nodes) == 1 || t.sequential {
-		for _, n := range t.nodes {
-			if err := fn(n); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, len(t.nodes))
-	var wg sync.WaitGroup
-	for i, n := range t.nodes {
-		wg.Add(1)
-		go func(i int, n *node) {
-			defer wg.Done()
-			errs[i] = fn(n)
-		}(i, n)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return &node{id: id, gen: gen, stream: stream, dev: dev, store: store, local: local, hbm: hbm,
+		indexes: make(chan *keys.Index, cfg.MaxInFlight+readAhead), workers: workers}, nil
 }
 
 func (t *Trainer) addStageModelled(stage string, d time.Duration) {
@@ -794,23 +755,22 @@ func (t *Trainer) stageRead(_ context.Context, j *job) (*job, error) {
 
 // stagePull assembles every node's working parameters and has their owners
 // pin them (Algorithm 1 lines 3-4): cache hits from memory, misses from the
-// SSD-PS, peer-owned keys from their owners. In process every MEM-PS resolves
-// the batch's keys it owns for all nodes at once (pullOwned); in
-// multi-process mode each node pulls its working set from the shard servers
-// (pullWorkingSet).
+// SSD-PS, peer-owned keys from their owners. The batch's key union is dealt
+// over the current owners once (splitByOwner), and every owner resolves its
+// share for all nodes at once (owner.resolve); the stage pays the slowest.
 func (t *Trainer) stagePull(_ context.Context, j *job) (*job, error) {
 	t.maybeDelay(StagePull)
-	pull := t.pullWorkingSet
-	if t.remote == nil {
-		if err := t.splitByOwner(j); err != nil {
-			return nil, err
-		}
-		pull = t.pullOwned
+	t.ownersMu.Lock()
+	owners := t.owners
+	err := t.splitByOwner(j, owners)
+	t.ownersMu.Unlock()
+	if err != nil {
+		return nil, err
 	}
 	var mu sync.Mutex
 	var modelled time.Duration
-	err := t.eachNode(func(n *node) error {
-		d, err := pull(j, n)
+	err = t.eachOwner(owners, func(o owner) error {
+		d, err := o.resolve(j.pull, t.pullBlocks)
 		if err != nil {
 			return err
 		}
@@ -824,139 +784,6 @@ func (t *Trainer) stagePull(_ context.Context, j *job) (*job, error) {
 	}
 	t.addStageModelled(StagePull, modelled)
 	return j, nil
-}
-
-// ownedPull is one owner's share of an in-process batch pull: the batch's
-// keys the owner's MEM-PS holds — the sorted union of every node's
-// references to them — with the row each lands in of every node's block,
-// and the working set they stay pinned under until the batch's push has
-// completed it.
-type ownedPull struct {
-	keys []keys.Key
-	// rows[r][x] is keys[x]'s row in node r's block, -1 when node r does not
-	// reference it; wants[r] counts node r's rows.
-	rows  [][]int32
-	wants []int
-	ws    memps.WorkingSet
-}
-
-// splitByOwner readies an in-process batch's pull: every node's block, shaped
-// by its index.Unique, and every node's ownedPull. One merge of the nodes'
-// sorted key sets deals the union out by owner; a key's row in node r's block
-// is its position in node r's Unique, which is where node r's cursor stands
-// when the merge reaches the key.
-func (t *Trainer) splitByOwner(j *job) error {
-	dim := t.cfg.Spec.EmbeddingDim
-	nodes := len(t.nodes)
-	t.pullBlocks = t.pullBlocks[:0]
-	cur := ps.Resize(t.pullCursors, nodes)
-	t.pullCursors = cur
-	for r, nb := range j.nodes {
-		// Uninitialized: every row is written by the owner of its key.
-		nb.block = ps.GetBlock(dim, nil)
-		nb.block.ResetUninit(dim, nb.index.Unique)
-		t.pullBlocks = append(t.pullBlocks, nb.block)
-		var op *ownedPull
-		select {
-		case op = <-t.nodes[r].pulls:
-		default:
-			op = new(ownedPull)
-		}
-		op.keys = op.keys[:0]
-		op.rows = ps.Resize(op.rows, nodes)
-		for i := range op.rows {
-			op.rows[i] = op.rows[i][:0]
-		}
-		op.wants = ps.Resize(op.wants, nodes)
-		clear(op.wants)
-		nb.owned = op
-		cur[r] = 0
-	}
-	topo := t.cfg.Topology
-	for {
-		var k keys.Key
-		found := false
-		for r, nb := range j.nodes {
-			if c := cur[r]; c < len(nb.index.Unique) && (!found || nb.index.Unique[c] < k) {
-				k, found = nb.index.Unique[c], true
-			}
-		}
-		if !found {
-			return nil
-		}
-		o := topo.NodeOf(k)
-		if o < 0 || o >= nodes {
-			return fmt.Errorf("trainer: key %d is owned by node %d, outside the %d in-process nodes", k, o, nodes)
-		}
-		op := j.nodes[o].owned
-		op.keys = append(op.keys, k)
-		for r, nb := range j.nodes {
-			row := int32(-1)
-			if c := cur[r]; c < len(nb.index.Unique) && nb.index.Unique[c] == k {
-				row = int32(c)
-				cur[r]++
-				op.wants[r]++
-			}
-			op.rows[r] = append(op.rows[r], row)
-		}
-	}
-}
-
-// pullOwned has node n's MEM-PS resolve and pin the batch's keys it owns for
-// every node, copying each value into the blocks that want it
-// (PrepareOwnedInto), and then charges node n's network for the rows its
-// peers copied into its block. The two overlap, so the node pays the slower.
-func (t *Trainer) pullOwned(j *job, n *node) (time.Duration, error) {
-	nb := j.nodes[n.id]
-	op := nb.owned
-	ws, err := n.local.PrepareOwnedInto(op.keys, t.pullBlocks, op.rows)
-	if err != nil {
-		return 0, err
-	}
-	op.ws = ws
-	var recv time.Duration
-	for o, peer := range j.nodes {
-		if rows := peer.owned.wants[n.id]; o != n.id && rows > 0 {
-			recv += n.local.ReceivePeerRows(rows)
-		}
-	}
-	return max(ws.Stats.LocalTime, recv), nil
-}
-
-// completePull releases what node n's MEM-PS pinned for a batch and recycles
-// its ownedPull; the push stage or the async committer calls it once the
-// batch's deltas are applied.
-func (n *node) completePull(op *ownedPull) error {
-	err := n.local.CompleteBatch(&op.ws)
-	select {
-	case n.pulls <- op:
-	default:
-	}
-	return err
-}
-
-// pullWorkingSet has node n pull its working set from the shard servers,
-// staging the HBM partition of the batch's key set while the values are in
-// flight: stageTrain's LoadBlock adopts the buckets instead of
-// re-partitioning after the pull. (In process the pull is pure CPU, and a
-// staging goroutine would only add scheduling overhead.)
-func (t *Trainer) pullWorkingSet(j *job, n *node) (time.Duration, error) {
-	nb := j.nodes[n.id]
-	blk := ps.GetBlock(t.cfg.Spec.EmbeddingDim, nil)
-	ks := nb.index.Unique
-	staged := make(chan struct{})
-	go func() {
-		n.hbm.StagePartition(ks)
-		close(staged)
-	}()
-	ws, err := n.mem.PrepareInto(ks, blk)
-	<-staged
-	if err != nil {
-		ps.PutBlock(blk)
-		return 0, err
-	}
-	nb.block = blk
-	return max(ws.Stats.LocalTime, ws.Stats.RemoteTime), nil
 }
 
 // stageTrain loads every node's working set into its HBM-PS, trains the
@@ -1351,26 +1178,25 @@ func sumDeltaBlocks2(dst *ps.ValueBlock, a, b *ps.ValueBlock) {
 	dst.AppendRows(b, j, bn)
 }
 
-// mergePairParts merges the two nodes' sorted delta blocks key-wise and
-// partitions the result by owning node into mergeScratch: per owner, the
-// merged keys plus each key's source row in either block (-1 when that node
-// did not touch it) — the inputs MemPS.PushBlockPair applies without a
-// materialized global block. One scan serves both shards, replacing two
-// per-shard ownership scans and the merged-slab copies. It returns the
-// merged row count (for the all-reduce charge).
-func (t *Trainer) mergePairParts(a, b *ps.ValueBlock) int {
-	s := &t.mergeScratch
-	for o := range s.pairKeys {
-		s.pairKeys[o] = s.pairKeys[o][:0]
-		s.pairA[o] = s.pairA[o][:0]
-		s.pairB[o] = s.pairB[o][:0]
+// mergePair merges the two nodes' sorted delta blocks key-wise and
+// partitions the result by owning node into mergeScratch.pair (see
+// pairMerge). One scan serves both shards, replacing two per-shard ownership
+// scans and the merged-slab copies. It returns the merged row count (for the
+// all-reduce charge).
+func (t *Trainer) mergePair(a, b *ps.ValueBlock) int {
+	s := &t.mergeScratch.pair
+	s.a, s.b = a, b
+	for o := range s.keys {
+		s.keys[o] = s.keys[o][:0]
+		s.rowsA[o] = s.rowsA[o][:0]
+		s.rowsB[o] = s.rowsB[o][:0]
 	}
 	topo := t.cfg.Topology
 	emit := func(k keys.Key, ai, bi int32) {
 		o := topo.NodeOf(k)
-		s.pairKeys[o] = append(s.pairKeys[o], k)
-		s.pairA[o] = append(s.pairA[o], ai)
-		s.pairB[o] = append(s.pairB[o], bi)
+		s.keys[o] = append(s.keys[o], k)
+		s.rowsA[o] = append(s.rowsA[o], ai)
+		s.rowsB[o] = append(s.rowsB[o], bi)
 	}
 	an, bn := a.Len(), b.Len()
 	i, j := 0, 0
@@ -1412,17 +1238,17 @@ func (t *Trainer) mergePairParts(a, b *ps.ValueBlock) int {
 			emit(b.Keys[j], -1, int32(j))
 		}
 	}
-	return len(s.pairKeys[0]) + len(s.pairKeys[1])
+	return len(s.keys[0]) + len(s.keys[1])
 }
 
 // stagePush synchronizes the per-node deltas (the hierarchical all-reduce of
-// Appendix C.3), merges them into the owning MEM-PS shards, and completes
-// the batch (unpin, dump evictions, compact — Algorithm 1 lines 16-18). The
+// Appendix C.3), has every owner apply its share of them, and completes the
+// batch (unpin, dump evictions, compact — Algorithm 1 lines 16-18). The
 // whole stage is block-native: the per-node delta blocks are summed slab-wise
 // into one global block, the modelled all-reduce is charged from its byte
-// size, and each MEM-PS applies it through one PushBlock (one flat wire frame
-// per owned shard partition in multi-process mode) — no per-key value
-// allocation anywhere on the path.
+// size, and each owner applies it through one PushBlock (one flat wire frame
+// per owner in multi-process mode) — no per-key value allocation anywhere on
+// the path.
 func (t *Trainer) stagePush(ctx context.Context, j *job) (*job, error) {
 	t.maybeDelay(StagePush)
 	dim := t.cfg.Spec.EmbeddingDim
@@ -1442,14 +1268,15 @@ func (t *Trainer) stagePush(ctx context.Context, j *job) (*job, error) {
 	// -> 33.6 MB) and 11.5% over 5 more (30.1 -> 33.6 MB), every run above
 	// every fused run, on a 2-core Xeon VM; examples/s falls about 4%.
 	fused := t.committer == nil && t.remote == nil && len(t.nodes) == 2
-	var global *ps.ValueBlock
+	var d deltas
 	mergedRows := 0
 	if fused {
-		mergedRows = t.mergePairParts(j.nodes[0].deltas, j.nodes[1].deltas)
+		mergedRows = t.mergePair(j.nodes[0].deltas, j.nodes[1].deltas)
+		d.pair = &t.mergeScratch.pair
 	} else {
-		global = j.nodes[0].deltas
+		d.global = j.nodes[0].deltas
 		if len(t.nodes) > 1 {
-			global = ps.GetBlock(dim, nil)
+			d.global = ps.GetBlock(dim, nil)
 			t.mergeScratch.blocks = t.mergeScratch.blocks[:0]
 			for _, nb := range j.nodes {
 				t.mergeScratch.blocks = append(t.mergeScratch.blocks, nb.deltas)
@@ -1457,9 +1284,9 @@ func (t *Trainer) stagePush(ctx context.Context, j *job) (*job, error) {
 			if cap(t.mergeScratch.cursors) < len(t.nodes) {
 				t.mergeScratch.cursors = make([]int, len(t.nodes))
 			}
-			sumDeltaBlocks(global, dim, t.mergeScratch.blocks, t.mergeScratch.cursors[:len(t.nodes)])
+			sumDeltaBlocks(d.global, dim, t.mergeScratch.blocks, t.mergeScratch.cursors[:len(t.nodes)])
 		}
-		mergedRows = global.Len()
+		mergedRows = d.global.Len()
 	}
 
 	// Charge the modelled all-reduce: every GPU contributes its partition of
@@ -1467,7 +1294,7 @@ func (t *Trainer) stagePush(ctx context.Context, j *job) (*job, error) {
 	// The volume is the global block's payload size (every row is a changed
 	// key, so rows x encoded-row-size is exactly what the synchronization
 	// moves). The charge stays on this stage even in async mode — the
-	// synchronization itself is not deferred, only the MEM-PS apply.
+	// synchronization itself is not deferred, only the owners' apply.
 	var syncTime time.Duration
 	totalGPUs := t.cfg.Topology.TotalGPUs()
 	if totalGPUs > 1 {
@@ -1483,23 +1310,18 @@ func (t *Trainer) stagePush(ctx context.Context, j *job) (*job, error) {
 	}
 
 	if t.committer != nil {
-		// Hand the merged block to the background committer and return: the
-		// pipeline slot frees before the MEM-PS round trip. The committer
-		// owns global from here; the per-node blocks are released now (the
-		// single-node case adopted its delta block as global).
-		pj := &pushJob{index: j.index, global: global}
-		if t.remote == nil {
-			pj.owned = make([]*ownedPull, len(t.nodes))
-		}
-		for id, nb := range j.nodes {
-			if nb.deltas != global {
+		// Hand the merged block and the batch's pull to the background
+		// committer and return: the pipeline slot frees before the owners'
+		// round trip. The committer owns global from here; the per-node
+		// blocks are released now (the single-node case adopted its delta
+		// block as global).
+		pj := &pushJob{index: j.index, global: d.global, pull: j.pull}
+		j.pull = nil
+		for _, nb := range j.nodes {
+			if nb.deltas != d.global {
 				ps.PutBlock(nb.deltas)
 			}
 			nb.deltas = nil
-			if pj.owned != nil {
-				pj.owned[id] = nb.owned
-				nb.owned = nil
-			}
 		}
 		t.addStageModelled(StagePush, syncTime)
 		if err := t.committer.enqueue(ctx, pj); err != nil {
@@ -1508,119 +1330,85 @@ func (t *Trainer) stagePush(ctx context.Context, j *job) (*job, error) {
 		return j, nil
 	}
 
-	releaseBlocks := func() {
+	defer func() {
 		for _, nb := range j.nodes {
 			ps.PutBlock(nb.deltas)
 			nb.deltas = nil
 		}
-		if global != nil && len(t.nodes) > 1 {
-			ps.PutBlock(global)
+		if d.global != nil && len(t.nodes) > 1 {
+			ps.PutBlock(d.global)
 		}
-	}
-	defer releaseBlocks()
-
-	// Apply and complete per node. The MEM-PS push-time delta is safe to read
-	// here because only this stage touches the MEM-PS push path. The SSD-PS
-	// writes are not the stage's: CompleteBatch hands them to the MEM-PS's
-	// background write (blockio still charges them to the clock's SSD).
-	var mu sync.Mutex
-	var modelled time.Duration
-	err := t.eachNode(func(n *node) error {
-		nb := j.nodes[n.id]
-		var d time.Duration
-		if t.remote != nil {
-			// Multi-process mode: the push crosses a real socket; its wall
-			// time is the batch's push cost.
-			start := time.Now()
-			if err := n.mem.PushBlock(ps.PushBlockRequest{Shard: ps.NoShard, Block: global}); err != nil {
-				return err
-			}
-			d = time.Since(start)
-		} else {
-			memBefore := n.mem.TierStats().PushTime
-			var pushErr error
-			if fused {
-				s := &t.mergeScratch
-				pushErr = n.local.PushBlockPair(j.nodes[0].deltas, j.nodes[1].deltas,
-					s.pairKeys[n.id], s.pairA[n.id], s.pairB[n.id])
-			} else {
-				pushErr = n.mem.PushBlock(ps.PushBlockRequest{Shard: ps.NoShard, Block: global})
-			}
-			if pushErr != nil {
-				return pushErr
-			}
-			err := n.completePull(nb.owned)
-			nb.owned = nil
-			if err != nil {
-				return err
-			}
-			d = n.mem.TierStats().PushTime - memBefore
-		}
-		mu.Lock()
-		if d > modelled {
-			modelled = d
-		}
-		mu.Unlock()
-		return nil
-	})
+	}()
+	// The owners' push-time deltas are safe to read here because only this
+	// stage touches the push path. The SSD-PS writes are not the stage's:
+	// CompleteBatch hands them to the MEM-PS's background write (blockio
+	// still charges them to the clock's SSD).
+	modelled, err := t.applyPush(d, j.pull)
 	if err != nil {
 		return nil, err
 	}
-	if t.remote != nil && t.cfg.Serve {
-		// Refresh every shard's dense replica now that this epoch's pushes
-		// have been applied: shards stamp the parameters with the epoch and
-		// bound their reported serving staleness against it.
-		t.denseMu.Lock()
-		t.denseFlat = t.net.FlattenParams(t.denseFlat[:0])
-		t.denseMu.Unlock()
-		scfg := cluster.ServeConfig{Dense: t.denseFlat, Epoch: uint64(j.index) + 1,
-			TrainedEpoch: t.trainedEpoch.Load()}
-		for _, id := range t.cfg.Topology.MemberIDs() {
-			if err := t.remote.PublishServeConfig(id, scfg); err != nil {
-				// A member mid-failover misses this epoch's dense refresh; it
-				// catches up on the next one. Failing the run here would turn
-				// a survivable shard outage into a training abort.
-				if t.cfg.Topology.Replicas > 1 {
-					continue
-				}
-				return nil, fmt.Errorf("trainer: refresh dense on shard %d: %w", id, err)
-			}
-		}
+	j.pull = nil
+	if err := t.republishDense(j.index); err != nil {
+		return nil, err
 	}
 	t.addStageModelled(StagePush, modelled+syncTime)
 	return j, nil
 }
 
-// Predict returns the model's click probability for a feature set, reading
-// the authoritative parameter copies from the owning MEM-PS shards (one
-// batched lookup per owner — over the wire in multi-process mode). Features
-// never trained on contribute nothing (matching internal/reference). It
-// fails if a shard's parameters cannot be read: a prediction computed with a
-// shard's embeddings missing would be silently wrong.
-func (t *Trainer) Predict(features []keys.Key) (float32, error) {
-	var vals map[keys.Key]*embedding.Value
-	if t.remote != nil {
-		// The remote memService splits by owning member itself (owner ids
-		// under a ring need not be virtual-node indices) and fails over to
-		// backups on a primary outage; any virtual node's view will do.
-		v, err := t.nodes[0].mem.LookupAll(features)
-		if err != nil {
-			return 0, fmt.Errorf("trainer: predict: %w", err)
-		}
-		vals = v
-	} else {
-		vals = make(map[keys.Key]*embedding.Value, len(features))
-		for owner, ks := range t.cfg.Topology.SplitByNode(features) {
-			if len(ks) == 0 {
+// republishDense refreshes every shard's dense replica once a batch's pushes
+// have been applied (Config.Serve): shards stamp the parameters with the
+// epoch and bound their reported serving staleness against it, and the
+// trained-batch watermark rides along so they can report how far their
+// parameters trail training (push epoch lag).
+func (t *Trainer) republishDense(index int) error {
+	if !t.cfg.Serve {
+		return nil
+	}
+	t.denseMu.Lock()
+	t.denseFlat = t.net.FlattenParams(t.denseFlat[:0])
+	t.denseMu.Unlock()
+	scfg := cluster.ServeConfig{Dense: t.denseFlat, Epoch: uint64(index) + 1,
+		TrainedEpoch: t.trainedEpoch.Load()}
+	for _, id := range t.cfg.Topology.MemberIDs() {
+		if err := t.remote.PublishServeConfig(id, scfg); err != nil {
+			// A member mid-failover misses this epoch's dense refresh; it
+			// catches up on the next one. Failing the run here would turn a
+			// survivable shard outage into a training abort.
+			if t.cfg.Topology.Replicas > 1 {
 				continue
 			}
-			v, err := t.nodes[owner].mem.LookupAll(ks)
-			if err != nil {
-				return 0, fmt.Errorf("trainer: predict: node %d: %w", owner, err)
-			}
-			for k, val := range v {
-				vals[k] = val
-			}
+			return fmt.Errorf("trainer: refresh dense on shard %d: %w", id, err)
+		}
+	}
+	return nil
+}
+
+// Predict returns the model's click probability for a feature set, reading
+// the authoritative parameter copies from their owners (one batched lookup
+// per owner — over the wire in multi-process mode, failing over to backups
+// on a primary outage). Features never trained on contribute nothing
+// (matching internal/reference). It fails if an owner's parameters cannot be
+// read: a prediction computed with a shard's embeddings missing would be
+// silently wrong.
+func (t *Trainer) Predict(features []keys.Key) (float32, error) {
+	vals := make(map[keys.Key]*embedding.Value, len(features))
+	t.ownersMu.Lock()
+	owners := t.owners
+	parts := t.cfg.Topology.SplitByNode(features)
+	t.ownersMu.Unlock()
+	for id, ks := range parts {
+		if len(ks) == 0 {
+			continue
+		}
+		if id >= len(owners) || owners[id] == nil {
+			return 0, fmt.Errorf("trainer: predict: keys owned by %d, which is not an owner of this trainer", id)
+		}
+		v, err := owners[id].LookupAll(ks)
+		if err != nil {
+			return 0, fmt.Errorf("trainer: predict: owner %d: %w", id, err)
+		}
+		for k, val := range v {
+			vals[k] = val
 		}
 	}
 	vecs := make([][]float32, 0, len(features))
@@ -1663,10 +1451,16 @@ func (t *Trainer) UpdateMembership(u cluster.MembershipUpdate) error {
 	if err := u.Validate(); err != nil {
 		return err
 	}
+	// The owner table grows before the ring that names a new member is
+	// installed, under ownersMu, so no batch is dealt over a member without
+	// an owner.
+	t.ownersMu.Lock()
+	defer t.ownersMu.Unlock()
 	if t.remote != nil {
 		for id, addr := range u.Addrs {
 			t.remote.SetAddr(id, addr)
 		}
+		t.owners = t.newRemoteShards(t.owners, u.Members)
 	}
 	t.cfg.Topology.Members.Update(u.BuildRing())
 	return nil
@@ -1697,14 +1491,16 @@ func (t *Trainer) Tiers() []ps.TierInfo {
 	var hbm, mem, ssd ps.Stats
 	for _, n := range t.nodes {
 		hbm = hbm.Add(n.hbm.TierStats())
-		mem = mem.Add(n.mem.TierStats())
 		if n.store != nil {
 			ssd = ssd.Add(n.store.TierStats())
 		}
 	}
+	for _, o := range t.memberOwners() {
+		mem = mem.Add(o.TierStats())
+	}
 	out := []ps.TierInfo{
 		{Name: t.nodes[0].hbm.Name(), Stats: hbm},
-		{Name: t.nodes[0].mem.Name(), Stats: mem},
+		{Name: "mem-ps", Stats: mem},
 	}
 	if t.nodes[0].store != nil {
 		out = append(out, ps.TierInfo{Name: t.nodes[0].store.Name(), Stats: ssd})
@@ -1727,7 +1523,7 @@ func (t *Trainer) Flush() error {
 			return err
 		}
 	}
-	if err := t.eachNode(func(n *node) error { return n.mem.Flush() }); err != nil {
+	if err := t.eachOwner(t.memberOwners(), owner.Flush); err != nil {
 		return err
 	}
 	if t.cfg.CheckpointPath == "" {
