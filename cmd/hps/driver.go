@@ -542,7 +542,6 @@ func runDriver(args []string) error {
 			}
 			fs.applyPipeline(&cfg)
 			cfg.MaxInFlight = depth
-			cfg.AutoTune = false // the sweep pins the depth being measured
 			tr, err := trainer.New(cfg)
 			if err != nil {
 				set.stop()

@@ -74,22 +74,16 @@ type trainFlags struct {
 	restore      *bool
 	batchPause   *time.Duration
 
-	maxInFlight *int
-	asyncPush   *bool
-	pushLag     *int
-	ablate      *string
+	asyncPush *bool
+	pushLag   *int
+	ablate    *string
 }
 
-// applyPipeline wires the adaptive/async pipeline flags into a trainer
-// config: -max-in-flight > 0 arms the auto-tuner with that ceiling
-// (overriding the static -inflight depth), and -async-push/-push-lag
-// configure the background push committer.
+// applyPipeline wires the pipeline flags into a trainer config: -inflight is
+// the depth, and -async-push/-push-lag configure the background push
+// committer.
 func (f *trainFlags) applyPipeline(cfg *trainer.Config) {
 	cfg.MaxInFlight = *f.inFlight
-	if *f.maxInFlight > 0 {
-		cfg.MaxInFlight = *f.maxInFlight
-		cfg.AutoTune = true
-	}
 	cfg.AsyncPush = *f.asyncPush
 	cfg.PushLag = *f.pushLag
 }
@@ -129,10 +123,9 @@ func newTrainFlags(name string) *trainFlags {
 		restore:      fs.Bool("restore", false, "resume from the checkpoint manifest and the recovered shard state before training"),
 		batchPause:   fs.Duration("batch-pause", 0, "artificial pause after every trained batch (stretches runs for crash drills)"),
 
-		maxInFlight: fs.Int("max-in-flight", 0, "auto-tune per-stage queues and pipeline depth from measured stage times, up to this ceiling (0: static -inflight depth)"),
-		asyncPush:   fs.Bool("async-push", false, "apply merged pushes on a bounded background committer so the pipeline slot frees before the MEM-PS round trip"),
-		pushLag:     fs.Int("push-lag", 2, "max outstanding background pushes with -async-push"),
-		ablate:      fs.String("ablate-depth", "", "comma-separated pipeline depths (e.g. 1,2,4,8): train the same seeded workload at each depth and print the AUC-vs-depth table"),
+		asyncPush: fs.Bool("async-push", false, "apply merged pushes on a bounded background committer so the pipeline slot frees before the MEM-PS round trip"),
+		pushLag:   fs.Int("push-lag", 2, "max outstanding background pushes with -async-push"),
+		ablate:    fs.String("ablate-depth", "", "comma-separated pipeline depths (e.g. 1,2,4,8): train the same seeded workload at each depth and print the AUC-vs-depth table"),
 	}
 }
 
@@ -238,7 +231,6 @@ func run(fs *trainFlags, nodes int, baseline bool) error {
 		return runAblate(fs, spec, data, depths, func(depth int) (*trainer.Trainer, func(), error) {
 			c := cfg
 			c.MaxInFlight = depth
-			c.AutoTune = false // the sweep pins the depth being measured
 			c.Dir = ""
 			c.CheckpointPath = ""
 			c.CheckpointInterval = 0

@@ -18,88 +18,48 @@ import (
 // bound; one batch costs about 5% there.
 const readAhead = 1
 
-// depthGate bounds how many batches are in the pipeline at once, with a
-// limit the auto-tuner can change while producers are blocked on it. It
-// guards parameters, not data: a batch takes a slot when it enters the pull
-// stage (acquire) and gives it back in the sink, so at most limit batches lie
-// between their pull and their push — the staleness bound. The source only
-// admits limit+readAhead batches, so the read stage runs at most readAhead
-// batches ahead of the gate. Shrinking the limit below the current occupancy
-// simply stalls both until enough batches drain.
+// depthGate bounds how many batches are in the pipeline at once. It guards
+// parameters, not data: a batch takes a slot when it enters the pull stage
+// (acquire) and gives it back in the sink (release), so at most depth batches
+// lie between their pull and their push — the staleness bound. The source
+// admits at most depth+readAhead batches (admit), so the read stage runs at
+// most readAhead batches ahead of the gate. Each bound is a buffered channel
+// used as a counting semaphore.
 type depthGate struct {
-	mu       sync.Mutex
-	cond     sync.Cond
-	limit    int
-	admitted int // admitted by the source, not yet through the sink
-	inUse    int // entered the pull stage, not yet through the sink
+	admitted chan struct{} // admitted by the source, not yet through the sink
+	inUse    chan struct{} // entered the pull stage, not yet through the sink
 }
 
-func newDepthGate(limit int) *depthGate {
-	if limit < 1 {
-		limit = 1
+func newDepthGate(depth int) *depthGate {
+	return &depthGate{
+		admitted: make(chan struct{}, depth+readAhead),
+		inUse:    make(chan struct{}, depth),
 	}
-	g := &depthGate{limit: limit}
-	g.cond.L = &g.mu
-	return g
 }
 
-// admit blocks until the source may admit another batch (fewer than
-// limit+readAhead admitted) or ctx is cancelled; acquire blocks until a
-// batch may enter the pull stage (fewer than limit in use). The caller must
-// arrange for the gate to be broadcast when ctx is cancelled (see
-// cancelOn); both only re-check ctx between waits.
-func (g *depthGate) admit(ctx context.Context) error { return g.take(ctx, &g.admitted, readAhead) }
+// admit blocks until the source may admit another batch; acquire blocks
+// until a batch may enter the pull stage. Both give up with ctx's error once
+// ctx is done.
+func (g *depthGate) admit(ctx context.Context) error { return takeSlot(ctx, g.admitted) }
 
-func (g *depthGate) acquire(ctx context.Context) error { return g.take(ctx, &g.inUse, 0) }
+func (g *depthGate) acquire(ctx context.Context) error { return takeSlot(ctx, g.inUse) }
 
-func (g *depthGate) take(ctx context.Context, count *int, extra int) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for *count >= g.limit+extra {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		g.cond.Wait()
+func takeSlot(ctx context.Context, slots chan<- struct{}) error {
+	select {
+	case slots <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	*count++
-	return nil
 }
 
-// release retires a batch from both bounds; the sink calls it.
+// release retires a batch from both bounds; the sink calls it. The
+// admission slot goes first: of the goroutines a release wakes, the one woken
+// last runs next on this core, and that should be the pull stage waiting for
+// inUse — at depth 1 it is the critical path, the source is not.
 func (g *depthGate) release() {
-	g.mu.Lock()
-	g.admitted--
-	g.inUse--
-	g.cond.Broadcast()
-	g.mu.Unlock()
-}
-
-// cancelOn wakes every waiter once ctx is done, so admit and acquire see the
-// cancellation: the gate waits on a cond, not a channel.
-func (g *depthGate) cancelOn(ctx context.Context) {
-	go func() {
-		<-ctx.Done()
-		g.mu.Lock()
-		g.cond.Broadcast()
-		g.mu.Unlock()
-	}()
-}
-
-// setLimit applies a new depth to both bounds (limit in the pull stage,
-// limit+readAhead admitted). Values < 1 clamp to 1.
-func (g *depthGate) setLimit(n int) {
-	if n < 1 {
-		n = 1
-	}
-	g.mu.Lock()
-	if n != g.limit {
-		g.limit = n
-		g.cond.Broadcast()
-	}
-	g.mu.Unlock()
+	<-g.admitted
+	<-g.inUse
 }
 
 // pushJob is one batch's merged delta block handed off to the background

@@ -18,7 +18,7 @@ type stageEv struct {
 
 // recordEvents runs a small trainer at the given depth with the given stage
 // delays and returns the stageEvent calls in the order they happened.
-func recordEvents(t *testing.T, depth int, autoTune bool, delays map[string]time.Duration) []stageEv {
+func recordEvents(t *testing.T, depth int, delays map[string]time.Duration) []stageEv {
 	t.Helper()
 	const batches = 12
 	tr, err := New(Config{
@@ -27,7 +27,6 @@ func recordEvents(t *testing.T, depth int, autoTune bool, delays map[string]time
 		BatchSize:   8,
 		Batches:     batches,
 		MaxInFlight: depth,
-		AutoTune:    autoTune,
 		Seed:        1,
 	})
 	if err != nil {
@@ -90,13 +89,9 @@ func TestDepthContract(t *testing.T) {
 		StageTrain: 5 * time.Millisecond,
 		StagePush:  5 * time.Millisecond,
 	}
-	cases := []struct {
-		depth    int
-		autoTune bool
-	}{{1, false}, {2, false}, {4, false}, {4, true}}
-	for _, c := range cases {
-		t.Run(fmt.Sprintf("depth=%d/autotune=%v", c.depth, c.autoTune), func(t *testing.T) {
-			evs := recordEvents(t, c.depth, c.autoTune, short)
+	for _, depth := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+			evs := recordEvents(t, depth, short)
 			admitted, pulled, sunk, maxAdmitted := 0, 0, 0, 0
 			for _, e := range evs {
 				switch {
@@ -107,22 +102,19 @@ func TestDepthContract(t *testing.T) {
 				case e.stage == "sink":
 					sunk++
 				}
-				if pulled-sunk > c.depth {
-					t.Fatalf("%d batches between pull and sink at depth %d (at %+v)", pulled-sunk, c.depth, e)
+				if pulled-sunk > depth {
+					t.Fatalf("%d batches between pull and sink at depth %d (at %+v)", pulled-sunk, depth, e)
 				}
-				if admitted-sunk > c.depth+readAhead {
-					t.Fatalf("%d batches admitted at depth %d (at %+v)", admitted-sunk, c.depth, e)
+				if admitted-sunk > depth+readAhead {
+					t.Fatalf("%d batches admitted at depth %d (at %+v)", admitted-sunk, depth, e)
 				}
 				maxAdmitted = max(maxAdmitted, admitted-sunk)
 			}
-			if c.autoTune {
-				return // the tuner picks the depth; only the ceiling is contractual
-			}
-			if maxAdmitted != c.depth+readAhead {
+			if maxAdmitted != depth+readAhead {
 				t.Fatalf("at most %d batches admitted at once; with a short read it should reach %d",
-					maxAdmitted, c.depth+readAhead)
+					maxAdmitted, depth+readAhead)
 			}
-			if c.depth != 1 {
+			if depth != 1 {
 				return
 			}
 			for n := 0; n+1 < 12; n++ {
@@ -139,14 +131,12 @@ func TestDepthContract(t *testing.T) {
 }
 
 // TestDepthGateBoundsAndCancel drives the gate by hand: admission stops at
-// limit+readAhead and the pull stage at limit, a release frees one of each,
-// setLimit moves both bounds, and cancelling the context wakes a waiter on
-// either bound.
+// depth+readAhead and the pull stage at depth, a release frees one of each,
+// and cancelling the context wakes a waiter on either bound.
 func TestDepthGateBoundsAndCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	g := newDepthGate(1)
-	g.cancelOn(ctx)
 	for i := 0; i < 1+readAhead; i++ {
 		if err := g.admit(ctx); err != nil {
 			t.Fatal(err)
@@ -169,16 +159,16 @@ func TestDepthGateBoundsAndCancel(t *testing.T) {
 	admit := blocked("admit", g.admit)
 	acquire := blocked("acquire", g.acquire)
 
-	// Raising the limit frees one more of each.
-	g.setLimit(2)
+	// A release frees one slot of each bound.
+	g.release()
 	for name, done := range map[string]chan error{"admit": admit, "acquire": acquire} {
 		select {
 		case err := <-done:
 			if err != nil {
-				t.Fatalf("%s after setLimit: %v", name, err)
+				t.Fatalf("%s after release: %v", name, err)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("setLimit did not wake the blocked %s", name)
+			t.Fatalf("release did not wake the blocked %s", name)
 		}
 	}
 

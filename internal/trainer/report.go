@@ -25,13 +25,6 @@ type StageReport struct {
 	// WallBusy / WallStalled are the stage goroutine's measured wall times
 	// (busy inside the stage function, stalled on backpressure).
 	WallBusy, WallStalled time.Duration
-	// EWMAService is the smoothed per-batch service time the auto-tuner
-	// sizes queues from.
-	EWMAService time.Duration
-	// QueueCap / MeanQueueLen describe the stage's prefetch queue: its
-	// (possibly auto-tuned) capacity and its mean occupancy at enqueue time.
-	QueueCap     int
-	MeanQueueLen float64
 }
 
 // Report is the Fig-4-style throughput/latency breakdown of a training run.
@@ -85,12 +78,9 @@ type Report struct {
 	// Remote describes the real network activity of a multi-process run;
 	// nil for in-process runs.
 	Remote *RemoteNetReport
-	// AutoTune reports whether the runtime queue/depth tuner was armed;
-	// EffectiveDepth is its final depth suggestion (== MaxInFlight for a
-	// static run) and Retunes counts how many times it re-derived the sizing.
-	AutoTune       bool
+	// EffectiveDepth is the depth the run's gate enforced. The depth is fixed
+	// for a run, so it always equals MaxInFlight.
 	EffectiveDepth int
-	Retunes        int64
 	// AsyncPush reports whether the background push committer was active;
 	// PushLagLimit is its configured outstanding-push budget, MaxPushLag the
 	// high-water mark it actually reached, AsyncPushes the pushes it
@@ -158,8 +148,6 @@ func (t *Trainer) Report() Report {
 		}
 		if i < len(wall) {
 			sr.WallBusy, sr.WallStalled = wall[i].Busy, wall[i].Stalled
-			sr.EWMAService = wall[i].EWMAService
-			sr.QueueCap, sr.MeanQueueLen = wall[i].QueueCap, wall[i].MeanQueueLen
 		}
 		sum += sr.Modelled
 		if sr.Modelled >= max {
@@ -178,14 +166,7 @@ func (t *Trainer) Report() Report {
 	}
 	r.Throughput = metrics.Throughput{Examples: examples, Elapsed: r.ModelledElapsed}
 
-	r.AutoTune = t.cfg.AutoTune
 	r.EffectiveDepth = t.cfg.MaxInFlight
-	if t.pipe != nil {
-		if ts := t.pipe.TunerState(); ts.Enabled {
-			r.EffectiveDepth = ts.InFlight
-			r.Retunes = ts.Retunes
-		}
-	}
 	if c := t.committer; c != nil {
 		r.AsyncPush = true
 		r.PushLagLimit = c.lag
@@ -261,20 +242,11 @@ func (r Report) String() string {
 		if s.Name == r.Bottleneck {
 			marker = "* " // the stage that paces steady-state throughput
 		}
-		fmt.Fprintf(&b, "%s%-6s total %12v   per-batch %12v   wall busy %10v   stalled %10v   queue %d (mean %.1f)   ewma %v\n",
+		fmt.Fprintf(&b, "%s%-6s total %12v   per-batch %12v   wall busy %10v   stalled %10v\n",
 			marker, s.Name, s.Modelled.Round(time.Microsecond), s.PerBatch.Round(time.Microsecond),
-			s.WallBusy.Round(time.Microsecond), s.WallStalled.Round(time.Microsecond),
-			s.QueueCap, s.MeanQueueLen, s.EWMAService.Round(time.Microsecond))
+			s.WallBusy.Round(time.Microsecond), s.WallStalled.Round(time.Microsecond))
 	}
 	fmt.Fprintf(&b, "bottleneck stage: %s   all-reduce (in push): %v\n", r.Bottleneck, r.AllReduce.Round(time.Microsecond))
-	if r.AutoTune {
-		caps := make([]int, 0, len(r.Stages))
-		for _, s := range r.Stages {
-			caps = append(caps, s.QueueCap)
-		}
-		fmt.Fprintf(&b, "adaptive pipeline: effective depth %d (ceiling %d), queue caps %v, retunes %d\n",
-			r.EffectiveDepth, r.MaxInFlight, caps, r.Retunes)
-	}
 	if r.AsyncPush {
 		fmt.Fprintf(&b, "async push: %d committed in background, lag max %d of %d budget, trained-ahead max %d batch(es)\n",
 			r.AsyncPushes, r.MaxPushLag, r.PushLagLimit, r.StaleMaxBatches)

@@ -178,13 +178,6 @@ type Config struct {
 	// the run to still be going) and staleness experiments; leave zero for
 	// real training.
 	BatchPause time.Duration
-	// AutoTune arms the pipeline's runtime tuner: per-stage queue capacities
-	// and the effective in-flight depth are re-derived from measured EWMA
-	// stage times ("pre-set according to the execution time of each stage"),
-	// always within the MaxInFlight ceiling. The run starts at a shallow
-	// depth and deepens only when the measured stage times say the overlap
-	// pays for its staleness.
-	AutoTune bool
 	// AsyncPush moves the apply half of the push stage onto a bounded
 	// background committer: the pipeline token returns before the MEM-PS
 	// round trip, buying throughput at the price of parameters up to
@@ -604,21 +597,14 @@ func (t *Trainer) Run(ctx context.Context) error {
 	}
 	// The depth gate guards parameters, not data: a batch takes a slot as it
 	// enters the pull stage (the stage's Admit wait, outside its timing) and
-	// the sink gives it back, so at most `limit` batches lie between pull and
-	// push and the parameters a batch trains on are at most limit-1 batches
-	// stale. At limit 1 the parameter stages keep Algorithm 1's strict
-	// sequential ordering. The source admits limit+readAhead batches, so the
-	// read stage — which touches no parameter — works one batch ahead of the
-	// gate instead of idling behind it. With AutoTune the limit starts
-	// shallow (depth 2: enough overlap to measure the stages) and tracks the
-	// tuner's suggestion within the MaxInFlight ceiling; otherwise it is
-	// pinned at MaxInFlight.
-	initialDepth := t.cfg.MaxInFlight
-	if t.cfg.AutoTune {
-		initialDepth = min(2, t.cfg.MaxInFlight)
-	}
-	gate := newDepthGate(initialDepth)
-	var gateWatch sync.Once
+	// the sink gives it back, so at most MaxInFlight batches lie between pull
+	// and push and the parameters a batch trains on are at most
+	// MaxInFlight-1 batches stale. At depth 1 the parameter stages keep
+	// Algorithm 1's strict sequential ordering. The source admits
+	// MaxInFlight+readAhead batches, so the read stage — which touches no
+	// parameter — works one batch ahead of the gate instead of idling behind
+	// it.
+	gate := newDepthGate(t.cfg.MaxInFlight)
 	event := t.stageEvent
 	if event == nil {
 		event = func(string, int, bool) {}
@@ -639,10 +625,6 @@ func (t *Trainer) Run(ctx context.Context) error {
 	}
 	next := 0
 	source := func(ctx context.Context) (*job, bool, error) {
-		// The watcher must watch the ctx the pipeline passes in (its internal
-		// run context, cancelled on stage errors too), not the caller's. The
-		// source runs before any stage, so it starts the watcher for both.
-		gateWatch.Do(func() { gate.cancelOn(ctx) })
 		if next >= remaining {
 			return nil, false, nil
 		}
@@ -657,11 +639,6 @@ func (t *Trainer) Run(ctx context.Context) error {
 	sink := func(ctx context.Context, j *job) error {
 		event("sink", j.index, true)
 		gate.release()
-		if t.cfg.AutoTune {
-			if d := t.pipe.TunerState().InFlight; d > 0 {
-				gate.setLimit(min(d, t.cfg.MaxInFlight))
-			}
-		}
 		t.mu.Lock()
 		t.batchesDone++
 		done := t.batchesDone
@@ -688,7 +665,7 @@ func (t *Trainer) Run(ctx context.Context) error {
 	}
 
 	stage := func(name string, fn func(context.Context, *job) (*job, error)) pipeline.Stage[*job] {
-		return pipeline.Stage[*job]{Name: name, QueueSize: 1, Fn: func(ctx context.Context, j *job) (*job, error) {
+		return pipeline.Stage[*job]{Name: name, Fn: func(ctx context.Context, j *job) (*job, error) {
 			event(name, j.index, true)
 			defer event(name, j.index, false)
 			return fn(ctx, j)
@@ -697,12 +674,6 @@ func (t *Trainer) Run(ctx context.Context) error {
 	pull := stage(StagePull, t.stagePull)
 	pull.Admit = func(ctx context.Context, _ *job) error { return gate.acquire(ctx) }
 	t.pipe = pipeline.New(stage(StageRead, t.stageRead), pull, stage(StageTrain, t.stageTrain), stage(StagePush, t.stagePush))
-	if t.cfg.AutoTune {
-		t.pipe.AutoTune(pipeline.TunerConfig{
-			MaxQueue:    t.cfg.MaxInFlight,
-			MaxInFlight: t.cfg.MaxInFlight,
-		})
-	}
 	err := t.pipe.Run(ctx, source, sink)
 	if t.committer != nil {
 		// Settle the committer before returning — on errors too, so a caller
