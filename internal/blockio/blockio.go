@@ -104,6 +104,8 @@ type Extent struct {
 	Offset  int64
 }
 
+// String names the extent by its creation id and offset, as errors and the
+// recovery report print it.
 func (e Extent) String() string {
 	return fmt.Sprintf("extent %d at offset %d", e.ID, e.Offset)
 }
@@ -116,6 +118,8 @@ type Dropped struct {
 	Reason string
 }
 
+// String describes the dropped slot: its offset, the id its header spells
+// and why it was left out.
 func (d Dropped) String() string {
 	return fmt.Sprintf("offset %d id %d: %s", d.Offset, d.ID, d.Reason)
 }

@@ -59,7 +59,9 @@ func (s Stats) HitRate() float64 {
 //
 // Both levels share one index with one entry per key, so a miss costs four
 // map operations on its way in and out (the missed Get, Put's lookup and
-// insert, the final eviction's delete) and a demotion none.
+// insert, the final eviction's delete) and a demotion none. The LFU level is
+// a frequency order (FIFO buckets per visit count): a demotion, a promotion
+// and an eviction each cost O(1), without comparisons below 4,096 visits.
 //
 // Combined is not safe for concurrent use; the MEM-PS serializes access
 // behind its own lock.
@@ -73,7 +75,7 @@ type Combined[V any] struct {
 	order, held entry[V]
 	lruLen      int
 	// lfu is the frequency level, ordered by (visits, seq).
-	lfu freqHeap[V]
+	lfu freqOrder[V]
 	seq int64
 	// free chains (through next) the entries of keys that left the cache; Put
 	// reuses them, so a steady miss stream allocates nothing.
@@ -95,7 +97,8 @@ func (c *Combined[V]) clear() {
 	c.items = make(map[uint64]*entry[V])
 	c.order.prev, c.order.next = &c.order, &c.order
 	c.held.prev, c.held.next = &c.held, &c.held
-	c.lruLen, c.lfu, c.seq = 0, nil, 0
+	c.lfu.reset()
+	c.lruLen, c.seq = 0, 0
 }
 
 // Len returns the total number of entries across both levels.
@@ -118,7 +121,7 @@ func (c *Combined[V]) touch(e *entry[V]) {
 // enterLRU links e, which is on neither level, at the most-recently-used end
 // of the LRU and demotes whatever overflows.
 func (c *Combined[V]) enterLRU(e *entry[V]) {
-	e.heap = inLRU
+	e.pos = inLRU
 	e.pushFront(&c.order)
 	c.lruLen++
 	c.demoteOverflow()
@@ -142,9 +145,9 @@ func (c *Combined[V]) demoteOverflow() {
 		c.seq++
 		e.seq = c.seq
 		c.lfu.push(e)
-		for len(c.lfu) > c.lfuCap {
-			victim := c.lfu[0]
-			c.lfu.remove(0)
+		for c.lfu.len() > c.lfuCap {
+			victim := c.lfu.min()
+			c.lfu.remove(victim)
 			key, value := victim.key, victim.value
 			c.release(victim)
 			c.stats.Evictions++
@@ -173,14 +176,15 @@ func (c *Combined[V]) Get(key uint64) (V, bool) {
 		return zero, false
 	}
 	c.stats.Hits++
-	e.visits++
-	if e.heap == inLRU {
+	if e.pos == inLRU {
 		c.stats.LRUHits++
+		e.visits++
 		c.touch(e)
 		return e.value, true
 	}
 	c.stats.LFUHits++
-	c.lfu.remove(e.heap)
+	c.lfu.remove(e) // before the count that places it there changes
+	e.visits++
 	c.enterLRU(e)
 	return e.value, true
 }
@@ -198,7 +202,7 @@ func (c *Combined[V]) GetApply(key uint64) (V, bool) {
 		return zero, false
 	}
 	c.stats.Hits++
-	if e.heap == inLRU {
+	if e.pos == inLRU {
 		c.stats.LRUHits++
 	} else {
 		c.stats.LFUHits++
@@ -227,12 +231,12 @@ func (c *Combined[V]) Put(key uint64, value V) {
 		e.key, e.value, e.visits = key, value, 1
 		c.items[key] = e
 		c.enterLRU(e)
-	case e.heap == inLRU:
+	case e.pos == inLRU:
 		e.value = value
 		e.visits++
 		c.touch(e)
 	default:
-		c.lfu.remove(e.heap)
+		c.lfu.remove(e)
 		e.value = value
 		e.visits = 1
 		c.enterLRU(e)
@@ -247,11 +251,11 @@ func (c *Combined[V]) Remove(key uint64) (V, bool) {
 		var zero V
 		return zero, false
 	}
-	if e.heap == inLRU {
+	if e.pos == inLRU {
 		e.unlink()
 		c.lruLen--
 	} else {
-		c.lfu.remove(e.heap)
+		c.lfu.remove(e)
 	}
 	value := e.value
 	c.release(e)
@@ -264,7 +268,7 @@ func (c *Combined[V]) Remove(key uint64) (V, bool) {
 // them).
 func (c *Combined[V]) Pin(key uint64) bool {
 	e, ok := c.items[key]
-	if !ok || e.heap != inLRU {
+	if !ok || e.pos != inLRU {
 		return false
 	}
 	if e.pins == 0 {
@@ -281,7 +285,7 @@ func (c *Combined[V]) Pin(key uint64) bool {
 // LRU.
 func (c *Combined[V]) Unpin(key uint64) bool {
 	e, ok := c.items[key]
-	if !ok || e.heap != inLRU {
+	if !ok || e.pos != inLRU {
 		return false
 	}
 	if e.pins > 0 {
@@ -303,7 +307,8 @@ func (c *Combined[V]) Pinned(key uint64) bool {
 
 // Range calls fn for every cached entry until fn returns false: the LRU
 // level's pinned entries (most recently pinned first), its unpinned ones
-// (most recently used first), then the LFU level in no particular order.
+// (most recently used first), then the LFU level in the order it would evict
+// them — fewest visits first, the earliest demoted among equals.
 // Unlike Flush it does not evict; it is how the replication layer enumerates
 // the keys a shard currently holds in memory.
 func (c *Combined[V]) Range(fn func(key uint64, value V) bool) {
@@ -314,11 +319,7 @@ func (c *Combined[V]) Range(fn func(key uint64, value V) bool) {
 			}
 		}
 	}
-	for _, e := range c.lfu {
-		if !fn(e.key, e.value) {
-			return
-		}
-	}
+	c.lfu.each(func(e *entry[V]) bool { return fn(e.key, e.value) })
 }
 
 // Flush hands every entry of both levels to onEach, in Range's order, and

@@ -3,6 +3,7 @@ package cache
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -20,27 +21,62 @@ func collect(each func(fn func(uint64, int))) []kv {
 	return out
 }
 
-// sameContents compares two Range/Flush listings: the first lruLen entries
-// (the LRU level: pinned entries, then the eviction order) in order, the rest
-// (the LFU level, whose order was map iteration in the model) as a set.
-func sameContents(got, want []kv, lruLen int) bool {
-	if len(got) != len(want) || !slices.Equal(got[:lruLen], want[:lruLen]) {
-		return false
+// lfuOrder lists a model LFU's contents in the order the frequency order
+// under test must evict them: fewest visits first, the earliest entered among
+// equals.
+func lfuOrder(m *modelLFU[int]) []kv {
+	es := slices.Collect(maps.Values(m.items))
+	slices.SortFunc(es, func(a, b *lfuEntry[int]) int {
+		return cmp.Or(cmp.Compare(a.freq, b.freq), cmp.Compare(a.seq, b.seq))
+	})
+	out := make([]kv, len(es))
+	for i, e := range es {
+		out[i] = kv{e.key, e.value}
 	}
-	byKey := func(a, b kv) int { return cmp.Compare(a.key, b.key) }
-	g, w := slices.Clone(got[lruLen:]), slices.Clone(want[lruLen:])
-	slices.SortFunc(g, byKey)
-	slices.SortFunc(w, byKey)
-	return slices.Equal(g, w)
+	return out
 }
+
+// modelOrder lists a model Combined's contents in the order Range and Flush
+// must hand them out: the LRU level (pinned entries, then the eviction
+// order), then the LFU level in eviction order.
+func modelOrder(m *modelCombined[int]) []kv {
+	out := collect(func(fn func(uint64, int)) {
+		m.lru.Range(func(k uint64, v int) bool { fn(k, v); return true })
+	})
+	return append(out, lfuOrder(m.lfu)...)
+}
+
+// visitRegimes are the kinds of visit count a frequency order holds apart:
+// within the first bitmap word, in a higher bucket, at the top bucket, and
+// past the buckets in the heap.
+var visitRegimes = [...]string{"below 64", "64 to the top bucket", "the top bucket", "past the buckets"}
+
+func visitRegime(visits int64) int {
+	switch {
+	case visits < 64:
+		return 0
+	case visits < freqBuckets-1:
+		return 1
+	case visits == freqBuckets-1:
+		return 2
+	}
+	return 3
+}
+
+// visitBursts are the numbers of Gets the model tests give one key in a row
+// to carry its count into every regime, straddling each boundary.
+var visitBursts = [...]int{62, 63, 64, freqBuckets - 3, freqBuckets - 2, freqBuckets - 1, freqBuckets, 2 * freqBuckets}
 
 // TestCombinedMatchesModel drives seeded random operation sequences through
 // Combined and through the three-structure reference it replaced
 // (model_test.go) and demands the same policy: the same return values, the
 // same eviction callbacks in the same order, the same statistics and the
-// same contents level by level — with pins taken faster than they are
+// same contents in the same order — with pins taken faster than they are
 // released for a third of each sequence, so overflow happens under held pins.
+// Now and then one key takes a burst of Gets, so the LFU level holds visit
+// counts of every regime of its frequency order.
 func TestCombinedMatchesModel(t *testing.T) {
+	var regimes [len(visitRegimes)]int
 	for seed := int64(1); seed <= 48; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		lruCap, lfuCap, steps := 1+rng.Intn(6), 1+rng.Intn(6), 1500
@@ -63,8 +99,11 @@ func TestCombinedMatchesModel(t *testing.T) {
 				ops = append(ops, 5, 5, 5)
 			}
 			op := ops[rng.Intn(len(ops))]
-			if rng.Intn(400) == 0 {
+			switch rng.Intn(400) {
+			case 0:
 				op = 9
+			case 1, 2, 3, 4:
+				op = 10
 			}
 			desc := fmt.Sprintf("seed %d (lru %d, lfu %d) step %d op %d key %d", seed, lruCap, lfuCap, step, op, k)
 			check := func(name string, got, want any) {
@@ -101,26 +140,34 @@ func TestCombinedMatchesModel(t *testing.T) {
 				check("Remove", kv{k, v}, kv{k, mv})
 				check("Remove ok", ok, mok)
 			case 8:
-				lruLen := m.lru.Len()
 				got := collect(func(fn func(uint64, int)) {
 					c.Range(func(k uint64, v int) bool { fn(k, v); return true })
 				})
-				want := collect(func(fn func(uint64, int)) {
-					m.Range(func(k uint64, v int) bool { fn(k, v); return true })
-				})
-				if !sameContents(got, want, lruLen) {
-					t.Fatalf("%s: Range %v, model %v (first %d ordered)", desc, got, want, lruLen)
+				if want := modelOrder(m); !slices.Equal(got, want) {
+					t.Fatalf("%s: Range %v, model %v", desc, got, want)
 				}
 				// An early stop ends the walk at once.
 				seen := 0
 				c.Range(func(uint64, int) bool { seen++; return false })
-				check("Range after false", seen, min(1, len(want)))
+				check("Range after false", seen, min(1, c.Len()))
+				for _, e := range m.lfu.items {
+					regimes[visitRegime(e.freq)]++
+				}
 			case 9:
-				lruLen := m.lru.Len()
+				want := modelOrder(m)
 				got := collect(func(fn func(uint64, int)) { c.Flush(fn) })
-				want := collect(func(fn func(uint64, int)) { m.Flush(fn) })
-				if !sameContents(got, want, lruLen) {
-					t.Fatalf("%s: Flush %v, model %v (first %d ordered)", desc, got, want, lruLen)
+				m.Flush(nil)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: Flush %v, model %v", desc, got, want)
+				}
+			case 10:
+				if !m.Contains(k) {
+					c.Put(k, step)
+					m.Put(k, step)
+				}
+				for range visitBursts[rng.Intn(len(visitBursts))] {
+					c.Get(k)
+					m.Get(k)
 				}
 			}
 			if !slices.Equal(evicted, modelEvicted) {
@@ -136,13 +183,23 @@ func TestCombinedMatchesModel(t *testing.T) {
 			t.Fatalf("seed %d never evicted or never hit the LFU: %+v", seed, c.Stats())
 		}
 	}
+	for r, n := range regimes {
+		if n == 0 {
+			t.Errorf("no Range met an LFU-level entry with %s visits", visitRegimes[r])
+		}
+	}
 }
 
 // TestLFUMatchesModel holds the LFU, which moved from container/heap onto the
-// typed heap it now shares with Combined, against its previous
+// frequency order it shares with Combined, against its container/heap
 // implementation: same answers, same frequencies, same evictions in the same
-// order over seeded random sequences.
+// order over seeded random sequences, and a Range in eviction order. The
+// frequencies PutWithFreq adds and the Get bursts carry keys below, at and
+// past the top bucket, and Gets move keys past newer ones of their count
+// (which the order keeps in its heap).
 func TestLFUMatchesModel(t *testing.T) {
+	var regimes [len(visitRegimes)]int
+	outOfOrder := 0
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		capacity := 1 + rng.Intn(24)
@@ -153,14 +210,45 @@ func TestLFUMatchesModel(t *testing.T) {
 		for step := 0; step < 2000; step++ {
 			k := uint64(rng.Int63()) % keySpace
 			desc := fmt.Sprintf("seed %d (capacity %d) step %d key %d", seed, capacity, step, k)
-			switch op := rng.Intn(8); op {
+			switch op := rng.Intn(10); op {
 			case 0, 1:
 				c.Put(k, step)
 				m.Put(k, step)
 			case 2:
 				freq := int64(rng.Intn(6) - 1) // 0 and -1 count as 1
+				switch rng.Intn(4) {
+				case 0:
+					freq += freqBuckets - 4
+				case 1:
+					freq += 1 << 40
+				}
 				c.PutWithFreq(k, step, freq)
 				m.PutWithFreq(k, step, freq)
+			case 8:
+				got := collect(func(fn func(uint64, int)) {
+					c.Range(func(k uint64, v int) bool { fn(k, v); return true })
+				})
+				if want := lfuOrder(m); !slices.Equal(got, want) {
+					t.Fatalf("%s: Range %v, model %v", desc, got, want)
+				}
+				for _, e := range m.items {
+					regimes[visitRegime(e.freq)]++
+				}
+				for _, e := range c.order.heap {
+					if e.visits < freqBuckets {
+						outOfOrder++
+					}
+				}
+			case 9:
+				if rng.Intn(8) != 0 {
+					break
+				}
+				for range visitBursts[rng.Intn(len(visitBursts))] {
+					v, ok := c.Get(k)
+					if mv, mok := m.Get(k); v != mv || ok != mok {
+						t.Fatalf("%s: Get = %d,%v, model %d,%v", desc, v, ok, mv, mok)
+					}
+				}
 			case 3, 4, 5:
 				v, ok := c.Get(k)
 				if mv, mok := m.Get(k); v != mv || ok != mok {
@@ -187,6 +275,14 @@ func TestLFUMatchesModel(t *testing.T) {
 		if len(evicted) == 0 {
 			t.Fatalf("seed %d never evicted", seed)
 		}
+	}
+	for r, n := range regimes {
+		if n == 0 {
+			t.Errorf("no Range met an entry with %s visits", visitRegimes[r])
+		}
+	}
+	if outOfOrder == 0 {
+		t.Error("no entry ever moved past a newer one of its count")
 	}
 }
 

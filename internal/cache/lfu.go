@@ -1,12 +1,15 @@
 package cache
 
 // LFU is a least-frequently-used cache keyed by uint64, with FIFO tie
-// breaking among equally frequent entries. It is not safe for concurrent use.
+// breaking among equally frequent entries: of two keys with the same
+// frequency the one inserted first is evicted first. It keeps its entries in
+// the frequency order a Combined's LFU level uses. It is not safe for
+// concurrent use.
 type LFU[V any] struct {
 	capacity int
 	onEvict  EvictFunc[V]
 	items    map[uint64]*entry[V]
-	heap     freqHeap[V]
+	order    freqOrder[V]
 	seq      int64
 }
 
@@ -29,8 +32,7 @@ func (c *LFU[V]) Capacity() int { return c.capacity }
 // Get returns the value for key and increments its frequency.
 func (c *LFU[V]) Get(key uint64) (V, bool) {
 	if e, ok := c.items[key]; ok {
-		e.visits++
-		c.heap.fix(e.heap)
+		c.order.setVisits(e, e.visits+1)
 		return e.value, true
 	}
 	var zero V
@@ -67,17 +69,16 @@ func (c *LFU[V]) PutWithFreq(key uint64, value V, freq int64) {
 	freq = max(freq, 1)
 	if e, ok := c.items[key]; ok {
 		e.value = value
-		e.visits += freq
-		c.heap.fix(e.heap)
+		c.order.setVisits(e, e.visits+freq)
 		return
 	}
 	c.seq++
 	e := &entry[V]{key: key, value: value, visits: freq, seq: c.seq}
 	c.items[key] = e
-	c.heap.push(e)
+	c.order.push(e)
 	for len(c.items) > c.capacity {
-		victim := c.heap[0]
-		c.heap.remove(0)
+		victim := c.order.min()
+		c.order.remove(victim)
 		delete(c.items, victim.key)
 		if c.onEvict != nil {
 			c.onEvict(victim.key, victim.value)
@@ -93,7 +94,7 @@ func (c *LFU[V]) Remove(key uint64) (V, bool) {
 		var zero V
 		return zero, false
 	}
-	c.heap.remove(e.heap)
+	c.order.remove(e)
 	delete(c.items, key)
 	return e.value, true
 }
@@ -106,11 +107,8 @@ func (c *LFU[V]) Freq(key uint64) int64 {
 	return 0
 }
 
-// Range calls fn for every cached entry until fn returns false.
+// Range calls fn for every cached entry, in the order the cache would evict
+// them, until fn returns false.
 func (c *LFU[V]) Range(fn func(key uint64, value V) bool) {
-	for k, e := range c.items {
-		if !fn(k, e.value) {
-			return
-		}
-	}
+	c.order.each(func(e *entry[V]) bool { return fn(e.key, e.value) })
 }

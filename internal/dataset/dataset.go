@@ -17,6 +17,7 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"hps/internal/keys"
@@ -143,6 +144,48 @@ type Generator struct {
 	rng   *rand.Rand
 	ranks *rankSampler
 	index int
+	// seen is the set of keys the example being drawn already holds.
+	seen keySet
+}
+
+// keySet is an open-addressing set of the keys of one example, emptied in
+// O(1) per example: a slot belongs to the set only while its stamp is the
+// current one.
+type keySet struct {
+	slots []keySlot
+	stamp uint32
+}
+
+type keySlot struct {
+	key   keys.Key
+	stamp uint32
+}
+
+// reset empties the set and sizes it for n keys at a load factor of at most
+// one half.
+func (s *keySet) reset(n int) {
+	if size := 2 << bits.Len(uint(n)); len(s.slots) < size {
+		s.slots, s.stamp = make([]keySlot, size), 0
+	}
+	s.stamp++
+	if s.stamp == 0 { // wrapped: stamps of 2^32 examples ago would read live
+		clear(s.slots)
+		s.stamp = 1
+	}
+}
+
+// add inserts k and reports whether it was absent.
+func (s *keySet) add(k keys.Key) bool {
+	mask := uint64(len(s.slots) - 1)
+	for i := keys.Mix64(uint64(k)) & mask; ; i = (i + 1) & mask {
+		switch slot := &s.slots[i]; {
+		case slot.stamp != s.stamp:
+			*slot = keySlot{k, s.stamp}
+			return true
+		case slot.key == k:
+			return false
+		}
+	}
 }
 
 // NewGenerator returns a generator seeded with seed. Two generators with the
@@ -189,18 +232,14 @@ func (g *Generator) NextExample() Example {
 // with capacity for NonZerosPerExample keys, then labels it.
 func (g *Generator) fill(feats []keys.Key) Example {
 	nnz := g.cfg.NonZerosPerExample
-draw:
+	g.seen.reset(nnz)
 	for len(feats) < nnz {
 		// Scatter the zipf rank across the key space so that modulo sharding
 		// stays balanced while popularity remains skewed.
 		k := keys.Key(keys.Mix64(g.ranks.next()) % uint64(g.cfg.NumFeatures))
-		// An example holds few keys: scanning them beats a set per example.
-		for _, have := range feats {
-			if have == k {
-				continue draw
-			}
+		if g.seen.add(k) {
+			feats = append(feats, k)
 		}
-		feats = append(feats, k)
 	}
 	logit := g.TeacherLogit(feats)
 	if g.cfg.NoiseStd > 0 {

@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"slices"
 	"testing"
@@ -315,5 +317,38 @@ func TestNextBatchNegative(t *testing.T) {
 	b := g.NextBatch(-5)
 	if b.Len() != 0 {
 		t.Fatal("negative batch size should produce empty batch")
+	}
+}
+
+// TestGoldenStream pins the generated stream: the hash of the first 200
+// batches of 64 examples (every feature key, then the label, in order) at
+// two widths over the cold benchmark's 60,000-key universe, and over a
+// 1,000-key one, where an example draws many keys it already holds.
+func TestGoldenStream(t *testing.T) {
+	for _, tc := range []struct {
+		features int64
+		nnz      int
+		want     uint64
+	}{
+		{60000, 20, 0xa7631c1e81a923e9},
+		{60000, 50, 0x96e53741e0817845},
+		{1000, 50, 0x458fb6dea05d729a},
+	} {
+		g := NewGenerator(Config{NumFeatures: tc.features, NonZerosPerExample: tc.nnz}, 1)
+		h := fnv.New64a()
+		var buf [8]byte
+		for range 200 {
+			for _, ex := range g.NextBatch(64).Examples {
+				for _, k := range ex.Features {
+					binary.LittleEndian.PutUint64(buf[:], uint64(k))
+					h.Write(buf[:])
+				}
+				binary.LittleEndian.PutUint32(buf[:4], uint32(ex.Label))
+				h.Write(buf[:4])
+			}
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("%d of %d features: stream hash %#x, want %#x", tc.nnz, tc.features, got, tc.want)
+		}
 	}
 }

@@ -36,19 +36,34 @@ func (b *IndexBuilder) Reset() { b.occ = b.occ[:0] }
 // Add appends ks as the next key occurrences.
 func (b *IndexBuilder) Add(ks []Key) { b.occ = append(b.occ, ks...) }
 
-// Build fills x for the occurrences added since Reset: one stable LSD radix
-// sort of the occurrence positions by key, byte by byte over the bytes in
-// which the keys actually differ (a 60,000-key universe sorts in two passes,
-// a 2^40 one in five), then one sweep that emits each distinct key once and
-// sends every occurrence's row back to its position.
+// Build fills x for the occurrences added since Reset: one SortPositions of
+// the occurrence positions by key, then one sweep that emits each distinct
+// key once and sends every occurrence's row back to its position.
 func (b *IndexBuilder) Build(x *Index) {
 	n := len(b.occ)
 	x.Unique = x.Unique[:0]
 	x.Rows = slices.Grow(x.Rows[:0], n)[:n]
 	b.spare = slices.Grow(b.spare[:0], n)[:n]
+	SortPositions(b.occ, b.spare, x.Rows)
+	for i, pos := range b.spare {
+		k := b.occ[pos]
+		if i == 0 || k != b.occ[b.spare[i-1]] {
+			x.Unique = append(x.Unique, k)
+		}
+		x.Rows[pos] = int32(len(x.Unique) - 1)
+	}
+}
+
+// SortPositions fills order with the positions 0..len(ks)-1 of ks in
+// increasing key order, equal keys in position order: one stable LSD radix
+// sort, byte by byte over the bytes in which the keys actually differ (a
+// 60,000-key universe sorts in two passes, a 2^40 one in five), without a
+// comparison. tmp is the sort's second buffer; order and tmp must both have
+// length len(ks).
+func SortPositions(ks []Key, order, tmp []int32) {
 	var differ Key
-	for _, k := range b.occ {
-		differ |= k ^ b.occ[0]
+	for _, k := range ks {
+		differ |= k ^ ks[0]
 	}
 	// The digits worth a pass, as shifts; a digit's histogram does not depend
 	// on the order, so one sequential sweep counts all of them.
@@ -60,19 +75,20 @@ func (b *IndexBuilder) Build(x *Index) {
 		}
 	}
 	if len(shifts) == 0 { // at most one distinct key
-		x.Unique = append(x.Unique, b.occ[:min(n, 1)]...)
-		clear(x.Rows)
+		for pos := range ks {
+			order[pos] = int32(pos)
+		}
 		return
 	}
 	var count [8][256]int32
-	for _, k := range b.occ {
+	for _, k := range ks {
 		for d, shift := range shifts {
 			count[d][byte(k>>shift)]++
 		}
 	}
-	// The passes alternate between the two position buffers so that the last
-	// one lands in spare and leaves x.Rows free for the result.
-	src, dst := x.Rows, b.spare
+	// The passes alternate between the two buffers so that the last one
+	// lands in order.
+	src, dst := tmp, order
 	if len(shifts)%2 == 0 {
 		src, dst = dst, src
 	}
@@ -82,27 +98,20 @@ func (b *IndexBuilder) Build(x *Index) {
 		for v, c := range next {
 			next[v], sum = sum, sum+c
 		}
-		if d == 0 { // the occurrences themselves are the first pass's source
-			for pos, k := range b.occ {
+		if d == 0 { // the keys themselves are the first pass's source
+			for pos, k := range ks {
 				v := byte(k >> shift)
 				dst[next[v]] = int32(pos)
 				next[v]++
 			}
 		} else {
 			for _, pos := range src {
-				v := byte(b.occ[pos] >> shift)
+				v := byte(ks[pos] >> shift)
 				dst[next[v]] = pos
 				next[v]++
 			}
 		}
 		src, dst = dst, src
-	}
-	for i, pos := range b.spare {
-		k := b.occ[pos]
-		if i == 0 || k != b.occ[b.spare[i-1]] {
-			x.Unique = append(x.Unique, k)
-		}
-		x.Rows[pos] = int32(len(x.Unique) - 1)
 	}
 }
 

@@ -86,13 +86,13 @@ func BenchmarkDumpCompactCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadSparse measures the load the cold training path issues: 14 of
+// BenchmarkLoadSparse measures the load the cold training path issues: 28 of
 // the 256 parameters of every file it touches (the read amplification
-// measured on train_local_cold is 18.6x), through the positional form the
+// measured on train_local_cold is 9.3x), through the positional form the
 // MEM-PS uses. The whole files are read; only the requested records may cost
 // decoding and allocation — two allocations per loaded key.
 func BenchmarkLoadSparse(b *testing.B) {
-	const perFile, wantPerFile = 256, 14
+	const perFile, wantPerFile = 256, 28
 	s := benchStore(b, perFile)
 	if err := s.Dump(benchVals(64*perFile, 4)); err != nil {
 		b.Fatal(err)

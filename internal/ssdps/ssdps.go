@@ -94,6 +94,11 @@ type Stats struct {
 type fileMeta struct {
 	ext   blockio.Extent // ext.ID is the creation order, ext.Records the records written
 	stale int            // records superseded by newer files
+	// load and group number the file among the files of one load: group is
+	// its position in the load's list of files when load is that load's
+	// number (Stats.Loads once it counted the load). Both belong to s.mu.
+	load  int64
+	group int32
 }
 
 // loc addresses the latest copy of a parameter: record slot of file.
@@ -111,15 +116,22 @@ const hdr = blockio.HeaderBytes
 type scratch struct {
 	// buf is one parameter file, as read or as about to be written: the
 	// device's extent header, then the records.
-	buf   []byte
-	wants []want
+	buf []byte
+	// A load's requested records in request order, then grouped by file; the
+	// files it touches, in the order it first met them; each file's end in
+	// the grouped records.
+	wants, grouped []want
+	files          []*fileMeta
+	ends           []int
 }
 
-// want is one requested key of a load that the store holds: where its record
-// is and which position of the request it answers.
+// want is one requested key of a load that the store holds: the record's
+// slot, the load's number for its file, and which position of the request it
+// answers.
 type want struct {
-	loc
-	idx int
+	slot  uint32
+	group int32
+	idx   int
 }
 
 // Store is an SSD-backed parameter store, the bottom tier of the hierarchy.
@@ -317,41 +329,62 @@ func (s *Store) LoadTimed(ks []keys.Key) (map[keys.Key]*embedding.Value, time.Du
 // dst resized to len(ks) (nil allocates), with dst[i] a private decoded copy
 // of ks[i]'s value or nil when the store does not hold the key, plus the
 // modelled read duration of this pass. Every file holding a requested key is
-// read whole, once; only the requested records are decoded.
+// read whole, once, in the order the request first names it; only the
+// requested records are decoded.
 func (s *Store) LoadInto(ks []keys.Key, dst []*embedding.Value) ([]*embedding.Value, time.Duration, error) {
 	dst = slices.Grow(dst[:0], len(ks))[:len(ks)]
 	clear(dst)
 	sc := s.getScratch()
 	defer s.scratch.Put(sc)
 
+	// Number the files the request touches while looking its keys up, so
+	// that one counting pass can group the records by file.
 	s.fileMu.RLock()
 	defer s.fileMu.RUnlock()
 	s.mu.Lock()
-	wants := sc.wants[:0]
-	for i, k := range ks {
-		if l, ok := s.mapping[k]; ok {
-			wants = append(wants, want{l, i})
-		}
-	}
 	s.stats.Loads++
+	load := s.stats.Loads
+	wants, files := sc.wants[:0], sc.files[:0]
+	for i, k := range ks {
+		l, ok := s.mapping[k]
+		if !ok {
+			continue
+		}
+		if f := l.file; f.load != load {
+			f.load, f.group = load, int32(len(files))
+			files = append(files, f)
+		}
+		wants = append(wants, want{l.slot, l.file.group, i})
+	}
 	s.mu.Unlock()
 	sc.wants = wants
-	found := len(wants)
+	defer clear(files) // the pooled scratch must not keep erased files alive
+	sc.files = files
 
-	// Group the requested records by the file that holds them.
-	slices.SortFunc(wants, func(a, b want) int {
-		if c := cmp.Compare(a.file.ext.ID, b.file.ext.ID); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.slot, b.slot)
-	})
+	// Count each file's records, then scatter them into place: ends[g] runs
+	// from file g's start to its end.
+	ends := slices.Grow(sc.ends[:0], len(files))[:len(files)]
+	clear(ends)
+	for _, w := range wants {
+		ends[w.group]++
+	}
+	start := 0
+	for g, n := range ends {
+		ends[g], start = start, start+n
+	}
+	grouped := slices.Grow(sc.grouped[:0], len(wants))[:len(wants)]
+	for _, w := range wants {
+		grouped[ends[w.group]] = w
+		ends[w.group]++
+	}
+	sc.ends, sc.grouped = ends, grouped
+
 	var readTime time.Duration
-	for len(wants) > 0 {
-		file, n := wants[0].file, 1
-		for n < len(wants) && wants[n].file == file {
-			n++
-		}
-		data, err := s.dev.ReadInto(file.ext, int64(n)*int64(s.stride), sc.buf)
+	start = 0
+	for g, file := range files {
+		group := grouped[start:ends[g]]
+		start = ends[g]
+		data, err := s.dev.ReadInto(file.ext, int64(len(group))*int64(s.stride), sc.buf)
 		if err != nil {
 			return nil, 0, fmt.Errorf("ssdps: load: %w", err)
 		}
@@ -359,14 +392,13 @@ func (s *Store) LoadInto(ks []keys.Key, dst []*embedding.Value) ([]*embedding.Va
 		records := data[hdr:]
 		// Mirror the device's charge (whole-file read) for per-tier stats.
 		readTime += s.dev.Profile().ReadTime(int64(len(records)))
-		for _, w := range wants[:n] {
+		for _, w := range group {
 			if dst[w.idx], err = s.decodeSlot(records, w.slot, ks[w.idx]); err != nil {
 				return nil, 0, fmt.Errorf("ssdps: load %v: %w", file.ext, err)
 			}
 		}
-		wants = wants[n:]
 	}
-	s.rec.RecordPull(found, readTime)
+	s.rec.RecordPull(len(wants), readTime)
 	return dst, readTime, nil
 }
 
@@ -495,13 +527,11 @@ func (s *Store) Compact() error {
 	sc := s.getScratch()
 	defer s.scratch.Put(sc)
 
-	// Collect the live records of every victim file.
-	type liveRec struct {
-		key  keys.Key
-		from loc
-		off  int // of the record's bytes in raw
-	}
-	// Size both buffers once: a victim's live count can only fall while the
+	// Collect the live records of every victim file: the i-th one's key is
+	// ks[i], its bytes are the i-th record of raw and it was collected from
+	// from[i].
+	//
+	// Size the buffers once: a victim's live count can only fall while the
 	// pass runs (dumps mark records stale), so this bounds what is collected,
 	// and a pass over megabytes of records leaves no trail of outgrown
 	// buffers for the collector.
@@ -511,7 +541,8 @@ func (s *Store) Compact() error {
 		n += v.ext.Records - v.stale
 	}
 	s.mu.Unlock()
-	live := make([]liveRec, 0, n)
+	ks := make([]keys.Key, 0, n)
+	from := make([]loc, 0, n)
 	raw := make([]byte, 0, n*s.stride)
 	for _, v := range victims {
 		data, err := s.dev.ReadInto(v.ext, -1, sc.buf)
@@ -523,23 +554,26 @@ func (s *Store) Compact() error {
 		for slot := 0; slot < v.ext.Records; slot++ {
 			rec := data[hdr+slot*s.stride : hdr+(slot+1)*s.stride]
 			k := keys.Key(binary.LittleEndian.Uint64(rec))
-			if from := (loc{v, uint32(slot)}); s.mapping[k] == from {
-				live = append(live, liveRec{k, from, len(raw)})
+			if l := (loc{v, uint32(slot)}); s.mapping[k] == l {
+				ks = append(ks, k)
+				from = append(from, l)
 				raw = append(raw, rec...)
 			}
 		}
 		s.mu.Unlock()
 	}
-	slices.SortFunc(live, func(a, b liveRec) int { return cmp.Compare(a.key, b.key) })
+	order := make([]int32, len(ks))
+	keys.SortPositions(ks, order, make([]int32, len(ks)))
 
-	// Rewrite them as fresh files, marking the victims' copies stale.
+	// Rewrite them in key order as fresh files, marking the victims' copies
+	// stale.
 	var writeTime time.Duration
-	for rest := live; len(rest) > 0; {
+	for rest := order; len(rest) > 0; {
 		chunk := rest[:min(s.cfg.ParamsPerFile, len(rest))]
 		rest = rest[len(chunk):]
 		sc.buf = sc.buf[:hdr]
-		for _, r := range chunk {
-			sc.buf = append(sc.buf, raw[r.off:r.off+s.stride]...)
+		for _, i := range chunk {
+			sc.buf = append(sc.buf, raw[int(i)*s.stride:int(i+1)*s.stride]...)
 		}
 		written, d, err := s.writeFile(sc.buf)
 		if err != nil {
@@ -549,10 +583,10 @@ func (s *Store) Compact() error {
 
 		s.mu.Lock()
 		s.files[written.ext.ID] = written
-		for i, r := range chunk {
-			if s.mapping[r.key] == r.from {
-				r.from.file.stale++
-				s.mapping[r.key] = loc{written, uint32(i)}
+		for slot, i := range chunk {
+			if k := ks[i]; s.mapping[k] == from[i] {
+				from[i].file.stale++
+				s.mapping[k] = loc{written, uint32(slot)}
 			} else {
 				written.stale++
 			}
@@ -561,8 +595,8 @@ func (s *Store) Compact() error {
 		s.stats.Rewritten += int64(len(chunk))
 		s.mu.Unlock()
 	}
-	if len(live) > 0 {
-		s.rec.RecordPush(len(live), writeTime)
+	if len(ks) > 0 {
+		s.rec.RecordPush(len(ks), writeTime)
 	}
 
 	// Erase the victims. No key maps to them any more, so only loads that

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -504,6 +505,98 @@ func TestConcurrentLoadDumpCompact(t *testing.T) {
 	if slots := backingFileSize(t, dev) / 512; slots > io.Writes/2 {
 		t.Fatalf("%d parameter files written and %d erased, yet the backing file spans %d slots: erased extents were not reused",
 			io.Writes, io.Deletes, slots)
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestLoadIntoGroupsByFile checks the one-pass grouping of a load: a request
+// in any order — shuffled, with duplicates and keys the store lacks — gets
+// the values the sorted request gets, each file it touches is read exactly
+// once, and past the decoded values a load allocates nothing.
+func TestLoadIntoGroupsByFile(t *testing.T) {
+	const dim, perFile, files = 4, 16, 12
+	s := testStore(t, Config{Dim: dim, ParamsPerFile: perFile})
+	all := make(map[keys.Key]*embedding.Value)
+	for k := keys.Key(1); k <= perFile*files; k++ {
+		all[k] = stamped(dim, k, 1)
+	}
+	if err := s.Dump(all); err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite every third key, so most files hold stale records and the
+	// latest copies of neighbouring keys live in different files.
+	again := make(map[keys.Key]*embedding.Value)
+	for k := keys.Key(3); k <= perFile*files; k += 3 {
+		again[k] = stamped(dim, k, 2)
+		all[k] = again[k]
+	}
+	if err := s.Dump(again); err != nil {
+		t.Fatal(err)
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	var sorted []keys.Key
+	for k := keys.Key(1); k <= perFile*files+8; k++ { // the last 8 are absent
+		if rng.Intn(3) == 0 {
+			sorted = append(sorted, k, k) // duplicates are answered twice
+		} else if rng.Intn(2) == 0 {
+			sorted = append(sorted, k)
+		}
+	}
+	shuffled := slices.Clone(sorted)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+
+	s.mu.Lock()
+	touched := make(map[*fileMeta]bool)
+	found := 0
+	for _, k := range shuffled {
+		if l, ok := s.mapping[k]; ok {
+			touched[l.file] = true
+			found++
+		}
+	}
+	s.mu.Unlock()
+
+	want, _, err := s.LoadInto(sorted, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byKey := make(map[keys.Key]*embedding.Value)
+	for i, k := range sorted {
+		byKey[k] = want[i]
+	}
+	reads := s.Device().Stats().Reads
+	got, _, err := s.LoadInto(shuffled, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Device().Stats().Reads - reads; n != int64(len(touched)) {
+		t.Fatalf("the shuffled load read %d files, it touches %d", n, len(touched))
+	}
+	for i, k := range shuffled {
+		switch v := got[i]; {
+		case all[k] == nil && v != nil:
+			t.Fatalf("key %d is absent, the load returned %v", k, v)
+		case all[k] != nil && (!sameBits(v, all[k]) || !sameBits(v, byKey[k])):
+			t.Fatalf("key %d: shuffled load %v, sorted load %v, stored %v", k, v, byKey[k], all[k])
+		}
+	}
+
+	if raceEnabled {
+		return
+	}
+	enc := make([]byte, embedding.EncodedSize(dim))
+	all[1].Encode(enc)
+	perValue := testing.AllocsPerRun(100, func() { embedding.Decode(enc) })
+	allocs := testing.AllocsPerRun(50, func() {
+		if got, _, err = s.LoadInto(shuffled, got); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if decode := perValue * float64(found); allocs != decode {
+		t.Fatalf("a load allocates %.1f times, decoding its %d values %.1f", allocs, found, decode)
 	}
 }
 
