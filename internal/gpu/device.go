@@ -1,3 +1,12 @@
+// Package gpu simulates the GPU devices that host the HBM-PS.
+//
+// A real deployment keeps the working parameters in GPU HBM and runs the
+// dense network as CUDA kernels. This package reproduces the structural
+// constraints of that environment — a bounded HBM byte budget per device,
+// which a working-set partition must fit into, and concurrent worker access —
+// while executing on the CPU and charging modelled kernel/memory time to a
+// simtime.Clock. The HBM-PS lays the working set out itself (package hbmps);
+// a device only accounts for the bytes it reserves.
 package gpu
 
 import (
@@ -5,6 +14,7 @@ import (
 	"fmt"
 	"sync"
 
+	"hps/internal/embedding"
 	"hps/internal/hw"
 	"hps/internal/simtime"
 )
@@ -12,9 +22,15 @@ import (
 // ErrOutOfMemory is returned when an allocation exceeds the device's HBM.
 var ErrOutOfMemory = errors.New("gpu: out of HBM memory")
 
-// Device is a simulated GPU: a bounded HBM allocator, an optional parameter
-// hash table, and cost-model charging for kernels and memory traffic.
-// It is safe for concurrent use.
+// BytesPerEntry returns the HBM footprint charged per working-set entry: its
+// encoded value (weights, accumulators and frequency) in the resident slab,
+// plus 16 bytes for its 8-byte key and its 4-byte row and position indices.
+func BytesPerEntry(dim int) int64 {
+	return int64(embedding.EncodedSize(dim)) + 16
+}
+
+// Device is a simulated GPU: a bounded HBM allocator and cost-model charging
+// for kernels and memory traffic. It is safe for concurrent use.
 type Device struct {
 	// ID is the device index within its node (0-based).
 	ID int
@@ -26,11 +42,6 @@ type Device struct {
 
 	mu      sync.Mutex
 	hbmUsed int64
-	table   *HashTable
-	// spare is the most recently destroyed table, kept (with its HBM freed)
-	// so the next batch of a similar working-set size can recycle it instead
-	// of reallocating every shard's slot array.
-	spare *HashTable
 }
 
 // NewDevice constructs a device with the given hardware profile. clock may be
@@ -97,56 +108,6 @@ func (d *Device) ChargeCompute(flops float64) {
 // ChargeMemory charges the modelled time of streaming n bytes through HBM.
 func (d *Device) ChargeMemory(n int64) {
 	d.clock.Add(simtime.ResourceHBM, d.profile.MemoryTime(n))
-}
-
-// CreateHashTable allocates a fixed-capacity parameter hash table in HBM and
-// makes it the device's active table. Any previous table is destroyed first.
-// A table retired by DestroyHashTable is recycled (cleared) when its shape
-// still fits, so the per-batch create/destroy cycle of the HBM-PS does not
-// reallocate slot arrays in steady state.
-func (d *Device) CreateHashTable(capacity, dim int) (*HashTable, error) {
-	d.DestroyHashTable()
-	d.mu.Lock()
-	spare := d.spare
-	d.spare = nil
-	d.mu.Unlock()
-	var t *HashTable
-	if spare != nil && spare.Reusable(capacity, dim) {
-		spare.Clear()
-		t = spare
-	} else {
-		t = NewHashTable(capacity, dim)
-	}
-	if err := d.Alloc(t.SizeBytes()); err != nil {
-		return nil, err
-	}
-	d.mu.Lock()
-	d.table = t
-	d.mu.Unlock()
-	return t, nil
-}
-
-// Table returns the device's active hash table (nil if none).
-func (d *Device) Table() *HashTable {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.table
-}
-
-// DestroyHashTable frees the active hash table's HBM, if any. The table
-// object itself is retained as a recycling candidate for the next
-// CreateHashTable of a compatible shape.
-func (d *Device) DestroyHashTable() {
-	d.mu.Lock()
-	t := d.table
-	d.table = nil
-	if t != nil {
-		d.spare = t
-	}
-	d.mu.Unlock()
-	if t != nil {
-		d.Free(t.SizeBytes())
-	}
 }
 
 // String implements fmt.Stringer.

@@ -44,7 +44,7 @@ func benchWorkingSet(n int) *ps.ValueBlock {
 }
 
 // BenchmarkLoadWorkingSet measures partitioning and loading a batch working
-// set into the per-GPU hash tables (Algorithm 1 lines 6-10) plus release.
+// set into the per-GPU slab partitions (Algorithm 1 lines 6-10) plus release.
 func BenchmarkLoadWorkingSet(b *testing.B) {
 	h := benchHBM(b, 4)
 	ws := benchWorkingSet(8192)

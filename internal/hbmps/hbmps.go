@@ -1,7 +1,7 @@
 // Package hbmps implements the HBM parameter server (Section 4): the top tier
 // of the hierarchy, which keeps the working parameters of the current batch
-// in a multi-GPU distributed hash table and lets GPU worker threads pull,
-// train on, and push updates to them without any CPU round trips.
+// in the node's GPUs and lets GPU worker threads pull, train on, and push
+// updates to them without any CPU round trips.
 //
 // Within a node, parameters are partitioned across the GPUs by a hash
 // partition policy; a worker that needs a parameter held by another GPU
@@ -11,15 +11,25 @@
 // per-node pieces (delta collection with CollectBlock, delta application with
 // PushBlock).
 //
+// The working set lives for exactly one batch (Algorithm 1 loads it at lines
+// 6-10 and drops it at line 17), and the CPU has already deduplicated and
+// sorted its keys (lines 3-5) before LoadBlock sees them. So instead of the
+// paper's per-GPU hash tables, the HBM-PS stores the working set as two
+// position-ordered slabs — the resident values and their load-time snapshot —
+// laid out GPU by GPU, and finds a key's position by walking the sorted
+// working-set keys: a forward merge while a request ascends (every batched
+// caller sends sorted keys), a binary search only when it steps backwards.
+// The owning GPU of a position is its partition's range, so no key is hashed
+// after LoadBlock.
+//
 // The hot path is batched: workers pull a whole mini-batch's unique keys at
 // once with PullInto, train against the flat block, and write the result back
 // with one CommitBlock — the per-example PushGrads remains as the reference
-// path. Every batched call groups its keys by owning GPU and then by hash-table
-// shard, so it looks each device's table up once and takes each shard's lock
-// once. Stage-in (LoadBlock) and stage-out (CollectBlock) run one pass per GPU
-// concurrently, as Algorithm 1 has every GPU load its own partition.
-// Working-set storage is slab-backed and recycled across batches (value arena
-// + reusable GPU hash tables), so steady-state loads allocate nothing.
+// path. Each batched call is one pass over its keys under one working-set
+// lock, shared by pulls and exclusive for writes. Stage-in (LoadBlock) and stage-out (CollectBlock) run one
+// pass per GPU concurrently, as Algorithm 1 has every GPU load its own
+// partition. The slabs are recycled across batches, so steady-state loads
+// allocate nothing.
 package hbmps
 
 import (
@@ -74,44 +84,6 @@ type Stats struct {
 	LocalPulls, RemotePulls int64
 }
 
-// valueArena is the slab storage backing one batch's working-set values: the
-// table entries are embedding.Values whose Weights/G2Sum slices point into
-// two contiguous float slabs. The arena is reused across batches, so loading
-// a working set allocates nothing once the slabs have grown to the steady
-// batch size.
-type valueArena struct {
-	weights []float32
-	g2      []float32
-	vals    []embedding.Value
-}
-
-func (a *valueArena) reset(n, dim int) {
-	flat := n * dim
-	if cap(a.weights) < flat {
-		a.weights = make([]float32, flat)
-		a.g2 = make([]float32, flat)
-	} else {
-		a.weights = a.weights[:flat]
-		a.g2 = a.g2[:flat]
-	}
-	if cap(a.vals) < n {
-		a.vals = make([]embedding.Value, n)
-	} else {
-		a.vals = a.vals[:n]
-	}
-}
-
-// value binds arena slot i to a copy of (w, g2, freq) and returns it.
-func (a *valueArena) value(i, dim int, w, g2 []float32, freq uint32) *embedding.Value {
-	v := &a.vals[i]
-	v.Weights = a.weights[i*dim : (i+1)*dim : (i+1)*dim]
-	v.G2Sum = a.g2[i*dim : (i+1)*dim : (i+1)*dim]
-	copy(v.Weights, w)
-	copy(v.G2Sum, g2)
-	v.Freq = freq
-	return v
-}
-
 // HBMPS is the HBM parameter server of one node. It is safe for concurrent
 // use by the node's GPU worker goroutines. It implements ps.Tier: PullInto
 // and PushBlock are sharded by GPU id, and Evict demotes keys out of HBM
@@ -121,20 +93,30 @@ type HBMPS struct {
 	devices []*gpu.Device
 	rec     ps.Recorder
 
+	// mu serializes loading, collecting and releasing, and guards loaded and
+	// stats.
 	mu     sync.Mutex
 	loaded bool
+	stats  Stats
+
+	// rw guards the working set below: pulls share it, and every call that
+	// writes takes it alone, once per call.
+	rw sync.RWMutex
 	// The working set is laid out in partition order: GPU g's keys occupy
 	// positions off[g] to off[g+1], so each GPU's pass works on memory of its
-	// own. parts[g] are the working-set rows GPU g owns, ascending, and
-	// pos[i] is row i's position. arena backs the values resident in the GPU
-	// tables and origSet snapshots them for delta computation at batch
-	// completion, both by position. All of it is recycled across batches.
-	parts   [][]int32
-	off     []int
-	pos     []int32
-	arena   valueArena
-	origSet ps.ValueBlock
-	stats   Stats
+	// own. rows are the working-set keys in load order (strictly ascending),
+	// parts[g] the rows GPU g owns, ascending, and pos[i] row i's position.
+	// cur holds the resident values and origSet snapshots them for delta
+	// computation at batch completion, both by position; a position whose
+	// cur row is not Present was evicted. reserved[g] is the HBM GPU g
+	// holds for its partition. All of it is recycled across batches.
+	rows     []keys.Key
+	parts    [][]int32
+	off      []int
+	pos      []int32
+	cur      ps.ValueBlock
+	origSet  ps.ValueBlock
+	reserved []int64
 
 	// Per-GPU passes (pergpu.go), used under mu. src is the block LoadBlock
 	// is loading and dst the block CollectBlock is filling, for the passes to
@@ -161,8 +143,10 @@ func New(cfg Config) (*HBMPS, error) {
 	if cfg.NVLink.BandwidthBytesPerSec == 0 {
 		cfg.NVLink = hw.DefaultGPUNode().NVLink
 	}
-	h := &HBMPS{cfg: cfg, off: make([]int, cfg.NumGPUs+1), passes: make([]gpuPass, cfg.NumGPUs)}
-	for i := 0; i < cfg.NumGPUs; i++ {
+	n := cfg.NumGPUs
+	h := &HBMPS{cfg: cfg, parts: make([][]int32, n), off: make([]int, n+1),
+		reserved: make([]int64, n), passes: make([]gpuPass, n)}
+	for i := 0; i < n; i++ {
 		h.devices = append(h.devices, gpu.NewDevice(cfg.NodeID, i, cfg.GPUProfile, cfg.Clock))
 		h.passes[i] = gpuPass{h: h, gpu: i}
 	}
@@ -179,13 +163,105 @@ func (h *HBMPS) Devices() []*gpu.Device { return h.devices }
 // Section 4.1 / Appendix C.1.
 func (h *HBMPS) gpuOf(k keys.Key) int { return k.HashShard(len(h.devices)) }
 
+// ownerOf returns the GPU whose partition holds position p.
+func (h *HBMPS) ownerOf(p int) int {
+	g := 0
+	for p >= h.off[g+1] {
+		g++
+	}
+	return g
+}
+
+// cursor resolves request keys to working-set positions. No row before at is
+// above the previous key (at is one past its row when it was found), so a
+// request that ascends is one forward merge over the sorted rows.
+type cursor struct {
+	rows []keys.Key
+	pos  []int32
+	at   int
+}
+
+func (h *HBMPS) cursor() cursor { return cursor{rows: h.rows, pos: h.pos} }
+
+// position returns the working-set position of k, or false when k is not in
+// the working set. While keys ascend it gallops forward from the previous
+// key's row (one comparison for the next row of a dense subset); a key below
+// the previous one falls back to a binary search of the rows before it.
+func (c *cursor) position(k keys.Key) (int, bool) {
+	rows := c.rows
+	lo, hi := c.at, len(rows)
+	if lo < hi && rows[lo] == k {
+		c.at = lo + 1
+		return int(c.pos[lo]), true
+	}
+	if lo > 0 && rows[lo-1] >= k {
+		lo, hi = 0, lo-1 // the answer is at or before row at-1
+	} else {
+		for step := 1; ; step *= 2 {
+			probe := lo + step - 1
+			if probe >= hi {
+				break
+			}
+			if rows[probe] >= k {
+				hi = probe
+				break
+			}
+			lo = probe + 1
+		}
+	}
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if rows[m] < k {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == len(rows) || rows[lo] != k {
+		c.at = lo
+		return 0, false
+	}
+	c.at = lo + 1
+	return int(c.pos[lo]), true
+}
+
+// walk resolves ks against the working set in one pass and calls fn(i, p)
+// for every row i whose key is resident at position p, in request order.
+// Rows whose present flag is false are skipped (present may be nil: every
+// row). It returns how many rows it visited, how many of those GPU g's
+// partition holds, and the first row whose key is not resident, or -1. The
+// caller holds h.rw.
+func (h *HBMPS) walk(g int, ks []keys.Key, present []bool, fn func(i, p int)) (n, local, miss int) {
+	lo, hi := h.off[g], h.off[g+1]
+	c, live := h.cursor(), h.cur.Present
+	miss = -1
+	for i, k := range ks {
+		if present != nil && !present[i] {
+			continue
+		}
+		p, ok := c.position(k)
+		if !ok || !live[p] {
+			if miss < 0 {
+				miss = i
+			}
+			continue
+		}
+		fn(i, p)
+		n++
+		if lo <= p && p < hi {
+			local++
+		}
+	}
+	return n, local, miss
+}
+
 // LoadBlock partitions the working parameters — the block the trainer feeds
-// straight from the MEM-PS pull, every row present — across the node's GPUs
-// in a non-overlapping fashion and inserts them into each GPU's hash table
-// (Algorithm 1 lines 6-10): every GPU creates and fills its own table
-// concurrently, from its own stretch of the value arena. The values are copied;
-// the caller keeps ownership of the block. Loading charges PCIe transfer and
-// HBM insertion time, and fails if any GPU's HBM cannot hold its partition.
+// straight from the MEM-PS pull, every row present, keys strictly ascending —
+// across the node's GPUs in a non-overlapping fashion (Algorithm 1 lines
+// 6-10): every GPU reserves HBM for its partition and copies it into its own
+// stretch of the slabs concurrently. The values are copied; the caller keeps
+// ownership of the block. Loading charges PCIe transfer and HBM insertion
+// time, and fails if any GPU's HBM cannot hold its partition.
 func (h *HBMPS) LoadBlock(blk *ps.ValueBlock) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -196,17 +272,21 @@ func (h *HBMPS) LoadBlock(blk *ps.ValueBlock) error {
 	if blk.Dim != dim {
 		return fmt.Errorf("hbmps: working-set block has dim %d, want %d", blk.Dim, dim)
 	}
-	for i := range blk.Keys {
+	ks := blk.Keys
+	for i := range ks {
 		if !blk.Present[i] {
-			return fmt.Errorf("hbmps: working-set block row %d (key %d) is absent", i, blk.Keys[i])
+			return fmt.Errorf("hbmps: working-set block row %d (key %d) is absent", i, ks[i])
+		}
+		if i > 0 && ks[i] <= ks[i-1] {
+			return fmt.Errorf("hbmps: working-set block keys not strictly ascending: row %d (key %d) after key %d",
+				i, ks[i], ks[i-1])
 		}
 	}
-	ks := blk.Keys
+	// The per-GPU passes below take no lock, so holding rw while eachGPU
+	// waits for them cannot deadlock.
+	h.rw.Lock()
+	defer h.rw.Unlock()
 
-	// Partition key indices across GPUs (buffers recycled across batches).
-	if len(h.parts) != len(h.devices) {
-		h.parts = make([][]int32, len(h.devices))
-	}
 	for g := range h.parts {
 		h.parts[g] = h.parts[g][:0]
 	}
@@ -214,7 +294,6 @@ func (h *HBMPS) LoadBlock(blk *ps.ValueBlock) error {
 		g := h.gpuOf(k)
 		h.parts[g] = append(h.parts[g], int32(i))
 	}
-
 	h.pos = ps.Resize(h.pos, len(ks))
 	for g, part := range h.parts {
 		h.off[g+1] = h.off[g] + len(part)
@@ -222,18 +301,17 @@ func (h *HBMPS) LoadBlock(blk *ps.ValueBlock) error {
 			h.pos[i] = int32(h.off[g] + j)
 		}
 	}
+	h.rows = append(h.rows[:0], ks...)
 
 	loadStart := h.cfg.Clock.Total(simtime.ResourcePCIe) + h.cfg.Clock.Total(simtime.ResourceHBM)
-	h.arena.reset(len(ks), dim)
-	h.origSet.ResetUninit(dim, ks) // each pass writes its positions, keys included
+	// Each pass writes its positions, keys included.
+	h.cur.ResetUninit(dim, ks)
+	h.origSet.ResetUninit(dim, ks)
 	h.src = blk
 	err := h.eachGPU((*HBMPS).loadGPU)
 	h.src = nil
 	if err != nil {
-		for _, d := range h.devices {
-			d.DestroyHashTable()
-		}
-		h.origSet.Reset(dim, nil)
+		h.unload()
 		return err
 	}
 	h.loaded = true
@@ -243,40 +321,54 @@ func (h *HBMPS) LoadBlock(blk *ps.ValueBlock) error {
 	return nil
 }
 
-// loadGPU is GPU g's pass of LoadBlock: create (or recycle) its table sized to
-// its partition, and copy each of its rows of h.src to its position in the
-// snapshot and the arena, and into the table.
+// loadGPU is GPU g's pass of LoadBlock: reserve HBM for its partition, copy
+// each of its rows of h.src to its position in the snapshot, and copy the
+// snapshot's stretch to the resident slab.
 func (h *HBMPS) loadGPU(g int) error {
 	dim := h.cfg.Dim
 	part, base := h.parts[g], h.off[g]
-	capacity := max(len(part), 1)
-	table, err := h.devices[g].CreateHashTable(capacity, dim)
-	if err != nil {
-		return fmt.Errorf("hbmps: gpu %d cannot hold its partition of %d parameters: %w", g, capacity, err)
+	bytes := int64(len(part)) * gpu.BytesPerEntry(dim)
+	if err := h.devices[g].Alloc(bytes); err != nil {
+		return fmt.Errorf("hbmps: gpu %d cannot hold its partition of %d parameters: %w", g, len(part), err)
 	}
-	blk, orig := h.src, &h.origSet
-	ks := orig.Keys[base : base+len(part)]
+	h.reserved[g] = bytes
+	blk, orig, cur := h.src, &h.origSet, &h.cur
 	for j, i := range part {
-		ks[j] = blk.Keys[i]
+		p := base + j
+		orig.Keys[p] = blk.Keys[i]
+		copy(orig.WeightsRow(p), blk.WeightsRow(int(i)))
+		copy(orig.G2Row(p), blk.G2Row(int(i)))
+		orig.Freq[p] = blk.Freq[i]
 	}
-	err = table.InsertBatch(ks, func(j int) *embedding.Value {
-		i, p := int(part[j]), base+j
-		w, g2, freq := blk.WeightsRow(i), blk.G2Row(i), blk.Freq[i]
-		copy(orig.WeightsRow(p), w)
-		copy(orig.G2Row(p), g2)
-		orig.Freq[p], orig.Present[p] = freq, true
-		return h.arena.value(p, dim, w, g2, freq)
-	})
-	if err != nil {
-		return fmt.Errorf("hbmps: insert into gpu %d: %w", g, err)
+	end := base + len(part)
+	copy(cur.Weights[base*dim:end*dim], orig.Weights[base*dim:end*dim])
+	copy(cur.G2Sum[base*dim:end*dim], orig.G2Sum[base*dim:end*dim])
+	copy(cur.Freq[base:end], orig.Freq[base:end])
+	for p := base; p < end; p++ {
+		orig.Present[p], cur.Present[p] = true, true
 	}
 	// The partition travels CPU -> GPU over PCIe and is written to HBM.
-	bytes := int64(len(part)) * (int64(embedding.EncodedSize(dim)) + 8)
+	moved := int64(len(part)) * (int64(embedding.EncodedSize(dim)) + 8)
 	if h.cfg.Fabric != nil {
-		h.cfg.Fabric.PCIe(bytes)
+		h.cfg.Fabric.PCIe(moved)
 	}
-	h.devices[g].ChargeMemory(bytes)
+	h.devices[g].ChargeMemory(moved)
 	return nil
+}
+
+// unload empties the working set and returns every GPU's HBM reservation. The
+// caller holds h.mu and h.rw.
+func (h *HBMPS) unload() {
+	dim := h.cfg.Dim
+	h.rows = h.rows[:0]
+	h.cur.Reset(dim, nil)
+	h.origSet.Reset(dim, nil)
+	clear(h.off)
+	for g, d := range h.devices {
+		d.Free(h.reserved[g])
+		h.reserved[g] = 0
+	}
+	h.loaded = false
 }
 
 // Loaded reports whether a working set is currently resident.
@@ -293,49 +385,29 @@ func (h *HBMPS) Loaded() bool {
 // key must be resident: the working set was loaded for exactly this batch, so
 // a miss is a bug.
 //
-// The request is grouped by owning GPU and served with one batched gather per
-// device — each hash-table shard's lock is taken once per mini-batch instead
-// of once per key.
+// The keys are served in one merge pass under the working set's read lock,
+// taken once per call.
 func (h *HBMPS) PullInto(req ps.PullRequest, dst *ps.ValueBlock) error {
 	gpuID := req.Shard
 	if gpuID < 0 || gpuID >= len(h.devices) {
 		return fmt.Errorf("hbmps: invalid gpu id %d", gpuID)
 	}
 	dst.Reset(h.cfg.Dim, req.Keys)
-	gr := h.groupByGPU(req.Keys, nil)
-	defer groupPool.Put(gr)
-	var localBytes, remoteBytes int64
-	var localCount, remoteCount int64
-	valueBytes := int64(embedding.EncodedSize(h.cfg.Dim))
-	for owner := range h.devices {
-		sub := gr.keys[owner]
-		if len(sub) == 0 {
-			continue
-		}
-		table := h.devices[owner].Table()
-		if table == nil {
-			return fmt.Errorf("hbmps: gpu %d has no working set loaded", owner)
-		}
-		origIdx := gr.idx[owner]
-		missing, ok := table.GatherBatch(sub, func(j int, v *embedding.Value) {
-			i := int(origIdx[j])
-			copy(dst.WeightsRow(i), v.Weights)
-			copy(dst.G2Row(i), v.G2Sum)
-			dst.Freq[i] = v.Freq
-			dst.Present[i] = true
-		})
-		if !ok {
-			return fmt.Errorf("hbmps: key %d not in the working set", missing)
-		}
-		n := int64(len(sub))
-		if owner == gpuID {
-			localBytes += n * valueBytes
-			localCount += n
-		} else {
-			remoteBytes += n * valueBytes
-			remoteCount += n
-		}
+	cur := &h.cur
+	h.rw.RLock()
+	n, local, miss := h.walk(gpuID, req.Keys, nil, func(i, p int) {
+		copy(dst.WeightsRow(i), cur.WeightsRow(p))
+		copy(dst.G2Row(i), cur.G2Row(p))
+		dst.Freq[i] = cur.Freq[p]
+		dst.Present[i] = true
+	})
+	h.rw.RUnlock()
+	if miss >= 0 {
+		return fmt.Errorf("hbmps: key %d not in the working set", req.Keys[miss])
 	}
+	localCount, remoteCount := int64(local), int64(n-local)
+	valueBytes := int64(embedding.EncodedSize(h.cfg.Dim))
+	localBytes, remoteBytes := localCount*valueBytes, remoteCount*valueBytes
 	// Local reads stream through HBM; remote reads cross NVLink.
 	h.devices[gpuID].ChargeMemory(localBytes)
 	if h.cfg.Fabric != nil && remoteBytes > 0 {
@@ -361,8 +433,10 @@ func nvlinkTime(cfg Config, bytes int64) time.Duration {
 
 // PushGrads applies per-parameter gradients produced by a worker on gpuID
 // (Algorithm 1 line 14, Algorithm 2). Gradients for parameters owned by other
-// GPUs are sent over NVLink; every owning GPU applies the sparse optimizer to
-// its entry under its own lock (the analogue of the GPU atomic update).
+// GPUs are sent over NVLink; the owning GPU applies the sparse optimizer to
+// its entry under the working-set lock (the analogue of the GPU atomic
+// update). It is the per-example reference path; its map order resolves
+// each key by binary search.
 func (h *HBMPS) PushGrads(gpuID int, grads map[keys.Key][]float32, opt optimizer.Sparse) error {
 	if gpuID < 0 || gpuID >= len(h.devices) {
 		return fmt.Errorf("hbmps: invalid gpu id %d", gpuID)
@@ -370,22 +444,19 @@ func (h *HBMPS) PushGrads(gpuID int, grads map[keys.Key][]float32, opt optimizer
 	if opt == nil {
 		return errors.New("hbmps: nil sparse optimizer")
 	}
+	h.rw.Lock()
+	defer h.rw.Unlock()
 	var localBytes, remoteBytes int64
 	valueBytes := int64(4 * h.cfg.Dim)
+	c, cur := h.cursor(), &h.cur
 	for k, grad := range grads {
-		owner := h.gpuOf(k)
-		table := h.devices[owner].Table()
-		if table == nil {
-			return fmt.Errorf("hbmps: gpu %d has no working set loaded", owner)
+		p, ok := c.position(k)
+		if !ok || !cur.Present[p] {
+			return fmt.Errorf("hbmps: push key %d not in the working set", k)
 		}
-		err := table.Update(k, func(v *embedding.Value) {
-			opt.ApplySparse(v.Weights, v.G2Sum, grad)
-			v.Freq++
-		})
-		if err != nil {
-			return fmt.Errorf("hbmps: push key %d: %w", k, err)
-		}
-		if owner == gpuID {
+		opt.ApplySparse(cur.WeightsRow(p), cur.G2Row(p), grad)
+		cur.Freq[p]++
+		if h.ownerOf(p) == gpuID {
 			localBytes += valueBytes
 		} else {
 			remoteBytes += valueBytes
@@ -410,10 +481,10 @@ func (h *HBMPS) PushGrads(gpuID int, grads map[keys.Key][]float32, opt optimizer
 // touched the key (stored == orig bit-for-bit, so the correction term is an
 // exact zero), and the base value plus both workers' contributions when
 // example shards share hot keys within a batch. One CommitBlock replaces the
-// per-example PushGrads calls of the mini-batch. The keys are grouped by
-// owning GPU and then by table shard, so each shard's write lock is taken
-// once per commit; a key missing from the working set fails the commit after
-// every present key has been written.
+// per-example PushGrads calls of the mini-batch. The keys are written in one
+// merge pass under the working set's write lock, taken once per commit; a
+// key missing from the working set fails the commit after every present key
+// has been written.
 func (h *HBMPS) CommitBlock(gpuID int, orig, final *ps.ValueBlock) error {
 	if gpuID < 0 || gpuID >= len(h.devices) {
 		return fmt.Errorf("hbmps: invalid gpu id %d", gpuID)
@@ -422,41 +493,26 @@ func (h *HBMPS) CommitBlock(gpuID int, orig, final *ps.ValueBlock) error {
 		return fmt.Errorf("hbmps: commit blocks disagree: orig %dx%d vs final %dx%d (want dim %d)",
 			len(orig.Keys), orig.Dim, len(final.Keys), final.Dim, h.cfg.Dim)
 	}
-	gr := h.groupByGPU(final.Keys, nil)
-	defer groupPool.Put(gr)
-	var localBytes, remoteBytes int64
-	valueBytes := int64(8 * h.cfg.Dim) // weights and accumulators move back
-	for owner := range h.devices {
-		sub := gr.keys[owner]
-		if len(sub) == 0 {
-			continue
+	cur := &h.cur
+	h.rw.Lock()
+	n, local, miss := h.walk(gpuID, final.Keys, nil, func(i, p int) {
+		ow, og := orig.WeightsRow(i), orig.G2Row(i)
+		fw, fg := final.WeightsRow(i), final.G2Row(i)
+		sw, sg := cur.WeightsRow(p), cur.G2Row(p)
+		for e := range sw {
+			sw[e] = fw[e] + (sw[e] - ow[e])
 		}
-		table := h.devices[owner].Table()
-		if table == nil {
-			return fmt.Errorf("hbmps: gpu %d has no working set loaded", owner)
+		for e := range sg {
+			sg[e] = fg[e] + (sg[e] - og[e])
 		}
-		rows := gr.idx[owner]
-		missing, ok := table.UpdateBatch(sub, func(j int, v *embedding.Value) {
-			i := int(rows[j])
-			ow, og := orig.WeightsRow(i), orig.G2Row(i)
-			fw, fg := final.WeightsRow(i), final.G2Row(i)
-			for e := range v.Weights {
-				v.Weights[e] = fw[e] + (v.Weights[e] - ow[e])
-			}
-			for e := range v.G2Sum {
-				v.G2Sum[e] = fg[e] + (v.G2Sum[e] - og[e])
-			}
-			v.Freq += final.Freq[i] - orig.Freq[i]
-		})
-		if !ok {
-			return fmt.Errorf("hbmps: commit key %d: %w", missing, gpu.ErrKeyNotFound)
-		}
-		if n := int64(len(sub)) * valueBytes; owner == gpuID {
-			localBytes += n
-		} else {
-			remoteBytes += n
-		}
+		cur.Freq[p] += final.Freq[i] - orig.Freq[i]
+	})
+	h.rw.Unlock()
+	if miss >= 0 {
+		return fmt.Errorf("hbmps: commit key %d not in the working set", final.Keys[miss])
 	}
+	valueBytes := int64(8 * h.cfg.Dim) // weights and accumulators move back
+	localBytes, remoteBytes := int64(local)*valueBytes, int64(n-local)*valueBytes
 	h.devices[gpuID].ChargeMemory(localBytes)
 	if h.cfg.Fabric != nil && remoteBytes > 0 {
 		h.cfg.Fabric.NVLink(remoteBytes)
@@ -482,32 +538,18 @@ func (h *HBMPS) PushBlock(req ps.PushBlockRequest) error {
 	if req.Shard != ps.NoShard && (req.Shard < 0 || req.Shard >= len(h.devices)) {
 		return fmt.Errorf("hbmps: invalid gpu id %d", req.Shard)
 	}
-	blk := req.Block
-	gr := h.groupByGPU(blk.Keys, blk.Present)
-	defer groupPool.Put(gr)
-	var localBytes, remoteBytes int64
-	valueBytes := int64(embedding.EncodedSize(h.cfg.Dim))
-	applied := 0
-	for owner := range h.devices {
-		table := h.devices[owner].Table()
-		if len(gr.keys[owner]) == 0 || table == nil {
-			continue
-		}
-		rows, n := gr.idx[owner], 0
-		table.UpdateBatch(gr.keys[owner], func(j int, v *embedding.Value) {
-			i := int(rows[j])
-			v.AddFlat(blk.WeightsRow(i), blk.G2Row(i), blk.Freq[i])
-			n++
-		})
-		applied += n
-		if req.Shard == ps.NoShard || owner == req.Shard {
-			localBytes += int64(n) * valueBytes
-		} else {
-			remoteBytes += int64(n) * valueBytes
-		}
-	}
+	blk, cur := req.Block, &h.cur
+	h.rw.Lock()
+	applied, local, _ := h.walk(max(req.Shard, 0), blk.Keys, blk.Present, func(i, p int) {
+		tensor.Add(blk.WeightsRow(i), cur.WeightsRow(p))
+		tensor.Add(blk.G2Row(i), cur.G2Row(p))
+		cur.Freq[p] += blk.Freq[i]
+	})
+	h.rw.Unlock()
 	var pushTime time.Duration
 	if shard := req.Shard; shard != ps.NoShard {
+		valueBytes := int64(embedding.EncodedSize(h.cfg.Dim))
+		localBytes, remoteBytes := int64(local)*valueBytes, int64(applied-local)*valueBytes
 		h.devices[shard].ChargeMemory(localBytes)
 		if h.cfg.Fabric != nil && remoteBytes > 0 {
 			h.cfg.Fabric.NVLink(remoteBytes)
@@ -522,19 +564,18 @@ func (h *HBMPS) PushBlock(req ps.PushBlockRequest) error {
 }
 
 // CollectBlock writes, for every parameter of the working set whose value
-// changed since it was loaded, the delta between its current value in the GPU
-// hash tables and its loaded value into dst (Algorithm 1 line 16) — flat
-// weight/g2 rows in working-set order (sorted, on the trainer's path), no
-// per-key allocation once dst's slabs have grown to the steady delta size.
-// The deltas are what the inter-node synchronization exchanges and what the
-// MEM-PS applies to the authoritative copies.
+// changed since it was loaded, the delta between its resident value and its
+// loaded value into dst (Algorithm 1 line 16) — flat weight/g2 rows in
+// working-set order (sorted, on the trainer's path), no per-key allocation
+// once dst's slabs have grown to the steady delta size. The deltas are what
+// the inter-node synchronization exchanges and what the MEM-PS applies to
+// the authoritative copies.
 //
-// Every GPU computes the deltas of its own partition concurrently, reading
-// its table through one batched gather (each shard's read lock once), straight
-// into the partition's rows of dst with the fused subtract-and-test kernel.
-// A final pass in working-set order then compacts the changed rows to the
-// front, so dst holds exactly the changed keys, in the order a serial
-// collection would have written them.
+// Every GPU computes the deltas of its own partition concurrently, under the
+// working set's read lock, straight into the partition's rows of dst with the
+// fused subtract-and-test kernel. A final pass in working-set order then
+// compacts the changed rows to the front, so dst holds exactly the changed
+// keys, in the order a serial collection would have written them.
 func (h *HBMPS) CollectBlock(dst *ps.ValueBlock) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -545,6 +586,8 @@ func (h *HBMPS) CollectBlock(dst *ps.ValueBlock) {
 	}
 	h.freqDelta = ps.Resize(h.freqDelta, n)
 	h.changed = ps.Resize(h.changed, n)
+	h.rw.RLock()
+	defer h.rw.RUnlock()
 	h.dst = dst
 	h.eachGPU((*HBMPS).collectGPU)
 	h.dst = nil
@@ -567,22 +610,20 @@ func (h *HBMPS) CollectBlock(dst *ps.ValueBlock) {
 // collectGPU is GPU g's pass of CollectBlock: the delta of every row of its
 // partition into the same row of h.dst, and its frequency delta and whether
 // any of it is non-zero into the row's position of h.freqDelta and
-// h.changed. A key no longer in the table (evicted) counts as unchanged.
+// h.changed. An evicted position counts as unchanged.
 func (h *HBMPS) collectGPU(g int) error {
-	part, base := h.parts[g], h.off[g]
-	clear(h.changed[base : base+len(part)])
-	table := h.devices[g].Table()
-	if table == nil {
-		return nil
-	}
-	dst, orig := h.dst, &h.origSet
-	table.GatherBatch(orig.Keys[base:base+len(part)], func(j int, cur *embedding.Value) {
-		i, p := int(part[j]), base+j
-		wChanged := tensor.SubAnyNonZero(dst.WeightsRow(i), cur.Weights, orig.WeightsRow(p))
-		gChanged := tensor.SubAnyNonZero(dst.G2Row(i), cur.G2Sum, orig.G2Row(p))
-		h.freqDelta[p] = cur.Freq - orig.Freq[p]
+	dst, orig, cur := h.dst, &h.origSet, &h.cur
+	for j, i := range h.parts[g] {
+		p := h.off[g] + j
+		if !cur.Present[p] {
+			h.changed[p] = false
+			continue
+		}
+		wChanged := tensor.SubAnyNonZero(dst.WeightsRow(int(i)), cur.WeightsRow(p), orig.WeightsRow(p))
+		gChanged := tensor.SubAnyNonZero(dst.G2Row(int(i)), cur.G2Row(p), orig.G2Row(p))
+		h.freqDelta[p] = cur.Freq[p] - orig.Freq[p]
 		h.changed[p] = wChanged || gChanged || h.freqDelta[p] != 0
-	})
+	}
 	return nil
 }
 
@@ -592,11 +633,11 @@ func (h *HBMPS) Name() string { return "hbm-ps" }
 // TierStats implements ps.Tier.
 func (h *HBMPS) TierStats() ps.Stats { return h.rec.TierStats() }
 
-// Evict implements ps.Tier: it demotes keys out of HBM, freeing their slots
-// for the rest of the batch. A nil slice releases the entire working set
-// (the end-of-batch demotion of Algorithm 1 line 17; the caller is expected
-// to have collected the deltas first). Evicted values are dropped — the
-// MEM-PS below holds the authoritative copies.
+// Evict implements ps.Tier: it demotes keys out of HBM for the rest of the
+// batch. A nil slice releases the entire working set (the end-of-batch
+// demotion of Algorithm 1 line 17; the caller is expected to have collected
+// the deltas first). Evicted values are dropped — the MEM-PS below holds the
+// authoritative copies — and their slab rows stay reserved until Release.
 func (h *HBMPS) Evict(ks []keys.Key) (int, error) {
 	if ks == nil {
 		n := h.WorkingSetSize()
@@ -604,45 +645,48 @@ func (h *HBMPS) Evict(ks []keys.Key) (int, error) {
 		h.rec.RecordEvict(n)
 		return n, nil
 	}
-	gr := h.groupByGPU(ks, nil)
-	defer groupPool.Put(gr)
-	n := 0
-	for owner := range h.devices {
-		table := h.devices[owner].Table()
-		if table == nil {
-			continue
-		}
-		for _, k := range gr.keys[owner] {
-			if table.Delete(k) {
-				n++
-			}
+	h.rw.Lock()
+	c, n := h.cursor(), 0
+	for _, k := range ks {
+		if p, ok := c.position(k); ok && h.cur.Present[p] {
+			h.cur.Present[p] = false
+			n++
 		}
 	}
+	h.rw.Unlock()
 	h.rec.RecordEvict(n)
 	return n, nil
 }
 
-// Release destroys the per-GPU hash tables and clears the working-set
-// snapshot, freeing the HBM for the next batch. The backing storage (value
-// arena, snapshot block, retired tables) is retained for recycling.
+// Release clears the working set and returns every GPU's HBM reservation for
+// the next batch. The slabs are retained for recycling.
 func (h *HBMPS) Release() {
 	h.mu.Lock()
-	h.origSet.Reset(h.cfg.Dim, nil)
-	h.loaded = false
-	h.mu.Unlock()
-	for _, d := range h.devices {
-		d.DestroyHashTable()
+	defer h.mu.Unlock()
+	h.rw.Lock()
+	defer h.rw.Unlock()
+	h.unload()
+}
+
+// residentOn returns the number of parameters resident on GPU g.
+func (h *HBMPS) residentOn(g int) int {
+	h.rw.RLock()
+	defer h.rw.RUnlock()
+	n := 0
+	for _, live := range h.cur.Present[h.off[g]:h.off[g+1]] {
+		if live {
+			n++
+		}
 	}
+	return n
 }
 
 // WorkingSetSize returns the number of parameters currently resident across
 // all GPUs.
 func (h *HBMPS) WorkingSetSize() int {
 	total := 0
-	for _, d := range h.devices {
-		if t := d.Table(); t != nil {
-			total += t.Len()
-		}
+	for g := range h.devices {
+		total += h.residentOn(g)
 	}
 	return total
 }

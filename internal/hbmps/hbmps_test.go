@@ -83,11 +83,21 @@ func TestLoadPartitionsAcrossGPUs(t *testing.T) {
 	if h.WorkingSetSize() != 200 {
 		t.Fatalf("working set size = %d", h.WorkingSetSize())
 	}
-	// Non-overlapping partition: each GPU holds a strict subset and the
-	// union covers everything.
+	// Non-overlapping partition: each GPU holds exactly the keys the hash
+	// partition policy gives it, a strict subset, and the union covers
+	// everything.
 	countWithParams := 0
-	for _, dev := range h.Devices() {
-		n := dev.Table().Len()
+	for g := range h.Devices() {
+		own := 0
+		for _, k := range ws.Keys {
+			if h.gpuOf(k) == g {
+				own++
+			}
+		}
+		n := h.residentOn(g)
+		if n != own {
+			t.Fatalf("gpu %d holds %d keys, owns %d", g, n, own)
+		}
 		if n > 0 {
 			countWithParams++
 		}
@@ -142,11 +152,14 @@ func TestLoadFailsWhenHBMTooSmall(t *testing.T) {
 	if !strings.Contains(err.Error(), "cannot hold") {
 		t.Fatalf("unexpected error: %v", err)
 	}
-	// All tables must be rolled back.
+	// Every partition's reservation must be rolled back.
 	for _, dev := range h.Devices() {
-		if dev.Table() != nil || dev.HBMUsed() != 0 {
-			t.Fatal("failed load must roll back allocations")
+		if dev.HBMUsed() != 0 {
+			t.Fatalf("failed load must roll back allocations: %v holds %d bytes", dev, dev.HBMUsed())
 		}
+	}
+	if h.Loaded() || h.WorkingSetSize() != 0 {
+		t.Fatal("failed load must leave no working set")
 	}
 }
 
@@ -336,17 +349,25 @@ func TestDevicesShareNodeID(t *testing.T) {
 }
 
 func TestBytesPerEntryConsistency(t *testing.T) {
-	// The HBM accounting for a loaded working set must match the hash table's
-	// own size computation (no silent divergence between the two).
-	h, _ := New(testConfig(1))
+	// Each GPU reserves exactly its partition's slab entries while a working
+	// set is loaded (no silent divergence from gpu.BytesPerEntry), and returns
+	// them at release.
+	h, _ := New(testConfig(2))
 	if err := h.LoadBlock(workingSet(64)); err != nil {
 		t.Fatal(err)
 	}
-	dev := h.Devices()[0]
-	if dev.HBMUsed() != dev.Table().SizeBytes() {
-		t.Fatalf("HBM used %d != table size %d", dev.HBMUsed(), dev.Table().SizeBytes())
+	for g, dev := range h.Devices() {
+		want := int64(h.residentOn(g)) * gpu.BytesPerEntry(4)
+		if dev.HBMUsed() != want {
+			t.Fatalf("gpu %d: HBM used %d != partition reservation %d", g, dev.HBMUsed(), want)
+		}
 	}
-	_ = gpu.BytesPerEntry(4)
+	h.Release()
+	for g, dev := range h.Devices() {
+		if dev.HBMUsed() != 0 {
+			t.Fatalf("gpu %d: HBM used %d after release", g, dev.HBMUsed())
+		}
+	}
 }
 
 func TestTierInterface(t *testing.T) {

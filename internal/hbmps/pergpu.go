@@ -3,8 +3,6 @@ package hbmps
 import (
 	"runtime"
 	"sync"
-
-	"hps/internal/keys"
 )
 
 // gpuPass is one GPU's share of a LoadBlock or CollectBlock. Every HBMPS owns
@@ -67,38 +65,4 @@ func (h *HBMPS) eachGPU(fn func(h *HBMPS, gpu int) error) error {
 		}
 	}
 	return nil
-}
-
-// gpuGroups is the pooled per-call grouping scratch of the batched calls
-// PullInto, CommitBlock, PushBlock and Evict: request keys and their indices
-// in the request, bucketed by owning GPU. Workers call these concurrently, so
-// the scratch is pooled rather than stored on the HBMPS.
-type gpuGroups struct {
-	keys [][]keys.Key
-	idx  [][]int32
-}
-
-var groupPool = sync.Pool{New: func() any { return new(gpuGroups) }}
-
-// groupByGPU buckets ks by owning GPU, leaving out rows whose present flag is
-// false (present may be nil: every row). Return the result to groupPool.
-func (h *HBMPS) groupByGPU(ks []keys.Key, present []bool) *gpuGroups {
-	gr := groupPool.Get().(*gpuGroups)
-	if len(gr.keys) < len(h.devices) {
-		gr.keys = make([][]keys.Key, len(h.devices))
-		gr.idx = make([][]int32, len(h.devices))
-	}
-	for g := range h.devices {
-		gr.keys[g] = gr.keys[g][:0]
-		gr.idx[g] = gr.idx[g][:0]
-	}
-	for i, k := range ks {
-		if present != nil && !present[i] {
-			continue
-		}
-		g := h.gpuOf(k)
-		gr.keys[g] = append(gr.keys[g], k)
-		gr.idx[g] = append(gr.idx[g], int32(i))
-	}
-	return gr
 }

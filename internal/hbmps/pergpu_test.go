@@ -120,7 +120,7 @@ func sameBlocks(a, b *ps.ValueBlock) error {
 // including an empty one, blocks smaller than the GPU count and a block that
 // leaves every GPU but the first without a partition — and checks every
 // result bit for bit against the serial key-by-key model. The same HBMPS is
-// reused across loads, so recycled tables, arena and snapshot are covered.
+// reused across loads, so the recycled slabs and snapshot are covered.
 func TestPerGPUPassesMatchSerialReference(t *testing.T) {
 	const dim = 4 // testConfig's
 	for _, gpus := range []int{1, 2, 4} {
@@ -141,14 +141,14 @@ func TestPerGPUPassesMatchSerialReference(t *testing.T) {
 				}
 				m := newModel(blk)
 				total := 0
-				for g, dev := range h.Devices() {
+				for g := range h.Devices() {
 					own := 0
 					for _, k := range blk.Keys {
 						if h.gpuOf(k) == g {
 							own++
 						}
 					}
-					if got := dev.Table().Len(); got != own {
+					if got := h.residentOn(g); got != own {
 						t.Fatalf("n=%d: gpu %d holds %d keys, owns %d", sh.n, g, got, own)
 					}
 					total += own

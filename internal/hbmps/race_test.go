@@ -2,7 +2,7 @@
 
 package hbmps
 
-// The race detector makes sync.Pool drop items at random, so the pooled
-// scratch of the batched calls allocates under -race; the allocation checks
+// Allocation counts do not hold under the race detector, which drops
+// sync.Pool items at random and instruments memory, so the allocation checks
 // run in normal builds only.
 func init() { raceEnabled = true }

@@ -48,7 +48,7 @@ type GPU struct {
 	// FLOPS is the sustained single-precision throughput used for dense math.
 	FLOPS float64
 	// HBMBandwidthBytesPerSec is the device memory bandwidth used for
-	// hash-table and embedding traffic.
+	// working-set and embedding traffic.
 	HBMBandwidthBytesPerSec float64
 	// KernelLaunch is the fixed overhead per kernel launch.
 	KernelLaunch time.Duration

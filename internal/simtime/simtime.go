@@ -25,7 +25,7 @@ type Resource string
 // values; these constants cover the hardware described in the paper's
 // experimental setup (Section 7).
 const (
-	ResourceGPU     Resource = "gpu"     // GPU kernel execution (dense training, hash table ops)
+	ResourceGPU     Resource = "gpu"     // GPU kernel execution (dense training, working-set ops)
 	ResourceHBM     Resource = "hbm"     // GPU high-bandwidth memory traffic
 	ResourceNVLink  Resource = "nvlink"  // intra-node GPU interconnect
 	ResourcePCIe    Resource = "pcie"    // CPU<->GPU transfers
