@@ -212,14 +212,6 @@ func runServe(args []string) error {
 		handler.Replicator = repl
 		handler.Peers = peerTr
 	}
-	if *restore {
-		// A restarted (or promoted-into) shard boots with a cold serving
-		// cache; prewarm it with the hottest recovered rows so the first
-		// post-failover predicts hit locally instead of stampeding peers.
-		if n := handler.WarmServing(*hotCache); n > 0 {
-			fmt.Fprintf(os.Stderr, "hps-shard %d: warmed serving cache with %d recovered rows\n", *shard, n)
-		}
-	}
 
 	// The dedup tracker persists its applied (client, seq) records next to
 	// the SSD-PS: after a crash restart the reloaded log keeps a retried push

@@ -4,19 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"hps/internal/embedding"
 	"hps/internal/keys"
 	"hps/internal/ps"
 )
 
 // The typed client side of each wire op: every method is one rawCall with the
 // op's request builder and reply parser from ops.go.
-
-// rowBytes is the fp32-equivalent payload of n value rows with their keys —
-// the PayloadBytes accounting every transport shares.
-func (t *TCPTransport) rowBytes(n int) int64 {
-	return int64(n) * int64(8+embedding.EncodedSize(t.dim))
-}
 
 // pullInto runs a pull-layout read (pull-block or lookup): the request is a
 // length-prefixed key frame and the reply body is decoded directly out of
@@ -36,7 +29,7 @@ func (t *TCPTransport) pullInto(nodeID int, op uint8, ks []keys.Key, dst *ps.Val
 		// the PullInto contract.
 		dst.Reset(t.dim, ks)
 	}
-	reqBytes, respBytes := int64(len(ks))*8, t.rowBytes(dst.PresentCount())
+	reqBytes, respBytes := int64(len(ks))*8, rowBytes(t.dim, dst.PresentCount())
 	t.addBytes(reqBytes, respBytes)
 	return reqBytes + respBytes, nil
 }
@@ -50,20 +43,8 @@ func (t *TCPTransport) PullBlock(nodeID int, ks []keys.Key, dst *ps.ValueBlock) 
 
 // Lookup implements TierTransport: a pull that never materializes missing
 // parameters, for evaluation-time and serving reads. Replies are always fp32.
-func (t *TCPTransport) Lookup(nodeID int, ks []keys.Key) (PullResult, int64, error) {
-	blk := ps.GetBlock(t.dim, nil)
-	defer ps.PutBlock(blk)
-	bytes, err := t.pullInto(nodeID, rawOpLookup, ks, blk)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make(PullResult, blk.PresentCount())
-	for i, k := range blk.Keys {
-		if v := blk.Value(i); v != nil {
-			out[k] = v
-		}
-	}
-	return out, bytes, nil
+func (t *TCPTransport) Lookup(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (int64, error) {
+	return t.pullInto(nodeID, rawOpLookup, ks, dst)
 }
 
 // sendBlock runs a push-layout write (push-block, replicate, transfer): the
@@ -79,7 +60,7 @@ func (t *TCPTransport) sendBlock(nodeID int, op uint8, client, seq uint64, blk *
 	if err != nil {
 		return 0, err
 	}
-	bytes := t.rowBytes(blk.PresentCount())
+	bytes := rowBytes(t.dim, blk.PresentCount())
 	t.addBytes(bytes, 0)
 	return bytes, nil
 }

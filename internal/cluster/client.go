@@ -74,8 +74,8 @@ type TransportStats struct {
 	// first connection is not a redial.
 	Calls, Retries, Dials, Redials int64
 	// BytesOut / BytesIn estimate the payload traffic in fp32 terms (8 bytes
-	// per key plus the encoded value size, the same accounting as
-	// PayloadBytes) — the precision-independent "model bytes moved".
+	// per requested key, rowBytes per value row, the accounting every
+	// transport shares) — the precision-independent "model bytes moved".
 	BytesOut, BytesIn int64
 	// WireOut / WireIn count the bytes that actually crossed the sockets
 	// (frame prefixes included), so the quantized wire's compression is

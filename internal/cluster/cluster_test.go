@@ -154,12 +154,22 @@ func TestLocalTransport(t *testing.T) {
 	}
 }
 
+// TestPayloadBytes pins the payload a lookup counts: 8 bytes per requested
+// key, plus a row with its key per present row.
 func TestPayloadBytes(t *testing.T) {
-	res := PullResult{1: embedding.NewValue(4), 2: embedding.NewValue(4)}
-	got := PayloadBytes(3, res, 4)
-	want := int64(3*8 + 2*(8+embedding.EncodedSize(4)))
+	lt := NewLocalTransport(opsDim)
+	lt.Register(0, newOpsHandler())
+	blk := ps.NewValueBlock(opsDim)
+	if _, err := lt.PullBlock(0, []keys.Key{1, 2}, blk); err != nil { // creates 1 and 2
+		t.Fatal(err)
+	}
+	got, err := lt.Lookup(0, []keys.Key{1, 2, 3}, blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(3*8 + 2*(8+embedding.EncodedSize(opsDim)))
 	if got != want {
-		t.Fatalf("PayloadBytes = %d, want %d", got, want)
+		t.Fatalf("lookup payload = %d, want %d", got, want)
 	}
 }
 

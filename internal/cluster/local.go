@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"hps/internal/embedding"
 	"hps/internal/keys"
 	"hps/internal/ps"
 )
@@ -56,11 +55,6 @@ func (t *LocalTransport) handler(nodeID int) (PullHandler, error) {
 
 var _ TierTransport = (*LocalTransport)(nil)
 
-// rowBytes is the fp32-equivalent payload of n value rows with their keys.
-func (t *LocalTransport) rowBytes(n int) int64 {
-	return int64(n) * int64(8+embedding.EncodedSize(t.dim))
-}
-
 // PullBlock implements Transport: the handler serves straight into dst.
 func (t *LocalTransport) PullBlock(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (int64, error) {
 	h, err := t.handler(nodeID)
@@ -70,7 +64,7 @@ func (t *LocalTransport) PullBlock(nodeID int, ks []keys.Key, dst *ps.ValueBlock
 	if err := h.HandlePullBlock(ks, dst); err != nil {
 		return 0, fmt.Errorf("cluster: pull from node %d: %w", nodeID, err)
 	}
-	return int64(len(ks))*8 + t.rowBytes(dst.PresentCount()), nil
+	return int64(len(ks))*8 + rowBytes(t.dim, dst.PresentCount()), nil
 }
 
 // PushBlock implements TierTransport when node nodeID's handler accepts
@@ -87,7 +81,7 @@ func (t *LocalTransport) PushBlock(nodeID int, blk *ps.ValueBlock) (int64, error
 	if err := ph.HandlePushBlock(blk); err != nil {
 		return 0, fmt.Errorf("cluster: push to node %d: %w", nodeID, err)
 	}
-	return t.rowBytes(blk.PresentCount()), nil
+	return rowBytes(t.dim, blk.PresentCount()), nil
 }
 
 // Replicate forwards an applied delta block to nodeID's handler (the
@@ -105,7 +99,7 @@ func (t *LocalTransport) Replicate(nodeID int, client, seq uint64, blk *ps.Value
 	if err := rh.HandleReplicate(blk); err != nil {
 		return 0, fmt.Errorf("cluster: replicate to node %d: %w", nodeID, err)
 	}
-	return t.rowBytes(blk.PresentCount()), nil
+	return rowBytes(t.dim, blk.PresentCount()), nil
 }
 
 // Transfer installs the block's rows on nodeID's handler outright (set
@@ -170,18 +164,17 @@ func (t *LocalTransport) TierStats(nodeID int) (ps.TierInfo, error) {
 
 // Lookup implements TierTransport when node nodeID's handler supports
 // no-create reads.
-func (t *LocalTransport) Lookup(nodeID int, ks []keys.Key) (PullResult, int64, error) {
+func (t *LocalTransport) Lookup(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (int64, error) {
 	h, err := t.handler(nodeID)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	lh, ok := h.(LookupHandler)
 	if !ok {
-		return nil, 0, &RemoteError{Node: nodeID, Op: opName(rawOpLookup), Msg: "shard does not support lookup"}
+		return 0, &RemoteError{Node: nodeID, Op: opName(rawOpLookup), Msg: "shard does not support lookup"}
 	}
-	res, err := lh.HandleLookup(ks)
-	if err != nil {
-		return nil, 0, fmt.Errorf("cluster: lookup from node %d: %w", nodeID, err)
+	if err := lh.HandleLookupBlock(ks, dst); err != nil {
+		return 0, fmt.Errorf("cluster: lookup from node %d: %w", nodeID, err)
 	}
-	return res, PayloadBytes(len(ks), res, t.dim), nil
+	return int64(len(ks))*8 + rowBytes(t.dim, dst.PresentCount()), nil
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/hex"
 	"errors"
 	"reflect"
 	"sort"
@@ -51,19 +52,19 @@ func (h *opsHandler) HandlePullBlock(ks []keys.Key, dst *ps.ValueBlock) error {
 	return nil
 }
 
-func (h *opsHandler) HandleLookup(ks []keys.Key) (PullResult, error) {
+func (h *opsHandler) HandleLookupBlock(ks []keys.Key, dst *ps.ValueBlock) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.fail != nil {
-		return nil, h.fail
+		return h.fail
 	}
-	out := make(PullResult, len(ks))
-	for _, k := range ks {
+	dst.Reset(opsDim, ks)
+	for i, k := range ks {
 		if v, ok := h.vals[k]; ok {
-			out[k] = v.Clone()
+			dst.Set(i, v)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 func (h *opsHandler) HandlePushBlock(blk *ps.ValueBlock) error {
@@ -273,6 +274,27 @@ func TestEveryOpOverTCP(t *testing.T) {
 	membership := MembershipUpdate{Epoch: 7, Members: []int{0, 2, 5}, VNodes: 16, Replicas: 2,
 		Addrs: map[int]string{0: "10.0.0.1:7000", 2: "[::1]:7002", 5: ""}}
 	var replicaSeq uint64
+	lookupSome := []keys.Key{3, 77, 123456} // 123456 is never created
+	lookupMissing := []keys.Key{123456}
+	lookupDup := []keys.Key{77, 123456, 3, 77}
+	// replies pins each lookup row's encoded reply (status header, then the
+	// block body; hex) against the shard state the rows before it leave.
+	replies := map[string]struct {
+		ks  []keys.Key
+		hex string
+	}{
+		"lookup": {lookupSome, "0c000000" + "04000000" + "03000000" +
+			"01" + "03000000" + "00004040" + "0000003f" + "00000000" + "00000000" + "00000000" + "00000000" + "0000803e" + "00000000" +
+			"01" + "03000000" + "00000000" + "0000003f" + "00000000" + "00000000" + "00000000" + "00000000" + "0000803e" + "00000000" +
+			"00" + "00000000" + "00000000" + "00000000" + "00000000" + "00000000" + "00000000" + "00000000" + "00000000" + "00000000"},
+		// No row present: the header keeps dimension 0 and rows carry no floats.
+		"lookup all missing": {lookupMissing, "0c000000" + "00000000" + "01000000" + "00" + "00000000"},
+		"lookup duplicate unsorted": {lookupDup, "0c000000" + "04000000" + "04000000" +
+			"01" + "03000000" + "00000000" + "0000003f" + "00000000" + "00000000" + "00000000" + "00000000" + "0000803e" + "00000000" +
+			"00" + "00000000" + "00000000" + "00000000" + "00000000" + "00000000" + "00000000" + "00000000" + "00000000" + "00000000" +
+			"01" + "03000000" + "00004040" + "0000003f" + "00000000" + "00000000" + "00000000" + "00000000" + "0000803e" + "00000000" +
+			"01" + "03000000" + "00000000" + "0000003f" + "00000000" + "00000000" + "00000000" + "00000000" + "0000803e" + "00000000"},
+	}
 	rows := []struct {
 		op       uint8
 		name     string
@@ -292,14 +314,9 @@ func TestEveryOpOverTCP(t *testing.T) {
 			replicaSeq++ // a reused stamp would be acked as a duplicate, handler unseen
 			return tr.Replicate(node, 41, replicaSeq, opsBlock([]keys.Key{8, 9}, 1))
 		}},
-		{rawOpLookup, "lookup", false, false, func(tr opSurface, node int) (any, error) {
-			res, n, err := tr.Lookup(node, []keys.Key{3, 77, 123456}) // 123456 was never created
-			return []any{n, res}, err
-		}},
-		{rawOpLookup, "lookup all missing", false, false, func(tr opSurface, node int) (any, error) {
-			res, n, err := tr.Lookup(node, []keys.Key{123456})
-			return []any{n, res}, err
-		}},
+		{rawOpLookup, "lookup", false, false, lookupRun(lookupSome)},
+		{rawOpLookup, "lookup all missing", false, false, lookupRun(lookupMissing)},
+		{rawOpLookup, "lookup duplicate unsorted", false, false, lookupRun(lookupDup)},
 		{rawOpTransfer, "transfer", false, false, func(tr opSurface, node int) (any, error) {
 			return tr.Transfer(node, opsBlock([]keys.Key{1000, 1001, 3}, 4))
 		}},
@@ -350,6 +367,14 @@ func TestEveryOpOverTCP(t *testing.T) {
 			if g, w := tcpH.state(), localH.state(); !reflect.DeepEqual(g, w) {
 				t.Errorf("shard state diverged:\nover TCP   %+v\nin-process %+v", g, w)
 			}
+			if pin, ok := replies[tc.name]; ok {
+				prec := ps.PrecisionFP32
+				frame, buf := srv.dispatchRaw(appendRawKeyReq(nil, rawOpLookup, 0, pin.ks), &prec)
+				if got := hex.EncodeToString(frame[4:]); got != pin.hex {
+					t.Errorf("lookup %v reply\n got %s\nwant %s", pin.ks, got, pin.hex)
+				}
+				putScratch(buf)
+			}
 
 			if !tc.required {
 				_, err := tc.run(tr, 1)
@@ -390,6 +415,16 @@ func TestEveryOpOverTCP(t *testing.T) {
 	}
 }
 
+// lookupRun is the TestEveryOpOverTCP row that looks ks up: the payload
+// bytes the transport counts and the rows it returns.
+func lookupRun(ks []keys.Key) func(tr opSurface, node int) (any, error) {
+	return func(tr opSurface, node int) (any, error) {
+		blk := ps.NewValueBlock(opsDim)
+		n, err := tr.Lookup(node, ks, blk)
+		return []any{n, blockRows(blk)}, err
+	}
+}
+
 // TestMissingHandlerSameOpName checks that a shard lacking an op's handler is
 // reported under the op's one name whichever transport reaches it, so a
 // caller matching RemoteError.Op sees the same failure in-process and over
@@ -417,7 +452,7 @@ func TestMissingHandlerSameOpName(t *testing.T) {
 	}{
 		{rawOpPushBlock, func(tr shard) error { _, err := tr.PushBlock(0, opsBlock([]keys.Key{3}, 1)); return err }},
 		{rawOpReplicate, func(tr shard) error { _, err := tr.Replicate(0, 7, 1, opsBlock([]keys.Key{3}, 1)); return err }},
-		{rawOpLookup, func(tr shard) error { _, _, err := tr.Lookup(0, []keys.Key{3}); return err }},
+		{rawOpLookup, func(tr shard) error { _, err := tr.Lookup(0, []keys.Key{3}, ps.NewValueBlock(opsDim)); return err }},
 		{rawOpTransfer, func(tr shard) error { _, err := tr.Transfer(0, opsBlock([]keys.Key{3}, 1)); return err }},
 		{rawOpEvict, func(tr shard) error { _, err := tr.Evict(0, []keys.Key{3}); return err }},
 		{rawOpStats, func(tr shard) error { _, err := tr.TierStats(0); return err }},

@@ -248,25 +248,15 @@ func (s *TCPServer) serveLookup(_ *ps.Precision, payload, frame []byte) ([]byte,
 	if !ok {
 		return nil, errors.New("shard does not support lookup")
 	}
-	res, err := h.HandleLookup(ks)
-	if err != nil {
+	blk := ps.GetBlock(0, nil)
+	defer ps.PutBlock(blk)
+	if err := h.HandleLookupBlock(ks, blk); err != nil {
 		return nil, err
 	}
-	// The reply is a block body in request order: the first value found
-	// gives the dimension, and a missing key is an absent row.
-	dim := 0
-	for _, v := range res {
-		if v != nil {
-			dim = v.Dim()
-			break
-		}
-	}
-	blk := ps.GetBlock(dim, ks)
-	defer ps.PutBlock(blk)
-	for i, k := range ks {
-		if v := res[k]; v != nil {
-			blk.Set(i, v)
-		}
+	if blk.PresentCount() == 0 {
+		// A reply without a present row declares dimension 0, so its absent
+		// rows carry no floats; the client re-shapes it to its own.
+		blk.Reset(0, ks)
 	}
 	return blk.AppendWire(frame), nil
 }

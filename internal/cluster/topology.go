@@ -151,10 +151,6 @@ func (t Topology) SplitByGPU(ks []keys.Key) [][]keys.Key {
 	return out
 }
 
-// PullResult is the payload of a lookup: the requested keys that exist on the
-// serving node, with their current values.
-type PullResult map[keys.Key]*embedding.Value
-
 // PullHandler serves parameter pulls for one node (implemented by the
 // MEM-PS): the values of ks land in dst's flat rows, in request-key order, so
 // a server encodes the whole reply in one pass. The handler owns the
@@ -164,13 +160,13 @@ type PullHandler interface {
 	HandlePullBlock(ks []keys.Key, dst *ps.ValueBlock) error
 }
 
-// LookupHandler serves reads that must not materialize missing parameters
-// (evaluation-time lookups, as opposed to training pulls which create
-// first-referenced parameters).
+// LookupHandler is the read-only twin of PullHandler: the no-create read of
+// evaluation, serving and state export. The values of the requested keys this
+// node holds land in dst's rows in request-key order; a missing key is an
+// absent row, never created. A lookup pins nothing and does not count as a
+// training pull.
 type LookupHandler interface {
-	// HandleLookup returns the current values of the requested keys this node
-	// holds; missing keys are absent, never created.
-	HandleLookup(ks []keys.Key) (PullResult, error)
+	HandleLookupBlock(ks []keys.Key, dst *ps.ValueBlock) error
 }
 
 // BlockPushHandler applies a block of parameter deltas pushed by other nodes
@@ -264,9 +260,46 @@ type TierTransport interface {
 	Evict(nodeID int, ks []keys.Key) (int, error)
 	// TierStats returns node nodeID's tier name and uniform statistics.
 	TierStats(nodeID int) (ps.TierInfo, error)
-	// Lookup reads the given keys from node nodeID without materializing
-	// missing ones, returning the payload bytes that crossed the network.
-	Lookup(nodeID int, ks []keys.Key) (PullResult, int64, error)
+	// Lookup is PullBlock through node nodeID's LookupHandler: missing keys
+	// come back as absent rows instead of being materialized.
+	Lookup(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (int64, error)
+}
+
+// ReadBackups reads ks, whose primary failed, from each key's backup shard
+// through read — a TierTransport's PullBlock or Lookup — landing the rows in
+// dst (shaped for ks at dimension dim) in request-key order. It fails whole when a key has no backup, or only self —
+// a shard never routes a read to itself — and when any backup read fails.
+// The returned bytes sum the backup reads'.
+func (t Topology) ReadBackups(self int, ks []keys.Key, dim int, dst *ps.ValueBlock,
+	read func(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (int64, error)) (int64, error) {
+	parts := make(map[int][]int, 2) // backup -> positions in ks
+	for i, k := range ks {
+		b := t.BackupOf(k)
+		if b < 0 || b == self {
+			return 0, fmt.Errorf("cluster: key %d has no backup to read from", k)
+		}
+		parts[b] = append(parts[b], i)
+	}
+	dst.Reset(dim, ks)
+	sub := ps.GetBlock(dim, nil)
+	defer ps.PutBlock(sub)
+	bks := make([]keys.Key, 0, len(ks))
+	var total int64
+	for b, at := range parts {
+		bks = bks[:0]
+		for _, i := range at {
+			bks = append(bks, ks[i])
+		}
+		n, err := read(b, bks, sub)
+		if err != nil {
+			return 0, fmt.Errorf("backup %d: %w", b, err)
+		}
+		for j, i := range at {
+			dst.CopyRow(i, sub, j)
+		}
+		total += n
+	}
+	return total, nil
 }
 
 // NoRoute is a Transport for processes that serve a single shard and never
@@ -279,8 +312,8 @@ func (NoRoute) PullBlock(nodeID int, _ []keys.Key, _ *ps.ValueBlock) (int64, err
 	return 0, fmt.Errorf("%w: %d (transport has no routes)", ErrUnknownNode, nodeID)
 }
 
-// PayloadBytes returns the serialized size of a lookup exchange: 8 bytes per
-// requested key plus the encoded size of every returned value (with its key).
-func PayloadBytes(requested int, result PullResult, dim int) int64 {
-	return int64(requested)*8 + int64(len(result))*int64(8+embedding.EncodedSize(dim))
+// rowBytes is the fp32-equivalent payload of n value rows of dimension dim
+// with their keys: the model-bytes accounting every transport shares.
+func rowBytes(dim, n int) int64 {
+	return int64(n) * int64(8+embedding.EncodedSize(dim))
 }

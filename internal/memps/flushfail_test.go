@@ -8,6 +8,7 @@ import (
 	"hps/internal/cluster"
 	"hps/internal/hw"
 	"hps/internal/keys"
+	"hps/internal/ps"
 	"hps/internal/simtime"
 	"hps/internal/ssdps"
 )
@@ -86,10 +87,7 @@ func TestFlushFailureKeepsParameters(t *testing.T) {
 	if err := m.CompleteBatch(ws); err != nil {
 		t.Fatal(err)
 	}
-	before, err := m.LookupAll(ks)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := lookupAll(t, m, ks)
 	if len(before) != len(ks) {
 		t.Fatalf("prepared %d keys, lookup found %d", len(ks), len(before))
 	}
@@ -101,10 +99,7 @@ func TestFlushFailureKeepsParameters(t *testing.T) {
 	}
 
 	// The parameters survived the failed flush in memory.
-	after, err := m.LookupAll(ks)
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := lookupAll(t, m, ks)
 	for _, k := range ks {
 		if after[k] == nil {
 			t.Fatalf("key %d lost by the failed flush", k)
@@ -142,10 +137,7 @@ func TestEvictDumpFailureKeepsBuffer(t *testing.T) {
 	if _, err := m.Evict(ks); err == nil {
 		t.Fatal("evict over a broken store must fail")
 	}
-	vals, err := m.LookupAll(ks)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vals := lookupAll(t, m, ks)
 	for _, k := range ks {
 		if vals[k] == nil {
 			t.Fatalf("key %d lost by the failed evict dump", k)
@@ -157,5 +149,47 @@ func TestEvictDumpFailureKeepsBuffer(t *testing.T) {
 	}
 	if got := m.Store().Len(); got != len(ks) {
 		t.Fatalf("store holds %d parameters after recovered evict, want %d", got, len(ks))
+	}
+}
+
+// transferSink is a ReplicateTransport that only counts what reaches it.
+type transferSink struct{ transfers int }
+
+func (s *transferSink) Replicate(int, uint64, uint64, *ps.ValueBlock) (int64, error) { return 0, nil }
+func (s *transferSink) Transfer(_ int, blk *ps.ValueBlock) (int, error) {
+	s.transfers++
+	return blk.Len(), nil
+}
+
+// TestUnreadableSSDFailsReads checks that a read of rows held only on a
+// broken SSD-PS fails instead of answering them absent: the lookup and the
+// export return the error, and a reconcile that cannot read a chunk counts
+// it in ReplicationStats.Errors instead of skipping it silently.
+func TestUnreadableSSDFailsReads(t *testing.T) {
+	m := failableNode(t, t.TempDir(), 64, 64)
+	ks := []keys.Key{21, 22, 23}
+	ws, _ := prepare(t, m, ks)
+	if err := m.CompleteBatch(ws); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Flush(); err != nil { // the rows now live on the SSD-PS alone
+		t.Fatal(err)
+	}
+	breakStore(t, m)
+
+	blk := ps.NewValueBlock(4)
+	if err := m.HandleLookupBlock(ks, blk); err == nil {
+		t.Error("lookup of unreadable rows succeeded")
+	}
+	if n, err := m.ExportInto(ks, blk); err == nil {
+		t.Errorf("export of unreadable rows succeeded with %d rows", n)
+	}
+	sink := &transferSink{}
+	r := NewReplicator(m, sink, ReplicatorConfig{})
+	defer r.Close()
+	// Node 0 leaves a ring of node 1 alone: it must hand every row over.
+	r.Reconcile(nil, cluster.NewRing([]int{1}, 8))
+	if st := r.Stats(); st.Errors == 0 || sink.transfers != 0 {
+		t.Fatalf("reconcile over unreadable rows: %d errors, %d transfers; want >0, 0", st.Errors, sink.transfers)
 	}
 }

@@ -762,51 +762,61 @@ func (m *MemPS) servePull(ks []keys.Key, emit func(i int, k keys.Key, v *embeddi
 	return loadTime, nil
 }
 
-// LookupAll returns copies of the current values of the locally-owned keys
-// this node has seen, without materializing missing ones. Cache and
-// dump-buffer hits are cloned under the lock; the remaining misses go to the
-// SSD-PS as one batched load. The error is always nil here; the signature
-// matches the trainer's owner contract, whose remote implementation can
-// fail.
-func (m *MemPS) LookupAll(ks []keys.Key) (map[keys.Key]*embedding.Value, error) {
-	out := make(map[keys.Key]*embedding.Value, len(ks))
-	var toLoad []keys.Key
+// HandleLookupBlock implements cluster.LookupHandler: it reads the current
+// values of the requested locally-owned keys into dst without materializing
+// missing ones — the evaluation and serving contract, where a never-trained
+// feature must stay absent rather than spring into existence with random
+// weights. Keys the ring does not assign to this node read as absent.
+func (m *MemPS) HandleLookupBlock(ks []keys.Key, dst *ps.ValueBlock) error {
+	_, err := m.readInto(ks, dst, true)
+	return err
+}
+
+// readInto is the MEM-PS's one no-create read: it fills dst with the current
+// values of ks in request-key order and returns how many rows are present.
+// Cache and dump-buffer hits are copied under the lock; the remaining keys
+// are on the SSD-PS — a row leaves the dump buffer only once it is written
+// there — and come back in one positional load outside it. With owned set,
+// keys this node does not hold under the ring read as absent; without it,
+// whatever the shard holds is read (state export).
+func (m *MemPS) readInto(ks []keys.Key, dst *ps.ValueBlock, owned bool) (int, error) {
+	dst.Reset(m.cfg.Dim, ks)
+	var onSSD []int // positions in ks
+	n := 0
 	m.mu.Lock()
-	for _, k := range ks {
-		if !m.ownsKey(k) {
+	for i, k := range ks {
+		if owned && !m.ownsKey(k) {
 			continue
 		}
 		if v, ok := m.cache.Get(uint64(k)); ok {
-			out[k] = v.Clone()
+			dst.Set(i, v)
+			n++
 		} else if e, ok := m.pendingDump[k]; ok {
-			out[k] = e.v.Clone()
+			dst.Set(i, e.v)
+			n++
 		} else {
-			toLoad = append(toLoad, k)
+			onSSD = append(onSSD, i)
 		}
 	}
 	m.mu.Unlock()
-	if len(toLoad) > 0 {
-		// Outside the lock: a row leaves the dump buffer only once it is on
-		// the SSD, so a key in neither the cache nor the buffer is there, and
-		// Load returns private decoded copies.
-		loaded, err := m.cfg.Store.Load(toLoad)
-		if err != nil {
-			return out, nil // matching Lookup: unreadable keys read as absent
-		}
-		for k, v := range loaded {
-			out[k] = v
+	if len(onSSD) == 0 {
+		return n, nil
+	}
+	toLoad := make([]keys.Key, len(onSSD))
+	for j, i := range onSSD {
+		toLoad[j] = ks[i]
+	}
+	vals, _, err := m.cfg.Store.LoadInto(toLoad, nil)
+	if err != nil {
+		return 0, fmt.Errorf("memps: read parameters: %w", err)
+	}
+	for j, v := range vals {
+		if v != nil {
+			dst.Set(onSSD[j], v)
+			n++
 		}
 	}
-	return out, nil
-}
-
-// HandleLookup implements cluster.LookupHandler: it reads the current values
-// of the requested locally-owned keys without materializing missing ones —
-// the evaluation-time contract, where a never-trained feature must stay
-// absent rather than spring into existence with random weights.
-func (m *MemPS) HandleLookup(ks []keys.Key) (cluster.PullResult, error) {
-	out, err := m.LookupAll(ks)
-	return cluster.PullResult(out), err
+	return n, nil
 }
 
 // applyBlock merges the owned rows of a flat delta block into the
@@ -1170,11 +1180,15 @@ func (m *MemPS) flushAll() (int, error) {
 }
 
 // Lookup returns a copy of the current authoritative value of a locally-owned
-// key, or nil if the node does not own it or has never seen it. It is used by
-// evaluation code, not by the training path.
+// key, or nil if the node does not own it, has never seen it or cannot read
+// it. It is used by evaluation code, not by the training path.
 func (m *MemPS) Lookup(k keys.Key) *embedding.Value {
-	out, _ := m.LookupAll([]keys.Key{k})
-	return out[k]
+	blk := ps.GetBlock(m.cfg.Dim, nil)
+	defer ps.PutBlock(blk)
+	if _, err := m.readInto([]keys.Key{k}, blk, true); err != nil {
+		return nil
+	}
+	return blk.Value(0)
 }
 
 // CacheStats returns the cumulative cache statistics (Fig 4c's hit rate).

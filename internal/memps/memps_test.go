@@ -6,6 +6,7 @@ import (
 
 	"hps/internal/blockio"
 	"hps/internal/cluster"
+	"hps/internal/embedding"
 	"hps/internal/hw"
 	"hps/internal/interconnect"
 	"hps/internal/keys"
@@ -84,6 +85,22 @@ func push(t testing.TB, m *MemPS, blk *ps.ValueBlock) {
 	if err := m.PushBlock(ps.PushBlockRequest{Shard: ps.NoShard, Block: blk}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// lookupAll reads ks through HandleLookupBlock, keyed by the keys found.
+func lookupAll(t testing.TB, m *MemPS, ks []keys.Key) map[keys.Key]*embedding.Value {
+	t.Helper()
+	blk := ps.NewValueBlock(m.Dim())
+	if err := m.HandleLookupBlock(ks, blk); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[keys.Key]*embedding.Value, len(ks))
+	for i, k := range ks {
+		if v := blk.Value(i); v != nil {
+			out[k] = v
+		}
+	}
+	return out
 }
 
 func TestNewValidation(t *testing.T) {

@@ -135,13 +135,10 @@ func TestMissPathMatchesModel(t *testing.T) {
 			}
 		case 5:
 			ks := someKeys()
-			got, err := m.LookupAll(ks)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := lookupAll(t, m, ks)
 			for _, k := range ks {
-				if model[k] != nil { // LookupAll does not materialize
-					check("LookupAll", k, got[k])
+				if model[k] != nil { // a lookup does not materialize
+					check("lookup", k, got[k])
 				}
 			}
 		case 6: // one owner's share of a two-node batch: resolve, push, unpin

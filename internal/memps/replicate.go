@@ -50,114 +50,15 @@ func (m *MemPS) LocalKeys() []keys.Key {
 	return keys.Dedup(ks)
 }
 
-// HotRows returns up to n of the shard's cache-resident rows, hottest first
-// by training-observed reference frequency, cloned so callers can hold them
-// across later pushes. It is the warming set a restarted or newly promoted
-// shard hands its serving tier (serving.Server.Warm): the zipfian head of the
-// recovered shard, ready to serve before organic traffic refills any cache.
-func (m *MemPS) HotRows(n int) map[keys.Key]*embedding.Value {
-	if n <= 0 {
-		return nil
-	}
-	type row struct {
-		k keys.Key
-		v *embedding.Value
-	}
-	var rows []row
-	m.mu.Lock()
-	m.cache.Range(func(k uint64, v *embedding.Value) bool {
-		rows = append(rows, row{keys.Key(k), v.Clone()})
-		return true
-	})
-	m.mu.Unlock()
-	if len(rows) < n && m.cfg.Store != nil {
-		// A just-restored shard keeps its rows on the SSD-PS with a cold
-		// cache; rank the recovered rows too. This reads every stored row
-		// once — acceptable at restart, before the shard takes traffic.
-		seen := make(map[keys.Key]bool, len(rows))
-		for _, r := range rows {
-			seen[r.k] = true
-		}
-		var missing []keys.Key
-		for _, k := range m.cfg.Store.Keys() {
-			if !seen[k] {
-				missing = append(missing, k)
-			}
-		}
-		vals, _ := m.LookupAll(missing) // local lookups never fail
-		for k, v := range vals {
-			if v != nil {
-				rows = append(rows, row{k, v.Clone()})
-			}
-		}
-	}
-	slices.SortFunc(rows, func(a, b row) int {
-		switch {
-		case a.v.Freq > b.v.Freq:
-			return -1
-		case a.v.Freq < b.v.Freq:
-			return 1
-		case a.k < b.k: // deterministic order among frequency ties
-			return -1
-		case a.k > b.k:
-			return 1
-		}
-		return 0
-	})
-	if len(rows) > n {
-		rows = rows[:n]
-	}
-	out := make(map[keys.Key]*embedding.Value, len(rows))
-	for _, r := range rows {
-		out[r.k] = r.v // cloned above
-	}
-	return out
-}
-
 // ExportInto fills dst with this shard's current values for ks (request-key
 // order; keys this shard does not hold stay absent) and returns how many rows
 // are present. It is the read side of a key-range state transfer. Unlike
-// LookupAll it does NOT apply the ownership filter: a leaving shard exports
-// rows the new ring no longer assigns to it — holding a value is what
-// matters here, not owning the key.
-func (m *MemPS) ExportInto(ks []keys.Key, dst *ps.ValueBlock) int {
-	dst.Reset(m.cfg.Dim, ks)
-	vals := m.exportAll(ks)
-	n := 0
-	for i, k := range ks {
-		if v, ok := vals[k]; ok {
-			dst.Set(i, v)
-			n++
-		}
-	}
-	return n
-}
-
-// exportAll reads this shard's current values for ks across the cache, the
-// dump buffer and the SSD-PS, with no ownership filter (see ExportInto).
-func (m *MemPS) exportAll(ks []keys.Key) map[keys.Key]*embedding.Value {
-	out := make(map[keys.Key]*embedding.Value, len(ks))
-	var toLoad []keys.Key
-	m.mu.Lock()
-	for _, k := range ks {
-		if v, ok := m.cache.Get(uint64(k)); ok {
-			out[k] = v.Clone()
-		} else if e, ok := m.pendingDump[k]; ok {
-			out[k] = e.v.Clone()
-		} else {
-			toLoad = append(toLoad, k)
-		}
-	}
-	m.mu.Unlock()
-	if len(toLoad) > 0 {
-		// Outside the lock, as in LookupAll: these keys are on the SSD.
-		if loaded, err := m.cfg.Store.Load(toLoad); err == nil {
-			for k, v := range loaded {
-				out[k] = v
-			}
-		}
-	}
-	return out
+// HandleLookupBlock it does NOT apply the ownership filter: a leaving shard
+// exports rows the new ring no longer assigns to it — holding a value is what
+// matters here, not owning the key. An error means a row on the SSD-PS could
+// not be read.
+func (m *MemPS) ExportInto(ks []keys.Key, dst *ps.ValueBlock) (int, error) {
+	return m.readInto(ks, dst, false)
 }
 
 // ImportBlock installs the block's rows as full values (set semantics, not
@@ -234,8 +135,9 @@ type ReplicationStats struct {
 	Pending    int64
 	MaxPending int64
 	// Errors counts forwards and transfers dropped after the transport gave
-	// up retrying. Dropped forwards are healed by the next reconcile; until
-	// then the backup is stale within the lag window.
+	// up retrying, and transfer chunks whose rows could not be read off the
+	// SSD-PS. Dropped forwards are healed by the next reconcile; until then
+	// the backup is stale within the lag window.
 	Errors int64
 	// Transferred / TransferredKeys count re-replication transfer RPCs (and
 	// accepted rows) this shard sent as a reconcile sender.
@@ -484,7 +386,12 @@ func (r *Replicator) Reconcile(oldRing, newRing *cluster.Ring) map[int]int {
 	for node, ks := range plan {
 		for off := 0; off < len(ks); off += r.chunk {
 			end := min(off+r.chunk, len(ks))
-			if r.mem.ExportInto(ks[off:end], blk) == 0 {
+			n, err := r.mem.ExportInto(ks[off:end], blk)
+			if err != nil {
+				r.errors.Add(1)
+				continue
+			}
+			if n == 0 {
 				continue
 			}
 			acc, err := r.tr.Transfer(node, blk)

@@ -93,7 +93,7 @@ func keysOwnedBy(r *cluster.Ring, node, n int) []keys.Key {
 
 func value(t *testing.T, m *MemPS, k keys.Key) []float32 {
 	t.Helper()
-	vals, _ := m.LookupAll([]keys.Key{k})
+	vals := lookupAll(t, m, []keys.Key{k})
 	v, ok := vals[k]
 	if !ok {
 		t.Fatalf("node %d does not hold key %d", m.NodeID(), k)

@@ -188,16 +188,13 @@ func TestWriteBehindReadersSeeRowsInFlight(t *testing.T) {
 		}
 	}
 
-	got, err := m.LookupAll(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := lookupAll(t, m, rows)
 	for _, k := range rows {
-		n.check("LookupAll", k, got[k])
+		n.check("lookup", k, got[k])
 	}
 	exp := ps.NewValueBlock(4)
-	if c := m.ExportInto(rows, exp); c != len(rows) {
-		t.Fatalf("ExportInto found %d of %d rows being written", c, len(rows))
+	if c, err := m.ExportInto(rows, exp); err != nil || c != len(rows) {
+		t.Fatalf("ExportInto found %d of %d rows being written (%v)", c, len(rows), err)
 	}
 	for i, k := range rows {
 		n.check("ExportInto", k, exp.Value(i))
@@ -250,9 +247,9 @@ func TestWriteBehindReadersSeeRowsInFlight(t *testing.T) {
 	// Update one of each while the old copies are being written.
 	updated := []keys.Key{rows[0], rows[len(rows)-1]}
 	push(t, m, n.deltas(updated))
-	got, _ = m.LookupAll(updated)
+	got = lookupAll(t, m, updated)
 	for _, k := range updated {
-		n.check("LookupAll after the update", k, got[k])
+		n.check("lookup after the update", k, got[k])
 	}
 
 	// Flush waits the write out: the updated rows must reach the SSD-PS after
@@ -275,9 +272,9 @@ func TestWriteBehindReadersSeeRowsInFlight(t *testing.T) {
 	for k := range n.model {
 		all = append(all, k)
 	}
-	got, _ = m.LookupAll(all)
+	got = lookupAll(t, m, all)
 	for _, k := range all {
-		n.check("LookupAll after Flush", k, got[k])
+		n.check("lookup after Flush", k, got[k])
 	}
 	n.checkRecovered()
 }
@@ -346,7 +343,7 @@ func TestWriteBehindOneWriteInFlight(t *testing.T) {
 		t.Fatalf("%d background writes ran, want at least 10", w)
 	}
 	all := keys.Dedup(slices.Concat(touched...))
-	got, _ := m.LookupAll(all)
+	got := lookupAll(t, m, all)
 	for _, k := range all {
 		if got[k] == nil {
 			t.Fatalf("key %d lost", k)
@@ -396,7 +393,7 @@ func TestWriteBehindFailureKeepsRows(t *testing.T) {
 		if err := c.call(); err == nil {
 			t.Fatalf("%s after a failed background write returned no error", c.name)
 		}
-		got, _ := m.LookupAll(rows) // the broken store cannot serve them
+		got := lookupAll(t, m, rows) // the broken store cannot serve them
 		for _, k := range rows {
 			n.check(c.name+": in memory after the failed write", k, got[k])
 		}
@@ -409,7 +406,7 @@ func TestWriteBehindFailureKeepsRows(t *testing.T) {
 	for k := range n.model {
 		all = append(all, k)
 	}
-	got, _ := m.LookupAll(all)
+	got := lookupAll(t, m, all)
 	for _, k := range all {
 		n.check("after the retry", k, got[k])
 	}
@@ -442,7 +439,7 @@ func TestWriteBehindSparesHoldCopies(t *testing.T) {
 	n.batchesUntilWrite()
 	<-held
 	rows := n.rowsInFlight()
-	before, _ := m.LookupAll(rows)
+	before := lookupAll(t, m, rows)
 	ws, pulled := prepare(t, m, rows)
 	for i, k := range rows {
 		n.check("PrepareInto", k, pulled.Value(i))

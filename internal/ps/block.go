@@ -198,6 +198,15 @@ func (b *ValueBlock) Set(i int, v *embedding.Value) {
 	b.Present[i] = true
 }
 
+// CopyRow copies row j of src, present or absent, into row i of b. Both
+// blocks must have the same dimension.
+func (b *ValueBlock) CopyRow(i int, src *ValueBlock, j int) {
+	copy(b.WeightsRow(i), src.WeightsRow(j))
+	copy(b.G2Row(i), src.G2Row(j))
+	b.Freq[i] = src.Freq[j]
+	b.Present[i] = src.Present[j]
+}
+
 // Value returns a freshly allocated copy of row i, or nil if the row is
 // absent.
 func (b *ValueBlock) Value(i int) *embedding.Value {
@@ -254,10 +263,7 @@ func (b *ValueBlock) ScatterRows(sub *ValueBlock) {
 		if i == len(b.Keys) || b.Keys[i] != k {
 			continue
 		}
-		copy(b.WeightsRow(i), sub.WeightsRow(j))
-		copy(b.G2Row(i), sub.G2Row(j))
-		b.Freq[i] = sub.Freq[j]
-		b.Present[i] = true
+		b.CopyRow(i, sub, j)
 	}
 }
 

@@ -6,24 +6,38 @@ import (
 	"math"
 	"testing"
 
+	"hps/internal/blockio"
 	"hps/internal/cluster"
 	"hps/internal/embedding"
+	"hps/internal/hw"
 	"hps/internal/keys"
+	"hps/internal/memps"
 	"hps/internal/nn"
+	"hps/internal/ps"
 	"hps/internal/serving"
+	"hps/internal/simtime"
+	"hps/internal/ssdps"
 )
 
-// mapLocal is a LocalReader over a fixed in-memory table.
-type mapLocal map[keys.Key]*embedding.Value
+// fakeDim is the embedding dimension of the in-memory fakes below.
+const fakeDim = 4
 
-func (m mapLocal) LookupAll(ks []keys.Key) (map[keys.Key]*embedding.Value, error) {
-	out := make(map[keys.Key]*embedding.Value, len(ks))
-	for _, k := range ks {
-		if v, ok := m[k]; ok {
-			out[k] = v
+// lookupInto fills dst with vals' rows for ks; keys vals lacks stay absent.
+func lookupInto(vals map[keys.Key]*embedding.Value, ks []keys.Key, dst *ps.ValueBlock) {
+	dst.Reset(fakeDim, ks)
+	for i, k := range ks {
+		if v, ok := vals[k]; ok {
+			dst.Set(i, v)
 		}
 	}
-	return out, nil
+}
+
+// mapLocal is a local cluster.LookupHandler over a fixed in-memory table.
+type mapLocal map[keys.Key]*embedding.Value
+
+func (m mapLocal) HandleLookupBlock(ks []keys.Key, dst *ps.ValueBlock) error {
+	lookupInto(m, ks, dst)
+	return nil
 }
 
 // flakyPeer is a PeerReader that can be switched into a failing state, the
@@ -33,17 +47,12 @@ type flakyPeer struct {
 	down bool
 }
 
-func (p *flakyPeer) Lookup(nodeID int, ks []keys.Key) (cluster.PullResult, int64, error) {
+func (p *flakyPeer) Lookup(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (int64, error) {
 	if p.down {
-		return nil, 0, errors.New("peer down")
+		return 0, errors.New("peer down")
 	}
-	out := make(cluster.PullResult, len(ks))
-	for _, k := range ks {
-		if v, ok := p.vals[k]; ok {
-			out[k] = v
-		}
-	}
-	return out, 0, nil
+	lookupInto(p.vals, ks, dst)
+	return 0, nil
 }
 
 // TestDegradedServingSurvivesPeerOutage is the availability half of the
@@ -159,17 +168,12 @@ type routedPeer struct {
 	down map[int]bool
 }
 
-func (p *routedPeer) Lookup(nodeID int, ks []keys.Key) (cluster.PullResult, int64, error) {
+func (p *routedPeer) Lookup(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (int64, error) {
 	if p.down[nodeID] {
-		return nil, 0, fmt.Errorf("shard %d down", nodeID)
+		return 0, fmt.Errorf("shard %d down", nodeID)
 	}
-	out := make(cluster.PullResult, len(ks))
-	for _, k := range ks {
-		if v, ok := p.vals[nodeID][k]; ok {
-			out[k] = v
-		}
-	}
-	return out, 0, nil
+	lookupInto(p.vals[nodeID], ks, dst)
+	return 0, nil
 }
 
 // TestPredictFailsOverToBackup is the replicated upgrade of degraded serving:
@@ -255,94 +259,77 @@ func TestPredictFailsOverToBackup(t *testing.T) {
 	}
 }
 
-// TestWarmedCacheImprovesPostFailoverHitRate is the cache-warming half of the
-// failover story: a shard that prewarms its hot-key LFU with the top rows of
-// a recovered shard keeps serving those keys' real scores when their owner
-// dies, where a cold shard scores them as untrained. The warmed server's
-// post-failover hit rate must beat the cold server's.
-func TestWarmedCacheImprovesPostFailoverHitRate(t *testing.T) {
-	const dim = 4
-	topo := cluster.Topology{Nodes: 2, GPUsPerNode: 1}
-
-	// A handful of hot keys, all owned by the peer shard.
-	var hot []keys.Key
-	rows := make(map[keys.Key]*embedding.Value)
-	peerVals := make(map[keys.Key]*embedding.Value)
-	for k := keys.Key(1); len(hot) < 5; k++ {
-		if topo.NodeOf(k) != 1 {
-			continue
-		}
-		v := embedding.NewValue(dim)
-		for i := range v.Weights {
-			v.Weights[i] = 0.1 * float32(len(hot)+1)
-		}
-		v.Freq = uint32(100 - len(hot))
-		hot = append(hot, k)
-		rows[k] = v
-		peerVals[k] = v
-	}
-	req := cluster.PredictRequest{Keys: hot, Counts: []uint32{uint32(len(hot))}}
-
-	newServer := func(peer *flakyPeer) *serving.Server {
-		srv, err := serving.New(serving.Config{
-			NodeID: 0, Topology: topo, Dim: dim, Hidden: []int{8},
-			Local: mapLocal{}, Peers: peer,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dense := nn.New(nn.Config{InputDim: dim, Hidden: []int{8}, Seed: 42})
-		if err := srv.HandleServeConfig(cluster.ServeConfig{Dense: dense.FlattenParams(nil), Epoch: 1}); err != nil {
-			t.Fatal(err)
-		}
-		return srv
-	}
-
-	// The healthy baseline: what the scores should be while the peer is up.
-	healthy := newServer(&flakyPeer{vals: peerVals})
-	defer healthy.Close()
-	want, err := healthy.HandlePredict(req)
+// restoredShard reopens the SSD-PS a previous incarnation of shard node
+// flushed to dir, the way `hps serve -restore` does, and arms a serving tier
+// over it whose peers are all down.
+func restoredShard(t *testing.T, dir string, node int, topo cluster.Topology) (*memps.MemPS, *serving.Server) {
+	t.Helper()
+	dev, err := blockio.NewDevice(dir, hw.DefaultGPUNode().SSD, simtime.NewClock())
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// The peer is down from the very first request for both servers under
-	// test — a shard that crashed before this (restarted) server saw traffic.
-	cold := newServer(&flakyPeer{vals: peerVals, down: true})
-	defer cold.Close()
-	warmed := newServer(&flakyPeer{vals: peerVals, down: true})
-	defer warmed.Close()
-	if n := warmed.Warm(rows); n != len(rows) {
-		t.Fatalf("Warm installed %d of %d rows", n, len(rows))
-	}
-
-	gotWarm, err := warmed.HandlePredict(req)
+	t.Cleanup(func() { dev.Close() })
+	store, err := ssdps.Open(dev, ssdps.Config{Dim: fakeDim, ParamsPerFile: 16})
 	if err != nil {
-		t.Fatalf("warmed predict during outage: %v", err)
+		t.Fatal(err)
 	}
-	gotCold, err := cold.HandlePredict(req)
+	if _, err := store.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	mem, err := memps.New(memps.Config{NodeID: node, Dim: fakeDim, Topology: topo, Transport: cluster.NoRoute{},
+		Store: store, Seed: 3})
 	if err != nil {
-		t.Fatalf("cold predict during outage: %v", err)
+		t.Fatal(err)
 	}
-	if gotWarm[0] != want[0] {
-		t.Fatalf("warmed score %v != healthy score %v", gotWarm[0], want[0])
+	srv, err := serving.New(serving.Config{NodeID: node, Topology: topo, Dim: fakeDim, Hidden: []int{8},
+		Local: mem, Peers: &flakyPeer{down: true}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if gotCold[0] == want[0] {
-		t.Fatal("cold score matched the healthy score; outage not exercised")
+	t.Cleanup(srv.Close)
+	dense := nn.New(nn.Config{InputDim: fakeDim, Hidden: []int{8}, Seed: 42})
+	if err := srv.HandleServeConfig(cluster.ServeConfig{Dense: dense.FlattenParams(nil), Epoch: 1}); err != nil {
+		t.Fatal(err)
 	}
-	ws, cs := warmed.ServingStats(), cold.ServingStats()
-	if ws.CacheHits < int64(len(hot)) {
-		t.Fatalf("warmed cache hits = %d, want >= %d", ws.CacheHits, len(hot))
+	return mem, srv
+}
+
+// TestRestoredShardServesItsRowsLocally pins why a restarted shard has
+// nothing to warm its replica cache with: every row it recovers is a key it
+// holds, and the serving tier reads held keys from the MEM-PS, never from the
+// replica cache. Predicting all of them takes zero replica-cache lookups.
+func TestRestoredShardServesItsRowsLocally(t *testing.T) {
+	topo := cluster.Topology{Nodes: 2, GPUsPerNode: 1}
+	dir := t.TempDir()
+	var held []keys.Key
+	for k := keys.Key(1); len(held) < 40; k++ {
+		if topo.HoldsKey(k, 0) {
+			held = append(held, k)
+		}
 	}
-	if cs.CacheHits != 0 {
-		t.Fatalf("cold cache hits = %d, want 0", cs.CacheHits)
+	first, _ := restoredShard(t, dir, 0, topo)
+	blk := ps.NewValueBlock(fakeDim)
+	if err := first.HandlePullBlock(held, blk); err != nil { // first references create the rows
+		t.Fatal(err)
 	}
-	warmRate := float64(ws.CacheHits) / float64(ws.CacheHits+ws.CacheMisses)
-	coldRate := float64(cs.CacheHits) / float64(cs.CacheHits+cs.CacheMisses)
-	if warmRate <= coldRate {
-		t.Fatalf("post-failover hit rate: warmed %.2f <= cold %.2f", warmRate, coldRate)
+	if err := first.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	if cs.Degraded == 0 {
-		t.Fatal("cold server's failed peer fetch was not counted as degraded")
+
+	if err := first.Store().Device().Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	mem, srv := restoredShard(t, dir, 0, topo)
+	if got := mem.Store().Len(); got != len(held) {
+		t.Fatalf("restored %d of %d rows", got, len(held))
+	}
+	if _, err := srv.HandlePredict(cluster.PredictRequest{Keys: held, Counts: []uint32{uint32(len(held))}}); err != nil {
+		t.Fatal(err)
+	}
+	st := srv.ServingStats()
+	if st.CacheHits != 0 || st.CacheMisses != 0 || st.LocalKeys != int64(len(held)) {
+		t.Fatalf("restored shard: %d replica-cache hits, %d misses, %d local keys; want 0, 0, %d",
+			st.CacheHits, st.CacheMisses, st.LocalKeys, len(held))
 	}
 }

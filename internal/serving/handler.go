@@ -127,12 +127,6 @@ func (h *Handler) HandleMembership(u cluster.MembershipUpdate) error {
 	return nil
 }
 
-// WarmServing pre-fills the serving tier's hot-key cache from the top-K rows
-// of the local (typically just-recovered) MEM-PS shard; see Server.Warm.
-func (h *Handler) WarmServing(topK int) int {
-	return h.Serving.Warm(h.MemPS.HotRows(topK))
-}
-
 // Evict implements cluster.EvictHandler over the embedded MemPS. An
 // evict-everything call (nil ks) is the trainer's checkpoint flush: once it
 // returns, every applied push is durable in the SSD-PS, so the push-dedup

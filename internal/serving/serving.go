@@ -7,7 +7,7 @@
 // a shard serves the embeddings it owns without a network hop:
 //
 //   - Embeddings owned by this shard are read straight from the local
-//     MEM-PS (cache, dump buffer, or SSD-PS — LookupAll's read path).
+//     MEM-PS (cache, dump buffer, or SSD-PS — its HandleLookupBlock read).
 //   - Embeddings owned by peer shards go through a read-through hot-key
 //     replica cache (an LFU over the zipfian-hot heads of the key
 //     distribution), falling back to the peers' lookup RPC on a miss.
@@ -32,26 +32,22 @@ package serving
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"hps/internal/cache"
 	"hps/internal/cluster"
-	"hps/internal/embedding"
 	"hps/internal/keys"
 	"hps/internal/nn"
+	"hps/internal/ps"
 )
 
-// LocalReader reads this shard's own embeddings without materializing
-// missing keys (implemented by memps.MemPS.LookupAll).
-type LocalReader interface {
-	LookupAll(ks []keys.Key) (map[keys.Key]*embedding.Value, error)
-}
-
-// PeerReader reads embeddings from a peer shard by node id (implemented by
-// cluster.TCPTransport.Lookup and cluster.LocalTransport.Lookup).
+// PeerReader reads embeddings from a peer shard by node id without
+// materializing missing keys (implemented by cluster.TCPTransport.Lookup and
+// cluster.LocalTransport.Lookup).
 type PeerReader interface {
-	Lookup(nodeID int, ks []keys.Key) (cluster.PullResult, int64, error)
+	Lookup(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (int64, error)
 }
 
 // Config configures a serving Server.
@@ -65,8 +61,8 @@ type Config struct {
 	Dim int
 	// Hidden is the dense tower's hidden-layer widths (model.Spec.HiddenLayers).
 	Hidden []int
-	// Local reads this shard's own embeddings.
-	Local LocalReader
+	// Local reads this shard's own embeddings (memps.MemPS implements it).
+	Local cluster.LookupHandler
 	// Peers reads remote-owned embeddings on replica-cache misses. Nil means
 	// the server dials peers itself from the addresses in the first
 	// ServeConfig (the usual multiprocess arrangement); tests inject a
@@ -305,6 +301,10 @@ func (s *Server) ServingStats() cluster.ServingStats {
 // over the dense replica instead of paying the fetch per request.
 func (s *Server) worker() {
 	defer s.wg.Done()
+	var (
+		ib keys.IndexBuilder
+		x  keys.Index
+	)
 	for {
 		select {
 		case <-s.stop:
@@ -325,28 +325,25 @@ func (s *Server) worker() {
 			if len(batch) > 1 {
 				s.coalesced.Add(int64(len(batch)))
 			}
-			s.score(batch)
+			s.score(batch, &ib, &x)
 		}
 	}
 }
 
-// score runs one merged scoring pass: fetch every distinct embedding the
-// batch references (local shard, replica cache, then peers), pool per
-// example, and run the dense replica. Every job gets its reply, error or
-// scores.
-func (s *Server) score(batch []*job) {
-	var total int
+// score runs one merged scoring pass: index the batch's key occurrences
+// into x with the worker's builder, fetch every distinct embedding (local
+// shard, replica cache, then peers) into one block, pool per example from
+// the block rows, and run the dense replica. Every job gets its reply, error
+// or scores.
+func (s *Server) score(batch []*job, ib *keys.IndexBuilder, x *keys.Index) {
+	ib.Reset()
 	for _, j := range batch {
-		total += len(j.req.Keys)
+		ib.Add(j.req.Keys)
 	}
-	all := make([]keys.Key, 0, total)
-	for _, j := range batch {
-		all = append(all, j.req.Keys...)
-	}
-	all = keys.Dedup(all)
-
-	vecs, err := s.gather(all)
-	if err != nil {
+	ib.Build(x)
+	blk := ps.GetBlock(s.cfg.Dim, x.Unique)
+	defer ps.PutBlock(blk)
+	if err := s.gather(blk); err != nil {
 		for _, j := range batch {
 			j.done <- result{err: err}
 		}
@@ -381,17 +378,17 @@ func (s *Server) score(batch []*job) {
 	s.netMu.RLock()
 	acts := net.NewActivations()
 	pooled := make([][]float32, 0, 64)
+	rows := x.Rows // one row of blk per key occurrence, in batch order
 	for _, j := range batch {
 		scores := make([]float32, len(j.req.Counts))
-		off := 0
 		for i, c := range j.req.Counts {
 			pooled = pooled[:0]
-			for _, k := range j.req.Keys[off : off+int(c)] {
-				if v := vecs[k]; v != nil {
-					pooled = append(pooled, v)
+			for _, r := range rows[:c] {
+				if blk.Present[r] {
+					pooled = append(pooled, blk.WeightsRow(int(r)))
 				}
 			}
-			off += int(c)
+			rows = rows[c:]
 			nn.PoolSum(acts.Input(), pooled)
 			scores[i] = net.Forward(acts)
 		}
@@ -402,14 +399,15 @@ func (s *Server) score(batch []*job) {
 	s.netMu.RUnlock()
 }
 
-// gather resolves every key to its current embedding vector (nil for keys no
-// shard has trained yet): local keys from the shard's own MEM-PS, remote
-// keys from the replica cache, and cache misses from the owning peers —
-// filling the cache on the way back.
-func (s *Server) gather(all []keys.Key) (map[keys.Key][]float32, error) {
-	vecs := make(map[keys.Key][]float32, len(all))
-	var local, remote []keys.Key
-	for _, k := range all {
+// gather fills dst — shaped for the merged batch's distinct keys, in
+// increasing order — with every key's current embedding: local keys from the
+// shard's own MEM-PS, remote keys from the replica cache, and cache misses
+// from the owning peers, filling the cache on the way back. A key no shard
+// has trained yet stays an absent row.
+func (s *Server) gather(dst *ps.ValueBlock) error {
+	var local []keys.Key
+	var remote []int // rows of dst
+	for i, k := range dst.Keys {
 		// HoldsKey, not NodeOf: under replication a backup stores live rows
 		// for keys whose primary is another node, and serves them locally —
 		// the shard keeps answering for its replica ranges even while their
@@ -417,23 +415,20 @@ func (s *Server) gather(all []keys.Key) (map[keys.Key][]float32, error) {
 		if s.cfg.Topology.HoldsKey(k, s.cfg.NodeID) {
 			local = append(local, k)
 		} else {
-			remote = append(remote, k)
+			remote = append(remote, i)
 		}
 	}
+	sub := ps.GetBlock(s.cfg.Dim, nil)
+	defer ps.PutBlock(sub)
 	if len(local) > 0 {
-		vals, err := s.cfg.Local.LookupAll(local)
-		if err != nil {
-			return nil, fmt.Errorf("serving: local lookup: %w", err)
+		if err := s.cfg.Local.HandleLookupBlock(local, sub); err != nil {
+			return fmt.Errorf("serving: local lookup: %w", err)
 		}
 		s.localKeys.Add(int64(len(local)))
-		for k, v := range vals {
-			if v != nil {
-				vecs[k] = v.Weights
-			}
-		}
+		dst.ScatterRows(sub)
 	}
 	if len(remote) == 0 {
-		return vecs, nil
+		return nil
 	}
 
 	// Replica cache: entries are valid only for the push epoch they were
@@ -442,12 +437,11 @@ func (s *Server) gather(all []keys.Key) (map[keys.Key][]float32, error) {
 	epoch := s.pushEpoch.Load()
 	var miss []keys.Key
 	s.hotMu.Lock()
-	for _, k := range remote {
+	for _, i := range remote {
+		k := dst.Keys[i]
 		if row, ok := s.hot.Get(uint64(k)); ok && row.epoch == epoch {
-			if row.weights != nil {
-				vecs[k] = row.weights
-			}
-			continue // nil weights: a fresh negative entry, key untrained
+			setWeights(dst, i, row.weights) // nil weights: a fresh negative entry, key untrained
+			continue
 		}
 		miss = append(miss, k)
 	}
@@ -455,29 +449,31 @@ func (s *Server) gather(all []keys.Key) (map[keys.Key][]float32, error) {
 	s.cacheHits.Add(int64(len(remote) - len(miss)))
 	s.cacheMisses.Add(int64(len(miss)))
 	if len(miss) == 0 {
-		return vecs, nil
+		return nil
 	}
 
 	s.peerMu.Lock()
 	peers := s.peers
 	s.peerMu.Unlock()
 	if peers == nil {
-		return nil, errors.New("serving: no peer transport configured yet")
+		return errors.New("serving: no peer transport configured yet")
 	}
-	byOwner := s.cfg.Topology.SplitByNode(miss)
-	for owner, ks := range byOwner {
+	for owner, ks := range s.cfg.Topology.SplitByNode(miss) {
 		if len(ks) == 0 {
 			continue
 		}
-		vals, _, err := peers.Lookup(owner, ks)
+		_, err := peers.Lookup(owner, ks, sub)
 		if err != nil && s.cfg.Topology.Replicas > 1 {
 			// Replicated deployment: the primary is down but every key has a
 			// live backup. Re-split this owner's keys by backup shard and
 			// read there — the rows are fresh (the backup applies the same
 			// replicated deltas), so this is a failover, not a degradation.
-			if bvals, berr := s.backupLookup(peers, ks); berr == nil {
+			// If any key has no backup but this shard, HoldsKey would have
+			// served it locally: the replica set is out of step with the
+			// membership view, and the read must not loop back here.
+			if _, berr := s.cfg.Topology.ReadBackups(s.cfg.NodeID, ks, s.cfg.Dim, sub, peers.Lookup); berr == nil {
 				s.failedOver.Add(1)
-				vals, err = bvals, nil
+				err = nil
 			}
 		}
 		if err != nil {
@@ -491,8 +487,9 @@ func (s *Server) gather(all []keys.Key) (map[keys.Key][]float32, error) {
 			s.degraded.Add(1)
 			s.hotMu.Lock()
 			for _, k := range ks {
-				if row, ok := s.hot.Get(uint64(k)); ok && row.weights != nil {
-					vecs[k] = row.weights
+				if row, ok := s.hot.Get(uint64(k)); ok {
+					i, _ := dst.Row(k)
+					setWeights(dst, i, row.weights)
 				}
 			}
 			s.hotMu.Unlock()
@@ -500,72 +497,27 @@ func (s *Server) gather(all []keys.Key) (map[keys.Key][]float32, error) {
 		}
 		s.peerFetches.Add(1)
 		s.peerKeys.Add(int64(len(ks)))
+		dst.ScatterRows(sub)
 		s.hotMu.Lock()
-		for _, k := range ks {
+		for j, k := range ks {
+			// Absent keys are cached too (nil weights): a hot untrained key
+			// must not re-fetch on every request.
 			var w []float32
-			if v := vals[k]; v != nil {
-				w = v.Weights
-				vecs[k] = w
+			if sub.Present[j] {
+				w = slices.Clone(sub.WeightsRow(j))
 			}
-			// Absent keys are cached too (w == nil): a hot untrained key must
-			// not re-fetch on every request.
 			s.hot.Put(uint64(k), hotRow{weights: w, epoch: epoch})
 		}
 		s.hotMu.Unlock()
 	}
-	return vecs, nil
+	return nil
 }
 
-// backupLookup re-reads ks — all owned by one unreachable primary — from each
-// key's backup shard. It fails whole if any key has no backup or any backup
-// read fails; the caller then falls back to the stale-cache degraded path.
-func (s *Server) backupLookup(peers PeerReader, ks []keys.Key) (cluster.PullResult, error) {
-	byBackup := make(map[int][]keys.Key)
-	for _, k := range ks {
-		b := s.cfg.Topology.BackupOf(k)
-		if b < 0 || b == s.cfg.NodeID {
-			// No backup, or the backup is this shard — but then HoldsKey
-			// would have served the key locally, so the replica set is out of
-			// step with the membership view; don't loop the lookup onto
-			// ourselves.
-			return nil, fmt.Errorf("serving: key %d has no reachable backup", k)
-		}
-		byBackup[b] = append(byBackup[b], k)
+// setWeights makes row i of dst present with the given replica-cache weights;
+// nil weights (a negative entry) leave it absent.
+func setWeights(dst *ps.ValueBlock, i int, w []float32) {
+	if w != nil {
+		copy(dst.WeightsRow(i), w)
+		dst.Present[i] = true
 	}
-	out := make(cluster.PullResult, len(ks))
-	for b, part := range byBackup {
-		vals, _, err := peers.Lookup(b, part)
-		if err != nil {
-			return nil, fmt.Errorf("serving: backup shard %d: %w", b, err)
-		}
-		for k, v := range vals {
-			out[k] = v
-		}
-	}
-	return out, nil
-}
-
-// Warm pre-fills the hot-key replica cache: every non-nil row is installed at
-// the current push epoch, seeded with its training-observed frequency so warm
-// rows out-compete cold fills for LFU residency. A restarted or newly promoted
-// shard warms its cache from the top-K rows of the recovered MEM-PS shard
-// (see memps.MemPS.HotRows); until organic traffic refills the cache, those
-// rows are what the degraded path serves if another shard dies first. Rows
-// are cloned, so callers may pass live MEM-PS values. Returns the number of
-// rows installed.
-func (s *Server) Warm(rows map[keys.Key]*embedding.Value) int {
-	epoch := s.pushEpoch.Load()
-	n := 0
-	s.hotMu.Lock()
-	defer s.hotMu.Unlock()
-	for k, v := range rows {
-		if v == nil || len(v.Weights) == 0 {
-			continue
-		}
-		w := make([]float32, len(v.Weights))
-		copy(w, v.Weights)
-		s.hot.PutWithFreq(uint64(k), hotRow{weights: w, epoch: epoch}, int64(v.Freq))
-		n++
-	}
-	return n
 }

@@ -12,12 +12,12 @@ import (
 	"hps/internal/blockio"
 	"hps/internal/cluster"
 	"hps/internal/dataset"
-	"hps/internal/embedding"
 	"hps/internal/hw"
 	"hps/internal/keys"
 	"hps/internal/loadgen"
 	"hps/internal/memps"
 	"hps/internal/model"
+	"hps/internal/ps"
 	"hps/internal/serving"
 	"hps/internal/simtime"
 	"hps/internal/ssdps"
@@ -163,14 +163,18 @@ func TestServeWhileTraining(t *testing.T) {
 	if served.Load() == 0 {
 		t.Fatal("no example was served during training")
 	}
-	var agg cluster.ServingStats
-	for id := 0; id < topo.Nodes; id++ {
-		st, err := qt.ServingStats(id)
-		if err != nil {
-			t.Fatal(err)
+	clusterStats := func() cluster.ServingStats {
+		var agg cluster.ServingStats
+		for id := 0; id < topo.Nodes; id++ {
+			st, err := qt.ServingStats(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			agg = agg.Add(st)
 		}
-		agg = agg.Add(st)
+		return agg
 	}
+	agg := clusterStats()
 	if agg.Requests == 0 {
 		t.Fatal("shards report zero served requests")
 	}
@@ -184,12 +188,59 @@ func TestServeWhileTraining(t *testing.T) {
 		t.Fatalf("epochs: push %d dense %d, want 25/25", agg.PushEpoch, agg.DenseEpoch)
 	}
 
+	// Agreement phase: serving and evaluation read the same authoritative
+	// rows and the same dense parameters, so a served score equals
+	// Trainer.Predict's bit for bit — on both target shards, the first time
+	// through the peer fetch, the second through the replica cache.
+	agree := dataset.NewGenerator(data, 777)
+	for target := 0; target < topo.Nodes; target++ {
+		req := cluster.PredictRequest{Counts: make([]uint32, 0, 8)}
+		var examples [][]keys.Key
+		for e := 0; e < 8; e++ {
+			ex := agree.NextExample()
+			examples = append(examples, ex.Features)
+			req.Counts = append(req.Counts, uint32(len(ex.Features)))
+			req.Keys = append(req.Keys, ex.Features...)
+		}
+		want := make([]float32, len(examples))
+		for e, f := range examples {
+			if want[e], err = tr.Predict(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for pass, path := range []string{"peer fetch", "replica cache"} {
+			st0, err := qt.ServingStats(target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := qt.Predict(target, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st1, err := qt.ServingStats(target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case pass == 0 && st1.PeerFetches == st0.PeerFetches:
+				t.Fatalf("shard %d: first predict made no peer fetch", target)
+			case pass == 1 && (st1.CacheMisses != st0.CacheMisses || st1.CacheHits == st0.CacheHits):
+				t.Fatalf("shard %d: second predict missed the replica cache", target)
+			}
+			for e := range want {
+				if math.Float32bits(got[e]) != math.Float32bits(want[e]) {
+					t.Fatalf("shard %d via %s: example %d served %v, Trainer.Predict %v", target, path, e, got[e], want[e])
+				}
+			}
+		}
+	}
+
 	// Hit-rate phase: during training this fast, every batch's push
 	// invalidates the replica cache (deliberately — freshness wins), so the
 	// mid-training hit rate tells us nothing. With training finished the
 	// push epoch is stable, and the zipfian stream must now be absorbed by
 	// the hot-key cache.
-	before := agg
+	before := clusterStats()
 	gen := dataset.NewGenerator(data, 4242)
 	for i := 0; i < 150; i++ {
 		req := cluster.PredictRequest{Counts: make([]uint32, 0, 8)}
@@ -202,14 +253,7 @@ func TestServeWhileTraining(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var after cluster.ServingStats
-	for id := 0; id < topo.Nodes; id++ {
-		st, err := qt.ServingStats(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		after = after.Add(st)
-	}
+	after := clusterStats()
 	hits := after.CacheHits - before.CacheHits
 	misses := after.CacheMisses - before.CacheMisses
 	if hits+misses == 0 {
@@ -220,20 +264,20 @@ func TestServeWhileTraining(t *testing.T) {
 	}
 }
 
-// slowReader is a LocalReader whose lookups block until released, to pin
-// scoring workers down while the admission queue saturates.
+// slowReader is a local cluster.LookupHandler whose lookups block until
+// released, to pin scoring workers down while the admission queue saturates.
 type slowReader struct {
 	dim     int
 	release chan struct{}
 }
 
-func (r *slowReader) LookupAll(ks []keys.Key) (map[keys.Key]*embedding.Value, error) {
+func (r *slowReader) HandleLookupBlock(ks []keys.Key, dst *ps.ValueBlock) error {
 	<-r.release
-	out := make(map[keys.Key]*embedding.Value, len(ks))
-	for _, k := range ks {
-		out[k] = embedding.NewValue(r.dim)
+	dst.Reset(r.dim, ks)
+	for i := range ks {
+		dst.Present[i] = true
 	}
-	return out, nil
+	return nil
 }
 
 // TestOverloadBehavior saturates the admission queue and asserts the

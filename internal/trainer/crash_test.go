@@ -11,7 +11,6 @@ import (
 	"hps/internal/cluster"
 	"hps/internal/dataset"
 	"hps/internal/hw"
-	"hps/internal/keys"
 	"hps/internal/memps"
 	"hps/internal/serving"
 	"hps/internal/simtime"
@@ -280,8 +279,7 @@ func TestKillPrimaryMidEpochPromotesBackup(t *testing.T) {
 		}
 		checked++
 		for id, sh := range survivors {
-			vals, _ := sh.mem.LookupAll([]keys.Key{k})
-			if _, ok := vals[k]; !ok {
+			if sh.mem.Lookup(k) == nil {
 				t.Fatalf("key %d (owned by the dead shard) missing from survivor %d: R=2 not restored", k, id)
 			}
 		}

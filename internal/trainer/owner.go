@@ -5,7 +5,7 @@ import (
 	"sync"
 	"time"
 
-	"hps/internal/embedding"
+	"hps/internal/cluster"
 	"hps/internal/keys"
 	"hps/internal/memps"
 	"hps/internal/ps"
@@ -26,8 +26,8 @@ import (
 // until complete, so the push never misses its cache. A shard server pins
 // nothing for the driver, so a remote owner's complete does nothing.
 //
-// TierStats, LookupAll and Flush are the trainer's calls outside a batch:
-// reports, Predict and checkpoints.
+// TierStats, HandleLookupBlock and Flush are the trainer's calls outside a
+// batch: reports, Predict and checkpoints.
 type owner interface {
 	// resolve copies the values of the owner's share of a batch's pull —
 	// shares[id] for owner id — into the nodes' blocks dsts, at the rows the
@@ -42,10 +42,11 @@ type owner interface {
 	complete(shares []ownedPull) error
 	// TierStats returns the owner's uniform MEM-PS statistics.
 	TierStats() ps.Stats
-	// LookupAll reads current values of keys the owner holds without
-	// materializing missing ones. A missing key is absent from the result; an
-	// error means the values could not be read at all (an unreachable shard).
-	LookupAll(ks []keys.Key) (map[keys.Key]*embedding.Value, error)
+	// HandleLookupBlock reads the current values of keys the owner holds
+	// into dst without materializing missing ones: a missing key is an
+	// absent row, an error means the values could not be read at all (an
+	// unreachable shard, an unreadable SSD-PS).
+	cluster.LookupHandler
 	// Flush persists the owner's in-memory parameters to its SSD-PS.
 	Flush() error
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"hps/internal/cluster"
-	"hps/internal/embedding"
 	"hps/internal/keys"
 	"hps/internal/ps"
 )
@@ -98,7 +97,11 @@ func (r *remoteShard) resolve(shares []ownedPull, dsts []*ps.ValueBlock) (time.D
 	defer ps.PutBlock(sub)
 	bytes, err := r.transport.PullBlock(r.id, op.keys, sub)
 	if err != nil && r.topo.Replicas > 1 {
-		bytes, err = r.pullFailover(op.keys, sub)
+		// Backups legitimately answer for the keys they replicate, and first
+		// references materialize identically everywhere (the keyed init is
+		// node-independent), so the rows match what the primary would have
+		// served up to the bounded replication lag.
+		bytes, err = r.topo.ReadBackups(-1, op.keys, r.dim, sub, r.transport.PullBlock)
 		if err == nil {
 			r.net.recordFailover()
 		}
@@ -116,45 +119,12 @@ func (r *remoteShard) resolve(shares []ownedPull, dsts []*ps.ValueBlock) (time.D
 			if row < 0 {
 				continue
 			}
-			copy(dst.WeightsRow(int(row)), sub.WeightsRow(x))
-			copy(dst.G2Row(int(row)), sub.G2Row(x))
-			dst.Freq[row] = sub.Freq[x]
-			dst.Present[row] = true
+			dst.CopyRow(int(row), sub, x)
 		}
 	}
 	wall := time.Since(start)
 	r.net.recordPull(len(op.keys), bytes, wall)
 	return wall, nil
-}
-
-// pullFailover re-pulls a primary's keys from each key's backup into dst, in
-// ks order. Backups legitimately answer for the keys they replicate, and
-// first references materialize identically everywhere (the keyed init is
-// node-independent), so the rows match what the primary would have served up
-// to the bounded replication lag.
-func (r *remoteShard) pullFailover(ks []keys.Key, dst *ps.ValueBlock) (int64, error) {
-	parts := make(map[int][]keys.Key, 2)
-	for _, k := range ks {
-		b := r.topo.BackupOf(k)
-		if b < 0 {
-			return 0, fmt.Errorf("key %d has no backup", k)
-		}
-		parts[b] = append(parts[b], k)
-	}
-	dst.Reset(r.dim, ks)
-	var total int64
-	for b, bks := range parts {
-		sub := ps.GetBlock(r.dim, bks)
-		bytes, err := r.transport.PullBlock(b, bks, sub)
-		if err != nil {
-			ps.PutBlock(sub)
-			return 0, fmt.Errorf("backup %d: %w", b, err)
-		}
-		dst.ScatterRows(sub)
-		ps.PutBlock(sub)
-		total += bytes
-	}
-	return total, nil
 }
 
 // apply sends the member's partition of the merged delta block, sliced out of
@@ -246,42 +216,20 @@ func (r *remoteShard) TierStats() ps.Stats {
 	return info.Stats
 }
 
-// LookupAll reads ks with the no-create lookup RPC, failing over to each
-// key's backup when the member is unreachable.
-func (r *remoteShard) LookupAll(ks []keys.Key) (map[keys.Key]*embedding.Value, error) {
-	res, _, err := r.transport.Lookup(r.id, ks)
+// HandleLookupBlock reads ks with the no-create lookup RPC, failing over to
+// each key's backup when the member is unreachable.
+func (r *remoteShard) HandleLookupBlock(ks []keys.Key, dst *ps.ValueBlock) error {
+	_, err := r.transport.Lookup(r.id, ks, dst)
 	if err != nil && r.topo.Replicas > 1 {
-		res, err = r.lookupFailover(ks, err)
+		_, err = r.topo.ReadBackups(-1, ks, r.dim, dst, r.transport.Lookup)
+		if err == nil {
+			r.net.recordFailover()
+		}
 	}
 	if err != nil {
-		return nil, fmt.Errorf("trainer: remote lookup: %w", err)
+		return fmt.Errorf("trainer: remote lookup: %w", err)
 	}
-	return res, nil
-}
-
-// lookupFailover reads ks from each key's backup after the member failed with
-// primErr.
-func (r *remoteShard) lookupFailover(ks []keys.Key, primErr error) (cluster.PullResult, error) {
-	parts := make(map[int][]keys.Key, 2)
-	for _, k := range ks {
-		b := r.topo.BackupOf(k)
-		if b < 0 {
-			return nil, primErr
-		}
-		parts[b] = append(parts[b], k)
-	}
-	out := make(cluster.PullResult, len(ks))
-	for b, bks := range parts {
-		res, _, err := r.transport.Lookup(b, bks)
-		if err != nil {
-			return nil, fmt.Errorf("%v; backup %d: %w", primErr, b, err)
-		}
-		for k, v := range res {
-			out[k] = v
-		}
-	}
-	r.net.recordFailover()
-	return out, nil
+	return nil
 }
 
 // Flush is an evict-everything RPC, which demotes the member's entire

@@ -1355,17 +1355,28 @@ func (t *Trainer) republishDense(index int) error {
 }
 
 // Predict returns the model's click probability for a feature set, reading
-// the authoritative parameter copies from their owners (one batched lookup
-// per owner — over the wire in multi-process mode, failing over to backups
-// on a primary outage). Features never trained on contribute nothing
-// (matching internal/reference). It fails if an owner's parameters cannot be
-// read: a prediction computed with a shard's embeddings missing would be
-// silently wrong.
+// the authoritative parameter copies of its distinct keys from their owners
+// into one block (one batched lookup per owner — over the wire in
+// multi-process mode, failing over to backups on a primary outage) and
+// pooling the rows in feature order, as the serving tier does. Features
+// never trained on contribute nothing (matching internal/reference). It
+// fails if an owner's parameters cannot be read: a prediction computed with
+// a shard's embeddings missing would be silently wrong.
 func (t *Trainer) Predict(features []keys.Key) (float32, error) {
-	vals := make(map[keys.Key]*embedding.Value, len(features))
+	var (
+		ib keys.IndexBuilder
+		x  keys.Index
+	)
+	ib.Add(features)
+	ib.Build(&x)
+	dim := t.cfg.Spec.EmbeddingDim
+	blk := ps.GetBlock(dim, x.Unique)
+	defer ps.PutBlock(blk)
+	sub := ps.GetBlock(dim, nil)
+	defer ps.PutBlock(sub)
 	t.ownersMu.Lock()
 	owners := t.owners
-	parts := t.cfg.Topology.SplitByNode(features)
+	parts := t.cfg.Topology.SplitByNode(x.Unique)
 	t.ownersMu.Unlock()
 	for id, ks := range parts {
 		if len(ks) == 0 {
@@ -1374,18 +1385,15 @@ func (t *Trainer) Predict(features []keys.Key) (float32, error) {
 		if id >= len(owners) || owners[id] == nil {
 			return 0, fmt.Errorf("trainer: predict: keys owned by %d, which is not an owner of this trainer", id)
 		}
-		v, err := owners[id].LookupAll(ks)
-		if err != nil {
+		if err := owners[id].HandleLookupBlock(ks, sub); err != nil {
 			return 0, fmt.Errorf("trainer: predict: owner %d: %w", id, err)
 		}
-		for k, val := range v {
-			vals[k] = val
-		}
+		blk.ScatterRows(sub)
 	}
 	vecs := make([][]float32, 0, len(features))
-	for _, k := range features {
-		if v := vals[k]; v != nil {
-			vecs = append(vecs, v.Weights)
+	for _, r := range x.Rows {
+		if blk.Present[r] {
+			vecs = append(vecs, blk.WeightsRow(int(r)))
 		}
 	}
 	t.denseMu.Lock()
