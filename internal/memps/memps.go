@@ -168,6 +168,7 @@ type MemPS struct {
 
 	// Scratch reused across batches (safe: every user holds m.mu throughout).
 	applyOrder []int
+	applyKeys  []keys.Key
 	ownedVals  []*embedding.Value
 	miss       missPass
 }
@@ -192,9 +193,8 @@ type dumpEntry struct {
 // hold m.mu.
 func (m *MemPS) beingWritten(e dumpEntry) bool { return e.epoch != m.epoch }
 
-// missPass is the state of one batched miss resolution. A pull or push first
-// probes the cache once per key, noting the misses; the cold ones are then
-// loaded from the SSD-PS in a single pass, and the misses are resolved in the
+// missPass is the state of one resolve call's misses: noted while it probes
+// the cache, loaded from the SSD-PS in a single pass, then resolved in the
 // order they were noted.
 type missPass struct {
 	// idx are the positions (in whatever the caller iterates) that missed.
@@ -300,8 +300,8 @@ func (m *MemPS) ownsKey(k keys.Key) bool {
 	return m.cfg.Topology.HoldsKey(k, m.cfg.NodeID)
 }
 
-// noteMiss records that position i of the pass in progress, holding key k,
-// missed the cache, and queues k for the batched SSD load unless the dump
+// noteMiss records that position i of the resolve in progress, holding key
+// k, missed the cache, and queues k for the batched SSD load unless the dump
 // buffer holds its latest value. Duplicate keys must be adjacent (they are
 // queued once). The caller must hold m.mu.
 func (m *MemPS) noteMiss(i int, k keys.Key) {
@@ -331,8 +331,7 @@ func (m *MemPS) loadMisses() (time.Duration, error) {
 // resolveMiss returns the authoritative value of a noted miss (misses resolve
 // in the order they were noted): from the pending-dump buffer, else the value
 // the batched SSD load found for it, else created on first reference. The
-// resolved value enters the cache. The caller must hold m.mu and have
-// counted the miss.
+// resolved value enters the cache. The caller must hold m.mu.
 func (m *MemPS) resolveMiss(k keys.Key, st *PullStats) *embedding.Value {
 	loaded := m.miss.take(k)
 	if e, ok := m.pendingDump[k]; ok {
@@ -349,16 +348,12 @@ func (m *MemPS) resolveMiss(k keys.Key, st *PullStats) *embedding.Value {
 		return v
 	}
 	if loaded != nil {
-		if st != nil {
-			st.SSDHits++
-		}
+		st.SSDHits++
 		m.cache.Put(uint64(k), loaded)
 		return loaded
 	}
 	v := embedding.NewKeyedValue(m.cfg.Dim, m.seed, uint64(k))
-	if st != nil {
-		st.NewParams++
-	}
+	st.NewParams++
 	m.cache.Put(uint64(k), v)
 	return v
 }
@@ -378,31 +373,77 @@ func (m *MemPS) copyOf(v *embedding.Value) *embedding.Value {
 	return c
 }
 
-// lookupOwned returns the authoritative in-memory values of ks — sorted,
-// unique and all held by this node — probing the cache once per key (a Get:
-// the keys count as visited), loading the cold ones from the SSD-PS in one
-// batched pass and materializing first references. out[i] belongs to ks[i]
-// and stays valid while the caller holds m.mu, which it must; the next call
-// reuses the slice.
-func (m *MemPS) lookupOwned(ks []keys.Key) ([]*embedding.Value, time.Duration, error) {
-	vals := slices.Grow(m.ownedVals[:0], len(ks))[:len(ks)]
-	m.ownedVals = vals
-	m.miss.reset()
+// probe is how resolve reads the cache.
+type probe int
+
+const (
+	// probeRead reads with Get: the keys count as visited.
+	probeRead probe = iota
+	// probePin reads like probeRead and pins every key until CompleteBatch.
+	probePin
+	// probeApply reads with GetApply, for a push: the pull that assembled
+	// the batch already counted the visits.
+	probeApply
+)
+
+// resolve is the one place an owned key resolves: from the cache, else the
+// dump buffer, else the SSD-PS, else keyed init. It probes the cache once per
+// key of ks and hands each hit to use at probe time, pinned first under
+// probePin. The misses are noted, loaded from the SSD-PS in one batched load
+// and resolved — entering the cache — in the order they were noted, each
+// handed to use in turn; a run of equal keys resolves once and reaches use
+// once per position. st gets the cache outcomes and the load's modelled
+// time. A failed load withdraws the pins the call took and returns its error:
+// a failed batch must not leak pinned, unevictable entries, since
+// CompleteBatch is never called for it. ks must be sorted (unique under
+// probePin), and the caller must hold m.mu.
+func (m *MemPS) resolve(ks []keys.Key, how probe, st *PullStats, use func(i int, v *embedding.Value)) error {
+	p := &m.miss
+	p.reset()
 	for i, k := range ks {
-		v, ok := m.cache.Get(uint64(k))
-		vals[i] = v
+		var v *embedding.Value
+		var ok bool
+		if how == probeApply {
+			v, ok = m.cache.GetApply(uint64(k))
+		} else {
+			v, ok = m.cache.Get(uint64(k))
+		}
 		if !ok {
 			m.noteMiss(i, k)
+			continue
 		}
+		if how == probePin {
+			m.cache.Pin(uint64(k))
+		}
+		use(i, v)
 	}
-	loadTime, err := m.loadMisses()
-	if err != nil {
-		return nil, 0, err
+	st.CacheMisses += len(p.idx)
+	st.CacheHits += len(ks) - len(p.idx)
+	var err error
+	if st.LocalTime, err = m.loadMisses(); err != nil {
+		if how == probePin {
+			misses := p.idx
+			for i, k := range ks {
+				if len(misses) > 0 && misses[0] == i {
+					misses = misses[1:]
+					continue
+				}
+				m.cache.Unpin(uint64(k))
+			}
+		}
+		return err
 	}
-	for _, i := range m.miss.idx {
-		vals[i] = m.resolveMiss(ks[i], nil)
+	var v *embedding.Value
+	for n, i := range p.idx {
+		if n == 0 || ks[i] != ks[p.idx[n-1]] {
+			v = m.resolveMiss(ks[i], st)
+			if how == probePin {
+				m.cache.Pin(uint64(ks[i]))
+			}
+		}
+		use(i, v)
 	}
-	return vals, loadTime, nil
+	return nil
 }
 
 // PrepareInto assembles the working set for a batch whose referenced
@@ -454,53 +495,22 @@ func (m *MemPS) PrepareOwnedInto(ks []keys.Key, dsts []*ps.ValueBlock, rows [][]
 	ws := WorkingSet{LocalKeys: ks}
 	st := &ws.Stats
 	st.LocalKeys = len(ks)
-	emit := func(x int, v *embedding.Value) {
-		m.cache.Pin(uint64(ks[x]))
+	m.mu.Lock()
+	err := m.resolve(ks, probePin, st, func(x int, v *embedding.Value) {
 		for r, dst := range dsts {
 			if row := rows[r][x]; row >= 0 {
 				dst.Set(int(row), v)
 			}
 		}
-	}
-	m.mu.Lock()
-	m.miss.reset()
-	for x, k := range ks {
-		if v, ok := m.cache.Get(uint64(k)); ok {
-			st.CacheHits++
-			emit(x, v)
-			continue
-		}
-		st.CacheMisses++
-		m.noteMiss(x, k)
-	}
-	var err error
-	if st.LocalTime, err = m.loadMisses(); err != nil {
-		m.unpinHits(ks)
+	})
+	if err != nil {
 		m.mu.Unlock()
 		return WorkingSet{}, fmt.Errorf("memps: load local parameters: %w", err)
-	}
-	for _, x := range m.miss.idx {
-		emit(x, m.resolveMiss(ks[x], st))
 	}
 	m.recordPrepared(st)
 	m.mu.Unlock()
 	m.rec.RecordPull(len(ks), st.LocalTime)
 	return ws, nil
-}
-
-// unpinHits withdraws the pins a pass over ks took for its cache hits — every
-// position that is not a noted miss — after a failed SSD-PS load: a failed
-// prepare must not leak pinned, unevictable entries, since CompleteBatch is
-// never called for it. The caller must hold m.mu.
-func (m *MemPS) unpinHits(ks []keys.Key) {
-	misses := m.miss.idx
-	for i, k := range ks {
-		if len(misses) > 0 && misses[0] == i {
-			misses = misses[1:]
-			continue
-		}
-		m.cache.Unpin(uint64(k))
-	}
 }
 
 // recordPrepared adds one working-set assembly's local-path statistics to the
@@ -544,29 +554,41 @@ func (m *MemPS) TierStats() ps.Stats { return m.rec.TierStats() }
 // key set — local keys from the cache, the dump buffer or the SSD-PS (created
 // on first reference), remote keys from their owning nodes — into dst, in
 // request-key order, without pinning anything. Training batches use
-// PrepareInto instead, which additionally pins. The assembly runs over the
-// request's sorted unique key set (hot-path requests already are one); any
-// other request is gathered back into request order from it, because rows
-// bound positionally to the request (the wire protocol) must never come back
-// reordered.
+// PrepareInto instead, which additionally pins.
 func (m *MemPS) PullInto(req ps.PullRequest, dst *ps.ValueBlock) error {
 	if dst == nil {
 		return errors.New("memps: PullInto needs a destination block")
 	}
-	if keys.SortedUnique(req.Keys) {
-		_, err := m.assemble(req.Keys, false, dst)
-		return err
-	}
 	set := ps.GetBlock(m.cfg.Dim, nil)
 	defer ps.PutBlock(set)
-	if _, err := m.assemble(keys.Dedup(slices.Clone(req.Keys)), false, set); err != nil {
+	dst.Reset(m.cfg.Dim, req.Keys)
+	return inRequestOrder(req.Keys, func(ks []keys.Key) error {
+		_, err := m.assemble(ks, false, set)
+		return err
+	}, func(i, j int) { dst.CopyRow(i, set, j) })
+}
+
+// inRequestOrder serves a request through its sorted unique key set — ks
+// itself when it already is one (peers, drivers and training batches ask for
+// sorted sets) — which serve resolves, then calls emit(i, j) for every
+// request position i in order, j being its key's position in the set: rows
+// bound positionally to a request (the wire protocol) never come back
+// reordered.
+func inRequestOrder(ks []keys.Key, serve func(set []keys.Key) error, emit func(i, j int)) error {
+	set := ks
+	sorted := keys.SortedUnique(ks)
+	if !sorted {
+		set = keys.Dedup(slices.Clone(ks))
+	}
+	if err := serve(set); err != nil {
 		return err
 	}
-	dst.Reset(m.cfg.Dim, nil)
-	dst.Grow(len(req.Keys))
-	for _, k := range req.Keys {
-		i, _ := set.Row(k)
-		dst.AppendRow(k, set.WeightsRow(i), set.G2Row(i), set.Freq[i])
+	for i, k := range ks {
+		j := i
+		if !sorted {
+			j, _ = slices.BinarySearch(set, k)
+		}
+		emit(i, j)
 	}
 	return nil
 }
@@ -633,50 +655,28 @@ func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*Wor
 		}(nodeID, ks)
 	}
 
-	// Local path: cache, pending dumps, SSD. One cache lookup per key: hits
-	// are emitted on the spot, misses are collected and resolved after the
-	// (single, batched) SSD load — the steady hot-pull case touches the cache
-	// exactly once per key.
-	emit := func(i int, v *embedding.Value) {
-		k := local[i]
-		if pin {
-			m.cache.Pin(uint64(k))
-		}
-		dst.Set(int(localRows[i]), v)
+	how := probeRead
+	if pin {
+		how = probePin
 	}
 	m.mu.Lock()
-	m.miss.reset()
-	for i, k := range local {
-		if v, ok := m.cache.Get(uint64(k)); ok {
-			ws.Stats.CacheHits++
-			emit(i, v)
-			continue
-		}
-		ws.Stats.CacheMisses++
-		m.noteMiss(i, k)
-	}
-	var err error
-	if ws.Stats.LocalTime, err = m.loadMisses(); err != nil {
-		if pin {
-			m.unpinHits(local)
-		}
+	err := m.resolve(local, how, &ws.Stats, func(i int, v *embedding.Value) {
+		dst.Set(int(localRows[i]), v)
+	})
+	if err != nil {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("memps: load local parameters: %w", err)
-	}
-	for _, i := range m.miss.idx {
-		emit(i, m.resolveMiss(local[i], &ws.Stats))
 	}
 	m.recordPrepared(&ws.Stats)
 	m.stats.RemoteKeys += int64(len(remote))
 	m.mu.Unlock()
 
 	// Collect remote results.
-	var firstErr error
 	for i := 0; i < inFlight; i++ {
 		r := <-resultCh
 		if r.err != nil {
-			if firstErr == nil {
-				firstErr = r.err
+			if err == nil {
+				err = fmt.Errorf("memps: remote pull: %w", r.err)
 			}
 			ps.PutBlock(r.sub)
 			continue
@@ -693,25 +693,22 @@ func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*Wor
 		dst.ScatterRows(r.sub) // drops rows the peer was never asked for
 		ps.PutBlock(r.sub)
 	}
-	if firstErr != nil {
+	// Every local row is set by now, so a row still absent is a key its
+	// owner did not return.
+	if i := slices.Index(dst.Present, false); err == nil && i >= 0 {
+		err = fmt.Errorf("memps: node %d did not return key %d", m.cfg.Topology.NodeOf(dst.Keys[i]), dst.Keys[i])
+	}
+	if err != nil {
 		if pin {
-			// Same invariant as the SSD-load failure above: a failed PrepareInto
-			// must not leak pins — by now every local key has been pinned.
+			// Same invariant as resolve's: a failed PrepareInto must not
+			// leak pins — by now every local key has been pinned.
 			m.mu.Lock()
 			for _, k := range local {
 				m.cache.Unpin(uint64(k))
 			}
 			m.mu.Unlock()
 		}
-		return nil, fmt.Errorf("memps: remote pull: %w", firstErr)
-	}
-	// Any remote key the owner failed to return (should not happen) gets a
-	// fresh value so training can proceed. Every local row has been emitted
-	// by now, so a row still absent is such a key.
-	for i, k := range dst.Keys {
-		if !dst.Present[i] {
-			dst.Set(i, embedding.NewKeyedValue(m.cfg.Dim, m.seed, uint64(k)))
-		}
+		return nil, err
 	}
 	// The local and remote paths overlap, so the batch pays the slower one.
 	pullTime := ws.Stats.LocalTime
@@ -741,25 +738,15 @@ func (m *MemPS) servePull(ks []keys.Key, emit func(i int, k keys.Key, v *embeddi
 				m.cfg.NodeID, k, m.cfg.Topology.NodeOf(k))
 		}
 	}
-	// Peers and drivers ask for sorted key sets; an arbitrary request is
-	// served through its sorted key set and emitted by search.
-	sorted := keys.SortedUnique(ks)
-	served := ks
-	if !sorted {
-		served = keys.Dedup(slices.Clone(ks))
-	}
-	vals, loadTime, err := m.lookupOwned(served)
+	var st PullStats
+	err := inRequestOrder(ks, func(set []keys.Key) error {
+		m.ownedVals = slices.Grow(m.ownedVals[:0], len(set))[:len(set)]
+		return m.resolve(set, probeRead, &st, func(j int, v *embedding.Value) { m.ownedVals[j] = v })
+	}, func(i, j int) { emit(i, ks[i], m.ownedVals[j]) })
 	if err != nil {
 		return 0, fmt.Errorf("memps: handle pull: %w", err)
 	}
-	for i, k := range ks {
-		j := i
-		if !sorted {
-			j, _ = slices.BinarySearch(served, k)
-		}
-		emit(i, k, vals[j])
-	}
-	return loadTime, nil
+	return st.LocalTime, nil
 }
 
 // HandleLookupBlock implements cluster.LookupHandler: it reads the current
@@ -820,12 +807,9 @@ func (m *MemPS) readInto(ks []keys.Key, dst *ps.ValueBlock, owned bool) (int, er
 }
 
 // applyBlock merges the owned rows of a flat delta block into the
-// authoritative copies in sorted key order, loading cold parameters from the
-// SSD-PS in one batched pass first. The selection and miss scratch lives on
-// the MemPS (it runs under m.mu), and each row costs
-// exactly one cache probe: hits merge on the spot, misses defer to the
-// batched load — in the steady hot-push state the whole apply allocates
-// nothing.
+// authoritative copies in sorted key order, through resolve. The selection
+// scratch lives on the MemPS (it runs under m.mu): in the steady hot-push
+// state the whole apply allocates nothing.
 func (m *MemPS) applyBlock(blk *ps.ValueBlock) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -848,30 +832,21 @@ func (m *MemPS) applyBlock(blk *ps.ValueBlock) error {
 		slices.SortFunc(order, func(a, b int) int { return cmp.Compare(blk.Keys[a], blk.Keys[b]) })
 	}
 	m.applyOrder = order
-	m.miss.reset()
+	sel := m.applyKeys[:0]
 	for _, i := range order {
-		// GetApply: a write-path read — the pull that assembled this working
-		// set already refreshed recency and visit counts for these keys.
-		if v, ok := m.cache.GetApply(uint64(ks[i])); ok {
-			v.AddFlat(blk.WeightsRow(i), blk.G2Row(i), blk.Freq[i])
-			continue
-		}
-		m.noteMiss(i, ks[i]) // order is sorted here, so duplicate keys are adjacent
+		sel = append(sel, ks[i])
 	}
-	loadTime, err := m.loadMisses()
+	m.applyKeys = sel
+	var st PullStats
+	err := m.resolve(sel, probeApply, &st, func(j int, v *embedding.Value) {
+		i := order[j]
+		v.AddFlat(blk.WeightsRow(i), blk.G2Row(i), blk.Freq[i])
+	})
 	if err != nil {
 		return fmt.Errorf("memps: apply updates: %w", err)
 	}
-	m.stats.PushMisses += int64(len(m.miss.idx))
-	var v *embedding.Value
-	for n, i := range m.miss.idx {
-		// A duplicate of the previous miss was resolved with it.
-		if n == 0 || ks[i] != ks[m.miss.idx[n-1]] {
-			v = m.resolveMiss(ks[i], nil)
-		}
-		v.AddFlat(blk.WeightsRow(i), blk.G2Row(i), blk.Freq[i])
-	}
-	m.rec.RecordPush(len(order), loadTime)
+	m.stats.PushMisses += int64(st.CacheMisses)
+	m.rec.RecordPush(len(order), st.LocalTime)
 	return nil
 }
 
@@ -889,24 +864,15 @@ func (m *MemPS) applyBlock(blk *ps.ValueBlock) error {
 func (m *MemPS) PushBlockPair(a, b *ps.ValueBlock, mk []keys.Key, sa, sb []int32) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.miss.reset()
-	for x, k := range mk {
-		// GetApply: a write-path read — see applyBlock.
-		if v, ok := m.cache.GetApply(uint64(k)); ok {
-			addPair(v, a, b, sa[x], sb[x])
-			continue
-		}
-		m.noteMiss(x, k)
-	}
-	loadTime, err := m.loadMisses()
+	var st PullStats
+	err := m.resolve(mk, probeApply, &st, func(x int, v *embedding.Value) {
+		addPair(v, a, b, sa[x], sb[x])
+	})
 	if err != nil {
 		return fmt.Errorf("memps: apply updates: %w", err)
 	}
-	m.stats.PushMisses += int64(len(m.miss.idx))
-	for _, x := range m.miss.idx {
-		addPair(m.resolveMiss(mk[x], nil), a, b, sa[x], sb[x])
-	}
-	m.rec.RecordPush(len(mk), loadTime)
+	m.stats.PushMisses += int64(st.CacheMisses)
+	m.rec.RecordPush(len(mk), st.LocalTime)
 	return nil
 }
 

@@ -1,7 +1,9 @@
 package memps
 
 import (
+	"errors"
 	"slices"
+	"strings"
 	"testing"
 
 	"hps/internal/cluster"
@@ -130,33 +132,99 @@ func TestPrepareOwnedIntoPinsOnceUntilComplete(t *testing.T) {
 	}
 }
 
-// TestPrepareOwnedIntoLoadFailureUnpins fails the SSD-PS load of a batch
-// whose cache hits were already pinned: the failed call must withdraw them,
-// as PrepareInto's does, since CompleteBatch is never called for it.
-func TestPrepareOwnedIntoLoadFailureUnpins(t *testing.T) {
-	m := failableNode(t, t.TempDir(), 8, 8)
-	all := make([]keys.Key, 40)
-	for i := range all {
-		all[i] = keys.Key(i + 1)
+// failingPeer is a cluster.Transport standing in for node 1: it fails every
+// pull with err when err is set, and otherwise answers with a zero row for
+// each key asked, except the first when drop is set.
+type failingPeer struct {
+	err  error
+	drop bool
+}
+
+func (p failingPeer) PullBlock(_ int, ks []keys.Key, dst *ps.ValueBlock) (int64, error) {
+	if p.err != nil {
+		return 0, p.err
 	}
-	ws, _ := prepare(t, m, all)
-	if err := m.CompleteBatch(ws); err != nil {
-		t.Fatal(err)
+	dst.Reset(4, ks)
+	for i := range ks {
+		dst.Present[i] = !p.drop || i > 0
 	}
-	if _, err := m.Evict(nil); err != nil { // everything on the SSD-PS
-		t.Fatal(err)
-	}
-	ws, _ = prepare(t, m, all[:4]) // these four are cache hits from now on
-	if err := m.CompleteBatch(ws); err != nil {
-		t.Fatal(err)
-	}
-	breakStore(t, m)
-	ks := all[:10]
-	if _, err := m.PrepareOwnedInto(ks, blocksFor(4, ks), ownedRows(ks, ks)); err == nil {
-		t.Fatal("a batch with SSD-resident keys prepared over a broken store")
-	}
-	if n := m.PinnedKeys(); n != 0 {
-		t.Fatalf("the failed prepare left %d keys pinned", n)
+	return 0, nil
+}
+
+// TestFailedPrepareUnpins fails a batch whose owned keys were already
+// pinned — its cache hits before an SSD-PS load, every owned key before the
+// peers' rows arrive — through both prepare entry points: the failed call
+// must withdraw every pin it took, since CompleteBatch is never called for
+// it. A peer that leaves out a row it was asked for fails the batch, naming
+// the peer and the key, instead of having it trained on a made-up value.
+func TestFailedPrepareUnpins(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		owned     bool // PrepareOwnedInto, else PrepareInto
+		breakSSD  bool
+		peer      failingPeer
+		wantInErr string
+	}{
+		{name: "PrepareOwnedInto/ssd-ps failure", owned: true, breakSSD: true},
+		{name: "PrepareInto/ssd-ps failure", breakSSD: true},
+		{name: "PrepareInto/peer error", peer: failingPeer{err: errors.New("peer down")}, wantInErr: "peer down"},
+		{name: "PrepareInto/peer drops a row", peer: failingPeer{drop: true}, wantInErr: "node 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := simtime.NewClock()
+			m, err := New(Config{
+				NodeID:     0,
+				Dim:        4,
+				Topology:   cluster.Topology{Nodes: 2, GPUsPerNode: 1},
+				Transport:  tc.peer,
+				Store:      failableStore(t, t.TempDir(), clock),
+				Clock:      clock,
+				LRUEntries: 8,
+				LFUEntries: 8,
+				Seed:       1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			owned := make([]keys.Key, 40) // node 0 owns the even keys
+			for i := range owned {
+				owned[i] = keys.Key(2 * (i + 1))
+			}
+			resolve := func(ks []keys.Key) {
+				t.Helper()
+				ws, err := m.PrepareOwnedInto(ks, blocksFor(4, ks), ownedRows(ks, ks))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := m.CompleteBatch(&ws); err != nil {
+					t.Fatal(err)
+				}
+			}
+			resolve(owned)
+			if _, err := m.Evict(nil); err != nil { // everything on the SSD-PS
+				t.Fatal(err)
+			}
+			resolve(owned[:4]) // these four are cache hits from now on
+			if tc.breakSSD {
+				breakStore(t, m)
+			}
+			ks := owned[:10]
+			if tc.owned {
+				_, err = m.PrepareOwnedInto(ks, blocksFor(4, ks), ownedRows(ks, ks))
+			} else {
+				ks = keys.Union(ks, []keys.Key{1, 3, 5}) // node 1's
+				_, err = m.PrepareInto(ks, ps.NewValueBlock(4))
+			}
+			if err == nil {
+				t.Fatal("the batch prepared")
+			}
+			if tc.wantInErr != "" && !strings.Contains(err.Error(), tc.wantInErr) {
+				t.Fatalf("error %q does not mention %q", err, tc.wantInErr)
+			}
+			if n := m.PinnedKeys(); n != 0 {
+				t.Fatalf("the failed prepare left %d keys pinned", n)
+			}
+		})
 	}
 }
 
