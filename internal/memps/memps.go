@@ -23,10 +23,8 @@
 package memps
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -173,54 +171,6 @@ type MemPS struct {
 	miss       missPass
 }
 
-// maxSpares bounds the spare values a MEM-PS keeps, in dump batches. When
-// each owner pins a batch's keys for every node until the push, the next
-// batch's pull copies a few hundred rows per node out of the write in
-// flight. On train_local_cold (400 batches, seed 1) spares for one dump
-// batch cut the process's allocations by 7%, for two by 14% and for four by
-// 18%; each dump batch of spares holds 32 KiB per node at dimension 8.
-const maxSpares = 2
-
-// dumpEntry is a row of the dump buffer: a value evicted from the cache in
-// the given buffer epoch. A row of an older epoch than the buffer's belongs
-// to the write in flight and is read-only until the write ends.
-type dumpEntry struct {
-	v     *embedding.Value
-	epoch uint64
-}
-
-// beingWritten reports whether the write in flight holds e. The caller must
-// hold m.mu.
-func (m *MemPS) beingWritten(e dumpEntry) bool { return e.epoch != m.epoch }
-
-// missPass is the state of one resolve call's misses: noted while it probes
-// the cache, loaded from the SSD-PS in a single pass, then resolved in the
-// order they were noted.
-type missPass struct {
-	// idx are the positions (in whatever the caller iterates) that missed.
-	idx []int
-	// toLoad are their keys, in the same order, minus the ones whose latest
-	// value still sits in the dump buffer; loaded[j] is toLoad[j]'s value from
-	// the SSD-PS, nil when it holds none.
-	toLoad []keys.Key
-	loaded []*embedding.Value
-	next   int // toLoad[:next] have been taken
-}
-
-func (p *missPass) reset() {
-	p.idx, p.toLoad, p.next = p.idx[:0], p.toLoad[:0], 0
-}
-
-// take returns the value loaded for k, nil when there is none. Misses must be
-// taken in the order they were noted.
-func (p *missPass) take(k keys.Key) *embedding.Value {
-	if p.next == len(p.toLoad) || p.toLoad[p.next] != k {
-		return nil
-	}
-	p.next++
-	return p.loaded[p.next-1]
-}
-
 var (
 	_ ps.Tier                      = (*MemPS)(nil)
 	_ cluster.BlockPullWireHandler = (*MemPS)(nil)
@@ -300,862 +250,11 @@ func (m *MemPS) ownsKey(k keys.Key) bool {
 	return m.cfg.Topology.HoldsKey(k, m.cfg.NodeID)
 }
 
-// noteMiss records that position i of the resolve in progress, holding key
-// k, missed the cache, and queues k for the batched SSD load unless the dump
-// buffer holds its latest value. Duplicate keys must be adjacent (they are
-// queued once). The caller must hold m.mu.
-func (m *MemPS) noteMiss(i int, k keys.Key) {
-	p := &m.miss
-	p.idx = append(p.idx, i)
-	if _, pending := m.pendingDump[k]; pending {
-		return
-	}
-	if n := len(p.toLoad); n == 0 || p.toLoad[n-1] != k {
-		p.toLoad = append(p.toLoad, k)
-	}
-}
-
-// loadMisses batch-loads the noted cold keys from the SSD-PS and returns the
-// modelled read duration. The caller must hold m.mu.
-func (m *MemPS) loadMisses() (time.Duration, error) {
-	p := &m.miss
-	if len(p.toLoad) == 0 {
-		return 0, nil
-	}
-	var err error
-	var d time.Duration
-	p.loaded, d, err = m.cfg.Store.LoadInto(p.toLoad, p.loaded)
-	return d, err
-}
-
-// resolveMiss returns the authoritative value of a noted miss (misses resolve
-// in the order they were noted): from the pending-dump buffer, else the value
-// the batched SSD load found for it, else created on first reference. The
-// resolved value enters the cache. The caller must hold m.mu.
-func (m *MemPS) resolveMiss(k keys.Key, st *PullStats) *embedding.Value {
-	loaded := m.miss.take(k)
-	if e, ok := m.pendingDump[k]; ok {
-		// Not yet on the SSD; pull it back into the cache. A row the
-		// background write is reading stays where it is, and the cache gets
-		// a copy of it.
-		v := e.v
-		if m.beingWritten(e) {
-			v = m.copyOf(v)
-		} else {
-			delete(m.pendingDump, k)
-		}
-		m.cache.Put(uint64(k), v)
-		return v
-	}
-	if loaded != nil {
-		st.SSDHits++
-		m.cache.Put(uint64(k), loaded)
-		return loaded
-	}
-	v := embedding.NewKeyedValue(m.cfg.Dim, m.seed, uint64(k))
-	st.NewParams++
-	m.cache.Put(uint64(k), v)
-	return v
-}
-
-// copyOf returns a private copy of v, in a spare value when there is one. The
-// caller must hold m.mu.
-func (m *MemPS) copyOf(v *embedding.Value) *embedding.Value {
-	n := len(m.spare)
-	if n == 0 {
-		return v.Clone()
-	}
-	c := m.spare[n-1]
-	m.spare = m.spare[:n-1]
-	c.Freq = v.Freq
-	copy(c.Weights, v.Weights)
-	copy(c.G2Sum, v.G2Sum)
-	return c
-}
-
-// probe is how resolve reads the cache.
-type probe int
-
-const (
-	// probeRead reads with Get: the keys count as visited.
-	probeRead probe = iota
-	// probePin reads like probeRead and pins every key until CompleteBatch.
-	probePin
-	// probeApply reads with GetApply, for a push: the pull that assembled
-	// the batch already counted the visits.
-	probeApply
-)
-
-// resolve is the one place an owned key resolves: from the cache, else the
-// dump buffer, else the SSD-PS, else keyed init. It probes the cache once per
-// key of ks and hands each hit to use at probe time, pinned first under
-// probePin. The misses are noted, loaded from the SSD-PS in one batched load
-// and resolved — entering the cache — in the order they were noted, each
-// handed to use in turn; a run of equal keys resolves once and reaches use
-// once per position. st gets the cache outcomes and the load's modelled
-// time. A failed load withdraws the pins the call took and returns its error:
-// a failed batch must not leak pinned, unevictable entries, since
-// CompleteBatch is never called for it. ks must be sorted (unique under
-// probePin), and the caller must hold m.mu.
-func (m *MemPS) resolve(ks []keys.Key, how probe, st *PullStats, use func(i int, v *embedding.Value)) error {
-	p := &m.miss
-	p.reset()
-	for i, k := range ks {
-		var v *embedding.Value
-		var ok bool
-		if how == probeApply {
-			v, ok = m.cache.GetApply(uint64(k))
-		} else {
-			v, ok = m.cache.Get(uint64(k))
-		}
-		if !ok {
-			m.noteMiss(i, k)
-			continue
-		}
-		if how == probePin {
-			m.cache.Pin(uint64(k))
-		}
-		use(i, v)
-	}
-	st.CacheMisses += len(p.idx)
-	st.CacheHits += len(ks) - len(p.idx)
-	var err error
-	if st.LocalTime, err = m.loadMisses(); err != nil {
-		if how == probePin {
-			misses := p.idx
-			for i, k := range ks {
-				if len(misses) > 0 && misses[0] == i {
-					misses = misses[1:]
-					continue
-				}
-				m.cache.Unpin(uint64(k))
-			}
-		}
-		return err
-	}
-	var v *embedding.Value
-	for n, i := range p.idx {
-		if n == 0 || ks[i] != ks[p.idx[n-1]] {
-			v = m.resolveMiss(ks[i], st)
-			if how == probePin {
-				m.cache.Pin(uint64(ks[i]))
-			}
-		}
-		use(i, v)
-	}
-	return nil
-}
-
-// PrepareInto assembles the working set for a batch whose referenced
-// parameter keys are given (Algorithm 1 lines 3-4): the working values land
-// in dst, one flat row per unique key in sorted key order, so a pipelined
-// trainer reusing its blocks assembles batches without per-value allocation.
-// Local parameters are pinned in the cache until CompleteBatch is called with
-// the returned WorkingSet, which carries the key partition and pull
-// statistics.
-func (m *MemPS) PrepareInto(working []keys.Key, dst *ps.ValueBlock) (*WorkingSet, error) {
-	if dst == nil {
-		return nil, errors.New("memps: PrepareInto needs a destination block")
-	}
-	return m.assemble(working, true, dst)
-}
-
-// PrepareOwnedInto resolves a batch's keys owned by this node for every node
-// of the batch at once (Algorithm 1 lines 3-4): ks is the sorted union of the
-// keys each node references from this node's shard, and rows[r][x] is ks[x]'s
-// row in node r's block dsts[r], -1 when node r does not reference it. Every
-// key costs one cache probe, the cold ones one batched SSD-PS load, and the
-// value is copied straight into each row that wants it. The call writes only
-// those rows, so calls on different owners may fill the same blocks
-// concurrently; the blocks must already hold their keys.
-//
-// Every key of ks is pinned once, however many nodes want it, until
-// CompleteBatch is called with the returned working set. Its LocalKeys is ks
-// itself, which the caller keeps unchanged until then. A failed call pins
-// nothing. The rows count toward this node's LocalKeys; the nodes that
-// received rows they do not own record them with ReceivePeerRows.
-func (m *MemPS) PrepareOwnedInto(ks []keys.Key, dsts []*ps.ValueBlock, rows [][]int32) (WorkingSet, error) {
-	if len(rows) != len(dsts) {
-		return WorkingSet{}, fmt.Errorf("memps: %d row maps for %d blocks", len(rows), len(dsts))
-	}
-	for _, r := range rows {
-		if len(r) != len(ks) {
-			return WorkingSet{}, fmt.Errorf("memps: a row map of %d rows for %d keys", len(r), len(ks))
-		}
-	}
-	for x, k := range ks {
-		if x > 0 && k <= ks[x-1] {
-			return WorkingSet{}, errors.New("memps: PrepareOwnedInto needs sorted unique keys")
-		}
-		if !m.ownsKey(k) {
-			return WorkingSet{}, fmt.Errorf("memps: node %d asked to resolve key %d owned by node %d",
-				m.cfg.NodeID, k, m.cfg.Topology.NodeOf(k))
-		}
-	}
-	ws := WorkingSet{LocalKeys: ks}
-	st := &ws.Stats
-	st.LocalKeys = len(ks)
-	m.mu.Lock()
-	err := m.resolve(ks, probePin, st, func(x int, v *embedding.Value) {
-		for r, dst := range dsts {
-			if row := rows[r][x]; row >= 0 {
-				dst.Set(int(row), v)
-			}
-		}
-	})
-	if err != nil {
-		m.mu.Unlock()
-		return WorkingSet{}, fmt.Errorf("memps: load local parameters: %w", err)
-	}
-	m.recordPrepared(st)
-	m.mu.Unlock()
-	m.rec.RecordPull(len(ks), st.LocalTime)
-	return ws, nil
-}
-
-// recordPrepared adds one working-set assembly's local-path statistics to the
-// cumulative ones. The caller must hold m.mu.
-func (m *MemPS) recordPrepared(st *PullStats) {
-	m.stats.BatchesPrepared++
-	m.stats.LocalKeys += int64(st.LocalKeys)
-	m.stats.CacheHits += int64(st.CacheHits)
-	m.stats.CacheMisses += int64(st.CacheMisses)
-	m.stats.SSDLoads += int64(st.SSDHits)
-	m.stats.NewParams += int64(st.NewParams)
-	m.stats.LocalPullTime += st.LocalTime
-}
-
-// ReceivePeerRows records that n rows of this node's batch working set came
-// from one peer's MEM-PS, which copied them into this node's block
-// (PrepareOwnedInto), and charges their transfer to the Ethernet: the keys
-// asked for and the rows sent back, the payload a pull through a
-// cluster.Transport moves. It returns the modelled transfer time, which
-// overlaps the node's own SSD-PS reads.
-func (m *MemPS) ReceivePeerRows(n int) time.Duration {
-	var d time.Duration
-	if m.cfg.Fabric != nil {
-		d = m.cfg.Fabric.Ethernet(int64(n) * int64(8+8+embedding.EncodedSize(m.cfg.Dim)))
-	}
-	m.mu.Lock()
-	m.stats.RemoteKeys += int64(n)
-	m.stats.RemotePulls++
-	m.stats.RemotePullTime += d
-	m.mu.Unlock()
-	return d
-}
-
 // Name implements ps.Tier.
 func (m *MemPS) Name() string { return "mem-ps" }
 
 // TierStats implements ps.Tier.
 func (m *MemPS) TierStats() ps.Stats { return m.rec.TierStats() }
-
-// PullInto implements ps.Tier: it assembles current values for an arbitrary
-// key set — local keys from the cache, the dump buffer or the SSD-PS (created
-// on first reference), remote keys from their owning nodes — into dst, in
-// request-key order, without pinning anything. Training batches use
-// PrepareInto instead, which additionally pins.
-func (m *MemPS) PullInto(req ps.PullRequest, dst *ps.ValueBlock) error {
-	if dst == nil {
-		return errors.New("memps: PullInto needs a destination block")
-	}
-	set := ps.GetBlock(m.cfg.Dim, nil)
-	defer ps.PutBlock(set)
-	dst.Reset(m.cfg.Dim, req.Keys)
-	return inRequestOrder(req.Keys, func(ks []keys.Key) error {
-		_, err := m.assemble(ks, false, set)
-		return err
-	}, func(i, j int) { dst.CopyRow(i, set, j) })
-}
-
-// inRequestOrder serves a request through its sorted unique key set — ks
-// itself when it already is one (peers, drivers and training batches ask for
-// sorted sets) — which serve resolves, then calls emit(i, j) for every
-// request position i in order, j being its key's position in the set: rows
-// bound positionally to a request (the wire protocol) never come back
-// reordered.
-func inRequestOrder(ks []keys.Key, serve func(set []keys.Key) error, emit func(i, j int)) error {
-	set := ks
-	sorted := keys.SortedUnique(ks)
-	if !sorted {
-		set = keys.Dedup(slices.Clone(ks))
-	}
-	if err := serve(set); err != nil {
-		return err
-	}
-	for i, k := range ks {
-		j := i
-		if !sorted {
-			j, _ = slices.BinarySearch(set, k)
-		}
-		emit(i, j)
-	}
-	return nil
-}
-
-// PushBlock implements ps.Tier: it merges the block's delta rows (weight and
-// optimizer-state deltas and reference-count increments, accumulated by the
-// HBM-PS across all GPUs and nodes) into the authoritative copies of the
-// parameters this node owns. Rows for other nodes' parameters are ignored —
-// their owners apply them. Rows apply in sorted key order; duplicate keys
-// accumulate.
-func (m *MemPS) PushBlock(req ps.PushBlockRequest) error {
-	return m.applyBlock(req.Block)
-}
-
-// assemble is the batched-pull path behind PrepareInto and PullInto: the
-// values are copied into dst's flat rows, in sorted unique-key order.
-func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*WorkingSet, error) {
-	// A batch's key union arrives already sorted and unique (batch.Keys went
-	// through Dedup upstream); only copy-and-sort arbitrary requests.
-	if !keys.SortedUnique(working) {
-		working = keys.Dedup(append([]keys.Key(nil), working...))
-	}
-	ws := &WorkingSet{}
-	dst.Reset(m.cfg.Dim, working)
-
-	// localRows[i] is local[i]'s row in working (and so in dst): the partition
-	// already knows it, so nothing downstream searches for it.
-	var local, remote []keys.Key
-	var localRows []int32
-	for row, k := range working {
-		if m.ownsKey(k) {
-			local = append(local, k)
-			localRows = append(localRows, int32(row))
-		} else {
-			remote = append(remote, k)
-		}
-	}
-	ws.LocalKeys = local
-	ws.RemoteKeys = remote
-	ws.Stats.LocalKeys = len(local)
-	ws.Stats.RemoteKeys = len(remote)
-
-	// Remote pulls go out first (they overlap the local SSD reads in the real
-	// system; here we issue them concurrently and take both durations). Each
-	// peer's partition arrives as a flat sub-block (one frame, no per-value
-	// decoding) and is scattered into dst's rows.
-	type remoteResult struct {
-		sub   *ps.ValueBlock
-		bytes int64
-		err   error
-	}
-	remoteByNode := m.cfg.Topology.SplitByNode(remote)
-	resultCh := make(chan remoteResult, m.cfg.Topology.Nodes)
-	inFlight := 0
-	for nodeID, ks := range remoteByNode {
-		if nodeID == m.cfg.NodeID || len(ks) == 0 {
-			continue
-		}
-		inFlight++
-		go func(nodeID int, ks []keys.Key) {
-			sub := ps.GetBlock(m.cfg.Dim, ks)
-			bytes, err := m.cfg.Transport.PullBlock(nodeID, ks, sub)
-			resultCh <- remoteResult{sub: sub, bytes: bytes, err: err}
-		}(nodeID, ks)
-	}
-
-	how := probeRead
-	if pin {
-		how = probePin
-	}
-	m.mu.Lock()
-	err := m.resolve(local, how, &ws.Stats, func(i int, v *embedding.Value) {
-		dst.Set(int(localRows[i]), v)
-	})
-	if err != nil {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("memps: load local parameters: %w", err)
-	}
-	m.recordPrepared(&ws.Stats)
-	m.stats.RemoteKeys += int64(len(remote))
-	m.mu.Unlock()
-
-	// Collect remote results.
-	for i := 0; i < inFlight; i++ {
-		r := <-resultCh
-		if r.err != nil {
-			if err == nil {
-				err = fmt.Errorf("memps: remote pull: %w", r.err)
-			}
-			ps.PutBlock(r.sub)
-			continue
-		}
-		var d time.Duration
-		if m.cfg.Fabric != nil {
-			d = m.cfg.Fabric.Ethernet(r.bytes)
-		}
-		ws.Stats.RemoteTime += d
-		m.mu.Lock()
-		m.stats.RemotePulls++
-		m.stats.RemotePullTime += d
-		m.mu.Unlock()
-		dst.ScatterRows(r.sub) // drops rows the peer was never asked for
-		ps.PutBlock(r.sub)
-	}
-	// Every local row is set by now, so a row still absent is a key its
-	// owner did not return.
-	if i := slices.Index(dst.Present, false); err == nil && i >= 0 {
-		err = fmt.Errorf("memps: node %d did not return key %d", m.cfg.Topology.NodeOf(dst.Keys[i]), dst.Keys[i])
-	}
-	if err != nil {
-		if pin {
-			// Same invariant as resolve's: a failed PrepareInto must not
-			// leak pins — by now every local key has been pinned.
-			m.mu.Lock()
-			for _, k := range local {
-				m.cache.Unpin(uint64(k))
-			}
-			m.mu.Unlock()
-		}
-		return nil, err
-	}
-	// The local and remote paths overlap, so the batch pays the slower one.
-	pullTime := ws.Stats.LocalTime
-	if ws.Stats.RemoteTime > pullTime {
-		pullTime = ws.Stats.RemoteTime
-	}
-	// Only the locally-served keys count toward this tier instance's uniform
-	// statistics: the remote keys are recorded by the MEM-PS that serves
-	// them (HandlePullBlock), so cluster-wide aggregates count each key once.
-	m.rec.RecordPull(len(local), pullTime)
-	return ws, nil
-}
-
-// servePull is the shared serving prologue of every pull-RPC handler: it
-// verifies ownership of ks, resolves each key to its authoritative value
-// (batch-loading the cold parameters from the SSD-PS, materializing first
-// references) under m.mu, and hands them to emit in request order. Served
-// parameters enter the cache (they are now "recently used") but are not
-// pinned. The returned duration is the SSD load time; the caller records the
-// serve in the tier statistics.
-func (m *MemPS) servePull(ks []keys.Key, emit func(i int, k keys.Key, v *embedding.Value)) (time.Duration, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, k := range ks {
-		if !m.ownsKey(k) {
-			return 0, fmt.Errorf("memps: node %d asked for key %d owned by node %d",
-				m.cfg.NodeID, k, m.cfg.Topology.NodeOf(k))
-		}
-	}
-	var st PullStats
-	err := inRequestOrder(ks, func(set []keys.Key) error {
-		m.ownedVals = slices.Grow(m.ownedVals[:0], len(set))[:len(set)]
-		return m.resolve(set, probeRead, &st, func(j int, v *embedding.Value) { m.ownedVals[j] = v })
-	}, func(i, j int) { emit(i, ks[i], m.ownedVals[j]) })
-	if err != nil {
-		return 0, fmt.Errorf("memps: handle pull: %w", err)
-	}
-	return st.LocalTime, nil
-}
-
-// HandleLookupBlock implements cluster.LookupHandler: it reads the current
-// values of the requested locally-owned keys into dst without materializing
-// missing ones — the evaluation and serving contract, where a never-trained
-// feature must stay absent rather than spring into existence with random
-// weights. Keys the ring does not assign to this node read as absent.
-func (m *MemPS) HandleLookupBlock(ks []keys.Key, dst *ps.ValueBlock) error {
-	_, err := m.readInto(ks, dst, true)
-	return err
-}
-
-// readInto is the MEM-PS's one no-create read: it fills dst with the current
-// values of ks in request-key order and returns how many rows are present.
-// Cache and dump-buffer hits are copied under the lock; the remaining keys
-// are on the SSD-PS — a row leaves the dump buffer only once it is written
-// there — and come back in one positional load outside it. With owned set,
-// keys this node does not hold under the ring read as absent; without it,
-// whatever the shard holds is read (state export).
-func (m *MemPS) readInto(ks []keys.Key, dst *ps.ValueBlock, owned bool) (int, error) {
-	dst.Reset(m.cfg.Dim, ks)
-	var onSSD []int // positions in ks
-	n := 0
-	m.mu.Lock()
-	for i, k := range ks {
-		if owned && !m.ownsKey(k) {
-			continue
-		}
-		if v, ok := m.cache.Get(uint64(k)); ok {
-			dst.Set(i, v)
-			n++
-		} else if e, ok := m.pendingDump[k]; ok {
-			dst.Set(i, e.v)
-			n++
-		} else {
-			onSSD = append(onSSD, i)
-		}
-	}
-	m.mu.Unlock()
-	if len(onSSD) == 0 {
-		return n, nil
-	}
-	toLoad := make([]keys.Key, len(onSSD))
-	for j, i := range onSSD {
-		toLoad[j] = ks[i]
-	}
-	vals, _, err := m.cfg.Store.LoadInto(toLoad, nil)
-	if err != nil {
-		return 0, fmt.Errorf("memps: read parameters: %w", err)
-	}
-	for j, v := range vals {
-		if v != nil {
-			dst.Set(onSSD[j], v)
-			n++
-		}
-	}
-	return n, nil
-}
-
-// applyBlock merges the owned rows of a flat delta block into the
-// authoritative copies in sorted key order, through resolve. The selection
-// scratch lives on the MemPS (it runs under m.mu): in the steady hot-push
-// state the whole apply allocates nothing.
-func (m *MemPS) applyBlock(blk *ps.ValueBlock) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	order := m.applyOrder[:0]
-	sorted := true
-	var prev keys.Key
-	ks, present := blk.Keys, blk.Present
-	for i, k := range ks {
-		if present[i] && m.ownsKey(k) {
-			if len(order) > 0 && k < prev {
-				sorted = false
-			}
-			prev = k
-			order = append(order, i)
-		}
-	}
-	if !sorted {
-		// Push blocks arrive in sorted key order (the merged working set is
-		// sorted); only an arbitrary caller pays for the sort.
-		slices.SortFunc(order, func(a, b int) int { return cmp.Compare(blk.Keys[a], blk.Keys[b]) })
-	}
-	m.applyOrder = order
-	sel := m.applyKeys[:0]
-	for _, i := range order {
-		sel = append(sel, ks[i])
-	}
-	m.applyKeys = sel
-	var st PullStats
-	err := m.resolve(sel, probeApply, &st, func(j int, v *embedding.Value) {
-		i := order[j]
-		v.AddFlat(blk.WeightsRow(i), blk.G2Row(i), blk.Freq[i])
-	})
-	if err != nil {
-		return fmt.Errorf("memps: apply updates: %w", err)
-	}
-	m.stats.PushMisses += int64(st.CacheMisses)
-	m.rec.RecordPush(len(order), st.LocalTime)
-	return nil
-}
-
-// PushBlockPair applies a pre-merged pair of delta blocks to the owned
-// shard — the in-process push path for two-node topologies. mk lists the
-// merged keys this shard owns (sorted, unique — the caller partitioned the
-// key-wise merge of a and b by owner); sa[x] and sb[x] are key mk[x]'s row
-// in a and b, -1 when that node did not touch it. It is equivalent to
-// merging the blocks into a global block and applying it through PushBlock,
-// without materializing the merged slabs: a key both nodes updated simply
-// applies both source rows to the same value (the floating-point rounding
-// can differ from the summed-first order by an ulp; both orders are
-// deterministic). Ownership of mk is the caller's contract and is not
-// re-checked.
-func (m *MemPS) PushBlockPair(a, b *ps.ValueBlock, mk []keys.Key, sa, sb []int32) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var st PullStats
-	err := m.resolve(mk, probeApply, &st, func(x int, v *embedding.Value) {
-		addPair(v, a, b, sa[x], sb[x])
-	})
-	if err != nil {
-		return fmt.Errorf("memps: apply updates: %w", err)
-	}
-	m.stats.PushMisses += int64(st.CacheMisses)
-	m.rec.RecordPush(len(mk), st.LocalTime)
-	return nil
-}
-
-// addPair adds row ai of a and row bi of b into v; a negative row is absent.
-func addPair(v *embedding.Value, a, b *ps.ValueBlock, ai, bi int32) {
-	if ai >= 0 {
-		v.AddFlat(a.WeightsRow(int(ai)), a.G2Row(int(ai)), a.Freq[ai])
-	}
-	if bi >= 0 {
-		v.AddFlat(b.WeightsRow(int(bi)), b.G2Row(int(bi)), b.Freq[bi])
-	}
-}
-
-// HandlePullBlock implements cluster.PullHandler: it serves parameter pulls
-// from other nodes (or a multi-process driver) for the shard this node owns,
-// materializing first references, with the values written straight into
-// dst's flat rows in request-key order.
-func (m *MemPS) HandlePullBlock(ks []keys.Key, dst *ps.ValueBlock) error {
-	dst.Reset(m.cfg.Dim, ks)
-	loadTime, err := m.servePull(ks, func(i int, _ keys.Key, v *embedding.Value) {
-		dst.Set(i, v)
-	})
-	if err != nil {
-		return err
-	}
-	m.rec.RecordPull(len(ks), loadTime)
-	return nil
-}
-
-// HandlePullBlockWire implements cluster.BlockPullWireHandler —
-// HandlePullBlock's contract with the reply encoded straight into the
-// outgoing frame: each served value's rows are copied (or quantized, when the
-// connection negotiated a reduced precision) exactly once, from the cache's
-// own storage into dst's wire bytes, under the MEM-PS lock. Hot keys (the
-// steady state, where the cache holds the whole working set) therefore cross
-// neither an intermediate embedding.Value nor an intermediate ValueBlock on
-// their way to the socket.
-func (m *MemPS) HandlePullBlockWire(ks []keys.Key, dst []byte, prec ps.Precision) ([]byte, error) {
-	out := ps.AppendWireHeaderPrecision(dst, m.cfg.Dim, len(ks), prec)
-	loadTime, err := m.servePull(ks, func(_ int, _ keys.Key, v *embedding.Value) {
-		out = ps.AppendWireRowPrecision(out, true, v.Freq, v.Weights, v.G2Sum, prec)
-	})
-	if err != nil {
-		return out, err // the caller discards the content, not the buffer
-	}
-	m.rec.RecordPull(len(ks), loadTime)
-	return out, nil
-}
-
-// HandlePushBlock implements cluster.BlockPushHandler: it merges a delta
-// block pushed by a remote driver or peer node into the shard this node
-// owns, exactly like PushBlock. A remote shard never sees CompleteBatch, so
-// the push — which arrives once per training batch — also runs the
-// batch-completion housekeeping (Maintain): a full eviction buffer is handed
-// to the background write, and the reply does not wait for it.
-func (m *MemPS) HandlePushBlock(blk *ps.ValueBlock) error {
-	if err := m.applyBlock(blk); err != nil {
-		return err
-	}
-	return m.Maintain()
-}
-
-// Evict implements ps.Tier: it demotes the given locally-owned, unpinned
-// parameters from the memory cache to the SSD-PS, flushing the dump buffer
-// along the way. A nil slice demotes everything (equivalent to Flush). It
-// returns how many parameters left main memory for the SSD. It first waits
-// out the background write in flight and returns that write's error, if it
-// failed, without evicting anything.
-func (m *MemPS) Evict(ks []keys.Key) (int, error) {
-	if ks == nil {
-		return m.flushAll()
-	}
-	// The dump runs under m.mu: once keys leave the cache and the dump
-	// buffer they are unreachable until the SSD write completes, and a
-	// concurrent lookup in that window would silently re-initialize a
-	// trained parameter.
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.waitWrite(); err != nil {
-		return 0, err
-	}
-	moved := 0
-	for _, k := range ks {
-		if !m.ownsKey(k) || m.cache.Pinned(uint64(k)) {
-			continue
-		}
-		if v, ok := m.cache.Remove(uint64(k)); ok {
-			m.pendingDump[k] = dumpEntry{v, m.epoch}
-			moved++
-		} else if _, pending := m.pendingDump[k]; pending {
-			moved++ // already demoted out of the cache; flushed below
-		}
-	}
-	if _, err := m.dumpBuffer(); err != nil {
-		return 0, fmt.Errorf("memps: evict: %w", err)
-	}
-	m.rec.RecordEvict(moved)
-	return moved, nil
-}
-
-// dumpBuffer writes the whole dump buffer to the SSD-PS now and empties it,
-// returning how many rows were written; no background write may be in
-// flight. A failed dump leaves the buffer as it was: outside the cache its
-// rows are the only copies, so they stay reachable by lookups and are
-// retried by the next dump. The caller must hold m.mu throughout.
-func (m *MemPS) dumpBuffer() (int, error) {
-	if len(m.pendingDump) == 0 {
-		return 0, nil
-	}
-	all := make(map[keys.Key]*embedding.Value, len(m.pendingDump))
-	for k, e := range m.pendingDump {
-		all[k] = e.v
-	}
-	if err := m.cfg.Store.Dump(all); err != nil {
-		return 0, err
-	}
-	m.pendingDump = make(map[keys.Key]dumpEntry)
-	m.stats.Dumped += int64(len(all))
-	return len(all), nil
-}
-
-// CompleteBatch unpins the batch's locally-owned working parameters and runs
-// the batch-completion housekeeping (Maintain): a full dump buffer goes to
-// the SSD-PS, and the SSD-PS is compacted when its disk usage exceeds the
-// threshold (Algorithm 1 lines 17-18), both in the background.
-func (m *MemPS) CompleteBatch(ws *WorkingSet) error {
-	if ws == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, k := range ws.LocalKeys {
-		m.cache.Unpin(uint64(k))
-	}
-	return m.maintain()
-}
-
-// Maintain runs the batch-completion housekeeping without a working set.
-// It waits out the background write in flight, if any, and returns its
-// error if it failed. Otherwise, once the dump buffer is full, it starts the
-// next write — dump the buffer to the SSD-PS, then compact the SSD-PS if its
-// disk usage exceeds the threshold — and returns without waiting for it.
-// CompleteBatch calls it after unpinning; shard servers call it from the push
-// RPC, which arrives once per training batch.
-func (m *MemPS) Maintain() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.maintain()
-}
-
-// maintain is Maintain for a caller holding m.mu.
-func (m *MemPS) maintain() error {
-	if err := m.waitWrite(); err != nil {
-		return err
-	}
-	if len(m.pendingDump) < m.cfg.DumpBatchSize {
-		return nil
-	}
-	// The rows stay in the buffer, now of an older epoch than it: lookups
-	// keep finding them, and the next eviction of one of their keys
-	// replaces the row instead of touching what the write reads.
-	for k, e := range m.pendingDump {
-		m.writeSet[k] = e.v
-	}
-	m.epoch++
-	m.writing = true
-	go m.write(m.cfg.Store, m.writeSet)
-	return nil
-}
-
-// waitWrite waits until no background write is in flight, then returns and
-// clears the last write's error. The caller must hold m.mu, which is released
-// while waiting.
-func (m *MemPS) waitWrite() error {
-	for m.writing {
-		m.writeDone.Wait()
-	}
-	err := m.writeErr
-	m.writeErr = nil
-	return err
-}
-
-// write is the background write: it dumps rows to store, compacts the store
-// if its disk usage crossed the threshold, and then settles the rows in the
-// dump buffer. A row the buffer still holds for the write leaves it once it
-// is on the SSD. If the dump failed, it stays for the next write — unless
-// the cache holds a newer copy of its key, which supersedes it.
-func (m *MemPS) write(store *ssdps.Store, rows map[keys.Key]*embedding.Value) {
-	var err, dumpErr error
-	io := func() {
-		if dumpErr = store.Dump(rows); dumpErr != nil {
-			err = fmt.Errorf("memps: dump evicted parameters: %w", dumpErr)
-		} else if _, cerr := store.CompactIfNeeded(); cerr != nil {
-			err = fmt.Errorf("memps: compaction: %w", cerr)
-		}
-	}
-	if m.writeHook != nil {
-		m.writeHook(io)
-	} else {
-		io()
-	}
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for k := range rows {
-		e, ok := m.pendingDump[k]
-		switch {
-		case !ok || !m.beingWritten(e):
-			// A newer copy replaced the row.
-		case dumpErr == nil || m.cache.Contains(uint64(k)):
-			delete(m.pendingDump, k)
-		default:
-			m.pendingDump[k] = dumpEntry{e.v, m.epoch}
-		}
-	}
-	if dumpErr == nil {
-		m.stats.Dumped += int64(len(rows))
-		// Every row is on the SSD-PS now, and the buffer, the cache (which
-		// got copies) and the store hold none of them: keep some as spares.
-		for _, v := range rows {
-			if len(m.spare) == maxSpares*m.cfg.DumpBatchSize {
-				break
-			}
-			m.spare = append(m.spare, v)
-		}
-	}
-	clear(rows)
-	m.writeErr = err
-	m.writing = false
-	m.writeDone.Broadcast()
-}
-
-// Flush writes every cached parameter and every pending eviction to the
-// SSD-PS and fsyncs it, so the state it wrote survives a power loss. It waits
-// out the background write in flight first and returns that write's error,
-// if it failed, without flushing. It is called at the end of training and
-// for every checkpoint.
-func (m *MemPS) Flush() error {
-	_, err := m.flushAll()
-	return err
-}
-
-// flushAll demotes the entire in-memory state (cache and dump buffer) to the
-// SSD-PS and syncs it, returning how many parameters were written. The dump
-// runs under m.mu so the parameters stay reachable throughout (see Evict);
-// the sync, which covers the background writes before it too, does not.
-func (m *MemPS) flushAll() (int, error) {
-	m.mu.Lock()
-	if err := m.waitWrite(); err != nil {
-		m.mu.Unlock()
-		return 0, err
-	}
-	// Drain the cache into the dump buffer, so a failed dump leaves every
-	// row there.
-	m.cache.Flush(func(k uint64, v *embedding.Value) {
-		m.pendingDump[keys.Key(k)] = dumpEntry{v, m.epoch}
-	})
-	n, err := m.dumpBuffer()
-	if n > 0 {
-		m.rec.RecordEvict(n)
-	}
-	store := m.cfg.Store
-	m.mu.Unlock()
-	if err != nil {
-		return 0, fmt.Errorf("memps: flush: %w", err)
-	}
-	if err := store.Sync(); err != nil {
-		return 0, fmt.Errorf("memps: flush: %w", err)
-	}
-	return n, nil
-}
-
-// Lookup returns a copy of the current authoritative value of a locally-owned
-// key, or nil if the node does not own it, has never seen it or cannot read
-// it. It is used by evaluation code, not by the training path.
-func (m *MemPS) Lookup(k keys.Key) *embedding.Value {
-	blk := ps.GetBlock(m.cfg.Dim, nil)
-	defer ps.PutBlock(blk)
-	if _, err := m.readInto([]keys.Key{k}, blk, true); err != nil {
-		return nil
-	}
-	return blk.Value(0)
-}
 
 // CacheStats returns the cumulative cache statistics (Fig 4c's hit rate).
 func (m *MemPS) CacheStats() cache.Stats {
