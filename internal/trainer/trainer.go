@@ -1222,7 +1222,6 @@ func (t *Trainer) mergePair(a, b *ps.ValueBlock) int {
 // the path.
 func (t *Trainer) stagePush(ctx context.Context, j *job) (*job, error) {
 	t.maybeDelay(StagePush)
-	dim := t.cfg.Spec.EmbeddingDim
 
 	// Sum the deltas of all nodes: the inter-node synchronization delivers
 	// every delta everywhere, and each owner applies the global sum once. The
@@ -1245,31 +1244,47 @@ func (t *Trainer) stagePush(ctx context.Context, j *job) (*job, error) {
 		mergedRows = t.mergePair(j.nodes[0].deltas, j.nodes[1].deltas)
 		d.pair = &t.mergeScratch.pair
 	} else {
-		d.global = j.nodes[0].deltas
-		if len(t.nodes) > 1 {
-			d.global = ps.GetBlock(dim, nil)
-			t.mergeScratch.blocks = t.mergeScratch.blocks[:0]
-			for _, nb := range j.nodes {
-				t.mergeScratch.blocks = append(t.mergeScratch.blocks, nb.deltas)
-			}
-			if cap(t.mergeScratch.cursors) < len(t.nodes) {
-				t.mergeScratch.cursors = make([]int, len(t.nodes))
-			}
-			sumDeltaBlocks(d.global, dim, t.mergeScratch.blocks, t.mergeScratch.cursors[:len(t.nodes)])
-		}
+		d.global = t.mergeGlobal(j)
 		mergedRows = d.global.Len()
 	}
+	syncTime := t.chargeAllReduce(mergedRows)
+	if t.committer != nil {
+		return t.pushAsync(ctx, j, d.global, syncTime)
+	}
+	return t.pushSync(j, d, syncTime)
+}
 
-	// Charge the modelled all-reduce: every GPU contributes its partition of
-	// the deltas, inter-node rounds over RDMA, intra-node rounds over NVLink.
-	// The volume is the global block's payload size (every row is a changed
-	// key, so rows x encoded-row-size is exactly what the synchronization
-	// moves). The charge stays on this stage even in async mode — the
-	// synchronization itself is not deferred, only the owners' apply.
+// mergeGlobal is stagePush's general merge: the sum of every node's deltas as
+// one global block — the single node's own delta block, adopted, or a pooled
+// block.
+func (t *Trainer) mergeGlobal(j *job) *ps.ValueBlock {
+	global := j.nodes[0].deltas
+	if len(t.nodes) > 1 {
+		global = ps.GetBlock(t.cfg.Spec.EmbeddingDim, nil)
+		t.mergeScratch.blocks = t.mergeScratch.blocks[:0]
+		for _, nb := range j.nodes {
+			t.mergeScratch.blocks = append(t.mergeScratch.blocks, nb.deltas)
+		}
+		if cap(t.mergeScratch.cursors) < len(t.nodes) {
+			t.mergeScratch.cursors = make([]int, len(t.nodes))
+		}
+		sumDeltaBlocks(global, t.cfg.Spec.EmbeddingDim, t.mergeScratch.blocks, t.mergeScratch.cursors[:len(t.nodes)])
+	}
+	return global
+}
+
+// chargeAllReduce charges the modelled all-reduce of mergedRows delta rows
+// and returns its duration: every GPU contributes its partition of the
+// deltas, inter-node rounds over RDMA, intra-node rounds over NVLink. The
+// volume is the global block's payload size (every row is a changed key, so
+// rows x encoded-row-size is exactly what the synchronization moves). The
+// charge stays on the push stage even in async mode — the synchronization
+// itself is not deferred, only the owners' apply.
+func (t *Trainer) chargeAllReduce(mergedRows int) time.Duration {
 	var syncTime time.Duration
 	totalGPUs := t.cfg.Topology.TotalGPUs()
 	if totalGPUs > 1 {
-		deltaBytes := int64(mergedRows) * int64(8+embedding.EncodedSize(dim))
+		deltaBytes := int64(mergedRows) * int64(8+embedding.EncodedSize(t.cfg.Spec.EmbeddingDim))
 		bytesPerGPU := deltaBytes / int64(totalGPUs)
 		syncTime = interconnect.HierarchicalAllReduceTime(
 			bytesPerGPU, t.cfg.Topology.Nodes, t.cfg.Topology.GPUsPerNode,
@@ -1279,28 +1294,32 @@ func (t *Trainer) stagePush(ctx context.Context, j *job) (*job, error) {
 		t.allReduce += syncTime
 		t.mu.Unlock()
 	}
+	return syncTime
+}
 
-	if t.committer != nil {
-		// Hand the merged block and the batch's pull to the background
-		// committer and return: the pipeline slot frees before the owners'
-		// round trip. The committer owns global from here; the per-node
-		// blocks are released now (the single-node case adopted its delta
-		// block as global).
-		pj := &pushJob{index: j.index, global: d.global, pull: j.pull}
-		j.pull = nil
-		for _, nb := range j.nodes {
-			if nb.deltas != d.global {
-				ps.PutBlock(nb.deltas)
-			}
-			nb.deltas = nil
+// pushAsync hands the merged block and the batch's pull to the background
+// committer and returns: the pipeline slot frees before the owners' round
+// trip. The committer owns global from here; the per-node blocks are
+// released now (the single-node case adopted its delta block as global).
+func (t *Trainer) pushAsync(ctx context.Context, j *job, global *ps.ValueBlock, syncTime time.Duration) (*job, error) {
+	pj := &pushJob{index: j.index, global: global, pull: j.pull}
+	j.pull = nil
+	for _, nb := range j.nodes {
+		if nb.deltas != global {
+			ps.PutBlock(nb.deltas)
 		}
-		t.addStageModelled(StagePush, syncTime)
-		if err := t.committer.enqueue(ctx, pj); err != nil {
-			return nil, err
-		}
-		return j, nil
+		nb.deltas = nil
 	}
+	t.addStageModelled(StagePush, syncTime)
+	if err := t.committer.enqueue(ctx, pj); err != nil {
+		return nil, err
+	}
+	return j, nil
+}
 
+// pushSync has every owner apply its share of d and complete the batch, then
+// republishes the dense tower, all before the stage returns.
+func (t *Trainer) pushSync(j *job, d deltas, syncTime time.Duration) (*job, error) {
 	defer func() {
 		for _, nb := range j.nodes {
 			ps.PutBlock(nb.deltas)
