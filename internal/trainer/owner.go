@@ -288,3 +288,30 @@ func (t *Trainer) applyPush(d deltas, pull []ownedPull) (time.Duration, error) {
 	}
 	return slowest, nil
 }
+
+// UpdateMembership installs a membership change into the trainer's shared
+// topology view and (re)points the remote transport at the member addresses
+// it carries: the next batch's pulls and pushes follow the new ring. Stale
+// epochs are dropped by the membership view itself, so out-of-order delivery
+// is harmless.
+func (t *Trainer) UpdateMembership(u cluster.MembershipUpdate) error {
+	if t.cfg.Topology.Members == nil {
+		return fmt.Errorf("trainer: topology has no membership view to update")
+	}
+	if err := u.Validate(); err != nil {
+		return err
+	}
+	// The owner table grows before the ring that names a new member is
+	// installed, under ownersMu, so no batch is dealt over a member without
+	// an owner.
+	t.ownersMu.Lock()
+	defer t.ownersMu.Unlock()
+	if t.remote != nil {
+		for id, addr := range u.Addrs {
+			t.remote.SetAddr(id, addr)
+		}
+		t.owners = t.newRemoteShards(t.owners, u.Members)
+	}
+	t.cfg.Topology.Members.Update(u.BuildRing())
+	return nil
+}

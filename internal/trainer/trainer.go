@@ -59,24 +59,16 @@
 package trainer
 
 import (
-	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"hps/internal/blockio"
 	"hps/internal/cluster"
 	"hps/internal/dataset"
-	"hps/internal/embedding"
-	"hps/internal/hbmps"
-	"hps/internal/hdfs"
 	"hps/internal/hw"
 	"hps/internal/interconnect"
-	"hps/internal/keys"
-	"hps/internal/memps"
 	"hps/internal/metrics"
 	"hps/internal/model"
 	"hps/internal/nn"
@@ -84,8 +76,6 @@ import (
 	"hps/internal/pipeline"
 	"hps/internal/ps"
 	"hps/internal/simtime"
-	"hps/internal/ssdps"
-	"hps/internal/tensor"
 )
 
 // Stage names of the 4-stage batch pipeline.
@@ -218,58 +208,6 @@ func (c Config) withDefaults() Config {
 		c.Data = dataset.ForModel(c.Spec.SparseParams, c.Spec.NonZerosPerExample)
 	}
 	return c
-}
-
-// node bundles the per-node pieces of the hierarchy. In multi-process mode
-// the MEM-PS/SSD-PS pieces live in the shard-server processes, so dev, store
-// and local are nil.
-type node struct {
-	id     int
-	gen    *dataset.Generator
-	stream *hdfs.Stream
-	dev    *blockio.Device
-	store  *ssdps.Store
-	local  *memps.MemPS
-	hbm    *hbmps.HBMPS
-	// indexer builds each batch's key index in stageRead (one goroutine per
-	// node, one batch at a time); indexes recycles the indexes themselves:
-	// stageRead takes one (or makes one when none is free), stageTrain hands
-	// it back once the batch is trained. The source admits at most
-	// MaxInFlight+readAhead batches, so that many slots keep every index in
-	// circulation.
-	indexer keys.IndexBuilder
-	indexes chan *keys.Index
-	// workers[g] is GPU g's training state. stageTrain runs on one pipeline
-	// goroutine and trainOnGPUs gives each GPU one goroutine, so a worker is
-	// only ever used by one goroutine at a time.
-	workers []*gpuWorker
-}
-
-// nodeBatch carries one node's view of a batch through the pipeline.
-type nodeBatch struct {
-	batch *dataset.Batch
-	// index is the batch's key partition, built by the read stage and read by
-	// the pull stage (Unique) and the GPU workers (Rows) until the batch has
-	// trained.
-	index *keys.Index
-	// block holds the working-set values (flat rows, sorted unique-key
-	// order) between the pull and train stages; it is returned to the block
-	// pool as soon as the HBM-PS has loaded it.
-	block *ps.ValueBlock
-	// deltas holds the node's collected update deltas (flat rows, changed
-	// keys only, in working-set order) between the train and push stages;
-	// pooled like block.
-	deltas *ps.ValueBlock
-}
-
-// job is one batch index flowing through the pipeline (all nodes process
-// their own batch of that index in parallel, as in data-parallel training).
-type job struct {
-	index int
-	nodes []*nodeBatch
-	// pull is the batch's pull dealt over the owners, from stagePull until
-	// the push has completed it.
-	pull []ownedPull
 }
 
 // Trainer is the end-to-end hierarchical training system.
@@ -496,972 +434,6 @@ func New(cfg Config) (*Trainer, error) {
 		t.committer = newPushCommitter(t, cfg.PushLag)
 	}
 	return t, nil
-}
-
-// buildNode builds node id's tiers: its own MEM-PS and SSD-PS under root
-// when withMem (in process), and always its HBM-PS, data stream and GPU
-// workers.
-func (t *Trainer) buildNode(id int, root string, withMem bool) (_ *node, err error) {
-	cfg := t.cfg
-	var (
-		dev   *blockio.Device
-		store *ssdps.Store
-		local *memps.MemPS
-	)
-	defer func() {
-		if err != nil && dev != nil {
-			dev.Close()
-		}
-	}()
-	if withMem {
-		dev, err = blockio.NewDevice(filepath.Join(root, fmt.Sprintf("node-%d", id)), cfg.Profile.SSD, t.clock)
-		if err != nil {
-			return nil, fmt.Errorf("trainer: node %d device: %w", id, err)
-		}
-		store, err = ssdps.Open(dev, ssdps.Config{
-			Dim:                     cfg.Spec.EmbeddingDim,
-			ParamsPerFile:           cfg.ParamsPerFile,
-			DiskUsageThresholdBytes: cfg.SSDThresholdBytes,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("trainer: node %d ssd-ps: %w", id, err)
-		}
-		local, err = memps.New(memps.Config{
-			NodeID:   id,
-			Dim:      cfg.Spec.EmbeddingDim,
-			Topology: cfg.Topology,
-			// Every owner copies the keys it owns into the blocks of the
-			// nodes that want them (stagePull), so no MEM-PS pulls from a
-			// peer.
-			Transport:         cluster.NoRoute{},
-			Store:             store,
-			Fabric:            t.fabric,
-			Clock:             t.clock,
-			MemoryBudgetBytes: cfg.Profile.MainMemoryBytes,
-			LRUEntries:        cfg.LRUEntries,
-			LFUEntries:        cfg.LFUEntries,
-			Seed:              cfg.Seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("trainer: node %d mem-ps: %w", id, err)
-		}
-	}
-	hbm, err := hbmps.New(hbmps.Config{
-		NodeID:     id,
-		NumGPUs:    cfg.Topology.GPUsPerNode,
-		Dim:        cfg.Spec.EmbeddingDim,
-		GPUProfile: cfg.Profile.GPU,
-		NVLink:     cfg.Profile.NVLink,
-		Fabric:     t.fabric,
-		Clock:      t.clock,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("trainer: node %d hbm-ps: %w", id, err)
-	}
-	// Every node streams its own shard of the click log: distinct seeds give
-	// distinct (but identically distributed) example streams. Node 0 uses the
-	// base seed so a single-node trainer sees exactly the stream the
-	// reference oracle trains on.
-	gen := dataset.NewGenerator(cfg.Data, cfg.Seed+int64(id)*7919)
-	stream := hdfs.NewStream(gen, hdfs.Config{
-		BatchSize:  cfg.BatchSize,
-		MaxBatches: cfg.Batches,
-		Profile:    cfg.Profile.HDFS,
-		Clock:      t.clock,
-	})
-	workers := make([]*gpuWorker, cfg.Topology.GPUsPerNode)
-	for g := range workers {
-		workers[g] = t.newGPUWorker()
-	}
-	return &node{id: id, gen: gen, stream: stream, dev: dev, store: store, local: local, hbm: hbm,
-		indexes: make(chan *keys.Index, cfg.MaxInFlight+readAhead), workers: workers}, nil
-}
-
-func (t *Trainer) addStageModelled(stage string, d time.Duration) {
-	t.mu.Lock()
-	t.stageModelled[stage] += d
-	t.mu.Unlock()
-}
-
-func (t *Trainer) maybeDelay(stage string) {
-	if d := t.stageDelay[stage]; d > 0 {
-		time.Sleep(d)
-	}
-}
-
-// Run trains cfg.Batches batches through the 4-stage pipeline. It can be
-// called once.
-func (t *Trainer) Run(ctx context.Context) error {
-	if t.cfg.Batches <= 0 {
-		return fmt.Errorf("trainer: Batches must be positive, have %d", t.cfg.Batches)
-	}
-	// The depth gate guards parameters, not data: a batch takes a slot as it
-	// enters the pull stage (the stage's Admit wait, outside its timing) and
-	// the sink gives it back, so at most MaxInFlight batches lie between pull
-	// and push and the parameters a batch trains on are at most
-	// MaxInFlight-1 batches stale. At depth 1 the parameter stages keep
-	// Algorithm 1's strict sequential ordering. The source admits
-	// MaxInFlight+readAhead batches, so the read stage — which touches no
-	// parameter — works one batch ahead of the gate instead of idling behind
-	// it.
-	gate := newDepthGate(t.cfg.MaxInFlight)
-	event := t.stageEvent
-	if event == nil {
-		event = func(string, int, bool) {}
-	}
-
-	// A restored run's committed watermark starts at the restore cursor, not
-	// zero, so the staleness accounting (job index minus committed) measures
-	// this run's lag rather than the checkpoint's age.
-	if t.committer != nil {
-		t.committer.committed.Store(int64(t.restored))
-	}
-
-	// A restored run trains only the batches the checkpoint does not cover;
-	// job indices continue from the cursor so serve epochs stay monotonic.
-	remaining := t.cfg.Batches - t.restored
-	if remaining <= 0 {
-		return nil // the checkpoint already covers the whole run
-	}
-	next := 0
-	source := func(ctx context.Context) (*job, bool, error) {
-		if next >= remaining {
-			return nil, false, nil
-		}
-		if err := gate.admit(ctx); err != nil {
-			return nil, false, err
-		}
-		j := &job{index: next + t.restored, nodes: make([]*nodeBatch, len(t.nodes))}
-		next++
-		event("admit", j.index, true)
-		return j, true, nil
-	}
-	sink := func(ctx context.Context, j *job) error {
-		event("sink", j.index, true)
-		gate.release()
-		t.mu.Lock()
-		t.batchesDone++
-		done := t.batchesDone
-		for _, nb := range j.nodes {
-			t.examples += int64(nb.batch.Len())
-		}
-		t.mu.Unlock()
-		if iv := int64(t.cfg.CheckpointInterval); iv > 0 && t.cfg.CheckpointPath != "" && done%iv == 0 {
-			// Periodic durability point: flush every shard, then publish the
-			// manifest. Batches still in the pipeline re-train after a
-			// restore from this cut (see checkpoint.go).
-			if err := t.Flush(); err != nil {
-				return fmt.Errorf("trainer: checkpoint at batch %d: %w", done, err)
-			}
-		}
-		if t.cfg.BatchPause > 0 {
-			select {
-			case <-time.After(t.cfg.BatchPause):
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		return nil
-	}
-
-	stage := func(name string, fn func(context.Context, *job) (*job, error)) pipeline.Stage[*job] {
-		return pipeline.Stage[*job]{Name: name, Fn: func(ctx context.Context, j *job) (*job, error) {
-			event(name, j.index, true)
-			defer event(name, j.index, false)
-			return fn(ctx, j)
-		}}
-	}
-	pull := stage(StagePull, t.stagePull)
-	pull.Admit = func(ctx context.Context, _ *job) error { return gate.acquire(ctx) }
-	t.pipe = pipeline.New(stage(StageRead, t.stageRead), pull, stage(StageTrain, t.stageTrain), stage(StagePush, t.stagePush))
-	err := t.pipe.Run(ctx, source, sink)
-	if t.committer != nil {
-		// Settle the committer before returning — on errors too, so a caller
-		// that evaluates or checkpoints after a failed run still sees every
-		// acked push applied.
-		if derr := t.committer.drain(); err == nil {
-			err = derr
-		}
-	}
-	return err
-}
-
-// stageRead streams every node's batch of this index from HDFS and partitions
-// its keys (Algorithm 1 lines 3-5, the CPU's one job between the read and the
-// SSD): the later stages read the index instead of sorting again.
-func (t *Trainer) stageRead(_ context.Context, j *job) (*job, error) {
-	t.maybeDelay(StageRead)
-	var mu sync.Mutex
-	var modelled time.Duration
-	err := t.eachNode(func(n *node) error {
-		b, err := n.stream.NextBatch()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			return fmt.Errorf("trainer: node %d stream exhausted at batch %d", n.id, j.index)
-		}
-		var idx *keys.Index
-		select {
-		case idx = <-n.indexes:
-		default:
-			idx = new(keys.Index)
-		}
-		b.IndexInto(&n.indexer, idx)
-		j.nodes[n.id] = &nodeBatch{batch: b, index: idx}
-		d := t.cfg.Profile.HDFS.ReadTime(b.ByteSize())
-		mu.Lock()
-		if d > modelled {
-			modelled = d // nodes stream in parallel; the job pays the slowest
-		}
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.addStageModelled(StageRead, modelled)
-	return j, nil
-}
-
-// stagePull assembles every node's working parameters and has their owners
-// pin them (Algorithm 1 lines 3-4): cache hits from memory, misses from the
-// SSD-PS, peer-owned keys from their owners. The batch's key union is dealt
-// over the current owners once (splitByOwner), and every owner resolves its
-// share for all nodes at once (owner.resolve); the stage pays the slowest.
-func (t *Trainer) stagePull(_ context.Context, j *job) (*job, error) {
-	t.maybeDelay(StagePull)
-	t.ownersMu.Lock()
-	owners := t.owners
-	err := t.splitByOwner(j, owners)
-	t.ownersMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	var mu sync.Mutex
-	var modelled time.Duration
-	err = t.eachOwner(owners, func(o owner) error {
-		d, err := o.resolve(j.pull, t.pullBlocks)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		modelled = max(modelled, d)
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.addStageModelled(StagePull, modelled)
-	return j, nil
-}
-
-// stageTrain loads every node's working set into its HBM-PS, trains the
-// batch with one concurrent worker per GPU (each pulling and pushing its
-// shard against the HBM-PS), and collects the per-node update deltas.
-func (t *Trainer) stageTrain(_ context.Context, j *job) (*job, error) {
-	t.maybeDelay(StageTrain)
-	if t.committer != nil {
-		// Record the realized staleness of the parameters this batch pulled:
-		// how many older batches trained without their push applied yet.
-		t.committer.observeTrain(j.index)
-	}
-	var mu sync.Mutex
-	var modelled time.Duration
-	err := t.eachNode(func(n *node) error {
-		nb := j.nodes[n.id]
-		before := n.hbm.Stats()
-		if err := n.hbm.LoadBlock(nb.block); err != nil {
-			return err
-		}
-		// The HBM-PS copied the values; recycle the block for later batches.
-		ps.PutBlock(nb.block)
-		nb.block = nil
-		if err := t.trainOnGPUs(n, nb); err != nil {
-			return err
-		}
-		select {
-		case n.indexes <- nb.index:
-		default:
-		}
-		nb.index = nil
-		nb.deltas = ps.GetBlock(t.cfg.Spec.EmbeddingDim, nil)
-		n.hbm.CollectBlock(nb.deltas)
-		if _, err := n.hbm.Evict(nil); err != nil { // release HBM for the next batch
-			return err
-		}
-		after := n.hbm.Stats()
-
-		// The dense tower trains on the GPUs in parallel with the sparse
-		// pulls; charge its modelled compute time per GPU.
-		flopsPerGPU := t.net.FLOPsPerExample() * float64(nb.batch.Len()) / float64(len(n.hbm.Devices()))
-		var computeTime time.Duration
-		for _, dev := range n.hbm.Devices() {
-			dev.ChargeCompute(flopsPerGPU)
-			if ct := dev.Profile().ComputeTime(flopsPerGPU); ct > computeTime {
-				computeTime = ct
-			}
-		}
-		d := (after.LoadTime - before.LoadTime) +
-			(after.PullTime - before.PullTime) +
-			(after.PushTime - before.PushTime) + computeTime
-		mu.Lock()
-		if d > modelled {
-			modelled = d
-		}
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.addStageModelled(StageTrain, modelled)
-	// Advance the trained-batch watermark (stageTrain runs on a single
-	// pipeline goroutine with monotonic indices).
-	t.trainedEpoch.Store(uint64(j.index) + 1)
-	return j, nil
-}
-
-// trainOnGPUs shards the batch across the node's GPUs — Batch.Shard's split,
-// as example ranges plus the key-occurrence range each covers in the batch's
-// index — and trains each shard on its own worker goroutine: pull the
-// example's embeddings from the HBM-PS, run the dense tower, push the sparse
-// gradients back (Algorithm 1 lines 11-15).
-func (t *Trainer) trainOnGPUs(n *node, nb *nodeBatch) error {
-	numGPUs := n.hbm.NumGPUs()
-	examples := nb.batch.Examples
-	errs := make([]error, numGPUs)
-	var wg sync.WaitGroup
-	occ := 0
-	for g := 0; g < numGPUs; g++ {
-		lo, hi := dataset.ShardBounds(len(examples), numGPUs, g)
-		shard := examples[lo:hi]
-		first := occ
-		for i := range shard {
-			occ += len(shard[i].Features)
-		}
-		wg.Add(1)
-		go func(g, first, end int) {
-			defer wg.Done()
-			errs[g] = t.trainShard(n, g, shard, nb.index, first, end)
-		}(g, first, occ)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// denseMicroRun is how many examples a GPU worker trains on its dense replica
-// between syncs with the stored copy; see the package comment's staleness
-// discussion.
-const denseMicroRun = 32
-
-// gpuWorker is one GPU's training state: its replica of the dense tower and
-// the scratch of the batched sparse path, allocated once by shape so
-// steady-state shards allocate nothing.
-type gpuWorker struct {
-	// net and state are the replica, trained in place with no lock held;
-	// origNet and origState are its snapshot at check-out, which the commit's
-	// delta is taken against — with the stored copy, the four copies a commit
-	// needs. version is the Trainer.denseVersion at which the replica last
-	// equalled the stored copy.
-	net, origNet     *nn.Network
-	state, origState *nn.DenseState
-	version          uint64
-	// loss collects the worker's examples between commits, so the shared
-	// accumulator's mutex is taken once per micro-run, not once per example.
-	loss metrics.LogLossAccumulator
-	acts *nn.Activations
-	vecs [][]float32
-	offs []int32
-	// keys is the shard's key set and local the row of each of the batch
-	// index's rows in it (keys.Index.Subset).
-	keys  []keys.Key
-	local []int32
-	// stamp[row] == ver marks rows already updated by the current example,
-	// deduplicating repeated features within one example exactly like the
-	// per-example path's gradient map did.
-	stamp []uint32
-	ver   uint32
-}
-
-// newGPUWorker allocates a worker whose replica equals the freshly built
-// stored copy (denseVersion 0), so its first check-out copies nothing.
-func (t *Trainer) newGPUWorker() *gpuWorker {
-	return &gpuWorker{
-		net: t.net.Clone(), origNet: t.net.Clone(),
-		state: t.net.NewDenseState(t.denseOpt), origState: t.net.NewDenseState(t.denseOpt),
-		acts: t.net.NewActivations(),
-	}
-}
-
-// checkoutDense syncs w's replica with the stored copy — skipped when nothing
-// was written since the replica last equalled it, i.e. w's own commit was the
-// last — and snapshots it for the commit.
-func (t *Trainer) checkoutDense(w *gpuWorker) {
-	t.denseMu.Lock()
-	if w.version != t.denseVersion {
-		w.net.CopyFrom(t.net)
-		w.state.CopyFrom(t.denseState)
-		w.version = t.denseVersion
-	}
-	t.denseMu.Unlock()
-	w.origNet.CopyFrom(w.net)
-	w.origState.CopyFrom(w.state)
-}
-
-// commitDense folds w's trained replica into the stored copy: stored = final
-// + (stored - orig). When nothing was written since the check-out, stored ==
-// orig bit-for-bit and the formula yields exactly final, so the replica is
-// copied over and stays in sync; otherwise a peer committed in between and
-// the stored copy ends up with both contributions.
-func (t *Trainer) commitDense(w *gpuWorker) {
-	t.denseMu.Lock()
-	merge := w.version != t.denseVersion
-	t.denseVersion++
-	t.denseCommits++
-	if merge {
-		t.denseMerges++
-		t.net.Commit(w.origNet, w.net)
-		t.denseState.Commit(w.origState, w.state)
-	} else {
-		t.net.CopyFrom(w.net)
-		t.denseState.CopyFrom(w.state)
-		w.version = t.denseVersion
-	}
-	t.denseMu.Unlock()
-	t.loss.Merge(&w.loss)
-}
-
-// trainShard trains one GPU worker's mini-batch with batched parameter
-// movement: one block pull of the shard's unique keys, offset-indexed
-// training against the block (applying the sparse optimizer in place, example
-// by example), and one block commit — in place of a pull and a gradient push
-// per example. The shard's examples reference the key occurrences [lo, hi) of
-// the batch's index. With a single shard the arithmetic is bit-identical to
-// the per-example reference path (see CommitBlock); across concurrent shards
-// the per-key contributions combine additively rather than interleaving
-// through the shared tables.
-func (t *Trainer) trainShard(n *node, gpuID int, examples []dataset.Example, idx *keys.Index, lo, hi int) error {
-	if len(examples) == 0 {
-		return nil
-	}
-	if t.perExample {
-		return t.trainShardPerExample(n, gpuID, examples)
-	}
-	w := n.workers[gpuID]
-
-	// The shard's unique key set, sorted, and the row of every batch-index row
-	// in it: the batch was partitioned once in the read stage, so a feature's
-	// row offset is two loads, not a sort and a search.
-	uniq, local := idx.Subset(lo, hi, w.keys, w.local)
-	w.keys, w.local = uniq, local
-	rows := idx.Rows[lo:hi]
-
-	dim := t.cfg.Spec.EmbeddingDim
-	work := ps.GetBlock(dim, uniq)
-	defer ps.PutBlock(work)
-	if err := n.hbm.PullInto(ps.PullRequest{Shard: gpuID, Keys: uniq}, work); err != nil {
-		return err
-	}
-	orig := ps.GetBlock(dim, uniq)
-	defer ps.PutBlock(orig)
-	orig.CopyFrom(work)
-
-	if cap(w.stamp) < len(uniq) {
-		w.stamp = make([]uint32, len(uniq))
-	} else {
-		w.stamp = w.stamp[:len(uniq)]
-	}
-
-	for start := 0; start < len(examples); start += denseMicroRun {
-		end := min(start+denseMicroRun, len(examples))
-		// One check-out and one commit per micro-run; in between the worker
-		// trains its own replica and its own block, no lock held (package
-		// comment, "Dense-tower staleness").
-		t.checkoutDense(w)
-		for e := start; e < end; e++ {
-			ex := &examples[e]
-			w.vecs = w.vecs[:0]
-			w.offs = w.offs[:0]
-			for _, r := range rows[:len(ex.Features)] {
-				off := local[r]
-				w.offs = append(w.offs, off)
-				w.vecs = append(w.vecs, work.WeightsRow(int(off)))
-			}
-			rows = rows[len(ex.Features):]
-			nn.PoolSum(w.acts.Input(), w.vecs)
-			pred := w.net.Forward(w.acts)
-			inputGrad := w.net.BackwardApply(w.acts, pred, ex.Label, t.denseOpt, w.state)
-			w.loss.Add(float64(pred), float64(ex.Label))
-
-			// With sum pooling every referenced feature receives the input
-			// gradient; apply the sparse optimizer to the block in place so
-			// later examples of this shard see the update, exactly like the
-			// per-example path reading back from the tables.
-			w.ver++
-			if w.ver == 0 { // stamp wrapped: reset the epoch space
-				for i := range w.stamp {
-					w.stamp[i] = 0
-				}
-				w.ver = 1
-			}
-			for _, off := range w.offs {
-				if w.stamp[off] == w.ver {
-					continue // repeated feature within the example
-				}
-				w.stamp[off] = w.ver
-				t.sparseOpt.ApplySparse(work.WeightsRow(int(off)), work.G2Row(int(off)), inputGrad)
-				work.Freq[off]++
-			}
-		}
-		t.commitDense(w)
-	}
-	return n.hbm.CommitBlock(gpuID, orig, work)
-}
-
-// trainShardPerExample is the pre-batching reference implementation: pull
-// the example's embeddings, train the stored dense copy in place with the
-// reference Backward + Apply, push the gradients — per example. It is kept
-// (behind the perExample hook) so tests can assert that the batched path,
-// replicas and fused step included, reproduces it exactly.
-func (t *Trainer) trainShardPerExample(n *node, gpuID int, examples []dataset.Example) error {
-	acts := t.net.NewActivations()
-	grads := t.net.NewGradients()
-	var denseOpt optimizer.Dense = t.denseOpt // converted once, not per example
-	vecs := make([][]float32, 0, t.cfg.Data.NonZerosPerExample)
-	values := ps.NewValueBlock(t.cfg.Spec.EmbeddingDim)
-	for _, ex := range examples {
-		if err := n.hbm.PullInto(ps.PullRequest{Shard: gpuID, Keys: ex.Features}, values); err != nil {
-			return err
-		}
-		vecs = vecs[:0]
-		for i := range ex.Features {
-			vecs = append(vecs, values.WeightsRow(i))
-		}
-
-		// No replica here: every example trains the stored copy itself.
-		t.denseMu.Lock()
-		nn.PoolSum(acts.Input(), vecs)
-		pred := t.net.Forward(acts)
-		grads.Zero()
-		inputGrad := t.net.Backward(acts, pred, ex.Label, grads)
-		t.net.Apply(denseOpt, t.denseState, grads)
-		t.denseVersion++
-		t.denseMu.Unlock()
-		t.loss.Add(float64(pred), float64(ex.Label))
-
-		// With sum pooling every referenced feature receives the input
-		// gradient; the HBM-PS owners apply the sparse optimizer in place.
-		sparse := make(map[keys.Key][]float32, len(ex.Features))
-		for _, k := range ex.Features {
-			sparse[k] = inputGrad
-		}
-		if err := n.hbm.PushGrads(gpuID, sparse, t.sparseOpt); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// sumDeltaBlocks merges the per-node delta blocks — sorted unique keys, all
-// rows present — into dst by sorted-key union, summing coincident rows
-// slab-wise with the unrolled tensor kernels. Contributions for a shared key
-// combine in node order, exactly like the map-based merge this replaces.
-func sumDeltaBlocks(dst *ps.ValueBlock, dim int, blocks []*ps.ValueBlock, cursors []int) {
-	dst.Reset(dim, nil)
-	total := 0
-	for bi, b := range blocks {
-		total += b.Len()
-		cursors[bi] = 0
-	}
-	dst.Grow(total)
-	if len(blocks) == 2 {
-		sumDeltaBlocks2(dst, blocks[0], blocks[1])
-		return
-	}
-	for {
-		var best keys.Key
-		found := false
-		for bi, b := range blocks {
-			if cursors[bi] < b.Len() {
-				if k := b.Keys[cursors[bi]]; !found || k < best {
-					best, found = k, true
-				}
-			}
-		}
-		if !found {
-			return
-		}
-		row := dst.GrowRow(best)
-		dw, dg := dst.WeightsRow(row), dst.G2Row(row)
-		for bi, b := range blocks {
-			if i := cursors[bi]; i < b.Len() && b.Keys[i] == best {
-				tensor.Add(b.WeightsRow(i), dw)
-				tensor.Add(b.G2Row(i), dg)
-				dst.Freq[row] += b.Freq[i]
-				cursors[bi]++
-			}
-		}
-	}
-}
-
-// sumDeltaBlocks2 is the two-contributor fast path of sumDeltaBlocks: a
-// straight two-cursor merge. Runs of keys only one node touched are copied
-// slab-wise in one shot; the add kernel runs only for keys both nodes
-// updated. The generic loop above pays a per-key contributor scan and a
-// zero-fill-plus-two-adds even for exclusive keys, which dominates the push
-// stage once everything around it is batched.
-func sumDeltaBlocks2(dst *ps.ValueBlock, a, b *ps.ValueBlock) {
-	i, j := 0, 0
-	an, bn := a.Len(), b.Len()
-	for i < an && j < bn {
-		ka, kb := a.Keys[i], b.Keys[j]
-		switch {
-		case ka < kb:
-			run := i
-			for i++; i < an && a.Keys[i] < kb; i++ {
-			}
-			dst.AppendRows(a, run, i)
-		case kb < ka:
-			run := j
-			for j++; j < bn && b.Keys[j] < ka; j++ {
-			}
-			dst.AppendRows(b, run, j)
-		default:
-			row := dst.GrowRowUninit(ka)
-			dw, dg := dst.WeightsRow(row), dst.G2Row(row)
-			copy(dw, a.WeightsRow(i))
-			copy(dg, a.G2Row(i))
-			tensor.Add(b.WeightsRow(j), dw)
-			tensor.Add(b.G2Row(j), dg)
-			dst.Freq[row] = a.Freq[i] + b.Freq[j]
-			i++
-			j++
-		}
-	}
-	dst.AppendRows(a, i, an)
-	dst.AppendRows(b, j, bn)
-}
-
-// mergePair merges the two nodes' sorted delta blocks key-wise and
-// partitions the result by owning node into mergeScratch.pair (see
-// pairMerge). One scan serves both shards, replacing two per-shard ownership
-// scans and the merged-slab copies. It returns the merged row count (for the
-// all-reduce charge).
-func (t *Trainer) mergePair(a, b *ps.ValueBlock) int {
-	s := &t.mergeScratch.pair
-	s.a, s.b = a, b
-	for o := range s.keys {
-		s.keys[o] = s.keys[o][:0]
-		s.rowsA[o] = s.rowsA[o][:0]
-		s.rowsB[o] = s.rowsB[o][:0]
-	}
-	topo := t.cfg.Topology
-	emit := func(k keys.Key, ai, bi int32) {
-		o := topo.NodeOf(k)
-		s.keys[o] = append(s.keys[o], k)
-		s.rowsA[o] = append(s.rowsA[o], ai)
-		s.rowsB[o] = append(s.rowsB[o], bi)
-	}
-	an, bn := a.Len(), b.Len()
-	i, j := 0, 0
-	for i < an && j < bn {
-		ka, kb := a.Keys[i], b.Keys[j]
-		switch {
-		case ka < kb:
-			if a.Present[i] {
-				emit(ka, int32(i), -1)
-			}
-			i++
-		case kb < ka:
-			if b.Present[j] {
-				emit(kb, -1, int32(j))
-			}
-			j++
-		default:
-			if a.Present[i] || b.Present[j] {
-				ai, bi := int32(i), int32(j)
-				if !a.Present[i] {
-					ai = -1
-				}
-				if !b.Present[j] {
-					bi = -1
-				}
-				emit(ka, ai, bi)
-			}
-			i++
-			j++
-		}
-	}
-	for ; i < an; i++ {
-		if a.Present[i] {
-			emit(a.Keys[i], int32(i), -1)
-		}
-	}
-	for ; j < bn; j++ {
-		if b.Present[j] {
-			emit(b.Keys[j], -1, int32(j))
-		}
-	}
-	return len(s.keys[0]) + len(s.keys[1])
-}
-
-// stagePush synchronizes the per-node deltas (the hierarchical all-reduce of
-// Appendix C.3), has every owner apply its share of them, and completes the
-// batch (unpin, dump evictions, compact — Algorithm 1 lines 16-18). The
-// whole stage is block-native: the per-node delta blocks are summed slab-wise
-// into one global block, the modelled all-reduce is charged from its byte
-// size, and each owner applies it through one PushBlock (one flat wire frame
-// per owner in multi-process mode) — no per-key value allocation anywhere on
-// the path.
-func (t *Trainer) stagePush(ctx context.Context, j *job) (*job, error) {
-	t.maybeDelay(StagePush)
-
-	// Sum the deltas of all nodes: the inter-node synchronization delivers
-	// every delta everywhere, and each owner applies the global sum once. The
-	// two-node in-process case skips the materialized merge entirely — each
-	// MEM-PS sums the pair on the fly in PushBlockPair — so only the merged
-	// row count (for the all-reduce charge) is computed here. Async push
-	// always materializes the merge: the committer needs an owned block that
-	// outlives this stage, while the fused pair path reads the per-node delta
-	// blocks and per-batch pair scratch in place.
-	//
-	// The fused path stays because the benchmark sees it: with it disabled,
-	// train_local_cold (sync, in-process, 2 nodes) runs the general merge and
-	// its p90 RSS rises 8.1% over 10 alternating 16 s pairs at seed 1 (31.1
-	// -> 33.6 MB) and 11.5% over 5 more (30.1 -> 33.6 MB), every run above
-	// every fused run, on a 2-core Xeon VM; examples/s falls about 4%.
-	fused := t.committer == nil && t.remote == nil && len(t.nodes) == 2
-	var d deltas
-	mergedRows := 0
-	if fused {
-		mergedRows = t.mergePair(j.nodes[0].deltas, j.nodes[1].deltas)
-		d.pair = &t.mergeScratch.pair
-	} else {
-		d.global = t.mergeGlobal(j)
-		mergedRows = d.global.Len()
-	}
-	syncTime := t.chargeAllReduce(mergedRows)
-	if t.committer != nil {
-		return t.pushAsync(ctx, j, d.global, syncTime)
-	}
-	return t.pushSync(j, d, syncTime)
-}
-
-// mergeGlobal is stagePush's general merge: the sum of every node's deltas as
-// one global block — the single node's own delta block, adopted, or a pooled
-// block.
-func (t *Trainer) mergeGlobal(j *job) *ps.ValueBlock {
-	global := j.nodes[0].deltas
-	if len(t.nodes) > 1 {
-		global = ps.GetBlock(t.cfg.Spec.EmbeddingDim, nil)
-		t.mergeScratch.blocks = t.mergeScratch.blocks[:0]
-		for _, nb := range j.nodes {
-			t.mergeScratch.blocks = append(t.mergeScratch.blocks, nb.deltas)
-		}
-		if cap(t.mergeScratch.cursors) < len(t.nodes) {
-			t.mergeScratch.cursors = make([]int, len(t.nodes))
-		}
-		sumDeltaBlocks(global, t.cfg.Spec.EmbeddingDim, t.mergeScratch.blocks, t.mergeScratch.cursors[:len(t.nodes)])
-	}
-	return global
-}
-
-// chargeAllReduce charges the modelled all-reduce of mergedRows delta rows
-// and returns its duration: every GPU contributes its partition of the
-// deltas, inter-node rounds over RDMA, intra-node rounds over NVLink. The
-// volume is the global block's payload size (every row is a changed key, so
-// rows x encoded-row-size is exactly what the synchronization moves). The
-// charge stays on the push stage even in async mode — the synchronization
-// itself is not deferred, only the owners' apply.
-func (t *Trainer) chargeAllReduce(mergedRows int) time.Duration {
-	var syncTime time.Duration
-	totalGPUs := t.cfg.Topology.TotalGPUs()
-	if totalGPUs > 1 {
-		deltaBytes := int64(mergedRows) * int64(8+embedding.EncodedSize(t.cfg.Spec.EmbeddingDim))
-		bytesPerGPU := deltaBytes / int64(totalGPUs)
-		syncTime = interconnect.HierarchicalAllReduceTime(
-			bytesPerGPU, t.cfg.Topology.Nodes, t.cfg.Topology.GPUsPerNode,
-			t.cfg.Profile.RDMA, t.cfg.Profile.NVLink)
-		t.clock.Add(simtime.ResourceRDMA, syncTime)
-		t.mu.Lock()
-		t.allReduce += syncTime
-		t.mu.Unlock()
-	}
-	return syncTime
-}
-
-// pushAsync hands the merged block and the batch's pull to the background
-// committer and returns: the pipeline slot frees before the owners' round
-// trip. The committer owns global from here; the per-node blocks are
-// released now (the single-node case adopted its delta block as global).
-func (t *Trainer) pushAsync(ctx context.Context, j *job, global *ps.ValueBlock, syncTime time.Duration) (*job, error) {
-	pj := &pushJob{index: j.index, global: global, pull: j.pull}
-	j.pull = nil
-	for _, nb := range j.nodes {
-		if nb.deltas != global {
-			ps.PutBlock(nb.deltas)
-		}
-		nb.deltas = nil
-	}
-	t.addStageModelled(StagePush, syncTime)
-	if err := t.committer.enqueue(ctx, pj); err != nil {
-		return nil, err
-	}
-	return j, nil
-}
-
-// pushSync has every owner apply its share of d and complete the batch, then
-// republishes the dense tower, all before the stage returns.
-func (t *Trainer) pushSync(j *job, d deltas, syncTime time.Duration) (*job, error) {
-	defer func() {
-		for _, nb := range j.nodes {
-			ps.PutBlock(nb.deltas)
-			nb.deltas = nil
-		}
-		if d.global != nil && len(t.nodes) > 1 {
-			ps.PutBlock(d.global)
-		}
-	}()
-	// The owners' push-time deltas are safe to read here because only this
-	// stage touches the push path. The SSD-PS writes are not the stage's:
-	// CompleteBatch hands them to the MEM-PS's background write (blockio
-	// still charges them to the clock's SSD).
-	modelled, err := t.applyPush(d, j.pull)
-	if err != nil {
-		return nil, err
-	}
-	j.pull = nil
-	if err := t.republishDense(j.index); err != nil {
-		return nil, err
-	}
-	t.addStageModelled(StagePush, modelled+syncTime)
-	return j, nil
-}
-
-// republishDense refreshes every shard's dense replica once a batch's pushes
-// have been applied (Config.Serve): shards stamp the parameters with the
-// epoch and bound their reported serving staleness against it, and the
-// trained-batch watermark rides along so they can report how far their
-// parameters trail training (push epoch lag).
-func (t *Trainer) republishDense(index int) error {
-	if !t.cfg.Serve {
-		return nil
-	}
-	t.denseMu.Lock()
-	t.denseFlat = t.net.FlattenParams(t.denseFlat[:0])
-	t.denseMu.Unlock()
-	scfg := cluster.ServeConfig{Dense: t.denseFlat, Epoch: uint64(index) + 1,
-		TrainedEpoch: t.trainedEpoch.Load()}
-	for _, id := range t.cfg.Topology.MemberIDs() {
-		if err := t.remote.PublishServeConfig(id, scfg); err != nil {
-			// A member mid-failover misses this epoch's dense refresh; it
-			// catches up on the next one. Failing the run here would turn a
-			// survivable shard outage into a training abort.
-			if t.cfg.Topology.Replicas > 1 {
-				continue
-			}
-			return fmt.Errorf("trainer: refresh dense on shard %d: %w", id, err)
-		}
-	}
-	return nil
-}
-
-// Predict returns the model's click probability for a feature set, reading
-// the authoritative parameter copies of its distinct keys from their owners
-// into one block (one batched lookup per owner — over the wire in
-// multi-process mode, failing over to backups on a primary outage) and
-// pooling the rows in feature order, as the serving tier does. Features
-// never trained on contribute nothing (matching internal/reference). It
-// fails if an owner's parameters cannot be read: a prediction computed with
-// a shard's embeddings missing would be silently wrong.
-func (t *Trainer) Predict(features []keys.Key) (float32, error) {
-	var (
-		ib keys.IndexBuilder
-		x  keys.Index
-	)
-	ib.Add(features)
-	ib.Build(&x)
-	dim := t.cfg.Spec.EmbeddingDim
-	blk := ps.GetBlock(dim, x.Unique)
-	defer ps.PutBlock(blk)
-	sub := ps.GetBlock(dim, nil)
-	defer ps.PutBlock(sub)
-	t.ownersMu.Lock()
-	owners := t.owners
-	parts := t.cfg.Topology.SplitByNode(x.Unique)
-	t.ownersMu.Unlock()
-	for id, ks := range parts {
-		if len(ks) == 0 {
-			continue
-		}
-		if id >= len(owners) || owners[id] == nil {
-			return 0, fmt.Errorf("trainer: predict: keys owned by %d, which is not an owner of this trainer", id)
-		}
-		if err := owners[id].HandleLookupBlock(ks, sub); err != nil {
-			return 0, fmt.Errorf("trainer: predict: owner %d: %w", id, err)
-		}
-		blk.ScatterRows(sub)
-	}
-	vecs := make([][]float32, 0, len(features))
-	for _, r := range x.Rows {
-		if blk.Present[r] {
-			vecs = append(vecs, blk.WeightsRow(int(r)))
-		}
-	}
-	t.denseMu.Lock()
-	defer t.denseMu.Unlock()
-	nn.PoolSum(t.evalActs.Input(), vecs)
-	return t.net.Forward(t.evalActs), nil
-}
-
-// Evaluate returns the model AUC over n fresh examples drawn from gen.
-func (t *Trainer) Evaluate(gen *dataset.Generator, n int) (float64, error) {
-	scores := make([]float64, 0, n)
-	labels := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		ex := gen.NextExample()
-		p, err := t.Predict(ex.Features)
-		if err != nil {
-			return 0, err
-		}
-		scores = append(scores, float64(p))
-		labels = append(labels, float64(ex.Label))
-	}
-	return metrics.AUC(scores, labels), nil
-}
-
-// UpdateMembership installs a membership change into the trainer's shared
-// topology view and (re)points the remote transport at the member addresses
-// it carries: the next batch's pulls and pushes follow the new ring. Stale
-// epochs are dropped by the membership view itself, so out-of-order delivery
-// is harmless.
-func (t *Trainer) UpdateMembership(u cluster.MembershipUpdate) error {
-	if t.cfg.Topology.Members == nil {
-		return fmt.Errorf("trainer: topology has no membership view to update")
-	}
-	if err := u.Validate(); err != nil {
-		return err
-	}
-	// The owner table grows before the ring that names a new member is
-	// installed, under ownersMu, so no batch is dealt over a member without
-	// an owner.
-	t.ownersMu.Lock()
-	defer t.ownersMu.Unlock()
-	if t.remote != nil {
-		for id, addr := range u.Addrs {
-			t.remote.SetAddr(id, addr)
-		}
-		t.owners = t.newRemoteShards(t.owners, u.Members)
-	}
-	t.cfg.Topology.Members.Update(u.BuildRing())
-	return nil
 }
 
 // Examples returns the number of examples trained across all nodes.
