@@ -27,7 +27,8 @@ import (
 const shardReadyPrefix = "hps-shard ready"
 
 // parseMembers parses a comma-separated list of shard ids ("0,1,2"); an empty
-// string means no ring (legacy modulo placement) and returns nil.
+// string means no ring — modulo placement, which balances the shards' key
+// traffic better than the default ring (see runDriver) — and returns nil.
 func parseMembers(s string) ([]int, error) {
 	if s == "" {
 		return nil, nil

@@ -9,9 +9,19 @@
 // reduce SSD I/O. In one process the owner resolves the batch's keys for
 // every node at once (PrepareOwnedInto): each key it owns is probed, loaded
 // and pinned once per batch however many nodes reference it, and its value is
-// copied straight into each of those nodes' blocks. A node that assembles its
-// own working set instead (PrepareInto) pulls the remotely-owned keys from
-// their owners' MEM-PS over a cluster.Transport.
+// copied straight into each of those nodes' blocks.
+//
+// An owned key resolves in one place, resolve (misspath.go): from the cache,
+// else the dump buffer, else the SSD-PS in one batched load per call, else
+// keyed init. The batch prepares, the pull RPCs (HandlePullBlock,
+// HandlePullBlockWire) and the pushes (PushBlock, PushBlockPair) all go
+// through it; only the no-create read behind HandleLookupBlock, Lookup and
+// ExportInto does not. A node that assembles its own working set
+// (PrepareInto, PullInto) pulls the remotely-owned keys from their owners'
+// MEM-PS over a cluster.Transport; every MEM-PS the product builds — the
+// trainer's in-process nodes and the shard servers — gets cluster.NoRoute
+// instead, so those two are reached only by the benchmark's layer probe and
+// the ps.Tier conformance suite.
 //
 // Evicted parameters collect in a dump buffer. Once a batch completes with
 // the buffer full, the whole buffer is handed to a background write that
