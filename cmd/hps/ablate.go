@@ -60,8 +60,11 @@ type ablationRow struct {
 // clock, evaluated on the same held-out stream, and torn down before the next
 // depth starts. The factory's cleanup (shard teardown in driver mode) runs
 // after the trainer is closed, so final flushes still reach the shards.
-func runAblate(fs *trainFlags, spec model.Spec, data dataset.Config,
-	depths []int, factory func(depth int) (*trainer.Trainer, func(), error)) error {
+func runAblate(fs *trainFlags, spec model.Spec, data dataset.Config, factory func(depth int) (*trainer.Trainer, func(), error)) error {
+	depths, err := parseDepths(*fs.ablate)
+	if err != nil {
+		return err
+	}
 	evalN := *fs.evalN
 	if evalN <= 0 {
 		evalN = 800 // the table is meaningless without an AUC column
@@ -87,17 +90,13 @@ func runAblate(fs *trainFlags, spec model.Spec, data dataset.Config,
 		wall := time.Since(start)
 		if runErr != nil {
 			tr.Close()
-			if cleanup != nil {
-				cleanup()
-			}
+			cleanup()
 			return fmt.Errorf("depth %d: %w", depth, runErr)
 		}
 		rep := tr.Report()
 		auc, err := tr.Evaluate(dataset.NewGenerator(data, *fs.seed+424243), evalN)
 		closeErr := tr.Close()
-		if cleanup != nil {
-			cleanup()
-		}
+		cleanup()
 		if err != nil {
 			return fmt.Errorf("depth %d: evaluate: %w", depth, err)
 		}

@@ -27,11 +27,8 @@ func runLoadgen(args []string) error {
 		batch       = fs.Int("batch", 16, "examples per predict request")
 		seed        = fs.Int64("seed", 99, "random seed for the query streams")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
-	}
-	if rest := fs.Args(); len(rest) > 0 {
-		return fmt.Errorf("unexpected argument %q", rest[0])
 	}
 	if *addrsFlag == "" {
 		return fmt.Errorf("loadgen requires -addrs (comma-separated shard addresses)")

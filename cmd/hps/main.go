@@ -79,13 +79,24 @@ type trainFlags struct {
 	ablate    *string
 }
 
-// applyPipeline wires the pipeline flags into a trainer config: -inflight is
-// the depth, and -async-push/-push-lag configure the background push
-// committer.
-func (f *trainFlags) applyPipeline(cfg *trainer.Config) {
-	cfg.MaxInFlight = *f.inFlight
-	cfg.AsyncPush = *f.asyncPush
-	cfg.PushLag = *f.pushLag
+// config is the trainer.Config both training modes build from these flags:
+// model, batches, checkpoints, and the pipeline depth and push committer.
+func (f *trainFlags) config(spec model.Spec, data dataset.Config, topo cluster.Topology) trainer.Config {
+	return trainer.Config{
+		Spec:               spec,
+		Data:               data,
+		Topology:           topo,
+		BatchSize:          *f.batchSize,
+		Batches:            *f.batches,
+		Profile:            hw.DefaultGPUNode(),
+		Seed:               *f.seed,
+		CheckpointPath:     f.checkpointPath(),
+		CheckpointInterval: *f.ckptInterval,
+		BatchPause:         *f.batchPause,
+		MaxInFlight:        *f.inFlight,
+		AsyncPush:          *f.asyncPush,
+		PushLag:            *f.pushLag,
+	}
 }
 
 // checkpointPath resolves the effective manifest path: -checkpoint wins, and
@@ -99,6 +110,36 @@ func (f *trainFlags) checkpointPath() string {
 		return filepath.Join(*f.stateDir, "checkpoint.json")
 	}
 	return ""
+}
+
+// resume restores tr from the checkpoint manifest when -restore is set.
+func (f *trainFlags) resume(tr *trainer.Trainer) error {
+	if !*f.restore {
+		return nil
+	}
+	path := f.checkpointPath()
+	if path == "" {
+		return fmt.Errorf("-restore needs -checkpoint or -state-dir")
+	}
+	done, err := tr.Restore(path)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("restored checkpoint %s: resuming at batch %d/%d\n", path, done, *f.batches)
+	return nil
+}
+
+// evaluate prints tr's AUC over -eval held-out examples (none with -eval 0).
+func (f *trainFlags) evaluate(tr *trainer.Trainer, data dataset.Config) error {
+	if *f.evalN <= 0 {
+		return nil
+	}
+	auc, err := tr.Evaluate(dataset.NewGenerator(data, *f.seed+424243), *f.evalN)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("\nAUC over %d held-out examples: %.4f\n", *f.evalN, auc)
+	return nil
 }
 
 func newTrainFlags(name string) *trainFlags {
@@ -130,27 +171,37 @@ func newTrainFlags(name string) *trainFlags {
 }
 
 func main() {
-	args := os.Args[1:]
-	var err error
-	switch {
-	case len(args) > 0 && args[0] == "serve":
-		err = runServe(args[1:])
-	case len(args) > 0 && args[0] == "driver":
-		err = runDriver(args[1:])
-	case len(args) > 0 && args[0] == "loadgen":
-		err = runLoadgen(args[1:])
-	case len(args) > 0 && !strings.HasPrefix(args[0], "-"):
-		// A bare word that is not a known subcommand is almost certainly a
-		// typo for one; running a full default training instead would be a
-		// silent surprise.
-		err = fmt.Errorf("unknown subcommand %q (want serve, driver, loadgen, or train flags)", args[0])
-	default:
-		err = runTrain(args)
-	}
-	if err != nil {
+	if err := dispatch(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "hps:", err)
 		os.Exit(1)
 	}
+}
+
+// dispatch runs the subcommand args name, or in-process training when args
+// start with a flag.
+func dispatch(args []string) error {
+	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
+		return runTrain(args)
+	}
+	sub, ok := map[string]func([]string) error{"serve": runServe, "driver": runDriver, "loadgen": runLoadgen}[args[0]]
+	if !ok {
+		// A bare word that is not a known subcommand is almost certainly a
+		// typo for one; running a full default training instead would be a
+		// silent surprise.
+		return fmt.Errorf("unknown subcommand %q (want serve, driver, loadgen, or train flags)", args[0])
+	}
+	return sub(args[1:])
+}
+
+// parseFlags parses args into fs and rejects positional leftovers.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if rest := fs.Args(); len(rest) > 0 {
+		return fmt.Errorf("unexpected argument %q", rest[0])
+	}
+	return nil
 }
 
 // runTrain is the in-process mode (the default, flag-compatible with the
@@ -159,11 +210,8 @@ func runTrain(args []string) error {
 	fs := newTrainFlags("hps")
 	nodes := fs.fs.Int("nodes", 2, "number of GPU nodes")
 	baseline := fs.fs.Bool("baseline", false, "also run the MPI-cluster baseline and report the modelled speedup")
-	if err := fs.fs.Parse(args); err != nil {
+	if err := parseFlags(fs.fs, args); err != nil {
 		return err
-	}
-	if rest := fs.fs.Args(); len(rest) > 0 {
-		return fmt.Errorf("unexpected argument %q", rest[0])
 	}
 	return run(fs, *nodes, *baseline)
 }
@@ -179,6 +227,14 @@ func resolveSpec(name string, scale int64) (model.Spec, error) {
 	return spec.Scaled(scale), nil
 }
 
+// cacheSizes sizes a MEM-PS cache relative to its parameter shard, so the
+// hot set stays resident and the cold tail lives on the SSD-PS, and lets
+// SSD-PS compaction trigger once stale copies exceed the live shard size.
+func cacheSizes(spec model.Spec, shardParams int64, frac float64) (lru, lfu int, ssdThreshold int64) {
+	entries := max(int(float64(shardParams)*frac), 128)
+	return entries / 2, entries - entries/2, 2 * shardParams * int64(8+embedding.EncodedSize(spec.EmbeddingDim))
+}
+
 func run(fs *trainFlags, nodes int, baseline bool) error {
 	spec, err := resolveSpec(*fs.modelName, *fs.scale)
 	if err != nil {
@@ -191,51 +247,19 @@ func run(fs *trainFlags, nodes int, baseline bool) error {
 	data := dataset.ForModel(spec.SparseParams, spec.NonZerosPerExample)
 	batches, batchSize, seed := *fs.batches, *fs.batchSize, *fs.seed
 
-	// Size each node's MEM-PS cache relative to its parameter shard so the
-	// memory hierarchy actually works: the hot set stays resident, the cold
-	// tail lives on the SSD-PS.
-	shard := spec.SparseParams / int64(nodes)
-	cacheEntries := int(float64(shard) * *fs.cacheFrac)
-	if cacheEntries < 128 {
-		cacheEntries = 128
-	}
-	// Let compaction trigger once stale copies exceed the live model size.
-	liveBytes := shard * int64(8+embedding.EncodedSize(spec.EmbeddingDim))
-
-	cfg := trainer.Config{
-		Spec:               spec,
-		Data:               data,
-		Topology:           topo,
-		BatchSize:          batchSize,
-		Batches:            batches,
-		Profile:            hw.DefaultGPUNode(),
-		LRUEntries:         cacheEntries / 2,
-		LFUEntries:         cacheEntries - cacheEntries/2,
-		SSDThresholdBytes:  2 * liveBytes,
-		Seed:               seed,
-		Dir:                *fs.stateDir,
-		CheckpointPath:     fs.checkpointPath(),
-		CheckpointInterval: *fs.ckptInterval,
-		BatchPause:         *fs.batchPause,
-	}
-	fs.applyPipeline(&cfg)
+	cfg := fs.config(spec, data, topo)
+	cfg.LRUEntries, cfg.LFUEntries, cfg.SSDThresholdBytes = cacheSizes(spec, spec.SparseParams/int64(nodes), *fs.cacheFrac)
+	cfg.Dir = *fs.stateDir
 
 	if *fs.ablate != "" {
-		depths, err := parseDepths(*fs.ablate)
-		if err != nil {
-			return err
-		}
 		if *fs.stateDir != "" || *fs.restore || *fs.checkpoint != "" {
 			return fmt.Errorf("-ablate-depth sweeps fresh runs; it cannot combine with -state-dir/-checkpoint/-restore")
 		}
-		return runAblate(fs, spec, data, depths, func(depth int) (*trainer.Trainer, func(), error) {
+		return runAblate(fs, spec, data, func(depth int) (*trainer.Trainer, func(), error) {
 			c := cfg
 			c.MaxInFlight = depth
-			c.Dir = ""
-			c.CheckpointPath = ""
-			c.CheckpointInterval = 0
 			tr, err := trainer.New(c)
-			return tr, nil, err
+			return tr, func() {}, err
 		})
 	}
 
@@ -249,15 +273,8 @@ func run(fs *trainFlags, nodes int, baseline bool) error {
 		return err
 	}
 	defer tr.Close()
-	if *fs.restore {
-		if cfg.CheckpointPath == "" {
-			return fmt.Errorf("-restore needs -checkpoint or -state-dir")
-		}
-		done, err := tr.Restore(cfg.CheckpointPath)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("restored checkpoint %s: resuming at batch %d/%d\n", cfg.CheckpointPath, done, batches)
+	if err := fs.resume(tr); err != nil {
+		return err
 	}
 
 	// SIGINT/SIGTERM cut the run short but not dirty: Run unwinds, and the
@@ -281,12 +298,8 @@ func run(fs *trainFlags, nodes int, baseline bool) error {
 	fmt.Print(report.String())
 	fmt.Printf("(simulation wall time %v)\n", wall.Round(time.Millisecond))
 
-	if *fs.evalN > 0 {
-		auc, err := tr.Evaluate(dataset.NewGenerator(data, seed+424243), *fs.evalN)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("\nAUC over %d held-out examples: %.4f\n", *fs.evalN, auc)
+	if err := fs.evaluate(tr, data); err != nil {
+		return err
 	}
 
 	if baseline {

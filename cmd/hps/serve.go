@@ -14,7 +14,6 @@ import (
 
 	"hps/internal/blockio"
 	"hps/internal/cluster"
-	"hps/internal/embedding"
 	"hps/internal/hw"
 	"hps/internal/memps"
 	"hps/internal/serving"
@@ -75,13 +74,9 @@ func runServe(args []string) error {
 
 		members  = fs.String("members", "", "comma-separated shard ids on the consistent-hash ring (empty: modulo placement over -shards)")
 		replicas = fs.Int("replicas", 1, "replication factor R: each key lives on its primary plus R-1 backups (needs -members)")
-		vnodes   = fs.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per ring member")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
-	}
-	if rest := fs.Args(); len(rest) > 0 {
-		return fmt.Errorf("unexpected argument %q", rest[0])
 	}
 	spec, err := resolveSpec(*modelName, *scale)
 	if err != nil {
@@ -103,19 +98,12 @@ func runServe(args []string) error {
 	}
 
 	root := *dir
-	ownsDir := false
 	if root == "" {
-		d, err := os.MkdirTemp("", fmt.Sprintf("hps-shard-%d-*", *shard))
-		if err != nil {
+		if root, err = os.MkdirTemp("", fmt.Sprintf("hps-shard-%d-*", *shard)); err != nil {
 			return err
 		}
-		root, ownsDir = d, true
+		defer os.RemoveAll(root)
 	}
-	defer func() {
-		if ownsDir {
-			os.RemoveAll(root)
-		}
-	}()
 
 	profile := hw.DefaultGPUNode()
 	dev, err := blockio.NewDevice(root, profile.SSD, simtime.NewClock())
@@ -123,15 +111,10 @@ func runServe(args []string) error {
 		return err
 	}
 	defer dev.Close() // for the error paths; shutdown closes it after the final flush
-	shardParams := spec.SparseParams / int64(*shards)
-	cacheEntries := int(float64(shardParams) * *cacheFrac)
-	if cacheEntries < 128 {
-		cacheEntries = 128
-	}
-	liveBytes := shardParams * int64(8+embedding.EncodedSize(spec.EmbeddingDim))
+	lru, lfu, ssdThreshold := cacheSizes(spec, spec.SparseParams/int64(*shards), *cacheFrac)
 	store, err := ssdps.Open(dev, ssdps.Config{
 		Dim:                     spec.EmbeddingDim,
-		DiskUsageThresholdBytes: 2 * liveBytes,
+		DiskUsageThresholdBytes: ssdThreshold,
 	})
 	if err != nil {
 		return err
@@ -159,7 +142,7 @@ func runServe(args []string) error {
 	topo := cluster.Topology{Nodes: *shards, GPUsPerNode: 1}
 	var peerTr *cluster.TCPTransport
 	if memberIDs != nil {
-		topo.Members = cluster.NewMembership(cluster.NewRing(memberIDs, *vnodes))
+		topo.Members = cluster.NewMembership(cluster.NewRing(memberIDs, cluster.DefaultVNodes))
 		topo.Replicas = *replicas
 		// One shared peer transport: serving failover reads through it, the
 		// replicator forwards and transfers through it, and membership updates
@@ -174,8 +157,8 @@ func runServe(args []string) error {
 		Topology:   topo,
 		Transport:  cluster.NoRoute{}, // a shard server answers; it never proxies peers
 		Store:      store,
-		LRUEntries: cacheEntries / 2,
-		LFUEntries: cacheEntries - cacheEntries/2,
+		LRUEntries: lru,
+		LFUEntries: lfu,
 		// The MEM-PS derives its per-node rng from Seed and NodeID exactly as
 		// the in-process trainer does, so both modes initialize identically.
 		Seed: *seed,
