@@ -51,11 +51,6 @@ func runDriver(args []string) error {
 	if replicas > shards {
 		return fmt.Errorf("-replicas %d exceeds -shards %d", replicas, shards)
 	}
-	// Ring placement turns on only when replication or a mid-run membership
-	// change needs it: modulo balances the shards' key traffic better
-	// (docs/BENCHMARKS.md, dead end "modulo placement as ring, R=1").
-	ringMode := replicas > 1 || *addAfter > 0 || *removeAfter > 0
-
 	exe, err := os.Executable()
 	if err != nil {
 		return fmt.Errorf("resolve own executable: %w", err)
@@ -78,7 +73,7 @@ func runDriver(args []string) error {
 	sup := driver.Config{Spawn: shardSpawner(exe, fs), Shards: shards, Root: root, Replicas: replicas,
 		RestartMax: *restartMax, RestartWindow: *restartWindow}
 	if *fs.ablate != "" {
-		if *lg || ringMode || *fs.restore || *fs.checkpoint != "" {
+		if *lg || replicas > 1 || *addAfter > 0 || *removeAfter > 0 || *fs.restore || *fs.checkpoint != "" {
 			return errors.New("-ablate-depth sweeps fresh runs; it cannot combine with -loadgen, ring flags, -checkpoint or -restore")
 		}
 		return ablateDriver(fs, spec, data, sup)
@@ -86,11 +81,6 @@ func runDriver(args []string) error {
 
 	ctx, cancel := signalContext()
 	defer cancel()
-	var ms *cluster.Membership
-	if ringMode {
-		sup.Ring = cluster.NewRing(cluster.Topology{Nodes: shards}.MemberIDs(), cluster.DefaultVNodes)
-		ms = cluster.NewMembership(sup.Ring)
-	}
 	// Losing an unreplicated shard for good loses part of the model: abort.
 	sup.Abort = cancel
 	set := driver.New(sup)
@@ -98,7 +88,8 @@ func runDriver(args []string) error {
 	if err := set.Start(*fs.restore); err != nil {
 		return err
 	}
-	cfg := fs.remoteConfig(spec, data, set, cluster.Topology{Nodes: shards, GPUsPerNode: *fs.gpus, Members: ms, Replicas: replicas})
+	topo := cluster.Topology{Nodes: shards, GPUsPerNode: *fs.gpus, Replicas: replicas}.WithView()
+	cfg := fs.remoteConfig(spec, data, set, topo)
 	cfg.Serve = *lg
 	wire := *fs.wirePrec
 	if *fs.quantPush {
@@ -112,22 +103,20 @@ func runDriver(args []string) error {
 	}
 	defer tr.Close()
 	set.Follow(tr.SetShardAddr)
-	if ringMode {
-		// The driver's control transport carries membership broadcasts (and
-		// nothing else) to the shards.
-		ctl := cluster.NewTCPTransport(set.Addrs(), spec.EmbeddingDim)
-		defer ctl.Close()
-		set.Follow(ctl.SetAddr)
-		set.Broadcast(driver.Broadcaster{Shard: ctl.UpdateMembership, Trainer: tr.UpdateMembership})
-		after(ctx, *addAfter, "add shard", set.Join)
-		after(ctx, *removeAfter, "remove shard", set.Retire)
-	}
+	// The driver's control transport carries membership broadcasts (and
+	// nothing else) to the shards.
+	ctl := cluster.NewTCPTransport(set.Addrs(), spec.EmbeddingDim)
+	defer ctl.Close()
+	set.Follow(ctl.SetAddr)
+	set.Broadcast(driver.Broadcaster{Shard: ctl.UpdateMembership, Trainer: tr.UpdateMembership})
+	after(ctx, *addAfter, "add shard", set.Join)
+	after(ctx, *removeAfter, "remove shard", set.Retire)
 	if err := fs.resume(tr); err != nil {
 		return err
 	}
 	load := func() (loadgen.Report, error) { return loadgen.Report{}, nil }
 	if *lg {
-		load = startLoadgen(ctx, set, spec.EmbeddingDim, loadgen.Config{Nodes: shards, Members: ms, Data: data,
+		load = startLoadgen(ctx, set, spec.EmbeddingDim, loadgen.Config{Nodes: shards, Members: topo.Members, Data: data,
 			Seed: *fs.seed + 777, Duration: *lgDuration, Concurrency: *lgConcurrency, BatchSize: *lgBatch})
 	}
 
@@ -149,9 +138,7 @@ func runDriver(args []string) error {
 	fmt.Print(tr.Report().String())
 	fmt.Printf("(driver wall time %v)\n", wall.Round(time.Millisecond))
 	set.PrintLosses()
-	if ringMode {
-		fmt.Printf("ring: epoch %d, members %v, replicas %d\n", ms.Epoch(), ms.Ring().Members(), replicas)
-	}
+	fmt.Printf("ring: epoch %d, members %v, replicas %d\n", topo.Members.Epoch(), topo.MemberIDs(), replicas)
 	if *lg {
 		if lgErr != nil {
 			return fmt.Errorf("loadgen: %w", lgErr)
@@ -270,13 +257,11 @@ func shardSpawner(exe string, fs *trainFlags) driver.Spawner {
 			"-seed", fmt.Sprint(*fs.seed),
 			"-dir", a.Dir,
 		}
-		if a.Members != nil {
-			ids := make([]string, len(a.Members))
-			for i, m := range a.Members {
-				ids[i] = strconv.Itoa(m)
-			}
-			args = append(args, "-members", strings.Join(ids, ","), "-replicas", strconv.Itoa(a.Replicas))
+		ids := make([]string, len(a.Members))
+		for i, m := range a.Members {
+			ids[i] = strconv.Itoa(m)
 		}
+		args = append(args, "-members", strings.Join(ids, ","), "-replicas", strconv.Itoa(a.Replicas))
 		if a.Restore {
 			args = append(args, "-restore")
 		}

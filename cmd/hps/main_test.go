@@ -19,15 +19,15 @@ func TestParseDepths(t *testing.T) {
 }
 
 func TestParseMembers(t *testing.T) {
-	if got, err := parseMembers(""); got != nil || err != nil {
-		t.Fatalf(`parseMembers("") = %v, %v; want nil: modulo placement`, got, err)
+	if got, err := parseMembers("", 3); !slices.Equal(got, []int{0, 1, 2}) || err != nil {
+		t.Fatalf(`parseMembers("", 3) = %v, %v; want [0 1 2]`, got, err)
 	}
-	got, err := parseMembers("0, 2,1")
+	got, err := parseMembers("0, 2,1", 3)
 	if err != nil || !slices.Equal(got, []int{0, 2, 1}) {
 		t.Fatalf("parseMembers = %v, %v; want [0 2 1]", got, err)
 	}
-	for _, bad := range []string{"1,1", "-1", "a", "0,,1"} {
-		if _, err := parseMembers(bad); err == nil {
+	for _, bad := range []string{"1,1", "-1", "a", "0,,1", "1024"} {
+		if _, err := parseMembers(bad, 3); err == nil {
 			t.Errorf("parseMembers(%q) accepted", bad)
 		}
 	}

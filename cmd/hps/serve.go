@@ -26,11 +26,10 @@ import (
 const shardReadyPrefix = "hps-shard ready"
 
 // parseMembers parses a comma-separated list of shard ids ("0,1,2"); an empty
-// string means no ring — modulo placement, which balances the shards' key
-// traffic better than the default ring (see runDriver) — and returns nil.
-func parseMembers(s string) ([]int, error) {
+// string means the shards 0..shards-1.
+func parseMembers(s string, shards int) ([]int, error) {
 	if s == "" {
-		return nil, nil
+		return cluster.Topology{Nodes: shards}.MemberIDs(), nil
 	}
 	parts := strings.Split(s, ",")
 	ids := make([]int, 0, len(parts))
@@ -39,8 +38,8 @@ func parseMembers(s string) ([]int, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad member id %q: %w", p, err)
 		}
-		if id < 0 {
-			return nil, fmt.Errorf("member id %d is negative", id)
+		if id < 0 || id >= cluster.MemberLimit {
+			return nil, fmt.Errorf("member id %d outside [0, %d)", id, cluster.MemberLimit)
 		}
 		if slices.Contains(ids, id) {
 			return nil, fmt.Errorf("member id %d repeated", id)
@@ -72,8 +71,8 @@ func runServe(args []string) error {
 		serveWorkers = fs.Int("serve-workers", 2, "serving scoring workers")
 		serveBatch   = fs.Int("serve-batch", 512, "max examples coalesced into one scoring pass")
 
-		members  = fs.String("members", "", "comma-separated shard ids on the consistent-hash ring (empty: modulo placement over -shards)")
-		replicas = fs.Int("replicas", 1, "replication factor R: each key lives on its primary plus R-1 backups (needs -members)")
+		members  = fs.String("members", "", "comma-separated shard ids the keys are placed over by rendezvous hashing (empty: 0..shards-1)")
+		replicas = fs.Int("replicas", 1, "replication factor R: each key lives on its primary plus R-1 backups")
 	)
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -82,19 +81,12 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	memberIDs, err := parseMembers(*members)
+	memberIDs, err := parseMembers(*members, *shards)
 	if err != nil {
 		return err
 	}
-	if memberIDs == nil {
-		if *shard < 0 || *shard >= *shards {
-			return fmt.Errorf("shard %d out of range [0, %d)", *shard, *shards)
-		}
-		if *replicas > 1 {
-			return fmt.Errorf("-replicas %d needs -members (replication places keys on the ring)", *replicas)
-		}
-	} else if !slices.Contains(memberIDs, *shard) {
-		return fmt.Errorf("shard %d is not in -members %s", *shard, *members)
+	if !slices.Contains(memberIDs, *shard) {
+		return fmt.Errorf("shard %d is not among the members %v", *shard, memberIDs)
 	}
 
 	root := *dir
@@ -139,18 +131,14 @@ func runServe(args []string) error {
 		}
 		fmt.Fprintln(os.Stderr, report)
 	}
-	topo := cluster.Topology{Nodes: *shards, GPUsPerNode: 1}
-	var peerTr *cluster.TCPTransport
-	if memberIDs != nil {
-		topo.Members = cluster.NewMembership(cluster.NewRing(memberIDs, cluster.DefaultVNodes))
-		topo.Replicas = *replicas
-		// One shared peer transport: serving failover reads through it, the
-		// replicator forwards and transfers through it, and membership updates
-		// from the driver teach it the peer address book (the empty map — a
-		// shard never knows peer addresses at boot).
-		peerTr = cluster.NewTCPTransport(map[int]string{}, spec.EmbeddingDim)
-		defer peerTr.Close()
-	}
+	topo := cluster.Topology{Nodes: *shards, GPUsPerNode: 1, Replicas: *replicas,
+		Members: cluster.NewMembership(cluster.NewRing(memberIDs))}
+	// One shared peer transport: serving failover reads through it, the
+	// replicator forwards and transfers through it, and membership updates
+	// from the driver teach it the peer address book (the empty map — a
+	// shard never knows peer addresses at boot).
+	peerTr := cluster.NewTCPTransport(map[int]string{}, spec.EmbeddingDim)
+	defer peerTr.Close()
 	mem, err := memps.New(memps.Config{
 		NodeID:     *shard,
 		Dim:        spec.EmbeddingDim,
@@ -180,9 +168,7 @@ func runServe(args []string) error {
 		MaxQueue:      *serveQueue,
 		Workers:       *serveWorkers,
 		CoalesceBatch: *serveBatch,
-	}
-	if peerTr != nil {
-		serveCfg.Peers = peerTr
+		Peers:         peerTr,
 	}
 	serveSrv, err := serving.New(serveCfg)
 	if err != nil {
@@ -190,12 +176,9 @@ func runServe(args []string) error {
 	}
 
 	handler := serving.NewHandler(mem, serveSrv)
-	var repl *memps.Replicator
-	if peerTr != nil {
-		repl = memps.NewReplicator(mem, peerTr, memps.ReplicatorConfig{})
-		handler.Replicator = repl
-		handler.Peers = peerTr
-	}
+	repl := memps.NewReplicator(mem, peerTr, memps.ReplicatorConfig{})
+	handler.Replicator = repl
+	handler.Peers = peerTr
 
 	// The dedup tracker persists its applied (client, seq) records next to
 	// the SSD-PS: after a crash restart the reloaded log keeps a retried push
@@ -232,15 +215,13 @@ func runServe(args []string) error {
 	// push it got a reply for.
 	closeErr := srv.Close()
 	serveSrv.Close()
-	if repl != nil {
-		// Flush the forward queue before stopping: a backup must see every
-		// delta its primary acked, or the origin's dedup stamp would mask the
-		// loss forever (the retry is acknowledged as a duplicate).
-		if !repl.Drain(5 * time.Second) {
-			fmt.Fprintf(os.Stderr, "hps-shard %d: replication queue did not drain\n", *shard)
-		}
-		repl.Close()
+	// Flush the forward queue before stopping: a backup must see every delta
+	// its primary acked, or the origin's dedup stamp would mask the loss
+	// forever (the retry is acknowledged as a duplicate).
+	if !repl.Drain(5 * time.Second) {
+		fmt.Fprintf(os.Stderr, "hps-shard %d: replication queue did not drain\n", *shard)
 	}
+	repl.Close()
 	if err := mem.Flush(); err != nil {
 		fmt.Fprintf(os.Stderr, "hps-shard %d: flush: %v\n", *shard, err)
 	}
@@ -266,11 +247,9 @@ func runServe(args []string) error {
 		fmt.Fprintf(os.Stderr, "hps-shard %d: served %d predicts (%d examples, %d rejected), cache hit rate %.1f%%\n",
 			*shard, sv.Requests, sv.Examples, sv.Rejected, 100*sv.CacheHitRate())
 	}
-	if repl != nil {
-		if rs := repl.Stats(); rs.Forwarded > 0 || rs.Transferred > 0 {
-			fmt.Fprintf(os.Stderr, "hps-shard %d: replicated %d blocks (%d keys, %d errors, max lag %d blocks); transferred %d blocks (%d keys)\n",
-				*shard, rs.Forwarded, rs.ForwardedKeys, rs.Errors, rs.MaxPending, rs.Transferred, rs.TransferredKeys)
-		}
+	if rs := repl.Stats(); rs.Forwarded > 0 || rs.Transferred > 0 {
+		fmt.Fprintf(os.Stderr, "hps-shard %d: replicated %d blocks (%d keys, %d errors, max lag %d blocks); transferred %d blocks (%d keys)\n",
+			*shard, rs.Forwarded, rs.ForwardedKeys, rs.Errors, rs.MaxPending, rs.Transferred, rs.TransferredKeys)
 	}
 	return closeErr
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
 	"hps/internal/keys"
@@ -80,3 +81,28 @@ func BenchmarkWireBytesPerBatch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPlacement measures Topology.NodeOf per key — the per-key cost
+// SplitByNode and the MEM-PS ownership checks pay — over rings of 1, 2 and 4
+// members, the view-less topology included.
+func BenchmarkPlacement(b *testing.B) {
+	ks := make([]keys.Key, 8192)
+	for i := range ks {
+		ks[i] = keys.Key(keys.Mix64(uint64(i)))
+	}
+	for _, n := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("members=%d", n), func(b *testing.B) {
+			topo := Topology{Nodes: n, GPUsPerNode: 1}
+			sum := 0
+			for b.Loop() {
+				for _, k := range ks {
+					sum += topo.NodeOf(k)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ks)), "ns/key")
+			placementSink = sum
+		})
+	}
+}
+
+var placementSink int

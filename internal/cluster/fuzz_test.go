@@ -30,7 +30,7 @@ func wellFormedFrames() map[string][]byte {
 		"predict":     appendRawPredictReq(nil, PredictRequest{Counts: []uint32{2, 0, 1}, Keys: []keys.Key{1, 2, 3}}),
 		"stats":       {rawOpStats, 0, 0, 0},
 		"serve-stats": {rawOpServeStats, 0, 0, 0},
-		"membership": appendRawMembership(nil, MembershipUpdate{Epoch: 3, Members: []int{0, 1}, VNodes: 8, Replicas: 2,
+		"membership": appendRawMembership(nil, MembershipUpdate{Epoch: 3, Members: []int{0, 1}, Replicas: 2,
 			Addrs: map[int]string{0: "127.0.0.1:7000", 1: "127.0.0.1:7001"}}),
 		"serve-config": appendRawServeConfig(nil, ServeConfig{Addrs: map[int]string{1: "b:2"}, Dense: []float32{1, 2}, Epoch: 5}),
 	}

@@ -31,7 +31,7 @@ const rawMagicBit uint32 = 1 << 31
 // rawWireVersion is the one wire version this build speaks. The hello
 // exchange at dial time checks it and pins the connection's pull-reply
 // precision; a peer of any other version is refused.
-const rawWireVersion = 2
+const rawWireVersion = 3
 
 // Frame operations. Every payload starts with the op byte. A response's op is
 // its request's plus one, so a desynchronized stream is detected instead of
@@ -191,8 +191,8 @@ func readFramePayload(r io.Reader, n uint32, scratch *[]byte) ([]byte, error) {
 //	             resp: ps.Stats as 8 fixed words, then the tier name
 //	serve-stats  req : header
 //	             resp: ServingStats as 15 fixed words
-//	membership   req : header, epoch u64, vnodes i64, replicas i64,
-//	                   nmembers u32, members i64..., address book
+//	membership   req : header, epoch u64, replicas i64, nmembers u32,
+//	                   members i64..., address book
 //	serve-config req : header, epoch u64, trained epoch u64,
 //	                   ndense u32, dense f32..., address book
 //	address book     : n u32, then n x (id i64, len u32, bytes)
@@ -441,7 +441,6 @@ func appendRawAddrs(dst []byte, addrs map[int]string) []byte {
 func appendRawMembership(dst []byte, u MembershipUpdate) []byte {
 	dst = append(dst, rawOpMembership, 0, 0, 0)
 	dst = le.AppendUint64(dst, u.Epoch)
-	dst = le.AppendUint64(dst, uint64(u.VNodes))
 	dst = le.AppendUint64(dst, uint64(u.Replicas))
 	dst = le.AppendUint32(dst, uint32(len(u.Members)))
 	for _, m := range u.Members {
@@ -455,7 +454,6 @@ func parseRawMembership(payload []byte) (MembershipUpdate, error) {
 	r := wireReader{b: payload[4:]}
 	var u MembershipUpdate
 	u.Epoch = r.u64()
-	u.VNodes = r.int()
 	u.Replicas = r.int()
 	u.Members = r.ints()
 	u.Addrs = r.addrs()

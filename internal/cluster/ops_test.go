@@ -271,7 +271,7 @@ func TestEveryOpOverTCP(t *testing.T) {
 	lt.Register(0, localH)
 	local := localSurface{LocalTransport: lt, h: localH}
 
-	membership := MembershipUpdate{Epoch: 7, Members: []int{0, 2, 5}, VNodes: 16, Replicas: 2,
+	membership := MembershipUpdate{Epoch: 7, Members: []int{0, 2, 5}, Replicas: 2,
 		Addrs: map[int]string{0: "10.0.0.1:7000", 2: "[::1]:7002", 5: ""}}
 	var replicaSeq uint64
 	lookupSome := []keys.Key{3, 77, 123456} // 123456 is never created

@@ -3,79 +3,47 @@ package cluster
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"hps/internal/keys"
 )
 
-// DefaultVNodes is the number of virtual nodes each member contributes to a
-// Ring. More virtual nodes smooth the partition balance (stddev shrinks with
-// sqrt(vnodes)) at the cost of a larger, colder lookup table; 64 keeps the
-// per-member imbalance under a few percent while the whole table of a
-// realistic fleet still fits in L1.
-const DefaultVNodes = 64
+// MemberLimit bounds member ids: every id is in [0, MemberLimit). Placement
+// results index slices by member id (Topology.SplitByNode), so an id from a
+// membership frame must not size one arbitrarily.
+const MemberLimit = 1024
 
-// DefaultReplicas is the replication factor R used by replicated deployments:
-// every partition has one primary and one backup.
-const DefaultReplicas = 2
-
-// ringPoint is one virtual node on the hash circle.
-type ringPoint struct {
-	hash uint64
-	node int
-}
-
-// Ring places keys on members with consistent hashing: every member owns the
-// arcs preceding its virtual nodes on a 64-bit hash circle, so adding or
-// removing one member moves only the arcs adjacent to its own points —
-// roughly 1/N of the key space — instead of reshuffling (N-1)/N of all keys
-// the way the modulo policy does.
+// Ring places keys on members by rendezvous (highest-random-weight) hashing:
+// member m's weight for key k is Mix64(k.Hash() ^ Mix64(m)), k's primary is
+// the member with the highest weight, and its replica list is the members in
+// falling weight order, ties going to the lower id. Per-batch key traffic
+// splits as evenly as under the paper's modulo policy, yet adding or removing
+// one member moves only that member's share of the keys, and a leaver's keys
+// go to what was their first backup.
 //
 // A Ring is immutable; Join and Leave return a new Ring with the epoch
-// advanced. Placement is a pure function of the member set and the
-// virtual-node count, so two processes that build rings from the same member
-// list agree on every key without exchanging the table itself.
+// advanced. Placement is a pure function of the member set, so two processes
+// that build rings from the same member list agree on every key.
 type Ring struct {
 	epoch   uint64
-	vnodes  int
-	members []int       // sorted member ids
-	points  []ringPoint // sorted by (hash, node)
+	members []int // sorted member ids
 }
 
 // NewRing builds a ring over the given member ids (deduplicated, order
-// irrelevant) with vnodes virtual nodes per member (0 means DefaultVNodes).
-// The returned ring is at epoch 0; use WithEpoch to pin a driver-assigned
-// epoch.
-func NewRing(members []int, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+// irrelevant). The returned ring is at epoch 0; use WithEpoch to pin a
+// driver-assigned epoch.
+func NewRing(members []int) *Ring {
 	ms := slices.Clone(members)
 	slices.Sort(ms)
-	ms = slices.Compact(ms)
-	r := &Ring{vnodes: vnodes, members: ms}
-	r.points = make([]ringPoint, 0, len(ms)*vnodes)
-	for _, m := range ms {
-		for i := 0; i < vnodes; i++ {
-			// Each virtual node hashes its (member, index) pair through the
-			// same SplitMix64 finalizer keys use, so the points are spread
-			// uniformly no matter how structured the member ids are.
-			h := keys.Mix64(keys.Mix64(uint64(m))<<32 | uint64(i))
-			r.points = append(r.points, ringPoint{hash: h, node: m})
-		}
-	}
-	sort.Slice(r.points, func(i, j int) bool {
-		if r.points[i].hash != r.points[j].hash {
-			return r.points[i].hash < r.points[j].hash
-		}
-		return r.points[i].node < r.points[j].node
-	})
-	return r
+	return &Ring{members: slices.Compact(ms)}
 }
 
+// weight is member m's weight for a key hashing to h. Computing the member's
+// seed inline is faster than loading it from a table.
+func weight(h uint64, m int) uint64 { return keys.Mix64(h ^ keys.Mix64(uint64(m))) }
+
 // WithEpoch returns a copy of the ring stamped with the given epoch. The
-// point table is shared (rings are immutable).
+// member table is shared (rings are immutable).
 func (r *Ring) WithEpoch(epoch uint64) *Ring {
 	nr := *r
 	nr.epoch = epoch
@@ -84,9 +52,6 @@ func (r *Ring) WithEpoch(epoch uint64) *Ring {
 
 // Epoch returns the membership epoch this ring was stamped with.
 func (r *Ring) Epoch() uint64 { return r.epoch }
-
-// VNodes returns the virtual-node count per member.
-func (r *Ring) VNodes() int { return r.vnodes }
 
 // Members returns the sorted member ids. The slice is shared; do not mutate.
 func (r *Ring) Members() []int { return r.members }
@@ -97,102 +62,99 @@ func (r *Ring) Contains(node int) bool {
 	return ok
 }
 
-// succ returns the index of the first point at or after hash h, wrapping.
-func (r *Ring) succ(h uint64) int {
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		return 0
-	}
-	return i
-}
-
-// Owner returns the member that owns k as primary: the first virtual node at
-// or after k's hash on the circle.
+// Owner returns the member that owns k as primary: the one with the highest
+// weight. An empty ring places everything on 0.
 func (r *Ring) Owner(k keys.Key) int {
-	if len(r.points) == 0 {
+	switch len(r.members) {
+	case 0:
 		return 0
+	case 1:
+		return r.members[0]
 	}
-	return r.points[r.succ(k.Hash())].node
+	h := k.Hash()
+	owner := r.members[0]
+	best := weight(h, owner)
+	for _, m := range r.members[1:] {
+		if w := weight(h, m); w > best {
+			best, owner = w, m
+		}
+	}
+	return owner
 }
 
-// Replicas returns the first n distinct members clockwise from k's position:
-// index 0 is the primary, the rest are backups in promotion order. Fewer than
-// n members yields all of them.
+// rank returns how many members outweigh member m for hash h: 0 for the
+// primary, 1 for the first backup, and so on.
+func (r *Ring) rank(h uint64, m int) int {
+	w := weight(h, m)
+	n := 0
+	for _, o := range r.members {
+		if o == m {
+			continue
+		}
+		if v := weight(h, o); v > w || (v == w && o < m) {
+			n++
+		}
+	}
+	return n
+}
+
+// Replicas returns the first n members of k's replica list: index 0 is the
+// primary, the rest are backups in promotion order. Fewer than n members
+// yields all of them.
 func (r *Ring) Replicas(k keys.Key, n int) []int {
-	if len(r.points) == 0 || n <= 0 {
+	n = min(n, len(r.members))
+	if n <= 0 {
 		return nil
 	}
-	if n > len(r.members) {
-		n = len(r.members)
-	}
-	out := make([]int, 0, n)
-	i := r.succ(k.Hash())
-	for scanned := 0; scanned < len(r.points) && len(out) < n; scanned++ {
-		node := r.points[(i+scanned)%len(r.points)].node
-		if !slices.Contains(out, node) {
-			out = append(out, node)
+	out := make([]int, n)
+	h := k.Hash()
+	for _, m := range r.members {
+		if rank := r.rank(h, m); rank < n {
+			out[rank] = m
 		}
 	}
 	return out
 }
 
-// Backup returns k's first backup — the first distinct member clockwise after
-// the owner — or -1 when the ring has fewer than two members. It walks the
-// circle without allocating, so the replication forwarder can partition a push
-// block's rows per backup on the hot path.
+// Backup returns k's first backup — the member with the second-highest
+// weight — or -1 when the ring has fewer than two members. It does not
+// allocate, so the replication forwarder can partition a push block's rows
+// per backup on the hot path.
 func (r *Ring) Backup(k keys.Key) int {
 	if len(r.members) < 2 {
 		return -1
 	}
-	i := r.succ(k.Hash())
-	owner := r.points[i].node
-	for scanned := 1; scanned < len(r.points); scanned++ {
-		if n := r.points[(i+scanned)%len(r.points)].node; n != owner {
-			return n
+	h := k.Hash()
+	first, second := -1, -1
+	var w1, w2 uint64
+	for _, m := range r.members {
+		switch w := weight(h, m); {
+		case first < 0 || w > w1:
+			second, w2 = first, w1
+			first, w1 = m, w
+		case second < 0 || w > w2:
+			second, w2 = m, w
 		}
 	}
-	return -1
+	return second
 }
 
-// ReplicaRank returns node's position in k's replica set limited to n
+// ReplicaRank returns node's position in k's replica list limited to n
 // replicas (0 = primary, 1 = first backup, ...) or -1 if node is not among
-// them. It walks the circle without allocating, so ownership checks can run
-// per key on the push/pull hot path.
+// them. It does not allocate, so ownership checks can run per key on the
+// push/pull hot path.
 func (r *Ring) ReplicaRank(k keys.Key, node, n int) int {
-	if len(r.points) == 0 || n <= 0 {
+	if n <= 0 || !r.Contains(node) {
 		return -1
 	}
-	if n > len(r.members) {
-		n = len(r.members)
-	}
-	var seen [8]int
-	if n > len(seen) { // beyond any sane R; fall back to the allocating form
-		for rank, m := range r.Replicas(k, n) {
-			if m == node {
-				return rank
-			}
+	if n == 1 { // the unreplicated ownership check: one pass over the weights
+		if r.Owner(k) == node {
+			return 0
 		}
 		return -1
 	}
-	found := 0
-	i := r.succ(k.Hash())
-	for scanned := 0; scanned < len(r.points) && found < n; scanned++ {
-		m := r.points[(i+scanned)%len(r.points)].node
-		dup := false
-		for j := 0; j < found; j++ {
-			if seen[j] == m {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		if m == node {
-			return found
-		}
-		seen[found] = m
-		found++
+	if rank := r.rank(k.Hash(), node); rank < n {
+		return rank
 	}
 	return -1
 }
@@ -200,24 +162,42 @@ func (r *Ring) ReplicaRank(k keys.Key, node, n int) int {
 // Join returns a new ring with node added and the epoch advanced by one.
 // Joining an existing member only advances the epoch.
 func (r *Ring) Join(node int) *Ring {
-	ms := slices.Clone(r.members)
-	if !slices.Contains(ms, node) {
-		ms = append(ms, node)
-	}
-	return NewRing(ms, r.vnodes).WithEpoch(r.epoch + 1)
+	return NewRing(append(slices.Clone(r.members), node)).WithEpoch(r.epoch + 1)
 }
 
 // Leave returns a new ring with node removed and the epoch advanced by one.
-// Every key the node owned as primary is inherited by its first backup (the
-// next distinct member clockwise), which is what makes promotion a pure
-// membership change. Removing the last member is refused (the ring would
-// place nothing); the caller gets the same membership back at a new epoch.
+// Every key the node owned as primary is inherited by its first backup,
+// which is what makes promotion a pure membership change. Removing the last
+// member is refused (the ring would place nothing); the caller gets the same
+// membership back at a new epoch.
 func (r *Ring) Leave(node int) *Ring {
 	ms := slices.Clone(r.members)
 	if i := slices.Index(ms, node); i >= 0 && len(ms) > 1 {
 		ms = slices.Delete(ms, i, i+1)
 	}
-	return NewRing(ms, r.vnodes).WithEpoch(r.epoch + 1)
+	return NewRing(ms).WithEpoch(r.epoch + 1)
+}
+
+// baseRings caches, per node count n, the epoch-0 ring over 0..n-1 that a
+// topology without a membership view places by.
+var baseRings [MemberLimit + 1]atomic.Pointer[Ring]
+
+// baseRing returns the epoch-0 ring over 0..n-1, built once per n.
+func baseRing(n int) *Ring {
+	if uint(n) <= MemberLimit {
+		if r := baseRings[n].Load(); r != nil {
+			return r
+		}
+	}
+	ids := make([]int, max(n, 0))
+	for i := range ids {
+		ids[i] = i
+	}
+	r := NewRing(ids)
+	if uint(n) <= MemberLimit {
+		baseRings[n].Store(r) // a racing call stores an equal ring
+	}
+	return r
 }
 
 // Membership is an epoch-versioned, atomically swappable view of the ring
@@ -258,17 +238,15 @@ func (m *Membership) Update(r *Ring) bool {
 }
 
 // MembershipUpdate is the control-plane payload that moves a membership
-// change between processes: the member list and ring geometry (from which
-// every receiver rebuilds an identical ring), the epoch that orders it, and
-// the shard addresses so receivers can (re)point their transports.
+// change between processes: the member list (from which every receiver
+// rebuilds an identical ring), the epoch that orders it, and the shard
+// addresses so receivers can (re)point their transports.
 type MembershipUpdate struct {
 	// Epoch orders updates; receivers drop anything not newer than what they
 	// have installed.
 	Epoch uint64
 	// Members are the shard ids in the ring after the change.
 	Members []int
-	// VNodes is the virtual-node count per member (0 = DefaultVNodes).
-	VNodes int
 	// Replicas is the replication factor R (0 or 1 = unreplicated).
 	Replicas int
 	// Addrs maps member ids to their listen addresses.
@@ -277,17 +255,23 @@ type MembershipUpdate struct {
 
 // BuildRing reconstructs the ring this update describes.
 func (u MembershipUpdate) BuildRing() *Ring {
-	return NewRing(u.Members, u.VNodes).WithEpoch(u.Epoch)
+	return NewRing(u.Members).WithEpoch(u.Epoch)
 }
 
 // Validate rejects structurally broken updates before they reach a
-// membership view.
+// membership view: no members, a member id outside [0, MemberLimit), or a
+// negative replication factor.
 func (u MembershipUpdate) Validate() error {
 	if len(u.Members) == 0 {
 		return fmt.Errorf("cluster: membership update at epoch %d has no members", u.Epoch)
 	}
-	if u.VNodes < 0 || u.Replicas < 0 {
-		return fmt.Errorf("cluster: membership update has negative geometry (vnodes %d, replicas %d)", u.VNodes, u.Replicas)
+	for _, m := range u.Members {
+		if m < 0 || m >= MemberLimit {
+			return fmt.Errorf("cluster: membership update at epoch %d has member id %d outside [0, %d)", u.Epoch, m, MemberLimit)
+		}
+	}
+	if u.Replicas < 0 {
+		return fmt.Errorf("cluster: membership update has negative replicas %d", u.Replicas)
 	}
 	return nil
 }

@@ -2,8 +2,7 @@
 // hierarchical parameter server and the transports nodes use to pull
 // parameters from each other's MEM-PS (Section 5, "Prepare parameters").
 //
-// Parameters are sharded across nodes by the paper's modulo policy or, when
-// the topology carries a membership view, by a consistent-hash ring with R
+// Parameters are sharded across nodes by rendezvous hashing (Ring), with R
 // replicas per key; within a node they are hash-partitioned across GPUs
 // (Section 4.1, Appendix C.1). Every pull and push moves one flat
 // ps.ValueBlock per peer. The in-process transport wires several simulated
@@ -12,6 +11,7 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 
 	"hps/internal/embedding"
@@ -25,11 +25,11 @@ type Topology struct {
 	Nodes int
 	// GPUsPerNode is the number of GPUs in each node.
 	GPUsPerNode int
-	// Members, when set, replaces the modulo placement policy with the
-	// consistent-hash ring it holds: NodeOf/SplitByNode follow the ring's
-	// current epoch, so a membership change (shard join/leave, promotion)
-	// re-points every component sharing the view without rebuilding them.
-	// Nil keeps the paper's modulo policy over Nodes.
+	// Members is the membership view whose current ring places keys:
+	// NodeOf/SplitByNode follow its epoch, so a membership change (shard
+	// join/leave, promotion) re-points every component sharing the view
+	// without rebuilding them. A topology built without one places by the
+	// epoch-0 ring over 0..Nodes-1.
 	Members *Membership
 	// Replicas is the placement factor R of the replicated MEM-PS: every key
 	// lives on its primary plus R-1 backups in promotion order. Zero or one
@@ -42,6 +42,9 @@ func (t Topology) Validate() error {
 	if t.Nodes < 1 {
 		return fmt.Errorf("cluster: need at least one node, have %d", t.Nodes)
 	}
+	if t.Nodes > MemberLimit {
+		return fmt.Errorf("cluster: %d nodes exceed the member limit %d", t.Nodes, MemberLimit)
+	}
 	if t.GPUsPerNode < 1 {
 		return fmt.Errorf("cluster: need at least one GPU per node, have %d", t.GPUsPerNode)
 	}
@@ -51,87 +54,61 @@ func (t Topology) Validate() error {
 // TotalGPUs returns the total number of GPUs in the cluster.
 func (t Topology) TotalGPUs() int { return t.Nodes * t.GPUsPerNode }
 
-// ring returns the installed ring, or nil when the topology uses modulo
-// placement.
-func (t Topology) ring() *Ring {
+// Ring returns the ring t places by: its view's current ring or, for a
+// topology built without a view, the epoch-0 ring over 0..Nodes-1. It is the
+// only placement code that knows a view may be absent; WithView is the only
+// other code.
+func (t Topology) Ring() *Ring {
 	if t.Members == nil {
-		return nil
+		return baseRing(t.Nodes)
 	}
 	return t.Members.Ring()
 }
 
-// NodeOf returns the node that owns (is primary for) the parameter shard
-// containing k.
-func (t Topology) NodeOf(k keys.Key) int {
-	if r := t.ring(); r != nil {
-		return r.Owner(k)
-	}
-	return k.Shard(t.Nodes)
+// WithView returns t holding a membership view that all its copies share, so
+// a change installed into the view reaches every component built from t:
+// t's own view, or a new one holding the ring t places by.
+func (t Topology) WithView() Topology {
+	t.Members = cmp.Or(t.Members, NewMembership(t.Ring()))
+	return t
 }
 
-// ReplicasOf returns k's replica set in promotion order: the primary first,
-// then R-1 backups. Without a ring or with R <= 1 it is just the primary.
-func (t Topology) ReplicasOf(k keys.Key) []int {
-	if r := t.ring(); r != nil && t.Replicas > 1 {
-		return r.Replicas(k, t.Replicas)
-	}
-	return []int{t.NodeOf(k)}
-}
+// NodeOf returns the node that owns (is primary for) the parameter shard
+// containing k.
+func (t Topology) NodeOf(k keys.Key) int { return t.Ring().Owner(k) }
 
 // BackupOf returns k's first backup, or -1 when the deployment has none
 // (unreplicated, or fewer members than R).
 func (t Topology) BackupOf(k keys.Key) int {
-	if r := t.ring(); r != nil && t.Replicas > 1 {
-		return r.Backup(k)
+	if t.Replicas < 2 {
+		return -1
 	}
-	return -1
+	return t.Ring().Backup(k)
 }
 
 // HoldsKey reports whether node is in k's replica set — the ownership check
 // of the replicated MEM-PS: a backup legitimately stores and answers for keys
 // whose primary is another node.
 func (t Topology) HoldsKey(k keys.Key, node int) bool {
-	if r := t.ring(); r != nil {
-		n := t.Replicas
-		if n < 1 {
-			n = 1
-		}
-		return r.ReplicaRank(k, node, n) >= 0
-	}
-	return k.Shard(t.Nodes) == node
+	return t.Ring().ReplicaRank(k, node, max(t.Replicas, 1)) >= 0
 }
 
-// MemberIDs returns the current member ids: the ring's members, or 0..Nodes-1
-// under modulo placement.
-func (t Topology) MemberIDs() []int {
-	if r := t.ring(); r != nil {
-		return r.Members()
-	}
-	ids := make([]int, t.Nodes)
-	for i := range ids {
-		ids[i] = i
-	}
-	return ids
-}
+// MemberIDs returns the current member ids, sorted. The slice is shared; do
+// not mutate.
+func (t Topology) MemberIDs() []int { return t.Ring().Members() }
 
 // GPUOf returns the GPU (within its node) that stores k in the HBM-PS
 // partition of the current batch.
 func (t Topology) GPUOf(k keys.Key) int { return k.HashShard(t.GPUsPerNode) }
 
 // SplitByNode partitions ks by owning node, preserving input order within
-// each group. The result is indexed by node id; under ring placement it is
-// sized to hold the largest member id (vacated ids stay as empty groups), so
-// callers iterate it the same way in both modes.
+// each group. The result is indexed by node id and sized to hold the largest
+// member id; vacated ids stay as empty groups.
 func (t Topology) SplitByNode(ks []keys.Key) [][]keys.Key {
-	r := t.ring()
-	if r == nil {
-		return keys.PartitionByShard(ks, t.Nodes)
-	}
-	n := t.Nodes
-	for _, m := range r.Members() {
-		if m+1 > n {
-			n = m + 1
-		}
+	r := t.Ring()
+	n := max(t.Nodes, 1)
+	if ms := r.Members(); len(ms) > 0 {
+		n = max(n, ms[len(ms)-1]+1)
 	}
 	out := make([][]keys.Key, n)
 	for _, k := range ks {

@@ -56,15 +56,22 @@ func TestFrameReaderRejectsBadFrames(t *testing.T) {
 func TestControlFrameCodecs(t *testing.T) {
 	for _, u := range []MembershipUpdate{
 		{Epoch: 1, Members: []int{4}},
-		{Epoch: 1 << 40, Members: []int{0, 1, 2}, VNodes: 64, Replicas: 2, Addrs: map[int]string{0: "a:1", 2: ""}},
+		{Epoch: 1 << 40, Members: []int{0, 1, 2}, Replicas: 2, Addrs: map[int]string{0: "a:1", 2: ""}},
 	} {
 		got, err := parseRawMembership(appendRawMembership(nil, u))
 		if err != nil || !reflect.DeepEqual(got, u) {
 			t.Errorf("membership %+v came back %+v (err %v)", u, got, err)
 		}
 	}
-	// Structurally broken updates are refused before a handler sees them.
-	for _, u := range []MembershipUpdate{{Epoch: 3}, {Epoch: 3, Members: []int{1}, VNodes: -1}} {
+	// Structurally broken updates are refused before a handler sees them:
+	// a negative id would index Topology.SplitByNode's result at -1, and an
+	// id at or above MemberLimit would size it.
+	for _, u := range []MembershipUpdate{
+		{Epoch: 3},
+		{Epoch: 3, Members: []int{1}, Replicas: -1},
+		{Epoch: 3, Members: []int{-1, 0}},
+		{Epoch: 3, Members: []int{0, MemberLimit}},
+	} {
 		if _, err := parseRawMembership(appendRawMembership(nil, u)); err == nil {
 			t.Errorf("membership %+v passed validation", u)
 		}
@@ -263,9 +270,11 @@ func TestForeignPeersCloseCleanly(t *testing.T) {
 	}
 	wantClosed(conn)
 
+	// Version 2 is the last wire before rendezvous placement: its peers
+	// place keys by modulo or a virtual-node ring and must not join.
 	conn = dial()
 	defer conn.Close()
-	if _, err := writeRawFrame(conn, []byte{0, 0, 0, 0, rawOpHello, rawWireVersion + 1, 0, 0}); err != nil {
+	if _, err := writeRawFrame(conn, []byte{0, 0, 0, 0, rawOpHello, 2, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
 	n, err := readFramePrefix(conn)
@@ -281,7 +290,7 @@ func TestForeignPeersCloseCleanly(t *testing.T) {
 	}
 	wantClosed(conn)
 
-	// The client side: a server that answers the hello with another version.
+	// The client side: a server that answers the hello with version 2.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +306,7 @@ func TestForeignPeersCloseCleanly(t *testing.T) {
 				defer c.Close()
 				if n, err := readFramePrefix(c); err == nil {
 					if _, err := readFramePayload(c, n, getScratch()); err == nil {
-						writeRawFrame(c, []byte{0, 0, 0, 0, rawOpHello + 1, rawStatusOK, rawWireVersion + 1, 0})
+						writeRawFrame(c, []byte{0, 0, 0, 0, rawOpHello + 1, rawStatusOK, 2, 0})
 					}
 				}
 			}()
@@ -309,6 +318,6 @@ func TestForeignPeersCloseCleanly(t *testing.T) {
 	_, err = tr.PullBlock(0, []keys.Key{1}, ps.NewValueBlock(2))
 	var te *TransportError
 	if !errors.As(err, &te) || !strings.Contains(err.Error(), "version 3") || !strings.Contains(err.Error(), "version 2") {
-		t.Fatalf("dial against a version-3 peer = %v, want a TransportError naming versions 3 and 2", err)
+		t.Fatalf("dial against a version-2 peer = %v, want a TransportError naming versions 3 and 2", err)
 	}
 }

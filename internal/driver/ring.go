@@ -22,7 +22,6 @@ func (s *Supervisor) Broadcast(b Broadcaster) {
 // Join spawns one fresh shard, teaches every follower its address, then
 // broadcasts the Join ring — in that order, so whoever routes to the joiner
 // reaches it; the joiner's key ranges stream in from their previous owners.
-// Join and Retire need a Config.Ring.
 func (s *Supervisor) Join() error {
 	s.mu.Lock()
 	if s.stopping {
@@ -105,8 +104,7 @@ func (s *Supervisor) change(step func(cur *cluster.Ring) (*cluster.Ring, error))
 // the shards must accept forwards and transfers for the new ring before the
 // trainer (and the loadgen, through its membership view) repoints.
 func (s *Supervisor) broadcast(cur, next *cluster.Ring) {
-	u := cluster.MembershipUpdate{Epoch: next.Epoch(), Members: next.Members(), VNodes: next.VNodes(),
-		Replicas: s.cfg.Replicas, Addrs: s.Addrs()}
+	u := cluster.MembershipUpdate{Epoch: next.Epoch(), Members: next.Members(), Replicas: s.cfg.Replicas, Addrs: s.Addrs()}
 	targets := slices.Clone(cur.Members())
 	for _, id := range next.Members() {
 		if !slices.Contains(targets, id) {

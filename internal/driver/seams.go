@@ -27,7 +27,7 @@ type Proc interface {
 
 // ShardArgs is what a Spawner needs to start one shard: its id, the shard
 // count its topology covers, its state directory, whether to recover that
-// state first, and the ring it boots with (nil Members: modulo placement).
+// state first, and the ring members and replication factor it boots with.
 type ShardArgs struct {
 	ID, Shards int
 	Dir        string

@@ -21,15 +21,13 @@ const (
 )
 
 // Config sets up a Supervisor. Shards are the initial shards, ids
-// 0..Shards-1, each with a state directory Root/shard-<id>. A nil Ring means
-// modulo placement, under which membership never changes. A shard restarts
-// at most RestartMax times within RestartWindow. Abort is called once an
-// unreplicated shard is lost for good.
+// 0..Shards-1, each with a state directory Root/shard-<id>; the first ring
+// holds them at epoch 0. A shard restarts at most RestartMax times within
+// RestartWindow. Abort is called once an unreplicated shard is lost for good.
 type Config struct {
 	Spawn         Spawner
 	Shards        int
 	Root          string
-	Ring          *cluster.Ring
 	Replicas      int
 	RestartMax    int
 	RestartWindow time.Duration
@@ -78,7 +76,7 @@ func New(cfg Config) *Supervisor {
 		budget:  restartBudget{max: cfg.RestartMax, window: cfg.RestartWindow, hist: map[int][]time.Time{}},
 		nextID:  cfg.Shards,
 	}
-	s.ring.Store(cfg.Ring)
+	s.ring.Store(cluster.NewRing(cluster.Topology{Nodes: cfg.Shards}.MemberIDs()))
 	return s
 }
 
@@ -165,13 +163,8 @@ func (s *Supervisor) dir(id int) string {
 	return filepath.Join(s.cfg.Root, fmt.Sprintf("shard-%d", id))
 }
 
-// members is the last ring's member list, nil under modulo placement.
-func (s *Supervisor) members() []int {
-	if r := s.ring.Load(); r != nil {
-		return r.Members()
-	}
-	return nil
-}
+// members is the last ring's member list.
+func (s *Supervisor) members() []int { return s.ring.Load().Members() }
 
 // launch spawns shard id, fills its slot and repoints every follower at its
 // address — in that order, so whatever routes to the shard can reach it. If
@@ -221,7 +214,7 @@ func (s *Supervisor) supervise(id int) {
 			return
 		}
 
-		if r := s.ring.Load(); r != nil && s.cfg.Replicas > 1 && len(r.Members()) > 1 {
+		if s.cfg.Replicas > 1 && len(s.members()) > 1 {
 			fmt.Printf("shard %d died (%v); promoting its backups instead of restoring\n", id, p.Exit())
 			s.mu.Lock()
 			delete(s.procs, id)
@@ -254,11 +247,9 @@ func (s *Supervisor) supervise(id int) {
 		if np == nil {
 			return
 		}
-		if s.ring.Load() != nil {
-			// Re-teach the restarted shard the ring and the address book: it
-			// boots at membership epoch 0 from its flags.
-			s.change(func(cur *cluster.Ring) (*cluster.Ring, error) { return cur, nil })
-		}
+		// Re-teach the restarted shard the ring and the address book: it
+		// boots at membership epoch 0 from its flags.
+		s.change(func(cur *cluster.Ring) (*cluster.Ring, error) { return cur, nil })
 		fmt.Printf("shard %d restarted: pid %d at %s\n", id, np.Pid(), np.Addr())
 	}
 }

@@ -128,18 +128,14 @@ type harness struct {
 	beforeShard func(id int, u cluster.MembershipUpdate) // runs at each shard broadcast, unlocked
 }
 
-// newHarness supervises shards shards with replication factor replicas; a
-// ring places them when ring is set, modulo otherwise.
-func newHarness(t *testing.T, shards, replicas int, ring bool) *harness {
+// newHarness supervises shards shards with replication factor replicas.
+func newHarness(t *testing.T, shards, replicas int) *harness {
 	h := &harness{t: t, clock: &fakeClock{now: time.Unix(0, 0)}, procs: map[int][]*fakeProc{}, stubborn: map[int]bool{}}
 	cfg := Config{
 		Spawn: h.spawn, Shards: shards, Root: "root", Replicas: replicas,
 		RestartMax: 3, RestartWindow: time.Minute,
 		Clock: Clock{Now: h.clock.Now, After: h.clock.After},
 		Abort: func() { h.mu.Lock(); h.aborted++; h.mu.Unlock() },
-	}
-	if ring {
-		cfg.Ring = cluster.NewRing(cluster.Topology{Nodes: shards}.MemberIDs(), 0)
 	}
 	h.s = New(cfg)
 	return h
@@ -236,7 +232,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func TestRestartBudgetBacksOffThenLosesTheShard(t *testing.T) {
-	h := newHarness(t, 1, 1, false)
+	h := newHarness(t, 1, 1)
 	if err := h.s.Start(false); err != nil {
 		t.Fatal(err)
 	}
@@ -269,15 +265,15 @@ func TestRestartBudgetBacksOffThenLosesTheShard(t *testing.T) {
 		t.Fatalf("spawns = %+v, want a fresh start and 3 restarts", spawns)
 	}
 	for _, a := range spawns[1:] {
-		if !a.Restore || a.Dir != spawns[0].Dir || a.Members != nil {
-			t.Fatalf("restart spawned %+v, want -restore over %s under modulo placement", a, spawns[0].Dir)
+		if !a.Restore || a.Dir != spawns[0].Dir || !slices.Equal(a.Members, []int{0}) {
+			t.Fatalf("restart spawned %+v, want -restore over %s in ring [0]", a, spawns[0].Dir)
 		}
 	}
 	h.s.Stop()
 }
 
 func TestPromotionSendsLeaveToOldAndNewMembersShardsFirst(t *testing.T) {
-	h := newHarness(t, 3, 2, true)
+	h := newHarness(t, 3, 2)
 	if err := h.s.Start(false); err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +308,7 @@ func TestPromotionSendsLeaveToOldAndNewMembersShardsFirst(t *testing.T) {
 }
 
 func TestJoinRepointsEverywhereBeforeTheJoinBroadcast(t *testing.T) {
-	h := newHarness(t, 2, 1, true)
+	h := newHarness(t, 2, 1)
 	if err := h.s.Start(false); err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +335,7 @@ func TestJoinRepointsEverywhereBeforeTheJoinBroadcast(t *testing.T) {
 }
 
 func TestLeaveGoesOutBeforeSIGTERMAndKillFollowsTheTimeout(t *testing.T) {
-	h := newHarness(t, 3, 1, true)
+	h := newHarness(t, 3, 1)
 	h.stubborn[2] = true
 	if err := h.s.Start(false); err != nil {
 		t.Fatal(err)
@@ -376,7 +372,7 @@ func TestLeaveGoesOutBeforeSIGTERMAndKillFollowsTheTimeout(t *testing.T) {
 }
 
 func TestStopRacesARestart(t *testing.T) {
-	h := newHarness(t, 1, 1, false)
+	h := newHarness(t, 1, 1)
 	if err := h.s.Start(false); err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +408,7 @@ func TestStopRacesARestart(t *testing.T) {
 // and a join — must come out at consecutive epochs: receivers drop a second
 // ring at an epoch they have seen.
 func TestOverlappingRingChangesGetConsecutiveEpochs(t *testing.T) {
-	h := newHarness(t, 3, 2, true)
+	h := newHarness(t, 3, 2)
 	if err := h.s.Start(false); err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +447,7 @@ func TestOverlappingRingChangesGetConsecutiveEpochs(t *testing.T) {
 // A retiring shard that exits during its handoff grace is done: it is
 // neither restarted nor promoted, and its slot stays empty.
 func TestRetiringShardThatExitsInItsGraceStaysDown(t *testing.T) {
-	h := newHarness(t, 3, 1, true)
+	h := newHarness(t, 3, 1)
 	if err := h.s.Start(false); err != nil {
 		t.Fatal(err)
 	}

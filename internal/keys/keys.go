@@ -3,8 +3,9 @@
 //
 // A CTR model's sparse features are identified by 64-bit keys (the paper's
 // models contain up to 10^11 of them). Keys are sharded twice: once across
-// nodes (MEM-PS / SSD-PS shards, Section 5) and once across the GPUs of a
-// node (HBM-PS partitions, Section 4.1). Both use the same modulo policy.
+// nodes (MEM-PS / SSD-PS shards, Section 5), by the rendezvous hashing of
+// cluster.Ring over Hash, and once across the GPUs of a node (HBM-PS
+// partitions, Section 4.1), by HashShard.
 package keys
 
 import (
@@ -29,8 +30,10 @@ func Mix64(x uint64) uint64 {
 // open-addressing probe sequences.
 func (k Key) Hash() uint64 { return Mix64(uint64(k)) }
 
-// Shard maps the key to one of n shards using the modulo policy described in
-// Section 5 and Appendix C.1. Shard returns 0 when n <= 1.
+// Shard maps the key to one of n shards using the paper's modulo policy
+// (Section 5, Appendix C.1). No product path places keys by it any more;
+// the benchmark's layer probe times PartitionByShard. Shard returns 0 when
+// n <= 1.
 func (k Key) Shard(n int) int {
 	if n <= 1 {
 		return 0

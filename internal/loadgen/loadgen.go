@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -40,11 +41,11 @@ type Config struct {
 	Transport Predictor
 	// Nodes is the number of shard servers (queries round-robin over them).
 	Nodes int
-	// Members, when set, replaces the fixed 0..Nodes-1 round-robin with the
-	// membership view's current ring: clients re-read it every request, so a
-	// shard joining or leaving mid-run repoints the query stream at the next
-	// iteration. Shards that drop out between epochs surface as retried
-	// errors, not a run failure.
+	// Members, when set, is the membership view whose current ring the
+	// queries round-robin over instead of 0..Nodes-1: clients re-read it
+	// every request, so a shard joining or leaving mid-run repoints the query
+	// stream at the next iteration. Shards that drop out between epochs
+	// surface as retried errors, not a run failure.
 	Members *cluster.Membership
 	// Data shapes the query stream (feature count and zipfian skew); use the
 	// training run's dataset config so the stream hits the same hot keys.
@@ -153,6 +154,9 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 		return Report{}, fmt.Errorf("loadgen: %w", err)
 	}
 
+	// The shards queried: the view's current members, or 0..Nodes-1.
+	targets := cluster.Topology{Nodes: cfg.Nodes, Members: cfg.Members}.MemberIDs
+
 	ctx, cancel := context.WithTimeout(ctx, cfg.Duration)
 	defer cancel()
 	start := time.Now()
@@ -168,12 +172,6 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 			// streams; the offset keeps them disjoint from training streams.
 			gen := dataset.NewGenerator(cfg.Data, cfg.Seed+int64(client)*7919+104729)
 			rr := client
-			targets := func() []int {
-				if cfg.Members != nil {
-					return cfg.Members.Ring().Members()
-				}
-				return nil
-			}
 			req := cluster.PredictRequest{
 				Counts: make([]uint32, 0, cfg.BatchSize),
 				Keys:   make([]keys.Key, 0, cfg.BatchSize*cfg.Data.NonZerosPerExample),
@@ -186,10 +184,8 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 					req.Counts = append(req.Counts, uint32(len(ex.Features)))
 					req.Keys = append(req.Keys, ex.Features...)
 				}
-				target := rr % cfg.Nodes
-				if ms := targets(); len(ms) > 0 {
-					target = ms[rr%len(ms)]
-				}
+				ms := targets()
+				target := ms[rr%len(ms)]
 				t0 := time.Now()
 				scores, err := cfg.Transport.Predict(target, req)
 				lat := time.Since(t0)
@@ -240,18 +236,10 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	} else {
 		rep.MinScore, rep.MaxScore = 0, 0
 	}
-	ids := make([]int, 0, cfg.Nodes)
-	if cfg.Members != nil {
-		ids = cfg.Members.Ring().Members()
-	} else {
-		for id := 0; id < cfg.Nodes; id++ {
-			ids = append(ids, id)
-		}
-	}
-	for _, id := range ids {
+	for _, id := range targets() {
 		s, err := cfg.Transport.ServingStats(id)
 		if err != nil {
-			if cfg.Members != nil {
+			if !slices.Contains(targets(), id) {
 				// Membership churned under us (a shard left or died between
 				// epochs); its counters are gone but the run's numbers stand.
 				continue

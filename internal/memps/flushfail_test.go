@@ -188,7 +188,7 @@ func TestUnreadableSSDFailsReads(t *testing.T) {
 	r := NewReplicator(m, sink, ReplicatorConfig{})
 	defer r.Close()
 	// Node 0 leaves a ring of node 1 alone: it must hand every row over.
-	r.Reconcile(nil, cluster.NewRing([]int{1}, 8))
+	r.Reconcile(nil, cluster.NewRing([]int{1}))
 	if st := r.Stats(); st.Errors == 0 || sink.transfers != 0 {
 		t.Fatalf("reconcile over unreadable rows: %d errors, %d transfers; want >0, 0", st.Errors, sink.transfers)
 	}

@@ -35,6 +35,19 @@ func newStore(t *testing.T, dim int, clock *simtime.Clock) *ssdps.Store {
 	return st
 }
 
+// keysOn returns the n smallest positive keys a two-node topology places on
+// node, ascending.
+func keysOn(node, n int) []keys.Key {
+	topo := cluster.Topology{Nodes: 2, GPUsPerNode: 1}
+	var out []keys.Key
+	for k := keys.Key(1); len(out) < n; k++ {
+		if topo.NodeOf(k) == node {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
 func singleNode(t *testing.T, lru, lfu int) *MemPS {
 	t.Helper()
 	clock := simtime.NewClock()
@@ -315,9 +328,10 @@ func TestMultiNodeRemotePull(t *testing.T) {
 	transport.Register(0, m0)
 	transport.Register(1, m1)
 
-	// Node 0 prepares a batch touching both shards (even keys -> node 0,
-	// odd keys -> node 1).
-	ws, blk := prepare(t, m0, []keys.Key{2, 3, 4, 5})
+	// Node 0 prepares a batch touching both shards.
+	mine, theirs := keysOn(0, 2), keysOn(1, 2)
+	batch := keys.Union(mine, theirs)
+	ws, blk := prepare(t, m0, batch)
 	if len(ws.LocalKeys) != 2 || len(ws.RemoteKeys) != 2 {
 		t.Fatalf("split = %d local / %d remote", len(ws.LocalKeys), len(ws.RemoteKeys))
 	}
@@ -341,18 +355,18 @@ func TestMultiNodeRemotePull(t *testing.T) {
 	}
 	m0.CompleteBatch(ws)
 
-	// Apply updates on both nodes: node 0 only owns even keys; node 1 odd.
-	deltas := weightDeltas(4, []keys.Key{2, 3, 4, 5}, func(keys.Key) float32 { return 5 }, 0)
+	// Apply updates on both nodes: each applies only the keys it owns.
+	deltas := weightDeltas(4, batch, func(keys.Key) float32 { return 5 }, 0)
 	push(t, m0, deltas)
 	push(t, m1, deltas)
-	if m0.Lookup(3) != nil {
-		t.Fatal("node 0 must not own key 3")
+	if m0.Lookup(theirs[0]) != nil {
+		t.Fatalf("node 0 must not own key %d", theirs[0])
 	}
-	v3 := m1.Lookup(3)
-	if v3 == nil {
-		t.Fatal("node 1 should own key 3")
+	v := m1.Lookup(theirs[0])
+	if v == nil {
+		t.Fatalf("node 1 should own key %d", theirs[0])
 	}
-	if v3.Weights[0] == 0 {
+	if v.Weights[0] == 0 {
 		t.Fatal("update to remote key should be applied at its owner")
 	}
 }
@@ -414,7 +428,7 @@ func TestHandlePullBlockWireMatchesBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := multi.HandlePullBlockWire([]keys.Key{1}, nil, ps.PrecisionFP32); err == nil { // odd keys belong to node 1
+	if _, err := multi.HandlePullBlockWire(keysOn(1, 1), nil, ps.PrecisionFP32); err == nil {
 		t.Fatal("expected foreign-key rejection")
 	}
 }

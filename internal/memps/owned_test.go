@@ -60,8 +60,9 @@ func TestPrepareOwnedIntoPinsOnceUntilComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := []keys.Key{2, 3, 4, 6}, []keys.Key{4, 5, 6, 8}
-	union := []keys.Key{2, 4, 6, 8} // node 0 owns the even keys
+	union, foreign := keysOn(0, 4), keysOn(1, 2) // union: node 0's keys
+	a := keys.Union(union[:3], foreign[:1])
+	b := keys.Union(union[1:], foreign[1:])
 	blocks := blocksFor(4, a, b)
 	ws, err := m.PrepareOwnedInto(union, blocks, ownedRows(union, a, b))
 	if err != nil {
@@ -72,7 +73,7 @@ func TestPrepareOwnedIntoPinsOnceUntilComplete(t *testing.T) {
 	}
 	for r, blk := range blocks {
 		for i, k := range blk.Keys {
-			if k%2 == 1 {
+			if !slices.Contains(union, k) {
 				if blk.Present[i] {
 					t.Fatalf("block %d: row of key %d, owned by node 1, was written", r, k)
 				}
@@ -109,12 +110,12 @@ func TestPrepareOwnedIntoPinsOnceUntilComplete(t *testing.T) {
 	// Malformed requests fail before anything is pinned.
 	for name, call := range map[string]func() error{
 		"unsorted": func() error {
-			ks := []keys.Key{4, 2}
+			ks := []keys.Key{union[1], union[0]}
 			_, err := m.PrepareOwnedInto(ks, blocksFor(4, ks), ownedRows(ks, ks))
 			return err
 		},
 		"foreign": func() error {
-			ks := []keys.Key{2, 3}
+			ks := keys.Union(union[:1], foreign[:1])
 			_, err := m.PrepareOwnedInto(ks, blocksFor(4, ks), ownedRows(ks, ks))
 			return err
 		},
@@ -186,10 +187,7 @@ func TestFailedPrepareUnpins(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			owned := make([]keys.Key, 40) // node 0 owns the even keys
-			for i := range owned {
-				owned[i] = keys.Key(2 * (i + 1))
-			}
+			owned := keysOn(0, 40)
 			resolve := func(ks []keys.Key) {
 				t.Helper()
 				ws, err := m.PrepareOwnedInto(ks, blocksFor(4, ks), ownedRows(ks, ks))
@@ -212,7 +210,7 @@ func TestFailedPrepareUnpins(t *testing.T) {
 			if tc.owned {
 				_, err = m.PrepareOwnedInto(ks, blocksFor(4, ks), ownedRows(ks, ks))
 			} else {
-				ks = keys.Union(ks, []keys.Key{1, 3, 5}) // node 1's
+				ks = keys.Union(ks, keysOn(1, 3))
 				_, err = m.PrepareInto(ks, ps.NewValueBlock(4))
 			}
 			if err == nil {

@@ -225,10 +225,10 @@ func NewReplicator(mem *MemPS, tr ReplicateTransport, cfg ReplicatorConfig) *Rep
 // node were not applied locally and are not forwarded.
 func (r *Replicator) Forward(client, seq uint64, blk *ps.ValueBlock) {
 	topo := r.mem.cfg.Topology
-	if topo.Members == nil || topo.Replicas < 2 {
+	if topo.Replicas < 2 {
 		return
 	}
-	ring := topo.Members.Ring()
+	ring := topo.Ring()
 	self := r.mem.cfg.NodeID
 	var subs map[int]*ps.ValueBlock
 	addRow := func(node, i int) {
@@ -343,6 +343,12 @@ func (r *Replicator) Reconcile(oldRing, newRing *cluster.Ring) map[int]int {
 	}
 	self := r.mem.cfg.NodeID
 	if newRing == nil {
+		return nil
+	}
+	if oldRing != nil && slices.Equal(oldRing.Members(), newRing.Members()) {
+		// Equal member sets place every key alike: nothing moves. Every run
+		// re-sends its ring (the first address book, a restarted shard), so
+		// this skips a scan of every held key under the MEM-PS lock.
 		return nil
 	}
 	// A shard absent from the new ring is gracefully leaving: the sender rule

@@ -29,7 +29,7 @@ func newReplClusterR(t *testing.T, members []int, replicas int) *replCluster {
 	t.Helper()
 	const dim = 4
 	c := &replCluster{
-		ms:       cluster.NewMembership(cluster.NewRing(members, 8)),
+		ms:       cluster.NewMembership(cluster.NewRing(members)),
 		lt:       cluster.NewLocalTransport(dim),
 		nodes:    map[int]*MemPS{},
 		reps:     map[int]*Replicator{},

@@ -182,7 +182,7 @@ func (p *routedPeer) Lookup(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (int6
 // Degraded (stale-answer) counter untouched.
 func TestPredictFailsOverToBackup(t *testing.T) {
 	const dim = 4
-	ring := cluster.NewRing([]int{0, 1, 2}, 8)
+	ring := cluster.NewRing([]int{0, 1, 2})
 	ms := cluster.NewMembership(ring)
 	topo := cluster.Topology{Nodes: 3, GPUsPerNode: 1, Members: ms, Replicas: 2}
 

@@ -1,7 +1,6 @@
 package serving
 
 import (
-	"fmt"
 	"sync"
 
 	"hps/internal/cluster"
@@ -101,9 +100,6 @@ func (h *Handler) HandleTransfer(blk *ps.ValueBlock) (int, error) {
 // key range the new ring assigns to members that do not hold it yet.
 func (h *Handler) HandleMembership(u cluster.MembershipUpdate) error {
 	topo := h.MemPS.Topology()
-	if topo.Members == nil {
-		return fmt.Errorf("memps shard %d: no membership view to update", h.MemPS.NodeID())
-	}
 	if err := u.Validate(); err != nil {
 		return err
 	}
@@ -112,7 +108,7 @@ func (h *Handler) HandleMembership(u cluster.MembershipUpdate) error {
 			h.Peers.SetAddr(id, addr)
 		}
 	}
-	old := topo.Members.Ring()
+	old := topo.Ring()
 	next := u.BuildRing()
 	if !topo.Members.Update(next) {
 		return nil // not newer than the installed ring: already seen

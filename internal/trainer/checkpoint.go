@@ -25,8 +25,12 @@ import (
 // the pipeline already tolerates, while silently skipping one would not.
 
 // checkpointVersion is bumped whenever the manifest schema changes shape in
-// a way an older reader would misinterpret.
-const checkpointVersion = 1
+// a way an older reader would misinterpret, or the key placement its shard
+// directories were written under changes. Version 1 manifests come from
+// builds that placed keys by modulo or a virtual-node ring; version 2 places
+// them by rendezvous hashing, so a shard's keys are no longer where a
+// version-1 run left them.
+const checkpointVersion = 2
 
 // Manifest is the versioned, JSON-serialized driver-side training state.
 type Manifest struct {
@@ -67,6 +71,9 @@ func LoadManifest(path string) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("trainer: parse checkpoint %s: %w", path, err)
+	}
+	if m.Version == 1 {
+		return nil, fmt.Errorf("trainer: checkpoint %s has version 1, written under modulo/ring placement; this build places keys by rendezvous hashing and cannot resume it", path)
 	}
 	if m.Version != checkpointVersion {
 		return nil, fmt.Errorf("trainer: checkpoint %s has version %d, this build reads %d", path, m.Version, checkpointVersion)

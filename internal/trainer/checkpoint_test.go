@@ -174,6 +174,20 @@ func TestRestoreValidatesConfig(t *testing.T) {
 	if _, err := LoadManifest(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("loading a missing manifest did not fail")
 	}
+
+	// A manifest written before rendezvous placement names its shard
+	// directories' keys by a placement this build no longer uses.
+	raw, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := filepath.Join(dir, "v1.json")
+	if err := os.WriteFile(old, []byte(strings.Replace(string(raw), `"version":2`, `"version":1`, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadManifest(old); err == nil || !strings.Contains(err.Error(), "modulo/ring placement") {
+		t.Errorf("loading a version-1 manifest: err = %v, want a refusal naming modulo/ring placement", err)
+	}
 }
 
 // TestCloseKeepsStateWhenFlushFails pins the Close contract: when the final

@@ -76,7 +76,7 @@ type replTestShard struct {
 	srv  *cluster.TCPServer
 }
 
-func replShard(t *testing.T, dir string, id, nodes, dim int, seed int64, members []int, vnodes int) *replTestShard {
+func replShard(t *testing.T, dir string, id, nodes, dim int, seed int64, members []int) *replTestShard {
 	t.Helper()
 	dev, err := blockio.NewDevice(dir, hw.DefaultGPUNode().SSD, simtime.NewClock())
 	if err != nil {
@@ -86,7 +86,7 @@ func replShard(t *testing.T, dir string, id, nodes, dim int, seed int64, members
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := cluster.NewMembership(cluster.NewRing(members, vnodes))
+	ms := cluster.NewMembership(cluster.NewRing(members))
 	topo := cluster.Topology{Nodes: nodes, GPUsPerNode: 1, Members: ms, Replicas: 2}
 	mem, err := memps.New(memps.Config{
 		NodeID:     id,
@@ -150,7 +150,6 @@ func TestKillPrimaryMidEpochPromotesBackup(t *testing.T) {
 	data := testData()
 	spec := testSpec()
 	const seed = 5
-	const vnodes = 16
 	members := []int{0, 1, 2}
 	batches, batchSize, evalN := 20, 128, 1500
 
@@ -173,10 +172,10 @@ func TestKillPrimaryMidEpochPromotesBackup(t *testing.T) {
 		shards := map[int]*replTestShard{}
 		addrs := map[int]string{}
 		for _, id := range members {
-			shards[id] = replShard(t, t.TempDir(), id, len(members), spec.EmbeddingDim, seed, members, vnodes)
+			shards[id] = replShard(t, t.TempDir(), id, len(members), spec.EmbeddingDim, seed, members)
 			addrs[id] = shards[id].srv.Addr()
 		}
-		ms := cluster.NewMembership(cluster.NewRing(members, vnodes))
+		ms := cluster.NewMembership(cluster.NewRing(members))
 		ctl := cluster.NewTCPTransport(addrs, spec.EmbeddingDim)
 		t.Cleanup(ctl.Close)
 
@@ -192,7 +191,7 @@ func TestKillPrimaryMidEpochPromotesBackup(t *testing.T) {
 		applyRing := func(next *cluster.Ring) {
 			u := cluster.MembershipUpdate{
 				Epoch: next.Epoch(), Members: next.Members(),
-				VNodes: vnodes, Replicas: 2, Addrs: addrs,
+				Replicas: 2, Addrs: addrs,
 			}
 			for _, id := range next.Members() {
 				if err := ctl.UpdateMembership(id, u); err != nil {
@@ -271,7 +270,7 @@ func TestKillPrimaryMidEpochPromotesBackup(t *testing.T) {
 	if transferred == 0 {
 		t.Fatal("survivors transferred nothing: re-replication after the promotion never ran")
 	}
-	oldRing := cluster.NewRing(members, vnodes)
+	oldRing := cluster.NewRing(members)
 	checked := 0
 	for _, k := range survivors[0].mem.LocalKeys() {
 		if oldRing.Owner(k) != 1 || checked >= 64 {

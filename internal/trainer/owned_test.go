@@ -327,13 +327,33 @@ func TestRemotePullIsOneRPCPerOwner(t *testing.T) {
 	}
 }
 
+// TestUnreplicatedTrainerTakesTheRing pins that every trainer can install a
+// membership update: an hps driver run broadcasts its ring once its shards
+// are up, so a trainer built over a topology without a view takes it like a
+// replicated one and keeps training over the same members.
+func TestUnreplicatedTrainerTakesTheRing(t *testing.T) {
+	tr, shards := remoteTrainer(t, cluster.Topology{Nodes: 2, GPUsPerNode: 1})
+	if err := tr.UpdateMembership(cluster.MembershipUpdate{Epoch: 1, Members: []int{0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.cfg.Topology.Members.Epoch(); got != 1 {
+		t.Fatalf("trainer ring at epoch %d after the update, want 1", got)
+	}
+	stepBatches(t, tr, 2, nil, nil)
+	for id, sh := range shards {
+		if sh.mem.TierStats().KeysPushed == 0 {
+			t.Fatalf("shard %d received no pushes after the update", id)
+		}
+	}
+}
+
 // TestRingMembersOwnTheirPartitions runs a ring of three shard servers under
 // two nodes, so owners are not nodes: each batch's merged deltas reach every
 // member exactly once — the rows pushed, counted by the driver and by the
 // shards, sum to the merged blocks' rows — its union is pulled once, and the
 // report counts the three shard processes.
 func TestRingMembersOwnTheirPartitions(t *testing.T) {
-	ms := cluster.NewMembership(cluster.NewRing([]int{0, 1, 2}, 16))
+	ms := cluster.NewMembership(cluster.NewRing([]int{0, 1, 2}))
 	tr, shards := remoteTrainer(t, cluster.Topology{Nodes: 2, GPUsPerNode: 1, Members: ms})
 	var unionKeys, mergedRows int64
 	stepBatches(t, tr, 6,

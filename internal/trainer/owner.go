@@ -120,7 +120,7 @@ func (t *Trainer) splitByOwner(j *job, owners []owner) error {
 		clear(op.wants)
 	}
 	j.pull = shares
-	topo := t.cfg.Topology
+	ring := t.cfg.Topology.Ring()
 	for {
 		var k keys.Key
 		found := false
@@ -132,7 +132,7 @@ func (t *Trainer) splitByOwner(j *job, owners []owner) error {
 		if !found {
 			return nil
 		}
-		o := topo.NodeOf(k)
+		o := ring.Owner(k)
 		if o < 0 || o >= len(owners) || owners[o] == nil {
 			return fmt.Errorf("trainer: key %d is owned by %d, which is not an owner of this trainer", k, o)
 		}
@@ -295,9 +295,6 @@ func (t *Trainer) applyPush(d deltas, pull []ownedPull) (time.Duration, error) {
 // epochs are dropped by the membership view itself, so out-of-order delivery
 // is harmless.
 func (t *Trainer) UpdateMembership(u cluster.MembershipUpdate) error {
-	if t.cfg.Topology.Members == nil {
-		return fmt.Errorf("trainer: topology has no membership view to update")
-	}
 	if err := u.Validate(); err != nil {
 		return err
 	}

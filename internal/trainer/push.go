@@ -107,9 +107,9 @@ func (t *Trainer) mergePair(a, b *ps.ValueBlock) int {
 		s.rowsA[o] = s.rowsA[o][:0]
 		s.rowsB[o] = s.rowsB[o][:0]
 	}
-	topo := t.cfg.Topology
+	ring := t.cfg.Topology.Ring()
 	emit := func(k keys.Key, ai, bi int32) {
-		o := topo.NodeOf(k)
+		o := ring.Owner(k)
 		s.keys[o] = append(s.keys[o], k)
 		s.rowsA[o] = append(s.rowsA[o], ai)
 		s.rowsB[o] = append(s.rowsB[o], bi)

@@ -24,9 +24,9 @@ type shardServer struct {
 	srv  *cluster.TCPServer
 }
 
-// startShards brings up one TCP shard server per member of topo (per node
-// under modulo placement), each hosting the MEM-PS (backed by an SSD-PS under
-// t.TempDir) of its parameter shard. shards[i] is member i's server.
+// startShards brings up one TCP shard server per member of topo, each
+// hosting the MEM-PS (backed by an SSD-PS under t.TempDir) of its parameter
+// shard. shards[i] is member i's server.
 func startShards(t *testing.T, topo cluster.Topology, dim int, seed int64, lru, lfu int) ([]*shardServer, map[int]string) {
 	t.Helper()
 	ids := topo.MemberIDs()

@@ -125,11 +125,10 @@ type Config struct {
 	Seed int64
 	// RemoteShards switches the trainer into multi-process mode: the MEM-PS
 	// tier lives in separate shard-server processes, and RemoteShards maps
-	// each shard id to the TCP address serving it: one per node id under
-	// modulo placement, one per ring member under Topology.Members, however
-	// many members the ring has. Each shard is one owner (owner.go). The
-	// driver keeps the data streams, the GPUs and the dense tower; every
-	// parameter pull and push crosses a real socket.
+	// each shard id to the TCP address serving it: one per member of the
+	// topology's ring, however many members it has. Each shard is one owner
+	// (owner.go). The driver keeps the data streams, the GPUs and the dense
+	// tower; every parameter pull and push crosses a real socket.
 	RemoteShards map[int]string
 	// RemoteRetry overrides the TCP transport's retry policy in
 	// multi-process mode; the zero value keeps the default.
@@ -333,16 +332,13 @@ func New(cfg Config) (*Trainer, error) {
 	if err := cfg.Topology.Validate(); err != nil {
 		return nil, err
 	}
+	cfg.Topology = cfg.Topology.WithView()
 	if err := cfg.Data.Validate(); err != nil {
 		return nil, err
 	}
 	dim := cfg.Spec.EmbeddingDim
 	remoteMode := len(cfg.RemoteShards) > 0
 	if remoteMode {
-		if cfg.Topology.Members == nil && len(cfg.RemoteShards) != cfg.Topology.Nodes {
-			return nil, fmt.Errorf("trainer: %d remote shards for %d nodes (need one per node)",
-				len(cfg.RemoteShards), cfg.Topology.Nodes)
-		}
 		for _, id := range cfg.Topology.MemberIDs() {
 			if _, ok := cfg.RemoteShards[id]; !ok {
 				return nil, fmt.Errorf("trainer: no remote shard address for member %d", id)
