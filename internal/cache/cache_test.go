@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -414,5 +415,59 @@ func TestCombinedTotalEntriesInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCombinedRefs checks the probe-free pin path against the keyed one:
+// GetPin and PutPin leave the cache as Get+Pin and Put+Pin do, a Ref applies
+// and unpins its entry like GetApply and Unpin, and a Ref stops holding once
+// its entry leaves the cache.
+func TestCombinedRefs(t *testing.T) {
+	var viaRefs, viaKeys []uint64
+	refs := NewCombined[int](2, 2, func(k uint64, _ int) { viaRefs = append(viaRefs, k) })
+	keyed := NewCombined[int](2, 2, func(k uint64, _ int) { viaKeys = append(viaKeys, k) })
+	for k := uint64(0); k < 6; k++ { // key 0 too: the table keeps it beside its array
+		refs.Put(k, int(k))
+		keyed.Put(k, int(k))
+	}
+	batch := []uint64{0, 3, 5, 9, 11}
+	held := make([]Ref[int], len(batch))
+	for i, k := range batch {
+		v, r, ok := refs.GetPin(k)
+		if kv, kok := keyed.Get(k); kok != ok || kv != v {
+			t.Fatalf("GetPin(%d) = %d, %v; Get = %d, %v", k, v, ok, kv, kok)
+		}
+		if !ok {
+			r = refs.PutPin(k, int(k))
+			keyed.Put(k, int(k))
+		}
+		keyed.Pin(k)
+		held[i] = r
+	}
+	for i, k := range batch {
+		if !refs.Holds(held[i], k) || refs.Holds(held[i], k+1) {
+			t.Fatalf("the Ref of pinned key %d does not hold it, or holds key %d", k, k+1)
+		}
+		if v, _ := keyed.GetApply(k); refs.ApplyRef(held[i]) != v {
+			t.Fatalf("ApplyRef(%d) differs from GetApply", k)
+		}
+	}
+	for i, k := range batch {
+		refs.UnpinRef(held[i])
+		keyed.Unpin(k)
+	}
+	if !slices.Equal(viaRefs, viaKeys) || refs.Stats() != keyed.Stats() || refs.Len() != keyed.Len() {
+		t.Fatalf("refs evicted %v (%+v), keys %v (%+v)", viaRefs, refs.Stats(), viaKeys, keyed.Stats())
+	}
+	_, r, _ := refs.GetPin(batch[0])
+	refs.Flush(nil)
+	if refs.Holds(r, batch[0]) {
+		t.Fatal("a Ref holds its entry after Flush")
+	}
+	refs.Put(7, 7)
+	r = refs.PutPin(8, 8)
+	refs.Remove(8)
+	if refs.Holds(r, 8) {
+		t.Fatal("a Ref holds its entry after Remove")
 	}
 }

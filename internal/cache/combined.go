@@ -6,8 +6,12 @@
 //
 // Working parameters of the in-flight batches are pinned and are never
 // evicted until their batch completes, preserving the pipeline's data
-// integrity guarantee.
+// integrity guarantee; a Ref reaches a pinned entry again without a probe.
+// Both caches index their entries with one open-addressed keys.Table, not a
+// Go map.
 package cache
+
+import "hps/internal/keys"
 
 // EvictFunc is called with every entry that leaves a cache through eviction
 // (not through Remove).
@@ -57,9 +61,12 @@ func (s Stats) HitRate() float64 {
 // LRU level never evicts the order's most recent entry — when everything
 // older is pinned it overflows instead.
 //
-// Both levels share one index with one entry per key, so a miss costs four
-// map operations on its way in and out (the missed Get, Put's lookup and
-// insert, the final eviction's delete) and a demotion none. The LFU level is
+// Both levels share one index — an open-addressed keys.Table with one entry
+// per key — so a miss costs three probes on its way in and out (the missed
+// Get, Put's insert, the final eviction's delete) and a demotion none. A
+// batch's working set is pinned in the same probe that finds or inserts it
+// (GetPin, PutPin), and the Ref those return reaches the pinned entry again
+// with no probe at all (ApplyRef, UnpinRef). The LFU level is
 // a frequency order (FIFO buckets per visit count): a demotion, a promotion
 // and an eviction each cost O(1), without comparisons below 4,096 visits.
 //
@@ -68,7 +75,7 @@ func (s Stats) HitRate() float64 {
 type Combined[V any] struct {
 	lruCap, lfuCap int
 	onEvict        EvictFunc[V]
-	items          map[uint64]*entry[V]
+	items          keys.Table[*entry[V]]
 	// order is the sentinel of the LRU level's eviction order (unpinned
 	// entries, most recently used first); held is the sentinel of its pinned
 	// entries, most recently pinned first. lruLen counts both.
@@ -92,9 +99,15 @@ func NewCombined[V any](lruCapacity, lfuCapacity int, onEvict EvictFunc[V]) *Com
 	return c
 }
 
-// clear empties both levels, pins included.
+// clear empties both levels, pins included. The entries go to the free
+// list, zeroed, so a Ref to one of them no longer Holds.
 func (c *Combined[V]) clear() {
-	c.items = make(map[uint64]*entry[V])
+	c.items.Range(func(_ keys.Key, e *entry[V]) bool {
+		*e = entry[V]{next: c.free}
+		c.free = e
+		return true
+	})
+	c.items.Clear()
 	c.order.prev, c.order.next = &c.order, &c.order
 	c.held.prev, c.held.next = &c.held, &c.held
 	c.lfu.reset()
@@ -102,7 +115,7 @@ func (c *Combined[V]) clear() {
 }
 
 // Len returns the total number of entries across both levels.
-func (c *Combined[V]) Len() int { return len(c.items) }
+func (c *Combined[V]) Len() int { return c.items.Len() }
 
 // Stats returns a copy of the accumulated statistics.
 func (c *Combined[V]) Stats() Stats { return c.stats }
@@ -161,7 +174,7 @@ func (c *Combined[V]) demoteOverflow() {
 // release drops key's entry e, already off both levels, from the index and
 // keeps it for the next new key.
 func (c *Combined[V]) release(e *entry[V]) {
-	delete(c.items, e.key)
+	c.items.Delete(keys.Key(e.key))
 	*e = entry[V]{next: c.free}
 	c.free = e
 }
@@ -169,24 +182,30 @@ func (c *Combined[V]) release(e *entry[V]) {
 // Get looks the key up in both levels. A hit in the LFU promotes the entry
 // back into the LRU (it is recently used again).
 func (c *Combined[V]) Get(key uint64) (V, bool) {
-	e, ok := c.items[key]
+	e, ok := c.items.Get(keys.Key(key))
 	if !ok {
 		c.stats.Misses++
 		var zero V
 		return zero, false
 	}
+	c.hit(e)
+	return e.value, true
+}
+
+// hit counts a Get hit on e and makes it the most recently used entry of the
+// LRU level, promoting it out of the LFU.
+func (c *Combined[V]) hit(e *entry[V]) {
 	c.stats.Hits++
 	if e.pos == inLRU {
 		c.stats.LRUHits++
 		e.visits++
 		c.touch(e)
-		return e.value, true
+		return
 	}
 	c.stats.LFUHits++
 	c.lfu.remove(e) // before the count that places it there changes
 	e.visits++
 	c.enterLRU(e)
-	return e.value, true
 }
 
 // GetApply looks the key up in both levels without updating recency, visit
@@ -195,7 +214,7 @@ func (c *Combined[V]) Get(key uint64) (V, bool) {
 // entry's recency, so counting it again would double-weight write traffic in
 // the eviction policy. Hit and miss statistics are still recorded.
 func (c *Combined[V]) GetApply(key uint64) (V, bool) {
-	e, ok := c.items[key]
+	e, ok := c.items.Get(keys.Key(key))
 	if !ok {
 		c.stats.Misses++
 		var zero V
@@ -212,15 +231,20 @@ func (c *Combined[V]) GetApply(key uint64) (V, bool) {
 
 // Contains reports whether either level holds the key, without promoting it.
 func (c *Combined[V]) Contains(key uint64) bool {
-	_, ok := c.items[key]
-	return ok
+	return c.items.Has(keys.Key(key))
 }
 
 // Put inserts or updates the key in the recency level and counts a visit. A
 // key resident in the LFU moves into the LRU with its visit count restarted
 // at 1: the frequency it carried is dropped, unlike on a Get hit.
 func (c *Combined[V]) Put(key uint64, value V) {
-	e, ok := c.items[key]
+	c.put(key, value)
+}
+
+// put is Put, returning the key's entry.
+func (c *Combined[V]) put(key uint64, value V) *entry[V] {
+	p, ok := c.items.Upsert(keys.Key(key))
+	e := *p
 	switch {
 	case !ok:
 		if e = c.free; e != nil {
@@ -229,7 +253,7 @@ func (c *Combined[V]) Put(key uint64, value V) {
 			e = new(entry[V])
 		}
 		e.key, e.value, e.visits = key, value, 1
-		c.items[key] = e
+		*p = e // before enterLRU, whose evictions may move the table's slots
 		c.enterLRU(e)
 	case e.pos == inLRU:
 		e.value = value
@@ -241,12 +265,13 @@ func (c *Combined[V]) Put(key uint64, value V) {
 		e.visits = 1
 		c.enterLRU(e)
 	}
+	return e
 }
 
 // Remove deletes the key from whichever level holds it, pinned or not,
 // without invoking the eviction callback.
 func (c *Combined[V]) Remove(key uint64) (V, bool) {
-	e, ok := c.items[key]
+	e, ok := c.items.Get(keys.Key(key))
 	if !ok {
 		var zero V
 		return zero, false
@@ -262,21 +287,67 @@ func (c *Combined[V]) Remove(key uint64) (V, bool) {
 	return value, true
 }
 
+// Ref refers to one pinned entry of a Combined. A pinned entry never leaves
+// the cache, so while the pin GetPin or PutPin took for the Ref is held, the
+// Ref reaches the entry without a probe. The zero Ref refers to nothing.
+type Ref[V any] struct{ e *entry[V] }
+
 // Pin marks a key in the LRU as unevictable until a matching Unpin; pins
 // nest across overlapping batches. It reports whether the key was found in
 // the LRU (keys in the LFU cannot be pinned; Get them first to promote
 // them).
 func (c *Combined[V]) Pin(key uint64) bool {
-	e, ok := c.items[key]
+	e, ok := c.items.Get(keys.Key(key))
 	if !ok || e.pos != inLRU {
 		return false
 	}
+	c.pin(e)
+	return true
+}
+
+func (c *Combined[V]) pin(e *entry[V]) {
 	if e.pins == 0 {
 		e.unlink()
 		e.pushFront(&c.held)
 	}
 	e.pins++
-	return true
+}
+
+// GetPin is Get followed by Pin of the key it found, in one probe: it
+// returns the value and a Ref to the pinned entry.
+func (c *Combined[V]) GetPin(key uint64) (V, Ref[V], bool) {
+	e, ok := c.items.Get(keys.Key(key))
+	if !ok {
+		c.stats.Misses++
+		var zero V
+		return zero, Ref[V]{}, false
+	}
+	c.hit(e)
+	c.pin(e)
+	return e.value, Ref[V]{e}, true
+}
+
+// PutPin is Put followed by Pin, in one probe, and returns a Ref to the
+// pinned entry.
+func (c *Combined[V]) PutPin(key uint64, value V) Ref[V] {
+	e := c.put(key, value)
+	c.pin(e)
+	return Ref[V]{e}
+}
+
+// Holds reports whether r refers to key's entry and that entry is pinned —
+// true as long as the pin r was taken with is held, and false once the
+// entry has left the cache (a Flush empties it, pins included).
+func (c *Combined[V]) Holds(r Ref[V], key uint64) bool {
+	return r.e != nil && r.e.pins > 0 && r.e.key == key && r.e.pos == inLRU
+}
+
+// ApplyRef is GetApply through a Ref: it returns the pinned entry's value
+// and counts the hit, without a probe. r must hold its pin.
+func (c *Combined[V]) ApplyRef(r Ref[V]) V {
+	c.stats.Hits++
+	c.stats.LRUHits++
+	return r.e.value
 }
 
 // Unpin releases one pin set by Pin. Once no pins remain the entry re-enters
@@ -284,10 +355,18 @@ func (c *Combined[V]) Pin(key uint64) bool {
 // were holding back is demoted. It reports whether the key was found in the
 // LRU.
 func (c *Combined[V]) Unpin(key uint64) bool {
-	e, ok := c.items[key]
+	e, ok := c.items.Get(keys.Key(key))
 	if !ok || e.pos != inLRU {
 		return false
 	}
+	c.unpin(e)
+	return true
+}
+
+// UnpinRef is Unpin through a Ref, without a probe. r must hold its pin.
+func (c *Combined[V]) UnpinRef(r Ref[V]) { c.unpin(r.e) }
+
+func (c *Combined[V]) unpin(e *entry[V]) {
 	if e.pins > 0 {
 		e.pins--
 		if e.pins == 0 {
@@ -296,12 +375,11 @@ func (c *Combined[V]) Unpin(key uint64) bool {
 			c.demoteOverflow()
 		}
 	}
-	return true
 }
 
 // Pinned reports whether the key is currently pinned in the LRU.
 func (c *Combined[V]) Pinned(key uint64) bool {
-	e, ok := c.items[key]
+	e, ok := c.items.Get(keys.Key(key))
 	return ok && e.pins > 0
 }
 

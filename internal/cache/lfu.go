@@ -1,5 +1,7 @@
 package cache
 
+import "hps/internal/keys"
+
 // LFU is a least-frequently-used cache keyed by uint64, with FIFO tie
 // breaking among equally frequent entries: of two keys with the same
 // frequency the one inserted first is evicted first. It keeps its entries in
@@ -8,7 +10,7 @@ package cache
 type LFU[V any] struct {
 	capacity int
 	onEvict  EvictFunc[V]
-	items    map[uint64]*entry[V]
+	items    keys.Table[*entry[V]]
 	order    freqOrder[V]
 	seq      int64
 }
@@ -16,22 +18,18 @@ type LFU[V any] struct {
 // NewLFU creates an LFU cache holding at most capacity entries. onEvict may
 // be nil. A capacity <= 0 is treated as 1.
 func NewLFU[V any](capacity int, onEvict EvictFunc[V]) *LFU[V] {
-	return &LFU[V]{
-		capacity: max(capacity, 1),
-		onEvict:  onEvict,
-		items:    make(map[uint64]*entry[V]),
-	}
+	return &LFU[V]{capacity: max(capacity, 1), onEvict: onEvict}
 }
 
 // Len returns the number of cached entries.
-func (c *LFU[V]) Len() int { return len(c.items) }
+func (c *LFU[V]) Len() int { return c.items.Len() }
 
 // Capacity returns the configured capacity.
 func (c *LFU[V]) Capacity() int { return c.capacity }
 
 // Get returns the value for key and increments its frequency.
 func (c *LFU[V]) Get(key uint64) (V, bool) {
-	if e, ok := c.items[key]; ok {
+	if e, ok := c.items.Get(keys.Key(key)); ok {
 		c.order.setVisits(e, e.visits+1)
 		return e.value, true
 	}
@@ -41,7 +39,7 @@ func (c *LFU[V]) Get(key uint64) (V, bool) {
 
 // Peek returns the value for key without touching its frequency.
 func (c *LFU[V]) Peek(key uint64) (V, bool) {
-	if e, ok := c.items[key]; ok {
+	if e, ok := c.items.Get(keys.Key(key)); ok {
 		return e.value, true
 	}
 	var zero V
@@ -50,8 +48,7 @@ func (c *LFU[V]) Peek(key uint64) (V, bool) {
 
 // Contains reports whether key is cached without touching its frequency.
 func (c *LFU[V]) Contains(key uint64) bool {
-	_, ok := c.items[key]
-	return ok
+	return c.items.Has(keys.Key(key))
 }
 
 // Put inserts or updates key. New entries start with the given initial
@@ -67,19 +64,21 @@ func (c *LFU[V]) Put(key uint64, value V) {
 // hot-key cache with a parameter's training show-count this way.
 func (c *LFU[V]) PutWithFreq(key uint64, value V, freq int64) {
 	freq = max(freq, 1)
-	if e, ok := c.items[key]; ok {
+	p, ok := c.items.Upsert(keys.Key(key))
+	if ok {
+		e := *p
 		e.value = value
 		c.order.setVisits(e, e.visits+freq)
 		return
 	}
 	c.seq++
 	e := &entry[V]{key: key, value: value, visits: freq, seq: c.seq}
-	c.items[key] = e
+	*p = e
 	c.order.push(e)
-	for len(c.items) > c.capacity {
+	for c.items.Len() > c.capacity {
 		victim := c.order.min()
 		c.order.remove(victim)
-		delete(c.items, victim.key)
+		c.items.Delete(keys.Key(victim.key))
 		if c.onEvict != nil {
 			c.onEvict(victim.key, victim.value)
 		}
@@ -89,19 +88,19 @@ func (c *LFU[V]) PutWithFreq(key uint64, value V, freq int64) {
 // Remove deletes key without invoking the eviction callback. It returns the
 // removed value, if any.
 func (c *LFU[V]) Remove(key uint64) (V, bool) {
-	e, ok := c.items[key]
+	e, ok := c.items.Get(keys.Key(key))
 	if !ok {
 		var zero V
 		return zero, false
 	}
 	c.order.remove(e)
-	delete(c.items, key)
+	c.items.Delete(keys.Key(key))
 	return e.value, true
 }
 
 // Freq returns the current frequency of key (0 if absent).
 func (c *LFU[V]) Freq(key uint64) int64 {
-	if e, ok := c.items[key]; ok {
+	if e, ok := c.items.Get(keys.Key(key)); ok {
 		return e.visits
 	}
 	return 0

@@ -68,16 +68,23 @@ func NewRandomValue(dim int, rng *rand.Rand) *Value {
 // shifted copies of each other.
 func NewKeyedValue(dim int, seed int64, key uint64) *Value {
 	v := NewValue(dim)
-	scale := float32(1.0 / math.Sqrt(float64(dim)+1))
+	InitKeyed(v.Weights, seed, key)
+	return v
+}
+
+// InitKeyed writes the initial weights NewKeyedValue gives (seed, key) into
+// w, whose length is the dimension; the accumulator and frequency of a new
+// value are zero.
+func InitKeyed(w []float32, seed int64, key uint64) {
+	scale := float32(1.0 / math.Sqrt(float64(len(w))+1))
 	const increment = 0x9E3779B97F4A7C15
 	s := keys.Mix64(uint64(seed) ^ (key+1)*increment)
-	for i := range v.Weights {
+	for i := range w {
 		// The top 24 bits of an output make a float32 in [0, 1) exactly.
 		u := float32(keys.Mix64(s)>>40) / (1 << 24)
-		v.Weights[i] = (u*2 - 1) * scale
+		w[i] = (u*2 - 1) * scale
 		s += increment
 	}
-	return v
 }
 
 // Dim returns the embedding dimension.
@@ -139,18 +146,25 @@ func (v *Value) EncodedSizeOf() int { return EncodedSize(v.Dim()) }
 // Encode serializes v into buf and returns the number of bytes written.
 // buf must have at least EncodedSize(v.Dim()) bytes; Encode panics otherwise.
 func (v *Value) Encode(buf []byte) int {
-	need := v.EncodedSizeOf()
-	if len(buf) < need {
-		panic(fmt.Sprintf("embedding: Encode buffer too small: %d < %d", len(buf), need))
+	return EncodeRow(buf, v.Weights, v.G2Sum, v.Freq)
+}
+
+// EncodeRow is Encode over raw weight and accumulator rows of one length
+// (the ValueBlock layout): the bytes are those Encode writes for the value
+// the rows and freq make up.
+func EncodeRow(buf []byte, weights, g2sum []float32, freq uint32) int {
+	need := EncodedSize(len(weights))
+	if len(buf) < need || len(g2sum) != len(weights) {
+		panic(fmt.Sprintf("embedding: Encode %d/%d floats into %d bytes, need %d", len(weights), len(g2sum), len(buf), need))
 	}
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(v.Dim()))
-	binary.LittleEndian.PutUint32(buf[4:8], v.Freq)
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(weights)))
+	binary.LittleEndian.PutUint32(buf[4:8], freq)
 	off := 8
-	for _, w := range v.Weights {
+	for _, w := range weights {
 		binary.LittleEndian.PutUint32(buf[off:off+4], math.Float32bits(w))
 		off += 4
 	}
-	for _, g := range v.G2Sum {
+	for _, g := range g2sum {
 		binary.LittleEndian.PutUint32(buf[off:off+4], math.Float32bits(g))
 		off += 4
 	}
@@ -164,23 +178,45 @@ func Decode(buf []byte) (*Value, int, error) {
 		return nil, 0, fmt.Errorf("embedding: short header: %d bytes", len(buf))
 	}
 	dim := int(binary.LittleEndian.Uint32(buf[0:4]))
-	freq := binary.LittleEndian.Uint32(buf[4:8])
-	need := EncodedSize(dim)
-	if len(buf) < need {
+	if need := EncodedSize(dim); len(buf) < need {
 		return nil, 0, fmt.Errorf("embedding: short body: have %d bytes, need %d", len(buf), need)
 	}
 	v := NewValue(dim)
+	freq, n, err := DecodeRow(buf, v.Weights, v.G2Sum)
+	if err != nil {
+		return nil, 0, err
+	}
 	v.Freq = freq
+	return v, n, nil
+}
+
+// DecodeRow parses an encoded value from buf straight into the weight and
+// accumulator rows, whose length must be the encoded dimension, and returns
+// its frequency and the number of bytes consumed. It returns an error if buf
+// is truncated or holds another dimension.
+func DecodeRow(buf []byte, weights, g2sum []float32) (uint32, int, error) {
+	if len(buf) < 8 {
+		return 0, 0, fmt.Errorf("embedding: short header: %d bytes", len(buf))
+	}
+	dim := int(binary.LittleEndian.Uint32(buf[0:4]))
+	if dim != len(weights) || dim != len(g2sum) {
+		return 0, 0, fmt.Errorf("embedding: dimension %d, the row has %d", dim, len(weights))
+	}
+	need := EncodedSize(dim)
+	if len(buf) < need {
+		return 0, 0, fmt.Errorf("embedding: short body: have %d bytes, need %d", len(buf), need)
+	}
+	freq := binary.LittleEndian.Uint32(buf[4:8])
 	off := 8
-	for i := 0; i < dim; i++ {
-		v.Weights[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[off : off+4]))
+	for i := range weights {
+		weights[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[off : off+4]))
 		off += 4
 	}
-	for i := 0; i < dim; i++ {
-		v.G2Sum[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[off : off+4]))
+	for i := range g2sum {
+		g2sum[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[off : off+4]))
 		off += 4
 	}
-	return v, off, nil
+	return freq, off, nil
 }
 
 // Table is a simple in-memory map from key to value. It is the building block

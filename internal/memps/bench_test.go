@@ -1,6 +1,7 @@
 package memps
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -137,5 +138,35 @@ func BenchmarkBatchPullSSD(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
+	}
+}
+
+// BenchmarkOwnershipCheck is the ownership test every MEM-PS call makes per
+// key, two ways: Topology.HoldsKey, which loads the ring for every key, and
+// the holder the MEM-PS takes once per call.
+func BenchmarkOwnershipCheck(b *testing.B) {
+	ks := benchKeys(4096)
+	held := 0
+	for _, nodes := range []int{1, 2} {
+		topo := cluster.Topology{Nodes: nodes, GPUsPerNode: 1}
+		b.Run(fmt.Sprintf("nodes=%d/ring-per-key", nodes), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if topo.HoldsKey(ks[i&4095], 0) {
+					held++
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("nodes=%d/ring-per-call", nodes), func(b *testing.B) {
+			m := &MemPS{cfg: Config{NodeID: 0, Topology: topo}}
+			h := m.holder()
+			for i := 0; i < b.N; i++ {
+				if h.holds(ks[i&4095]) {
+					held++
+				}
+			}
+		})
+	}
+	if held == 0 {
+		b.Fatal("no key is held")
 	}
 }

@@ -11,9 +11,16 @@
 // and pinned once per batch however many nodes reference it, and its value is
 // copied straight into each of those nodes' blocks.
 //
-// An owned key resolves in one place, resolve (misspath.go): from the cache,
-// else the dump buffer, else the SSD-PS in one batched load per call, else
-// keyed init. The batch prepares, the pull RPCs (HandlePullBlock,
+// Every resident value is a row of one slab per MEM-PS (a ps.ValueBlock with
+// a free list); the cache maps a key to its row, and no Go map or per-row
+// heap object sits between the cache and the SSD-PS. An owned key resolves
+// in one place, resolve (misspath.go): from the cache, else the dump buffer,
+// else the SSD-PS in one batched load per call that decodes each record
+// straight into the slab row the miss took, else keyed init into that row.
+// A batch's prepare pins its keys in the probe that finds or inserts them
+// and leaves each pin's cache.Ref in the WorkingSet, through which the
+// in-process push (PushBatch, PushBlockPair) and CompleteBatch reach the
+// pinned rows without a probe. The batch prepares, the pull RPCs (HandlePullBlock,
 // HandlePullBlockWire) and the pushes (PushBlock, PushBlockPair) all go
 // through it; only the no-create read behind HandleLookupBlock, Lookup and
 // ExportInto does not. A node that assembles its own working set
@@ -23,13 +30,15 @@
 // instead, so those two are reached only by the benchmark's layer probe and
 // the ps.Tier conformance suite.
 //
-// Evicted parameters collect in a dump buffer. Once a batch completes with
-// the buffer full, the whole buffer is handed to a background write that
-// dumps it to the SSD-PS and then compacts the SSD-PS if needed, so no batch
-// waits for an SSD write. At most one write runs at a time, started in
-// eviction order. The rows it holds stay in the buffer, marked as being
-// written, until they are on the SSD-PS: every lookup finds them there, and
-// none modifies them. Flush and Evict wait the write out first.
+// An eviction copies the row into the dump buffer — a block of rows in
+// eviction order, indexed by one keys.Table — and frees the slab row. Once a
+// batch completes with the buffer full, the whole block is handed to a
+// background write that dumps it to the SSD-PS and then compacts the SSD-PS
+// if needed, so no batch waits for an SSD write. At most one write runs at a
+// time, started in eviction order. The rows it holds stay in its block,
+// marked as being written, until they are on the SSD-PS: every lookup finds
+// them there, and none modifies them. Flush and Evict wait the write out
+// first.
 package memps
 
 import (
@@ -40,7 +49,6 @@ import (
 
 	"hps/internal/cache"
 	"hps/internal/cluster"
-	"hps/internal/embedding"
 	"hps/internal/gpu"
 	"hps/internal/interconnect"
 	"hps/internal/keys"
@@ -135,6 +143,9 @@ type WorkingSet struct {
 	RemoteKeys []keys.Key
 	// Stats describes how the working set was assembled.
 	Stats PullStats
+	// refs[x] is the Ref of LocalKeys[x]'s pin: the push and CompleteBatch
+	// reach the batch's pinned rows through it, without a probe.
+	refs []cache.Ref[int32]
 }
 
 // MemPS is the main-memory parameter server of one node.
@@ -146,29 +157,43 @@ type MemPS struct {
 	cfg Config
 	rec ps.Recorder
 
-	mu          sync.Mutex
-	cache       *cache.Combined[*embedding.Value]
-	pendingDump map[keys.Key]dumpEntry // the dump buffer
-	seed        int64                  // keyed-init seed: same (seed, key) -> same initial value
-	stats       Stats
+	mu sync.Mutex
+	// cache holds, for every resident key, the slab row of its value.
+	cache *cache.Combined[int32]
+	// rows is the slab of resident values: row s of it is the value of the
+	// cache entry holding s. free lists the rows no entry holds. A pinned
+	// entry's row stays where it is until the entry is unpinned.
+	rows  ps.ValueBlock
+	free  []int32
+	seed  int64 // keyed-init seed: same (seed, key) -> same initial value
+	stats Stats
+
+	// The dump buffer: dump holds the rows evicted in the current epoch, in
+	// eviction order, of which dumpLive are present (a row pulled back into
+	// the cache is marked absent); out holds the rows of the background write
+	// in flight, which owns it read-only until the write settles. dumped
+	// maps a key to its latest row in either, with the epoch that tells
+	// which.
+	dump, out *ps.ValueBlock
+	dumpLive  int
+	dumped    keys.Table[dumpRow]
 
 	// The background write. epoch is the dump buffer's current epoch: a
 	// write starts by advancing it, so the rows it holds are exactly the
 	// buffer entries of an older epoch. writing is set while it runs, and
 	// writeDone (on mu) is signalled when it ends; writeErr is the failure
 	// of the last write, returned by the next call that waits for it.
-	// writeSet is the rows of the write in flight (owned by it while
-	// writing, reused across writes).
-	epoch     uint64
+	epoch     uint32
 	writing   bool
 	writeDone sync.Cond
 	writeErr  error
-	writeSet  map[keys.Key]*embedding.Value
-	// spare holds up to maxSpares*DumpBatchSize values of rows a write put
-	// on the SSD-PS, which nothing references any more: a miss on a row the
-	// write in flight holds copies it into one of them (copyOf) instead of
-	// allocating.
-	spare []*embedding.Value
+	// writeStore is the store the write in flight dumps to; dumpErr and
+	// ioErr are the failures of its dump and of its I/O as a whole.
+	writeStore     *ssdps.Store
+	dumpErr, ioErr error
+	// startWrite and writeIO are write and dumpOut, bound once so that
+	// starting a write allocates nothing.
+	startWrite, writeIO func()
 	// writeHook, when set, is handed every background write's SSD-PS I/O
 	// (the dump and the compaction) to run. Tests use it to hold a write in
 	// flight and to watch for overlapping writes.
@@ -177,8 +202,14 @@ type MemPS struct {
 	// Scratch reused across batches (safe: every user holds m.mu throughout).
 	applyOrder []int
 	applyKeys  []keys.Key
-	ownedVals  []*embedding.Value
-	miss       missPass
+	// restKeys are the keys of a push its working set does not hold pinned,
+	// and restAt their positions in the push.
+	restKeys []keys.Key
+	restAt   []int
+	served   ps.ValueBlock
+	miss     missPass
+	// spareRefs are the Ref slices of completed working sets, for the next.
+	spareRefs [][]cache.Ref[int32]
 }
 
 var (
@@ -230,17 +261,20 @@ func New(cfg Config) (*MemPS, error) {
 		seed = cfg.Seed
 	}
 	m := &MemPS{
-		cfg:         cfg,
-		pendingDump: make(map[keys.Key]dumpEntry),
-		writeSet:    make(map[keys.Key]*embedding.Value),
-		seed:        seed,
+		cfg:  cfg,
+		seed: seed,
+		dump: ps.NewValueBlock(cfg.Dim),
+		out:  ps.NewValueBlock(cfg.Dim),
 	}
+	m.rows.Dim = cfg.Dim
 	m.writeDone.L = &m.mu
-	m.cache = cache.NewCombined[*embedding.Value](lru, lfu, func(k uint64, v *embedding.Value) {
+	m.startWrite, m.writeIO = m.write, m.dumpOut
+	m.cache = cache.NewCombined[int32](lru, lfu, func(k uint64, slot int32) {
 		// Fully evicted from memory: buffer for a batched SSD dump. A row of
 		// the key that the write in flight holds is an older copy; this one
 		// replaces it in the buffer.
-		m.pendingDump[keys.Key(k)] = dumpEntry{v, m.epoch}
+		m.toDump(keys.Key(k), &m.rows, slot)
+		m.free = append(m.free, slot)
 	})
 	return m, nil
 }
@@ -251,13 +285,35 @@ func (m *MemPS) NodeID() int { return m.cfg.NodeID }
 // Dim returns the embedding dimension.
 func (m *MemPS) Dim() int { return m.cfg.Dim }
 
-// ownsKey reports whether this node holds the parameter shard containing k —
-// as its primary, or (in a replicated deployment) as one of its backups. A
-// backup both applies the deltas its primary forwards and answers reads for
-// the keys it replicates, which is what makes promotion a pure membership
-// change.
-func (m *MemPS) ownsKey(k keys.Key) bool {
-	return m.cfg.Topology.HoldsKey(k, m.cfg.NodeID)
+// holder answers, for one call, whether this node holds the parameter shard
+// containing a key — as its primary, or (in a replicated deployment) as one
+// of its backups. A backup both applies the deltas its primary forwards and
+// answers reads for the keys it replicates, which is what makes promotion a
+// pure membership change. The ring is loaded once per call, so a call sees
+// one ring even when a membership change lands while it runs.
+type holder struct {
+	ring           *cluster.Ring
+	node, replicas int
+}
+
+func (m *MemPS) holder() holder {
+	return holder{m.cfg.Topology.Ring(), m.cfg.NodeID, max(m.cfg.Topology.Replicas, 1)}
+}
+
+func (h holder) holds(k keys.Key) bool { return h.ring.ReplicaRank(k, h.node, h.replicas) >= 0 }
+
+// alloc takes a free slab row for k and returns it, not present. The caller
+// must hold m.mu.
+func (m *MemPS) alloc(k keys.Key) int32 {
+	if n := len(m.free); n > 0 {
+		slot := m.free[n-1]
+		m.free = m.free[:n-1]
+		m.rows.Keys[slot], m.rows.Present[slot] = k, false
+		return slot
+	}
+	slot := int32(m.rows.GrowRowUninit(k))
+	m.rows.Present[slot] = false
+	return slot
 }
 
 // Name implements ps.Tier.
@@ -287,7 +343,7 @@ func (m *MemPS) PinnedKeys() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := 0
-	m.cache.Range(func(k uint64, _ *embedding.Value) bool {
+	m.cache.Range(func(k uint64, _ int32) bool {
 		if m.cache.Pinned(k) {
 			n++
 		}

@@ -67,6 +67,17 @@ func TestMissPathMatchesModel(t *testing.T) {
 		}
 		return blk
 	}
+	pushPair := func(m *MemPS, ws *WorkingSet, mk []keys.Key) error {
+		a, b := deltaBlock(mk), deltaBlock(mk[:len(mk)/2])
+		sa, sb := make([]int32, len(mk)), make([]int32, len(mk))
+		for x := range mk {
+			sa[x], sb[x] = int32(x), int32(x)
+			if x >= len(b.Keys) {
+				sb[x] = -1
+			}
+		}
+		return m.PushBlockPair(ws, a, b, mk, sa, sb)
+	}
 	check := func(what string, k keys.Key, v *embedding.Value) {
 		t.Helper()
 		if want := modelOf(k); v == nil || v.Freq != want.Freq ||
@@ -86,7 +97,7 @@ func TestMissPathMatchesModel(t *testing.T) {
 			for i, k := range blk.Keys {
 				check("PrepareInto", k, blk.Value(i))
 			}
-			if err := m.PushBlock(ps.PushBlockRequest{Block: deltaBlock(ks)}); err != nil {
+			if err := m.PushBatch(ws, deltaBlock(ks)); err != nil {
 				t.Fatal(err)
 			}
 			if err := m.CompleteBatch(ws); err != nil {
@@ -108,17 +119,8 @@ func TestMissPathMatchesModel(t *testing.T) {
 			if err := m.HandlePushBlock(deltaBlock(someKeys())); err != nil {
 				t.Fatal(err)
 			}
-		case 3: // the fused two-node push
-			mk := keys.Dedup(someKeys())
-			a, b := deltaBlock(mk), deltaBlock(mk[:len(mk)/2])
-			sa, sb := make([]int32, len(mk)), make([]int32, len(mk))
-			for x := range mk {
-				sa[x], sb[x] = int32(x), int32(x)
-				if x >= len(b.Keys) {
-					sb[x] = -1
-				}
-			}
-			if err := m.PushBlockPair(a, b, mk, sa, sb); err != nil {
+		case 3: // the fused two-node push, outside a batch
+			if err := pushPair(m, nil, keys.Dedup(someKeys())); err != nil {
 				t.Fatal(err)
 			}
 		case 4: // an unpinned tier pull, unsorted with duplicates
@@ -154,7 +156,9 @@ func TestMissPathMatchesModel(t *testing.T) {
 					check("PrepareOwnedInto", k, blk.Value(i))
 				}
 			}
-			if err := m.PushBlock(ps.PushBlockRequest{Block: deltaBlock(union)}); err != nil {
+			// The push reaches the pinned rows through the working set: half
+			// of it fused, and some keys the batch never prepared.
+			if err := pushPair(m, &ws, keys.Dedup(append(slices.Clone(union[len(union)/2:]), someKeys()...))); err != nil {
 				t.Fatal(err)
 			}
 			if err := m.CompleteBatch(&ws); err != nil {

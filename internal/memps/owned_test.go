@@ -2,6 +2,7 @@ package memps
 
 import (
 	"errors"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -250,4 +251,98 @@ func TestPrepareOwnedIntoAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, batch); allocs != 0 {
 		t.Fatalf("a warm PrepareOwnedInto + CompleteBatch allocates %.1f times", allocs)
 	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestMissCycleAllocatesNothing pins the steady cold state of the in-process
+// batch: a prepare, the fused pair push and CompleteBatch over a cache far
+// smaller than the working set, so every batch loads rows from the SSD-PS,
+// evicts, and hands a full dump buffer to the background write. The write is
+// waited out inside the measured cycle, so its allocations count too. Over
+// 100 warm batches the cycle allocates less than once per batch.
+func TestMissCycleAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	clock := simtime.NewClock()
+	m, err := New(Config{
+		Dim:           4,
+		Topology:      cluster.Topology{Nodes: 1, GPUsPerNode: 1},
+		Store:         newStore(t, 4, clock),
+		Clock:         clock,
+		LRUEntries:    24,
+		LFUEntries:    24,
+		DumpBatchSize: 32,
+		Seed:          5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes := 0
+	m.writeHook = func(io func()) {
+		writes++
+		io()
+	}
+	rng := rand.New(rand.NewSource(3))
+	type batch struct {
+		ks     []keys.Key
+		blocks []*ps.ValueBlock
+		rows   [][]int32
+		a, b   *ps.ValueBlock
+		sa, sb []int32
+		ws     WorkingSet
+	}
+	batches := make([]*batch, 100)
+	for i := range batches {
+		ks := make([]keys.Key, 64)
+		for j := range ks {
+			ks[j] = keys.Key(1 + rng.Intn(400))
+		}
+		ks = keys.Dedup(ks)
+		half := ks[:len(ks)/2]
+		bt := &batch{ks: ks, blocks: blocksFor(4, ks, half), rows: ownedRows(ks, ks, half)}
+		bt.a = weightDeltas(4, ks, func(keys.Key) float32 { return 0.25 }, 1)
+		bt.b = weightDeltas(4, half, func(keys.Key) float32 { return 0.5 }, 1)
+		bt.sa, bt.sb = make([]int32, len(ks)), make([]int32, len(ks))
+		for x := range ks {
+			bt.sa[x], bt.sb[x] = int32(x), -1
+			if x < len(half) {
+				bt.sb[x] = int32(x)
+			}
+		}
+		batches[i] = bt
+	}
+	cycle := func() {
+		for _, bt := range batches {
+			var err error
+			if bt.ws, err = m.PrepareOwnedInto(bt.ks, bt.blocks, bt.rows); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.PushBlockPair(&bt.ws, bt.a, bt.b, bt.ks, bt.sa, bt.sb); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.CompleteBatch(&bt.ws); err != nil {
+				t.Fatal(err)
+			}
+			m.mu.Lock()
+			if err := m.waitWrite(); err != nil {
+				t.Fatal(err)
+			}
+			m.mu.Unlock()
+		}
+	}
+	cycle() // every key reaches the SSD-PS, and every table its size
+	cycle()
+	before, loads := writes, m.Stats().SSDLoads
+	allocs := testing.AllocsPerRun(1, cycle)
+	if writes == before || m.Stats().SSDLoads == loads {
+		t.Fatalf("the measured cycles made %d background writes and %d SSD-PS loads: not the cold path",
+			writes-before, m.Stats().SSDLoads-loads)
+	}
+	if allocs >= float64(len(batches)) {
+		t.Fatalf("%d warm cold batches allocate %.0f times", len(batches), allocs)
+	}
+	t.Logf("%d warm cold batches: %.0f allocations, %d writes", len(batches), allocs, writes-before)
 }

@@ -48,27 +48,30 @@ func (m *MemPS) PrepareOwnedInto(ks []keys.Key, dsts []*ps.ValueBlock, rows [][]
 			return WorkingSet{}, fmt.Errorf("memps: a row map of %d rows for %d keys", len(r), len(ks))
 		}
 	}
+	owned := m.holder()
 	for x, k := range ks {
 		if x > 0 && k <= ks[x-1] {
 			return WorkingSet{}, errors.New("memps: PrepareOwnedInto needs sorted unique keys")
 		}
-		if !m.ownsKey(k) {
+		if !owned.holds(k) {
 			return WorkingSet{}, fmt.Errorf("memps: node %d asked to resolve key %d owned by node %d",
-				m.cfg.NodeID, k, m.cfg.Topology.NodeOf(k))
+				m.cfg.NodeID, k, owned.ring.Owner(k))
 		}
 	}
 	ws := WorkingSet{LocalKeys: ks}
 	st := &ws.Stats
 	st.LocalKeys = len(ks)
 	m.mu.Lock()
-	err := m.resolve(ks, probePin, st, func(x int, v *embedding.Value) {
+	ws.refs = m.takeRefs(len(ks))
+	err := m.resolve(ks, probePin, st, ws.refs, func(x int, slot int32) {
 		for r, dst := range dsts {
 			if row := rows[r][x]; row >= 0 {
-				dst.Set(int(row), v)
+				dst.CopyRow(int(row), &m.rows, int(slot))
 			}
 		}
 	})
 	if err != nil {
+		m.spareRefs = append(m.spareRefs, ws.refs[:0])
 		m.mu.Unlock()
 		return WorkingSet{}, fmt.Errorf("memps: load local parameters: %w", err)
 	}
@@ -167,8 +170,9 @@ func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*Wor
 	// already knows it, so nothing downstream searches for it.
 	var local, remote []keys.Key
 	var localRows []int32
+	owned := m.holder()
 	for row, k := range working {
-		if m.ownsKey(k) {
+		if owned.holds(k) {
 			local = append(local, k)
 			localRows = append(localRows, int32(row))
 		} else {
@@ -205,12 +209,13 @@ func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*Wor
 	}
 
 	how := probeRead
+	m.mu.Lock()
 	if pin {
 		how = probePin
+		ws.refs = m.takeRefs(len(local))
 	}
-	m.mu.Lock()
-	err := m.resolve(local, how, &ws.Stats, func(i int, v *embedding.Value) {
-		dst.Set(int(localRows[i]), v)
+	err := m.resolve(local, how, &ws.Stats, ws.refs, func(i int, slot int32) {
+		dst.CopyRow(int(localRows[i]), &m.rows, int(slot))
 	})
 	if err != nil {
 		m.mu.Unlock()
@@ -252,9 +257,7 @@ func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*Wor
 			// Same invariant as resolve's: a failed PrepareInto must not
 			// leak pins — by now every local key has been pinned.
 			m.mu.Lock()
-			for _, k := range local {
-				m.cache.Unpin(uint64(k))
-			}
+			m.unpin(ws)
 			m.mu.Unlock()
 		}
 		return nil, err
@@ -274,24 +277,26 @@ func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*Wor
 // servePull is the shared serving prologue of every pull-RPC handler: it
 // verifies ownership of ks, resolves each key to its authoritative value
 // (batch-loading the cold parameters from the SSD-PS, materializing first
-// references) under m.mu, and hands them to emit in request order. Served
-// parameters enter the cache (they are now "recently used") but are not
-// pinned. The returned duration is the SSD load time; the caller records the
-// serve in the tier statistics.
-func (m *MemPS) servePull(ks []keys.Key, emit func(i int, k keys.Key, v *embedding.Value)) (time.Duration, error) {
+// references) under m.mu, and hands the values to emit in request order, as
+// rows of a block. Served parameters enter the cache (they are now "recently
+// used") but are not pinned. The returned duration is the SSD load time; the
+// caller records the serve in the tier statistics.
+func (m *MemPS) servePull(ks []keys.Key, emit func(i int, src *ps.ValueBlock, j int)) (time.Duration, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	owned := m.holder()
 	for _, k := range ks {
-		if !m.ownsKey(k) {
+		if !owned.holds(k) {
 			return 0, fmt.Errorf("memps: node %d asked for key %d owned by node %d",
-				m.cfg.NodeID, k, m.cfg.Topology.NodeOf(k))
+				m.cfg.NodeID, k, owned.ring.Owner(k))
 		}
 	}
 	var st PullStats
+	served := &m.served
 	err := inRequestOrder(ks, func(set []keys.Key) error {
-		m.ownedVals = slices.Grow(m.ownedVals[:0], len(set))[:len(set)]
-		return m.resolve(set, probeRead, &st, func(j int, v *embedding.Value) { m.ownedVals[j] = v })
-	}, func(i, j int) { emit(i, ks[i], m.ownedVals[j]) })
+		served.ResetUninit(m.cfg.Dim, set)
+		return m.resolve(set, probeRead, &st, nil, func(j int, slot int32) { served.CopyRow(j, &m.rows, int(slot)) })
+	}, func(i, j int) { emit(i, served, j) })
 	if err != nil {
 		return 0, fmt.Errorf("memps: handle pull: %w", err)
 	}
@@ -317,21 +322,22 @@ func (m *MemPS) HandleLookupBlock(ks []keys.Key, dst *ps.ValueBlock) error {
 // whatever the shard holds is read (state export).
 func (m *MemPS) readInto(ks []keys.Key, dst *ps.ValueBlock, owned bool) (int, error) {
 	dst.Reset(m.cfg.Dim, ks)
-	var onSSD []int // positions in ks
+	var onSSD []int32 // positions in ks
 	n := 0
 	m.mu.Lock()
+	h := m.holder()
 	for i, k := range ks {
-		if owned && !m.ownsKey(k) {
+		if owned && !h.holds(k) {
 			continue
 		}
-		if v, ok := m.cache.Get(uint64(k)); ok {
-			dst.Set(i, v)
+		if slot, ok := m.cache.Get(uint64(k)); ok {
+			dst.CopyRow(i, &m.rows, int(slot))
 			n++
-		} else if e, ok := m.pendingDump[k]; ok {
-			dst.Set(i, e.v)
+		} else if d, ok := m.dumped.Get(k); ok {
+			dst.CopyRow(i, m.dumpOf(d), int(d.row))
 			n++
 		} else {
-			onSSD = append(onSSD, i)
+			onSSD = append(onSSD, int32(i))
 		}
 	}
 	m.mu.Unlock()
@@ -342,13 +348,11 @@ func (m *MemPS) readInto(ks []keys.Key, dst *ps.ValueBlock, owned bool) (int, er
 	for j, i := range onSSD {
 		toLoad[j] = ks[i]
 	}
-	vals, _, err := m.cfg.Store.LoadInto(toLoad, nil)
-	if err != nil {
+	if _, err := m.cfg.Store.LoadInto(toLoad, dst, onSSD); err != nil {
 		return 0, fmt.Errorf("memps: read parameters: %w", err)
 	}
-	for j, v := range vals {
-		if v != nil {
-			dst.Set(onSSD[j], v)
+	for _, i := range onSSD {
+		if dst.Present[i] {
 			n++
 		}
 	}
@@ -361,8 +365,8 @@ func (m *MemPS) readInto(ks []keys.Key, dst *ps.ValueBlock, owned bool) (int, er
 // dst's flat rows in request-key order.
 func (m *MemPS) HandlePullBlock(ks []keys.Key, dst *ps.ValueBlock) error {
 	dst.Reset(m.cfg.Dim, ks)
-	loadTime, err := m.servePull(ks, func(i int, _ keys.Key, v *embedding.Value) {
-		dst.Set(i, v)
+	loadTime, err := m.servePull(ks, func(i int, src *ps.ValueBlock, j int) {
+		dst.CopyRow(i, src, j)
 	})
 	if err != nil {
 		return err
@@ -373,16 +377,15 @@ func (m *MemPS) HandlePullBlock(ks []keys.Key, dst *ps.ValueBlock) error {
 
 // HandlePullBlockWire implements cluster.BlockPullWireHandler —
 // HandlePullBlock's contract with the reply encoded straight into the
-// outgoing frame: each served value's rows are copied (or quantized, when the
-// connection negotiated a reduced precision) exactly once, from the cache's
-// own storage into dst's wire bytes, under the MEM-PS lock. Hot keys (the
-// steady state, where the cache holds the whole working set) therefore cross
-// neither an intermediate embedding.Value nor an intermediate ValueBlock on
-// their way to the socket.
+// outgoing frame: each served row is copied out of the slab into the MEM-PS's
+// reused serving block and encoded (or quantized, when the connection
+// negotiated a reduced precision) from there into dst's wire bytes, under the
+// MEM-PS lock. No row crosses an embedding.Value or a pooled block on its way
+// to the socket.
 func (m *MemPS) HandlePullBlockWire(ks []keys.Key, dst []byte, prec ps.Precision) ([]byte, error) {
 	out := ps.AppendWireHeaderPrecision(dst, m.cfg.Dim, len(ks), prec)
-	loadTime, err := m.servePull(ks, func(_ int, _ keys.Key, v *embedding.Value) {
-		out = ps.AppendWireRowPrecision(out, true, v.Freq, v.Weights, v.G2Sum, prec)
+	loadTime, err := m.servePull(ks, func(_ int, src *ps.ValueBlock, j int) {
+		out = ps.AppendWireRowPrecision(out, true, src.Freq[j], src.WeightsRow(j), src.G2Row(j), prec)
 	})
 	if err != nil {
 		return out, err // the caller discards the content, not the buffer

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"hps/internal/cluster"
-	"hps/internal/embedding"
 	"hps/internal/keys"
 	"hps/internal/ps"
 )
@@ -37,14 +36,15 @@ func (m *MemPS) Topology() cluster.Topology { return m.cfg.Topology }
 // leftovers are harmless — they are neither served nor applied).
 func (m *MemPS) LocalKeys() []keys.Key {
 	m.mu.Lock()
-	ks := make([]keys.Key, 0, m.cache.Len()+len(m.pendingDump))
-	m.cache.Range(func(k uint64, _ *embedding.Value) bool {
+	ks := make([]keys.Key, 0, m.cache.Len()+m.dumped.Len())
+	m.cache.Range(func(k uint64, _ int32) bool {
 		ks = append(ks, keys.Key(k))
 		return true
 	})
-	for k := range m.pendingDump {
+	m.dumped.Range(func(k keys.Key, _ dumpRow) bool {
 		ks = append(ks, k)
-	}
+		return true
+	})
 	m.mu.Unlock()
 	ks = append(ks, m.cfg.Store.Keys()...)
 	return keys.Dedup(ks)
@@ -83,16 +83,12 @@ func (m *MemPS) ImportBlock(blk *ps.ValueBlock) int {
 		if !blk.Present[i] {
 			continue
 		}
-		if m.cache.Contains(uint64(k)) {
+		if m.cache.Contains(uint64(k)) || m.dumped.Has(k) || m.cfg.Store.Contains(k) {
 			continue
 		}
-		if _, pending := m.pendingDump[k]; pending {
-			continue
-		}
-		if m.cfg.Store.Contains(k) {
-			continue
-		}
-		m.cache.Put(uint64(k), blk.Value(i))
+		slot := m.alloc(k)
+		m.rows.CopyRow(int(slot), blk, i)
+		m.cache.Put(uint64(k), slot)
 		accepted++
 	}
 	m.stats.Imported += int64(accepted)
@@ -100,11 +96,11 @@ func (m *MemPS) ImportBlock(blk *ps.ValueBlock) int {
 }
 
 // HandleReplicate applies a delta block forwarded by a key's primary. The
-// apply path is the same ownership-filtered merge as a direct push — ownsKey
+// apply path is the same ownership-filtered merge as a direct push — ownership
 // spans the whole replica set, so the backup rows land; the dedup stamp was
 // already committed by the server dispatch.
 func (m *MemPS) HandleReplicate(blk *ps.ValueBlock) error {
-	if err := m.applyBlock(blk); err != nil {
+	if err := m.applyBlock(nil, blk); err != nil {
 		return err
 	}
 	return m.Maintain()

@@ -3,30 +3,53 @@ package memps
 import (
 	"fmt"
 
-	"hps/internal/embedding"
+	"hps/internal/cache"
 	"hps/internal/keys"
-	"hps/internal/ssdps"
+	"hps/internal/ps"
 )
 
-// maxSpares bounds the spare values a MEM-PS keeps, in dump batches. When
-// each owner pins a batch's keys for every node until the push, the next
-// batch's pull copies a few hundred rows per node out of the write in
-// flight. On train_local_cold (400 batches, seed 1) spares for one dump
-// batch cut the process's allocations by 7%, for two by 14% and for four by
-// 18%; each dump batch of spares holds 32 KiB per node at dimension 8.
-const maxSpares = 2
-
-// dumpEntry is a row of the dump buffer: a value evicted from the cache in
+// dumpRow locates a key's latest row in the dump buffer: row of the block of
 // the given buffer epoch. A row of an older epoch than the buffer's belongs
 // to the write in flight and is read-only until the write ends.
-type dumpEntry struct {
-	v     *embedding.Value
-	epoch uint64
+type dumpRow struct {
+	row   int32
+	epoch uint32
 }
 
-// beingWritten reports whether the write in flight holds e. The caller must
+// beingWritten reports whether the write in flight holds d. The caller must
 // hold m.mu.
-func (m *MemPS) beingWritten(e dumpEntry) bool { return e.epoch != m.epoch }
+func (m *MemPS) beingWritten(d dumpRow) bool { return d.epoch != m.epoch }
+
+// dumpOf returns the block holding d. The caller must hold m.mu.
+func (m *MemPS) dumpOf(d dumpRow) *ps.ValueBlock {
+	if m.beingWritten(d) {
+		return m.out
+	}
+	return m.dump
+}
+
+// toDump appends row i of src, the latest value of k, to the dump buffer,
+// where it replaces any older row of k. The caller must hold m.mu.
+func (m *MemPS) toDump(k keys.Key, src *ps.ValueBlock, i int32) {
+	row := m.dump.GrowRowUninit(k)
+	m.dump.CopyRow(row, src, int(i))
+	m.dump.Present[row] = true
+	d, had := m.dumped.Upsert(k)
+	if had && !m.beingWritten(*d) {
+		m.dump.Present[d.row] = false
+		m.dumpLive--
+	}
+	*d = dumpRow{int32(row), m.epoch}
+	m.dumpLive++
+}
+
+// undump drops k's row d, of the current epoch, from the dump buffer. The
+// caller must hold m.mu.
+func (m *MemPS) undump(k keys.Key, d dumpRow) {
+	m.dump.Present[d.row] = false
+	m.dumpLive--
+	m.dumped.Delete(k)
+}
 
 // Evict implements ps.Tier: it demotes the given locally-owned, unpinned
 // parameters from the memory cache to the SSD-PS, flushing the dump buffer
@@ -47,15 +70,17 @@ func (m *MemPS) Evict(ks []keys.Key) (int, error) {
 	if err := m.waitWrite(); err != nil {
 		return 0, err
 	}
+	owned := m.holder()
 	moved := 0
 	for _, k := range ks {
-		if !m.ownsKey(k) || m.cache.Pinned(uint64(k)) {
+		if !owned.holds(k) || m.cache.Pinned(uint64(k)) {
 			continue
 		}
-		if v, ok := m.cache.Remove(uint64(k)); ok {
-			m.pendingDump[k] = dumpEntry{v, m.epoch}
+		if slot, ok := m.cache.Remove(uint64(k)); ok {
+			m.toDump(k, &m.rows, slot)
+			m.free = append(m.free, slot)
 			moved++
-		} else if _, pending := m.pendingDump[k]; pending {
+		} else if m.dumped.Has(k) {
 			moved++ // already demoted out of the cache; flushed below
 		}
 	}
@@ -72,19 +97,19 @@ func (m *MemPS) Evict(ks []keys.Key) (int, error) {
 // rows are the only copies, so they stay reachable by lookups and are
 // retried by the next dump. The caller must hold m.mu throughout.
 func (m *MemPS) dumpBuffer() (int, error) {
-	if len(m.pendingDump) == 0 {
+	n := m.dumpLive
+	if n == 0 {
 		return 0, nil
 	}
-	all := make(map[keys.Key]*embedding.Value, len(m.pendingDump))
-	for k, e := range m.pendingDump {
-		all[k] = e.v
-	}
-	if err := m.cfg.Store.Dump(all); err != nil {
+	if err := m.cfg.Store.DumpBlock(m.dump); err != nil {
 		return 0, err
 	}
-	m.pendingDump = make(map[keys.Key]dumpEntry)
-	m.stats.Dumped += int64(len(all))
-	return len(all), nil
+	// With no write in flight, every row of the index is the buffer's.
+	m.dumped.Clear()
+	m.dump.Truncate(0)
+	m.dumpLive = 0
+	m.stats.Dumped += int64(n)
+	return n, nil
 }
 
 // CompleteBatch unpins the batch's locally-owned working parameters and runs
@@ -97,10 +122,35 @@ func (m *MemPS) CompleteBatch(ws *WorkingSet) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, k := range ws.LocalKeys {
-		m.cache.Unpin(uint64(k))
-	}
+	m.unpin(ws)
 	return m.maintain()
+}
+
+// unpin releases the pins of ws's local keys — through their Refs while
+// those still hold, else by key — and keeps ws's Ref slice for the next
+// working set. The caller must hold m.mu.
+func (m *MemPS) unpin(ws *WorkingSet) {
+	for x, k := range ws.LocalKeys {
+		if x < len(ws.refs) && m.cache.Holds(ws.refs[x], uint64(k)) {
+			m.cache.UnpinRef(ws.refs[x])
+		} else {
+			m.cache.Unpin(uint64(k))
+		}
+	}
+	if ws.refs != nil {
+		m.spareRefs = append(m.spareRefs, ws.refs[:0])
+		ws.refs = nil
+	}
+}
+
+// takeRefs returns a Ref slice of length n for a working set's pins. The
+// caller must hold m.mu.
+func (m *MemPS) takeRefs(n int) []cache.Ref[int32] {
+	var refs []cache.Ref[int32]
+	if k := len(m.spareRefs); k > 0 {
+		refs, m.spareRefs = m.spareRefs[k-1], m.spareRefs[:k-1]
+	}
+	return ps.Resize(refs, n)
 }
 
 // Maintain runs the batch-completion housekeeping without a working set.
@@ -121,18 +171,19 @@ func (m *MemPS) maintain() error {
 	if err := m.waitWrite(); err != nil {
 		return err
 	}
-	if len(m.pendingDump) < m.cfg.DumpBatchSize {
+	if m.dumpLive < m.cfg.DumpBatchSize {
 		return nil
 	}
 	// The rows stay in the buffer, now of an older epoch than it: lookups
 	// keep finding them, and the next eviction of one of their keys
 	// replaces the row instead of touching what the write reads.
-	for k, e := range m.pendingDump {
-		m.writeSet[k] = e.v
-	}
+	m.out, m.dump = m.dump, m.out
+	m.dump.Truncate(0)
+	m.dumpLive = 0
 	m.epoch++
 	m.writing = true
-	go m.write(m.cfg.Store, m.writeSet)
+	m.writeStore = m.cfg.Store
+	go m.startWrite()
 	return nil
 }
 
@@ -148,54 +199,65 @@ func (m *MemPS) waitWrite() error {
 	return err
 }
 
-// write is the background write: it dumps rows to store, compacts the store
-// if its disk usage crossed the threshold, and then settles the rows in the
-// dump buffer. A row the buffer still holds for the write leaves it once it
-// is on the SSD. If the dump failed, it stays for the next write — unless
-// the cache holds a newer copy of its key, which supersedes it.
-func (m *MemPS) write(store *ssdps.Store, rows map[keys.Key]*embedding.Value) {
-	var err, dumpErr error
-	io := func() {
-		if dumpErr = store.Dump(rows); dumpErr != nil {
-			err = fmt.Errorf("memps: dump evicted parameters: %w", dumpErr)
-		} else if _, cerr := store.CompactIfNeeded(); cerr != nil {
-			err = fmt.Errorf("memps: compaction: %w", cerr)
-		}
-	}
+// write is the background write: it dumps the present rows of m.out to
+// m.writeStore, compacts the store if its disk usage crossed the threshold,
+// and then settles the rows in the dump buffer. A row the buffer still holds
+// for the write leaves it once it is on the SSD. If the dump failed, it moves
+// to the current buffer for the next write — unless the cache holds a newer
+// copy of its key, which supersedes it. Until it settles, the write owns
+// m.out, m.writeStore and the two error fields, which maintain set before
+// starting it.
+func (m *MemPS) write() {
 	if m.writeHook != nil {
-		m.writeHook(io)
+		m.writeHook(m.writeIO)
 	} else {
-		io()
+		m.writeIO()
 	}
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for k := range rows {
-		e, ok := m.pendingDump[k]
+	out, dumpErr := m.out, m.dumpErr
+	written := 0
+	for i, k := range out.Keys {
+		if !out.Present[i] {
+			continue
+		}
+		written++
+		if dumpErr == nil {
+			// The row is on the SSD-PS and leaves the buffer, unless a newer
+			// copy replaced it there (rare: that costs a second probe).
+			if d, ok := m.dumped.Delete(k); ok && !m.beingWritten(d) {
+				m.dumped.Put(k, d)
+			}
+			continue
+		}
+		d, ok := m.dumped.Get(k)
 		switch {
-		case !ok || !m.beingWritten(e):
+		case !ok || !m.beingWritten(d):
 			// A newer copy replaced the row.
-		case dumpErr == nil || m.cache.Contains(uint64(k)):
-			delete(m.pendingDump, k)
+		case m.cache.Contains(uint64(k)):
+			m.dumped.Delete(k)
 		default:
-			m.pendingDump[k] = dumpEntry{e.v, m.epoch}
+			m.toDump(k, out, int32(i))
 		}
 	}
 	if dumpErr == nil {
-		m.stats.Dumped += int64(len(rows))
-		// Every row is on the SSD-PS now, and the buffer, the cache (which
-		// got copies) and the store hold none of them: keep some as spares.
-		for _, v := range rows {
-			if len(m.spare) == maxSpares*m.cfg.DumpBatchSize {
-				break
-			}
-			m.spare = append(m.spare, v)
-		}
+		m.stats.Dumped += int64(written)
 	}
-	clear(rows)
-	m.writeErr = err
+	m.writeErr, m.dumpErr, m.writeStore = m.ioErr, nil, nil
+	m.ioErr = nil
 	m.writing = false
 	m.writeDone.Broadcast()
+}
+
+// dumpOut is the background write's SSD-PS I/O: the dump, then the
+// compaction if one is due.
+func (m *MemPS) dumpOut() {
+	if m.dumpErr = m.writeStore.DumpBlock(m.out); m.dumpErr != nil {
+		m.ioErr = fmt.Errorf("memps: dump evicted parameters: %w", m.dumpErr)
+	} else if _, err := m.writeStore.CompactIfNeeded(); err != nil {
+		m.ioErr = fmt.Errorf("memps: compaction: %w", err)
+	}
 }
 
 // Flush writes every cached parameter and every pending eviction to the
@@ -219,10 +281,12 @@ func (m *MemPS) flushAll() (int, error) {
 		return 0, err
 	}
 	// Drain the cache into the dump buffer, so a failed dump leaves every
-	// row there.
-	m.cache.Flush(func(k uint64, v *embedding.Value) {
-		m.pendingDump[keys.Key(k)] = dumpEntry{v, m.epoch}
+	// row there. The cache is empty then, and so is the slab.
+	m.cache.Flush(func(k uint64, slot int32) {
+		m.toDump(keys.Key(k), &m.rows, slot)
 	})
+	m.rows.Truncate(0)
+	m.free = m.free[:0]
 	n, err := m.dumpBuffer()
 	if n > 0 {
 		m.rec.RecordEvict(n)

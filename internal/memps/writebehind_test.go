@@ -105,11 +105,12 @@ func (n *wbNode) rowsInFlight() []keys.Key {
 	n.m.mu.Lock()
 	defer n.m.mu.Unlock()
 	var out []keys.Key
-	for k, e := range n.m.pendingDump {
-		if n.m.beingWritten(e) {
+	n.m.dumped.Range(func(k keys.Key, d dumpRow) bool {
+		if n.m.beingWritten(d) {
 			out = append(out, k)
 		}
-	}
+		return true
+	})
 	slices.Sort(out)
 	return out
 }
@@ -234,12 +235,12 @@ func TestWriteBehindReadersSeeRowsInFlight(t *testing.T) {
 	}
 	m.mu.Lock()
 	for _, k := range rows {
-		e, ok := m.pendingDump[k]
-		if !ok || !m.beingWritten(e) {
+		d, ok := m.dumped.Get(k)
+		if !ok || !m.beingWritten(d) {
 			t.Fatalf("key %d left the write in flight when it was pulled back", k)
 		}
-		if v, _ := m.cache.Get(uint64(k)); v == e.v {
-			t.Fatalf("key %d: the cache shares the row being written", k)
+		if !m.cache.Contains(uint64(k)) {
+			t.Fatalf("key %d was not pulled back into the cache", k)
 		}
 	}
 	m.mu.Unlock()
@@ -413,28 +414,13 @@ func TestWriteBehindFailureKeepsRows(t *testing.T) {
 	n.checkRecovered()
 }
 
-// TestWriteBehindSparesHoldCopies checks the recycling of written rows: once
-// a write has put its rows on the SSD-PS, the next write's rows pulled back
-// into the cache are copied into those values, bit for bit, never into a row
-// still being written, and updating the copies leaves the rows the write
-// reads alone.
-func TestWriteBehindSparesHoldCopies(t *testing.T) {
+// TestWriteBehindPulledBackRowsAreCopies checks the rows a batch pulls back
+// out of the write in flight: they enter the cache as copies in slab rows of
+// their own, bit for bit, and updating them leaves the rows the write reads
+// alone, so the SSD-PS gets the older copy and the update follows it.
+func TestWriteBehindPulledBackRowsAreCopies(t *testing.T) {
 	n := newWBNode(t, 16, 16)
 	m := n.m
-	n.batchesUntilWrite()
-	m.mu.Lock()
-	for m.writing {
-		m.writeDone.Wait()
-	}
-	spares := map[*embedding.Value]bool{}
-	for _, v := range m.spare {
-		spares[v] = true
-	}
-	m.mu.Unlock()
-	if len(spares) == 0 {
-		t.Fatal("a successful write left no spare values")
-	}
-
 	held, release := holdNextWrite(m)
 	n.batchesUntilWrite()
 	<-held
@@ -445,24 +431,22 @@ func TestWriteBehindSparesHoldCopies(t *testing.T) {
 		n.check("PrepareInto", k, pulled.Value(i))
 	}
 	m.mu.Lock()
-	reused := 0
 	for _, k := range rows {
-		v, _ := m.cache.Get(uint64(k))
-		if v == m.pendingDump[k].v {
-			t.Fatalf("key %d: the cache shares the row being written", k)
+		d, _ := m.dumped.Get(k)
+		slot, ok := m.cache.Get(uint64(k))
+		if !ok || !m.beingWritten(d) {
+			t.Fatalf("key %d: in the cache %v, in the write in flight %v", k, ok, m.beingWritten(d))
 		}
-		if spares[v] {
-			reused++
+		if !sameBits(m.rows.Value(int(slot)), m.out.Value(int(d.row))) {
+			t.Fatalf("key %d: the cached copy differs from the row being written", k)
 		}
 	}
 	m.mu.Unlock()
-	if reused == 0 {
-		t.Fatal("no row pulled back out of the write in flight went into a spare value")
-	}
 	push(t, m, n.deltas(rows))
 	m.mu.Lock()
 	for _, k := range rows {
-		if !sameBits(m.pendingDump[k].v, before[k]) {
+		d, _ := m.dumped.Get(k)
+		if !sameBits(m.out.Value(int(d.row)), before[k]) {
 			t.Fatalf("key %d: updating the cached copy changed the row being written", k)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"hps/internal/embedding"
 	"hps/internal/hw"
 	"hps/internal/keys"
+	"hps/internal/ps"
 	"hps/internal/simtime"
 )
 
@@ -108,16 +109,16 @@ func BenchmarkLoadSparse(b *testing.B) {
 		}
 	}
 	slices.Sort(want)
-	var dst []*embedding.Value
-	var err error
-	if dst, _, err = s.LoadInto(want, dst); err != nil { // warm the scratch buffers
+	dst := ps.NewValueBlock(s.Dim())
+	dst.Reset(s.Dim(), want)
+	if _, err := s.LoadInto(want, dst, nil); err != nil { // warm the scratch buffers
 		b.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if dst, _, err = s.LoadInto(want, dst); err != nil {
+		if _, err := s.LoadInto(want, dst, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

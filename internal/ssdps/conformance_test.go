@@ -48,8 +48,16 @@ func TestTierConformance(t *testing.T) {
 				Label: store.Name(),
 				Dim:   dim,
 				Load: func(ks []keys.Key) ([]*embedding.Value, error) {
-					vals, _, err := store.LoadInto(ks, nil)
-					return vals, err
+					blk := ps.NewValueBlock(dim)
+					blk.Reset(dim, ks)
+					if _, err := store.LoadInto(ks, blk, nil); err != nil {
+						return nil, err
+					}
+					vals := make([]*embedding.Value, len(ks))
+					for i := range ks {
+						vals[i] = blk.Value(i)
+					}
+					return vals, nil
 				},
 				Save:   store.Dump,
 				Delete: store.Delete,

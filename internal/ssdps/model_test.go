@@ -142,7 +142,7 @@ func TestStoreMatchesModel(t *testing.T) {
 				}
 			case op < 6:
 				ks := someKeys() // with duplicates and absent keys
-				got, _, err := s.LoadInto(ks, nil)
+				got, err := loadValues(s, ks)
 				if err != nil {
 					t.Fatalf("%s: load: %v", desc, err)
 				}
@@ -359,7 +359,7 @@ func TestRecoverDropsTornExtent(t *testing.T) {
 		after, afterBytes := contents(t, s), readBacking(t, dir)
 		var ext blockio.Extent
 		for _, meta := range s.files {
-			if meta.ext.ID > ext.ID {
+			if meta.live && meta.ext.ID > ext.ID {
 				ext = meta.ext
 			}
 		}

@@ -12,21 +12,26 @@
 // A parameter file is a plain array of fixed-size records (8 bytes of key,
 // then the embedding.Value encoding at the store's dimension), so the mapping
 // addresses a parameter as (file, slot): a load decodes only the slots it was
-// asked for out of the file it read, and compaction moves live records as raw
-// bytes. On disk a parameter file is an extent of the device's one backing
-// file (see blockio), which numbers the files in creation order and
-// checksums them.
+// asked for out of the file it read, straight into the caller's rows, and
+// compaction moves live records as raw bytes. The mapping is an
+// open-addressed keys.Table of pointer-free locations — a file's number in
+// the store's file table and a slot — so a dump or a compaction re-points a
+// key with one upsert, and the collector never walks it. On disk a parameter
+// file is an extent of the device's one backing file (see blockio), which
+// numbers the files in creation order and checksums them.
+//
+// The product paths move rows as ps.ValueBlocks: LoadInto fills the rows of
+// a block, DumpBlock writes one. Load, LoadTimed and Dump (views.go) are
+// map-shaped views of those two that only the benchmark's layer probe and
+// tests call.
 package ssdps
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"path/filepath"
-	"slices"
 	"sync"
-	"time"
 
 	"hps/internal/blockio"
 	"hps/internal/embedding"
@@ -91,9 +96,11 @@ type Stats struct {
 	DroppedExtents int64
 }
 
+// fileMeta is one parameter file's entry in Store.files.
 type fileMeta struct {
 	ext   blockio.Extent // ext.ID is the creation order, ext.Records the records written
 	stale int            // records superseded by newer files
+	live  bool           // false for a number no file holds
 	// load and group number the file among the files of one load: group is
 	// its position in the load's list of files when load is that load's
 	// number (Stats.Loads once it counted the load). Both belong to s.mu.
@@ -101,9 +108,10 @@ type fileMeta struct {
 	group int32
 }
 
-// loc addresses the latest copy of a parameter: record slot of file.
+// loc addresses the latest copy of a parameter: record slot of the file
+// numbered file in Store.files.
 type loc struct {
-	file *fileMeta
+	file int32
 	slot uint32
 }
 
@@ -121,8 +129,10 @@ type scratch struct {
 	// files it touches, in the order it first met them; each file's end in
 	// the grouped records.
 	wants, grouped []want
-	files          []*fileMeta
+	files          []blockio.Extent
 	ends           []int
+	// A dump's rows in key order, and the sort's second buffer.
+	order, tmp []int32
 }
 
 // want is one requested key of a load that the store holds: the record's
@@ -155,9 +165,13 @@ type Store struct {
 	fileMu sync.RWMutex
 
 	mu      sync.Mutex
-	mapping map[keys.Key]loc     // parameter -> record holding its latest copy
-	files   map[uint64]*fileMeta // creation id -> metadata
-	stats   Stats
+	mapping keys.Table[loc] // parameter -> record holding its latest copy
+	// files are the parameter files by number, kept by value so that writing
+	// one allocates nothing; the numbers of erased files are in freeFiles for
+	// the next files written.
+	files     []fileMeta
+	freeFiles []int32
+	stats     Stats
 
 	stride  int       // bytes per record: 8 of key + the encoded value
 	scratch sync.Pool // of *scratch
@@ -177,11 +191,9 @@ func Open(dev *blockio.Device, cfg Config) (*Store, error) {
 		cfg.DiskUsageThresholdBytes = dev.CapacityBytes()
 	}
 	s := &Store{
-		cfg:     cfg,
-		dev:     dev,
-		mapping: make(map[keys.Key]loc),
-		files:   make(map[uint64]*fileMeta),
-		stride:  8 + embedding.EncodedSize(cfg.Dim),
+		cfg:    cfg,
+		dev:    dev,
+		stride: 8 + embedding.EncodedSize(cfg.Dim),
 	}
 	if err := dev.Format(s.stride, cfg.ParamsPerFile); err != nil {
 		return nil, fmt.Errorf("ssdps: open (dimension %d, %d-byte records): %w", cfg.Dim, s.stride, err)
@@ -195,6 +207,31 @@ func (s *Store) getScratch() *scratch {
 	}
 	return &scratch{}
 }
+
+// addFile enters the file ext in the file table and returns its number. The
+// caller must hold s.mu.
+func (s *Store) addFile(ext blockio.Extent) int32 {
+	f := fileMeta{ext: ext, live: true}
+	if n := len(s.freeFiles); n > 0 {
+		idx := s.freeFiles[n-1]
+		s.freeFiles = s.freeFiles[:n-1]
+		s.files[idx] = f
+		return idx
+	}
+	s.files = append(s.files, f)
+	return int32(len(s.files) - 1)
+}
+
+// dropFile takes file idx out of the file table; its number goes to the next
+// file written. No key may map to it any more. The caller must hold s.mu.
+func (s *Store) dropFile(idx int32) {
+	s.files[idx] = fileMeta{}
+	s.freeFiles = append(s.freeFiles, idx)
+}
+
+// liveFiles returns how many files the table holds. The caller must hold
+// s.mu.
+func (s *Store) liveFiles() int { return len(s.files) - len(s.freeFiles) }
 
 // Recover rebuilds the in-memory slot index from scratch with one sequential
 // scan of the device's backing file, as when reopening a directory written
@@ -210,10 +247,10 @@ func (s *Store) getScratch() *scratch {
 func (s *Store) Recover() ([]blockio.Dropped, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	clear(s.mapping)
-	clear(s.files)
+	s.mapping.Clear()
+	s.files, s.freeFiles = s.files[:0], s.freeFiles[:0]
 	dropped, err := s.dev.Scan(func(ext blockio.Extent, records []byte) error {
-		meta := &fileMeta{ext: ext}
+		idx := s.addFile(ext)
 		for slot := 0; slot < ext.Records; slot++ {
 			rec := records[slot*s.stride:]
 			if dim := binary.LittleEndian.Uint32(rec[8:]); int64(dim) != int64(s.cfg.Dim) {
@@ -222,23 +259,22 @@ func (s *Store) Recover() ([]blockio.Dropped, error) {
 			k := keys.Key(binary.LittleEndian.Uint64(rec))
 			// Every superseded record is stale in the file that holds it, so
 			// one pass leaves each file with stale = total - live.
-			prev, ok := s.mapping[k]
-			if ok && prev.file.ext.ID > ext.ID {
-				meta.stale++
+			prev, ok := s.mapping.Upsert(k)
+			if ok && s.files[prev.file].ext.ID > ext.ID {
+				s.files[idx].stale++
 				continue
 			}
 			if ok {
-				prev.file.stale++
+				s.files[prev.file].stale++
 			}
-			s.mapping[k] = loc{meta, uint32(slot)}
+			*prev = loc{idx, uint32(slot)}
 		}
-		s.files[ext.ID] = meta
 		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("ssdps: recover: %w", err)
 	}
-	if len(s.files) == 0 && len(dropped) == 0 {
+	if s.liveFiles() == 0 && len(dropped) == 0 {
 		if old, _ := filepath.Glob(filepath.Join(s.dev.Dir(), "pf-*.dat")); len(old) > 0 {
 			return nil, fmt.Errorf("ssdps: recover: %s holds %d parameter files of the one-file-each layout (%s, ...) and no extents; this store does not read them",
 				s.dev.Dir(), len(old), filepath.Base(old[0]))
@@ -255,201 +291,14 @@ func (s *Store) Dim() int { return s.cfg.Dim }
 func (s *Store) Contains(k keys.Key) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.mapping[k]
-	return ok
+	return s.mapping.Has(k)
 }
 
 // Len returns the number of live parameters.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.mapping)
-}
-
-// decodeSlot decodes the record in the given slot of a parameter file's
-// records, which must hold key k at the store's dimension.
-func (s *Store) decodeSlot(data []byte, slot uint32, k keys.Key) (*embedding.Value, error) {
-	off := int(slot) * s.stride
-	if off+s.stride > len(data) {
-		return nil, fmt.Errorf("record %d lies beyond the file's %d bytes", slot, len(data))
-	}
-	rec := data[off : off+s.stride]
-	if got := keys.Key(binary.LittleEndian.Uint64(rec)); got != k {
-		return nil, fmt.Errorf("record %d holds key %d, the index says %d", slot, got, k)
-	}
-	v, _, err := embedding.Decode(rec[8:])
-	if err != nil {
-		return nil, fmt.Errorf("record %d: %w", slot, err)
-	}
-	if v.Dim() != s.cfg.Dim {
-		return nil, fmt.Errorf("record %d has dimension %d, the store has %d", slot, v.Dim(), s.cfg.Dim)
-	}
-	return v, nil
-}
-
-// writeFile writes buf — room for the device's header, then the records of
-// one new parameter file — and returns the file's metadata (not yet
-// registered in s.files) and the modelled write duration.
-func (s *Store) writeFile(buf []byte) (*fileMeta, time.Duration, error) {
-	ext, err := s.dev.WriteFile(buf)
-	if err != nil {
-		return nil, 0, err
-	}
-	return &fileMeta{ext: ext}, s.dev.Profile().WriteTime(int64(len(buf) - hdr)), nil
-}
-
-// Load returns the values of the requested keys that exist in the store.
-// Whole parameter files are read; the requested parameters are decoded and
-// everything else is I/O amplification accounted by the device. Missing keys
-// are simply absent from the result.
-func (s *Store) Load(ks []keys.Key) (map[keys.Key]*embedding.Value, error) {
-	out, _, err := s.LoadTimed(ks)
-	return out, err
-}
-
-// LoadTimed is Load plus the modelled read duration of this pass alone.
-// Callers attributing per-operation time use it instead of diffing the shared
-// clock, whose SSD total mixes in concurrent operations from other pipeline
-// stages and nodes.
-func (s *Store) LoadTimed(ks []keys.Key) (map[keys.Key]*embedding.Value, time.Duration, error) {
-	vals, readTime, err := s.LoadInto(ks, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make(map[keys.Key]*embedding.Value, len(ks))
-	for i, v := range vals {
-		if v != nil {
-			out[ks[i]] = v
-		}
-	}
-	return out, readTime, nil
-}
-
-// LoadInto is the positional load every other form is a view of: it returns
-// dst resized to len(ks) (nil allocates), with dst[i] a private decoded copy
-// of ks[i]'s value or nil when the store does not hold the key, plus the
-// modelled read duration of this pass. Every file holding a requested key is
-// read whole, once, in the order the request first names it; only the
-// requested records are decoded.
-func (s *Store) LoadInto(ks []keys.Key, dst []*embedding.Value) ([]*embedding.Value, time.Duration, error) {
-	dst = slices.Grow(dst[:0], len(ks))[:len(ks)]
-	clear(dst)
-	sc := s.getScratch()
-	defer s.scratch.Put(sc)
-
-	// Number the files the request touches while looking its keys up, so
-	// that one counting pass can group the records by file.
-	s.fileMu.RLock()
-	defer s.fileMu.RUnlock()
-	s.mu.Lock()
-	s.stats.Loads++
-	load := s.stats.Loads
-	wants, files := sc.wants[:0], sc.files[:0]
-	for i, k := range ks {
-		l, ok := s.mapping[k]
-		if !ok {
-			continue
-		}
-		if f := l.file; f.load != load {
-			f.load, f.group = load, int32(len(files))
-			files = append(files, f)
-		}
-		wants = append(wants, want{l.slot, l.file.group, i})
-	}
-	s.mu.Unlock()
-	sc.wants = wants
-	defer clear(files) // the pooled scratch must not keep erased files alive
-	sc.files = files
-
-	// Count each file's records, then scatter them into place: ends[g] runs
-	// from file g's start to its end.
-	ends := slices.Grow(sc.ends[:0], len(files))[:len(files)]
-	clear(ends)
-	for _, w := range wants {
-		ends[w.group]++
-	}
-	start := 0
-	for g, n := range ends {
-		ends[g], start = start, start+n
-	}
-	grouped := slices.Grow(sc.grouped[:0], len(wants))[:len(wants)]
-	for _, w := range wants {
-		grouped[ends[w.group]] = w
-		ends[w.group]++
-	}
-	sc.ends, sc.grouped = ends, grouped
-
-	var readTime time.Duration
-	start = 0
-	for g, file := range files {
-		group := grouped[start:ends[g]]
-		start = ends[g]
-		data, err := s.dev.ReadInto(file.ext, int64(len(group))*int64(s.stride), sc.buf)
-		if err != nil {
-			return nil, 0, fmt.Errorf("ssdps: load: %w", err)
-		}
-		sc.buf = data
-		records := data[hdr:]
-		// Mirror the device's charge (whole-file read) for per-tier stats.
-		readTime += s.dev.Profile().ReadTime(int64(len(records)))
-		for _, w := range group {
-			if dst[w.idx], err = s.decodeSlot(records, w.slot, ks[w.idx]); err != nil {
-				return nil, 0, fmt.Errorf("ssdps: load %v: %w", file.ext, err)
-			}
-		}
-	}
-	s.rec.RecordPull(len(wants), readTime)
-	return dst, readTime, nil
-}
-
-// Dump writes the given parameters to the store as new parameter files
-// (chunked to ParamsPerFile), updates the slot index, and marks superseded
-// copies stale. Keys are written in sorted order so dumps are deterministic.
-// Every value must have the store's dimension.
-func (s *Store) Dump(vals map[keys.Key]*embedding.Value) error {
-	if len(vals) == 0 {
-		return nil
-	}
-	sorted := make([]keys.Key, 0, len(vals))
-	for k, v := range vals {
-		if v.Dim() != s.cfg.Dim {
-			return fmt.Errorf("ssdps: dump: key %d has dimension %d, the store has %d", k, v.Dim(), s.cfg.Dim)
-		}
-		sorted = append(sorted, k)
-	}
-	slices.Sort(sorted)
-	sc := s.getScratch()
-	defer s.scratch.Put(sc)
-
-	var writeTime time.Duration
-	for len(sorted) > 0 {
-		chunk := sorted[:min(s.cfg.ParamsPerFile, len(sorted))]
-		sorted = sorted[len(chunk):]
-		sc.buf = slices.Grow(sc.buf[:0], hdr+len(chunk)*s.stride)[:hdr+len(chunk)*s.stride]
-		for i, k := range chunk {
-			rec := sc.buf[hdr+i*s.stride : hdr+(i+1)*s.stride]
-			binary.LittleEndian.PutUint64(rec, uint64(k))
-			vals[k].Encode(rec[8:])
-		}
-		written, d, err := s.writeFile(sc.buf)
-		if err != nil {
-			return fmt.Errorf("ssdps: dump: %w", err)
-		}
-		writeTime += d
-
-		s.mu.Lock()
-		s.files[written.ext.ID] = written
-		for i, k := range chunk {
-			if prev, ok := s.mapping[k]; ok {
-				prev.file.stale++
-			}
-			s.mapping[k] = loc{written, uint32(i)}
-		}
-		s.stats.Dumps++
-		s.mu.Unlock()
-	}
-	s.rec.RecordPush(len(vals), writeTime)
-	return nil
+	return s.mapping.Len()
 }
 
 // Sync makes every parameter file written, and every one compaction erased,
@@ -472,160 +321,12 @@ func (s *Store) Delete(ks []keys.Key) int {
 	defer s.mu.Unlock()
 	n := 0
 	for _, k := range ks {
-		l, ok := s.mapping[k]
-		if !ok {
-			continue
+		if l, ok := s.mapping.Delete(k); ok {
+			s.files[l.file].stale++
+			n++
 		}
-		delete(s.mapping, k)
-		l.file.stale++
-		n++
 	}
 	return n
-}
-
-// NeedsCompaction reports whether live disk usage exceeds the configured
-// threshold.
-func (s *Store) NeedsCompaction() bool {
-	if s.cfg.DiskUsageThresholdBytes <= 0 {
-		return false
-	}
-	return s.dev.UsageBytes() > s.cfg.DiskUsageThresholdBytes
-}
-
-// CompactIfNeeded runs a compaction pass when NeedsCompaction reports true.
-// It returns whether a pass ran.
-func (s *Store) CompactIfNeeded() (bool, error) {
-	if !s.NeedsCompaction() {
-		return false, nil
-	}
-	return true, s.Compact()
-}
-
-// Compact merges every file whose stale fraction meets the configured
-// threshold: the live records are collected as raw bytes and rewritten,
-// sorted by key, as new files, then the old files are erased (Appendix E).
-//
-// A key is re-pointed at its rewritten copy only while it still maps to the
-// victim record it was collected from. A Dump or Delete that raced the
-// compaction is newer than the collected copy, so the rewritten copy of such
-// a key is born stale instead of superseding it.
-func (s *Store) Compact() error {
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
-	s.mu.Lock()
-	var victims []*fileMeta
-	for _, meta := range s.files {
-		if float64(meta.stale)/float64(meta.ext.Records) >= s.cfg.StaleFractionToCompact {
-			victims = append(victims, meta)
-		}
-	}
-	s.mu.Unlock()
-	if len(victims) == 0 {
-		return nil
-	}
-	slices.SortFunc(victims, func(a, b *fileMeta) int { return cmp.Compare(a.ext.ID, b.ext.ID) })
-	sc := s.getScratch()
-	defer s.scratch.Put(sc)
-
-	// Collect the live records of every victim file: the i-th one's key is
-	// ks[i], its bytes are the i-th record of raw and it was collected from
-	// from[i].
-	//
-	// Size the buffers once: a victim's live count can only fall while the
-	// pass runs (dumps mark records stale), so this bounds what is collected,
-	// and a pass over megabytes of records leaves no trail of outgrown
-	// buffers for the collector.
-	s.mu.Lock()
-	n := 0
-	for _, v := range victims {
-		n += v.ext.Records - v.stale
-	}
-	s.mu.Unlock()
-	ks := make([]keys.Key, 0, n)
-	from := make([]loc, 0, n)
-	raw := make([]byte, 0, n*s.stride)
-	for _, v := range victims {
-		data, err := s.dev.ReadInto(v.ext, -1, sc.buf)
-		if err != nil {
-			return fmt.Errorf("ssdps: compact: %w", err)
-		}
-		sc.buf = data
-		s.mu.Lock()
-		for slot := 0; slot < v.ext.Records; slot++ {
-			rec := data[hdr+slot*s.stride : hdr+(slot+1)*s.stride]
-			k := keys.Key(binary.LittleEndian.Uint64(rec))
-			if l := (loc{v, uint32(slot)}); s.mapping[k] == l {
-				ks = append(ks, k)
-				from = append(from, l)
-				raw = append(raw, rec...)
-			}
-		}
-		s.mu.Unlock()
-	}
-	order := make([]int32, len(ks))
-	keys.SortPositions(ks, order, make([]int32, len(ks)))
-
-	// Rewrite them in key order as fresh files, marking the victims' copies
-	// stale.
-	var writeTime time.Duration
-	for rest := order; len(rest) > 0; {
-		chunk := rest[:min(s.cfg.ParamsPerFile, len(rest))]
-		rest = rest[len(chunk):]
-		sc.buf = sc.buf[:hdr]
-		for _, i := range chunk {
-			sc.buf = append(sc.buf, raw[int(i)*s.stride:int(i+1)*s.stride]...)
-		}
-		written, d, err := s.writeFile(sc.buf)
-		if err != nil {
-			return fmt.Errorf("ssdps: compact rewrite: %w", err)
-		}
-		writeTime += d
-
-		s.mu.Lock()
-		s.files[written.ext.ID] = written
-		for slot, i := range chunk {
-			if k := ks[i]; s.mapping[k] == from[i] {
-				from[i].file.stale++
-				s.mapping[k] = loc{written, uint32(slot)}
-			} else {
-				written.stale++
-			}
-		}
-		s.stats.Dumps++
-		s.stats.Rewritten += int64(len(chunk))
-		s.mu.Unlock()
-	}
-	if len(ks) > 0 {
-		s.rec.RecordPush(len(ks), writeTime)
-	}
-
-	// Erase the victims. No key maps to them any more, so only loads that
-	// picked their files before the rewrite can still be reading them;
-	// taking fileMu exclusively waits those out, and only then does the
-	// device get the extents back to hand to later dumps.
-	s.fileMu.Lock()
-	erased := 0
-	var err error
-	for _, v := range victims {
-		if err = s.dev.Remove(v.ext); err != nil {
-			err = fmt.Errorf("ssdps: compact erase: %w", err)
-			break
-		}
-		erased++
-	}
-	s.fileMu.Unlock()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, v := range victims[:erased] {
-		delete(s.files, v.ext.ID)
-		s.stats.CompactedFiles++
-	}
-	if err != nil {
-		return err
-	}
-	s.stats.Compactions++
-	return nil
 }
 
 // Stats returns a snapshot of the store's statistics.
@@ -633,8 +334,8 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.Files = len(s.files)
-	st.LiveParams = int64(len(s.mapping))
+	st.Files = s.liveFiles()
+	st.LiveParams = int64(s.mapping.Len())
 	var stale int64
 	for _, meta := range s.files {
 		stale += int64(meta.stale)
@@ -649,10 +350,11 @@ func (s *Store) Stats() Stats {
 func (s *Store) Keys() []keys.Key {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]keys.Key, 0, len(s.mapping))
-	for k := range s.mapping {
+	out := make([]keys.Key, 0, s.mapping.Len())
+	s.mapping.Range(func(k keys.Key, _ loc) bool {
 		out = append(out, k)
-	}
+		return true
+	})
 	return out
 }
 

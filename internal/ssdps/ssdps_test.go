@@ -14,6 +14,7 @@ import (
 	"hps/internal/embedding"
 	"hps/internal/hw"
 	"hps/internal/keys"
+	"hps/internal/ps"
 	"hps/internal/simtime"
 )
 
@@ -549,17 +550,17 @@ func TestLoadIntoGroupsByFile(t *testing.T) {
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 
 	s.mu.Lock()
-	touched := make(map[*fileMeta]bool)
+	touched := make(map[int32]bool)
 	found := 0
 	for _, k := range shuffled {
-		if l, ok := s.mapping[k]; ok {
+		if l, ok := s.mapping.Get(k); ok {
 			touched[l.file] = true
 			found++
 		}
 	}
 	s.mu.Unlock()
 
-	want, _, err := s.LoadInto(sorted, nil)
+	want, err := loadValues(s, sorted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,7 +569,7 @@ func TestLoadIntoGroupsByFile(t *testing.T) {
 		byKey[k] = want[i]
 	}
 	reads := s.Device().Stats().Reads
-	got, _, err := s.LoadInto(shuffled, nil)
+	got, err := loadValues(s, shuffled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,20 +585,46 @@ func TestLoadIntoGroupsByFile(t *testing.T) {
 		}
 	}
 
+	// Into reused rows, scattered over a block, a load allocates nothing.
+	blk := ps.NewValueBlock(dim)
+	blk.Reset(dim, make([]keys.Key, 2*len(shuffled)))
+	rows := make([]int32, len(shuffled))
+	for i := range rows {
+		rows[i] = int32(2*len(shuffled) - 1 - 2*i)
+	}
+	if _, err := s.LoadInto(shuffled, blk, rows); err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range shuffled {
+		if v := blk.Value(int(rows[i])); (v != nil) != (all[k] != nil) || (v != nil && !sameBits(v, all[k])) {
+			t.Fatalf("key %d loaded into row %d as %v, stored %v", k, rows[i], v, all[k])
+		}
+	}
 	if raceEnabled {
 		return
 	}
-	enc := make([]byte, embedding.EncodedSize(dim))
-	all[1].Encode(enc)
-	perValue := testing.AllocsPerRun(100, func() { embedding.Decode(enc) })
-	allocs := testing.AllocsPerRun(50, func() {
-		if got, _, err = s.LoadInto(shuffled, got); err != nil {
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := s.LoadInto(shuffled, blk, rows); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if decode := perValue * float64(found); allocs != decode {
-		t.Fatalf("a load allocates %.1f times, decoding its %d values %.1f", allocs, found, decode)
+	}); allocs != 0 {
+		t.Fatalf("a load of %d values into a block allocates %.1f times", found, allocs)
 	}
+}
+
+// loadValues loads ks through LoadInto and returns each key's value, nil
+// when the store does not hold it.
+func loadValues(s *Store, ks []keys.Key) ([]*embedding.Value, error) {
+	blk := ps.NewValueBlock(s.Dim())
+	blk.Reset(s.Dim(), ks)
+	if _, err := s.LoadInto(ks, blk, nil); err != nil {
+		return nil, err
+	}
+	out := make([]*embedding.Value, len(ks))
+	for i := range ks {
+		out[i] = blk.Value(i)
+	}
+	return out, nil
 }
 
 func TestEvictRetiresKeys(t *testing.T) {

@@ -36,7 +36,8 @@ type owner interface {
 	resolve(shares []ownedPull, dsts []*ps.ValueBlock) (time.Duration, error)
 	// apply merges the owner's share of a batch's merged deltas into its
 	// authoritative copies and returns the push time, measured like resolve's.
-	apply(d deltas) (time.Duration, error)
+	// shares is the batch's pull, which resolve pinned the rows of.
+	apply(d deltas, shares []ownedPull) (time.Duration, error)
 	// complete releases what resolve pinned for shares and runs the owner's
 	// batch-completion housekeeping.
 	complete(shares []ownedPull) error
@@ -177,14 +178,16 @@ func (o localOwner) resolve(shares []ownedPull, dsts []*ps.ValueBlock) (time.Dur
 }
 
 // apply pushes the MEM-PS's share of the deltas — it ignores the rows of keys
-// it does not own — and returns the modelled push time.
-func (o localOwner) apply(d deltas) (time.Duration, error) {
+// it does not own — and returns the modelled push time. The rows the batch's
+// pull pinned are reached through its working set, without a cache probe.
+func (o localOwner) apply(d deltas, shares []ownedPull) (time.Duration, error) {
 	before := o.TierStats().PushTime
+	ws := &shares[o.id].ws
 	var err error
 	if p := d.pair; p != nil {
-		err = o.PushBlockPair(p.a, p.b, p.keys[o.id], p.rowsA[o.id], p.rowsB[o.id])
+		err = o.PushBlockPair(ws, p.a, p.b, p.keys[o.id], p.rowsA[o.id], p.rowsB[o.id])
 	} else {
-		err = o.PushBlock(ps.PushBlockRequest{Shard: ps.NoShard, Block: d.global})
+		err = o.PushBatch(ws, d.global)
 	}
 	return o.TierStats().PushTime - before, err
 }
@@ -267,7 +270,7 @@ func (t *Trainer) applyPush(d deltas, pull []ownedPull) (time.Duration, error) {
 	var mu sync.Mutex
 	var slowest time.Duration
 	err := t.eachOwner(owners, func(o owner) error {
-		dur, err := o.apply(d)
+		dur, err := o.apply(d, pull)
 		if err != nil {
 			return err
 		}

@@ -136,13 +136,14 @@ func (r *remoteShard) resolve(shares []ownedPull, dsts []*ps.ValueBlock) (time.D
 // that already received them acks duplicates instead of double-applying, and
 // one that did not applies them fresh. Either way no applied push is lost and
 // none is applied twice. A member that owns none of the rows is not called.
-func (r *remoteShard) apply(d deltas) (time.Duration, error) {
+func (r *remoteShard) apply(d deltas, _ []ownedPull) (time.Duration, error) {
 	blk := d.global
 	sub := ps.GetBlock(r.dim, nil)
 	defer ps.PutBlock(sub)
 	sub.Grow(blk.Len())
+	ring := r.topo.Ring()
 	for i, k := range blk.Keys {
-		if blk.Present[i] && r.topo.NodeOf(k) == r.id {
+		if blk.Present[i] && ring.Owner(k) == r.id {
 			sub.AppendRow(k, blk.WeightsRow(i), blk.G2Row(i), blk.Freq[i])
 		}
 	}
