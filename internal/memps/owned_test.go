@@ -346,3 +346,47 @@ func TestMissCycleAllocatesNothing(t *testing.T) {
 	}
 	t.Logf("%d warm cold batches: %.0f allocations, %d writes", len(batches), allocs, writes-before)
 }
+
+// TestWorkingSetOutlivesFlush flushes the cache, pins included, while a
+// batch's working set is outstanding, as a checkpoint taken under the async
+// push does, and lets the next batch pin the same keys before the first one
+// pushes: the first batch's Refs no longer hold, so its push and
+// CompleteBatch fall back to the keyed path, and every delta lands on the
+// key's current row.
+func TestWorkingSetOutlivesFlush(t *testing.T) {
+	m := singleNode(t, 4, 4)
+	ks := []keys.Key{2, 3, 5, 7, 11, 13}
+	w := map[keys.Key]float32{}
+	first, blk := prepare(t, m, ks)
+	for i, k := range ks {
+		w[k] = blk.WeightsRow(i)[0]
+	}
+	if err := m.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	second, _ := prepare(t, m, ks[2:])
+	if err := m.PushBatch(first, weightDeltas(4, ks, func(keys.Key) float32 { return 1 }, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.PushBatch(second, weightDeltas(4, ks[2:], func(keys.Key) float32 { return 2 }, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, ws := range []*WorkingSet{first, second} {
+		if err := m.CompleteBatch(ws); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := m.PinnedKeys(); n != 0 {
+		t.Fatalf("%d keys still pinned after both batches completed", n)
+	}
+	got := lookupAll(t, m, ks)
+	for i, k := range ks {
+		want := w[k] + 1
+		if i >= 2 {
+			want += 2
+		}
+		if v := got[k]; v == nil || v.Weights[0] != want {
+			t.Fatalf("key %d: weight %v, want %v", k, v, want)
+		}
+	}
+}
