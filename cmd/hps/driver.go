@@ -91,12 +91,8 @@ func runDriver(args []string) error {
 	topo := cluster.Topology{Nodes: shards, GPUsPerNode: *fs.gpus, Replicas: replicas}.WithView()
 	cfg := fs.remoteConfig(spec, data, set, topo)
 	cfg.Serve = *lg
-	wire := *fs.wirePrec
-	if *fs.quantPush {
-		wire += "+push"
-	}
-	fmt.Printf("training model %s against %d MEM-PS shard process(es), %d GPU(s)/node, %d batches x %d examples/node (wire %s, replicas %d)\n\n",
-		spec.Name, shards, *fs.gpus, *fs.batches, *fs.batchSize, wire, replicas)
+	fmt.Printf("training model %s against %d MEM-PS shard process(es), %d GPU(s)/node, %d batches x %d examples/node (replicas %d)\n\n",
+		spec.Name, shards, *fs.gpus, *fs.batches, *fs.batchSize, replicas)
 	tr, err := trainer.New(cfg)
 	if err != nil {
 		return err
@@ -203,7 +199,6 @@ func startLoadgen(ctx context.Context, set *driver.Supervisor, dim int, cfg load
 func (f *trainFlags) remoteConfig(spec model.Spec, data dataset.Config, set *driver.Supervisor, topo cluster.Topology) trainer.Config {
 	cfg := f.config(spec, data, topo)
 	cfg.RemoteShards, cfg.ShardState = set.Addrs(), set.Dirs()
-	cfg.WirePrecision, cfg.QuantizePush = *f.wirePrec, *f.quantPush
 	// A crashed shard is gone for however long respawn + recovery takes; the
 	// widened retry window is what lets in-flight batches ride a restart
 	// instead of failing the run.

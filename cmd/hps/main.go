@@ -65,8 +65,6 @@ type trainFlags struct {
 	cacheFrac *float64
 	evalN     *int
 	seed      *int64
-	wirePrec  *string
-	quantPush *bool
 
 	stateDir     *string
 	checkpoint   *string
@@ -155,8 +153,6 @@ func newTrainFlags(name string) *trainFlags {
 		cacheFrac: fs.Float64("cache-frac", 0.25, "MEM-PS cache capacity as a fraction of the per-node parameter shard"),
 		evalN:     fs.Int("eval", 2000, "examples for the final AUC evaluation (0 to skip)"),
 		seed:      fs.Int64("seed", 1, "random seed"),
-		wirePrec:  fs.String("wire-precision", "fp32", "on-wire embedding row encoding in multi-process mode: fp32, fp16 or int8"),
-		quantPush: fs.Bool("quantize-push", false, "also encode push deltas at -wire-precision instead of fp32 (multi-process mode)"),
 
 		stateDir:     fs.String("state-dir", "", "durable state root: SSD-PS shard directories and the default checkpoint manifest (empty: temporary, removed on exit)"),
 		checkpoint:   fs.String("checkpoint", "", "checkpoint manifest path (default <state-dir>/checkpoint.json when -state-dir is set)"),

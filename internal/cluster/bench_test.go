@@ -19,11 +19,9 @@ func (pushSink) HandlePushBlock(*ps.ValueBlock) error { return nil }
 
 // BenchmarkWireBytesPerBatch measures the bytes one batch-shaped block cycle
 // actually puts on the socket: a 2048-key block pull plus a 2048-row push at
-// dim 8 (BenchmarkStagePushMultiNode's per-shard shape), under each wire
-// mode: pull replies carry the negotiated precision, push bodies stay fp32
-// unless the -push variants opt the push direction into the same precision.
-// The wirebytes/op metric is the one BENCH_pr6.json records; ns/op here
-// includes loopback syscalls and is not a transport benchmark.
+// dim 8 (BenchmarkStagePushMultiNode's per-shard shape). The wirebytes/op
+// metric is the per-batch wire figure docs/ARCHITECTURE.md records; ns/op
+// here includes loopback syscalls and is not a transport benchmark.
 func BenchmarkWireBytesPerBatch(b *testing.B) {
 	const (
 		dim  = 8
@@ -35,51 +33,35 @@ func BenchmarkWireBytesPerBatch(b *testing.B) {
 	}
 	ks = keys.Dedup(ks)
 
-	for _, mode := range []struct {
-		name      string
-		prec      ps.Precision
-		quantPush bool
-	}{
-		{"raw-fp32", ps.PrecisionFP32, false},
-		{"raw-fp16", ps.PrecisionFP16, false},
-		{"raw-int8", ps.PrecisionInt8, false},
-		{"raw-fp16-push", ps.PrecisionFP16, true},
-		{"raw-int8-push", ps.PrecisionInt8, true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			srv, err := ServeTCP("127.0.0.1:0", pushSink{&wireHandler{mapHandler: newMapHandler(dim)}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Close()
-			tr := NewTCPTransport(map[int]string{0: srv.Addr()}, dim)
-			defer tr.Close()
-			tr.SetWirePrecision(mode.prec)
-			tr.SetPushQuantization(mode.quantPush)
-
-			dst := ps.NewValueBlock(dim)
-			if _, err := tr.PullBlock(0, ks, dst); err != nil {
-				b.Fatal(err)
-			}
-			push := ps.NewValueBlock(dim)
-			push.CopyFrom(dst)
-
-			before := tr.Stats()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := tr.PullBlock(0, ks, dst); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := tr.PushBlock(0, push); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			after := tr.Stats()
-			wire := (after.WireOut + after.WireIn) - (before.WireOut + before.WireIn)
-			b.ReportMetric(float64(wire)/float64(b.N), "wirebytes/op")
-		})
+	srv, err := ServeTCP("127.0.0.1:0", pushSink{&wireHandler{mapHandler: newMapHandler(dim)}})
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer srv.Close()
+	tr := NewTCPTransport(map[int]string{0: srv.Addr()}, dim)
+	defer tr.Close()
+
+	dst := ps.NewValueBlock(dim)
+	if _, err := tr.PullBlock(0, ks, dst); err != nil {
+		b.Fatal(err)
+	}
+	push := ps.NewValueBlock(dim)
+	push.CopyFrom(dst)
+
+	before := tr.Stats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tr.PullBlock(0, ks, dst); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := tr.PushBlock(0, push); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	after := tr.Stats()
+	wire := (after.WireOut + after.WireIn) - (before.WireOut + before.WireIn)
+	b.ReportMetric(float64(wire)/float64(b.N), "wirebytes/op")
 }
 
 // BenchmarkPlacement measures Topology.NodeOf per key — the per-key cost

@@ -14,11 +14,11 @@ import (
 // pullInto runs a pull-layout read (pull-block or lookup): the request is a
 // length-prefixed key frame and the reply body is decoded directly out of
 // the pooled receive buffer into dst, in request-key order. The returned
-// byte count stays the fp32-equivalent model traffic; Stats().WireIn/WireOut
-// expose what actually crossed the socket.
+// byte count is the model traffic; Stats().WireIn/WireOut expose what
+// actually crossed the socket.
 func (t *TCPTransport) pullInto(nodeID int, op uint8, ks []keys.Key, dst *ps.ValueBlock) (int64, error) {
 	err := t.rawCall(nodeID, op,
-		func(frame []byte, _ ps.Precision) []byte { return appendRawKeyReq(frame, op, 0, ks) },
+		func(frame []byte) []byte { return appendRawKeyReq(frame, op, 0, ks) },
 		func(body []byte) error { return dst.DecodeWire(ks, body) })
 	if err != nil {
 		return 0, err
@@ -35,27 +35,22 @@ func (t *TCPTransport) pullInto(nodeID int, op uint8, ks []keys.Key, dst *ps.Val
 }
 
 // PullBlock implements Transport: the reply arrives as one flat block
-// body, encoded in a single pass server-side in the connection's negotiated
-// precision.
+// body, encoded in a single pass server-side.
 func (t *TCPTransport) PullBlock(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (int64, error) {
 	return t.pullInto(nodeID, rawOpPullBlock, ks, dst)
 }
 
 // Lookup implements TierTransport: a pull that never materializes missing
-// parameters, for evaluation-time and serving reads. Replies are always fp32.
+// parameters, for evaluation-time and serving reads.
 func (t *TCPTransport) Lookup(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (int64, error) {
 	return t.pullInto(nodeID, rawOpLookup, ks, dst)
 }
 
 // sendBlock runs a push-layout write (push-block, replicate, transfer): the
-// block's rows travel as one flat frame under the given dedup stamp. Bodies
-// are fp32 unless quantize asks for the connection's negotiated precision.
-func (t *TCPTransport) sendBlock(nodeID int, op uint8, client, seq uint64, blk *ps.ValueBlock, quantize bool, parse func([]byte) error) (int64, error) {
-	err := t.rawCall(nodeID, op, func(frame []byte, prec ps.Precision) []byte {
-		if !quantize {
-			prec = ps.PrecisionFP32
-		}
-		return blk.AppendWirePrecision(appendRawBlockReq(frame, op, client, seq, blk.Keys), prec)
+// block's rows travel as one flat frame under the given dedup stamp.
+func (t *TCPTransport) sendBlock(nodeID int, op uint8, client, seq uint64, blk *ps.ValueBlock, parse func([]byte) error) (int64, error) {
+	err := t.rawCall(nodeID, op, func(frame []byte) []byte {
+		return blk.AppendWire(appendRawBlockReq(frame, op, client, seq, blk.Keys))
 	}, parse)
 	if err != nil {
 		return 0, err
@@ -83,28 +78,19 @@ func (t *TCPTransport) Stamp() (client, seq uint64) {
 	return t.client, t.seq.Add(1)
 }
 
-// PushBlockStamped is PushBlock under a caller-provided dedup stamp. Push
-// bodies stay fp32 even on quantized connections unless SetPushQuantization
-// opted in: a pull-side quantization error is corrected by the next delta
-// (the delta is computed against the quantized values the trainer actually
-// loaded), while a quantized delta perturbs the authoritative copies
-// directly.
+// PushBlockStamped is PushBlock under a caller-provided dedup stamp.
 func (t *TCPTransport) PushBlockStamped(nodeID int, client, seq uint64, blk *ps.ValueBlock) (int64, error) {
-	t.mu.Lock()
-	quantPush := t.quantPush
-	t.mu.Unlock()
-	return t.sendBlock(nodeID, rawOpPushBlock, client, seq, blk, quantPush, nil)
+	return t.sendBlock(nodeID, rawOpPushBlock, client, seq, blk, nil)
 }
 
 // Replicate forwards an applied delta block to nodeID (a backup of the
 // block's keys), carrying the ORIGIN client's dedup stamp instead of this
 // transport's own — the backup commits (client, seq) to its tracker, so after
 // a promotion the origin's retry of the same push is deduplicated, not
-// double-applied. Bodies always travel fp32: a quantized replica would drift
-// from its primary. Retries are safe for the same reason direct pushes are:
-// the stamp makes the apply exactly-once.
+// double-applied. Retries are safe for the same reason direct pushes are: the
+// stamp makes the apply exactly-once.
 func (t *TCPTransport) Replicate(nodeID int, client, seq uint64, blk *ps.ValueBlock) (int64, error) {
-	return t.sendBlock(nodeID, rawOpReplicate, client, seq, blk, false, nil)
+	return t.sendBlock(nodeID, rawOpReplicate, client, seq, blk, nil)
 }
 
 // parseRawCount returns a parser for the u64 count reply of evict/transfer.
@@ -124,7 +110,7 @@ func parseRawCount(n *int) func([]byte) error {
 // rows the receiver accepted.
 func (t *TCPTransport) Transfer(nodeID int, blk *ps.ValueBlock) (int, error) {
 	var n int
-	_, err := t.sendBlock(nodeID, rawOpTransfer, 0, 0, blk, false, parseRawCount(&n))
+	_, err := t.sendBlock(nodeID, rawOpTransfer, 0, 0, blk, parseRawCount(&n))
 	return n, err
 }
 
@@ -136,14 +122,14 @@ func (t *TCPTransport) Evict(nodeID int, ks []keys.Key) (int, error) {
 	}
 	var n int
 	err := t.rawCall(nodeID, rawOpEvict,
-		func(frame []byte, _ ps.Precision) []byte { return appendRawKeyReq(frame, rawOpEvict, flags, ks) },
+		func(frame []byte) []byte { return appendRawKeyReq(frame, rawOpEvict, flags, ks) },
 		parseRawCount(&n))
 	return n, err
 }
 
 // bareReq builds a request that is just its header.
-func bareReq(op uint8) func([]byte, ps.Precision) []byte {
-	return func(frame []byte, _ ps.Precision) []byte { return append(frame, op, 0, 0, 0) }
+func bareReq(op uint8) func([]byte) []byte {
+	return func(frame []byte) []byte { return append(frame, op, 0, 0, 0) }
 }
 
 // TierStats implements TierTransport.
@@ -163,7 +149,7 @@ func (t *TCPTransport) TierStats(nodeID int) (ps.TierInfo, error) {
 // UpdateMembership installs an epoch-versioned membership change on nodeID.
 func (t *TCPTransport) UpdateMembership(nodeID int, u MembershipUpdate) error {
 	return t.rawCall(nodeID, rawOpMembership,
-		func(frame []byte, _ ps.Precision) []byte { return appendRawMembership(frame, u) }, nil)
+		func(frame []byte) []byte { return appendRawMembership(frame, u) }, nil)
 }
 
 // Predict scores one batched inference request against nodeID's shard: counts
@@ -177,7 +163,7 @@ func (t *TCPTransport) Predict(nodeID int, req PredictRequest) ([]float32, error
 	}
 	var scores []float32
 	err := t.rawCall(nodeID, rawOpPredict,
-		func(frame []byte, _ ps.Precision) []byte { return appendRawPredictReq(frame, req) },
+		func(frame []byte) []byte { return appendRawPredictReq(frame, req) },
 		func(body []byte) (err error) {
 			scores, err = parseRawScores(body)
 			return err
@@ -189,7 +175,7 @@ func (t *TCPTransport) Predict(nodeID int, req PredictRequest) ([]float32, error
 // refreshed dense parameters) to nodeID's shard.
 func (t *TCPTransport) PublishServeConfig(nodeID int, cfg ServeConfig) error {
 	return t.rawCall(nodeID, rawOpServeConfig,
-		func(frame []byte, _ ps.Precision) []byte { return appendRawServeConfig(frame, cfg) }, nil)
+		func(frame []byte) []byte { return appendRawServeConfig(frame, cfg) }, nil)
 }
 
 // ServingStats reads nodeID's serving-tier counters.

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"hps/internal/ps"
 )
 
 // RetryPolicy controls how the TCP transport handles network failures,
@@ -73,22 +71,21 @@ type TransportStats struct {
 	// the subset that replaced a dropped connection (a reconnect). A peer's
 	// first connection is not a redial.
 	Calls, Retries, Dials, Redials int64
-	// BytesOut / BytesIn estimate the payload traffic in fp32 terms (8 bytes
-	// per requested key, rowBytes per value row, the accounting every
-	// transport shares) — the precision-independent "model bytes moved".
+	// BytesOut / BytesIn estimate the payload traffic (8 bytes per requested
+	// key, rowBytes per value row, the accounting every transport shares) —
+	// the "model bytes moved".
 	BytesOut, BytesIn int64
 	// WireOut / WireIn count the bytes that actually crossed the sockets
-	// (frame prefixes included), so the quantized wire's compression is
-	// visible as WireOut+WireIn versus BytesOut+BytesIn.
+	// (frame prefixes included), so the framing overhead is visible as
+	// WireOut+WireIn versus BytesOut+BytesIn.
 	WireOut, WireIn int64
 }
 
 // TCPTransport reaches remote nodes over TCP, holding one persistent
 // connection per peer — concurrent RPCs to a peer queue on it — and
 // transparently reconnecting (with bounded, backed-off retries) when it drops.
-// Each connection checks the wire version and negotiates the pull-reply
-// precision with a hello exchange at dial time. It is safe for concurrent use
-// and implements TierTransport.
+// Each connection checks the wire version with a hello exchange at dial time.
+// It is safe for concurrent use and implements TierTransport.
 type TCPTransport struct {
 	dim    int
 	client uint64 // identity for push dedup across reconnects
@@ -105,9 +102,7 @@ type TCPTransport struct {
 	peers map[int]*tcpConn
 	// dropped marks the peers whose connection was dropped and not replaced
 	// yet: the next dial to one is a redial.
-	dropped   map[int]bool
-	prec      ps.Precision // wire precision requested in hellos and used for push bodies
-	quantPush bool         // quantize push bodies at the negotiated precision
+	dropped map[int]bool
 
 	statMu   sync.Mutex
 	bytesOut int64
@@ -122,12 +117,11 @@ var _ TierTransport = (*TCPTransport)(nil)
 type tcpConn struct {
 	mu      sync.Mutex
 	conn    net.Conn
-	prec    ps.Precision // negotiated pull-reply precision
-	oneShot bool         // never published as the peer's connection: release closes it
+	oneShot bool // never published as the peer's connection: release closes it
 }
 
 // NewTCPTransport creates a transport that reaches node i at addrs[i], with
-// the default retry policy, one connection per peer, and fp32 wire bodies.
+// the default retry policy and one connection per peer.
 func NewTCPTransport(addrs map[int]string, dim int) *TCPTransport {
 	copied := make(map[int]string, len(addrs))
 	for k, v := range addrs {
@@ -174,38 +168,6 @@ func (t *TCPTransport) SetRetryPolicy(p RetryPolicy) {
 	t.mu.Unlock()
 }
 
-// SetWirePrecision selects the precision of block bodies on the wire: pull
-// replies (negotiated per connection at hello time) and push bodies. Existing
-// connections keep their negotiated precision, so set it before issuing RPCs.
-// PrecisionFP32 — the default — keeps every body bit-exact.
-func (t *TCPTransport) SetWirePrecision(p ps.Precision) {
-	if !p.Valid() {
-		p = ps.PrecisionFP32
-	}
-	t.mu.Lock()
-	t.prec = p
-	t.mu.Unlock()
-}
-
-// SetPushQuantization selects whether push bodies follow the connection's
-// negotiated precision (true) or stay fp32 (false, the default). A pull-side
-// quantization error is self-correcting — the next delta is computed against
-// the quantized values the trainer actually loaded — while a quantized delta
-// perturbs the authoritative copies directly, so pushes only quantize when
-// the caller opts in (gated by the trainer's AUC-parity test).
-func (t *TCPTransport) SetPushQuantization(on bool) {
-	t.mu.Lock()
-	t.quantPush = on
-	t.mu.Unlock()
-}
-
-// WirePrecision returns the configured wire precision.
-func (t *TCPTransport) WirePrecision() ps.Precision {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.prec
-}
-
 // Stats returns a snapshot of the transport's activity counters.
 func (t *TCPTransport) Stats() TransportStats {
 	t.statMu.Lock()
@@ -225,7 +187,7 @@ func (t *TCPTransport) Stats() TransportStats {
 }
 
 // acquireConn returns the connection to nodeID with its mutex held — queueing
-// behind the RPC using it, if any — or dials (and hello-negotiates) one when
+// behind the RPC using it, if any — or dials (and version-checks) one when
 // the peer has none. The caller hands it back with release after its round
 // trip.
 func (t *TCPTransport) acquireConn(nodeID int, policy RetryPolicy) (*tcpConn, error) {
@@ -283,16 +245,12 @@ func (t *TCPTransport) release(c *tcpConn) {
 	}
 }
 
-// hello checks the wire version and negotiates the pull precision on a fresh
-// connection. Any failure — I/O, a refusal, a peer answering another version
-// — fails the dial, so the retry loop treats it like any other connect
-// failure.
+// hello checks the wire version on a fresh connection. Any failure — I/O, a
+// refusal, a peer answering another version — fails the dial, so the retry
+// loop treats it like any other connect failure.
 func (t *TCPTransport) hello(c *tcpConn, policy RetryPolicy) error {
-	t.mu.Lock()
-	prec := t.prec
-	t.mu.Unlock()
 	var frame [8]byte
-	f := append(frame[:0], 0, 0, 0, 0, rawOpHello, rawWireVersion, byte(prec), 0)
+	f := append(frame[:0], 0, 0, 0, 0, rawOpHello, rawWireVersion, 0, 0)
 	payload, rbuf, err := t.roundTripRaw(c, f, policy.rpc())
 	if err != nil {
 		return err
@@ -306,9 +264,6 @@ func (t *TCPTransport) hello(c *tcpConn, policy RetryPolicy) error {
 	}
 	if payload[2] != rawWireVersion {
 		return fmt.Errorf("peer speaks wire version %d, this build speaks version %d", payload[2], rawWireVersion)
-	}
-	if p := ps.Precision(payload[3]); p.Valid() {
-		c.prec = p
 	}
 	return nil
 }
@@ -326,12 +281,11 @@ func (t *TCPTransport) dropConn(nodeID int, c *tcpConn) {
 // rawCall runs one RPC against nodeID: acquire a connection (dialing if
 // needed), exchange one request/response pair on it, and reconnect/retry
 // network failures per the retry policy. build appends the request payload to
-// the frame it is given, which already holds the length-prefix placeholder
-// (prec is the connection's negotiated precision); parse, when not nil,
-// consumes an ok reply's body before the receive buffer is recycled.
-// Shard-side failures (RemoteError, OverloadError) and unknown nodes are
-// returned immediately — retrying cannot fix them.
-func (t *TCPTransport) rawCall(nodeID int, op uint8, build func(frame []byte, prec ps.Precision) []byte, parse func(body []byte) error) error {
+// the frame it is given, which already holds the length-prefix placeholder;
+// parse, when not nil, consumes an ok reply's body before the receive buffer
+// is recycled. Shard-side failures (RemoteError, OverloadError) and unknown
+// nodes are returned immediately — retrying cannot fix them.
+func (t *TCPTransport) rawCall(nodeID int, op uint8, build func(frame []byte) []byte, parse func(body []byte) error) error {
 	t.mu.Lock()
 	policy := t.retry
 	t.mu.Unlock()
@@ -381,9 +335,9 @@ func shardSide(err error) bool {
 }
 
 // exchange performs one attempt of rawCall on c, whose lock the caller holds.
-func (t *TCPTransport) exchange(c *tcpConn, nodeID int, op uint8, build func([]byte, ps.Precision) []byte, parse func([]byte) error, timeout time.Duration) error {
+func (t *TCPTransport) exchange(c *tcpConn, nodeID int, op uint8, build func([]byte) []byte, parse func([]byte) error, timeout time.Duration) error {
 	buf := getScratch()
-	frame := build(append((*buf)[:0], 0, 0, 0, 0), c.prec)
+	frame := build(append((*buf)[:0], 0, 0, 0, 0))
 	payload, rbuf, err := t.roundTripRaw(c, frame, timeout)
 	*buf = frame[:0]
 	putScratch(buf)

@@ -50,22 +50,6 @@ func TestTopologySharding(t *testing.T) {
 	if total != len(ks) {
 		t.Fatal("SplitByNode lost keys")
 	}
-	byGPU := topo.SplitByGPU(ks)
-	if len(byGPU) != 8 {
-		t.Fatal("SplitByGPU length")
-	}
-	total = 0
-	for g, part := range byGPU {
-		total += len(part)
-		for _, k := range part {
-			if topo.GPUOf(k) != g {
-				t.Fatal("key assigned to wrong GPU")
-			}
-		}
-	}
-	if total != len(ks) {
-		t.Fatal("SplitByGPU lost keys")
-	}
 }
 
 func TestTopologyShardingProperty(t *testing.T) {
@@ -252,17 +236,17 @@ type wireHandler struct {
 	fail  bool
 }
 
-func (h *wireHandler) HandlePullBlockWire(ks []keys.Key, dst []byte, prec ps.Precision) ([]byte, error) {
+func (h *wireHandler) HandlePullBlockWire(ks []keys.Key, dst []byte) ([]byte, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.calls++
 	if h.fail {
 		return dst, errors.New("wire handler broken")
 	}
-	dst = ps.AppendWireHeaderPrecision(dst, h.dim, len(ks), prec)
+	dst = ps.AppendWireHeader(dst, h.dim, len(ks))
 	for _, k := range ks {
 		v := h.value(k)
-		dst = ps.AppendWireRowPrecision(dst, true, v.Freq, v.Weights, v.G2Sum, prec)
+		dst = ps.AppendWireRow(dst, true, v.Freq, v.Weights, v.G2Sum)
 	}
 	return dst, nil
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"hps/internal/keys"
-	"hps/internal/ps"
 )
 
 // The wire protocol between nodes is a stream of length-prefixed frames: a
@@ -29,15 +28,16 @@ import (
 const rawMagicBit uint32 = 1 << 31
 
 // rawWireVersion is the one wire version this build speaks. The hello
-// exchange at dial time checks it and pins the connection's pull-reply
-// precision; a peer of any other version is refused.
-const rawWireVersion = 3
+// exchange at dial time checks it; a peer of any other version is refused.
+// Version 4 dropped version 3's per-connection fp16/int8 row encodings: every
+// block body is fp32.
+const rawWireVersion = 4
 
 // Frame operations. Every payload starts with the op byte. A response's op is
 // its request's plus one, so a desynchronized stream is detected instead of
 // misparsed.
 const (
-	rawOpHello       uint8 = 1  // check the wire version, negotiate pull precision
+	rawOpHello       uint8 = 1  // check the wire version
 	rawOpPullBlock   uint8 = 3  // read a key set as one block (creating keys is handler policy)
 	rawOpPushBlock   uint8 = 5  // merge one block of deltas, exactly once per dedup stamp
 	rawOpPredict     uint8 = 7  // score feature-key batches against live parameters
@@ -68,7 +68,7 @@ const (
 // holds the length-prefix placeholder and an ok response header, and the
 // function returns it with the reply body appended. A returned error becomes
 // an error frame.
-type serveFunc func(s *TCPServer, prec *ps.Precision, payload, frame []byte) ([]byte, error)
+type serveFunc func(s *TCPServer, payload, frame []byte) ([]byte, error)
 
 // ops is the one table of wire operations: the name errors and reports use,
 // and the server-side implementation.
@@ -176,10 +176,10 @@ func readFramePayload(r io.Reader, n uint32, scratch *[]byte) ([]byte, error) {
 // with op, status, pad[2], followed by the body below when the status is ok
 // and by the error message otherwise.
 //
-//	hello        req : op, version, precision, pad
-//	             resp: op, status, version, precision
+//	hello        req : op, version, pad[2]
+//	             resp: op, status, version, pad
 //	pull, lookup req : header, nkeys u32, keys u64...
-//	             resp: the block body (lookup: always fp32)
+//	             resp: the block body
 //	evict        req : pull layout; rawFlagAll set means everything, no keys
 //	             resp: count u64
 //	push, replicate, transfer

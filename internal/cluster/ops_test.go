@@ -3,8 +3,10 @@ package cluster
 import (
 	"encoding/hex"
 	"errors"
+	"net"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -368,8 +370,7 @@ func TestEveryOpOverTCP(t *testing.T) {
 				t.Errorf("shard state diverged:\nover TCP   %+v\nin-process %+v", g, w)
 			}
 			if pin, ok := replies[tc.name]; ok {
-				prec := ps.PrecisionFP32
-				frame, buf := srv.dispatchRaw(appendRawKeyReq(nil, rawOpLookup, 0, pin.ks), &prec)
+				frame, buf := srv.dispatchRaw(appendRawKeyReq(nil, rawOpLookup, 0, pin.ks))
 				if got := hex.EncodeToString(frame[4:]); got != pin.hex {
 					t.Errorf("lookup %v reply\n got %s\nwant %s", pin.ks, got, pin.hex)
 				}
@@ -485,39 +486,52 @@ func definedOps() map[uint8]string {
 	return out
 }
 
-// TestHelloNegotiatesPrecision covers the twelfth op: the dial-time hello pins
-// the connection's pull-reply precision, and pull replies then arrive in it.
-func TestHelloNegotiatesPrecision(t *testing.T) {
-	srv, err := ServeTCP("127.0.0.1:0", newOpsHandler())
+// TestHelloRefusesOtherWireVersions covers the twelfth op: version 3 — the
+// last wire that negotiated fp16/int8 rows at hello — is refused from either
+// side by an error naming both versions. (TestForeignPeersCloseCleanly shows
+// the refused connection is closed.)
+func TestHelloRefusesOtherWireVersions(t *testing.T) {
+	if rawWireVersion != 4 {
+		t.Fatalf("wire version %d, want 4", rawWireVersion)
+	}
+	namesBoth := func(msg string) bool {
+		return strings.Contains(msg, "version 3") && strings.Contains(msg, "version 4")
+	}
+
+	// A v3 client's hello, as this build's shard answers it.
+	srv := &TCPServer{seqs: NewSeqTracker(), handler: newOpsHandler()}
+	out, buf := srv.dispatchRaw([]byte{rawOpHello, 3, 0, 0})
+	if out[4] != rawOpHello+1 || out[5] != rawStatusErr || !namesBoth(string(out[8:])) {
+		t.Errorf("v3 hello answered % x %q, want a refusal naming versions 3 and 4", out[4:8], out[8:])
+	}
+	putScratch(buf)
+
+	// This build's transport dialing a shard that answers as version 3.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	ks := make([]keys.Key, 256)
-	for i := range ks {
-		ks[i] = keys.Key(i + 1)
-	}
-	wire := map[ps.Precision]int64{}
-	for _, p := range []ps.Precision{ps.PrecisionFP32, ps.PrecisionInt8} {
-		tr := NewTCPTransport(map[int]string{0: srv.Addr()}, opsDim)
-		tr.SetWirePrecision(p)
-		blk := ps.NewValueBlock(opsDim)
-		if _, err := tr.PullBlock(0, ks, blk); err != nil {
-			t.Fatal(err)
-		}
-		if got := tr.peers[0].prec; got != p {
-			t.Errorf("negotiated %v, asked for %v", got, p)
-		}
-		for i, k := range ks {
-			if got, want := blk.WeightsRow(i)[0], float32(k); got < want*0.99 || got > want*1.01 {
-				t.Fatalf("%v: row %d = %v", p, i, blk.WeightsRow(i))
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
 			}
+			if n, err := readFramePrefix(c); err == nil {
+				var req []byte
+				if _, err := readFramePayload(c, n, &req); err == nil {
+					writeRawFrame(c, []byte{0, 0, 0, 0, rawOpHello + 1, rawStatusOK, 3, 0})
+				}
+			}
+			c.Close()
 		}
-		wire[p] = tr.Stats().WireIn
-		tr.Close()
-	}
-	if wire[ps.PrecisionInt8] >= wire[ps.PrecisionFP32] {
-		t.Errorf("int8 replies took %d wire bytes, fp32 %d", wire[ps.PrecisionInt8], wire[ps.PrecisionFP32])
+	}()
+	tr := NewTCPTransport(map[int]string{0: ln.Addr().String()}, opsDim)
+	defer tr.Close()
+	tr.SetRetryPolicy(RetryPolicy{Attempts: 1})
+	if _, err := tr.PullBlock(0, []keys.Key{1}, ps.NewValueBlock(opsDim)); err == nil || !namesBoth(err.Error()) {
+		t.Errorf("pull from a v3 shard: %v, want a refusal naming versions 3 and 4", err)
 	}
 }
 

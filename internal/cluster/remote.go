@@ -12,8 +12,7 @@ import (
 // ps.Tier: PullInto, PushBlock and Evict become RPCs over the given
 // transport, the first two carrying one flat block frame each. Its TierStats
 // are recorded client-side — they describe the operations issued through
-// this handle, with real network time in PullTime/PushTime; use RemoteStats
-// for the serving tier's own cumulative statistics.
+// this handle, with real network time in PullTime/PushTime.
 type RemoteTier struct {
 	transport TierTransport
 	node      int
@@ -65,9 +64,3 @@ func (r *RemoteTier) Evict(ks []keys.Key) (int, error) {
 // TierStats implements ps.Tier with the client-side view of this handle's
 // operations (real wall-clock network time included).
 func (r *RemoteTier) TierStats() ps.Stats { return r.rec.TierStats() }
-
-// RemoteStats fetches the serving tier's own name and cumulative statistics
-// over the wire.
-func (r *RemoteTier) RemoteStats() (ps.TierInfo, error) {
-	return r.transport.TierStats(r.node)
-}

@@ -131,10 +131,6 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		return
 	}
 	defer s.untrack(conn)
-	// prec is the connection's negotiated pull-reply precision: fp32 until a
-	// hello frame raises it, so clients that skip the hello always get
-	// bit-exact replies.
-	prec := ps.PrecisionFP32
 	for {
 		n, err := readFramePrefix(conn)
 		if err != nil {
@@ -151,7 +147,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			return
 		}
 		hello := payload[0] == rawOpHello
-		out, outBuf := s.dispatchRaw(payload, &prec)
+		out, outBuf := s.dispatchRaw(payload)
 		putScratch(scratch) // the request (and any body view into it) is consumed
 		_, werr := writeRawFrame(conn, out)
 		// A refused hello ends the connection: frames of another wire version
@@ -167,11 +163,10 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 
 // dispatchRaw executes one request and returns the complete response frame
 // (4-byte prefix placeholder included) in a pooled buffer; the caller writes
-// it and returns the buffer to the pool. prec is the connection's negotiated
-// pull-reply precision, updated by hello frames. Handler panics are contained
-// per request: a poisoned batch must not take the shard server (and every
-// other client's parameters) down with it.
-func (s *TCPServer) dispatchRaw(payload []byte, prec *ps.Precision) (frame []byte, buf *[]byte) {
+// it and returns the buffer to the pool. Handler panics are contained per
+// request: a poisoned batch must not take the shard server (and every other
+// client's parameters) down with it.
+func (s *TCPServer) dispatchRaw(payload []byte) (frame []byte, buf *[]byte) {
 	buf = getScratch()
 	op := payload[0] // frames are never empty: the prefix check rejects length 0
 	frame = append((*buf)[:0], 0, 0, 0, 0, op+1, rawStatusOK, 0, 0)
@@ -189,7 +184,7 @@ func (s *TCPServer) dispatchRaw(payload []byte, prec *ps.Precision) (frame []byt
 	if len(payload) < 4 {
 		return fail(rawStatusErr, fmt.Sprintf("malformed %s request of %d bytes", opName(op), len(payload))), buf
 	}
-	out, err := ops[op].serve(s, prec, payload, frame)
+	out, err := ops[op].serve(s, payload, frame)
 	if err != nil {
 		status := rawStatusErr
 		var oe *OverloadError
@@ -203,23 +198,18 @@ func (s *TCPServer) dispatchRaw(payload []byte, prec *ps.Precision) (frame []byt
 	return out, buf
 }
 
-func (s *TCPServer) serveHello(prec *ps.Precision, payload, frame []byte) ([]byte, error) {
+func (s *TCPServer) serveHello(payload, frame []byte) ([]byte, error) {
 	if len(payload) != 4 {
 		return nil, fmt.Errorf("malformed hello of %d bytes", len(payload))
 	}
 	if payload[1] != rawWireVersion {
 		return nil, fmt.Errorf("peer speaks wire version %d, this shard speaks version %d", payload[1], rawWireVersion)
 	}
-	p := ps.Precision(payload[2])
-	if !p.Valid() {
-		p = ps.PrecisionFP32
-	}
-	*prec = p
-	frame[6], frame[7] = rawWireVersion, byte(p)
+	frame[6] = rawWireVersion
 	return frame, nil
 }
 
-func (s *TCPServer) servePull(prec *ps.Precision, payload, frame []byte) ([]byte, error) {
+func (s *TCPServer) servePull(payload, frame []byte) ([]byte, error) {
 	ks, err := parseRawKeyReq(payload)
 	if err != nil {
 		return nil, err
@@ -227,19 +217,17 @@ func (s *TCPServer) servePull(prec *ps.Precision, payload, frame []byte) ([]byte
 	if h, ok := s.handler.(BlockPullWireHandler); ok {
 		// Zero-intermediate path: the handler encodes its value rows
 		// straight into the outgoing frame.
-		return h.HandlePullBlockWire(ks, frame, *prec)
+		return h.HandlePullBlockWire(ks, frame)
 	}
 	blk := ps.GetBlock(0, nil)
 	defer ps.PutBlock(blk)
 	if err := s.handler.HandlePullBlock(ks, blk); err != nil {
 		return nil, err
 	}
-	return blk.AppendWirePrecision(frame, *prec), nil
+	return blk.AppendWire(frame), nil
 }
 
-// serveLookup answers in fp32 whatever the connection negotiated: lookups
-// feed evaluation and serving, which read the authoritative values.
-func (s *TCPServer) serveLookup(_ *ps.Precision, payload, frame []byte) ([]byte, error) {
+func (s *TCPServer) serveLookup(payload, frame []byte) ([]byte, error) {
 	ks, err := parseRawKeyReq(payload)
 	if err != nil {
 		return nil, err
@@ -261,7 +249,7 @@ func (s *TCPServer) serveLookup(_ *ps.Precision, payload, frame []byte) ([]byte,
 	return blk.AppendWire(frame), nil
 }
 
-func (s *TCPServer) serveEvict(_ *ps.Precision, payload, frame []byte) ([]byte, error) {
+func (s *TCPServer) serveEvict(payload, frame []byte) ([]byte, error) {
 	ks, err := parseRawKeyReq(payload)
 	if err != nil {
 		return nil, err
@@ -302,7 +290,7 @@ func decodeRawBlock(payload []byte) (client, seq uint64, blk *ps.ValueBlock, err
 // stamp. The stamp is recorded before the apply and withdrawn if the apply
 // fails or panics, so the client's retry re-applies the push instead of being
 // acked as a duplicate of an apply that never happened.
-func (s *TCPServer) servePush(_ *ps.Precision, payload, frame []byte) ([]byte, error) {
+func (s *TCPServer) servePush(payload, frame []byte) ([]byte, error) {
 	client, seq, blk, err := decodeRawBlock(payload)
 	if err != nil {
 		return nil, err
@@ -344,7 +332,7 @@ func (s *TCPServer) servePush(_ *ps.Precision, payload, frame []byte) ([]byte, e
 	return frame, nil
 }
 
-func (s *TCPServer) serveTransfer(_ *ps.Precision, payload, frame []byte) ([]byte, error) {
+func (s *TCPServer) serveTransfer(payload, frame []byte) ([]byte, error) {
 	_, _, blk, err := decodeRawBlock(payload)
 	if err != nil {
 		return nil, err
@@ -361,7 +349,7 @@ func (s *TCPServer) serveTransfer(_ *ps.Precision, payload, frame []byte) ([]byt
 	return le.AppendUint64(frame, uint64(n)), nil
 }
 
-func (s *TCPServer) servePredict(_ *ps.Precision, payload, frame []byte) ([]byte, error) {
+func (s *TCPServer) servePredict(payload, frame []byte) ([]byte, error) {
 	req, err := parseRawPredictReq(payload)
 	if err != nil {
 		return nil, err
@@ -377,7 +365,7 @@ func (s *TCPServer) servePredict(_ *ps.Precision, payload, frame []byte) ([]byte
 	return appendRawFloats(frame, scores), nil
 }
 
-func (s *TCPServer) serveStats(_ *ps.Precision, payload, frame []byte) ([]byte, error) {
+func (s *TCPServer) serveStats(payload, frame []byte) ([]byte, error) {
 	if len(payload) != 4 {
 		return nil, fmt.Errorf("stats request of %d bytes", len(payload))
 	}
@@ -392,7 +380,7 @@ func (s *TCPServer) serveStats(_ *ps.Precision, payload, frame []byte) ([]byte, 
 	return append(frame, h.Name()...), nil
 }
 
-func (s *TCPServer) serveMembership(_ *ps.Precision, payload, frame []byte) ([]byte, error) {
+func (s *TCPServer) serveMembership(payload, frame []byte) ([]byte, error) {
 	u, err := parseRawMembership(payload)
 	if err != nil {
 		return nil, err
@@ -404,7 +392,7 @@ func (s *TCPServer) serveMembership(_ *ps.Precision, payload, frame []byte) ([]b
 	return frame, h.HandleMembership(u)
 }
 
-func (s *TCPServer) serveServeConfig(_ *ps.Precision, payload, frame []byte) ([]byte, error) {
+func (s *TCPServer) serveServeConfig(payload, frame []byte) ([]byte, error) {
 	cfg, err := parseRawServeConfig(payload)
 	if err != nil {
 		return nil, err
@@ -416,7 +404,7 @@ func (s *TCPServer) serveServeConfig(_ *ps.Precision, payload, frame []byte) ([]
 	return frame, h.HandleServeConfig(cfg)
 }
 
-func (s *TCPServer) serveServeStats(_ *ps.Precision, payload, frame []byte) ([]byte, error) {
+func (s *TCPServer) serveServeStats(payload, frame []byte) ([]byte, error) {
 	if len(payload) != 4 {
 		return nil, fmt.Errorf("serve-stats request of %d bytes", len(payload))
 	}

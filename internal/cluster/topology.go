@@ -118,16 +118,6 @@ func (t Topology) SplitByNode(ks []keys.Key) [][]keys.Key {
 	return out
 }
 
-// SplitByGPU partitions ks by owning GPU within a node.
-func (t Topology) SplitByGPU(ks []keys.Key) [][]keys.Key {
-	out := make([][]keys.Key, t.GPUsPerNode)
-	for _, k := range ks {
-		g := t.GPUOf(k)
-		out[g] = append(out[g], k)
-	}
-	return out
-}
-
 // PullHandler serves parameter pulls for one node (implemented by the
 // MEM-PS): the values of ks land in dst's flat rows, in request-key order, so
 // a server encodes the whole reply in one pass. The handler owns the
@@ -156,15 +146,14 @@ type BlockPushHandler interface {
 
 // BlockPullWireHandler is the zero-intermediate form of PullHandler: the
 // handler appends the encoded block body for ks (the exact bytes
-// ps.ValueBlock.AppendWirePrecision would produce — ps.AppendWireHeaderPrecision
-// then one ps.AppendWireRowPrecision per requested key, in the connection's
-// negotiated precision) directly onto dst and returns the extended slice. A
-// serving tier that implements it copies (or quantizes) each value row once,
-// from its own storage into the outgoing frame, instead of staging the reply
-// through an intermediate block; the TCP server prefers it for pull-block
-// RPCs.
+// ps.ValueBlock.AppendWire would produce — ps.AppendWireHeader then one
+// ps.AppendWireRow per requested key) directly onto dst and returns the
+// extended slice. A serving tier that implements it copies each value row
+// once, from its own storage into the outgoing frame, instead of staging the
+// reply through an intermediate block; the TCP server prefers it for
+// pull-block RPCs.
 type BlockPullWireHandler interface {
-	HandlePullBlockWire(ks []keys.Key, dst []byte, prec ps.Precision) ([]byte, error)
+	HandlePullBlockWire(ks []keys.Key, dst []byte) ([]byte, error)
 }
 
 // StampedBlockPushHandler is the replication-aware form of BlockPushHandler:
@@ -289,7 +278,7 @@ func (NoRoute) PullBlock(nodeID int, _ []keys.Key, _ *ps.ValueBlock) (int64, err
 	return 0, fmt.Errorf("%w: %d (transport has no routes)", ErrUnknownNode, nodeID)
 }
 
-// rowBytes is the fp32-equivalent payload of n value rows of dimension dim
+// rowBytes is the payload of n value rows of dimension dim
 // with their keys: the model-bytes accounting every transport shares.
 func rowBytes(dim, n int) int64 {
 	return int64(n) * int64(8+embedding.EncodedSize(dim))

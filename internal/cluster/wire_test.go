@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
@@ -285,8 +286,9 @@ func TestForeignPeersCloseCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msg := string(resp[4:]); resp[1] != rawStatusErr || !strings.Contains(msg, "version 3") || !strings.Contains(msg, "version 2") {
-		t.Fatalf("hello refusal = status %d %q, want an error naming versions 3 and 2", resp[1], msg)
+	ours := fmt.Sprintf("version %d", rawWireVersion)
+	if msg := string(resp[4:]); resp[1] != rawStatusErr || !strings.Contains(msg, ours) || !strings.Contains(msg, "version 2") {
+		t.Fatalf("hello refusal = status %d %q, want an error naming versions %d and 2", resp[1], msg, rawWireVersion)
 	}
 	wantClosed(conn)
 
@@ -317,7 +319,7 @@ func TestForeignPeersCloseCleanly(t *testing.T) {
 	tr.SetRetryPolicy(RetryPolicy{Attempts: 2, Backoff: time.Millisecond, RPCTimeout: 5 * time.Second})
 	_, err = tr.PullBlock(0, []keys.Key{1}, ps.NewValueBlock(2))
 	var te *TransportError
-	if !errors.As(err, &te) || !strings.Contains(err.Error(), "version 3") || !strings.Contains(err.Error(), "version 2") {
-		t.Fatalf("dial against a version-2 peer = %v, want a TransportError naming versions 3 and 2", err)
+	if !errors.As(err, &te) || !strings.Contains(err.Error(), ours) || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("dial against a version-2 peer = %v, want a TransportError naming versions %d and 2", err, rawWireVersion)
 	}
 }

@@ -395,7 +395,7 @@ func TestHandlePullBlockWireMatchesBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wire, err := m.HandlePullBlockWire(ks, nil, ps.PrecisionFP32)
+	wire, err := m.HandlePullBlockWire(ks, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestHandlePullBlockWireMatchesBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := multi.HandlePullBlockWire(keysOn(1, 1), nil, ps.PrecisionFP32); err == nil {
+	if _, err := multi.HandlePullBlockWire(keysOn(1, 1), nil); err == nil {
 		t.Fatal("expected foreign-key rejection")
 	}
 }

@@ -378,14 +378,13 @@ func (m *MemPS) HandlePullBlock(ks []keys.Key, dst *ps.ValueBlock) error {
 // HandlePullBlockWire implements cluster.BlockPullWireHandler —
 // HandlePullBlock's contract with the reply encoded straight into the
 // outgoing frame: each served row is copied out of the slab into the MEM-PS's
-// reused serving block and encoded (or quantized, when the connection
-// negotiated a reduced precision) from there into dst's wire bytes, under the
-// MEM-PS lock. No row crosses an embedding.Value or a pooled block on its way
-// to the socket.
-func (m *MemPS) HandlePullBlockWire(ks []keys.Key, dst []byte, prec ps.Precision) ([]byte, error) {
-	out := ps.AppendWireHeaderPrecision(dst, m.cfg.Dim, len(ks), prec)
+// reused serving block and encoded from there into dst's wire bytes, under
+// the MEM-PS lock. No row crosses an embedding.Value or a pooled block on its
+// way to the socket.
+func (m *MemPS) HandlePullBlockWire(ks []keys.Key, dst []byte) ([]byte, error) {
+	out := ps.AppendWireHeader(dst, m.cfg.Dim, len(ks))
 	loadTime, err := m.servePull(ks, func(_ int, src *ps.ValueBlock, j int) {
-		out = ps.AppendWireRowPrecision(out, true, src.Freq[j], src.WeightsRow(j), src.G2Row(j), prec)
+		out = ps.AppendWireRow(out, true, src.Freq[j], src.WeightsRow(j), src.G2Row(j))
 	})
 	if err != nil {
 		return out, err // the caller discards the content, not the buffer

@@ -10,7 +10,6 @@ import (
 
 	"hps/internal/embedding"
 	"hps/internal/keys"
-	"hps/internal/tensor"
 )
 
 // ValueBlock is the flat, reusable representation of a batch of embedding
@@ -279,115 +278,27 @@ func (b *ValueBlock) PresentCount() int {
 }
 
 // Wire layout of a block body (keys travel separately, in the enclosing
-// request): an 8-byte header of dimension, precision and row count, then per
-// row one present byte, the 4-byte frequency, and the two float rows in the
-// header's precision. Encoding is a single append pass — no per-value
-// reflection — which is what lets the cluster transport carry a whole batch
-// in one flat frame.
+// request): an 8-byte header of dimension and row count, then per row one
+// present byte, the 4-byte frequency, and the weight and accumulator rows as
+// float32s. Encoding is a single append pass — no per-value reflection —
+// which is what lets the cluster transport carry a whole batch in one flat
+// frame.
 const wireRowOverhead = 5 // present byte + uint32 freq
 
-// Precision selects the wire encoding of a block body's float rows. It
-// travels in the header's high dimension byte, so the decoder never guesses:
-// a body is self-describing, and PrecisionFP32 bodies are byte-identical to
-// the pre-precision wire format.
-type Precision uint8
-
-const (
-	// PrecisionFP32 sends full float32 rows — bit-exact, the default, and
-	// the only mode the bit-exactness gates (remote-vs-local parity) accept.
-	PrecisionFP32 Precision = iota
-	// PrecisionFP16 sends IEEE-754 binary16 rows (half the row bytes);
-	// values round to nearest even on encode.
-	PrecisionFP16
-	// PrecisionInt8 sends symmetric int8 rows under two per-row float32
-	// scales (weights and accumulators separately) — a quarter of the row
-	// bytes plus 8 bytes per row.
-	PrecisionInt8
-
-	precisionCount
-)
-
-// Valid reports whether p is a defined precision mode.
-func (p Precision) Valid() bool { return p < precisionCount }
-
-// String returns the flag spelling of p.
-func (p Precision) String() string {
-	switch p {
-	case PrecisionFP32:
-		return "fp32"
-	case PrecisionFP16:
-		return "fp16"
-	case PrecisionInt8:
-		return "int8"
-	}
-	return fmt.Sprintf("precision(%d)", uint8(p))
-}
-
-// ParsePrecision parses the flag/config spelling of a precision mode. The
-// empty string is PrecisionFP32.
-func ParsePrecision(s string) (Precision, error) {
-	switch s {
-	case "", "fp32":
-		return PrecisionFP32, nil
-	case "fp16":
-		return PrecisionFP16, nil
-	case "int8":
-		return PrecisionInt8, nil
-	}
-	return 0, fmt.Errorf("ps: unknown wire precision %q (want fp32, fp16 or int8)", s)
-}
-
-// RowBytes returns the encoded size of one row of the given dimension.
-func (p Precision) RowBytes(dim int) int {
-	switch p {
-	case PrecisionFP16:
-		return wireRowOverhead + 4*dim
-	case PrecisionInt8:
-		return wireRowOverhead + 8 + 2*dim
-	}
-	return wireRowOverhead + 8*dim
-}
-
-// WireSize returns the encoded fp32 size of the block body.
-func (b *ValueBlock) WireSize() int {
-	return WireSizeFor(b.Dim, len(b.Keys))
-}
-
-// WireSizeFor returns the encoded size of an fp32 block body of count rows of
-// the given dimension.
-func WireSizeFor(dim, count int) int {
-	return WireSizeForPrecision(dim, count, PrecisionFP32)
-}
-
-// WireSizeForPrecision returns the encoded size of a block body of count rows
-// of the given dimension under precision p.
-func WireSizeForPrecision(dim, count int, p Precision) int {
-	return 8 + count*p.RowBytes(dim)
-}
-
-// AppendWireHeader appends the 8-byte fp32 block-body header. Together with
+// AppendWireHeader appends the 8-byte block-body header. Together with
 // AppendWireRow it lets a serving tier encode rows straight from its own
 // storage into the outgoing frame — no intermediate block, no intermediate
 // embedding.Value — producing exactly the bytes AppendWire would.
 func AppendWireHeader(dst []byte, dim, count int) []byte {
-	return AppendWireHeaderPrecision(dst, dim, count, PrecisionFP32)
-}
-
-// AppendWireHeaderPrecision appends the block-body header declaring precision
-// p. The precision rides in the dimension word's high byte — dimensions are
-// bounded well below it — so a PrecisionFP32 header is bit-identical to the
-// legacy fp32-only header.
-func AppendWireHeaderPrecision(dst []byte, dim, count int, p Precision) []byte {
 	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(dim)|uint32(p)<<24)
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(dim))
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(count))
 	return append(dst, hdr[:]...)
 }
 
-// AppendWireRow appends one encoded fp32 row: present flag, frequency, then
-// the weight and accumulator rows. Every row of a body must carry the same
-// dimension and precision the header declared, or DecodeWire on the far side
-// rejects it.
+// AppendWireRow appends one encoded row: present flag, frequency, then the
+// weight and accumulator rows. Every row of a body must carry the dimension
+// the header declared, or DecodeWire on the far side rejects it.
 func AppendWireRow(dst []byte, present bool, freq uint32, w, g2 []float32) []byte {
 	if present {
 		dst = append(dst, 1)
@@ -408,88 +319,42 @@ func AppendWireRow(dst []byte, present bool, freq uint32, w, g2 []float32) []byt
 	return dst
 }
 
-// AppendWireRowPrecision appends one row encoded under p. For int8 the two
-// per-row scales are derived from the rows' largest magnitudes, so every row
-// uses its full quantization range.
-func AppendWireRowPrecision(dst []byte, present bool, freq uint32, w, g2 []float32, p Precision) []byte {
-	switch p {
-	case PrecisionFP16:
-		if present {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-		var scratch [4]byte
-		binary.LittleEndian.PutUint32(scratch[:], freq)
-		dst = append(dst, scratch[:]...)
-		dst = tensor.AppendF16(dst, w)
-		return tensor.AppendF16(dst, g2)
-	case PrecisionInt8:
-		if present {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-		var scratch [4]byte
-		binary.LittleEndian.PutUint32(scratch[:], freq)
-		dst = append(dst, scratch[:]...)
-		scaleW := tensor.MaxAbs(w) / 127
-		scaleG := tensor.MaxAbs(g2) / 127
-		binary.LittleEndian.PutUint32(scratch[:], math.Float32bits(scaleW))
-		dst = append(dst, scratch[:]...)
-		binary.LittleEndian.PutUint32(scratch[:], math.Float32bits(scaleG))
-		dst = append(dst, scratch[:]...)
-		dst = tensor.AppendI8(dst, scaleW, w)
-		return tensor.AppendI8(dst, scaleG, g2)
-	}
-	return AppendWireRow(dst, present, freq, w, g2)
-}
-
-// AppendWire appends the fp32 block body to dst and returns the extended
-// slice.
+// AppendWire appends the block body to dst and returns the extended slice.
 func (b *ValueBlock) AppendWire(dst []byte) []byte {
-	return b.AppendWirePrecision(dst, PrecisionFP32)
-}
-
-// AppendWirePrecision appends the block body encoded under p.
-func (b *ValueBlock) AppendWirePrecision(dst []byte, p Precision) []byte {
-	dst = AppendWireHeaderPrecision(dst, b.Dim, len(b.Keys), p)
+	dst = AppendWireHeader(dst, b.Dim, len(b.Keys))
 	for i := range b.Keys {
-		dst = AppendWireRowPrecision(dst, b.Present[i], b.Freq[i], b.WeightsRow(i), b.G2Row(i), p)
+		dst = AppendWireRow(dst, b.Present[i], b.Freq[i], b.WeightsRow(i), b.G2Row(i))
 	}
 	return dst
 }
 
 // maxWireDim bounds the dimension a decoded header may claim, so a corrupt
-// or hostile payload cannot make DecodeWire allocate unbounded rows. It also
-// keeps the dimension word's high byte free for the precision tag.
+// or hostile payload cannot make DecodeWire allocate unbounded rows.
 const maxWireDim = 1 << 16
 
-// DecodeWire parses a block body produced by AppendWire(Precision) into b,
-// dequantizing compressed rows to float32 — the header says which codec was
-// used, so one decoder serves every negotiated mode. The rows are bound to
-// ks — the keys the requester asked for — which must match the encoded row
-// count. The payload may come from a hostile peer; DecodeWire validates the
-// precision tag and every length before touching it.
+// DecodeWire parses a block body produced by AppendWire into b. The rows are
+// bound to ks — the keys the requester asked for — which must match the
+// encoded row count. The payload may come from a hostile peer; DecodeWire
+// validates every length before touching it.
 func (b *ValueBlock) DecodeWire(ks []keys.Key, payload []byte) error {
 	if len(payload) < 8 {
 		return fmt.Errorf("ps: block body too short: %d bytes", len(payload))
 	}
 	word := binary.LittleEndian.Uint32(payload[0:4])
-	prec := Precision(word >> 24)
-	dim := int(word & 0xffffff)
-	count := int(binary.LittleEndian.Uint32(payload[4:8]))
-	if !prec.Valid() {
-		return fmt.Errorf("ps: block precision %d unknown", uint8(prec))
+	// Wire version 3 tagged its fp16 (1) and int8 (2) bodies in the
+	// dimension word's high byte; rows are fp32 only now.
+	if tag := word >> 24; tag != 0 {
+		return fmt.Errorf("ps: block header carries row encoding tag %d (a wire v3 fp16 or int8 body); only fp32 rows are decoded", tag)
 	}
-	if dim < 0 || dim > maxWireDim {
+	dim := int(word)
+	count := int(binary.LittleEndian.Uint32(payload[4:8]))
+	if dim > maxWireDim {
 		return fmt.Errorf("ps: block dimension %d out of range", dim)
 	}
 	if count != len(ks) {
 		return fmt.Errorf("ps: block has %d rows for %d keys", count, len(ks))
 	}
-	rowBytes := prec.RowBytes(dim)
-	if want := 8 + count*rowBytes; len(payload) != want {
+	if want := 8 + count*(wireRowOverhead+8*dim); len(payload) != want {
 		return fmt.Errorf("ps: block body is %d bytes, want %d", len(payload), want)
 	}
 	b.Reset(dim, ks)
@@ -499,30 +364,14 @@ func (b *ValueBlock) DecodeWire(ks []keys.Key, payload []byte) error {
 		b.Freq[i] = binary.LittleEndian.Uint32(payload[off+1 : off+5])
 		off += wireRowOverhead
 		w := b.WeightsRow(i)
+		for j := range w {
+			w[j] = math.Float32frombits(binary.LittleEndian.Uint32(payload[off : off+4]))
+			off += 4
+		}
 		g := b.G2Row(i)
-		switch prec {
-		case PrecisionFP16:
-			tensor.DecodeF16(w, payload[off:off+2*dim])
-			off += 2 * dim
-			tensor.DecodeF16(g, payload[off:off+2*dim])
-			off += 2 * dim
-		case PrecisionInt8:
-			scaleW := math.Float32frombits(binary.LittleEndian.Uint32(payload[off : off+4]))
-			scaleG := math.Float32frombits(binary.LittleEndian.Uint32(payload[off+4 : off+8]))
-			off += 8
-			tensor.DecodeI8(w, scaleW, payload[off:off+dim])
-			off += dim
-			tensor.DecodeI8(g, scaleG, payload[off:off+dim])
-			off += dim
-		default:
-			for j := 0; j < dim; j++ {
-				w[j] = math.Float32frombits(binary.LittleEndian.Uint32(payload[off : off+4]))
-				off += 4
-			}
-			for j := 0; j < dim; j++ {
-				g[j] = math.Float32frombits(binary.LittleEndian.Uint32(payload[off : off+4]))
-				off += 4
-			}
+		for j := range g {
+			g[j] = math.Float32frombits(binary.LittleEndian.Uint32(payload[off : off+4]))
+			off += 4
 		}
 	}
 	return nil

@@ -1,8 +1,10 @@
 package ps
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"hps/internal/embedding"
@@ -131,9 +133,9 @@ func TestWireRowHelpersMatchAppendWire(t *testing.T) {
 	for i := range b.Keys {
 		got = AppendWireRow(got, b.Present[i], b.Freq[i], b.WeightsRow(i), b.G2Row(i))
 	}
-	if len(got) != len(want) || len(got) != WireSizeFor(b.Dim, b.Len()) {
-		t.Fatalf("sizes disagree: helpers %d, AppendWire %d, WireSizeFor %d",
-			len(got), len(want), WireSizeFor(b.Dim, b.Len()))
+	if len(got) != len(want) || len(got) != 8+b.Len()*(5+8*b.Dim) {
+		t.Fatalf("sizes disagree: helpers %d, AppendWire %d, layout %d",
+			len(got), len(want), 8+b.Len()*(5+8*b.Dim))
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -181,8 +183,8 @@ func TestBlockWireRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 9} {
 		src := testBlock(t, 6, n)
 		payload := src.AppendWire(nil)
-		if len(payload) != src.WireSize() {
-			t.Fatalf("n=%d: encoded %d bytes, WireSize says %d", n, len(payload), src.WireSize())
+		if want := 8 + n*(5+8*src.Dim); len(payload) != want {
+			t.Fatalf("n=%d: encoded %d bytes, want %d", n, len(payload), want)
 		}
 		dst := NewValueBlock(0)
 		if err := dst.DecodeWire(src.Keys, payload); err != nil {
@@ -230,6 +232,26 @@ func TestBlockDecodeWireRejectsHostilePayloads(t *testing.T) {
 	if err := dst.DecodeWire(src.Keys, huge); err == nil {
 		t.Fatal("absurd dimension decoded without error")
 	}
+	// Wire version 3 bodies tagged fp16 (1) and int8 (2) rows in the
+	// dimension word's high byte; both are refused by their tag, before any
+	// length check could mistake them for a short fp32 body.
+	for tag, name := range map[byte]string{1: "fp16", 2: "int8"} {
+		v3 := v3WireBody(src, tag)
+		err := dst.DecodeWire(src.Keys, v3)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("row encoding tag %d", tag)) {
+			t.Errorf("v3 %s body: DecodeWire error %v, want a refusal naming tag %d", name, err, tag)
+		}
+	}
+}
+
+// v3WireBody returns a wire version 3 body of blk's shape whose rows carry
+// the given encoding tag (1 fp16, 2 int8): the tagged header, then zeroed
+// rows of the size that encoding gave them.
+func v3WireBody(blk *ValueBlock, tag byte) []byte {
+	rowBytes := map[byte]int{1: 5 + 4*blk.Dim, 2: 5 + 8 + 2*blk.Dim}[tag]
+	body := AppendWireHeader(nil, blk.Dim, blk.Len())
+	body[3] = tag
+	return append(body, make([]byte, blk.Len()*rowBytes)...)
 }
 
 func TestBlockScatterDropsUnrequestedKeys(t *testing.T) {

@@ -254,15 +254,13 @@ type RemoteNetReport struct {
 	// parameters they moved.
 	Pulls, Pushes          int64
 	KeysPulled, KeysPushed int64
-	// PayloadBytes is the fp32-equivalent payload volume of the parameter
-	// RPCs — the bytes the run would have moved without quantization.
+	// PayloadBytes is the payload volume of the parameter RPCs: keys and
+	// value rows.
 	PayloadBytes int64
 	// WireBytes counts the bytes that actually crossed the sockets (frame
-	// headers included, rows possibly quantized). Comparing it with
-	// PayloadBytes shows the quantization saving.
+	// headers, presence bytes and every RPC included). Comparing it with
+	// PayloadBytes shows the wire's overhead.
 	WireBytes int64
-	// Precision names the negotiated on-wire row encoding (fp32/fp16/int8).
-	Precision string
 	// PullWall / PushWall are cumulative wall-clock times of the RPCs (the
 	// real network component of the batch breakdown).
 	PullWall, PushWall time.Duration

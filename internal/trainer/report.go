@@ -220,10 +220,6 @@ func (t *Trainer) Report() Report {
 		ts := t.remote.Stats()
 		rr.Calls, rr.Retries, rr.Redials = ts.Calls, ts.Retries, ts.Redials
 		rr.WireBytes = ts.WireOut + ts.WireIn
-		rr.Precision = t.remote.WirePrecision().String()
-		if t.cfg.QuantizePush {
-			rr.Precision += "+push"
-		}
 		r.Remote = rr
 	}
 	return r
@@ -285,16 +281,12 @@ func (r Report) String() string {
 	fmt.Fprintf(&b, "  %d MEM-PS shard process(es): pulls %d (%d keys, %v)   pushes %d (%d keys, %v)\n",
 		rr.Shards, rr.Pulls, rr.KeysPulled, rr.PullWall.Round(time.Microsecond),
 		rr.Pushes, rr.KeysPushed, rr.PushWall.Round(time.Microsecond))
-	fmt.Fprintf(&b, "  payload %.2f MiB (fp32-equivalent)   rpcs %d   retries %d   reconnects %d\n",
+	fmt.Fprintf(&b, "  payload %.2f MiB   rpcs %d   retries %d   reconnects %d\n",
 		float64(rr.PayloadBytes)/(1<<20), rr.Calls, rr.Retries, rr.Redials)
-	if rr.WireBytes > 0 && r.Batches > 0 {
-		perBatch := float64(rr.WireBytes) / float64(r.Batches)
-		line := fmt.Sprintf("  wire %.2f MiB on the socket (%s rows, %.1f KiB/batch)",
-			float64(rr.WireBytes)/(1<<20), rr.Precision, perBatch/(1<<10))
-		if rr.PayloadBytes > rr.WireBytes {
-			line += fmt.Sprintf("   %.2fx smaller than fp32 payload", float64(rr.PayloadBytes)/float64(rr.WireBytes))
-		}
-		b.WriteString(line + "\n")
+	if rr.WireBytes > 0 && r.Batches > 0 && rr.PayloadBytes > 0 {
+		fmt.Fprintf(&b, "  wire %.2f MiB on the socket (%.1f KiB/batch, %.2fx the payload)\n",
+			float64(rr.WireBytes)/(1<<20), float64(rr.WireBytes)/float64(r.Batches)/(1<<10),
+			float64(rr.WireBytes)/float64(rr.PayloadBytes))
 	}
 	return b.String()
 }

@@ -133,17 +133,11 @@ type Config struct {
 	// RemoteRetry overrides the TCP transport's retry policy in
 	// multi-process mode; the zero value keeps the default.
 	RemoteRetry cluster.RetryPolicy
-	// WirePrecision selects the on-wire embedding row encoding in
-	// multi-process mode: "fp32" (the default, bit-exact), "fp16", or "int8"
-	// (quantized, smaller frames, approximate values).
+	// WirePrecision names the on-wire row encoding. The wire carries fp32
+	// rows only, so New accepts "" or "fp32" and refuses anything else. The
+	// field remains only because the benchmark's workloads
+	// (bench/workloads.go) set it; it goes with them.
 	WirePrecision string
-	// QuantizePush additionally encodes push deltas at WirePrecision instead
-	// of fp32 — the full-compression mode. Pull-side quantization error is
-	// self-correcting (the next delta is computed against the values the
-	// trainer actually loaded), while a quantized delta perturbs the
-	// authoritative copies directly, so this is a separate opt-in; the
-	// quantized-wire AUC-parity test gates both modes.
-	QuantizePush bool
 	// Serve activates the shard servers' online-serving tier (multi-process
 	// mode only): the trainer publishes the peer address map and the dense
 	// tower to every shard at startup, then republishes the dense parameters
@@ -329,6 +323,9 @@ func New(cfg Config) (*Trainer, error) {
 	if cfg.Spec.EmbeddingDim <= 0 {
 		return nil, fmt.Errorf("trainer: model spec has no embedding dimension")
 	}
+	if cfg.WirePrecision != "" && cfg.WirePrecision != "fp32" {
+		return nil, fmt.Errorf("trainer: wire precision %q is not spoken; the wire carries fp32 rows only", cfg.WirePrecision)
+	}
 	if err := cfg.Topology.Validate(); err != nil {
 		return nil, err
 	}
@@ -381,12 +378,6 @@ func New(cfg Config) (*Trainer, error) {
 		if cfg.RemoteRetry.Attempts > 0 {
 			t.remote.SetRetryPolicy(cfg.RemoteRetry)
 		}
-		prec, err := ps.ParsePrecision(cfg.WirePrecision)
-		if err != nil {
-			return nil, fmt.Errorf("trainer: %w", err)
-		}
-		t.remote.SetWirePrecision(prec)
-		t.remote.SetPushQuantization(cfg.QuantizePush)
 		t.remoteNet = &remoteNet{}
 		t.owners = t.newRemoteShards(nil, cfg.Topology.MemberIDs())
 	}

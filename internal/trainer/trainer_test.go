@@ -3,6 +3,7 @@ package trainer
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -61,7 +62,12 @@ func TestNewValidation(t *testing.T) {
 		Topology: cluster.Topology{Nodes: 2, GPUsPerNode: 1, Replicas: 2}}); err == nil {
 		t.Fatal("in-process replicas should fail")
 	}
-	tr, err := New(Config{Spec: testSpec(), Data: testData(), Batches: 1})
+	// The wire carries fp32 rows only; another encoding is refused by name.
+	if _, err := New(Config{Spec: testSpec(), Data: testData(), Batches: 1, WirePrecision: "int8"}); err == nil ||
+		!strings.Contains(err.Error(), `"int8"`) {
+		t.Fatalf("wire precision int8: %v, want a refusal naming it", err)
+	}
+	tr, err := New(Config{Spec: testSpec(), Data: testData(), Batches: 1, WirePrecision: "fp32"})
 	if err != nil {
 		t.Fatal(err)
 	}
