@@ -57,38 +57,6 @@ func BenchmarkLoadWorkingSet(b *testing.B) {
 	}
 }
 
-// BenchmarkPullPush measures one GPU worker's per-example hot path: pull the
-// example's embeddings (local and NVLink-remote) and push the gradients back
-// through the sparse optimizer.
-func BenchmarkPullPush(b *testing.B) {
-	h := benchHBM(b, 4)
-	ws := benchWorkingSet(8192)
-	if err := h.LoadBlock(ws); err != nil {
-		b.Fatal(err)
-	}
-	defer h.Release()
-	all := ws.Keys
-	const nnz = 100
-	feats := all[:nnz]
-	blk := ps.NewValueBlock(8)
-	grad := make([]float32, 8)
-	grad[0] = 0.1
-	opt := optimizer.Adagrad{LR: 0.05, InitialAccumulator: 0.1}
-	grads := make(map[keys.Key][]float32, nnz)
-	for _, k := range feats {
-		grads[k] = grad
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := h.PullInto(ps.PullRequest{Shard: i % 4, Keys: feats}, blk); err != nil {
-			b.Fatal(err)
-		}
-		if err := h.PushGrads(i%4, grads, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchCollectSetup loads a working set of n keys and trains a quarter of
 // them so a collect sees a realistic mix of changed and untouched rows.
 func benchCollectSetup(b *testing.B, n int) *HBMPS {
@@ -102,11 +70,16 @@ func benchCollectSetup(b *testing.B, n int) *HBMPS {
 	grad := make([]float32, 8)
 	grad[0] = 0.1
 	opt := optimizer.Adagrad{LR: 0.05, InitialAccumulator: 0.1}
-	grads := make(map[keys.Key][]float32, n/4)
-	for _, k := range all[:n/4] {
-		grads[k] = grad
+	work, orig := ps.NewValueBlock(8), ps.NewValueBlock(8)
+	if err := h.PullInto(ps.PullRequest{Shard: 0, Keys: all[:n/4]}, work); err != nil {
+		b.Fatal(err)
 	}
-	if err := h.PushGrads(0, grads, opt); err != nil {
+	orig.CopyFrom(work)
+	for row := range work.Keys {
+		opt.ApplySparse(work.WeightsRow(row), work.G2Row(row), grad)
+		work.Freq[row]++
+	}
+	if err := h.CommitBlock(0, orig, work); err != nil {
 		b.Fatal(err)
 	}
 	return h
@@ -129,11 +102,10 @@ func BenchmarkCollectBlock(b *testing.B) {
 	}
 }
 
-// BenchmarkPullCommitBlock measures the batched replacement of the
-// BenchmarkPullPush cycle: one block pull of the mini-batch's key set into a
-// reused ValueBlock, the sparse optimizer applied to the block in place, and
-// one block commit — what a GPU worker now does once per mini-batch instead
-// of once per example.
+// BenchmarkPullCommitBlock measures a GPU worker's parameter cycle: one
+// block pull of the mini-batch's key set into a reused ValueBlock, one sparse
+// optimizer step per row in place, and one block commit — once per
+// mini-batch.
 func BenchmarkPullCommitBlock(b *testing.B) {
 	h := benchHBM(b, 4)
 	ws := benchWorkingSet(8192)

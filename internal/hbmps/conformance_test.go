@@ -59,11 +59,17 @@ func TestCollectAgrees(t *testing.T) {
 	opt := optimizer.Adagrad{LR: 0.05, InitialAccumulator: 0.1}
 	grad := make([]float32, dim)
 	grad[0], grad[dim-1] = 0.5, -0.25
-	grads := make(map[keys.Key][]float32)
-	for i := 0; i < n/3; i++ {
-		grads[ks[i]] = grad
+	work := ps.NewValueBlock(dim)
+	if err := h.PullInto(ps.PullRequest{Shard: 0, Keys: ks[:n/3]}, work); err != nil {
+		t.Fatal(err)
 	}
-	if err := h.PushGrads(0, grads, opt); err != nil {
+	before := ps.NewValueBlock(dim)
+	before.CopyFrom(work)
+	for i := range work.Keys {
+		opt.ApplySparse(work.WeightsRow(i), work.G2Row(i), grad)
+		work.Freq[i]++
+	}
+	if err := h.CommitBlock(0, before, work); err != nil {
 		t.Fatal(err)
 	}
 	freqOnly := ps.NewValueBlock(dim)

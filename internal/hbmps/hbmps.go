@@ -22,12 +22,12 @@
 // The owning GPU of a position is its partition's range, so no key is hashed
 // after LoadBlock.
 //
-// The hot path is batched: workers pull a whole mini-batch's unique keys at
-// once with PullInto, train against the flat block, and write the result back
-// with one CommitBlock — the per-example PushGrads remains as the reference
-// path. Each batched call is one pass over its keys under one working-set
-// lock, shared by pulls and exclusive for writes. Stage-in (LoadBlock) and stage-out (CollectBlock) run one
-// pass per GPU concurrently, as Algorithm 1 has every GPU load its own
+// Workers move parameters in batches only: a worker pulls its whole
+// mini-batch's unique keys at once with PullInto, trains against the flat
+// block, and writes the result back with one CommitBlock. Each batched call
+// is one pass over its keys under one working-set lock, shared by pulls and
+// exclusive for writes. Stage-in (LoadBlock) and stage-out (CollectBlock) run
+// one pass per GPU concurrently, as Algorithm 1 has every GPU load its own
 // partition. The slabs are recycled across batches, so steady-state loads
 // allocate nothing.
 package hbmps
@@ -43,7 +43,6 @@ import (
 	"hps/internal/hw"
 	"hps/internal/interconnect"
 	"hps/internal/keys"
-	"hps/internal/optimizer"
 	"hps/internal/ps"
 	"hps/internal/simtime"
 )
@@ -161,15 +160,6 @@ func (h *HBMPS) Devices() []*gpu.Device { return h.devices }
 // gpuOf returns the GPU that owns key k under the hash partition policy of
 // Section 4.1 / Appendix C.1.
 func (h *HBMPS) gpuOf(k keys.Key) int { return k.HashShard(len(h.devices)) }
-
-// ownerOf returns the GPU whose partition holds position p.
-func (h *HBMPS) ownerOf(p int) int {
-	g := 0
-	for p >= h.off[g+1] {
-		g++
-	}
-	return g
-}
 
 // cursor resolves request keys to working-set positions. No row before at is
 // above the previous key (at is one past its row when it was found), so a
@@ -428,49 +418,6 @@ func (h *HBMPS) PullInto(req ps.PullRequest, dst *ps.ValueBlock) error {
 // per-component statistics without double charging the clock.
 func nvlinkTime(cfg Config, bytes int64) time.Duration {
 	return cfg.NVLink.TransferTime(bytes)
-}
-
-// PushGrads applies per-parameter gradients produced by a worker on gpuID
-// (Algorithm 1 line 14, Algorithm 2). Gradients for parameters owned by other
-// GPUs are sent over NVLink; the owning GPU applies the sparse optimizer to
-// its entry under the working-set lock (the analogue of the GPU atomic
-// update). It is the per-example reference path; its map order resolves
-// each key by binary search.
-func (h *HBMPS) PushGrads(gpuID int, grads map[keys.Key][]float32, opt optimizer.Sparse) error {
-	if gpuID < 0 || gpuID >= len(h.devices) {
-		return fmt.Errorf("hbmps: invalid gpu id %d", gpuID)
-	}
-	if opt == nil {
-		return errors.New("hbmps: nil sparse optimizer")
-	}
-	h.rw.Lock()
-	defer h.rw.Unlock()
-	var localBytes, remoteBytes int64
-	valueBytes := int64(4 * h.cfg.Dim)
-	c, cur := h.cursor(), &h.cur
-	for k, grad := range grads {
-		p, ok := c.position(k)
-		if !ok || !cur.Present[p] {
-			return fmt.Errorf("hbmps: push key %d not in the working set", k)
-		}
-		opt.ApplySparse(cur.WeightsRow(p), cur.G2Row(p), grad)
-		cur.Freq[p]++
-		if h.ownerOf(p) == gpuID {
-			localBytes += valueBytes
-		} else {
-			remoteBytes += valueBytes
-		}
-	}
-	h.devices[gpuID].ChargeMemory(localBytes)
-	if h.cfg.Fabric != nil && remoteBytes > 0 {
-		h.cfg.Fabric.NVLink(remoteBytes)
-	}
-	pushTime := h.cfg.GPUProfile.MemoryTime(localBytes)
-	if remoteBytes > 0 {
-		pushTime += nvlinkTime(h.cfg, remoteBytes)
-	}
-	h.rec.RecordPush(len(grads), pushTime)
-	return nil
 }
 
 // Name implements ps.Tier.

@@ -211,12 +211,31 @@ func TestPullReturnsCopies(t *testing.T) {
 	}
 }
 
+// train is one GPU worker's mini-batch as the trainer runs it: pull ks on
+// gpuID, apply opt to every pulled row with gradient grad, count the row's
+// use, and commit the block.
+func train(h *HBMPS, gpuID int, ks []keys.Key, opt optimizer.Sparse, grad []float32) error {
+	work, err := pull(h, gpuID, ks)
+	if err != nil {
+		return err
+	}
+	orig := ps.NewValueBlock(h.cfg.Dim)
+	orig.CopyFrom(work)
+	for i := range ks {
+		opt.ApplySparse(work.WeightsRow(i), work.G2Row(i), grad)
+		work.Freq[i]++
+	}
+	return h.CommitBlock(gpuID, orig, work)
+}
+
+// TestPushAppliesOptimizer: a worker's commit — the HBM-PS push of
+// Algorithm 1 line 14 — stores the optimizer's step and the use count, is
+// accounted as push time, and refuses a GPU the node does not have.
 func TestPushAppliesOptimizer(t *testing.T) {
 	h, _ := New(testConfig(2))
 	h.LoadBlock(workingSet(10))
 	before, _ := pull(h, 0, []keys.Key{3})
-	grads := map[keys.Key][]float32{3: {1, 0, 0, 0}}
-	if err := h.PushGrads(0, grads, optimizer.SGD{LR: 0.5}); err != nil {
+	if err := train(h, 0, []keys.Key{3}, optimizer.SGD{LR: 0.5}, []float32{1, 0, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := pull(h, 0, []keys.Key{3})
@@ -230,18 +249,13 @@ func TestPushAppliesOptimizer(t *testing.T) {
 	if h.Stats().PushTime <= 0 {
 		t.Fatal("push time should be accounted")
 	}
-	// Error cases.
-	if err := h.PushGrads(99, grads, optimizer.SGD{LR: 1}); err == nil {
+	if err := h.CommitBlock(99, before, after); err == nil {
 		t.Fatal("invalid gpu id should fail")
-	}
-	if err := h.PushGrads(0, grads, nil); err == nil {
-		t.Fatal("nil optimizer should fail")
-	}
-	if err := h.PushGrads(0, map[keys.Key][]float32{999: {1, 1, 1, 1}}, optimizer.SGD{LR: 1}); err == nil {
-		t.Fatal("missing key should fail")
 	}
 }
 
+// TestPushConcurrentWorkers: workers on every GPU commit the same keys
+// concurrently, and no update is lost.
 func TestPushConcurrentWorkers(t *testing.T) {
 	h, _ := New(testConfig(4))
 	h.LoadBlock(workingSet(50))
@@ -253,8 +267,7 @@ func TestPushConcurrentWorkers(t *testing.T) {
 		go func(gpuID int) {
 			defer wg.Done()
 			for i := 0; i < steps; i++ {
-				grads := map[keys.Key][]float32{keys.Key(i % 50): {1, 0, 0, 0}}
-				if err := h.PushGrads(gpuID%4, grads, optimizer.SGD{LR: 1}); err != nil {
+				if err := train(h, gpuID%4, []keys.Key{keys.Key(i % 50)}, optimizer.SGD{LR: 1}, []float32{1, 0, 0, 0}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -277,7 +290,9 @@ func TestPushConcurrentWorkers(t *testing.T) {
 func TestCollectUpdatesOnlyChanged(t *testing.T) {
 	h, _ := New(testConfig(2))
 	h.LoadBlock(workingSet(20))
-	h.PushGrads(0, map[keys.Key][]float32{5: {2, 0, 0, 0}}, optimizer.SGD{LR: 1})
+	if err := train(h, 0, []keys.Key{5}, optimizer.SGD{LR: 1}, []float32{2, 0, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
 	updates := collect(h)
 	if len(updates) != 1 {
 		t.Fatalf("expected 1 changed parameter, got %d", len(updates))

@@ -9,17 +9,16 @@ import (
 	"hps/internal/tensor"
 )
 
-// CommitBlock writes back one GPU worker's trained mini-batch: orig is the
-// block PullInto filled at batch start and final the same block after the
-// worker applied the sparse optimizer example by example. Each stored value
+// CommitBlock writes back one GPU worker's trained mini-batch (Algorithm 1
+// line 14): orig is the block PullInto filled at batch start and final the
+// same block after the worker's sparse optimizer step. Each stored value
 // becomes final + (stored - orig) — exactly final when no other worker
 // touched the key (stored == orig bit-for-bit, so the correction term is an
 // exact zero), and the base value plus both workers' contributions when
-// example shards share hot keys within a batch. One CommitBlock replaces the
-// per-example PushGrads calls of the mini-batch. The keys are written in one
-// merge pass under the working set's write lock, taken once per commit; a
-// key missing from the working set fails the commit after every present key
-// has been written.
+// example shards share hot keys within a batch. Rows owned by another GPU
+// move over NVLink. The keys are written in one merge pass under the working
+// set's write lock, taken once per commit; a key missing from the working set
+// fails the commit after every present key has been written.
 func (h *HBMPS) CommitBlock(gpuID int, orig, final *ps.ValueBlock) error {
 	if gpuID < 0 || gpuID >= len(h.devices) {
 		return fmt.Errorf("hbmps: invalid gpu id %d", gpuID)

@@ -133,7 +133,7 @@ func (l *LogLossAccumulator) Add(p, y float64) {
 
 // Merge moves everything recorded in other into l, leaving other empty: a
 // worker records into its own accumulator and folds it into the shared one
-// once per commit instead of contending on the shared mutex per example. l's
+// once per shard instead of contending on the shared mutex per example. l's
 // Mean and Count then read as if every Add had been made on l directly.
 func (l *LogLossAccumulator) Merge(other *LogLossAccumulator) {
 	other.mu.Lock()

@@ -11,15 +11,17 @@
 //
 // ReLU zeroes about half of each hidden layer's units, and every pass skips
 // them. Forward lists each layer input's non-zero units as it applies ReLU
-// and multiplies only those columns; the backward passes carry the loss
-// gradient as its non-zero rows and multiply only those.
+// and multiplies only those columns; Backward carries the loss gradient as its
+// non-zero rows, propagates it only into the units Forward listed (ReLU's
+// derivative zeroes the rest) and accumulates each layer's weight gradient
+// over those rows and listed columns only — bit for bit the materialized
+// gradient, whose skipped terms are all exact zeros.
 //
-// There are two ways to take a training step. Forward + Backward + Apply is
-// the reference: it materializes the dense gradient and hands it to any
-// optimizer.Dense. Forward + BackwardApply is what the trainer runs: one fused
-// pass under Adagrad that never builds the gradient, computes a hidden
-// layer's input gradient only on the units ReLU kept and touches only the
-// coordinates whose gradient is non-zero, bit-identical to the reference.
+// A training step is mini-batch: Forward + Backward per example accumulate the
+// dense gradient into a Gradients, and one Apply per batch hands the sum to
+// the optimizer. Forward and Backward only read the Network, so any number of
+// workers may run them against one Network, each with its own Activations and
+// Gradients, as long as nothing Applies meanwhile.
 package nn
 
 import (
@@ -47,9 +49,8 @@ type layer struct {
 }
 
 // Network is a feed-forward network with ReLU hidden layers and a single
-// logistic output. It is not safe for concurrent use; each GPU worker holds
-// its own replica (the paper pins dense parameters in every GPU's HBM,
-// Appendix C.4).
+// logistic output. Forward and Backward read it and may run concurrently;
+// Apply, SetParams and the other writers need the caller's exclusion.
 type Network struct {
 	cfg    Config
 	layers []layer
@@ -106,16 +107,15 @@ type Activations struct {
 	values [][]float32
 	// nz[i] lists, ascending, the units j of layer i's input with
 	// values[i][j] != 0, and kept[i] holds their values, gathered. Forward
-	// writes them; the products and the rank-1 update read only these.
+	// writes them; the products and the weight gradients read only these.
 	nz   [][]int32
 	kept [][]float32
 	// rows and coef carry a layer's output gradient as its non-zero rows and
 	// their values.
 	rows []int32
 	coef []float32
-	// deltas are the backward passes' per-layer gradient buffers, allocated
-	// lazily (a forward-only caller never needs them) and reused across
-	// examples.
+	// deltas are Backward's per-layer gradient buffers, allocated lazily (a
+	// forward-only caller never needs them) and reused across examples.
 	deltas [][]float32
 }
 
@@ -185,8 +185,9 @@ func (n *Network) Forward(acts *Activations) float32 {
 	return tensor.Sigmoid(acts.values[last+1][0])
 }
 
-// Gradients holds the materialized dense-parameter gradient of the reference
-// step: Backward accumulates into it and Apply hands it to the optimizer.
+// Gradients holds a materialized dense-parameter gradient: Backward
+// accumulates into it, example by example, and Apply hands it to the
+// optimizer.
 type Gradients struct {
 	w []*tensor.Matrix
 	b [][]float32
@@ -212,51 +213,27 @@ func (g *Gradients) Zero() {
 	}
 }
 
+// Add accumulates other, a gradient of the same network shape, into g.
+func (g *Gradients) Add(other *Gradients) {
+	for i := range g.w {
+		tensor.Add(other.w[i].Data, g.w[i].Data)
+		tensor.Add(other.b[i], g.b[i])
+	}
+}
+
 // Backward computes gradients of the log-loss at (pred, label) for the
 // forward pass recorded in acts, accumulates dense gradients into g, and
 // returns the gradient with respect to the network input (the pooled
-// embedding). The returned slice is backed by acts' reusable scratch: it
-// stays valid until the next Backward call on the same Activations, so the
-// per-example hot path allocates nothing.
+// embedding). Layer by layer, top down, it carries delta as its non-zero rows,
+// adds the layer's weight gradient delta ⊗ in over those rows and the columns
+// Forward listed, and propagates delta through the layer's weights — on a
+// hidden layer only into the listed units, because ReLU's derivative zeroes
+// the rest. Every term it skips is an exact zero, so g and the returned
+// gradient are bit for bit the dense computation's. The returned slice is
+// backed by acts' reusable scratch: it stays valid until the next Backward
+// call on the same Activations, so the per-example hot path allocates nothing.
 func (n *Network) Backward(acts *Activations, pred, label float32, g *Gradients) []float32 {
 	// dL/dlogit for sigmoid + cross-entropy is (pred - label).
-	delta := acts.deltaBuf(len(n.layers), 1)
-	delta[0] = pred - label
-	for i := len(n.layers) - 1; i >= 0; i-- {
-		l := n.layers[i]
-		in := acts.values[i]
-		// Accumulate weight and bias gradients.
-		tensor.OuterAccum(g.w[i], delta, in)
-		tensor.Axpy(1, delta, g.b[i])
-		// Propagate to every column of the layer input through delta's
-		// non-zero rows (MatTVecRows overwrites the buffer).
-		rows, coef := tensor.NonZero(delta, acts.rows, acts.coef)
-		prev := acts.deltaBuf(i, l.w.Cols)
-		tensor.MatTVecRows(l.w, rows, coef, prev)
-		if i > 0 {
-			// The stored activation of the previous hidden layer is
-			// post-ReLU; zero gradient where the activation was clipped.
-			tensor.ReLUGrad(in, prev)
-		}
-		delta = prev
-	}
-	return delta
-}
-
-// BackwardApply is Backward followed by Apply under Adagrad, fused into one
-// pass that never materializes the gradient: it updates the parameters and
-// state in place and returns the gradient with respect to the network input,
-// backed by acts' scratch like Backward's. Layer by layer, top down, it
-// carries delta as its non-zero rows and propagates it through the layer's
-// weights as they were before this example's update (exactly what Backward
-// reads, since there Apply runs after every layer's Backward) — on a hidden
-// layer only into the units Forward listed, because ReLU's derivative zeroes
-// the rest — and then applies the layer's rank-1 weight gradient delta ⊗ in
-// over those rows and the listed columns of in: under Adagrad a zero gradient
-// changes nothing. Parameters, state (given NewDenseState's initialization)
-// and the returned gradient are bit-identical to Zero + Backward + Apply; it
-// allocates nothing.
-func (n *Network) BackwardApply(acts *Activations, pred, label float32, opt optimizer.Adagrad, state *DenseState) []float32 {
 	rows, coef := acts.rows[:0], acts.coef[:0]
 	if d := pred - label; d != 0 {
 		rows, coef = append(rows, 0), append(coef, d)
@@ -265,7 +242,7 @@ func (n *Network) BackwardApply(acts *Activations, pred, label float32, opt opti
 		l, cols := n.layers[i], acts.nz[i]
 		grad := acts.deltaBuf(i, l.w.Cols)[:len(cols)]
 		tensor.MatTVecRowsCols(l.w, rows, coef, cols, grad)
-		n.applyRank1(i, opt, state, rows, coef, acts)
+		accumRank1(g.w[i], g.b[i], rows, coef, cols, acts.kept[i])
 		// The layer below's delta: grad's non-zero entries, at their units.
 		rows, coef = rows[:0], coef[:0]
 		for k, v := range grad {
@@ -276,20 +253,20 @@ func (n *Network) BackwardApply(acts *Activations, pred, label float32, opt opti
 	}
 	inGrad := acts.deltaBuf(0, n.cfg.InputDim)
 	tensor.MatTVecRows(n.layers[0].w, rows, coef, inGrad)
-	n.applyRank1(0, opt, state, rows, coef, acts)
+	accumRank1(g.w[0], g.b[0], rows, coef, acts.nz[0], acts.kept[0])
 	return inGrad
 }
 
-// The bias of a unit is the weight of an input that is always 1, so its
-// gradient is delta itself: the rank-1 update over that one column.
-var biasCol, biasIn = []int32{0}, []float32{1}
-
-// applyRank1 applies layer i's weight gradient delta ⊗ in and bias gradient
-// delta, for delta given by its non-zero rows and their values.
-func (n *Network) applyRank1(i int, opt optimizer.Adagrad, state *DenseState, rows []int32, coef []float32, acts *Activations) {
-	l := n.layers[i]
-	opt.ApplyOuter(l.w.Data, state.w[i], l.w.Cols, rows, coef, acts.nz[i], acts.kept[i])
-	opt.ApplyOuter(l.b, state.b[i], 1, rows, coef, biasCol, biasIn)
+// accumRank1 adds the weight gradient u ⊗ v to gw and the bias gradient u to
+// gb, for u given by its non-zero rows and v by its listed columns.
+func accumRank1(gw *tensor.Matrix, gb []float32, rows []int32, u []float32, cols []int32, v []float32) {
+	for k, r := range rows {
+		ur, row := u[k], gw.Row(int(r))
+		for m, j := range cols {
+			row[j] += ur * v[m]
+		}
+		gb[r] += ur
+	}
 }
 
 // DenseState holds optimizer state for every dense parameter block.
@@ -298,54 +275,16 @@ type DenseState struct {
 	b [][]float32
 }
 
-// NewDenseState allocates optimizer state for the network under the given
-// dense optimizer. Adagrad accumulators start at InitialAccumulator rather
-// than at the zero the optimizer would lazily replace: Apply touches every
-// coordinate, so after the first example the two are the same state, but
-// BackwardApply visits only non-zero gradients — started eagerly, its state
-// equals Apply's on every coordinate, and two replicas that first touch the
-// same coordinate do not both add the initial value before their states are
-// summed by Commit.
+// NewDenseState allocates zeroed optimizer state for the network under the
+// given dense optimizer; Adagrad starts an accumulator at InitialAccumulator
+// on its first step.
 func (n *Network) NewDenseState(opt optimizer.Dense) *DenseState {
-	var initial float32
-	if a, ok := opt.(optimizer.Adagrad); ok {
-		initial = a.InitialAccumulator
-	}
 	s := &DenseState{}
 	for _, l := range n.layers {
-		s.w = append(s.w, filled(opt.StateSize(len(l.w.Data)), initial))
-		s.b = append(s.b, filled(opt.StateSize(len(l.b)), initial))
+		s.w = append(s.w, make([]float32, opt.StateSize(len(l.w.Data))))
+		s.b = append(s.b, make([]float32, opt.StateSize(len(l.b))))
 	}
 	return s
-}
-
-func filled(n int, v float32) []float32 {
-	out := make([]float32, n)
-	if v != 0 {
-		for i := range out {
-			out[i] = v
-		}
-	}
-	return out
-}
-
-// CopyFrom overwrites s with other's state; the two must have been allocated
-// for the same network shape and optimizer.
-func (s *DenseState) CopyFrom(other *DenseState) {
-	for i := range s.w {
-		copy(s.w[i], other.w[i])
-		copy(s.b[i], other.b[i])
-	}
-}
-
-// Commit folds a replica's training run into s, the stored state, the way
-// Network.Commit folds the parameters: Adagrad's accumulator is a sum of
-// squared gradients, so two replicas' contributions add.
-func (s *DenseState) Commit(orig, final *DenseState) {
-	for i := range s.w {
-		commit(s.w[i], orig.w[i], final.w[i])
-		commit(s.b[i], orig.b[i], final.b[i])
-	}
 }
 
 // Flatten appends the optimizer state into dst (weight state then bias
@@ -380,7 +319,8 @@ func (s *DenseState) SetFromFlat(flat []float32) error {
 }
 
 // Apply updates the network parameters with the gradients accumulated in g
-// since its last Zero.
+// since its last Zero: one optimizer step per coordinate, however many
+// examples g sums.
 func (n *Network) Apply(opt optimizer.Dense, state *DenseState, g *Gradients) {
 	for i, l := range n.layers {
 		opt.ApplyDense(l.w.Data, state.w[i], g.w[i].Data)
@@ -389,7 +329,7 @@ func (n *Network) Apply(opt optimizer.Dense, state *DenseState, g *Gradients) {
 }
 
 // FlattenParams appends all network parameters into dst (weights then bias,
-// layer by layer). It is used to replicate dense parameters across GPUs.
+// layer by layer): the form the checkpoint stores and serving receives.
 func (n *Network) FlattenParams(dst []float32) []float32 {
 	for _, l := range n.layers {
 		dst = append(dst, l.w.Data...)
@@ -419,8 +359,7 @@ func (n *Network) SetParams(flat []float32) error {
 	return nil
 }
 
-// Clone returns a deep copy of the network (used to give each simulated GPU
-// its own dense replica).
+// Clone returns a deep copy of the network.
 func (n *Network) Clone() *Network {
 	out := &Network{cfg: n.cfg}
 	for _, l := range n.layers {
@@ -428,36 +367,6 @@ func (n *Network) Clone() *Network {
 		out.layers = append(out.layers, nl)
 	}
 	return out
-}
-
-// CopyFrom overwrites n's parameters with other's; the two must have the same
-// shape. Unlike Clone it allocates nothing, so a replica can be refreshed on
-// the training hot path.
-func (n *Network) CopyFrom(other *Network) {
-	for i, l := range n.layers {
-		copy(l.w.Data, other.layers[i].w.Data)
-		copy(l.b, other.layers[i].b)
-	}
-}
-
-// Commit folds a replica's training run into n, the stored copy: orig is the
-// replica as it was checked out of n and final the same replica after
-// training. Every stored parameter becomes final + (stored - orig) — the
-// formula of hbmps.CommitBlock, with its exactness argument: bit-for-bit final
-// where nothing else was committed since the check-out (stored == orig, so the
-// correction is an exact zero), and the base value plus both contributions
-// where a peer replica's commit landed in between.
-func (n *Network) Commit(orig, final *Network) {
-	for i, l := range n.layers {
-		commit(l.w.Data, orig.layers[i].w.Data, final.layers[i].w.Data)
-		commit(l.b, orig.layers[i].b, final.layers[i].b)
-	}
-}
-
-func commit(stored, orig, final []float32) {
-	for j, f := range final {
-		stored[j] = f + (stored[j] - orig[j])
-	}
 }
 
 // PoolSum sums the given embedding vectors into dst (which must have the

@@ -3,9 +3,8 @@
 // parameters of the CTR model.
 //
 // Optimizers operate on raw float32 slices so the same implementation serves
-// the HBM-PS (updating embedding.Value weights with their Adagrad
-// accumulators), the dense layer parameters replicated on every GPU, and the
-// MPI baseline's CPU updates.
+// the embedding rows (weights with their Adagrad accumulators), the dense
+// tower's one step per mini-batch, and the MPI baseline's CPU updates.
 package optimizer
 
 import (
@@ -82,11 +81,8 @@ func (a Adagrad) eps() float32 {
 	return a.Eps
 }
 
-// step is the per-element rule, written once: ApplySparse and ApplyOuter both
-// inline it, so a coordinate reached through either sees the same expression
-// (and, on an architecture that fuses multiply-adds, the same fusion) and the
-// two cannot drift apart. The lazy InitialAccumulator covers state that
-// arrives zeroed (a fresh embedding row, a restored checkpoint).
+// step is the per-element rule. The lazy InitialAccumulator covers state that
+// arrives zeroed (a fresh embedding row, a new dense tower's state).
 func (a Adagrad) step(w, s, g, eps float32) (float32, float32) {
 	if s == 0 && a.InitialAccumulator > 0 {
 		s = a.InitialAccumulator
@@ -104,36 +100,6 @@ func (a Adagrad) ApplySparse(w, state, grad []float32) {
 	eps := a.eps()
 	for i, g := range grad {
 		w[i], state[i] = a.step(w[i], state[i], g, eps)
-	}
-}
-
-// ApplyOuter applies a rank-1 gradient u ⊗ v — a fully-connected layer's
-// weight gradient for one example — given by its non-zero factors, to the
-// row-major block w of n columns and its state, without materializing it:
-// u[k] is the factor of row rows[k] and v[m] that of column cols[m], so
-// coordinate (rows[k], cols[m]) steps with gradient u[k]*v[m]. Every other
-// coordinate has a zero gradient, a no-op under Adagrad once the accumulator
-// is initialized, and is left alone. Both lists hold distinct indices in
-// ascending order. On every coordinate it visits, the result is bit-identical
-// to ApplySparse over the materialized gradient.
-func (a Adagrad) ApplyOuter(w, state []float32, n int, rows []int32, u []float32, cols []int32, v []float32) {
-	if n <= 0 || len(w)%n != 0 || len(state) != len(w) || len(u) != len(rows) || len(v) != len(cols) || len(cols) > n {
-		panic(fmt.Sprintf("optimizer: adagrad rank-1 block %d (state %d, %d columns) with %d rows (%d factors) and %d columns (%d factors)",
-			len(w), len(state), n, len(rows), len(u), len(cols), len(v)))
-	}
-	eps := a.eps()
-	for k, r := range rows {
-		ur, lo := u[k], int(r)*n
-		wr, sr := w[lo:lo+n], state[lo:lo+n]
-		if len(cols) == n { // every column listed: skip the indirection
-			for j, vj := range v {
-				wr[j], sr[j] = a.step(wr[j], sr[j], float32(ur*vj), eps)
-			}
-			continue
-		}
-		for m, j := range cols {
-			wr[j], sr[j] = a.step(wr[j], sr[j], float32(ur*v[m]), eps)
-		}
 	}
 }
 

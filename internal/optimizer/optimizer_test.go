@@ -100,102 +100,6 @@ func TestDenseEqualsSparse(t *testing.T) {
 	}
 }
 
-// TestAdagradRank1MatchesMaterialized: ApplyOuter over the non-zero factors
-// of (u, v) leaves exactly what ApplySparse leaves over the materialized
-// gradient u ⊗ v — with full lists (the direct loop), with zero rows and zero
-// columns left out, and from zeroed state, where a coordinate it skips keeps
-// the zero ApplySparse would have replaced (the one place the two may differ,
-// by design: the accumulator is then initialized at the coordinate's first
-// non-zero gradient).
-func TestAdagradRank1MatchesMaterialized(t *testing.T) {
-	o := Adagrad{LR: 0.05, InitialAccumulator: 0.1}
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 80; trial++ {
-		rows, cols := 1+rng.Intn(9), 1+rng.Intn(13)
-		sparse := trial%2 == 1
-		u, v := make([]float32, rows), make([]float32, cols)
-		var rIdx, cIdx []int32
-		var uNZ, vNZ []float32
-		for r := range u {
-			if !sparse || rng.Intn(2) == 0 {
-				u[r] = rng.Float32()*2 - 1
-				rIdx, uNZ = append(rIdx, int32(r)), append(uNZ, u[r])
-			}
-		}
-		for j := range v {
-			if !sparse || rng.Intn(2) == 0 {
-				v[j] = rng.Float32()*2 - 1
-				cIdx, vNZ = append(cIdx, int32(j)), append(vNZ, v[j])
-			}
-		}
-		w1, s1 := make([]float32, rows*cols), make([]float32, rows*cols)
-		for i := range w1 {
-			w1[i] = rng.Float32()*2 - 1
-			if trial%4 < 2 {
-				s1[i] = o.InitialAccumulator + rng.Float32()
-			}
-		}
-		w2, s2 := append([]float32(nil), w1...), append([]float32(nil), s1...)
-		grad := make([]float32, rows*cols)
-		for r := range u {
-			for j := range v {
-				grad[r*cols+j] = u[r] * v[j]
-			}
-		}
-		for step := 0; step < 3; step++ {
-			o.ApplySparse(w1, s1, grad)
-			o.ApplyOuter(w2, s2, cols, rIdx, uNZ, cIdx, vNZ)
-		}
-		for i := range w1 {
-			if grad[i] == 0 && s2[i] == 0 {
-				s2[i] = o.InitialAccumulator // skipped from zeroed state
-			}
-			if math.Float32bits(w1[i]) != math.Float32bits(w2[i]) || math.Float32bits(s1[i]) != math.Float32bits(s2[i]) {
-				t.Fatalf("trial %d element %d: materialized (%v, %v) vs rank-1 (%v, %v)", trial, i, w1[i], s1[i], w2[i], s2[i])
-			}
-		}
-	}
-}
-
-// TestAdagradOuterSkipsUnlisted: a coordinate outside the lists is not read,
-// so an Inf or NaN parameter or state there stays exactly as it was and
-// poisons nothing else.
-func TestAdagradOuterSkipsUnlisted(t *testing.T) {
-	o := Adagrad{LR: 0.05, InitialAccumulator: 0.1}
-	const rows, cols = 3, 5
-	w, state := make([]float32, rows*cols), make([]float32, rows*cols)
-	for i := range w {
-		w[i], state[i] = 0.5, 1
-	}
-	inf, nan := float32(math.Inf(1)), float32(math.NaN())
-	w[0*cols+1], state[1*cols+0] = nan, inf // (0, 1): unlisted column; (1, 0): unlisted row
-	o.ApplyOuter(w, state, cols, []int32{0, 2}, []float32{1, -1}, []int32{0, 2, 4}, []float32{1, 1, 1})
-	for r := 0; r < rows; r++ {
-		for j := 0; j < cols; j++ {
-			i := r*cols + j
-			listed := r != 1 && j%2 == 0
-			switch {
-			case i == 0*cols+1:
-				if w[i] == w[i] || state[i] != 1 {
-					t.Fatalf("unlisted NaN parameter became (%v, %v)", w[i], state[i])
-				}
-			case i == 1*cols+0:
-				if w[i] != 0.5 || !math.IsInf(float64(state[i]), 1) {
-					t.Fatalf("unlisted Inf state became (%v, %v)", w[i], state[i])
-				}
-			case listed:
-				if w[i] == 0.5 || math.IsInf(float64(w[i]), 0) || w[i] != w[i] || state[i] != 2 {
-					t.Fatalf("listed (%d, %d) = (%v, %v), want a finite step and state 2", r, j, w[i], state[i])
-				}
-			default:
-				if w[i] != 0.5 || state[i] != 1 {
-					t.Fatalf("unlisted (%d, %d) moved to (%v, %v)", r, j, w[i], state[i])
-				}
-			}
-		}
-	}
-}
-
 func TestGradientDescentDirectionProperty(t *testing.T) {
 	// For every optimizer, a positive gradient must never increase the
 	// parameter and a negative gradient must never decrease it.
@@ -228,18 +132,6 @@ func TestLengthPanics(t *testing.T) {
 		func() { SGD{LR: 1}.ApplySparse([]float32{1}, nil, []float32{1, 2}) },
 		func() { Adagrad{LR: 1}.ApplySparse([]float32{1}, []float32{}, []float32{1}) },
 		func() { Momentum{LR: 1}.ApplySparse([]float32{1, 2}, []float32{0}, []float32{1, 2}) },
-		func() { Adagrad{LR: 1}.ApplyOuter(make([]float32, 5), make([]float32, 5), 3, nil, nil, nil, nil) },
-		func() { Adagrad{LR: 1}.ApplyOuter(make([]float32, 6), make([]float32, 5), 3, nil, nil, nil, nil) },
-		func() { Adagrad{LR: 1}.ApplyOuter(make([]float32, 6), make([]float32, 6), 0, nil, nil, nil, nil) },
-		func() {
-			Adagrad{LR: 1}.ApplyOuter(make([]float32, 6), make([]float32, 6), 3, []int32{0}, nil, nil, nil)
-		},
-		func() {
-			Adagrad{LR: 1}.ApplyOuter(make([]float32, 6), make([]float32, 6), 3, nil, nil, []int32{0}, []float32{1, 2})
-		},
-		func() {
-			Adagrad{LR: 1}.ApplyOuter(make([]float32, 6), make([]float32, 6), 3, []int32{2}, []float32{1}, []int32{0}, []float32{1})
-		},
 	}
 	for i, fn := range cases {
 		func() {
@@ -262,41 +154,19 @@ func TestDefaults(t *testing.T) {
 	}
 }
 
-// BenchmarkAdagrad times the two ways a coordinate reaches the shared element
-// rule: ApplySparse over a whole block (an embedding row, or the reference
-// dense step's materialized gradient) and ApplyOuter over a 64x128 layer with
-// half of delta's rows and half of the input's columns zeroed by ReLU.
+// BenchmarkAdagrad times ApplySparse over a 64x128 block: one dense layer's
+// step per mini-batch, half of its gradient zero.
 func BenchmarkAdagrad(b *testing.B) {
 	o := Adagrad{LR: 0.01, InitialAccumulator: 0.1}
 	rng := rand.New(rand.NewSource(1))
 	const rows, cols = 64, 128
-	u, v := make([]float32, rows), make([]float32, cols)
-	var rIdx, cIdx []int32
-	var uNZ, vNZ []float32
-	for r := range u {
-		if r%2 == 0 {
-			u[r] = rng.Float32()*2 - 1
-			rIdx, uNZ = append(rIdx, int32(r)), append(uNZ, u[r])
-		}
-	}
-	for j := range v {
-		if j%2 == 0 {
-			v[j] = rng.Float32()*2 - 1
-			cIdx, vNZ = append(cIdx, int32(j)), append(vNZ, v[j])
-		}
-	}
 	w, state, grad := make([]float32, rows*cols), make([]float32, rows*cols), make([]float32, rows*cols)
 	for i := range grad {
-		grad[i] = u[i/cols] * v[i%cols]
+		if (i/cols)%2 == 0 && (i%cols)%2 == 0 {
+			grad[i] = rng.Float32()*2 - 1
+		}
 	}
-	b.Run("sparse-block", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			o.ApplySparse(w, state, grad)
-		}
-	})
-	b.Run("rank1", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			o.ApplyOuter(w, state, cols, rIdx, uNZ, cIdx, vNZ)
-		}
-	})
+	for i := 0; i < b.N; i++ {
+		o.ApplySparse(w, state, grad)
+	}
 }

@@ -1,6 +1,6 @@
 // Package reference implements a plain, single-process CTR trainer: an
-// in-memory embedding table feeding the dense network, trained example by
-// example with Adagrad.
+// in-memory embedding table feeding the dense network, trained with Adagrad
+// one mini-batch step at a time.
 //
 // It serves three roles in the reproduction:
 //
@@ -9,7 +9,8 @@
 //   - the learner inside the MPI-cluster baseline (internal/mpips), whose
 //     cost model wraps this trainer,
 //   - the accuracy oracle the hierarchical parameter server is compared
-//     against in Fig 3(b): both must converge to the same quality.
+//     against in Fig 3(b): both must converge to the same quality, and a
+//     one-GPU hierarchical run must reproduce TrainBatch bit for bit.
 package reference
 
 import (
@@ -63,6 +64,15 @@ type Trainer struct {
 	acts       *nn.Activations
 	grads      *nn.Gradients
 	examples   int64
+
+	// TrainBatch's scratch: the batch's touched embeddings in first-touch
+	// order, the row of each in sums (dim floats per row, the summed input
+	// gradient) and the example that last credited it.
+	rowOf   map[keys.Key]int
+	touched []*embedding.Value
+	sums    []float32
+	last    []int
+	vecs    [][]float32
 }
 
 // New constructs a trainer.
@@ -79,6 +89,7 @@ func New(cfg Config) *Trainer {
 		denseOpt:   denseOpt,
 		acts:       net.NewActivations(),
 		grads:      net.NewGradients(),
+		rowOf:      make(map[keys.Key]int),
 	}
 	return t
 }
@@ -88,6 +99,9 @@ func (t *Trainer) EmbeddingDim() int { return t.cfg.EmbeddingDim }
 
 // Network returns the dense tower (for parameter counting).
 func (t *Trainer) Network() *nn.Network { return t.net }
+
+// DenseState returns the dense tower's optimizer state.
+func (t *Trainer) DenseState() *nn.DenseState { return t.denseState }
 
 // Embeddings exposes the in-memory sparse parameter table. The MPI baseline
 // serves its ps.Tier facade from it, and evaluation tools inspect it.
@@ -138,41 +152,60 @@ func (t *Trainer) Predict(features []keys.Key) float32 {
 	return t.net.Forward(t.acts)
 }
 
-// TrainExample performs one SGD step and returns the example's log-loss
-// before the update.
+// TrainExample trains on one example, a batch of one, and returns its
+// log-loss before the update.
 func (t *Trainer) TrainExample(ex dataset.Example) float64 {
-	values := make([]*embedding.Value, len(ex.Features))
-	vecs := make([][]float32, len(ex.Features))
-	for i, k := range ex.Features {
-		values[i] = t.lookup(k)
-		vecs[i] = values[i].Weights
-	}
-	nn.PoolSum(t.acts.Input(), vecs)
-	pred := t.net.Forward(t.acts)
-	loss := tensor.LogLoss(pred, ex.Label)
-
-	t.grads.Zero()
-	inputGrad := t.net.Backward(t.acts, pred, ex.Label, t.grads)
-	t.net.Apply(t.denseOpt, t.denseState, t.grads)
-	// With sum pooling every referenced feature receives the input gradient.
-	for _, v := range values {
-		t.sparseOpt.ApplySparse(v.Weights, v.G2Sum, inputGrad)
-		v.Freq++
-	}
-	t.examples++
-	return loss
+	return t.TrainBatch(&dataset.Batch{Examples: []dataset.Example{ex}})
 }
 
-// TrainBatch trains on every example of a batch and returns the mean loss.
+// TrainBatch takes one training step on a mini-batch and returns its mean
+// log-loss before the update. Every example reads the parameters as the batch
+// found them. The dense gradient, summed over the batch, takes one Apply;
+// every embedding the batch references takes one sparse step on the sum of
+// the input gradients of the examples that reference it, in example order (a
+// feature repeated within an example is credited once).
 func (t *Trainer) TrainBatch(b *dataset.Batch) float64 {
 	if b.Len() == 0 {
 		return 0
 	}
-	var sum float64
-	for _, ex := range b.Examples {
-		sum += t.TrainExample(ex)
+	dim := t.cfg.EmbeddingDim
+	clear(t.rowOf)
+	t.touched, t.sums, t.last = t.touched[:0], t.sums[:0], t.last[:0]
+	var loss float64
+	for e, ex := range b.Examples {
+		t.vecs = t.vecs[:0]
+		for _, k := range ex.Features {
+			t.vecs = append(t.vecs, t.lookup(k).Weights)
+		}
+		nn.PoolSum(t.acts.Input(), t.vecs)
+		pred := t.net.Forward(t.acts)
+		loss += tensor.LogLoss(pred, ex.Label)
+		// With sum pooling every referenced feature receives the input gradient.
+		inputGrad := t.net.Backward(t.acts, pred, ex.Label, t.grads)
+		for _, k := range ex.Features {
+			r, ok := t.rowOf[k]
+			if !ok {
+				r = len(t.touched)
+				t.rowOf[k] = r
+				t.touched = append(t.touched, t.lookup(k))
+				t.sums = append(t.sums, make([]float32, dim)...)
+				t.last = append(t.last, -1)
+			}
+			if t.last[r] == e {
+				continue
+			}
+			t.last[r] = e
+			tensor.Add(inputGrad, t.sums[r*dim:(r+1)*dim])
+			t.touched[r].Freq++
+		}
+		t.examples++
 	}
-	return sum / float64(b.Len())
+	t.net.Apply(t.denseOpt, t.denseState, t.grads)
+	t.grads.Zero()
+	for r, v := range t.touched {
+		t.sparseOpt.ApplySparse(v.Weights, v.G2Sum, t.sums[r*dim:(r+1)*dim])
+	}
+	return loss / float64(b.Len())
 }
 
 // Evaluate computes the AUC of the current model over n fresh examples drawn

@@ -101,8 +101,8 @@ func (t *Trainer) writeManifest() error {
 	m.Examples = t.examples
 	t.mu.Unlock()
 	// The dense tower and its optimizer state must come from the same
-	// instant: holding denseMu across both flattens keeps a concurrent
-	// replica commit from landing between them.
+	// instant: holding denseMu across both flattens keeps a dense step from
+	// landing between them.
 	t.denseMu.Lock()
 	m.Dense = t.net.FlattenParams(make([]float32, 0, len(t.denseFlat)))
 	m.DenseOpt = t.denseState.Flatten(nil)
@@ -207,7 +207,6 @@ func (t *Trainer) Restore(path string) (int, error) {
 	if err == nil {
 		err = t.denseState.SetFromFlat(m.DenseOpt)
 	}
-	t.denseVersion++ // the workers' replicas no longer equal the stored copy
 	t.denseMu.Unlock()
 	if err != nil {
 		return 0, fmt.Errorf("trainer: restore dense state: %w", err)

@@ -353,9 +353,15 @@ func TestCrashRestartRecoversDurableState(t *testing.T) {
 	runDone := make(chan error, 1)
 	go func() { runDone <- tr.Run(context.Background()) }()
 
-	// Crash: the server stops answering and the whole process image is
-	// discarded — no flush, no handoff. Only dir0 survives.
-	time.Sleep(120 * time.Millisecond)
+	// Crash once the shard has applied a push and dumped a parameter to its
+	// SSD-PS, so there is a seq record to replay and a file to recover: the
+	// server stops answering and the whole process image is discarded — no
+	// flush, no handoff. Only dir0 survives.
+	for deadline := time.Now().Add(30 * time.Second); sh0.mem.TierStats().Pushes == 0 || sh0.mem.Store().Len() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("shard 0 applied no push or dumped no parameter within 30 s")
+		}
+	}
 	addr := sh0.srv.Addr()
 	if err := sh0.srv.Close(); err != nil {
 		t.Fatal(err)

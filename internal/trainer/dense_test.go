@@ -3,13 +3,13 @@ package trainer
 import (
 	"context"
 	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"hps/internal/cluster"
 	"hps/internal/dataset"
+	"hps/internal/interconnect"
 )
 
 // sameBits reports whether a and b are bitwise equal.
@@ -32,94 +32,15 @@ func denseFlats(tr *Trainer) (params, state []float32) {
 	return tr.net.FlattenParams(nil), tr.denseState.Flatten(nil)
 }
 
-// trainReplicaRun trains w's replica on n seeded examples, the way trainShard
-// does between a check-out and a commit.
-func trainReplicaRun(tr *Trainer, w *gpuWorker, seed int64, n int) {
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < n; i++ {
-		for j := range w.acts.Input() {
-			w.acts.Input()[j] = rng.Float32()*2 - 1
-		}
-		w.net.BackwardApply(w.acts, w.net.Forward(w.acts), float32(rng.Intn(2)), tr.denseOpt, w.state)
-	}
-}
-
-// TestDenseCheckoutCommitProtocol drives the replica protocol by hand, in the
-// one interleaving a scheduler cannot be made to produce on demand: two
-// workers check out the same stored copy, both train, both commit. The first
-// commit finds nothing new and copies its replica over; the second finds the
-// first's and merges, after which the stored copy holds both contributions
-// and neither replica equals it — so both must copy in at their next
-// check-out, and a worker whose own commit was the last must not.
-func TestDenseCheckoutCommitProtocol(t *testing.T) {
-	tr, err := New(Config{Spec: testSpec(), Data: testData(), Batches: 1,
-		Topology: cluster.Topology{Nodes: 1, GPUsPerNode: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	w0, w1 := tr.nodes[0].workers[0], tr.nodes[0].workers[1]
-	// want is the stored copy as nn's Commit (pinned by nn.TestCommitProperty)
-	// says it must end up: both replicas' runs folded into the base.
-	want, wantState := tr.net.Clone(), tr.net.NewDenseState(tr.denseOpt)
-
-	tr.checkoutDense(w0)
-	tr.checkoutDense(w1)
-	if w0.version != 0 || w1.version != 0 {
-		t.Fatal("a fresh replica equals the fresh stored copy; its check-out must copy nothing")
-	}
-	trainReplicaRun(tr, w0, 1, denseMicroRun)
-	trainReplicaRun(tr, w1, 2, denseMicroRun)
-	for _, w := range []*gpuWorker{w0, w1} {
-		want.Commit(w.origNet, w.net)
-		wantState.Commit(w.origState, w.state)
-	}
-
-	tr.commitDense(w0)
-	if p, s := denseFlats(tr); !sameBits(p, w0.net.FlattenParams(nil)) || !sameBits(s, w0.state.Flatten(nil)) {
-		t.Fatal("a commit with no peer in between must leave exactly the replica")
-	}
-	tr.commitDense(w1)
-	stored, storedState := denseFlats(tr)
-	if !sameBits(stored, want.FlattenParams(nil)) || !sameBits(storedState, wantState.Flatten(nil)) {
-		t.Fatal("after both commits the stored copy is not the base plus both replicas' runs")
-	}
-	if sameBits(stored, w0.net.FlattenParams(nil)) || sameBits(stored, w1.net.FlattenParams(nil)) {
-		t.Fatal("the merged stored copy equals one replica; the second run taught nothing and the case tests nothing")
-	}
-	if r := tr.Report(); r.DenseCommits != 2 || r.DenseMerges != 1 {
-		t.Fatalf("commits %d merges %d, want 2 and 1", r.DenseCommits, r.DenseMerges)
-	}
-
-	// Neither replica equals the stored copy now: both copy in.
-	for i, w := range []*gpuWorker{w0, w1} {
-		tr.checkoutDense(w)
-		if !sameBits(w.net.FlattenParams(nil), stored) || !sameBits(w.state.Flatten(nil), storedState) {
-			t.Fatalf("worker %d trains on a replica that missed a peer's commit", i)
-		}
-		if !sameBits(w.origNet.FlattenParams(nil), stored) || !sameBits(w.origState.Flatten(nil), storedState) {
-			t.Fatalf("worker %d snapshot differs from its replica", i)
-		}
-	}
-	// A lone worker: its commit is the last, its next check-out is in sync.
-	trainReplicaRun(tr, w0, 3, denseMicroRun)
-	tr.commitDense(w0)
-	if w0.version != tr.denseVersion {
-		t.Fatal("a worker whose own commit was the last must not need a copy-in")
-	}
-	if p, s := denseFlats(tr); !sameBits(p, w0.net.FlattenParams(nil)) || !sameBits(s, w0.state.Flatten(nil)) {
-		t.Fatal("an in-sync replica must equal the stored copy")
-	}
-}
-
-// TestDenseReplicasBesideReaders runs the replicas the way production does —
-// 2 nodes x 2 GPUs, in-process and against shard servers over TCP, pipeline
-// depth 2 — with the stored copy's three readers active: a Predict loop
-// throughout and a mid-run WriteCheckpoint (the serving republish reads under
-// the same lock). Under -race this is the test that the workers touch the
-// stored copy only through check-out and commit. The mid-run manifest must
-// then restore bit-exactly into a fresh trainer, which must resume from it.
-func TestDenseReplicasBesideReaders(t *testing.T) {
+// TestDenseStepBesideReaders runs the dense step the way production does — 2
+// nodes x 2 GPUs, in-process and against shard servers over TCP, pipeline
+// depth 2 — with the tower's three readers active: a Predict loop throughout
+// and a mid-run WriteCheckpoint (the serving republish reads under the same
+// lock). Under -race this is the test that the workers only read the tower
+// and that the one write per batch is the dense step under denseMu. The
+// mid-run manifest must then restore bit-exactly into a fresh trainer, which
+// must resume from it.
+func TestDenseStepBesideReaders(t *testing.T) {
 	data := testData()
 	spec := testSpec()
 	const batches, batchSize, cutAfter = 24, 256, 4 * 2 * 256
@@ -189,12 +110,9 @@ func TestDenseReplicasBesideReaders(t *testing.T) {
 			if runErr != nil {
 				t.Fatal(runErr)
 			}
-			r := tr.Report()
-			// Each worker's 128-example shard is four micro-runs.
-			if want := int64(batches * 2 * 2 * (batchSize / 2 / denseMicroRun)); r.DenseCommits != want {
-				t.Fatalf("dense commits = %d, want %d", r.DenseCommits, want)
+			if r := tr.Report(); r.DenseSteps != batches {
+				t.Fatalf("dense steps = %d, want one per batch, %d", r.DenseSteps, batches)
 			}
-			t.Logf("%d of %d dense commits merged with a peer's", r.DenseMerges, r.DenseCommits)
 			if auc := evalAUC(t, tr, dataset.NewGenerator(data, 999), 1000); auc < 0.62 {
 				t.Fatalf("AUC = %.4f, want > 0.62", auc)
 			}
@@ -220,16 +138,6 @@ func TestDenseReplicasBesideReaders(t *testing.T) {
 			if p, s := denseFlats(resumed); !sameBits(p, m.Dense) || !sameBits(s, m.DenseOpt) {
 				t.Fatal("restored dense tower differs from the manifest")
 			}
-			// Every replica was built equal to the initialization the restore
-			// just replaced: each must see that it is out of date, or its first
-			// commit would overwrite the restore.
-			for _, n := range resumed.nodes {
-				for g, w := range n.workers {
-					if w.version == resumed.denseVersion {
-						t.Fatalf("node %d gpu %d would skip the copy-in after a restore", n.id, g)
-					}
-				}
-			}
 			if err := resumed.Run(context.Background()); err != nil {
 				t.Fatal(err)
 			}
@@ -237,5 +145,62 @@ func TestDenseReplicasBesideReaders(t *testing.T) {
 				t.Fatalf("resumed run trained %d examples in total, want %d", got, want)
 			}
 		})
+	}
+
+	// With one example per batch and two GPUs, GPU 1's shard is always
+	// empty: it must add an exact zero to every dense step, so the run ends
+	// bit for bit where the same stream trained on one GPU does.
+	t.Run("empty-shard", func(t *testing.T) {
+		run := func(gpus int) (params, state []float32) {
+			tr := runTrainer(t, Config{Spec: spec, Data: data, Topology: cluster.Topology{Nodes: 1, GPUsPerNode: gpus},
+				BatchSize: 1, Batches: 40, Seed: 5})
+			if r := tr.Report(); r.DenseSteps != 40 {
+				t.Fatalf("%d GPUs: dense steps = %d, want 40", gpus, r.DenseSteps)
+			}
+			params, state = denseFlats(tr)
+			// The dense step zeroed every accumulator: one more step, with
+			// nothing trained since, moves nothing.
+			tr.denseStep()
+			if p, s := denseFlats(tr); !sameBits(p, params) || !sameBits(s, state) {
+				t.Fatalf("%d GPUs: a worker kept its gradient past the dense step", gpus)
+			}
+			return params, state
+		}
+		onePar, oneState := run(1)
+		twoPar, twoState := run(2)
+		if !sameBits(onePar, twoPar) || !sameBits(oneState, twoState) {
+			t.Fatal("an empty shard changed the dense step")
+		}
+	})
+}
+
+// TestAllReduceChargesDenseGradient pins the modelled all-reduce: with more
+// than one GPU in the run, a batch synchronizes its sparse delta rows and the
+// dense gradient (4 bytes per dense parameter), split over every GPU; a
+// single GPU synchronizes nothing.
+func TestAllReduceChargesDenseGradient(t *testing.T) {
+	spec := testSpec()
+	for _, topo := range []cluster.Topology{{Nodes: 1, GPUsPerNode: 1}, {Nodes: 1, GPUsPerNode: 2}, {Nodes: 2, GPUsPerNode: 2}} {
+		tr, err := New(Config{Spec: spec, Data: testData(), Batches: 1, Topology: topo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		gpus := int64(topo.TotalGPUs())
+		// 32->16->1 over the 8-wide input: 8*32+32 + 32*16+16 + 16+1.
+		const denseBytes = 4 * (8*32 + 32 + 32*16 + 16 + 16 + 1)
+		const rows, rowBytes = 100, 8 + 4 + 2*4*8 + 4 // key, then dim, weights, accumulators and frequency
+		for _, c := range []struct{ rows, bytes int64 }{{0, denseBytes}, {rows, rows*rowBytes + denseBytes}} {
+			want := interconnect.HierarchicalAllReduceTime(c.bytes/gpus, topo.Nodes, topo.GPUsPerNode,
+				tr.cfg.Profile.RDMA, tr.cfg.Profile.NVLink)
+			if gpus == 1 {
+				want = 0
+			} else if want <= 0 {
+				t.Fatalf("%+v: the model charges nothing for %d bytes; the case tests nothing", topo, c.bytes)
+			}
+			if got := tr.chargeAllReduce(int(c.rows)); got != want {
+				t.Fatalf("%+v, %d rows: all-reduce %v, want %v", topo, c.rows, got, want)
+			}
+		}
 	}
 }

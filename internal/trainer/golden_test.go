@@ -21,13 +21,15 @@ import (
 // hold less than one batch's owned keys, so every batch evicts, dumps and
 // reloads through the SSD-PS. Any change to the eviction order, to which rows
 // a dump carries, to the bits of a value or to the bytes a parameter file
-// holds changes one of the two digests below. The constants were computed on
-// the tree before the MEM-PS kept its rows in a slab; a change that means to
-// alter the miss path's behaviour recomputes them and says why.
+// holds changes one of the two digests below. goldenDumps was computed on the
+// tree before the MEM-PS kept its rows in a slab, goldenExtents when training
+// moved to one optimizer step per batch (which changes the values the files
+// hold, not which rows they hold); a change that means to alter the miss
+// path's behaviour recomputes them and says why.
 const (
 	// goldenExtents is the digest of the backing files' extents (headers and
 	// records, in creation order) after a run that compacts.
-	goldenExtents = "a4bcacc2cfdbd76bff4fec691ea435539e0eccd924a91e1ee19dd3babb83a814"
+	goldenExtents = "ef23bd415bddbead428831d27e7272ed11b78a9ec52c36a726623b1526cd7823"
 	// goldenDumps is the digest of every dump's ordered key list in a run
 	// that never compacts, so every parameter file ever written survives.
 	goldenDumps = "25f78ed15cf35a4a83cf0a7fb6119cf97e207e411516d1072b14a198f43aeb2e"

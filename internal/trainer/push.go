@@ -218,18 +218,19 @@ func (t *Trainer) mergeGlobal(j *job) *ps.ValueBlock {
 	return global
 }
 
-// chargeAllReduce charges the modelled all-reduce of mergedRows delta rows
-// and returns its duration: every GPU contributes its partition of the
-// deltas, inter-node rounds over RDMA, intra-node rounds over NVLink. The
-// volume is the global block's payload size (every row is a changed key, so
-// rows x encoded-row-size is exactly what the synchronization moves). The
-// charge stays on the push stage even in async mode — the synchronization
-// itself is not deferred, only the owners' apply.
+// chargeAllReduce charges the modelled all-reduce of a batch's updates and
+// returns its duration: every GPU contributes its partition, inter-node
+// rounds over RDMA, intra-node rounds over NVLink. The volume is the global
+// block's payload size (every row is a changed key, so rows x
+// encoded-row-size is exactly what the synchronization moves) plus the dense
+// gradient the batch's one dense step sums (ParamCount float32s). The charge
+// stays on the push stage even in async mode — the synchronization itself is
+// not deferred, only the owners' apply.
 func (t *Trainer) chargeAllReduce(mergedRows int) time.Duration {
 	var syncTime time.Duration
 	totalGPUs := t.cfg.Topology.TotalGPUs()
 	if totalGPUs > 1 {
-		deltaBytes := int64(mergedRows) * int64(8+embedding.EncodedSize(t.cfg.Spec.EmbeddingDim))
+		deltaBytes := int64(mergedRows)*int64(8+embedding.EncodedSize(t.cfg.Spec.EmbeddingDim)) + 4*t.net.ParamCount()
 		bytesPerGPU := deltaBytes / int64(totalGPUs)
 		syncTime = interconnect.HierarchicalAllReduceTime(
 			bytesPerGPU, t.cfg.Topology.Nodes, t.cfg.Topology.GPUsPerNode,

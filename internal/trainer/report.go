@@ -71,10 +71,9 @@ type Report struct {
 	WriteAmplification float64
 	// MeanLoss is the mean training log-loss.
 	MeanLoss float64
-	// DenseCommits counts the GPU workers' dense-replica commits (one per
-	// micro-run); DenseMerges counts those that found a peer's commit since
-	// their check-out and merged by delta instead of copying the replica over.
-	DenseCommits, DenseMerges int64
+	// DenseSteps counts the dense tower's optimizer steps: one per batch,
+	// over the gradient summed across every GPU worker.
+	DenseSteps int64
 	// Remote describes the real network activity of a multi-process run;
 	// nil for in-process runs.
 	Remote *RemoteNetReport
@@ -133,7 +132,7 @@ func (t *Trainer) Report() Report {
 		MeanLoss:    t.loss.Mean(),
 	}
 	t.denseMu.Lock()
-	r.DenseCommits, r.DenseMerges = t.denseCommits, t.denseMerges
+	r.DenseSteps = t.denseSteps
 	t.denseMu.Unlock()
 
 	var wall []pipeline.StageStats
@@ -231,7 +230,7 @@ func (r Report) String() string {
 	fmt.Fprintf(&b, "=== hierarchical parameter server: model %s, %d node(s) x %d GPU(s), pipeline depth %d ===\n",
 		r.Model, r.Nodes, r.GPUsPerNode, r.MaxInFlight)
 	fmt.Fprintf(&b, "batches %d   examples %d   mean log-loss %.4f\n", r.Batches, r.Examples, r.MeanLoss)
-	fmt.Fprintf(&b, "dense replicas: %d commits, %d merged with a peer's\n", r.DenseCommits, r.DenseMerges)
+	fmt.Fprintf(&b, "dense tower: %d steps, one per batch\n", r.DenseSteps)
 	fmt.Fprintf(&b, "\n-- batch pipeline (modelled hardware time) --\n")
 	for _, s := range r.Stages {
 		marker := "  "

@@ -144,7 +144,7 @@ func (t *Trainer) buildNode(id int, root string, withMem bool) (_ *node, err err
 	})
 	workers := make([]*gpuWorker, cfg.Topology.GPUsPerNode)
 	for g := range workers {
-		workers[g] = t.newGPUWorker()
+		workers[g] = &gpuWorker{acts: t.net.NewActivations(), grads: t.net.NewGradients()}
 	}
 	return &node{id: id, gen: gen, stream: stream, dev: dev, store: store, local: local, hbm: hbm,
 		indexes: make(chan *keys.Index, cfg.MaxInFlight+readAhead), workers: workers}, nil

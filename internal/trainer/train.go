@@ -10,13 +10,14 @@ import (
 	"hps/internal/keys"
 	"hps/internal/metrics"
 	"hps/internal/nn"
-	"hps/internal/optimizer"
 	"hps/internal/ps"
+	"hps/internal/tensor"
 )
 
 // stageTrain loads every node's working set into its HBM-PS, trains the
 // batch with one concurrent worker per GPU (each pulling and pushing its
-// shard against the HBM-PS), and collects the per-node update deltas.
+// shard against the HBM-PS), collects the per-node update deltas, and takes
+// the batch's one dense step.
 func (t *Trainer) stageTrain(_ context.Context, j *job) (*job, error) {
 	t.maybeDelay(StageTrain)
 	if t.committer != nil {
@@ -73,6 +74,7 @@ func (t *Trainer) stageTrain(_ context.Context, j *job) (*job, error) {
 	if err != nil {
 		return nil, err
 	}
+	t.denseStep()
 	t.addStageModelled(StageTrain, modelled)
 	// Advance the trained-batch watermark (stageTrain runs on a single
 	// pipeline goroutine with monotonic indices).
@@ -113,25 +115,15 @@ func (t *Trainer) trainOnGPUs(n *node, nb *nodeBatch) error {
 	return nil
 }
 
-// denseMicroRun is how many examples a GPU worker trains on its dense replica
-// between syncs with the stored copy; see the package comment's staleness
-// discussion.
-const denseMicroRun = 32
-
-// gpuWorker is one GPU's training state: its replica of the dense tower and
-// the scratch of the batched sparse path, allocated once by shape so
+// gpuWorker is one GPU's training scratch, allocated once by shape so
 // steady-state shards allocate nothing.
 type gpuWorker struct {
-	// net and state are the replica, trained in place with no lock held;
-	// origNet and origState are its snapshot at check-out, which the commit's
-	// delta is taken against — with the stored copy, the four copies a commit
-	// needs. version is the Trainer.denseVersion at which the replica last
-	// equalled the stored copy.
-	net, origNet     *nn.Network
-	state, origState *nn.DenseState
-	version          uint64
-	// loss collects the worker's examples between commits, so the shared
-	// accumulator's mutex is taken once per micro-run, not once per example.
+	// grads accumulates the dense gradient of the worker's shards until the
+	// batch's dense step (denseStep) sums it in and zeroes it, so a worker
+	// whose shard is empty contributes zero.
+	grads *nn.Gradients
+	// loss collects the shard's examples, so the shared accumulator's mutex
+	// is taken once per shard, not once per example.
 	loss metrics.LogLossAccumulator
 	acts *nn.Activations
 	vecs [][]float32
@@ -140,76 +132,30 @@ type gpuWorker struct {
 	// index's rows in it (keys.Index.Subset).
 	keys  []keys.Key
 	local []int32
-	// stamp[row] == ver marks rows already updated by the current example,
-	// deduplicating repeated features within one example exactly like the
-	// per-example path's gradient map did.
+	// sparse sums the shard's gradient of every row of keys, dim floats per
+	// row, for the one sparse step per row at the end of the shard.
+	sparse []float32
+	// stamp[row] == ver marks rows already credited by the current example,
+	// so a feature repeated within one example receives its gradient once.
 	stamp []uint32
 	ver   uint32
 }
 
-// newGPUWorker allocates a worker whose replica equals the freshly built
-// stored copy (denseVersion 0), so its first check-out copies nothing.
-func (t *Trainer) newGPUWorker() *gpuWorker {
-	return &gpuWorker{
-		net: t.net.Clone(), origNet: t.net.Clone(),
-		state: t.net.NewDenseState(t.denseOpt), origState: t.net.NewDenseState(t.denseOpt),
-		acts: t.net.NewActivations(),
-	}
-}
-
-// checkoutDense syncs w's replica with the stored copy — skipped when nothing
-// was written since the replica last equalled it, i.e. w's own commit was the
-// last — and snapshots it for the commit.
-func (t *Trainer) checkoutDense(w *gpuWorker) {
-	t.denseMu.Lock()
-	if w.version != t.denseVersion {
-		w.net.CopyFrom(t.net)
-		w.state.CopyFrom(t.denseState)
-		w.version = t.denseVersion
-	}
-	t.denseMu.Unlock()
-	w.origNet.CopyFrom(w.net)
-	w.origState.CopyFrom(w.state)
-}
-
-// commitDense folds w's trained replica into the stored copy: stored = final
-// + (stored - orig). When nothing was written since the check-out, stored ==
-// orig bit-for-bit and the formula yields exactly final, so the replica is
-// copied over and stays in sync; otherwise a peer committed in between and
-// the stored copy ends up with both contributions.
-func (t *Trainer) commitDense(w *gpuWorker) {
-	t.denseMu.Lock()
-	merge := w.version != t.denseVersion
-	t.denseVersion++
-	t.denseCommits++
-	if merge {
-		t.denseMerges++
-		t.net.Commit(w.origNet, w.net)
-		t.denseState.Commit(w.origState, w.state)
-	} else {
-		t.net.CopyFrom(w.net)
-		t.denseState.CopyFrom(w.state)
-		w.version = t.denseVersion
-	}
-	t.denseMu.Unlock()
-	t.loss.Merge(&w.loss)
-}
-
 // trainShard trains one GPU worker's mini-batch with batched parameter
 // movement: one block pull of the shard's unique keys, offset-indexed
-// training against the block (applying the sparse optimizer in place, example
-// by example), and one block commit — in place of a pull and a gradient push
-// per example. The shard's examples reference the key occurrences [lo, hi) of
-// the batch's index. With a single shard the arithmetic is bit-identical to
-// the per-example reference path (see CommitBlock); across concurrent shards
-// the per-key contributions combine additively rather than interleaving
-// through the shared tables.
+// forward and backward passes against the block, and one block commit — in
+// place of a pull and a gradient push per example. Every example reads the
+// parameters as they were when the batch started: the worker accumulates the
+// dense gradient into its own nn.Gradients (stageTrain steps the tower once
+// per batch) and the sparse gradient into one row per key, and applies the
+// sparse optimizer once per row after the last example. The shard's examples
+// reference the key occurrences [lo, hi) of the batch's index. With a single
+// shard the arithmetic is bit-identical to reference.Trainer.TrainBatch (see
+// CommitBlock); across concurrent shards the per-key contributions combine
+// additively.
 func (t *Trainer) trainShard(n *node, gpuID int, examples []dataset.Example, idx *keys.Index, lo, hi int) error {
 	if len(examples) == 0 {
 		return nil
-	}
-	if t.perExample {
-		return t.trainShardPerExample(n, gpuID, examples)
 	}
 	w := n.workers[gpuID]
 
@@ -230,100 +176,77 @@ func (t *Trainer) trainShard(n *node, gpuID int, examples []dataset.Example, idx
 	defer ps.PutBlock(orig)
 	orig.CopyFrom(work)
 
-	if cap(w.stamp) < len(uniq) {
-		w.stamp = make([]uint32, len(uniq))
-	} else {
-		w.stamp = w.stamp[:len(uniq)]
-	}
+	// A grown stamp starts at zero, below every epoch handed out so far.
+	w.stamp = ps.Resize(w.stamp, len(uniq))
+	w.sparse = ps.Resize(w.sparse, len(uniq)*dim)
+	clear(w.sparse)
 
-	for start := 0; start < len(examples); start += denseMicroRun {
-		end := min(start+denseMicroRun, len(examples))
-		// One check-out and one commit per micro-run; in between the worker
-		// trains its own replica and its own block, no lock held (package
-		// comment, "Dense-tower staleness").
-		t.checkoutDense(w)
-		for e := start; e < end; e++ {
-			ex := &examples[e]
-			w.vecs = w.vecs[:0]
-			w.offs = w.offs[:0]
-			for _, r := range rows[:len(ex.Features)] {
-				off := local[r]
-				w.offs = append(w.offs, off)
-				w.vecs = append(w.vecs, work.WeightsRow(int(off)))
-			}
-			rows = rows[len(ex.Features):]
-			nn.PoolSum(w.acts.Input(), w.vecs)
-			pred := w.net.Forward(w.acts)
-			inputGrad := w.net.BackwardApply(w.acts, pred, ex.Label, t.denseOpt, w.state)
-			w.loss.Add(float64(pred), float64(ex.Label))
-
-			// With sum pooling every referenced feature receives the input
-			// gradient; apply the sparse optimizer to the block in place so
-			// later examples of this shard see the update, exactly like the
-			// per-example path reading back from the tables.
-			w.ver++
-			if w.ver == 0 { // stamp wrapped: reset the epoch space
-				for i := range w.stamp {
-					w.stamp[i] = 0
-				}
-				w.ver = 1
-			}
-			for _, off := range w.offs {
-				if w.stamp[off] == w.ver {
-					continue // repeated feature within the example
-				}
-				w.stamp[off] = w.ver
-				t.sparseOpt.ApplySparse(work.WeightsRow(int(off)), work.G2Row(int(off)), inputGrad)
-				work.Freq[off]++
-			}
+	for e := range examples {
+		ex := &examples[e]
+		w.vecs = w.vecs[:0]
+		w.offs = w.offs[:0]
+		for _, r := range rows[:len(ex.Features)] {
+			off := local[r]
+			w.offs = append(w.offs, off)
+			w.vecs = append(w.vecs, work.WeightsRow(int(off)))
 		}
-		t.commitDense(w)
+		rows = rows[len(ex.Features):]
+		nn.PoolSum(w.acts.Input(), w.vecs)
+		// Nothing writes t.net while the workers train (stageTrain steps it
+		// after trainOnGPUs returns), so they read it without a lock.
+		pred := t.net.Forward(w.acts)
+		inputGrad := t.net.Backward(w.acts, pred, ex.Label, w.grads)
+		w.loss.Add(float64(pred), float64(ex.Label))
+
+		// With sum pooling every distinct feature of the example receives
+		// the input gradient.
+		w.ver++
+		if w.ver == 0 { // stamp wrapped: reset the epoch space, spare capacity included
+			clear(w.stamp[:cap(w.stamp)])
+			w.ver = 1
+		}
+		for _, off := range w.offs {
+			if w.stamp[off] == w.ver {
+				continue // repeated feature within the example
+			}
+			w.stamp[off] = w.ver
+			tensor.Add(inputGrad, w.sparse[int(off)*dim:(int(off)+1)*dim])
+			work.Freq[off]++
+		}
+	}
+	t.loss.Merge(&w.loss)
+	// Every row of the shard's key set was referenced by one of its examples:
+	// one sparse step each.
+	for off := range uniq {
+		t.sparseOpt.ApplySparse(work.WeightsRow(off), work.G2Row(off), w.sparse[off*dim:(off+1)*dim])
 	}
 	return n.hbm.CommitBlock(gpuID, orig, work)
 }
 
-// trainShardPerExample is the pre-batching reference implementation: pull
-// the example's embeddings, train the stored dense copy in place with the
-// reference Backward + Apply, push the gradients — per example. It is kept
-// (behind the perExample hook) so tests can assert that the batched path,
-// replicas and fused step included, reproduces it exactly.
-func (t *Trainer) trainShardPerExample(n *node, gpuID int, examples []dataset.Example) error {
-	acts := t.net.NewActivations()
-	grads := t.net.NewGradients()
-	var denseOpt optimizer.Dense = t.denseOpt // converted once, not per example
-	vecs := make([][]float32, 0, t.cfg.Data.NonZerosPerExample)
-	values := ps.NewValueBlock(t.cfg.Spec.EmbeddingDim)
-	for _, ex := range examples {
-		if err := n.hbm.PullInto(ps.PullRequest{Shard: gpuID, Keys: ex.Features}, values); err != nil {
-			return err
-		}
-		vecs = vecs[:0]
-		for i := range ex.Features {
-			vecs = append(vecs, values.WeightsRow(i))
-		}
-
-		// No replica here: every example trains the stored copy itself.
-		t.denseMu.Lock()
-		nn.PoolSum(acts.Input(), vecs)
-		pred := t.net.Forward(acts)
-		grads.Zero()
-		inputGrad := t.net.Backward(acts, pred, ex.Label, grads)
-		t.net.Apply(denseOpt, t.denseState, grads)
-		t.denseVersion++
-		t.denseMu.Unlock()
-		t.loss.Add(float64(pred), float64(ex.Label))
-
-		// With sum pooling every referenced feature receives the input
-		// gradient; the HBM-PS owners apply the sparse optimizer in place.
-		sparse := make(map[keys.Key][]float32, len(ex.Features))
-		for _, k := range ex.Features {
-			sparse[k] = inputGrad
-		}
-		if err := n.hbm.PushGrads(gpuID, sparse, t.sparseOpt); err != nil {
-			return err
+// denseStep takes the batch's one dense optimizer step: it sums every GPU
+// worker's accumulated gradient, node by node and GPU by GPU, into the first
+// worker's, applies the sum to the stored tower (the modelled all-reduce of
+// Algorithm 1, chargeAllReduce), and zeroes every accumulator for the next
+// batch. The sum is a sum, not a mean: one step over the batch's summed
+// gradient, as a single worker that trained every example would take.
+func (t *Trainer) denseStep() {
+	sum := t.nodes[0].workers[0].grads
+	for _, n := range t.nodes {
+		for _, w := range n.workers {
+			if w.grads != sum {
+				sum.Add(w.grads)
+			}
 		}
 	}
-	return nil
+	t.denseMu.Lock()
+	t.net.Apply(t.denseOpt, t.denseState, sum)
+	t.denseSteps++
+	t.denseMu.Unlock()
+	for _, n := range t.nodes {
+		for _, w := range n.workers {
+			w.grads.Zero()
+		}
+	}
 }
 
 // Predict returns the model's click probability for a feature set, reading

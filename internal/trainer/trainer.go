@@ -31,7 +31,7 @@
 // worker issues exactly one block pull and one block commit per mini-batch —
 // it pulls its shard's keys into a reused ValueBlock, addresses every
 // example's features by row offset, applies the sparse optimizer to the block
-// in place, and commits the accumulated result. The CPU partitions a batch's
+// in place once per row, and commits the result. The CPU partitions a batch's
 // keys once: stageRead builds the node-batch's keys.Index (sorted unique keys
 // plus each feature occurrence's row), stagePull pulls its Unique set, and a
 // GPU worker derives its shard's key set and row offsets from it by marking —
@@ -39,23 +39,21 @@
 // activations, offset buffers) is pooled or owned by the node or GPU worker,
 // so steady-state batches allocate close to nothing.
 //
-// # Dense-tower staleness
+// # One step per batch
 //
-// Every GPU worker holds its own replica of the dense tower and its Adagrad
-// state (the paper pins the dense parameters in every GPU's HBM, Appendix
-// C.4); Trainer.net and Trainer.denseState are the stored copy the replicas
-// sync through, which is also what Predict, the checkpoint and the serving
-// republish read. Replicas sync every denseMicroRun examples: a worker checks
-// its replica out of the stored copy, trains the run on it with no lock held,
-// and commits stored = final + (stored - orig) under denseMu — the formula and
-// exactness argument of hbmps.CommitBlock, so one rule syncs the sparse rows
-// (once per batch) and the dense tower (once per micro-run). A replica can
-// miss at most what its peers trained since its check-out; every worker has
-// committed by the barrier that ends trainOnGPUs, so the next batch's first
-// check-out sees everything — the bound the sparse rows already accept. With
-// a single GPU (or the sequential test hook) no peer commits in between: the
-// correction term is an exact zero, the check-out copies nothing, and the
-// arithmetic is bit-identical to training the stored copy in place.
+// Every coordinate takes one optimizer step per batch (Algorithm 1: each GPU
+// trains a mini-batch, and the dense gradients meet in an all-reduce). A GPU
+// worker reads the parameters as the batch found them: it accumulates the
+// dense gradient into its own nn.Gradients, reading the one stored tower
+// (Trainer.net) without a lock, and each row's sparse gradient into a slab
+// beside its block, then applies the sparse optimizer once per row and
+// commits the block. Once every worker of every node has finished,
+// stageTrain sums their dense gradients and applies Adagrad to the stored
+// tower once, under denseMu — the lock Predict, the checkpoint and the
+// serving republish read it under. stageTrain runs on one pipeline goroutine,
+// so the tower is never stale: batch N+1's workers start after batch N's
+// dense step. With one GPU the arithmetic is bit-identical to
+// reference.Trainer.TrainBatch.
 package trainer
 
 import (
@@ -230,22 +228,18 @@ type Trainer struct {
 	// async committer included.
 	pulls chan []ownedPull
 
-	// The dense tower is replicated on every GPU worker (gpuWorker); net and
-	// denseState are the stored copy the replicas check out of and commit to
-	// (package comment, "Dense-tower staleness"). denseMu guards the stored
-	// copy and the counters beside it. denseVersion is bumped by every write
-	// to the stored copy, so a worker can tell whether it changed since the
-	// worker last synced with it; denseCommits counts replica commits and
-	// denseMerges those that found a peer's commit and took the delta path.
-	denseMu      sync.Mutex
-	net          *nn.Network
-	denseState   *nn.DenseState
-	denseVersion uint64
-	denseCommits int64
-	denseMerges  int64
-	denseOpt     optimizer.Adagrad
-	sparseOpt    optimizer.Sparse
-	evalActs     *nn.Activations
+	// net and denseState are the one dense tower and its optimizer state
+	// (package comment, "One step per batch"). The GPU workers read net
+	// without a lock while a batch trains; denseStep writes both under
+	// denseMu, which also guards every other reader and denseSteps, the count
+	// of dense steps taken.
+	denseMu    sync.Mutex
+	net        *nn.Network
+	denseState *nn.DenseState
+	denseSteps int64
+	denseOpt   optimizer.Dense
+	sparseOpt  optimizer.Sparse
+	evalActs   *nn.Activations
 
 	pipe *pipeline.Pipeline[*job]
 
@@ -262,14 +256,9 @@ type Trainer struct {
 
 	// sequential makes eachNode visit nodes in order instead of
 	// concurrently; a test hook that removes scheduling nondeterminism (the
-	// interleaving of per-node dense updates and parameter creation) so
-	// equivalence tests can compare two runs at a tight tolerance.
+	// interleaving of per-node parameter creation) so equivalence tests can
+	// compare two runs at a tight tolerance.
 	sequential bool
-
-	// perExample switches trainShard to the pre-batching reference
-	// implementation (per-example pulls and gradient pushes); a test hook
-	// used to assert the batched path reproduces it exactly.
-	perExample bool
 
 	// denseFlat is the reused dense-parameter flatten buffer for serving
 	// republish; only the republish path — stagePush (single pipeline

@@ -132,53 +132,47 @@ func TestConvergesToReferenceOracle(t *testing.T) {
 	}
 }
 
-// TestBatchedMatchesPerExample pins the batched hot path's arithmetic: with
-// a single GPU and the sequential hook (no concurrent writers anywhere) the
-// block pull -> offset-indexed in-place training -> block commit cycle, on a
-// checked-out dense replica with the fused backward+Adagrad step, is
-// bit-for-bit the same computation as the per-example pull/push reference
-// path training the stored copy in place with Backward + Apply. So the two
-// runs must end with the *identical* dense tower and optimizer state, bit for
-// bit, and (the sparse half) the identical AUC — not merely close ones.
-func TestBatchedMatchesPerExample(t *testing.T) {
+// TestMatchesMiniBatchOracle pins the hot path's arithmetic to the
+// reference trainer's mini-batch step: with one node of one GPU (no
+// concurrent writers anywhere) the block pull -> offset-indexed
+// forward and backward -> one sparse step per row -> block commit cycle, and
+// the batch's one dense step, are bit for bit reference.Trainer.TrainBatch on
+// the same stream. So the two must end with the *identical* dense tower and
+// optimizer state, bit for bit, and (the sparse half, read back through the
+// push and the MEM-PS) the identical AUC — not merely close ones.
+func TestMatchesMiniBatchOracle(t *testing.T) {
 	data := testData()
 	spec := testSpec()
-	run := func(perExample bool) (auc float64, params, state []float32) {
-		tr, err := New(Config{
-			Spec:        spec,
-			Data:        data,
-			Topology:    cluster.Topology{Nodes: 1, GPUsPerNode: 1},
-			BatchSize:   128,
-			Batches:     20,
-			MaxInFlight: 1,
-			Seed:        7,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { tr.Close() })
-		tr.sequential = true
-		tr.perExample = perExample
-		if err := tr.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		params, state = denseFlats(tr)
-		return evalAUC(t, tr, dataset.NewGenerator(data, 999), 1500), params, state
+	const seed, batches, batchSize, evalN = 7, 20, 128, 1500
+	tr := runTrainer(t, Config{
+		Spec:        spec,
+		Data:        data,
+		Topology:    cluster.Topology{Nodes: 1, GPUsPerNode: 1},
+		BatchSize:   batchSize,
+		Batches:     batches,
+		MaxInFlight: 1,
+		Seed:        seed,
+	})
+	ref := reference.New(reference.Config{EmbeddingDim: spec.EmbeddingDim, Hidden: spec.HiddenLayers, Seed: seed})
+	gen := dataset.NewGenerator(data, seed)
+	for i := 0; i < batches; i++ {
+		ref.TrainBatch(gen.NextBatch(batchSize))
 	}
-	batched, batchedParams, batchedState := run(false)
-	perExample, refParams, refState := run(true)
-	t.Logf("batched AUC = %.6f, per-example AUC = %.6f", batched, perExample)
-	if !sameBits(batchedParams, refParams) {
-		t.Fatal("batched path's dense parameters differ from the per-example reference's")
+	params, state := denseFlats(tr)
+	if !sameBits(params, ref.Network().FlattenParams(nil)) {
+		t.Fatal("the trainer's dense parameters differ from the mini-batch oracle's")
 	}
-	if !sameBits(batchedState, refState) {
-		t.Fatal("batched path's dense optimizer state differs from the per-example reference's")
+	if !sameBits(state, ref.DenseState().Flatten(nil)) {
+		t.Fatal("the trainer's dense optimizer state differs from the mini-batch oracle's")
 	}
-	if batched != perExample {
-		t.Fatalf("batched path diverged from the per-example reference: %.9f != %.9f", batched, perExample)
+	got := evalAUC(t, tr, dataset.NewGenerator(data, 999), evalN)
+	want := ref.Evaluate(dataset.NewGenerator(data, 999), evalN)
+	t.Logf("trainer AUC = %.6f, oracle AUC = %.6f", got, want)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("trainer diverged from the mini-batch oracle: AUC %.9f != %.9f", got, want)
 	}
-	if batched < 0.6 {
-		t.Fatalf("both paths failed to learn (AUC %.4f)", batched)
+	if got < 0.6 {
+		t.Fatalf("both failed to learn (AUC %.4f)", got)
 	}
 }
 
