@@ -29,7 +29,7 @@ func (t *TCPTransport) pullInto(nodeID int, op uint8, ks []keys.Key, dst *ps.Val
 		// the PullInto contract.
 		dst.Reset(t.dim, ks)
 	}
-	reqBytes, respBytes := int64(len(ks))*8, rowBytes(t.dim, dst.PresentCount())
+	reqBytes, respBytes := PayloadBytes(t.dim, len(ks), 0), PayloadBytes(t.dim, 0, dst.PresentCount())
 	t.addBytes(reqBytes, respBytes)
 	return reqBytes + respBytes, nil
 }
@@ -55,7 +55,7 @@ func (t *TCPTransport) sendBlock(nodeID int, op uint8, client, seq uint64, blk *
 	if err != nil {
 		return 0, err
 	}
-	bytes := rowBytes(t.dim, blk.PresentCount())
+	bytes := PayloadBytes(t.dim, len(blk.Keys), blk.PresentCount())
 	t.addBytes(bytes, 0)
 	return bytes, nil
 }

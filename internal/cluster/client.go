@@ -71,9 +71,9 @@ type TransportStats struct {
 	// the subset that replaced a dropped connection (a reconnect). A peer's
 	// first connection is not a redial.
 	Calls, Retries, Dials, Redials int64
-	// BytesOut / BytesIn estimate the payload traffic (8 bytes per requested
-	// key, rowBytes per value row, the accounting every transport shares) —
-	// the "model bytes moved".
+	// BytesOut / BytesIn count the payload traffic (PayloadBytes: 8 bytes
+	// per key a request names, 4+8·dim per value row, the accounting every
+	// transport shares) — the "model bytes moved".
 	BytesOut, BytesIn int64
 	// WireOut / WireIn count the bytes that actually crossed the sockets
 	// (frame prefixes included), so the framing overhead is visible as

@@ -126,7 +126,7 @@ func TestLocalTransport(t *testing.T) {
 	if res.PresentCount() != 2 || res.WeightsRow(0)[0] != 10 {
 		t.Fatalf("pull result = %+v", res)
 	}
-	if want := int64(2*8 + 2*(8+embedding.EncodedSize(4))); bytes != want {
+	if want := int64(2*8 + 2*(4+8*4)); bytes != want {
 		t.Fatalf("payload bytes = %d, want %d", bytes, want)
 	}
 	if _, _, err := pull(tr, 9, []keys.Key{1}); err == nil {
@@ -139,7 +139,7 @@ func TestLocalTransport(t *testing.T) {
 }
 
 // TestPayloadBytes pins the payload a lookup counts: 8 bytes per requested
-// key, plus a row with its key per present row.
+// key, plus a frequency and two fp32 arrays per present row.
 func TestPayloadBytes(t *testing.T) {
 	lt := NewLocalTransport(opsDim)
 	lt.Register(0, newOpsHandler())
@@ -151,9 +151,51 @@ func TestPayloadBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := int64(3*8 + 2*(8+embedding.EncodedSize(opsDim)))
+	want := int64(3*8 + 2*(4+8*opsDim))
 	if got != want {
 		t.Fatalf("lookup payload = %d, want %d", got, want)
+	}
+}
+
+// TestWireCoversPayload: over loopback, the payload a TCPTransport counts is
+// model data its frames carry, so after pulls, lookups and pushes the socket
+// bytes are at least the payload, and one pulled row costs its key once plus
+// its frequency and two fp32 arrays.
+func TestWireCoversPayload(t *testing.T) {
+	srv, err := ServeTCP("127.0.0.1:0", newOpsHandler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	tr := NewTCPTransport(map[int]string{0: srv.Addr()}, opsDim)
+	defer tr.Close()
+	blk := ps.NewValueBlock(opsDim)
+	one, err := tr.PullBlock(0, []keys.Key{1}, blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(8 + 4 + 8*opsDim); one != want {
+		t.Fatalf("one pulled row's payload = %d B, want %d", one, want)
+	}
+	total := one
+	calls := []func() (int64, error){
+		func() (int64, error) { return tr.PullBlock(0, []keys.Key{2, 3, 4}, blk) },
+		func() (int64, error) { return tr.Lookup(0, []keys.Key{1, 2, 99}, blk) }, // 99 is absent
+		func() (int64, error) { return tr.PushBlock(0, opsBlock([]keys.Key{1, 3}, 0.5)) },
+	}
+	for i, call := range calls {
+		n, err := call()
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		total += n
+	}
+	st := tr.Stats()
+	if st.BytesOut+st.BytesIn != total {
+		t.Fatalf("stats count %d+%d payload bytes, the calls returned %d", st.BytesOut, st.BytesIn, total)
+	}
+	if st.WireOut+st.WireIn < st.BytesOut+st.BytesIn {
+		t.Fatalf("wire %d+%d B is less than the payload %d+%d B", st.WireOut, st.WireIn, st.BytesOut, st.BytesIn)
 	}
 }
 

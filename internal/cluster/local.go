@@ -64,7 +64,7 @@ func (t *LocalTransport) PullBlock(nodeID int, ks []keys.Key, dst *ps.ValueBlock
 	if err := h.HandlePullBlock(ks, dst); err != nil {
 		return 0, fmt.Errorf("cluster: pull from node %d: %w", nodeID, err)
 	}
-	return int64(len(ks))*8 + rowBytes(t.dim, dst.PresentCount()), nil
+	return PayloadBytes(t.dim, len(ks), dst.PresentCount()), nil
 }
 
 // PushBlock implements TierTransport when node nodeID's handler accepts
@@ -81,7 +81,7 @@ func (t *LocalTransport) PushBlock(nodeID int, blk *ps.ValueBlock) (int64, error
 	if err := ph.HandlePushBlock(blk); err != nil {
 		return 0, fmt.Errorf("cluster: push to node %d: %w", nodeID, err)
 	}
-	return rowBytes(t.dim, blk.PresentCount()), nil
+	return PayloadBytes(t.dim, len(blk.Keys), blk.PresentCount()), nil
 }
 
 // Replicate forwards an applied delta block to nodeID's handler (the
@@ -99,7 +99,7 @@ func (t *LocalTransport) Replicate(nodeID int, client, seq uint64, blk *ps.Value
 	if err := rh.HandleReplicate(blk); err != nil {
 		return 0, fmt.Errorf("cluster: replicate to node %d: %w", nodeID, err)
 	}
-	return rowBytes(t.dim, blk.PresentCount()), nil
+	return PayloadBytes(t.dim, len(blk.Keys), blk.PresentCount()), nil
 }
 
 // Transfer installs the block's rows on nodeID's handler outright (set
@@ -176,5 +176,5 @@ func (t *LocalTransport) Lookup(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (
 	if err := lh.HandleLookupBlock(ks, dst); err != nil {
 		return 0, fmt.Errorf("cluster: lookup from node %d: %w", nodeID, err)
 	}
-	return int64(len(ks))*8 + rowBytes(t.dim, dst.PresentCount()), nil
+	return PayloadBytes(t.dim, len(ks), dst.PresentCount()), nil
 }

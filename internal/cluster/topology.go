@@ -14,7 +14,6 @@ import (
 	"cmp"
 	"fmt"
 
-	"hps/internal/embedding"
 	"hps/internal/keys"
 	"hps/internal/ps"
 )
@@ -278,8 +277,12 @@ func (NoRoute) PullBlock(nodeID int, _ []keys.Key, _ *ps.ValueBlock) (int64, err
 	return 0, fmt.Errorf("%w: %d (transport has no routes)", ErrUnknownNode, nodeID)
 }
 
-// rowBytes is the payload of n value rows of dimension dim
-// with their keys: the model-bytes accounting every transport shares.
-func rowBytes(dim, n int) int64 {
-	return int64(n) * int64(8+embedding.EncodedSize(dim))
+// PayloadBytes is the model bytes of a call that names nkeys keys and moves
+// rows value rows of dimension dim: 8 bytes per key, once per request (a
+// pull's requested keys or a pushed block's keys), and per row its frequency
+// and two fp32 arrays, the parts of a wire row that are model data. Every
+// transport counts its payload this way, and the MEM-PS charges a peer pull's
+// modelled transfer by it.
+func PayloadBytes(dim, nkeys, rows int) int64 {
+	return 8*int64(nkeys) + int64(rows)*int64(4+8*dim)
 }

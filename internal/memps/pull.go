@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"hps/internal/cluster"
 	"hps/internal/embedding"
 	"hps/internal/keys"
 	"hps/internal/ps"
@@ -102,7 +103,7 @@ func (m *MemPS) recordPrepared(st *PullStats) {
 func (m *MemPS) ReceivePeerRows(n int) time.Duration {
 	var d time.Duration
 	if m.cfg.Fabric != nil {
-		d = m.cfg.Fabric.Ethernet(int64(n) * int64(8+8+embedding.EncodedSize(m.cfg.Dim)))
+		d = m.cfg.Fabric.Ethernet(cluster.PayloadBytes(m.cfg.Dim, n, n))
 	}
 	m.mu.Lock()
 	m.stats.RemoteKeys += int64(n)

@@ -77,7 +77,11 @@ func materializedBackward(n *Network, acts *Activations, pred, label float32, g 
 		prev := make([]float32, l.w.Cols)
 		tensor.MatTVecRows(l.w, rows, coef, prev)
 		if i > 0 {
-			tensor.ReLUGrad(in, prev)
+			for j, a := range in { // ReLU's derivative: 1 where a > 0, else 0
+				if a <= 0 {
+					prev[j] = 0
+				}
+			}
 		}
 		delta = prev
 	}

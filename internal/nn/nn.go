@@ -12,10 +12,11 @@
 // ReLU zeroes about half of each hidden layer's units, and every pass skips
 // them. Forward lists each layer input's non-zero units as it applies ReLU
 // and multiplies only those columns; Backward carries the loss gradient as its
-// non-zero rows, propagates it only into the units Forward listed (ReLU's
-// derivative zeroes the rest) and accumulates each layer's weight gradient
-// over those rows and listed columns only — bit for bit the materialized
-// gradient, whose skipped terms are all exact zeros.
+// non-zero rows and makes one pass over them per hidden layer
+// (tensor.MatTVecRowsColsAccum): for four rows at a time it propagates them
+// only into the units Forward listed (ReLU's derivative zeroes the rest) and
+// adds the layer's weight gradient on those rows and listed columns — bit
+// for bit the materialized gradient, whose skipped terms are all exact zeros.
 //
 // A training step is mini-batch: Forward + Backward per example accumulate the
 // dense gradient into a Gradients, and one Apply per batch hands the sum to
@@ -224,14 +225,17 @@ func (g *Gradients) Add(other *Gradients) {
 // Backward computes gradients of the log-loss at (pred, label) for the
 // forward pass recorded in acts, accumulates dense gradients into g, and
 // returns the gradient with respect to the network input (the pooled
-// embedding). Layer by layer, top down, it carries delta as its non-zero rows,
-// adds the layer's weight gradient delta ⊗ in over those rows and the columns
-// Forward listed, and propagates delta through the layer's weights — on a
-// hidden layer only into the listed units, because ReLU's derivative zeroes
-// the rest. Every term it skips is an exact zero, so g and the returned
-// gradient are bit for bit the dense computation's. The returned slice is
-// backed by acts' reusable scratch: it stays valid until the next Backward
-// call on the same Activations, so the per-example hot path allocates nothing.
+// embedding). Layer by layer, top down, it carries delta as its non-zero rows
+// and, in one pass over them, propagates delta through the layer's weights —
+// on a hidden layer only into the listed units, because ReLU's derivative
+// zeroes the rest — and adds the layer's weight gradient delta ⊗ in over
+// those rows and the columns Forward listed. The input layer propagates into
+// every unit (tensor.MatTVecRows), then adds its weight gradient
+// (tensor.OuterAccumRowsCols). Every term it skips is an exact zero, so g and
+// the returned gradient are bit for bit the dense computation's. The returned
+// slice is backed by acts' reusable scratch: it stays valid until the next
+// Backward call on the same Activations, so the per-example hot path
+// allocates nothing.
 func (n *Network) Backward(acts *Activations, pred, label float32, g *Gradients) []float32 {
 	// dL/dlogit for sigmoid + cross-entropy is (pred - label).
 	rows, coef := acts.rows[:0], acts.coef[:0]
@@ -241,8 +245,7 @@ func (n *Network) Backward(acts *Activations, pred, label float32, g *Gradients)
 	for i := len(n.layers) - 1; i > 0; i-- {
 		l, cols := n.layers[i], acts.nz[i]
 		grad := acts.deltaBuf(i, l.w.Cols)[:len(cols)]
-		tensor.MatTVecRowsCols(l.w, rows, coef, cols, grad)
-		accumRank1(g.w[i], g.b[i], rows, coef, cols, acts.kept[i])
+		tensor.MatTVecRowsColsAccum(l.w, rows, coef, cols, acts.kept[i], grad, g.w[i], g.b[i])
 		// The layer below's delta: grad's non-zero entries, at their units.
 		rows, coef = rows[:0], coef[:0]
 		for k, v := range grad {
@@ -253,20 +256,8 @@ func (n *Network) Backward(acts *Activations, pred, label float32, g *Gradients)
 	}
 	inGrad := acts.deltaBuf(0, n.cfg.InputDim)
 	tensor.MatTVecRows(n.layers[0].w, rows, coef, inGrad)
-	accumRank1(g.w[0], g.b[0], rows, coef, acts.nz[0], acts.kept[0])
+	tensor.OuterAccumRowsCols(g.w[0], g.b[0], rows, coef, acts.nz[0], acts.kept[0])
 	return inGrad
-}
-
-// accumRank1 adds the weight gradient u ⊗ v to gw and the bias gradient u to
-// gb, for u given by its non-zero rows and v by its listed columns.
-func accumRank1(gw *tensor.Matrix, gb []float32, rows []int32, u []float32, cols []int32, v []float32) {
-	for k, r := range rows {
-		ur, row := u[k], gw.Row(int(r))
-		for m, j := range cols {
-			row[j] += ur * v[m]
-		}
-		gb[r] += ur
-	}
 }
 
 // DenseState holds optimizer state for every dense parameter block.

@@ -58,19 +58,21 @@ func BenchmarkMatVec(b *testing.B) {
 	}
 }
 
-// BenchmarkMatTVec times the input-gradient products with half of the rows
-// listed: MatTVecRowsCols on half of the columns (a hidden layer's input),
-// and MatTVecRows on every column (the pooled input's, "every-column").
+// BenchmarkMatTVec times the backward kernels with half of the rows listed:
+// MatTVecRowsColsAccum on half of the columns (a hidden layer's product and
+// weight gradient in one pass), and MatTVecRows on every column (the pooled
+// input's, "every-column"). Bytes count the whole matrix, as the dense
+// product they replace read it.
 func BenchmarkMatTVec(b *testing.B) {
 	for _, n := range matShapes {
 		m := benchMatrix(n, n)
 		rows, x := halfList(benchVector(n))
-		cols, _ := halfList(make([]float32, n))
+		cols, v := halfList(benchVector(n))
 		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
-			out := make([]float32, len(cols))
+			out, gw, gb := make([]float32, len(cols)), NewMatrix(n, n), make([]float32, n)
 			b.SetBytes(int64(4 * n * n))
 			for i := 0; i < b.N; i++ {
-				MatTVecRowsCols(m, rows, x, cols, out)
+				MatTVecRowsColsAccum(m, rows, x, cols, v, out, gw, gb)
 			}
 		})
 		b.Run(fmt.Sprintf("%dx%d-every-column", n, n), func(b *testing.B) {
@@ -78,35 +80,6 @@ func BenchmarkMatTVec(b *testing.B) {
 			b.SetBytes(int64(4 * n * n))
 			for i := 0; i < b.N; i++ {
 				MatTVecRows(m, rows, x, out)
-			}
-		})
-	}
-}
-
-func BenchmarkOuterAccum(b *testing.B) {
-	for _, n := range matShapes {
-		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
-			out := NewMatrix(n, n)
-			a := benchVector(n)
-			v := benchVector(n)
-			b.SetBytes(int64(4 * n * n))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				OuterAccum(out, a, v)
-			}
-		})
-	}
-}
-
-func BenchmarkAxpy(b *testing.B) {
-	for _, n := range vecShapes {
-		b.Run(fmt.Sprintf("%d", n), func(b *testing.B) {
-			x := benchVector(n)
-			y := benchVector(n)
-			b.SetBytes(int64(4 * n))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				Axpy(0.5, x, y)
 			}
 		})
 	}

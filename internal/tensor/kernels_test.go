@@ -25,9 +25,9 @@ func matVecColsLoop(m *Matrix, cols []int32, x []float32) []float32 {
 	return out
 }
 
-// matTVecLoop is MatTVecRowsCols as the contract states it, column by column:
-// the listed rows four at a time, then the rest one at a time. cols == nil
-// means every column (MatTVecRows).
+// matTVecLoop is the transposed product as the contract states it, column by
+// column: the listed rows four at a time, then the rest one at a time. cols
+// == nil means every column (MatTVecRows).
 func matTVecLoop(m *Matrix, rows []int32, x []float32, cols []int32) []float32 {
 	if cols == nil {
 		cols = make([]int32, m.Cols)
@@ -52,6 +52,20 @@ func matTVecLoop(m *Matrix, rows []int32, x []float32, cols []int32) []float32 {
 	return out
 }
 
+// outerLoop is the weight-gradient update as the contract states it: starting
+// from c's accumulators, each listed element gets x[k]·v[o] added once and
+// each listed row's bias x[k]; every other element keeps its bits.
+func outerLoop(c kernelCase) (*Matrix, []float32) {
+	gw, gb := c.gw.Clone(), append([]float32(nil), c.gb...)
+	for k, r := range c.rows {
+		for o, col := range c.cols {
+			gw.Set(int(r), int(col), gw.At(int(r), int(col))+c.coef[k]*c.vals[o])
+		}
+		gb[r] += c.coef[k]
+	}
+	return gw, gb
+}
+
 // sameBits reports whether a and b hold the same values bit for bit, any
 // NaN matching any NaN (the loops and the kernels may meet two NaN operands in
 // one addition, whose payload the hardware picks).
@@ -67,16 +81,34 @@ func sameBits(a, b []float32) int {
 	return -1
 }
 
-// kernelCase is one input to the layer products: a matrix, a row list with
-// its coefficients and a column list with its values.
+// kernelCase is one input to the layer kernels: a matrix, a row list with
+// its coefficients, a column list with its values, and the weight and bias
+// gradients (gw shaped as m, gb one per row) the backward kernels add into.
 type kernelCase struct {
-	m          *Matrix
+	m, gw      *Matrix
 	rows, cols []int32
 	coef, vals []float32
+	gb         []float32
 }
 
-// checkKernels runs every layer product on c and compares it with the
-// scalar loops; MatTVecRowsCols must also equal MatTVecRows on every column
+// randomCase fills a rows x cols case with values in [-1, 1), listing each
+// row and column with probability p.
+func randomCase(rng *rand.Rand, rows, cols int, p float64) kernelCase {
+	c := kernelCase{m: NewMatrix(rows, cols), gw: NewMatrix(rows, cols), gb: make([]float32, rows)}
+	for _, buf := range [][]float32{c.m.Data, c.gw.Data, c.gb} {
+		for i := range buf {
+			buf[i] = rng.Float32()*2 - 1
+		}
+	}
+	c.rows, c.coef = randomList(rng, rows, p)
+	c.cols, c.vals = randomList(rng, cols, p)
+	return c
+}
+
+// checkKernels runs every layer kernel on c and compares it with the scalar
+// loops: the forward and transposed products with theirs, and the weight
+// gradients of MatTVecRowsColsAccum and OuterAccumRowsCols with outerLoop's.
+// MatTVecRowsColsAccum's product must also equal MatTVecRows on every column
 // it computes.
 func checkKernels(t *testing.T, name string, c kernelCase) {
 	t.Helper()
@@ -91,14 +123,30 @@ func checkKernels(t *testing.T, name string, c kernelCase) {
 		t.Fatalf("%s: MatTVecRows column %d = %v, loop %v", name, i, every, matTVecLoop(c.m, c.rows, c.coef, nil))
 	}
 	some := make([]float32, len(c.cols))
-	MatTVecRowsCols(c.m, c.rows, c.coef, c.cols, some)
+	gw, gb := c.gw.Clone(), append([]float32(nil), c.gb...)
+	MatTVecRowsColsAccum(c.m, c.rows, c.coef, c.cols, c.vals, some, gw, gb)
 	if i := sameBits(some, matTVecLoop(c.m, c.rows, c.coef, c.cols)); i >= 0 {
-		t.Fatalf("%s: MatTVecRowsCols output %d = %v, loop %v", name, i, some, matTVecLoop(c.m, c.rows, c.coef, c.cols))
+		t.Fatalf("%s: MatTVecRowsColsAccum output %d = %v, loop %v", name, i, some, matTVecLoop(c.m, c.rows, c.coef, c.cols))
 	}
 	for o, col := range c.cols {
 		if sameBits(some[o:o+1], every[col:col+1]) >= 0 {
-			t.Fatalf("%s: column %d: MatTVecRowsCols %v, MatTVecRows %v", name, col, some[o], every[col])
+			t.Fatalf("%s: column %d: MatTVecRowsColsAccum %v, MatTVecRows %v", name, col, some[o], every[col])
 		}
+	}
+	wantW, wantB := outerLoop(c)
+	if i := sameBits(gw.Data, wantW.Data); i >= 0 {
+		t.Fatalf("%s: MatTVecRowsColsAccum weight gradient %d = %v, loop %v", name, i, gw.Data, wantW.Data)
+	}
+	if i := sameBits(gb, wantB); i >= 0 {
+		t.Fatalf("%s: MatTVecRowsColsAccum bias gradient %d = %v, loop %v", name, i, gb, wantB)
+	}
+	gw, gb = c.gw.Clone(), append([]float32(nil), c.gb...)
+	OuterAccumRowsCols(gw, gb, c.rows, c.coef, c.cols, c.vals)
+	if i := sameBits(gw.Data, wantW.Data); i >= 0 {
+		t.Fatalf("%s: OuterAccumRowsCols weight gradient %d = %v, loop %v", name, i, gw.Data, wantW.Data)
+	}
+	if i := sameBits(gb, wantB); i >= 0 {
+		t.Fatalf("%s: OuterAccumRowsCols bias gradient %d = %v, loop %v", name, i, gb, wantB)
 	}
 }
 
@@ -111,35 +159,24 @@ func TestDenseKernelsMatchScalarLoops(t *testing.T) {
 	for _, rows := range sizes {
 		for _, cols := range sizes {
 			for _, p := range []float64{0, 0.3, 0.5, 1} {
-				m := NewMatrix(rows, cols)
-				for i := range m.Data {
-					m.Data[i] = rng.Float32()*2 - 1
-				}
-				c := kernelCase{m: m}
-				c.rows, c.coef = randomList(rng, rows, p)
-				c.cols, c.vals = randomList(rng, cols, p)
-				checkKernels(t, "random", c)
+				checkKernels(t, "random", randomCase(rng, rows, cols, p))
 			}
 		}
 	}
 }
 
 // TestDenseKernelsSkipNonFinite puts an Inf and a NaN into every row and
-// column the lists leave out: the outputs must be exactly those of the same
-// case with zeros there.
+// column the lists leave out, in the matrix and in the weight and bias
+// gradients: the outputs must be exactly those of the same case with finite
+// values there, and the gradients' unlisted elements must keep their bits.
 func TestDenseKernelsSkipNonFinite(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	inf, nan := float32(math.Inf(1)), float32(math.NaN())
 	for _, shape := range [][2]int{{4, 4}, {5, 7}, {9, 6}, {13, 11}} {
 		rows, cols := shape[0], shape[1]
 		for trial := 0; trial < 20; trial++ {
-			clean := NewMatrix(rows, cols)
-			for i := range clean.Data {
-				clean.Data[i] = rng.Float32()*2 - 1
-			}
-			c := kernelCase{m: clean}
-			c.rows, c.coef = randomList(rng, rows, 0.5)
-			c.cols, c.vals = randomList(rng, cols, 0.5)
+			c := randomCase(rng, rows, cols, 0.5)
+			clean := c.m
 			listedRow, listedCol := make([]bool, rows), make([]bool, cols)
 			for _, r := range c.rows {
 				listedRow[r] = true
@@ -184,11 +221,44 @@ func TestDenseKernelsSkipNonFinite(t *testing.T) {
 			if i := sameBits(everyClean, everyBad); i >= 0 {
 				t.Fatalf("MatTVecRows: unlisted row poisoned column %d: %v", i, everyBad)
 			}
+			// The weight and bias gradients carry the poison where the lists
+			// leave them out; the kernels must neither read nor write there.
+			poison := func(gw *Matrix, gb []float32) {
+				for r := 0; r < rows; r++ {
+					for j := 0; j < cols; j++ {
+						if !listedRow[r] || !listedCol[j] {
+							gw.Set(r, j, poisoned.At(r, j))
+						}
+					}
+					if !listedRow[r] {
+						gb[r] = []float32{inf, -inf, nan}[r%3]
+					}
+				}
+			}
+			gwClean, gbClean := c.gw.Clone(), append([]float32(nil), c.gb...)
+			gwBad, gbBad := c.gw.Clone(), append([]float32(nil), c.gb...)
+			poison(gwBad, gbBad)
 			someClean, someBad := make([]float32, len(c.cols)), make([]float32, len(c.cols))
-			MatTVecRowsCols(clean, c.rows, c.coef, c.cols, someClean)
-			MatTVecRowsCols(poisoned, c.rows, c.coef, c.cols, someBad)
+			MatTVecRowsColsAccum(clean, c.rows, c.coef, c.cols, c.vals, someClean, gwClean, gbClean)
+			MatTVecRowsColsAccum(poisoned, c.rows, c.coef, c.cols, c.vals, someBad, gwBad, gbBad)
 			if i := sameBits(someClean, someBad); i >= 0 {
-				t.Fatalf("MatTVecRowsCols: unlisted row or column poisoned output %d: %v", i, someBad)
+				t.Fatalf("MatTVecRowsColsAccum: unlisted row or column poisoned output %d: %v", i, someBad)
+			}
+			poison(gwClean, gbClean)
+			if i := sameBits(gwClean.Data, gwBad.Data); i >= 0 {
+				t.Fatalf("MatTVecRowsColsAccum: weight gradient %d = %v, want %v", i, gwBad.Data[i], gwClean.Data[i])
+			}
+			if i := sameBits(gbClean, gbBad); i >= 0 {
+				t.Fatalf("MatTVecRowsColsAccum: bias gradient %d = %v, want %v", i, gbBad[i], gbClean[i])
+			}
+			gwOuter, gbOuter := c.gw.Clone(), append([]float32(nil), c.gb...)
+			poison(gwOuter, gbOuter)
+			OuterAccumRowsCols(gwOuter, gbOuter, c.rows, c.coef, c.cols, c.vals)
+			if i := sameBits(gwOuter.Data, gwBad.Data); i >= 0 {
+				t.Fatalf("OuterAccumRowsCols: weight gradient %d = %v, want %v", i, gwOuter.Data[i], gwBad.Data[i])
+			}
+			if i := sameBits(gbOuter, gbBad); i >= 0 {
+				t.Fatalf("OuterAccumRowsCols: bias gradient %d = %v, want %v", i, gbOuter[i], gbBad[i])
 			}
 			for _, v := range append(append(fwdBad, everyBad...), someBad...) {
 				if math.IsInf(float64(v), 0) || v != v {
@@ -201,8 +271,9 @@ func TestDenseKernelsSkipNonFinite(t *testing.T) {
 
 // kernelCaseFrom decodes a case from fuzz bytes: two shape bytes (0..12
 // rows and columns), one list bit per row and per column, then the matrix,
-// coefficients and values as raw float32 bits, so any Inf, NaN or
-// subnormal can appear anywhere. Bytes past the end read as zero.
+// coefficients, values, weight gradient and bias gradient as raw float32
+// bits, so any Inf, NaN or subnormal can appear anywhere. Bytes past the end
+// read as zero.
 func kernelCaseFrom(data []byte) kernelCase {
 	next := func() byte {
 		if len(data) == 0 {
@@ -220,7 +291,7 @@ func kernelCaseFrom(data []byte) kernelCase {
 		return math.Float32frombits(binary.LittleEndian.Uint32(b[:]))
 	}
 	rows, cols := int(next()%13), int(next()%13)
-	c := kernelCase{m: NewMatrix(rows, cols), rows: []int32{}, cols: []int32{}}
+	c := kernelCase{m: NewMatrix(rows, cols), gw: NewMatrix(rows, cols), rows: []int32{}, cols: []int32{}, gb: make([]float32, rows)}
 	var bits uint32
 	for i := 0; i < rows+cols; i++ {
 		if i%8 == 0 {
@@ -244,10 +315,15 @@ func kernelCaseFrom(data []byte) kernelCase {
 	for range c.cols {
 		c.vals = append(c.vals, nextFloat())
 	}
+	for _, buf := range [][]float32{c.gw.Data, c.gb} {
+		for i := range buf {
+			buf[i] = nextFloat()
+		}
+	}
 	return c
 }
 
-// FuzzDenseKernels checks the layer products against the scalar loops on
+// FuzzDenseKernels checks the layer kernels against the scalar loops on
 // arbitrary shapes, lists and float bits.
 func FuzzDenseKernels(f *testing.F) {
 	f.Add([]byte{})
@@ -256,7 +332,7 @@ func FuzzDenseKernels(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 4; i++ {
 		seed := []byte{byte(rng.Intn(13)), byte(rng.Intn(13)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))}
-		for j := 0; j < 200; j++ {
+		for j := 0; j < 400; j++ { // enough for a 12x12 case's every float
 			seed = binary.LittleEndian.AppendUint32(seed, math.Float32bits(rng.Float32()*2-1))
 		}
 		f.Add(seed)

@@ -1,32 +1,33 @@
 // Package tensor implements the minimal dense float32 linear algebra used by
-// the CTR prediction network: matrices, the fully-connected layers'
-// matrix-vector products, element-wise activation functions and their
-// derivatives, and the slab kernels the parameter-server tiers share.
+// the CTR prediction network: matrices, the fully-connected layers' forward
+// and backward kernels, element-wise activation functions, and the slab
+// kernels the parameter-server tiers share.
 //
 // Only the operations the fully-connected layers need are provided; the goal
 // is a dependency-free, predictable substrate rather than a general BLAS.
 //
-// The layer products read only what a list names. ReLU zeroes about half of
-// a hidden layer's units, so a forward product takes the non-zero columns of
-// its input (MatVecCols) and an input-gradient product the non-zero rows of
-// its coefficient vector (MatTVecRows, MatTVecRowsCols). A list holds
-// distinct indices in ascending order; NonZero and BiasReLU build them.
+// The layer kernels read only what a list names. ReLU zeroes about half of a
+// hidden layer's units, so a forward product takes the non-zero columns of
+// its input (MatVecCols), and the backward kernels the non-zero rows of the
+// layer's output gradient (MatTVecRows, MatTVecRowsColsAccum,
+// OuterAccumRowsCols). A list holds distinct indices in ascending order;
+// NonZero and BiasReLU build them.
 //
 // Summation order. MatVecCols sums each row's terms in list order, from zero,
 // one accumulator per row. The transposed products add the listed rows into
 // each output column four at a time, out[j] += x0·M[r0][j] + x1·M[r1][j] +
 // x2·M[r2][j] + x3·M[r3][j] left to right, then the last len(rows)%4 one at a
 // time, out[j] += x·M[r][j]; a column's sum depends on the row list only, so
-// every kernel that computes that column computes it bit for bit alike. Dot
-// keeps four independent accumulators, so it sums in another order than a
-// scalar loop; the element-wise kernels (Axpy, Add, Scale, SubAnyNonZero)
-// are bit-identical to theirs.
+// every kernel that computes that column computes it bit for bit alike. A
+// weight-gradient kernel adds each product x[k]·v[o] to its element once, so
+// it is bit-identical to the scalar loop, as are the element-wise kernels
+// (Add, Scale, SubAnyNonZero). Dot keeps four independent accumulators, so it
+// sums in another order than a scalar loop.
 //
 // Non-finite values. A kernel never multiplies what it skips: a row or
-// column left out of a list, or a row OuterAccum passes over for its zero
-// coefficient, contributes nothing even when it holds an Inf or a NaN. What a
-// kernel reads follows IEEE arithmetic, so a NaN in a listed unit reaches
-// every output it feeds.
+// column left out of a list contributes nothing even when it holds an Inf or
+// a NaN. What a kernel reads follows IEEE arithmetic, so a NaN in a listed
+// unit reaches every output it feeds.
 package tensor
 
 import (
@@ -151,87 +152,94 @@ func MatTVecRows(m *Matrix, rows []int32, x, out []float32) {
 		}
 	}
 	for ; k < len(rows); k++ {
-		axpyUnitary(x[k], m.Row(int(rows[k])), out)
+		xk, r := x[k], m.Row(int(rows[k]))[:n]
+		for j := range out {
+			out[j] += xk * r[j]
+		}
 	}
 }
 
-// MatTVecRowsCols is MatTVecRows on the listed columns only: out[o] =
-// Σ_k x[k]·M[rows[k]][cols[o]], with len(out) == len(cols). A column's sum
-// does not depend on which other columns are computed, so it is bit for bit
-// the one MatTVecRows writes for that column. It panics on shape mismatch.
-func MatTVecRowsCols(m *Matrix, rows []int32, x []float32, cols []int32, out []float32) {
-	if len(x) != len(rows) || len(out) != len(cols) || len(cols) > m.Cols {
-		panic(fmt.Sprintf("tensor: MatTVecRowsCols shape mismatch m=%dx%d rows=%d x=%d cols=%d out=%d", m.Rows, m.Cols, len(rows), len(x), len(cols), len(out)))
+// MatTVecRowsColsAccum is a hidden layer's backward pass in one sweep over
+// the listed rows of M. It computes the transposed product on the listed
+// columns only, out[o] = Σ_k x[k]·M[rows[k]][cols[o]] with len(out) ==
+// len(cols), in MatTVecRows' grouping, so each output is bit for bit the one
+// MatTVecRows writes for that column. Beside it, it adds the layer's weight
+// gradient x ⊗ v into gw on the listed rows and columns, gw[rows[k]][cols[o]]
+// += x[k]·v[o], and x into gb: one add per element, as OuterAccumRowsCols
+// makes. Each column index and gathered v[o] is loaded once per four rows.
+// It panics on shape mismatch.
+func MatTVecRowsColsAccum(m *Matrix, rows []int32, x []float32, cols []int32, v, out []float32, gw *Matrix, gb []float32) {
+	if len(x) != len(rows) || len(v) != len(cols) || len(out) != len(cols) || len(cols) > m.Cols ||
+		gw.Rows != m.Rows || gw.Cols != m.Cols || len(gb) != m.Rows {
+		panic(fmt.Sprintf("tensor: MatTVecRowsColsAccum shape mismatch m=%dx%d rows=%d x=%d cols=%d v=%d out=%d gw=%dx%d gb=%d",
+			m.Rows, m.Cols, len(rows), len(x), len(cols), len(v), len(out), gw.Rows, gw.Cols, len(gb)))
 	}
 	clear(out)
+	for k, r := range rows {
+		gb[r] += x[k]
+	}
 	k := 0
 	for ; k+3 < len(rows); k += 4 {
 		x4, r4 := x[k:k+4:k+4], rows[k:k+4:k+4]
 		x0, x1, x2, x3 := x4[0], x4[1], x4[2], x4[3]
 		r0 := m.Row(int(r4[0]))
 		r1, r2, r3 := m.Row(int(r4[1]))[:len(r0)], m.Row(int(r4[2]))[:len(r0)], m.Row(int(r4[3]))[:len(r0)]
+		g0, g1, g2, g3 := gw.Row(int(r4[0]))[:len(r0)], gw.Row(int(r4[1]))[:len(r0)], gw.Row(int(r4[2]))[:len(r0)], gw.Row(int(r4[3]))[:len(r0)]
 		for o, c := range cols {
+			u := v[o]
 			out[o] += x0*r0[c] + x1*r1[c] + x2*r2[c] + x3*r3[c]
+			g0[c] += x0 * u
+			g1[c] += x1 * u
+			g2[c] += x2 * u
+			g3[c] += x3 * u
 		}
 	}
 	for ; k < len(rows); k++ {
-		xk, r := x[k], m.Row(int(rows[k]))
+		xk, r, g := x[k], m.Row(int(rows[k])), gw.Row(int(rows[k]))
 		for o, c := range cols {
 			out[o] += xk * r[c]
+			g[c] += xk * v[o]
 		}
 	}
 }
 
-// OuterAccum accumulates out += a * bᵀ (a has length out.Rows, b has length
-// out.Cols). It is used for weight-gradient accumulation.
-func OuterAccum(out *Matrix, a, b []float32) {
-	if len(a) != out.Rows || len(b) != out.Cols {
-		panic(fmt.Sprintf("tensor: OuterAccum shape mismatch out=%dx%d a=%d b=%d", out.Rows, out.Cols, len(a), len(b)))
+// OuterAccumRowsCols adds the weight gradient x ⊗ v into gw on the listed
+// rows and columns, gw[rows[k]][cols[o]] += x[k]·v[o], and x into gb: the
+// input layer's half of MatTVecRowsColsAccum, whose transposed product
+// MatTVecRows computes on every column. Rows go four at a time, so each
+// column index and gathered v[o] is loaded once per four rows. It panics on
+// shape mismatch.
+func OuterAccumRowsCols(gw *Matrix, gb []float32, rows []int32, x []float32, cols []int32, v []float32) {
+	if len(x) != len(rows) || len(v) != len(cols) || len(cols) > gw.Cols || len(gb) != gw.Rows {
+		panic(fmt.Sprintf("tensor: OuterAccumRowsCols shape mismatch gw=%dx%d gb=%d rows=%d x=%d cols=%d v=%d", gw.Rows, gw.Cols, len(gb), len(rows), len(x), len(cols), len(v)))
 	}
-	for i := 0; i < out.Rows; i++ {
-		ai := a[i]
-		if ai == 0 {
-			continue
+	for k, r := range rows {
+		gb[r] += x[k]
+	}
+	k := 0
+	for ; k+3 < len(rows); k += 4 {
+		x4, r4 := x[k:k+4:k+4], rows[k:k+4:k+4]
+		x0, x1, x2, x3 := x4[0], x4[1], x4[2], x4[3]
+		g0 := gw.Row(int(r4[0]))
+		g1, g2, g3 := gw.Row(int(r4[1]))[:len(g0)], gw.Row(int(r4[2]))[:len(g0)], gw.Row(int(r4[3]))[:len(g0)]
+		for o, c := range cols {
+			u := v[o]
+			g0[c] += x0 * u
+			g1[c] += x1 * u
+			g2[c] += x2 * u
+			g3[c] += x3 * u
 		}
-		axpyUnitary(ai, b, out.Row(i))
+	}
+	for ; k < len(rows); k++ {
+		xk, g := x[k], gw.Row(int(rows[k]))
+		for o, c := range cols {
+			g[c] += xk * v[o]
+		}
 	}
 }
 
-// Axpy computes y += alpha * x element-wise. It panics on length mismatch.
-func Axpy(alpha float32, x, y []float32) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("tensor: Axpy length mismatch %d != %d", len(x), len(y)))
-	}
-	axpyUnitary(alpha, x, y)
-}
-
-// axpyUnitary is the unrolled y += alpha*x core; the caller guarantees
-// len(x) == len(y). Element updates are independent, so unlike Dot this is
-// bit-identical to the scalar loop. Eight wide rather than four: the kernel
-// is store-bound, and the wider body amortizes the loop overhead further
-// (measurably, unlike the reduction kernels, which run out of registers
-// first).
-func axpyUnitary(alpha float32, x, y []float32) {
-	i := 0
-	for n := len(x) - 7; i < n; i += 8 {
-		x8 := x[i : i+8 : i+8]
-		y8 := y[i : i+8 : i+8]
-		y8[0] += alpha * x8[0]
-		y8[1] += alpha * x8[1]
-		y8[2] += alpha * x8[2]
-		y8[3] += alpha * x8[3]
-		y8[4] += alpha * x8[4]
-		y8[5] += alpha * x8[5]
-		y8[6] += alpha * x8[6]
-		y8[7] += alpha * x8[7]
-	}
-	for ; i < len(x); i++ {
-		y[i] += alpha * x[i]
-	}
-}
-
-// Add computes y += x element-wise (the alpha == 1 Axpy, kept separate so the
-// slab-merge hot paths skip the multiply). It panics on length mismatch.
+// Add computes y += x element-wise, unrolled eight wide: the kernel is
+// store-bound, so the wider body pays. It panics on length mismatch.
 func Add(x, y []float32) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("tensor: Add length mismatch %d != %d", len(x), len(y)))
@@ -376,19 +384,6 @@ func BiasReLU(x, b []float32, idx []int32, vals []float32) ([]int32, []float32) 
 		}
 	}
 	return idx[:n], vals[:n]
-}
-
-// ReLUGrad multiplies grad by the ReLU derivative evaluated at activation
-// values act (1 where act > 0, else 0), in place on grad.
-func ReLUGrad(act, grad []float32) {
-	if len(act) != len(grad) {
-		panic(fmt.Sprintf("tensor: ReLUGrad length mismatch %d != %d", len(act), len(grad)))
-	}
-	for i, a := range act {
-		if a <= 0 {
-			grad[i] = 0
-		}
-	}
 }
 
 // LogLoss returns the binary cross-entropy loss for prediction p in (0,1) and

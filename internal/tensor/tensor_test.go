@@ -75,10 +75,13 @@ func TestMatTVec(t *testing.T) {
 	if out[0] != 5 || out[1] != 7 || out[2] != 9 {
 		t.Fatalf("MatTVecRows = %v", out)
 	}
-	some := make([]float32, 2)
-	MatTVecRowsCols(m, rows, x, []int32{0, 2}, some)
+	some, gw, gb := make([]float32, 2), NewMatrix(2, 3), make([]float32, 2)
+	MatTVecRowsColsAccum(m, rows, x, []int32{0, 2}, []float32{3, -1}, some, gw, gb)
 	if some[0] != 5 || some[1] != 9 {
-		t.Fatalf("MatTVecRowsCols = %v", some)
+		t.Fatalf("MatTVecRowsColsAccum = %v", some)
+	}
+	if want := []float32{3, 0, -1, 3, 0, -1}; sameBits(gw.Data, want) >= 0 || gb[0] != 1 || gb[1] != 1 {
+		t.Fatalf("MatTVecRowsColsAccum gradients = %v %v, want %v [1 1]", gw.Data, gb, want)
 	}
 	// Only row 1 listed.
 	MatTVecRows(m, []int32{1}, []float32{2}, out)
@@ -117,7 +120,7 @@ func TestMatVecMatTVecAdjointProperty(t *testing.T) {
 			lhs += float64(mx[r]) * float64(y[k])
 		}
 		mty := make([]float32, len(cIdx))
-		MatTVecRowsCols(m, rIdx, y, cIdx, mty)
+		MatTVecRowsColsAccum(m, rIdx, y, cIdx, x, mty, NewMatrix(rows, cols), make([]float32, rows))
 		rhs := float64(Dot(x, mty))
 		return almostEqual(lhs, rhs, 1e-3)
 	}
@@ -126,26 +129,25 @@ func TestMatVecMatTVecAdjointProperty(t *testing.T) {
 	}
 }
 
-func TestOuterAccum(t *testing.T) {
-	out := NewMatrix(2, 2)
-	OuterAccum(out, []float32{1, 2}, []float32{3, 4})
-	if out.At(0, 0) != 3 || out.At(0, 1) != 4 || out.At(1, 0) != 6 || out.At(1, 1) != 8 {
-		t.Fatalf("OuterAccum = %v", out.Data)
+// TestOuterAccumRowsCols adds x ⊗ v on the listed rows and columns, with
+// five rows so that the four-row block and the remainder both run.
+func TestOuterAccumRowsCols(t *testing.T) {
+	gw, gb := NewMatrix(6, 3), make([]float32, 6)
+	rows, x := []int32{0, 1, 2, 4, 5}, []float32{1, 2, 3, 4, 5}
+	OuterAccumRowsCols(gw, gb, rows, x, []int32{0, 2}, []float32{3, 4})
+	want := []float32{3, 0, 4, 6, 0, 8, 9, 0, 12, 0, 0, 0, 12, 0, 16, 15, 0, 20}
+	if sameBits(gw.Data, want) >= 0 || sameBits(gb, []float32{1, 2, 3, 0, 4, 5}) >= 0 {
+		t.Fatalf("OuterAccumRowsCols = %v %v, want %v [1 2 3 0 4 5]", gw.Data, gb, want)
 	}
 	// Accumulates, not overwrites.
-	OuterAccum(out, []float32{1, 0}, []float32{1, 1})
-	if out.At(0, 0) != 4 || out.At(1, 0) != 6 {
-		t.Fatalf("OuterAccum accumulate = %v", out.Data)
+	OuterAccumRowsCols(gw, gb, []int32{3}, []float32{1}, []int32{1}, []float32{1})
+	if gw.At(3, 1) != 1 || gw.At(0, 0) != 3 || gb[3] != 1 || gb[0] != 1 {
+		t.Fatalf("OuterAccumRowsCols accumulate = %v %v", gw.Data, gb)
 	}
 }
 
-func TestAxpyScaleDot(t *testing.T) {
-	x := []float32{1, 2, 3}
-	y := []float32{1, 1, 1}
-	Axpy(2, x, y)
-	if y[0] != 3 || y[1] != 5 || y[2] != 7 {
-		t.Fatalf("Axpy = %v", y)
-	}
+func TestScaleDot(t *testing.T) {
+	y := []float32{3, 5, 7}
 	Scale(0.5, y)
 	if y[0] != 1.5 || y[2] != 3.5 {
 		t.Fatalf("Scale = %v", y)
@@ -184,7 +186,7 @@ func TestMatTVecSkipsZeroCoefficientRows(t *testing.T) {
 		out := make([]float32, cols)
 		MatTVecRows(m, rIdx, coef, out)
 		some := make([]float32, 2)
-		MatTVecRowsCols(m, rIdx, coef, []int32{0, 1}, some)
+		MatTVecRowsColsAccum(m, rIdx, coef, []int32{0, 1}, []float32{1, 1}, some, NewMatrix(rows, cols), make([]float32, rows))
 		for j, v := range append(out, some...) {
 			if v != want {
 				t.Fatalf("bad row %d: out[%d] = %v, want %v", bad, j, v, want)
@@ -265,16 +267,11 @@ func TestUnrolledKernelsMatchScalar(t *testing.T) {
 			t.Fatalf("n=%d: Dot = %v, scalar = %v", n, got, scalarDot)
 		}
 
-		yAxpy := append([]float32(nil), y...)
-		Axpy(0.25, x, yAxpy)
 		yAdd := append([]float32(nil), y...)
 		Add(x, yAdd)
 		yScale := append([]float32(nil), y...)
 		Scale(0.75, yScale)
 		for i := range y {
-			if yAxpy[i] != y[i]+0.25*x[i] {
-				t.Fatalf("n=%d: Axpy[%d] = %v, want %v", n, i, yAxpy[i], y[i]+0.25*x[i])
-			}
 			if yAdd[i] != y[i]+x[i] {
 				t.Fatalf("n=%d: Add[%d] = %v, want %v", n, i, yAdd[i], y[i]+x[i])
 			}
@@ -286,7 +283,11 @@ func TestUnrolledKernelsMatchScalar(t *testing.T) {
 }
 
 func TestShapePanics(t *testing.T) {
-	m := NewMatrix(2, 3)
+	m, gw, gb := NewMatrix(2, 3), NewMatrix(2, 3), make([]float32, 2)
+	// accum calls MatTVecRowsColsAccum with x, v and out of the given lengths.
+	accum := func(m *Matrix, rows []int32, nx int, cols []int32, nv, nout int, gw *Matrix, gb []float32) {
+		MatTVecRowsColsAccum(m, rows, make([]float32, nx), cols, make([]float32, nv), make([]float32, nout), gw, gb)
+	}
 	cases := []func(){
 		func() { MatVecCols(m, []int32{0}, make([]float32, 2), make([]float32, 2)) },
 		func() { MatVecCols(m, []int32{0}, make([]float32, 1), make([]float32, 3)) },
@@ -294,15 +295,26 @@ func TestShapePanics(t *testing.T) {
 		func() { MatTVecRows(m, []int32{0}, make([]float32, 2), make([]float32, 3)) },
 		func() { MatTVecRows(m, []int32{0}, make([]float32, 1), make([]float32, 2)) },
 		func() { MatTVecRows(m, []int32{2}, make([]float32, 1), make([]float32, 3)) },
-		func() { MatTVecRowsCols(m, []int32{0}, make([]float32, 1), []int32{0, 1}, make([]float32, 1)) },
-		func() { MatTVecRowsCols(m, []int32{0}, make([]float32, 1), []int32{0, 1, 2, 2}, make([]float32, 4)) },
-		func() { MatTVecRowsCols(m, []int32{0}, make([]float32, 1), []int32{5}, make([]float32, 1)) },
+		func() { accum(m, []int32{0}, 1, []int32{0, 1}, 2, 1, gw, gb) },
+		func() { accum(m, []int32{0}, 1, []int32{0, 1, 2, 2}, 4, 4, gw, gb) },
+		func() { accum(m, []int32{0}, 1, []int32{5}, 1, 1, gw, gb) },
+		func() { accum(m, []int32{0}, 2, []int32{0}, 1, 1, gw, gb) },
+		func() { accum(m, []int32{0}, 1, []int32{0}, 2, 1, gw, gb) },
+		func() { accum(m, []int32{0}, 1, []int32{0}, 1, 1, NewMatrix(3, 2), gb) },
+		func() { accum(m, []int32{0}, 1, []int32{0}, 1, 1, gw, make([]float32, 3)) },
+		func() { accum(m, []int32{2}, 1, []int32{0}, 1, 1, gw, gb) },
+		func() { OuterAccumRowsCols(gw, gb, []int32{0}, make([]float32, 2), []int32{0}, make([]float32, 1)) },
+		func() { OuterAccumRowsCols(gw, gb, []int32{0}, make([]float32, 1), []int32{0}, make([]float32, 2)) },
+		func() {
+			OuterAccumRowsCols(gw, gb, []int32{0}, make([]float32, 1), []int32{0, 1, 2, 2}, make([]float32, 4))
+		},
+		func() {
+			OuterAccumRowsCols(gw, make([]float32, 3), []int32{0}, make([]float32, 1), []int32{0}, make([]float32, 1))
+		},
+		func() { OuterAccumRowsCols(gw, gb, []int32{2}, make([]float32, 1), []int32{0}, make([]float32, 1)) },
 		func() { NonZero(make([]float32, 3), make([]int32, 2), make([]float32, 3)) },
 		func() { BiasReLU(make([]float32, 3), make([]float32, 2), make([]int32, 3), make([]float32, 3)) },
-		func() { OuterAccum(m, make([]float32, 3), make([]float32, 3)) },
-		func() { Axpy(1, make([]float32, 2), make([]float32, 3)) },
 		func() { Dot(make([]float32, 2), make([]float32, 3)) },
-		func() { ReLUGrad(make([]float32, 2), make([]float32, 3)) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -336,7 +348,7 @@ func TestSigmoid(t *testing.T) {
 	}
 }
 
-func TestReLUAndGrad(t *testing.T) {
+func TestBiasReLUAndNonZero(t *testing.T) {
 	nan := float32(math.NaN())
 	x := []float32{-1, 0, 2, nan, 0.5}
 	idx, vals := BiasReLU(x, []float32{0, 0, 0, 0, -1}, make([]int32, 5), make([]float32, 5))
@@ -349,12 +361,6 @@ func TestReLUAndGrad(t *testing.T) {
 	idx, vals = NonZero([]float32{0, -3, 0, nan}, make([]int32, 4), make([]float32, 4))
 	if len(idx) != 2 || idx[0] != 1 || idx[1] != 3 || vals[0] != -3 || vals[1] == vals[1] {
 		t.Fatalf("NonZero = %v %v, want [1 3] [-3 NaN]", idx, vals)
-	}
-	act := []float32{0, 0, 2}
-	grad := []float32{5, 5, 5}
-	ReLUGrad(act, grad)
-	if grad[0] != 0 || grad[1] != 0 || grad[2] != 5 {
-		t.Fatalf("ReLUGrad = %v", grad)
 	}
 }
 
