@@ -17,7 +17,7 @@ import (
 	"hps/internal/hw"
 	"hps/internal/memps"
 	"hps/internal/serving"
-	"hps/internal/simtime"
+
 	"hps/internal/ssdps"
 )
 
@@ -98,7 +98,7 @@ func runServe(args []string) error {
 	}
 
 	profile := hw.DefaultGPUNode()
-	dev, err := blockio.NewDevice(root, profile.SSD, simtime.NewClock())
+	dev, err := blockio.NewDevice(root, profile.SSD, nil)
 	if err != nil {
 		return err
 	}

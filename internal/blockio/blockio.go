@@ -9,8 +9,9 @@
 // file are one pwrite, one pread and one small pwrite, with no per-file
 // open, create, stat, close or unlink. The device rounds every transfer up
 // to whole blocks for accounting, tracks logical vs physical byte counts so
-// experiments can report amplification, and charges the modelled SSD time of
-// every operation to a simtime.Clock.
+// experiments can report amplification, and counts the work of every
+// operation — one SSD read or write of its block-rounded bytes, as hw.Work —
+// for hw.Model to price.
 //
 // The backing file starts with a superblock recording the extent geometry;
 // slots follow back to back, each aligned to 512 bytes. An erased extent is a
@@ -29,10 +30,8 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
-	"time"
 
 	"hps/internal/hw"
-	"hps/internal/simtime"
 )
 
 const (
@@ -127,10 +126,10 @@ func (d Dropped) String() string {
 // Device stores parameter files as extents of one backing file in a
 // directory. It is safe for concurrent use.
 type Device struct {
-	dir   string
-	ssd   hw.SSD
-	clock *simtime.Clock
-	f     *os.File
+	dir     string
+	ssd     hw.SSD
+	counter *hw.Counter
+	f       *os.File
 
 	mu    sync.Mutex
 	stats Stats
@@ -148,11 +147,12 @@ type Device struct {
 }
 
 // NewDevice creates (if necessary) the directory and opens, or creates, the
-// backing file in it. The ssd profile drives time accounting; clock may be
-// nil to disable accounting. A backing file left by a previous run keeps its
-// extents until Scan adopts them or the first WriteFile discards them. The
-// device knows nothing else in the directory.
-func NewDevice(dir string, ssd hw.SSD, clock *simtime.Clock) (*Device, error) {
+// backing file in it. The ssd profile sets the block size and capacity; the
+// device counts the work of its reads and writes into counter, which may be
+// nil. A backing file left by a previous run keeps its extents until Scan
+// adopts them or the first WriteFile discards them. The device knows nothing
+// else in the directory.
+func NewDevice(dir string, ssd hw.SSD, counter *hw.Counter) (*Device, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("blockio: empty directory")
 	}
@@ -163,7 +163,7 @@ func NewDevice(dir string, ssd hw.SSD, clock *simtime.Clock) (*Device, error) {
 	if err != nil {
 		return nil, fmt.Errorf("blockio: open backing file: %w", err)
 	}
-	d := &Device{dir: dir, ssd: ssd, clock: clock, f: f, nextID: 1}
+	d := &Device{dir: dir, ssd: ssd, counter: counter, f: f, nextID: 1}
 	if err := d.readSuper(); err != nil {
 		f.Close()
 		return nil, err
@@ -241,7 +241,7 @@ func (d *Device) Close() error {
 
 // Sync commits the backing file to stable storage (fsync): every extent
 // written and every extent erased before the call survives a power loss, not
-// only the death of the process. It is not charged to the modelled clock.
+// only the death of the process. It is not counted as SSD work.
 func (d *Device) Sync() error {
 	if err := d.f.Sync(); err != nil {
 		return fmt.Errorf("blockio: sync: %w", err)
@@ -258,22 +258,6 @@ func (d *Device) Dir() string { return d.dir }
 // BlockBytes returns the device block size.
 func (d *Device) BlockBytes() int64 { return d.ssd.BlockBytes }
 
-// Profile returns the SSD hardware model driving the device's time
-// accounting, so callers can attribute the same modelled durations to their
-// own per-operation statistics.
-func (d *Device) Profile() hw.SSD { return d.ssd }
-
-func (d *Device) physical(n int64) int64 {
-	if d.ssd.BlockBytes <= 0 {
-		return n
-	}
-	if n <= 0 {
-		return 0
-	}
-	blocks := (n + d.ssd.BlockBytes - 1) / d.ssd.BlockBytes
-	return blocks * d.ssd.BlockBytes
-}
-
 // extentCRC is the checksum an extent's header carries: over the header's
 // magic, count and id, then the records.
 func extentCRC(hdr, records []byte) uint32 {
@@ -283,8 +267,8 @@ func extentCRC(hdr, records []byte) uint32 {
 // WriteFile writes one new parameter file. buf is HeaderBytes of room, which
 // WriteFile fills in, followed by the file's records; the whole of it goes
 // out in one write, into an erased slot when there is one. Accounting and the
-// modelled sequential-write time cover the records alone, as block-rounded as
-// a file of its own would be.
+// counted write cover the records alone, as block-rounded as a file of its
+// own would be.
 func (d *Device) WriteFile(buf []byte) (Extent, error) {
 	n := len(buf) - HeaderBytes
 	e, err := d.allocate(n)
@@ -297,7 +281,7 @@ func (d *Device) WriteFile(buf []byte) (Extent, error) {
 	binary.LittleEndian.PutUint32(buf[16:], extentCRC(buf, buf[HeaderBytes:]))
 	binary.LittleEndian.PutUint32(buf[20:], 0)
 	_, err = d.f.WriteAt(buf, e.Offset)
-	phys := d.physical(int64(n))
+	phys := d.ssd.Physical(int64(n))
 	d.mu.Lock()
 	if err != nil {
 		// Whatever part of it landed fails its checksum; the slot is free.
@@ -310,7 +294,7 @@ func (d *Device) WriteFile(buf []byte) (Extent, error) {
 	d.stats.PhysicalBytesWritten += phys
 	d.usage += phys
 	d.mu.Unlock()
-	d.clock.Add(simtime.ResourceSSD, d.ssd.WriteTime(int64(n)))
+	d.counter.Add(hw.Ops(hw.ResSSDWrite, 1, float64(phys)))
 	return e, nil
 }
 
@@ -355,30 +339,33 @@ func checkHeader(hdr []byte, e Extent) error {
 
 // ReadInto reads a whole parameter file into buf (reused from its start and
 // grown as needed; nil allocates) and returns it as WriteFile took it:
-// HeaderBytes of header, then the records. It charges the modelled read time
-// of the records. Only logicalBytes of them are accounted as useful — the
-// rest is I/O amplification (an entire parameter file must be read to obtain
-// a subset of its parameters); a negative logicalBytes counts them all as
-// useful. A slot that no longer holds e is an error.
-func (d *Device) ReadInto(e Extent, logicalBytes int64, buf []byte) ([]byte, error) {
+// HeaderBytes of header, then the records — and the work of the read, which
+// it also counts: one SSD read of the records, block-rounded. Only
+// logicalBytes of them are accounted as useful — the rest is I/O
+// amplification (an entire parameter file must be read to obtain a subset of
+// its parameters); a negative logicalBytes counts them all as useful. A slot
+// that no longer holds e is an error.
+func (d *Device) ReadInto(e Extent, logicalBytes int64, buf []byte) ([]byte, hw.Work, error) {
 	size := int64(e.Records) * int64(d.recordBytes)
 	buf = slices.Grow(buf[:0], HeaderBytes+int(size))[:HeaderBytes+int(size)]
 	if _, err := d.f.ReadAt(buf, e.Offset); err != nil {
-		return nil, fmt.Errorf("blockio: read %v: %w", e, err)
+		return nil, hw.Work{}, fmt.Errorf("blockio: read %v: %w", e, err)
 	}
 	if err := checkHeader(buf, e); err != nil {
-		return nil, fmt.Errorf("blockio: read %v: %w", e, err)
+		return nil, hw.Work{}, fmt.Errorf("blockio: read %v: %w", e, err)
 	}
 	if logicalBytes < 0 || logicalBytes > size {
 		logicalBytes = size
 	}
+	phys := d.ssd.Physical(size)
 	d.mu.Lock()
 	d.stats.Reads++
 	d.stats.LogicalBytesRead += logicalBytes
-	d.stats.PhysicalBytesRead += d.physical(size)
+	d.stats.PhysicalBytesRead += phys
 	d.mu.Unlock()
-	d.clock.Add(simtime.ResourceSSD, d.ssd.ReadTime(size))
-	return buf, nil
+	w := hw.Ops(hw.ResSSDRead, 1, float64(phys))
+	d.counter.Add(w)
+	return buf, w, nil
 }
 
 var erasedHeader [HeaderBytes]byte
@@ -401,7 +388,7 @@ func (d *Device) Remove(e Extent) error {
 	if err != nil {
 		return fmt.Errorf("blockio: remove %v: %w", e, err)
 	}
-	d.usage -= d.physical(int64(e.Records) * int64(d.recordBytes))
+	d.usage -= d.ssd.Physical(int64(e.Records) * int64(d.recordBytes))
 	d.free = append(d.free, e.Offset)
 	d.stats.Deletes++
 	return nil
@@ -414,7 +401,7 @@ func (d *Device) Remove(e Extent) error {
 // treated as erased; it is never passed on in part. The device's usage,
 // erased-slot list and next creation id are rebuilt from what the scan
 // found, so nothing may write to the device while it runs. The reads are
-// accounted and charged per live extent, as ReadInto would.
+// accounted and counted per live extent, as ReadInto would.
 func (d *Device) Scan(visit func(e Extent, records []byte) error) ([]Dropped, error) {
 	if d.recordBytes == 0 {
 		return nil, errors.New("blockio: scan: device is not formatted")
@@ -432,7 +419,6 @@ func (d *Device) Scan(visit func(e Extent, records []byte) error) ([]Dropped, er
 		live    int64 // extents, their record bytes, the same block-rounded
 		logical int64
 		usage   int64
-		charge  time.Duration
 		nextID  = uint64(1)
 	)
 	for base := int64(0); base < slots; base += perRead {
@@ -454,8 +440,7 @@ func (d *Device) Scan(visit func(e Extent, records []byte) error) ([]Dropped, er
 				size := int64(e.Records) * int64(d.recordBytes)
 				live++
 				logical += size
-				usage += d.physical(size)
-				charge += d.ssd.ReadTime(size)
+				usage += d.ssd.Physical(size)
 				nextID = max(nextID, e.ID+1)
 				if err := visit(e, slot[HeaderBytes:HeaderBytes+size]); err != nil {
 					return nil, err
@@ -470,7 +455,7 @@ func (d *Device) Scan(visit func(e Extent, records []byte) error) ([]Dropped, er
 	d.stats.PhysicalBytesRead += usage
 	d.usage, d.slots, d.free, d.nextID, d.unscanned = usage, slots, free, nextID, false
 	d.mu.Unlock()
-	d.clock.Add(simtime.ResourceSSD, charge)
+	d.counter.Add(hw.Ops(hw.ResSSDRead, live, float64(usage)))
 	return dropped, nil
 }
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"hps/internal/hw"
-	"hps/internal/simtime"
 )
 
 func testSSD() hw.SSD {
@@ -27,9 +26,9 @@ func testSSD() hw.SSD {
 // Test devices hold parameter files of up to 100 records of 100 bytes.
 const testRecord, testPerExtent = 100, 100
 
-func openTestDevice(t testing.TB, dir string, clock *simtime.Clock) *Device {
+func openTestDevice(t testing.TB, dir string, counter *hw.Counter) *Device {
 	t.Helper()
-	d, err := NewDevice(dir, testSSD(), clock)
+	d, err := NewDevice(dir, testSSD(), counter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +40,7 @@ func openTestDevice(t testing.TB, dir string, clock *simtime.Clock) *Device {
 }
 
 func newTestDevice(t testing.TB) *Device {
-	return openTestDevice(t, t.TempDir(), simtime.NewClock())
+	return openTestDevice(t, t.TempDir(), hw.NewCounter())
 }
 
 // file is a parameter file of n records of the given byte, as WriteFile takes
@@ -81,7 +80,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if e.Records != 3 || e.ID == 0 {
 		t.Fatalf("extent = %+v", e)
 	}
-	got, err := d.ReadInto(e, -1, nil)
+	got, _, err := d.ReadInto(e, -1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +160,7 @@ func TestReadMissingFile(t *testing.T) {
 	if err := d.Remove(e); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.ReadInto(e, -1, nil); err == nil {
+	if _, _, err := d.ReadInto(e, -1, nil); err == nil {
 		t.Fatal("reading a removed file should error")
 	}
 	if err := d.Remove(e); err == nil {
@@ -172,7 +171,7 @@ func TestReadMissingFile(t *testing.T) {
 	if next.Offset != e.Offset {
 		t.Fatalf("the erased slot at %d was not reused: next file at %d", e.Offset, next.Offset)
 	}
-	if _, err := d.ReadInto(e, -1, nil); err == nil {
+	if _, _, err := d.ReadInto(e, -1, nil); err == nil {
 		t.Fatal("a removed file's handle read the slot's next tenant")
 	}
 
@@ -182,7 +181,7 @@ func TestReadMissingFile(t *testing.T) {
 	if _, err := d.WriteFile(file(1, 3)); err == nil {
 		t.Fatal("write on a closed device should error")
 	}
-	if _, err := d.ReadInto(next, -1, nil); err == nil {
+	if _, _, err := d.ReadInto(next, -1, nil); err == nil {
 		t.Fatal("read on a closed device should error")
 	}
 	if err := d.Remove(next); err == nil {
@@ -197,7 +196,7 @@ func TestStatsAndAmplification(t *testing.T) {
 	d := newTestDevice(t)
 	// 100 logical bytes occupy one 4096-byte block; the header is not counted.
 	e := mustWrite(t, d, file(1, 0))
-	if _, err := d.ReadInto(e, -1, nil); err != nil {
+	if _, _, err := d.ReadInto(e, -1, nil); err != nil {
 		t.Fatal(err)
 	}
 	s := d.Stats()
@@ -223,7 +222,7 @@ func TestReadIntoAmplification(t *testing.T) {
 	d := newTestDevice(t)
 	e := mustWrite(t, d, file(10, 0))
 	// Only 100 of the 1000 bytes are useful.
-	if _, err := d.ReadInto(e, 100, nil); err != nil {
+	if _, _, err := d.ReadInto(e, 100, nil); err != nil {
 		t.Fatal(err)
 	}
 	s := d.Stats()
@@ -234,7 +233,7 @@ func TestReadIntoAmplification(t *testing.T) {
 		t.Fatalf("physical read = %d", s.PhysicalBytesRead)
 	}
 	// Requesting more useful bytes than exist clamps.
-	if _, err := d.ReadInto(e, 1<<20, nil); err != nil {
+	if _, _, err := d.ReadInto(e, 1<<20, nil); err != nil {
 		t.Fatal(err)
 	}
 	s = d.Stats()
@@ -254,7 +253,7 @@ func TestReadIntoReusesBuffer(t *testing.T) {
 	}
 	buf := make([]byte, 0, 16)
 	for _, name := range []string{"small", "big", "small", "big"} {
-		got, err := d.ReadInto(extents[name], -1, buf)
+		got, _, err := d.ReadInto(extents[name], -1, buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,24 +293,28 @@ func TestUsageAndRemove(t *testing.T) {
 		t.Fatalf("usage after reuse = %d", got)
 	}
 	for e, fill := range map[Extent]byte{b: 2, c: 3} {
-		got, err := d.ReadInto(e, -1, nil)
+		got, _, err := d.ReadInto(e, -1, nil)
 		if err != nil || !bytes.Equal(got[HeaderBytes:], bytes.Repeat([]byte{fill}, e.Records*testRecord)) {
 			t.Fatalf("%v read back wrong (err %v)", e, err)
 		}
 	}
 }
 
+// TestClockCharging: a write and a read each count one SSD operation of
+// their block-rounded record bytes, and ReadInto returns what it counted.
 func TestClockCharging(t *testing.T) {
-	clock := simtime.NewClock()
-	d := openTestDevice(t, t.TempDir(), clock)
-	e := mustWrite(t, d, file(40, 0))
-	if clock.Total(simtime.ResourceSSD) <= 0 {
-		t.Fatal("write should charge SSD time")
+	c := hw.NewCounter()
+	d := openTestDevice(t, t.TempDir(), c)
+	e := mustWrite(t, d, file(40, 0)) // 4,000 B of records: one 4 KiB block
+	if got := c.Total()[hw.ResSSDWrite]; got != (hw.Use{Ops: 1, Amount: 4096}) {
+		t.Fatalf("write counted %+v", got)
 	}
-	before := clock.Total(simtime.ResourceSSD)
-	d.ReadInto(e, -1, nil)
-	if clock.Total(simtime.ResourceSSD) <= before {
-		t.Fatal("read should charge SSD time")
+	_, w, err := d.ReadInto(e, -1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := hw.Ops(hw.ResSSDRead, 1, 4096); w != want || c.Total()[hw.ResSSDRead] != want[hw.ResSSDRead] {
+		t.Fatalf("read returned %v, counted %+v", w, c.Total()[hw.ResSSDRead])
 	}
 }
 
@@ -427,9 +430,6 @@ func TestDeviceAccessors(t *testing.T) {
 	if d.Dir() == "" {
 		t.Fatal("dir accessor")
 	}
-	if d.Profile() != testSSD() {
-		t.Fatal("profile accessor")
-	}
 }
 
 // TestSyncCountsAndFailsClosed checks that a sync of a live device is counted
@@ -474,7 +474,7 @@ func TestConcurrentWriters(t *testing.T) {
 	offsets, ids := map[int64]bool{}, map[uint64]bool{}
 	for id, e := range extents {
 		offsets[e.Offset], ids[e.ID] = true, true
-		got, err := d.ReadInto(e, -1, nil)
+		got, _, err := d.ReadInto(e, -1, nil)
 		if err != nil || !bytes.Equal(got[HeaderBytes:], file(id+1, byte(id+1))[HeaderBytes:]) {
 			t.Fatalf("writer %d: %v read back wrong (err %v)", id, e, err)
 		}
@@ -496,7 +496,7 @@ func TestSteadyStateKeepsOneFile(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		a, b := mustWrite(t, d, buf), mustWrite(t, d, buf)
 		for _, e := range []Extent{a, b} {
-			if _, err := d.ReadInto(e, -1, nil); err != nil {
+			if _, _, err := d.ReadInto(e, -1, nil); err != nil {
 				t.Fatal(err)
 			}
 			if err := d.Remove(e); err != nil {
@@ -527,7 +527,7 @@ const coldRecord, coldPerExtent = 80, 256
 
 func benchDevice(b *testing.B) *Device {
 	b.Helper()
-	d, err := NewDevice(b.TempDir(), testSSD(), simtime.NewClock())
+	d, err := NewDevice(b.TempDir(), testSSD(), hw.NewCounter())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -581,7 +581,7 @@ func BenchmarkExtentRead(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		if benchSink, err = d.ReadInto(extents[i%len(extents)], coldRecord*14, benchSink); err != nil {
+		if benchSink, _, err = d.ReadInto(extents[i%len(extents)], coldRecord*14, benchSink); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -30,8 +30,9 @@ const rawMagicBit uint32 = 1 << 31
 // rawWireVersion is the one wire version this build speaks. The hello
 // exchange at dial time checks it; a peer of any other version is refused.
 // Version 4 dropped version 3's per-connection fp16/int8 row encodings: every
-// block body is fp32.
-const rawWireVersion = 4
+// block body is fp32. Version 5 dropped the modelled pull and push times from
+// the stats reply.
+const rawWireVersion = 5
 
 // Frame operations. Every payload starts with the op byte. A response's op is
 // its request's plus one, so a desynchronized stream is detected instead of
@@ -188,7 +189,7 @@ func readFramePayload(r io.Reader, n uint32, scratch *[]byte) ([]byte, error) {
 //	predict      req : header, nexamples u32, counts u32..., keys u64...
 //	             resp: nscores u32, scores f32...
 //	stats        req : header
-//	             resp: ps.Stats as 8 fixed words, then the tier name
+//	             resp: ps.Stats as 6 fixed words, then the tier name
 //	serve-stats  req : header
 //	             resp: ServingStats as 15 fixed words
 //	membership   req : header, epoch u64, replicas i64, nmembers u32,

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"hps/internal/embedding"
 	"hps/internal/keys"
@@ -139,8 +138,7 @@ func (h *opsHandler) Evict(ks []keys.Key) (int, error) {
 func (h *opsHandler) Name() string { return "ops-tier" }
 
 func (h *opsHandler) TierStats() ps.Stats {
-	return ps.Stats{Pulls: 1, Pushes: 2, Evictions: 3, KeysPulled: 4, KeysPushed: 5, KeysEvicted: 6,
-		PullTime: 7 * time.Millisecond, PushTime: -8 * time.Microsecond}
+	return ps.Stats{Pulls: 1, Pushes: 2, Evictions: 3, KeysPulled: 4, KeysPushed: 5, KeysEvicted: 6}
 }
 
 func (h *opsHandler) HandleMembership(u MembershipUpdate) error {
@@ -486,27 +484,27 @@ func definedOps() map[uint8]string {
 	return out
 }
 
-// TestHelloRefusesOtherWireVersions covers the twelfth op: version 3 — the
-// last wire that negotiated fp16/int8 rows at hello — is refused from either
-// side by an error naming both versions. (TestForeignPeersCloseCleanly shows
+// TestHelloRefusesOtherWireVersions covers the twelfth op: version 4 — the
+// last wire whose stats reply carried modelled pull and push times — is
+// refused from either side by an error naming both versions. (TestForeignPeersCloseCleanly shows
 // the refused connection is closed.)
 func TestHelloRefusesOtherWireVersions(t *testing.T) {
-	if rawWireVersion != 4 {
-		t.Fatalf("wire version %d, want 4", rawWireVersion)
+	if rawWireVersion != 5 {
+		t.Fatalf("wire version %d, want 5", rawWireVersion)
 	}
 	namesBoth := func(msg string) bool {
-		return strings.Contains(msg, "version 3") && strings.Contains(msg, "version 4")
+		return strings.Contains(msg, "version 4") && strings.Contains(msg, "version 5")
 	}
 
-	// A v3 client's hello, as this build's shard answers it.
+	// A v4 client's hello, as this build's shard answers it.
 	srv := &TCPServer{seqs: NewSeqTracker(), handler: newOpsHandler()}
-	out, buf := srv.dispatchRaw([]byte{rawOpHello, 3, 0, 0})
+	out, buf := srv.dispatchRaw([]byte{rawOpHello, 4, 0, 0})
 	if out[4] != rawOpHello+1 || out[5] != rawStatusErr || !namesBoth(string(out[8:])) {
-		t.Errorf("v3 hello answered % x %q, want a refusal naming versions 3 and 4", out[4:8], out[8:])
+		t.Errorf("v4 hello answered % x %q, want a refusal naming versions 4 and 5", out[4:8], out[8:])
 	}
 	putScratch(buf)
 
-	// This build's transport dialing a shard that answers as version 3.
+	// This build's transport dialing a shard that answers as version 4.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -521,7 +519,7 @@ func TestHelloRefusesOtherWireVersions(t *testing.T) {
 			if n, err := readFramePrefix(c); err == nil {
 				var req []byte
 				if _, err := readFramePayload(c, n, &req); err == nil {
-					writeRawFrame(c, []byte{0, 0, 0, 0, rawOpHello + 1, rawStatusOK, 3, 0})
+					writeRawFrame(c, []byte{0, 0, 0, 0, rawOpHello + 1, rawStatusOK, 4, 0})
 				}
 			}
 			c.Close()
@@ -531,7 +529,7 @@ func TestHelloRefusesOtherWireVersions(t *testing.T) {
 	defer tr.Close()
 	tr.SetRetryPolicy(RetryPolicy{Attempts: 1})
 	if _, err := tr.PullBlock(0, []keys.Key{1}, ps.NewValueBlock(opsDim)); err == nil || !namesBoth(err.Error()) {
-		t.Errorf("pull from a v3 shard: %v, want a refusal naming versions 3 and 4", err)
+		t.Errorf("pull from a v4 shard: %v, want a refusal naming versions 4 and 5", err)
 	}
 }
 

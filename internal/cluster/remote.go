@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"hps/internal/keys"
 	"hps/internal/ps"
@@ -12,7 +11,7 @@ import (
 // ps.Tier: PullInto, PushBlock and Evict become RPCs over the given
 // transport, the first two carrying one flat block frame each. Its TierStats
 // are recorded client-side — they describe the operations issued through
-// this handle, with real network time in PullTime/PushTime.
+// this handle.
 type RemoteTier struct {
 	transport TierTransport
 	node      int
@@ -33,21 +32,19 @@ func (r *RemoteTier) Name() string { return fmt.Sprintf("remote[%d]", r.node) }
 // and lands in dst without per-value decoding. Whether missing keys are
 // materialized is the serving tier's policy (the MEM-PS creates them).
 func (r *RemoteTier) PullInto(req ps.PullRequest, dst *ps.ValueBlock) error {
-	start := time.Now()
 	if _, err := r.transport.PullBlock(r.node, req.Keys, dst); err != nil {
 		return err
 	}
-	r.rec.RecordPull(dst.PresentCount(), time.Since(start))
+	r.rec.RecordPull(dst.PresentCount())
 	return nil
 }
 
 // PushBlock implements ps.Tier, carrying the deltas as one flat frame.
 func (r *RemoteTier) PushBlock(req ps.PushBlockRequest) error {
-	start := time.Now()
 	if _, err := r.transport.PushBlock(r.node, req.Block); err != nil {
 		return err
 	}
-	r.rec.RecordPush(req.Block.PresentCount(), time.Since(start))
+	r.rec.RecordPush(req.Block.PresentCount())
 	return nil
 }
 
@@ -62,5 +59,5 @@ func (r *RemoteTier) Evict(ks []keys.Key) (int, error) {
 }
 
 // TierStats implements ps.Tier with the client-side view of this handle's
-// operations (real wall-clock network time included).
+// operations.
 func (r *RemoteTier) TierStats() ps.Stats { return r.rec.TierStats() }

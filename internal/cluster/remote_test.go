@@ -12,7 +12,6 @@ import (
 	"hps/internal/memps"
 	"hps/internal/ps"
 	"hps/internal/ps/conformance"
-	"hps/internal/simtime"
 	"hps/internal/ssdps"
 )
 
@@ -22,7 +21,7 @@ const remoteDim = 8
 // the kind a shard server process hosts.
 func newShardMemPS(t *testing.T) *memps.MemPS {
 	t.Helper()
-	dev, err := blockio.NewDevice(t.TempDir(), hw.DefaultGPUNode().SSD, simtime.NewClock())
+	dev, err := blockio.NewDevice(t.TempDir(), hw.DefaultGPUNode().SSD, hw.NewCounter())
 	if err != nil {
 		t.Fatal(err)
 	}

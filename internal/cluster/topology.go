@@ -281,8 +281,8 @@ func (NoRoute) PullBlock(nodeID int, _ []keys.Key, _ *ps.ValueBlock) (int64, err
 // rows value rows of dimension dim: 8 bytes per key, once per request (a
 // pull's requested keys or a pushed block's keys), and per row its frequency
 // and two fp32 arrays, the parts of a wire row that are model data. Every
-// transport counts its payload this way, and the MEM-PS charges a peer pull's
-// modelled transfer by it.
+// transport counts its payload this way, and the MEM-PS counts a peer pull's
+// network transfer by it.
 func PayloadBytes(dim, nkeys, rows int) int64 {
 	return 8*int64(nkeys) + int64(rows)*int64(4+8*dim)
 }

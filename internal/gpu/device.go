@@ -4,9 +4,9 @@
 // dense network as CUDA kernels. This package reproduces the structural
 // constraints of that environment — a bounded HBM byte budget per device,
 // which a working-set partition must fit into, and concurrent worker access —
-// while executing on the CPU and charging modelled kernel/memory time to a
-// simtime.Clock. The HBM-PS lays the working set out itself (package hbmps);
-// a device only accounts for the bytes it reserves.
+// while executing on the CPU. The HBM-PS lays the working set out itself and
+// counts the memory traffic it causes (package hbmps); a device only
+// accounts for the bytes it reserves.
 package gpu
 
 import (
@@ -16,7 +16,6 @@ import (
 
 	"hps/internal/embedding"
 	"hps/internal/hw"
-	"hps/internal/simtime"
 )
 
 // ErrOutOfMemory is returned when an allocation exceeds the device's HBM.
@@ -29,8 +28,8 @@ func BytesPerEntry(dim int) int64 {
 	return int64(embedding.EncodedSize(dim)) + 16
 }
 
-// Device is a simulated GPU: a bounded HBM allocator and cost-model charging
-// for kernels and memory traffic. It is safe for concurrent use.
+// Device is a simulated GPU: a bounded HBM allocator. It is safe for
+// concurrent use.
 type Device struct {
 	// ID is the device index within its node (0-based).
 	ID int
@@ -38,20 +37,15 @@ type Device struct {
 	NodeID int
 
 	profile hw.GPU
-	clock   *simtime.Clock
 
 	mu      sync.Mutex
 	hbmUsed int64
 }
 
-// NewDevice constructs a device with the given hardware profile. clock may be
-// nil to disable time accounting.
-func NewDevice(nodeID, id int, profile hw.GPU, clock *simtime.Clock) *Device {
-	return &Device{ID: id, NodeID: nodeID, profile: profile, clock: clock}
+// NewDevice constructs a device with the given hardware profile.
+func NewDevice(nodeID, id int, profile hw.GPU) *Device {
+	return &Device{ID: id, NodeID: nodeID, profile: profile}
 }
-
-// Profile returns the device's hardware profile.
-func (d *Device) Profile() hw.GPU { return d.profile }
 
 // HBMBytes returns the total HBM capacity.
 func (d *Device) HBMBytes() int64 { return d.profile.HBMBytes }
@@ -97,17 +91,6 @@ func (d *Device) Free(n int64) {
 	if d.hbmUsed < 0 {
 		d.hbmUsed = 0
 	}
-}
-
-// ChargeCompute charges the modelled time of executing flops floating-point
-// operations on the device.
-func (d *Device) ChargeCompute(flops float64) {
-	d.clock.Add(simtime.ResourceGPU, d.profile.ComputeTime(flops))
-}
-
-// ChargeMemory charges the modelled time of streaming n bytes through HBM.
-func (d *Device) ChargeMemory(n int64) {
-	d.clock.Add(simtime.ResourceHBM, d.profile.MemoryTime(n))
 }
 
 // String implements fmt.Stringer.

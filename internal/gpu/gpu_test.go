@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"hps/internal/embedding"
 	"hps/internal/hw"
-	"hps/internal/simtime"
 )
 
 func TestBytesPerEntry(t *testing.T) {
@@ -19,7 +17,7 @@ func TestBytesPerEntry(t *testing.T) {
 }
 
 func TestDeviceAllocFree(t *testing.T) {
-	d := NewDevice(0, 1, hw.GPU{HBMBytes: 1000}, nil)
+	d := NewDevice(0, 1, hw.GPU{HBMBytes: 1000})
 	if d.HBMBytes() != 1000 || d.HBMFree() != 1000 {
 		t.Fatal("initial HBM wrong")
 	}
@@ -47,38 +45,17 @@ func TestDeviceAllocFree(t *testing.T) {
 	if d.String() != "gpu0.1" {
 		t.Fatalf("String = %s", d.String())
 	}
-	if d.Profile().HBMBytes != 1000 {
-		t.Fatal("profile accessor")
-	}
 }
 
 func TestDeviceUnlimitedHBM(t *testing.T) {
-	d := NewDevice(0, 0, hw.GPU{}, nil)
+	d := NewDevice(0, 0, hw.GPU{})
 	if err := d.Alloc(1 << 40); err != nil {
 		t.Fatal("zero-HBM profile should mean unlimited for tests")
 	}
 }
 
-func TestDeviceCharging(t *testing.T) {
-	clock := simtime.NewClock()
-	profile := hw.GPU{FLOPS: 1e9, HBMBandwidthBytesPerSec: 1e9, KernelLaunch: time.Microsecond}
-	d := NewDevice(0, 0, profile, clock)
-	d.ChargeCompute(1e9)
-	if got := clock.Total(simtime.ResourceGPU); got < time.Second {
-		t.Fatalf("compute charge = %v", got)
-	}
-	d.ChargeMemory(1e9)
-	if got := clock.Total(simtime.ResourceHBM); got < time.Second {
-		t.Fatalf("memory charge = %v", got)
-	}
-	// Nil clock must not panic.
-	d2 := NewDevice(0, 0, profile, nil)
-	d2.ChargeCompute(1)
-	d2.ChargeMemory(1)
-}
-
 func TestDeviceConcurrentAlloc(t *testing.T) {
-	d := NewDevice(0, 0, hw.GPU{HBMBytes: 1 << 20}, nil)
+	d := NewDevice(0, 0, hw.GPU{HBMBytes: 1 << 20})
 	var wg sync.WaitGroup
 	var allocErrs int64
 	var mu sync.Mutex

@@ -10,7 +10,6 @@ import (
 	"hps/internal/optimizer"
 	"hps/internal/ps"
 	"hps/internal/ps/conformance"
-	"hps/internal/simtime"
 )
 
 // TestCollectAgrees is the conformance check for delta collection:
@@ -21,7 +20,7 @@ import (
 func TestCollectAgrees(t *testing.T) {
 	const dim = 8
 	const n = 96
-	clock := simtime.NewClock()
+	clock := hw.NewCounter()
 	h, err := hbmps.New(hbmps.Config{
 		NumGPUs:    2,
 		Dim:        dim,
@@ -150,7 +149,7 @@ func TestTierConformance(t *testing.T) {
 				NumGPUs:    2,
 				Dim:        dim,
 				GPUProfile: hw.DefaultGPUNode().GPU,
-				Clock:      simtime.NewClock(),
+				Clock:      hw.NewCounter(),
 			})
 			if err != nil {
 				t.Fatal(err)

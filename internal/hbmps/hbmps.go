@@ -30,13 +30,17 @@
 // one pass per GPU concurrently, as Algorithm 1 has every GPU load its own
 // partition. The slabs are recycled across batches, so steady-state loads
 // allocate nothing.
+//
+// The HBM-PS counts the work its calls do — the PCIe transfer and HBM write
+// of every GPU's partition at load, and per pull, commit and push the HBM
+// traffic of the calling GPU's own rows plus an NVLink transfer of the rows
+// other GPUs hold — in Stats().Work, and into the run's counter.
 package hbmps
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"hps/internal/embedding"
 	"hps/internal/gpu"
@@ -44,7 +48,6 @@ import (
 	"hps/internal/interconnect"
 	"hps/internal/keys"
 	"hps/internal/ps"
-	"hps/internal/simtime"
 )
 
 // Config configures the HBM-PS of a single node.
@@ -55,15 +58,15 @@ type Config struct {
 	NumGPUs int
 	// Dim is the embedding dimension of sparse parameters.
 	Dim int
-	// GPUProfile describes each GPU.
+	// GPUProfile describes each GPU; its HBMBytes bound each partition.
 	GPUProfile hw.GPU
-	// NVLink describes the intra-node GPU interconnect; used for per-component
-	// statistics. When zero it defaults to the reference GPU node's NVLink.
+	// NVLink and Fabric are not read. The benchmark's layer probe still sets
+	// them.
 	NVLink hw.Link
-	// Fabric charges NVLink/PCIe time; nil disables accounting.
 	Fabric *interconnect.Fabric
-	// Clock is the node's simulated-time clock; nil disables accounting.
-	Clock *simtime.Clock
+	// Clock counts the work the HBM-PS does, with the rest of the run's;
+	// nil counts nothing.
+	Clock *hw.Counter
 }
 
 // Stats summarizes HBM-PS activity (the breakdown of Fig 4a).
@@ -72,14 +75,10 @@ type Stats struct {
 	BatchesLoaded int64
 	// ParamsLoaded counts parameters inserted across all batches.
 	ParamsLoaded int64
-	// PullTime is the cumulative modelled time of HBM-PS pulls.
-	PullTime time.Duration
-	// PushTime is the cumulative modelled time of HBM-PS pushes.
-	PushTime time.Duration
-	// LoadTime is the cumulative modelled time of CPU->GPU working-set loads.
-	LoadTime time.Duration
 	// RemotePulls / LocalPulls count parameter fetches by location.
 	LocalPulls, RemotePulls int64
+	// Work is the work of every load, pull, commit and push so far.
+	Work hw.Work
 }
 
 // HBMPS is the HBM parameter server of one node. It is safe for concurrent
@@ -138,14 +137,11 @@ func New(cfg Config) (*HBMPS, error) {
 	if cfg.Dim <= 0 {
 		return nil, fmt.Errorf("hbmps: invalid embedding dim %d", cfg.Dim)
 	}
-	if cfg.NVLink.BandwidthBytesPerSec == 0 {
-		cfg.NVLink = hw.DefaultGPUNode().NVLink
-	}
 	n := cfg.NumGPUs
 	h := &HBMPS{cfg: cfg, parts: make([][]int32, n), off: make([]int, n+1),
 		reserved: make([]int64, n), passes: make([]gpuPass, n)}
 	for i := 0; i < n; i++ {
-		h.devices = append(h.devices, gpu.NewDevice(cfg.NodeID, i, cfg.GPUProfile, cfg.Clock))
+		h.devices = append(h.devices, gpu.NewDevice(cfg.NodeID, i, cfg.GPUProfile))
 		h.passes[i] = gpuPass{h: h, gpu: i}
 	}
 	return h, nil
@@ -249,8 +245,8 @@ func (h *HBMPS) walk(g int, ks []keys.Key, present []bool, fn func(i, p int)) (n
 // across the node's GPUs in a non-overlapping fashion (Algorithm 1 lines
 // 6-10): every GPU reserves HBM for its partition and copies it into its own
 // stretch of the slabs concurrently. The values are copied; the caller keeps
-// ownership of the block. Loading charges PCIe transfer and HBM insertion
-// time, and fails if any GPU's HBM cannot hold its partition.
+// ownership of the block. Every GPU's partition counts one PCIe transfer and
+// one HBM write. Loading fails if any GPU's HBM cannot hold its partition.
 func (h *HBMPS) LoadBlock(blk *ps.ValueBlock) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -292,7 +288,6 @@ func (h *HBMPS) LoadBlock(blk *ps.ValueBlock) error {
 	}
 	h.rows = append(h.rows[:0], ks...)
 
-	loadStart := h.cfg.Clock.Total(simtime.ResourcePCIe) + h.cfg.Clock.Total(simtime.ResourceHBM)
 	// Each pass writes its positions, keys included.
 	h.cur.ResetUninit(dim, ks)
 	h.origSet.ResetUninit(dim, ks)
@@ -306,7 +301,15 @@ func (h *HBMPS) LoadBlock(blk *ps.ValueBlock) error {
 	h.loaded = true
 	h.stats.BatchesLoaded++
 	h.stats.ParamsLoaded += int64(len(ks))
-	h.stats.LoadTime += h.cfg.Clock.Total(simtime.ResourcePCIe) + h.cfg.Clock.Total(simtime.ResourceHBM) - loadStart
+	// Each partition travels CPU -> GPU over PCIe and is written to HBM.
+	var w hw.Work
+	for _, part := range h.parts {
+		moved := float64(int64(len(part)) * (int64(embedding.EncodedSize(dim)) + 8))
+		w.Add(hw.Ops(hw.ResPCIe, 1, moved))
+		w.Add(hw.Ops(hw.ResHBM, 1, moved))
+	}
+	h.stats.Work.Add(w)
+	h.cfg.Clock.Add(w)
 	return nil
 }
 
@@ -336,12 +339,6 @@ func (h *HBMPS) loadGPU(g int) error {
 	for p := base; p < end; p++ {
 		orig.Present[p], cur.Present[p] = true, true
 	}
-	// The partition travels CPU -> GPU over PCIe and is written to HBM.
-	moved := int64(len(part)) * (int64(embedding.EncodedSize(dim)) + 8)
-	if h.cfg.Fabric != nil {
-		h.cfg.Fabric.PCIe(moved)
-	}
-	h.devices[g].ChargeMemory(moved)
 	return nil
 }
 
@@ -396,28 +393,32 @@ func (h *HBMPS) PullInto(req ps.PullRequest, dst *ps.ValueBlock) error {
 	}
 	localCount, remoteCount := int64(local), int64(n-local)
 	valueBytes := int64(embedding.EncodedSize(h.cfg.Dim))
-	localBytes, remoteBytes := localCount*valueBytes, remoteCount*valueBytes
 	// Local reads stream through HBM; remote reads cross NVLink.
-	h.devices[gpuID].ChargeMemory(localBytes)
-	if h.cfg.Fabric != nil && remoteBytes > 0 {
-		h.cfg.Fabric.NVLink(remoteBytes)
-	}
-	pullTime := h.cfg.GPUProfile.MemoryTime(localBytes)
-	if remoteBytes > 0 {
-		pullTime += nvlinkTime(h.cfg, remoteBytes)
-	}
-	h.mu.Lock()
-	h.stats.LocalPulls += localCount
-	h.stats.RemotePulls += remoteCount
-	h.mu.Unlock()
-	h.rec.RecordPull(len(req.Keys), pullTime)
+	h.count(traffic(localCount*valueBytes, remoteCount*valueBytes), localCount, remoteCount)
+	h.rec.RecordPull(len(req.Keys))
 	return nil
 }
 
-// nvlinkTime mirrors what the fabric charges for an NVLink hop, for
-// per-component statistics without double charging the clock.
-func nvlinkTime(cfg Config, bytes int64) time.Duration {
-	return cfg.NVLink.TransferTime(bytes)
+// traffic is the work of one kernel streaming local bytes through its GPU's
+// HBM and moving remote bytes to or from other GPUs: an NVLink transfer,
+// when there are any.
+func traffic(local, remote int64) hw.Work {
+	w := hw.Ops(hw.ResHBM, 1, float64(local))
+	if remote > 0 {
+		w.Add(hw.Ops(hw.ResNVLink, 1, float64(remote)))
+	}
+	return w
+}
+
+// count adds a call's work, and the local and remote parameter fetches of a
+// pull, to the statistics and the run's counter.
+func (h *HBMPS) count(w hw.Work, localPulls, remotePulls int64) {
+	h.mu.Lock()
+	h.stats.Work.Add(w)
+	h.stats.LocalPulls += localPulls
+	h.stats.RemotePulls += remotePulls
+	h.mu.Unlock()
+	h.cfg.Clock.Add(w)
 }
 
 // Name implements ps.Tier.
@@ -484,15 +485,9 @@ func (h *HBMPS) WorkingSetSize() int {
 	return total
 }
 
-// Stats returns cumulative HBM-PS statistics. The pull/push durations are
-// served from the uniform tier recorder (the single source of truth) so the
-// hot path maintains them only once.
+// Stats returns cumulative HBM-PS statistics.
 func (h *HBMPS) Stats() Stats {
-	rec := h.rec.TierStats()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	st := h.stats
-	st.PullTime = rec.PullTime
-	st.PushTime = rec.PushTime
-	return st
+	return h.stats
 }

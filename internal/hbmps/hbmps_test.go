@@ -8,11 +8,9 @@ import (
 	"hps/internal/embedding"
 	"hps/internal/gpu"
 	"hps/internal/hw"
-	"hps/internal/interconnect"
 	"hps/internal/keys"
 	"hps/internal/optimizer"
 	"hps/internal/ps"
-	"hps/internal/simtime"
 )
 
 // pull pulls ks for a worker on gpuID into a fresh block (row i is ks[i]).
@@ -33,16 +31,12 @@ func collect(h *HBMPS) map[keys.Key]*embedding.Value {
 }
 
 func testConfig(numGPUs int) Config {
-	profile := hw.DefaultGPUNode()
-	clock := simtime.NewClock()
 	return Config{
 		NodeID:     0,
 		NumGPUs:    numGPUs,
 		Dim:        4,
-		GPUProfile: profile.GPU,
-		NVLink:     profile.NVLink,
-		Fabric:     interconnect.NewFabric(profile, clock),
-		Clock:      clock,
+		GPUProfile: hw.DefaultGPUNode().GPU,
+		Clock:      hw.NewCounter(),
 	}
 }
 
@@ -172,6 +166,7 @@ func TestPullLocalAndRemote(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		ks = append(ks, keys.Key(i))
 	}
+	loaded := h.Stats().Work
 	got, err := pull(h, 0, ks)
 	if err != nil {
 		t.Fatal(err)
@@ -188,8 +183,8 @@ func TestPullLocalAndRemote(t *testing.T) {
 	if st.LocalPulls == 0 || st.RemotePulls == 0 {
 		t.Fatalf("expected both local and remote pulls, got %+v", st)
 	}
-	if st.PullTime <= 0 {
-		t.Fatal("pull time should be accounted")
+	if w := st.Work.Minus(loaded); w[hw.ResHBM].Ops != 1 || w[hw.ResNVLink].Ops != 1 || w[hw.ResPCIe].Ops != 0 {
+		t.Fatalf("a pull counted %v, want one HBM kernel and one NVLink transfer", w)
 	}
 	// Invalid GPU id and missing key.
 	if _, err := pull(h, 99, ks); err == nil {
@@ -230,14 +225,16 @@ func train(h *HBMPS, gpuID int, ks []keys.Key, opt optimizer.Sparse, grad []floa
 
 // TestPushAppliesOptimizer: a worker's commit — the HBM-PS push of
 // Algorithm 1 line 14 — stores the optimizer's step and the use count, is
-// accounted as push time, and refuses a GPU the node does not have.
+// counted as HBM work, and refuses a GPU the node does not have.
 func TestPushAppliesOptimizer(t *testing.T) {
 	h, _ := New(testConfig(2))
 	h.LoadBlock(workingSet(10))
 	before, _ := pull(h, 0, []keys.Key{3})
+	pulled := h.Stats().Work
 	if err := train(h, 0, []keys.Key{3}, optimizer.SGD{LR: 0.5}, []float32{1, 0, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
+	trained := h.Stats().Work.Minus(pulled)
 	after, _ := pull(h, 0, []keys.Key{3})
 	want := before.WeightsRow(0)[0] - 0.5
 	if after.WeightsRow(0)[0] != want {
@@ -246,8 +243,8 @@ func TestPushAppliesOptimizer(t *testing.T) {
 	if after.Freq[0] != before.Freq[0]+1 {
 		t.Fatal("push should increment freq")
 	}
-	if h.Stats().PushTime <= 0 {
-		t.Fatal("push time should be accounted")
+	if got := trained[hw.ResHBM]; got.Ops != 2 {
+		t.Fatalf("a pull and a commit counted %+v of HBM work, want 2 kernels", got)
 	}
 	if err := h.CommitBlock(99, before, after); err == nil {
 		t.Fatal("invalid gpu id should fail")
@@ -332,23 +329,36 @@ func TestApplyRemoteDeltas(t *testing.T) {
 	}
 }
 
+// TestHBMChargesClock: a load counts one PCIe transfer and one HBM write per
+// GPU of its partition, a pull one HBM kernel of the calling GPU's rows and
+// one NVLink transfer of the rest, and the run's counter sees what Stats
+// does.
 func TestHBMChargesClock(t *testing.T) {
 	cfg := testConfig(2)
 	h, _ := New(cfg)
-	h.LoadBlock(workingSet(100))
-	if cfg.Clock.Total(simtime.ResourcePCIe) <= 0 {
-		t.Fatal("loading should charge PCIe time")
+	if err := h.LoadBlock(workingSet(100)); err != nil {
+		t.Fatal(err)
 	}
-	if cfg.Clock.Total(simtime.ResourceHBM) <= 0 {
-		t.Fatal("loading should charge HBM time")
+	row := float64(embedding.EncodedSize(4))
+	load := hw.Ops(hw.ResPCIe, 2, 100*(row+8))
+	load.Add(hw.Ops(hw.ResHBM, 2, 100*(row+8)))
+	if got := h.Stats().Work; got != load {
+		t.Fatalf("load counted %v, want %v", got, load)
 	}
 	var ks []keys.Key
 	for i := 0; i < 100; i++ {
 		ks = append(ks, keys.Key(i))
 	}
-	pull(h, 0, ks)
-	if cfg.Clock.Total(simtime.ResourceNVLink) <= 0 {
-		t.Fatal("remote pulls should charge NVLink time")
+	if _, err := pull(h, 0, ks); err != nil {
+		t.Fatal(err)
+	}
+	st := h.Stats()
+	local := float64(st.LocalPulls)
+	want := load
+	want.Add(hw.Ops(hw.ResHBM, 1, local*row))
+	want.Add(hw.Ops(hw.ResNVLink, 1, (100-local)*row))
+	if st.Work != want || cfg.Clock.Total() != want {
+		t.Fatalf("load and pull counted %v (counter %v), want %v", st.Work, cfg.Clock.Total(), want)
 	}
 }
 

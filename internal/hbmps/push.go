@@ -2,7 +2,6 @@ package hbmps
 
 import (
 	"fmt"
-	"time"
 
 	"hps/internal/embedding"
 	"hps/internal/ps"
@@ -46,16 +45,8 @@ func (h *HBMPS) CommitBlock(gpuID int, orig, final *ps.ValueBlock) error {
 		return fmt.Errorf("hbmps: commit key %d not in the working set", final.Keys[miss])
 	}
 	valueBytes := int64(8 * h.cfg.Dim) // weights and accumulators move back
-	localBytes, remoteBytes := int64(local)*valueBytes, int64(n-local)*valueBytes
-	h.devices[gpuID].ChargeMemory(localBytes)
-	if h.cfg.Fabric != nil && remoteBytes > 0 {
-		h.cfg.Fabric.NVLink(remoteBytes)
-	}
-	pushTime := h.cfg.GPUProfile.MemoryTime(localBytes)
-	if remoteBytes > 0 {
-		pushTime += nvlinkTime(h.cfg, remoteBytes)
-	}
-	h.rec.RecordPush(len(final.Keys), pushTime)
+	h.count(traffic(int64(local)*valueBytes, int64(n-local)*valueBytes), 0, 0)
+	h.rec.RecordPush(len(final.Keys))
 	return nil
 }
 
@@ -64,10 +55,9 @@ func (h *HBMPS) CommitBlock(gpuID int, orig, final *ps.ValueBlock) error {
 // working set, in row order (callers keep rows sorted for deterministic
 // storage effects). Deltas for keys not resident are ignored — this tier only
 // ever holds the current batch's partitions; their authoritative copies live
-// below. When req.Shard names a GPU, deltas for keys owned by other GPUs are
-// charged as NVLink traffic; with ps.NoShard (deltas arriving via the
-// inter-node synchronization, whose transfer time the coordinator charges)
-// no fabric time is charged.
+// below. When req.Shard names a GPU, the push counts like a commit from it;
+// with ps.NoShard (deltas arriving via the inter-node synchronization, whose
+// transfer the coordinator counts) it counts nothing.
 func (h *HBMPS) PushBlock(req ps.PushBlockRequest) error {
 	if req.Shard != ps.NoShard && (req.Shard < 0 || req.Shard >= len(h.devices)) {
 		return fmt.Errorf("hbmps: invalid gpu id %d", req.Shard)
@@ -80,20 +70,11 @@ func (h *HBMPS) PushBlock(req ps.PushBlockRequest) error {
 		cur.Freq[p] += blk.Freq[i]
 	})
 	h.rw.Unlock()
-	var pushTime time.Duration
-	if shard := req.Shard; shard != ps.NoShard {
+	if req.Shard != ps.NoShard {
 		valueBytes := int64(embedding.EncodedSize(h.cfg.Dim))
-		localBytes, remoteBytes := int64(local)*valueBytes, int64(applied-local)*valueBytes
-		h.devices[shard].ChargeMemory(localBytes)
-		if h.cfg.Fabric != nil && remoteBytes > 0 {
-			h.cfg.Fabric.NVLink(remoteBytes)
-		}
-		pushTime = h.cfg.GPUProfile.MemoryTime(localBytes)
-		if remoteBytes > 0 {
-			pushTime += nvlinkTime(h.cfg, remoteBytes)
-		}
+		h.count(traffic(int64(local)*valueBytes, int64(applied-local)*valueBytes), 0, 0)
 	}
-	h.rec.RecordPush(applied, pushTime)
+	h.rec.RecordPush(applied)
 	return nil
 }
 

@@ -2,10 +2,10 @@
 // batches are streamed into each node's main memory (Algorithm 1 line 2,
 // "batch <- get_batch_from_HDFS()").
 //
-// The stream wraps a dataset.Generator and charges the modelled streaming
-// time of every batch to a simtime.Clock, so that the "Read examples" stage
-// of Fig 3(c) — which the paper identifies as the bottleneck for the smaller
-// models A and B — is reproduced faithfully by the pipeline.
+// The stream wraps a dataset.Generator and counts the work of every batch it
+// streams — one open and the batch's bytes, as hw.Work — so that hw.Model can
+// price the "Read examples" stage of Fig 3(c), which the paper identifies as
+// the bottleneck for the smaller models A and B.
 package hdfs
 
 import (
@@ -14,7 +14,6 @@ import (
 
 	"hps/internal/dataset"
 	"hps/internal/hw"
-	"hps/internal/simtime"
 )
 
 // ErrClosed is returned by NextBatch after Close has been called.
@@ -25,8 +24,6 @@ var ErrClosed = errors.New("hdfs: stream closed")
 type Stream struct {
 	mu        sync.Mutex
 	gen       *dataset.Generator
-	profile   hw.HDFS
-	clock     *simtime.Clock
 	batchSize int
 	maxBatch  int
 	delivered int
@@ -39,10 +36,6 @@ type Config struct {
 	BatchSize int
 	// MaxBatches limits the stream length; 0 means unlimited.
 	MaxBatches int
-	// Profile is the HDFS hardware model used for time accounting.
-	Profile hw.HDFS
-	// Clock receives the modelled streaming time; nil disables accounting.
-	Clock *simtime.Clock
 }
 
 // NewStream returns a stream over the given generator.
@@ -52,29 +45,26 @@ func NewStream(gen *dataset.Generator, cfg Config) *Stream {
 	}
 	return &Stream{
 		gen:       gen,
-		profile:   cfg.Profile,
-		clock:     cfg.Clock,
 		batchSize: cfg.BatchSize,
 		maxBatch:  cfg.MaxBatches,
 	}
 }
 
-// NextBatch returns the next training batch, charging its modelled streaming
-// time to the clock. It returns (nil, nil) when the stream is exhausted and
-// ErrClosed after Close.
-func (s *Stream) NextBatch() (*dataset.Batch, error) {
+// NextBatch returns the next training batch and the work of streaming it.
+// It returns (nil, no work, nil) when the stream is exhausted and ErrClosed
+// after Close.
+func (s *Stream) NextBatch() (*dataset.Batch, hw.Work, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, ErrClosed
+		return nil, hw.Work{}, ErrClosed
 	}
 	if s.maxBatch > 0 && s.delivered >= s.maxBatch {
-		return nil, nil
+		return nil, hw.Work{}, nil
 	}
 	b := s.gen.NextBatch(s.batchSize)
 	s.delivered++
-	s.clock.Add(simtime.ResourceHDFS, s.profile.ReadTime(b.ByteSize()))
-	return b, nil
+	return b, hw.Ops(hw.ResHDFS, 1, float64(b.ByteSize())), nil
 }
 
 // Delivered returns how many batches have been handed out.

@@ -2,11 +2,9 @@ package hdfs
 
 import (
 	"testing"
-	"time"
 
 	"hps/internal/dataset"
 	"hps/internal/hw"
-	"hps/internal/simtime"
 )
 
 func newTestStream(t *testing.T, cfg Config) *Stream {
@@ -17,7 +15,7 @@ func newTestStream(t *testing.T, cfg Config) *Stream {
 
 func TestStreamDeliversBatches(t *testing.T) {
 	s := newTestStream(t, Config{BatchSize: 32})
-	b, err := s.NextBatch()
+	b, _, err := s.NextBatch()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,12 +40,12 @@ func TestStreamDefaultBatchSize(t *testing.T) {
 func TestStreamMaxBatches(t *testing.T) {
 	s := newTestStream(t, Config{BatchSize: 4, MaxBatches: 2})
 	for i := 0; i < 2; i++ {
-		b, err := s.NextBatch()
+		b, _, err := s.NextBatch()
 		if err != nil || b == nil {
 			t.Fatalf("batch %d: %v %v", i, b, err)
 		}
 	}
-	b, err := s.NextBatch()
+	b, _, err := s.NextBatch()
 	if err != nil || b != nil {
 		t.Fatal("exhausted stream should return (nil, nil)")
 	}
@@ -57,30 +55,35 @@ func TestStreamMaxBatches(t *testing.T) {
 }
 
 func TestStreamChargesClock(t *testing.T) {
-	clock := simtime.NewClock()
-	profile := hw.HDFS{StreamBandwidthBytesPerSec: 1000, OpenLatency: time.Millisecond}
-	s := newTestStream(t, Config{BatchSize: 8, Profile: profile, Clock: clock})
-	b, err := s.NextBatch()
+	s := newTestStream(t, Config{BatchSize: 8})
+	b, w, err := s.NextBatch()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := profile.ReadTime(b.ByteSize())
-	if got := clock.Total(simtime.ResourceHDFS); got != want {
-		t.Fatalf("charged %v, want %v", got, want)
+	if want := hw.Ops(hw.ResHDFS, 1, float64(b.ByteSize())); w != want {
+		t.Fatalf("counted %v, want one open of %d B", w, b.ByteSize())
 	}
 }
 
+// TestStreamNilClockSafe: an exhausted or closed stream counts no work.
 func TestStreamNilClockSafe(t *testing.T) {
-	s := newTestStream(t, Config{BatchSize: 8, Profile: hw.DefaultGPUNode().HDFS})
-	if _, err := s.NextBatch(); err != nil {
+	s := newTestStream(t, Config{BatchSize: 8, MaxBatches: 1})
+	if _, _, err := s.NextBatch(); err != nil {
 		t.Fatal(err)
+	}
+	if b, w, err := s.NextBatch(); b != nil || w != (hw.Work{}) || err != nil {
+		t.Fatalf("exhausted stream: %v, %v, %v", b, w, err)
+	}
+	s.Close()
+	if _, w, _ := s.NextBatch(); w != (hw.Work{}) {
+		t.Fatalf("closed stream counted %v", w)
 	}
 }
 
 func TestStreamClose(t *testing.T) {
 	s := newTestStream(t, Config{BatchSize: 8})
 	s.Close()
-	if _, err := s.NextBatch(); err != ErrClosed {
+	if _, _, err := s.NextBatch(); err != ErrClosed {
 		t.Fatalf("want ErrClosed, got %v", err)
 	}
 }
@@ -92,7 +95,7 @@ func TestStreamConcurrentReaders(t *testing.T) {
 		go func() {
 			n := 0
 			for {
-				b, err := s.NextBatch()
+				b, _, err := s.NextBatch()
 				if err != nil || b == nil {
 					break
 				}

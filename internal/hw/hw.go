@@ -1,10 +1,18 @@
-// Package hw defines hardware cost models for the simulated cluster.
+// Package hw models the hardware of the simulated cluster and is the one
+// place where work becomes time.
 //
 // The paper's testbed (Section 7) consists of 4 GPU nodes, each with eight
 // 32 GB-HBM GPUs connected by NVLink, ~1 TB of main memory, ~20 TB of NVMe
 // SSD, a 100 Gb RDMA network adaptor, and of an MPI cluster of CPU-only
 // nodes. This package encodes those components as bandwidth/latency/compute
-// models so that higher layers can charge modelled time to a simtime.Clock.
+// profiles.
+//
+// The tiers never charge time. Each counts the work it does — operations and
+// the bytes they move (FLOPs for GPU and CPU compute) per Resource — in a
+// Work value, and Model prices a Work against a NodeProfile: a fixed cost per
+// operation plus the amount over the resource's rate. A stage's modelled
+// time is Model of the work its calls counted; a run's time distribution is
+// Model of everything counted.
 //
 // The default profiles are calibrated to the nominal numbers of the paper's
 // hardware generation (V100-class GPUs, PCIe 3.0 x16, NVLink 2.0, 100 GbE,
@@ -13,10 +21,185 @@
 package hw
 
 import (
+	"sync"
 	"time"
-
-	"hps/internal/simtime"
 )
+
+// Resource is a hardware resource whose work is counted separately.
+type Resource int
+
+// The counted resources.
+const (
+	ResGPU      Resource = iota // dense compute: kernel launches and FLOPs
+	ResHBM                      // GPU memory traffic: kernel launches and bytes
+	ResNVLink                   // intra-node GPU transfers
+	ResPCIe                     // CPU<->GPU transfers
+	ResRDMA                     // inter-node GPU transfers (RoCE)
+	ResNetwork                  // inter-node CPU Ethernet (MEM-PS peer pulls, MPI)
+	ResSSDRead                  // SSD-PS reads: block-rounded bytes
+	ResSSDWrite                 // SSD-PS writes: block-rounded bytes
+	ResHDFS                     // training-data streaming: batches and bytes
+	ResCPU                      // CPU compute: FLOPs, no per-operation cost
+	// ResSyncNVLink is the all-reduce's intra-node rounds: priced on NVLink,
+	// reported under rdma with the inter-node rounds.
+	ResSyncNVLink
+	numResources
+)
+
+// names are the report names: both SSD directions are "ssd".
+var names = [numResources]string{"gpu", "hbm", "nvlink", "pcie", "rdma", "network", "ssd", "ssd", "hdfs", "cpu", "rdma"}
+
+// String returns the resource's report name.
+func (r Resource) String() string { return names[r] }
+
+// Use is the work done on one resource: how many operations, and the bytes
+// (for GPU and ResCPU, FLOPs) they moved in total.
+type Use struct {
+	Ops    int64
+	Amount float64
+}
+
+// Work is counted work, per resource. The zero value is no work; it is a
+// plain value, so counting allocates nothing.
+type Work [numResources]Use
+
+// Ops returns the work of ops operations on r moving amount in total.
+func Ops(r Resource, ops int64, amount float64) Work {
+	var w Work
+	w[r] = Use{ops, amount}
+	return w
+}
+
+// Add adds o to w.
+func (w *Work) Add(o Work) {
+	for r := range w {
+		w[r].Ops += o[r].Ops
+		w[r].Amount += o[r].Amount
+	}
+}
+
+// Minus returns w less o: the work done between two counts.
+func (w Work) Minus(o Work) Work {
+	for r := range w {
+		w[r].Ops -= o[r].Ops
+		w[r].Amount -= o[r].Amount
+	}
+	return w
+}
+
+// Counter accumulates Work from concurrent goroutines. The zero value is
+// ready for use, and a nil *Counter counts nothing.
+type Counter struct {
+	mu sync.Mutex
+	w  Work
+}
+
+// NewCounter returns an empty counter.
+func NewCounter() *Counter { return new(Counter) }
+
+// Add counts w.
+func (c *Counter) Add(w Work) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.w.Add(w)
+	c.mu.Unlock()
+}
+
+// Total returns a copy of the work counted so far.
+func (c *Counter) Total() Work {
+	if c == nil {
+		return Work{}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.w
+}
+
+// Times is modelled time per resource.
+type Times [numResources]time.Duration
+
+// Sum is the time of work whose resources are used one after another.
+func (t Times) Sum() time.Duration {
+	var d time.Duration
+	for _, x := range t {
+		d += x
+	}
+	return d
+}
+
+// Max is the time of work whose resources are used at once: the slowest.
+func (t Times) Max() time.Duration {
+	var d time.Duration
+	for _, x := range t {
+		d = max(d, x)
+	}
+	return d
+}
+
+// ByName sums the times by report name, leaving out resources that did no
+// work.
+func (t Times) ByName() map[string]time.Duration {
+	out := make(map[string]time.Duration)
+	for r, d := range t {
+		if d > 0 {
+			out[names[r]] += d
+		}
+	}
+	return out
+}
+
+// Model returns the modelled time of w on the hardware of p: per resource,
+// the operations times the resource's per-operation cost plus the amount
+// over its rate. A resource without a rate costs only its operations.
+func Model(p NodeProfile, w Work) Times {
+	var t Times
+	for r, u := range w {
+		lat, rate := p.cost(Resource(r))
+		t[r] = time.Duration(max(u.Ops, 0)) * lat
+		if rate > 0 && u.Amount > 0 {
+			t[r] += seconds(u.Amount / rate)
+		}
+	}
+	return t
+}
+
+// cost returns r's fixed cost per operation and its rate per second.
+func (p NodeProfile) cost(r Resource) (time.Duration, float64) {
+	switch r {
+	case ResGPU:
+		return p.GPU.KernelLaunch, p.GPU.FLOPS
+	case ResHBM:
+		return p.GPU.KernelLaunch, p.GPU.HBMBandwidthBytesPerSec
+	case ResNVLink, ResSyncNVLink:
+		return p.NVLink.Latency, p.NVLink.BandwidthBytesPerSec
+	case ResPCIe:
+		return p.PCIe.Latency, p.PCIe.BandwidthBytesPerSec
+	case ResRDMA:
+		return p.RDMA.Latency, p.RDMA.BandwidthBytesPerSec
+	case ResNetwork:
+		return p.Ethernet.Latency, p.Ethernet.BandwidthBytesPerSec
+	case ResSSDRead:
+		return p.SSD.ReadLatency, p.SSD.ReadBandwidthBytesPerSec
+	case ResSSDWrite:
+		return p.SSD.WriteLatency, p.SSD.WriteBandwidthBytesPerSec
+	case ResHDFS:
+		return p.HDFS.OpenLatency, p.HDFS.StreamBandwidthBytesPerSec
+	default:
+		return 0, p.CPU.FLOPS
+	}
+}
+
+// seconds converts seconds to a time.Duration, saturating rather than
+// overflowing for absurd inputs.
+func seconds(s float64) time.Duration {
+	const maxSeconds = float64(1<<62) / float64(time.Second)
+	if s > maxSeconds {
+		return time.Duration(1 << 62)
+	}
+	return time.Duration(s * float64(time.Second))
+}
 
 // Link models a point-to-point communication channel with fixed per-message
 // latency and finite bandwidth.
@@ -27,17 +210,6 @@ type Link struct {
 	BandwidthBytesPerSec float64
 	// Latency is the fixed per-transfer setup cost.
 	Latency time.Duration
-}
-
-// TransferTime returns the modelled time to move n bytes across the link.
-func (l Link) TransferTime(n int64) time.Duration {
-	if n < 0 {
-		n = 0
-	}
-	if l.BandwidthBytesPerSec <= 0 {
-		return l.Latency
-	}
-	return l.Latency + simtime.Duration(float64(n)/l.BandwidthBytesPerSec)
 }
 
 // GPU models a single GPU device: compute throughput, HBM capacity and
@@ -54,48 +226,12 @@ type GPU struct {
 	KernelLaunch time.Duration
 }
 
-// ComputeTime returns the modelled time to execute flops floating point
-// operations on the device, including one kernel launch.
-func (g GPU) ComputeTime(flops float64) time.Duration {
-	if flops < 0 {
-		flops = 0
-	}
-	if g.FLOPS <= 0 {
-		return g.KernelLaunch
-	}
-	return g.KernelLaunch + simtime.Duration(flops/g.FLOPS)
-}
-
-// MemoryTime returns the modelled time to stream n bytes through HBM,
-// including one kernel launch.
-func (g GPU) MemoryTime(n int64) time.Duration {
-	if n < 0 {
-		n = 0
-	}
-	if g.HBMBandwidthBytesPerSec <= 0 {
-		return g.KernelLaunch
-	}
-	return g.KernelLaunch + simtime.Duration(float64(n)/g.HBMBandwidthBytesPerSec)
-}
-
 // CPU models the aggregate compute capability of a node's CPUs.
 type CPU struct {
 	// Cores is the number of physical cores.
 	Cores int
 	// FLOPS is the sustained single-precision throughput of the whole socket set.
 	FLOPS float64
-}
-
-// ComputeTime returns the modelled time to execute flops floating point
-// operations using the full node.
-func (c CPU) ComputeTime(flops float64) time.Duration {
-	if flops < 0 {
-		flops = 0
-	}
-	if c.FLOPS <= 0 {
-		return 0
-	}
-	return simtime.Duration(flops / c.FLOPS)
 }
 
 // SSD models an NVMe SSD (or RAID-0 array) with block-granular access.
@@ -115,8 +251,9 @@ type SSD struct {
 	CapacityBytes int64
 }
 
-// roundUpToBlock rounds n up to a whole number of blocks.
-func (s SSD) roundUpToBlock(n int64) int64 {
+// Physical rounds n bytes up to a whole number of blocks: what a transfer of
+// n bytes occupies on the device.
+func (s SSD) Physical(n int64) int64 {
 	if n <= 0 {
 		return 0
 	}
@@ -127,24 +264,6 @@ func (s SSD) roundUpToBlock(n int64) int64 {
 	return blocks * s.BlockBytes
 }
 
-// ReadTime returns the modelled time for a single read of n logical bytes.
-func (s SSD) ReadTime(n int64) time.Duration {
-	eff := s.roundUpToBlock(n)
-	if s.ReadBandwidthBytesPerSec <= 0 {
-		return s.ReadLatency
-	}
-	return s.ReadLatency + simtime.Duration(float64(eff)/s.ReadBandwidthBytesPerSec)
-}
-
-// WriteTime returns the modelled time for a single write of n logical bytes.
-func (s SSD) WriteTime(n int64) time.Duration {
-	eff := s.roundUpToBlock(n)
-	if s.WriteBandwidthBytesPerSec <= 0 {
-		return s.WriteLatency
-	}
-	return s.WriteLatency + simtime.Duration(float64(eff)/s.WriteBandwidthBytesPerSec)
-}
-
 // HDFS models the distributed file system from which training batches are
 // streamed.
 type HDFS struct {
@@ -152,17 +271,6 @@ type HDFS struct {
 	StreamBandwidthBytesPerSec float64
 	// OpenLatency is the fixed latency to begin streaming a batch.
 	OpenLatency time.Duration
-}
-
-// ReadTime returns the modelled time to stream n bytes from HDFS.
-func (h HDFS) ReadTime(n int64) time.Duration {
-	if n < 0 {
-		n = 0
-	}
-	if h.StreamBandwidthBytesPerSec <= 0 {
-		return h.OpenLatency
-	}
-	return h.OpenLatency + simtime.Duration(float64(n)/h.StreamBandwidthBytesPerSec)
 }
 
 // NodeProfile describes the hardware of a single GPU computing node.
@@ -263,19 +371,3 @@ func DefaultMPINode() NodeProfile {
 // CostGPUNodesPerMPINode is the hardware and maintenance cost ratio stated in
 // Section 7: one GPU node costs roughly as much as ten CPU-only MPI nodes.
 const CostGPUNodesPerMPINode = 10.0
-
-// ScaledGPUNode returns the default GPU node profile with memory-capacity
-// fields divided by factor. It is used to run the paper's terabyte-scale
-// configurations at laptop scale while preserving capacity ratios
-// (HBM : main memory : SSD), which is what determines eviction and caching
-// behaviour.
-func ScaledGPUNode(factor int64) NodeProfile {
-	p := DefaultGPUNode()
-	if factor <= 1 {
-		return p
-	}
-	p.GPU.HBMBytes /= factor
-	p.MainMemoryBytes /= factor
-	p.SSD.CapacityBytes /= factor
-	return p
-}

@@ -6,86 +6,83 @@ import (
 	"time"
 )
 
+// model prices n operations moving amount in total on r alone.
+func model(p NodeProfile, r Resource, n int64, amount float64) time.Duration {
+	return Model(p, Ops(r, n, amount))[r]
+}
+
 func TestLinkTransferTime(t *testing.T) {
-	l := Link{Name: "test", BandwidthBytesPerSec: 1000, Latency: time.Millisecond}
-	got := l.TransferTime(1000)
-	want := time.Millisecond + time.Second
-	if got != want {
-		t.Fatalf("TransferTime = %v, want %v", got, want)
+	p := NodeProfile{Ethernet: Link{Name: "test", BandwidthBytesPerSec: 1000, Latency: time.Millisecond}}
+	if got, want := model(p, ResNetwork, 1, 1000), time.Millisecond+time.Second; got != want {
+		t.Fatalf("one transfer of 1000 B = %v, want %v", got, want)
 	}
-	if got := l.TransferTime(0); got != time.Millisecond {
+	if got := model(p, ResNetwork, 1, 0); got != time.Millisecond {
 		t.Fatalf("zero bytes should cost only latency, got %v", got)
 	}
-	if got := l.TransferTime(-5); got != time.Millisecond {
+	if got := model(p, ResNetwork, 1, -5); got != time.Millisecond {
 		t.Fatalf("negative bytes should cost only latency, got %v", got)
+	}
+	if got, want := model(p, ResNetwork, 3, 3000), 3*time.Millisecond+3*time.Second; got != want {
+		t.Fatalf("three transfers of 1000 B = %v, want %v", got, want)
 	}
 }
 
 func TestLinkZeroBandwidth(t *testing.T) {
-	l := Link{Latency: time.Millisecond}
-	if got := l.TransferTime(1 << 30); got != time.Millisecond {
+	p := NodeProfile{NVLink: Link{Latency: time.Millisecond}}
+	if got := model(p, ResNVLink, 1, 1<<30); got != time.Millisecond {
 		t.Fatalf("zero-bandwidth link should return latency, got %v", got)
 	}
 }
 
 func TestGPUComputeTime(t *testing.T) {
-	g := GPU{FLOPS: 1e9, KernelLaunch: time.Microsecond}
-	got := g.ComputeTime(1e9)
-	want := time.Microsecond + time.Second
-	if got != want {
-		t.Fatalf("ComputeTime = %v, want %v", got, want)
+	p := NodeProfile{GPU: GPU{FLOPS: 1e9, KernelLaunch: time.Microsecond}}
+	if got, want := model(p, ResGPU, 1, 1e9), time.Microsecond+time.Second; got != want {
+		t.Fatalf("compute = %v, want %v", got, want)
 	}
-	if got := g.ComputeTime(-1); got != time.Microsecond {
+	if got := model(p, ResGPU, 1, -1); got != time.Microsecond {
 		t.Fatalf("negative flops = %v", got)
 	}
-	var zero GPU
-	if got := zero.ComputeTime(1e9); got != 0 {
+	if got := model(NodeProfile{}, ResGPU, 1, 1e9); got != 0 {
 		t.Fatalf("zero gpu compute = %v", got)
 	}
 }
 
 func TestGPUMemoryTime(t *testing.T) {
-	g := GPU{HBMBandwidthBytesPerSec: 1e9, KernelLaunch: time.Microsecond}
-	got := g.MemoryTime(1e9)
-	want := time.Microsecond + time.Second
-	if got != want {
-		t.Fatalf("MemoryTime = %v, want %v", got, want)
+	p := NodeProfile{GPU: GPU{HBMBandwidthBytesPerSec: 1e9, KernelLaunch: time.Microsecond}}
+	if got, want := model(p, ResHBM, 1, 1e9), time.Microsecond+time.Second; got != want {
+		t.Fatalf("memory = %v, want %v", got, want)
 	}
 }
 
 func TestCPUComputeTime(t *testing.T) {
-	c := CPU{Cores: 4, FLOPS: 2e9}
-	if got := c.ComputeTime(1e9); got != 500*time.Millisecond {
+	p := NodeProfile{CPU: CPU{Cores: 4, FLOPS: 2e9}}
+	if got := model(p, ResCPU, 1, 1e9); got != 500*time.Millisecond {
 		t.Fatalf("cpu compute = %v", got)
 	}
-	var zero CPU
-	if got := zero.ComputeTime(1e9); got != 0 {
+	if got := model(NodeProfile{}, ResCPU, 1, 1e9); got != 0 {
 		t.Fatalf("zero cpu compute = %v", got)
 	}
 }
 
 func TestSSDBlockRounding(t *testing.T) {
-	s := SSD{
-		ReadBandwidthBytesPerSec:  4096,
-		WriteBandwidthBytesPerSec: 4096,
-		BlockBytes:                4096,
-	}
+	s := SSD{ReadBandwidthBytesPerSec: 4096, WriteBandwidthBytesPerSec: 4096, BlockBytes: 4096}
+	p := NodeProfile{SSD: s}
 	// 1 byte still costs a full block: 1 second at 4096 B/s.
-	if got := s.ReadTime(1); got != time.Second {
-		t.Fatalf("ReadTime(1) = %v, want 1s", got)
+	if got := model(p, ResSSDRead, 1, float64(s.Physical(1))); got != time.Second {
+		t.Fatalf("read of 1 B = %v, want 1s", got)
 	}
-	if got := s.WriteTime(4097); got != 2*time.Second {
-		t.Fatalf("WriteTime(4097) = %v, want 2s", got)
+	if got := model(p, ResSSDWrite, 1, float64(s.Physical(4097))); got != 2*time.Second {
+		t.Fatalf("write of 4097 B = %v, want 2s", got)
 	}
-	if got := s.ReadTime(0); got != 0 {
-		t.Fatalf("ReadTime(0) = %v, want 0", got)
+	if got := s.Physical(0); got != 0 {
+		t.Fatalf("Physical(0) = %v, want 0", got)
 	}
 }
 
 func TestSSDRoundUpProperty(t *testing.T) {
 	s := SSD{BlockBytes: 4096}
 	f := func(n uint32) bool {
-		eff := s.roundUpToBlock(int64(n))
+		eff := s.Physical(int64(n))
 		if n == 0 {
 			return eff == 0
 		}
@@ -97,12 +94,68 @@ func TestSSDRoundUpProperty(t *testing.T) {
 }
 
 func TestHDFSReadTime(t *testing.T) {
-	h := HDFS{StreamBandwidthBytesPerSec: 100, OpenLatency: time.Millisecond}
-	if got := h.ReadTime(100); got != time.Millisecond+time.Second {
+	p := NodeProfile{HDFS: HDFS{StreamBandwidthBytesPerSec: 100, OpenLatency: time.Millisecond}}
+	if got := model(p, ResHDFS, 1, 100); got != time.Millisecond+time.Second {
 		t.Fatalf("hdfs read = %v", got)
 	}
-	if got := h.ReadTime(-1); got != time.Millisecond {
+	if got := model(p, ResHDFS, 1, -1); got != time.Millisecond {
 		t.Fatalf("hdfs read negative = %v", got)
+	}
+}
+
+// TestModelMatchesHelperArithmetic prices fixed counts on every resource and
+// compares them with what the per-operation helpers Model replaced
+// (Link.TransferTime, GPU.ComputeTime/MemoryTime, CPU.ComputeTime,
+// SSD.ReadTime/WriteTime, HDFS.ReadTime) returned for the same operations,
+// summed: the literals were computed with those helpers on the default
+// profiles. The helpers truncated each operation to a whole nanosecond and
+// Model truncates once, so the two may differ by under 1 ns per operation.
+func TestModelMatchesHelperArithmetic(t *testing.T) {
+	gpu, mpi := DefaultGPUNode(), DefaultMPINode()
+	ssd := gpu.SSD
+	cases := []struct {
+		p      NodeProfile
+		r      Resource
+		ops    int64
+		amount float64 // per operation
+		want   time.Duration
+	}{
+		{gpu, ResGPU, 4, 12345.5, 20000},
+		{gpu, ResHBM, 7, 3000, 35021},
+		{gpu, ResNVLink, 3, 1000, 6018},
+		{gpu, ResSyncNVLink, 3, 1000, 6018},
+		{gpu, ResPCIe, 5, 4096, 26705},
+		{gpu, ResRDMA, 2, 1e6, 197818},
+		{gpu, ResNetwork, 9, 777, 270693},
+		{gpu, ResSSDRead, 6, float64(ssd.Physical(5000)), 547626},
+		{gpu, ResSSDWrite, 3, float64(ssd.Physical(10000)), 83583},
+		{gpu, ResHDFS, 30, 65536, 61525860},
+		{mpi, ResCPU, 1, 1e9, 666666},
+	}
+	for _, c := range cases {
+		got := Model(c.p, Ops(c.r, c.ops, float64(c.ops)*c.amount))
+		if diff := got[c.r] - c.want; diff < 0 || diff >= time.Duration(c.ops) {
+			t.Errorf("%v x%d: Model = %d ns, helpers summed to %d ns", c.r, c.ops, got[c.r], c.want)
+		}
+		if got.Sum() != got[c.r] || got.Max() != got[c.r] {
+			t.Errorf("%v: work on one resource priced on others: %v", c.r, got)
+		}
+	}
+}
+
+func TestTimesByName(t *testing.T) {
+	var w Work
+	w.Add(Ops(ResSSDRead, 1, 0))
+	w.Add(Ops(ResSSDWrite, 1, 0))
+	w.Add(Ops(ResRDMA, 1, 0))
+	w.Add(Ops(ResSyncNVLink, 1, 0))
+	p := DefaultGPUNode()
+	got := Model(p, w).ByName()
+	if len(got) != 2 || got["ssd"] != p.SSD.ReadLatency+p.SSD.WriteLatency || got["rdma"] != p.RDMA.Latency+p.NVLink.Latency {
+		t.Fatalf("ByName = %v", got)
+	}
+	if d := w.Minus(w); d != (Work{}) {
+		t.Fatalf("w - w = %v", d)
 	}
 }
 
@@ -133,38 +186,5 @@ func TestDefaultProfilesSane(t *testing.T) {
 	}
 	if m.CPU.FLOPS != p.CPU.FLOPS {
 		t.Fatal("MPI node CPU should match GPU node CPU (paper: similar specs)")
-	}
-}
-
-func TestScaledGPUNode(t *testing.T) {
-	base := DefaultGPUNode()
-	s := ScaledGPUNode(1024)
-	if s.GPU.HBMBytes != base.GPU.HBMBytes/1024 {
-		t.Fatalf("scaled HBM = %d", s.GPU.HBMBytes)
-	}
-	if s.MainMemoryBytes != base.MainMemoryBytes/1024 {
-		t.Fatalf("scaled memory = %d", s.MainMemoryBytes)
-	}
-	if s.SSD.CapacityBytes != base.SSD.CapacityBytes/1024 {
-		t.Fatalf("scaled ssd = %d", s.SSD.CapacityBytes)
-	}
-	// Bandwidths are not scaled.
-	if s.NVLink.BandwidthBytesPerSec != base.NVLink.BandwidthBytesPerSec {
-		t.Fatal("bandwidth should not scale")
-	}
-	// factor <= 1 is the identity.
-	id := ScaledGPUNode(0)
-	if id.GPU.HBMBytes != base.GPU.HBMBytes {
-		t.Fatal("factor 0 should be identity")
-	}
-}
-
-func TestCapacityRatioPreserved(t *testing.T) {
-	base := DefaultGPUNode()
-	s := ScaledGPUNode(256)
-	baseRatio := float64(base.MainMemoryBytes) / float64(base.GPU.HBMBytes)
-	scaledRatio := float64(s.MainMemoryBytes) / float64(s.GPU.HBMBytes)
-	if baseRatio != scaledRatio {
-		t.Fatalf("memory:HBM ratio changed: %v vs %v", baseRatio, scaledRatio)
 	}
 }

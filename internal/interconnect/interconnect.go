@@ -1,85 +1,42 @@
-// Package interconnect models the communication fabric of the cluster —
-// NVLink between GPUs of a node, PCIe between CPUs and GPUs, RDMA (RoCE)
-// between GPUs of different nodes, and Ethernet between CPUs — and
-// implements the hierarchical all-reduce used to synchronize parameters
-// across all GPUs after every mini-batch (Section 4.2, Appendix C.3).
+// Package interconnect counts the work of the cluster's communication fabric
+// — NVLink between GPUs of a node, PCIe between CPUs and GPUs, RDMA (RoCE)
+// between GPUs of different nodes, and Ethernet between CPUs — and lays out
+// the hierarchical all-reduce used to synchronize parameters across all GPUs
+// after every mini-batch (Section 4.2, Appendix C.3).
 //
 // Data actually moves between in-process buffers (the simulated GPUs share an
-// address space); the fabric's job is to charge the modelled transfer time of
-// each hop to the right resource so the time-distribution figures come out
-// with the paper's shape.
+// address space); the fabric only counts the transfers, per link, as hw.Work,
+// and hw.Model prices them.
 package interconnect
 
 import (
-	"fmt"
 	"math"
 	"time"
 
 	"hps/internal/hw"
-	"hps/internal/simtime"
-	"hps/internal/tensor"
 )
 
-// Fabric charges transfer times for the four link types of a node.
-// It is safe for concurrent use (the underlying clock is).
+// Fabric counts link transfers into a shared counter. It is safe for
+// concurrent use, and a nil *Fabric counts nothing.
 type Fabric struct {
-	nvlink   hw.Link
-	pcie     hw.Link
-	rdma     hw.Link
-	ethernet hw.Link
-	clock    *simtime.Clock
+	counter *hw.Counter
 }
 
-// NewFabric builds a fabric from a node profile. clock may be nil.
-func NewFabric(p hw.NodeProfile, clock *simtime.Clock) *Fabric {
-	return &Fabric{
-		nvlink:   p.NVLink,
-		pcie:     p.PCIe,
-		rdma:     p.RDMA,
-		ethernet: p.Ethernet,
-		clock:    clock,
+// NewFabric returns a fabric counting into c, which may be nil. The profile
+// is not read — hw.Model prices the links — and is kept for the benchmark's
+// layer probe, which still passes one.
+func NewFabric(_ hw.NodeProfile, c *hw.Counter) *Fabric {
+	return &Fabric{counter: c}
+}
+
+// Transfer counts one transfer of n bytes over link (hw.ResNVLink, ResPCIe,
+// ResRDMA or ResNetwork) and returns its work.
+func (f *Fabric) Transfer(link hw.Resource, n int64) hw.Work {
+	w := hw.Ops(link, 1, float64(max(n, 0)))
+	if f != nil {
+		f.counter.Add(w)
 	}
-}
-
-// NVLink charges an intra-node GPU-to-GPU transfer of n bytes and returns the
-// modelled duration.
-func (f *Fabric) NVLink(n int64) time.Duration {
-	d := f.nvlink.TransferTime(n)
-	f.clock.Add(simtime.ResourceNVLink, d)
-	return d
-}
-
-// PCIe charges a CPU<->GPU transfer of n bytes.
-func (f *Fabric) PCIe(n int64) time.Duration {
-	d := f.pcie.TransferTime(n)
-	f.clock.Add(simtime.ResourcePCIe, d)
-	return d
-}
-
-// RDMA charges an inter-node GPU<->GPU transfer of n bytes. The baseline
-// (non-RDMA) path would additionally cross PCIe and CPU memory on both ends
-// (Appendix C.2); use RDMABaseline to model that for ablations.
-func (f *Fabric) RDMA(n int64) time.Duration {
-	d := f.rdma.TransferTime(n)
-	f.clock.Add(simtime.ResourceRDMA, d)
-	return d
-}
-
-// RDMABaseline charges the non-RDMA inter-node GPU transfer of Appendix C.2:
-// GPU->CPU over PCIe, CPU->CPU over Ethernet, CPU->GPU over PCIe.
-func (f *Fabric) RDMABaseline(n int64) time.Duration {
-	d := f.pcie.TransferTime(n) + f.ethernet.TransferTime(n) + f.pcie.TransferTime(n)
-	f.clock.Add(simtime.ResourcePCIe, f.pcie.TransferTime(n)*2)
-	f.clock.Add(simtime.ResourceNetwork, f.ethernet.TransferTime(n))
-	return d
-}
-
-// Ethernet charges an inter-node CPU transfer of n bytes (MEM-PS remote
-// pulls, MPI parameter traffic).
-func (f *Fabric) Ethernet(n int64) time.Duration {
-	d := f.ethernet.TransferTime(n)
-	f.clock.Add(simtime.ResourceNetwork, d)
-	return d
+	return w
 }
 
 // AllReducePlan describes the communication rounds of the hierarchical
@@ -108,24 +65,17 @@ func ceilLog2(n int) int {
 	return int(math.Ceil(math.Log2(float64(n))))
 }
 
-// HierarchicalAllReduceTime returns the modelled wall-clock time of
-// synchronizing bytesPerGPU of parameter updates across the whole cluster:
-// the inter-node rounds run over RDMA and the intra-node rounds over NVLink,
+// AllReduceWork returns the work of synchronizing bytesPerGPU of parameter
+// updates across the whole cluster: one transfer of bytesPerGPU per round,
+// the inter-node rounds over RDMA and the intra-node rounds over NVLink,
 // with every pair exchanging concurrently within a round ("most of the
-// communications are paralleled").
-func HierarchicalAllReduceTime(bytesPerGPU int64, nodes, gpusPerNode int, rdma, nvlink hw.Link) time.Duration {
-	if bytesPerGPU < 0 {
-		bytesPerGPU = 0
-	}
+// communications are paralleled"), so the rounds are the critical path.
+func AllReduceWork(bytesPerGPU int64, nodes, gpusPerNode int) hw.Work {
+	b := float64(max(bytesPerGPU, 0))
 	plan := PlanAllReduce(nodes, gpusPerNode)
-	var total time.Duration
-	for i := 0; i < plan.InterNodeSteps; i++ {
-		total += rdma.TransferTime(bytesPerGPU)
-	}
-	for i := 0; i < plan.IntraNodeSteps; i++ {
-		total += nvlink.TransferTime(bytesPerGPU)
-	}
-	return total
+	w := hw.Ops(hw.ResRDMA, int64(plan.InterNodeSteps), float64(plan.InterNodeSteps)*b)
+	w.Add(hw.Ops(hw.ResSyncNVLink, int64(plan.IntraNodeSteps), float64(plan.IntraNodeSteps)*b))
+	return w
 }
 
 // NaiveAllToAllTime returns the modelled time of the flat alternative in
@@ -134,66 +84,11 @@ func HierarchicalAllReduceTime(bytesPerGPU int64, nodes, gpusPerNode int, rdma, 
 // (nodes*gpusPerNode - 1) sends of bytesPerGPU, the inter-node ones over RDMA
 // and the intra-node ones over NVLink.
 func NaiveAllToAllTime(bytesPerGPU int64, nodes, gpusPerNode int, rdma, nvlink hw.Link) time.Duration {
-	if bytesPerGPU < 0 {
-		bytesPerGPU = 0
-	}
-	if nodes < 1 {
-		nodes = 1
-	}
-	if gpusPerNode < 1 {
-		gpusPerNode = 1
-	}
-	var total time.Duration
-	// Sends to GPUs on other nodes.
-	remote := (nodes - 1) * gpusPerNode
-	for i := 0; i < remote; i++ {
-		total += rdma.TransferTime(bytesPerGPU)
-	}
-	// Sends to sibling GPUs on the same node.
-	for i := 0; i < gpusPerNode-1; i++ {
-		total += nvlink.TransferTime(bytesPerGPU)
-	}
-	return total
-}
-
-// AllReduceSum element-wise sums the buffers (one per participant) and
-// writes the result back into every buffer — the data movement performed by
-// the parameter synchronization. All buffers must have identical length. The
-// accumulation runs through the shared unrolled tensor kernel (the same
-// flat-slab fast path the delta merges use) rather than a scalar loop.
-func AllReduceSum(buffers [][]float32) error {
-	if len(buffers) == 0 {
-		return nil
-	}
-	n := len(buffers[0])
-	for i, b := range buffers {
-		if len(b) != n {
-			return fmt.Errorf("interconnect: buffer %d has length %d, want %d", i, len(b), n)
-		}
-	}
-	sum := make([]float32, n)
-	copy(sum, buffers[0])
-	for _, b := range buffers[1:] {
-		tensor.Add(b, sum)
-	}
-	for _, b := range buffers {
-		copy(b, sum)
-	}
-	return nil
-}
-
-// AllReduceMean is AllReduceSum followed by dividing every element by the
-// number of participants (used for dense gradient averaging).
-func AllReduceMean(buffers [][]float32) error {
-	if err := AllReduceSum(buffers); err != nil {
-		return err
-	}
-	if len(buffers) == 0 {
-		return nil
-	}
-	inv := 1 / float32(len(buffers))
-	for _, b := range buffers {
-		tensor.Scale(inv, b)
-	}
-	return nil
+	b := float64(max(bytesPerGPU, 0))
+	nodes, gpusPerNode = max(nodes, 1), max(gpusPerNode, 1)
+	remote := int64((nodes - 1) * gpusPerNode) // sends to GPUs on other nodes
+	local := int64(gpusPerNode - 1)            // sends to sibling GPUs
+	w := hw.Ops(hw.ResRDMA, remote, float64(remote)*b)
+	w.Add(hw.Ops(hw.ResNVLink, local, float64(local)*b))
+	return hw.Model(hw.NodeProfile{RDMA: rdma, NVLink: nvlink}, w).Sum()
 }

@@ -11,7 +11,6 @@ import (
 	"hps/internal/hw"
 	"hps/internal/keys"
 	"hps/internal/ps"
-	"hps/internal/simtime"
 	"hps/internal/ssdps"
 )
 
@@ -24,7 +23,7 @@ func benchMemPS(b *testing.B, lru, lfu int) *MemPS {
 		WriteLatency:              25 * time.Microsecond,
 		BlockBytes:                4096,
 	}
-	dev, err := blockio.NewDevice(b.TempDir(), ssd, simtime.NewClock())
+	dev, err := blockio.NewDevice(b.TempDir(), ssd, hw.NewCounter())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -37,7 +36,7 @@ func benchMemPS(b *testing.B, lru, lfu int) *MemPS {
 		Dim:        8,
 		Topology:   cluster.Topology{Nodes: 1, GPUsPerNode: 4},
 		Store:      store,
-		Clock:      simtime.NewClock(),
+		Clock:      hw.NewCounter(),
 		LRUEntries: lru,
 		LFUEntries: lfu,
 		Seed:       1,

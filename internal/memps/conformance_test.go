@@ -10,7 +10,6 @@ import (
 	"hps/internal/memps"
 	"hps/internal/ps"
 	"hps/internal/ps/conformance"
-	"hps/internal/simtime"
 	"hps/internal/ssdps"
 )
 
@@ -26,7 +25,7 @@ func TestTierConformance(t *testing.T) {
 		EvictDurable: true,
 		Concurrent:   true,
 		New: func(t *testing.T, ks []keys.Key) ps.Tier {
-			dev, err := blockio.NewDevice(t.TempDir(), hw.DefaultGPUNode().SSD, simtime.NewClock())
+			dev, err := blockio.NewDevice(t.TempDir(), hw.DefaultGPUNode().SSD, hw.NewCounter())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,12 +9,11 @@ import (
 	"hps/internal/hw"
 	"hps/internal/keys"
 	"hps/internal/ps"
-	"hps/internal/simtime"
 	"hps/internal/ssdps"
 )
 
 // failableStore opens an SSD-PS over dir.
-func failableStore(t *testing.T, dir string, clock *simtime.Clock) *ssdps.Store {
+func failableStore(t *testing.T, dir string, clock *hw.Counter) *ssdps.Store {
 	t.Helper()
 	ssd := hw.SSD{
 		ReadBandwidthBytesPerSec:  1 << 30,
@@ -41,7 +40,7 @@ func failableStore(t *testing.T, dir string, clock *simtime.Clock) *ssdps.Store 
 // over a reopened device in its place (healStore).
 func failableNode(t *testing.T, dir string, lru, lfu int) *MemPS {
 	t.Helper()
-	clock := simtime.NewClock()
+	clock := hw.NewCounter()
 	m, err := New(Config{
 		NodeID:     0,
 		Dim:        4,

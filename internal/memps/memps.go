@@ -45,15 +45,14 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"hps/internal/cache"
 	"hps/internal/cluster"
 	"hps/internal/gpu"
+	"hps/internal/hw"
 	"hps/internal/interconnect"
 	"hps/internal/keys"
 	"hps/internal/ps"
-	"hps/internal/simtime"
 	"hps/internal/ssdps"
 )
 
@@ -71,10 +70,11 @@ type Config struct {
 	Transport cluster.Transport
 	// Store is the local SSD-PS shard. It must not be nil.
 	Store *ssdps.Store
-	// Fabric charges network time for remote pulls; nil disables accounting.
+	// Fabric counts the Ethernet transfers of the rows this node receives
+	// from peers; nil counts nothing.
 	Fabric *interconnect.Fabric
-	// Clock is the node's simulated-time clock; nil disables accounting.
-	Clock *simtime.Clock
+	// Clock is not read. The benchmark's layer probe still sets it.
+	Clock *hw.Counter
 	// MemoryBudgetBytes bounds the parameter cache size. When zero,
 	// LRUEntries/LFUEntries must be set instead.
 	MemoryBudgetBytes int64
@@ -113,9 +113,6 @@ type Stats struct {
 	// RemotePulls counts the pulls from peers this node received rows
 	// through: remote pull RPCs, or peers' PrepareOwnedInto copies.
 	RemotePulls int64
-	// LocalPullTime / RemotePullTime are cumulative modelled times of the two
-	// pull paths (Fig 4b).
-	LocalPullTime, RemotePullTime time.Duration
 }
 
 // PullStats describes a single working-set assembly.
@@ -128,9 +125,10 @@ type PullStats struct {
 	SSDHits int
 	// NewParams counts local parameters created on first reference.
 	NewParams int
-	// LocalTime and RemoteTime are the modelled durations of the two pull
-	// paths; they run in parallel so the batch pays max(LocalTime, RemoteTime).
-	LocalTime, RemoteTime time.Duration
+	// Work is what the assembly did: the SSD-PS loads of its cache misses
+	// and the Ethernet transfers of the rows peers sent. The two paths
+	// overlap, so a batch pays the slower (hw.Times.Max).
+	Work hw.Work
 }
 
 // WorkingSet describes the prepared parameter set of one batch, whose values

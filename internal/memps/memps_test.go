@@ -11,11 +11,10 @@ import (
 	"hps/internal/interconnect"
 	"hps/internal/keys"
 	"hps/internal/ps"
-	"hps/internal/simtime"
 	"hps/internal/ssdps"
 )
 
-func newStore(t *testing.T, dim int, clock *simtime.Clock) *ssdps.Store {
+func newStore(t *testing.T, dim int, clock *hw.Counter) *ssdps.Store {
 	t.Helper()
 	ssd := hw.SSD{
 		ReadBandwidthBytesPerSec:  1 << 30,
@@ -50,7 +49,7 @@ func keysOn(node, n int) []keys.Key {
 
 func singleNode(t *testing.T, lru, lfu int) *MemPS {
 	t.Helper()
-	clock := simtime.NewClock()
+	clock := hw.NewCounter()
 	m, err := New(Config{
 		NodeID:     0,
 		Dim:        4,
@@ -117,7 +116,7 @@ func lookupAll(t testing.TB, m *MemPS, ks []keys.Key) map[keys.Key]*embedding.Va
 }
 
 func TestNewValidation(t *testing.T) {
-	clock := simtime.NewClock()
+	clock := hw.NewCounter()
 	store := newStore(t, 4, clock)
 	if _, err := New(Config{Dim: 4, Topology: cluster.Topology{Nodes: 1, GPUsPerNode: 1}}); err == nil {
 		t.Fatal("nil store should fail")
@@ -200,7 +199,7 @@ func TestApplyUpdates(t *testing.T) {
 }
 
 func TestEvictionDumpAndReload(t *testing.T) {
-	clock := simtime.NewClock()
+	clock := hw.NewCounter()
 	store := newStore(t, 4, clock)
 	m, err := New(Config{
 		NodeID:        0,
@@ -301,8 +300,8 @@ func TestCacheHitRateGrowsOnSkewedStream(t *testing.T) {
 }
 
 func TestMultiNodeRemotePull(t *testing.T) {
-	clock0 := simtime.NewClock()
-	clock1 := simtime.NewClock()
+	clock0 := hw.NewCounter()
+	clock1 := hw.NewCounter()
 	topo := cluster.Topology{Nodes: 2, GPUsPerNode: 1}
 	transport := cluster.NewLocalTransport(4)
 	profile := hw.DefaultGPUNode()
@@ -343,11 +342,11 @@ func TestMultiNodeRemotePull(t *testing.T) {
 	if blk.Len() != 4 {
 		t.Fatalf("working set has %d rows, want 4", blk.Len())
 	}
-	if ws.Stats.RemoteTime <= 0 {
-		t.Fatal("remote pull should cost network time")
+	if got := ws.Stats.Work[hw.ResNetwork]; got.Ops != 1 || got.Amount <= 0 {
+		t.Fatalf("remote pull counted %+v, want one network transfer", got)
 	}
-	if clock0.Total(simtime.ResourceNetwork) <= 0 {
-		t.Fatal("network time should be charged to the node clock")
+	if got := clock0.Total()[hw.ResNetwork]; got != ws.Stats.Work[hw.ResNetwork] {
+		t.Fatalf("node 0's counter saw %+v of network work, the pull %+v", got, ws.Stats.Work[hw.ResNetwork])
 	}
 	// The remote keys now live in node 1's cache (it served them).
 	if m1.CacheStats().Misses == 0 {
@@ -414,7 +413,7 @@ func TestHandlePullBlockWireMatchesBlock(t *testing.T) {
 	}
 
 	// Foreign keys are rejected, exactly like the block path.
-	clock := simtime.NewClock()
+	clock := hw.NewCounter()
 	multi, err := New(Config{
 		NodeID:     0,
 		Dim:        4,
@@ -436,7 +435,7 @@ func TestHandlePullBlockWireMatchesBlock(t *testing.T) {
 func TestHandlePullRejectsForeignKeys(t *testing.T) {
 	topo := cluster.Topology{Nodes: 2, GPUsPerNode: 1}
 	transport := cluster.NewLocalTransport(4)
-	clock := simtime.NewClock()
+	clock := hw.NewCounter()
 	m0, err := New(Config{
 		NodeID: 0, Dim: 4, Topology: topo, Transport: transport,
 		Store: newStore(t, 4, clock), Clock: clock, LRUEntries: 16, LFUEntries: 16,

@@ -1,10 +1,9 @@
 package memps
 
 import (
-	"time"
-
 	"hps/internal/cache"
 	"hps/internal/embedding"
+	"hps/internal/hw"
 	"hps/internal/keys"
 )
 
@@ -59,11 +58,11 @@ func (m *MemPS) noteMiss(i int, k keys.Key, dup bool) {
 }
 
 // loadMisses batch-loads the noted cold keys from the SSD-PS into their slab
-// rows and returns the modelled read duration. The caller must hold m.mu.
-func (m *MemPS) loadMisses() (time.Duration, error) {
+// rows and returns the work of the load. The caller must hold m.mu.
+func (m *MemPS) loadMisses() (hw.Work, error) {
 	p := &m.miss
 	if len(p.toLoad) == 0 {
-		return 0, nil
+		return hw.Work{}, nil
 	}
 	return m.cfg.Store.LoadInto(p.toLoad, &m.rows, p.loadRows)
 }
@@ -130,8 +129,7 @@ const (
 // under probePin. The misses are noted, loaded from the SSD-PS in one batched
 // load and resolved — entering the cache — in the order they were noted,
 // each handed to use in turn; a run of equal keys resolves once and reaches
-// use once per position. st gets the cache outcomes and the load's modelled
-// time. Under probePin refs[i] receives the Ref of ks[i]'s pin. A failed load
+// use once per position. st gets the cache outcomes and the load's work. Under probePin refs[i] receives the Ref of ks[i]'s pin. A failed load
 // withdraws the pins the call took and returns its error: a failed batch
 // must not leak pinned, unevictable entries, since CompleteBatch is never
 // called for it. ks must be sorted (unique under probePin), and the caller
@@ -162,8 +160,9 @@ func (m *MemPS) resolve(ks []keys.Key, how probe, st *PullStats, refs []cache.Re
 	}
 	st.CacheMisses += len(p.idx)
 	st.CacheHits += len(ks) - len(p.idx)
-	var err error
-	if st.LocalTime, err = m.loadMisses(); err != nil {
+	load, err := m.loadMisses()
+	st.Work.Add(load)
+	if err != nil {
 		m.releaseMisses()
 		if how == probePin {
 			misses := p.idx

@@ -7,9 +7,9 @@ import (
 
 	"hps/internal/cluster"
 	"hps/internal/embedding"
+	"hps/internal/hw"
 	"hps/internal/keys"
 	"hps/internal/ps"
-	"hps/internal/simtime"
 )
 
 // TestMissPathMatchesModel drives every pull and push form (PrepareOwnedInto
@@ -25,7 +25,7 @@ func TestMissPathMatchesModel(t *testing.T) {
 		dim      = 4
 		keySpace = 60
 	)
-	clock := simtime.NewClock()
+	clock := hw.NewCounter()
 	m, err := New(Config{
 		Dim:           dim,
 		Topology:      cluster.Topology{Nodes: 1, GPUsPerNode: 1},
@@ -76,7 +76,8 @@ func TestMissPathMatchesModel(t *testing.T) {
 				sb[x] = -1
 			}
 		}
-		return m.PushBlockPair(ws, a, b, mk, sa, sb)
+		_, err := m.PushBlockPair(ws, a, b, mk, sa, sb)
+		return err
 	}
 	check := func(what string, k keys.Key, v *embedding.Value) {
 		t.Helper()
@@ -97,7 +98,7 @@ func TestMissPathMatchesModel(t *testing.T) {
 			for i, k := range blk.Keys {
 				check("PrepareInto", k, blk.Value(i))
 			}
-			if err := m.PushBatch(ws, deltaBlock(ks)); err != nil {
+			if _, err := m.PushBatch(ws, deltaBlock(ks)); err != nil {
 				t.Fatal(err)
 			}
 			if err := m.CompleteBatch(ws); err != nil {

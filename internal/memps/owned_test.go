@@ -8,9 +8,9 @@ import (
 	"testing"
 
 	"hps/internal/cluster"
+	"hps/internal/hw"
 	"hps/internal/keys"
 	"hps/internal/ps"
-	"hps/internal/simtime"
 )
 
 // ownedRows maps the sorted keys ks onto the sorted key sets of the nodes'
@@ -46,7 +46,7 @@ func blocksFor(dim int, sets ...[]keys.Key) []*ps.ValueBlock {
 // nodes want it — so one CompleteBatch releases it — and no row of a key the
 // node does not own is touched.
 func TestPrepareOwnedIntoPinsOnceUntilComplete(t *testing.T) {
-	clock := simtime.NewClock()
+	clock := hw.NewCounter()
 	m, err := New(Config{
 		NodeID:     0,
 		Dim:        4,
@@ -173,7 +173,7 @@ func TestFailedPrepareUnpins(t *testing.T) {
 		{name: "PrepareInto/peer drops a row", peer: failingPeer{drop: true}, wantInErr: "node 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			clock := simtime.NewClock()
+			clock := hw.NewCounter()
 			m, err := New(Config{
 				NodeID:     0,
 				Dim:        4,
@@ -266,7 +266,7 @@ func TestMissCycleAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
-	clock := simtime.NewClock()
+	clock := hw.NewCounter()
 	m, err := New(Config{
 		Dim:           4,
 		Topology:      cluster.Topology{Nodes: 1, GPUsPerNode: 1},
@@ -320,7 +320,7 @@ func TestMissCycleAllocatesNothing(t *testing.T) {
 			if bt.ws, err = m.PrepareOwnedInto(bt.ks, bt.blocks, bt.rows); err != nil {
 				t.Fatal(err)
 			}
-			if err := m.PushBlockPair(&bt.ws, bt.a, bt.b, bt.ks, bt.sa, bt.sb); err != nil {
+			if _, err := m.PushBlockPair(&bt.ws, bt.a, bt.b, bt.ks, bt.sa, bt.sb); err != nil {
 				t.Fatal(err)
 			}
 			if err := m.CompleteBatch(&bt.ws); err != nil {
@@ -365,10 +365,10 @@ func TestWorkingSetOutlivesFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	second, _ := prepare(t, m, ks[2:])
-	if err := m.PushBatch(first, weightDeltas(4, ks, func(keys.Key) float32 { return 1 }, 1)); err != nil {
+	if _, err := m.PushBatch(first, weightDeltas(4, ks, func(keys.Key) float32 { return 1 }, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.PushBatch(second, weightDeltas(4, ks[2:], func(keys.Key) float32 { return 2 }, 1)); err != nil {
+	if _, err := m.PushBatch(second, weightDeltas(4, ks[2:], func(keys.Key) float32 { return 2 }, 1)); err != nil {
 		t.Fatal(err)
 	}
 	for _, ws := range []*WorkingSet{first, second} {

@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"time"
 
 	"hps/internal/cluster"
 	"hps/internal/embedding"
+	"hps/internal/hw"
 	"hps/internal/keys"
 	"hps/internal/ps"
 )
@@ -78,7 +78,7 @@ func (m *MemPS) PrepareOwnedInto(ks []keys.Key, dsts []*ps.ValueBlock, rows [][]
 	}
 	m.recordPrepared(st)
 	m.mu.Unlock()
-	m.rec.RecordPull(len(ks), st.LocalTime)
+	m.rec.RecordPull(len(ks))
 	return ws, nil
 }
 
@@ -91,26 +91,21 @@ func (m *MemPS) recordPrepared(st *PullStats) {
 	m.stats.CacheMisses += int64(st.CacheMisses)
 	m.stats.SSDLoads += int64(st.SSDHits)
 	m.stats.NewParams += int64(st.NewParams)
-	m.stats.LocalPullTime += st.LocalTime
 }
 
 // ReceivePeerRows records that n rows of this node's batch working set came
 // from one peer's MEM-PS, which copied them into this node's block
-// (PrepareOwnedInto), and charges their transfer to the Ethernet: the keys
-// asked for and the rows sent back, the payload a pull through a
-// cluster.Transport moves. It returns the modelled transfer time, which
-// overlaps the node's own SSD-PS reads.
-func (m *MemPS) ReceivePeerRows(n int) time.Duration {
-	var d time.Duration
-	if m.cfg.Fabric != nil {
-		d = m.cfg.Fabric.Ethernet(cluster.PayloadBytes(m.cfg.Dim, n, n))
-	}
+// (PrepareOwnedInto), and counts their transfer as one Ethernet transfer of
+// the keys asked for and the rows sent back — the payload a pull through a
+// cluster.Transport moves. It returns that work, which overlaps the node's
+// own SSD-PS reads.
+func (m *MemPS) ReceivePeerRows(n int) hw.Work {
+	w := m.cfg.Fabric.Transfer(hw.ResNetwork, cluster.PayloadBytes(m.cfg.Dim, n, n))
 	m.mu.Lock()
 	m.stats.RemoteKeys += int64(n)
 	m.stats.RemotePulls++
-	m.stats.RemotePullTime += d
 	m.mu.Unlock()
-	return d
+	return w
 }
 
 // PullInto implements ps.Tier: it assembles current values for an arbitrary
@@ -186,7 +181,7 @@ func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*Wor
 	ws.Stats.RemoteKeys = len(remote)
 
 	// Remote pulls go out first (they overlap the local SSD reads in the real
-	// system; here we issue them concurrently and take both durations). Each
+	// system; here we issue them concurrently and count both). Each
 	// peer's partition arrives as a flat sub-block (one frame, no per-value
 	// decoding) and is scattered into dst's rows.
 	type remoteResult struct {
@@ -236,14 +231,9 @@ func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*Wor
 			ps.PutBlock(r.sub)
 			continue
 		}
-		var d time.Duration
-		if m.cfg.Fabric != nil {
-			d = m.cfg.Fabric.Ethernet(r.bytes)
-		}
-		ws.Stats.RemoteTime += d
+		ws.Stats.Work.Add(m.cfg.Fabric.Transfer(hw.ResNetwork, r.bytes))
 		m.mu.Lock()
 		m.stats.RemotePulls++
-		m.stats.RemotePullTime += d
 		m.mu.Unlock()
 		dst.ScatterRows(r.sub) // drops rows the peer was never asked for
 		ps.PutBlock(r.sub)
@@ -263,15 +253,10 @@ func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*Wor
 		}
 		return nil, err
 	}
-	// The local and remote paths overlap, so the batch pays the slower one.
-	pullTime := ws.Stats.LocalTime
-	if ws.Stats.RemoteTime > pullTime {
-		pullTime = ws.Stats.RemoteTime
-	}
 	// Only the locally-served keys count toward this tier instance's uniform
 	// statistics: the remote keys are recorded by the MEM-PS that serves
 	// them (HandlePullBlock), so cluster-wide aggregates count each key once.
-	m.rec.RecordPull(len(local), pullTime)
+	m.rec.RecordPull(len(local))
 	return ws, nil
 }
 
@@ -280,15 +265,15 @@ func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*Wor
 // (batch-loading the cold parameters from the SSD-PS, materializing first
 // references) under m.mu, and hands the values to emit in request order, as
 // rows of a block. Served parameters enter the cache (they are now "recently
-// used") but are not pinned. The returned duration is the SSD load time; the
-// caller records the serve in the tier statistics.
-func (m *MemPS) servePull(ks []keys.Key, emit func(i int, src *ps.ValueBlock, j int)) (time.Duration, error) {
+// used") but are not pinned. The caller records the serve in the tier
+// statistics.
+func (m *MemPS) servePull(ks []keys.Key, emit func(i int, src *ps.ValueBlock, j int)) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	owned := m.holder()
 	for _, k := range ks {
 		if !owned.holds(k) {
-			return 0, fmt.Errorf("memps: node %d asked for key %d owned by node %d",
+			return fmt.Errorf("memps: node %d asked for key %d owned by node %d",
 				m.cfg.NodeID, k, owned.ring.Owner(k))
 		}
 	}
@@ -299,9 +284,9 @@ func (m *MemPS) servePull(ks []keys.Key, emit func(i int, src *ps.ValueBlock, j 
 		return m.resolve(set, probeRead, &st, nil, func(j int, slot int32) { served.CopyRow(j, &m.rows, int(slot)) })
 	}, func(i, j int) { emit(i, served, j) })
 	if err != nil {
-		return 0, fmt.Errorf("memps: handle pull: %w", err)
+		return fmt.Errorf("memps: handle pull: %w", err)
 	}
-	return st.LocalTime, nil
+	return nil
 }
 
 // HandleLookupBlock implements cluster.LookupHandler: it reads the current
@@ -366,13 +351,13 @@ func (m *MemPS) readInto(ks []keys.Key, dst *ps.ValueBlock, owned bool) (int, er
 // dst's flat rows in request-key order.
 func (m *MemPS) HandlePullBlock(ks []keys.Key, dst *ps.ValueBlock) error {
 	dst.Reset(m.cfg.Dim, ks)
-	loadTime, err := m.servePull(ks, func(i int, src *ps.ValueBlock, j int) {
+	err := m.servePull(ks, func(i int, src *ps.ValueBlock, j int) {
 		dst.CopyRow(i, src, j)
 	})
 	if err != nil {
 		return err
 	}
-	m.rec.RecordPull(len(ks), loadTime)
+	m.rec.RecordPull(len(ks))
 	return nil
 }
 
@@ -384,13 +369,13 @@ func (m *MemPS) HandlePullBlock(ks []keys.Key, dst *ps.ValueBlock) error {
 // way to the socket.
 func (m *MemPS) HandlePullBlockWire(ks []keys.Key, dst []byte) ([]byte, error) {
 	out := ps.AppendWireHeader(dst, m.cfg.Dim, len(ks))
-	loadTime, err := m.servePull(ks, func(_ int, src *ps.ValueBlock, j int) {
+	err := m.servePull(ks, func(_ int, src *ps.ValueBlock, j int) {
 		out = ps.AppendWireRow(out, true, src.Freq[j], src.WeightsRow(j), src.G2Row(j))
 	})
 	if err != nil {
 		return out, err // the caller discards the content, not the buffer
 	}
-	m.rec.RecordPull(len(ks), loadTime)
+	m.rec.RecordPull(len(ks))
 	return out, nil
 }
 

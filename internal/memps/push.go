@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"hps/internal/hw"
 	"hps/internal/keys"
 	"hps/internal/ps"
 )
@@ -16,14 +17,16 @@ import (
 // their owners apply them. Rows apply in sorted key order; duplicate keys
 // accumulate.
 func (m *MemPS) PushBlock(req ps.PushBlockRequest) error {
-	return m.applyBlock(nil, req.Block)
+	_, err := m.applyBlock(nil, req.Block)
+	return err
 }
 
 // PushBatch is PushBlock for a batch this MEM-PS prepared: the rows of the
 // working set's pinned keys are reached through its Refs, without a cache
 // probe, and only the rows of other owned keys (those a membership change
-// gave this node since the prepare) resolve through the cache.
-func (m *MemPS) PushBatch(ws *WorkingSet, blk *ps.ValueBlock) error {
+// gave this node since the prepare) resolve through the cache. It returns
+// the work of the push: the SSD-PS loads of keys no longer cached.
+func (m *MemPS) PushBatch(ws *WorkingSet, blk *ps.ValueBlock) (hw.Work, error) {
 	return m.applyBlock(ws, blk)
 }
 
@@ -31,7 +34,7 @@ func (m *MemPS) PushBatch(ws *WorkingSet, blk *ps.ValueBlock) error {
 // authoritative copies in sorted key order (see applySorted). The selection
 // scratch lives on the MemPS (it runs under m.mu): in the steady hot-push
 // state the whole apply allocates nothing.
-func (m *MemPS) applyBlock(ws *WorkingSet, blk *ps.ValueBlock) error {
+func (m *MemPS) applyBlock(ws *WorkingSet, blk *ps.ValueBlock) (hw.Work, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	order := m.applyOrder[:0]
@@ -75,8 +78,9 @@ func (m *MemPS) applyBlock(ws *WorkingSet, blk *ps.ValueBlock) error {
 // can differ from the summed-first order by an ulp; both orders are
 // deterministic). ws is the batch's working set, whose pinned rows are
 // reached through its Refs; it may be nil. Ownership of mk is the caller's
-// contract and is not re-checked.
-func (m *MemPS) PushBlockPair(ws *WorkingSet, a, b *ps.ValueBlock, mk []keys.Key, sa, sb []int32) error {
+// contract and is not re-checked. It returns the work of the push, as
+// PushBatch does.
+func (m *MemPS) PushBlockPair(ws *WorkingSet, a, b *ps.ValueBlock, mk []keys.Key, sa, sb []int32) (hw.Work, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.applySorted(ws, mk, func(x int, slot int32) {
@@ -88,9 +92,9 @@ func (m *MemPS) PushBlockPair(ws *WorkingSet, a, b *ps.ValueBlock, mk []keys.Key
 // applySorted hands add the slab row of every key of ks, which must be
 // sorted, to merge a delta into. The keys ws holds pinned are reached through
 // its Refs as the walk meets them, which GetApply would have found; the rest
-// resolve through the cache in one resolve call, in order. The caller must
-// hold m.mu.
-func (m *MemPS) applySorted(ws *WorkingSet, ks []keys.Key, add func(x int, slot int32)) error {
+// resolve through the cache in one resolve call, in order, and their SSD-PS
+// loads are the returned work. The caller must hold m.mu.
+func (m *MemPS) applySorted(ws *WorkingSet, ks []keys.Key, add func(x int, slot int32)) (hw.Work, error) {
 	rest, restAt := ks, []int(nil)
 	if ws != nil && len(ws.refs) > 0 {
 		rest, restAt = m.restKeys[:0], m.restAt[:0]
@@ -115,11 +119,11 @@ func (m *MemPS) applySorted(ws *WorkingSet, ks []keys.Key, add func(x int, slot 
 		add(j, slot)
 	})
 	if err != nil {
-		return fmt.Errorf("memps: apply updates: %w", err)
+		return st.Work, fmt.Errorf("memps: apply updates: %w", err)
 	}
 	m.stats.PushMisses += int64(st.CacheMisses)
-	m.rec.RecordPush(len(ks), st.LocalTime)
-	return nil
+	m.rec.RecordPush(len(ks))
+	return st.Work, nil
 }
 
 // addRow adds row i of src — weights, accumulator and frequency — into row
@@ -151,7 +155,7 @@ func addRow(dst *ps.ValueBlock, slot int32, src *ps.ValueBlock, i int32) {
 // batch-completion housekeeping (Maintain): a full eviction buffer is handed
 // to the background write, and the reply does not wait for it.
 func (m *MemPS) HandlePushBlock(blk *ps.ValueBlock) error {
-	if err := m.applyBlock(nil, blk); err != nil {
+	if _, err := m.applyBlock(nil, blk); err != nil {
 		return err
 	}
 	return m.Maintain()

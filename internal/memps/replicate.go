@@ -100,7 +100,7 @@ func (m *MemPS) ImportBlock(blk *ps.ValueBlock) int {
 // spans the whole replica set, so the backup rows land; the dedup stamp was
 // already committed by the server dispatch.
 func (m *MemPS) HandleReplicate(blk *ps.ValueBlock) error {
-	if err := m.applyBlock(nil, blk); err != nil {
+	if _, err := m.applyBlock(nil, blk); err != nil {
 		return err
 	}
 	return m.Maintain()

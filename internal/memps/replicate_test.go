@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"hps/internal/cluster"
+	"hps/internal/hw"
 	"hps/internal/keys"
 	"hps/internal/ps"
-	"hps/internal/simtime"
 )
 
 // replCluster is an in-process replicated deployment: one MemPS per member,
@@ -47,7 +47,7 @@ func (c *replCluster) topo() cluster.Topology {
 
 func (c *replCluster) addNode(t *testing.T, id int) *MemPS {
 	t.Helper()
-	clock := simtime.NewClock()
+	clock := hw.NewCounter()
 	m, err := New(Config{
 		NodeID:     id,
 		Dim:        4,

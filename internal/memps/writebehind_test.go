@@ -11,9 +11,9 @@ import (
 
 	"hps/internal/cluster"
 	"hps/internal/embedding"
+	"hps/internal/hw"
 	"hps/internal/keys"
 	"hps/internal/ps"
-	"hps/internal/simtime"
 )
 
 // The background-write contract: Maintain hands a full dump buffer to a
@@ -33,7 +33,7 @@ type wbNode struct {
 func newWBNode(t *testing.T, lru, lfu int) *wbNode {
 	t.Helper()
 	dir := t.TempDir()
-	clock := simtime.NewClock()
+	clock := hw.NewCounter()
 	m, err := New(Config{
 		Dim:           4,
 		Topology:      cluster.Topology{Nodes: 1, GPUsPerNode: 1},
@@ -140,7 +140,7 @@ func sameBits(a, b *embedding.Value) bool {
 // it recovers the model's value of every key.
 func (n *wbNode) checkRecovered() {
 	n.t.Helper()
-	store := failableStore(n.t, n.dir, simtime.NewClock())
+	store := failableStore(n.t, n.dir, hw.NewCounter())
 	if dropped, err := store.Recover(); err != nil || len(dropped) > 0 {
 		n.t.Fatalf("recover: dropped %v, err %v", dropped, err)
 	}

@@ -9,9 +9,9 @@
 //
 // The reproduction trains the actual model through a single representative
 // node (all nodes run the same data-parallel loop, so one node's learning
-// behaviour is representative) while the cost model accounts the per-node
-// batch time — HDFS streaming, parameter pull/push over Ethernet, and CPU
-// compute — and scales throughput by the node count. Cluster-level accuracy
+// behaviour is representative) while the node counts the work of each batch
+// — HDFS streaming, parameter pull/push over Ethernet, and CPU compute — for
+// hw.Model to price, and throughput scales by the node count. Cluster-level accuracy
 // matches the hierarchical system because both see equivalent data and use
 // the same optimizer (Fig 3b).
 package mpips
@@ -27,7 +27,6 @@ import (
 	"hps/internal/metrics"
 	"hps/internal/model"
 	"hps/internal/reference"
-	"hps/internal/simtime"
 )
 
 // Config configures the MPI-cluster baseline.
@@ -43,7 +42,7 @@ type Config struct {
 }
 
 // Breakdown reports the cumulative modelled time of each baseline stage for
-// the representative node.
+// the representative node: hw.Model of the work it counted.
 type Breakdown struct {
 	// ReadExamples is the HDFS streaming time.
 	ReadExamples time.Duration
@@ -62,12 +61,12 @@ func (b Breakdown) Total() time.Duration { return b.ReadExamples + b.PullPush + 
 // pushes crossing the data-center network. It is not safe for concurrent
 // use.
 type Cluster struct {
-	cfg       Config
-	trainer   *reference.Trainer
-	clock     *simtime.Clock
-	breakdown Breakdown
-	examples  int64
-	batches   int64
+	cfg     Config
+	trainer *reference.Trainer
+	work    hw.Work
+	// examples and batches count the representative node's training.
+	examples int64
+	batches  int64
 }
 
 // New constructs the baseline cluster.
@@ -88,22 +87,18 @@ func New(cfg Config) (*Cluster, error) {
 			Hidden:       cfg.Spec.HiddenLayers,
 			Seed:         cfg.Seed,
 		}),
-		clock: simtime.NewClock(),
 	}, nil
 }
 
 // Nodes returns the configured cluster size.
 func (c *Cluster) Nodes() int { return c.cfg.Nodes }
 
-// Clock returns the cluster's simulated-time clock (per representative node).
-func (c *Cluster) Clock() *simtime.Clock { return c.clock }
-
 // Trainer exposes the underlying model for evaluation.
 func (c *Cluster) Trainer() *reference.Trainer { return c.trainer }
 
-// TrainBatch trains the model on one per-node batch and charges its modelled
-// time: HDFS streaming, remote parameter pull and gradient push over the
-// network, and CPU compute.
+// TrainBatch trains the model on one per-node batch and counts its work:
+// HDFS streaming, remote parameter pull and gradient push over the network,
+// and CPU compute.
 func (c *Cluster) TrainBatch(b *dataset.Batch) error {
 	if b == nil || b.Len() == 0 {
 		return nil
@@ -115,13 +110,12 @@ func (c *Cluster) TrainBatch(b *dataset.Batch) error {
 	return nil
 }
 
-// accountBatch charges the modelled per-node time of one batch without
-// performing the actual learning — the cost model is independent of the
-// gradient math, so it can be exercised (and tested) on its own.
+// accountBatch counts the per-node work of one batch without performing the
+// actual learning — the work is independent of the gradient math, so it can
+// be exercised (and tested) on its own.
 func (c *Cluster) accountBatch(b *dataset.Batch) {
 	// 1. Stream the batch from HDFS.
-	readTime := c.cfg.Profile.HDFS.ReadTime(b.ByteSize())
-	c.clock.Add(simtime.ResourceHDFS, readTime)
+	c.work.Add(hw.Ops(hw.ResHDFS, 1, float64(b.ByteSize())))
 
 	// 2. Pull the referenced parameters. A 1/Nodes fraction lives locally;
 	// the rest crosses the network in both directions (pull values now, push
@@ -130,19 +124,12 @@ func (c *Cluster) accountBatch(b *dataset.Batch) {
 	remoteFraction := float64(c.cfg.Nodes-1) / float64(c.cfg.Nodes)
 	valueBytes := int64(8 + embedding.EncodedSize(c.cfg.Spec.EmbeddingDim))
 	remoteBytes := int64(float64(int64(len(working))*valueBytes) * remoteFraction)
-	pullTime := c.cfg.Profile.Ethernet.TransferTime(remoteBytes)
-	pushTime := c.cfg.Profile.Ethernet.TransferTime(remoteBytes)
-	c.clock.Add(simtime.ResourceNetwork, pullTime+pushTime)
+	c.work.Add(hw.Ops(hw.ResNetwork, 2, 2*float64(remoteBytes)))
 
 	// 3. Compute gradients on the CPU.
 	flopsPerExample := c.trainer.Network().FLOPsPerExample() +
 		float64(6*c.cfg.Spec.EmbeddingDim*c.cfg.Spec.NonZerosPerExample)
-	computeTime := c.cfg.Profile.CPU.ComputeTime(flopsPerExample * float64(b.Len()))
-	c.clock.Add(simtime.ResourceCPU, computeTime)
-
-	c.breakdown.ReadExamples += readTime
-	c.breakdown.PullPush += pullTime + pushTime
-	c.breakdown.Compute += computeTime
+	c.work.Add(hw.Ops(hw.ResCPU, 1, flopsPerExample*float64(b.Len())))
 }
 
 // Predict returns the model's click probability for a feature set.
@@ -154,14 +141,17 @@ func (c *Cluster) Evaluate(gen *dataset.Generator, n int) float64 {
 }
 
 // Breakdown returns the per-stage modelled time of the representative node.
-func (c *Cluster) Breakdown() Breakdown { return c.breakdown }
+func (c *Cluster) Breakdown() Breakdown {
+	t := hw.Model(c.cfg.Profile, c.work)
+	return Breakdown{ReadExamples: t[hw.ResHDFS], PullPush: t[hw.ResNetwork], Compute: t[hw.ResCPU]}
+}
 
 // PerNodeBatchTime returns the average modelled time a node spends per batch.
 func (c *Cluster) PerNodeBatchTime() time.Duration {
 	if c.batches == 0 {
 		return 0
 	}
-	return c.breakdown.Total() / time.Duration(c.batches)
+	return c.Breakdown().Total() / time.Duration(c.batches)
 }
 
 // Throughput returns the cluster-wide training throughput: every node
@@ -170,7 +160,7 @@ func (c *Cluster) PerNodeBatchTime() time.Duration {
 func (c *Cluster) Throughput() metrics.Throughput {
 	return metrics.Throughput{
 		Examples: c.examples * int64(c.cfg.Nodes),
-		Elapsed:  c.breakdown.Total(),
+		Elapsed:  c.Breakdown().Total(),
 	}
 }
 

@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"hps/internal/dataset"
+	"hps/internal/hw"
 	"hps/internal/model"
-	"hps/internal/simtime"
 )
 
 func testSpec() model.Spec {
@@ -37,7 +37,7 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("empty spec should fail")
 	}
 	c := newCluster(t, 10)
-	if c.Nodes() != 10 || c.Clock() == nil || c.Trainer() == nil {
+	if c.Nodes() != 10 || c.Trainer() == nil {
 		t.Fatal("accessors wrong")
 	}
 }
@@ -45,7 +45,8 @@ func TestNewValidation(t *testing.T) {
 func TestTrainBatchChargesAllStages(t *testing.T) {
 	c := newCluster(t, 10)
 	gen := dataset.NewGenerator(dataset.ForModel(10000, 20), 1)
-	if err := c.TrainBatch(gen.NextBatch(64)); err != nil {
+	b := gen.NextBatch(64)
+	if err := c.TrainBatch(b); err != nil {
 		t.Fatal(err)
 	}
 	bd := c.Breakdown()
@@ -55,8 +56,10 @@ func TestTrainBatchChargesAllStages(t *testing.T) {
 	if bd.Total() != bd.ReadExamples+bd.PullPush+bd.Compute {
 		t.Fatal("total mismatch")
 	}
-	if c.Clock().Total(simtime.ResourceCPU) <= 0 || c.Clock().Total(simtime.ResourceNetwork) <= 0 {
-		t.Fatal("clock should be charged")
+	// The read is one HDFS open of the batch's bytes, priced by hw.Model.
+	read := hw.Model(hw.DefaultMPINode(), hw.Ops(hw.ResHDFS, 1, float64(b.ByteSize()))).Sum()
+	if bd.ReadExamples != read {
+		t.Fatalf("read %v, want %v", bd.ReadExamples, read)
 	}
 	if c.ExamplesTrained() != 64 {
 		t.Fatal("example counter wrong")

@@ -16,7 +16,6 @@ package ps
 
 import (
 	"sync"
-	"time"
 
 	"hps/internal/keys"
 )
@@ -74,9 +73,6 @@ type Stats struct {
 	Pulls, Pushes, Evictions int64
 	// KeysPulled / KeysPushed / KeysEvicted count parameters moved.
 	KeysPulled, KeysPushed, KeysEvicted int64
-	// PullTime / PushTime are the cumulative modelled durations of the two
-	// hot-path operations (the per-component breakdown of Fig 4).
-	PullTime, PushTime time.Duration
 }
 
 // Add returns the element-wise sum of two stats blocks.
@@ -87,8 +83,6 @@ func (s Stats) Add(other Stats) Stats {
 	s.KeysPulled += other.KeysPulled
 	s.KeysPushed += other.KeysPushed
 	s.KeysEvicted += other.KeysEvicted
-	s.PullTime += other.PullTime
-	s.PushTime += other.PushTime
 	return s
 }
 
@@ -101,21 +95,19 @@ type Recorder struct {
 	s  Stats
 }
 
-// RecordPull accounts one pull of n keys with the given modelled duration.
-func (r *Recorder) RecordPull(n int, d time.Duration) {
+// RecordPull accounts one pull of n keys.
+func (r *Recorder) RecordPull(n int) {
 	r.mu.Lock()
 	r.s.Pulls++
 	r.s.KeysPulled += int64(n)
-	r.s.PullTime += d
 	r.mu.Unlock()
 }
 
-// RecordPush accounts one push of n keys with the given modelled duration.
-func (r *Recorder) RecordPush(n int, d time.Duration) {
+// RecordPush accounts one push of n keys.
+func (r *Recorder) RecordPush(n int) {
 	r.mu.Lock()
 	r.s.Pushes++
 	r.s.KeysPushed += int64(n)
-	r.s.PushTime += d
 	r.mu.Unlock()
 }
 

@@ -15,7 +15,6 @@ import (
 	"hps/internal/nn"
 	"hps/internal/ps"
 	"hps/internal/serving"
-	"hps/internal/simtime"
 	"hps/internal/ssdps"
 )
 
@@ -264,7 +263,7 @@ func TestPredictFailsOverToBackup(t *testing.T) {
 // over it whose peers are all down.
 func restoredShard(t *testing.T, dir string, node int, topo cluster.Topology) (*memps.MemPS, *serving.Server) {
 	t.Helper()
-	dev, err := blockio.NewDevice(dir, hw.DefaultGPUNode().SSD, simtime.NewClock())
+	dev, err := blockio.NewDevice(dir, hw.DefaultGPUNode().SSD, hw.NewCounter())
 	if err != nil {
 		t.Fatal(err)
 	}

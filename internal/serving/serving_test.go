@@ -19,7 +19,6 @@ import (
 	"hps/internal/model"
 	"hps/internal/ps"
 	"hps/internal/serving"
-	"hps/internal/simtime"
 	"hps/internal/ssdps"
 	"hps/internal/trainer"
 )
@@ -39,7 +38,7 @@ func startServingShards(t *testing.T, topo cluster.Topology, spec model.Spec, se
 	shards := make([]*servingShard, topo.Nodes)
 	addrs := make(map[int]string, topo.Nodes)
 	for i := 0; i < topo.Nodes; i++ {
-		dev, err := blockio.NewDevice(t.TempDir(), hw.DefaultGPUNode().SSD, simtime.NewClock())
+		dev, err := blockio.NewDevice(t.TempDir(), hw.DefaultGPUNode().SSD, hw.NewCounter())
 		if err != nil {
 			t.Fatal(err)
 		}

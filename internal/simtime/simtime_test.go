@@ -3,49 +3,33 @@ package simtime
 import (
 	"sync"
 	"testing"
-	"testing/quick"
-	"time"
+
+	"hps/internal/hw"
 )
 
 func TestClockAddTotal(t *testing.T) {
 	c := NewClock()
-	c.Add(ResourceGPU, 2*time.Second)
-	c.Add(ResourceGPU, 3*time.Second)
-	c.Add(ResourceSSD, time.Second)
-	if got := c.Total(ResourceGPU); got != 5*time.Second {
-		t.Fatalf("gpu total = %v, want 5s", got)
+	c.Add(hw.Ops(hw.ResGPU, 2, 200))
+	c.Add(hw.Ops(hw.ResGPU, 3, 300))
+	c.Add(hw.Ops(hw.ResSSDRead, 1, 4096))
+	w := c.Total()
+	if got := w[hw.ResGPU]; got != (hw.Use{Ops: 5, Amount: 500}) {
+		t.Fatalf("gpu = %+v, want 5 ops of 500 FLOPs", got)
 	}
-	if got := c.Total(ResourceSSD); got != time.Second {
-		t.Fatalf("ssd total = %v, want 1s", got)
+	if got := w[hw.ResSSDRead]; got != (hw.Use{Ops: 1, Amount: 4096}) {
+		t.Fatalf("ssd read = %+v", got)
 	}
-	if got := c.Total(ResourceCPU); got != 0 {
-		t.Fatalf("cpu total = %v, want 0", got)
+	if got := w[hw.ResCPU]; got != (hw.Use{}) {
+		t.Fatalf("cpu = %+v, want nothing", got)
 	}
 }
 
+// TestClockIgnoresNegative: negative counts model to no time.
 func TestClockIgnoresNegative(t *testing.T) {
 	c := NewClock()
-	c.Add(ResourceGPU, -time.Second)
-	if got := c.Total(ResourceGPU); got != 0 {
-		t.Fatalf("negative add should be ignored, got %v", got)
-	}
-	c.AddSpan("train", -time.Second)
-	if got := c.Span("train"); got != 0 {
-		t.Fatalf("negative span add should be ignored, got %v", got)
-	}
-}
-
-func TestClockSpans(t *testing.T) {
-	c := NewClock()
-	c.AddSpan("pull", 100*time.Millisecond)
-	c.AddSpan("pull", 200*time.Millisecond)
-	c.AddSpan("train", time.Second)
-	if got := c.Span("pull"); got != 300*time.Millisecond {
-		t.Fatalf("pull span = %v", got)
-	}
-	spans := c.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("want 2 spans, got %d", len(spans))
+	c.Add(hw.Ops(hw.ResGPU, -1, -1e9))
+	if got := hw.Model(hw.DefaultGPUNode(), c.Total()).Sum(); got != 0 {
+		t.Fatalf("negative counts modelled to %v, want 0", got)
 	}
 }
 
@@ -59,111 +43,31 @@ func TestClockConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < perWorker; j++ {
-				c.Add(ResourceNetwork, time.Microsecond)
-				c.AddSpan("s", time.Microsecond)
+				c.Add(hw.Ops(hw.ResNetwork, 1, 8))
 			}
 		}()
 	}
 	wg.Wait()
-	want := time.Duration(workers*perWorker) * time.Microsecond
-	if got := c.Total(ResourceNetwork); got != want {
-		t.Fatalf("concurrent total = %v, want %v", got, want)
-	}
-	if got := c.Span("s"); got != want {
-		t.Fatalf("concurrent span = %v, want %v", got, want)
-	}
-}
-
-func TestClockMergeAndReset(t *testing.T) {
-	a := NewClock()
-	b := NewClock()
-	a.Add(ResourceGPU, time.Second)
-	b.Add(ResourceGPU, 2*time.Second)
-	b.Add(ResourceSSD, time.Second)
-	b.AddSpan("x", time.Second)
-	a.Merge(b)
-	if got := a.Total(ResourceGPU); got != 3*time.Second {
-		t.Fatalf("merged gpu = %v", got)
-	}
-	if got := a.Total(ResourceSSD); got != time.Second {
-		t.Fatalf("merged ssd = %v", got)
-	}
-	if got := a.Span("x"); got != time.Second {
-		t.Fatalf("merged span = %v", got)
-	}
-	a.Reset()
-	if got := a.Total(ResourceGPU); got != 0 {
-		t.Fatalf("reset failed, got %v", got)
+	want := hw.Use{Ops: workers * perWorker, Amount: 8 * workers * perWorker}
+	if got := c.Total()[hw.ResNetwork]; got != want {
+		t.Fatalf("concurrent total = %+v, want %+v", got, want)
 	}
 }
 
 func TestNilClockSafe(t *testing.T) {
 	var c *Clock
-	c.Add(ResourceGPU, time.Second) // must not panic
-	c.AddSpan("x", time.Second)
-	if c.Total(ResourceGPU) != 0 || c.Span("x") != 0 {
-		t.Fatal("nil clock should report zero")
-	}
-	if len(c.Snapshot()) != 0 || len(c.Spans()) != 0 {
-		t.Fatal("nil clock snapshot should be empty")
-	}
-	_ = c.String()
-}
-
-func TestDurationConversion(t *testing.T) {
-	if got := Duration(1.5); got != 1500*time.Millisecond {
-		t.Fatalf("Duration(1.5) = %v", got)
-	}
-	if got := Duration(0); got != 0 {
-		t.Fatalf("Duration(0) = %v", got)
-	}
-	if got := Duration(-3); got != 0 {
-		t.Fatalf("Duration(-3) = %v", got)
-	}
-	if got := Duration(1e30); got <= 0 {
-		t.Fatalf("huge duration should saturate positive, got %v", got)
-	}
-	if got := Seconds(2 * time.Second); got != 2.0 {
-		t.Fatalf("Seconds = %v", got)
-	}
-}
-
-func TestDurationSecondsRoundTrip(t *testing.T) {
-	f := func(ms uint32) bool {
-		d := time.Duration(ms) * time.Millisecond
-		got := Duration(Seconds(d))
-		diff := got - d
-		if diff < 0 {
-			diff = -diff
-		}
-		return diff <= time.Microsecond
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	c.Add(hw.Ops(hw.ResGPU, 1, 1)) // must not panic
+	if c.Total() != (hw.Work{}) {
+		t.Fatal("nil clock should count nothing")
 	}
 }
 
 func TestSnapshotIsCopy(t *testing.T) {
 	c := NewClock()
-	c.Add(ResourceGPU, time.Second)
-	snap := c.Snapshot()
-	snap[ResourceGPU] = 0
-	if got := c.Total(ResourceGPU); got != time.Second {
-		t.Fatalf("snapshot must be a copy, clock changed to %v", got)
-	}
-}
-
-func TestStringDeterministic(t *testing.T) {
-	c := NewClock()
-	c.Add(ResourceGPU, time.Second)
-	c.Add(ResourceSSD, 2*time.Second)
-	c.Add(ResourceCPU, 3*time.Second)
-	s1 := c.String()
-	s2 := c.String()
-	if s1 != s2 {
-		t.Fatalf("String not deterministic: %q vs %q", s1, s2)
-	}
-	if s1 == "" {
-		t.Fatal("String should not be empty")
+	c.Add(hw.Ops(hw.ResGPU, 1, 1))
+	snap := c.Total()
+	snap[hw.ResGPU] = hw.Use{}
+	if got := c.Total()[hw.ResGPU]; got.Ops != 1 {
+		t.Fatalf("snapshot must be a copy, clock changed to %+v", got)
 	}
 }

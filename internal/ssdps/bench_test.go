@@ -12,7 +12,6 @@ import (
 	"hps/internal/hw"
 	"hps/internal/keys"
 	"hps/internal/ps"
-	"hps/internal/simtime"
 )
 
 func benchStore(b *testing.B, paramsPerFile int) *Store {
@@ -24,7 +23,7 @@ func benchStore(b *testing.B, paramsPerFile int) *Store {
 		WriteLatency:              25 * time.Microsecond,
 		BlockBytes:                4096,
 	}
-	dev, err := blockio.NewDevice(b.TempDir(), ssd, simtime.NewClock())
+	dev, err := blockio.NewDevice(b.TempDir(), ssd, hw.NewCounter())
 	if err != nil {
 		b.Fatal(err)
 	}

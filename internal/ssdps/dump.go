@@ -5,24 +5,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"time"
 
 	"hps/internal/blockio"
 	"hps/internal/embedding"
 	"hps/internal/keys"
 	"hps/internal/ps"
 )
-
-// writeFile writes buf — room for the device's header, then the records of
-// one new parameter file — and returns the file's extent (not yet entered in
-// s.files) and the modelled write duration.
-func (s *Store) writeFile(buf []byte) (blockio.Extent, time.Duration, error) {
-	ext, err := s.dev.WriteFile(buf)
-	if err != nil {
-		return blockio.Extent{}, 0, err
-	}
-	return ext, s.dev.Profile().WriteTime(int64(len(buf) - hdr)), nil
-}
 
 // DumpBlock writes the present rows of blk, whose keys must be distinct, to
 // the store as new parameter files: in increasing key order (keys.SortPositions,
@@ -51,7 +39,6 @@ func (s *Store) DumpBlock(blk *ps.ValueBlock) error {
 	}
 	total := len(sorted)
 
-	var writeTime time.Duration
 	for len(sorted) > 0 {
 		chunk := sorted[:min(s.cfg.ParamsPerFile, len(sorted))]
 		sorted = sorted[len(chunk):]
@@ -61,11 +48,10 @@ func (s *Store) DumpBlock(blk *ps.ValueBlock) error {
 			binary.LittleEndian.PutUint64(rec, uint64(blk.Keys[i]))
 			embedding.EncodeRow(rec[8:], blk.WeightsRow(int(i)), blk.G2Row(int(i)), blk.Freq[i])
 		}
-		written, d, err := s.writeFile(sc.buf)
+		written, err := s.dev.WriteFile(sc.buf)
 		if err != nil {
 			return fmt.Errorf("ssdps: dump: %w", err)
 		}
-		writeTime += d
 
 		s.mu.Lock()
 		idx := s.addFile(written)
@@ -79,7 +65,7 @@ func (s *Store) DumpBlock(blk *ps.ValueBlock) error {
 		s.stats.Dumps++
 		s.mu.Unlock()
 	}
-	s.rec.RecordPush(total, writeTime)
+	s.rec.RecordPush(total)
 	return nil
 }
 
@@ -145,7 +131,7 @@ func (s *Store) Compact() error {
 	from := make([]loc, 0, n)
 	raw := make([]byte, 0, n*s.stride)
 	for _, v := range victims {
-		data, err := s.dev.ReadInto(v.ext, -1, sc.buf)
+		data, _, err := s.dev.ReadInto(v.ext, -1, sc.buf)
 		if err != nil {
 			return fmt.Errorf("ssdps: compact: %w", err)
 		}
@@ -167,7 +153,6 @@ func (s *Store) Compact() error {
 
 	// Rewrite them in key order as fresh files, marking the victims' copies
 	// stale.
-	var writeTime time.Duration
 	for rest := order; len(rest) > 0; {
 		chunk := rest[:min(s.cfg.ParamsPerFile, len(rest))]
 		rest = rest[len(chunk):]
@@ -175,11 +160,10 @@ func (s *Store) Compact() error {
 		for _, i := range chunk {
 			sc.buf = append(sc.buf, raw[int(i)*s.stride:int(i+1)*s.stride]...)
 		}
-		written, d, err := s.writeFile(sc.buf)
+		written, err := s.dev.WriteFile(sc.buf)
 		if err != nil {
 			return fmt.Errorf("ssdps: compact rewrite: %w", err)
 		}
-		writeTime += d
 
 		s.mu.Lock()
 		idx := s.addFile(written)
@@ -196,7 +180,7 @@ func (s *Store) Compact() error {
 		s.mu.Unlock()
 	}
 	if len(ks) > 0 {
-		s.rec.RecordPush(len(ks), writeTime)
+		s.rec.RecordPush(len(ks))
 	}
 
 	// Erase the victims. No key maps to them any more, so only loads that

@@ -4,9 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"time"
 
 	"hps/internal/embedding"
+	"hps/internal/hw"
 	"hps/internal/keys"
 	"hps/internal/ps"
 )
@@ -15,16 +15,17 @@ import (
 // decoded into row rows[i] (row i when rows is nil), which is marked
 // present, and the rows of keys the store does not hold are left as they
 // are. dst must have the store's dimension and the rows; its keys are not
-// consulted. It returns the modelled read duration of this pass. Every file
-// holding a requested key is read whole, once, in the order the request
-// first names it; only the requested records are decoded, and nothing is
-// allocated once the store's scratch has grown to the request.
-func (s *Store) LoadInto(ks []keys.Key, dst *ps.ValueBlock, rows []int32) (time.Duration, error) {
+// consulted. It returns the SSD work of this pass: every file holding a
+// requested key is read whole, once, in the order the request first names
+// it; only the requested records are decoded, and nothing is allocated once
+// the store's scratch has grown to the request.
+func (s *Store) LoadInto(ks []keys.Key, dst *ps.ValueBlock, rows []int32) (hw.Work, error) {
+	var work hw.Work
 	if dst.Dim != s.cfg.Dim {
-		return 0, fmt.Errorf("ssdps: load into a block of dimension %d, the store has %d", dst.Dim, s.cfg.Dim)
+		return work, fmt.Errorf("ssdps: load into a block of dimension %d, the store has %d", dst.Dim, s.cfg.Dim)
 	}
 	if rows != nil && len(rows) != len(ks) {
-		return 0, fmt.Errorf("ssdps: load of %d keys into %d rows", len(ks), len(rows))
+		return work, fmt.Errorf("ssdps: load of %d keys into %d rows", len(ks), len(rows))
 	}
 	sc := s.getScratch()
 	defer s.scratch.Put(sc)
@@ -70,31 +71,29 @@ func (s *Store) LoadInto(ks []keys.Key, dst *ps.ValueBlock, rows []int32) (time.
 	}
 	sc.ends, sc.grouped = ends, grouped
 
-	var readTime time.Duration
 	start = 0
 	for g, ext := range files {
 		group := grouped[start:ends[g]]
 		start = ends[g]
-		data, err := s.dev.ReadInto(ext, int64(len(group))*int64(s.stride), sc.buf)
+		data, read, err := s.dev.ReadInto(ext, int64(len(group))*int64(s.stride), sc.buf)
 		if err != nil {
-			return 0, fmt.Errorf("ssdps: load: %w", err)
+			return work, fmt.Errorf("ssdps: load: %w", err)
 		}
 		sc.buf = data
+		work.Add(read)
 		records := data[hdr:]
-		// Mirror the device's charge (whole-file read) for per-tier stats.
-		readTime += s.dev.Profile().ReadTime(int64(len(records)))
 		for _, w := range group {
 			row := w.idx
 			if rows != nil {
 				row = int(rows[w.idx])
 			}
 			if err := s.decodeSlot(records, w.slot, ks[w.idx], dst, row); err != nil {
-				return 0, fmt.Errorf("ssdps: load %v: %w", ext, err)
+				return work, fmt.Errorf("ssdps: load %v: %w", ext, err)
 			}
 		}
 	}
-	s.rec.RecordPull(len(wants), readTime)
-	return readTime, nil
+	s.rec.RecordPull(len(wants))
+	return work, nil
 }
 
 // decodeSlot decodes the record in the given slot of a parameter file's

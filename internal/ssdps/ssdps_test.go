@@ -15,7 +15,6 @@ import (
 	"hps/internal/hw"
 	"hps/internal/keys"
 	"hps/internal/ps"
-	"hps/internal/simtime"
 )
 
 func testDevice(t *testing.T) *blockio.Device {
@@ -27,7 +26,7 @@ func testDevice(t *testing.T) *blockio.Device {
 		WriteLatency:              time.Microsecond,
 		BlockBytes:                4096,
 	}
-	dev, err := blockio.NewDevice(t.TempDir(), ssd, simtime.NewClock())
+	dev, err := blockio.NewDevice(t.TempDir(), ssd, hw.NewCounter())
 	if err != nil {
 		t.Fatal(err)
 	}

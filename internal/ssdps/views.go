@@ -2,9 +2,9 @@ package ssdps
 
 import (
 	"fmt"
-	"time"
 
 	"hps/internal/embedding"
+	"hps/internal/hw"
 	"hps/internal/keys"
 	"hps/internal/ps"
 )
@@ -22,13 +22,14 @@ func (s *Store) Load(ks []keys.Key) (map[keys.Key]*embedding.Value, error) {
 	return out, err
 }
 
-// LoadTimed is Load plus the modelled read duration of this pass alone.
-func (s *Store) LoadTimed(ks []keys.Key) (map[keys.Key]*embedding.Value, time.Duration, error) {
+// LoadTimed is Load plus the SSD work of this pass alone. The name is the
+// one the benchmark's layer probe calls; it predates counting.
+func (s *Store) LoadTimed(ks []keys.Key) (map[keys.Key]*embedding.Value, hw.Work, error) {
 	blk := ps.GetBlock(s.cfg.Dim, ks)
 	defer ps.PutBlock(blk)
-	readTime, err := s.LoadInto(ks, blk, nil)
+	work, err := s.LoadInto(ks, blk, nil)
 	if err != nil {
-		return nil, 0, err
+		return nil, work, err
 	}
 	out := make(map[keys.Key]*embedding.Value, len(ks))
 	for i, k := range ks {
@@ -36,7 +37,7 @@ func (s *Store) LoadTimed(ks []keys.Key) (map[keys.Key]*embedding.Value, time.Du
 			out[k] = blk.Value(i)
 		}
 	}
-	return out, readTime, nil
+	return out, work, nil
 }
 
 // Dump writes the given parameters to the store through DumpBlock. Every

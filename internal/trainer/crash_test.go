@@ -13,7 +13,6 @@ import (
 	"hps/internal/hw"
 	"hps/internal/memps"
 	"hps/internal/serving"
-	"hps/internal/simtime"
 	"hps/internal/ssdps"
 )
 
@@ -26,7 +25,7 @@ import (
 // a restart.
 func durableShard(t *testing.T, dir string, topo cluster.Topology, id, dim int, seed int64, lru, lfu int, addr string) (*shardServer, int) {
 	t.Helper()
-	dev, err := blockio.NewDevice(dir, hw.DefaultGPUNode().SSD, simtime.NewClock())
+	dev, err := blockio.NewDevice(dir, hw.DefaultGPUNode().SSD, hw.NewCounter())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +77,7 @@ type replTestShard struct {
 
 func replShard(t *testing.T, dir string, id, nodes, dim int, seed int64, members []int) *replTestShard {
 	t.Helper()
-	dev, err := blockio.NewDevice(dir, hw.DefaultGPUNode().SSD, simtime.NewClock())
+	dev, err := blockio.NewDevice(dir, hw.DefaultGPUNode().SSD, hw.NewCounter())
 	if err != nil {
 		t.Fatal(err)
 	}

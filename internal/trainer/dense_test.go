@@ -9,6 +9,7 @@ import (
 
 	"hps/internal/cluster"
 	"hps/internal/dataset"
+	"hps/internal/hw"
 	"hps/internal/interconnect"
 )
 
@@ -191,15 +192,19 @@ func TestAllReduceChargesDenseGradient(t *testing.T) {
 		const denseBytes = 4 * (8*32 + 32 + 32*16 + 16 + 16 + 1)
 		const rows, rowBytes = 100, 8 + 4 + 2*4*8 + 4 // key, then dim, weights, accumulators and frequency
 		for _, c := range []struct{ rows, bytes int64 }{{0, denseBytes}, {rows, rows*rowBytes + denseBytes}} {
-			want := interconnect.HierarchicalAllReduceTime(c.bytes/gpus, topo.Nodes, topo.GPUsPerNode,
-				tr.cfg.Profile.RDMA, tr.cfg.Profile.NVLink)
+			w := interconnect.AllReduceWork(c.bytes/gpus, topo.Nodes, topo.GPUsPerNode)
+			want := tr.model(w).Sum()
 			if gpus == 1 {
-				want = 0
+				want, w = 0, hw.Work{}
 			} else if want <= 0 {
 				t.Fatalf("%+v: the model charges nothing for %d bytes; the case tests nothing", topo, c.bytes)
 			}
-			if got := tr.chargeAllReduce(int(c.rows)); got != want {
+			before := tr.work.Total()
+			if got := tr.countAllReduce(int(c.rows)); got != want {
 				t.Fatalf("%+v, %d rows: all-reduce %v, want %v", topo, c.rows, got, want)
+			}
+			if got := tr.work.Total().Minus(before); got != w {
+				t.Fatalf("%+v, %d rows: counted %v, want %v", topo, c.rows, got, w)
 			}
 		}
 	}

@@ -14,7 +14,6 @@ import (
 	"hps/internal/cluster"
 	"hps/internal/embedding"
 	"hps/internal/hw"
-	"hps/internal/simtime"
 )
 
 // The miss path's golden test: a seeded two-node trainer whose MEM-PS caches
@@ -72,7 +71,7 @@ func goldenRun(t *testing.T, thresholdBytes int64) (nodes [][]goldenExtent, comp
 		t.Fatal(err)
 	}
 	for id := range 2 {
-		dev, err := blockio.NewDevice(filepath.Join(dir, fmt.Sprintf("node-%d", id)), hw.DefaultGPUNode().SSD, simtime.NewClock())
+		dev, err := blockio.NewDevice(filepath.Join(dir, fmt.Sprintf("node-%d", id)), hw.DefaultGPUNode().SSD, hw.NewCounter())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,7 +14,6 @@ import (
 	"hps/internal/keys"
 	"hps/internal/memps"
 	"hps/internal/ps"
-	"hps/internal/simtime"
 	"hps/internal/ssdps"
 )
 
@@ -28,14 +27,14 @@ func sameBlock(a, b *ps.ValueBlock) bool {
 // a node that assembles its own working set sees them: wired through a
 // LocalTransport, each pulling its peer-owned keys from their owners
 // (PrepareInto). It is the oracle stagePull's per-owner pass is held to.
-func referenceCluster(t *testing.T, cfg Config) []*memps.MemPS {
+func referenceCluster(t *testing.T, cfg Config) ([]*memps.MemPS, *hw.Counter) {
 	t.Helper()
 	cfg = cfg.withDefaults()
 	dim := cfg.Spec.EmbeddingDim
 	lt := cluster.NewLocalTransport(dim)
 	out := make([]*memps.MemPS, cfg.Topology.Nodes)
+	clock := hw.NewCounter()
 	for id := range out {
-		clock := simtime.NewClock()
 		dev, err := blockio.NewDevice(t.TempDir(), cfg.Profile.SSD, clock)
 		if err != nil {
 			t.Fatal(err)
@@ -55,7 +54,7 @@ func referenceCluster(t *testing.T, cfg Config) []*memps.MemPS {
 		}
 		lt.Register(id, out[id])
 	}
-	return out
+	return out, clock
 }
 
 // TestOwnedPullMatchesPrepareInto is the owner contract's pull: with one,
@@ -97,8 +96,8 @@ func TestOwnedPullMatchesPrepareInto(t *testing.T) {
 					}
 					t.Cleanup(func() { tr.Close() })
 					tr.sequential = sequential
-					ref := referenceCluster(t, cfg)
-					checkOwnedPulls(t, tr, ref, keySet)
+					ref, work := referenceCluster(t, cfg)
+					checkOwnedPulls(t, tr, ref, work, keySet)
 				})
 			}
 			t.Run(fmt.Sprintf("%d-nodes/%s/remote", nodes, name), func(t *testing.T) {
@@ -113,8 +112,8 @@ func TestOwnedPullMatchesPrepareInto(t *testing.T) {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { tr.Close() })
-				ref := referenceCluster(t, cfg)
-				checkOwnedPulls(t, tr, ref, keySet)
+				ref, work := referenceCluster(t, cfg)
+				checkOwnedPulls(t, tr, ref, work, keySet)
 			})
 		}
 	}
@@ -131,8 +130,10 @@ func randomKeys(rng *rand.Rand, lo, span, n int) []keys.Key {
 
 // checkOwnedPulls runs rounds of stagePull on tr against PrepareInto on ref,
 // pushing the same deltas into both after each round: through every owner of
-// tr (applyPush, which completes the pull) and into every MEM-PS of ref.
-func checkOwnedPulls(t *testing.T, tr *Trainer, ref []*memps.MemPS, keySet func(rng *rand.Rand, node, nodes int) []keys.Key) {
+// tr (applyPush, which completes the pull) and into every MEM-PS of ref. In
+// process, tr counts the same peer transfers as ref, which counts into
+// refWork.
+func checkOwnedPulls(t *testing.T, tr *Trainer, ref []*memps.MemPS, refWork *hw.Counter, keySet func(rng *rand.Rand, node, nodes int) []keys.Key) {
 	t.Helper()
 	dim := tr.cfg.Spec.EmbeddingDim
 	nodes := len(tr.nodes)
@@ -190,13 +191,16 @@ func checkOwnedPulls(t *testing.T, tr *Trainer, ref []*memps.MemPS, keySet func(
 			continue // a shard server's accounting is its own
 		}
 		got, want := n.local.Stats(), ref[r].Stats()
-		if got.RemoteKeys != want.RemoteKeys || got.RemotePulls != want.RemotePulls || got.RemotePullTime != want.RemotePullTime {
-			t.Fatalf("node %d received %d peer keys in %d pulls (%v), PrepareInto %d in %d (%v)", r,
-				got.RemoteKeys, got.RemotePulls, got.RemotePullTime, want.RemoteKeys, want.RemotePulls, want.RemotePullTime)
+		if got.RemoteKeys != want.RemoteKeys || got.RemotePulls != want.RemotePulls {
+			t.Fatalf("node %d received %d peer keys in %d pulls, PrepareInto %d in %d", r,
+				got.RemoteKeys, got.RemotePulls, want.RemoteKeys, want.RemotePulls)
 		}
 		if pinned := n.local.PinnedKeys(); pinned != 0 {
 			t.Fatalf("node %d holds %d pins after every batch completed", r, pinned)
 		}
+	}
+	if got, want := tr.work.Total()[hw.ResNetwork], refWork.Total()[hw.ResNetwork]; tr.remote == nil && got != want {
+		t.Fatalf("peer transfers counted %+v, PrepareInto's %+v", got, want)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hps/internal/cluster"
+	"hps/internal/hw"
 	"hps/internal/keys"
 	"hps/internal/memps"
 	"hps/internal/ps"
@@ -31,13 +32,14 @@ import (
 type owner interface {
 	// resolve copies the values of the owner's share of a batch's pull —
 	// shares[id] for owner id — into the nodes' blocks dsts, at the rows the
-	// share names, and returns the time the pull stage charges for it:
-	// modelled in process, wall-clock over TCP.
-	resolve(shares []ownedPull, dsts []*ps.ValueBlock) (time.Duration, error)
+	// share names, and returns the work it did: in process the SSD-PS reads
+	// and the peer transfers into the owner's node, over TCP the RPC's
+	// payload on the network.
+	resolve(shares []ownedPull, dsts []*ps.ValueBlock) (hw.Work, error)
 	// apply merges the owner's share of a batch's merged deltas into its
-	// authoritative copies and returns the push time, measured like resolve's.
-	// shares is the batch's pull, which resolve pinned the rows of.
-	apply(d deltas, shares []ownedPull) (time.Duration, error)
+	// authoritative copies and returns the work it did, counted like
+	// resolve's. shares is the batch's pull, which resolve pinned the rows of.
+	apply(d deltas, shares []ownedPull) (hw.Work, error)
 	// complete releases what resolve pinned for shares and runs the owner's
 	// batch-completion housekeeping.
 	complete(shares []ownedPull) error
@@ -159,37 +161,33 @@ type localOwner struct {
 
 // resolve has the MEM-PS resolve and pin the batch's keys it owns for every
 // node, copying each value into the blocks that want it (PrepareOwnedInto),
-// and then charges the node's network for the rows its peers copied into its
-// block. The two overlap, so the node pays the slower.
-func (o localOwner) resolve(shares []ownedPull, dsts []*ps.ValueBlock) (time.Duration, error) {
+// and then counts the network transfers of the rows its peers copied into
+// its node's block.
+func (o localOwner) resolve(shares []ownedPull, dsts []*ps.ValueBlock) (hw.Work, error) {
 	op := &shares[o.id]
 	ws, err := o.PrepareOwnedInto(op.keys, dsts, op.rows)
 	if err != nil {
-		return 0, err
+		return hw.Work{}, err
 	}
 	op.ws = ws
-	var recv time.Duration
+	w := ws.Stats.Work
 	for p := range shares {
 		if rows := shares[p].wants[o.id]; p != o.id && rows > 0 {
-			recv += o.ReceivePeerRows(rows)
+			w.Add(o.ReceivePeerRows(rows))
 		}
 	}
-	return max(ws.Stats.LocalTime, recv), nil
+	return w, nil
 }
 
 // apply pushes the MEM-PS's share of the deltas — it ignores the rows of keys
-// it does not own — and returns the modelled push time. The rows the batch's
-// pull pinned are reached through its working set, without a cache probe.
-func (o localOwner) apply(d deltas, shares []ownedPull) (time.Duration, error) {
-	before := o.TierStats().PushTime
+// it does not own — and returns the push's work. The rows the batch's pull
+// pinned are reached through its working set, without a cache probe.
+func (o localOwner) apply(d deltas, shares []ownedPull) (hw.Work, error) {
 	ws := &shares[o.id].ws
-	var err error
 	if p := d.pair; p != nil {
-		err = o.PushBlockPair(ws, p.a, p.b, p.keys[o.id], p.rowsA[o.id], p.rowsB[o.id])
-	} else {
-		err = o.PushBatch(ws, d.global)
+		return o.PushBlockPair(ws, p.a, p.b, p.keys[o.id], p.rowsA[o.id], p.rowsB[o.id])
 	}
-	return o.TierStats().PushTime - before, err
+	return o.PushBatch(ws, d.global)
 }
 
 // complete unpins the keys resolve pinned and runs the MEM-PS's
@@ -261,26 +259,22 @@ func (t *Trainer) memberOwners() []owner {
 
 // applyPush has every owner apply its share of a batch's merged deltas and
 // complete the batch's pull, then recycles the pull. It returns the slowest
-// owner's push time. The owners are the table's at push time: a member that
-// joined since the pull receives its rows.
+// owner's modelled push time. The owners are the table's at push time: a
+// member that joined since the pull receives its rows.
 func (t *Trainer) applyPush(d deltas, pull []ownedPull) (time.Duration, error) {
 	t.ownersMu.Lock()
 	owners := t.owners
 	t.ownersMu.Unlock()
-	var mu sync.Mutex
-	var slowest time.Duration
-	err := t.eachOwner(owners, func(o owner) error {
-		dur, err := o.apply(d, pull)
+	slowest, err := t.slowest(len(owners), func(i int) (time.Duration, error) {
+		o := owners[i]
+		if o == nil {
+			return 0, nil
+		}
+		w, err := o.apply(d, pull)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		if err := o.complete(pull); err != nil {
-			return err
-		}
-		mu.Lock()
-		slowest = max(slowest, dur)
-		mu.Unlock()
-		return nil
+		return t.model(w).Sum(), o.complete(pull)
 	})
 	if err != nil {
 		return 0, err

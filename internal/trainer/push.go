@@ -10,7 +10,6 @@ import (
 	"hps/internal/interconnect"
 	"hps/internal/keys"
 	"hps/internal/ps"
-	"hps/internal/simtime"
 	"hps/internal/tensor"
 )
 
@@ -98,7 +97,7 @@ func sumDeltaBlocks2(dst *ps.ValueBlock, a, b *ps.ValueBlock) {
 // partitions the result by owning node into mergeScratch.pair (see
 // pairMerge). One scan serves both shards, replacing two per-shard ownership
 // scans and the merged-slab copies. It returns the merged row count (for the
-// all-reduce charge).
+// all-reduce count).
 func (t *Trainer) mergePair(a, b *ps.ValueBlock) int {
 	s := &t.mergeScratch.pair
 	s.a, s.b = a, b
@@ -161,8 +160,8 @@ func (t *Trainer) mergePair(a, b *ps.ValueBlock) int {
 // Appendix C.3), has every owner apply its share of them, and completes the
 // batch (unpin, dump evictions, compact — Algorithm 1 lines 16-18). The
 // whole stage is block-native: the per-node delta blocks are summed slab-wise
-// into one global block, the modelled all-reduce is charged from its byte
-// size, and each owner applies it through one PushBlock (one flat wire frame
+// into one global block, the all-reduce is counted from its byte size, and
+// each owner applies it through one PushBlock (one flat wire frame
 // per owner in multi-process mode) — no per-key value allocation anywhere on
 // the path.
 func (t *Trainer) stagePush(ctx context.Context, j *job) (*job, error) {
@@ -172,7 +171,7 @@ func (t *Trainer) stagePush(ctx context.Context, j *job) (*job, error) {
 	// every delta everywhere, and each owner applies the global sum once. The
 	// two-node in-process case skips the materialized merge entirely — each
 	// MEM-PS sums the pair on the fly in PushBlockPair — so only the merged
-	// row count (for the all-reduce charge) is computed here. Async push
+	// row count (for the all-reduce count) is computed here. Async push
 	// always materializes the merge: the committer needs an owned block that
 	// outlives this stage, while the fused pair path reads the per-node delta
 	// blocks and per-batch pair scratch in place.
@@ -192,7 +191,7 @@ func (t *Trainer) stagePush(ctx context.Context, j *job) (*job, error) {
 		d.global = t.mergeGlobal(j)
 		mergedRows = d.global.Len()
 	}
-	syncTime := t.chargeAllReduce(mergedRows)
+	syncTime := t.countAllReduce(mergedRows)
 	if t.committer != nil {
 		return t.pushAsync(ctx, j, d.global, syncTime)
 	}
@@ -218,29 +217,26 @@ func (t *Trainer) mergeGlobal(j *job) *ps.ValueBlock {
 	return global
 }
 
-// chargeAllReduce charges the modelled all-reduce of a batch's updates and
-// returns its duration: every GPU contributes its partition, inter-node
-// rounds over RDMA, intra-node rounds over NVLink. The volume is the global
-// block's payload size (every row is a changed key, so rows x
-// encoded-row-size is exactly what the synchronization moves) plus the dense
-// gradient the batch's one dense step sums (ParamCount float32s). The charge
-// stays on the push stage even in async mode — the synchronization itself is
-// not deferred, only the owners' apply.
-func (t *Trainer) chargeAllReduce(mergedRows int) time.Duration {
-	var syncTime time.Duration
+// countAllReduce counts the all-reduce of a batch's updates and returns its
+// modelled time: every GPU contributes its partition, inter-node rounds over
+// RDMA, intra-node rounds over NVLink. The volume is the global block's
+// payload size (every row is a changed key, so rows x encoded-row-size is
+// exactly what the synchronization moves) plus the dense gradient the
+// batch's one dense step sums (ParamCount float32s). The time stays on the
+// push stage even in async mode — the synchronization itself is not
+// deferred, only the owners' apply.
+func (t *Trainer) countAllReduce(mergedRows int) time.Duration {
 	totalGPUs := t.cfg.Topology.TotalGPUs()
-	if totalGPUs > 1 {
-		deltaBytes := int64(mergedRows)*int64(8+embedding.EncodedSize(t.cfg.Spec.EmbeddingDim)) + 4*t.net.ParamCount()
-		bytesPerGPU := deltaBytes / int64(totalGPUs)
-		syncTime = interconnect.HierarchicalAllReduceTime(
-			bytesPerGPU, t.cfg.Topology.Nodes, t.cfg.Topology.GPUsPerNode,
-			t.cfg.Profile.RDMA, t.cfg.Profile.NVLink)
-		t.clock.Add(simtime.ResourceRDMA, syncTime)
-		t.mu.Lock()
-		t.allReduce += syncTime
-		t.mu.Unlock()
+	if totalGPUs <= 1 {
+		return 0
 	}
-	return syncTime
+	deltaBytes := int64(mergedRows)*int64(8+embedding.EncodedSize(t.cfg.Spec.EmbeddingDim)) + 4*t.net.ParamCount()
+	w := interconnect.AllReduceWork(deltaBytes/int64(totalGPUs), t.cfg.Topology.Nodes, t.cfg.Topology.GPUsPerNode)
+	t.work.Add(w)
+	t.mu.Lock()
+	t.allReduce.Add(w)
+	t.mu.Unlock()
+	return t.model(w).Sum()
 }
 
 // pushAsync hands the merged block and the batch's pull to the background
@@ -278,7 +274,7 @@ func (t *Trainer) pushSync(j *job, d deltas, syncTime time.Duration) (*job, erro
 	// The owners' push-time deltas are safe to read here because only this
 	// stage touches the push path. The SSD-PS writes are not the stage's:
 	// CompleteBatch hands them to the MEM-PS's background write (blockio
-	// still charges them to the clock's SSD).
+	// still counts them in the run's total).
 	modelled, err := t.applyPush(d, j.pull)
 	if err != nil {
 		return nil, err

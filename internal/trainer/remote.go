@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hps/internal/cluster"
+	"hps/internal/hw"
 	"hps/internal/keys"
 	"hps/internal/ps"
 )
@@ -55,13 +56,15 @@ func (r *remoteNet) recordPush(nkeys int, bytes int64, wall time.Duration) {
 // ring member — over the trainer's shared transport. A batch costs it one
 // pull RPC of the keys it owns across every node and one push RPC of its
 // share of the merged deltas; each falls over to the keys' backups when the
-// member is unreachable and the deployment is replicated.
+// member is unreachable and the deployment is replicated, and counts one
+// network transfer of its payload into work.
 type remoteShard struct {
 	id        int
 	transport *cluster.TCPTransport
 	topo      cluster.Topology
 	dim       int
 	net       *remoteNet
+	work      *hw.Counter
 }
 
 // newRemoteShards returns owners extended with a remoteShard for every id in
@@ -77,7 +80,7 @@ func (t *Trainer) newRemoteShards(owners []owner, ids []int) []owner {
 	for _, id := range ids {
 		if out[id] == nil {
 			out[id] = &remoteShard{id: id, transport: t.remote, topo: t.cfg.Topology,
-				dim: t.cfg.Spec.EmbeddingDim, net: t.remoteNet}
+				dim: t.cfg.Spec.EmbeddingDim, net: t.remoteNet, work: t.work}
 		}
 	}
 	return out
@@ -87,10 +90,10 @@ func (t *Trainer) newRemoteShards(owners []owner, ids []int) []owner {
 // over to each key's backup on a primary outage — and deals the rows into
 // every node's block. A member that owns none of the batch's keys is not
 // called. There is no pinning: the shard process owns its cache retention.
-func (r *remoteShard) resolve(shares []ownedPull, dsts []*ps.ValueBlock) (time.Duration, error) {
+func (r *remoteShard) resolve(shares []ownedPull, dsts []*ps.ValueBlock) (hw.Work, error) {
 	op := &shares[r.id]
 	if len(op.keys) == 0 {
-		return 0, nil
+		return hw.Work{}, nil
 	}
 	start := time.Now()
 	sub := ps.GetBlock(r.dim, nil)
@@ -107,12 +110,12 @@ func (r *remoteShard) resolve(shares []ownedPull, dsts []*ps.ValueBlock) (time.D
 		}
 	}
 	if err != nil {
-		return 0, fmt.Errorf("trainer: remote pull from shard %d: %w", r.id, err)
+		return hw.Work{}, fmt.Errorf("trainer: remote pull from shard %d: %w", r.id, err)
 	}
 	if got := sub.PresentCount(); sub.Len() != len(op.keys) || got != len(op.keys) {
 		// The MEM-PS materializes first references, so a shard that answered
 		// at all answers completely; a gap means a shard bug.
-		return 0, fmt.Errorf("trainer: remote pull from shard %d returned %d of %d keys", r.id, got, len(op.keys))
+		return hw.Work{}, fmt.Errorf("trainer: remote pull from shard %d returned %d of %d keys", r.id, got, len(op.keys))
 	}
 	for n, dst := range dsts {
 		for x, row := range op.rows[n] {
@@ -122,9 +125,15 @@ func (r *remoteShard) resolve(shares []ownedPull, dsts []*ps.ValueBlock) (time.D
 			dst.CopyRow(int(row), sub, x)
 		}
 	}
-	wall := time.Since(start)
-	r.net.recordPull(len(op.keys), bytes, wall)
-	return wall, nil
+	r.net.recordPull(len(op.keys), bytes, time.Since(start))
+	return r.transfer(bytes), nil
+}
+
+// transfer counts one network transfer of an RPC's payload and returns it.
+func (r *remoteShard) transfer(payload int64) hw.Work {
+	w := hw.Ops(hw.ResNetwork, 1, float64(payload))
+	r.work.Add(w)
+	return w
 }
 
 // apply sends the member's partition of the merged delta block, sliced out of
@@ -136,7 +145,7 @@ func (r *remoteShard) resolve(shares []ownedPull, dsts []*ps.ValueBlock) (time.D
 // that already received them acks duplicates instead of double-applying, and
 // one that did not applies them fresh. Either way no applied push is lost and
 // none is applied twice. A member that owns none of the rows is not called.
-func (r *remoteShard) apply(d deltas, _ []ownedPull) (time.Duration, error) {
+func (r *remoteShard) apply(d deltas, _ []ownedPull) (hw.Work, error) {
 	blk := d.global
 	sub := ps.GetBlock(r.dim, nil)
 	defer ps.PutBlock(sub)
@@ -148,7 +157,7 @@ func (r *remoteShard) apply(d deltas, _ []ownedPull) (time.Duration, error) {
 		}
 	}
 	if sub.Len() == 0 {
-		return 0, nil
+		return hw.Work{}, nil
 	}
 	start := time.Now()
 	client, seq := r.transport.Stamp()
@@ -160,11 +169,10 @@ func (r *remoteShard) apply(d deltas, _ []ownedPull) (time.Duration, error) {
 		}
 	}
 	if err != nil {
-		return 0, fmt.Errorf("trainer: remote push: %w", err)
+		return hw.Work{}, fmt.Errorf("trainer: remote push: %w", err)
 	}
-	wall := time.Since(start)
-	r.net.recordPush(sub.Len(), bytes, wall)
-	return wall, nil
+	r.net.recordPush(sub.Len(), bytes, time.Since(start))
+	return r.transfer(bytes), nil
 }
 
 // pushFailover delivers sub's rows to each key's backup under the failed

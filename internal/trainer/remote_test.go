@@ -12,7 +12,6 @@ import (
 	"hps/internal/dataset"
 	"hps/internal/hw"
 	"hps/internal/memps"
-	"hps/internal/simtime"
 	"hps/internal/ssdps"
 )
 
@@ -33,7 +32,7 @@ func startShards(t *testing.T, topo cluster.Topology, dim int, seed int64, lru, 
 	shards := make([]*shardServer, len(ids))
 	addrs := make(map[int]string, len(ids))
 	for _, i := range ids {
-		dev, err := blockio.NewDevice(t.TempDir(), hw.DefaultGPUNode().SSD, simtime.NewClock())
+		dev, err := blockio.NewDevice(t.TempDir(), hw.DefaultGPUNode().SSD, hw.NewCounter())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,6 @@ import (
 	"hps/internal/metrics"
 	"hps/internal/pipeline"
 	"hps/internal/ps"
-	"hps/internal/simtime"
 	"hps/internal/ssdps"
 )
 
@@ -51,9 +50,9 @@ type Report struct {
 	ModelledElapsed time.Duration
 	// Throughput is Examples over ModelledElapsed.
 	Throughput metrics.Throughput
-	// Resources are the per-hardware-resource modelled totals (the time
-	// distribution of Fig 4).
-	Resources map[simtime.Resource]time.Duration
+	// Resources are the modelled times of everything the run counted, by
+	// resource name (the time distribution of Fig 4).
+	Resources map[string]time.Duration
 	// Tiers are the uniform per-tier statistics, top tier first.
 	Tiers []ps.TierInfo
 	// CacheHitRate is the MEM-PS cache hit rate across nodes (Fig 4c).
@@ -126,8 +125,8 @@ func (t *Trainer) Report() Report {
 		Batches:     batches,
 		Examples:    examples,
 		MaxInFlight: t.cfg.MaxInFlight,
-		AllReduce:   allReduce,
-		Resources:   t.clock.Snapshot(),
+		AllReduce:   t.model(allReduce).Sum(),
+		Resources:   t.model(t.work.Total()).ByName(),
 		Tiers:       t.Tiers(),
 		MeanLoss:    t.loss.Mean(),
 	}
@@ -256,14 +255,13 @@ func (r Report) String() string {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		fmt.Fprintf(&b, "  %-8s %12v\n", name, r.Resources[simtime.Resource(name)].Round(time.Microsecond))
+		fmt.Fprintf(&b, "  %-8s %12v\n", name, r.Resources[name].Round(time.Microsecond))
 	}
 
 	fmt.Fprintf(&b, "\n-- parameter-server tiers --\n")
 	for _, ti := range r.Tiers {
-		fmt.Fprintf(&b, "  %-7s pulls %8d (%10d keys, %12v)   pushes %8d (%10d keys, %12v)   evicted %8d\n",
-			ti.Name, ti.Stats.Pulls, ti.Stats.KeysPulled, ti.Stats.PullTime.Round(time.Microsecond),
-			ti.Stats.Pushes, ti.Stats.KeysPushed, ti.Stats.PushTime.Round(time.Microsecond), ti.Stats.KeysEvicted)
+		fmt.Fprintf(&b, "  %-7s pulls %8d (%10d keys)   pushes %8d (%10d keys)   evicted %8d\n",
+			ti.Name, ti.Stats.Pulls, ti.Stats.KeysPulled, ti.Stats.Pushes, ti.Stats.KeysPushed, ti.Stats.KeysEvicted)
 	}
 	if r.Remote == nil {
 		fmt.Fprintf(&b, "mem-ps cache hit rate %.1f%% (%d pushed rows missed)   ssd-ps: %d files, %d live / %d stale params, %d compactions, read amplification %.1fx, write amplification %.2fx (%d records rewritten)\n",

@@ -12,6 +12,7 @@ import (
 	"hps/internal/dataset"
 	"hps/internal/hbmps"
 	"hps/internal/hdfs"
+	"hps/internal/hw"
 	"hps/internal/keys"
 	"hps/internal/memps"
 	"hps/internal/pipeline"
@@ -87,7 +88,7 @@ func (t *Trainer) buildNode(id int, root string, withMem bool) (_ *node, err err
 		}
 	}()
 	if withMem {
-		dev, err = blockio.NewDevice(filepath.Join(root, fmt.Sprintf("node-%d", id)), cfg.Profile.SSD, t.clock)
+		dev, err = blockio.NewDevice(filepath.Join(root, fmt.Sprintf("node-%d", id)), cfg.Profile.SSD, t.work)
 		if err != nil {
 			return nil, fmt.Errorf("trainer: node %d device: %w", id, err)
 		}
@@ -109,7 +110,6 @@ func (t *Trainer) buildNode(id int, root string, withMem bool) (_ *node, err err
 			Transport:         cluster.NoRoute{},
 			Store:             store,
 			Fabric:            t.fabric,
-			Clock:             t.clock,
 			MemoryBudgetBytes: cfg.Profile.MainMemoryBytes,
 			LRUEntries:        cfg.LRUEntries,
 			LFUEntries:        cfg.LFUEntries,
@@ -124,9 +124,7 @@ func (t *Trainer) buildNode(id int, root string, withMem bool) (_ *node, err err
 		NumGPUs:    cfg.Topology.GPUsPerNode,
 		Dim:        cfg.Spec.EmbeddingDim,
 		GPUProfile: cfg.Profile.GPU,
-		NVLink:     cfg.Profile.NVLink,
-		Fabric:     t.fabric,
-		Clock:      t.clock,
+		Clock:      t.work,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("trainer: node %d hbm-ps: %w", id, err)
@@ -139,8 +137,6 @@ func (t *Trainer) buildNode(id int, root string, withMem bool) (_ *node, err err
 	stream := hdfs.NewStream(gen, hdfs.Config{
 		BatchSize:  cfg.BatchSize,
 		MaxBatches: cfg.Batches,
-		Profile:    cfg.Profile.HDFS,
-		Clock:      t.clock,
 	})
 	workers := make([]*gpuWorker, cfg.Topology.GPUsPerNode)
 	for g := range workers {
@@ -154,6 +150,25 @@ func (t *Trainer) addStageModelled(stage string, d time.Duration) {
 	t.mu.Lock()
 	t.stageModelled[stage] += d
 	t.mu.Unlock()
+}
+
+// model prices w on the run's hardware profile.
+func (t *Trainer) model(w hw.Work) hw.Times { return hw.Model(t.cfg.Profile, w) }
+
+// slowest runs fn for every i in [0, n) (see each) and returns the largest
+// modelled time an fn returned: parallel parties — nodes, owners — finish
+// with the slowest.
+func (t *Trainer) slowest(n int, fn func(i int) (time.Duration, error)) (time.Duration, error) {
+	var mu sync.Mutex
+	var d time.Duration
+	err := t.each(n, func(i int) error {
+		di, err := fn(i)
+		mu.Lock()
+		d = max(d, di)
+		mu.Unlock()
+		return err
+	})
+	return d, err
 }
 
 func (t *Trainer) maybeDelay(stage string) {
@@ -261,19 +276,20 @@ func (t *Trainer) Run(ctx context.Context) error {
 
 // stageRead streams every node's batch of this index from HDFS and partitions
 // its keys (Algorithm 1 lines 3-5, the CPU's one job between the read and the
-// SSD): the later stages read the index instead of sorting again.
+// SSD): the later stages read the index instead of sorting again. The nodes
+// stream in parallel, so the stage takes the slowest node's read.
 func (t *Trainer) stageRead(_ context.Context, j *job) (*job, error) {
 	t.maybeDelay(StageRead)
-	var mu sync.Mutex
-	var modelled time.Duration
-	err := t.eachNode(func(n *node) error {
-		b, err := n.stream.NextBatch()
+	modelled, err := t.slowest(len(t.nodes), func(i int) (time.Duration, error) {
+		n := t.nodes[i]
+		b, w, err := n.stream.NextBatch()
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if b == nil {
-			return fmt.Errorf("trainer: node %d stream exhausted at batch %d", n.id, j.index)
+			return 0, fmt.Errorf("trainer: node %d stream exhausted at batch %d", n.id, j.index)
 		}
+		t.work.Add(w)
 		var idx *keys.Index
 		select {
 		case idx = <-n.indexes:
@@ -282,13 +298,7 @@ func (t *Trainer) stageRead(_ context.Context, j *job) (*job, error) {
 		}
 		b.IndexInto(&n.indexer, idx)
 		j.nodes[n.id] = &nodeBatch{batch: b, index: idx}
-		d := t.cfg.Profile.HDFS.ReadTime(b.ByteSize())
-		mu.Lock()
-		if d > modelled {
-			modelled = d // nodes stream in parallel; the job pays the slowest
-		}
-		mu.Unlock()
-		return nil
+		return t.model(w).Sum(), nil
 	})
 	if err != nil {
 		return nil, err
@@ -301,7 +311,9 @@ func (t *Trainer) stageRead(_ context.Context, j *job) (*job, error) {
 // pin them (Algorithm 1 lines 3-4): cache hits from memory, misses from the
 // SSD-PS, peer-owned keys from their owners. The batch's key union is dealt
 // over the current owners once (splitByOwner), and every owner resolves its
-// share for all nodes at once (owner.resolve); the stage pays the slowest.
+// share for all nodes at once (owner.resolve); the stage pays the slowest,
+// and an owner the slower of its SSD-PS reads and its network transfers,
+// which overlap.
 func (t *Trainer) stagePull(_ context.Context, j *job) (*job, error) {
 	t.maybeDelay(StagePull)
 	t.ownersMu.Lock()
@@ -311,17 +323,12 @@ func (t *Trainer) stagePull(_ context.Context, j *job) (*job, error) {
 	if err != nil {
 		return nil, err
 	}
-	var mu sync.Mutex
-	var modelled time.Duration
-	err = t.eachOwner(owners, func(o owner) error {
-		d, err := o.resolve(j.pull, t.pullBlocks)
-		if err != nil {
-			return err
+	modelled, err := t.slowest(len(owners), func(i int) (time.Duration, error) {
+		if owners[i] == nil {
+			return 0, nil
 		}
-		mu.Lock()
-		modelled = max(modelled, d)
-		mu.Unlock()
-		return nil
+		w, err := owners[i].resolve(j.pull, t.pullBlocks)
+		return t.model(w).Max(), err
 	})
 	if err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hps/internal/dataset"
+	"hps/internal/hw"
 	"hps/internal/keys"
 	"hps/internal/metrics"
 	"hps/internal/nn"
@@ -17,7 +18,9 @@ import (
 // stageTrain loads every node's working set into its HBM-PS, trains the
 // batch with one concurrent worker per GPU (each pulling and pushing its
 // shard against the HBM-PS), collects the per-node update deltas, and takes
-// the batch's one dense step.
+// the batch's one dense step. The nodes train in parallel, so the stage
+// takes the slowest node's: its HBM-PS work, one after another, plus one
+// GPU's share of the dense tower.
 func (t *Trainer) stageTrain(_ context.Context, j *job) (*job, error) {
 	t.maybeDelay(StageTrain)
 	if t.committer != nil {
@@ -25,19 +28,18 @@ func (t *Trainer) stageTrain(_ context.Context, j *job) (*job, error) {
 		// how many older batches trained without their push applied yet.
 		t.committer.observeTrain(j.index)
 	}
-	var mu sync.Mutex
-	var modelled time.Duration
-	err := t.eachNode(func(n *node) error {
+	modelled, err := t.slowest(len(t.nodes), func(i int) (time.Duration, error) {
+		n := t.nodes[i]
 		nb := j.nodes[n.id]
-		before := n.hbm.Stats()
+		before := n.hbm.Stats().Work
 		if err := n.hbm.LoadBlock(nb.block); err != nil {
-			return err
+			return 0, err
 		}
 		// The HBM-PS copied the values; recycle the block for later batches.
 		ps.PutBlock(nb.block)
 		nb.block = nil
 		if err := t.trainOnGPUs(n, nb); err != nil {
-			return err
+			return 0, err
 		}
 		select {
 		case n.indexes <- nb.index:
@@ -47,29 +49,17 @@ func (t *Trainer) stageTrain(_ context.Context, j *job) (*job, error) {
 		nb.deltas = ps.GetBlock(t.cfg.Spec.EmbeddingDim, nil)
 		n.hbm.CollectBlock(nb.deltas)
 		if _, err := n.hbm.Evict(nil); err != nil { // release HBM for the next batch
-			return err
+			return 0, err
 		}
-		after := n.hbm.Stats()
+		w := n.hbm.Stats().Work.Minus(before)
 
 		// The dense tower trains on the GPUs in parallel with the sparse
-		// pulls; charge its modelled compute time per GPU.
-		flopsPerGPU := t.net.FLOPsPerExample() * float64(nb.batch.Len()) / float64(len(n.hbm.Devices()))
-		var computeTime time.Duration
-		for _, dev := range n.hbm.Devices() {
-			dev.ChargeCompute(flopsPerGPU)
-			if ct := dev.Profile().ComputeTime(flopsPerGPU); ct > computeTime {
-				computeTime = ct
-			}
-		}
-		d := (after.LoadTime - before.LoadTime) +
-			(after.PullTime - before.PullTime) +
-			(after.PushTime - before.PushTime) + computeTime
-		mu.Lock()
-		if d > modelled {
-			modelled = d
-		}
-		mu.Unlock()
-		return nil
+		// pulls: one kernel per GPU over its share of the batch.
+		gpus := int64(n.hbm.NumGPUs())
+		flops := t.net.FLOPsPerExample() * float64(nb.batch.Len())
+		t.work.Add(hw.Ops(hw.ResGPU, gpus, flops))
+		w.Add(hw.Ops(hw.ResGPU, 1, flops/float64(gpus)))
+		return t.model(w).Sum(), nil
 	})
 	if err != nil {
 		return nil, err
@@ -226,7 +216,7 @@ func (t *Trainer) trainShard(n *node, gpuID int, examples []dataset.Example, idx
 // denseStep takes the batch's one dense optimizer step: it sums every GPU
 // worker's accumulated gradient, node by node and GPU by GPU, into the first
 // worker's, applies the sum to the stored tower (the modelled all-reduce of
-// Algorithm 1, chargeAllReduce), and zeroes every accumulator for the next
+// Algorithm 1, countAllReduce), and zeroes every accumulator for the next
 // batch. The sum is a sum, not a mean: one step over the batch's summed
 // gradient, as a single worker that trained every example would take.
 func (t *Trainer) denseStep() {

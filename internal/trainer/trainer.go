@@ -73,7 +73,6 @@ import (
 	"hps/internal/optimizer"
 	"hps/internal/pipeline"
 	"hps/internal/ps"
-	"hps/internal/simtime"
 )
 
 // Stage names of the 4-stage batch pipeline.
@@ -203,8 +202,11 @@ func (c Config) withDefaults() Config {
 
 // Trainer is the end-to-end hierarchical training system.
 type Trainer struct {
-	cfg    Config
-	clock  *simtime.Clock
+	cfg Config
+	// work counts everything the run's tiers do, for the report's time
+	// distribution; the MEM-PS tiers count their peer transfers into it
+	// through fabric.
+	work   *hw.Counter
 	fabric *interconnect.Fabric
 	nodes  []*node
 
@@ -291,7 +293,7 @@ type Trainer struct {
 
 	mu            sync.Mutex
 	stageModelled map[string]time.Duration
-	allReduce     time.Duration
+	allReduce     hw.Work
 	loss          metrics.LogLossAccumulator
 	examples      int64
 	batchesDone   int64
@@ -346,11 +348,11 @@ func New(cfg Config) (*Trainer, error) {
 		dir, ownsDir = d, true
 	}
 
-	clock := simtime.NewClock()
+	work := hw.NewCounter()
 	t := &Trainer{
 		cfg:           cfg,
-		clock:         clock,
-		fabric:        interconnect.NewFabric(cfg.Profile, clock),
+		work:          work,
+		fabric:        interconnect.NewFabric(cfg.Profile, work),
 		denseOpt:      optimizer.Adagrad{LR: cfg.DenseLR, InitialAccumulator: 0.1},
 		sparseOpt:     optimizer.Adagrad{LR: cfg.SparseLR, InitialAccumulator: 0.1},
 		stageModelled: make(map[string]time.Duration),
@@ -421,9 +423,6 @@ func (t *Trainer) Examples() int64 {
 
 // MeanLoss returns the mean training log-loss so far.
 func (t *Trainer) MeanLoss() float64 { return t.loss.Mean() }
-
-// Clock returns the cluster's simulated-time clock.
-func (t *Trainer) Clock() *simtime.Clock { return t.clock }
 
 // Nodes returns the number of nodes.
 func (t *Trainer) Nodes() int { return len(t.nodes) }
