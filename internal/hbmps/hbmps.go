@@ -42,7 +42,7 @@ import (
 	"fmt"
 	"sync"
 
-	"hps/internal/embedding"
+	"hps/internal/cluster"
 	"hps/internal/gpu"
 	"hps/internal/hw"
 	"hps/internal/interconnect"
@@ -301,10 +301,11 @@ func (h *HBMPS) LoadBlock(blk *ps.ValueBlock) error {
 	h.loaded = true
 	h.stats.BatchesLoaded++
 	h.stats.ParamsLoaded += int64(len(ks))
-	// Each partition travels CPU -> GPU over PCIe and is written to HBM.
+	// Each partition, keys and rows, travels CPU -> GPU over PCIe and is
+	// written to HBM.
 	var w hw.Work
 	for _, part := range h.parts {
-		moved := float64(int64(len(part)) * (int64(embedding.EncodedSize(dim)) + 8))
+		moved := float64(cluster.PayloadBytes(dim, len(part), len(part)))
 		w.Add(hw.Ops(hw.ResPCIe, 1, moved))
 		w.Add(hw.Ops(hw.ResHBM, 1, moved))
 	}
@@ -391,21 +392,20 @@ func (h *HBMPS) PullInto(req ps.PullRequest, dst *ps.ValueBlock) error {
 	if miss >= 0 {
 		return fmt.Errorf("hbmps: key %d not in the working set", req.Keys[miss])
 	}
-	localCount, remoteCount := int64(local), int64(n-local)
-	valueBytes := int64(embedding.EncodedSize(h.cfg.Dim))
 	// Local reads stream through HBM; remote reads cross NVLink.
-	h.count(traffic(localCount*valueBytes, remoteCount*valueBytes), localCount, remoteCount)
+	h.count(h.traffic(local, n-local), int64(local), int64(n-local))
 	h.rec.RecordPull(len(req.Keys))
 	return nil
 }
 
-// traffic is the work of one kernel streaming local bytes through its GPU's
-// HBM and moving remote bytes to or from other GPUs: an NVLink transfer,
-// when there are any.
-func traffic(local, remote int64) hw.Work {
-	w := hw.Ops(hw.ResHBM, 1, float64(local))
+// traffic is the work of one kernel streaming local rows through its GPU's
+// HBM and moving remote rows to or from other GPUs: an NVLink transfer, when
+// there are any. A row is sized as every modelled transfer sizes it
+// (cluster.PayloadBytes); the keys stay put.
+func (h *HBMPS) traffic(local, remote int) hw.Work {
+	w := hw.Ops(hw.ResHBM, 1, float64(cluster.PayloadBytes(h.cfg.Dim, 0, local)))
 	if remote > 0 {
-		w.Add(hw.Ops(hw.ResNVLink, 1, float64(remote)))
+		w.Add(hw.Ops(hw.ResNVLink, 1, float64(cluster.PayloadBytes(h.cfg.Dim, 0, remote))))
 	}
 	return w
 }

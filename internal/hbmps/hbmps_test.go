@@ -339,9 +339,9 @@ func TestHBMChargesClock(t *testing.T) {
 	if err := h.LoadBlock(workingSet(100)); err != nil {
 		t.Fatal(err)
 	}
-	row := float64(embedding.EncodedSize(4))
-	load := hw.Ops(hw.ResPCIe, 2, 100*(row+8))
-	load.Add(hw.Ops(hw.ResHBM, 2, 100*(row+8)))
+	const row = 4 + 2*4*4 // frequency, weights and accumulators; keys move only at load
+	load := hw.Ops(hw.ResPCIe, 2, 100*(8+row))
+	load.Add(hw.Ops(hw.ResHBM, 2, 100*(8+row)))
 	if got := h.Stats().Work; got != load {
 		t.Fatalf("load counted %v, want %v", got, load)
 	}

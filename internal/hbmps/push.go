@@ -3,7 +3,6 @@ package hbmps
 import (
 	"fmt"
 
-	"hps/internal/embedding"
 	"hps/internal/ps"
 	"hps/internal/tensor"
 )
@@ -44,8 +43,7 @@ func (h *HBMPS) CommitBlock(gpuID int, orig, final *ps.ValueBlock) error {
 	if miss >= 0 {
 		return fmt.Errorf("hbmps: commit key %d not in the working set", final.Keys[miss])
 	}
-	valueBytes := int64(8 * h.cfg.Dim) // weights and accumulators move back
-	h.count(traffic(int64(local)*valueBytes, int64(n-local)*valueBytes), 0, 0)
+	h.count(h.traffic(local, n-local), 0, 0)
 	h.rec.RecordPush(len(final.Keys))
 	return nil
 }
@@ -71,8 +69,7 @@ func (h *HBMPS) PushBlock(req ps.PushBlockRequest) error {
 	})
 	h.rw.Unlock()
 	if req.Shard != ps.NoShard {
-		valueBytes := int64(embedding.EncodedSize(h.cfg.Dim))
-		h.count(traffic(int64(local)*valueBytes, int64(applied-local)*valueBytes), 0, 0)
+		h.count(h.traffic(local, applied-local), 0, 0)
 	}
 	h.rec.RecordPush(applied)
 	return nil

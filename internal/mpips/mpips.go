@@ -20,8 +20,8 @@ import (
 	"fmt"
 	"time"
 
+	"hps/internal/cluster"
 	"hps/internal/dataset"
-	"hps/internal/embedding"
 	"hps/internal/hw"
 	"hps/internal/keys"
 	"hps/internal/metrics"
@@ -120,10 +120,9 @@ func (c *Cluster) accountBatch(b *dataset.Batch) {
 	// 2. Pull the referenced parameters. A 1/Nodes fraction lives locally;
 	// the rest crosses the network in both directions (pull values now, push
 	// gradients after the batch).
-	working := b.Keys()
+	working := len(b.Keys())
 	remoteFraction := float64(c.cfg.Nodes-1) / float64(c.cfg.Nodes)
-	valueBytes := int64(8 + embedding.EncodedSize(c.cfg.Spec.EmbeddingDim))
-	remoteBytes := int64(float64(int64(len(working))*valueBytes) * remoteFraction)
+	remoteBytes := int64(float64(cluster.PayloadBytes(c.cfg.Spec.EmbeddingDim, working, working)) * remoteFraction)
 	c.work.Add(hw.Ops(hw.ResNetwork, 2, 2*float64(remoteBytes)))
 
 	// 3. Compute gradients on the CPU.

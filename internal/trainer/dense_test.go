@@ -190,7 +190,7 @@ func TestAllReduceChargesDenseGradient(t *testing.T) {
 		gpus := int64(topo.TotalGPUs())
 		// 32->16->1 over the 8-wide input: 8*32+32 + 32*16+16 + 16+1.
 		const denseBytes = 4 * (8*32 + 32 + 32*16 + 16 + 16 + 1)
-		const rows, rowBytes = 100, 8 + 4 + 2*4*8 + 4 // key, then dim, weights, accumulators and frequency
+		const rows, rowBytes = 100, 8 + 2*4*8 + 4 // key, weights and accumulators, frequency
 		for _, c := range []struct{ rows, bytes int64 }{{0, denseBytes}, {rows, rows*rowBytes + denseBytes}} {
 			w := interconnect.AllReduceWork(c.bytes/gpus, topo.Nodes, topo.GPUsPerNode)
 			want := tr.model(w).Sum()

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"hps/internal/cluster"
-	"hps/internal/embedding"
 	"hps/internal/interconnect"
 	"hps/internal/keys"
 	"hps/internal/ps"
@@ -220,9 +219,9 @@ func (t *Trainer) mergeGlobal(j *job) *ps.ValueBlock {
 // countAllReduce counts the all-reduce of a batch's updates and returns its
 // modelled time: every GPU contributes its partition, inter-node rounds over
 // RDMA, intra-node rounds over NVLink. The volume is the global block's
-// payload size (every row is a changed key, so rows x encoded-row-size is
-// exactly what the synchronization moves) plus the dense gradient the
-// batch's one dense step sums (ParamCount float32s). The time stays on the
+// payload (every row is a changed key, so its keys and rows are exactly what
+// the synchronization moves) plus the dense gradient the batch's one dense
+// step sums (ParamCount float32s). The time stays on the
 // push stage even in async mode — the synchronization itself is not
 // deferred, only the owners' apply.
 func (t *Trainer) countAllReduce(mergedRows int) time.Duration {
@@ -230,7 +229,7 @@ func (t *Trainer) countAllReduce(mergedRows int) time.Duration {
 	if totalGPUs <= 1 {
 		return 0
 	}
-	deltaBytes := int64(mergedRows)*int64(8+embedding.EncodedSize(t.cfg.Spec.EmbeddingDim)) + 4*t.net.ParamCount()
+	deltaBytes := cluster.PayloadBytes(t.cfg.Spec.EmbeddingDim, mergedRows, mergedRows) + 4*t.net.ParamCount()
 	w := interconnect.AllReduceWork(deltaBytes/int64(totalGPUs), t.cfg.Topology.Nodes, t.cfg.Topology.GPUsPerNode)
 	t.work.Add(w)
 	t.mu.Lock()
