@@ -40,14 +40,11 @@ const (
 	ResSSDWrite                 // SSD-PS writes: block-rounded bytes
 	ResHDFS                     // training-data streaming: batches and bytes
 	ResCPU                      // CPU compute: FLOPs, no per-operation cost
-	// ResSyncNVLink is the all-reduce's intra-node rounds: priced on NVLink,
-	// reported under rdma with the inter-node rounds.
-	ResSyncNVLink
 	numResources
 )
 
 // names are the report names: both SSD directions are "ssd".
-var names = [numResources]string{"gpu", "hbm", "nvlink", "pcie", "rdma", "network", "ssd", "ssd", "hdfs", "cpu", "rdma"}
+var names = [numResources]string{"gpu", "hbm", "nvlink", "pcie", "rdma", "network", "ssd", "ssd", "hdfs", "cpu"}
 
 // String returns the resource's report name.
 func (r Resource) String() string { return names[r] }
@@ -172,7 +169,7 @@ func (p NodeProfile) cost(r Resource) (time.Duration, float64) {
 		return p.GPU.KernelLaunch, p.GPU.FLOPS
 	case ResHBM:
 		return p.GPU.KernelLaunch, p.GPU.HBMBandwidthBytesPerSec
-	case ResNVLink, ResSyncNVLink:
+	case ResNVLink:
 		return p.NVLink.Latency, p.NVLink.BandwidthBytesPerSec
 	case ResPCIe:
 		return p.PCIe.Latency, p.PCIe.BandwidthBytesPerSec

@@ -123,7 +123,6 @@ func TestModelMatchesHelperArithmetic(t *testing.T) {
 		{gpu, ResGPU, 4, 12345.5, 20000},
 		{gpu, ResHBM, 7, 3000, 35021},
 		{gpu, ResNVLink, 3, 1000, 6018},
-		{gpu, ResSyncNVLink, 3, 1000, 6018},
 		{gpu, ResPCIe, 5, 4096, 26705},
 		{gpu, ResRDMA, 2, 1e6, 197818},
 		{gpu, ResNetwork, 9, 777, 270693},
@@ -148,10 +147,9 @@ func TestTimesByName(t *testing.T) {
 	w.Add(Ops(ResSSDRead, 1, 0))
 	w.Add(Ops(ResSSDWrite, 1, 0))
 	w.Add(Ops(ResRDMA, 1, 0))
-	w.Add(Ops(ResSyncNVLink, 1, 0))
 	p := DefaultGPUNode()
 	got := Model(p, w).ByName()
-	if len(got) != 2 || got["ssd"] != p.SSD.ReadLatency+p.SSD.WriteLatency || got["rdma"] != p.RDMA.Latency+p.NVLink.Latency {
+	if len(got) != 2 || got["ssd"] != p.SSD.ReadLatency+p.SSD.WriteLatency || got["rdma"] != p.RDMA.Latency {
 		t.Fatalf("ByName = %v", got)
 	}
 	if d := w.Minus(w); d != (Work{}) {

@@ -74,7 +74,7 @@ func AllReduceWork(bytesPerGPU int64, nodes, gpusPerNode int) hw.Work {
 	b := float64(max(bytesPerGPU, 0))
 	plan := PlanAllReduce(nodes, gpusPerNode)
 	w := hw.Ops(hw.ResRDMA, int64(plan.InterNodeSteps), float64(plan.InterNodeSteps)*b)
-	w.Add(hw.Ops(hw.ResSyncNVLink, int64(plan.IntraNodeSteps), float64(plan.IntraNodeSteps)*b))
+	w.Add(hw.Ops(hw.ResNVLink, int64(plan.IntraNodeSteps), float64(plan.IntraNodeSteps)*b))
 	return w
 }
 
