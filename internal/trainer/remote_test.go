@@ -177,11 +177,11 @@ func TestRemoteShardFailureRecovers(t *testing.T) {
 	runDone := make(chan error, 1)
 	go func() { runDone <- tr.Run(context.Background()) }()
 
-	// Kill shard 0 mid-run, then bring it back on the same address with the
-	// same MEM-PS state and dedup tracker — a crash-restart with durable
-	// shard state.
-	time.Sleep(50 * time.Millisecond)
+	// Kill shard 0 mid-run — once it has applied a push — then bring it back
+	// on the same address with the same MEM-PS state and dedup tracker: a
+	// crash-restart with durable shard state.
 	sh := shards[0]
+	waitFirstPush(t, sh)
 	addr := sh.srv.Addr()
 	if err := sh.srv.Close(); err != nil {
 		t.Fatal(err)
@@ -233,7 +233,7 @@ func TestRemoteShardFailureSurfacesTypedError(t *testing.T) {
 
 	runDone := make(chan error, 1)
 	go func() { runDone <- tr.Run(context.Background()) }()
-	time.Sleep(30 * time.Millisecond)
+	waitFirstPush(t, shards[1])
 	if err := shards[1].srv.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -255,4 +255,15 @@ func TestRemoteShardFailureSurfacesTypedError(t *testing.T) {
 		t.Fatal("surviving shard should have served pulls")
 	}
 	_ = tr.Close() // flush to the dead shard fails; Close must not hang or panic
+}
+
+// waitFirstPush returns once sh has applied a push — the run is under way,
+// so an outage lands mid-epoch — and fails the test after 30 s without one.
+func waitFirstPush(t *testing.T, sh *shardServer) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); sh.mem.TierStats().Pushes == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the shard applied no push within 30 s")
+		}
+	}
 }
