@@ -46,11 +46,8 @@ const (
 // names are the report names: both SSD directions are "ssd".
 var names = [numResources]string{"gpu", "hbm", "nvlink", "pcie", "rdma", "network", "ssd", "ssd", "hdfs", "cpu"}
 
-// String returns the resource's report name.
-func (r Resource) String() string { return names[r] }
-
 // Use is the work done on one resource: how many operations, and the bytes
-// (for GPU and ResCPU, FLOPs) they moved in total.
+// (for GPU and CPU compute, FLOPs) they moved in total.
 type Use struct {
 	Ops    int64
 	Amount float64
