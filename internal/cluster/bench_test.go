@@ -15,7 +15,7 @@ type pushSink struct {
 	*wireHandler
 }
 
-func (pushSink) HandlePushBlock(*ps.ValueBlock) error { return nil }
+func (pushSink) HandlePushBlockStamped(uint64, uint64, *ps.ValueBlock) error { return nil }
 
 // BenchmarkWireBytesPerBatch measures the bytes one batch-shaped block cycle
 // actually puts on the socket: a 2048-key block pull plus a 2048-row push at
@@ -33,11 +33,7 @@ func BenchmarkWireBytesPerBatch(b *testing.B) {
 	}
 	ks = keys.Dedup(ks)
 
-	srv, err := ServeTCP("127.0.0.1:0", pushSink{&wireHandler{mapHandler: newMapHandler(dim)}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serve(b, pushSink{&wireHandler{mapHandler: newMapHandler(dim)}})
 	tr := NewTCPTransport(map[int]string{0: srv.Addr()}, dim)
 	defer tr.Close()
 

@@ -65,9 +65,53 @@ func TestTopologyShardingProperty(t *testing.T) {
 	}
 }
 
-// mapHandler is a PullHandler backed by a plain map for tests. A key is
-// created on first reference with weight 0 equal to the key.
+// stubShard refuses every op of Shard; the test shards embed it and
+// implement the ops they serve.
+type stubShard struct{}
+
+var errNotServed = errors.New("op not served by this test shard")
+
+func (stubShard) HandlePullBlockWire([]keys.Key, []byte) ([]byte, error) { return nil, errNotServed }
+func (stubShard) HandleLookupBlock([]keys.Key, *ps.ValueBlock) error     { return errNotServed }
+func (stubShard) HandlePushBlockStamped(uint64, uint64, *ps.ValueBlock) error {
+	return errNotServed
+}
+func (stubShard) HandleReplicate(*ps.ValueBlock) error            { return errNotServed }
+func (stubShard) HandleTransfer(*ps.ValueBlock) (int, error)      { return 0, errNotServed }
+func (stubShard) Evict([]keys.Key) (int, error)                   { return 0, errNotServed }
+func (stubShard) Name() string                                    { return "stub" }
+func (stubShard) TierStats() ps.Stats                             { return ps.Stats{} }
+func (stubShard) HandleMembership(MembershipUpdate) error         { return errNotServed }
+func (stubShard) HandlePredict(PredictRequest) ([]float32, error) { return nil, errNotServed }
+func (stubShard) HandleServeConfig(ServeConfig) error             { return errNotServed }
+func (stubShard) ServingStats() ServingStats                      { return ServingStats{} }
+
+// wirePull is HandlePullBlockWire over a PullHandler: h's rows for ks,
+// encoded from a staged block.
+func wirePull(h PullHandler, ks []keys.Key, dst []byte) ([]byte, error) {
+	blk := ps.GetBlock(0, nil)
+	defer ps.PutBlock(blk)
+	if err := h.HandlePullBlock(ks, blk); err != nil {
+		return nil, err
+	}
+	return blk.AppendWire(dst), nil
+}
+
+// serve starts a TCPServer for shard with a fresh seq tracker.
+func serve(t testing.TB, shard Shard) *TCPServer {
+	t.Helper()
+	srv, err := ServeTCP("127.0.0.1:0", shard, NewSeqTracker())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv
+}
+
+// mapHandler is a pull-serving shard backed by a plain map for tests. A key
+// is created on first reference with weight 0 equal to the key.
 type mapHandler struct {
+	stubShard
 	mu   sync.Mutex
 	dim  int
 	vals map[keys.Key]*embedding.Value
@@ -101,6 +145,10 @@ func (h *mapHandler) HandlePullBlock(ks []keys.Key, dst *ps.ValueBlock) error {
 		dst.Set(i, h.value(k))
 	}
 	return nil
+}
+
+func (h *mapHandler) HandlePullBlockWire(ks []keys.Key, dst []byte) ([]byte, error) {
+	return wirePull(h, ks, dst)
 }
 
 // pull pulls ks from node into a fresh block (row i is ks[i]).
@@ -162,11 +210,7 @@ func TestPayloadBytes(t *testing.T) {
 // bytes are at least the payload, and one pulled row costs its key once plus
 // its frequency and two fp32 arrays.
 func TestWireCoversPayload(t *testing.T) {
-	srv, err := ServeTCP("127.0.0.1:0", newOpsHandler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serve(t, newOpsHandler())
 	tr := NewTCPTransport(map[int]string{0: srv.Addr()}, opsDim)
 	defer tr.Close()
 	blk := ps.NewValueBlock(opsDim)
@@ -200,13 +244,7 @@ func TestWireCoversPayload(t *testing.T) {
 }
 
 func TestTCPTransportRoundTrip(t *testing.T) {
-	h := newMapHandler(4)
-	srv, err := ServeTCP("127.0.0.1:0", h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
+	srv := serve(t, newMapHandler(4))
 	tr := NewTCPTransport(map[int]string{1: srv.Addr()}, 4)
 	defer tr.Close()
 
@@ -234,12 +272,7 @@ func TestTCPTransportRoundTrip(t *testing.T) {
 }
 
 func TestTCPTransportConcurrentPulls(t *testing.T) {
-	h := newMapHandler(2)
-	srv, err := ServeTCP("127.0.0.1:0", h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serve(t, newMapHandler(2))
 	tr := NewTCPTransport(map[int]string{0: srv.Addr()}, 2)
 	defer tr.Close()
 
@@ -270,8 +303,8 @@ func TestTCPTransportConcurrentPulls(t *testing.T) {
 	}
 }
 
-// wireHandler wraps mapHandler with the zero-intermediate pull-block path,
-// encoding rows straight into the frame buffer.
+// wireHandler wraps mapHandler with a pull that encodes rows straight into
+// the frame buffer and counts its calls.
 type wireHandler struct {
 	*mapHandler
 	calls int
@@ -294,15 +327,11 @@ func (h *wireHandler) HandlePullBlockWire(ks []keys.Key, dst []byte) ([]byte, er
 }
 
 // TestTCPPullBlockPrefersWireHandler asserts the server serves pull-block
-// RPCs through BlockPullWireHandler when the handler offers it, and that the
-// frames it produces decode identically to the staged block path.
+// RPCs through the shard's HandlePullBlockWire, and that the frames it
+// produces decode into the rows the shard holds.
 func TestTCPPullBlockPrefersWireHandler(t *testing.T) {
 	h := &wireHandler{mapHandler: newMapHandler(4)}
-	srv, err := ServeTCP("127.0.0.1:0", h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serve(t, h)
 	tr := NewTCPTransport(map[int]string{0: srv.Addr()}, 4)
 	defer tr.Close()
 
@@ -337,11 +366,7 @@ func TestTCPPullBlockPrefersWireHandler(t *testing.T) {
 func TestTCPServerHandlerError(t *testing.T) {
 	h := newMapHandler(2)
 	h.err = errors.New("storage offline")
-	srv, err := ServeTCP("127.0.0.1:0", h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serve(t, h)
 	tr := NewTCPTransport(map[int]string{0: srv.Addr()}, 2)
 	defer tr.Close()
 	if _, _, err := pull(tr, 0, []keys.Key{1}); err == nil {
@@ -421,10 +446,7 @@ func TestRPCDeadlineDefaultsApplied(t *testing.T) {
 }
 
 func TestTCPServerCloseIdempotent(t *testing.T) {
-	srv, err := ServeTCP("127.0.0.1:0", newMapHandler(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := serve(t, newMapHandler(2))
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -434,10 +456,13 @@ func TestTCPServerCloseIdempotent(t *testing.T) {
 }
 
 func TestServeTCPValidation(t *testing.T) {
-	if _, err := ServeTCP("127.0.0.1:0", nil); err == nil {
+	if _, err := ServeTCP("127.0.0.1:0", nil, NewSeqTracker()); err == nil {
 		t.Fatal("nil handler should fail")
 	}
-	if _, err := ServeTCP("999.999.999.999:99999", newMapHandler(2)); err == nil {
+	if _, err := ServeTCP("127.0.0.1:0", newMapHandler(2), nil); err == nil {
+		t.Fatal("nil seq tracker should fail")
+	}
+	if _, err := ServeTCP("999.999.999.999:99999", newMapHandler(2), NewSeqTracker()); err == nil {
 		t.Fatal("bad address should fail")
 	}
 }
@@ -451,12 +476,7 @@ func TestServeTCPValidation(t *testing.T) {
 func TestRedialsCountOnlyReconnects(t *testing.T) {
 	addrs := map[int]string{}
 	for id := 0; id < 2; id++ {
-		srv, err := ServeTCP("127.0.0.1:0", newMapHandler(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		addrs[id] = srv.Addr()
+		addrs[id] = serve(t, newMapHandler(2)).Addr()
 	}
 	tr := NewTCPTransport(addrs, 2)
 	defer tr.Close()
@@ -500,11 +520,7 @@ func TestRedialsCountOnlyReconnects(t *testing.T) {
 // the surplus ones serve their one RPC unpublished — and must then be closed,
 // or each would pin a socket and a server goroutine until a finalizer ran.
 func TestOverflowConnsAreClosed(t *testing.T) {
-	srv, err := ServeTCP("127.0.0.1:0", newMapHandler(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serve(t, newMapHandler(2))
 	tr := NewTCPTransport(map[int]string{0: srv.Addr()}, 2)
 	defer tr.Close()
 

@@ -84,7 +84,7 @@ func malformedFrames() map[string][]byte {
 // TestMalformedFramesAnswerErrors pins the rejection of every malformed shape
 // above (the fuzzer only asserts the absence of panics).
 func TestMalformedFramesAnswerErrors(t *testing.T) {
-	srv := &TCPServer{seqs: NewSeqTracker(), handler: newOpsHandler()}
+	srv := &TCPServer{seqs: NewSeqTracker(), shard: newOpsHandler()}
 	for name, payload := range malformedFrames() {
 		out, buf := srv.dispatchRaw(payload)
 		if len(out) < 8 || out[4] != payload[0]+1 || out[5] != rawStatusErr {
@@ -126,7 +126,7 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add([]byte{0x80, 0, 0, 1, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 
-	srv := &TCPServer{seqs: NewSeqTracker(), handler: newOpsHandler()}
+	srv := &TCPServer{seqs: NewSeqTracker(), shard: newOpsHandler()}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// As a byte stream: the frame reader must reject or delimit it.

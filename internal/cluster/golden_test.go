@@ -64,11 +64,18 @@ func sha(b []byte) string {
 }
 
 // goldenPullHandler answers every pull with the golden block.
-type goldenPullHandler struct{ blk *ps.ValueBlock }
+type goldenPullHandler struct {
+	stubShard
+	blk *ps.ValueBlock
+}
 
 func (h goldenPullHandler) HandlePullBlock(ks []keys.Key, dst *ps.ValueBlock) error {
 	dst.CopyFrom(h.blk)
 	return nil
+}
+
+func (h goldenPullHandler) HandlePullBlockWire(ks []keys.Key, dst []byte) ([]byte, error) {
+	return wirePull(h, ks, dst)
 }
 
 // TestGoldenWireBytes pins the fp32 row format and the pull and push frames
@@ -81,11 +88,7 @@ func TestGoldenWireBytes(t *testing.T) {
 	}
 
 	// The pull reply, as a client that skips the hello sees it.
-	srv, err := ServeTCP("127.0.0.1:0", goldenPullHandler{blk})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serve(t, goldenPullHandler{blk: blk})
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)

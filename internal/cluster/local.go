@@ -74,7 +74,9 @@ func (t *LocalTransport) PushBlock(nodeID int, blk *ps.ValueBlock) (int64, error
 	if err != nil {
 		return 0, err
 	}
-	ph, ok := h.(BlockPushHandler)
+	ph, ok := h.(interface {
+		HandlePushBlock(blk *ps.ValueBlock) error
+	})
 	if !ok {
 		return 0, &RemoteError{Node: nodeID, Op: opName(rawOpPushBlock), Msg: "shard does not accept pushes"}
 	}
@@ -92,7 +94,9 @@ func (t *LocalTransport) Replicate(nodeID int, client, seq uint64, blk *ps.Value
 	if err != nil {
 		return 0, err
 	}
-	rh, ok := h.(ReplicaPushHandler)
+	rh, ok := h.(interface {
+		HandleReplicate(blk *ps.ValueBlock) error
+	})
 	if !ok {
 		return 0, &RemoteError{Node: nodeID, Op: opName(rawOpReplicate), Msg: "shard does not accept replicated pushes"}
 	}
@@ -109,7 +113,9 @@ func (t *LocalTransport) Transfer(nodeID int, blk *ps.ValueBlock) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	th, ok := h.(TransferHandler)
+	th, ok := h.(interface {
+		HandleTransfer(blk *ps.ValueBlock) (int, error)
+	})
 	if !ok {
 		return 0, &RemoteError{Node: nodeID, Op: opName(rawOpTransfer), Msg: "shard does not accept transfers"}
 	}
@@ -126,7 +132,9 @@ func (t *LocalTransport) UpdateMembership(nodeID int, u MembershipUpdate) error 
 	if err != nil {
 		return err
 	}
-	mh, ok := h.(MembershipHandler)
+	mh, ok := h.(interface {
+		HandleMembership(u MembershipUpdate) error
+	})
 	if !ok {
 		return &RemoteError{Node: nodeID, Op: opName(rawOpMembership), Msg: "shard does not accept membership updates"}
 	}
@@ -142,7 +150,9 @@ func (t *LocalTransport) Evict(nodeID int, ks []keys.Key) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	eh, ok := h.(EvictHandler)
+	eh, ok := h.(interface {
+		Evict(ks []keys.Key) (int, error)
+	})
 	if !ok {
 		return 0, &RemoteError{Node: nodeID, Op: opName(rawOpEvict), Msg: "shard does not support evict"}
 	}
@@ -155,7 +165,10 @@ func (t *LocalTransport) TierStats(nodeID int) (ps.TierInfo, error) {
 	if err != nil {
 		return ps.TierInfo{}, err
 	}
-	sh, ok := h.(StatsHandler)
+	sh, ok := h.(interface {
+		Name() string
+		TierStats() ps.Stats
+	})
 	if !ok {
 		return ps.TierInfo{}, &RemoteError{Node: nodeID, Op: opName(rawOpStats), Msg: "shard does not report stats"}
 	}

@@ -17,10 +17,10 @@ import (
 
 const opsDim = 4
 
-// opsHandler implements every server-side handler interface over a small
-// deterministic in-memory shard, so one instance behind a TCPServer and one
-// behind a LocalTransport can be driven through the same calls and compared.
-// When fail is set every fallible method returns it.
+// opsHandler implements every op of Shard over a small deterministic
+// in-memory shard, so one instance behind a TCPServer and one behind a
+// LocalTransport can be driven through the same calls and compared. When
+// fail is set every fallible method returns it.
 type opsHandler struct {
 	mu         sync.Mutex
 	fail       error
@@ -51,6 +51,10 @@ func (h *opsHandler) HandlePullBlock(ks []keys.Key, dst *ps.ValueBlock) error {
 		dst.Set(i, v)
 	}
 	return nil
+}
+
+func (h *opsHandler) HandlePullBlockWire(ks []keys.Key, dst []byte) ([]byte, error) {
+	return wirePull(h, ks, dst)
 }
 
 func (h *opsHandler) HandleLookupBlock(ks []keys.Key, dst *ps.ValueBlock) error {
@@ -86,6 +90,12 @@ func (h *opsHandler) HandlePushBlock(blk *ps.ValueBlock) error {
 		v.AddFlat(blk.WeightsRow(i), blk.G2Row(i), blk.Freq[i])
 	}
 	return nil
+}
+
+// HandlePushBlockStamped is the push over TCP; HandlePushBlock the one a
+// LocalTransport makes.
+func (h *opsHandler) HandlePushBlockStamped(_, _ uint64, blk *ps.ValueBlock) error {
+	return h.HandlePushBlock(blk)
 }
 
 func (h *opsHandler) HandleReplicate(blk *ps.ValueBlock) error {
@@ -195,14 +205,6 @@ func (h *opsHandler) state() any {
 	return []any{vals, append([]keys.Key(nil), h.replicated...), h.membership, h.config}
 }
 
-// pullOnly is a handler with none of the optional interfaces.
-type pullOnly struct{}
-
-func (pullOnly) HandlePullBlock(ks []keys.Key, dst *ps.ValueBlock) error {
-	dst.Reset(opsDim, ks)
-	return nil
-}
-
 // opSurface is the client surface of the eleven post-hello wire ops.
 type opSurface interface {
 	TierTransport
@@ -251,21 +253,12 @@ func blockRows(b *ps.ValueBlock) any {
 // and the handlers' resulting state must match exactly (the default wire is
 // fp32, so nothing is allowed to round). For each op it also checks the two
 // failure shapes a caller can tell apart without string matching: a shard
-// whose handler lacks the op answers *RemoteError, and a handler shedding load
-// answers *OverloadError without the transport spending a single retry.
+// failing the op answers *RemoteError naming it, and a shard shedding load
+// answers *OverloadError, neither with the transport spending a single retry.
 func TestEveryOpOverTCP(t *testing.T) {
 	tcpH, localH := newOpsHandler(), newOpsHandler()
-	srv, err := ServeTCP("127.0.0.1:0", tcpH)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	bare, err := ServeTCP("127.0.0.1:0", pullOnly{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bare.Close()
-	tr := NewTCPTransport(map[int]string{0: srv.Addr(), 1: bare.Addr()}, opsDim)
+	srv := serve(t, tcpH)
+	tr := NewTCPTransport(map[int]string{0: srv.Addr()}, opsDim)
 	defer tr.Close()
 	lt := NewLocalTransport(opsDim)
 	lt.Register(0, localH)
@@ -296,56 +289,55 @@ func TestEveryOpOverTCP(t *testing.T) {
 			"01" + "03000000" + "00000000" + "0000003f" + "00000000" + "00000000" + "00000000" + "00000000" + "0000803e" + "00000000"},
 	}
 	rows := []struct {
-		op       uint8
-		name     string
-		required bool // every handler serves it: no missing-handler case
-		total    bool // the handler method cannot fail: no overload case
-		run      func(tr opSurface, node int) (any, error)
+		op    uint8
+		name  string
+		total bool // the handler method cannot fail: no failure case
+		run   func(tr opSurface, node int) (any, error)
 	}{
-		{rawOpPullBlock, "pull-block", true, false, func(tr opSurface, node int) (any, error) {
+		{rawOpPullBlock, "pull-block", false, func(tr opSurface, node int) (any, error) {
 			blk := ps.NewValueBlock(opsDim)
 			n, err := tr.PullBlock(node, []keys.Key{9, 3, 3, 1 << 40}, blk)
 			return []any{n, blockRows(blk)}, err
 		}},
-		{rawOpPushBlock, "push-block", false, false, func(tr opSurface, node int) (any, error) {
+		{rawOpPushBlock, "push-block", false, func(tr opSurface, node int) (any, error) {
 			return tr.PushBlock(node, opsBlock([]keys.Key{3, 77}, 0.5))
 		}},
-		{rawOpReplicate, "replicate", false, false, func(tr opSurface, node int) (any, error) {
+		{rawOpReplicate, "replicate", false, func(tr opSurface, node int) (any, error) {
 			replicaSeq++ // a reused stamp would be acked as a duplicate, handler unseen
 			return tr.Replicate(node, 41, replicaSeq, opsBlock([]keys.Key{8, 9}, 1))
 		}},
-		{rawOpLookup, "lookup", false, false, lookupRun(lookupSome)},
-		{rawOpLookup, "lookup all missing", false, false, lookupRun(lookupMissing)},
-		{rawOpLookup, "lookup duplicate unsorted", false, false, lookupRun(lookupDup)},
-		{rawOpTransfer, "transfer", false, false, func(tr opSurface, node int) (any, error) {
+		{rawOpLookup, "lookup", false, lookupRun(lookupSome)},
+		{rawOpLookup, "lookup all missing", false, lookupRun(lookupMissing)},
+		{rawOpLookup, "lookup duplicate unsorted", false, lookupRun(lookupDup)},
+		{rawOpTransfer, "transfer", false, func(tr opSurface, node int) (any, error) {
 			return tr.Transfer(node, opsBlock([]keys.Key{1000, 1001, 3}, 4))
 		}},
-		{rawOpEvict, "evict keys", false, false, func(tr opSurface, node int) (any, error) {
+		{rawOpEvict, "evict keys", false, func(tr opSurface, node int) (any, error) {
 			return tr.Evict(node, []keys.Key{1000, 424242})
 		}},
-		{rawOpEvict, "evict nothing", false, false, func(tr opSurface, node int) (any, error) {
+		{rawOpEvict, "evict nothing", false, func(tr opSurface, node int) (any, error) {
 			return tr.Evict(node, []keys.Key{}) // empty is not nil: evicts nothing
 		}},
-		{rawOpStats, "stats", false, true, func(tr opSurface, node int) (any, error) {
+		{rawOpStats, "stats", true, func(tr opSurface, node int) (any, error) {
 			return tr.TierStats(node)
 		}},
-		{rawOpMembership, "membership", false, false, func(tr opSurface, node int) (any, error) {
+		{rawOpMembership, "membership", false, func(tr opSurface, node int) (any, error) {
 			return nil, tr.UpdateMembership(node, membership)
 		}},
-		{rawOpPredict, "predict", false, false, func(tr opSurface, node int) (any, error) {
+		{rawOpPredict, "predict", false, func(tr opSurface, node int) (any, error) {
 			return tr.Predict(node, PredictRequest{Counts: []uint32{2, 0, 3}, Keys: []keys.Key{10, 20, 30, 40, 50}})
 		}},
-		{rawOpServeConfig, "serve-config", false, false, func(tr opSurface, node int) (any, error) {
+		{rawOpServeConfig, "serve-config", false, func(tr opSurface, node int) (any, error) {
 			return nil, tr.PublishServeConfig(node, ServeConfig{Addrs: map[int]string{0: "a:1", 1: "b:2"},
 				Dense: []float32{1, -2.5, 3}, Epoch: 9, TrainedEpoch: 11})
 		}},
-		{rawOpServeConfig, "serve-config refresh", false, false, func(tr opSurface, node int) (any, error) {
+		{rawOpServeConfig, "serve-config refresh", false, func(tr opSurface, node int) (any, error) {
 			return nil, tr.PublishServeConfig(node, ServeConfig{Dense: []float32{4}, Epoch: 10, TrainedEpoch: 10})
 		}},
-		{rawOpServeStats, "serve-stats", false, true, func(tr opSurface, node int) (any, error) {
+		{rawOpServeStats, "serve-stats", true, func(tr opSurface, node int) (any, error) {
 			return tr.ServingStats(node)
 		}},
-		{rawOpEvict, "evict all", false, false, func(tr opSurface, node int) (any, error) {
+		{rawOpEvict, "evict all", false, func(tr opSurface, node int) (any, error) {
 			return tr.Evict(node, nil)
 		}},
 	}
@@ -375,29 +367,31 @@ func TestEveryOpOverTCP(t *testing.T) {
 				putScratch(buf)
 			}
 
-			if !tc.required {
-				_, err := tc.run(tr, 1)
-				var re *RemoteError
-				if !errors.As(err, &re) || re.Op != opName(tc.op) || re.Node != 1 {
-					t.Errorf("shard without the handler answered %T (%v), want *RemoteError for %s", err, err, opName(tc.op))
-				}
+			if tc.total {
+				return
 			}
-			if !tc.total {
+			failWith := func(fail error) error {
+				t.Helper()
 				before := tcpH.state()
 				tcpH.mu.Lock()
-				tcpH.fail = &OverloadError{Node: 0, Op: tc.name}
+				tcpH.fail = fail
 				tcpH.mu.Unlock()
 				_, err := tc.run(tr, 0)
 				tcpH.mu.Lock()
 				tcpH.fail = nil
 				tcpH.mu.Unlock()
-				var oe *OverloadError
-				if !errors.As(err, &oe) || oe.Op != opName(tc.op) || !Retryable(err) {
-					t.Errorf("overloaded shard answered %T (%v), want a retryable *OverloadError", err, err)
-				}
 				if !reflect.DeepEqual(tcpH.state(), before) {
 					t.Error("a rejected request changed shard state")
 				}
+				return err
+			}
+			var re *RemoteError
+			if err := failWith(errors.New("refused")); !errors.As(err, &re) || re.Op != opName(tc.op) || re.Node != 0 {
+				t.Errorf("failing shard answered %T (%v), want *RemoteError for %s", err, err, opName(tc.op))
+			}
+			var oe *OverloadError
+			if err := failWith(&OverloadError{Node: 0, Op: tc.name}); !errors.As(err, &oe) || oe.Op != opName(tc.op) || !Retryable(err) {
+				t.Errorf("overloaded shard answered %T (%v), want a retryable *OverloadError", err, err)
 			}
 		})
 	}
@@ -421,55 +415,6 @@ func lookupRun(ks []keys.Key) func(tr opSurface, node int) (any, error) {
 		blk := ps.NewValueBlock(opsDim)
 		n, err := tr.Lookup(node, ks, blk)
 		return []any{n, blockRows(blk)}, err
-	}
-}
-
-// TestMissingHandlerSameOpName checks that a shard lacking an op's handler is
-// reported under the op's one name whichever transport reaches it, so a
-// caller matching RemoteError.Op sees the same failure in-process and over
-// TCP.
-func TestMissingHandlerSameOpName(t *testing.T) {
-	bare, err := ServeTCP("127.0.0.1:0", pullOnly{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bare.Close()
-	tr := NewTCPTransport(map[int]string{0: bare.Addr()}, opsDim)
-	defer tr.Close()
-	lt := NewLocalTransport(opsDim)
-	lt.Register(0, pullOnly{})
-
-	type shard interface {
-		TierTransport
-		Replicate(nodeID int, client, seq uint64, blk *ps.ValueBlock) (int64, error)
-		Transfer(nodeID int, blk *ps.ValueBlock) (int, error)
-		UpdateMembership(nodeID int, u MembershipUpdate) error
-	}
-	rows := []struct {
-		op  uint8
-		run func(tr shard) error
-	}{
-		{rawOpPushBlock, func(tr shard) error { _, err := tr.PushBlock(0, opsBlock([]keys.Key{3}, 1)); return err }},
-		{rawOpReplicate, func(tr shard) error { _, err := tr.Replicate(0, 7, 1, opsBlock([]keys.Key{3}, 1)); return err }},
-		{rawOpLookup, func(tr shard) error { _, err := tr.Lookup(0, []keys.Key{3}, ps.NewValueBlock(opsDim)); return err }},
-		{rawOpTransfer, func(tr shard) error { _, err := tr.Transfer(0, opsBlock([]keys.Key{3}, 1)); return err }},
-		{rawOpEvict, func(tr shard) error { _, err := tr.Evict(0, []keys.Key{3}); return err }},
-		{rawOpStats, func(tr shard) error { _, err := tr.TierStats(0); return err }},
-		{rawOpMembership, func(tr shard) error { return tr.UpdateMembership(0, MembershipUpdate{Epoch: 1, Members: []int{0}}) }},
-	}
-	for _, row := range rows {
-		var local, remote *RemoteError
-		if err := row.run(lt); !errors.As(err, &local) {
-			t.Errorf("%s in-process answered %T (%v), want *RemoteError", opName(row.op), err, err)
-			continue
-		}
-		if err := row.run(tr); !errors.As(err, &remote) {
-			t.Errorf("%s over TCP answered %T (%v), want *RemoteError", opName(row.op), err, err)
-			continue
-		}
-		if local.Op != remote.Op || local.Op != opName(row.op) {
-			t.Errorf("missing %s handler named %q in-process and %q over TCP", opName(row.op), local.Op, remote.Op)
-		}
 	}
 }
 
@@ -497,7 +442,7 @@ func TestHelloRefusesOtherWireVersions(t *testing.T) {
 	}
 
 	// A v4 client's hello, as this build's shard answers it.
-	srv := &TCPServer{seqs: NewSeqTracker(), handler: newOpsHandler()}
+	srv := &TCPServer{seqs: NewSeqTracker(), shard: newOpsHandler()}
 	out, buf := srv.dispatchRaw([]byte{rawOpHello, 4, 0, 0})
 	if out[4] != rawOpHello+1 || out[5] != rawStatusErr || !namesBoth(string(out[8:])) {
 		t.Errorf("v4 hello answered % x %q, want a refusal naming versions 4 and 5", out[4:8], out[8:])

@@ -5,34 +5,26 @@ import (
 	"testing"
 	"time"
 
-	"hps/internal/blockio"
 	"hps/internal/cluster"
-	"hps/internal/hw"
 	"hps/internal/keys"
-	"hps/internal/memps"
 	"hps/internal/ps"
 	"hps/internal/ps/conformance"
-	"hps/internal/ssdps"
+	"hps/internal/serving"
 )
 
 const remoteDim = 8
 
-// newShardMemPS builds a single-shard MEM-PS (backed by a fresh SSD-PS) of
-// the kind a shard server process hosts.
-func newShardMemPS(t *testing.T) *memps.MemPS {
+// openShard opens a single-member shard server over dir (restoring what a
+// previous incarnation left there) on addr, and closes it when the test
+// ends.
+func openShard(t *testing.T, dir, addr string) *serving.Shard {
 	t.Helper()
-	dev, err := blockio.NewDevice(t.TempDir(), hw.DefaultGPUNode().SSD, hw.NewCounter())
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := ssdps.Open(dev, ssdps.Config{Dim: remoteDim, ParamsPerFile: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := memps.New(memps.Config{
-		Dim:        remoteDim,
+	sh, err := serving.OpenShard(serving.ShardConfig{
+		Addr:       addr,
 		Topology:   cluster.Topology{Nodes: 1, GPUsPerNode: 1},
-		Store:      store,
+		Dim:        remoteDim,
+		Dir:        dir,
+		Restore:    true,
 		LRUEntries: 1024,
 		LFUEntries: 1024,
 		Seed:       23,
@@ -40,7 +32,8 @@ func newShardMemPS(t *testing.T) *memps.MemPS {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	t.Cleanup(func() { sh.Close() })
+	return sh
 }
 
 // TestRemoteTierConformance runs the shared ps.Tier suite against a
@@ -54,13 +47,8 @@ func TestRemoteTierConformance(t *testing.T) {
 		EvictDurable: true,
 		Concurrent:   true,
 		New: func(t *testing.T, ks []keys.Key) ps.Tier {
-			m := newShardMemPS(t)
-			srv, err := cluster.ServeTCP("127.0.0.1:0", m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { srv.Close() })
-			tr := cluster.NewTCPTransport(map[int]string{0: srv.Addr()}, remoteDim)
+			sh := openShard(t, t.TempDir(), "127.0.0.1:0")
+			tr := cluster.NewTCPTransport(map[int]string{0: sh.TCP.Addr()}, remoteDim)
 			t.Cleanup(tr.Close)
 			tier := cluster.NewRemoteTier(tr, 0)
 			if err := tier.PullInto(ps.PullRequest{Shard: ps.NoShard, Keys: ks}, ps.NewValueBlock(remoteDim)); err != nil {
@@ -91,12 +79,8 @@ func pushWeight(tr *cluster.TCPTransport, node int, k keys.Key, w float32) error
 // TestTCPTransportTypedErrors checks that callers can tell retryable network
 // failures from shard-side failures without string matching.
 func TestTCPTransportTypedErrors(t *testing.T) {
-	m := newShardMemPS(t)
-	srv, err := cluster.ServeTCP("127.0.0.1:0", m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := srv.Addr()
+	sh := openShard(t, t.TempDir(), "127.0.0.1:0")
+	addr := sh.TCP.Addr()
 	tr := cluster.NewTCPTransport(map[int]string{0: addr, 1: addr}, remoteDim)
 	defer tr.Close()
 	tr.SetRetryPolicy(cluster.RetryPolicy{Attempts: 2, Backoff: time.Millisecond})
@@ -115,10 +99,10 @@ func TestTCPTransportTypedErrors(t *testing.T) {
 	if _, err := pull(tr, 0, []keys.Key{1}); err != nil {
 		t.Fatalf("pull against live server: %v", err)
 	}
-	if err := srv.Close(); err != nil {
+	if err := sh.TCP.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, err = pull(tr, 1, []keys.Key{2})
+	_, err := pull(tr, 1, []keys.Key{2})
 	if err == nil {
 		t.Fatal("pull against a dead server should fail")
 	}
@@ -135,17 +119,14 @@ func TestTCPTransportTypedErrors(t *testing.T) {
 }
 
 // TestTCPTransportReconnects is the transport-level fault injection: the
-// shard server dies mid-stream and comes back (same address, same shard
-// state, same dedup tracker); the client's retry policy must ride the outage
-// out, and the shard's parameters must come back uncorrupted.
+// shard server goes down mid-stream and comes back on the same address over
+// the state it flushed (shard parameters and dedup records); the client's
+// retry policy must ride the outage out, and the shard's parameters must
+// come back uncorrupted.
 func TestTCPTransportReconnects(t *testing.T) {
-	m := newShardMemPS(t)
-	seqs := cluster.NewSeqTracker()
-	srv, err := cluster.ServeTCPOptions("127.0.0.1:0", m, cluster.ServerOptions{Seqs: seqs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := srv.Addr()
+	dir := t.TempDir()
+	sh := openShard(t, dir, "127.0.0.1:0")
+	addr := sh.TCP.Addr()
 	tr := cluster.NewTCPTransport(map[int]string{0: addr}, remoteDim)
 	defer tr.Close()
 	tr.SetRetryPolicy(cluster.RetryPolicy{Attempts: 6, Backoff: 5 * time.Millisecond})
@@ -159,12 +140,12 @@ func TestTCPTransportReconnects(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Kill the server: established connections die with it.
-	if err := srv.Close(); err != nil {
+	// Shut the shard down: established connections die with it.
+	if err := sh.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Restart on the same address with the same shard state and tracker,
-	// while the client is already mid-retry.
+	// Restart on the same address over the same directory, once the client
+	// is mid-retry.
 	done := make(chan error, 1)
 	go func() {
 		after, err := pull(tr, 0, ks)
@@ -184,12 +165,12 @@ func TestTCPTransportReconnects(t *testing.T) {
 		}
 		done <- nil
 	}()
-	time.Sleep(10 * time.Millisecond)
-	srv2, err := cluster.ServeTCPOptions(addr, m, cluster.ServerOptions{Seqs: seqs})
-	if err != nil {
-		t.Fatal(err)
+	for deadline := time.Now().Add(10 * time.Second); tr.Stats().Retries == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the client retried nothing within 10 s of the shard going down")
+		}
 	}
-	defer srv2.Close()
+	openShard(t, dir, addr)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -203,13 +184,8 @@ func TestTCPTransportReconnects(t *testing.T) {
 // duplicate-frame case itself is covered by the internal wire tests, which
 // can replay a frame with an already-used sequence number.)
 func TestDistinctPushesBothApply(t *testing.T) {
-	m := newShardMemPS(t)
-	srv, err := cluster.ServeTCP("127.0.0.1:0", m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	tr := cluster.NewTCPTransport(map[int]string{0: srv.Addr()}, remoteDim)
+	sh := openShard(t, t.TempDir(), "127.0.0.1:0")
+	tr := cluster.NewTCPTransport(map[int]string{0: sh.TCP.Addr()}, remoteDim)
 	defer tr.Close()
 
 	k := keys.Key(5)

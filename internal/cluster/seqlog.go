@@ -158,18 +158,9 @@ func (l *SeqLog) Append(client, seq uint64) error {
 	return nil
 }
 
-// Sync flushes the log to stable storage (power-loss durability); shard
-// shutdown calls it once rather than paying an fsync per push.
-func (l *SeqLog) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	return l.f.Sync()
-}
-
-// Close syncs and closes the log. Further appends fail.
+// Close syncs the log to stable storage (power-loss durability) and closes
+// it; shard shutdown calls it once rather than paying an fsync per push.
+// Further appends fail.
 func (l *SeqLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -64,7 +64,7 @@ func TestSeqLogDedupsReplayAcrossRestart(t *testing.T) {
 			t.Fatalf("replayed %d records, want %d", replayed, replayWant)
 		}
 		seqs.AttachLog(log)
-		srv, err := ServeTCPOptions("127.0.0.1:0", h, ServerOptions{Seqs: seqs})
+		srv, err := ServeTCP("127.0.0.1:0", h, seqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestSeqLogSkipsFailedApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	seqs.AttachLog(log)
-	srv, err := ServeTCPOptions("127.0.0.1:0", h, ServerOptions{Seqs: seqs})
+	srv, err := ServeTCP("127.0.0.1:0", h, seqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestSeqLogSkipsFailedApply(t *testing.T) {
 		t.Fatalf("failed apply was committed: %d records", replayed)
 	}
 	seqs2.AttachLog(log2)
-	srv2, err := ServeTCPOptions("127.0.0.1:0", h, ServerOptions{Seqs: seqs2})
+	srv2, err := ServeTCP("127.0.0.1:0", h, seqs2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,28 +7,62 @@ import (
 	"net"
 	"sync"
 
+	"hps/internal/keys"
 	"hps/internal/ps"
 )
 
-// ServerOptions tune a TCPServer beyond its handler.
-type ServerOptions struct {
-	// Seqs is the push-dedup tracker shared across server restarts; nil
-	// creates a fresh one (pushes retried across a restart of this server
-	// then re-apply — pass a tracker to prevent that).
-	Seqs *SeqTracker
+// Shard is what a TCPServer serves: one method per wire operation after the
+// hello (serving.Shard is the one shard every server runs). Methods must be
+// safe for concurrent use; an error becomes the request's error reply, and a
+// *OverloadError crosses the wire as a typed, retryable rejection.
+type Shard interface {
+	// HandlePullBlockWire appends the encoded block body for ks — the bytes
+	// ps.ValueBlock.AppendWire would produce: ps.AppendWireHeader, then one
+	// ps.AppendWireRow per requested key in request order — to dst and
+	// returns the extended slice, copying each row once, from the shard's
+	// storage into the outgoing frame. The shard owns the missing-key policy:
+	// the MEM-PS creates a parameter referenced for the first time.
+	HandlePullBlockWire(ks []keys.Key, dst []byte) ([]byte, error)
+	// LookupHandler is the no-create read of evaluation, serving and state
+	// export.
+	LookupHandler
+	// HandlePushBlockStamped merges a block of deltas pushed under the origin
+	// client's dedup stamp, so a primary that applies it can forward the same
+	// (client, seq) to the keys' backups.
+	HandlePushBlockStamped(client, seq uint64, blk *ps.ValueBlock) error
+	// HandleReplicate applies a delta block a key's primary already applied
+	// and forwarded here (the backup half of primary/backup replication).
+	HandleReplicate(blk *ps.ValueBlock) error
+	// HandleTransfer imports a key-range state transfer: the rows are
+	// authoritative full values, installed outright (idempotent), and the
+	// count of accepted rows is returned.
+	HandleTransfer(blk *ps.ValueBlock) (int, error)
+	// Evict demotes ks out of the tier; nil demotes everything evictable
+	// (the ps.Tier.Evict contract).
+	Evict(ks []keys.Key) (int, error)
+	// Name and TierStats report the tier's identity and uniform statistics.
+	Name() string
+	TierStats() ps.Stats
+	// HandleMembership installs an epoch-versioned membership change (shard
+	// join/leave/promotion), dropping one not newer than the view it holds.
+	HandleMembership(u MembershipUpdate) error
+	// HandlePredict scores every example of the request against the live
+	// parameters and returns one click probability per example, in request
+	// order; a full admission queue answers *OverloadError.
+	HandlePredict(req PredictRequest) ([]float32, error)
+	// HandleServeConfig receives serving-tier configuration from the driver.
+	HandleServeConfig(cfg ServeConfig) error
+	// ServingStats reports the shard's serving-tier counters.
+	ServingStats() ServingStats
 }
 
-// TCPServer serves the parameter RPCs of one node over TCP. The paper's
-// nodes exchange MEM-PS parameters over the data-center network; this server
-// plays that role when the nodes run as separate processes. The handler's
-// optional interfaces (BlockPushHandler, LookupHandler, EvictHandler,
-// StatsHandler, and the serving-tier trio PredictHandler /
-// ServeConfigHandler / ServingStatsHandler) decide which operations beyond
-// pull the server supports.
+// TCPServer serves one Shard's operations over TCP. The paper's nodes
+// exchange MEM-PS parameters over the data-center network; this server plays
+// that role when the nodes run as separate processes.
 type TCPServer struct {
-	ln      net.Listener
-	handler PullHandler
-	seqs    *SeqTracker
+	ln    net.Listener
+	shard Shard
+	seqs  *SeqTracker
 
 	mu     sync.Mutex
 	closed bool
@@ -36,25 +70,19 @@ type TCPServer struct {
 	wg     sync.WaitGroup
 }
 
-// ServeTCP starts serving on addr (e.g. "127.0.0.1:0") using handler.
-func ServeTCP(addr string, handler PullHandler) (*TCPServer, error) {
-	return ServeTCPOptions(addr, handler, ServerOptions{})
-}
-
-// ServeTCPOptions is ServeTCP with explicit options.
-func ServeTCPOptions(addr string, handler PullHandler, opts ServerOptions) (*TCPServer, error) {
-	if handler == nil {
-		return nil, errors.New("cluster: nil pull handler")
+// ServeTCP starts serving shard on addr (e.g. "127.0.0.1:0"). seqs is the
+// shard's push-dedup tracker: it belongs to the shard state, not to one
+// server, so a server restarted over the same shard keeps deduplicating the
+// pushes its predecessor applied.
+func ServeTCP(addr string, shard Shard, seqs *SeqTracker) (*TCPServer, error) {
+	if shard == nil || seqs == nil {
+		return nil, errors.New("cluster: serve needs a shard and its seq tracker")
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: listen %s: %w", addr, err)
 	}
-	seqs := opts.Seqs
-	if seqs == nil {
-		seqs = NewSeqTracker()
-	}
-	s := &TCPServer{ln: ln, handler: handler, seqs: seqs, active: make(map[net.Conn]struct{})}
+	s := &TCPServer{ln: ln, shard: shard, seqs: seqs, active: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -214,17 +242,7 @@ func (s *TCPServer) servePull(payload, frame []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if h, ok := s.handler.(BlockPullWireHandler); ok {
-		// Zero-intermediate path: the handler encodes its value rows
-		// straight into the outgoing frame.
-		return h.HandlePullBlockWire(ks, frame)
-	}
-	blk := ps.GetBlock(0, nil)
-	defer ps.PutBlock(blk)
-	if err := s.handler.HandlePullBlock(ks, blk); err != nil {
-		return nil, err
-	}
-	return blk.AppendWire(frame), nil
+	return s.shard.HandlePullBlockWire(ks, frame)
 }
 
 func (s *TCPServer) serveLookup(payload, frame []byte) ([]byte, error) {
@@ -232,13 +250,9 @@ func (s *TCPServer) serveLookup(payload, frame []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, ok := s.handler.(LookupHandler)
-	if !ok {
-		return nil, errors.New("shard does not support lookup")
-	}
 	blk := ps.GetBlock(0, nil)
 	defer ps.PutBlock(blk)
-	if err := h.HandleLookupBlock(ks, blk); err != nil {
+	if err := s.shard.HandleLookupBlock(ks, blk); err != nil {
 		return nil, err
 	}
 	if blk.PresentCount() == 0 {
@@ -260,11 +274,7 @@ func (s *TCPServer) serveEvict(payload, frame []byte) ([]byte, error) {
 		}
 		ks = nil
 	}
-	h, ok := s.handler.(EvictHandler)
-	if !ok {
-		return nil, errors.New("shard does not support evict")
-	}
-	n, err := h.Evict(ks)
+	n, err := s.shard.Evict(ks)
 	if err != nil {
 		return nil, err
 	}
@@ -309,20 +319,9 @@ func (s *TCPServer) servePush(payload, frame []byte) ([]byte, error) {
 		// A replicated block carries the ORIGIN's dedup stamp: committing it
 		// here is what makes the origin's own retry of the same push a
 		// duplicate after this backup is promoted.
-		h, ok := s.handler.(ReplicaPushHandler)
-		if !ok {
-			return nil, errors.New("shard does not accept replicated pushes")
-		}
-		err = h.HandleReplicate(blk)
+		err = s.shard.HandleReplicate(blk)
 	} else {
-		switch h := s.handler.(type) {
-		case StampedBlockPushHandler:
-			err = h.HandlePushBlockStamped(client, seq, blk)
-		case BlockPushHandler:
-			err = h.HandlePushBlock(blk)
-		default:
-			return nil, errors.New("shard does not accept pushes")
-		}
+		err = s.shard.HandlePushBlockStamped(client, seq, blk)
 	}
 	if err != nil {
 		return nil, err
@@ -338,11 +337,7 @@ func (s *TCPServer) serveTransfer(payload, frame []byte) ([]byte, error) {
 		return nil, err
 	}
 	defer ps.PutBlock(blk)
-	h, ok := s.handler.(TransferHandler)
-	if !ok {
-		return nil, errors.New("shard does not accept state transfers")
-	}
-	n, err := h.HandleTransfer(blk)
+	n, err := s.shard.HandleTransfer(blk)
 	if err != nil {
 		return nil, err
 	}
@@ -354,11 +349,7 @@ func (s *TCPServer) servePredict(payload, frame []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, ok := s.handler.(PredictHandler)
-	if !ok {
-		return nil, errors.New("shard does not serve predictions")
-	}
-	scores, err := h.HandlePredict(req)
+	scores, err := s.shard.HandlePredict(req)
 	if err != nil {
 		return nil, err
 	}
@@ -369,15 +360,11 @@ func (s *TCPServer) serveStats(payload, frame []byte) ([]byte, error) {
 	if len(payload) != 4 {
 		return nil, fmt.Errorf("stats request of %d bytes", len(payload))
 	}
-	h, ok := s.handler.(StatsHandler)
-	if !ok {
-		return nil, errors.New("shard does not report stats")
-	}
-	frame, err := binary.Append(frame, le, h.TierStats())
+	frame, err := binary.Append(frame, le, s.shard.TierStats())
 	if err != nil {
 		return nil, err
 	}
-	return append(frame, h.Name()...), nil
+	return append(frame, s.shard.Name()...), nil
 }
 
 func (s *TCPServer) serveMembership(payload, frame []byte) ([]byte, error) {
@@ -385,11 +372,7 @@ func (s *TCPServer) serveMembership(payload, frame []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, ok := s.handler.(MembershipHandler)
-	if !ok {
-		return nil, errors.New("shard does not accept membership updates")
-	}
-	return frame, h.HandleMembership(u)
+	return frame, s.shard.HandleMembership(u)
 }
 
 func (s *TCPServer) serveServeConfig(payload, frame []byte) ([]byte, error) {
@@ -397,20 +380,12 @@ func (s *TCPServer) serveServeConfig(payload, frame []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, ok := s.handler.(ServeConfigHandler)
-	if !ok {
-		return nil, errors.New("shard does not serve predictions")
-	}
-	return frame, h.HandleServeConfig(cfg)
+	return frame, s.shard.HandleServeConfig(cfg)
 }
 
 func (s *TCPServer) serveServeStats(payload, frame []byte) ([]byte, error) {
 	if len(payload) != 4 {
 		return nil, fmt.Errorf("serve-stats request of %d bytes", len(payload))
 	}
-	h, ok := s.handler.(ServingStatsHandler)
-	if !ok {
-		return nil, errors.New("shard does not report serving stats")
-	}
-	return binary.Append(frame, le, h.ServingStats())
+	return binary.Append(frame, le, s.shard.ServingStats())
 }

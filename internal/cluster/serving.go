@@ -42,16 +42,6 @@ func (r PredictRequest) Validate() error {
 	return nil
 }
 
-// PredictHandler serves online inference against the live, still-training
-// parameters. Implementations must be safe for concurrent use and should
-// return *OverloadError when their admission queue is full, so the rejection
-// crosses the wire as a typed, retryable error instead of a generic failure.
-type PredictHandler interface {
-	// HandlePredict scores every example of the request and returns one
-	// click probability per example, in request order.
-	HandlePredict(req PredictRequest) ([]float32, error)
-}
-
 // ServeConfig activates (or refreshes) the serving tier on a shard server.
 // The driver sends the full form — peer addresses plus the dense tower —
 // once at startup, then republishes just the dense parameters after every
@@ -71,11 +61,6 @@ type ServeConfig struct {
 	// it and their own applied-push clock as PushEpochLag — the freshness
 	// cost of the asynchronous pipeline, surfaced to serving.
 	TrainedEpoch uint64
-}
-
-// ServeConfigHandler receives serving-tier configuration from the driver.
-type ServeConfigHandler interface {
-	HandleServeConfig(cfg ServeConfig) error
 }
 
 // ServingStats summarizes a shard server's serving-tier activity: the
@@ -145,9 +130,4 @@ func (s ServingStats) CacheHitRate() float64 {
 		return 0
 	}
 	return float64(s.CacheHits) / float64(total)
-}
-
-// ServingStatsHandler reports a shard's serving-tier counters.
-type ServingStatsHandler interface {
-	ServingStats() ServingStats
 }

@@ -117,11 +117,11 @@ func (t Topology) SplitByNode(ks []keys.Key) [][]keys.Key {
 	return out
 }
 
-// PullHandler serves parameter pulls for one node (implemented by the
-// MEM-PS): the values of ks land in dst's flat rows, in request-key order, so
-// a server encodes the whole reply in one pass. The handler owns the
-// missing-key policy — the MEM-PS creates a parameter referenced for the
-// first time. Handlers must be safe for concurrent use.
+// PullHandler serves parameter pulls for one node of a LocalTransport
+// (implemented by the MEM-PS): the values of ks land in dst's flat rows, in
+// request-key order. The handler owns the missing-key policy — the MEM-PS
+// creates a parameter referenced for the first time. Handlers must be safe
+// for concurrent use.
 type PullHandler interface {
 	HandlePullBlock(ks []keys.Key, dst *ps.ValueBlock) error
 }
@@ -133,72 +133,6 @@ type PullHandler interface {
 // training pull.
 type LookupHandler interface {
 	HandleLookupBlock(ks []keys.Key, dst *ps.ValueBlock) error
-}
-
-// BlockPushHandler applies a block of parameter deltas pushed by other nodes
-// or a driver, consuming the parallel key/delta rows of a push frame
-// directly. The MEM-PS implements it; shard servers expose it behind the
-// push-block RPC.
-type BlockPushHandler interface {
-	HandlePushBlock(blk *ps.ValueBlock) error
-}
-
-// BlockPullWireHandler is the zero-intermediate form of PullHandler: the
-// handler appends the encoded block body for ks (the exact bytes
-// ps.ValueBlock.AppendWire would produce — ps.AppendWireHeader then one
-// ps.AppendWireRow per requested key) directly onto dst and returns the
-// extended slice. A serving tier that implements it copies each value row
-// once, from its own storage into the outgoing frame, instead of staging the
-// reply through an intermediate block; the TCP server prefers it for
-// pull-block RPCs.
-type BlockPullWireHandler interface {
-	HandlePullBlockWire(ks []keys.Key, dst []byte) ([]byte, error)
-}
-
-// StampedBlockPushHandler is the replication-aware form of BlockPushHandler:
-// the server hands the handler the origin client's dedup stamp alongside the
-// block, so a primary that applies the push can forward the same (client, seq)
-// to its backups. Servers prefer it over BlockPushHandler when implemented.
-type StampedBlockPushHandler interface {
-	HandlePushBlockStamped(client, seq uint64, blk *ps.ValueBlock) error
-}
-
-// ReplicaPushHandler applies a delta block a key's primary forwarded after
-// applying it itself (the backup half of primary/backup replication). The
-// block arrives with the origin client's dedup stamp, which the server checks
-// against the same SeqTracker as direct pushes — so after a promotion, the
-// origin's own retry of a push the old primary had already forwarded is
-// acked, never double-applied.
-type ReplicaPushHandler interface {
-	HandleReplicate(blk *ps.ValueBlock) error
-}
-
-// TransferHandler imports a key-range state transfer: the block's rows are
-// authoritative full values (not deltas) and are installed outright,
-// returning how many rows were accepted. Transfers are idempotent — this is
-// the re-replication / resharding data path.
-type TransferHandler interface {
-	HandleTransfer(blk *ps.ValueBlock) (int, error)
-}
-
-// MembershipHandler installs an epoch-versioned membership change (shard
-// join/leave/promotion). Handlers drop updates that are not newer than the
-// view they hold.
-type MembershipHandler interface {
-	HandleMembership(u MembershipUpdate) error
-}
-
-// EvictHandler demotes parameters out of the serving tier. ps.Tier's Evict
-// satisfies it directly.
-type EvictHandler interface {
-	Evict(ks []keys.Key) (int, error)
-}
-
-// StatsHandler reports the serving tier's identity and uniform statistics.
-// ps.Tier satisfies it directly.
-type StatsHandler interface {
-	Name() string
-	TierStats() ps.Stats
 }
 
 // Transport is what a MEM-PS needs from its peers: pulling the partition of

@@ -128,18 +128,14 @@ func TestSeqTrackerDedup(t *testing.T) {
 // dedupHandler counts applied block pushes; the first failPushes applies fail
 // and the first panicPushes after those panic.
 type dedupHandler struct {
+	stubShard
 	mu          sync.Mutex
 	pushes      int
 	failPushes  int
 	panicPushes int
 }
 
-func (h *dedupHandler) HandlePullBlock(ks []keys.Key, dst *ps.ValueBlock) error {
-	dst.Reset(0, ks)
-	return nil
-}
-
-func (h *dedupHandler) HandlePushBlock(*ps.ValueBlock) error {
+func (h *dedupHandler) HandlePushBlockStamped(uint64, uint64, *ps.ValueBlock) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.failPushes > 0 {
@@ -189,11 +185,7 @@ func stampedPushFrame(client, seq uint64) []byte {
 // the server applies it once while still acknowledging both.
 func TestServerDedupsReplayedPushFrame(t *testing.T) {
 	h := &dedupHandler{}
-	srv, err := ServeTCPOptions("127.0.0.1:0", h, ServerOptions{Seqs: NewSeqTracker()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serve(t, h)
 	for i := 0; i < 2; i++ { // the original, then the retry after a (simulated) lost reply
 		if msg := pushFrame(t, srv.Addr(), 77, 1); msg != "" {
 			t.Fatalf("push rejected: %s", msg)
@@ -212,11 +204,7 @@ func TestServerDedupsReplayedPushFrame(t *testing.T) {
 // not get acked as a duplicate of nothing.
 func TestServerRetriesFailedPushApply(t *testing.T) {
 	h := &dedupHandler{failPushes: 1, panicPushes: 1}
-	srv, err := ServeTCPOptions("127.0.0.1:0", h, ServerOptions{Seqs: NewSeqTracker()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serve(t, h)
 	for _, want := range []string{"injected apply failure", "push-block handler panicked: injected apply panic"} {
 		if msg := pushFrame(t, srv.Addr(), 78, 1); !strings.Contains(msg, want) {
 			t.Fatalf("push answered %q, want an error containing %q", msg, want)
@@ -240,11 +228,7 @@ func TestServerRetriesFailedPushApply(t *testing.T) {
 // drops it, and a client that meets a wrong-version server fails its dial
 // with both versions in the error.
 func TestForeignPeersCloseCleanly(t *testing.T) {
-	srv, err := ServeTCP("127.0.0.1:0", pullOnly{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serve(t, stubShard{})
 	dial := func() net.Conn {
 		t.Helper()
 		conn, err := net.Dial("tcp", srv.Addr())

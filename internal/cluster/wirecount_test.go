@@ -85,7 +85,7 @@ func (c countingReader) Read(b []byte) (int, error) {
 // The dial's hello exchange crosses the proxy too, and the transport counts
 // it, so the two counts agree exactly.
 func TestWireCountersMatchTheSocket(t *testing.T) {
-	srv, err := ServeTCP("127.0.0.1:0", newOpsHandler())
+	srv, err := ServeTCP("127.0.0.1:0", newOpsHandler(), NewSeqTracker())
 	if err != nil {
 		t.Fatal(err)
 	}

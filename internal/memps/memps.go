@@ -210,11 +210,7 @@ type MemPS struct {
 	spareRefs [][]cache.Ref[int32]
 }
 
-var (
-	_ ps.Tier                      = (*MemPS)(nil)
-	_ cluster.BlockPullWireHandler = (*MemPS)(nil)
-	_ cluster.BlockPushHandler     = (*MemPS)(nil)
-)
+var _ ps.Tier = (*MemPS)(nil)
 
 // New constructs a MEM-PS. It validates the configuration.
 func New(cfg Config) (*MemPS, error) {

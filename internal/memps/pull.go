@@ -361,12 +361,11 @@ func (m *MemPS) HandlePullBlock(ks []keys.Key, dst *ps.ValueBlock) error {
 	return nil
 }
 
-// HandlePullBlockWire implements cluster.BlockPullWireHandler —
-// HandlePullBlock's contract with the reply encoded straight into the
-// outgoing frame: each served row is copied out of the slab into the MEM-PS's
-// reused serving block and encoded from there into dst's wire bytes, under
-// the MEM-PS lock. No row crosses an embedding.Value or a pooled block on its
-// way to the socket.
+// HandlePullBlockWire is HandlePullBlock's contract with the reply encoded
+// straight into the outgoing frame (the pull of cluster.Shard): each served
+// row is copied out of the slab into the MEM-PS's reused serving block and
+// encoded from there into dst's wire bytes, under the MEM-PS lock. No row
+// crosses an embedding.Value or a pooled block on its way to the socket.
 func (m *MemPS) HandlePullBlockWire(ks []keys.Key, dst []byte) ([]byte, error) {
 	out := ps.AppendWireHeader(dst, m.cfg.Dim, len(ks))
 	err := m.servePull(ks, func(_ int, src *ps.ValueBlock, j int) {

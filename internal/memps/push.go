@@ -148,12 +148,12 @@ func addRow(dst *ps.ValueBlock, slot int32, src *ps.ValueBlock, i int32) {
 	dst.Freq[slot] += src.Freq[i]
 }
 
-// HandlePushBlock implements cluster.BlockPushHandler: it merges a delta
-// block pushed by a remote driver or peer node into the shard this node
-// owns, exactly like PushBlock. A remote shard never sees CompleteBatch, so
-// the push — which arrives once per training batch — also runs the
-// batch-completion housekeeping (Maintain): a full eviction buffer is handed
-// to the background write, and the reply does not wait for it.
+// HandlePushBlock merges a delta block pushed by a remote driver or peer
+// node into the shard this node owns, exactly like PushBlock. A remote shard
+// never sees CompleteBatch, so the push — which arrives once per training
+// batch — also runs the batch-completion housekeeping (Maintain): a full
+// eviction buffer is handed to the background write, and the reply does not
+// wait for it.
 func (m *MemPS) HandlePushBlock(blk *ps.ValueBlock) error {
 	if _, err := m.applyBlock(nil, blk); err != nil {
 		return err

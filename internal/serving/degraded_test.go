@@ -6,16 +6,12 @@ import (
 	"math"
 	"testing"
 
-	"hps/internal/blockio"
 	"hps/internal/cluster"
 	"hps/internal/embedding"
-	"hps/internal/hw"
 	"hps/internal/keys"
-	"hps/internal/memps"
 	"hps/internal/nn"
 	"hps/internal/ps"
 	"hps/internal/serving"
-	"hps/internal/ssdps"
 )
 
 // fakeDim is the embedding dimension of the in-memory fakes below.
@@ -258,39 +254,18 @@ func TestPredictFailsOverToBackup(t *testing.T) {
 	}
 }
 
-// restoredShard reopens the SSD-PS a previous incarnation of shard node
-// flushed to dir, the way `hps serve -restore` does, and arms a serving tier
-// over it whose peers are all down.
-func restoredShard(t *testing.T, dir string, node int, topo cluster.Topology) (*memps.MemPS, *serving.Server) {
+// restoredShard reopens the state a previous incarnation of shard node left
+// in dir, the way `hps serve -restore` does, and publishes a dense tower to
+// it. The shard knows no peer addresses: its peers are all down.
+func restoredShard(t *testing.T, dir string, node int, topo cluster.Topology) *serving.Shard {
 	t.Helper()
-	dev, err := blockio.NewDevice(dir, hw.DefaultGPUNode().SSD, hw.NewCounter())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { dev.Close() })
-	store, err := ssdps.Open(dev, ssdps.Config{Dim: fakeDim, ParamsPerFile: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	mem, err := memps.New(memps.Config{NodeID: node, Dim: fakeDim, Topology: topo, Transport: cluster.NoRoute{},
-		Store: store, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := serving.New(serving.Config{NodeID: node, Topology: topo, Dim: fakeDim, Hidden: []int{8},
-		Local: mem, Peers: &flakyPeer{down: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
+	sh := openShard(t, serving.ShardConfig{NodeID: node, Topology: topo, Dim: fakeDim, Hidden: []int{8},
+		Dir: dir, Restore: true, Seed: 3})
 	dense := nn.New(nn.Config{InputDim: fakeDim, Hidden: []int{8}, Seed: 42})
-	if err := srv.HandleServeConfig(cluster.ServeConfig{Dense: dense.FlattenParams(nil), Epoch: 1}); err != nil {
+	if err := sh.HandleServeConfig(cluster.ServeConfig{Dense: dense.FlattenParams(nil), Epoch: 1}); err != nil {
 		t.Fatal(err)
 	}
-	return mem, srv
+	return sh
 }
 
 // TestRestoredShardServesItsRowsLocally pins why a restarted shard has
@@ -306,27 +281,23 @@ func TestRestoredShardServesItsRowsLocally(t *testing.T) {
 			held = append(held, k)
 		}
 	}
-	first, _ := restoredShard(t, dir, 0, topo)
+	first := restoredShard(t, dir, 0, topo)
 	blk := ps.NewValueBlock(fakeDim)
-	if err := first.HandlePullBlock(held, blk); err != nil { // first references create the rows
+	if err := first.Mem.HandlePullBlock(held, blk); err != nil { // first references create the rows
 		t.Fatal(err)
 	}
-	if err := first.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := first.Store().Device().Close(); err != nil {
+	if err := first.Close(); err != nil { // flushes the rows
 		t.Fatal(err)
 	}
 
-	mem, srv := restoredShard(t, dir, 0, topo)
-	if got := mem.Store().Len(); got != len(held) {
+	sh := restoredShard(t, dir, 0, topo)
+	if got := sh.Mem.Store().Len(); got != len(held) {
 		t.Fatalf("restored %d of %d rows", got, len(held))
 	}
-	if _, err := srv.HandlePredict(cluster.PredictRequest{Keys: held, Counts: []uint32{uint32(len(held))}}); err != nil {
+	if _, err := sh.HandlePredict(cluster.PredictRequest{Keys: held, Counts: []uint32{uint32(len(held))}}); err != nil {
 		t.Fatal(err)
 	}
-	st := srv.ServingStats()
+	st := sh.ServingStats()
 	if st.CacheHits != 0 || st.CacheMisses != 0 || st.LocalKeys != int64(len(held)) {
 		t.Fatalf("restored shard: %d replica-cache hits, %d misses, %d local keys; want 0, 0, %d",
 			st.CacheHits, st.CacheMisses, st.LocalKeys, len(held))

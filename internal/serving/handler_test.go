@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"hps/internal/cluster"
-	"hps/internal/serving"
 )
 
 // TestHandleMembershipRejectsOutOfRangeIDs pins the member-id bound on the
@@ -15,8 +14,7 @@ import (
 // shard, and a huge id would size that result.
 func TestHandleMembershipRejectsOutOfRangeIDs(t *testing.T) {
 	topo := cluster.Topology{Nodes: 2, GPUsPerNode: 1, Members: cluster.NewMembership(cluster.NewRing([]int{0, 1}))}
-	mem, srv := restoredShard(t, t.TempDir(), 0, topo)
-	h := serving.NewHandler(mem, srv)
+	h := restoredShard(t, t.TempDir(), 0, topo)
 	for _, ids := range [][]int{{-1, 0}, {0, cluster.MemberLimit}} {
 		if err := h.HandleMembership(cluster.MembershipUpdate{Epoch: 1, Members: ids}); err == nil {
 			t.Errorf("members %v accepted", ids)

@@ -15,11 +15,14 @@
 //     driver republishes after every push epoch (see ServeConfig).
 //
 // Freshness is bounded by push-epoch invalidation: every cached replica row
-// is stamped with the local push epoch at fill time and ignored as soon as
-// the shard applies the next training push. Training pushes arrive once per
-// batch, so a served score is never computed against embeddings more than
-// one push epoch behind the authoritative copies — the same bound the dense
-// replica obeys.
+// is stamped at fill time and ignored as soon as the shard applies the next
+// training push or receives the next dense republish. Training pushes arrive
+// once per batch, so a served score is never computed against embeddings more
+// than one push epoch behind the authoritative copies — the same bound the
+// dense replica obeys. The republish matters because a peer applies a push
+// on its own schedule: a row fetched from a peer that has not yet applied
+// this shard's latest push is stale under a current stamp, and the driver
+// republishes only once every owner has applied the batch.
 //
 // Serving must degrade before it can stall training: requests pass an
 // admission queue of fixed depth, and a request that finds the queue full is
@@ -63,10 +66,9 @@ type Config struct {
 	Hidden []int
 	// Local reads this shard's own embeddings (memps.MemPS implements it).
 	Local cluster.LookupHandler
-	// Peers reads remote-owned embeddings on replica-cache misses. Nil means
-	// the server dials peers itself from the addresses in the first
-	// ServeConfig (the usual multiprocess arrangement); tests inject a
-	// LocalTransport here.
+	// Peers reads remote-owned embeddings on replica-cache misses: the
+	// shard's peer transport, which learns the peer addresses from the
+	// driver (see Shard).
 	Peers PeerReader
 	// HotKeyEntries is the replica-cache capacity in keys (default 4096).
 	HotKeyEntries int
@@ -83,10 +85,11 @@ type Config struct {
 
 // hotRow is one replica-cache entry: a cloned embedding vector (nil when the
 // owner reported the key absent — a negative entry, so untrained hot keys
-// don't re-fetch every request) stamped with the push epoch it was read at.
+// don't re-fetch every request) stamped with the cache generation it was
+// read at.
 type hotRow struct {
 	weights []float32
-	epoch   uint64
+	gen     uint64
 }
 
 // result carries one scored request back to its waiting caller.
@@ -101,10 +104,8 @@ type job struct {
 	done chan result
 }
 
-// Server answers Predict requests for one shard. It implements
-// cluster.PredictHandler, cluster.ServeConfigHandler and
-// cluster.ServingStatsHandler; wrap it with Handler to graft it onto a
-// MEM-PS behind one TCP server. Safe for concurrent use.
+// Server answers Predict requests for one shard: the serving ops of
+// cluster.Shard, which a Shard forwards to it. Safe for concurrent use.
 type Server struct {
 	cfg   Config
 	queue chan *job
@@ -113,8 +114,10 @@ type Server struct {
 	once  sync.Once
 
 	// pushEpoch counts training pushes applied by the colocated MEM-PS
-	// (bumped by Handler); it is the freshness clock for the replica cache.
+	// (bumped by Shard). gen is the replica cache's freshness clock: it
+	// advances with every push and every dense republish.
 	pushEpoch atomic.Uint64
+	gen       atomic.Uint64
 
 	// netMu guards the dense replica: SetParams writes under the write lock,
 	// scoring reads under RLock, so a republish never tears a forward pass.
@@ -126,11 +129,6 @@ type Server struct {
 	// push-epoch lag reported in ServingStats (the async-push freshness
 	// metric).
 	trainedEpoch uint64
-
-	// peerMu guards lazy peer-transport creation from the first ServeConfig.
-	peerMu sync.Mutex
-	peers  PeerReader
-	owned  *cluster.TCPTransport // set when the server dialed peers itself
 
 	// hotMu guards the replica cache (cache.LFU is not concurrency-safe).
 	hotMu sync.Mutex
@@ -148,8 +146,8 @@ type Server struct {
 // accepting, but predicts fail until the first ServeConfig delivers the
 // dense parameters. Close releases the workers.
 func New(cfg Config) (*Server, error) {
-	if cfg.Local == nil {
-		return nil, errors.New("serving: nil local reader")
+	if cfg.Local == nil || cfg.Peers == nil {
+		return nil, errors.New("serving: needs a local and a peer reader")
 	}
 	if err := cfg.Topology.Validate(); err != nil {
 		return nil, err
@@ -173,7 +171,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:   cfg,
 		queue: make(chan *job, cfg.MaxQueue),
 		stop:  make(chan struct{}),
-		peers: cfg.Peers,
 		hot:   cache.NewLFU[hotRow](cfg.HotKeyEntries, nil),
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -183,8 +180,7 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Close stops the scoring workers and fails whatever is still queued. The
-// peer transport is closed only if the server dialed it itself.
+// Close stops the scoring workers and fails whatever is still queued.
 func (s *Server) Close() {
 	s.once.Do(func() {
 		close(s.stop)
@@ -194,42 +190,30 @@ func (s *Server) Close() {
 			case j := <-s.queue:
 				j.done <- result{err: errors.New("serving: server closed")}
 			default:
-				if s.owned != nil {
-					s.owned.Close()
-				}
 				return
 			}
 		}
 	})
 }
 
-// BumpEpoch advances the push-epoch freshness clock, invalidating every
-// replica-cache entry filled before it. Handler calls it after each
-// successfully applied training push.
-func (s *Server) BumpEpoch() { s.pushEpoch.Add(1) }
+// BumpEpoch advances the push-epoch clock, invalidating every replica-cache
+// entry filled before it. Shard calls it after each successfully applied
+// training push.
+func (s *Server) BumpEpoch() {
+	s.pushEpoch.Add(1)
+	s.gen.Add(1)
+}
 
-// HandleServeConfig implements cluster.ServeConfigHandler: the first call
-// carries peer addresses (dialed lazily) and the initial dense parameters;
-// subsequent calls refresh just the dense replica after each push epoch.
+// HandleServeConfig installs the dense parameters of cfg — the initial tower,
+// then a refresh after each push epoch — and invalidates the replica cache:
+// the driver republishes only once every owner has applied the batch, so a
+// row fetched before the republish may predate a peer's apply. The peer
+// addresses are the Shard's to install.
 func (s *Server) HandleServeConfig(cfg cluster.ServeConfig) error {
-	if cfg.Addrs != nil {
-		s.peerMu.Lock()
-		if s.peers == nil {
-			t := cluster.NewTCPTransport(cfg.Addrs, s.cfg.Dim)
-			s.peers = t
-			s.owned = t
-		} else if st, ok := s.peers.(interface{ SetAddr(nodeID int, addr string) }); ok {
-			// An injected shared transport (the replicated-shard wiring)
-			// learns the address book instead of being replaced.
-			for id, a := range cfg.Addrs {
-				st.SetAddr(id, a)
-			}
-		}
-		s.peerMu.Unlock()
-	}
 	if cfg.Dense != nil {
 		s.netMu.Lock()
 		defer s.netMu.Unlock()
+		s.gen.Add(1)
 		if s.net == nil {
 			s.net = nn.New(nn.Config{InputDim: s.cfg.Dim, Hidden: s.cfg.Hidden})
 		}
@@ -246,7 +230,7 @@ func (s *Server) HandleServeConfig(cfg cluster.ServeConfig) error {
 	return nil
 }
 
-// HandlePredict implements cluster.PredictHandler: it admits the request
+// HandlePredict admits the request
 // into the scoring queue and waits for its scores. A full queue rejects
 // immediately with a typed, retryable *cluster.OverloadError — shedding
 // load to the caller is the mechanism that keeps serving from stalling the
@@ -266,7 +250,7 @@ func (s *Server) HandlePredict(req cluster.PredictRequest) ([]float32, error) {
 	return r.scores, r.err
 }
 
-// ServingStats implements cluster.ServingStatsHandler.
+// ServingStats snapshots the serving counters.
 func (s *Server) ServingStats() cluster.ServingStats {
 	s.netMu.RLock()
 	denseEpoch := s.denseEpoch
@@ -350,6 +334,11 @@ func (s *Server) score(batch []*job, ib *keys.IndexBuilder, x *keys.Index) {
 		return
 	}
 
+	// The replica may lag the embeddings just gathered by the pushes applied
+	// since the driver last republished; record the worst lag observed. The
+	// push epoch is read before the dense one: both only grow, so a push that
+	// lands after the gather is not counted against this pass.
+	pushEpoch := s.pushEpoch.Load()
 	s.netMu.RLock()
 	net := s.net
 	denseEpoch := s.denseEpoch
@@ -360,10 +349,8 @@ func (s *Server) score(batch []*job, ib *keys.IndexBuilder, x *keys.Index) {
 		}
 		return
 	}
-	// The replica may lag the authoritative parameters by the pushes applied
-	// since the driver last republished; record the worst lag observed.
-	if e := s.pushEpoch.Load(); e > denseEpoch {
-		lag := e - denseEpoch
+	if pushEpoch > denseEpoch {
+		lag := pushEpoch - denseEpoch
 		for {
 			cur := s.stalenessMax.Load()
 			if lag <= cur || s.stalenessMax.CompareAndSwap(cur, lag) {
@@ -431,15 +418,17 @@ func (s *Server) gather(dst *ps.ValueBlock) error {
 		return nil
 	}
 
-	// Replica cache: entries are valid only for the push epoch they were
-	// filled in — one training push anywhere invalidates the lot, which is
-	// what bounds staleness to a single push epoch.
-	epoch := s.pushEpoch.Load()
+	// Replica cache: entries are valid only for the generation they were
+	// filled in — one training push here or one dense republish invalidates
+	// the lot, which is what bounds staleness to a single push epoch. The
+	// generation is read before the fetch, so a republish racing the fetch
+	// leaves its rows stale.
+	gen := s.gen.Load()
 	var miss []keys.Key
 	s.hotMu.Lock()
 	for _, i := range remote {
 		k := dst.Keys[i]
-		if row, ok := s.hot.Get(uint64(k)); ok && row.epoch == epoch {
+		if row, ok := s.hot.Get(uint64(k)); ok && row.gen == gen {
 			setWeights(dst, i, row.weights) // nil weights: a fresh negative entry, key untrained
 			continue
 		}
@@ -452,12 +441,7 @@ func (s *Server) gather(dst *ps.ValueBlock) error {
 		return nil
 	}
 
-	s.peerMu.Lock()
-	peers := s.peers
-	s.peerMu.Unlock()
-	if peers == nil {
-		return errors.New("serving: no peer transport configured yet")
-	}
+	peers := s.cfg.Peers
 	for owner, ks := range s.cfg.Topology.SplitByNode(miss) {
 		if len(ks) == 0 {
 			continue
@@ -506,7 +490,7 @@ func (s *Server) gather(dst *ps.ValueBlock) error {
 			if sub.Present[j] {
 				w = slices.Clone(sub.WeightsRow(j))
 			}
-			s.hot.Put(uint64(k), hotRow{weights: w, epoch: epoch})
+			s.hot.Put(uint64(k), hotRow{weights: w, gen: gen})
 		}
 		s.hotMu.Unlock()
 	}

@@ -9,74 +9,44 @@ import (
 	"testing"
 	"time"
 
-	"hps/internal/blockio"
 	"hps/internal/cluster"
 	"hps/internal/dataset"
-	"hps/internal/hw"
 	"hps/internal/keys"
 	"hps/internal/loadgen"
-	"hps/internal/memps"
 	"hps/internal/model"
 	"hps/internal/ps"
 	"hps/internal/serving"
-	"hps/internal/ssdps"
 	"hps/internal/trainer"
 )
 
-// servingShard is one in-test shard server with the serving tier armed:
-// exactly what `hps serve` runs, minus the process boundary.
-type servingShard struct {
-	mem   *memps.MemPS
-	serve *serving.Server
-	srv   *cluster.TCPServer
-}
-
-// startServingShards brings up one TCP shard server per node, each wrapping
-// its MEM-PS in a serving.Handler.
-func startServingShards(t *testing.T, topo cluster.Topology, spec model.Spec, seed int64) ([]*servingShard, map[int]string) {
+// startServingShards brings up one shard server per node, exactly what
+// `hps serve` runs, minus the process boundary.
+func startServingShards(t *testing.T, topo cluster.Topology, spec model.Spec, seed int64) ([]*serving.Shard, map[int]string) {
 	t.Helper()
-	shards := make([]*servingShard, topo.Nodes)
+	shards := make([]*serving.Shard, topo.Nodes)
 	addrs := make(map[int]string, topo.Nodes)
 	for i := 0; i < topo.Nodes; i++ {
-		dev, err := blockio.NewDevice(t.TempDir(), hw.DefaultGPUNode().SSD, hw.NewCounter())
-		if err != nil {
-			t.Fatal(err)
-		}
-		store, err := ssdps.Open(dev, ssdps.Config{Dim: spec.EmbeddingDim, ParamsPerFile: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mem, err := memps.New(memps.Config{
-			NodeID:    i,
-			Dim:       spec.EmbeddingDim,
-			Topology:  topo,
-			Transport: cluster.NoRoute{},
-			Store:     store,
-			Seed:      seed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		serveSrv, err := serving.New(serving.Config{
-			NodeID:   i,
-			Topology: topo,
-			Dim:      spec.EmbeddingDim,
-			Hidden:   spec.HiddenLayers,
-			Local:    mem,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := cluster.ServeTCPOptions("127.0.0.1:0", serving.NewHandler(mem, serveSrv), cluster.ServerOptions{Seqs: cluster.NewSeqTracker()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh := &servingShard{mem: mem, serve: serveSrv, srv: srv}
-		t.Cleanup(func() { sh.srv.Close(); sh.serve.Close() })
-		shards[i] = sh
-		addrs[i] = srv.Addr()
+		shards[i] = openShard(t, serving.ShardConfig{NodeID: i, Topology: topo,
+			Dim: spec.EmbeddingDim, Hidden: spec.HiddenLayers, Seed: seed})
+		addrs[i] = shards[i].TCP.Addr()
 	}
 	return shards, addrs
+}
+
+// openShard opens a shard on a free loopback port — over cfg.Dir, or a fresh
+// test directory — and closes it when the test ends.
+func openShard(t *testing.T, cfg serving.ShardConfig) *serving.Shard {
+	t.Helper()
+	cfg.Addr = "127.0.0.1:0"
+	if cfg.Dir == "" {
+		cfg.Dir = t.TempDir()
+	}
+	sh, err := serving.OpenShard(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sh.Close() })
+	return sh
 }
 
 // TestServeWhileTraining is the serving-under-training race pass (run under
@@ -292,6 +262,7 @@ func TestOverloadBehavior(t *testing.T) {
 		Dim:      dim,
 		Hidden:   []int{4},
 		Local:    reader,
+		Peers:    &flakyPeer{down: true}, // one node: every key is local
 		Workers:  1,
 		MaxQueue: 1,
 		// One example per pass: the second queued request must wait, not

@@ -1,139 +1,47 @@
 package trainer
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"path/filepath"
 	"testing"
 	"time"
 
-	"hps/internal/blockio"
 	"hps/internal/cluster"
 	"hps/internal/dataset"
-	"hps/internal/hw"
-	"hps/internal/memps"
 	"hps/internal/serving"
-	"hps/internal/ssdps"
 )
 
-// durableShard brings up one shard server whose durable state — SSD-PS
-// parameter files and the push-dedup seq log — lives in dir, exactly as
-// `hps serve -dir` arranges it. It returns the server and how many persisted
-// (client, seq) records were replayed into the dedup tracker, so a restart
-// over a previous incarnation's directory can assert its dedup state came
-// back. addr is "127.0.0.1:0" for a first start, or the previous address for
-// a restart.
-func durableShard(t *testing.T, dir string, topo cluster.Topology, id, dim int, seed int64, lru, lfu int, addr string) (*shardServer, int) {
+// openShard opens a shard server over cfg.Dir (default a fresh t.TempDir),
+// restoring whatever a previous incarnation left there, on cfg.Addr (default
+// a free loopback port) — exactly what `hps serve -dir ... -restore` runs,
+// minus the process boundary — and closes it when the test ends. The model
+// shape is testSpec's. No restore in these drills may drop an extent.
+func openShard(t *testing.T, cfg serving.ShardConfig) *serving.Shard {
 	t.Helper()
-	dev, err := blockio.NewDevice(dir, hw.DefaultGPUNode().SSD, hw.NewCounter())
+	spec := testSpec()
+	cfg.Dim, cfg.Hidden, cfg.Restore = spec.EmbeddingDim, spec.HiddenLayers, true
+	cfg.Addr = cmp.Or(cfg.Addr, "127.0.0.1:0")
+	if cfg.Dir == "" {
+		cfg.Dir = t.TempDir()
+	}
+	sh, err := serving.OpenShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := ssdps.Open(dev, ssdps.Config{Dim: dim, ParamsPerFile: 64})
-	if err != nil {
-		t.Fatal(err)
+	t.Cleanup(func() { sh.Close() })
+	if len(sh.Dropped) != 0 {
+		t.Fatalf("shard %d restore dropped %v", cfg.NodeID, sh.Dropped)
 	}
-	if dropped, err := store.Recover(); err != nil || len(dropped) != 0 {
-		t.Fatalf("recover: dropped %v, err %v", dropped, err)
-	}
-	mem, err := memps.New(memps.Config{
-		NodeID:     id,
-		Dim:        dim,
-		Topology:   topo,
-		Transport:  cluster.NoRoute{},
-		Store:      store,
-		LRUEntries: lru,
-		LFUEntries: lfu,
-		Seed:       seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqs := cluster.NewSeqTracker()
-	seqLog, replayed, err := cluster.OpenSeqLog(filepath.Join(dir, "seqlog"), seqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { seqLog.Close() })
-	seqs.AttachLog(seqLog)
-	srv, err := cluster.ServeTCPOptions(addr, mem, cluster.ServerOptions{Seqs: seqs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := &shardServer{mem: mem, seqs: seqs, srv: srv}
-	t.Cleanup(func() { sh.srv.Close() })
-	return sh, replayed
-}
-
-// replTestShard is one replicated shard server: the full serve-side stack —
-// MEM-PS, serving handler, replicator, push-dedup tracker — wired the way
-// `hps serve -members ... -replicas 2` arranges it, with the shard's own
-// membership view updated over the wire by membership broadcasts.
-type replTestShard struct {
-	mem  *memps.MemPS
-	repl *memps.Replicator
-	srv  *cluster.TCPServer
-}
-
-func replShard(t *testing.T, dir string, id, nodes, dim int, seed int64, members []int) *replTestShard {
-	t.Helper()
-	dev, err := blockio.NewDevice(dir, hw.DefaultGPUNode().SSD, hw.NewCounter())
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := ssdps.Open(dev, ssdps.Config{Dim: dim, ParamsPerFile: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms := cluster.NewMembership(cluster.NewRing(members))
-	topo := cluster.Topology{Nodes: nodes, GPUsPerNode: 1, Members: ms, Replicas: 2}
-	mem, err := memps.New(memps.Config{
-		NodeID:     id,
-		Dim:        dim,
-		Topology:   topo,
-		Transport:  cluster.NoRoute{},
-		Store:      store,
-		LRUEntries: 96,
-		LFUEntries: 96,
-		Seed:       seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	peerTr := cluster.NewTCPTransport(map[int]string{}, dim)
-	t.Cleanup(peerTr.Close)
-	serveSrv, err := serving.New(serving.Config{
-		NodeID:   id,
-		Topology: topo,
-		Dim:      dim,
-		Hidden:   []int{8},
-		Local:    mem,
-		Peers:    peerTr,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(serveSrv.Close)
-	h := serving.NewHandler(mem, serveSrv)
-	repl := memps.NewReplicator(mem, peerTr, memps.ReplicatorConfig{TransferPause: time.Millisecond})
-	t.Cleanup(repl.Close)
-	h.Replicator = repl
-	h.Peers = peerTr
-	seqs := cluster.NewSeqTracker()
-	seqLog, _, err := cluster.OpenSeqLog(filepath.Join(dir, "seqlog"), seqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { seqLog.Close() })
-	seqs.AttachLog(seqLog)
-	h.Seqs = seqs
-	srv, err := cluster.ServeTCPOptions("127.0.0.1:0", h, cluster.ServerOptions{Seqs: seqs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := &replTestShard{mem: mem, repl: repl, srv: srv}
-	t.Cleanup(func() { sh.srv.Close() })
 	return sh
+}
+
+// failovers is Report().Remote.Failovers without the report's stats RPCs,
+// which would spend their retries on a dead shard.
+func failovers(tr *Trainer) int64 {
+	tr.remoteNet.mu.Lock()
+	defer tr.remoteNet.mu.Unlock()
+	return tr.remoteNet.failovers
 }
 
 // TestKillPrimaryMidEpochPromotesBackup is the replicated counterpart of the
@@ -166,13 +74,18 @@ func TestKillPrimaryMidEpochPromotesBackup(t *testing.T) {
 	// driver-side membership view, a control transport for broadcasts — and
 	// trains over it, killing shard 1 mid-epoch when kill is set. It returns
 	// the held-out AUC and the surviving shards.
-	run := func(kill bool) (float64, map[int]*replTestShard) {
+	run := func(kill bool) (float64, map[int]*serving.Shard) {
 		t.Helper()
-		shards := map[int]*replTestShard{}
+		shards := map[int]*serving.Shard{}
 		addrs := map[int]string{}
 		for _, id := range members {
-			shards[id] = replShard(t, t.TempDir(), id, len(members), spec.EmbeddingDim, seed, members)
-			addrs[id] = shards[id].srv.Addr()
+			// Each shard holds its own membership view, which the broadcasts
+			// below move.
+			topo := cluster.Topology{Nodes: len(members), GPUsPerNode: 1, Replicas: 2,
+				Members: cluster.NewMembership(cluster.NewRing(members))}
+			shards[id] = openShard(t, serving.ShardConfig{NodeID: id, Topology: topo,
+				LRUEntries: 96, LFUEntries: 96, Seed: seed})
+			addrs[id] = shards[id].TCP.Addr()
 		}
 		ms := cluster.NewMembership(cluster.NewRing(members))
 		ctl := cluster.NewTCPTransport(addrs, spec.EmbeddingDim)
@@ -227,12 +140,17 @@ func TestKillPrimaryMidEpochPromotesBackup(t *testing.T) {
 		}
 		// kill -9: the process image — cache, dedup map, sockets — is gone.
 		// Nothing is flushed, and nothing will ever be restored from dir 1.
-		if err := shards[1].srv.Close(); err != nil {
+		if err := shards[1].TCP.Close(); err != nil {
 			t.Fatal(err)
 		}
-		// The supervisor needs time to observe the death; training meanwhile
-		// rides per-key failover to the backups on the OLD ring.
-		time.Sleep(80 * time.Millisecond)
+		// The supervisor observes the death only after training has met it:
+		// an operation on the dead primary was served by its backups on the
+		// OLD ring.
+		for deadline := time.Now().Add(30 * time.Second); failovers(tr) == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("training made no failover within 30 s of the kill")
+			}
+		}
 		applyRing(ms.Ring().Leave(1))
 		delete(shards, 1)
 
@@ -261,23 +179,23 @@ func TestKillPrimaryMidEpochPromotesBackup(t *testing.T) {
 	// promoted backup — must be held by BOTH survivors again.
 	transferred := int64(0)
 	for _, sh := range survivors {
-		if !sh.repl.Drain(2 * time.Second) {
+		if !sh.Replicator.Drain(2 * time.Second) {
 			t.Fatal("survivor replication queue did not drain")
 		}
-		transferred += sh.repl.Stats().TransferredKeys
+		transferred += sh.Replicator.Stats().TransferredKeys
 	}
 	if transferred == 0 {
 		t.Fatal("survivors transferred nothing: re-replication after the promotion never ran")
 	}
 	oldRing := cluster.NewRing(members)
 	checked := 0
-	for _, k := range survivors[0].mem.LocalKeys() {
+	for _, k := range survivors[0].Mem.LocalKeys() {
 		if oldRing.Owner(k) != 1 || checked >= 64 {
 			continue
 		}
 		checked++
 		for id, sh := range survivors {
-			if sh.mem.Lookup(k) == nil {
+			if sh.Mem.Lookup(k) == nil {
 				t.Fatalf("key %d (owned by the dead shard) missing from survivor %d: R=2 not restored", k, id)
 			}
 		}
@@ -330,13 +248,12 @@ func TestCrashRestartRecoversDurableState(t *testing.T) {
 	// Small caches force frequent eviction dumps, which is what bounds how
 	// much un-flushed state a crash can destroy (the durability design: loss
 	// is capped by the cache, not the run length).
-	dir0 := t.TempDir()
-	sh0, replayed := durableShard(t, dir0, topo, 0, spec.EmbeddingDim, seed, 96, 96, "127.0.0.1:0")
-	if replayed != 0 {
-		t.Fatalf("fresh shard replayed %d seq records from an empty dir", replayed)
+	sh0 := openShard(t, serving.ShardConfig{NodeID: 0, Topology: topo, LRUEntries: 96, LFUEntries: 96, Seed: seed})
+	if sh0.Replayed != 0 {
+		t.Fatalf("fresh shard replayed %d seq records from an empty dir", sh0.Replayed)
 	}
-	sh1, _ := durableShard(t, t.TempDir(), topo, 1, spec.EmbeddingDim, seed, 96, 96, "127.0.0.1:0")
-	addrs := map[int]string{0: sh0.srv.Addr(), 1: sh1.srv.Addr()}
+	sh1 := openShard(t, serving.ShardConfig{NodeID: 1, Topology: topo, LRUEntries: 96, LFUEntries: 96, Seed: seed})
+	addrs := map[int]string{0: sh0.TCP.Addr(), 1: sh1.TCP.Addr()}
 
 	cfg := base
 	cfg.RemoteShards = addrs
@@ -355,26 +272,29 @@ func TestCrashRestartRecoversDurableState(t *testing.T) {
 	// Crash once the shard has applied a push and dumped a parameter to its
 	// SSD-PS, so there is a seq record to replay and a file to recover: the
 	// server stops answering and the whole process image is discarded — no
-	// flush, no handoff. Only dir0 survives.
-	for deadline := time.Now().Add(30 * time.Second); sh0.mem.TierStats().Pushes == 0 || sh0.mem.Store().Len() == 0; time.Sleep(time.Millisecond) {
+	// flush, no handoff. Only its directory survives.
+	for deadline := time.Now().Add(30 * time.Second); sh0.Mem.TierStats().Pushes == 0 || sh0.Mem.Store().Len() == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("shard 0 applied no push or dumped no parameter within 30 s")
 		}
 	}
-	addr := sh0.srv.Addr()
-	if err := sh0.srv.Close(); err != nil {
+	addr := sh0.TCP.Addr()
+	if err := sh0.TCP.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// The death also stops the shard's background SSD-PS write where it
 	// stands: close the device under it, and let the write run out against
-	// the closed device, so nothing of the dead shard reaches dir0 once the
-	// new incarnation has opened it. The flush fails; it is only the wait.
-	sh0.mem.Store().Device().Close()
-	sh0.mem.Flush()
-	preCrashPushes := sh0.mem.TierStats().Pushes
+	// the closed device, so nothing of the dead shard reaches its directory
+	// once the new incarnation has opened it. The flush fails; it is only the
+	// wait.
+	sh0.Mem.Store().Device().Close()
+	sh0.Mem.Flush()
+	preCrashPushes := sh0.Mem.TierStats().Pushes
 
 	// Restart from the directory alone, on the same address.
-	restarted, replayed := durableShard(t, dir0, topo, 0, spec.EmbeddingDim, seed, 96, 96, addr)
+	restarted := openShard(t, serving.ShardConfig{Addr: addr, NodeID: 0, Topology: topo, Dir: sh0.Dir,
+		LRUEntries: 96, LFUEntries: 96, Seed: seed})
+	replayed := restarted.Replayed
 	if replayed == 0 {
 		t.Fatal("restart replayed no persisted seq records: the dedup log did not survive the crash")
 	}
@@ -382,7 +302,7 @@ func TestCrashRestartRecoversDurableState(t *testing.T) {
 		t.Errorf("seq log replayed %d records but the dead shard had applied %d pushes — committed applies are missing",
 			replayed, preCrashPushes)
 	}
-	if restarted.mem.Store().Len() == 0 {
+	if restarted.Mem.Store().Len() == 0 {
 		t.Fatal("restarted shard recovered no parameters from the SSD-PS")
 	}
 
@@ -393,7 +313,7 @@ func TestCrashRestartRecoversDurableState(t *testing.T) {
 	if r.Remote == nil || r.Remote.Redials == 0 {
 		t.Fatalf("run must have reconnected at least once: %+v", r.Remote)
 	}
-	if restarted.mem.TierStats().Pushes == 0 {
+	if restarted.Mem.TierStats().Pushes == 0 {
 		t.Fatal("restarted shard never saw a push")
 	}
 

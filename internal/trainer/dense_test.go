@@ -59,7 +59,7 @@ func TestDenseStepBesideReaders(t *testing.T) {
 				CheckpointPath: filepath.Join(dir, "ckpt.json"),
 			}
 			if mode == "remote" {
-				_, cfg.RemoteShards = startShards(t, cfg.Topology, spec.EmbeddingDim, cfg.Seed, 0, 0)
+				_, cfg.RemoteShards = startShards(t, cfg.Topology, cfg.Seed, 0, 0)
 			} else {
 				cfg.Dir = filepath.Join(dir, "state")
 			}

@@ -14,6 +14,7 @@ import (
 	"hps/internal/keys"
 	"hps/internal/memps"
 	"hps/internal/ps"
+	"hps/internal/serving"
 	"hps/internal/ssdps"
 )
 
@@ -106,7 +107,7 @@ func TestOwnedPullMatchesPrepareInto(t *testing.T) {
 					Topology: cluster.Topology{Nodes: nodes, GPUsPerNode: 1},
 					Batches:  1, Seed: 5, LRUEntries: 16, LFUEntries: 16, ParamsPerFile: 16,
 				}
-				_, cfg.RemoteShards = startShards(t, cfg.Topology, cfg.Spec.EmbeddingDim, cfg.Seed, 16, 16)
+				_, cfg.RemoteShards = startShards(t, cfg.Topology, cfg.Seed, 16, 16)
 				tr, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -291,14 +292,14 @@ func deltaUnion(j *job) int {
 
 // remoteTrainer builds a multi-process trainer over in-test shard servers,
 // one per member of topo.
-func remoteTrainer(t *testing.T, topo cluster.Topology) (*Trainer, []*shardServer) {
+func remoteTrainer(t *testing.T, topo cluster.Topology) (*Trainer, []*serving.Shard) {
 	t.Helper()
 	cfg := Config{
 		Spec: testSpec(), Data: testData(), Topology: topo,
 		BatchSize: 64, Batches: 6, Seed: 11,
 	}
-	var shards []*shardServer
-	shards, cfg.RemoteShards = startShards(t, topo, cfg.Spec.EmbeddingDim, cfg.Seed, 0, 0)
+	var shards []*serving.Shard
+	shards, cfg.RemoteShards = startShards(t, topo, cfg.Seed, 0, 0)
 	tr, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +346,7 @@ func TestUnreplicatedTrainerTakesTheRing(t *testing.T) {
 	}
 	stepBatches(t, tr, 2, nil, nil)
 	for id, sh := range shards {
-		if sh.mem.TierStats().KeysPushed == 0 {
+		if sh.Mem.TierStats().KeysPushed == 0 {
 			t.Fatalf("shard %d received no pushes after the update", id)
 		}
 	}
@@ -366,7 +367,7 @@ func TestRingMembersOwnTheirPartitions(t *testing.T) {
 	r := tr.Report().Remote
 	var shardRows int64
 	for _, sh := range shards {
-		shardRows += sh.mem.TierStats().KeysPushed
+		shardRows += sh.Mem.TierStats().KeysPushed
 	}
 	if r.KeysPushed != mergedRows || shardRows != mergedRows {
 		t.Fatalf("driver pushed %d rows and the shards applied %d; the merged blocks held %d", r.KeysPushed, shardRows, mergedRows)

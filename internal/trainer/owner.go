@@ -225,11 +225,6 @@ func (t *Trainer) each(n int, fn func(i int) error) error {
 	return nil
 }
 
-// eachNode runs fn for every node (see each).
-func (t *Trainer) eachNode(fn func(n *node) error) error {
-	return t.each(len(t.nodes), func(i int) error { return fn(t.nodes[i]) })
-}
-
 // eachOwner runs fn for every owner of owners, skipping the ids no owner
 // holds (see each).
 func (t *Trainer) eachOwner(owners []owner, fn func(o owner) error) error {

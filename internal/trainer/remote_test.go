@@ -7,61 +7,21 @@ import (
 	"testing"
 	"time"
 
-	"hps/internal/blockio"
 	"hps/internal/cluster"
 	"hps/internal/dataset"
-	"hps/internal/hw"
-	"hps/internal/memps"
-	"hps/internal/ssdps"
+	"hps/internal/serving"
 )
 
-// shardServer is one in-test MEM-PS shard process stand-in: real TCP server,
-// real SSD-PS directory, restartable with its state and dedup tracker.
-type shardServer struct {
-	mem  *memps.MemPS
-	seqs *cluster.SeqTracker
-	srv  *cluster.TCPServer
-}
-
-// startShards brings up one TCP shard server per member of topo, each
-// hosting the MEM-PS (backed by an SSD-PS under t.TempDir) of its parameter
-// shard. shards[i] is member i's server.
-func startShards(t *testing.T, topo cluster.Topology, dim int, seed int64, lru, lfu int) ([]*shardServer, map[int]string) {
+// startShards brings up one shard server per member of topo, each over its
+// own t.TempDir. shards[i] is member i's server.
+func startShards(t *testing.T, topo cluster.Topology, seed int64, lru, lfu int) ([]*serving.Shard, map[int]string) {
 	t.Helper()
 	ids := topo.MemberIDs()
-	shards := make([]*shardServer, len(ids))
+	shards := make([]*serving.Shard, len(ids))
 	addrs := make(map[int]string, len(ids))
 	for _, i := range ids {
-		dev, err := blockio.NewDevice(t.TempDir(), hw.DefaultGPUNode().SSD, hw.NewCounter())
-		if err != nil {
-			t.Fatal(err)
-		}
-		store, err := ssdps.Open(dev, ssdps.Config{Dim: dim, ParamsPerFile: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mem, err := memps.New(memps.Config{
-			NodeID:     i,
-			Dim:        dim,
-			Topology:   topo,
-			Transport:  cluster.NoRoute{}, // a shard server never proxies peers
-			Store:      store,
-			LRUEntries: lru,
-			LFUEntries: lfu,
-			Seed:       seed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqs := cluster.NewSeqTracker()
-		srv, err := cluster.ServeTCPOptions("127.0.0.1:0", mem, cluster.ServerOptions{Seqs: seqs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh := &shardServer{mem: mem, seqs: seqs, srv: srv}
-		t.Cleanup(func() { sh.srv.Close() })
-		shards[i] = sh
-		addrs[i] = srv.Addr()
+		shards[i] = openShard(t, serving.ShardConfig{NodeID: i, Topology: topo, LRUEntries: lru, LFUEntries: lfu, Seed: seed})
+		addrs[i] = shards[i].TCP.Addr()
 	}
 	return shards, addrs
 }
@@ -109,7 +69,7 @@ func TestRemoteShardsMatchLocalAUC(t *testing.T) {
 	local := runDeterministic(base)
 	localAUC := evalAUC(t, local, dataset.NewGenerator(data, 999), evalN)
 
-	shards, addrs := startShards(t, topo, spec.EmbeddingDim, seed, 0, 0)
+	shards, addrs := startShards(t, topo, seed, 0, 0)
 	remoteCfg := base
 	remoteCfg.RemoteShards = addrs
 	remote := runDeterministic(remoteCfg)
@@ -139,22 +99,22 @@ func TestRemoteShardsMatchLocalAUC(t *testing.T) {
 	// The shard servers did the parameter work: their MEM-PS must have seen
 	// every batch's pushes.
 	for i, sh := range shards {
-		if sh.mem.TierStats().Pushes == 0 {
+		if sh.Mem.TierStats().Pushes == 0 {
 			t.Fatalf("shard %d never saw a push", i)
 		}
 	}
 }
 
-// TestRemoteShardFailureRecovers kills a shard server mid-epoch and restarts
-// it on the same address with the same shard state: the trainer's transport
-// must reconnect and training must complete and converge, with no corrupted
-// parameters: the reconnect tears down a connection and hellos its
+// TestRemoteShardFailureRecovers shuts a shard server down mid-epoch and
+// restarts it on the same address over the state it flushed: the trainer's
+// transport must reconnect and training must complete and converge, with no
+// corrupted parameters: the reconnect tears down a connection and hellos its
 // replacement.
 func TestRemoteShardFailureRecovers(t *testing.T) {
 	data := testData()
 	spec := testSpec()
 	topo := cluster.Topology{Nodes: 2, GPUsPerNode: 1}
-	shards, addrs := startShards(t, topo, spec.EmbeddingDim, 3, 96, 96)
+	shards, addrs := startShards(t, topo, 3, 96, 96)
 
 	tr, err := New(Config{
 		Spec:         spec,
@@ -177,21 +137,26 @@ func TestRemoteShardFailureRecovers(t *testing.T) {
 	runDone := make(chan error, 1)
 	go func() { runDone <- tr.Run(context.Background()) }()
 
-	// Kill shard 0 mid-run — once it has applied a push — then bring it back
-	// on the same address with the same MEM-PS state and dedup tracker: a
-	// crash-restart with durable shard state.
+	// Shut shard 0 down mid-run — once it has applied a push — then bring it
+	// back on the same address over its own directory, `hps serve -restore`
+	// style: the flushed MEM-PS state and the seq log's dedup records are
+	// what the new incarnation starts from.
 	sh := shards[0]
 	waitFirstPush(t, sh)
-	addr := sh.srv.Addr()
-	if err := sh.srv.Close(); err != nil {
+	addr := sh.TCP.Addr()
+	retries := tr.remote.Stats().Retries
+	if err := sh.Close(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(30 * time.Millisecond)
-	srv2, err := cluster.ServeTCPOptions(addr, sh.mem, cluster.ServerOptions{Seqs: sh.seqs})
-	if err != nil {
-		t.Fatal(err)
+	// Restart once the trainer has met the outage: a call to the closed
+	// shard failed and is being retried.
+	for deadline := time.Now().Add(30 * time.Second); tr.remote.Stats().Retries == retries; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the trainer retried no call within 30 s of the shard going down")
+		}
 	}
-	t.Cleanup(func() { srv2.Close() })
+	openShard(t, serving.ShardConfig{Addr: addr, NodeID: 0, Topology: topo, Dir: sh.Dir,
+		LRUEntries: 96, LFUEntries: 96, Seed: 3})
 
 	if err := <-runDone; err != nil {
 		t.Fatalf("training did not survive the shard restart: %v", err)
@@ -213,7 +178,7 @@ func TestRemoteShardFailureSurfacesTypedError(t *testing.T) {
 	data := testData()
 	spec := testSpec()
 	topo := cluster.Topology{Nodes: 2, GPUsPerNode: 1}
-	shards, addrs := startShards(t, topo, spec.EmbeddingDim, 3, 0, 0)
+	shards, addrs := startShards(t, topo, 3, 0, 0)
 
 	tr, err := New(Config{
 		Spec:         spec,
@@ -234,7 +199,7 @@ func TestRemoteShardFailureSurfacesTypedError(t *testing.T) {
 	runDone := make(chan error, 1)
 	go func() { runDone <- tr.Run(context.Background()) }()
 	waitFirstPush(t, shards[1])
-	if err := shards[1].srv.Close(); err != nil {
+	if err := shards[1].TCP.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -251,7 +216,7 @@ func TestRemoteShardFailureSurfacesTypedError(t *testing.T) {
 	}
 	// The surviving shard's parameters must still be readable and sane: the
 	// failure tore down the run, not the parameter server state.
-	if shards[0].mem.TierStats().Pulls == 0 {
+	if shards[0].Mem.TierStats().Pulls == 0 {
 		t.Fatal("surviving shard should have served pulls")
 	}
 	_ = tr.Close() // flush to the dead shard fails; Close must not hang or panic
@@ -259,9 +224,9 @@ func TestRemoteShardFailureSurfacesTypedError(t *testing.T) {
 
 // waitFirstPush returns once sh has applied a push — the run is under way,
 // so an outage lands mid-epoch — and fails the test after 30 s without one.
-func waitFirstPush(t *testing.T, sh *shardServer) {
+func waitFirstPush(t *testing.T, sh *serving.Shard) {
 	t.Helper()
-	for deadline := time.Now().Add(30 * time.Second); sh.mem.TierStats().Pushes == 0; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(30 * time.Second); sh.Mem.TierStats().Pushes == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the shard applied no push within 30 s")
 		}

@@ -256,7 +256,7 @@ type Trainer struct {
 	// events rather than a timing. A stage enters after its Admit wait.
 	stageEvent func(stage string, batch int, enter bool)
 
-	// sequential makes eachNode visit nodes in order instead of
+	// sequential makes each visit nodes and owners in order instead of
 	// concurrently; a test hook that removes scheduling nondeterminism (the
 	// interleaving of per-node parameter creation) so equivalence tests can
 	// compare two runs at a tight tolerance.
@@ -420,9 +420,6 @@ func (t *Trainer) Examples() int64 {
 	defer t.mu.Unlock()
 	return t.examples
 }
-
-// MeanLoss returns the mean training log-loss so far.
-func (t *Trainer) MeanLoss() float64 { return t.loss.Mean() }
 
 // Nodes returns the number of nodes.
 func (t *Trainer) Nodes() int { return len(t.nodes) }
