@@ -25,8 +25,7 @@ func (t *TCPTransport) pullInto(nodeID int, op uint8, ks []keys.Key, dst *ps.Val
 	}
 	if dst.Dim == 0 && t.dim > 0 {
 		// An all-missing lookup reply carries no dimension to infer; re-shape
-		// to the transport's so absent rows read as zeroed dim-d rows, per
-		// the PullInto contract.
+		// to the transport's so absent rows read as zeroed dim-d rows.
 		dst.Reset(t.dim, ks)
 	}
 	reqBytes, respBytes := PayloadBytes(t.dim, len(ks), 0), PayloadBytes(t.dim, 0, dst.PresentCount())
@@ -40,8 +39,8 @@ func (t *TCPTransport) PullBlock(nodeID int, ks []keys.Key, dst *ps.ValueBlock) 
 	return t.pullInto(nodeID, rawOpPullBlock, ks, dst)
 }
 
-// Lookup implements TierTransport: a pull that never materializes missing
-// parameters, for evaluation-time and serving reads.
+// Lookup is a pull that never materializes missing parameters, for
+// evaluation-time and serving reads.
 func (t *TCPTransport) Lookup(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (int64, error) {
 	return t.pullInto(nodeID, rawOpLookup, ks, dst)
 }
@@ -60,10 +59,10 @@ func (t *TCPTransport) sendBlock(nodeID int, op uint8, client, seq uint64, blk *
 	return bytes, nil
 }
 
-// PushBlock implements TierTransport: the push is stamped with a dedup
-// sequence, so a push-block retried across a reconnect is applied exactly
-// once (the sequence is assigned once, before the retry loop, for that
-// reason).
+// PushBlock merges blk's delta rows into node nodeID's shard. The push is
+// stamped with a dedup sequence, so a push-block retried across a reconnect
+// is applied exactly once (the sequence is assigned once, before the retry
+// loop, for that reason).
 func (t *TCPTransport) PushBlock(nodeID int, blk *ps.ValueBlock) (int64, error) {
 	client, seq := t.Stamp()
 	return t.PushBlockStamped(nodeID, client, seq, blk)
@@ -114,7 +113,8 @@ func (t *TCPTransport) Transfer(nodeID int, blk *ps.ValueBlock) (int, error) {
 	return n, err
 }
 
-// Evict implements TierTransport.
+// Evict demotes ks out of node nodeID's MEM-PS; nil demotes everything
+// evictable. It returns how many parameters were demoted.
 func (t *TCPTransport) Evict(nodeID int, ks []keys.Key) (int, error) {
 	var flags uint8
 	if ks == nil {
@@ -132,7 +132,7 @@ func bareReq(op uint8) func([]byte) []byte {
 	return func(frame []byte) []byte { return append(frame, op, 0, 0, 0) }
 }
 
-// TierStats implements TierTransport.
+// TierStats returns node nodeID's tier name and uniform statistics.
 func (t *TCPTransport) TierStats(nodeID int) (ps.TierInfo, error) {
 	var info ps.TierInfo
 	err := t.rawCall(nodeID, rawOpStats, bareReq(rawOpStats), func(body []byte) error {

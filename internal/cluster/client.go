@@ -85,7 +85,7 @@ type TransportStats struct {
 // connection per peer — concurrent RPCs to a peer queue on it — and
 // transparently reconnecting (with bounded, backed-off retries) when it drops.
 // Each connection checks the wire version with a hello exchange at dial time.
-// It is safe for concurrent use and implements TierTransport.
+// It is safe for concurrent use.
 type TCPTransport struct {
 	dim    int
 	client uint64 // identity for push dedup across reconnects
@@ -110,8 +110,6 @@ type TCPTransport struct {
 	wireOut  int64
 	wireIn   int64
 }
-
-var _ TierTransport = (*TCPTransport)(nil)
 
 // tcpConn is one peer connection. An RPC holds its mutex for the round trip.
 type tcpConn struct {

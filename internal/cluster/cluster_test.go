@@ -265,6 +265,10 @@ func TestTCPTransportRoundTrip(t *testing.T) {
 	if _, _, err := pull(tr, 1, []keys.Key{100}); err != nil {
 		t.Fatal(err)
 	}
+	// An empty request is an empty reply, not an error.
+	if res, _, err := pull(tr, 1, nil); err != nil || res.Len() != 0 {
+		t.Fatalf("empty pull = %d rows, %v", res.Len(), err)
+	}
 	// Unknown node fails.
 	if _, _, err := pull(tr, 42, []keys.Key{1}); err == nil {
 		t.Fatal("unknown node should fail")

@@ -53,8 +53,6 @@ func (t *LocalTransport) handler(nodeID int) (PullHandler, error) {
 	return h, nil
 }
 
-var _ TierTransport = (*LocalTransport)(nil)
-
 // PullBlock implements Transport: the handler serves straight into dst.
 func (t *LocalTransport) PullBlock(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (int64, error) {
 	h, err := t.handler(nodeID)
@@ -67,8 +65,8 @@ func (t *LocalTransport) PullBlock(nodeID int, ks []keys.Key, dst *ps.ValueBlock
 	return PayloadBytes(t.dim, len(ks), dst.PresentCount()), nil
 }
 
-// PushBlock implements TierTransport when node nodeID's handler accepts
-// pushes.
+// PushBlock merges blk's delta rows into node nodeID's shard when its
+// handler accepts pushes.
 func (t *LocalTransport) PushBlock(nodeID int, blk *ps.ValueBlock) (int64, error) {
 	h, err := t.handler(nodeID)
 	if err != nil {
@@ -144,7 +142,8 @@ func (t *LocalTransport) UpdateMembership(nodeID int, u MembershipUpdate) error 
 	return nil
 }
 
-// Evict implements TierTransport when node nodeID's handler supports evict.
+// Evict demotes ks out of node nodeID's shard when its handler supports
+// evict.
 func (t *LocalTransport) Evict(nodeID int, ks []keys.Key) (int, error) {
 	h, err := t.handler(nodeID)
 	if err != nil {
@@ -159,7 +158,8 @@ func (t *LocalTransport) Evict(nodeID int, ks []keys.Key) (int, error) {
 	return eh.Evict(ks)
 }
 
-// TierStats implements TierTransport when node nodeID's handler reports stats.
+// TierStats returns node nodeID's tier name and uniform statistics when its
+// handler reports them.
 func (t *LocalTransport) TierStats(nodeID int) (ps.TierInfo, error) {
 	h, err := t.handler(nodeID)
 	if err != nil {
@@ -175,8 +175,8 @@ func (t *LocalTransport) TierStats(nodeID int) (ps.TierInfo, error) {
 	return ps.TierInfo{Name: sh.Name(), Stats: sh.TierStats()}, nil
 }
 
-// Lookup implements TierTransport when node nodeID's handler supports
-// no-create reads.
+// Lookup is PullBlock through node nodeID's LookupHandler, when it has one:
+// missing keys come back as absent rows instead of being materialized.
 func (t *LocalTransport) Lookup(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (int64, error) {
 	h, err := t.handler(nodeID)
 	if err != nil {

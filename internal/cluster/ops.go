@@ -53,8 +53,8 @@ const (
 )
 
 // rawFlagAll, in an evict request's flag byte, is the nil-slice form of
-// ps.Tier.Evict (everything evictable), which a key count of zero cannot
-// express: an empty key set evicts nothing.
+// Evict (everything evictable), which a key count of zero cannot express: an
+// empty key set evicts nothing.
 const rawFlagAll uint8 = 1
 
 // rawStatus values of a response's second byte.

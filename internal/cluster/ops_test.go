@@ -207,7 +207,11 @@ func (h *opsHandler) state() any {
 
 // opSurface is the client surface of the eleven post-hello wire ops.
 type opSurface interface {
-	TierTransport
+	PullBlock(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (int64, error)
+	PushBlock(nodeID int, blk *ps.ValueBlock) (int64, error)
+	Evict(nodeID int, ks []keys.Key) (int, error)
+	TierStats(nodeID int) (ps.TierInfo, error)
+	Lookup(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (int64, error)
 	Replicate(nodeID int, client, seq uint64, blk *ps.ValueBlock) (int64, error)
 	Transfer(nodeID int, blk *ps.ValueBlock) (int, error)
 	UpdateMembership(nodeID int, u MembershipUpdate) error

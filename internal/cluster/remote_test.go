@@ -8,7 +8,6 @@ import (
 	"hps/internal/cluster"
 	"hps/internal/keys"
 	"hps/internal/ps"
-	"hps/internal/ps/conformance"
 	"hps/internal/serving"
 )
 
@@ -34,29 +33,6 @@ func openShard(t *testing.T, dir, addr string) *serving.Shard {
 	}
 	t.Cleanup(func() { sh.Close() })
 	return sh
-}
-
-// TestRemoteTierConformance runs the shared ps.Tier suite against a
-// RemoteTier reaching a MEM-PS shard over real TCP sockets: the remote view
-// must keep the serving tier's semantics (create-on-pull, durable evict).
-func TestRemoteTierConformance(t *testing.T) {
-	conformance.Run(t, conformance.Harness{
-		Dim:          remoteDim,
-		Shard:        ps.NoShard,
-		PullCreates:  true,
-		EvictDurable: true,
-		Concurrent:   true,
-		New: func(t *testing.T, ks []keys.Key) ps.Tier {
-			sh := openShard(t, t.TempDir(), "127.0.0.1:0")
-			tr := cluster.NewTCPTransport(map[int]string{0: sh.TCP.Addr()}, remoteDim)
-			t.Cleanup(tr.Close)
-			tier := cluster.NewRemoteTier(tr, 0)
-			if err := tier.PullInto(ps.PullRequest{Shard: ps.NoShard, Keys: ks}, ps.NewValueBlock(remoteDim)); err != nil {
-				t.Fatal(err)
-			}
-			return tier
-		},
-	})
 }
 
 // pull reads ks from node into a fresh block (row i is ks[i]).

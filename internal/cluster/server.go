@@ -37,8 +37,7 @@ type Shard interface {
 	// authoritative full values, installed outright (idempotent), and the
 	// count of accepted rows is returned.
 	HandleTransfer(blk *ps.ValueBlock) (int, error)
-	// Evict demotes ks out of the tier; nil demotes everything evictable
-	// (the ps.Tier.Evict contract).
+	// Evict demotes ks out of the tier; nil demotes everything evictable.
 	Evict(ks []keys.Key) (int, error)
 	// Name and TierStats report the tier's identity and uniform statistics.
 	Name() string

@@ -144,31 +144,11 @@ type Transport interface {
 	PullBlock(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (int64, error)
 }
 
-// TierTransport is the full RPC surface needed to use a remote node as a
-// parameter-server tier: batched block pull and push on the hot path (flat
-// ValueBlocks whose wire frames are encoded in one pass), plus the evict /
-// stats / lookup operations the trainer and its reports need. Both
-// LocalTransport (in-process) and TCPTransport (multi-process) implement it.
-type TierTransport interface {
-	Transport
-	// PushBlock merges the block's parallel key/delta rows into node nodeID's
-	// shard, returning the payload bytes that crossed the network.
-	PushBlock(nodeID int, blk *ps.ValueBlock) (int64, error)
-	// Evict demotes the given keys out of node nodeID's tier; nil demotes
-	// everything evictable (the ps.Tier.Evict contract).
-	Evict(nodeID int, ks []keys.Key) (int, error)
-	// TierStats returns node nodeID's tier name and uniform statistics.
-	TierStats(nodeID int) (ps.TierInfo, error)
-	// Lookup is PullBlock through node nodeID's LookupHandler: missing keys
-	// come back as absent rows instead of being materialized.
-	Lookup(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (int64, error)
-}
-
 // ReadBackups reads ks, whose primary failed, from each key's backup shard
-// through read — a TierTransport's PullBlock or Lookup — landing the rows in
-// dst (shaped for ks at dimension dim) in request-key order. It fails whole when a key has no backup, or only self —
-// a shard never routes a read to itself — and when any backup read fails.
-// The returned bytes sum the backup reads'.
+// through read — a transport's PullBlock or Lookup — landing the rows in dst
+// (shaped for ks at dimension dim) in request-key order. It fails whole when
+// a key has no backup, or only self — a shard never routes a read to itself —
+// and when any backup read fails. The returned bytes sum the backup reads'.
 func (t Topology) ReadBackups(self int, ks []keys.Key, dim int, dst *ps.ValueBlock,
 	read func(nodeID int, ks []keys.Key, dst *ps.ValueBlock) (int64, error)) (int64, error) {
 	parts := make(map[int][]int, 2) // backup -> positions in ks

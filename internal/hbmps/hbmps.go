@@ -8,8 +8,8 @@
 // fetches it over NVLink (Algorithm 2's partition-and-send pattern). Across
 // nodes, updates are synchronized by the hierarchical all-reduce of
 // Appendix C.3, which the core trainer coordinates; this package exposes the
-// per-node pieces (delta collection with CollectBlock, delta application with
-// PushBlock).
+// per-node piece: delta collection with CollectBlock, whose deltas the MEM-PS
+// applies.
 //
 // The working set lives for exactly one batch (Algorithm 1 loads it at lines
 // 6-10 and drops it at line 17), and the CPU has already deduplicated and
@@ -32,7 +32,7 @@
 // allocate nothing.
 //
 // The HBM-PS counts the work its calls do — the PCIe transfer and HBM write
-// of every GPU's partition at load, and per pull, commit and push the HBM
+// of every GPU's partition at load, and per pull and commit the HBM
 // traffic of the calling GPU's own rows plus an NVLink transfer of the rows
 // other GPUs hold — in Stats().Work, and into the run's counter.
 package hbmps
@@ -77,14 +77,14 @@ type Stats struct {
 	ParamsLoaded int64
 	// RemotePulls / LocalPulls count parameter fetches by location.
 	LocalPulls, RemotePulls int64
-	// Work is the work of every load, pull, commit and push so far.
+	// Work is the work of every load, pull and commit so far.
 	Work hw.Work
 }
 
 // HBMPS is the HBM parameter server of one node. It is safe for concurrent
-// use by the node's GPU worker goroutines. It implements ps.Tier: PullInto
-// and PushBlock are sharded by GPU id, and Evict demotes keys out of HBM
-// (their authoritative copies live in the MEM-PS below).
+// use by the node's GPU worker goroutines. PullInto and CommitBlock are
+// sharded by GPU id, and Evict demotes keys out of HBM (their authoritative
+// copies live in the MEM-PS below).
 type HBMPS struct {
 	cfg     Config
 	devices []*gpu.Device
@@ -126,8 +126,6 @@ type HBMPS struct {
 	freqDelta []uint32
 	changed   []bool
 }
-
-var _ ps.Tier = (*HBMPS)(nil)
 
 // New constructs the HBM-PS for one node, creating its simulated GPU devices.
 func New(cfg Config) (*HBMPS, error) {
@@ -212,18 +210,14 @@ func (c *cursor) position(k keys.Key) (int, bool) {
 
 // walk resolves ks against the working set in one pass and calls fn(i, p)
 // for every row i whose key is resident at position p, in request order.
-// Rows whose present flag is false are skipped (present may be nil: every
-// row). It returns how many rows it visited, how many of those GPU g's
-// partition holds, and the first row whose key is not resident, or -1. The
-// caller holds h.rw.
-func (h *HBMPS) walk(g int, ks []keys.Key, present []bool, fn func(i, p int)) (n, local, miss int) {
+// It returns how many rows it visited, how many of those GPU g's partition
+// holds, and the first row whose key is not resident, or -1. The caller
+// holds h.rw.
+func (h *HBMPS) walk(g int, ks []keys.Key, fn func(i, p int)) (n, local, miss int) {
 	lo, hi := h.off[g], h.off[g+1]
 	c, live := h.cursor(), h.cur.Present
 	miss = -1
 	for i, k := range ks {
-		if present != nil && !present[i] {
-			continue
-		}
 		p, ok := c.position(k)
 		if !ok || !live[p] {
 			if miss < 0 {
@@ -365,12 +359,11 @@ func (h *HBMPS) Loaded() bool {
 	return h.loaded
 }
 
-// PullInto implements ps.Tier: one batched pull of the keys a worker running
-// on GPU req.Shard needs (Algorithm 1 line 12), into a caller-owned flat
-// block in request-key order, with no per-value allocation. Keys owned by
-// other GPUs are fetched over NVLink. Unlike the lower tiers, every requested
-// key must be resident: the working set was loaded for exactly this batch, so
-// a miss is a bug.
+// PullInto is one batched pull of the keys a worker running on GPU req.Shard
+// needs (Algorithm 1 line 12), into a caller-owned flat block in request-key
+// order, with no per-value allocation. Keys owned by other GPUs are fetched
+// over NVLink. Unlike the lower tiers, every requested key must be resident:
+// the working set was loaded for exactly this batch, so a miss is a bug.
 //
 // The keys are served in one merge pass under the working set's read lock,
 // taken once per call.
@@ -382,7 +375,7 @@ func (h *HBMPS) PullInto(req ps.PullRequest, dst *ps.ValueBlock) error {
 	dst.Reset(h.cfg.Dim, req.Keys)
 	cur := &h.cur
 	h.rw.RLock()
-	n, local, miss := h.walk(gpuID, req.Keys, nil, func(i, p int) {
+	n, local, miss := h.walk(gpuID, req.Keys, func(i, p int) {
 		copy(dst.WeightsRow(i), cur.WeightsRow(p))
 		copy(dst.G2Row(i), cur.G2Row(p))
 		dst.Freq[i] = cur.Freq[p]
@@ -421,16 +414,15 @@ func (h *HBMPS) count(w hw.Work, localPulls, remotePulls int64) {
 	h.cfg.Clock.Add(w)
 }
 
-// Name implements ps.Tier.
+// Name identifies the tier in reports.
 func (h *HBMPS) Name() string { return "hbm-ps" }
 
-// TierStats implements ps.Tier.
+// TierStats returns the uniform cumulative statistics of the tier.
 func (h *HBMPS) TierStats() ps.Stats { return h.rec.TierStats() }
 
-// Evict implements ps.Tier: it demotes keys out of HBM for the rest of the
-// batch. A nil slice releases the entire working set (the end-of-batch
-// demotion of Algorithm 1 line 17; the caller is expected to have collected
-// the deltas first). Evicted values are dropped — the MEM-PS below holds the
+// Evict demotes keys out of HBM for the rest of the batch. A nil slice
+// releases the entire working set (the end-of-batch demotion of Algorithm 1
+// line 17; the caller is expected to have collected the deltas first). Evicted values are dropped — the MEM-PS below holds the
 // authoritative copies — and their slab rows stay reserved until Release.
 func (h *HBMPS) Evict(ks []keys.Key) (int, error) {
 	if ks == nil {

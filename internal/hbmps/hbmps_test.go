@@ -306,26 +306,36 @@ func TestCollectUpdatesOnlyChanged(t *testing.T) {
 	}
 }
 
+// TestApplyRemoteDeltas commits a trained key from the GPU that does not hold
+// it: the delta lands in the owner's row, a pull from either GPU sees it,
+// collection reports it as this node's update, and the uniform statistics
+// count every pull and commit with its keys under the tier's report name.
 func TestApplyRemoteDeltas(t *testing.T) {
 	h, _ := New(testConfig(2))
 	h.LoadBlock(workingSet(10))
-	// Deltas from other nodes arrive unsharded: no GPU's fabric is charged.
-	delta := ps.NewValueBlock(4)
-	w := []float32{3, 0, 0, 0}
-	delta.AppendRow(2, w, make([]float32, 4), 2)
-	delta.AppendRow(999, w, make([]float32, 4), 2) // not in the working set: ignored
-	if err := h.PushBlock(ps.PushBlockRequest{Shard: ps.NoShard, Block: delta}); err != nil {
+	g := 1 - h.gpuOf(2) // not key 2's GPU
+	orig, err := pull(h, g, []keys.Key{2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := pull(h, 0, []keys.Key{2})
-	if got.WeightsRow(0)[0] != 2+3 {
-		t.Fatalf("remote delta not applied: %v", got.WeightsRow(0)[0])
+	final := ps.NewValueBlock(4)
+	final.CopyFrom(orig)
+	final.WeightsRow(0)[0] += 3
+	final.Freq[0] += 2
+	if err := h.CommitBlock(g, orig, final); err != nil {
+		t.Fatal(err)
 	}
-	// The applied delta becomes part of this node's observed update too
-	// (matching what a real all-reduce leaves in HBM).
+	for _, gpu := range []int{0, 1} {
+		if got, _ := pull(h, gpu, []keys.Key{2}); got.WeightsRow(0)[0] != 2+3 {
+			t.Fatalf("gpu %d pulls %v, want the committed delta applied", gpu, got.WeightsRow(0)[0])
+		}
+	}
+	if st := h.TierStats(); h.Name() != "hbm-ps" || st.Pulls != 3 || st.KeysPulled != 3 || st.Pushes != 1 || st.KeysPushed != 1 {
+		t.Fatalf("%s stats = %+v, want hbm-ps with 3 pulls and 1 commit of one key each", h.Name(), st)
+	}
 	updates := collect(h)
-	if updates[2] == nil || updates[2].Weights[0] != 3 {
-		t.Fatal("remote delta should appear in collected updates")
+	if len(updates) != 1 || updates[2] == nil || updates[2].Weights[0] != 3 || updates[2].Freq != 2 {
+		t.Fatalf("collected %v, want key 2's delta alone", updates)
 	}
 }
 
@@ -395,34 +405,6 @@ func TestBytesPerEntryConsistency(t *testing.T) {
 	}
 }
 
-func TestTierInterface(t *testing.T) {
-	h, _ := New(testConfig(2))
-	h.LoadBlock(workingSet(20))
-	var tier ps.Tier = h
-	if tier.Name() != "hbm-ps" {
-		t.Fatalf("name = %q", tier.Name())
-	}
-
-	// Tier push merges value deltas shard-aware.
-	delta := ps.NewValueBlock(4)
-	delta.AppendRow(4, []float32{5, 0, 0, 0}, make([]float32, 4), 0)
-	if err := tier.PushBlock(ps.PushBlockRequest{Shard: 0, Block: delta}); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := pull(h, 0, []keys.Key{4})
-	if got.WeightsRow(0)[0] != 4+5 {
-		t.Fatalf("tier push not applied: %v", got.WeightsRow(0)[0])
-	}
-	if err := tier.PushBlock(ps.PushBlockRequest{Shard: 42, Block: ps.NewValueBlock(4)}); err == nil {
-		t.Fatal("invalid shard should fail")
-	}
-
-	st := tier.TierStats()
-	if st.Pulls == 0 || st.Pushes == 0 || st.KeysPulled == 0 || st.KeysPushed == 0 {
-		t.Fatalf("uniform stats not recorded: %+v", st)
-	}
-}
-
 func TestEvictPartialAndFull(t *testing.T) {
 	h, _ := New(testConfig(2))
 	h.LoadBlock(workingSet(10))
@@ -453,5 +435,127 @@ func TestEvictPartialAndFull(t *testing.T) {
 	}
 	if st := h.TierStats(); st.Evictions != 3 || st.KeysEvicted != 10 {
 		t.Fatalf("evict stats = %+v", st)
+	}
+}
+
+// TestCollectAgrees: CollectBlock must report exactly the keys and
+// bit-identical weight/accumulator/frequency deltas of an independent
+// reference computed from the tier's own PullInto — including the changed-key
+// filter (untouched parameters absent, frequency-only changes present).
+func TestCollectAgrees(t *testing.T) {
+	const dim = 8
+	const n = 96
+	clock := hw.NewCounter()
+	h, err := New(Config{
+		NumGPUs:    2,
+		Dim:        dim,
+		GPUProfile: hw.DefaultGPUNode().GPU,
+		Clock:      clock,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Load a sorted working-set block so collection order is deterministic.
+	ks := make([]keys.Key, n)
+	for i := range ks {
+		ks[i] = keys.Key(i*3 + 1)
+	}
+	loadBlk := ps.NewValueBlock(dim)
+	loadBlk.Reset(dim, ks)
+	for i := range ks {
+		v := embedding.NewValue(dim)
+		for j := range v.Weights {
+			v.Weights[j] = float32(i) + float32(j)*0.25
+			v.G2Sum[j] = 0.1 * float32(j+1)
+		}
+		v.Freq = uint32(i)
+		loadBlk.Set(i, v)
+	}
+	if err := h.LoadBlock(loadBlk); err != nil {
+		t.Fatal(err)
+	}
+	orig := ps.NewValueBlock(dim)
+	orig.CopyFrom(loadBlk)
+
+	// Mutate a third of the keys through the optimizer, bump only the
+	// frequency of another third, and leave the rest untouched.
+	opt := optimizer.Adagrad{LR: 0.05, InitialAccumulator: 0.1}
+	grad := make([]float32, dim)
+	grad[0], grad[dim-1] = 0.5, -0.25
+	work := ps.NewValueBlock(dim)
+	if err := h.PullInto(ps.PullRequest{Shard: 0, Keys: ks[:n/3]}, work); err != nil {
+		t.Fatal(err)
+	}
+	before := ps.NewValueBlock(dim)
+	before.CopyFrom(work)
+	for i := range work.Keys {
+		opt.ApplySparse(work.WeightsRow(i), work.G2Row(i), grad)
+		work.Freq[i]++
+	}
+	if err := h.CommitBlock(0, before, work); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.PullInto(ps.PullRequest{Shard: 1, Keys: ks[n/3 : 2*n/3]}, work); err != nil {
+		t.Fatal(err)
+	}
+	before.CopyFrom(work)
+	for i := range work.Keys {
+		work.Freq[i] += 2 // frequency-only delta
+	}
+	if err := h.CommitBlock(1, before, work); err != nil {
+		t.Fatal(err)
+	}
+
+	// Independent reference: current values straight from the tier, minus the
+	// loaded ones, keeping only non-zero deltas.
+	cur := ps.NewValueBlock(dim)
+	if err := h.PullInto(ps.PullRequest{Shard: 0, Keys: ks}, cur); err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[keys.Key]*embedding.Value)
+	for i, k := range ks {
+		d := embedding.NewValue(dim)
+		changed := false
+		for j := range d.Weights {
+			d.Weights[j] = cur.WeightsRow(i)[j] - orig.WeightsRow(i)[j]
+			d.G2Sum[j] = cur.G2Row(i)[j] - orig.G2Row(i)[j]
+			if d.Weights[j] != 0 || d.G2Sum[j] != 0 {
+				changed = true
+			}
+		}
+		d.Freq = cur.Freq[i] - orig.Freq[i]
+		if changed || d.Freq != 0 {
+			want[k] = d
+		}
+	}
+	if len(want) != 2*(n/3) {
+		t.Fatalf("reference expects %d changed keys, want %d", len(want), 2*(n/3))
+	}
+
+	blk := ps.NewValueBlock(dim)
+	h.CollectBlock(blk)
+	if blk.Len() != len(want) {
+		t.Fatalf("CollectBlock returned %d rows, want %d", blk.Len(), len(want))
+	}
+	if !keys.SortedUnique(blk.Keys) {
+		t.Fatalf("CollectBlock rows not in sorted working-set order: %v", blk.Keys)
+	}
+	for i, k := range blk.Keys {
+		ref := want[k]
+		if ref == nil {
+			t.Fatalf("CollectBlock reported unchanged key %d", k)
+		}
+		if !blk.Present[i] {
+			t.Fatalf("collected row %d (key %d) absent", i, k)
+		}
+		if blk.Freq[i] != ref.Freq {
+			t.Fatalf("key %d freq delta = %d, want %d", k, blk.Freq[i], ref.Freq)
+		}
+		for j := range ref.Weights {
+			if blk.WeightsRow(i)[j] != ref.Weights[j] || blk.G2Row(i)[j] != ref.G2Sum[j] {
+				t.Fatalf("key %d delta row differs from reference at element %d", k, j)
+			}
+		}
 	}
 }

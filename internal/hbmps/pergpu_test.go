@@ -45,14 +45,6 @@ func (m *model) commit(orig, final *ps.ValueBlock) {
 	}
 }
 
-func (m *model) push(blk *ps.ValueBlock) {
-	for i, k := range blk.Keys {
-		if v := m.cur[k]; v != nil && blk.Present[i] {
-			v.AddFlat(blk.WeightsRow(i), blk.G2Row(i), blk.Freq[i])
-		}
-	}
-}
-
 // collect is CollectBlock's contract: changed keys only, working-set order.
 func (m *model) collect() *ps.ValueBlock {
 	out := ps.NewValueBlock(m.dim)
@@ -196,16 +188,6 @@ func TestPerGPUPassesMatchSerialReference(t *testing.T) {
 					}
 					m.commit(orig, final)
 				}
-				// Deltas from other nodes: some resident, some not, some masked.
-				if sh.n > 0 {
-					push := randomBlock(rng, dim, []keys.Key{blk.Keys[0], blk.Keys[sh.n-1], blk.Keys[sh.n-1] + 1})
-					push.Present[1] = sh.n == 1 // masked unless it is the same key as row 0
-					if err := h.PushBlock(ps.PushBlockRequest{Shard: ps.NoShard, Block: push}); err != nil {
-						t.Fatal(err)
-					}
-					m.push(push)
-				}
-
 				got := ps.NewValueBlock(dim)
 				h.CollectBlock(got)
 				if err := sameBlocks(got, m.collect()); err != nil {
@@ -299,7 +281,7 @@ func TestConcurrentCommitsSum(t *testing.T) {
 var raceEnabled bool
 
 // TestBatchedCallsDoNotAllocate pins the steady state: once warm, loading,
-// pulling, committing, pushing, collecting and releasing a working set
+// pulling, committing, collecting and releasing a working set
 // allocate nothing, whether the per-GPU passes run inline (1 GPU) or on the
 // helper goroutines.
 func TestBatchedCallsDoNotAllocate(t *testing.T) {
@@ -314,7 +296,6 @@ func TestBatchedCallsDoNotAllocate(t *testing.T) {
 			blk := randomBlock(rng, dim, randomKeys(rng, 1024, gpus, false))
 			sub := blk.Keys[:300]
 			orig, final, deltas := ps.NewValueBlock(dim), ps.NewValueBlock(dim), ps.NewValueBlock(dim)
-			push := randomBlock(rng, dim, blk.Keys[100:200])
 			cycle := func() {
 				if err := h.LoadBlock(blk); err != nil {
 					t.Fatal(err)
@@ -325,9 +306,6 @@ func TestBatchedCallsDoNotAllocate(t *testing.T) {
 				final.CopyFrom(orig)
 				final.WeightsRow(0)[0]++
 				if err := h.CommitBlock(gpus-1, orig, final); err != nil {
-					t.Fatal(err)
-				}
-				if err := h.PushBlock(ps.PushBlockRequest{Shard: ps.NoShard, Block: push}); err != nil {
 					t.Fatal(err)
 				}
 				h.CollectBlock(deltas)

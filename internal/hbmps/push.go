@@ -27,7 +27,7 @@ func (h *HBMPS) CommitBlock(gpuID int, orig, final *ps.ValueBlock) error {
 	}
 	cur := &h.cur
 	h.rw.Lock()
-	n, local, miss := h.walk(gpuID, final.Keys, nil, func(i, p int) {
+	n, local, miss := h.walk(gpuID, final.Keys, func(i, p int) {
 		ow, og := orig.WeightsRow(i), orig.G2Row(i)
 		fw, fg := final.WeightsRow(i), final.G2Row(i)
 		sw, sg := cur.WeightsRow(p), cur.G2Row(p)
@@ -45,33 +45,6 @@ func (h *HBMPS) CommitBlock(gpuID int, orig, final *ps.ValueBlock) error {
 	}
 	h.count(h.traffic(local, n-local), 0, 0)
 	h.rec.RecordPush(len(final.Keys))
-	return nil
-}
-
-// PushBlock implements ps.Tier: it merges the block's per-key value deltas
-// (weight, optimizer-state and reference-count increments) into the resident
-// working set, in row order (callers keep rows sorted for deterministic
-// storage effects). Deltas for keys not resident are ignored — this tier only
-// ever holds the current batch's partitions; their authoritative copies live
-// below. When req.Shard names a GPU, the push counts like a commit from it;
-// with ps.NoShard (deltas arriving via the inter-node synchronization, whose
-// transfer the coordinator counts) it counts nothing.
-func (h *HBMPS) PushBlock(req ps.PushBlockRequest) error {
-	if req.Shard != ps.NoShard && (req.Shard < 0 || req.Shard >= len(h.devices)) {
-		return fmt.Errorf("hbmps: invalid gpu id %d", req.Shard)
-	}
-	blk, cur := req.Block, &h.cur
-	h.rw.Lock()
-	applied, local, _ := h.walk(max(req.Shard, 0), blk.Keys, blk.Present, func(i, p int) {
-		tensor.Add(blk.WeightsRow(i), cur.WeightsRow(p))
-		tensor.Add(blk.G2Row(i), cur.G2Row(p))
-		cur.Freq[p] += blk.Freq[i]
-	})
-	h.rw.Unlock()
-	if req.Shard != ps.NoShard {
-		h.count(h.traffic(local, applied-local), 0, 0)
-	}
-	h.rec.RecordPush(applied)
 	return nil
 }
 

@@ -135,40 +135,38 @@ func TestMissingKeyFailsByName(t *testing.T) {
 }
 
 // TestEvictedKeyLeavesTheWorkingSet evicts one changed key: a pull of it
-// fails, a later delta for it is skipped, and collection reports it as
-// unchanged while its neighbours' deltas still arrive.
+// fails, a later commit naming it fails by name after writing its
+// neighbour, and collection reports it as unchanged while its neighbour's
+// deltas still arrive.
 func TestEvictedKeyLeavesTheWorkingSet(t *testing.T) {
 	h, _ := New(testConfig(2))
 	if err := h.LoadBlock(evenWorkingSet(10)); err != nil {
 		t.Fatal(err)
 	}
-	delta := ps.NewValueBlock(4)
-	delta.AppendRow(4, []float32{1, 0, 0, 0}, make([]float32, 4), 1)
-	delta.AppendRow(6, []float32{1, 0, 0, 0}, make([]float32, 4), 1)
-	push := func() {
-		t.Helper()
-		if err := h.PushBlock(ps.PushBlockRequest{Shard: 0, Block: delta}); err != nil {
-			t.Fatal(err)
-		}
+	// Committed against an all-zero orig, final's rows add as deltas.
+	final := ps.NewValueBlock(4)
+	final.AppendRow(4, []float32{1, 0, 0, 0}, make([]float32, 4), 1)
+	final.AppendRow(6, []float32{1, 0, 0, 0}, make([]float32, 4), 1)
+	orig := ps.NewValueBlock(4)
+	orig.Reset(4, final.Keys)
+	if err := h.CommitBlock(0, orig, final); err != nil {
+		t.Fatal(err)
 	}
-	push()
 	if n, err := h.Evict([]keys.Key{6}); err != nil || n != 1 {
 		t.Fatalf("evict = (%d, %v), want (1, nil)", n, err)
 	}
 	if _, err := pull(h, 0, []keys.Key{6}); err == nil || !strings.Contains(err.Error(), "key 6 not in the working set") {
 		t.Fatalf("pull of an evicted key: %v", err)
 	}
-	pushed := h.TierStats().KeysPushed
-	push()
-	if got := h.TierStats().KeysPushed - pushed; got != 1 {
-		t.Fatalf("push applied %d rows, want 1 (the evicted key is skipped)", got)
+	if err := h.CommitBlock(0, orig, final); err == nil || !strings.Contains(err.Error(), "key 6 not in the working set") {
+		t.Fatalf("commit naming an evicted key: %v", err)
 	}
 	updates := collect(h)
 	if _, ok := updates[6]; ok || len(updates) != 1 {
 		t.Fatalf("collected %d deltas, want only key 4's", len(updates))
 	}
 	if d := updates[4]; d == nil || d.Weights[0] != 2 || d.Freq != 2 {
-		t.Fatalf("key 4's delta = %+v, want both pushes", d)
+		t.Fatalf("key 4's delta = %+v, want both commits", d)
 	}
 }
 

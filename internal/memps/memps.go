@@ -24,11 +24,10 @@
 // HandlePullBlockWire) and the pushes (PushBlock, PushBlockPair) all go
 // through it; only the no-create read behind HandleLookupBlock, Lookup and
 // ExportInto does not. A node that assembles its own working set
-// (PrepareInto, PullInto) pulls the remotely-owned keys from their owners'
-// MEM-PS over a cluster.Transport; every MEM-PS the product builds — the
-// trainer's in-process nodes and the shard servers — gets cluster.NoRoute
-// instead, so those two are reached only by the benchmark's layer probe and
-// the ps.Tier conformance suite.
+// (PrepareInto) pulls the remotely-owned keys from their owners' MEM-PS over
+// a cluster.Transport; every MEM-PS the product builds — the trainer's
+// in-process nodes and the shard servers — gets cluster.NoRoute instead, so
+// that path is reached only by the benchmark's layer probe and tests.
 //
 // An eviction copies the row into the dump buffer — a block of rows in
 // eviction order, indexed by one keys.Table — and frees the slab row. Once a
@@ -90,8 +89,8 @@ type Config struct {
 
 // Stats summarizes the work a MEM-PS has done.
 type Stats struct {
-	// BatchesPrepared counts working-set assemblies (PrepareInto,
-	// PrepareOwnedInto and PullInto calls).
+	// BatchesPrepared counts working-set assemblies (PrepareInto and
+	// PrepareOwnedInto calls).
 	BatchesPrepared int64
 	// LocalKeys counts the working parameters this node resolved from its
 	// own shard; RemoteKeys counts those it received from peers.
@@ -146,11 +145,11 @@ type WorkingSet struct {
 	refs []cache.Ref[int32]
 }
 
-// MemPS is the main-memory parameter server of one node.
-// It is safe for concurrent use. It implements ps.Tier: PullInto assembles an
-// unpinned working set (local cache/SSD plus remote owners), PushBlock merges
-// collected deltas into the owned shard, and Evict demotes parameters to the
-// SSD-PS below.
+// MemPS is the main-memory parameter server of one node. It is safe for
+// concurrent use. The trainer's owner prepares, pushes and completes batches
+// through it; a shard server serves its pull, lookup and push RPCs
+// (HandlePullBlockWire, HandleLookupBlock, HandlePushBlock); Evict demotes
+// parameters to the SSD-PS below.
 type MemPS struct {
 	cfg Config
 	rec ps.Recorder
@@ -209,8 +208,6 @@ type MemPS struct {
 	// spareRefs are the Ref slices of completed working sets, for the next.
 	spareRefs [][]cache.Ref[int32]
 }
-
-var _ ps.Tier = (*MemPS)(nil)
 
 // New constructs a MEM-PS. It validates the configuration.
 func New(cfg Config) (*MemPS, error) {
@@ -310,10 +307,10 @@ func (m *MemPS) alloc(k keys.Key) int32 {
 	return slot
 }
 
-// Name implements ps.Tier.
+// Name identifies the tier in reports.
 func (m *MemPS) Name() string { return "mem-ps" }
 
-// TierStats implements ps.Tier.
+// TierStats returns the uniform cumulative statistics of the tier.
 func (m *MemPS) TierStats() ps.Stats { return m.rec.TierStats() }
 
 // CacheStats returns the cumulative cache statistics (Fig 4c's hit rate).

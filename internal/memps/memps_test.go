@@ -1,6 +1,9 @@
 package memps
 
 import (
+	"math"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -196,6 +199,26 @@ func TestApplyUpdates(t *testing.T) {
 	}
 	// An empty update is a no-op, not an error.
 	push(t, m, ps.NewValueBlock(4))
+
+	// Duplicate rows accumulate; a masked row moves nothing, whatever it holds.
+	before = after.Weights[0]
+	blk := weightDeltas(4, []keys.Key{5, 6, 5}, func(keys.Key) float32 { return 1 }, 0)
+	blk.Present[1], blk.WeightsRow(1)[0] = false, math.MaxFloat32
+	pushed := m.TierStats().KeysPushed
+	push(t, m, blk)
+	if got := m.Lookup(5).Weights[0]; got != before+2 {
+		t.Fatalf("duplicate rows moved key 5 to %v, want %v", got, before+2)
+	}
+	if m.Lookup(6) != nil {
+		t.Fatal("a masked row created its key")
+	}
+	if got := m.TierStats().KeysPushed - pushed; got != 2 {
+		t.Fatalf("KeysPushed advanced by %d, want the 2 present rows", got)
+	}
+	blk.WeightsRow(0)[0] = math.MaxFloat32 // the shard keeps no reference to a pushed block
+	if got := m.Lookup(5).Weights[0]; got != before+2 {
+		t.Fatalf("key 5 reads %v after its pushed block changed, want %v", got, before+2)
+	}
 }
 
 func TestEvictionDumpAndReload(t *testing.T) {
@@ -460,45 +483,78 @@ func TestLookupUnknownKey(t *testing.T) {
 	}
 }
 
-func TestTierInterface(t *testing.T) {
+// TestServedPullRows holds the pull a shard serves its peers to what the
+// wire binds positionally: into a reused block of another shape, one row per
+// request position — unsorted, duplicates included — each equal to its
+// key's value. A first reference is materialized once and stays stable, the
+// rows are copies, nothing is pinned, an empty request is an empty block,
+// the uniform statistics count every served key, and concurrent pulls agree.
+func TestServedPullRows(t *testing.T) {
 	m := singleNode(t, 64, 64)
-	var tier ps.Tier = m
-	if tier.Name() != "mem-ps" {
-		t.Fatalf("name = %q", tier.Name())
-	}
-
-	// Tier pull creates on first reference and does not pin.
-	res := ps.NewValueBlock(4)
-	if err := tier.PullInto(ps.PullRequest{Shard: ps.NoShard, Keys: []keys.Key{1, 2, 3}}, res); err != nil {
+	ws, _ := prepare(t, m, []keys.Key{5, 9, 13})
+	if err := m.CompleteBatch(ws); err != nil {
 		t.Fatal(err)
 	}
-	if res.PresentCount() != 3 {
-		t.Fatalf("pulled %d values", res.PresentCount())
+	req := []keys.Key{13, 5, 13, 77, 9, 5} // 77 is a first reference
+	dirty := ps.NewValueBlock(7)
+	dirty.Reset(7, slices.Concat(req, req))
+	for i := range dirty.Weights {
+		dirty.Weights[i] = -7
 	}
-	for _, k := range []keys.Key{1, 2, 3} {
+	pulled := m.TierStats().KeysPulled
+	if err := m.HandlePullBlock(req, dirty); err != nil {
+		t.Fatal(err)
+	}
+	if dirty.Dim != m.Dim() || !slices.Equal(dirty.Keys, req) {
+		t.Fatalf("served %v at dim %d, want the request %v at dim %d", dirty.Keys, dirty.Dim, req, m.Dim())
+	}
+	if got := m.TierStats().KeysPulled - pulled; got != int64(len(req)) {
+		t.Fatalf("KeysPulled advanced by %d, want %d", got, len(req))
+	}
+	want := lookupAll(t, m, req)
+	for i, k := range req {
+		if want[k] == nil || !sameBits(dirty.Value(i), want[k]) {
+			t.Fatalf("row %d (key %d) is %+v, the shard holds %+v", i, k, dirty.Value(i), want[k])
+		}
 		if m.cache.Pinned(uint64(k)) {
-			t.Fatalf("tier pull must not pin key %d", k)
+			t.Fatalf("a served pull pinned key %d", k)
 		}
 	}
-
-	// Tier push merges deltas into the owned shard.
-	delta := weightDeltas(4, []keys.Key{2}, func(keys.Key) float32 { return 2.5 }, 0)
-	if err := tier.PushBlock(ps.PushBlockRequest{Shard: ps.NoShard, Block: delta}); err != nil {
+	for i := range dirty.Weights {
+		dirty.Weights[i] = math.MaxFloat32
+	}
+	again := ps.NewValueBlock(m.Dim())
+	if err := m.HandlePullBlock(req, again); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Lookup(2).Weights[0]; got != res.WeightsRow(1)[0]+2.5 {
-		t.Fatalf("tier push not applied: %v", got)
+	for i, k := range req {
+		if !sameBits(again.Value(i), want[k]) {
+			t.Fatalf("key %d changed between two served pulls: the rows alias storage", k)
+		}
 	}
-
-	st := tier.TierStats()
-	if st.Pulls == 0 || st.Pushes == 0 || st.KeysPulled < 3 || st.KeysPushed != 1 {
-		t.Fatalf("uniform stats = %+v", st)
+	if err := m.HandlePullBlock(nil, again); err != nil || again.Len() != 0 {
+		t.Fatalf("empty pull = %d rows, %v", again.Len(), err)
 	}
+	var wg sync.WaitGroup // shard servers serve peers concurrently
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			blk := ps.NewValueBlock(m.Dim())
+			for range 20 {
+				if err := m.HandlePullBlock(req, blk); err != nil || !sameBits(blk.Value(3), want[77]) {
+					t.Errorf("concurrent served pull: %+v, %v", blk.Value(3), err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestEvictDemotesToSSD(t *testing.T) {
 	m := singleNode(t, 64, 64)
-	ws, _ := prepare(t, m, []keys.Key{1, 2, 3, 4})
+	ws, prepared := prepare(t, m, []keys.Key{1, 2, 3, 4})
 
 	// Pinned working parameters must survive eviction.
 	if n, err := m.Evict([]keys.Key{1, 2}); err != nil || n != 0 {
@@ -516,10 +572,10 @@ func TestEvictDemotesToSSD(t *testing.T) {
 	if !m.Store().Contains(1) || !m.Store().Contains(2) {
 		t.Fatal("evicted parameters must be on the SSD")
 	}
-	// Still readable through the tier (reloaded from SSD).
+	// Still served to a peer: reloaded from SSD, not re-created.
 	res := ps.NewValueBlock(4)
-	if err := m.PullInto(ps.PullRequest{Shard: ps.NoShard, Keys: []keys.Key{1}}, res); err != nil || res.PresentCount() != 1 {
-		t.Fatalf("pull after evict = (%d rows present, %v)", res.PresentCount(), err)
+	if err := m.HandlePullBlock([]keys.Key{1}, res); err != nil || !sameBits(res.Value(0), prepared.Value(0)) {
+		t.Fatalf("pull after evict = %+v (%v), want %+v", res.Value(0), err, prepared.Value(0))
 	}
 	if st := m.TierStats(); st.Evictions == 0 || st.KeysEvicted != 2 {
 		t.Fatalf("evict stats = %+v", st)

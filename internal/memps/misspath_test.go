@@ -124,17 +124,21 @@ func TestMissPathMatchesModel(t *testing.T) {
 			if err := pushPair(m, nil, keys.Dedup(someKeys())); err != nil {
 				t.Fatal(err)
 			}
-		case 4: // an unpinned tier pull, unsorted with duplicates
+		case 4: // a prepare of an unsorted request with duplicates, no push
 			ks := someKeys()
 			blk := &ps.ValueBlock{}
-			if err := m.PullInto(ps.PullRequest{Shard: ps.NoShard, Keys: ks}, blk); err != nil {
+			ws, err := m.PrepareInto(ks, blk)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(blk.Keys, ks) {
-				t.Fatalf("PullInto reordered the request: %v for %v", blk.Keys, ks)
+			if want := keys.Dedup(slices.Clone(ks)); !slices.Equal(blk.Keys, want) {
+				t.Fatalf("PrepareInto rows hold %v, want the sorted set %v", blk.Keys, want)
 			}
-			for i, k := range ks {
-				check("PullInto", k, blk.Value(i))
+			for i, k := range blk.Keys {
+				check("PrepareInto", k, blk.Value(i))
+			}
+			if err := m.CompleteBatch(ws); err != nil {
+				t.Fatal(err)
 			}
 		case 5:
 			ks := someKeys()

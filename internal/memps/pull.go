@@ -23,7 +23,7 @@ func (m *MemPS) PrepareInto(working []keys.Key, dst *ps.ValueBlock) (*WorkingSet
 	if dst == nil {
 		return nil, errors.New("memps: PrepareInto needs a destination block")
 	}
-	return m.assemble(working, true, dst)
+	return m.assemble(working, dst)
 }
 
 // PrepareOwnedInto resolves a batch's keys owned by this node for every node
@@ -108,24 +108,6 @@ func (m *MemPS) ReceivePeerRows(n int) hw.Work {
 	return w
 }
 
-// PullInto implements ps.Tier: it assembles current values for an arbitrary
-// key set — local keys from the cache, the dump buffer or the SSD-PS (created
-// on first reference), remote keys from their owning nodes — into dst, in
-// request-key order, without pinning anything. Training batches use
-// PrepareInto instead, which additionally pins.
-func (m *MemPS) PullInto(req ps.PullRequest, dst *ps.ValueBlock) error {
-	if dst == nil {
-		return errors.New("memps: PullInto needs a destination block")
-	}
-	set := ps.GetBlock(m.cfg.Dim, nil)
-	defer ps.PutBlock(set)
-	dst.Reset(m.cfg.Dim, req.Keys)
-	return inRequestOrder(req.Keys, func(ks []keys.Key) error {
-		_, err := m.assemble(ks, false, set)
-		return err
-	}, func(i, j int) { dst.CopyRow(i, set, j) })
-}
-
 // inRequestOrder serves a request through its sorted unique key set — ks
 // itself when it already is one (peers, drivers and training batches ask for
 // sorted sets) — which serve resolves, then calls emit(i, j) for every
@@ -151,9 +133,10 @@ func inRequestOrder(ks []keys.Key, serve func(set []keys.Key) error, emit func(i
 	return nil
 }
 
-// assemble is the batched-pull path behind PrepareInto and PullInto: the
-// values are copied into dst's flat rows, in sorted unique-key order.
-func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*WorkingSet, error) {
+// assemble is the batched-pull path behind PrepareInto: the values are
+// copied into dst's flat rows, in sorted unique-key order, and the local
+// keys are pinned.
+func (m *MemPS) assemble(working []keys.Key, dst *ps.ValueBlock) (*WorkingSet, error) {
 	// A batch's key union arrives already sorted and unique (batch.Keys went
 	// through Dedup upstream); only copy-and-sort arbitrary requests.
 	if !keys.SortedUnique(working) {
@@ -204,13 +187,9 @@ func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*Wor
 		}(nodeID, ks)
 	}
 
-	how := probeRead
 	m.mu.Lock()
-	if pin {
-		how = probePin
-		ws.refs = m.takeRefs(len(local))
-	}
-	err := m.resolve(local, how, &ws.Stats, ws.refs, func(i int, slot int32) {
+	ws.refs = m.takeRefs(len(local))
+	err := m.resolve(local, probePin, &ws.Stats, ws.refs, func(i int, slot int32) {
 		dst.CopyRow(int(localRows[i]), &m.rows, int(slot))
 	})
 	if err != nil {
@@ -244,13 +223,11 @@ func (m *MemPS) assemble(working []keys.Key, pin bool, dst *ps.ValueBlock) (*Wor
 		err = fmt.Errorf("memps: node %d did not return key %d", m.cfg.Topology.NodeOf(dst.Keys[i]), dst.Keys[i])
 	}
 	if err != nil {
-		if pin {
-			// Same invariant as resolve's: a failed PrepareInto must not
-			// leak pins — by now every local key has been pinned.
-			m.mu.Lock()
-			m.unpin(ws)
-			m.mu.Unlock()
-		}
+		// Same invariant as resolve's: a failed PrepareInto must not leak
+		// pins — by now every local key has been pinned.
+		m.mu.Lock()
+		m.unpin(ws)
+		m.mu.Unlock()
 		return nil, err
 	}
 	// Only the locally-served keys count toward this tier instance's uniform

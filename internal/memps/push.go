@@ -10,12 +10,11 @@ import (
 	"hps/internal/ps"
 )
 
-// PushBlock implements ps.Tier: it merges the block's delta rows (weight and
-// optimizer-state deltas and reference-count increments, accumulated by the
-// HBM-PS across all GPUs and nodes) into the authoritative copies of the
-// parameters this node owns. Rows for other nodes' parameters are ignored —
-// their owners apply them. Rows apply in sorted key order; duplicate keys
-// accumulate.
+// PushBlock merges the block's delta rows (weight and optimizer-state deltas
+// and reference-count increments, accumulated by the HBM-PS across all GPUs
+// and nodes) into the authoritative copies of the parameters this node owns.
+// Rows for other nodes' parameters are ignored — their owners apply them.
+// Rows apply in sorted key order; duplicate keys accumulate.
 func (m *MemPS) PushBlock(req ps.PushBlockRequest) error {
 	_, err := m.applyBlock(nil, req.Block)
 	return err

@@ -51,12 +51,12 @@ func (m *MemPS) undump(k keys.Key, d dumpRow) {
 	m.dumped.Delete(k)
 }
 
-// Evict implements ps.Tier: it demotes the given locally-owned, unpinned
-// parameters from the memory cache to the SSD-PS, flushing the dump buffer
-// along the way. A nil slice demotes everything (equivalent to Flush). It
-// returns how many parameters left main memory for the SSD. It first waits
-// out the background write in flight and returns that write's error, if it
-// failed, without evicting anything.
+// Evict demotes the given locally-owned, unpinned parameters from the memory
+// cache to the SSD-PS, flushing the dump buffer along the way. A nil slice
+// demotes everything (equivalent to Flush). It returns how many parameters
+// left main memory for the SSD. It first waits out the background write in
+// flight and returns that write's error, if it failed, without evicting
+// anything.
 func (m *MemPS) Evict(ks []keys.Key) (int, error) {
 	if ks == nil {
 		return m.flushAll()

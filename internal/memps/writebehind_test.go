@@ -214,17 +214,17 @@ func TestWriteBehindReadersSeeRowsInFlight(t *testing.T) {
 		t.Fatalf("ImportBlock accepted %d rows over rows being written", c)
 	}
 
-	// Pull half back unpinned and prepare the other half: each resolves from
-	// the buffer into a copy in the cache, with no SSD-PS read, and the
+	// Serve half back to a peer and prepare the other half: each resolves
+	// from the buffer into a copy in the cache, with no SSD-PS read, and the
 	// buffer keeps the row the write reads.
 	loads := m.Store().Stats().Loads
 	half := len(rows) / 2
 	pulled := ps.NewValueBlock(4)
-	if err := m.PullInto(ps.PullRequest{Shard: ps.NoShard, Keys: rows[:half]}, pulled); err != nil {
+	if err := m.HandlePullBlock(rows[:half], pulled); err != nil {
 		t.Fatal(err)
 	}
 	for i, k := range rows[:half] {
-		n.check("PullInto", k, pulled.Value(i))
+		n.check("HandlePullBlock", k, pulled.Value(i))
 	}
 	ws, prepared := prepare(t, m, rows[half:])
 	for i, k := range rows[half:] {
@@ -373,7 +373,7 @@ func TestWriteBehindFailureKeepsRows(t *testing.T) {
 		<-held
 		rows := n.rowsInFlight()
 		pulled := ps.NewValueBlock(4)
-		if err := m.PullInto(ps.PullRequest{Shard: ps.NoShard, Keys: rows[:1]}, pulled); err != nil {
+		if err := m.HandlePullBlock(rows[:1], pulled); err != nil {
 			t.Fatal(err)
 		}
 		push(t, m, n.deltas(rows[:1]))

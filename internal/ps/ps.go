@@ -1,17 +1,13 @@
-// Package ps defines the common parameter-server contract of the hierarchy's
-// cached tiers — HBM-PS (internal/hbmps) and MEM-PS (internal/memps) — and of
-// a remote MEM-PS reached over the wire (cluster.RemoteTier).
+// Package ps holds what the parameter-server tiers share: the flat
+// ValueBlock every batch moves through (Algorithm 1 moves a batch's working
+// set as one union and its merged deltas as one set), its wire encoding, the
+// pull and push request shapes, and the uniform statistics every tier keeps
+// (Recorder).
 //
-// A tier stores sparse parameters keyed by keys.Key and serves three batched
-// operations, each over a flat ValueBlock (Algorithm 1 moves a batch's working
-// set as one union and its merged deltas as one set):
-//
-//   - PullInto: read the current values of a key set into a block,
-//   - PushBlock: merge a block of per-key deltas into the stored values,
-//   - Evict: demote keys out of the tier, toward the tier below it.
-//
-// Recorder centralizes the uniform statistics every tier reports; the SSD-PS
-// (internal/ssdps), which only the MEM-PS reads and writes, keeps one too.
+// The tiers have no common interface. The trainer drives the HBM-PS
+// (internal/hbmps) and the MEM-PS (internal/memps) through its owner, a
+// shard server serves a MEM-PS through cluster.Shard, and only the MEM-PS
+// reads and writes the SSD-PS (internal/ssdps).
 package ps
 
 import (
@@ -20,11 +16,11 @@ import (
 	"hps/internal/keys"
 )
 
-// PullRequest is a batched, key-partitioned read request against one tier.
+// PullRequest is a batched, key-partitioned read request against one tier
+// (the HBM-PS's PullInto).
 type PullRequest struct {
 	// Shard identifies the requesting shard within the tier's partition
-	// policy — the GPU id for the HBM-PS, the node id for the MEM-PS. Tiers
-	// without internal sharding ignore it; use NoShard when not applicable.
+	// policy: the GPU id of the worker, for the HBM-PS.
 	Shard int
 	// Keys are the parameters to read.
 	Keys []keys.Key
@@ -42,28 +38,6 @@ type PushBlockRequest struct {
 	// Block carries the parallel key/delta rows. Rows with Present false are
 	// skipped, which lets callers mask a reused block.
 	Block *ValueBlock
-}
-
-// Tier is the contract every parameter-server tier implements.
-type Tier interface {
-	// Name identifies the tier ("hbm-ps", "mem-ps", "remote[N]").
-	Name() string
-	// PullInto resets dst and writes copies of the current values of
-	// req.Keys into it, one row per requested key in request order
-	// (duplicates included). Missing keys follow the tier's policy: an
-	// absent, zeroed row, a materialized value, or an error. Rows never alias
-	// tier storage.
-	PullInto(req PullRequest, dst *ValueBlock) error
-	// PushBlock merges the request's present delta rows into the stored
-	// values; duplicate rows accumulate. Rows for keys the tier does not hold
-	// are handled tier-specifically (created or ignored); PushBlock reports
-	// only transport or storage failures.
-	PushBlock(req PushBlockRequest) error
-	// Evict demotes the given keys out of this tier, returning how many were
-	// actually held and demoted. A nil slice evicts everything evictable.
-	Evict(ks []keys.Key) (int, error)
-	// TierStats returns the uniform cumulative statistics of the tier.
-	TierStats() Stats
 }
 
 // Stats is the uniform statistics block every tier maintains (via Recorder).
@@ -87,9 +61,9 @@ func (s Stats) Add(other Stats) Stats {
 }
 
 // Recorder is the shared implementation of the uniform statistics block.
-// Tiers embed it (by pointer or value) and call the Record methods from
-// their pull/push/evict paths; TierStats then satisfies the Tier interface.
-// Recorder is safe for concurrent use.
+// Tiers embed it and call the Record methods from their pull/push/evict
+// paths, and report it through their TierStats. Recorder is safe for
+// concurrent use.
 type Recorder struct {
 	mu sync.Mutex
 	s  Stats

@@ -103,10 +103,6 @@ func (t *Trainer) Network() *nn.Network { return t.net }
 // DenseState returns the dense tower's optimizer state.
 func (t *Trainer) DenseState() *nn.DenseState { return t.denseState }
 
-// Embeddings exposes the in-memory sparse parameter table. The MPI baseline
-// serves its ps.Tier facade from it, and evaluation tools inspect it.
-func (t *Trainer) Embeddings() *embedding.Table { return t.table }
-
 // Examples returns the number of training examples seen.
 func (t *Trainer) Examples() int64 { return t.examples }
 

@@ -97,16 +97,11 @@ func openFDs(t *testing.T, dir string) int {
 	return n
 }
 
-// TestStoreMatchesModel drives seeded random Dump / Load / Delete / Compact /
-// (close, reopen, Recover) sequences through a store and a map[Key]Value
-// model: contents must agree bit for bit after every step, and live + stale
-// must account for every record on disk. However many parameter files came
-// and went, the store keeps one file and one descriptor.
-//
-// Delete is an in-memory retirement — the stale copy stays on disk until a
-// compaction drops its file — so a reopened store can resurrect deleted keys;
-// the test retires them again after each Recover, as an owner replaying its
-// deletions would.
+// TestStoreMatchesModel drives seeded random Dump / Load / Compact / (close,
+// reopen, Recover) sequences through a store and a map[Key]Value model:
+// contents must agree bit for bit after every step, and live + stale must
+// account for every record on disk. However many parameter files came and
+// went, the store keeps one file and one descriptor.
 func TestStoreMatchesModel(t *testing.T) {
 	const (
 		dim      = 3
@@ -119,7 +114,6 @@ func TestStoreMatchesModel(t *testing.T) {
 		s := openDir(t, dir, cfg)
 		fds := openFDs(t, dir)
 		model := map[keys.Key]*embedding.Value{}
-		deleted := map[keys.Key]bool{}
 		someKeys := func() []keys.Key {
 			ks := make([]keys.Key, 1+rng.Intn(12))
 			for i := range ks {
@@ -129,13 +123,12 @@ func TestStoreMatchesModel(t *testing.T) {
 		}
 		for step := 1; step <= 300; step++ {
 			desc := fmt.Sprintf("seed %d step %d", seed, step)
-			switch op := rng.Intn(10); {
+			switch op := rng.Intn(9); {
 			case op < 4:
 				vals := map[keys.Key]*embedding.Value{}
 				for _, k := range someKeys() {
 					vals[k] = stamped(dim, k, uint32(step))
 					model[k] = vals[k]
-					delete(deleted, k)
 				}
 				if err := s.Dump(vals); err != nil {
 					t.Fatalf("%s: dump: %v", desc, err)
@@ -151,20 +144,7 @@ func TestStoreMatchesModel(t *testing.T) {
 						t.Fatalf("%s: key %d loaded as %+v, model has %+v", desc, k, got[i], want)
 					}
 				}
-			case op < 7:
-				ks := keys.Dedup(someKeys())
-				live := 0
-				for _, k := range ks {
-					if _, ok := model[k]; ok {
-						live++
-						delete(model, k)
-						deleted[k] = true
-					}
-				}
-				if n := s.Delete(ks); n != live {
-					t.Fatalf("%s: Delete retired %d keys, model %d", desc, n, live)
-				}
-			case op < 9:
+			case op < 8:
 				if err := s.Compact(); err != nil {
 					t.Fatalf("%s: compact: %v", desc, err)
 				}
@@ -176,11 +156,6 @@ func TestStoreMatchesModel(t *testing.T) {
 				if dropped, err := s.Recover(); err != nil || len(dropped) != 0 {
 					t.Fatalf("%s: recover: dropped %v, err %v", desc, dropped, err)
 				}
-				var again []keys.Key
-				for k := range deleted {
-					again = append(again, k)
-				}
-				s.Delete(again)
 			}
 
 			all := s.Keys()

@@ -312,23 +312,6 @@ func (s *Store) Name() string { return "ssd-ps" }
 // pushes cover dumps and compaction rewrites.
 func (s *Store) TierStats() ps.Stats { return s.rec.TierStats() }
 
-// Delete retires the given keys: their mapping entries are removed and
-// their latest on-disk copies become stale. It returns how many keys were
-// live. Production systems recycle feature ids this way; the disk space is
-// reclaimed by the next compaction pass.
-func (s *Store) Delete(ks []keys.Key) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, k := range ks {
-		if l, ok := s.mapping.Delete(k); ok {
-			s.files[l.file].stale++
-			n++
-		}
-	}
-	return n
-}
-
 // Stats returns a snapshot of the store's statistics.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()

@@ -626,27 +626,30 @@ func loadValues(s *Store, ks []keys.Key) ([]*embedding.Value, error) {
 	return out, nil
 }
 
+// TestEvictRetiresKeys re-dumps keys the way the MEM-PS does when it evicts
+// them again: each new copy retires the key's older one, and compaction
+// reclaims the retired copies without dropping a live parameter.
 func TestEvictRetiresKeys(t *testing.T) {
 	s := testStore(t, Config{Dim: 4, ParamsPerFile: 8, StaleFractionToCompact: 0.5})
 	if err := s.Dump(makeVals(4, 1, 2, 3, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.Delete([]keys.Key{1, 2, 99}); n != 2 {
-		t.Fatalf("Delete retired %d keys, want 2", n)
+	evicted := makeVals(4, 1, 2)
+	evicted[1].Weights[0] = 100
+	if err := s.Dump(evicted); err != nil {
+		t.Fatal(err)
 	}
-	if s.Contains(1) || s.Contains(2) || !s.Contains(3) {
-		t.Fatal("retired keys must disappear, live keys must survive")
-	}
-	if s.Len() != 2 {
-		t.Fatalf("live params = %d, want 2", s.Len())
+	if st := s.Stats(); st.StaleParams != 2 || s.Len() != 4 {
+		t.Fatalf("stale %d, live %d after re-dumping 2 of 4 keys, want 2 and 4", st.StaleParams, s.Len())
 	}
 	// Compaction reclaims the retired copies without dropping live
 	// parameters.
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Contains(3) || !s.Contains(4) {
-		t.Fatal("compaction must preserve live parameters")
+	got, err := s.Load([]keys.Key{1, 2, 3, 4})
+	if err != nil || len(got) != 4 || got[1].Weights[0] != 100 {
+		t.Fatalf("after compaction: %d of 4 keys, key 1 = %+v, err %v", len(got), got[1], err)
 	}
 	if st := s.Stats(); st.Compactions == 0 {
 		t.Fatal("retiring half a file should make it a compaction victim")
