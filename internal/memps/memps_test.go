@@ -1,9 +1,6 @@
 package memps
 
 import (
-	"math"
-	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -199,26 +196,6 @@ func TestApplyUpdates(t *testing.T) {
 	}
 	// An empty update is a no-op, not an error.
 	push(t, m, ps.NewValueBlock(4))
-
-	// Duplicate rows accumulate; a masked row moves nothing, whatever it holds.
-	before = after.Weights[0]
-	blk := weightDeltas(4, []keys.Key{5, 6, 5}, func(keys.Key) float32 { return 1 }, 0)
-	blk.Present[1], blk.WeightsRow(1)[0] = false, math.MaxFloat32
-	pushed := m.TierStats().KeysPushed
-	push(t, m, blk)
-	if got := m.Lookup(5).Weights[0]; got != before+2 {
-		t.Fatalf("duplicate rows moved key 5 to %v, want %v", got, before+2)
-	}
-	if m.Lookup(6) != nil {
-		t.Fatal("a masked row created its key")
-	}
-	if got := m.TierStats().KeysPushed - pushed; got != 2 {
-		t.Fatalf("KeysPushed advanced by %d, want the 2 present rows", got)
-	}
-	blk.WeightsRow(0)[0] = math.MaxFloat32 // the shard keeps no reference to a pushed block
-	if got := m.Lookup(5).Weights[0]; got != before+2 {
-		t.Fatalf("key 5 reads %v after its pushed block changed, want %v", got, before+2)
-	}
 }
 
 func TestEvictionDumpAndReload(t *testing.T) {
@@ -481,75 +458,6 @@ func TestLookupUnknownKey(t *testing.T) {
 	if v := m.Lookup(999); v != nil {
 		t.Fatal("unknown key should return nil")
 	}
-}
-
-// TestServedPullRows holds the pull a shard serves its peers to what the
-// wire binds positionally: into a reused block of another shape, one row per
-// request position — unsorted, duplicates included — each equal to its
-// key's value. A first reference is materialized once and stays stable, the
-// rows are copies, nothing is pinned, an empty request is an empty block,
-// the uniform statistics count every served key, and concurrent pulls agree.
-func TestServedPullRows(t *testing.T) {
-	m := singleNode(t, 64, 64)
-	ws, _ := prepare(t, m, []keys.Key{5, 9, 13})
-	if err := m.CompleteBatch(ws); err != nil {
-		t.Fatal(err)
-	}
-	req := []keys.Key{13, 5, 13, 77, 9, 5} // 77 is a first reference
-	dirty := ps.NewValueBlock(7)
-	dirty.Reset(7, slices.Concat(req, req))
-	for i := range dirty.Weights {
-		dirty.Weights[i] = -7
-	}
-	pulled := m.TierStats().KeysPulled
-	if err := m.HandlePullBlock(req, dirty); err != nil {
-		t.Fatal(err)
-	}
-	if dirty.Dim != m.Dim() || !slices.Equal(dirty.Keys, req) {
-		t.Fatalf("served %v at dim %d, want the request %v at dim %d", dirty.Keys, dirty.Dim, req, m.Dim())
-	}
-	if got := m.TierStats().KeysPulled - pulled; got != int64(len(req)) {
-		t.Fatalf("KeysPulled advanced by %d, want %d", got, len(req))
-	}
-	want := lookupAll(t, m, req)
-	for i, k := range req {
-		if want[k] == nil || !sameBits(dirty.Value(i), want[k]) {
-			t.Fatalf("row %d (key %d) is %+v, the shard holds %+v", i, k, dirty.Value(i), want[k])
-		}
-		if m.cache.Pinned(uint64(k)) {
-			t.Fatalf("a served pull pinned key %d", k)
-		}
-	}
-	for i := range dirty.Weights {
-		dirty.Weights[i] = math.MaxFloat32
-	}
-	again := ps.NewValueBlock(m.Dim())
-	if err := m.HandlePullBlock(req, again); err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range req {
-		if !sameBits(again.Value(i), want[k]) {
-			t.Fatalf("key %d changed between two served pulls: the rows alias storage", k)
-		}
-	}
-	if err := m.HandlePullBlock(nil, again); err != nil || again.Len() != 0 {
-		t.Fatalf("empty pull = %d rows, %v", again.Len(), err)
-	}
-	var wg sync.WaitGroup // shard servers serve peers concurrently
-	for range 4 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			blk := ps.NewValueBlock(m.Dim())
-			for range 20 {
-				if err := m.HandlePullBlock(req, blk); err != nil || !sameBits(blk.Value(3), want[77]) {
-					t.Errorf("concurrent served pull: %+v, %v", blk.Value(3), err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 func TestEvictDemotesToSSD(t *testing.T) {
