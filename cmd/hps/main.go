@@ -44,6 +44,7 @@ import (
 	"hps/internal/dataset"
 	"hps/internal/embedding"
 	"hps/internal/hw"
+	"hps/internal/metrics"
 	"hps/internal/model"
 	"hps/internal/mpips"
 	"hps/internal/trainer"
@@ -354,7 +355,7 @@ func runBaseline(spec model.Spec, data dataset.Config, hpsRate float64, gpuNodes
 		speedup := hpsRate / mpiRate
 		fmt.Printf("hierarchical vs MPI speedup: %.2fx raw", speedup)
 		fmt.Printf(", %.2fx cost-normalized (1 GPU node ~ %.0f MPI nodes)\n",
-			speedup/float64(gpuNodes)/hw.CostGPUNodesPerMPINode*float64(mpiNodes),
+			metrics.CostNormalizedSpeedup(speedup, gpuNodes, mpiNodes, hw.CostGPUNodesPerMPINode),
 			hw.CostGPUNodesPerMPINode)
 		if spec.PaperSpeedup > 0 {
 			fmt.Printf("(paper reports %.1fx for model %s at production scale)\n", spec.PaperSpeedup, spec.Name)

@@ -84,15 +84,6 @@ func (s Stats) ReadAmplification() float64 {
 	return float64(s.PhysicalBytesRead) / float64(s.LogicalBytesRead)
 }
 
-// WriteAmplification returns physical/logical bytes written (1.0 when no
-// writes).
-func (s Stats) WriteAmplification() float64 {
-	if s.LogicalBytesWritten == 0 {
-		return 1
-	}
-	return float64(s.PhysicalBytesWritten) / float64(s.LogicalBytesWritten)
-}
-
 // Extent is the handle of one parameter file: where it lives in the backing
 // file, the creation id its header carries (ids grow with every WriteFile, so
 // of two extents the one written later has the higher id) and how many
@@ -254,9 +245,6 @@ func (d *Device) Sync() error {
 
 // Dir returns the root directory of the device.
 func (d *Device) Dir() string { return d.dir }
-
-// BlockBytes returns the device block size.
-func (d *Device) BlockBytes() int64 { return d.ssd.BlockBytes }
 
 // extentCRC is the checksum an extent's header carries: over the header's
 // magic, count and id, then the records.

@@ -206,14 +206,11 @@ func TestStatsAndAmplification(t *testing.T) {
 	if s.LogicalBytesWritten != 100 || s.PhysicalBytesWritten != 4096 {
 		t.Fatalf("write bytes = %+v", s)
 	}
-	if s.WriteAmplification() != 40.96 {
-		t.Fatalf("write amplification = %v", s.WriteAmplification())
-	}
 	if s.ReadAmplification() != 40.96 {
 		t.Fatalf("read amplification = %v", s.ReadAmplification())
 	}
 	var empty Stats
-	if empty.ReadAmplification() != 1 || empty.WriteAmplification() != 1 {
+	if empty.ReadAmplification() != 1 {
 		t.Fatal("empty stats amplification should be 1")
 	}
 }
@@ -421,9 +418,6 @@ func TestScanDropsTornExtents(t *testing.T) {
 
 func TestDeviceAccessors(t *testing.T) {
 	d := newTestDevice(t)
-	if d.BlockBytes() != 4096 {
-		t.Fatal("block size accessor")
-	}
 	if d.CapacityBytes() != 1<<30 {
 		t.Fatal("capacity accessor")
 	}

@@ -199,20 +199,6 @@ func TestLFUPutWithFreq(t *testing.T) {
 	}
 }
 
-func TestLFURemove(t *testing.T) {
-	c := NewLFU[int](4, nil)
-	c.Put(1, 1)
-	if v, ok := c.Remove(1); !ok || v != 1 {
-		t.Fatal("Remove failed")
-	}
-	if _, ok := c.Remove(1); ok {
-		t.Fatal("second Remove should fail")
-	}
-	if c.Len() != 0 {
-		t.Fatal("cache should be empty")
-	}
-}
-
 func TestLFUCapacityInvariant(t *testing.T) {
 	f := func(ops []uint64) bool {
 		c := NewLFU[uint64](8, nil)
@@ -276,15 +262,11 @@ func TestCombinedHitRate(t *testing.T) {
 	if s.Hits != 1 || s.Misses != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if s.HitRate() != 0.5 {
-		t.Fatalf("hit rate = %v", s.HitRate())
-	}
-	c.ResetStats()
-	if c.Stats().Hits != 0 {
-		t.Fatal("ResetStats failed")
+	if hitRate(s) != 0.5 {
+		t.Fatalf("hit rate = %v", hitRate(s))
 	}
 	var zero Stats
-	if zero.HitRate() != 0 {
+	if hitRate(zero) != 0 {
 		t.Fatal("empty hit rate should be 0")
 	}
 }
@@ -381,7 +363,7 @@ func TestCombinedSkewedWorkloadHitRateExceedsUniform(t *testing.T) {
 				c.Put(k, int(k))
 			}
 		}
-		return c.Stats().HitRate()
+		return hitRate(c.Stats())
 	}
 	skewedRate := run(true)
 	uniformRate := run(false)

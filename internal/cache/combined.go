@@ -2,7 +2,8 @@
 // the MEM-PS (Section 5, Appendix D): the paper's combined policy, in which
 // entries evicted from an LRU level are demoted into an LFU level and entries
 // evicted from the LFU are handed to the caller (which flushes them to the
-// SSD-PS before releasing the memory), and a plain LFU cache.
+// SSD-PS before releasing the memory), and an LFU cache, which the serving
+// tier keeps its hot-key replica rows in.
 //
 // Working parameters of the in-flight batches are pinned and are never
 // evicted until their batch completes, preserving the pipeline's data
@@ -33,15 +34,6 @@ type Stats struct {
 	Evictions int64
 }
 
-// HitRate returns Hits / (Hits + Misses), or 0 when nothing was looked up.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // Combined is the paper's two-level eviction policy (Appendix D): a recency
 // level (LRU) in front of a frequency level (LFU). Whenever a parameter is
 // visited it enters the LRU; entries evicted from the LRU are demoted into
@@ -55,7 +47,7 @@ func (s Stats) HitRate() float64 {
 //
 // Working parameters of in-flight batches are pinned in the LRU. A pinned
 // entry is "in use" until its batch completes, not merely recently used: the
-// first Pin takes it off the eviction order altogether and the last Unpin
+// first pin takes it off the eviction order altogether and the last Unpin
 // puts it back at the most-recently-used end, so the LRU victim is always
 // the tail of the order and every operation is O(1) in the pinned count. The
 // LRU level never evicts the order's most recent entry — when everything
@@ -119,9 +111,6 @@ func (c *Combined[V]) Len() int { return c.items.Len() }
 
 // Stats returns a copy of the accumulated statistics.
 func (c *Combined[V]) Stats() Stats { return c.stats }
-
-// ResetStats clears the statistics counters (cache contents are unaffected).
-func (c *Combined[V]) ResetStats() { c.stats = Stats{} }
 
 // touch marks an unpinned LRU-level entry most recently used.
 func (c *Combined[V]) touch(e *entry[V]) {
@@ -292,19 +281,6 @@ func (c *Combined[V]) Remove(key uint64) (V, bool) {
 // Ref reaches the entry without a probe. The zero Ref refers to nothing.
 type Ref[V any] struct{ e *entry[V] }
 
-// Pin marks a key in the LRU as unevictable until a matching Unpin; pins
-// nest across overlapping batches. It reports whether the key was found in
-// the LRU (keys in the LFU cannot be pinned; Get them first to promote
-// them).
-func (c *Combined[V]) Pin(key uint64) bool {
-	e, ok := c.items.Get(keys.Key(key))
-	if !ok || e.pos != inLRU {
-		return false
-	}
-	c.pin(e)
-	return true
-}
-
 func (c *Combined[V]) pin(e *entry[V]) {
 	if e.pins == 0 {
 		e.unlink()
@@ -313,7 +289,7 @@ func (c *Combined[V]) pin(e *entry[V]) {
 	e.pins++
 }
 
-// GetPin is Get followed by Pin of the key it found, in one probe: it
+// GetPin is Get followed by pinning the key it found, in one probe: it
 // returns the value and a Ref to the pinned entry.
 func (c *Combined[V]) GetPin(key uint64) (V, Ref[V], bool) {
 	e, ok := c.items.Get(keys.Key(key))
@@ -327,8 +303,8 @@ func (c *Combined[V]) GetPin(key uint64) (V, Ref[V], bool) {
 	return e.value, Ref[V]{e}, true
 }
 
-// PutPin is Put followed by Pin, in one probe, and returns a Ref to the
-// pinned entry.
+// PutPin is Put followed by pinning the key, in one probe, and returns a Ref
+// to the pinned entry.
 func (c *Combined[V]) PutPin(key uint64, value V) Ref[V] {
 	e := c.put(key, value)
 	c.pin(e)
@@ -350,10 +326,10 @@ func (c *Combined[V]) ApplyRef(r Ref[V]) V {
 	return r.e.value
 }
 
-// Unpin releases one pin set by Pin. Once no pins remain the entry re-enters
-// the eviction order as the most recently used one, and overflow the pins
-// were holding back is demoted. It reports whether the key was found in the
-// LRU.
+// Unpin releases one pin set by GetPin or PutPin. Once no pins remain the
+// entry re-enters the eviction order as the most recently used one, and
+// overflow the pins were holding back is demoted. It reports whether the key
+// was found in the LRU.
 func (c *Combined[V]) Unpin(key uint64) bool {
 	e, ok := c.items.Get(keys.Key(key))
 	if !ok || e.pos != inLRU {

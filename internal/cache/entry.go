@@ -25,7 +25,7 @@ type entry[V any] struct {
 	// seq orders equally frequent entries of a frequency order: the one that
 	// entered it first is evicted first.
 	seq int64
-	// pins counts outstanding Pin calls: overlapping pipelined batches may
+	// pins counts outstanding pins: overlapping pipelined batches may
 	// pin the same working parameter, and it stays unevictable until every
 	// batch has unpinned it.
 	pins int

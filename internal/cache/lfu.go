@@ -21,12 +21,6 @@ func NewLFU[V any](capacity int, onEvict EvictFunc[V]) *LFU[V] {
 	return &LFU[V]{capacity: max(capacity, 1), onEvict: onEvict}
 }
 
-// Len returns the number of cached entries.
-func (c *LFU[V]) Len() int { return c.items.Len() }
-
-// Capacity returns the configured capacity.
-func (c *LFU[V]) Capacity() int { return c.capacity }
-
 // Get returns the value for key and increments its frequency.
 func (c *LFU[V]) Get(key uint64) (V, bool) {
 	if e, ok := c.items.Get(keys.Key(key)); ok {
@@ -35,20 +29,6 @@ func (c *LFU[V]) Get(key uint64) (V, bool) {
 	}
 	var zero V
 	return zero, false
-}
-
-// Peek returns the value for key without touching its frequency.
-func (c *LFU[V]) Peek(key uint64) (V, bool) {
-	if e, ok := c.items.Get(keys.Key(key)); ok {
-		return e.value, true
-	}
-	var zero V
-	return zero, false
-}
-
-// Contains reports whether key is cached without touching its frequency.
-func (c *LFU[V]) Contains(key uint64) bool {
-	return c.items.Has(keys.Key(key))
 }
 
 // Put inserts or updates key. New entries start with the given initial
@@ -83,31 +63,4 @@ func (c *LFU[V]) PutWithFreq(key uint64, value V, freq int64) {
 			c.onEvict(victim.key, victim.value)
 		}
 	}
-}
-
-// Remove deletes key without invoking the eviction callback. It returns the
-// removed value, if any.
-func (c *LFU[V]) Remove(key uint64) (V, bool) {
-	e, ok := c.items.Get(keys.Key(key))
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	c.order.remove(e)
-	c.items.Delete(keys.Key(key))
-	return e.value, true
-}
-
-// Freq returns the current frequency of key (0 if absent).
-func (c *LFU[V]) Freq(key uint64) int64 {
-	if e, ok := c.items.Get(keys.Key(key)); ok {
-		return e.visits
-	}
-	return 0
-}
-
-// Range calls fn for every cached entry, in the order the cache would evict
-// them, until fn returns false.
-func (c *LFU[V]) Range(fn func(key uint64, value V) bool) {
-	c.order.each(func(e *entry[V]) bool { return fn(e.key, e.value) })
 }

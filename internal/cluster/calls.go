@@ -59,15 +59,6 @@ func (t *TCPTransport) sendBlock(nodeID int, op uint8, client, seq uint64, blk *
 	return bytes, nil
 }
 
-// PushBlock merges blk's delta rows into node nodeID's shard. The push is
-// stamped with a dedup sequence, so a push-block retried across a reconnect
-// is applied exactly once (the sequence is assigned once, before the retry
-// loop, for that reason).
-func (t *TCPTransport) PushBlock(nodeID int, blk *ps.ValueBlock) (int64, error) {
-	client, seq := t.Stamp()
-	return t.PushBlockStamped(nodeID, client, seq, blk)
-}
-
 // Stamp allocates a fresh push dedup stamp. Callers that need to fail a push
 // over to a key's backup take the stamp first, so the failover delivery (via
 // Replicate) carries the same identity as the failed push and a backup that
@@ -77,7 +68,9 @@ func (t *TCPTransport) Stamp() (client, seq uint64) {
 	return t.client, t.seq.Add(1)
 }
 
-// PushBlockStamped is PushBlock under a caller-provided dedup stamp.
+// PushBlockStamped merges blk's delta rows into node nodeID's shard under a
+// caller-provided dedup stamp (see Stamp), so a push-block retried across a
+// reconnect, or failed over to a backup, is applied exactly once.
 func (t *TCPTransport) PushBlockStamped(nodeID int, client, seq uint64, blk *ps.ValueBlock) (int64, error) {
 	return t.sendBlock(nodeID, rawOpPushBlock, client, seq, blk, nil)
 }

@@ -13,6 +13,21 @@ import (
 	"hps/internal/ps"
 )
 
+// PushBlock pushes blk's delta rows to node nodeID under a fresh dedup stamp,
+// as the trainer's push does through Stamp and PushBlockStamped.
+func (t *TCPTransport) PushBlock(nodeID int, blk *ps.ValueBlock) (int64, error) {
+	client, seq := t.Stamp()
+	return t.PushBlockStamped(nodeID, client, seq, blk)
+}
+
+// setRow copies v into row i of b and marks it present.
+func setRow(b *ps.ValueBlock, i int, v *embedding.Value) {
+	copy(b.WeightsRow(i), v.Weights)
+	copy(b.G2Row(i), v.G2Sum)
+	b.Freq[i] = v.Freq
+	b.Present[i] = true
+}
+
 func TestTopologyValidate(t *testing.T) {
 	if err := (Topology{Nodes: 4, GPUsPerNode: 8}).Validate(); err != nil {
 		t.Fatal(err)
@@ -57,7 +72,7 @@ func TestTopologyShardingProperty(t *testing.T) {
 	f := func(raw uint64) bool {
 		k := keys.Key(raw)
 		n := topo.NodeOf(k)
-		g := topo.GPUOf(k)
+		g := k.HashShard(topo.GPUsPerNode)
 		return n >= 0 && n < 3 && g >= 0 && g < 4
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -142,7 +157,7 @@ func (h *mapHandler) HandlePullBlock(ks []keys.Key, dst *ps.ValueBlock) error {
 	}
 	dst.Reset(h.dim, ks)
 	for i, k := range ks {
-		dst.Set(i, h.value(k))
+		setRow(dst, i, h.value(k))
 	}
 	return nil
 }

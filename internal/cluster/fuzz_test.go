@@ -18,7 +18,7 @@ func wellFormedFrames() map[string][]byte {
 	v.Weights[0] = 1.5
 	blk := ps.NewValueBlock(4)
 	blk.Reset(4, []keys.Key{9})
-	blk.Set(0, v)
+	setRow(blk, 0, v)
 	frames := map[string][]byte{
 		"hello":       {rawOpHello, rawWireVersion, 0, 0},
 		"pull-block":  appendRawKeyReq(nil, rawOpPullBlock, 0, []keys.Key{2, 4, 6}),

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -48,7 +49,7 @@ func (h *opsHandler) HandlePullBlock(ks []keys.Key, dst *ps.ValueBlock) error {
 			v.Weights[0] = float32(k)
 			h.vals[k] = v
 		}
-		dst.Set(i, v)
+		setRow(dst, i, v)
 	}
 	return nil
 }
@@ -66,7 +67,7 @@ func (h *opsHandler) HandleLookupBlock(ks []keys.Key, dst *ps.ValueBlock) error 
 	dst.Reset(opsDim, ks)
 	for i, k := range ks {
 		if v, ok := h.vals[k]; ok {
-			dst.Set(i, v)
+			setRow(dst, i, v)
 		}
 	}
 	return nil
@@ -200,7 +201,7 @@ func (h *opsHandler) state() any {
 	defer h.mu.Unlock()
 	vals := make(map[keys.Key]embedding.Value, len(h.vals))
 	for k, v := range h.vals {
-		vals[k] = *v.Clone()
+		vals[k] = embedding.Value{Weights: slices.Clone(v.Weights), G2Sum: slices.Clone(v.G2Sum), Freq: v.Freq}
 	}
 	return []any{vals, append([]keys.Key(nil), h.replicated...), h.membership, h.config}
 }

@@ -96,10 +96,6 @@ func (t Topology) HoldsKey(k keys.Key, node int) bool {
 // not mutate.
 func (t Topology) MemberIDs() []int { return t.Ring().Members() }
 
-// GPUOf returns the GPU (within its node) that stores k in the HBM-PS
-// partition of the current batch.
-func (t Topology) GPUOf(k keys.Key) int { return k.HashShard(t.GPUsPerNode) }
-
 // SplitByNode partitions ks by owning node, preserving input order within
 // each group. The result is indexed by node id and sized to hold the largest
 // member id; vacated ids stay as empty groups.

@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"hps/internal/keys"
 )
@@ -41,24 +40,13 @@ func NewValue(dim int) *Value {
 	return &Value{Weights: rows[:dim:dim], G2Sum: rows[dim:]}
 }
 
-// NewRandomValue returns a value with small random initial weights, as used
-// when a feature is seen for the first time during training.
-func NewRandomValue(dim int, rng *rand.Rand) *Value {
-	v := NewValue(dim)
-	scale := float32(1.0 / math.Sqrt(float64(dim)+1))
-	for i := range v.Weights {
-		v.Weights[i] = (rng.Float32()*2 - 1) * scale
-	}
-	return v
-}
-
 // NewKeyedValue returns the deterministic initial value of a feature key
 // under the given seed: the same (seed, key) pair always produces the same
-// weights — uniform in ±1/√(dim+1), like NewRandomValue — regardless of the
-// node or the order in which keys are first encountered. A restarted or
-// restored parameter server therefore re-initializes a key it never flushed
-// exactly as the original process would have, which is what lets a resumed
-// training run reproduce a straight one bit for bit.
+// weights — uniform in ±1/√(dim+1) — regardless of the node or the order in
+// which keys are first encountered. A restarted or restored parameter server
+// therefore re-initializes a key it never flushed exactly as the original
+// process would have, which is what lets a resumed training run reproduce a
+// straight one bit for bit.
 //
 // The weights are consecutive outputs of a splitmix64 stream whose starting
 // state is the mixed (seed, key) pair: a first reference costs a few
@@ -90,27 +78,12 @@ func InitKeyed(w []float32, seed int64, key uint64) {
 // Dim returns the embedding dimension.
 func (v *Value) Dim() int { return len(v.Weights) }
 
-// Clone returns a deep copy of the value.
-func (v *Value) Clone() *Value {
-	out := NewValue(len(v.Weights))
-	out.Freq = v.Freq
-	copy(out.Weights, v.Weights)
-	copy(out.G2Sum, v.G2Sum)
-	return out
-}
-
-// Add accumulates other's weights and accumulators into v (used when merging
-// parameter updates during all-reduce synchronization). The dimensions must
-// match exactly: a mismatch means two tiers disagree about the model shape,
-// and silently dropping or skipping elements would corrupt the parameter, so
-// Add panics with context instead. Callers that ingest untrusted values (the
-// cluster RPC server) contain the panic per request.
-func (v *Value) Add(other *Value) {
-	v.AddFlat(other.Weights, other.G2Sum, other.Freq)
-}
-
-// AddFlat is Add over raw weight/accumulator rows (the ValueBlock layout),
-// with the same strict dimension contract.
+// AddFlat accumulates raw weight and accumulator rows (the ValueBlock
+// layout) and a frequency into v: the plain statement of how a push merges
+// into a parameter, which the tests hold the tiers' slab merges against. The
+// dimensions must match exactly: a mismatch means two tiers disagree about
+// the model shape, and silently dropping or skipping elements would corrupt
+// the parameter, so AddFlat panics with context instead.
 func (v *Value) AddFlat(weights, g2sum []float32, freq uint32) {
 	if len(weights) != len(v.Weights) || len(g2sum) != len(v.G2Sum) {
 		panic(fmt.Sprintf("embedding: Add dimension mismatch: delta %d/%d into value %d/%d",
@@ -130,8 +103,8 @@ func (v *Value) AddFlat(weights, g2sum []float32, freq uint32) {
 	v.Freq += freq
 }
 
-// EncodedSize returns the number of bytes Encode produces for a value of the
-// given dimension: 4 bytes of dimension, 4 bytes of frequency, then two
+// EncodedSize returns the number of bytes EncodeRow produces for a value of
+// the given dimension: 4 bytes of dimension, 4 bytes of frequency, then two
 // float32 arrays.
 func EncodedSize(dim int) int {
 	if dim < 0 {
@@ -140,18 +113,10 @@ func EncodedSize(dim int) int {
 	return 8 + 8*dim
 }
 
-// EncodedSizeOf returns the encoded size of v.
-func (v *Value) EncodedSizeOf() int { return EncodedSize(v.Dim()) }
-
-// Encode serializes v into buf and returns the number of bytes written.
-// buf must have at least EncodedSize(v.Dim()) bytes; Encode panics otherwise.
-func (v *Value) Encode(buf []byte) int {
-	return EncodeRow(buf, v.Weights, v.G2Sum, v.Freq)
-}
-
-// EncodeRow is Encode over raw weight and accumulator rows of one length
-// (the ValueBlock layout): the bytes are those Encode writes for the value
-// the rows and freq make up.
+// EncodeRow serializes raw weight and accumulator rows of one length (the
+// ValueBlock layout) and their frequency into buf and returns the number of
+// bytes written. buf must have at least EncodedSize(len(weights)) bytes;
+// EncodeRow panics otherwise.
 func EncodeRow(buf []byte, weights, g2sum []float32, freq uint32) int {
 	need := EncodedSize(len(weights))
 	if len(buf) < need || len(g2sum) != len(weights) {
@@ -169,25 +134,6 @@ func EncodeRow(buf []byte, weights, g2sum []float32, freq uint32) int {
 		off += 4
 	}
 	return off
-}
-
-// Decode parses a value from buf and returns it together with the number of
-// bytes consumed. It returns an error if buf is truncated.
-func Decode(buf []byte) (*Value, int, error) {
-	if len(buf) < 8 {
-		return nil, 0, fmt.Errorf("embedding: short header: %d bytes", len(buf))
-	}
-	dim := int(binary.LittleEndian.Uint32(buf[0:4]))
-	if need := EncodedSize(dim); len(buf) < need {
-		return nil, 0, fmt.Errorf("embedding: short body: have %d bytes, need %d", len(buf), need)
-	}
-	v := NewValue(dim)
-	freq, n, err := DecodeRow(buf, v.Weights, v.G2Sum)
-	if err != nil {
-		return nil, 0, err
-	}
-	v.Freq = freq
-	return v, n, nil
 }
 
 // DecodeRow parses an encoded value from buf straight into the weight and
@@ -235,33 +181,11 @@ func NewTable(dim int) *Table {
 // Get returns the value for key k, or nil if absent.
 func (t *Table) Get(k uint64) *Value { return t.values[k] }
 
-// GetOrCreate returns the value for k, creating a zero value if absent.
-func (t *Table) GetOrCreate(k uint64) *Value {
-	if v, ok := t.values[k]; ok {
-		return v
-	}
-	v := NewValue(t.Dim)
-	t.values[k] = v
-	return v
-}
-
 // Put stores v under k, replacing any existing value.
 func (t *Table) Put(k uint64, v *Value) { t.values[k] = v }
 
-// Delete removes k.
-func (t *Table) Delete(k uint64) { delete(t.values, k) }
-
 // Len returns the number of stored values.
 func (t *Table) Len() int { return len(t.values) }
-
-// Keys returns all stored keys in unspecified order.
-func (t *Table) Keys() []uint64 {
-	out := make([]uint64, 0, len(t.values))
-	for k := range t.values {
-		out = append(out, k)
-	}
-	return out
-}
 
 // Range calls fn for every (key, value) pair until fn returns false.
 func (t *Table) Range(fn func(k uint64, v *Value) bool) {

@@ -3,7 +3,6 @@ package embedding
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -18,25 +17,6 @@ func TestNewValue(t *testing.T) {
 	neg := NewValue(-3)
 	if neg.Dim() != 0 {
 		t.Fatal("negative dim should clamp to 0")
-	}
-}
-
-func TestNewRandomValue(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	v := NewRandomValue(16, rng)
-	nonZero := 0
-	for _, w := range v.Weights {
-		if w != 0 {
-			nonZero++
-		}
-	}
-	if nonZero == 0 {
-		t.Fatal("random value should have non-zero weights")
-	}
-	for _, g := range v.G2Sum {
-		if g != 0 {
-			t.Fatal("G2Sum should start at zero")
-		}
 	}
 }
 
@@ -106,18 +86,6 @@ func BenchmarkNewKeyedValue(b *testing.B) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	v := NewValue(4)
-	v.Weights[0] = 1
-	v.Freq = 3
-	c := v.Clone()
-	c.Weights[0] = 9
-	c.Freq = 7
-	if v.Weights[0] != 1 || v.Freq != 3 {
-		t.Fatal("Clone must not share state")
-	}
-}
-
 func TestAdd(t *testing.T) {
 	a := NewValue(3)
 	b := NewValue(3)
@@ -127,15 +95,15 @@ func TestAdd(t *testing.T) {
 	b.Weights = []float32{1, 1, 1}
 	b.G2Sum = []float32{2, 2, 2}
 	b.Freq = 5
-	a.Add(b)
+	a.AddFlat(b.Weights, b.G2Sum, b.Freq)
 	if a.Weights[0] != 2 || a.Weights[2] != 4 {
-		t.Fatalf("Add weights = %v", a.Weights)
+		t.Fatalf("AddFlat weights = %v", a.Weights)
 	}
 	if a.G2Sum[1] != 3 {
-		t.Fatalf("Add g2sum = %v", a.G2Sum)
+		t.Fatalf("AddFlat g2sum = %v", a.G2Sum)
 	}
 	if a.Freq != 7 {
-		t.Fatalf("Add freq = %d", a.Freq)
+		t.Fatalf("AddFlat freq = %d", a.Freq)
 	}
 }
 
@@ -159,37 +127,36 @@ func TestAddDimMismatchPanics(t *testing.T) {
 		fn()
 	}
 	a := NewValue(3)
-	mustPanic("short delta", func() { a.Add(NewValue(1)) })
-	mustPanic("long delta", func() { a.Add(NewValue(5)) })
-	mustPanic("flat row", func() { a.AddFlat(make([]float32, 3), make([]float32, 2), 1) })
+	mustPanic("short delta", func() { a.AddFlat(make([]float32, 1), make([]float32, 1), 1) })
+	mustPanic("long delta", func() { a.AddFlat(make([]float32, 5), make([]float32, 5), 1) })
+	mustPanic("short accumulator", func() { a.AddFlat(make([]float32, 3), make([]float32, 2), 1) })
 	// Matching dims keep working.
-	a.Add(NewValue(3))
 	a.AddFlat(make([]float32, 3), make([]float32, 3), 1)
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	v := NewRandomValue(8, rng)
+	v := NewKeyedValue(8, 2, 7)
 	v.G2Sum[3] = 0.5
 	v.Freq = 42
-	buf := make([]byte, v.EncodedSizeOf())
-	n := v.Encode(buf)
-	if n != len(buf) || n != EncodedSize(8) {
-		t.Fatalf("Encode wrote %d bytes, want %d", n, len(buf))
+	buf := make([]byte, EncodedSize(8))
+	n := EncodeRow(buf, v.Weights, v.G2Sum, v.Freq)
+	if n != len(buf) {
+		t.Fatalf("EncodeRow wrote %d bytes, want %d", n, len(buf))
 	}
-	got, consumed, err := Decode(buf)
+	got := NewValue(8)
+	freq, consumed, err := DecodeRow(buf, got.Weights, got.G2Sum)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if consumed != n {
-		t.Fatalf("Decode consumed %d, want %d", consumed, n)
+		t.Fatalf("DecodeRow consumed %d, want %d", consumed, n)
 	}
-	if got.Freq != 42 || got.Dim() != 8 {
-		t.Fatal("Decode header mismatch")
+	if freq != 42 {
+		t.Fatal("DecodeRow header mismatch")
 	}
 	for i := range v.Weights {
 		if got.Weights[i] != v.Weights[i] || got.G2Sum[i] != v.G2Sum[i] {
-			t.Fatal("Decode payload mismatch")
+			t.Fatal("DecodeRow payload mismatch")
 		}
 	}
 }
@@ -199,16 +166,11 @@ func TestEncodeDecodeProperty(t *testing.T) {
 		if len(weights) > 64 {
 			weights = weights[:64]
 		}
-		v := NewValue(len(weights))
-		copy(v.Weights, weights)
-		v.Freq = freq
-		buf := make([]byte, v.EncodedSizeOf())
-		v.Encode(buf)
-		got, n, err := Decode(buf)
-		if err != nil || n != len(buf) {
-			return false
-		}
-		if got.Freq != freq || got.Dim() != len(weights) {
+		buf := make([]byte, EncodedSize(len(weights)))
+		EncodeRow(buf, weights, make([]float32, len(weights)), freq)
+		got := NewValue(len(weights))
+		gotFreq, n, err := DecodeRow(buf, got.Weights, got.G2Sum)
+		if err != nil || n != len(buf) || gotFreq != freq {
 			return false
 		}
 		for i := range weights {
@@ -226,17 +188,21 @@ func TestEncodeDecodeProperty(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, _, err := Decode(nil); err == nil {
-		t.Fatal("Decode(nil) should fail")
-	}
-	if _, _, err := Decode(make([]byte, 4)); err == nil {
-		t.Fatal("Decode(short header) should fail")
-	}
 	v := NewValue(8)
-	buf := make([]byte, v.EncodedSizeOf())
-	v.Encode(buf)
-	if _, _, err := Decode(buf[:len(buf)-1]); err == nil {
-		t.Fatal("Decode(truncated body) should fail")
+	if _, _, err := DecodeRow(nil, v.Weights, v.G2Sum); err == nil {
+		t.Fatal("DecodeRow(nil) should fail")
+	}
+	if _, _, err := DecodeRow(make([]byte, 4), v.Weights, v.G2Sum); err == nil {
+		t.Fatal("DecodeRow(short header) should fail")
+	}
+	buf := make([]byte, EncodedSize(8))
+	EncodeRow(buf, v.Weights, v.G2Sum, v.Freq)
+	if _, _, err := DecodeRow(buf[:len(buf)-1], v.Weights, v.G2Sum); err == nil {
+		t.Fatal("DecodeRow(truncated body) should fail")
+	}
+	short := NewValue(4)
+	if _, _, err := DecodeRow(buf, short.Weights, short.G2Sum); err == nil {
+		t.Fatal("DecodeRow(other dimension) should fail")
 	}
 }
 
@@ -247,7 +213,7 @@ func TestEncodePanicsOnSmallBuffer(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	v.Encode(make([]byte, 3))
+	EncodeRow(make([]byte, 3), v.Weights, v.G2Sum, v.Freq)
 }
 
 func TestEncodedSize(t *testing.T) {
@@ -270,21 +236,18 @@ func TestTable(t *testing.T) {
 	if tb.Get(1) != nil {
 		t.Fatal("Get on empty should be nil")
 	}
-	v := tb.GetOrCreate(1)
-	if v == nil || tb.Len() != 1 {
-		t.Fatal("GetOrCreate failed")
+	v := NewValue(4)
+	tb.Put(1, v)
+	if tb.Get(1) != v || tb.Len() != 1 {
+		t.Fatal("Put failed")
 	}
 	v.Weights[0] = 5
 	if tb.Get(1).Weights[0] != 5 {
 		t.Fatal("table must store pointer")
 	}
-	again := tb.GetOrCreate(1)
-	if again != v {
-		t.Fatal("GetOrCreate must return existing value")
-	}
 	tb.Put(2, NewValue(4))
-	if len(tb.Keys()) != 2 {
-		t.Fatal("Keys wrong length")
+	if tb.Len() != 2 {
+		t.Fatal("Len wrong")
 	}
 	count := 0
 	tb.Range(func(k uint64, v *Value) bool {
@@ -301,9 +264,5 @@ func TestTable(t *testing.T) {
 	})
 	if count != 1 {
 		t.Fatal("Range should stop when fn returns false")
-	}
-	tb.Delete(1)
-	if tb.Len() != 1 || tb.Get(1) != nil {
-		t.Fatal("Delete failed")
 	}
 }

@@ -47,21 +47,11 @@ func NewDevice(nodeID, id int, profile hw.GPU) *Device {
 	return &Device{ID: id, NodeID: nodeID, profile: profile}
 }
 
-// HBMBytes returns the total HBM capacity.
-func (d *Device) HBMBytes() int64 { return d.profile.HBMBytes }
-
 // HBMUsed returns the currently allocated HBM bytes.
 func (d *Device) HBMUsed() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.hbmUsed
-}
-
-// HBMFree returns the remaining HBM bytes.
-func (d *Device) HBMFree() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.profile.HBMBytes - d.hbmUsed
 }
 
 // Alloc reserves n bytes of HBM, failing with ErrOutOfMemory if the device

@@ -18,13 +18,13 @@ func TestBytesPerEntry(t *testing.T) {
 
 func TestDeviceAllocFree(t *testing.T) {
 	d := NewDevice(0, 1, hw.GPU{HBMBytes: 1000})
-	if d.HBMBytes() != 1000 || d.HBMFree() != 1000 {
+	if d.profile.HBMBytes != 1000 || d.hbmUsed != 0 {
 		t.Fatal("initial HBM wrong")
 	}
 	if err := d.Alloc(600); err != nil {
 		t.Fatal(err)
 	}
-	if d.HBMUsed() != 600 || d.HBMFree() != 400 {
+	if d.hbmUsed != 600 {
 		t.Fatal("accounting wrong")
 	}
 	if err := d.Alloc(500); !errors.Is(err, ErrOutOfMemory) {
@@ -34,11 +34,11 @@ func TestDeviceAllocFree(t *testing.T) {
 		t.Fatal("negative alloc should fail")
 	}
 	d.Free(600)
-	if d.HBMUsed() != 0 {
+	if d.hbmUsed != 0 {
 		t.Fatal("free failed")
 	}
 	d.Free(100) // over-free clamps at zero
-	if d.HBMUsed() != 0 {
+	if d.hbmUsed != 0 {
 		t.Fatal("over-free should clamp")
 	}
 	d.Free(-5) // ignored
@@ -73,8 +73,8 @@ func TestDeviceConcurrentAlloc(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if d.HBMUsed() > d.HBMBytes() {
-		t.Fatalf("HBM overcommitted: %d > %d", d.HBMUsed(), d.HBMBytes())
+	if d.hbmUsed > d.profile.HBMBytes {
+		t.Fatalf("HBM overcommitted: %d > %d", d.hbmUsed, d.profile.HBMBytes)
 	}
 	// 16*100 KiB requested vs 1 MiB available: some must fail.
 	if allocErrs == 0 {

@@ -1,7 +1,6 @@
 package hbmps
 
 import (
-	"math/rand"
 	"testing"
 
 	"hps/internal/embedding"
@@ -29,16 +28,15 @@ func benchHBM(b *testing.B, gpus int) *HBMPS {
 // benchWorkingSet is a loadable block of n scattered keys with random values,
 // in key order (the working-set order the trainer's pull stage produces).
 func benchWorkingSet(n int) *ps.ValueBlock {
-	rng := rand.New(rand.NewSource(1))
 	ks := make([]keys.Key, n)
 	for i := range ks {
 		ks[i] = keys.Key(keys.Mix64(uint64(i)))
 	}
 	ks = keys.Dedup(ks)
 	blk := ps.NewValueBlock(8)
-	blk.Reset(8, ks)
-	for i := range ks {
-		blk.Set(i, embedding.NewRandomValue(8, rng))
+	for _, k := range ks {
+		v := embedding.NewKeyedValue(8, 1, uint64(k))
+		blk.AppendRow(k, v.Weights, v.G2Sum, v.Freq)
 	}
 	return blk
 }

@@ -148,9 +148,6 @@ func New(cfg Config) (*HBMPS, error) {
 // NumGPUs returns the number of GPUs managed by this HBM-PS.
 func (h *HBMPS) NumGPUs() int { return len(h.devices) }
 
-// Devices returns the simulated GPU devices (for HBM usage inspection).
-func (h *HBMPS) Devices() []*gpu.Device { return h.devices }
-
 // gpuOf returns the GPU that owns key k under the hash partition policy of
 // Section 4.1 / Appendix C.1.
 func (h *HBMPS) gpuOf(k keys.Key) int { return k.HashShard(len(h.devices)) }
@@ -350,13 +347,6 @@ func (h *HBMPS) unload() {
 		h.reserved[g] = 0
 	}
 	h.loaded = false
-}
-
-// Loaded reports whether a working set is currently resident.
-func (h *HBMPS) Loaded() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.loaded
 }
 
 // PullInto is one batched pull of the keys a worker running on GPU req.Shard

@@ -60,7 +60,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.NumGPUs() != 4 || len(h.Devices()) != 4 {
+	if h.NumGPUs() != 4 || len(h.devices) != 4 {
 		t.Fatal("device count wrong")
 	}
 }
@@ -71,7 +71,7 @@ func TestLoadPartitionsAcrossGPUs(t *testing.T) {
 	if err := h.LoadBlock(ws); err != nil {
 		t.Fatal(err)
 	}
-	if !h.Loaded() {
+	if !h.loaded {
 		t.Fatal("Loaded should be true")
 	}
 	if h.WorkingSetSize() != 200 {
@@ -81,7 +81,7 @@ func TestLoadPartitionsAcrossGPUs(t *testing.T) {
 	// partition policy gives it, a strict subset, and the union covers
 	// everything.
 	countWithParams := 0
-	for g := range h.Devices() {
+	for g := range h.devices {
 		own := 0
 		for _, k := range ws.Keys {
 			if h.gpuOf(k) == g {
@@ -107,7 +107,7 @@ func TestLoadPartitionsAcrossGPUs(t *testing.T) {
 		t.Fatal("second load without release should fail")
 	}
 	h.Release()
-	if h.Loaded() || h.WorkingSetSize() != 0 {
+	if h.loaded || h.WorkingSetSize() != 0 {
 		t.Fatal("release failed")
 	}
 	if err := h.LoadBlock(ws); err != nil {
@@ -147,12 +147,12 @@ func TestLoadFailsWhenHBMTooSmall(t *testing.T) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 	// Every partition's reservation must be rolled back.
-	for _, dev := range h.Devices() {
+	for _, dev := range h.devices {
 		if dev.HBMUsed() != 0 {
 			t.Fatalf("failed load must roll back allocations: %v holds %d bytes", dev, dev.HBMUsed())
 		}
 	}
-	if h.Loaded() || h.WorkingSetSize() != 0 {
+	if h.loaded || h.WorkingSetSize() != 0 {
 		t.Fatal("failed load must leave no working set")
 	}
 }
@@ -206,6 +206,18 @@ func TestPullReturnsCopies(t *testing.T) {
 	}
 }
 
+// sgd is plain gradient descent, w -= lr·g: a step these tests can predict
+// exactly. It keeps no state.
+type sgd struct{ lr float32 }
+
+func (s sgd) Name() string { return "sgd" }
+
+func (s sgd) ApplySparse(w, _, grad []float32) {
+	for i, g := range grad {
+		w[i] -= s.lr * g
+	}
+}
+
 // train is one GPU worker's mini-batch as the trainer runs it: pull ks on
 // gpuID, apply opt to every pulled row with gradient grad, count the row's
 // use, and commit the block.
@@ -231,7 +243,7 @@ func TestPushAppliesOptimizer(t *testing.T) {
 	h.LoadBlock(workingSet(10))
 	before, _ := pull(h, 0, []keys.Key{3})
 	pulled := h.Stats().Work
-	if err := train(h, 0, []keys.Key{3}, optimizer.SGD{LR: 0.5}, []float32{1, 0, 0, 0}); err != nil {
+	if err := train(h, 0, []keys.Key{3}, sgd{0.5}, []float32{1, 0, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
 	trained := h.Stats().Work.Minus(pulled)
@@ -264,7 +276,7 @@ func TestPushConcurrentWorkers(t *testing.T) {
 		go func(gpuID int) {
 			defer wg.Done()
 			for i := 0; i < steps; i++ {
-				if err := train(h, gpuID%4, []keys.Key{keys.Key(i % 50)}, optimizer.SGD{LR: 1}, []float32{1, 0, 0, 0}); err != nil {
+				if err := train(h, gpuID%4, []keys.Key{keys.Key(i % 50)}, sgd{1}, []float32{1, 0, 0, 0}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -287,7 +299,7 @@ func TestPushConcurrentWorkers(t *testing.T) {
 func TestCollectUpdatesOnlyChanged(t *testing.T) {
 	h, _ := New(testConfig(2))
 	h.LoadBlock(workingSet(20))
-	if err := train(h, 0, []keys.Key{5}, optimizer.SGD{LR: 1}, []float32{2, 0, 0, 0}); err != nil {
+	if err := train(h, 0, []keys.Key{5}, sgd{1}, []float32{2, 0, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
 	updates := collect(h)
@@ -376,7 +388,7 @@ func TestDevicesShareNodeID(t *testing.T) {
 	cfg := testConfig(3)
 	cfg.NodeID = 7
 	h, _ := New(cfg)
-	for i, d := range h.Devices() {
+	for i, d := range h.devices {
 		if d.NodeID != 7 || d.ID != i {
 			t.Fatalf("device %d identity wrong: %+v", i, d)
 		}
@@ -391,14 +403,14 @@ func TestBytesPerEntryConsistency(t *testing.T) {
 	if err := h.LoadBlock(workingSet(64)); err != nil {
 		t.Fatal(err)
 	}
-	for g, dev := range h.Devices() {
+	for g, dev := range h.devices {
 		want := int64(h.residentOn(g)) * gpu.BytesPerEntry(4)
 		if dev.HBMUsed() != want {
 			t.Fatalf("gpu %d: HBM used %d != partition reservation %d", g, dev.HBMUsed(), want)
 		}
 	}
 	h.Release()
-	for g, dev := range h.Devices() {
+	for g, dev := range h.devices {
 		if dev.HBMUsed() != 0 {
 			t.Fatalf("gpu %d: HBM used %d after release", g, dev.HBMUsed())
 		}
@@ -430,7 +442,7 @@ func TestEvictPartialAndFull(t *testing.T) {
 	if err != nil || n != 8 {
 		t.Fatalf("full evict = (%d, %v), want (8, nil)", n, err)
 	}
-	if h.Loaded() || h.WorkingSetSize() != 0 {
+	if h.loaded || h.WorkingSetSize() != 0 {
 		t.Fatal("full evict must release the working set")
 	}
 	if st := h.TierStats(); st.Evictions != 3 || st.KeysEvicted != 10 {
@@ -464,13 +476,12 @@ func TestCollectAgrees(t *testing.T) {
 	loadBlk := ps.NewValueBlock(dim)
 	loadBlk.Reset(dim, ks)
 	for i := range ks {
-		v := embedding.NewValue(dim)
-		for j := range v.Weights {
-			v.Weights[j] = float32(i) + float32(j)*0.25
-			v.G2Sum[j] = 0.1 * float32(j+1)
+		for j := range loadBlk.WeightsRow(i) {
+			loadBlk.WeightsRow(i)[j] = float32(i) + float32(j)*0.25
+			loadBlk.G2Row(i)[j] = 0.1 * float32(j+1)
 		}
-		v.Freq = uint32(i)
-		loadBlk.Set(i, v)
+		loadBlk.Freq[i] = uint32(i)
+		loadBlk.Present[i] = true
 	}
 	if err := h.LoadBlock(loadBlk); err != nil {
 		t.Fatal(err)

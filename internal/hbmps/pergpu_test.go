@@ -133,7 +133,7 @@ func TestPerGPUPassesMatchSerialReference(t *testing.T) {
 				}
 				m := newModel(blk)
 				total := 0
-				for g := range h.Devices() {
+				for g := range h.devices {
 					own := 0
 					for _, k := range blk.Keys {
 						if h.gpuOf(k) == g {

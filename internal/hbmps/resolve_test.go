@@ -186,10 +186,10 @@ func TestLoadRejectsUnsortedBlock(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "not strictly ascending") {
 			t.Fatalf("%s: LoadBlock = %v, want a key-order error", name, err)
 		}
-		if h.Loaded() || h.WorkingSetSize() != 0 {
+		if h.loaded || h.WorkingSetSize() != 0 {
 			t.Fatalf("%s: a rejected block left a working set", name)
 		}
-		for _, dev := range h.Devices() {
+		for _, dev := range h.devices {
 			if dev.HBMUsed() != 0 {
 				t.Fatalf("%s: a rejected block reserved %d bytes on %v", name, dev.HBMUsed(), dev)
 			}

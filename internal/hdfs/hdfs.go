@@ -9,15 +9,11 @@
 package hdfs
 
 import (
-	"errors"
 	"sync"
 
 	"hps/internal/dataset"
 	"hps/internal/hw"
 )
-
-// ErrClosed is returned by NextBatch after Close has been called.
-var ErrClosed = errors.New("hdfs: stream closed")
 
 // Stream delivers training batches for a single node.
 // It is safe for concurrent use.
@@ -27,7 +23,6 @@ type Stream struct {
 	batchSize int
 	maxBatch  int
 	delivered int
-	closed    bool
 }
 
 // Config configures a Stream.
@@ -51,35 +46,14 @@ func NewStream(gen *dataset.Generator, cfg Config) *Stream {
 }
 
 // NextBatch returns the next training batch and the work of streaming it.
-// It returns (nil, no work, nil) when the stream is exhausted and ErrClosed
-// after Close.
+// It returns (nil, no work, nil) when the stream is exhausted.
 func (s *Stream) NextBatch() (*dataset.Batch, hw.Work, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, hw.Work{}, ErrClosed
-	}
 	if s.maxBatch > 0 && s.delivered >= s.maxBatch {
 		return nil, hw.Work{}, nil
 	}
 	b := s.gen.NextBatch(s.batchSize)
 	s.delivered++
 	return b, hw.Ops(hw.ResHDFS, 1, float64(b.ByteSize())), nil
-}
-
-// Delivered returns how many batches have been handed out.
-func (s *Stream) Delivered() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.delivered
-}
-
-// BatchSize returns the configured examples-per-batch.
-func (s *Stream) BatchSize() int { return s.batchSize }
-
-// Close marks the stream closed; subsequent NextBatch calls fail.
-func (s *Stream) Close() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
 }

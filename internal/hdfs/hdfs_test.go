@@ -22,18 +22,18 @@ func TestStreamDeliversBatches(t *testing.T) {
 	if b.Len() != 32 {
 		t.Fatalf("batch size = %d", b.Len())
 	}
-	if s.Delivered() != 1 {
+	if s.delivered != 1 {
 		t.Fatal("delivered count wrong")
 	}
-	if s.BatchSize() != 32 {
-		t.Fatal("BatchSize accessor wrong")
+	if s.batchSize != 32 {
+		t.Fatal("batch size wrong")
 	}
 }
 
 func TestStreamDefaultBatchSize(t *testing.T) {
 	s := newTestStream(t, Config{})
-	if s.BatchSize() != 1024 {
-		t.Fatalf("default batch size = %d", s.BatchSize())
+	if s.batchSize != 1024 {
+		t.Fatalf("default batch size = %d", s.batchSize)
 	}
 }
 
@@ -49,7 +49,7 @@ func TestStreamMaxBatches(t *testing.T) {
 	if err != nil || b != nil {
 		t.Fatal("exhausted stream should return (nil, nil)")
 	}
-	if s.Delivered() != 2 {
+	if s.delivered != 2 {
 		t.Fatal("delivered count should stop at max")
 	}
 }
@@ -65,7 +65,7 @@ func TestStreamChargesClock(t *testing.T) {
 	}
 }
 
-// TestStreamNilClockSafe: an exhausted or closed stream counts no work.
+// TestStreamNilClockSafe: an exhausted stream counts no work.
 func TestStreamNilClockSafe(t *testing.T) {
 	s := newTestStream(t, Config{BatchSize: 8, MaxBatches: 1})
 	if _, _, err := s.NextBatch(); err != nil {
@@ -73,18 +73,6 @@ func TestStreamNilClockSafe(t *testing.T) {
 	}
 	if b, w, err := s.NextBatch(); b != nil || w != (hw.Work{}) || err != nil {
 		t.Fatalf("exhausted stream: %v, %v, %v", b, w, err)
-	}
-	s.Close()
-	if _, w, _ := s.NextBatch(); w != (hw.Work{}) {
-		t.Fatalf("closed stream counted %v", w)
-	}
-}
-
-func TestStreamClose(t *testing.T) {
-	s := newTestStream(t, Config{BatchSize: 8})
-	s.Close()
-	if _, _, err := s.NextBatch(); err != ErrClosed {
-		t.Fatalf("want ErrClosed, got %v", err)
 	}
 }
 

@@ -293,7 +293,6 @@ type NodeProfile struct {
 
 const (
 	kib = 1 << 10
-	mib = 1 << 20
 	gib = 1 << 30
 	tib = 1 << 40
 )

@@ -10,7 +10,6 @@ package keys
 
 import (
 	"slices"
-	"sort"
 )
 
 // Key identifies a single sparse parameter (one embedding row).
@@ -101,19 +100,4 @@ func SortedUnique(ks []Key) bool {
 		}
 	}
 	return true
-}
-
-// Union merges two already-deduplicated key slices into a new sorted,
-// deduplicated slice.
-func Union(a, b []Key) []Key {
-	out := make([]Key, 0, len(a)+len(b))
-	out = append(out, a...)
-	out = append(out, b...)
-	return Dedup(out)
-}
-
-// Contains reports whether sorted slice ks contains k.
-func Contains(ks []Key, k Key) bool {
-	i := sort.Search(len(ks), func(i int) bool { return ks[i] >= k })
-	return i < len(ks) && ks[i] == k
 }

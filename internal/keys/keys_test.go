@@ -165,29 +165,3 @@ func TestDedupProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestUnionAndContains(t *testing.T) {
-	a := []Key{1, 3, 5}
-	b := []Key{2, 3, 6}
-	u := Union(a, b)
-	want := []Key{1, 2, 3, 5, 6}
-	if len(u) != len(want) {
-		t.Fatalf("Union = %v", u)
-	}
-	for i := range want {
-		if u[i] != want[i] {
-			t.Fatalf("Union = %v, want %v", u, want)
-		}
-	}
-	for _, k := range want {
-		if !Contains(u, k) {
-			t.Fatalf("Contains(%d) = false", k)
-		}
-	}
-	if Contains(u, 4) {
-		t.Fatal("Contains(4) should be false")
-	}
-	if Contains(nil, 1) {
-		t.Fatal("Contains on empty should be false")
-	}
-}

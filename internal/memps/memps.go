@@ -22,7 +22,7 @@
 // in-process push (PushBatch, PushBlockPair) and CompleteBatch reach the
 // pinned rows without a probe. The batch prepares, the pull RPCs (HandlePullBlock,
 // HandlePullBlockWire) and the pushes (PushBlock, PushBlockPair) all go
-// through it; only the no-create read behind HandleLookupBlock, Lookup and
+// through it; only the no-create read behind HandleLookupBlock and
 // ExportInto does not. A node that assembles its own working set
 // (PrepareInto) pulls the remotely-owned keys from their owners' MEM-PS over
 // a cluster.Transport; every MEM-PS the product builds — the trainer's
@@ -270,9 +270,6 @@ func New(cfg Config) (*MemPS, error) {
 	return m, nil
 }
 
-// NodeID returns this MEM-PS's node id.
-func (m *MemPS) NodeID() int { return m.cfg.NodeID }
-
 // Dim returns the embedding dimension.
 func (m *MemPS) Dim() int { return m.cfg.Dim }
 
@@ -318,14 +315,6 @@ func (m *MemPS) CacheStats() cache.Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.cache.Stats()
-}
-
-// ResetCacheStats clears the cache statistics (used for per-batch hit-rate
-// reporting).
-func (m *MemPS) ResetCacheStats() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cache.ResetStats()
 }
 
 // PinnedKeys returns how many cached parameters the batches in flight hold

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"hps/internal/blockio"
+	"hps/internal/cache"
 	"hps/internal/cluster"
 	"hps/internal/embedding"
 	"hps/internal/hw"
@@ -13,6 +14,28 @@ import (
 	"hps/internal/ps"
 	"hps/internal/ssdps"
 )
+
+// Lookup returns a copy of the current authoritative value of a locally-owned
+// key, or nil if the node does not own it, has never seen it or cannot read
+// it: the tests' view of one parameter.
+func (m *MemPS) Lookup(k keys.Key) *embedding.Value {
+	blk := ps.GetBlock(m.cfg.Dim, nil)
+	defer ps.PutBlock(blk)
+	if _, err := m.readInto([]keys.Key{k}, blk, true); err != nil {
+		return nil
+	}
+	return blk.Value(0)
+}
+
+// mergeKeys returns the sorted, deduplicated union of a and b.
+func mergeKeys(a, b []keys.Key) []keys.Key {
+	return keys.Dedup(append(append([]keys.Key(nil), a...), b...))
+}
+
+// hitRate returns the share of cache lookups that hit.
+func hitRate(s cache.Stats) float64 {
+	return float64(s.Hits) / float64(max(s.Hits+s.Misses, 1))
+}
 
 func newStore(t *testing.T, dim int, clock *hw.Counter) *ssdps.Store {
 	t.Helper()
@@ -139,7 +162,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Dim() != 4 || m.NodeID() != 0 {
+	if m.Dim() != 4 || m.cfg.NodeID != 0 {
 		t.Fatal("accessors wrong")
 	}
 }
@@ -283,19 +306,15 @@ func TestCacheHitRateGrowsOnSkewedStream(t *testing.T) {
 	// First pass: cold cache.
 	ws, _ := prepare(t, m, hot)
 	m.CompleteBatch(ws)
-	coldRate := m.CacheStats().HitRate()
+	coldRate := hitRate(m.CacheStats())
 	// Repeat passes over the hot set: hit rate must climb.
 	for i := 0; i < 5; i++ {
 		ws, _ := prepare(t, m, hot)
 		m.CompleteBatch(ws)
 	}
-	warmRate := m.CacheStats().HitRate()
+	warmRate := hitRate(m.CacheStats())
 	if warmRate <= coldRate {
 		t.Fatalf("hit rate should grow: cold %v warm %v", coldRate, warmRate)
-	}
-	m.ResetCacheStats()
-	if m.CacheStats().Hits != 0 {
-		t.Fatal("ResetCacheStats failed")
 	}
 }
 
@@ -329,7 +348,7 @@ func TestMultiNodeRemotePull(t *testing.T) {
 
 	// Node 0 prepares a batch touching both shards.
 	mine, theirs := keysOn(0, 2), keysOn(1, 2)
-	batch := keys.Union(mine, theirs)
+	batch := mergeKeys(mine, theirs)
 	ws, blk := prepare(t, m0, batch)
 	if len(ws.LocalKeys) != 2 || len(ws.RemoteKeys) != 2 {
 		t.Fatalf("split = %d local / %d remote", len(ws.LocalKeys), len(ws.RemoteKeys))

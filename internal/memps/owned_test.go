@@ -62,8 +62,8 @@ func TestPrepareOwnedIntoPinsOnceUntilComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	union, foreign := keysOn(0, 4), keysOn(1, 2) // union: node 0's keys
-	a := keys.Union(union[:3], foreign[:1])
-	b := keys.Union(union[1:], foreign[1:])
+	a := mergeKeys(union[:3], foreign[:1])
+	b := mergeKeys(union[1:], foreign[1:])
 	blocks := blocksFor(4, a, b)
 	ws, err := m.PrepareOwnedInto(union, blocks, ownedRows(union, a, b))
 	if err != nil {
@@ -116,7 +116,7 @@ func TestPrepareOwnedIntoPinsOnceUntilComplete(t *testing.T) {
 			return err
 		},
 		"foreign": func() error {
-			ks := keys.Union(union[:1], foreign[:1])
+			ks := mergeKeys(union[:1], foreign[:1])
 			_, err := m.PrepareOwnedInto(ks, blocksFor(4, ks), ownedRows(ks, ks))
 			return err
 		},
@@ -211,7 +211,7 @@ func TestFailedPrepareUnpins(t *testing.T) {
 			if tc.owned {
 				_, err = m.PrepareOwnedInto(ks, blocksFor(4, ks), ownedRows(ks, ks))
 			} else {
-				ks = keys.Union(ks, keysOn(1, 3))
+				ks = mergeKeys(ks, keysOn(1, 3))
 				_, err = m.PrepareInto(ks, ps.NewValueBlock(4))
 			}
 			if err == nil {

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"hps/internal/cluster"
-	"hps/internal/embedding"
 	"hps/internal/hw"
 	"hps/internal/keys"
 	"hps/internal/ps"
@@ -353,16 +352,4 @@ func (m *MemPS) HandlePullBlockWire(ks []keys.Key, dst []byte) ([]byte, error) {
 	}
 	m.rec.RecordPull(len(ks))
 	return out, nil
-}
-
-// Lookup returns a copy of the current authoritative value of a locally-owned
-// key, or nil if the node does not own it, has never seen it or cannot read
-// it. It is used by evaluation code, not by the training path.
-func (m *MemPS) Lookup(k keys.Key) *embedding.Value {
-	blk := ps.GetBlock(m.cfg.Dim, nil)
-	defer ps.PutBlock(blk)
-	if _, err := m.readInto([]keys.Key{k}, blk, true); err != nil {
-		return nil
-	}
-	return blk.Value(0)
 }

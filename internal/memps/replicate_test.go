@@ -96,7 +96,7 @@ func value(t *testing.T, m *MemPS, k keys.Key) []float32 {
 	vals := lookupAll(t, m, []keys.Key{k})
 	v, ok := vals[k]
 	if !ok {
-		t.Fatalf("node %d does not hold key %d", m.NodeID(), k)
+		t.Fatalf("node %d does not hold key %d", m.cfg.NodeID, k)
 	}
 	return v.Weights
 }

@@ -282,17 +282,30 @@ func TestWriteBehindReadersSeeRowsInFlight(t *testing.T) {
 
 // TestWriteBehindOneWriteInFlight drives every caller of Maintain from
 // goroutines of its own: no two background writes may ever overlap, and
-// nothing is lost.
+// nothing is lost. Each write is held until a second one has had its chance
+// to overlap: until a caller waits for it, a second write is in flight, or
+// every caller is done.
 func TestWriteBehindOneWriteInFlight(t *testing.T) {
 	n := newWBNode(t, 16, 16)
 	m := n.m
+	waits := &waitCounter{mu: &m.mu, wake: make(chan struct{}, 1)}
+	m.writeDone.L = waits
+	callersDone := make(chan struct{})
 	var active, writes atomic.Int32
 	var overlapped atomic.Bool
 	m.writeHook = func(io func()) {
 		if active.Add(1) > 1 {
 			overlapped.Store(true)
+			waits.signal()
 		}
-		time.Sleep(100 * time.Microsecond) // a window for a second write to overlap in
+	hold:
+		for waits.waiting.Load() == 0 && !overlapped.Load() {
+			select {
+			case <-waits.wake:
+			case <-callersDone:
+				break hold
+			}
+		}
 		io()
 		active.Add(-1)
 		writes.Add(1)
@@ -334,6 +347,7 @@ func TestWriteBehindOneWriteInFlight(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	close(callersDone)
 	if err := m.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -349,6 +363,34 @@ func TestWriteBehindOneWriteInFlight(t *testing.T) {
 		if got[k] == nil {
 			t.Fatalf("key %d lost", k)
 		}
+	}
+}
+
+// waitCounter is the lock a MemPS's write-done condition waits with. Only
+// writeDone.Wait unlocks and relocks through it, so it counts the callers
+// waiting for the background write in flight, and wakes a held write when
+// one arrives.
+type waitCounter struct {
+	mu      *sync.Mutex
+	waiting atomic.Int32
+	wake    chan struct{}
+}
+
+func (w *waitCounter) Lock() {
+	w.mu.Lock()
+	w.waiting.Add(-1)
+}
+
+func (w *waitCounter) Unlock() {
+	w.waiting.Add(1)
+	w.mu.Unlock()
+	w.signal()
+}
+
+func (w *waitCounter) signal() {
+	select {
+	case w.wake <- struct{}{}:
+	default:
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package metrics implements the evaluation metrics reported in the paper:
 // AUC (area under the ROC curve, the quality measure of Section 7.1),
-// log-loss, and throughput meters used by the experiment harness.
+// log-loss, training throughput and the paper's cost-normalized speedup.
 package metrics
 
 import (
@@ -50,57 +50,6 @@ func AUC(scores []float64, labels []float64) float64 {
 		return 0.5
 	}
 	return (rankSumPos - posCount*(posCount+1)/2) / (posCount * negCount)
-}
-
-// AUCAccumulator incrementally collects (score, label) pairs and computes AUC
-// on demand. It is safe for concurrent Add calls.
-type AUCAccumulator struct {
-	mu     sync.Mutex
-	scores []float64
-	labels []float64
-}
-
-// NewAUCAccumulator returns an empty accumulator.
-func NewAUCAccumulator() *AUCAccumulator { return &AUCAccumulator{} }
-
-// Add records one prediction.
-func (a *AUCAccumulator) Add(score, label float64) {
-	a.mu.Lock()
-	a.scores = append(a.scores, score)
-	a.labels = append(a.labels, label)
-	a.mu.Unlock()
-}
-
-// AddBatch records a batch of predictions.
-func (a *AUCAccumulator) AddBatch(scores, labels []float64) {
-	a.mu.Lock()
-	a.scores = append(a.scores, scores...)
-	a.labels = append(a.labels, labels...)
-	a.mu.Unlock()
-}
-
-// Count returns the number of recorded predictions.
-func (a *AUCAccumulator) Count() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.scores)
-}
-
-// AUC computes the AUC over everything recorded so far.
-func (a *AUCAccumulator) AUC() float64 {
-	a.mu.Lock()
-	s := append([]float64(nil), a.scores...)
-	l := append([]float64(nil), a.labels...)
-	a.mu.Unlock()
-	return AUC(s, l)
-}
-
-// Reset discards all recorded predictions.
-func (a *AUCAccumulator) Reset() {
-	a.mu.Lock()
-	a.scores = a.scores[:0]
-	a.labels = a.labels[:0]
-	a.mu.Unlock()
 }
 
 // LogLossAccumulator accumulates the mean binary cross-entropy.
@@ -178,17 +127,6 @@ func (t Throughput) ExamplesPerSecond() float64 {
 		return 0
 	}
 	return float64(t.Examples) / t.Elapsed.Seconds()
-}
-
-// Speedup returns how many times faster t is than baseline (ratio of
-// examples/second). It returns 0 if either throughput is degenerate.
-func (t Throughput) Speedup(baseline Throughput) float64 {
-	a := t.ExamplesPerSecond()
-	b := baseline.ExamplesPerSecond()
-	if a <= 0 || b <= 0 {
-		return 0
-	}
-	return a / b
 }
 
 // CostNormalizedSpeedup applies the paper's cost normalization

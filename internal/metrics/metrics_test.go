@@ -112,45 +112,6 @@ func TestAUCComplementProperty(t *testing.T) {
 	}
 }
 
-func TestAUCAccumulator(t *testing.T) {
-	acc := NewAUCAccumulator()
-	acc.Add(0.9, 1)
-	acc.Add(0.1, 0)
-	acc.AddBatch([]float64{0.8, 0.2}, []float64{1, 0})
-	if acc.Count() != 4 {
-		t.Fatalf("count = %d", acc.Count())
-	}
-	if got := acc.AUC(); got != 1.0 {
-		t.Fatalf("accumulator AUC = %v", got)
-	}
-	acc.Reset()
-	if acc.Count() != 0 {
-		t.Fatal("reset failed")
-	}
-	if acc.AUC() != 0.5 {
-		t.Fatal("empty accumulator AUC should be 0.5")
-	}
-}
-
-func TestAUCAccumulatorConcurrent(t *testing.T) {
-	acc := NewAUCAccumulator()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 500; i++ {
-				acc.Add(rng.Float64(), float64(rng.Intn(2)))
-			}
-		}(int64(w))
-	}
-	wg.Wait()
-	if acc.Count() != 4000 {
-		t.Fatalf("count = %d", acc.Count())
-	}
-}
-
 func TestLogLossAccumulator(t *testing.T) {
 	var l LogLossAccumulator
 	if l.Mean() != 0 {
@@ -219,12 +180,7 @@ func TestThroughput(t *testing.T) {
 	if tp.ExamplesPerSecond() != 500 {
 		t.Fatalf("eps = %v", tp.ExamplesPerSecond())
 	}
-	base := Throughput{Examples: 1000, Elapsed: 4 * time.Second}
-	if got := tp.Speedup(base); got != 2 {
-		t.Fatalf("speedup = %v", got)
-	}
-	zero := Throughput{}
-	if zero.ExamplesPerSecond() != 0 || zero.Speedup(base) != 0 || tp.Speedup(zero) != 0 {
+	if (Throughput{}).ExamplesPerSecond() != 0 {
 		t.Fatal("degenerate throughput should be 0")
 	}
 }

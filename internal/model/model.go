@@ -44,15 +44,6 @@ func (s Spec) String() string {
 		s.Name, s.NonZerosPerExample, s.SparseParams, s.DenseParams, s.SizeGB, s.MPINodes)
 }
 
-// BytesPerSparseParam returns the storage footprint of one sparse parameter
-// implied by the spec (embedding weights + optimizer state + metadata).
-func (s Spec) BytesPerSparseParam() int64 {
-	if s.SparseParams <= 0 {
-		return 0
-	}
-	return int64(s.SizeGB * float64(1<<30) / float64(s.SparseParams))
-}
-
 // PaperSpecs returns the five models of Table 3 with the paper's numbers.
 // Embedding dimensions are chosen so that the per-parameter footprint
 // (embedding + Adagrad state) matches the reported total size.
@@ -129,16 +120,6 @@ func (s Spec) Scaled(factor int64) Spec {
 // parameters become ~10^5, keeping every cross-model ratio intact.
 const BenchScale = 1_000_000
 
-// BenchSpecs returns the five Table 3 models scaled by BenchScale.
-func BenchSpecs() []Spec {
-	specs := PaperSpecs()
-	out := make([]Spec, len(specs))
-	for i, s := range specs {
-		out[i] = s.Scaled(BenchScale)
-	}
-	return out
-}
-
 // TinySpec returns a minimal model used by the quickstart example and by
 // unit tests: a few thousand sparse parameters, a small dense tower.
 func TinySpec() Spec {
@@ -177,20 +158,6 @@ func hiddenLayersForBudget(budget int64, inputDim int) []int {
 		w = 4096
 	}
 	return []int{w, w}
-}
-
-// DenseParamCount returns the exact number of dense parameters (weights and
-// biases) of a network with the given input dimension and hidden widths plus
-// a single sigmoid output.
-func DenseParamCount(inputDim int, hidden []int) int64 {
-	var total int64
-	prev := inputDim
-	for _, h := range hidden {
-		total += int64(prev)*int64(h) + int64(h)
-		prev = h
-	}
-	total += int64(prev) + 1 // output layer
-	return total
 }
 
 func maxInt64(a, b int64) int64 {

@@ -54,19 +54,6 @@ func TestGet(t *testing.T) {
 	}
 }
 
-func TestBytesPerSparseParam(t *testing.T) {
-	a, _ := Get("A")
-	got := a.BytesPerSparseParam()
-	// 300 GB / 8e9 params ≈ 40 bytes.
-	if got < 30 || got > 50 {
-		t.Fatalf("bytes per param = %d, want ~40", got)
-	}
-	var zero Spec
-	if zero.BytesPerSparseParam() != 0 {
-		t.Fatal("zero spec should report 0")
-	}
-}
-
 func TestScaledPreservesShape(t *testing.T) {
 	for _, s := range PaperSpecs() {
 		sc := s.Scaled(BenchScale)
@@ -90,7 +77,7 @@ func TestScaledPreservesShape(t *testing.T) {
 
 func TestScaledOrderingPreserved(t *testing.T) {
 	// Relative ordering of model sizes must be preserved after scaling.
-	specs := BenchSpecs()
+	specs := benchSpecs()
 	for i := 1; i < len(specs); i++ {
 		if specs[i].SparseParams < specs[i-1].SparseParams {
 			t.Fatalf("scaled sparse ordering broken at %s", specs[i].Name)
@@ -106,6 +93,21 @@ func TestScaledIdentityForSmallFactor(t *testing.T) {
 	if got := a.Scaled(0); got.SparseParams != a.SparseParams {
 		t.Fatal("factor 0 should be identity")
 	}
+}
+
+// DenseParamCount returns the exact number of dense parameters (weights and
+// biases) of a network with the given input dimension and hidden widths plus
+// a single sigmoid output: the reference the layer-budget property checks
+// hiddenLayersForBudget against.
+func DenseParamCount(inputDim int, hidden []int) int64 {
+	var total int64
+	prev := inputDim
+	for _, h := range hidden {
+		total += int64(prev)*int64(h) + int64(h)
+		prev = h
+	}
+	total += int64(prev) + 1 // output layer
+	return total
 }
 
 func TestDenseParamCount(t *testing.T) {
@@ -154,8 +156,17 @@ func TestTinySpec(t *testing.T) {
 	}
 }
 
+// benchSpecs returns the five Table 3 models at hps's default scale.
+func benchSpecs() []Spec {
+	var out []Spec
+	for _, s := range PaperSpecs() {
+		out = append(out, s.Scaled(BenchScale))
+	}
+	return out
+}
+
 func TestBenchSpecs(t *testing.T) {
-	specs := BenchSpecs()
+	specs := benchSpecs()
 	if len(specs) != 5 {
 		t.Fatalf("want 5 bench specs, got %d", len(specs))
 	}

@@ -309,7 +309,7 @@ func BenchmarkDenseStep(b *testing.B) {
 				copy(acts.Input(), inputs[i])
 				grads.Zero()
 				trained.Backward(acts, trained.Forward(acts), labels[i], grads)
-				for l := 0; l < trained.NumLayers(); l++ {
+				for l := 0; l < len(trained.layers); l++ {
 					metrics[fmt.Sprintf("in%d-nonzero", l)] += float64(len(acts.nz[l])) / float64(len(acts.values[l])) / stream
 				}
 				for _, v := range flatGrads(grads) {

@@ -74,12 +74,6 @@ func New(cfg Config) *Network {
 	return n
 }
 
-// Config returns the network's configuration.
-func (n *Network) Config() Config { return n.cfg }
-
-// NumLayers returns the number of weight layers (hidden layers + output).
-func (n *Network) NumLayers() int { return len(n.layers) }
-
 // ParamCount returns the total number of dense parameters (weights + biases).
 func (n *Network) ParamCount() int64 {
 	var total int64
@@ -348,16 +342,6 @@ func (n *Network) SetParams(flat []float32) error {
 		return fmt.Errorf("nn: flat params too long: %d != %d", len(flat), off)
 	}
 	return nil
-}
-
-// Clone returns a deep copy of the network.
-func (n *Network) Clone() *Network {
-	out := &Network{cfg: n.cfg}
-	for _, l := range n.layers {
-		nl := layer{w: l.w.Clone(), b: append([]float32(nil), l.b...)}
-		out.layers = append(out.layers, nl)
-	}
-	return out
 }
 
 // PoolSum sums the given embedding vectors into dst (which must have the

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -20,13 +21,13 @@ func TestNewAndParamCount(t *testing.T) {
 	if got := n.ParamCount(); got != 81 {
 		t.Fatalf("ParamCount = %d, want 81", got)
 	}
-	if n.NumLayers() != 3 {
-		t.Fatalf("NumLayers = %d", n.NumLayers())
+	if len(n.layers) != 3 {
+		t.Fatalf("NumLayers = %d", len(n.layers))
 	}
 	if n.FLOPsPerExample() <= 0 {
 		t.Fatal("FLOPs must be positive")
 	}
-	if n.Config().InputDim != 4 {
+	if n.cfg.InputDim != 4 {
 		t.Fatal("Config accessor wrong")
 	}
 }
@@ -222,6 +223,18 @@ func TestParamsFlattenRoundTrip(t *testing.T) {
 	}
 }
 
+// Clone returns a deep copy of the network: the clean twin the non-finite
+// tests poison.
+func (n *Network) Clone() *Network {
+	out := &Network{cfg: n.cfg}
+	for _, l := range n.layers {
+		w := &tensor.Matrix{Rows: l.w.Rows, Cols: l.w.Cols, Data: slices.Clone(l.w.Data)}
+		nl := layer{w: w, b: slices.Clone(l.b)}
+		out.layers = append(out.layers, nl)
+	}
+	return out
+}
+
 func TestClone(t *testing.T) {
 	n := testNet()
 	c := n.Clone()
@@ -236,7 +249,7 @@ func TestClone(t *testing.T) {
 	// Mutating the clone must not affect the original.
 	g := c.NewGradients()
 	c.Backward(a2, c.Forward(a2), 1, g)
-	c.Apply(optimizer.SGD{LR: 1}, c.NewDenseState(optimizer.SGD{LR: 1}), g)
+	c.Apply(optimizer.Adagrad{LR: 1}, c.NewDenseState(optimizer.Adagrad{LR: 1}), g)
 	copy(a1.Input(), in)
 	copy(a2.Input(), in)
 	if n.Forward(a1) == c.Forward(a2) {
@@ -306,7 +319,7 @@ func TestForwardListsNonZeroUnits(t *testing.T) {
 				}
 			}
 			n.Forward(acts)
-			for i := 0; i < n.NumLayers(); i++ {
+			for i := 0; i < len(n.layers); i++ {
 				var want []int32
 				for j, v := range acts.values[i] {
 					if v != 0 {
@@ -343,7 +356,7 @@ func TestForwardAllocatesNothing(t *testing.T) {
 	deepAllocs := testing.AllocsPerRun(20, func() { n.NewActivations() })
 	shallowAllocs := testing.AllocsPerRun(20, func() { shallow.NewActivations() })
 	if deepAllocs != shallowAllocs {
-		t.Fatalf("NewActivations allocates %v times for %d layers, %v for 2", deepAllocs, n.NumLayers(), shallowAllocs)
+		t.Fatalf("NewActivations allocates %v times for %d layers, %v for 2", deepAllocs, len(n.layers), shallowAllocs)
 	}
 }
 
@@ -360,8 +373,9 @@ func TestForwardNonFinite(t *testing.T) {
 	want := predict(clean)
 
 	poisoned := clean.Clone()
-	for r := 0; r < poisoned.layers[0].w.Rows; r++ {
-		poisoned.layers[0].w.Set(r, 1, []float32{float32(math.Inf(1)), float32(math.NaN())}[r%2])
+	w := poisoned.layers[0].w
+	for r := 0; r < w.Rows; r++ {
+		w.Data[r*w.Cols+1] = []float32{float32(math.Inf(1)), float32(math.NaN())}[r%2]
 	}
 	if got := predict(poisoned); math.Float32bits(got) != math.Float32bits(want) {
 		t.Fatalf("non-finite weights on a zero input moved the prediction: %v, want %v", got, want)

@@ -1,10 +1,10 @@
-// Package optimizer implements the gradient-descent update rules used for
-// both the sparse embedding parameters and the dense fully-connected
-// parameters of the CTR model.
+// Package optimizer implements Adagrad, the update rule used for both the
+// sparse embedding parameters and the dense fully-connected parameters of the
+// CTR model.
 //
-// Optimizers operate on raw float32 slices so the same implementation serves
-// the embedding rows (weights with their Adagrad accumulators), the dense
-// tower's one step per mini-batch, and the MPI baseline's CPU updates.
+// The rule operates on raw float32 slices so the same implementation serves
+// the embedding rows (weights with their Adagrad accumulators) and the dense
+// tower's one step per mini-batch.
 package optimizer
 
 import (
@@ -33,31 +33,6 @@ type Dense interface {
 	StateSize(n int) int
 	// ApplyDense updates w in place using grad and state.
 	ApplyDense(w, state, grad []float32)
-}
-
-// SGD is plain stochastic gradient descent: w -= lr * grad.
-type SGD struct {
-	// LR is the learning rate.
-	LR float32
-}
-
-// Name implements Sparse and Dense.
-func (s SGD) Name() string { return "sgd" }
-
-// ApplySparse implements Sparse.
-func (s SGD) ApplySparse(w, state, grad []float32) {
-	checkLens("sgd", w, grad)
-	for i, g := range grad {
-		w[i] -= s.LR * g
-	}
-}
-
-// StateSize implements Dense; SGD keeps no state.
-func (s SGD) StateSize(n int) int { return 0 }
-
-// ApplyDense implements Dense.
-func (s SGD) ApplyDense(w, state, grad []float32) {
-	s.ApplySparse(w, nil, grad)
 }
 
 // Adagrad is the per-coordinate adaptive rule used for sparse CTR embeddings:
@@ -111,51 +86,8 @@ func (a Adagrad) ApplyDense(w, state, grad []float32) {
 	a.ApplySparse(w, state, grad)
 }
 
-// Momentum is SGD with classical momentum: v = mu*v + grad ; w -= lr*v.
-type Momentum struct {
-	// LR is the learning rate.
-	LR float32
-	// Mu is the momentum coefficient (e.g. 0.9).
-	Mu float32
-}
-
-// Name implements Sparse and Dense.
-func (m Momentum) Name() string { return "momentum" }
-
-// ApplySparse implements Sparse. state holds the velocity.
-func (m Momentum) ApplySparse(w, state, grad []float32) {
-	checkLens("momentum", w, grad)
-	if len(state) != len(w) {
-		panic(fmt.Sprintf("optimizer: momentum state length %d != %d", len(state), len(w)))
-	}
-	for i, g := range grad {
-		state[i] = m.Mu*state[i] + g
-		w[i] -= m.LR * state[i]
-	}
-}
-
-// StateSize implements Dense: one velocity per parameter.
-func (m Momentum) StateSize(n int) int { return n }
-
-// ApplyDense implements Dense.
-func (m Momentum) ApplyDense(w, state, grad []float32) {
-	m.ApplySparse(w, state, grad)
-}
-
 func checkLens(name string, w, grad []float32) {
 	if len(w) != len(grad) {
 		panic(fmt.Sprintf("optimizer: %s gradient length %d != parameter length %d", name, len(grad), len(w)))
 	}
-}
-
-// DefaultSparse returns the sparse optimizer used throughout the system when
-// none is configured: Adagrad with the learning rate commonly used for CTR
-// embeddings.
-func DefaultSparse() Sparse {
-	return Adagrad{LR: 0.05, InitialAccumulator: 0.1}
-}
-
-// DefaultDense returns the dense optimizer used when none is configured.
-func DefaultDense() Dense {
-	return Adagrad{LR: 0.01, InitialAccumulator: 0.1}
 }

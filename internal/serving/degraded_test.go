@@ -22,7 +22,9 @@ func lookupInto(vals map[keys.Key]*embedding.Value, ks []keys.Key, dst *ps.Value
 	dst.Reset(fakeDim, ks)
 	for i, k := range ks {
 		if v, ok := vals[k]; ok {
-			dst.Set(i, v)
+			copy(dst.WeightsRow(i), v.Weights)
+			copy(dst.G2Row(i), v.G2Sum)
+			dst.Freq[i], dst.Present[i] = v.Freq, true
 		}
 	}
 }

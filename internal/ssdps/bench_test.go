@@ -35,10 +35,10 @@ func benchStore(b *testing.B, paramsPerFile int) *Store {
 }
 
 func benchVals(n int, seed int64) map[keys.Key]*embedding.Value {
-	rng := rand.New(rand.NewSource(seed))
 	out := make(map[keys.Key]*embedding.Value, n)
 	for i := 0; i < n; i++ {
-		out[keys.Key(keys.Mix64(uint64(i)))] = embedding.NewRandomValue(8, rng)
+		k := keys.Key(keys.Mix64(uint64(i)))
+		out[k] = embedding.NewKeyedValue(8, seed, uint64(k))
 	}
 	return out
 }
@@ -108,8 +108,8 @@ func BenchmarkLoadSparse(b *testing.B) {
 		}
 	}
 	slices.Sort(want)
-	dst := ps.NewValueBlock(s.Dim())
-	dst.Reset(s.Dim(), want)
+	dst := ps.NewValueBlock(s.cfg.Dim)
+	dst.Reset(s.cfg.Dim, want)
 	if _, err := s.LoadInto(want, dst, nil); err != nil { // warm the scratch buffers
 		b.Fatal(err)
 	}

@@ -187,9 +187,10 @@ func TestStoreMatchesModel(t *testing.T) {
 func encodeRecords(ks []keys.Key, vals []*embedding.Value) []byte {
 	var out []byte
 	for i, k := range ks {
-		rec := make([]byte, 8+vals[i].EncodedSizeOf())
+		v := vals[i]
+		rec := make([]byte, 8+embedding.EncodedSize(v.Dim()))
 		binary.LittleEndian.PutUint64(rec, uint64(k))
-		vals[i].Encode(rec[8:])
+		embedding.EncodeRow(rec[8:], v.Weights, v.G2Sum, v.Freq)
 		out = append(out, rec...)
 	}
 	return out
@@ -448,11 +449,13 @@ func FuzzRecoverFile(f *testing.F) {
 			torn--
 			records += count
 			for at := blockio.HeaderBytes; at < end; at += stride {
-				v, _, err := embedding.Decode(sl[at+8 : at+stride])
-				if err != nil || v.Dim() != dim {
+				v := embedding.NewValue(dim)
+				freq, _, err := embedding.DecodeRow(sl[at+8:at+stride], v.Weights, v.G2Sum)
+				if err != nil {
 					otherDim = true
 					break
 				}
+				v.Freq = freq
 				if k := keys.Key(binary.LittleEndian.Uint64(sl[at:])); id >= want[k].id {
 					want[k] = owner{id, v}
 				}

@@ -284,9 +284,6 @@ func (s *Store) Recover() ([]blockio.Dropped, error) {
 	return dropped, nil
 }
 
-// Dim returns the embedding dimension of stored values.
-func (s *Store) Dim() int { return s.cfg.Dim }
-
 // Contains reports whether the store holds a value for k.
 func (s *Store) Contains(k keys.Key) bool {
 	s.mu.Lock()

@@ -76,8 +76,8 @@ func TestOpenValidation(t *testing.T) {
 		t.Fatal("nil device should fail")
 	}
 	s := testStore(t, Config{})
-	if s.Dim() != 8 {
-		t.Fatalf("default dim = %d", s.Dim())
+	if s.cfg.Dim != 8 {
+		t.Fatalf("default dim = %d", s.cfg.Dim)
 	}
 }
 
@@ -614,8 +614,8 @@ func TestLoadIntoGroupsByFile(t *testing.T) {
 // loadValues loads ks through LoadInto and returns each key's value, nil
 // when the store does not hold it.
 func loadValues(s *Store, ks []keys.Key) ([]*embedding.Value, error) {
-	blk := ps.NewValueBlock(s.Dim())
-	blk.Reset(s.Dim(), ks)
+	blk := ps.NewValueBlock(s.cfg.Dim)
+	blk.Reset(s.cfg.Dim, ks)
 	if _, err := s.LoadInto(ks, blk, nil); err != nil {
 		return nil, err
 	}

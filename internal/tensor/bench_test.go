@@ -6,12 +6,11 @@ import (
 	"testing"
 )
 
-// Two shape regimes: 64x64 panels / 256-wide vectors stay L1-resident, which
-// is the regime the CTR dense tower (a few dozen units per layer) actually
-// runs in, so kernel overhead dominates; 256x256 / 4096-wide streams through
-// L2, so the kernels are bandwidth-bound and the unroll matters less.
+// Two shape regimes: 64x64 panels stay L1-resident, which is the regime the
+// CTR dense tower (a few dozen units per layer) actually runs in, so kernel
+// overhead dominates; 256x256 streams through L2, so the kernels are
+// bandwidth-bound and the unroll matters less.
 var matShapes = []int{64, 256}
-var vecShapes = []int{256, 4096}
 
 func benchMatrix(rows, cols int) *Matrix {
 	rng := rand.New(rand.NewSource(1))
@@ -81,22 +80,6 @@ func BenchmarkMatTVec(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				MatTVecRows(m, rows, x, out)
 			}
-		})
-	}
-}
-
-func BenchmarkDot(b *testing.B) {
-	for _, n := range vecShapes {
-		b.Run(fmt.Sprintf("%d", n), func(b *testing.B) {
-			x := benchVector(n)
-			y := benchVector(n)
-			b.SetBytes(int64(4 * n))
-			b.ResetTimer()
-			var sink float32
-			for i := 0; i < b.N; i++ {
-				sink += Dot(x, y)
-			}
-			_ = sink
 		})
 	}
 }

@@ -21,8 +21,7 @@
 // every kernel that computes that column computes it bit for bit alike. A
 // weight-gradient kernel adds each product x[k]·v[o] to its element once, so
 // it is bit-identical to the scalar loop, as are the element-wise kernels
-// (Add, Scale, SubAnyNonZero). Dot keeps four independent accumulators, so it
-// sums in another order than a scalar loop.
+// (Add, SubAnyNonZero).
 //
 // Non-finite values. A kernel never multiplies what it skips: a row or
 // column left out of a list contributes nothing even when it holds an Inf or
@@ -51,30 +50,8 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
-// NewMatrixFrom wraps data as a rows x cols matrix. It panics if the length
-// of data does not match the shape.
-func NewMatrixFrom(rows, cols int, data []float32) *Matrix {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: data length %d != %d*%d", len(data), rows, cols))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: data}
-}
-
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
-
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
-
 // Row returns a view of row i (no copy).
 func (m *Matrix) Row(i int) []float32 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// Clone returns a deep copy of the matrix.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
 
 // Zero sets every element to 0.
 func (m *Matrix) Zero() {
@@ -293,51 +270,6 @@ func SubAnyNonZero(dst, a, b []float32) bool {
 		}
 	}
 	return changed
-}
-
-// Scale multiplies every element of x by alpha.
-func Scale(alpha float32, x []float32) {
-	i := 0
-	for n := len(x) - 3; i < n; i += 4 {
-		x4 := x[i : i+4 : i+4]
-		x4[0] *= alpha
-		x4[1] *= alpha
-		x4[2] *= alpha
-		x4[3] *= alpha
-	}
-	for ; i < len(x); i++ {
-		x[i] *= alpha
-	}
-}
-
-// Dot returns the inner product of x and y. It panics on length mismatch.
-func Dot(x, y []float32) float32 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("tensor: Dot length mismatch %d != %d", len(x), len(y)))
-	}
-	return dotUnitary(x, y)
-}
-
-// dotUnitary is the inner product of two equal-length slices, unrolled
-// gonum-style: four independent accumulators, with re-sliced 4-element
-// windows so the compiler proves the bounds once per iteration instead of
-// once per element.
-func dotUnitary(x, y []float32) float32 {
-	var s0, s1, s2, s3 float32
-	i := 0
-	for n := len(x) - 3; i < n; i += 4 {
-		x4 := x[i : i+4 : i+4]
-		y4 := y[i : i+4 : i+4]
-		s0 += x4[0] * y4[0]
-		s1 += x4[1] * y4[1]
-		s2 += x4[2] * y4[2]
-		s3 += x4[3] * y4[3]
-	}
-	sum := (s0 + s2) + (s1 + s3)
-	for ; i < len(x); i++ {
-		sum += x[i] * y[i]
-	}
-	return sum
 }
 
 // Sigmoid returns 1 / (1 + exp(-x)) computed in a numerically stable way.

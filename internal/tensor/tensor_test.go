@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,28 @@ import (
 
 func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol
+}
+
+// NewMatrixFrom wraps data as a rows x cols matrix: how the kernel tests
+// state their operands, row-major.
+func NewMatrixFrom(rows, cols int, data []float32) *Matrix {
+	if len(data) != rows*cols {
+		panic(fmt.Sprintf("tensor: data length %d != %d*%d", len(data), rows, cols))
+	}
+	return &Matrix{Rows: rows, Cols: cols, Data: data}
+}
+
+// At returns element (i, j).
+func (m *Matrix) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
+
+// Set assigns element (i, j).
+func (m *Matrix) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
+
+// Clone returns a deep copy of the matrix.
+func (m *Matrix) Clone() *Matrix {
+	out := NewMatrix(m.Rows, m.Cols)
+	copy(out.Data, m.Data)
+	return out
 }
 
 func TestMatrixBasics(t *testing.T) {
@@ -121,7 +144,10 @@ func TestMatVecMatTVecAdjointProperty(t *testing.T) {
 		}
 		mty := make([]float32, len(cIdx))
 		MatTVecRowsColsAccum(m, rIdx, y, cIdx, x, mty, NewMatrix(rows, cols), make([]float32, rows))
-		rhs := float64(Dot(x, mty))
+		var rhs float64
+		for i := range x {
+			rhs += float64(x[i]) * float64(mty[i])
+		}
 		return almostEqual(lhs, rhs, 1e-3)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -143,17 +169,6 @@ func TestOuterAccumRowsCols(t *testing.T) {
 	OuterAccumRowsCols(gw, gb, []int32{3}, []float32{1}, []int32{1}, []float32{1})
 	if gw.At(3, 1) != 1 || gw.At(0, 0) != 3 || gb[3] != 1 || gb[0] != 1 {
 		t.Fatalf("OuterAccumRowsCols accumulate = %v %v", gw.Data, gb)
-	}
-}
-
-func TestScaleDot(t *testing.T) {
-	y := []float32{3, 5, 7}
-	Scale(0.5, y)
-	if y[0] != 1.5 || y[2] != 3.5 {
-		t.Fatalf("Scale = %v", y)
-	}
-	if Dot([]float32{1, 2}, []float32{3, 4}) != 11 {
-		t.Fatal("Dot wrong")
 	}
 }
 
@@ -244,10 +259,9 @@ func TestSubAnyNonZero(t *testing.T) {
 	SubAnyNonZero(make([]float32, 2), make([]float32, 2), make([]float32, 3))
 }
 
-// TestUnrolledKernelsMatchScalar pins the unrolled kernels to naive scalar
-// references at every remainder length (n%4 in 0..3). The element-wise
-// kernels must match bit-for-bit; Dot sums in a different association order,
-// so it gets a small tolerance. (The layer products have their own contract,
+// TestUnrolledKernelsMatchScalar pins the unrolled element-wise kernel to a
+// naive scalar reference, bit for bit, at every remainder length (n%4 in
+// 0..3). (The layer products have their own contract,
 // TestDenseKernelsMatchScalarLoops, bit for bit.)
 func TestUnrolledKernelsMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -258,25 +272,11 @@ func TestUnrolledKernelsMatchScalar(t *testing.T) {
 			x[i] = rng.Float32()*2 - 1
 			y[i] = rng.Float32()*2 - 1
 		}
-
-		var scalarDot float64
-		for i := range x {
-			scalarDot += float64(x[i]) * float64(y[i])
-		}
-		if got := float64(Dot(x, y)); !almostEqual(got, scalarDot, 1e-4) {
-			t.Fatalf("n=%d: Dot = %v, scalar = %v", n, got, scalarDot)
-		}
-
 		yAdd := append([]float32(nil), y...)
 		Add(x, yAdd)
-		yScale := append([]float32(nil), y...)
-		Scale(0.75, yScale)
 		for i := range y {
 			if yAdd[i] != y[i]+x[i] {
 				t.Fatalf("n=%d: Add[%d] = %v, want %v", n, i, yAdd[i], y[i]+x[i])
-			}
-			if yScale[i] != y[i]*0.75 {
-				t.Fatalf("n=%d: Scale[%d] = %v, want %v", n, i, yScale[i], y[i]*0.75)
 			}
 		}
 	}
@@ -314,7 +314,6 @@ func TestShapePanics(t *testing.T) {
 		func() { OuterAccumRowsCols(gw, gb, []int32{2}, make([]float32, 1), []int32{0}, make([]float32, 1)) },
 		func() { NonZero(make([]float32, 3), make([]int32, 2), make([]float32, 3)) },
 		func() { BiasReLU(make([]float32, 3), make([]float32, 2), make([]int32, 3), make([]float32, 3)) },
-		func() { Dot(make([]float32, 2), make([]float32, 3)) },
 	}
 	for i, fn := range cases {
 		func() {

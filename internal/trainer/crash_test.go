@@ -9,6 +9,8 @@ import (
 
 	"hps/internal/cluster"
 	"hps/internal/dataset"
+	"hps/internal/keys"
+	"hps/internal/ps"
 	"hps/internal/serving"
 )
 
@@ -195,7 +197,8 @@ func TestKillPrimaryMidEpochPromotesBackup(t *testing.T) {
 		}
 		checked++
 		for id, sh := range survivors {
-			if sh.Mem.Lookup(k) == nil {
+			blk := ps.NewValueBlock(sh.Mem.Dim())
+			if err := sh.Mem.HandleLookupBlock([]keys.Key{k}, blk); err != nil || !blk.Present[0] {
 				t.Fatalf("key %d (owned by the dead shard) missing from survivor %d: R=2 not restored", k, id)
 			}
 		}

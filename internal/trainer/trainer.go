@@ -421,9 +421,6 @@ func (t *Trainer) Examples() int64 {
 	return t.examples
 }
 
-// Nodes returns the number of nodes.
-func (t *Trainer) Nodes() int { return len(t.nodes) }
-
 // Tiers returns each tier's uniform statistics aggregated across nodes, top
 // tier first (plus the SSD-PS device-level store stats via Report). In
 // multi-process mode the MEM-PS statistics are fetched from the shard

@@ -71,7 +71,7 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	if tr.Nodes() != 1 {
+	if len(tr.nodes) != 1 {
 		t.Fatal("default topology should be one node")
 	}
 	if err := tr.Run(context.Background()); err != nil {
